@@ -34,6 +34,7 @@ import (
 	"cachekv/internal/baseline"
 	"cachekv/internal/baseline/novelsm"
 	"cachekv/internal/baseline/slmdb"
+	"cachekv/internal/blockcache"
 	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -540,8 +541,9 @@ func (db *DB) Metrics() Metrics {
 		CacheHits:          cs.Hits,
 		CacheMisses:        cs.Misses,
 	}
-	if bs, ok := db.inner.(interface{ BlockCacheStats() (hits, misses int64) }); ok {
-		m.BlockCacheHits, m.BlockCacheMisses = bs.BlockCacheStats()
+	if bs, ok := db.inner.(interface{ BlockCacheStats() blockcache.Stats }); ok {
+		st := bs.BlockCacheStats()
+		m.BlockCacheHits, m.BlockCacheMisses = st.Hits, st.Misses
 		m.BlockCacheHitRatio = obs.SafeRatio(m.BlockCacheHits, m.BlockCacheHits+m.BlockCacheMisses)
 	}
 	if fs, ok := db.inner.(interface {

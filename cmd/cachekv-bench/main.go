@@ -31,9 +31,6 @@ func main() {
 	flushThreads := flag.Int("flush-threads", 0, "CacheKV background flush threads (0 = default)")
 	poolMB := flag.Int("pool-mb", 0, "CacheKV sub-MemTable pool MiB (0 = default 12)")
 	tableKB := flag.Int("table-kb", 0, "CacheKV sub-MemTable size KiB (0 = default 2048)")
-	readPathOut := flag.String("readpath-out", "", "run the read-path suite and write machine-readable JSON here (ignores -benchmarks)")
-	readPathBase := flag.String("readpath-baseline", "", "prior readpath JSON to embed as the before/after baseline")
-	readPathEngines := flag.String("readpath-engines", "cachekv,novelsm,slm-db", "engines measured by the read-path suite")
 	obsOut := flag.String("obs-out", "", "write a per-phase cachekv.obs/v1 attribution report here (e.g. BENCH_obs.json)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
 	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = legacy inline compaction)")
@@ -99,14 +96,6 @@ func main() {
 		cfg.GroupCommitWindow = *groupCommit
 		cfg.GroupCommitMaxOps = *groupCommitOps
 		if err := runShardCurve(*shardOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *readPathOut != "" {
-		if err := runReadPath(*readPathOut, *readPathBase, *readPathEngines, *num, *threads, *valueSize); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -305,60 +294,6 @@ func main() {
 	}
 }
 
-// runReadPath executes the read-path acceleration suite (uniform + zipfian
-// YCSB-C over a loaded store) and writes BENCH_readpath.json-style output.
-func runReadPath(out, baselinePath, engines string, num int64, threads, valueSize int) error {
-	var kinds []bench.EngineKind
-	byName := map[string]bench.EngineKind{
-		"cachekv":           bench.CacheKV,
-		"pcsm":              bench.PCSM,
-		"pcsm+liu":          bench.PCSMLIU,
-		"novelsm":           bench.NoveLSM,
-		"novelsm-w/o-flush": bench.NoveLSMWoFlush,
-		"novelsm-cache":     bench.NoveLSMCache,
-		"slm-db":            bench.SLMDB,
-		"slm-db-w/o-flush":  bench.SLMDBWoFlush,
-		"slm-db-cache":      bench.SLMDBCache,
-	}
-	for _, name := range strings.Split(engines, ",") {
-		kind, ok := byName[strings.TrimSpace(strings.ToLower(name))]
-		if !ok {
-			return fmt.Errorf("unknown engine %q", name)
-		}
-		kinds = append(kinds, kind)
-	}
-	cfg := bench.DefaultReadPathConfig()
-	if num > 0 {
-		cfg.Records, cfg.Ops = num, num
-	}
-	if threads > 0 {
-		cfg.Threads = threads
-	}
-	if valueSize > 0 {
-		cfg.ValueSize = valueSize
-	}
-	report, err := bench.RunReadPath(kinds, cfg)
-	if err != nil {
-		return err
-	}
-	if baselinePath != "" {
-		base, err := bench.LoadReadPathReport(baselinePath)
-		if err != nil {
-			return fmt.Errorf("loading baseline: %w", err)
-		}
-		report.AttachBaseline(base)
-	}
-	for _, r := range report.Results {
-		fmt.Printf("%-10s %-14s : %10.1f virtual ns/op  (%5.1f%% filter-neg, %5.1f%% cache-hit)\n",
-			r.Engine, r.Workload, r.VirtualNsPerOp,
-			pct(r.FilterNegatives, r.FilterProbes), r.BlockCacheHitRatio*100)
-		if imp, ok := report.ImprovementPct[r.Engine+"/"+r.Workload]; ok {
-			fmt.Printf("%-10s %-14s : %+.1f%% vs baseline\n", r.Engine, r.Workload, imp)
-		}
-	}
-	return report.WriteJSON(out)
-}
-
 // runShardCurve executes the shard-scaling suite (BENCH_shard.json): YCSB-A
 // and YCSB-C at each thread count, 1-shard baseline vs Shards=threads.
 func runShardCurve(out string, cfg bench.ShardCurveConfig) error {
@@ -408,13 +343,6 @@ func runCompactCurve(out string, cfg bench.CompactBenchConfig) error {
 	}
 	fmt.Printf("stall-dwell reduction vs inline baseline: %.2fx\n", report.StallReduction)
 	return report.WriteJSON(out)
-}
-
-func pct(part, whole int64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole) * 100
 }
 
 func makeWorkload(name string, num int64, threads, valueSize int) (bench.Workload, bool) {

@@ -79,35 +79,106 @@ func (b *Builder) Reset() {
 	b.entries = 0
 }
 
-// Iter iterates over a finished block's entries.
+// Backing faults byte ranges of a block into the buffer an Iter decodes
+// from. A point read that searches a block in place on byte-addressable PMem
+// implements it to load only the cache lines the search touches; Need(lo, hi)
+// must make buf[lo:hi] valid before it returns.
+type Backing interface {
+	Need(lo, hi int) error
+}
+
+// maxEntryHeader bounds an entry's three length varints. Each length is
+// smaller than the block, so a varint longer than five bytes is corrupt.
+const maxEntryHeader = 15
+
+// Iter iterates over a finished block's entries. It decodes either resident
+// contents (back == nil) or a buffer its Backing fills on demand; both run
+// the same code, which asks for every byte range before reading it and
+// bounds-checks every count, offset and length taken from the block first.
 type Iter struct {
-	data     []byte // entry area only
-	restarts []uint32
-	off      int // offset of current entry within data
-	nextOff  int
-	key      []byte
-	value    []byte
-	valid    bool
-	err      error
+	data      []byte  // whole block; with a Backing only the ranges asked for are valid
+	back      Backing // nil when data is resident
+	limit     int     // end of the entry area, start of the restart array
+	nRestarts int
+	nextOff   int
+	key       []byte
+	vlo, vhi  int // extent of the current value within data
+	valid     bool
+	err       error
 }
 
 // NewIter parses contents (a finished block) and returns an unpositioned
 // iterator.
 func NewIter(contents []byte) (*Iter, error) {
-	if len(contents) < 4 {
-		return nil, util.ErrCorrupt
+	it := new(Iter)
+	if err := it.Reset(contents); err != nil {
+		return nil, err
 	}
-	n := int(util.Fixed32(contents[len(contents)-4:]))
-	restartsEnd := len(contents) - 4
-	restartsStart := restartsEnd - 4*n
-	if n < 1 || restartsStart < 0 {
-		return nil, util.ErrCorrupt
+	return it, nil
+}
+
+// Reset re-targets the iterator at resident contents, keeping its key buffer.
+func (it *Iter) Reset(contents []byte) error { return it.reset(contents, nil) }
+
+// ResetLazy re-targets the iterator at a block of len(buf) bytes that back
+// faults into buf on demand.
+func (it *Iter) ResetLazy(buf []byte, back Backing) error { return it.reset(buf, back) }
+
+// reset validates the trailer once for either backing: the restart count
+// fits the block and the restart offsets ascend strictly within the entry
+// area, so every later restart lookup and slice is in range.
+func (it *Iter) reset(data []byte, back Backing) error {
+	*it = Iter{data: data, back: back, key: it.key[:0]}
+	n := len(data)
+	if n < 4 || !it.need(n-4, n) {
+		return it.corrupt()
 	}
-	restarts := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		restarts[i] = util.Fixed32(contents[restartsStart+4*i:])
+	count := int(util.Fixed32(data[n-4:]))
+	if count < 1 || count > (n-4)/4 {
+		return it.corrupt()
 	}
-	return &Iter{data: contents[:restartsStart], restarts: restarts}, nil
+	it.nRestarts = count
+	it.limit = n - 4 - 4*count
+	if !it.need(it.limit, n-4) {
+		return it.corrupt()
+	}
+	prev := -1
+	for i := 0; i < count; i++ {
+		r := it.restart(i)
+		if r <= prev || r > it.limit {
+			return it.corrupt()
+		}
+		prev = r
+	}
+	return nil
+}
+
+// corrupt records and returns the iterator's error, ErrCorrupt unless a
+// Backing fault already set one.
+func (it *Iter) corrupt() error {
+	if it.err == nil {
+		it.err = util.ErrCorrupt
+	}
+	it.valid = false
+	return it.err
+}
+
+// need makes data[lo:hi] readable. It is a no-op on resident contents.
+func (it *Iter) need(lo, hi int) bool {
+	if it.back == nil || lo >= hi {
+		return true
+	}
+	if err := it.back.Need(lo, hi); err != nil {
+		it.err = err
+		it.valid = false
+		return false
+	}
+	return true
+}
+
+// restart returns restart offset i, decoded in place (reset validated it).
+func (it *Iter) restart(i int) int {
+	return int(util.Fixed32(it.data[it.limit+4*i:]))
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -119,8 +190,14 @@ func (it *Iter) Err() error { return it.err }
 // Key returns the current full key.
 func (it *Iter) Key() []byte { return it.key }
 
-// Value returns the current value.
-func (it *Iter) Value() []byte { return it.value }
+// Value returns the current value, or nil (and Err) when its bytes cannot be
+// faulted in.
+func (it *Iter) Value() []byte {
+	if !it.need(it.vlo, it.vhi) {
+		return nil
+	}
+	return it.data[it.vlo:it.vhi]
+}
 
 // SeekToFirst positions at the first entry.
 func (it *Iter) SeekToFirst() {
@@ -131,46 +208,64 @@ func (it *Iter) SeekToFirst() {
 
 // Next advances to the following entry.
 func (it *Iter) Next() {
-	if it.nextOff >= len(it.data) {
-		it.valid = false
-		return
-	}
-	it.off = it.nextOff
-	if !it.decodeAt(it.nextOff) {
-		it.valid = false
-		return
-	}
-	it.valid = true
+	it.valid = it.err == nil && it.nextOff < it.limit && it.decodeAt(it.nextOff)
 }
 
-// decodeAt parses the entry at off, updating key/value/nextOff. The key is
-// reconstructed using the current it.key prefix, so callers must walk
-// entries in order from a restart point.
+// header decodes the entry header at off and returns the shared-prefix
+// length and the key and value extents, all checked against the entry area.
+func (it *Iter) header(off int) (shared, klo, khi, vhi int, ok bool) {
+	end := off + maxEntryHeader
+	if end > it.limit {
+		end = it.limit
+	}
+	if !it.need(off, end) {
+		return 0, 0, 0, 0, false
+	}
+	p := it.data[off:end]
+	var sh, unshared, vlen uint64
+	if len(p) >= 3 && p[0]|p[1]|p[2] < 0x80 {
+		// All three lengths fit one byte each: the common case.
+		sh, unshared, vlen = uint64(p[0]), uint64(p[1]), uint64(p[2])
+		klo = off + 3
+	} else {
+		var n1, n2, n3 int
+		var err1, err2, err3 error
+		sh, n1, err1 = util.Uvarint(p)
+		unshared, n2, err2 = util.Uvarint(p[n1:])
+		vlen, n3, err3 = util.Uvarint(p[n1+n2:])
+		if err1 != nil || err2 != nil || err3 != nil {
+			it.corrupt()
+			return 0, 0, 0, 0, false
+		}
+		klo = off + n1 + n2 + n3
+	}
+	room := uint64(it.limit - klo)
+	if unshared > room || vlen > room-unshared || sh > uint64(len(it.data)) {
+		it.corrupt()
+		return 0, 0, 0, 0, false
+	}
+	khi = klo + int(unshared)
+	return int(sh), klo, khi, khi + int(vlen), true
+}
+
+// decodeAt parses the entry at off, updating key, value extent and nextOff.
+// The key is reconstructed using the current it.key prefix, so callers must
+// walk entries in order from a restart point.
 func (it *Iter) decodeAt(off int) bool {
-	p := it.data[off:]
-	shared, n1, err := util.Uvarint(p)
-	if err != nil {
-		it.err = err
+	shared, klo, khi, vhi, ok := it.header(off)
+	if !ok {
 		return false
 	}
-	unshared, n2, err := util.Uvarint(p[n1:])
-	if err != nil {
-		it.err = err
+	if shared > len(it.key) {
+		it.corrupt()
 		return false
 	}
-	vlen, n3, err := util.Uvarint(p[n1+n2:])
-	if err != nil {
-		it.err = err
+	if !it.need(klo, khi) {
 		return false
 	}
-	h := n1 + n2 + n3
-	if uint64(len(p)-h) < unshared+vlen || uint64(len(it.key)) < shared {
-		it.err = util.ErrCorrupt
-		return false
-	}
-	it.key = append(it.key[:shared], p[h:h+int(unshared)]...)
-	it.value = p[h+int(unshared) : h+int(unshared)+int(vlen)]
-	it.nextOff = off + h + int(unshared) + int(vlen)
+	it.key = append(it.key[:shared], it.data[klo:khi]...)
+	it.vlo, it.vhi = khi, vhi
+	it.nextOff = vhi
 	return true
 }
 
@@ -180,13 +275,16 @@ func (it *Iter) Seek(target []byte, cmp func(a, b []byte) int) {
 	if cmp == nil {
 		cmp = bytes.Compare
 	}
+	if it.err != nil {
+		it.valid = false
+		return
+	}
 	// Find the last restart whose key < target.
-	lo, hi := 0, len(it.restarts)-1
+	lo, hi := 0, it.nRestarts-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		k, ok := it.keyAtRestart(mid)
 		if !ok {
-			it.valid = false
 			return
 		}
 		if cmp(k, target) < 0 {
@@ -196,13 +294,10 @@ func (it *Iter) Seek(target []byte, cmp func(a, b []byte) int) {
 		}
 	}
 	it.key = it.key[:0]
-	it.nextOff = int(it.restarts[lo])
+	it.nextOff = it.restart(lo)
 	for {
 		it.Next()
-		if !it.Valid() {
-			return
-		}
-		if cmp(it.key, target) >= 0 {
+		if !it.valid || cmp(it.key, target) >= 0 {
 			return
 		}
 	}
@@ -211,27 +306,16 @@ func (it *Iter) Seek(target []byte, cmp func(a, b []byte) int) {
 // keyAtRestart decodes the full key stored at restart index i (restart
 // entries always have shared == 0).
 func (it *Iter) keyAtRestart(i int) ([]byte, bool) {
-	off := int(it.restarts[i])
-	p := it.data[off:]
-	_, n1, err := util.Uvarint(p) // shared, always 0 at a restart
-	if err != nil {
-		it.err = err
+	shared, klo, khi, _, ok := it.header(it.restart(i))
+	if !ok {
 		return nil, false
 	}
-	unshared, n2, err := util.Uvarint(p[n1:])
-	if err != nil {
-		it.err = err
+	if shared != 0 {
+		it.corrupt()
 		return nil, false
 	}
-	_, n3, err := util.Uvarint(p[n1+n2:])
-	if err != nil {
-		it.err = err
+	if !it.need(klo, khi) {
 		return nil, false
 	}
-	h := n1 + n2 + n3
-	if uint64(len(p)-h) < unshared {
-		it.err = util.ErrCorrupt
-		return nil, false
-	}
-	return p[h : h+int(unshared)], true
+	return it.data[klo:khi], true
 }

@@ -4,6 +4,12 @@
 // churn across compactions and concurrent lookups spread over independent
 // shard locks instead of serializing on one mutex.
 //
+// A point read that misses does not have to fill the cache: SSTables live on
+// byte-addressable PMem, so the reader can search the block in place and
+// leave the cache alone. Admit decides which misses are worth a fill — the
+// second one for the same block within a short window of recent misses — so
+// blocks that are touched once never evict blocks that are reused.
+//
 // Values are the immutable decoded block contents; callers must not mutate
 // returned slices. Capacity is charged in bytes (value length plus a fixed
 // per-entry overhead), the way LevelDB's block cache charges its LRU.
@@ -29,6 +35,8 @@ type Stats struct {
 	Evictions int64
 	Bytes     int64 // bytes currently charged
 	Entries   int64
+	Admitted  int64 // point-read misses Admit chose to fill
+	Direct    int64 // point-read misses served in place on PMem, without a fill
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookups.
@@ -79,13 +87,29 @@ func (s *shard) pushFront(e *entry) {
 	s.head.next = e
 }
 
+// admitSlotBytes sets the recent-miss window: one fingerprint slot per this
+// many bytes of capacity (256 slots for the default 8 MiB cache, an eighth of
+// the blocks it holds). The window is deliberately short. A block that misses
+// twice within a few hundred misses is hot enough to earn its DRAM copy; a
+// longer memory starts admitting the uniform tail, whose fills cost sixteen
+// XPLine reads each and evict blocks that would have hit.
+const admitSlotBytes = 32 << 10
+
 // Cache is the shared block cache.
 type Cache struct {
 	shards []shard
 	mask   uint64
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// recent is a direct-mapped table of the fingerprints of blocks that
+	// missed lately; a later miss that lands on another block's slot
+	// overwrites it, which is how the window forgets.
+	recent     []atomic.Uint64
+	recentMask uint64
+
+	hits     atomic.Int64
+	misses   atomic.Int64
+	admitted atomic.Int64
+	direct   atomic.Int64
 }
 
 // New builds a cache of capacityBytes spread over shardCount shards
@@ -103,7 +127,14 @@ func New(capacityBytes int64, shardCount int) *Cache {
 	for n < shardCount {
 		n <<= 1
 	}
-	c := &Cache{shards: make([]shard, n), mask: uint64(n - 1)}
+	slots := int64(1)
+	for slots*admitSlotBytes < capacityBytes {
+		slots <<= 1
+	}
+	c := &Cache{
+		shards: make([]shard, n), mask: uint64(n - 1),
+		recent: make([]atomic.Uint64, slots), recentMask: uint64(slots - 1),
+	}
 	per := capacityBytes / int64(n)
 	if per < 1 {
 		per = 1
@@ -114,12 +145,39 @@ func New(capacityBytes int64, shardCount int) *Cache {
 	return c
 }
 
-// shardFor hashes the key to a shard. Offsets are block-aligned-ish and file
-// numbers small, so mix both words before masking.
-func (c *Cache) shardFor(k Key) *shard {
+// hash mixes both words of the key: offsets are block-aligned-ish and file
+// numbers small.
+func hash(k Key) uint64 {
 	h := k.File*0x9E3779B97F4A7C15 ^ k.Offset*0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	return &c.shards[h&c.mask]
+	return h ^ h>>29
+}
+
+func (c *Cache) shardFor(k Key) *shard { return &c.shards[hash(k)&c.mask] }
+
+// Admit is called by a point read after Get missed on k. It reports whether
+// the block should be read whole and Put: true when k also missed recently
+// (a second touch shows reuse), false when the caller should serve this read
+// in place and leave the cache as it is. Lock-free; a nil cache never admits.
+func (c *Cache) Admit(k Key) bool {
+	if c == nil {
+		return false
+	}
+	fp := hash(k) | 1 // zero means an empty slot
+	slot := &c.recent[(fp>>32)&c.recentMask]
+	if slot.Load() != fp {
+		slot.Store(fp)
+		return false
+	}
+	slot.Store(0)
+	c.admitted.Add(1)
+	return true
+}
+
+// NoteDirect counts a miss the caller served in place on PMem.
+func (c *Cache) NoteDirect() {
+	if c != nil {
+		c.direct.Add(1)
+	}
 }
 
 // Get returns the cached block for k, marking it most recently used.
@@ -130,9 +188,11 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.table[k]
+	var v []byte
 	if ok {
 		s.unlink(e)
 		s.pushFront(e)
+		v = e.value // under the lock: a concurrent Put of the same key rewrites it
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -140,7 +200,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.value, true
+	return v, true
 }
 
 // Put inserts (or refreshes) a block, evicting LRU entries until the shard
@@ -204,7 +264,10 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	st := Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	st := Stats{
+		Hits: c.hits.Load(), Misses: c.misses.Load(),
+		Admitted: c.admitted.Load(), Direct: c.direct.Load(),
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

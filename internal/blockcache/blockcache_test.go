@@ -16,6 +16,10 @@ func TestNilCacheIsSafe(t *testing.T) {
 	}
 	c.Put(Key{1, 0}, []byte("x"))
 	c.EvictFile(1)
+	c.NoteDirect()
+	if c.Admit(Key{1, 0}) || c.Admit(Key{1, 0}) {
+		t.Fatal("nil cache admitted a block")
+	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v, want zero", st)
 	}
@@ -137,7 +141,12 @@ func TestConcurrentAccess(t *testing.T) {
 						t.Errorf("corrupt value %q for %+v", v, k)
 						return
 					}
+				} else if c.Admit(k) {
+					c.Put(k, []byte(fmt.Sprintf("f%d-o%d", k.File, k.Offset)))
 				} else {
+					c.NoteDirect()
+				}
+				if i%5 == 0 { // refresh a resident key while others read it
 					c.Put(k, []byte(fmt.Sprintf("f%d-o%d", k.File, k.Offset)))
 				}
 				if i%500 == 0 {
@@ -147,4 +156,55 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// Admission is second-touch: the first miss of a block is remembered, the
+// second one inside the window admits it, and the admission uses the memory
+// up.
+func TestAdmitOnSecondMiss(t *testing.T) {
+	c := New(8<<20, 16)
+	if got := len(c.recent); got != 256 {
+		t.Fatalf("an 8 MiB cache has %d recent-miss slots, want 256", got)
+	}
+	k := Key{File: 9, Offset: 40960}
+	for i, want := range []bool{false, true, false, true} {
+		if got := c.Admit(k); got != want {
+			t.Fatalf("miss %d: Admit = %v, want %v", i+1, got, want)
+		}
+	}
+	c.NoteDirect()
+	if st := c.Stats(); st.Admitted != 2 || st.Direct != 1 {
+		t.Fatalf("stats = %+v, want 2 admitted / 1 direct", st)
+	}
+}
+
+// The window is small and forgets: once more distinct blocks have missed than
+// it has slots, an old first touch no longer counts.
+func TestAdmitWindowForgets(t *testing.T) {
+	c := New(8<<20, 16)
+	old := Key{File: 1, Offset: 0}
+	if c.Admit(old) {
+		t.Fatal("first miss admitted")
+	}
+	admitted := 0
+	for i := 1; i <= 16*len(c.recent); i++ {
+		if c.Admit(Key{File: 2, Offset: uint64(i) * 4096}) {
+			admitted++
+		}
+	}
+	if admitted != 0 {
+		t.Fatalf("%d one-touch blocks were admitted", admitted)
+	}
+	if c.Admit(old) {
+		t.Fatal("a first touch survived sixteen windows of other misses")
+	}
+	// A re-touch inside the window, with other misses in between, admits.
+	hot := Key{File: 3, Offset: 8192}
+	c.Admit(hot)
+	for i := 0; i < len(c.recent)/8; i++ {
+		c.Admit(Key{File: 4, Offset: uint64(i) * 4096})
+	}
+	if !c.Admit(hot) {
+		t.Fatal("a second touch 32 misses after the first was not admitted")
+	}
 }

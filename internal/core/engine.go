@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"cachekv/internal/arena"
+	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
@@ -532,11 +533,8 @@ func (e *Engine) FilterStats() (probes, negatives int64) {
 	return e.stats.FilterProbes.Load(), e.stats.FilterNegatives.Load()
 }
 
-// BlockCacheStats reports the shared block cache's hit/miss counters.
-func (e *Engine) BlockCacheStats() (hits, misses int64) {
-	st := e.tree.CacheStats()
-	return st.Hits, st.Misses
-}
+// BlockCacheStats reports the block cache's counters.
+func (e *Engine) BlockCacheStats() blockcache.Stats { return e.tree.CacheStats() }
 
 // Tree exposes the storage component (tests and tooling).
 func (e *Engine) Tree() *lsm.Tree { return e.tree }

@@ -489,3 +489,41 @@ func TestElasticityMergesWhenQuiet(t *testing.T) {
 		}
 	}
 }
+
+// TestGetNeverMissesAcrossFlushHandOver is the regression test for the flush
+// hand-over order: the flusher must register a sealed table in mem.imms
+// before it clears the slot's list, or a Get racing the hand-over finds the
+// key in neither place. The writer keeps sealing 128 KiB slots, and while a
+// flush is in flight it re-reads the keys of the slot being moved as fast as
+// it can, so some Get lands inside every hand-over. Run under -race in CI.
+func TestGetNeverMissesAcrossFlushHandOver(t *testing.T) {
+	opts := smallOpts()
+	opts.FSBytes = 512 << 20 // every L0 table reserves a full-size extent
+	e, th := openEngine(t, testMachine(), opts)
+	defer e.Close(th)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%08d", i)) }
+	value := make([]byte, 200)
+	const perSlot = 512 // a 128 KiB slot holds a little more than this
+	gets := 0
+	for i := 0; i < 60_000 || gets < 50_000; i++ {
+		if err := e.Put(th, key(i), value); err != nil {
+			t.Fatal(err)
+		}
+		for back := i; back >= 0; back-- {
+			if _, err := e.Get(th, key(back)); err != nil {
+				t.Fatalf("Get of key %d, acknowledged %d Puts ago: %v (flushes so far: %d)",
+					back, i-back, err, e.stats.Flushes.Load())
+			}
+			gets++
+			if back == i-perSlot {
+				back = i + 1 // sweep the same keys again
+			}
+			if e.pendingFlushes.Load() == 0 {
+				break
+			}
+		}
+	}
+	if n := e.stats.Flushes.Load(); n < 50 {
+		t.Fatalf("only %d flushes: the hand-over was not exercised", n)
+	}
+}

@@ -325,13 +325,19 @@ func (e *Engine) flushOne(s *slot) {
 			filter:     s.filter.Load(), // covers exactly this slot's committed keys
 			indexDoneV: indexDoneV,
 		}
-		s.list = nil
 		s.syncMu.Unlock()
 		// Register before releasing the spill lock so a racing spill either
 		// sees this table or runs after it is fully installed.
 		e.mem.mu.Lock()
 		e.mem.imms = append(e.mem.imms, t)
 		e.mem.mu.Unlock()
+		// Only now clear the slot. Get probes the slots before the imm
+		// tables, so the list must be reachable from the registry before it
+		// leaves the slot or a concurrent Get finds the table in neither
+		// place; finding it in both is harmless (same entries, same seqs).
+		s.syncMu.Lock()
+		s.list = nil
+		s.syncMu.Unlock()
 		e.spillMu.RUnlock()
 		e.stats.Flushes.Add(1)
 	}

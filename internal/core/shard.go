@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cachekv/internal/blockcache"
 	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -777,13 +778,19 @@ func (sh *Sharded) FilterStats() (probes, negatives int64) {
 }
 
 // BlockCacheStats aggregates the shards' block-cache counters.
-func (sh *Sharded) BlockCacheStats() (hits, misses int64) {
+func (sh *Sharded) BlockCacheStats() blockcache.Stats {
+	var sum blockcache.Stats
 	for _, e := range sh.shards {
-		h, m := e.BlockCacheStats()
-		hits += h
-		misses += m
+		st := e.BlockCacheStats()
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Evictions += st.Evictions
+		sum.Bytes += st.Bytes
+		sum.Entries += st.Entries
+		sum.Admitted += st.Admitted
+		sum.Direct += st.Direct
 	}
-	return hits, misses
+	return sum
 }
 
 // GroupCommitStats reports the router's batching effectiveness: groups

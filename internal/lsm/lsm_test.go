@@ -328,3 +328,78 @@ func TestMergingIteratorSeek(t *testing.T) {
 		t.Fatalf("merge Seek landed on %s", m.Key())
 	}
 }
+
+// A published version is immutable: Get walks t.levels outside the lock, so
+// an edit must build new level slices and never sort or splice the old ones.
+func TestApplyIsCopyOnWrite(t *testing.T) {
+	_, tr, th, _, _ := newEnv(t, Options{L0CompactionTrigger: 100})
+	seq := uint64(1)
+	for i := 0; i < 3; i++ {
+		seq = fillTable(t, tr, th, i*10, 10, seq, "v")
+	}
+	snapshot := func() ([][]*FileMeta, [][]*FileMeta) {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		held := tr.levels
+		image := make([][]*FileMeta, len(held))
+		for l := range held {
+			image[l] = append([]*FileMeta(nil), held[l]...)
+		}
+		return held, image
+	}
+	held, image := snapshot()
+	for i, f := range held[0] {
+		if i > 0 && f.Num > held[0][i-1].Num {
+			t.Fatalf("L0 is not newest first: %d after %d", f.Num, held[0][i-1].Num)
+		}
+	}
+
+	// One flush (an add to L0) and one compaction (deletes from L0, adds to
+	// L1) later, the version taken before must still read exactly as it did.
+	seq = fillTable(t, tr, th, 30, 10, seq, "v")
+	tr.mu.Lock()
+	c := tr.buildCompactionLocked(0)
+	tr.mu.Unlock()
+	if c == nil {
+		t.Fatal("no L0 compaction to run")
+	}
+	if _, err := tr.compact(th, c); err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumFiles(0) != 0 || tr.NumFiles(1) == 0 {
+		t.Fatalf("compaction left L0=%d L1=%d", tr.NumFiles(0), tr.NumFiles(1))
+	}
+	for l := range image {
+		if len(held[l]) != len(image[l]) {
+			t.Fatalf("level %d of a held version changed length %d -> %d", l, len(image[l]), len(held[l]))
+		}
+		for i := range image[l] {
+			if held[l][i] != image[l][i] {
+				t.Fatalf("level %d slot %d of a held version was rewritten in place", l, i)
+			}
+		}
+	}
+	_ = seq
+}
+
+// The level walk itself allocates nothing: no copy of the version, no sort.
+// What remains is the lookup key, the value and the table reads.
+func TestGetLevelWalkDoesNotAllocate(t *testing.T) {
+	if util.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	_, tr, th, _, _ := newEnv(t, Options{L0CompactionTrigger: 100})
+	seq := uint64(1)
+	for i := 0; i < 6; i++ {
+		seq = fillTable(t, tr, th, 0, 200, seq, "v") // six overlapping L0 tables
+	}
+	key := []byte("key00000100")
+	if _, _, found, _, err := tr.Get(th, key, util.MaxSequence); !found || err != nil {
+		t.Fatalf("Get: found=%v err=%v", found, err)
+	}
+	// Per Get: the internal key, and one value per L0 table that holds a
+	// version (all six do).
+	if n := testing.AllocsPerRun(100, func() { tr.Get(th, key, util.MaxSequence) }); n > 7 {
+		t.Fatalf("Get over six L0 tables: %.1f allocations, want at most 7", n)
+	}
+}

@@ -195,24 +195,41 @@ func Open(m *hw.Machine, fs *pmemfs.FS, manifestRegion hw.Region, opts Options, 
 func tableName(num uint64) string { return fmt.Sprintf("%06d.sst", num) }
 
 // apply folds an edit into the in-memory version (t.mu must be held or the
-// tree not yet shared).
+// tree not yet shared). A published version is immutable — Get walks it
+// outside the lock — so every level the edit touches is rebuilt in a fresh
+// slice under a fresh level table, and t.levels is swapped once at the end.
 func (t *Tree) apply(e *versionEdit) {
+	levels := append([][]*FileMeta(nil), t.levels...)
+	fresh := make([]bool, len(levels)) // levels[l] is already this edit's own copy
+	own := func(level int) {
+		if !fresh[level] {
+			levels[level] = append([]*FileMeta(nil), levels[level]...)
+			fresh[level] = true
+		}
+	}
 	for _, d := range e.deleted {
-		files := t.levels[d.level]
+		own(d.level)
+		files := levels[d.level]
 		for i, f := range files {
 			if f.Num == d.num {
 				t.rangeDelCount -= len(f.RangeDels)
-				t.levels[d.level] = append(files[:i:i], files[i+1:]...)
+				levels[d.level] = append(files[:i], files[i+1:]...)
 				break
 			}
 		}
 	}
 	for _, a := range e.added {
+		own(a.level)
 		meta := a.meta
 		t.rangeDelCount += len(meta.RangeDels)
-		t.levels[a.level] = append(t.levels[a.level], &meta)
-		t.sortLevel(a.level)
+		levels[a.level] = append(levels[a.level], &meta)
 	}
+	for level, touched := range fresh {
+		if touched {
+			t.sortLevel(level, levels[level])
+		}
+	}
+	t.levels = levels
 	if e.nextFile > t.nextFile {
 		t.nextFile = e.nextFile
 	}
@@ -221,13 +238,16 @@ func (t *Tree) apply(e *versionEdit) {
 	}
 }
 
-// sortLevel keeps L0 ordered by file number (recency) and other levels by
-// smallest key.
-func (t *Tree) sortLevel(level int) {
-	files := t.levels[level]
-	if level == 0 || t.opts.SingleLevel {
+// sortLevel orders an unpublished level slice: L0 newest first (descending
+// file number, the order Get probes it in), SingleLevel's level by ascending
+// file number, and every other level by smallest key.
+func (t *Tree) sortLevel(level int, files []*FileMeta) {
+	switch {
+	case level == 0:
+		sort.Slice(files, func(i, j int) bool { return files[i].Num > files[j].Num })
+	case t.opts.SingleLevel:
 		sort.Slice(files, func(i, j int) bool { return files[i].Num < files[j].Num })
-	} else {
+	default:
 		sort.Slice(files, func(i, j int) bool {
 			return util.CompareInternal(files[i].Smallest, files[j].Smallest) < 0
 		})
@@ -915,36 +935,34 @@ func (t *Tree) RangeTombstones(seq uint64) []RangeDel {
 
 func (t *Tree) getOnce(th *hw.Thread, ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
 	ikey := util.MakeInternalKey(nil, ukey, seq, util.KindValue)
+	// The published version is immutable (see apply): take it and walk it
+	// outside the lock, with no copies.
 	t.mu.RLock()
-	// L0 (and SingleLevel's L1): overlapping tables, newest first.
-	l0 := append([]*FileMeta(nil), t.levels[0]...)
-	if t.opts.SingleLevel {
-		l0 = append(l0, t.levels[1]...)
-	}
-	var rest [][]*FileMeta
-	if !t.opts.SingleLevel {
-		for lvl := 1; lvl < t.opts.MaxLevels; lvl++ {
-			rest = append(rest, append([]*FileMeta(nil), t.levels[lvl]...))
-		}
-	}
+	levels := t.levels
 	t.mu.RUnlock()
 
-	sort.Slice(l0, func(i, j int) bool { return l0[i].Num > l0[j].Num })
-	// Overlapping tables may each hold a version; keep the freshest.
+	// L0 (and SingleLevel's L1) hold overlapping tables, each of which may
+	// carry a version; keep the freshest.
+	overlapping := 1
+	if t.opts.SingleLevel {
+		overlapping = 2
+	}
 	var bestVal []byte
 	var bestSeq uint64
 	var bestKind util.ValueKind
 	best := false
-	for _, f := range l0 {
-		if bytes.Compare(ukey, f.Smallest.UserKey()) < 0 || bytes.Compare(ukey, f.Largest.UserKey()) > 0 {
-			continue
-		}
-		v, fseq, kind, ok, err := t.getInFile(th, f.Num, ikey)
-		if err != nil {
-			return nil, 0, false, false, err
-		}
-		if ok && (!best || fseq > bestSeq) {
-			bestVal, bestSeq, bestKind, best = v, fseq, kind, true
+	for _, files := range levels[:overlapping] {
+		for _, f := range files {
+			if bytes.Compare(ukey, f.Smallest.UserKey()) < 0 || bytes.Compare(ukey, f.Largest.UserKey()) > 0 {
+				continue
+			}
+			v, fseq, kind, ok, err := t.getInFile(th, f.Num, ikey)
+			if err != nil {
+				return nil, 0, false, false, err
+			}
+			if ok && (!best || fseq > bestSeq) {
+				bestVal, bestSeq, bestKind, best = v, fseq, kind, true
+			}
 		}
 	}
 	if best {
@@ -953,7 +971,10 @@ func (t *Tree) getOnce(th *hw.Thread, ukey []byte, seq uint64) (value []byte, fo
 		}
 		return bestVal, bestSeq, true, false, nil
 	}
-	for _, files := range rest {
+	if t.opts.SingleLevel {
+		return nil, 0, false, false, nil
+	}
+	for _, files := range levels[1:] {
 		// Sorted, non-overlapping: binary search the one candidate file.
 		i := sort.Search(len(files), func(i int) bool {
 			return bytes.Compare(files[i].Largest.UserKey(), ukey) >= 0

@@ -399,6 +399,26 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	}
 }
 
+// Point reads serve a block-cache miss in place or by an admitted fill;
+// iterators account for the rest, so the two can never exceed the misses.
+func TestVerifyBoundsPointReadMisses(t *testing.T) {
+	run := func(direct, admitted, misses int64) RunReport {
+		return RunReport{Metrics: &Snapshot{Metrics: []Metric{
+			{Name: MBlockCacheHits, Kind: KindCounter, Int: 4},
+			{Name: MBlockCacheMisses, Kind: KindCounter, Int: misses},
+			{Name: MBlockCacheProbes, Kind: KindCounter, Int: 4 + misses},
+			{Name: MSSTPointDirect, Kind: KindCounter, Int: direct},
+			{Name: MBlockCacheAdmitted, Kind: KindCounter, Int: admitted},
+		}}}
+	}
+	if r := run(6, 2, 10); len(r.Verify()) != 0 {
+		t.Fatalf("6 direct + 2 admitted of 10 misses rejected: %v", r.Verify())
+	}
+	if r := run(9, 2, 10); len(r.Verify()) != 1 {
+		t.Fatalf("9 direct + 2 admitted of 10 misses: got %v, want one violation", r.Verify())
+	}
+}
+
 func TestTraceJSONLUnmarshalAttrs(t *testing.T) {
 	// Attr round-trip: ints become float64 through JSON, which consumers must
 	// tolerate; the event envelope itself is stable.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"cachekv/internal/blockcache"
 	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/sim"
@@ -41,6 +42,11 @@ const (
 	MBlockCacheMisses = "block_cache_misses"
 	MBlockCacheProbes = "block_cache_probes"
 	MBlockCacheRatio  = "block_cache_hit_ratio"
+	// The two ways a point read serves a block-cache miss: searching the
+	// block in place on PMem, or (second touch) copying it into the cache.
+	// Iterator misses, which always fill, are the rest of the misses.
+	MSSTPointDirect     = "sst_point_direct"
+	MBlockCacheAdmitted = "blockcache_admitted"
 
 	MFilterProbes    = "filter_probes"
 	MFilterNegatives = "filter_negatives"
@@ -91,7 +97,7 @@ type ObsRegistrar interface {
 // blockCacheStatser / filterStatser mirror the optional interfaces cachekv's
 // Metrics already probes on engines.
 type blockCacheStatser interface {
-	BlockCacheStats() (hits, misses int64)
+	BlockCacheStats() blockcache.Stats
 }
 type filterStatser interface {
 	FilterStats() (probes, negatives int64)
@@ -105,10 +111,12 @@ func RegisterKV(r *Registry, db any) {
 		return
 	}
 	if bc, ok := db.(blockCacheStatser); ok {
-		r.Counter(MBlockCacheHits, func() int64 { h, _ := bc.BlockCacheStats(); return h })
-		r.Counter(MBlockCacheMisses, func() int64 { _, m := bc.BlockCacheStats(); return m })
-		r.Counter(MBlockCacheProbes, func() int64 { h, m := bc.BlockCacheStats(); return h + m })
-		r.Gauge(MBlockCacheRatio, func() float64 { h, m := bc.BlockCacheStats(); return SafeRatio(h, h+m) })
+		r.Counter(MBlockCacheHits, func() int64 { return bc.BlockCacheStats().Hits })
+		r.Counter(MBlockCacheMisses, func() int64 { return bc.BlockCacheStats().Misses })
+		r.Counter(MBlockCacheProbes, func() int64 { st := bc.BlockCacheStats(); return st.Hits + st.Misses })
+		r.Gauge(MBlockCacheRatio, func() float64 { return bc.BlockCacheStats().HitRatio() })
+		r.Counter(MSSTPointDirect, func() int64 { return bc.BlockCacheStats().Direct })
+		r.Counter(MBlockCacheAdmitted, func() int64 { return bc.BlockCacheStats().Admitted })
 	}
 	if f, ok := db.(filterStatser); ok {
 		r.Counter(MFilterProbes, func() int64 { p, _ := f.FilterStats(); return p })
@@ -337,6 +345,9 @@ func (r *RunReport) Verify() []string {
 		if _, ok := m.Get(MBlockCacheProbes); ok {
 			if m.Int(MBlockCacheHits)+m.Int(MBlockCacheMisses) != m.Int(MBlockCacheProbes) {
 				bad = append(bad, "block cache hits+misses != probes")
+			}
+			if m.Int(MSSTPointDirect)+m.Int(MBlockCacheAdmitted) > m.Int(MBlockCacheMisses) {
+				bad = append(bad, "sst point direct + block cache admitted > block cache misses")
 			}
 		}
 		if _, ok := m.Get(MFilterProbes); ok {

@@ -341,6 +341,10 @@ type File struct {
 // Size returns the file length.
 func (f *File) Size() uint64 { return f.f.size }
 
+// Addr returns the PMem address of the file's byte off, as a DAX mapping
+// exposes it; readers use it to align partial reads to cache lines.
+func (f *File) Addr(off uint64) uint64 { return f.f.addr + off }
+
 // ReadAt fills buf from the given offset, going through the LLC (repeated
 // reads of hot SSTable blocks hit the cache, as on real hardware).
 func (f *File) ReadAt(th *hw.Thread, off uint64, buf []byte) error {

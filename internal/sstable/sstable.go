@@ -6,7 +6,9 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"cachekv/internal/block"
 	"cachekv/internal/blockcache"
@@ -161,10 +163,12 @@ func (t *Writer) EstimatedSize() uint64 {
 }
 
 // Reader serves lookups and scans from one sealed SSTable. Data-block reads
-// go through a shared DRAM block cache owned by the LSM tree (LevelDB keeps
-// an 8 MiB one): cached hits cost a DRAM access instead of PMem media reads,
+// probe a shared DRAM block cache owned by the LSM tree (LevelDB keeps an
+// 8 MiB one): cached hits cost a DRAM access instead of PMem media reads,
 // and because the cache outlives the Reader, hot blocks survive reader churn
-// across compactions. A nil cache disables caching.
+// across compactions. On a miss iterators copy the block into the cache;
+// point reads search it in place on PMem (seekBlock). A nil cache disables
+// caching.
 type Reader struct {
 	f      *pmemfs.File
 	index  []byte
@@ -181,19 +185,135 @@ func (r *Reader) SetCache(c *blockcache.Cache, id uint64) {
 	r.cacheID = id
 }
 
-// readBlock returns the data block at h, through the shared block cache.
+// readBlock returns the whole data block at h through the shared block cache,
+// filling the cache on a miss. Iterators use it: a scan or compaction walks
+// every entry of the block, so one DRAM copy is the cheapest way to read it.
 func (r *Reader) readBlock(th *hw.Thread, h handle) ([]byte, error) {
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
 		th.ChargeDRAM(1)
 		return b, nil
 	}
-	contents := make([]byte, h.length)
-	if err := r.f.ReadAt(th, h.offset, contents); err != nil {
+	return r.fillBlock(th, h, key)
+}
+
+// fillBlock copies the block at h out of PMem and caches it.
+func (r *Reader) fillBlock(th *hw.Thread, h handle, key blockcache.Key) ([]byte, error) {
+	contents, err := r.copyBlock(th, h)
+	if err != nil {
 		return nil, err
 	}
 	r.cache.Put(key, contents)
 	return contents, nil
+}
+
+// copyBlock reads the whole block at h into a fresh buffer. The handle comes
+// from the index block, so it is checked against the file before it sizes an
+// allocation.
+func (r *Reader) copyBlock(th *hw.Thread, h handle) ([]byte, error) {
+	if size := r.f.Size(); h.length > size || h.offset > size-h.length {
+		return nil, util.ErrCorrupt
+	}
+	contents := make([]byte, h.length)
+	if err := r.f.ReadAt(th, h.offset, contents); err != nil {
+		return nil, err
+	}
+	return contents, nil
+}
+
+const (
+	lineSize = 64
+	// windowBytes is the largest block a Get searches in place. Blocks close
+	// at TargetBlockSize plus one entry, so twice that covers all but blocks
+	// holding an outsized value; those are read whole.
+	windowBytes = 2 * TargetBlockSize
+)
+
+// window is a lazily faulted view of one data block on PMem: the block.Backing
+// of an in-place search. Need reads each 64 B cache line the decoder touches
+// at most once, through pmemfs (so the LLC and device models charge exactly
+// the lines used), and the rest of the block is never loaded.
+type window struct {
+	f    *pmemfs.File
+	th   *hw.Thread
+	off  uint64 // file offset of the block
+	n    int    // block length
+	skew int    // PMem address of the block's first byte, mod lineSize
+	have [windowBytes / lineSize / 64]uint64
+	buf  [windowBytes]byte
+}
+
+// open points the window at the block at h. It reports false when the block,
+// placed at its cache-line offset, does not fit the window.
+func (w *window) open(f *pmemfs.File, th *hw.Thread, h handle) bool {
+	skew := f.Addr(h.offset) % lineSize
+	if h.length == 0 || h.length > windowBytes || skew+h.length > windowBytes { // first bound keeps the sum from wrapping
+		return false
+	}
+	w.f, w.th, w.off, w.n, w.skew = f, th, h.offset, int(h.length), int(skew)
+	w.have = [len(w.have)]uint64{}
+	return true
+}
+
+// Need implements block.Backing over the cache lines covering [lo, hi).
+func (w *window) Need(lo, hi int) error {
+	for line := (lo + w.skew) / lineSize; line <= (hi-1+w.skew)/lineSize; line++ {
+		word, bit := &w.have[line/64], uint64(1)<<(line%64)
+		if *word&bit != 0 {
+			continue
+		}
+		a, b := line*lineSize-w.skew, (line+1)*lineSize-w.skew
+		if a < 0 {
+			a = 0
+		}
+		if b > w.n {
+			b = w.n
+		}
+		if err := w.f.ReadAt(w.th, w.off+uint64(a), w.buf[a:b]); err != nil {
+			return err
+		}
+		*word |= bit
+	}
+	return nil
+}
+
+// getScratch is the per-Get working set, pooled so that a point read
+// allocates nothing but the value it returns.
+type getScratch struct {
+	idx, data block.Iter
+	win       window
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(getScratch) }}
+
+// seekBlock points sc.data at the data block at h for a point read. The DRAM
+// block cache is probed first. On a miss the block is searched where it
+// lies — PMem is byte-addressable, and one entry costs a few cache lines
+// where a copy of the block costs all sixty-four — unless the cache has seen
+// the block miss recently: a second touch shows reuse, so then it is copied
+// into the cache and later reads hit DRAM.
+func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch) error {
+	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
+	if b, ok := r.cache.Get(key); ok {
+		th.ChargeDRAM(1)
+		return sc.data.Reset(b)
+	}
+	if r.cache.Admit(key) {
+		contents, err := r.fillBlock(th, h, key)
+		if err != nil {
+			return err
+		}
+		return sc.data.Reset(contents)
+	}
+	if sc.win.open(r.f, th, h) {
+		r.cache.NoteDirect()
+		return sc.data.ResetLazy(sc.win.buf[:h.length], &sc.win)
+	}
+	contents, err := r.copyBlock(th, h)
+	if err != nil {
+		return err
+	}
+	return sc.data.Reset(contents)
 }
 
 // NewReader opens a table, reading its footer, index and filter blocks.
@@ -229,7 +349,15 @@ func NewReader(f *pmemfs.File, th *hw.Thread) (*Reader, error) {
 	return r, nil
 }
 
-func icmp(a, b []byte) int { return util.CompareInternal(a, b) }
+// icmp orders internal keys. Keys decoded from a block may be garbage (a
+// retired table's extent can be reused under a live Reader), so ones too
+// short to carry a trailer fall back to bytewise order rather than panic.
+func icmp(a, b []byte) int {
+	if len(a) < 8 || len(b) < 8 {
+		return bytes.Compare(a, b)
+	}
+	return util.CompareInternal(a, b)
+}
 
 // Get looks up the freshest entry for ikey's user key at or below ikey's
 // sequence number. It returns the value, the entry's sequence number and
@@ -238,31 +366,31 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 	if !bloom.MayContain(r.filter, ikey.UserKey()) {
 		return nil, 0, 0, false, nil
 	}
-	idx, err := block.NewIter(r.index)
+	sc := scratchPool.Get().(*getScratch)
+	defer scratchPool.Put(sc)
+	if err := sc.idx.Reset(r.index); err != nil {
+		return nil, 0, 0, false, err
+	}
+	sc.idx.Seek(ikey, icmp)
+	if !sc.idx.Valid() {
+		return nil, 0, 0, false, sc.idx.Err()
+	}
+	h, _, err := decodeHandle(sc.idx.Value())
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	idx.Seek(ikey, icmp)
-	if !idx.Valid() {
-		return nil, 0, 0, false, idx.Err()
-	}
-	h, _, err := decodeHandle(idx.Value())
-	if err != nil {
+	if err := r.seekBlock(th, h, sc); err != nil {
 		return nil, 0, 0, false, err
 	}
-	contents, err := r.readBlock(th, h)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	it, err := block.NewIter(contents)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
+	it := &sc.data
 	it.Seek(ikey, icmp)
 	if !it.Valid() {
 		return nil, 0, 0, false, it.Err()
 	}
 	found := util.InternalKey(it.Key())
+	if !found.Valid() {
+		return nil, 0, 0, false, util.ErrCorrupt
+	}
 	// Range-tombstone entries are not point versions: their value is the
 	// span's end key, never a user value. Step past any that share the
 	// sought user key; coverage is applied by the tree from file metadata.
@@ -271,12 +399,17 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 		if !it.Valid() {
 			return nil, 0, 0, false, it.Err()
 		}
-		found = util.InternalKey(it.Key())
+		if found = util.InternalKey(it.Key()); !found.Valid() {
+			return nil, 0, 0, false, util.ErrCorrupt
+		}
 	}
 	if string(found.UserKey()) != string(ikey.UserKey()) {
 		return nil, 0, 0, false, nil
 	}
 	val := append([]byte(nil), it.Value()...)
+	if err := it.Err(); err != nil {
+		return nil, 0, 0, false, err
+	}
 	return val, found.Seq(), found.Kind(), true, nil
 }
 

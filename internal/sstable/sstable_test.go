@@ -13,12 +13,7 @@ import (
 
 func newEnv(t *testing.T) (*pmemfs.FS, *hw.Thread) {
 	t.Helper()
-	m := hw.NewMachine(hw.Config{PMemBytes: 256 << 20})
-	th := m.NewThread(0)
-	fs, err := pmemfs.Mount(m, m.Alloc("fs", 128<<20, 0), th)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fs, th := newMachineEnv(t)
 	return fs, th
 }
 

@@ -48,6 +48,9 @@ type InternalKey []byte
 // MakeInternalKey builds an internal key by appending the packed trailer to
 // the user key, reusing dst's backing array when possible.
 func MakeInternalKey(dst []byte, ukey []byte, seq uint64, kind ValueKind) InternalKey {
+	if n := len(ukey) + 8; cap(dst) < n {
+		dst = make([]byte, 0, n) // one allocation, not one per append
+	}
 	dst = append(dst[:0], ukey...)
 	return PutFixed64(dst, PackTrailer(seq, kind))
 }
