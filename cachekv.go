@@ -34,13 +34,13 @@ import (
 	"cachekv/internal/baseline"
 	"cachekv/internal/baseline/novelsm"
 	"cachekv/internal/baseline/slmdb"
-	"cachekv/internal/blockcache"
 	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
 	"cachekv/internal/obs"
+	"cachekv/internal/util"
 )
 
 // Engine selects which store design runs on the simulated platform.
@@ -64,10 +64,10 @@ const (
 var ErrNotFound = kvstore.ErrNotFound
 
 // ErrStalled is returned by deadline-bounded writes (Options.
-// WriteStallDeadline, Session.PutWithDeadline and friends) when the engine is
-// overloaded and the write could not be admitted before its deadline. The
-// write is fully absent — nothing was committed — so retrying later is safe.
-// Test with errors.Is.
+// WriteStallDeadline, Session.SetWriteDeadline) when the engine is overloaded
+// and the write could not be admitted before its deadline. The write is fully
+// absent — nothing was committed — so retrying later is safe. Test with
+// errors.Is.
 var ErrStalled = core.ErrStalled
 
 // Options configure the platform and the chosen engine. The zero value opens
@@ -115,21 +115,20 @@ type Options struct {
 	// (default 64).
 	GroupCommitMaxOps int
 
-	// CompactionWorkers > 0 moves LSM compaction off the spill path onto a
-	// background scheduler with that many worker threads picking jobs by
-	// priority; disjoint-key-range jobs on the same level run concurrently.
-	// 0 (the default) keeps the legacy inline compaction after each spill.
-	// CacheKV-family engines only.
+	// CompactionWorkers is the number of worker threads of the background
+	// compaction scheduler, which picks jobs by priority and runs
+	// disjoint-key-range jobs on the same level concurrently; LSM compaction
+	// never runs on the spill path. 0 takes the default (1). CacheKV-family
+	// engines only.
 	CompactionWorkers int
 
 	// WriteStallDeadline bounds how long a write may wait for admission when
 	// the engine is overloaded (flow control in Slowdown/Stop, a full
 	// sub-MemTable pool, a saturated ImmZone), in virtual nanoseconds.
 	// Writes that cannot be admitted in time fail with ErrStalled instead of
-	// blocking; a stalled write is fully absent. 0 (the default) keeps the
-	// legacy behavior: writes wait indefinitely. Per-call overrides are
-	// available via Session.PutWithDeadline and friends on CacheKV-family
-	// engines.
+	// blocking; a stalled write is fully absent. 0 (the default): writes wait
+	// indefinitely. Every Session starts with this deadline and may change
+	// its own with Session.SetWriteDeadline (CacheKV-family engines).
 	WriteStallDeadline int64
 	// DisableFlowControl turns off write-path flow control (the
 	// OK/Slowdown/Stop state machine over L0, flush-backlog and 2PC-WAL
@@ -207,6 +206,7 @@ type DB struct {
 	mu       sync.Mutex
 	machine  *hw.Machine
 	inner    kvstore.DB
+	store    core.Store // inner's CacheKV-family surface; nil for the baselines
 	opts     Options
 	sessions []*Session
 	closed   bool
@@ -260,12 +260,20 @@ func openOn(m *hw.Machine, opts Options, col *obs.Collector, trace *obs.Trace) (
 	if err != nil {
 		return nil, err
 	}
-	// (Re)bind the dossier flow-state context to the engine instance this open
-	// produced — after SimulateCrash the collector outlives the old engine.
-	if fl, ok := inner.(interface{ FlowState() core.FlowState }); ok {
-		col.SetSlowOpContext(func() string { return fl.FlowState().String() })
+	store, _ := inner.(core.Store)
+	if store != nil {
+		// (Re)bind the dossier flow-state context to the engine instance this
+		// open produced — after SimulateCrash the collector outlives the old
+		// engine.
+		col.SetSlowOpContext(func() string { return store.FlowState().String() })
 	}
-	return &DB{machine: m, inner: inner, opts: opts, col: col, trace: trace}, nil
+	return &DB{machine: m, inner: inner, store: store, opts: opts, col: col, trace: trace}, nil
+}
+
+// unsupported is the one error a baseline engine answers every
+// CacheKV-family-only call with.
+func (db *DB) unsupported(what string) error {
+	return fmt.Errorf("cachekv: engine %s does not support %s", db.EngineName(), what)
 }
 
 func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (kvstore.DB, error) {
@@ -384,7 +392,7 @@ func (db *DB) EngineName() string { return db.inner.Name() }
 // Writes route by key hash, not by session core — the session's core decides
 // where its CPU time is modelled, never which shard its keys land in.
 func (db *DB) Session(core int) *Session {
-	s := &Session{db: db, th: db.machine.NewThread(core)}
+	s := &Session{db: db, th: db.machine.NewThread(core), deadline: db.opts.WriteStallDeadline}
 	db.mu.Lock()
 	db.sessions = append(db.sessions, s)
 	db.mu.Unlock()
@@ -429,7 +437,7 @@ func (db *DB) SimulateCrash() (*DB, error) {
 	// The crash preempts the engine: Halt makes every background thread
 	// abandon its queued work (a power failure completes nothing), then the
 	// cache applies its persistence-domain rule and volatile state drops.
-	if h, ok := db.inner.(interface{ Halt() }); ok {
+	if h, ok := db.inner.(kvstore.Halter); ok {
 		h.Halt()
 	}
 	// Crash while the partitions are still pinned (the persistence-domain
@@ -541,18 +549,12 @@ func (db *DB) Metrics() Metrics {
 		CacheHits:          cs.Hits,
 		CacheMisses:        cs.Misses,
 	}
-	if bs, ok := db.inner.(interface{ BlockCacheStats() blockcache.Stats }); ok {
-		st := bs.BlockCacheStats()
-		m.BlockCacheHits, m.BlockCacheMisses = st.Hits, st.Misses
+	if db.store != nil {
+		bc := db.store.BlockCacheStats()
+		m.BlockCacheHits, m.BlockCacheMisses = bc.Hits, bc.Misses
 		m.BlockCacheHitRatio = obs.SafeRatio(m.BlockCacheHits, m.BlockCacheHits+m.BlockCacheMisses)
-	}
-	if fs, ok := db.inner.(interface {
-		FilterStats() (probes, negatives int64)
-	}); ok {
-		m.FilterProbes, m.FilterNegatives = fs.FilterStats()
-	}
-	if fl, ok := db.inner.(interface{ FlowStats() core.FlowStats }); ok {
-		st := fl.FlowStats()
+		m.FilterProbes, m.FilterNegatives = db.store.FilterStats()
+		st := db.store.FlowStats()
 		m.StallState = int64(st.State)
 		m.StallSlowdowns = st.SlowdownEntries
 		m.StallStops = st.StopEntries
@@ -590,31 +592,57 @@ func (db *DB) SlowOps() []obs.Dossier { return db.col.SlowOps() }
 type Session struct {
 	db *DB
 	th *hw.Thread
+
+	deadline int64      // write deadline in virtual ns, 0 = none (SetWriteDeadline)
+	one      core.Batch // scratch for the one-op writes
+}
+
+// SetWriteDeadline bounds every later write of this session — Put, Delete,
+// DeleteRange, Apply — in the manner of net.Conn.SetWriteDeadline, except
+// that ns is relative: each write may stall at most ns virtual nanoseconds
+// waiting for admission before it fails with ErrStalled, fully absent. 0
+// waits indefinitely. A new session starts with Options.WriteStallDeadline.
+// CacheKV-family engines only.
+func (s *Session) SetWriteDeadline(ns int64) error {
+	if s.db.store == nil {
+		return s.db.unsupported("write deadlines")
+	}
+	if ns < 0 {
+		return fmt.Errorf("cachekv: write deadline must not be negative (got %d); use 0 for no deadline", ns)
+	}
+	s.deadline = ns
+	return nil
+}
+
+// write commits b through the engine's one mutation entry under the session's
+// write deadline.
+func (s *Session) write(op obs.Op, b *core.Batch) error {
+	sp := s.db.col.StartOp(s.th, op)
+	err := s.db.store.Write(s.th, b, s.deadline)
+	sp.End()
+	return err
+}
+
+// writeOne commits a single point op: through the session's scratch batch,
+// borrowing key and value for the call only, or straight to a baseline engine.
+func (s *Session) writeOne(op obs.Op, kind util.ValueKind, key, value []byte) (err error) {
+	sp := s.db.col.StartOp(s.th, op)
+	switch {
+	case s.db.store != nil:
+		err = s.db.store.Write(s.th, s.one.Borrow(kind, key, value), s.deadline)
+		s.one.Borrow(kind, nil, nil) // drop the caller's slices
+	case kind == util.KindValue:
+		err = s.db.inner.Put(s.th, key, value)
+	default:
+		err = s.db.inner.Delete(s.th, key)
+	}
+	sp.End()
+	return err
 }
 
 // Put stores key -> value.
 func (s *Session) Put(key, value []byte) error {
-	sp := s.db.col.StartOp(s.th, obs.OpPut)
-	err := s.db.inner.Put(s.th, key, value)
-	sp.End()
-	return err
-}
-
-// PutWithDeadline is Put with a per-call stall deadline (virtual ns),
-// overriding Options.WriteStallDeadline: if the write cannot be admitted
-// before the deadline it fails with ErrStalled and is fully absent. 0 waits
-// indefinitely. CacheKV-family engines only.
-func (s *Session) PutWithDeadline(key, value []byte, deadlineNs int64) error {
-	e, ok := s.db.inner.(interface {
-		PutWithDeadline(*hw.Thread, []byte, []byte, int64) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support write deadlines", s.db.EngineName())
-	}
-	sp := s.db.col.StartOp(s.th, obs.OpPut)
-	err := e.PutWithDeadline(s.th, key, value, deadlineNs)
-	sp.End()
-	return err
+	return s.writeOne(obs.OpPut, util.KindValue, key, value)
 }
 
 // Get returns the freshest value for key, or ErrNotFound.
@@ -627,25 +655,7 @@ func (s *Session) Get(key []byte) ([]byte, error) {
 
 // Delete removes key.
 func (s *Session) Delete(key []byte) error {
-	sp := s.db.col.StartOp(s.th, obs.OpDelete)
-	err := s.db.inner.Delete(s.th, key)
-	sp.End()
-	return err
-}
-
-// DeleteWithDeadline is Delete with a per-call stall deadline; see
-// PutWithDeadline.
-func (s *Session) DeleteWithDeadline(key []byte, deadlineNs int64) error {
-	e, ok := s.db.inner.(interface {
-		DeleteWithDeadline(*hw.Thread, []byte, int64) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support write deadlines", s.db.EngineName())
-	}
-	sp := s.db.col.StartOp(s.th, obs.OpDelete)
-	err := e.DeleteWithDeadline(s.th, key, deadlineNs)
-	sp.End()
-	return err
+	return s.writeOne(obs.OpDelete, util.KindDelete, key, nil)
 }
 
 // DeleteRange deletes every key in [start, end) by writing a single range
@@ -653,31 +663,12 @@ func (s *Session) DeleteWithDeadline(key []byte, deadlineNs int64) error {
 // empty no-op. On a sharded store the tombstone commits to every shard
 // atomically via the two-phase protocol. CacheKV-family engines only.
 func (s *Session) DeleteRange(start, end []byte) error {
-	e, ok := s.db.inner.(interface {
-		DeleteRange(*hw.Thread, []byte, []byte) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support DeleteRange", s.db.EngineName())
+	if s.db.store == nil {
+		return s.db.unsupported("DeleteRange")
 	}
-	sp := s.db.col.StartOp(s.th, obs.OpDeleteRange)
-	err := e.DeleteRange(s.th, start, end)
-	sp.End()
-	return err
-}
-
-// DeleteRangeWithDeadline is DeleteRange with a per-call stall deadline; see
-// PutWithDeadline.
-func (s *Session) DeleteRangeWithDeadline(start, end []byte, deadlineNs int64) error {
-	e, ok := s.db.inner.(interface {
-		DeleteRangeWithDeadline(*hw.Thread, []byte, []byte, int64) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support write deadlines", s.db.EngineName())
-	}
-	sp := s.db.col.StartOp(s.th, obs.OpDeleteRange)
-	err := e.DeleteRangeWithDeadline(s.th, start, end, deadlineNs)
-	sp.End()
-	return err
+	s.one.Reset()
+	s.one.DeleteRange(start, end)
+	return s.write(obs.OpDeleteRange, &s.one)
 }
 
 // IngestEntry is one key/value pair of an Ingest batch.
@@ -693,18 +684,15 @@ type IngestEntry struct {
 // installs atomically, though not atomically across shards. CacheKV-family
 // engines only.
 func (s *Session) Ingest(entries []IngestEntry) error {
-	e, ok := s.db.inner.(interface {
-		Ingest(*hw.Thread, []lsm.IngestEntry) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support Ingest", s.db.EngineName())
+	if s.db.store == nil {
+		return s.db.unsupported("Ingest")
 	}
 	conv := make([]lsm.IngestEntry, len(entries))
 	for i, ent := range entries {
 		conv[i] = lsm.IngestEntry{Key: ent.Key, Value: ent.Value}
 	}
 	sp := s.db.col.StartOp(s.th, obs.OpIngest)
-	err := e.Ingest(s.th, conv)
+	err := s.db.store.Ingest(s.th, conv)
 	sp.End()
 	return err
 }
@@ -739,44 +727,18 @@ func (b *Batch) Len() int { return b.inner.Len() }
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.inner.Reset() }
 
-// batchApplier is satisfied by the single-engine store and the sharded
-// router; both commit a Batch atomically (the router uses two-phase commit
-// when the batch's keys span shards).
-type batchApplier interface {
-	Apply(*hw.Thread, *core.Batch) error
-}
-
 // Apply commits a batch atomically. Only CacheKV-family engines support
 // batches; other engines return an error. On a sharded store a batch whose
 // keys hash to one shard commits with a single CAS exactly like the classic
-// engine; a cross-shard batch goes through the two-phase commit protocol and
-// stays all-or-nothing across crashes.
+// engine; a cross-shard batch (or one holding a range tombstone) goes through
+// the two-phase commit protocol and stays all-or-nothing across crashes. A
+// batch that stalls past the session's write deadline is rejected before any
+// of its entries commit.
 func (s *Session) Apply(b *Batch) error {
-	e, ok := s.db.inner.(batchApplier)
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support atomic batches", s.db.EngineName())
+	if s.db.store == nil {
+		return s.db.unsupported("atomic batches")
 	}
-	sp := s.db.col.StartOp(s.th, obs.OpBatch)
-	err := e.Apply(s.th, &b.inner)
-	sp.End()
-	return err
-}
-
-// ApplyWithDeadline is Apply with a per-call stall deadline; see
-// PutWithDeadline. A batch that stalls is rejected before any of its entries
-// commit — all-or-nothing holds for cross-shard batches too, whose admission
-// and deadline are checked before the first prepare record is written.
-func (s *Session) ApplyWithDeadline(b *Batch, deadlineNs int64) error {
-	e, ok := s.db.inner.(interface {
-		ApplyWithDeadline(*hw.Thread, *core.Batch, int64) error
-	})
-	if !ok {
-		return fmt.Errorf("cachekv: engine %s does not support write deadlines", s.db.EngineName())
-	}
-	sp := s.db.col.StartOp(s.th, obs.OpBatch)
-	err := e.ApplyWithDeadline(s.th, &b.inner, deadlineNs)
-	sp.End()
-	return err
+	return s.write(obs.OpBatch, &b.inner)
 }
 
 // VirtualNanos returns the session's virtual clock — the modelled time its

@@ -226,6 +226,50 @@ func TestBatchPublicAPI(t *testing.T) {
 	}
 }
 
+// TestBatchDeleteRangeSharded: a DeleteRange queued in a batch reaches every
+// shard of a sharded store, atomically with the batch's point ops, and the
+// outcome survives a crash.
+func TestBatchDeleteRangeSharded(t *testing.T) {
+	db, err := Open(Options{PMemMB: 1024, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+	s := db.Session(0)
+	for i := 0; i < 100; i++ {
+		if err := s.Put(key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b Batch
+	b.Put([]byte("marker"), []byte("m"))
+	b.DeleteRange(key(0), key(50))
+	if err := s.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Session, when string) {
+		t.Helper()
+		for i := 0; i < 100; i++ {
+			_, err := s.Get(key(i))
+			if i < 50 && err != ErrNotFound {
+				t.Fatalf("%s: %s inside the range survived: %v", when, key(i), err)
+			} else if i >= 50 && err != nil {
+				t.Fatalf("%s: %s outside the range lost: %v", when, key(i), err)
+			}
+		}
+		if v, err := s.Get([]byte("marker")); err != nil || string(v) != "m" {
+			t.Fatalf("%s: marker = %q, %v", when, v, err)
+		}
+	}
+	check(s, "live")
+	db2, err := db.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	check(db2.Session(0), "recovered")
+}
+
 func TestBatchUnsupportedEngine(t *testing.T) {
 	db, err := Open(Options{Engine: EngineNoveLSM, PMemMB: 1024})
 	if err != nil {

@@ -33,47 +33,16 @@ func main() {
 	tableKB := flag.Int("table-kb", 0, "CacheKV sub-MemTable size KiB (0 = default 2048)")
 	obsOut := flag.String("obs-out", "", "write a per-phase cachekv.obs/v1 attribution report here (e.g. BENCH_obs.json)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
-	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = legacy inline compaction)")
+	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = default (1))")
 	groupCommit := flag.Int64("group-commit", 0, "group-commit window in virtual ns (0 = default 10µs, negative disables coalescing; Shards > 1 only)")
 	groupCommitOps := flag.Int("group-commit-max-ops", 0, "max ops per group commit (0 = default 64)")
 	shardOut := flag.String("shard-out", "", "run the shard-scaling suite (YCSB-A/C, 1→32 threads, baseline vs Shards=threads) and write JSON here (ignores -benchmarks)")
-	compactOut := flag.String("compact-out", "", "run the serial-vs-parallel compaction suite (sustained YCSB-A, inline baseline vs background scheduler) and write JSON here (ignores -benchmarks)")
-	compactWorkers := flag.String("compact-workers", "", "comma-separated CompactionWorkers list for -compact-out (default 0,2,4; 0 = inline baseline)")
 	profileOut := flag.String("profile-out", "", "write the virtual-time sampling profile (folded-stack text) here")
 	profileStep := flag.Int64("profile-step", hw.DefaultProfileStep, "profiler sampling period in virtual ns")
 	profileCheck := flag.Bool("profile-check", false, "verify profiler sample-conservation invariants after the run")
 	slowopNs := flag.Int64("slowop-ns", 0, "arm slow-op dossier capture with this static threshold (virtual ns)")
 	slowopsOut := flag.String("slowops-out", "", "write captured slow-op dossiers (JSONL) here (requires -slowop-ns)")
 	flag.Parse()
-
-	if *compactOut != "" {
-		cfg := bench.DefaultCompactBenchConfig()
-		numSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "num" {
-				numSet = true
-			}
-		})
-		if numSet {
-			cfg.Ops = *num
-		}
-		if *compactWorkers != "" {
-			cfg.WorkersList = nil
-			for _, s := range strings.Split(*compactWorkers, ",") {
-				var w int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &w); err != nil {
-					fmt.Fprintf(os.Stderr, "bad -compact-workers entry %q\n", s)
-					os.Exit(1)
-				}
-				cfg.WorkersList = append(cfg.WorkersList, w)
-			}
-		}
-		if err := runCompactCurve(*compactOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *shardOut != "" {
 		numSet, vsSet := false, false
@@ -316,32 +285,6 @@ func runShardCurve(out string, cfg bench.ShardCurveConfig) error {
 		fmt.Println()
 	}
 	fmt.Printf("YCSB-A speedup at 8 shards: %.2fx\n", report.YCSBASpeedupAt8)
-	return report.WriteJSON(out)
-}
-
-// runCompactCurve executes the serial-vs-parallel compaction suite
-// (BENCH_compact.json): a sustained YCSB-A mix with write shaping armed, once
-// with inline compaction and once per scheduler worker count.
-func runCompactCurve(out string, cfg bench.CompactBenchConfig) error {
-	report, err := bench.RunCompactBench(cfg)
-	if err != nil {
-		return err
-	}
-	for _, p := range report.Points {
-		tag := "inline"
-		if p.Workers > 0 {
-			tag = fmt.Sprintf("%d workers", p.Workers)
-		}
-		fmt.Printf("YCSB-A %-9s : %8.1f Kops/s  dwell slow=%.1fms stop=%.1fms  maxL0=%d  jobs=%d  amp=%.2f",
-			tag, p.KopsPerSec,
-			float64(p.DwellSlowdownNs)/1e6, float64(p.DwellStopNs)/1e6,
-			p.MaxL0Files, p.SchedJobs, p.CompactAmp)
-		if len(p.VerifyViolations) > 0 {
-			fmt.Printf("  OBS-VIOLATIONS: %v", p.VerifyViolations)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("stall-dwell reduction vs inline baseline: %.2fx\n", report.StallReduction)
 	return report.WriteJSON(out)
 }
 

@@ -190,7 +190,7 @@ func statsCmd(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	engine := fs.String("engine", "cachekv", "engine to exercise")
 	ops := fs.Int("ops", 2000, "smoke workload size")
-	workers := fs.Int("compaction-workers", 0, "background compaction workers (0 = legacy inline compaction)")
+	workers := fs.Int("compaction-workers", 0, "background compaction workers (0 = default (1))")
 	asJSON := fs.Bool("json", false, "emit the snapshot as JSON (sorted by name)")
 	fs.Parse(args)
 
@@ -241,7 +241,7 @@ func slowopsCmd(args []string) int {
 	engine := fs.String("engine", "cachekv", "engine to exercise")
 	ops := fs.Int("ops", 2000, "smoke workload size")
 	thresholdNs := fs.Int64("threshold-ns", 0, "static capture threshold in virtual ns (0 = adaptive p99*8)")
-	workers := fs.Int("compaction-workers", 0, "background compaction workers (0 = legacy inline compaction)")
+	workers := fs.Int("compaction-workers", 0, "background compaction workers (0 = default (1))")
 	asJSON := fs.Bool("json", false, "emit dossiers as JSONL instead of text")
 	fs.Parse(args)
 

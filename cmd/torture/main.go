@@ -40,6 +40,7 @@ import (
 	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
+	"cachekv/internal/util"
 )
 
 type config struct {
@@ -269,6 +270,7 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 			wl, rl := histogram.New(), histogram.New()
 			var lAcked, lStalled, lReads, lOver int64
 			var lPeak uint64
+			var put core.Batch
 			for i := int64(0); i < perThread; i++ {
 				key := zipf.Key(keyBuf, perThread*int64(t)+i, rng)
 				isPut := rng.Float64() < 0.5
@@ -282,7 +284,7 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 				})
 				opStart := th.Clock.Now()
 				if isPut {
-					err := db.PutWithDeadline(th, key, vals.Value(i), deadline)
+					err := db.Write(th, put.Borrow(util.KindValue, key, vals.Value(i)), deadline)
 					lat := th.Clock.Now() - opStart
 					switch {
 					case err == nil:
@@ -453,6 +455,7 @@ func runCrashLeg(c config) (*crashReport, error) {
 			acked := make(map[string]string)
 			rej := make(map[string]bool)
 			deeper := int64(-1)
+			var put core.Batch
 			for i := int64(0); i < perThread; i++ {
 				// The first universe ops prime the flush pipeline with
 				// blocking writes (the crash leg's load phase); after that
@@ -468,7 +471,7 @@ func runCrashLeg(c config) (*crashReport, error) {
 					// burst below really is doomed under Stop.
 					deadline = 0
 				}
-				err := db.PutWithDeadline(wth, []byte(key), v, deadline)
+				err := db.Write(wth, put.Borrow(util.KindValue, []byte(key), v), deadline)
 				switch {
 				case err == nil:
 					acked[key] = string(v)
@@ -580,7 +583,9 @@ func runCrashLeg(c config) (*crashReport, error) {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"recovered engine stuck in flow state %v after drain", st))
 	}
-	if err := db2.PutWithDeadline(th2, []byte("post-crash"), []byte("ok"), c.DeadlineNs); err != nil {
+	var put core.Batch
+	put.Put([]byte("post-crash"), []byte("ok"))
+	if err := db2.Write(th2, &put, c.DeadlineNs); err != nil {
 		cr.Violations = append(cr.Violations, fmt.Sprintf(
 			"recovered engine rejected a healthy write: %v", err))
 	}
@@ -615,7 +620,7 @@ func main() {
 	divergence := flag.Float64("divergence", 2, "required baseline/flow p99.9 ratio")
 	baseline := flag.Bool("baseline", true, "also run the no-flow-control baseline leg")
 	crash := flag.Bool("crash", true, "run the crash-mid-stall leg")
-	compactWorkers := flag.Int("compaction-workers", 0, "background compaction workers per shard (0 = legacy inline compaction)")
+	compactWorkers := flag.Int("compaction-workers", 0, "background compaction workers per shard (0 = default (1))")
 	smoke := flag.Bool("smoke", false, "shrink the run for CI")
 	out := flag.String("out", "BENCH_overload.json", "report path")
 	seed := flag.Uint64("seed", 1, "workload seed")

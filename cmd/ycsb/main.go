@@ -32,7 +32,7 @@ func main() {
 	reportPath := flag.String("report", "", "write a cachekv.obs/v1 JSON report here (enables attribution)")
 	check := flag.Bool("check", false, "verify report invariants; exit 1 on violation (implies attribution)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
-	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = legacy inline compaction)")
+	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = default (1))")
 	groupCommit := flag.Int64("group-commit", 0, "group-commit window in virtual ns (0 = default 10µs, negative disables coalescing; Shards > 1 only)")
 	slowopNs := flag.Int64("slowop-ns", 0, "arm slow-op dossier capture with this static threshold (virtual ns; 0 = off); dossiers land in the report's slow_ops")
 	flag.Parse()

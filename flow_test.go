@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cachekv/internal/core"
@@ -16,59 +17,109 @@ func TestWriteStallDeadlineValidation(t *testing.T) {
 	}
 }
 
-func TestSessionDeadlineMethods(t *testing.T) {
-	db, err := Open(Options{PMemMB: 1024})
-	if err != nil {
-		t.Fatal(err)
+// forceFlow pins every shard of db's engine to state st.
+func forceFlow(db *DB, at int64, st core.FlowState) {
+	switch e := db.inner.(type) {
+	case *core.Engine:
+		e.DebugForceFlowState(at, st)
+	case *core.Sharded:
+		for k := 0; k < e.Shards(); k++ {
+			e.DebugForceFlowState(at, k, st)
+		}
 	}
-	defer db.Close()
-	s := db.Session(0)
+}
 
-	// With the engine healthy every deadline call succeeds like its
-	// deadline-less twin.
-	if err := s.PutWithDeadline([]byte("k"), []byte("v"), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v" {
-		t.Fatalf("Get = %q, %v", v, err)
-	}
-	var b Batch
-	b.Put([]byte("bk"), []byte("bv"))
-	if err := s.ApplyWithDeadline(&b, 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteWithDeadline([]byte("k"), 1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get([]byte("k")); err != ErrNotFound {
-		t.Fatalf("deleted key: %v", err)
-	}
+// TestSessionSetWriteDeadline pins the per-session deadline contract on both
+// engine shapes: a session inherits Options.WriteStallDeadline; under a forced
+// Stop a tiny deadline fails Put, Delete, DeleteRange and a (cross-shard)
+// Apply with ErrStalled, each fully absent; 0 restores blocking.
+func TestSessionSetWriteDeadline(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := Open(Options{PMemMB: 1024, Shards: shards, WriteStallDeadline: 1_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			s := db.Session(0)
 
-	// Under a forced Stop the same calls fail fast with ErrStalled.
-	e := db.inner.(*core.Engine)
-	e.DebugForceFlowState(s.VirtualNanos(), core.FlowStop)
-	if err := s.PutWithDeadline([]byte("k2"), []byte("v"), 1_000); !errors.Is(err, ErrStalled) {
-		t.Fatalf("PutWithDeadline under Stop: %v", err)
-	}
-	if err := s.DeleteWithDeadline([]byte("bk"), 1_000); !errors.Is(err, ErrStalled) {
-		t.Fatalf("DeleteWithDeadline under Stop: %v", err)
-	}
-	b.Reset()
-	b.Put([]byte("k3"), []byte("v"))
-	if err := s.ApplyWithDeadline(&b, 1_000); !errors.Is(err, ErrStalled) {
-		t.Fatalf("ApplyWithDeadline under Stop: %v", err)
-	}
-	e.DebugUnforceFlowState()
+			// Healthy engine: deadline-bounded writes succeed.
+			keys := make([][]byte, 8)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("k%02d", i))
+				if err := s.Put(keys[i], []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	m := db.Metrics()
-	if m.WritesRejected != 3 {
-		t.Fatalf("WritesRejected = %d, want 3", m.WritesRejected)
-	}
-	if m.StallState != int64(core.FlowStop) {
-		t.Fatalf("StallState = %d, want %d (unforce leaves the state until a lifecycle event)", m.StallState, core.FlowStop)
-	}
-	if m.StallStops == 0 {
-		t.Fatalf("StallStops = %d, want > 0", m.StallStops)
+			// The inherited Options.WriteStallDeadline already fails fast.
+			forceFlow(db, s.VirtualNanos(), core.FlowStop)
+			if err := s.Put([]byte("new0"), []byte("v")); !errors.Is(err, ErrStalled) {
+				t.Fatalf("Put under Stop with the inherited deadline: %v", err)
+			}
+			if err := s.SetWriteDeadline(50); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put([]byte("new1"), []byte("v")); !errors.Is(err, ErrStalled) {
+				t.Fatalf("Put under Stop: %v", err)
+			}
+			if err := s.Delete(keys[0]); !errors.Is(err, ErrStalled) {
+				t.Fatalf("Delete under Stop: %v", err)
+			}
+			if err := s.DeleteRange([]byte("k"), []byte("l")); !errors.Is(err, ErrStalled) {
+				t.Fatalf("DeleteRange under Stop: %v", err)
+			}
+			var b Batch
+			for i, k := range keys { // eight keys: spans shards when there are four
+				b.Put(k, []byte(fmt.Sprintf("batch%d", i)))
+			}
+			b.Put([]byte("new2"), []byte("v"))
+			if err := s.Apply(&b); !errors.Is(err, ErrStalled) {
+				t.Fatalf("Apply under Stop: %v", err)
+			}
+			m := db.Metrics()
+			if m.WritesRejected != 5 {
+				t.Fatalf("WritesRejected = %d, want 5", m.WritesRejected)
+			}
+			if m.StallState != int64(core.FlowStop) {
+				t.Fatalf("StallState = %d, want %d", m.StallState, core.FlowStop)
+			}
+			if m.StallStops == 0 {
+				t.Fatalf("StallStops = %d, want > 0", m.StallStops)
+			}
+			// Every rejected write is fully absent.
+			for _, k := range keys {
+				if v, err := s.Get(k); err != nil || string(v) != "v" {
+					t.Fatalf("Get(%s) after rejected writes = %q, %v", k, v, err)
+				}
+			}
+			for _, k := range []string{"new0", "new1", "new2"} {
+				if _, err := s.Get([]byte(k)); err != ErrNotFound {
+					t.Fatalf("rejected key %s visible: %v", k, err)
+				}
+			}
+
+			// Deadline 0 blocks in Stop until the state de-escalates.
+			if err := s.SetWriteDeadline(0); err != nil {
+				t.Fatal(err)
+			}
+			clearAt := s.VirtualNanos() + 1_000_000
+			done := make(chan error, 1)
+			go func() { done <- s.Put([]byte("blocked"), []byte("v")) }()
+			for db.store.FlowStats().StopWaits == 0 {
+				runtime.Gosched()
+			}
+			forceFlow(db, clearAt, core.FlowOK)
+			if err := <-done; err != nil {
+				t.Fatalf("blocked Put after Stop cleared: %v", err)
+			}
+			if _, err := s.Get([]byte("blocked")); err != nil {
+				t.Fatalf("blocked Put lost: %v", err)
+			}
+			if err := s.SetWriteDeadline(-1); err == nil {
+				t.Fatal("negative write deadline accepted")
+			}
+		})
 	}
 }
 
@@ -79,16 +130,16 @@ func TestSessionDeadlineUnsupportedEngine(t *testing.T) {
 	}
 	defer db.Close()
 	s := db.Session(0)
-	if err := s.PutWithDeadline([]byte("k"), []byte("v"), 1_000); err == nil {
-		t.Fatal("PutWithDeadline on novelsm succeeded")
-	}
-	if err := s.DeleteWithDeadline([]byte("k"), 1_000); err == nil {
-		t.Fatal("DeleteWithDeadline on novelsm succeeded")
+	if err := s.SetWriteDeadline(1_000); err == nil {
+		t.Fatal("SetWriteDeadline on novelsm succeeded")
 	}
 	var b Batch
 	b.Put([]byte("k"), []byte("v"))
-	if err := s.ApplyWithDeadline(&b, 1_000); err == nil {
-		t.Fatal("ApplyWithDeadline on novelsm succeeded")
+	if err := s.Apply(&b); err == nil {
+		t.Fatal("Apply on novelsm succeeded")
+	}
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("plain Put on novelsm: %v", err)
 	}
 }
 

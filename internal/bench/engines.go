@@ -85,9 +85,8 @@ type EngineConfig struct {
 	// commit (virtual ns and ops; zero takes the engine defaults).
 	GroupCommitWindow int64
 	GroupCommitMaxOps int
-	// CompactionWorkers > 0 runs the CacheKV-family engines with the
-	// background compaction scheduler (per shard when sharded); 0 keeps the
-	// legacy inline compaction.
+	// CompactionWorkers sizes the CacheKV-family engines' background
+	// compaction scheduler (per shard when sharded); 0 = default (1).
 	CompactionWorkers int
 
 	// DataBytes is the expected working-set size of the experiment. It

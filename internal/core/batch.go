@@ -1,7 +1,15 @@
 package core
 
+// batch.go is the whole write path of one engine. Every mutation is a Batch —
+// Put, Delete and DeleteRange are one-op batches — entering through Write and
+// landing through commitOps, the only code that appends to a sub-MemTable:
+// Section III-A's "append into the core's sub-MemTable, then one CAS on the
+// packed header", with counter += n for a multi-key transaction.
+
 import (
+	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
@@ -20,9 +28,31 @@ type Batch struct {
 
 type batchOp struct {
 	key   []byte
-	value []byte
+	value []byte // the exclusive end key for KindRangeDel
 	kind  util.ValueKind
+	// seq is the version Write drew for the op (group commit concatenates
+	// requests whose seqs were drawn at arrival time; two-phase replay reads
+	// it back from the prepare record).
+	seq uint64
 }
+
+// slotLen is the op's footprint in a sub-MemTable: the encoded entry padded
+// so offsets stay 8-byte aligned (the recovery scanner and lazy sync both
+// rely on it).
+func (op *batchOp) slotLen() uint64 {
+	return align8(uint64(kvstore.EntryLen(len(op.key), len(op.value))))
+}
+
+// opsSlotLen is the footprint of ops committed together.
+func opsSlotLen(ops []batchOp) uint64 {
+	var need uint64
+	for i := range ops {
+		need += ops[i].slotLen()
+	}
+	return need
+}
+
+func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
 // Put queues a write into the batch.
 func (b *Batch) Put(key, value []byte) {
@@ -38,14 +68,28 @@ func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), kind: util.KindDelete})
 }
 
-// DeleteRange queues a range tombstone covering [start, end) into the batch.
-// Like the point ops it commits atomically with the rest of the batch.
+// DeleteRange queues a range tombstone covering [start, end) into the batch —
+// O(1) in the range's size. Like the point ops it commits atomically with the
+// rest of the batch. A start >= end range is empty and queues nothing.
 func (b *Batch) DeleteRange(start, end []byte) {
+	if bytes.Compare(start, end) >= 0 {
+		return
+	}
 	b.ops = append(b.ops, batchOp{
 		key:   append([]byte(nil), start...),
 		value: append([]byte(nil), end...),
 		kind:  util.KindRangeDel,
 	})
+}
+
+// Borrow resets b to the single point operation {kind, key, value} WITHOUT
+// Put's and Delete's defensive copies: key and value must stay untouched
+// until Write returns. One-op callers that reuse a Batch ride the batch path
+// through it allocation-free. The batch keeps both slices referenced until its
+// next Borrow; borrow nils afterwards to release them.
+func (b *Batch) Borrow(kind util.ValueKind, key, value []byte) *Batch {
+	b.ops = append(b.ops[:0], batchOp{key: key, value: value, kind: kind})
+	return b
 }
 
 // Len returns the number of queued operations.
@@ -54,18 +98,13 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 
-// Apply commits the batch atomically. All entries go to the calling core's
-// sub-MemTable; the commit point is one CAS that bumps the table counter by
-// the batch size and the tail past every entry. A batch larger than a
-// sub-MemTable's capacity is rejected.
-func (e *Engine) Apply(th *hw.Thread, b *Batch) error {
-	return e.ApplyWithDeadline(th, b, e.opts.WriteStallDeadline)
-}
-
-// ApplyWithDeadline is Apply under a write deadline (see PutWithDeadline).
-// Admission and the deadline are checked before any state changes, so a
-// rejected batch is fully absent.
-func (e *Engine) ApplyWithDeadline(th *hw.Thread, b *Batch, deadlineNs int64) error {
+// Write commits b atomically; it is the only way a mutation enters the
+// engine. deadlineNs bounds (in virtual ns from now) how long admission, a
+// slot wait, or ImmZone backpressure may stall the write before it fails with
+// ErrStalled; <= 0 waits indefinitely. Admission and the deadline are checked
+// before any state changes, so a rejected batch is fully absent. A batch
+// larger than a sub-MemTable's capacity is rejected.
+func (e *Engine) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 	if len(b.ops) == 0 {
 		return nil
 	}
@@ -76,45 +115,68 @@ func (e *Engine) ApplyWithDeadline(th *hw.Thread, b *Batch, deadlineNs int64) er
 	if err := e.flow.admitWrite(th, deadlineV); err != nil {
 		return err
 	}
-	// Consecutive sequence numbers for a directly applied batch.
-	firstSeq := e.seq.Add(uint64(len(b.ops))) - uint64(len(b.ops)) + 1
-	seqs := make([]uint64, len(b.ops))
-	for i := range seqs {
-		seqs[i] = firstSeq + uint64(i)
-	}
-	return e.commitOps(th, b.ops, seqs, deadlineV)
+	assignSeqs(e.seq, b.ops)
+	return e.commitOps(th, b.ops, deadlineV)
 }
 
-// commitOps appends ops (with pre-assigned sequence numbers seqs, one per op)
-// to the calling core's sub-MemTable and commits them all with a single CAS
-// on the packed header — the common commit primitive behind Apply, the
-// group-commit writers, and two-phase recovery replay. Sequence numbers are
-// explicit because group commit concatenates requests whose seqs were drawn
-// from the shared counter at arrival time and recovery replays the seqs the
-// prepare record recorded.
+// assignSeqs draws len(ops) consecutive sequence numbers for ops.
+func assignSeqs(seq *atomic.Uint64, ops []batchOp) {
+	n := uint64(len(ops))
+	first := seq.Add(n) - n + 1
+	for i := range ops {
+		ops[i].seq = first + uint64(i)
+	}
+}
+
+// Put implements kvstore.DB.
+func (e *Engine) Put(th *hw.Thread, key, value []byte) error {
+	op := [1]batchOp{{key: key, value: value, kind: util.KindValue}}
+	return e.Write(th, &Batch{ops: op[:]}, e.opts.WriteStallDeadline)
+}
+
+// Delete implements kvstore.DB (a tombstone append).
+func (e *Engine) Delete(th *hw.Thread, key []byte) error {
+	op := [1]batchOp{{key: key, kind: util.KindDelete}}
+	return e.Write(th, &Batch{ops: op[:]}, e.opts.WriteStallDeadline)
+}
+
+// DeleteRange deletes every key in [start, end) (see Batch.DeleteRange).
+func (e *Engine) DeleteRange(th *hw.Thread, start, end []byte) error {
+	var b Batch
+	b.DeleteRange(start, end)
+	return e.Write(th, &b, e.opts.WriteStallDeadline)
+}
+
+// commitOps appends ops (sequence numbers already assigned) to the calling
+// core's sub-MemTable and commits them all with a single CAS on the packed
+// header — the one commit primitive behind Write, the group-commit writers,
+// and two-phase recovery replay. Range tombstones are ordinary entries
+// (internal key start@seq with KindRangeDel, value = end key): riding the
+// same commit, flush and spill path is what makes them crash-durable.
 //
 // deadlineV bounds the slot wait (0 = none). Callers that must not fail —
 // two-phase apply past its commit marker, recovery replay — pass 0; a
 // deadline expiry surfaces before the commit CAS, so a stalled batch is
 // fully absent.
-func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadlineV int64) error {
+func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error {
 	if err := e.err(); err != nil {
 		return err
 	}
 	if len(ops) == 0 {
 		return nil
 	}
-	var enc []byte
-	for i, op := range ops {
-		ik := util.MakeInternalKey(nil, op.key, seqs[i], op.kind)
-		entry := kvstore.EncodeEntry(nil, ik, op.value)
-		enc = append(enc, entry...)
-		if pad := align8(uint64(len(entry))) - uint64(len(entry)); pad > 0 {
-			enc = append(enc, make([]byte, pad)...)
-		}
+	// Every entry is encoded straight into one pre-sized buffer; the padding
+	// between entries is the buffer's own zero fill.
+	need := opsSlotLen(ops)
+	enc := make([]byte, 0, need)
+	for i := range ops {
+		op := &ops[i]
+		enc = kvstore.AppendEntry(enc, op.key, util.PackTrailer(op.seq, op.kind), op.value)
+		enc = enc[:align8(uint64(len(enc)))]
 	}
-	need := uint64(len(enc))
+	n := uint64(len(ops))
 
+	// Global metadata structure lookup: one DRAM access (Section III-A).
 	core := th.Core
 	th.ChargeDRAM(1)
 	for {
@@ -122,12 +184,13 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 		if s == nil {
 			var aerr error
 			th.InPhase(hw.PhaseOther, func() {
-				s, aerr = e.pool.acquire(th, core, seqs[0], deadlineV)
+				s, aerr = e.pool.acquire(th, core, ops[0].seq, deadlineV)
 			})
 			if aerr != nil {
 				return aerr // ErrStalled before any append: nothing committed
 			}
 			if s == nil {
+				// The pool aborted: the engine failed while we waited.
 				if err := e.err(); err != nil {
 					return err
 				}
@@ -141,10 +204,12 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 		hdr := s.hdr.Load()
 		count, state, tail := unpackHdr(hdr)
 		if state != stateAllocated {
+			// Slot was sealed under us (FlushAll); drop the mapping and retry.
 			e.pool.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
 			continue
 		}
 		if tail+need > s.dataCap() {
+			// Full: seal, queue the copy-based flush, grab a fresh one.
 			if sealed := e.pool.sealForCore(th, core); sealed != nil {
 				e.enqueueSealed(th, sealed)
 			}
@@ -153,55 +218,73 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, seqs []uint64, deadline
 		th.InPhase(hw.PhaseAppend, func() {
 			e.m.Cache.Write(th.Clock, s.dataAddr()+tail, enc, e.poolPart)
 		})
-		// Cover every batch key in the slot's negative filter before the
-		// commit CAS, mirroring write(): a failed CAS only leaves spurious
-		// false-positive bits.
+		// Record every key in the slot's negative filter BEFORE the commit
+		// CAS: any entry a reader can observe as committed is already covered,
+		// so a filter miss proves absence. A failed CAS leaves spurious bits —
+		// false positives, never a false negative.
 		if f := s.filter.Load(); f != nil {
 			th.ChargeDRAM(1)
-			for _, op := range ops {
-				f.Add(op.key)
+			for i := range ops {
+				f.Add(ops[i].key)
 			}
 		}
-		// The transaction's commit point: counter += len(ops), tail += need,
-		// in one atomic compare-and-swap.
-		if !e.pool.casHdr(th, s, hdr, packHdr(count+uint64(len(ops)), stateAllocated, tail+need)) {
+		// The commit point: counter += len(ops), tail += need, in one atomic
+		// compare-and-swap (the persistence point).
+		if !e.pool.casHdr(th, s, hdr, packHdr(count+n, stateAllocated, tail+need)) {
+			// Another thread on this core raced us; retry cleanly.
 			continue
 		}
-		for i, op := range ops {
-			if op.kind == util.KindRangeDel {
+		for i := range ops {
+			op := &ops[i]
+			switch op.kind {
+			case util.KindValue:
+				e.stats.Puts.Add(1)
+			case util.KindDelete:
+				e.stats.Deletes.Add(1)
+			case util.KindRangeDel:
+				// Mirror the committed tombstone in DRAM before the call
+				// returns, so any Get starting afterwards observes the coverage.
 				e.rangeTombs.add(lsm.RangeDel{
 					Start: append([]byte(nil), op.key...),
 					End:   append([]byte(nil), op.value...),
-					Seq:   seqs[i],
+					Seq:   op.seq,
 				})
 				e.stats.RangeDeletes.Add(1)
 			}
 		}
 		if e.opts.LazyIndex {
-			if (count+uint64(len(ops)))%uint64(e.opts.SyncThreshold) < uint64(len(ops)) {
+			// Trigger 2: hand the slot to the background index thread whenever
+			// the table counter crosses a multiple of SyncThreshold.
+			if (count+n)%uint64(e.opts.SyncThreshold) < n {
 				select {
 				case e.syncCh <- syncReq{s: s, at: th.Clock.Now()}:
 				default:
 				}
 			}
-		} else {
-			th.InPhase(hw.PhaseIndex, func() {
-				s.syncMu.Lock()
-				if s.list != nil {
-					off := tail
-					for i, op := range ops {
-						ik := util.MakeInternalKey(nil, op.key, seqs[i], op.kind)
-						entry := kvstore.EncodeEntry(nil, ik, op.value)
-						s.list.Insert(ik, util.PutFixed64(nil, off), nil)
-						off += align8(uint64(len(entry)))
-					}
-					s.listCount = count + uint64(len(ops))
-					s.listTail = tail + need
-				}
-				s.syncMu.Unlock()
-			})
+			return nil
 		}
-		e.stats.Puts.Add(int64(len(ops)))
+		// PCSM mode: diligently update the sub-skiplist on the spot.
+		th.InPhase(hw.PhaseIndex, func() {
+			s.syncMu.Lock()
+			defer s.syncMu.Unlock()
+			if s.list == nil {
+				return
+			}
+			charge := func(visits int) {
+				th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
+			}
+			off := tail
+			for i := range ops {
+				op := &ops[i]
+				s.list.Insert(util.MakeInternalKey(nil, op.key, op.seq, op.kind), util.PutFixed64(nil, off), charge)
+				off += op.slotLen()
+			}
+			// Two threads on one core insert in either order; the cursor only
+			// ever moves forward, to the later commit.
+			if count+n > s.listCount {
+				s.listCount, s.listTail = count+n, tail+need
+			}
+		})
 		return nil
 	}
 }

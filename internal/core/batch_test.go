@@ -17,7 +17,7 @@ func TestBatchBasic(t *testing.T) {
 	if b.Len() != 100 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -35,7 +35,7 @@ func TestBatchWithDeletes(t *testing.T) {
 	var b Batch
 	b.Put([]byte("new"), []byte("x"))
 	b.Delete([]byte("old"))
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Get(th, []byte("old")); err != kvstore.ErrNotFound {
@@ -50,7 +50,7 @@ func TestBatchEmptyAndReset(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
 	var b Batch
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Put([]byte("k"), []byte("v"))
@@ -58,7 +58,7 @@ func TestBatchEmptyAndReset(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("Reset did not clear")
 	}
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Get(th, []byte("k")); err != kvstore.ErrNotFound {
@@ -76,7 +76,7 @@ func TestBatchTooLarge(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%06d", i)), make([]byte, 64))
 	}
-	if err := e.Apply(th, &b); err == nil {
+	if err := e.Write(th, &b, 0); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }
@@ -94,7 +94,7 @@ func TestBatchAtomicAcrossCrash(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			b.Put([]byte(fmt.Sprintf("b%03d-%02d", n, i)), []byte(fmt.Sprintf("v%d", n)))
 		}
-		if err := e.Apply(th, &b); err != nil {
+		if err := e.Write(th, &b, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestBatchSealsWhenFull(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			b.Put([]byte(fmt.Sprintf("n%04d-%02d", n, i)), make([]byte, 60))
 		}
-		if err := e.Apply(th, &b); err != nil {
+		if err := e.Write(th, &b, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestBatchPCSMEagerIndex(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		b.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
 	}
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	// PCSM reads never sync lazily; the eager index must already cover the

@@ -64,30 +64,23 @@ type Options struct {
 	SharedSeq       *atomic.Uint64
 	SharedPartition *cache.PartitionID
 
-	// Overload protection. WriteStallDeadline bounds how long a write may
-	// wait (virtual ns) for admission, a free sub-MemTable slot, or — via
-	// backpressure — ImmZone space before failing with ErrStalled; 0 keeps
-	// the legacy wait-forever contract. Per-op deadlines via
-	// PutWithDeadline/ApplyWithDeadline override it. DisableFlowControl
-	// turns the state machine off entirely (baseline measurements). Flow
-	// tunes the pressure thresholds; zero fields take defaults derived from
-	// the zone and LSM budgets.
-	// ShapeLegacyWrites extends admission shaping (Slowdown token pacing,
-	// Stop blocking) to deadline-0 writes without arming the deadline
-	// machinery: writes never fail with ErrStalled, they pay the stall on
-	// the virtual clock instead. Benchmarks use it to measure stall dwell
-	// under the blocking-writer contract.
+	// Overload protection. WriteStallDeadline is the deadline Put, Delete and
+	// DeleteRange hand to Write: how long a write may wait (virtual ns) for
+	// admission, a free sub-MemTable slot, or — via backpressure — ImmZone
+	// space before failing with ErrStalled; 0 waits forever. A non-zero value
+	// also arms admission shaping for Write calls that pass no deadline.
+	// DisableFlowControl turns the state machine off entirely (baseline
+	// measurements). Flow tunes the pressure thresholds; zero fields take
+	// defaults derived from the zone and LSM budgets.
 	WriteStallDeadline int64
-	ShapeLegacyWrites  bool
 	DisableFlowControl bool
 	Flow               FlowThresholds
 
-	// CompactionWorkers > 0 moves LSM compaction off the spill path onto a
-	// background scheduler with that many workers (each on its own simulated
-	// thread, attributed to PhaseCompact) picking jobs by priority and
-	// running disjoint-range same-level jobs concurrently. 0 keeps the legacy
-	// inline compaction after each spill. With workers enabled the flow
-	// controller also reads the tree's compaction-debt signal (Flow.Debt*).
+	// CompactionWorkers is the size of the background compaction scheduler's
+	// worker pool (each worker on its own simulated thread, attributed to
+	// PhaseCompact) picking jobs by priority and running disjoint-range
+	// same-level jobs concurrently (1). LSM compaction never runs on the
+	// spill path.
 	CompactionWorkers int
 }
 
@@ -117,6 +110,7 @@ func DefaultOptions() Options {
 		FilterBitsPerKey:   10,
 		FSBytes:            256 << 20,
 		ManifestBytes:      4 << 20,
+		CompactionWorkers:  1,
 	}
 }
 
@@ -151,6 +145,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ManifestBytes == 0 {
 		o.ManifestBytes = d.ManifestBytes
+	}
+	if o.CompactionWorkers <= 0 { // the scheduler is always on
+		o.CompactionWorkers = d.CompactionWorkers
 	}
 	return o
 }
@@ -222,11 +219,6 @@ type Engine struct {
 		cond  *sync.Cond
 		doneV int64 // virtual completion time of the latest spill
 	}
-	// spillPending counts spill requests enqueued or mid-service (including
-	// the legacy inline compaction that follows a spill); quiesceSpills waits
-	// for it to reach zero so callers can settle the whole background chain.
-	spillPending atomic.Int64
-
 	stats  Stats
 	failed atomic.Pointer[error]
 	closed atomic.Bool
@@ -314,10 +306,6 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 	e.bumpSeq(e.tree.LastSeq())
 	e.maxSpilledSeq.Store(e.tree.LastSeq())
 
-	var debtFn func() uint64
-	if opts.CompactionWorkers > 0 {
-		debtFn = e.tree.CompactionDebt
-	}
 	e.flow = newFlowControl(opts, opts.DisableFlowControl,
 		e.tree.L0Pressure,
 		func() uint64 {
@@ -326,7 +314,7 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 				pending = 0
 			}
 			return e.immArena.Used() + uint64(pending)
-		}, debtFn)
+		}, e.tree.CompactionDebt)
 
 	if recovered {
 		e.trace.Emit(th.Clock.Now(), "recovery_start", "engine", e.Name(), "shard", opts.Shard)
@@ -365,17 +353,15 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 		}
 	}
 
-	if opts.CompactionWorkers > 0 {
-		e.tree.StartScheduler(lsm.SchedulerConfig{
-			Workers:   opts.CompactionWorkers,
-			OnError:   e.fail,
-			OnJobDone: func(at int64) { e.flow.recompute(at, "lsm_compaction") },
-			Err:       e.bgErr,
-			Trace:     opts.Trace,
-		})
-		// A recovered tree may reopen with debt already due (crash mid-burst).
-		e.tree.Kick(th.Clock.Now())
-	}
+	e.tree.StartScheduler(lsm.SchedulerConfig{
+		Workers:   opts.CompactionWorkers,
+		OnError:   e.fail,
+		OnJobDone: func(at int64) { e.flow.recompute(at, "lsm_compaction") },
+		Err:       e.bgErr,
+		Trace:     opts.Trace,
+	})
+	// A recovered tree may reopen with debt already due (crash mid-burst).
+	e.tree.Kick(th.Clock.Now())
 
 	for i := 0; i < opts.FlushThreads; i++ {
 		e.flushWG.Add(1)
@@ -480,12 +466,10 @@ func (e *Engine) RegisterObs(r *obs.Registry) {
 		}
 		return s
 	})
-	if e.tree.SchedulerActive() {
-		r.Counter("compact_jobs", func() int64 { return e.tree.SchedulerStats().JobsRun })
-		r.Gauge("compact_running", func() float64 { return float64(e.tree.SchedulerStats().Running) })
-		r.Gauge("compact_queued", func() float64 { return float64(e.tree.SchedulerStats().Queued) })
-		r.Counter("compact_busy_ns", func() int64 { return e.tree.SchedulerStats().BusyNs })
-	}
+	r.Counter("compact_jobs", func() int64 { return e.tree.SchedulerStats().JobsRun })
+	r.Gauge("compact_running", func() float64 { return float64(e.tree.SchedulerStats().Running) })
+	r.Gauge("compact_queued", func() float64 { return float64(e.tree.SchedulerStats().Queued) })
+	r.Counter("compact_busy_ns", func() int64 { return e.tree.SchedulerStats().BusyNs })
 	r.Gauge("compact_debt_bytes", func() float64 { return float64(e.tree.CompactionDebt()) })
 	for lvl := 0; lvl < e.tree.NumLevels(); lvl++ {
 		lvl := lvl
@@ -500,11 +484,6 @@ func (e *Engine) FlowState() FlowState { return e.flow.current() }
 
 // FlowStats reports the flow-control counter snapshot.
 func (e *Engine) FlowStats() FlowStats { return e.flow.snapshot() }
-
-// FlowStatsAt is FlowStats with the dwell segment still open at virtual time
-// at included — benchmarks sampling mid-run use it so a window that ends
-// under pressure still accounts that stretch.
-func (e *Engine) FlowStatsAt(at int64) FlowStats { return e.flow.snapshotAt(at) }
 
 // FlowSignals reports the raw pressure signals the flow controller polls:
 // L0 file count and bytes, and the backlog (ImmZone occupancy plus
@@ -551,52 +530,6 @@ func (e *Engine) DebugTimers() (allocWaitNs, flushJobs, flushBusyNs, spillJobs, 
 	return e.pool.allocWaitNs.Load(), fj, fb, sj, sb
 }
 
-// align8 pads entry lengths so offsets stay 8-byte aligned (the recovery
-// scanner and lazy sync both rely on it).
-func align8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// Put implements kvstore.DB: append to the core's sub-MemTable in the
-// persistent cache and commit with one CAS on the packed header.
-func (e *Engine) Put(th *hw.Thread, key, value []byte) error {
-	return e.PutWithDeadline(th, key, value, e.opts.WriteStallDeadline)
-}
-
-// PutWithDeadline is Put bounded by deadlineNs virtual ns: if admission, a
-// slot wait, or ImmZone backpressure would stall past the deadline the write
-// fails with ErrStalled instead of blocking. deadlineNs <= 0 means no
-// deadline (legacy blocking).
-func (e *Engine) PutWithDeadline(th *hw.Thread, key, value []byte, deadlineNs int64) error {
-	if err := e.err(); err != nil {
-		return err
-	}
-	deadlineV := absDeadline(th, deadlineNs)
-	if err := e.flow.admitWrite(th, deadlineV); err != nil {
-		return err
-	}
-	return e.write(th, key, value, util.KindValue, deadlineV)
-}
-
-// Delete implements kvstore.DB (a tombstone append).
-func (e *Engine) Delete(th *hw.Thread, key []byte) error {
-	return e.DeleteWithDeadline(th, key, e.opts.WriteStallDeadline)
-}
-
-// DeleteWithDeadline is Delete under a write deadline (see PutWithDeadline).
-func (e *Engine) DeleteWithDeadline(th *hw.Thread, key []byte, deadlineNs int64) error {
-	if err := e.err(); err != nil {
-		return err
-	}
-	deadlineV := absDeadline(th, deadlineNs)
-	if err := e.flow.admitWrite(th, deadlineV); err != nil {
-		return err
-	}
-	if err := e.write(th, key, nil, util.KindDelete, deadlineV); err != nil {
-		return err
-	}
-	e.stats.Deletes.Add(1)
-	return nil
-}
-
 // enqueueSealed queues a sealed slot for its copy-based flush, maintaining
 // the backlog accounting and pressure state the flow controller reads.
 func (e *Engine) enqueueSealed(th *hw.Thread, sealed *slot) {
@@ -607,105 +540,6 @@ func (e *Engine) enqueueSealed(th *hw.Thread, sealed *slot) {
 	e.pendingFlushBytes.Add(int64(stail))
 	e.flushCh <- sealed
 	e.flow.recompute(th.Clock.Now(), "memtable_seal")
-}
-
-func (e *Engine) write(th *hw.Thread, key, value []byte, kind util.ValueKind, deadlineV int64) error {
-	if err := e.err(); err != nil {
-		return err
-	}
-	seq := e.seq.Add(1)
-	ikey := util.MakeInternalKey(nil, key, seq, kind)
-	enc := kvstore.EncodeEntry(nil, ikey, value)
-	need := align8(uint64(len(enc)))
-
-	// Global metadata structure lookup: one DRAM access (Section III-A).
-	core := th.Core
-	th.ChargeDRAM(1)
-
-	for {
-		s := e.pool.slotFor(core)
-		if s == nil {
-			var aerr error
-			th.InPhase(hw.PhaseOther, func() {
-				s, aerr = e.pool.acquire(th, core, seq, deadlineV)
-			})
-			if aerr != nil {
-				return aerr // ErrStalled: the slot wait overran the deadline
-			}
-			if s == nil {
-				// The pool aborted: the engine failed while we waited.
-				if err := e.err(); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		hdr := s.hdr.Load()
-		count, state, tail := unpackHdr(hdr)
-		if state != stateAllocated {
-			// Slot was sealed under us (FlushAll); drop the mapping and retry.
-			e.pool.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
-			continue
-		}
-		if tail+need > s.dataCap() {
-			// Full: seal, queue the copy-based flush, grab a fresh one.
-			if sealed := e.pool.sealForCore(th, core); sealed != nil {
-				e.enqueueSealed(th, sealed)
-			}
-			continue
-		}
-		// Append the entry into the pinned cache lines, then commit
-		// tail+counter with a single CAS (the persistence point).
-		th.InPhase(hw.PhaseAppend, func() {
-			e.m.Cache.Write(th.Clock, s.dataAddr()+tail, enc, e.poolPart)
-		})
-		// Record the key in the slot's negative filter BEFORE the commit CAS:
-		// any entry a reader can observe as committed is already covered, so a
-		// filter miss proves absence. A failed CAS leaves a spurious bit — a
-		// false positive, never a false negative.
-		if f := s.filter.Load(); f != nil {
-			th.ChargeDRAM(1)
-			f.Add(key)
-		}
-		if !e.pool.casHdr(th, s, hdr, packHdr(count+1, stateAllocated, tail+need)) {
-			// Another thread on this core raced us; retry cleanly.
-			continue
-		}
-		if kind == util.KindRangeDel {
-			// Mirror the committed tombstone in DRAM before the call returns,
-			// so any Get starting after DeleteRange observes the coverage.
-			e.rangeTombs.add(lsm.RangeDel{
-				Start: append([]byte(nil), key...),
-				End:   append([]byte(nil), value...),
-				Seq:   seq,
-			})
-		}
-		if e.opts.LazyIndex {
-			// Trigger 2: hand the slot to the background index thread every
-			// SyncThreshold writes.
-			if (count+1)%uint64(e.opts.SyncThreshold) == 0 {
-				select {
-				case e.syncCh <- syncReq{s: s, at: th.Clock.Now()}:
-				default:
-				}
-			}
-		} else {
-			// PCSM mode: diligently update the sub-skiplist on the spot.
-			th.InPhase(hw.PhaseIndex, func() {
-				s.syncMu.Lock()
-				if s.list != nil {
-					s.list.Insert(ikey, util.PutFixed64(nil, tail), func(visits int) {
-						th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
-					})
-					s.listCount++
-					s.listTail = tail + need
-				}
-				s.syncMu.Unlock()
-			})
-		}
-		e.stats.Puts.Add(1)
-		return nil
-	}
 }
 
 // Get implements kvstore.DB. The freshest version may live in any active
@@ -721,7 +555,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 
 	// 1. Active sub-MemTables: probe the slot's negative filter first — a
 	// rejection skips both the trigger-1 lazy sync and the sub-skiplist
-	// search (sound: write() adds to the filter before the commit CAS, so
+	// search (sound: commitOps adds to the filter before the commit CAS, so
 	// the filter always leads the lazy index).
 	for _, s := range e.pool.snapshotActive() {
 		if f := s.filter.Load(); f != nil {
@@ -922,22 +756,8 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 		runtime.Gosched()
 	}
 	e.spill(th)
-	if e.tree.SchedulerActive() {
-		e.tree.Kick(th.Clock.Now())
-		e.tree.WaitCompactIdle(th)
-	} else {
-		// Legacy inline mode: an earlier async spill may still be mid-service
-		// (including the compaction it tows behind it) — settle that chain,
-		// then pay down any remaining debt so FlushAll leaves the tree as
-		// quiet as the scheduler branch does.
-		e.quiesceSpills()
-		th.InPhase(hw.PhaseCompact, func() {
-			if err := e.tree.MaybeCompact(th); err != nil {
-				e.fail(err)
-			}
-		})
-		e.flow.recompute(th.Clock.Now(), "flushall_compact")
-	}
+	e.tree.Kick(th.Clock.Now())
+	e.tree.WaitCompactIdle(th)
 	// Advance the caller past all background virtual time.
 	th.Clock.AdvanceTo(e.flushServers.EarliestFree())
 	return e.err()
@@ -984,4 +804,22 @@ func (e *Engine) Close(th *hw.Thread) error {
 	return nil
 }
 
-var _ kvstore.DB = (*Engine)(nil)
+// Store is what both engine shapes (*Engine and the *Sharded router) offer on
+// top of kvstore.DB: the one mutation entry, bulk ingest, the crash-stop hook,
+// and the counters the public API reports. Callers outside the package hold a
+// Store instead of probing a kvstore.DB for individual methods.
+type Store interface {
+	kvstore.DB
+	kvstore.Halter
+	Write(th *hw.Thread, b *Batch, deadlineNs int64) error
+	Ingest(th *hw.Thread, entries []lsm.IngestEntry) error
+	FlowState() FlowState
+	FlowStats() FlowStats
+	BlockCacheStats() blockcache.Stats
+	FilterStats() (probes, negatives int64)
+}
+
+var (
+	_ Store = (*Engine)(nil)
+	_ Store = (*Sharded)(nil)
+)

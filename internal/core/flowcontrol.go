@@ -24,7 +24,7 @@ type FlowState int32
 const (
 	FlowOK       FlowState = iota // admit freely
 	FlowSlowdown                  // delayed admission: paced tokens with exponential refill
-	FlowStop                      // deadline writes fail fast; legacy writes block
+	FlowStop                      // deadline writes fail fast; deadline-0 writes block
 )
 
 func (s FlowState) String() string {
@@ -66,9 +66,7 @@ type FlowThresholds struct {
 	// see lsm.Tree.CompactionDebt). Unlike the L0 file count this tracks what
 	// the background compaction scheduler still owes in bytes, so admission
 	// reacts to a deep-level pileup before it cascades back into L0. Zero
-	// enter thresholds disable the signal; engines running a background
-	// scheduler (Options.CompactionWorkers > 0) derive them from the LSM
-	// level budget.
+	// enter thresholds take defaults derived from the LSM level budget.
 	DebtSlowdown, DebtStop         uint64
 	DebtSlowdownExit, DebtStopExit uint64
 
@@ -119,20 +117,15 @@ func (t FlowThresholds) withDefaults(opts Options) FlowThresholds {
 	if t.WALStopExit == 0 {
 		t.WALStopExit = t.WALStop * 3 / 4
 	}
-	// The debt signal arms only under a background compaction scheduler —
-	// without one the inline spill-path compaction clears debt synchronously
-	// and the L0 count already tells the whole story.
-	if opts.CompactionWorkers > 0 {
-		base := opts.LSM.BaseLevelBytes
-		if base <= 0 {
-			base = 8 << 20
-		}
-		if t.DebtSlowdown == 0 {
-			t.DebtSlowdown = uint64(base)
-		}
-		if t.DebtStop == 0 {
-			t.DebtStop = uint64(4 * base)
-		}
+	base := opts.LSM.BaseLevelBytes
+	if base <= 0 {
+		base = 8 << 20
+	}
+	if t.DebtSlowdown == 0 {
+		t.DebtSlowdown = uint64(base)
+	}
+	if t.DebtStop == 0 {
+		t.DebtStop = uint64(4 * base)
 	}
 	if t.DebtSlowdownExit == 0 {
 		t.DebtSlowdownExit = t.DebtSlowdown / 2
@@ -158,8 +151,8 @@ type FlowStats struct {
 	DelayedWrites   int64 // writes admitted after a paced token wait
 	DelayedNs       int64 // total virtual ns spent in token waits
 	RejectedWrites  int64 // deadline writes refused with ErrStalled
-	StopWaits       int64 // legacy (no-deadline) writes that blocked in Stop
-	StopWaitNs      int64 // total virtual ns legacy writes spent blocked
+	StopWaits       int64 // deadline-0 writes that blocked in Stop
+	StopWaitNs      int64 // total virtual ns deadline-0 writes spent blocked
 	DwellOKNs       int64 // completed-dwell virtual ns per state
 	DwellSlowdownNs int64
 	DwellStopNs     int64
@@ -175,18 +168,18 @@ type flowControl struct {
 
 	disabled bool
 
-	// shapeLegacy extends admission shaping (Slowdown pacing, Stop blocking)
+	// shapeBlocking extends admission shaping (Slowdown pacing, Stop blocking)
 	// to deadline-0 writes. It is set only when the engine is opened with a
 	// non-zero WriteStallDeadline — i.e. the operator explicitly turned on
-	// overload protection. Without it, legacy writes bypass shaping entirely:
-	// token pacing couples the writer's virtual clock to background lifecycle
-	// timing, and an unconfigured engine must keep the byte-identical
-	// deterministic virtual schedule of the pre-flow-control write path.
-	shapeLegacy bool
+	// overload protection. Without it, deadline-0 writes bypass shaping
+	// entirely: token pacing couples the writer's virtual clock to background
+	// lifecycle timing, and shaping them unconditionally costs fill three
+	// orders of magnitude of throughput at today's thresholds (ROADMAP item 2).
+	shapeBlocking bool
 
 	// Pressure signals, installed at Open. wal is nil until a sharded
-	// deployment wires its two-phase log size (installed under mu); debt is
-	// nil unless a background compaction scheduler runs.
+	// deployment wires its two-phase log size (installed under mu); debt may
+	// be nil (no signal).
 	l0      func() (files int, bytes int64)
 	backlog func() uint64
 	debt    func() uint64
@@ -215,14 +208,14 @@ type flowControl struct {
 
 func newFlowControl(opts Options, disabled bool, l0 func() (int, int64), backlog, debt func() uint64) *flowControl {
 	fc := &flowControl{
-		th:          opts.Flow.withDefaults(opts),
-		shard:       opts.Shard,
-		trace:       opts.Trace,
-		disabled:    disabled,
-		shapeLegacy: opts.WriteStallDeadline != 0 || opts.ShapeLegacyWrites,
-		l0:          l0,
-		backlog:     backlog,
-		debt:        debt,
+		th:            opts.Flow.withDefaults(opts),
+		shard:         opts.Shard,
+		trace:         opts.Trace,
+		disabled:      disabled,
+		shapeBlocking: opts.WriteStallDeadline != 0,
+		l0:            l0,
+		backlog:       backlog,
+		debt:          debt,
 	}
 	fc.cond = sync.NewCond(&fc.mu)
 	fc.refillNs = fc.th.SlowdownBaseDelay
@@ -371,24 +364,23 @@ func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason str
 	fc.cond.Broadcast()
 }
 
-// admit gates one write. deadlineV is an absolute virtual-clock deadline
-// (0 = none, the legacy contract). In OK it is one atomic load. In Slowdown
-// the write takes the next token and advances its clock to that slot — or is
-// rejected without consuming a token when the slot lies past its deadline,
-// so rejected writers cannot stretch the queue for everyone behind them. In
-// Stop a deadline write fails fast and a legacy write blocks until the state
-// de-escalates.
-// admitWrite is admit as called from the engine's write paths: a deadline-0
-// write on an engine with no configured WriteStallDeadline skips shaping (see
-// shapeLegacy). State tracking, tracing, and metrics continue regardless —
-// only the foreground clock coupling is gated.
+// admitWrite is admit as called from Write: a deadline-0 write on an engine
+// with no configured WriteStallDeadline skips shaping (see shapeBlocking).
+// State tracking, tracing, and metrics continue regardless — only the
+// foreground clock coupling is gated.
 func (fc *flowControl) admitWrite(th *hw.Thread, deadlineV int64) error {
-	if fc == nil || (deadlineV == 0 && !fc.shapeLegacy) {
+	if fc == nil || (deadlineV == 0 && !fc.shapeBlocking) {
 		return nil
 	}
 	return fc.admit(th, deadlineV)
 }
 
+// admit gates one write. deadlineV is an absolute virtual-clock deadline
+// (0 = none). In OK it is one atomic load. In Slowdown the write takes the
+// next token and advances its clock to that slot — or is rejected without
+// consuming a token when the slot lies past its deadline, so rejected writers
+// cannot stretch the queue for everyone behind them. In Stop a deadline write
+// fails fast and a deadline-0 write blocks until the state de-escalates.
 func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 	if fc == nil || fc.disabled {
 		return nil
@@ -464,7 +456,7 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 	}
 }
 
-// abort wakes legacy writers blocked in Stop so they observe the engine
+// abort wakes writers blocked in Stop so they observe the engine
 // failure (wired into Engine.fail).
 func (fc *flowControl) abort() {
 	if fc == nil {
@@ -528,32 +520,6 @@ func (fc *flowControl) snapshot() FlowStats {
 		DwellSlowdownNs: fc.dwellNs[FlowSlowdown].Load(),
 		DwellStopNs:     fc.dwellNs[FlowStop].Load(),
 	}
-}
-
-// snapshotAt is snapshot with the in-progress dwell segment folded in: a run
-// sampled while still under pressure books the open lastTransV..at stretch
-// into the current state's dwell, so "time spent in Slowdown/Stop" does not
-// depend on whether the state happened to de-escalate before the sample.
-func (fc *flowControl) snapshotAt(at int64) FlowStats {
-	if fc == nil {
-		return FlowStats{}
-	}
-	fc.mu.Lock()
-	open := at - fc.lastTransV
-	cur := FlowState(fc.state.Load())
-	fc.mu.Unlock()
-	s := fc.snapshot()
-	if open > 0 {
-		switch cur {
-		case FlowOK:
-			s.DwellOKNs += open
-		case FlowSlowdown:
-			s.DwellSlowdownNs += open
-		case FlowStop:
-			s.DwellStopNs += open
-		}
-	}
-	return s
 }
 
 // Add merges another snapshot (the sharded router's aggregation): counters

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// putBatch is the one-op batch a deadline-bounded Put rides through Write.
+func putBatch(key, value []byte) *Batch {
+	b := &Batch{}
+	b.Put(key, value)
+	return b
+}
+
 // testFlow builds a flowControl with injected pressure signals so the state
 // machine can be driven without a real engine behind it.
 func testFlow(th FlowThresholds) (fc *flowControl, setL0 func(int), setBacklog func(uint64)) {
@@ -285,17 +292,19 @@ func TestFlowEngineDeadlineUnderForcedStop(t *testing.T) {
 	if got := e.FlowState(); got != FlowStop {
 		t.Fatalf("forced state: %v", got)
 	}
-	err := e.PutWithDeadline(th, []byte("stalled"), []byte("v"), 1_000)
+	err := e.Write(th, putBatch([]byte("stalled"), []byte("v")), 1_000)
 	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("PutWithDeadline under Stop: %v, want ErrStalled", err)
-	}
-	if err := e.DeleteWithDeadline(th, []byte("before"), 1_000); !errors.Is(err, ErrStalled) {
-		t.Fatalf("DeleteWithDeadline under Stop: %v, want ErrStalled", err)
+		t.Fatalf("Put under Stop: %v, want ErrStalled", err)
 	}
 	var b Batch
+	b.Delete([]byte("before"))
+	if err := e.Write(th, &b, 1_000); !errors.Is(err, ErrStalled) {
+		t.Fatalf("Delete under Stop: %v, want ErrStalled", err)
+	}
+	b.Reset()
 	b.Put([]byte("batch"), []byte("v"))
-	if err := e.ApplyWithDeadline(th, &b, 1_000); !errors.Is(err, ErrStalled) {
-		t.Fatalf("ApplyWithDeadline under Stop: %v, want ErrStalled", err)
+	if err := e.Write(th, &b, 1_000); !errors.Is(err, ErrStalled) {
+		t.Fatalf("batch under Stop: %v, want ErrStalled", err)
 	}
 
 	// The rejected writes left nothing behind, and the pre-stall key survived.
@@ -335,7 +344,7 @@ func TestFlowPerShardIndependence(t *testing.T) {
 	var stalled, admitted int
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key%06d", i))
-		err := sh.PutWithDeadline(th, k, []byte("v"), 1_000)
+		err := sh.Write(th, putBatch(k, []byte("v")), 1_000)
 		switch {
 		case err == nil:
 			if sh.ShardOf(k) == 1 {
@@ -395,7 +404,7 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 	var b Batch
 	b.Put(k0, []byte("v0"))
 	b.Put(k1, []byte("v1"))
-	if err := sh.ApplyWithDeadline(th, &b, 1_000); !errors.Is(err, ErrStalled) {
+	if err := sh.Write(th, &b, 1_000); !errors.Is(err, ErrStalled) {
 		t.Fatalf("cross-shard batch with a stopped participant: %v, want ErrStalled", err)
 	}
 	if _, err := sh.Get(th, k0); err == nil {
@@ -407,7 +416,7 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 	// After release the same batch commits whole.
 	sh.DebugUnforceFlowState()
 	sh.shards[1].flow.recompute(th.Clock.Now(), "test")
-	if err := sh.ApplyWithDeadline(th, &b, 1_000_000); err != nil {
+	if err := sh.Write(th, &b, 1_000_000); err != nil {
 		t.Fatalf("batch after release: %v", err)
 	}
 	for _, k := range [][]byte{k0, k1} {
@@ -432,7 +441,7 @@ func TestFlowPoolAcquireDeadline(t *testing.T) {
 	val := make([]byte, 4<<10)
 	var sawStall bool
 	for i := 0; i < 2000; i++ {
-		err := e.PutWithDeadline(th, []byte(fmt.Sprintf("k%06d", i)), val, 50)
+		err := e.Write(th, putBatch([]byte(fmt.Sprintf("k%06d", i)), val), 50)
 		if err != nil {
 			if !errors.Is(err, ErrStalled) {
 				t.Fatal(err)

@@ -97,15 +97,12 @@ func (e *Engine) spillLoop() {
 	defer e.spillWG.Done()
 	for at := range e.spillCh {
 		e.serveSpill(at)
-		e.spillState.mu.Lock()
-		e.spillPending.Add(-1)
-		e.spillState.cond.Broadcast()
-		e.spillState.mu.Unlock()
 	}
 }
 
-// serveSpill is one spillLoop iteration: the spill itself plus, in legacy
-// inline mode, the compaction debt it created.
+// serveSpill is one spillLoop iteration: the spill itself, then a kick so the
+// compaction scheduler's workers pick up the debt it created while the spill
+// thread returns to serving writers immediately.
 func (e *Engine) serveSpill(at int64) {
 	if e.bgErr() != nil {
 		// Crash-stopped: acknowledge the request so waiters re-check
@@ -131,48 +128,15 @@ func (e *Engine) serveSpill(at int64) {
 	e.spillState.cond.Broadcast()
 	e.spillState.mu.Unlock()
 	e.flow.recompute(th.Clock.Now(), "spill_end")
-	if e.tree.SchedulerActive() {
-		// Background scheduler: hand the new debt to the workers and let
-		// the spill thread return to serving writers immediately.
-		e.tree.Kick(th.Clock.Now())
-		return
-	}
-	// Legacy inline mode: LSM compaction debt is paid after writers are
-	// unblocked; its virtual cost still occupies this background server,
-	// delaying future spills exactly as LevelDB's single compaction
-	// thread would.
-	cstart := th.Clock.Now()
-	th.InPhase(hw.PhaseCompact, func() {
-		if err := e.tree.MaybeCompact(th); err != nil {
-			e.fail(err)
-		}
-	})
-	if dur := th.Clock.Now() - cstart; dur > 0 {
-		e.trace.Emit(th.Clock.Now(), "lsm_compaction", "ns", dur)
-	}
-	e.spillServer.Submit(done, th.Clock.Now()-cstart)
-	e.flow.recompute(th.Clock.Now(), "lsm_compaction")
+	e.tree.Kick(th.Clock.Now())
 }
 
 // requestSpill asks the spill thread to run (idempotent while one is queued).
 func (e *Engine) requestSpill(at int64) {
-	e.spillPending.Add(1)
 	select {
 	case e.spillCh <- at:
 	default:
-		e.spillPending.Add(-1)
 	}
-}
-
-// quiesceSpills blocks until the spill thread has no queued or in-flight
-// work — including the inline compaction a legacy-mode spill tows behind it.
-// Only the background chain is awaited; the caller's clock is not advanced.
-func (e *Engine) quiesceSpills() {
-	e.spillState.mu.Lock()
-	for e.spillPending.Load() > 0 && e.bgErr() == nil {
-		e.spillState.cond.Wait()
-	}
-	e.spillState.mu.Unlock()
 }
 
 // waitForSpace blocks (really and virtually) until the ImmZone can hold need
@@ -180,7 +144,7 @@ func (e *Engine) quiesceSpills() {
 // wait on the virtual clock: each retry charges a capped exponential backoff
 // step, and once the clock passes the deadline the wait returns ErrStalled so
 // the caller can refresh pressure state instead of hanging forever. Zero
-// keeps the legacy unbounded wait.
+// waits without bound.
 func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error {
 	backoff := int64(0)
 	e.spillState.mu.Lock()

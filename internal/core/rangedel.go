@@ -10,7 +10,7 @@ import (
 )
 
 // rangeTombList is the engine's DRAM mirror of range tombstones that may
-// still be resident in the memory component. write() adds to it right after
+// still be resident in the memory component. commitOps adds to it right after
 // the commit CAS; pruneRangeTombs removes an entry only once the tree's own
 // metadata carries it (sub-MemTable slots flush out of sequence order, so
 // maxSpilledSeq alone cannot prove a tombstone left the memory component).
@@ -94,37 +94,6 @@ func (e *Engine) pruneRangeTombs() {
 func (e *Engine) visibleRangeTombs(snap uint64) []lsm.RangeDel {
 	tombs := e.rangeTombs.visible(snap)
 	return append(tombs, e.tree.RangeTombstones(snap)...)
-}
-
-// DeleteRange deletes every key in [start, end) by committing one range
-// tombstone — O(1) in the range's size. A start >= end range is an empty
-// no-op.
-func (e *Engine) DeleteRange(th *hw.Thread, start, end []byte) error {
-	return e.DeleteRangeWithDeadline(th, start, end, e.opts.WriteStallDeadline)
-}
-
-// DeleteRangeWithDeadline is DeleteRange under a write deadline (see
-// PutWithDeadline).
-func (e *Engine) DeleteRangeWithDeadline(th *hw.Thread, start, end []byte, deadlineNs int64) error {
-	if err := e.err(); err != nil {
-		return err
-	}
-	if bytes.Compare(start, end) >= 0 {
-		return nil
-	}
-	deadlineV := absDeadline(th, deadlineNs)
-	if err := e.flow.admitWrite(th, deadlineV); err != nil {
-		return err
-	}
-	// The tombstone is an ordinary memtable entry: internal key start@seq
-	// with KindRangeDel, value = exclusive end key. It rides the same
-	// commit, flush, and spill path as point writes, which is what makes it
-	// crash-durable.
-	if err := e.write(th, start, end, util.KindRangeDel, deadlineV); err != nil {
-		return err
-	}
-	e.stats.RangeDeletes.Add(1)
-	return nil
 }
 
 // Ingest bulk-loads entries (strictly ascending unique user keys) as external

@@ -130,7 +130,7 @@ func TestBatchDeleteRangeAtomic(t *testing.T) {
 	var b Batch
 	b.Put([]byte("marker"), []byte("present"))
 	b.DeleteRange([]byte("key00000"), []byte("key00025"))
-	if err := e.Apply(th, &b); err != nil {
+	if err := e.Write(th, &b, 0); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := e.Get(th, []byte("marker")); err != nil || string(v) != "present" {

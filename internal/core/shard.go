@@ -22,7 +22,6 @@ package core
 // inside that shared partition's capacity.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -128,12 +127,11 @@ func (o ShardedOptions) shardOptions(k int, prefix string, seq *atomic.Uint64, p
 	return eo
 }
 
-// writeReq is one caller's parked write: its operations with pre-assigned
-// sequence numbers, the virtual arrival time, and the completion signal. The
-// writer fills doneV/err before closing done.
+// writeReq is one caller's parked write: its operations (sequence numbers
+// assigned), the virtual arrival time, and the completion signal. The writer
+// fills doneV/err before closing done.
 type writeReq struct {
 	ops   []batchOp
-	seqs  []uint64
 	bytes uint64 // rough encoded-size estimate for group byte budgeting
 	at    int64  // caller's virtual clock at submission
 	// deadlineV is the caller's absolute virtual-time write deadline (0 =
@@ -143,6 +141,14 @@ type writeReq struct {
 	doneV     int64 // group fence's virtual completion time
 	err       error
 	done      chan struct{}
+}
+
+func newWriteReq(ops []batchOp, at, deadlineV int64) *writeReq {
+	req := &writeReq{ops: ops, at: at, deadlineV: deadlineV, done: make(chan struct{})}
+	for _, op := range ops {
+		req.bytes += uint64(len(op.key)+len(op.value)) + 24
+	}
+	return req
 }
 
 // shardWriter is one shard's group-commit loop: a dedicated goroutine (with
@@ -289,19 +295,17 @@ func (w *shardWriter) commitGroup(group []*writeReq) {
 
 	var err error
 	if len(group) == 1 {
-		err = w.eng.commitOps(th, group[0].ops, group[0].seqs, group[0].deadlineV)
+		err = w.eng.commitOps(th, group[0].ops, group[0].deadlineV)
 	} else {
 		total := 0
 		for _, r := range group {
 			total += len(r.ops)
 		}
 		ops := make([]batchOp, 0, total)
-		seqs := make([]uint64, 0, total)
 		for _, r := range group {
 			ops = append(ops, r.ops...)
-			seqs = append(seqs, r.seqs...)
 		}
-		err = w.eng.commitOps(th, ops, seqs, groupDeadline)
+		err = w.eng.commitOps(th, ops, groupDeadline)
 		if err != nil {
 			// Degrade to per-request commits: a capacity error (or stall)
 			// belongs to the request that overflowed or expired, not to the
@@ -498,17 +502,12 @@ func (sh *Sharded) Name() string {
 	return fmt.Sprintf("CacheKV(shards=%d)", len(sh.shards))
 }
 
-// submitAndWait routes one pre-sequenced request to shard idx's writer and
-// parks the caller until the group's fence lands. The park is attributed to
-// the lock layer: it is commit-ordering wait, the sharded analogue of the
+// submitAndWait routes one sequenced request to shard idx's writer and parks
+// the caller until the group's fence lands. The park is attributed to the lock
+// layer: it is commit-ordering wait, the sharded analogue of the
 // single-writer lock the paper's Figure 5(b) charges there.
-func (sh *Sharded) submitAndWait(th *hw.Thread, idx int, ops []batchOp, seqs []uint64, deadlineV int64) error {
-	var bytes uint64
-	for _, op := range ops {
-		bytes += uint64(len(op.key)+len(op.value)) + 24
-	}
-	req := &writeReq{ops: ops, seqs: seqs, bytes: bytes, at: th.Clock.Now(),
-		deadlineV: deadlineV, done: make(chan struct{})}
+func (sh *Sharded) submitAndWait(th *hw.Thread, idx int, ops []batchOp, deadlineV int64) error {
+	req := newWriteReq(ops, th.Clock.Now(), deadlineV)
 	if err := sh.writers[idx].submit(req); err != nil {
 		return err
 	}
@@ -519,93 +518,93 @@ func (sh *Sharded) submitAndWait(th *hw.Thread, idx int, ops []batchOp, seqs []u
 	return req.err
 }
 
-func (sh *Sharded) write1(th *hw.Thread, key, value []byte, kind util.ValueKind, deadlineNs int64) error {
+// Write commits b atomically; it is the only way a mutation enters the
+// router (deadlineNs as in Engine.Write). Point ops route to ShardOf(key); a
+// range tombstone goes to EVERY shard, because keys hash-partition and any
+// key of the span may live anywhere. A batch with one participant shard
+// commits through that shard's group-commit writer exactly like the
+// single-engine path (one CAS); one with several goes through the two-phase
+// protocol in twopc.go, so after a crash either every shard carries its
+// portion or none does.
+//
+// Every participant's flow controller must admit the batch before it reaches
+// a writer or a log, so a rejected batch is fully absent and the group-commit
+// pipeline only carries admitted work.
+func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
+	ops := b.ops
+	if len(ops) == 0 {
+		return nil
+	}
 	if err := sh.err(); err != nil {
 		return err
 	}
 	// Router lookup: one DRAM access, same charge as the engine's global
 	// metadata structure.
 	th.ChargeDRAM(1)
-	idx := sh.ShardOf(key)
-	// Admission runs on the owning shard's flow controller before a sequence
-	// number is drawn or the request reaches the writer, so a rejected write
-	// is fully absent and the group-commit pipeline only carries admitted
-	// work.
 	deadlineV := absDeadline(th, deadlineNs)
-	if err := sh.shards[idx].flow.admitWrite(th, deadlineV); err != nil {
-		return err
+
+	// Common case first: every op lands on one shard, nothing to partition.
+	// As in Engine.Write, admission runs before a sequence number is drawn, so
+	// a rejected write consumes none and a writer parked in Stop holds none.
+	one := sh.ShardOf(ops[0].key)
+	for i := 0; i < len(ops) && len(sh.shards) > 1; i++ {
+		if ops[i].kind == util.KindRangeDel || sh.ShardOf(ops[i].key) != one {
+			one = -1
+			break
+		}
 	}
-	seq := sh.seq.Add(1)
-	return sh.submitAndWait(th, idx,
-		[]batchOp{{key: key, value: value, kind: kind}}, []uint64{seq}, deadlineV)
+	if one >= 0 {
+		if err := sh.shards[one].flow.admitWrite(th, deadlineV); err != nil {
+			return err
+		}
+		assignSeqs(sh.seq, ops)
+		return sh.submitAndWait(th, one, ops, deadlineV)
+	}
+
+	// Two-phase path: the prepare record carries the sequence numbers, so they
+	// are drawn before tpc.commit admits on every participant.
+	assignSeqs(sh.seq, ops)
+
+	// Partition by shard, preserving op order within each; portions come out
+	// in ascending shard order, the deterministic prepare/apply sequence.
+	byShard := make([][]batchOp, len(sh.shards))
+	for _, op := range ops {
+		if op.kind == util.KindRangeDel {
+			for k := range byShard {
+				byShard[k] = append(byShard[k], op)
+			}
+		} else {
+			k := sh.ShardOf(op.key)
+			byShard[k] = append(byShard[k], op)
+		}
+	}
+	portions := make([]*shardPortion, 0, len(byShard))
+	for k, part := range byShard {
+		if len(part) > 0 {
+			portions = append(portions, &shardPortion{shard: k, ops: part})
+		}
+	}
+	return sh.tpc.commit(th, portions, deadlineV)
 }
 
 // Put implements kvstore.DB.
 func (sh *Sharded) Put(th *hw.Thread, key, value []byte) error {
-	return sh.write1(th, key, value, util.KindValue, sh.opts.Base.WriteStallDeadline)
-}
-
-// PutWithDeadline is Put bounded by deadlineNs virtual ns (see
-// Engine.PutWithDeadline): admission, the group-commit slot wait, and
-// ImmZone backpressure all honour the deadline and fail with ErrStalled.
-func (sh *Sharded) PutWithDeadline(th *hw.Thread, key, value []byte, deadlineNs int64) error {
-	return sh.write1(th, key, value, util.KindValue, deadlineNs)
+	op := [1]batchOp{{key: key, value: value, kind: util.KindValue}}
+	return sh.Write(th, &Batch{ops: op[:]}, sh.opts.Base.WriteStallDeadline)
 }
 
 // Delete implements kvstore.DB.
 func (sh *Sharded) Delete(th *hw.Thread, key []byte) error {
-	return sh.DeleteWithDeadline(th, key, sh.opts.Base.WriteStallDeadline)
+	op := [1]batchOp{{key: key, kind: util.KindDelete}}
+	return sh.Write(th, &Batch{ops: op[:]}, sh.opts.Base.WriteStallDeadline)
 }
 
-// DeleteWithDeadline is Delete under a write deadline.
-func (sh *Sharded) DeleteWithDeadline(th *hw.Thread, key []byte, deadlineNs int64) error {
-	if err := sh.write1(th, key, nil, util.KindDelete, deadlineNs); err != nil {
-		return err
-	}
-	sh.shards[sh.ShardOf(key)].stats.Deletes.Add(1)
-	return nil
-}
-
-// DeleteRange deletes every key in [start, end) across the whole keyspace.
-// Keys hash-partition across shards, so any key in the span may live on any
-// shard: a range tombstone is committed to EVERY shard — through the
-// two-phase protocol when there is more than one, so after a crash either
-// all shards carry the tombstone or none does.
+// DeleteRange deletes every key in [start, end) across the whole keyspace
+// (see Batch.DeleteRange).
 func (sh *Sharded) DeleteRange(th *hw.Thread, start, end []byte) error {
-	return sh.DeleteRangeWithDeadline(th, start, end, sh.opts.Base.WriteStallDeadline)
-}
-
-// DeleteRangeWithDeadline is DeleteRange under a write deadline. Like
-// cross-shard Apply, every participant must admit the write before its
-// deadline or the whole operation fails with ErrStalled before any durable
-// state changes.
-func (sh *Sharded) DeleteRangeWithDeadline(th *hw.Thread, start, end []byte, deadlineNs int64) error {
-	if err := sh.err(); err != nil {
-		return err
-	}
-	if bytes.Compare(start, end) >= 0 {
-		return nil
-	}
-	th.ChargeDRAM(1)
-	deadlineV := absDeadline(th, deadlineNs)
-	op := batchOp{
-		key:   append([]byte(nil), start...),
-		value: append([]byte(nil), end...),
-		kind:  util.KindRangeDel,
-	}
-	n := uint64(len(sh.shards))
-	firstSeq := sh.seq.Add(n) - n + 1
-	if len(sh.shards) == 1 {
-		if err := sh.shards[0].flow.admitWrite(th, deadlineV); err != nil {
-			return err
-		}
-		return sh.submitAndWait(th, 0, []batchOp{op}, []uint64{firstSeq}, deadlineV)
-	}
-	portions := make([]*shardPortion, len(sh.shards))
-	for k := range sh.shards {
-		portions[k] = &shardPortion{shard: k, ops: []batchOp{op}, seqs: []uint64{firstSeq + uint64(k)}}
-	}
-	return sh.tpc.commit(th, portions, deadlineV)
+	var b Batch
+	b.DeleteRange(start, end)
+	return sh.Write(th, &b, sh.opts.Base.WriteStallDeadline)
 }
 
 // Ingest bulk-loads sorted entries, routing each to its owning shard. Each
@@ -664,61 +663,6 @@ func (sh *Sharded) Scan(th *hw.Thread, start []byte, limit int, fn func(key, val
 	}
 	merged := lsm.NewMergingIterator(its...)
 	return kvstore.UserScanTombs(merged, start, snapshot, limit, tombs, fn), nil
-}
-
-// Apply commits an atomic multi-key batch. A batch whose keys all hash to one
-// shard commits exactly like the single-engine path (one CAS); a cross-shard
-// batch goes through the two-phase protocol in twopc.go.
-func (sh *Sharded) Apply(th *hw.Thread, b *Batch) error {
-	return sh.ApplyWithDeadline(th, b, sh.opts.Base.WriteStallDeadline)
-}
-
-// ApplyWithDeadline is Apply under a write deadline. For a cross-shard batch
-// every participant shard must admit the batch before its deadline or the
-// whole batch fails with ErrStalled before any prepare record is written —
-// once the two-phase commit marker lands, the apply runs to completion
-// regardless of the deadline (an in-doubt prepare is never abandoned
-// half-committed).
-func (sh *Sharded) ApplyWithDeadline(th *hw.Thread, b *Batch, deadlineNs int64) error {
-	if err := sh.err(); err != nil {
-		return err
-	}
-	if len(b.ops) == 0 {
-		return nil
-	}
-	th.ChargeDRAM(1)
-	deadlineV := absDeadline(th, deadlineNs)
-	// Partition the batch by shard, preserving op order within each shard.
-	n := uint64(len(b.ops))
-	firstSeq := sh.seq.Add(n) - n + 1
-	byShard := make(map[int]*shardPortion)
-	order := make([]int, 0, 2)
-	for i, op := range b.ops {
-		k := sh.ShardOf(op.key)
-		p := byShard[k]
-		if p == nil {
-			p = &shardPortion{shard: k}
-			byShard[k] = p
-			order = append(order, k)
-		}
-		p.ops = append(p.ops, op)
-		p.seqs = append(p.seqs, firstSeq+uint64(i))
-	}
-	if len(byShard) == 1 {
-		k := order[0]
-		if err := sh.shards[k].flow.admitWrite(th, deadlineV); err != nil {
-			return err
-		}
-		return sh.submitAndWait(th, k, byShard[k].ops, byShard[k].seqs, deadlineV)
-	}
-	portions := make([]*shardPortion, 0, len(byShard))
-	// Deterministic shard order for the prepare/apply sequence.
-	for k := range sh.shards {
-		if p, ok := byShard[k]; ok {
-			portions = append(portions, p)
-		}
-	}
-	return sh.tpc.commit(th, portions, deadlineV)
 }
 
 // FlushAll implements kvstore.DB: flush every shard's pipeline.
@@ -949,10 +893,7 @@ func (sh *Sharded) DebugUnforceFlowState() {
 	}
 }
 
-var (
-	_ kvstore.DB       = (*Sharded)(nil)
-	_ obs.ObsRegistrar = (*Sharded)(nil)
-)
+var _ obs.ObsRegistrar = (*Sharded)(nil)
 
 // errBatchTooLarge rejects cross-shard portions that could never replay into
 // a minimum-size sub-MemTable.

@@ -232,7 +232,7 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 		if len(shardsHit) < 2 {
 			t.Fatalf("test batch %d does not span shards", b)
 		}
-		if err := sh.Apply(th, &batch); err != nil {
+		if err := sh.Write(th, &batch, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,8 +264,7 @@ func TestShardedInDoubtBatchDiscarded(t *testing.T) {
 
 	// A prepare record with no commit marker: the batch must stay invisible.
 	p := &shardPortion{shard: 1}
-	p.ops = append(p.ops, batchOp{key: []byte("indoubt-key"), value: []byte("x"), kind: util.KindValue})
-	p.seqs = append(p.seqs, sh.seq.Add(1))
+	p.ops = append(p.ops, batchOp{key: []byte("indoubt-key"), value: []byte("x"), kind: util.KindValue, seq: sh.seq.Add(1)})
 	if _, err := sh.tpc.prepare[1].Append(th, encodePrepare(777, p)); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestShardedInDoubtBatchDiscarded(t *testing.T) {
 	batch.Put([]byte("committed-a"), []byte("1"))
 	batch.Put([]byte("committed-b"), []byte("2"))
 	batch.Put([]byte("committed-c"), []byte("3"))
-	if err := sh.Apply(th, &batch); err != nil {
+	if err := sh.Write(th, &batch, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -304,7 +303,7 @@ func TestShardedCrossShardBatchTooLarge(t *testing.T) {
 	k1, k2 := findKeysOnDistinctShards(sh)
 	batch.Put(k1, big)
 	batch.Put(k2, []byte("small"))
-	if err := sh.Apply(th, &batch); err != errBatchTooLarge {
+	if err := sh.Write(th, &batch, 0); err != errBatchTooLarge {
 		t.Fatalf("oversized cross-shard batch: got %v, want errBatchTooLarge", err)
 	}
 }

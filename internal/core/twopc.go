@@ -31,29 +31,6 @@ import (
 type shardPortion struct {
 	shard int
 	ops   []batchOp
-	seqs  []uint64
-}
-
-// encodedSize mirrors commitOps' slot footprint: per entry, EncodeEntry's
-// len/CRC header + body (uvarint klen, uvarint vlen, fixed64 trailer, key,
-// value), rounded up to 8-byte alignment.
-func (p *shardPortion) encodedSize() uint64 {
-	var need uint64
-	for _, op := range p.ops {
-		k := uint64(len(op.key))
-		v := uint64(len(op.value))
-		need += align8(8 + uvarintLen(k) + uvarintLen(v) + 8 + k + v)
-	}
-	return need
-}
-
-func uvarintLen(v uint64) uint64 {
-	n := uint64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // twoPC owns the prepare/commit logs and the in-flight bookkeeping.
@@ -157,15 +134,15 @@ func (t *twoPC) replay(th *hw.Thread) error {
 					indoubt++
 					return nil // no durable marker: the batch never committed
 				}
-				for _, s := range p.seqs {
-					if s > maxSeq {
-						maxSeq = s
+				for _, op := range p.ops {
+					if op.seq > maxSeq {
+						maxSeq = op.seq
 					}
 				}
 				replayed++
 				// Replay must complete regardless of overload state: no
 				// admission, no deadline (the batch already committed).
-				return sh.shards[k].commitOps(th, p.ops, p.seqs, 0)
+				return sh.shards[k].commitOps(th, p.ops, 0)
 			})
 			if rerr != nil && err == nil {
 				err = rerr
@@ -199,9 +176,9 @@ func encodePrepare(id uint64, p *shardPortion) []byte {
 	rec = util.PutFixed64(rec, id)
 	rec = util.PutFixed32(rec, uint32(p.shard))
 	rec = util.PutFixed32(rec, uint32(len(p.ops)))
-	for i, op := range p.ops {
+	for _, op := range p.ops {
 		rec = append(rec, byte(op.kind))
-		rec = util.PutFixed64(rec, p.seqs[i])
+		rec = util.PutFixed64(rec, op.seq)
 		rec = util.PutFixed32(rec, uint32(len(op.key)))
 		rec = util.PutFixed32(rec, uint32(len(op.value)))
 		rec = append(rec, op.key...)
@@ -233,6 +210,7 @@ func decodePrepare(rec []byte) (*shardPortion, uint64, bool) {
 		op := batchOp{
 			key:  append([]byte(nil), rec[off:off+klen]...),
 			kind: kind,
+			seq:  seq,
 		}
 		off += klen
 		if vlen > 0 {
@@ -240,7 +218,6 @@ func decodePrepare(rec []byte) (*shardPortion, uint64, bool) {
 		}
 		off += vlen
 		p.ops = append(p.ops, op)
-		p.seqs = append(p.seqs, seq)
 	}
 	if off != len(rec) {
 		return nil, 0, false
@@ -313,7 +290,7 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	// a portion that cannot replay into a minimum-size sub-MemTable must be
 	// rejected before any record is written.
 	for _, p := range portions {
-		if p.encodedSize() > (64<<10)-slotHdrSize {
+		if opsSlotLen(p.ops) > (64<<10)-slotHdrSize {
 			return errBatchTooLarge
 		}
 	}
@@ -384,13 +361,9 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	var applyErr error
 	th.InPhase(hw.PhaseLock, func() {
 		for _, p := range portions {
-			var bytes uint64
-			for _, op := range p.ops {
-				bytes += uint64(len(op.key)+len(op.value)) + 24
-			}
-			// deadlineV stays zero: the commit marker already landed, so the
-			// apply must run to completion however stalled the shard is.
-			req := &writeReq{ops: p.ops, seqs: p.seqs, bytes: bytes, at: at, done: make(chan struct{})}
+			// No deadline: the commit marker already landed, so the apply
+			// must run to completion however stalled the shard is.
+			req := newWriteReq(p.ops, at, 0)
 			if err := sh.writers[p.shard].submit(req); err != nil {
 				if applyErr == nil {
 					applyErr = err

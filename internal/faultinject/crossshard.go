@@ -130,17 +130,10 @@ func (w *BatchWorkload) Keys() []string {
 	return keys
 }
 
-// batchDB is the engine surface the cross-shard workload needs: the kvstore
-// API plus the router's atomic multi-shard Apply.
-type batchDB interface {
-	kvstore.DB
-	Apply(th *hw.Thread, b *core.Batch) error
-}
-
 // applyBatch issues workload batch i, then probes the previous batch's first
 // key to keep the read path exercised before the crash (reads never number
 // events, so the probe does not perturb crash-point indices).
-func applyBatch(db batchDB, th *hw.Thread, wl *BatchWorkload, i int) error {
+func applyBatch(db core.Store, th *hw.Thread, wl *BatchWorkload, i int) error {
 	b := &core.Batch{}
 	op := wl.Batches[i]
 	if op.Delete {
@@ -152,7 +145,7 @@ func applyBatch(db batchDB, th *hw.Thread, wl *BatchWorkload, i int) error {
 			b.Put([]byte(k), []byte(BatchValue(i, k)))
 		}
 	}
-	if err := db.Apply(th, b); err != nil {
+	if err := db.Write(th, b, 0); err != nil {
 		return err
 	}
 	if i > 0 {
@@ -172,7 +165,7 @@ func CountBatchEvents(spec EngineSpec, domain cache.Domain, wl *BatchWorkload) (
 	if err != nil {
 		return 0, 0, fmt.Errorf("open %s: %w", spec.Name, err)
 	}
-	bdb, ok := db.(batchDB)
+	bdb, ok := db.(core.Store)
 	if !ok {
 		return 0, 0, fmt.Errorf("%s: engine does not support atomic batches", spec.Name)
 	}
@@ -217,7 +210,7 @@ func RunBatchScheduleTraced(spec EngineSpec, domain cache.Domain, wl *BatchWorkl
 		res.Violations = append(res.Violations, fmt.Sprintf("initial open failed: %v", err))
 		return res
 	}
-	bdb, ok := db.(batchDB)
+	bdb, ok := db.(core.Store)
 	if !ok {
 		res.Violations = append(res.Violations, fmt.Sprintf("%s: engine does not support atomic batches", spec.Name))
 		_ = db.Close(th)
@@ -248,7 +241,7 @@ func RunBatchScheduleTraced(spec EngineSpec, domain cache.Domain, wl *BatchWorkl
 			"inflight_batch", res.Inflight, "events", res.Events)
 	}
 
-	if h, ok := db.(haltable); ok {
+	if h, ok := db.(kvstore.Halter); ok {
 		h.Halt()
 	}
 	m.Crash()
@@ -307,10 +300,8 @@ func RunBatchScheduleTraced(spec EngineSpec, domain cache.Domain, wl *BatchWorkl
 		var v []string
 		v, res.Recovered = checkBatchOracle(db2, th2, wl, res.Inflight, strict, strict)
 		res.Violations = append(res.Violations, v...)
-		if fs, ok := db2.(interface {
-			FilterStats() (probes, negatives int64)
-		}); ok {
-			res.FilterProbes, res.FilterNegatives = fs.FilterStats()
+		if st, ok := db2.(core.Store); ok {
+			res.FilterProbes, res.FilterNegatives = st.FilterStats()
 		}
 		_ = db2.Close(th2)
 	}()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -66,8 +67,6 @@ func (r *Result) Err() error {
 func scheduleSeed(workloadSeed uint64, crashAt int64, fault Fault) uint64 {
 	return fnvMix(fnvOffset, workloadSeed, uint64(crashAt), uint64(fault))
 }
-
-type haltable interface{ Halt() }
 
 func applyOp(db kvstore.DB, th *hw.Thread, op Op) error {
 	switch op.Kind {
@@ -172,7 +171,7 @@ func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crash
 	// Close has joined the engine's background goroutines — they may still
 	// be mid-read until then, and the flip must be the last thing to touch
 	// the media before recovery regardless.
-	if h, ok := db.(haltable); ok {
+	if h, ok := db.(kvstore.Halter); ok {
 		h.Halt()
 	}
 	m.Crash()
@@ -234,10 +233,8 @@ func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crash
 			}
 		}()
 		res.Violations, res.Recovered = checkOracle(db2, th2, wl, res.Inflight, durable)
-		if fs, ok := db2.(interface {
-			FilterStats() (probes, negatives int64)
-		}); ok {
-			res.FilterProbes, res.FilterNegatives = fs.FilterStats()
+		if st, ok := db2.(core.Store); ok {
+			res.FilterProbes, res.FilterNegatives = st.FilterStats()
 		}
 		_ = db2.Close(th2)
 	}()

@@ -155,15 +155,11 @@ func (w *StallWorkload) Keys() []string {
 	return keys
 }
 
-// stallDB is the engine surface the overload schedules need: the kvstore API
-// plus deadline writes and the forced-state hook (the sharded router).
+// stallDB is the engine surface the overload schedules need: the store API
+// plus the per-shard forced-state hook (the sharded router).
 type stallDB interface {
-	kvstore.DB
-	PutWithDeadline(th *hw.Thread, key, value []byte, deadlineNs int64) error
-	ApplyWithDeadline(th *hw.Thread, b *core.Batch, deadlineNs int64) error
+	core.Store
 	DebugForceFlowState(at int64, k int, s core.FlowState)
-	FlowState() core.FlowState
-	FlowStats() core.FlowStats
 }
 
 // applyStallOp issues op i. Scripted rejections must come back ErrStalled —
@@ -175,23 +171,7 @@ func applyStallOp(db stallDB, th *hw.Thread, wl *StallWorkload, i int) error {
 	case stallForce:
 		db.DebugForceFlowState(th.Clock.Now(), op.Shard, op.State)
 		return nil
-	case stallPut:
-		deadline := stallDeadline
-		if op.Reject {
-			deadline = stallTinyDeadline
-		}
-		err := db.PutWithDeadline(th, []byte(op.Keys[0]), []byte(StallValue(i, op.Keys[0])), deadline)
-		if op.Reject {
-			if err == nil {
-				return fmt.Errorf("op %d: scripted rejection was admitted", i)
-			}
-			if !errors.Is(err, core.ErrStalled) {
-				return fmt.Errorf("op %d: scripted rejection failed with %v, want ErrStalled", i, err)
-			}
-			return nil
-		}
-		return err
-	default: // stallBatch
+	default: // stallPut (one key) or stallBatch: the same Write either way
 		b := &core.Batch{}
 		for _, k := range op.Keys {
 			b.Put([]byte(k), []byte(StallValue(i, k)))
@@ -200,13 +180,13 @@ func applyStallOp(db stallDB, th *hw.Thread, wl *StallWorkload, i int) error {
 		if op.Reject {
 			deadline = stallTinyDeadline
 		}
-		err := db.ApplyWithDeadline(th, b, deadline)
+		err := db.Write(th, b, deadline)
 		if op.Reject {
 			if err == nil {
-				return fmt.Errorf("op %d: scripted batch rejection was admitted", i)
+				return fmt.Errorf("op %d: scripted rejection was admitted", i)
 			}
 			if !errors.Is(err, core.ErrStalled) {
-				return fmt.Errorf("op %d: scripted batch rejection failed with %v, want ErrStalled", i, err)
+				return fmt.Errorf("op %d: scripted rejection failed with %v, want ErrStalled", i, err)
 			}
 			return nil
 		}
@@ -300,7 +280,7 @@ func RunStallScheduleTraced(spec EngineSpec, domain cache.Domain, wl *StallWorkl
 			"flow_state", sdb.FlowState().String())
 	}
 
-	if h, ok := db.(haltable); ok {
+	if h, ok := db.(kvstore.Halter); ok {
 		h.Halt()
 	}
 	m.Crash()
@@ -431,7 +411,9 @@ func checkStallOracle(db kvstore.DB, th *hw.Thread, wl *StallWorkload, inflight 
 			violations = append(violations, fmt.Sprintf(
 				"recovered engine stuck in flow state %v", st))
 		}
-		if err := fdb.PutWithDeadline(th, []byte("zz-probe-post"), []byte("p"), stallDeadline); err != nil {
+		probe := &core.Batch{}
+		probe.Put([]byte("zz-probe-post"), []byte("p"))
+		if err := fdb.Write(th, probe, stallDeadline); err != nil {
 			violations = append(violations, fmt.Sprintf(
 				"recovered engine rejected a healthy write: %v", err))
 		}

@@ -39,6 +39,12 @@ type DB interface {
 	Name() string
 }
 
+// Halter is the crash-stop hook every engine kind implements: operations
+// begin failing immediately and background threads abandon their queued work,
+// as a power failure would — a graceful Close persists more than a crash
+// leaves behind.
+type Halter interface{ Halt() }
+
 // Stats common to all engines, exposed by the concrete types (not through DB,
 // so each engine can extend its own).
 type Stats struct {

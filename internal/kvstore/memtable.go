@@ -102,14 +102,40 @@ func (mt *Memtable) MaxSeq() uint64 { return mt.maxSeq.Load() }
 // EncodeEntry renders the persistent form of one entry: a length/CRC header
 // so recovery can scan the log, then klen,vlen,seq,kind,key,value.
 func EncodeEntry(dst []byte, ikey util.InternalKey, value []byte) []byte {
-	body := util.PutUvarint(nil, uint64(len(ikey.UserKey())))
-	body = util.PutUvarint(body, uint64(len(value)))
-	body = util.PutFixed64(body, ikey.Trailer())
-	body = append(body, ikey.UserKey()...)
-	body = append(body, value...)
-	dst = util.PutFixed32(dst, uint32(len(body)))
-	dst = util.PutFixed32(dst, util.MaskCRC(util.CRC(body)))
-	return append(dst, body...)
+	return AppendEntry(dst, ikey.UserKey(), ikey.Trailer(), value)
+}
+
+// AppendEntry is EncodeEntry for callers that hold the user key and the packed
+// seq/kind trailer separately: it encodes straight into dst (no intermediate
+// body, no internal-key allocation), so a caller that pre-sizes dst with
+// EntryLen pays one buffer for any number of entries.
+func AppendEntry(dst, ukey []byte, trailer uint64, value []byte) []byte {
+	hdr := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length + CRC, patched below
+	dst = util.PutUvarint(dst, uint64(len(ukey)))
+	dst = util.PutUvarint(dst, uint64(len(value)))
+	dst = util.PutFixed64(dst, trailer)
+	dst = append(dst, ukey...)
+	dst = append(dst, value...)
+	body := dst[hdr+8:]
+	util.PutFixed32(dst[hdr:hdr], uint32(len(body)))
+	util.PutFixed32(dst[hdr+4:hdr+4], util.MaskCRC(util.CRC(body)))
+	return dst
+}
+
+// EntryLen is the encoded size of an entry with a klen-byte user key and a
+// vlen-byte value.
+func EntryLen(klen, vlen int) int {
+	return 8 + uvarintLen(uint64(klen)) + uvarintLen(uint64(vlen)) + 8 + klen + vlen
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
 }
 
 // DecodeEntry parses one encoded entry, returning the internal key, value and

@@ -26,9 +26,9 @@ func TestEncodeDecodeEntry(t *testing.T) {
 			kind = util.KindDelete
 		}
 		ik := util.MakeInternalKey(nil, key, seq, kind)
-		enc := EncodeEntry(nil, ik, value)
+		enc := EncodeEntry([]byte("pad"), ik, value)[3:] // appends after what dst holds
 		gotIK, gotVal, n, err := DecodeEntry(enc)
-		if err != nil || n != len(enc) {
+		if err != nil || n != len(enc) || n != EntryLen(len(key), len(value)) {
 			return false
 		}
 		return bytes.Equal(gotIK.UserKey(), key) && gotIK.Seq() == seq &&

@@ -84,9 +84,6 @@ func (t *Tree) StartScheduler(cfg SchedulerConfig) {
 	}
 }
 
-// SchedulerActive reports whether a background scheduler is running.
-func (t *Tree) SchedulerActive() bool { return t.sched != nil }
-
 // Kick nudges the scheduler: some event (spill, ingest) may have created
 // compaction debt at virtual time at. Non-blocking and safe without a
 // scheduler.
