@@ -103,17 +103,11 @@ type Options struct {
 	// Shards partitions the keyspace across N independent engine shards, each
 	// with its own sub-MemTable pool, flush pipeline, and lock domain, behind
 	// a router that preserves this API (CacheKV-family engines only). 0 or 1
-	// opens the classic single-engine store; the group-commit knobs below only
-	// take effect when Shards > 1.
+	// opens the classic single-engine store. With Shards > 1, writes arriving
+	// at one shard within 10µs of virtual time (at most 64 operations)
+	// coalesce into a single group commit: one sub-MemTable append and one
+	// persistence fence.
 	Shards int
-	// GroupCommitWindow is the virtual-time window in nanoseconds within
-	// which concurrently arriving writes coalesce into a single group commit
-	// (one sub-MemTable append + one persistence fence). 0 takes the default
-	// (10µs); negative disables coalescing so every write commits alone.
-	GroupCommitWindow int
-	// GroupCommitMaxOps caps the operations batched into one group commit
-	// (default 64).
-	GroupCommitMaxOps int
 
 	// CompactionWorkers is the number of worker threads of the background
 	// compaction scheduler, which picks jobs by priority and runs
@@ -149,9 +143,6 @@ type Options struct {
 	// never advances virtual clocks, so disabling it only saves host-side
 	// bookkeeping.
 	DisableObs bool
-	// TraceCap bounds the lifecycle event ring (default
-	// obs.DefaultTraceCap). Ignored when DisableObs is set.
-	TraceCap int
 
 	// SlowOpThreshold controls slow-op dossier capture (virtual ns). Capture
 	// is always on while observability is: 0 (the default) uses the adaptive
@@ -161,15 +152,12 @@ type Options struct {
 	// disables capture. Sub-threshold ops cost one atomic load and allocate
 	// nothing. Ignored when DisableObs is set.
 	SlowOpThreshold int64
-	// SlowOpCapacity bounds the retained dossier ring (default 64; the
-	// oldest dossier is evicted, and counted, when it wraps).
-	SlowOpCapacity int
 }
 
 // validate rejects nonsense configurations with a descriptive error rather
 // than letting a negative size wrap around in a uint64 conversion downstream.
-// BlockCacheMB, FilterBitsPerKey and GroupCommitWindow are exempt: negative
-// is their documented "disable" value.
+// BlockCacheMB and FilterBitsPerKey are exempt: negative is their documented
+// "disable" value.
 func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
@@ -187,9 +175,7 @@ func (o Options) validate() error {
 		{"L0Trigger", o.L0Trigger},
 		{"BaseLevelMB", o.BaseLevelMB},
 		{"Shards", o.Shards},
-		{"GroupCommitMaxOps", o.GroupCommitMaxOps},
 		{"CompactionWorkers", o.CompactionWorkers},
-		{"SlowOpCapacity", o.SlowOpCapacity},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("cachekv: Options.%s must not be negative (got %d); use 0 for the default", f.name, f.v)
@@ -238,13 +224,9 @@ func Open(opts Options) (*DB, error) {
 	if !opts.DisableObs {
 		m.EnableObs()
 		col = obs.NewCollector()
-		cap := opts.TraceCap
-		if cap <= 0 {
-			cap = obs.DefaultTraceCap
-		}
-		trace = obs.NewTrace(cap)
+		trace = obs.NewTrace(obs.DefaultTraceCap)
 		if opts.SlowOpThreshold >= 0 {
-			pol := obs.SlowOpPolicy{Capacity: opts.SlowOpCapacity}
+			var pol obs.SlowOpPolicy
 			if opts.SlowOpThreshold > 0 {
 				pol.StaticNs = opts.SlowOpThreshold
 			}
@@ -344,12 +326,7 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 		o.DisableFlowControl = opts.DisableFlowControl
 		o.CompactionWorkers = opts.CompactionWorkers
 		if opts.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{
-				Shards:            opts.Shards,
-				GroupCommitWindow: int64(opts.GroupCommitWindow),
-				GroupCommitMaxOps: opts.GroupCommitMaxOps,
-				Base:              o,
-			}, th)
+			return core.OpenSharded(m, core.ShardedOptions{Shards: opts.Shards, Base: o}, th)
 		}
 		return core.Open(m, o, th)
 	case EngineNoveLSM, EngineNoveLSMNoFlush, EngineNoveLSMCache:

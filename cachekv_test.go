@@ -164,6 +164,46 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestShardedRegistersEveryEngineMetric holds the router's registry to the
+// single engine's: every metric name the one-engine store publishes must be
+// published at Shards: 2 (summed across shards), and the LSM level gauges
+// must actually read the shards' trees — after a load that is flushed but too
+// small to compact, L0 holds files.
+func TestShardedRegistersEveryEngineMetric(t *testing.T) {
+	single, err := Open(Options{PMemMB: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sharded, err := Open(Options{PMemMB: 1024, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+
+	s := sharded.Session(0)
+	for i := 0; i < 5000; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%06d", i)), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sharded.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := sharded.Registry().Gather()
+	for _, name := range single.Registry().Names() {
+		if _, ok := snap.Get(name); !ok {
+			t.Errorf("metric %q is published by the single engine but not at Shards: 2", name)
+		}
+	}
+	if snap.Int("compact_jobs") != 0 {
+		t.Fatalf("load was meant to flush without compacting; %d jobs ran", snap.Int("compact_jobs"))
+	}
+	if got := snap.Float("lsm_l0_files"); got <= 0 {
+		t.Errorf("lsm_l0_files = %v after a flushed load, want > 0", got)
+	}
+}
+
 func TestCustomKnobs(t *testing.T) {
 	db, err := Open(Options{
 		PMemMB:        1024,

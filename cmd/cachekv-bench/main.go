@@ -34,8 +34,6 @@ func main() {
 	obsOut := flag.String("obs-out", "", "write a per-phase cachekv.obs/v1 attribution report here (e.g. BENCH_obs.json)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
 	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = default (1))")
-	groupCommit := flag.Int64("group-commit", 0, "group-commit window in virtual ns (0 = default 10µs, negative disables coalescing; Shards > 1 only)")
-	groupCommitOps := flag.Int("group-commit-max-ops", 0, "max ops per group commit (0 = default 64)")
 	shardOut := flag.String("shard-out", "", "run the shard-scaling suite (YCSB-A/C, 1→32 threads, baseline vs Shards=threads) and write JSON here (ignores -benchmarks)")
 	profileOut := flag.String("profile-out", "", "write the virtual-time sampling profile (folded-stack text) here")
 	profileStep := flag.Int64("profile-step", hw.DefaultProfileStep, "profiler sampling period in virtual ns")
@@ -62,8 +60,6 @@ func main() {
 		if vsSet {
 			cfg.ValueSize = *valueSize
 		}
-		cfg.GroupCommitWindow = *groupCommit
-		cfg.GroupCommitMaxOps = *groupCommitOps
 		if err := runShardCurve(*shardOut, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -100,8 +96,6 @@ func main() {
 	}
 	cfg.Shards = *shards
 	cfg.CompactionWorkers = *compactionWorkers
-	cfg.GroupCommitWindow = *groupCommit
-	cfg.GroupCommitMaxOps = *groupCommitOps
 	var tr *obs.Trace
 	if *obsOut != "" || *slowopNs > 0 {
 		cfg.Obs = true

@@ -3,9 +3,11 @@
 // workload generates (stores, non-temporal streams, flushes — each carrying
 // its fence), re-runs the workload crashing at chosen points, applies the
 // persistence-domain rule plus an optional media fault, recovers the engine,
-// and checks the durability oracle. Every failure prints a reproduction
-// tuple; re-running with -engine/-domain/-seed/-ops/-crash-at/-fault replays
-// the identical schedule.
+// and checks the family's durability oracle. -family picks the script and
+// oracle (DESIGN.md §6 "Families"): single-key operations on any engine,
+// cross-shard atomic batches (all-or-nothing), or a flow-control stall
+// episode (rejected writes absent), the last two on the sharded router.
+// Every failure prints a reproduce: line that replays the identical schedule.
 //
 // Bounded sweep (the CI shape):
 //
@@ -14,15 +16,12 @@
 // Exhaustive sweep over every crash point (the acceptance run):
 //
 //	crashsweep -schedules 0
+//	crashsweep -family cross-shard -schedules 0 -faults none,torn
 //
-// Replay one schedule:
+// Replay one schedule of any family, optionally with its event trace:
 //
 //	crashsweep -engine cachekv -domain eadr -crash-at 46 -fault flip
-//
-// Cross-shard batch sweep (the sharded router's two-phase commit path; the
-// oracle demands all-or-nothing visibility for every batch):
-//
-//	crashsweep -cross-shard -batches 60 -schedules 10 -faults none,torn,flip
+//	crashsweep -family stall -domain eadr -crash-at 30 -trace -
 package main
 
 import (
@@ -34,48 +33,55 @@ import (
 	"strings"
 
 	"cachekv/internal/faultinject"
-	"cachekv/internal/hw/cache"
 	"cachekv/internal/obs"
 )
 
 func main() {
-	engines := flag.String("engines", "all", "comma-separated engine list, or 'all'")
-	engine := flag.String("engine", "", "single engine for -crash-at replay mode")
+	family := flag.String("family", "single-key", "schedule family: "+strings.Join(faultinject.FamilyNames, ", "))
+	engines := flag.String("engines", "", "comma-separated engine list or 'all' (default: the family's own engine, or all)")
+	engine := flag.String("engine", "", "single engine for -crash-at replay mode (default: the family's own engine, or cachekv)")
 	domains := flag.String("domains", "adr,eadr", "persistence domains to sweep")
 	domain := flag.String("domain", "", "single domain for -crash-at replay mode")
-	ops := flag.Int("ops", 200, "workload length (70% put / 15% delete / 15% get)")
+	ops := flag.Int("ops", 0, "script size: single-key ops (70% put / 15% delete / 15% get), cross-shard batches, stall writes per phase; 0 = the family's canonical 200 / 60 / 3")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	schedules := flag.Int("schedules", 12, "crash points sampled per engine/domain/fault; 0 = exhaustive")
 	scheduleSeed := flag.Uint64("schedule-seed", 7, "seed for bounded-sweep crash-point sampling")
 	faults := flag.String("faults", "none", "fault modes: none, torn (256B-torn write), flip (post-crash bit flip)")
-	crashAt := flag.Int64("crash-at", 0, "replay a single schedule crashing at this event index (requires -engine and -domain)")
+	crashAt := flag.Int64("crash-at", 0, "replay a single schedule crashing at this event index (requires -domain)")
 	fault := flag.String("fault", "none", "fault mode for -crash-at replay")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent schedule runs")
 	verbose := flag.Bool("v", false, "log per-configuration event totals")
 	tracePath := flag.String("trace", "", "replay mode: write the annotated lifecycle event trace as JSONL here ('-' for stdout)")
 	reportPath := flag.String("report", "", "write sweep results as a cachekv.obs/v1 JSON report here")
-	crossShard := flag.Bool("cross-shard", false, "sweep cross-shard atomic batches on the sharded router (all-or-nothing oracle)")
-	batches := flag.Int("batches", 60, "cross-shard mode: workload length in atomic batches")
-	shards := flag.Int("shards", 0, "cross-shard mode: engine shards (0 = harness default)")
 	flag.Parse()
 
-	if *crossShard {
-		os.Exit(crossShardSweep(*shards, *batches, *domains, *faults, *seed,
-			*schedules, *scheduleSeed, *parallel, *verbose))
+	fam, err := faultinject.NewFamily(*family, *seed, *ops)
+	if err != nil {
+		fatal(err)
+	}
+	sweepDefault, replayDefault := "all", "cachekv"
+	if fam.Engine != "" { // the script is written for one engine
+		sweepDefault, replayDefault = fam.Engine, fam.Engine
+	}
+	if *engines == "" {
+		*engines = sweepDefault
+	}
+	if *engine == "" {
+		*engine = replayDefault
 	}
 	if *crashAt > 0 {
-		os.Exit(replay(*engine, *domain, *seed, *ops, *crashAt, *fault, *tracePath))
+		os.Exit(replay(fam, *engine, *domain, *crashAt, *fault, *tracePath))
 	}
 
 	specs, err := parseEngines(*engines)
 	if err != nil {
 		fatal(err)
 	}
-	doms, err := parseDomains(*domains)
+	doms, err := parseList(*domains, faultinject.ParseDomain)
 	if err != nil {
 		fatal(err)
 	}
-	flts, err := parseFaults(*faults)
+	flts, err := parseList(*faults, faultinject.ParseFault)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,8 +89,7 @@ func main() {
 	cfg := faultinject.SweepConfig{
 		Engines:            specs,
 		Domains:            doms,
-		NumOps:             *ops,
-		WorkloadSeed:       *seed,
+		Families:           []faultinject.Family{fam},
 		SchedulesPerConfig: *schedules,
 		ScheduleSeed:       *scheduleSeed,
 		Faults:             flts,
@@ -99,7 +104,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("crashsweep: %d schedules, %d failures\n", stats.Runs, len(stats.Failures))
+	fmt.Printf("crashsweep: %s: %d schedules, %d failures\n", fam.Name, stats.Runs, len(stats.Failures))
 	if *reportPath != "" {
 		if err := writeSweepReport(*reportPath, *engines, stats); err != nil {
 			fatal(err)
@@ -110,9 +115,7 @@ func main() {
 		for _, v := range r.Violations {
 			fmt.Printf("  %s\n", v)
 		}
-		fmt.Printf("  reproduce: crashsweep -engine %q -domain %s -seed %d -ops %d -crash-at %d -fault %s\n",
-			r.Schedule.Engine, strings.ToLower(r.Schedule.Domain.String()), r.Schedule.WorkloadSeed,
-			r.Schedule.NumOps, r.Schedule.CrashAt, r.Schedule.Fault)
+		fmt.Printf("  reproduce: %s\n", r.Schedule.Reproduce())
 	}
 	if len(stats.Failures) > 0 {
 		os.Exit(1)
@@ -152,72 +155,27 @@ func writeSweepReport(path, engines string, stats *faultinject.SweepStats) error
 	return rep.WriteFile(path)
 }
 
-// crossShardSweep runs the sharded router's cross-shard batch sweep: every
-// workload mutation is a multi-shard atomic batch through the two-phase
-// commit protocol, and the oracle rejects any half-applied group.
-func crossShardSweep(shards, batches int, domains, faults string, seed uint64, schedules int, scheduleSeed uint64, parallel int, verbose bool) int {
-	doms, err := parseDomains(domains)
-	if err != nil {
-		fatal(err)
-	}
-	flts, err := parseFaults(faults)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := faultinject.CrossShardSweepConfig{
-		Shards:             shards,
-		Domains:            doms,
-		NumBatches:         batches,
-		WorkloadSeed:       seed,
-		SchedulesPerConfig: schedules,
-		ScheduleSeed:       scheduleSeed,
-		Faults:             flts,
-		Parallel:           parallel,
-	}
-	if verbose {
-		cfg.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	stats, err := faultinject.SweepCrossShard(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("crashsweep: cross-shard: %d schedules, %d failures\n", stats.Runs, len(stats.Failures))
-	for _, r := range stats.Failures {
-		fmt.Printf("FAIL {%s}\n", r.Schedule)
-		for _, v := range r.Violations {
-			fmt.Printf("  %s\n", v)
-		}
-	}
-	if len(stats.Failures) > 0 {
-		return 1
-	}
-	return 0
-}
-
-func replay(engine, domain string, seed uint64, ops int, crashAt int64, fault, tracePath string) int {
-	if engine == "" || domain == "" {
-		fatal(fmt.Errorf("replay mode needs -engine and -domain"))
+func replay(fam faultinject.Family, engine, domain string, crashAt int64, fault, tracePath string) int {
+	if domain == "" {
+		fatal(fmt.Errorf("replay mode needs -domain"))
 	}
 	spec, ok := faultinject.FindEngine(engine)
 	if !ok {
 		fatal(fmt.Errorf("unknown engine %q", engine))
 	}
-	doms, err := parseDomains(domain)
+	dom, err := faultinject.ParseDomain(domain)
 	if err != nil {
 		fatal(err)
 	}
-	flts, err := parseFaults(fault)
+	flt, err := faultinject.ParseFault(fault)
 	if err != nil {
 		fatal(err)
 	}
-	wl := faultinject.NewWorkload(seed, ops)
 	var tr *obs.Trace
 	if tracePath != "" {
 		tr = obs.NewTrace(obs.DefaultTraceCap)
 	}
-	r := faultinject.RunScheduleTraced(spec, doms[0], wl, crashAt, flts[0], tr)
+	r := faultinject.Run(spec, dom, fam, crashAt, flt, tr)
 	if tr != nil {
 		out := os.Stdout
 		if tracePath != "-" {
@@ -251,47 +209,26 @@ func parseEngines(list string) ([]faultinject.EngineSpec, error) {
 	if list == "all" {
 		return faultinject.AllEngines(), nil
 	}
-	var specs []faultinject.EngineSpec
-	for _, name := range strings.Split(list, ",") {
-		spec, ok := faultinject.FindEngine(strings.TrimSpace(name))
+	return parseList(list, func(name string) (faultinject.EngineSpec, error) {
+		spec, ok := faultinject.FindEngine(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown engine %q", name)
+			return spec, fmt.Errorf("unknown engine %q", name)
 		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
+		return spec, nil
+	})
 }
 
-func parseDomains(list string) ([]cache.Domain, error) {
-	var doms []cache.Domain
+// parseList parses a comma-separated list with one item parser.
+func parseList[T any](list string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, name := range strings.Split(list, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "adr":
-			doms = append(doms, cache.ADR)
-		case "eadr":
-			doms = append(doms, cache.EADR)
-		default:
-			return nil, fmt.Errorf("unknown domain %q (want adr or eadr)", name)
+		v, err := parse(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, v)
 	}
-	return doms, nil
-}
-
-func parseFaults(list string) ([]faultinject.Fault, error) {
-	var flts []faultinject.Fault
-	for _, name := range strings.Split(list, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "none":
-			flts = append(flts, faultinject.FaultNone)
-		case "torn":
-			flts = append(flts, faultinject.FaultTorn)
-		case "flip":
-			flts = append(flts, faultinject.FaultFlip)
-		default:
-			return nil, fmt.Errorf("unknown fault %q (want none, torn, or flip)", name)
-		}
-	}
-	return flts, nil
+	return out, nil
 }
 
 func fatal(err error) {

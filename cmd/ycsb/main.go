@@ -33,7 +33,6 @@ func main() {
 	check := flag.Bool("check", false, "verify report invariants; exit 1 on violation (implies attribution)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
 	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = default (1))")
-	groupCommit := flag.Int64("group-commit", 0, "group-commit window in virtual ns (0 = default 10µs, negative disables coalescing; Shards > 1 only)")
 	slowopNs := flag.Int64("slowop-ns", 0, "arm slow-op dossier capture with this static threshold (virtual ns; 0 = off); dossiers land in the report's slow_ops")
 	flag.Parse()
 	withObs := *reportPath != "" || *check
@@ -69,7 +68,6 @@ func main() {
 		cfg := bench.DefaultEngineConfig()
 		cfg.DataBytes = uint64(*records*2) * uint64(*valueSize+40)
 		cfg.Shards = *shards
-		cfg.GroupCommitWindow = *groupCommit
 		cfg.CompactionWorkers = *compactionWorkers
 		if *threads > 24 {
 			cfg.Cores = *threads

@@ -21,8 +21,11 @@ func TestFilterRebuildAcrossCrashPoints(t *testing.T) {
 	if !ok {
 		t.Fatal("cachekv engine spec missing")
 	}
-	wl := faultinject.NewWorkload(9, 200)
-	total, _, err := faultinject.CountEvents(spec, cache.EADR, wl)
+	fam, err := faultinject.NewFamily("single-key", 9, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, _, err := faultinject.Count(spec, cache.EADR, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestFilterRebuildAcrossCrashPoints(t *testing.T) {
 	for _, p := range points {
 		for _, fault := range faults {
 			t.Run(p.name+"/"+fault.String(), func(t *testing.T) {
-				r := faultinject.RunSchedule(spec, cache.EADR, wl, p.crashAt, fault)
+				r := faultinject.Run(spec, cache.EADR, fam, p.crashAt, fault, nil)
 				if err := r.Err(); err != nil {
 					t.Fatal(err)
 				}

@@ -81,10 +81,6 @@ type EngineConfig struct {
 	// Shards opens the CacheKV-family engines as a sharded router with this
 	// many engine shards (0 or 1: the classic single engine).
 	Shards int
-	// GroupCommitWindow / GroupCommitMaxOps tune the sharded router's group
-	// commit (virtual ns and ops; zero takes the engine defaults).
-	GroupCommitWindow int64
-	GroupCommitMaxOps int
 	// CompactionWorkers sizes the CacheKV-family engines' background
 	// compaction scheduler (per shard when sharded); 0 = default (1).
 	CompactionWorkers int
@@ -182,12 +178,7 @@ func (c EngineConfig) Open(kind EngineKind, m *hw.Machine, th *hw.Thread) (kvsto
 		}
 		opts.Trace = c.Trace
 		if c.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{
-				Shards:            c.Shards,
-				GroupCommitWindow: c.GroupCommitWindow,
-				GroupCommitMaxOps: c.GroupCommitMaxOps,
-				Base:              opts,
-			}, th)
+			return core.OpenSharded(m, core.ShardedOptions{Shards: c.Shards, Base: opts}, th)
 		}
 		return core.Open(m, opts, th)
 	case NoveLSM, NoveLSMWoFlush, NoveLSMCache:

@@ -30,9 +30,6 @@ type ShardCurveConfig struct {
 	// single-engine pace (the paper's steady-state write regime).
 	PoolBytes        uint64 `json:"pool_bytes"`
 	SubMemTableBytes uint64 `json:"sub_memtable_bytes"`
-	// Group-commit knobs forwarded to the sharded runs (zero = defaults).
-	GroupCommitWindow int64 `json:"group_commit_window,omitempty"`
-	GroupCommitMaxOps int   `json:"group_commit_max_ops,omitempty"`
 }
 
 // DefaultShardCurveConfig is the committed BENCH_shard.json configuration:
@@ -96,8 +93,6 @@ func runShardPoint(cfg ShardCurveConfig, spec YCSBSpec, threads, shards, cores i
 	ec.SubMemTableBytes = cfg.SubMemTableBytes
 	ec.Cores = cores
 	ec.Shards = shards
-	ec.GroupCommitWindow = cfg.GroupCommitWindow
-	ec.GroupCommitMaxOps = cfg.GroupCommitMaxOps
 	ec.Obs = true
 	ec.Trace = tr
 

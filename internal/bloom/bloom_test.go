@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -65,5 +66,18 @@ func TestClampedParameters(t *testing.T) {
 	filter := f.Build([][]byte{[]byte("a")})
 	if !MayContain(filter, []byte("a")) {
 		t.Fatal("clamped filter lost its key")
+	}
+}
+
+func TestBuildHashesMatchesBuild(t *testing.T) {
+	keys := make([][]byte, 1000)
+	hashes := make([]uint32, len(keys))
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+		hashes[i] = Hash(keys[i])
+	}
+	f := New(10)
+	if !bytes.Equal(f.Build(keys), f.BuildHashes(hashes)) {
+		t.Fatal("a filter built from the keys' hashes differs from one built from the keys")
 	}
 }

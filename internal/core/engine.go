@@ -22,14 +22,13 @@ import (
 // Options configure a CacheKV instance. Zero values take the paper's
 // Section IV-A defaults, noted per field.
 type Options struct {
-	PoolBytes        uint64  // sub-MemTable pool size pinned in the LLC (12 MiB)
-	SubMemTableBytes uint64  // initial sub-MemTable size (2 MiB)
-	FlushThreads     int     // background copy-based flush threads (1)
-	SyncThreshold    int     // writes per sub-MemTable before a lazy sync (64)
-	ImmZoneBytes     uint64  // PMem staging zone for flushed tables (32 MiB)
-	SpillFraction    float64 // ImmZone fill fraction triggering the L0 spill (0.75)
-	Elastic          bool    // enable miss-counter elasticity (on)
-	MissThreshold    int64   // misses before splitting free sub-MemTables (8)
+	PoolBytes        uint64 // sub-MemTable pool size pinned in the LLC (12 MiB)
+	SubMemTableBytes uint64 // initial sub-MemTable size (2 MiB)
+	FlushThreads     int    // background copy-based flush threads (1)
+	SyncThreshold    int    // writes per sub-MemTable before a lazy sync (64)
+	ImmZoneBytes     uint64 // PMem staging zone for flushed tables (32 MiB)
+	Elastic          bool   // enable miss-counter elasticity (on)
+	MissThreshold    int64  // misses before splitting free sub-MemTables (8)
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
@@ -102,7 +101,6 @@ func DefaultOptions() Options {
 		FlushThreads:       1,
 		SyncThreshold:      64,
 		ImmZoneBytes:       32 << 20,
-		SpillFraction:      0.75,
 		Elastic:            true,
 		MissThreshold:      8,
 		LazyIndex:          true,
@@ -130,9 +128,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ImmZoneBytes == 0 {
 		o.ImmZoneBytes = d.ImmZoneBytes
-	}
-	if o.SpillFraction == 0 {
-		o.SpillFraction = d.SpillFraction
 	}
 	if o.MissThreshold == 0 {
 		o.MissThreshold = d.MissThreshold
@@ -437,47 +432,107 @@ func (e *Engine) Name() string {
 // GetStats returns the engine's counters.
 func (e *Engine) GetStats() *Stats { return &e.stats }
 
+// engineMetric is one metric every engine publishes: a counter (count) or a
+// gauge (level). Engine.RegisterObs publishes the table for its one engine,
+// Sharded.RegisterObs for all shards summed; worst marks the gauges where the
+// deployment's value is the most severe shard's, not the sum.
+type engineMetric struct {
+	name  string
+	count func(e *Engine) int64
+	level func(e *Engine) float64
+	worst bool
+}
+
+// engineMetrics is the table, in exposition order, for a tree of the given
+// number of levels.
+func engineMetrics(levels int) []engineMetric {
+	var ms []engineMetric
+	counter := func(name string, f func(e *Engine) int64) {
+		ms = append(ms, engineMetric{name: name, count: f})
+	}
+	gauge := func(name string, worst bool, f func(e *Engine) float64) {
+		ms = append(ms, engineMetric{name: name, level: f, worst: worst})
+	}
+	sum := func(vs []int64) (t int64) {
+		for _, v := range vs {
+			t += v
+		}
+		return t
+	}
+	counter("engine_puts", func(e *Engine) int64 { return e.stats.Puts.Load() })
+	counter("engine_gets", func(e *Engine) int64 { return e.stats.Gets.Load() })
+	counter("engine_deletes", func(e *Engine) int64 { return e.stats.Deletes.Load() })
+	counter("engine_flushes", func(e *Engine) int64 { return e.stats.Flushes.Load() })
+	counter("engine_spills", func(e *Engine) int64 { return e.stats.Spills.Load() })
+	counter("engine_compactions", func(e *Engine) int64 { return e.stats.Compactions.Load() })
+	counter("engine_read_syncs", func(e *Engine) int64 { return e.stats.ReadSyncs.Load() })
+	counter("engine_pool_slots", func(e *Engine) int64 { return int64(e.pool.numSlots()) })
+	counter("engine_range_deletes", func(e *Engine) int64 { return e.stats.RangeDeletes.Load() })
+	counter("engine_ingests", func(e *Engine) int64 { return e.stats.Ingests.Load() })
+	counter("compact_bytes_in", func(e *Engine) int64 {
+		in, _ := e.tree.CompactionLevelStats()
+		return sum(in)
+	})
+	counter("compact_bytes_out", func(e *Engine) int64 {
+		_, out := e.tree.CompactionLevelStats()
+		return sum(out)
+	})
+	counter("compact_jobs", func(e *Engine) int64 { return e.tree.SchedulerStats().JobsRun })
+	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.tree.SchedulerStats().Running) })
+	gauge("compact_queued", false, func(e *Engine) float64 { return float64(e.tree.SchedulerStats().Queued) })
+	counter("compact_busy_ns", func(e *Engine) int64 { return e.tree.SchedulerStats().BusyNs })
+	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
+	for lvl := 0; lvl < levels; lvl++ {
+		gauge(fmt.Sprintf("lsm_l%d_files", lvl), false, func(e *Engine) float64 { return float64(e.tree.NumFiles(lvl)) })
+		gauge(fmt.Sprintf("lsm_l%d_bytes", lvl), false, func(e *Engine) float64 { return float64(e.tree.LevelBytes(lvl)) })
+	}
+	gauge("flow_state", true, func(e *Engine) float64 { return float64(e.flow.current()) })
+	counter("flow_slowdown_entries", func(e *Engine) int64 { return e.flow.slowdownEntries.Load() })
+	counter("flow_stop_entries", func(e *Engine) int64 { return e.flow.stopEntries.Load() })
+	counter("flow_writes_delayed", func(e *Engine) int64 { return e.flow.delayedWrites.Load() })
+	counter("flow_delay_ns", func(e *Engine) int64 { return e.flow.delayedNs.Load() })
+	counter("flow_writes_rejected", func(e *Engine) int64 { return e.flow.rejectedWrites.Load() })
+	counter("flow_stop_waits", func(e *Engine) int64 { return e.flow.stopWaits.Load() })
+	counter("flow_stop_wait_ns", func(e *Engine) int64 { return e.flow.stopWaitNs.Load() })
+	counter("flow_dwell_ok_ns", func(e *Engine) int64 { return e.flow.dwellNs[FlowOK].Load() })
+	counter("flow_dwell_slowdown_ns", func(e *Engine) int64 { return e.flow.dwellNs[FlowSlowdown].Load() })
+	counter("flow_dwell_stop_ns", func(e *Engine) int64 { return e.flow.dwellNs[FlowStop].Load() })
+	gauge("flow_dwell_slowdown_mean_ns", true, func(e *Engine) float64 { return e.flow.dwellHist[FlowSlowdown].Mean() })
+	gauge("flow_dwell_stop_mean_ns", true, func(e *Engine) float64 { return e.flow.dwellHist[FlowStop].Mean() })
+	gauge("flow_compaction_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
+	return ms
+}
+
+// registerEngineMetrics publishes engineMetrics on r, aggregated over engines.
+func registerEngineMetrics(r *obs.Registry, engines []*Engine) {
+	for _, m := range engineMetrics(engines[0].tree.NumLevels()) {
+		if m.count != nil {
+			r.Counter(m.name, func() int64 {
+				var t int64
+				for _, e := range engines {
+					t += m.count(e)
+				}
+				return t
+			})
+			continue
+		}
+		r.Gauge(m.name, func() float64 {
+			var t float64
+			for _, e := range engines {
+				if v := m.level(e); !m.worst {
+					t += v
+				} else if v > t {
+					t = v
+				}
+			}
+			return t
+		})
+	}
+}
+
 // RegisterObs publishes the engine's internal counters on r (obs.RegisterKV
 // discovers this via the ObsRegistrar interface).
-func (e *Engine) RegisterObs(r *obs.Registry) {
-	r.Counter("engine_puts", func() int64 { return e.stats.Puts.Load() })
-	r.Counter("engine_gets", func() int64 { return e.stats.Gets.Load() })
-	r.Counter("engine_deletes", func() int64 { return e.stats.Deletes.Load() })
-	r.Counter("engine_flushes", func() int64 { return e.stats.Flushes.Load() })
-	r.Counter("engine_spills", func() int64 { return e.stats.Spills.Load() })
-	r.Counter("engine_compactions", func() int64 { return e.stats.Compactions.Load() })
-	r.Counter("engine_read_syncs", func() int64 { return e.stats.ReadSyncs.Load() })
-	r.Counter("engine_pool_slots", func() int64 { return int64(e.pool.numSlots()) })
-	r.Counter("engine_range_deletes", func() int64 { return e.stats.RangeDeletes.Load() })
-	r.Counter("engine_ingests", func() int64 { return e.stats.Ingests.Load() })
-	r.Counter("compact_bytes_in", func() int64 {
-		in, _ := e.tree.CompactionLevelStats()
-		var s int64
-		for _, v := range in {
-			s += v
-		}
-		return s
-	})
-	r.Counter("compact_bytes_out", func() int64 {
-		_, out := e.tree.CompactionLevelStats()
-		var s int64
-		for _, v := range out {
-			s += v
-		}
-		return s
-	})
-	r.Counter("compact_jobs", func() int64 { return e.tree.SchedulerStats().JobsRun })
-	r.Gauge("compact_running", func() float64 { return float64(e.tree.SchedulerStats().Running) })
-	r.Gauge("compact_queued", func() float64 { return float64(e.tree.SchedulerStats().Queued) })
-	r.Counter("compact_busy_ns", func() int64 { return e.tree.SchedulerStats().BusyNs })
-	r.Gauge("compact_debt_bytes", func() float64 { return float64(e.tree.CompactionDebt()) })
-	for lvl := 0; lvl < e.tree.NumLevels(); lvl++ {
-		lvl := lvl
-		r.Gauge(fmt.Sprintf("lsm_l%d_files", lvl), func() float64 { return float64(e.tree.NumFiles(lvl)) })
-		r.Gauge(fmt.Sprintf("lsm_l%d_bytes", lvl), func() float64 { return float64(e.tree.LevelBytes(lvl)) })
-	}
-	e.flow.registerObs(r, "")
-}
+func (e *Engine) RegisterObs(r *obs.Registry) { registerEngineMetrics(r, []*Engine{e}) }
 
 // FlowState reports the current write-admission state.
 func (e *Engine) FlowState() FlowState { return e.flow.current() }
@@ -520,15 +575,6 @@ func (e *Engine) Tree() *lsm.Tree { return e.tree }
 
 // PoolSlots reports the current number of usable sub-MemTables.
 func (e *Engine) PoolSlots() int { return e.pool.numSlots() }
-
-// DebugTimers reports internal virtual-time accounting: cumulative slot
-// allocation wait, flush-server jobs and busy time, spill-server jobs and
-// busy time (tests and calibration tooling).
-func (e *Engine) DebugTimers() (allocWaitNs, flushJobs, flushBusyNs, spillJobs, spillBusyNs int64) {
-	fj, fb := e.flushServers.Stats()
-	sj, sb := e.spillServer.Stats()
-	return e.pool.allocWaitNs.Load(), fj, fb, sj, sb
-}
 
 // enqueueSealed queues a sealed slot for its copy-based flush, maintaining
 // the backlog accounting and pressure state the flow controller reads.

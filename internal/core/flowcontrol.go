@@ -541,26 +541,6 @@ func (s FlowStats) Add(o FlowStats) FlowStats {
 	return s
 }
 
-// registerObs publishes the flow-control surface on r under prefix.
-func (fc *flowControl) registerObs(r *obs.Registry, prefix string) {
-	r.Gauge(prefix+"flow_state", func() float64 { return float64(fc.current()) })
-	r.Counter(prefix+"flow_slowdown_entries", func() int64 { return fc.slowdownEntries.Load() })
-	r.Counter(prefix+"flow_stop_entries", func() int64 { return fc.stopEntries.Load() })
-	r.Counter(prefix+"flow_writes_delayed", func() int64 { return fc.delayedWrites.Load() })
-	r.Counter(prefix+"flow_delay_ns", func() int64 { return fc.delayedNs.Load() })
-	r.Counter(prefix+"flow_writes_rejected", func() int64 { return fc.rejectedWrites.Load() })
-	r.Counter(prefix+"flow_stop_waits", func() int64 { return fc.stopWaits.Load() })
-	r.Counter(prefix+"flow_stop_wait_ns", func() int64 { return fc.stopWaitNs.Load() })
-	r.Counter(prefix+"flow_dwell_ok_ns", func() int64 { return fc.dwellNs[FlowOK].Load() })
-	r.Counter(prefix+"flow_dwell_slowdown_ns", func() int64 { return fc.dwellNs[FlowSlowdown].Load() })
-	r.Counter(prefix+"flow_dwell_stop_ns", func() int64 { return fc.dwellNs[FlowStop].Load() })
-	r.Gauge(prefix+"flow_dwell_slowdown_mean_ns", func() float64 { return fc.dwellHist[FlowSlowdown].Mean() })
-	r.Gauge(prefix+"flow_dwell_stop_mean_ns", func() float64 { return fc.dwellHist[FlowStop].Mean() })
-	if fc.debt != nil {
-		r.Gauge(prefix+"flow_compaction_debt_bytes", func() float64 { return float64(fc.debt()) })
-	}
-}
-
 // absDeadline converts a relative deadline (ns on the virtual clock; <= 0
 // means none) into the absolute deadline admit and the wait loops compare
 // against.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/lsm"
@@ -12,8 +11,8 @@ import (
 	"cachekv/internal/util"
 )
 
-// DbgCopyTimers accumulate copy-phase virtual time for calibration tests.
-var DbgCopyRead, DbgCopyWrite, DbgCopyBytes, DbgAllocStall atomic.Int64
+// spillFraction is the ImmZone fill fraction that triggers the L0 spill.
+const spillFraction = 0.75
 
 // immTable is one sub-ImmMemTable after its copy-based flush: the entry bytes
 // live in the ImmZone (PMem), its sub-skiplist stays in DRAM, and a compacted
@@ -268,16 +267,11 @@ func (e *Engine) flushOne(s *slot) {
 		hdr = util.PutFixed64(hdr, maxSeq)
 		e.m.Cache.NTWrite(th.Clock, dst, hdr)
 
-		dbgT0 := th.Clock.Now()
 		buf := make([]byte, tail)
 		e.m.Cache.Read(th.Clock, s.dataAddr(), buf, e.poolPart)
-		dbgT1 := th.Clock.Now()
 		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, buf)
 		// The flush thread's software share: allocation, packing, verify.
 		th.Clock.Advance(int64(tail) * e.m.Costs.FlushBytePerKB / 1024)
-		DbgCopyRead.Add(dbgT1 - dbgT0)
-		DbgCopyWrite.Add(th.Clock.Now() - dbgT1)
-		DbgCopyBytes.Add(int64(tail))
 
 		s.syncMu.Lock()
 		t = &immTable{
@@ -343,7 +337,7 @@ func (e *Engine) flushOne(s *slot) {
 		}
 	}
 
-	if e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*e.opts.SpillFraction) {
+	if e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
 		e.requestSpill(th.Clock.Now())
 	}
 	finish()

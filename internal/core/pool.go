@@ -134,8 +134,6 @@ type pool struct {
 	// quiet stretch triggers the inverse elasticity move (merging free
 	// neighbours back into bigger sub-MemTables to cut flush overhead).
 	freesSinceMiss atomic.Int64
-
-	allocWaitNs atomic.Int64 // cumulative virtual time spent waiting for a free slot
 }
 
 const poolHeaderMagic = 0xCAC4EC001
@@ -311,7 +309,6 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 				if deadlineV > 0 && fa > deadlineV {
 					return nil, ErrStalled
 				}
-				p.allocWaitNs.Add(fa - th.Clock.Now())
 				th.Clock.AdvanceTo(fa)
 			}
 			best.syncMu.Lock()
@@ -374,7 +371,6 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 			if rem := deadlineV - th.Clock.Now(); step > rem {
 				step = rem
 			}
-			p.allocWaitNs.Add(step)
 			th.Clock.Advance(step)
 		}
 		p.cond.Wait()

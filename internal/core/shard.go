@@ -43,19 +43,6 @@ import (
 type ShardedOptions struct {
 	// Shards is the number of engine shards (>= 1).
 	Shards int
-	// GroupCommitWindow is the virtual-time window (ns) within which
-	// concurrently arriving write requests coalesce into one group; requests
-	// arriving later than the group leader's arrival + window start the next
-	// group. 0 takes the default (10µs). Negative disables coalescing
-	// (every request commits alone — useful for A/B measurement).
-	GroupCommitWindow int64
-	// GroupCommitMaxOps caps the operations batched into one group commit.
-	// 0 takes the default (64).
-	GroupCommitMaxOps int
-	// PrepareLogBytes / CommitLogBytes size the per-shard two-phase prepare
-	// logs and the global commit-marker log (defaults 256 KiB each).
-	PrepareLogBytes uint64
-	CommitLogBytes  uint64
 	// Base is the per-engine configuration; PoolBytes, ImmZoneBytes, FSBytes
 	// and ManifestBytes are totals split across shards, SubMemTableBytes is
 	// clamped so every shard keeps at least two slots.
@@ -63,26 +50,20 @@ type ShardedOptions struct {
 }
 
 const (
-	defaultGroupCommitWindow = 10_000 // 10µs of virtual time
-	defaultGroupCommitMaxOps = 64
-	defaultTwoPCLogBytes     = 256 << 10
+	// groupCommitWindowNs is the virtual-time window within which
+	// concurrently arriving write requests coalesce into one group; a request
+	// arriving later than the group leader's arrival + window starts the next
+	// group. groupCommitMaxOps caps the operations in one group.
+	groupCommitWindowNs = 10_000
+	groupCommitMaxOps   = 64
+	// twoPCLogBytes sizes each per-shard two-phase prepare log and the global
+	// commit-marker log.
+	twoPCLogBytes = 256 << 10
 )
 
 func (o ShardedOptions) withDefaults() ShardedOptions {
 	if o.Shards < 1 {
 		o.Shards = 1
-	}
-	if o.GroupCommitWindow == 0 {
-		o.GroupCommitWindow = defaultGroupCommitWindow
-	}
-	if o.GroupCommitMaxOps <= 0 {
-		o.GroupCommitMaxOps = defaultGroupCommitMaxOps
-	}
-	if o.PrepareLogBytes == 0 {
-		o.PrepareLogBytes = defaultTwoPCLogBytes
-	}
-	if o.CommitLogBytes == 0 {
-		o.CommitLogBytes = defaultTwoPCLogBytes
 	}
 	o.Base = o.Base.withDefaults()
 	return o
@@ -162,9 +143,7 @@ type shardWriter struct {
 	th  *hw.Thread
 	ch  chan *writeReq
 
-	maxOps   int
 	maxBytes uint64
-	windowNs int64
 
 	mu     sync.RWMutex // guards closed against concurrent submits
 	closed bool
@@ -212,14 +191,14 @@ func (w *shardWriter) loop() {
 		nBytes := first.bytes
 		drained := false
 	coalesce:
-		for nOps < w.maxOps && nBytes < w.maxBytes && w.windowNs >= 0 {
+		for nOps < groupCommitMaxOps && nBytes < w.maxBytes {
 			select {
 			case r, ok := <-w.ch:
 				if !ok {
 					drained = true
 					break coalesce
 				}
-				if r.at-first.at > w.windowNs {
+				if r.at-first.at > groupCommitWindowNs {
 					pending = r
 					break coalesce
 				}
@@ -422,7 +401,7 @@ func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, erro
 	// its WAL pressure signal: a safety valve above the half-capacity
 	// auto-reset, so runaway cross-shard traffic escalates admission before a
 	// log-full failure.
-	walCap := o.PrepareLogBytes + o.CommitLogBytes
+	const walCap = 2 * twoPCLogBytes
 	for k := range sh.shards {
 		k := k
 		sh.shards[k].flow.setWALSignal(func() uint64 {
@@ -445,12 +424,7 @@ func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, erro
 			id:       k,
 			th:       m.NewThread(k).SetName(fmt.Sprintf("shard%d/writer", k)),
 			ch:       make(chan *writeReq, 1024),
-			maxOps:   o.GroupCommitMaxOps,
 			maxBytes: maxBytes,
-			windowNs: o.GroupCommitWindow,
-		}
-		if o.GroupCommitWindow < 0 {
-			w.windowNs = -1
 		}
 		sh.writers = append(sh.writers, w)
 		sh.wg.Add(1)
@@ -753,80 +727,8 @@ func (sh *Sharded) GroupCommitHists() (batchSize, waitNs *histogram.H) {
 // (so existing dashboards keep working), per-shard labeled variants, and the
 // group-commit instrumentation.
 func (sh *Sharded) RegisterObs(r *obs.Registry) {
-	sum := func(f func(*Stats) int64) func() int64 {
-		return func() int64 {
-			var t int64
-			for _, e := range sh.shards {
-				t += f(&e.stats)
-			}
-			return t
-		}
-	}
-	r.Counter("engine_puts", sum(func(s *Stats) int64 { return s.Puts.Load() }))
-	r.Counter("engine_gets", sum(func(s *Stats) int64 { return s.Gets.Load() }))
-	r.Counter("engine_deletes", sum(func(s *Stats) int64 { return s.Deletes.Load() }))
-	r.Counter("engine_flushes", sum(func(s *Stats) int64 { return s.Flushes.Load() }))
-	r.Counter("engine_spills", sum(func(s *Stats) int64 { return s.Spills.Load() }))
-	r.Counter("engine_compactions", sum(func(s *Stats) int64 { return s.Compactions.Load() }))
-	r.Counter("engine_read_syncs", sum(func(s *Stats) int64 { return s.ReadSyncs.Load() }))
-	r.Counter("engine_range_deletes", sum(func(s *Stats) int64 { return s.RangeDeletes.Load() }))
-	r.Counter("engine_ingests", sum(func(s *Stats) int64 { return s.Ingests.Load() }))
-	r.Counter("compact_bytes_in", func() int64 {
-		var t int64
-		for _, e := range sh.shards {
-			in, _ := e.tree.CompactionLevelStats()
-			for _, v := range in {
-				t += v
-			}
-		}
-		return t
-	})
-	r.Counter("compact_bytes_out", func() int64 {
-		var t int64
-		for _, e := range sh.shards {
-			_, out := e.tree.CompactionLevelStats()
-			for _, v := range out {
-				t += v
-			}
-		}
-		return t
-	})
-	r.Counter("compact_jobs", func() int64 {
-		var t int64
-		for _, e := range sh.shards {
-			t += e.tree.SchedulerStats().JobsRun
-		}
-		return t
-	})
-	r.Counter("engine_pool_slots", func() int64 {
-		var t int64
-		for _, e := range sh.shards {
-			t += int64(e.pool.numSlots())
-		}
-		return t
-	})
+	registerEngineMetrics(r, sh.shards)
 	r.Counter("engine_shards", func() int64 { return int64(len(sh.shards)) })
-
-	flowSum := func(f func(FlowStats) int64) func() int64 {
-		return func() int64 {
-			var t int64
-			for _, e := range sh.shards {
-				t += f(e.flow.snapshot())
-			}
-			return t
-		}
-	}
-	r.Gauge("flow_state", func() float64 { return float64(sh.FlowState()) })
-	r.Counter("flow_slowdown_entries", flowSum(func(s FlowStats) int64 { return s.SlowdownEntries }))
-	r.Counter("flow_stop_entries", flowSum(func(s FlowStats) int64 { return s.StopEntries }))
-	r.Counter("flow_writes_delayed", flowSum(func(s FlowStats) int64 { return s.DelayedWrites }))
-	r.Counter("flow_delay_ns", flowSum(func(s FlowStats) int64 { return s.DelayedNs }))
-	r.Counter("flow_writes_rejected", flowSum(func(s FlowStats) int64 { return s.RejectedWrites }))
-	r.Counter("flow_stop_waits", flowSum(func(s FlowStats) int64 { return s.StopWaits }))
-	r.Counter("flow_stop_wait_ns", flowSum(func(s FlowStats) int64 { return s.StopWaitNs }))
-	r.Counter("flow_dwell_ok_ns", flowSum(func(s FlowStats) int64 { return s.DwellOKNs }))
-	r.Counter("flow_dwell_slowdown_ns", flowSum(func(s FlowStats) int64 { return s.DwellSlowdownNs }))
-	r.Counter("flow_dwell_stop_ns", flowSum(func(s FlowStats) int64 { return s.DwellStopNs }))
 
 	r.Counter("group_commits", func() int64 { return sh.stats.groups.Load() })
 	r.Counter("group_commit_ops", func() int64 { return sh.stats.groupedOps.Load() })

@@ -72,13 +72,13 @@ func openTwoPC(sh *Sharded, th *hw.Thread) (*twoPC, error) {
 	m := sh.m
 	commitRg, recovered := m.LookupRegion(sh.commitRegionName())
 	if !recovered {
-		commitRg = m.Alloc(sh.commitRegionName(), sh.opts.CommitLogBytes, 0)
+		commitRg = m.Alloc(sh.commitRegionName(), twoPCLogBytes, 0)
 	}
 	t.commitRg = commitRg
 	for k := range sh.shards {
 		rg, ok := m.LookupRegion(sh.prepareRegionName(k))
 		if !ok {
-			rg = m.Alloc(sh.prepareRegionName(k), sh.opts.PrepareLogBytes, 0)
+			rg = m.Alloc(sh.prepareRegionName(k), twoPCLogBytes, 0)
 		}
 		t.prepRgs = append(t.prepRgs, rg)
 	}

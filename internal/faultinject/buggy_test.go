@@ -1,12 +1,16 @@
 package faultinject
 
 import (
+	"flag"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
+	"cachekv/internal/obs"
 	"cachekv/internal/util"
 	"cachekv/internal/wal"
 )
@@ -123,7 +127,7 @@ func shimSpec(skipFlush bool) EngineSpec {
 	return EngineSpec{
 		Name:       name,
 		DurableADR: true, // the honest build earns this; the buggy build lies
-		Open: func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
+		Open: func(m *hw.Machine, th *hw.Thread, _ *obs.Trace) (kvstore.DB, error) {
 			return openShim(m, th, mode)
 		},
 	}
@@ -135,43 +139,66 @@ func shimSpec(skipFlush bool) EngineSpec {
 // write. The failing schedule must then reproduce from its tuple alone, and
 // the identical engine with the flush restored must pass every crash point.
 func TestMissingFenceBugCaught(t *testing.T) {
-	wl := NewWorkload(3, 120)
+	fam := singleKeyFamily(3, 120)
 
 	buggy := shimSpec(true)
-	total, _, err := CountEvents(buggy, cache.ADR, wl)
+	total, _, err := Count(buggy, cache.ADR, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var caught []*Result
 	for k := int64(1); k <= total; k++ {
-		if r := RunSchedule(buggy, cache.ADR, wl, k, FaultNone); r.Failed() {
+		if r := Run(buggy, cache.ADR, fam, k, FaultNone, nil); r.Failed() {
 			caught = append(caught, r)
 		}
 	}
 	if len(caught) == 0 {
 		t.Fatalf("oracle missed the missing-fence bug across all %d crash points", total)
 	}
-	t.Logf("missing fence caught at %d/%d crash points; first: {%s}: %s",
-		len(caught), total, caught[0].Schedule, caught[0].Violations[0])
+	t.Logf("missing fence caught at %d/%d crash points; first: %v", len(caught), total, caught[0].Err())
 
-	// Reproduce the first catch from nothing but its schedule tuple.
-	s := caught[0].Schedule
-	replay := RunSchedule(buggy, s.Domain, NewWorkload(s.WorkloadSeed, s.NumOps), s.CrashAt, s.Fault)
-	if !replay.Failed() {
-		t.Fatalf("failing schedule {%s} did not reproduce from its tuple", s)
+	// Reproduce the first catch from nothing but the command line its
+	// failure report prints: parse the flags back the way crashsweep does
+	// and rebuild family, domain and fault from their printed names.
+	line := caught[0].Schedule.Reproduce()
+	fs := flag.NewFlagSet("crashsweep", flag.ContinueOnError)
+	family, engine := fs.String("family", "", ""), fs.String("engine", "", "")
+	domain, fault := fs.String("domain", "", ""), fs.String("fault", "", "")
+	seed, ops, crashAt := fs.Uint64("seed", 0, ""), fs.Int("ops", 0, ""), fs.Int64("crash-at", 0, "")
+	if err := fs.Parse(strings.Fields(line)[1:]); err != nil {
+		t.Fatalf("reproduce line %q does not parse: %v", line, err)
 	}
+	if *engine != buggy.Name {
+		t.Fatalf("reproduce line %q names engine %q, want %q", line, *engine, buggy.Name)
+	}
+	refam, err := NewFamily(*family, *seed, *ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom, err := ParseDomain(*domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flt, err := ParseFault(*fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := Run(buggy, dom, refam, *crashAt, flt, nil)
 	if replay.StreamHash != caught[0].StreamHash {
-		t.Fatalf("replayed schedule {%s} produced a different event stream", s)
+		t.Fatalf("%q produced a different event stream", line)
+	}
+	if !reflect.DeepEqual(replay.Violations, caught[0].Violations) {
+		t.Fatalf("%q did not reproduce the violation: %v, want %v", line, replay.Violations, caught[0].Violations)
 	}
 
 	// Control: restore the flush and the same sweep must be clean.
 	good := shimSpec(false)
-	goodTotal, _, err := CountEvents(good, cache.ADR, wl)
+	goodTotal, _, err := Count(good, cache.ADR, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(1); k <= goodTotal; k++ {
-		if r := RunSchedule(good, cache.ADR, wl, k, FaultNone); r.Failed() {
+		if r := Run(good, cache.ADR, fam, k, FaultNone, nil); r.Failed() {
 			t.Fatalf("correct flush discipline flagged: %v", r.Err())
 		}
 	}

@@ -1,7 +1,7 @@
 package faultinject
 
-// crossshard.go extends the crash-schedule harness to the sharded router's
-// cross-shard atomic batches (DESIGN.md §8.3). The workload is a sequence of
+// crossshard.go is the cross-shard family: the script and oracle for the
+// sharded router's atomic batches (DESIGN.md §8.3). The workload is a sequence of
 // batches, each spanning at least two shards, so every mutation flows through
 // the two-phase commit protocol: prepare records on every participant shard,
 // one fence, a commit marker, a second fence (the commit point), then the
@@ -21,14 +21,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
-	"cachekv/internal/obs"
 	"cachekv/internal/util"
 )
 
@@ -156,158 +154,28 @@ func applyBatch(db core.Store, th *hw.Thread, wl *BatchWorkload, i int) error {
 	return nil
 }
 
-// CountBatchEvents runs wl against a fresh sharded engine with a counting-only
-// injector and returns the crash-point-space size plus the stream hash.
-func CountBatchEvents(spec EngineSpec, domain cache.Domain, wl *BatchWorkload) (int64, uint64, error) {
-	m := NewMachine(domain)
-	th := m.NewThread(0)
-	db, err := spec.Open(m, th)
-	if err != nil {
-		return 0, 0, fmt.Errorf("open %s: %w", spec.Name, err)
-	}
-	bdb, ok := db.(core.Store)
-	if !ok {
-		return 0, 0, fmt.Errorf("%s: engine does not support atomic batches", spec.Name)
-	}
-	inj := NewInjector()
-	inj.Arm(0, FaultNone, 0)
-	m.SetMemGate(inj.Gate)
-	wth := m.NewThread(1)
-	for i := range wl.Batches {
-		if err := applyBatch(bdb, wth, wl, i); err != nil {
-			return 0, 0, fmt.Errorf("%s: batch %d failed: %w", spec.Name, i, err)
-		}
-	}
-	m.SetMemGate(nil)
-	_ = db.Close(th)
-	return inj.Events(), inj.StreamHash(), nil
-}
-
-// RunBatchSchedule executes one cross-shard crash schedule end to end.
-func RunBatchSchedule(spec EngineSpec, domain cache.Domain, wl *BatchWorkload, crashAt int64, fault Fault) *Result {
-	return RunBatchScheduleTraced(spec, domain, wl, crashAt, fault, nil)
-}
-
-// RunBatchScheduleTraced is RunBatchSchedule with crash annotations emitted
-// into tr (nil-safe). The structure mirrors RunScheduleTraced; the workload
-// unit is an atomic batch and the oracle is checkBatchOracle.
-func RunBatchScheduleTraced(spec EngineSpec, domain cache.Domain, wl *BatchWorkload, crashAt int64, fault Fault, tr *obs.Trace) *Result {
-	res := &Result{
-		Schedule: Schedule{
-			Engine:       spec.Name,
-			Domain:       domain,
-			WorkloadSeed: wl.Seed,
-			NumOps:       len(wl.Batches),
-			CrashAt:      crashAt,
-			Fault:        fault,
+// crossShardFamily scripts n cross-shard batches for the sharded router.
+func crossShardFamily(seed uint64, n int) Family {
+	wl := NewBatchWorkload(seed, n, crossShardShards)
+	return Family{
+		Name: "cross-shard", Engine: shardedEngineName, Seed: seed, NumOps: n, Steps: len(wl.Batches),
+		Apply: func(db kvstore.DB, th *hw.Thread, i int) error {
+			st, ok := db.(core.Store)
+			if !ok {
+				return errors.New("engine does not support atomic batches")
+			}
+			return applyBatch(st, th, wl, i)
 		},
-		Inflight: len(wl.Batches),
+		// Committed cross-shard batches replay from the NT-written two-phase
+		// logs in both domains, so durability AND atomicity are demanded
+		// everywhere except under bit-flip corruption (which may eat one
+		// shard's prepare record or a marker — refusing or losing whole
+		// groups is honest there, fabricating or tearing values is not).
+		Check: func(db kvstore.DB, th *hw.Thread, inflight int, _ cache.Domain, _ bool, fault Fault) ([]string, map[string]string) {
+			strict := fault != FaultFlip
+			return checkBatchOracle(db, th, wl, inflight, strict, strict)
+		},
 	}
-	m := NewMachine(domain)
-	th := m.NewThread(0)
-	db, err := spec.open(m, th, tr)
-	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("initial open failed: %v", err))
-		return res
-	}
-	bdb, ok := db.(core.Store)
-	if !ok {
-		res.Violations = append(res.Violations, fmt.Sprintf("%s: engine does not support atomic batches", spec.Name))
-		_ = db.Close(th)
-		return res
-	}
-
-	inj := NewInjector()
-	inj.Arm(crashAt, fault, scheduleSeed(wl.Seed, crashAt, fault))
-	m.SetMemGate(inj.Gate)
-	wth := m.NewThread(1)
-	tr.Emit(wth.Clock.Now(), "crash_armed",
-		"engine", spec.Name, "crash_at", crashAt, "fault", fault.String())
-	for i := range wl.Batches {
-		if err := applyBatch(bdb, wth, wl, i); err != nil && !inj.Frozen() {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("batch %d failed before the crash point: %v", i, err))
-			break
-		}
-		if inj.Frozen() {
-			res.Inflight = i
-			break
-		}
-	}
-	res.Frozen = inj.Frozen()
-	res.Events = inj.Events()
-	if res.Frozen {
-		tr.Emit(wth.Clock.Now(), "crash_frozen",
-			"inflight_batch", res.Inflight, "events", res.Events)
-	}
-
-	if h, ok := db.(kvstore.Halter); ok {
-		h.Halt()
-	}
-	m.Crash()
-	_ = db.Close(th)
-	m.SetMemGate(nil)
-	if fault == FaultFlip {
-		if addr, bit, ok := inj.FlipTarget(); ok {
-			var b [1]byte
-			m.PMem.LoadRaw(addr, b[:])
-			b[0] ^= 1 << bit
-			m.PMem.StoreRaw(addr, b[:])
-			tr.Emit(th.Clock.Now(), "media_fault", "addr", addr, "bit", bit)
-		}
-	}
-	m.Recover()
-	res.StreamHash = inj.StreamHash()
-
-	th2 := m.NewThread(0)
-	tr.Emit(th2.Clock.Now(), "recovery_open", "engine", spec.Name)
-	var db2 kvstore.DB
-	openErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("recovery panicked: %v", r)
-				res.Violations = append(res.Violations, err.Error())
-			}
-		}()
-		db2, err = spec.open(m, th2, tr)
-		return err
-	}()
-	if db2 == nil {
-		if fault == FaultFlip && len(res.Violations) == 0 {
-			res.RecoveryRefused = openErr
-			tr.Emit(th2.Clock.Now(), "recovery_refused", "err", openErr.Error())
-			return res
-		}
-		if openErr != nil && len(res.Violations) == 0 {
-			res.Violations = append(res.Violations, fmt.Sprintf("recovery open failed: %v", openErr))
-		}
-		return res
-	}
-
-	// Committed cross-shard batches replay from the NT-written two-phase logs
-	// in both domains, so durability AND atomicity are demanded everywhere
-	// except under bit-flip corruption (which may eat one shard's prepare
-	// record or a marker — refusing or losing whole groups is honest there,
-	// fabricating or tearing values is not).
-	strict := fault != FaultFlip
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("recovered engine panicked under oracle probes: %v", r))
-			}
-		}()
-		var v []string
-		v, res.Recovered = checkBatchOracle(db2, th2, wl, res.Inflight, strict, strict)
-		res.Violations = append(res.Violations, v...)
-		if st, ok := db2.(core.Store); ok {
-			res.FilterProbes, res.FilterNegatives = st.FilterStats()
-		}
-		_ = db2.Close(th2)
-	}()
-	tr.Emit(th2.Clock.Now(), "oracle_done",
-		"violations", len(res.Violations), "recovered_keys", len(res.Recovered))
-	return res
 }
 
 // checkBatchOracle probes every key of every put batch and demands, per
@@ -467,108 +335,4 @@ func checkBatchOracle(db kvstore.DB, th *hw.Thread, wl *BatchWorkload, inflight 
 	}
 	sort.Strings(violations)
 	return violations, recovered
-}
-
-// CrossShardSweepConfig parameterizes a sweep over cross-shard batch
-// schedules.
-type CrossShardSweepConfig struct {
-	Shards       int // engine shards (0 = crossShardShards)
-	Domains      []cache.Domain
-	NumBatches   int
-	WorkloadSeed uint64
-	// SchedulesPerConfig bounds the crash points tried per (domain, fault)
-	// combination; 0 explores every crash point exhaustively.
-	SchedulesPerConfig int
-	ScheduleSeed       uint64
-	Faults             []Fault
-	Parallel           int
-	Log                func(format string, args ...any)
-}
-
-// SweepCrossShard enumerates or samples cross-shard crash schedules and runs
-// each one; every failure carries its reproduction tuple.
-func SweepCrossShard(cfg CrossShardSweepConfig) (*SweepStats, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = crossShardShards
-	}
-	if len(cfg.Domains) == 0 {
-		cfg.Domains = []cache.Domain{cache.ADR, cache.EADR}
-	}
-	if len(cfg.Faults) == 0 {
-		cfg.Faults = []Fault{FaultNone}
-	}
-	logf := cfg.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	spec := shardedSpec(shardedEngineName, cfg.Shards)
-	wl := NewBatchWorkload(cfg.WorkloadSeed, cfg.NumBatches, cfg.Shards)
-
-	stats := &SweepStats{EventTotals: make(map[string]int64)}
-	type job struct {
-		domain  cache.Domain
-		crashAt int64
-		fault   Fault
-	}
-	var jobs []job
-	for _, domain := range cfg.Domains {
-		total, _, err := CountBatchEvents(spec, domain, wl)
-		if err != nil {
-			return nil, err
-		}
-		stats.EventTotals[spec.Name+"/"+domain.String()] = total
-		for _, fault := range cfg.Faults {
-			if cfg.SchedulesPerConfig <= 0 {
-				for k := int64(1); k <= total; k++ {
-					jobs = append(jobs, job{domain, k, fault})
-				}
-				continue
-			}
-			rng := newSampleRNG(cfg.ScheduleSeed, spec.Name, domain, fault)
-			for s := 0; s < cfg.SchedulesPerConfig; s++ {
-				k := 1 + int64(rng.Uint64n(uint64(total)))
-				jobs = append(jobs, job{domain, k, fault})
-			}
-		}
-		logf("faultinject: %s/%s: %d events", spec.Name, domain, total)
-	}
-
-	results := make([]*Result, len(jobs))
-	workers := cfg.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				results[i] = RunBatchSchedule(spec, j.domain, wl, j.crashAt, j.fault)
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		stats.Runs++
-		if r.Failed() {
-			stats.Failures = append(stats.Failures, r)
-			logf("faultinject: FAIL {%s}: %s", r.Schedule, r.Violations[0])
-		}
-	}
-	return stats, nil
 }

@@ -3,8 +3,6 @@ package faultinject
 import (
 	"runtime"
 	"testing"
-
-	"cachekv/internal/hw/cache"
 )
 
 // TestCrossShardWorkloadShape pins the generator's contract: every put batch
@@ -47,34 +45,6 @@ func TestCrossShardWorkloadShape(t *testing.T) {
 	}
 }
 
-// TestCrossShardEventDeterminism re-counts the batch workload twice per
-// domain: totals and stream hashes must match exactly — the precondition for
-// every cross-shard reproduction claim.
-func TestCrossShardEventDeterminism(t *testing.T) {
-	spec, ok := FindEngine(shardedEngineName)
-	if !ok {
-		t.Fatal("sharded engine spec not registered")
-	}
-	wl := NewBatchWorkload(1, 60, crossShardShards)
-	for _, domain := range bothDomains {
-		n1, h1, err := CountBatchEvents(spec, domain, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n2, h2, err := CountBatchEvents(spec, domain, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n1 != n2 || h1 != h2 {
-			t.Errorf("%s: event stream not deterministic: (%d, %#x) vs (%d, %#x)",
-				domain, n1, h1, n2, h2)
-		}
-		if n1 == 0 {
-			t.Errorf("%s: workload generated no persistence events", domain)
-		}
-	}
-}
-
 // TestCrashSweepCrossShard is the CI cross-shard sweep (the -run TestCrashSweep
 // step picks it up): a seeded sample of crash points under both persistence
 // domains with all three fault modes, checked by the all-or-nothing oracle —
@@ -84,10 +54,11 @@ func TestCrashSweepCrossShard(t *testing.T) {
 	if testing.Short() {
 		per = 4
 	}
-	stats, err := SweepCrossShard(CrossShardSweepConfig{
+	spec, _ := FindEngine(shardedEngineName)
+	stats, err := Sweep(SweepConfig{
+		Engines:            []EngineSpec{spec},
 		Domains:            bothDomains,
-		NumBatches:         60,
-		WorkloadSeed:       1,
+		Families:           []Family{crossShardFamily(1, 60)},
 		SchedulesPerConfig: per,
 		ScheduleSeed:       7,
 		Faults:             []Fault{FaultNone, FaultTorn, FaultFlip},
@@ -99,7 +70,7 @@ func TestCrashSweepCrossShard(t *testing.T) {
 	}
 	t.Logf("cross-shard sweep: %d schedules", stats.Runs)
 	for _, r := range stats.Failures {
-		t.Errorf("reproduce with: RunBatchSchedule({%s}): %v", r.Schedule, r.Err())
+		t.Error(r.Err())
 	}
 }
 
@@ -109,14 +80,14 @@ func TestCrashSweepCrossShard(t *testing.T) {
 // accounting would concentrate.
 func TestCrashSweepCrossShardEdges(t *testing.T) {
 	spec, _ := FindEngine(shardedEngineName)
-	wl := NewBatchWorkload(1, 40, crossShardShards)
+	fam := crossShardFamily(1, 40)
 	for _, domain := range bothDomains {
-		total, _, err := CountBatchEvents(spec, domain, wl)
+		total, _, err := Count(spec, domain, fam)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int64{1, 2, total - 1, total} {
-			r := RunBatchSchedule(spec, domain, wl, k, FaultNone)
+			r := Run(spec, domain, fam, k, FaultNone, nil)
 			if err := r.Err(); err != nil {
 				t.Errorf("edge crash point: %v", err)
 			}
@@ -137,8 +108,7 @@ func TestCrashSweepShardedSingleKey(t *testing.T) {
 	stats, err := Sweep(SweepConfig{
 		Engines:            []EngineSpec{spec},
 		Domains:            bothDomains,
-		NumOps:             200,
-		WorkloadSeed:       1,
+		Families:           []Family{singleKeyFamily(1, 200)},
 		SchedulesPerConfig: per,
 		ScheduleSeed:       9,
 		Faults:             []Fault{FaultNone, FaultTorn},
@@ -150,33 +120,6 @@ func TestCrashSweepShardedSingleKey(t *testing.T) {
 	}
 	t.Logf("sharded single-key sweep: %d schedules", stats.Runs)
 	for _, r := range stats.Failures {
-		t.Errorf("reproduce with: RunSchedule({%s}): %v", r.Schedule, r.Err())
-	}
-}
-
-// TestCrossShardReplayDeterminism reruns fixed cross-shard schedules and
-// demands bit-identical results.
-func TestCrossShardReplayDeterminism(t *testing.T) {
-	spec, _ := FindEngine(shardedEngineName)
-	wl := NewBatchWorkload(1, 40, crossShardShards)
-	cases := []struct {
-		domain  cache.Domain
-		crashAt int64
-		fault   Fault
-	}{
-		{cache.EADR, 33, FaultNone},
-		{cache.ADR, 57, FaultTorn},
-		{cache.EADR, 71, FaultFlip},
-	}
-	for _, c := range cases {
-		a := RunBatchSchedule(spec, c.domain, wl, c.crashAt, c.fault)
-		b := RunBatchSchedule(spec, c.domain, wl, c.crashAt, c.fault)
-		if a.StreamHash != b.StreamHash || a.Inflight != b.Inflight || a.Events != b.Events {
-			t.Errorf("{%s}: replay diverged: hash %#x/%#x inflight %d/%d events %d/%d",
-				a.Schedule, a.StreamHash, b.StreamHash, a.Inflight, b.Inflight, a.Events, b.Events)
-		}
-		if len(a.Violations) != len(b.Violations) {
-			t.Errorf("{%s}: replay verdicts differ: %v vs %v", a.Schedule, a.Violations, b.Violations)
-		}
+		t.Error(r.Err())
 	}
 }

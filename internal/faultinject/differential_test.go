@@ -29,17 +29,17 @@ func TestDomainDifferentialRecovery(t *testing.T) {
 	if !testing.Short() {
 		engines = append(engines, "novelsm-w/o-flush", "slm-db-w/o-flush")
 	}
-	wl := NewWorkload(5, 200)
+	wl, fam := NewWorkload(5, 200), singleKeyFamily(5, 200)
 	for _, name := range engines {
 		spec, ok := FindEngine(name)
 		if !ok {
 			t.Fatalf("unknown engine %q", name)
 		}
-		totalA, hashA, err := CountEvents(spec, cache.ADR, wl)
+		totalA, hashA, err := Count(spec, cache.ADR, fam)
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalE, hashE, err := CountEvents(spec, cache.EADR, wl)
+		totalE, hashE, err := Count(spec, cache.EADR, fam)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,8 +58,8 @@ func TestDomainDifferentialRecovery(t *testing.T) {
 			}
 		}
 		for _, k := range points {
-			ra := RunSchedule(spec, cache.ADR, wl, k, FaultNone)
-			re := RunSchedule(spec, cache.EADR, wl, k, FaultNone)
+			ra := Run(spec, cache.ADR, fam, k, FaultNone, nil)
+			re := Run(spec, cache.EADR, fam, k, FaultNone, nil)
 			if err := ra.Err(); err != nil {
 				t.Errorf("%v", err)
 				continue

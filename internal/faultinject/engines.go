@@ -21,19 +21,11 @@ type EngineSpec struct {
 	// whole point of the eADR designs — get only the validity clause of the
 	// oracle under ADR; under eADR every engine is held to full durability.
 	DurableADR bool
-	Open       func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error)
-	// OpenTraced, when non-nil, is Open with a lifecycle-event trace wired
-	// into the engine, so replayed schedules interleave engine events
-	// (flushes, rotations, recovery) with the harness's crash annotations.
-	OpenTraced func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error)
-}
-
-// open dispatches to OpenTraced when a trace is wanted and wired.
-func (s EngineSpec) open(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-	if tr != nil && s.OpenTraced != nil {
-		return s.OpenTraced(m, th, tr)
-	}
-	return s.Open(m, th)
+	// Open opens the engine on m, recovering whatever m's PMem holds. tr
+	// (nil = none) is wired in as the engine's lifecycle-event trace, so
+	// replayed schedules interleave engine events (flushes, rotations,
+	// recovery) with the harness's crash annotations.
+	Open func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error)
 }
 
 // MachineConfig is the scaled-down platform the harness runs schedules on:
@@ -72,13 +64,7 @@ func cacheKVSpec(name string, lazyIndex, listCompaction bool) EngineSpec {
 		// those are volatile by design and acked writes may vanish (the
 		// paper's point, pinned by TestADRCrashLosesUnflushedWrites).
 		DurableADR: false,
-		Open: func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
-			o := coreOptions()
-			o.LazyIndex = lazyIndex
-			o.SkiplistCompaction = listCompaction
-			return core.Open(m, o, th)
-		},
-		OpenTraced: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
+		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
 			o := coreOptions()
 			o.LazyIndex = lazyIndex
 			o.SkiplistCompaction = listCompaction
@@ -97,10 +83,7 @@ func novelsmSpec(name string, v baseline.Variant) EngineSpec {
 		// the PMem tier in pinned cache segments; neither contracts ADR
 		// durability.
 		DurableADR: v == baseline.Vanilla,
-		Open: func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
-			return novelsm.Open(m, novelsmOptions(v, nil), th)
-		},
-		OpenTraced: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
+		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
 			return novelsm.Open(m, novelsmOptions(v, tr), th)
 		},
 	}
@@ -124,10 +107,7 @@ func slmdbSpec(name string, v baseline.Variant) EngineSpec {
 	return EngineSpec{
 		Name:       name,
 		DurableADR: v == baseline.Vanilla,
-		Open: func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
-			return slmdb.Open(m, slmdbOptions(v, nil), th)
-		},
-		OpenTraced: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
+		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
 			return slmdb.Open(m, slmdbOptions(v, tr), th)
 		},
 	}
@@ -148,25 +128,21 @@ func slmdbOptions(v baseline.Variant, tr *obs.Trace) slmdb.Options {
 // shardedSpec is the sharded CacheKV router on the harness platform: the
 // coreOptions budget split across shards (the router divides the pool, zones,
 // and file-layer capacity itself). Kept out of AllEngines so the classic
-// per-engine sweeps and differential tests keep their historical scope; the
-// cross-shard sweep and FindEngine reach it by name.
-func shardedSpec(name string, shards int) EngineSpec {
-	open := func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-		o := coreOptions()
-		o.Trace = tr
-		return core.OpenSharded(m, core.ShardedOptions{Shards: shards, Base: o}, th)
-	}
+// per-engine sweeps and differential tests keep their historical scope;
+// FindEngine resolves it by name for the families scripted against it.
+func shardedSpec() EngineSpec {
 	return EngineSpec{
-		Name: name,
+		Name: shardedEngineName,
 		// Single-key writes live in pinned cache lines exactly like the plain
 		// engine's, so the ADR contract is unchanged. (Cross-shard batches are
 		// stronger — their two-phase log is written with non-temporal stores —
 		// and the cross-shard oracle asserts that separately.)
 		DurableADR: false,
-		Open: func(m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
-			return open(m, th, nil)
+		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
+			o := coreOptions()
+			o.Trace = tr
+			return core.OpenSharded(m, core.ShardedOptions{Shards: crossShardShards, Base: o}, th)
 		},
-		OpenTraced: open,
 	}
 }
 
@@ -196,7 +172,7 @@ func FindEngine(name string) (EngineSpec, bool) {
 		}
 	}
 	if name == shardedEngineName {
-		return shardedSpec(shardedEngineName, crossShardShards), true
+		return shardedSpec(), true
 	}
 	return EngineSpec{}, false
 }

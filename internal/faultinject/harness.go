@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"cachekv/internal/core"
@@ -11,10 +12,67 @@ import (
 	"cachekv/internal/obs"
 )
 
+// Family is one crash-schedule family: a deterministic script of engine
+// calls plus the oracle that says what recovery may leave behind. It is all a
+// feature has to supply to be swept; the runner (Count, Run, Sweep) owns the
+// rest — platform, injector, freeze detection, power failure, media faults,
+// recovery with its panic guard, and the reproduction tuple.
+type Family struct {
+	Name string
+	// Engine names the one engine the script is written for (FindEngine);
+	// empty means it runs on any engine.
+	Engine string
+	Seed   uint64
+	// NumOps is the generator's size parameter (ops, batches, writes per
+	// stall phase): NewFamily(Name, Seed, NumOps) rebuilds the identical
+	// script, which is what makes a printed Schedule replayable.
+	NumOps int
+	// Steps is the script length; Apply runs for i in [0, Steps).
+	Steps int
+	// Apply issues script step i. An error before the crash point is a
+	// violation (the script is built to succeed on a healthy engine).
+	Apply func(db kvstore.DB, th *hw.Thread, i int) error
+	// Check probes the recovered engine. Steps before inflight were
+	// acknowledged, step inflight (== Steps if the script completed) was
+	// interrupted, later steps never ran. domain and durableADR (the engine's
+	// ADR contract) decide which acknowledged writes must have survived;
+	// fault tells the oracle what media damage it has to tolerate. It returns
+	// the violations and the recovered view (present keys only).
+	Check func(db kvstore.DB, th *hw.Thread, inflight int, domain cache.Domain, durableADR bool, fault Fault) (violations []string, recovered map[string]string)
+}
+
+// FamilyNames lists the families NewFamily builds.
+var FamilyNames = []string{"single-key", "cross-shard", "stall"}
+
+// NewFamily builds the named family's script from its seed and size; ops <= 0
+// takes the family's canonical size (200 ops, 60 batches, 3 writes per stall
+// phase).
+func NewFamily(name string, seed uint64, ops int) (Family, error) {
+	switch name {
+	case "single-key":
+		if ops <= 0 {
+			ops = 200
+		}
+		return singleKeyFamily(seed, ops), nil
+	case "cross-shard":
+		if ops <= 0 {
+			ops = 60
+		}
+		return crossShardFamily(seed, ops), nil
+	case "stall":
+		if ops <= 0 {
+			ops = 3
+		}
+		return stallFamily(seed, ops), nil
+	}
+	return Family{}, fmt.Errorf("unknown family %q (want one of %v)", name, FamilyNames)
+}
+
 // Schedule identifies one crash run completely; re-running a schedule
 // reproduces the same event stream and the same verdict. This tuple is what
 // failure reports print.
 type Schedule struct {
+	Family       string
 	Engine       string
 	Domain       cache.Domain
 	WorkloadSeed uint64
@@ -23,18 +81,24 @@ type Schedule struct {
 	Fault        Fault
 }
 
-// String renders the reproduction line for a schedule.
+// String renders the schedule tuple.
 func (s Schedule) String() string {
-	return fmt.Sprintf("engine=%s domain=%s seed=%d ops=%d crashAt=%d fault=%s",
-		s.Engine, s.Domain, s.WorkloadSeed, s.NumOps, s.CrashAt, s.Fault)
+	return fmt.Sprintf("family=%s engine=%s domain=%s seed=%d ops=%d crashAt=%d fault=%s",
+		s.Family, s.Engine, s.Domain, s.WorkloadSeed, s.NumOps, s.CrashAt, s.Fault)
+}
+
+// Reproduce renders the crashsweep command line that replays the schedule.
+func (s Schedule) Reproduce() string {
+	return fmt.Sprintf("crashsweep -family %s -engine %s -domain %s -seed %d -ops %d -crash-at %d -fault %s",
+		s.Family, s.Engine, strings.ToLower(s.Domain.String()), s.WorkloadSeed, s.NumOps, s.CrashAt, s.Fault)
 }
 
 // Result is the outcome of one schedule run.
 type Result struct {
 	Schedule   Schedule
-	Frozen     bool  // crash point was reached during the workload
+	Frozen     bool  // crash point was reached during the script
 	Events     int64 // events numbered before the run ended
-	Inflight   int   // index of the op the crash interrupted (NumOps if none)
+	Inflight   int   // step the crash interrupted (Family.Steps if none)
 	StreamHash uint64
 	// RecoveryRefused is set when reopening after a FaultFlip corruption
 	// failed with a clean error — an acceptable outcome for that mode.
@@ -58,8 +122,8 @@ func (r *Result) Err() error {
 	if !r.Failed() {
 		return nil
 	}
-	return fmt.Errorf("schedule {%s} violated the oracle (%d violations; first: %s)",
-		r.Schedule, len(r.Violations), r.Violations[0])
+	return fmt.Errorf("schedule {%s} violated the oracle (%d violations; first: %s); reproduce: %s",
+		r.Schedule, len(r.Violations), r.Violations[0], r.Schedule.Reproduce())
 }
 
 // scheduleSeed derives the RNG seed for a schedule's fault-mode choices from
@@ -68,91 +132,75 @@ func scheduleSeed(workloadSeed uint64, crashAt int64, fault Fault) uint64 {
 	return fnvMix(fnvOffset, workloadSeed, uint64(crashAt), uint64(fault))
 }
 
-func applyOp(db kvstore.DB, th *hw.Thread, op Op) error {
-	switch op.Kind {
-	case OpPut:
-		return db.Put(th, []byte(op.Key), []byte(op.Value))
-	case OpDelete:
-		return db.Delete(th, []byte(op.Key))
-	default:
-		_, err := db.Get(th, []byte(op.Key))
-		if err == kvstore.ErrNotFound {
-			err = nil
-		}
-		return err
-	}
-}
-
-// CountEvents runs wl against a fresh engine with a counting-only injector
-// and returns the total number of crash-point events the workload generates
-// plus the stream hash. Sweeps use it to size the crash-point space; the
+// Count runs fam against a fresh engine with a counting-only injector and
+// returns the total number of crash-point events the script generates plus
+// the stream hash. Sweeps use it to size the crash-point space; the
 // determinism tests compare hashes across runs.
-func CountEvents(spec EngineSpec, domain cache.Domain, wl *Workload) (int64, uint64, error) {
+func Count(spec EngineSpec, domain cache.Domain, fam Family) (int64, uint64, error) {
 	m := NewMachine(domain)
 	th := m.NewThread(0)
-	db, err := spec.Open(m, th)
+	db, err := spec.Open(m, th, nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("open %s: %w", spec.Name, err)
 	}
 	inj := NewInjector()
 	inj.Arm(0, FaultNone, 0)
 	m.SetMemGate(inj.Gate)
+	defer func() { // teardown is not part of the script: gate off first
+		m.SetMemGate(nil)
+		_ = db.Close(th)
+	}()
 	wth := m.NewThread(1)
-	for _, op := range wl.Ops {
-		if err := applyOp(db, wth, op); err != nil {
-			return 0, 0, fmt.Errorf("%s: workload op failed: %w", spec.Name, err)
+	for i := 0; i < fam.Steps; i++ {
+		if err := fam.Apply(db, wth, i); err != nil {
+			return 0, 0, fmt.Errorf("%s: %s step %d failed: %w", spec.Name, fam.Name, i, err)
 		}
 	}
-	m.SetMemGate(nil)
-	_ = db.Close(th)
 	return inj.Events(), inj.StreamHash(), nil
 }
 
-// RunSchedule executes one crash schedule end to end: open a fresh engine,
-// arm the injector, run the workload until the crash point freezes the
-// platform, halt the engine, apply the persistence-domain rule and any media
-// fault, recover, and check the oracle.
-func RunSchedule(spec EngineSpec, domain cache.Domain, wl *Workload, crashAt int64, fault Fault) *Result {
-	return RunScheduleTraced(spec, domain, wl, crashAt, fault, nil)
-}
-
-// RunScheduleTraced is RunSchedule with crash-point annotations emitted into
-// tr (nil-safe), so a replayed schedule's event trace shows exactly where the
-// injected crash and media fault landed relative to engine lifecycle events.
-func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crashAt int64, fault Fault, tr *obs.Trace) *Result {
+// Run executes one crash schedule end to end: open a fresh engine, arm the
+// injector, apply fam's script until the crash point freezes the platform,
+// halt the engine, apply the persistence-domain rule and any media fault,
+// recover, and let fam's oracle judge the result. Crash-point annotations are
+// emitted into tr (nil-safe), so a replayed schedule's event trace shows
+// exactly where the injected crash and media fault landed relative to engine
+// lifecycle events.
+func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace) *Result {
 	res := &Result{
 		Schedule: Schedule{
+			Family:       fam.Name,
 			Engine:       spec.Name,
 			Domain:       domain,
-			WorkloadSeed: wl.Seed,
-			NumOps:       len(wl.Ops),
+			WorkloadSeed: fam.Seed,
+			NumOps:       fam.NumOps,
 			CrashAt:      crashAt,
 			Fault:        fault,
 		},
-		Inflight: len(wl.Ops),
+		Inflight: fam.Steps,
 	}
 	m := NewMachine(domain)
 	th := m.NewThread(0)
-	db, err := spec.open(m, th, tr)
+	db, err := spec.Open(m, th, tr)
 	if err != nil {
 		res.Violations = append(res.Violations, fmt.Sprintf("initial open failed: %v", err))
 		return res
 	}
 
 	inj := NewInjector()
-	inj.Arm(crashAt, fault, scheduleSeed(wl.Seed, crashAt, fault))
+	inj.Arm(crashAt, fault, scheduleSeed(fam.Seed, crashAt, fault))
 	m.SetMemGate(inj.Gate)
 	wth := m.NewThread(1)
-	tr.Emit(wth.Clock.Now(), "crash_armed",
+	tr.Emit(wth.Clock.Now(), "crash_armed", "family", fam.Name,
 		"engine", spec.Name, "crash_at", crashAt, "fault", fault.String())
-	for i, op := range wl.Ops {
-		if err := applyOp(db, wth, op); err != nil && !inj.Frozen() {
+	for i := 0; i < fam.Steps; i++ {
+		if err := fam.Apply(db, wth, i); err != nil && !inj.Frozen() {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("workload op %d failed before the crash point: %v", i, err))
+				fmt.Sprintf("step %d failed before the crash point: %v", i, err))
 			break
 		}
 		if inj.Frozen() {
-			// The crash interrupted op i: some of its events may have taken
+			// The crash interrupted step i: some of its events may have taken
 			// effect, its acknowledgement never completed.
 			res.Inflight = i
 			break
@@ -203,28 +251,21 @@ func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crash
 				res.Violations = append(res.Violations, err.Error())
 			}
 		}()
-		db2, err = spec.open(m, th2, tr)
+		db2, err = spec.Open(m, th2, tr)
 		return err
 	}()
-	if db2 == nil {
-		if fault == FaultFlip && len(res.Violations) == 0 {
+	if openErr != nil { // not db2 == nil: a failed open may return a typed nil
+		switch {
+		case len(res.Violations) > 0: // the panic, already recorded
+		case fault == FaultFlip:
 			res.RecoveryRefused = openErr
 			tr.Emit(th2.Clock.Now(), "recovery_refused", "err", openErr.Error())
-			return res
-		}
-		if openErr != nil && len(res.Violations) == 0 {
+		default:
 			res.Violations = append(res.Violations, fmt.Sprintf("recovery open failed: %v", openErr))
 		}
 		return res
 	}
 
-	// Oracle. Durability is demanded when the domain or the engine contract
-	// guarantees it; a bit flip voids durability (corruption may eat a
-	// legitimately persisted suffix) but never validity.
-	durable := domain == cache.EADR || spec.DurableADR
-	if fault == FaultFlip {
-		durable = false
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -232,7 +273,9 @@ func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crash
 					fmt.Sprintf("recovered engine panicked under oracle probes: %v", r))
 			}
 		}()
-		res.Violations, res.Recovered = checkOracle(db2, th2, wl, res.Inflight, durable)
+		var v []string
+		v, res.Recovered = fam.Check(db2, th2, res.Inflight, domain, spec.DurableADR, fault)
+		res.Violations = append(res.Violations, v...)
 		if st, ok := db2.(core.Store); ok {
 			res.FilterProbes, res.FilterNegatives = st.FilterStats()
 		}
@@ -243,18 +286,18 @@ func RunScheduleTraced(spec EngineSpec, domain cache.Domain, wl *Workload, crash
 	return res
 }
 
-// SweepConfig parameterizes a sweep over the crash-point space.
+// SweepConfig parameterizes a sweep over the crash-point space: every
+// (engine, domain, family, fault) combination is one configuration.
 type SweepConfig struct {
-	Engines      []EngineSpec
-	Domains      []cache.Domain
-	NumOps       int
-	WorkloadSeed uint64
-	// SchedulesPerConfig bounds the crash points tried per (engine, domain,
-	// fault) combination; 0 explores every crash point exhaustively.
+	Engines  []EngineSpec
+	Domains  []cache.Domain
+	Families []Family
+	// SchedulesPerConfig bounds the crash points tried per configuration;
+	// 0 explores every crash point exhaustively.
 	SchedulesPerConfig int
 	// ScheduleSeed drives the bounded sweep's crash-point sampling.
 	ScheduleSeed uint64
-	Faults       []Fault
+	Faults       []Fault // empty = FaultNone only
 	// Parallel runs up to this many schedules concurrently (each on its own
 	// platform instance); <= 1 runs sequentially. Results are independent of
 	// the setting.
@@ -267,7 +310,7 @@ type SweepConfig struct {
 type SweepStats struct {
 	Runs        int
 	Failures    []*Result
-	EventTotals map[string]int64 // "engine/domain" -> workload event count
+	EventTotals map[string]int64 // "family/engine/domain" -> script event count
 }
 
 // Sweep enumerates or samples crash schedules per the config and runs each
@@ -281,36 +324,38 @@ func Sweep(cfg SweepConfig) (*SweepStats, error) {
 		logf = func(string, ...any) {}
 	}
 	stats := &SweepStats{EventTotals: make(map[string]int64)}
-	wl := NewWorkload(cfg.WorkloadSeed, cfg.NumOps)
 
 	type job struct {
 		spec    EngineSpec
 		domain  cache.Domain
+		fam     Family
 		crashAt int64
 		fault   Fault
 	}
 	var jobs []job
-	for _, spec := range cfg.Engines {
-		for _, domain := range cfg.Domains {
-			total, _, err := CountEvents(spec, domain, wl)
-			if err != nil {
-				return nil, err
-			}
-			stats.EventTotals[spec.Name+"/"+domain.String()] = total
-			for _, fault := range cfg.Faults {
-				if cfg.SchedulesPerConfig <= 0 {
-					for k := int64(1); k <= total; k++ {
-						jobs = append(jobs, job{spec, domain, k, fault})
+	for _, fam := range cfg.Families {
+		for _, spec := range cfg.Engines {
+			for _, domain := range cfg.Domains {
+				total, _, err := Count(spec, domain, fam)
+				if err != nil {
+					return nil, err
+				}
+				stats.EventTotals[fam.Name+"/"+spec.Name+"/"+domain.String()] = total
+				for _, fault := range cfg.Faults {
+					if cfg.SchedulesPerConfig <= 0 {
+						for k := int64(1); k <= total; k++ {
+							jobs = append(jobs, job{spec, domain, fam, k, fault})
+						}
+						continue
 					}
-					continue
+					rng := newSampleRNG(cfg.ScheduleSeed, spec.Name, domain, fault)
+					for s := 0; s < cfg.SchedulesPerConfig; s++ {
+						k := 1 + int64(rng.Uint64n(uint64(total)))
+						jobs = append(jobs, job{spec, domain, fam, k, fault})
+					}
 				}
-				rng := newSampleRNG(cfg.ScheduleSeed, spec.Name, domain, fault)
-				for s := 0; s < cfg.SchedulesPerConfig; s++ {
-					k := 1 + int64(rng.Uint64n(uint64(total)))
-					jobs = append(jobs, job{spec, domain, k, fault})
-				}
+				logf("faultinject: %s/%s/%s: %d events", fam.Name, spec.Name, domain, total)
 			}
-			logf("faultinject: %s/%s: %d events", spec.Name, domain, total)
 		}
 	}
 
@@ -338,7 +383,7 @@ func Sweep(cfg SweepConfig) (*SweepStats, error) {
 					return
 				}
 				j := jobs[i]
-				results[i] = RunSchedule(j.spec, j.domain, wl, j.crashAt, j.fault)
+				results[i] = Run(j.spec, j.domain, j.fam, j.crashAt, j.fault, nil)
 			}
 		}()
 	}

@@ -14,7 +14,7 @@ var bothDomains = []cache.Domain{cache.ADR, cache.EADR}
 // TestCrashSweepBounded is the CI crash sweep: a seeded sample of crash
 // points for every engine variant under both persistence domains, with all
 // three fault modes. Every failure prints its reproduction tuple; re-running
-// RunSchedule with that tuple replays the identical event stream.
+// Run with that tuple replays the identical event stream.
 func TestCrashSweepBounded(t *testing.T) {
 	per := 12
 	if testing.Short() {
@@ -23,8 +23,7 @@ func TestCrashSweepBounded(t *testing.T) {
 	stats, err := Sweep(SweepConfig{
 		Engines:            AllEngines(),
 		Domains:            bothDomains,
-		NumOps:             200,
-		WorkloadSeed:       1,
+		Families:           []Family{singleKeyFamily(1, 200)},
 		SchedulesPerConfig: per,
 		ScheduleSeed:       7,
 		Faults:             []Fault{FaultNone, FaultTorn, FaultFlip},
@@ -36,7 +35,7 @@ func TestCrashSweepBounded(t *testing.T) {
 	}
 	t.Logf("bounded sweep: %d schedules", stats.Runs)
 	for _, r := range stats.Failures {
-		t.Errorf("reproduce with: RunSchedule({%s}): %v", r.Schedule, r.Err())
+		t.Error(r.Err())
 	}
 }
 
@@ -55,15 +54,15 @@ func TestCrashSweepEdges(t *testing.T) {
 		}
 		engines = keep
 	}
-	wl := NewWorkload(1, 200)
+	fam := singleKeyFamily(1, 200)
 	for _, spec := range engines {
 		for _, domain := range bothDomains {
-			total, _, err := CountEvents(spec, domain, wl)
+			total, _, err := Count(spec, domain, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int64{1, 2, total - 1, total} {
-				r := RunSchedule(spec, domain, wl, k, FaultNone)
+				r := Run(spec, domain, fam, k, FaultNone, nil)
 				if err := r.Err(); err != nil {
 					t.Errorf("edge crash point: %v", err)
 				}
@@ -81,14 +80,14 @@ func TestEventStreamDeterminism(t *testing.T) {
 	if testing.Short() {
 		engines = engines[:3]
 	}
-	wl := NewWorkload(1, 200)
+	fam := singleKeyFamily(1, 200)
 	for _, spec := range engines {
 		for _, domain := range bothDomains {
-			n1, h1, err := CountEvents(spec, domain, wl)
+			n1, h1, err := Count(spec, domain, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n2, h2, err := CountEvents(spec, domain, wl)
+			n2, h2, err := Count(spec, domain, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,21 +106,28 @@ func TestEventStreamDeterminism(t *testing.T) {
 func TestScheduleReplayDeterminism(t *testing.T) {
 	spec, _ := FindEngine("cachekv")
 	nov, _ := FindEngine("novelsm")
-	wl := NewWorkload(1, 200)
+	sharded, _ := FindEngine(shardedEngineName)
+	single, batches, stall := singleKeyFamily(1, 200), crossShardFamily(1, 40), stallFamily(42, 3)
 	cases := []struct {
 		spec    EngineSpec
+		fam     Family
 		domain  cache.Domain
 		crashAt int64
 		fault   Fault
 	}{
-		{spec, cache.EADR, 180, FaultNone},
-		{spec, cache.EADR, 46, FaultFlip}, // regression: the corrupt-count schedule
-		{spec, cache.ADR, 99, FaultTorn},
-		{nov, cache.ADR, 123, FaultTorn},
+		{spec, single, cache.EADR, 180, FaultNone},
+		{spec, single, cache.EADR, 46, FaultFlip}, // regression: the corrupt-count schedule
+		{spec, single, cache.ADR, 99, FaultTorn},
+		{nov, single, cache.ADR, 123, FaultTorn},
+		{sharded, batches, cache.EADR, 33, FaultNone},
+		{sharded, batches, cache.ADR, 57, FaultTorn},
+		{sharded, batches, cache.EADR, 71, FaultFlip},
+		{sharded, stall, cache.ADR, 37, FaultTorn},
+		{sharded, stall, cache.EADR, 21, FaultFlip},
 	}
 	for _, c := range cases {
-		a := RunSchedule(c.spec, c.domain, wl, c.crashAt, c.fault)
-		b := RunSchedule(c.spec, c.domain, wl, c.crashAt, c.fault)
+		a := Run(c.spec, c.domain, c.fam, c.crashAt, c.fault, nil)
+		b := Run(c.spec, c.domain, c.fam, c.crashAt, c.fault, nil)
 		if a.StreamHash != b.StreamHash || a.Inflight != b.Inflight || a.Events != b.Events {
 			t.Errorf("{%s}: replay diverged: hash %#x/%#x inflight %d/%d events %d/%d",
 				a.Schedule, a.StreamHash, b.StreamHash, a.Inflight, b.Inflight, a.Events, b.Events)
@@ -143,8 +149,7 @@ func TestScheduleReplayDeterminism(t *testing.T) {
 // hold; the schedule must complete and satisfy the validity oracle.
 func TestCorruptCountRegression(t *testing.T) {
 	spec, _ := FindEngine("cachekv")
-	wl := NewWorkload(1, 200)
-	r := RunSchedule(spec, cache.EADR, wl, 46, FaultFlip)
+	r := Run(spec, cache.EADR, singleKeyFamily(1, 200), 46, FaultFlip, nil)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +170,7 @@ func TestCrashSweepExhaustive(t *testing.T) {
 	stats, err := Sweep(SweepConfig{
 		Engines:            AllEngines(),
 		Domains:            bothDomains,
-		NumOps:             200,
-		WorkloadSeed:       1,
+		Families:           []Family{singleKeyFamily(1, 200)},
 		SchedulesPerConfig: 0, // exhaustive
 		Faults:             []Fault{FaultNone},
 		Parallel:           runtime.GOMAXPROCS(0),
@@ -177,6 +181,6 @@ func TestCrashSweepExhaustive(t *testing.T) {
 	}
 	t.Logf("exhaustive sweep: %d schedules", stats.Runs)
 	for _, r := range stats.Failures {
-		t.Errorf("reproduce with: RunSchedule({%s}): %v", r.Schedule, r.Err())
+		t.Error(r.Err())
 	}
 }

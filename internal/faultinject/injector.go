@@ -7,16 +7,19 @@
 // bit flip into previously persisted bytes — runs the engine's recovery, and
 // checks a durability oracle over the recovered store.
 //
-// Everything is deterministic: a schedule is fully identified by
-// (engine, domain, workload seed, op count, crash-point index, fault mode),
+// Everything is deterministic: a schedule is fully identified by (family,
+// engine, domain, workload seed, op count, crash-point index, fault mode),
 // and re-running it reproduces the same event stream, the same durable
 // state, and the same verdict. Exhaustive sweeps enumerate every crash
 // point of a workload; bounded sweeps sample them from a seeded RNG.
 package faultinject
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 
+	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
 )
 
@@ -52,6 +55,27 @@ func (f Fault) String() string {
 	return "fault?"
 }
 
+// ParseFault inverts String (the name a Schedule prints).
+func ParseFault(name string) (Fault, error) {
+	for f, n := range faultNames {
+		if n == name {
+			return Fault(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown fault %q (want none, torn, or flip)", name)
+}
+
+// ParseDomain resolves a persistence-domain name as a Schedule prints it,
+// in any letter case.
+func ParseDomain(name string) (cache.Domain, error) {
+	for _, d := range []cache.Domain{cache.ADR, cache.EADR} {
+		if strings.EqualFold(name, d.String()) {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown domain %q (want adr or eadr)", name)
+}
+
 // opRec describes one persistence-plane operation.
 type opRec struct {
 	op   sim.MemOp
@@ -74,12 +98,10 @@ type Injector struct {
 	fault   Fault
 	rng     *sim.RNG
 
-	events   int64
-	frozen   bool
-	hash     uint64
-	last     opRec // most recent fully applied mutating op
-	frontier opRec // the op suppressed or torn at the crash point
-	tornLen  int   // bytes of frontier that were applied (FaultTorn)
+	events int64
+	frozen bool
+	hash   uint64
+	last   opRec // most recent fully applied mutating op
 
 	flipOK   bool
 	flipAddr uint64
@@ -106,8 +128,6 @@ func (inj *Injector) Arm(crashAt int64, fault Fault, seed uint64) {
 	inj.frozen = false
 	inj.hash = fnvOffset
 	inj.last = opRec{}
-	inj.frontier = opRec{}
-	inj.tornLen = 0
 	inj.flipOK = false
 }
 
@@ -146,11 +166,9 @@ func (inj *Injector) Gate(op sim.MemOp, addr uint64, n int) int {
 	inj.hash = fnvMix(inj.hash, uint64(op), addr, uint64(n))
 	if inj.crashAt > 0 && inj.events == inj.crashAt {
 		inj.frozen = true
-		inj.frontier = opRec{op: op, addr: addr, n: n}
 		switch inj.fault {
 		case FaultTorn:
-			inj.tornLen = tornPrefix(addr, n, inj.rng)
-			return inj.tornLen
+			return tornPrefix(addr, n, inj.rng)
 		case FaultFlip:
 			if inj.last.n > 0 {
 				off := inj.rng.Uint64n(uint64(inj.last.n))
@@ -210,12 +228,4 @@ func (inj *Injector) FlipTarget() (addr uint64, bit uint, ok bool) {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	return inj.flipAddr, inj.flipBit, inj.flipOK
-}
-
-// TornLen reports how many bytes of the crash-point operation were applied
-// under FaultTorn (0 in every other mode).
-func (inj *Injector) TornLen() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.tornLen
 }

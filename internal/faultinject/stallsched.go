@@ -1,7 +1,7 @@
 package faultinject
 
-// stallsched.go extends the crash-schedule harness with the overload family:
-// crashes that land while the engine is in flow-control Slowdown or Stop. The
+// stallsched.go is the stall family: the script and oracle for crashes that
+// land while the engine is in flow-control Slowdown or Stop (DESIGN.md §9.4). The
 // workload scripts the stall phases through the engine's forced-state hook
 // (DebugForceFlowState) instead of building real backlog pressure — real
 // pressure needs multi-megabyte flush traffic whose background persistence
@@ -25,7 +25,6 @@ import (
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
-	"cachekv/internal/obs"
 )
 
 // stallShard is the shard the workload throttles; stallDeadline is the
@@ -132,17 +131,6 @@ func NewStallWorkload(seed uint64, perPhase, shards int) *StallWorkload {
 	return wl
 }
 
-// writes returns the number of non-force ops (the Schedule.NumOps field).
-func (w *StallWorkload) writes() int {
-	n := 0
-	for _, op := range w.Ops {
-		if op.Kind != stallForce {
-			n++
-		}
-	}
-	return n
-}
-
 // Keys returns the sorted universe of keys the workload can touch plus ghost
 // keys that must never become readable.
 func (w *StallWorkload) Keys() []string {
@@ -155,17 +143,11 @@ func (w *StallWorkload) Keys() []string {
 	return keys
 }
 
-// stallDB is the engine surface the overload schedules need: the store API
-// plus the per-shard forced-state hook (the sharded router).
-type stallDB interface {
-	core.Store
-	DebugForceFlowState(at int64, k int, s core.FlowState)
-}
-
 // applyStallOp issues op i. Scripted rejections must come back ErrStalled —
 // an admitted "rejected" write (or a rejected "acked" one) is reported as a
-// violation by the caller through the returned error.
-func applyStallOp(db stallDB, th *hw.Thread, wl *StallWorkload, i int) error {
+// violation by the caller through the returned error. The forced-state hook
+// is per shard, so the script needs the sharded router itself.
+func applyStallOp(db *core.Sharded, th *hw.Thread, wl *StallWorkload, i int) error {
 	op := wl.Ops[i]
 	switch op.Kind {
 	case stallForce:
@@ -194,148 +176,37 @@ func applyStallOp(db stallDB, th *hw.Thread, wl *StallWorkload, i int) error {
 	}
 }
 
-// CountStallEvents runs wl with a counting-only injector and returns the
-// crash-point-space size plus the stream hash.
-func CountStallEvents(spec EngineSpec, domain cache.Domain, wl *StallWorkload) (int64, uint64, error) {
-	m := NewMachine(domain)
-	th := m.NewThread(0)
-	db, err := spec.Open(m, th)
-	if err != nil {
-		return 0, 0, fmt.Errorf("open %s: %w", spec.Name, err)
-	}
-	sdb, ok := db.(stallDB)
-	if !ok {
-		return 0, 0, fmt.Errorf("%s: engine does not support flow control", spec.Name)
-	}
-	inj := NewInjector()
-	inj.Arm(0, FaultNone, 0)
-	m.SetMemGate(inj.Gate)
-	wth := m.NewThread(1)
-	for i := range wl.Ops {
-		if err := applyStallOp(sdb, wth, wl, i); err != nil {
-			return 0, 0, fmt.Errorf("%s: op %d failed: %w", spec.Name, i, err)
-		}
-	}
-	m.SetMemGate(nil)
-	_ = db.Close(th)
-	return inj.Events(), inj.StreamHash(), nil
-}
-
-// RunStallSchedule executes one overload crash schedule end to end: script
-// the stall phases, crash at event crashAt, recover, probe the oracle.
-func RunStallSchedule(spec EngineSpec, domain cache.Domain, wl *StallWorkload, crashAt int64, fault Fault) *Result {
-	return RunStallScheduleTraced(spec, domain, wl, crashAt, fault, nil)
-}
-
-// RunStallScheduleTraced is RunStallSchedule with crash annotations emitted
-// into tr (nil-safe).
-func RunStallScheduleTraced(spec EngineSpec, domain cache.Domain, wl *StallWorkload, crashAt int64, fault Fault, tr *obs.Trace) *Result {
-	res := &Result{
-		Schedule: Schedule{
-			Engine:       spec.Name,
-			Domain:       domain,
-			WorkloadSeed: wl.Seed,
-			NumOps:       wl.writes(),
-			CrashAt:      crashAt,
-			Fault:        fault,
+// stallFamily scripts the overload episode with perPhase writes per phase.
+func stallFamily(seed uint64, perPhase int) Family {
+	wl := NewStallWorkload(seed, perPhase, crossShardShards)
+	return Family{
+		Name: "stall", Engine: shardedEngineName, Seed: seed, NumOps: perPhase, Steps: len(wl.Ops),
+		Apply: func(db kvstore.DB, th *hw.Thread, i int) error {
+			sh, ok := db.(*core.Sharded)
+			if !ok {
+				return errors.New("engine has no per-shard flow control")
+			}
+			return applyStallOp(sh, th, wl, i)
 		},
-		Inflight: len(wl.Ops),
+		// Single-key durability follows the platform contract (durableADR
+		// under ADR, always under eADR) and a bit flip voids it, as in the
+		// single-key family; a flip may also eat one shard's half of a
+		// committed batch, as in the cross-shard family. The overload clauses
+		// — rejected writes absent, canonical values, nothing unissued
+		// visible, recovered state OK — hold under every domain and fault.
+		Check: func(db kvstore.DB, th *hw.Thread, inflight int, domain cache.Domain, durableADR bool, fault Fault) ([]string, map[string]string) {
+			intact := fault != FaultFlip
+			return checkStallOracle(db, th, wl, inflight, (domain == cache.EADR || durableADR) && intact, intact)
+		},
 	}
-	m := NewMachine(domain)
-	th := m.NewThread(0)
-	db, err := spec.open(m, th, tr)
-	if err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("initial open failed: %v", err))
-		return res
-	}
-	sdb, ok := db.(stallDB)
-	if !ok {
-		res.Violations = append(res.Violations, fmt.Sprintf("%s: engine does not support flow control", spec.Name))
-		_ = db.Close(th)
-		return res
-	}
-
-	inj := NewInjector()
-	inj.Arm(crashAt, fault, scheduleSeed(wl.Seed, crashAt, fault))
-	m.SetMemGate(inj.Gate)
-	wth := m.NewThread(1)
-	tr.Emit(wth.Clock.Now(), "crash_armed",
-		"engine", spec.Name, "crash_at", crashAt, "fault", fault.String())
-	for i := range wl.Ops {
-		if err := applyStallOp(sdb, wth, wl, i); err != nil && !inj.Frozen() {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("before the crash point: %v", err))
-			break
-		}
-		if inj.Frozen() {
-			res.Inflight = i
-			break
-		}
-	}
-	res.Frozen = inj.Frozen()
-	res.Events = inj.Events()
-	if res.Frozen {
-		tr.Emit(wth.Clock.Now(), "crash_frozen",
-			"inflight_op", res.Inflight, "events", res.Events,
-			"flow_state", sdb.FlowState().String())
-	}
-
-	if h, ok := db.(kvstore.Halter); ok {
-		h.Halt()
-	}
-	m.Crash()
-	_ = db.Close(th)
-	m.SetMemGate(nil)
-	m.Recover()
-	res.StreamHash = inj.StreamHash()
-
-	th2 := m.NewThread(0)
-	tr.Emit(th2.Clock.Now(), "recovery_open", "engine", spec.Name)
-	var db2 kvstore.DB
-	openErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("recovery panicked: %v", r)
-				res.Violations = append(res.Violations, err.Error())
-			}
-		}()
-		db2, err = spec.open(m, th2, tr)
-		return err
-	}()
-	if db2 == nil {
-		if openErr != nil && len(res.Violations) == 0 {
-			res.Violations = append(res.Violations, fmt.Sprintf("recovery open failed: %v", openErr))
-		}
-		return res
-	}
-
-	// Single-key durability follows the platform contract (spec.DurableADR
-	// under ADR, always under eADR); the overload clauses — rejected writes
-	// absent, canonical values, batch atomicity, recovered state OK — hold
-	// in every domain.
-	durable := domain == cache.EADR || spec.DurableADR
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("recovered engine panicked under oracle probes: %v", r))
-			}
-		}()
-		var v []string
-		v, res.Recovered = checkStallOracle(db2, th2, wl, res.Inflight, durable)
-		res.Violations = append(res.Violations, v...)
-		_ = db2.Close(th2)
-	}()
-	tr.Emit(th2.Clock.Now(), "oracle_done",
-		"violations", len(res.Violations), "recovered_keys", len(res.Recovered))
-	return res
 }
 
 // checkStallOracle probes every scripted key. inflight is the op index the
 // crash interrupted (len(Ops) if the workload completed); ops before it are
 // acknowledged (or confirmed-rejected), the inflight op is indeterminate,
-// later ops never ran.
-func checkStallOracle(db kvstore.DB, th *hw.Thread, wl *StallWorkload, inflight int, durable bool) (violations []string, recovered map[string]string) {
+// later ops never ran. durable demands acknowledged writes present; atomic
+// demands batches all-or-nothing.
+func checkStallOracle(db kvstore.DB, th *hw.Thread, wl *StallWorkload, inflight int, durable, atomic bool) (violations []string, recovered map[string]string) {
 	got := make(map[string]keyState)
 	probe := func(key string) (keyState, bool) {
 		v, err := db.Get(th, []byte(key))
@@ -385,7 +256,7 @@ func checkStallOracle(db kvstore.DB, th *hw.Thread, wl *StallWorkload, inflight 
 			continue // absence already demanded per key above
 		}
 		switch {
-		case present > 0 && absent > 0:
+		case present > 0 && absent > 0 && atomic:
 			// Only batches can tear; a stallPut has one key.
 			violations = append(violations, fmt.Sprintf(
 				"batch op %d half-applied: %d of %d keys present (inflight op %d)",
@@ -406,7 +277,7 @@ func checkStallOracle(db kvstore.DB, th *hw.Thread, wl *StallWorkload, inflight 
 	}
 
 	// The recovered engine must come back admitting writes in the OK state.
-	if fdb, ok := db.(stallDB); ok {
+	if fdb, ok := db.(core.Store); ok {
 		if st := fdb.FlowState(); st != core.FlowOK {
 			violations = append(violations, fmt.Sprintf(
 				"recovered engine stuck in flow state %v", st))

@@ -11,32 +11,26 @@ import (
 // admissions), Stop (rejections, including a cross-shard batch with a stopped
 // participant), recovered — and holds every recovery to the stall oracle:
 // rejected writes fully absent, acked writes durable (eADR), batches
-// all-or-nothing, engine back in the OK state.
+// all-or-nothing, engine back in the OK state. Every point runs under all
+// three fault modes: a torn crash-point write relaxes nothing, a bit flip
+// relaxes durability and batch atomicity only.
 func TestCrashSweepStall(t *testing.T) {
-	spec := shardedSpec(shardedEngineName, crossShardShards)
-	wl := NewStallWorkload(42, 3, crossShardShards)
+	spec, _ := FindEngine(shardedEngineName)
+	fam := stallFamily(42, 3)
 
 	for _, domain := range []cache.Domain{cache.EADR, cache.ADR} {
 		domain := domain
 		t.Run(domain.String(), func(t *testing.T) {
-			total, hash, err := CountStallEvents(spec, domain, wl)
+			total, _, err := Count(spec, domain, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if total == 0 {
 				t.Fatal("workload produced no persistence events")
 			}
-			total2, hash2, err := CountStallEvents(spec, domain, wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total2 != total || hash2 != hash {
-				t.Fatalf("event stream not deterministic: %d/%x vs %d/%x",
-					total, hash, total2, hash2)
-			}
 
 			// A no-crash run must complete and satisfy the oracle end to end.
-			if r := RunStallSchedule(spec, domain, wl, total+1, FaultNone); r.Failed() {
+			if r := Run(spec, domain, fam, total+1, FaultNone, nil); r.Failed() {
 				t.Fatalf("complete run: %v", r.Err())
 			}
 
@@ -49,12 +43,14 @@ func TestCrashSweepStall(t *testing.T) {
 				step = 1
 			}
 			for crashAt := int64(1); crashAt <= total; crashAt += step {
-				r := RunStallSchedule(spec, domain, wl, crashAt, FaultNone)
-				if !r.Frozen {
-					t.Errorf("crashAt=%d: crash point inside the stream was never reached", crashAt)
-				}
-				if r.Failed() {
-					t.Errorf("%v", r.Err())
+				for _, fault := range []Fault{FaultNone, FaultTorn, FaultFlip} {
+					r := Run(spec, domain, fam, crashAt, fault, nil)
+					if !r.Frozen {
+						t.Errorf("crashAt=%d: crash point inside the stream was never reached", crashAt)
+					}
+					if r.Failed() {
+						t.Error(r.Err())
+					}
 				}
 			}
 		})

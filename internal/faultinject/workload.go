@@ -1,11 +1,15 @@
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"cachekv/internal/hw"
+	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
+	"cachekv/internal/kvstore"
 )
 
 // OpKind is a workload operation kind.
@@ -91,4 +95,34 @@ func (w *Workload) Keys() []string {
 	// Ghost keys: never written by any workload; must never be readable.
 	keys = append(keys, "zz-ghost-0", "zz-ghost-1")
 	return keys
+}
+
+// singleKeyFamily is the original family: n mixed single-key operations on
+// any kvstore.DB, judged per key by checkOracle.
+func singleKeyFamily(seed uint64, n int) Family {
+	wl := NewWorkload(seed, n)
+	return Family{
+		Name: "single-key", Seed: seed, NumOps: n, Steps: len(wl.Ops),
+		Apply: func(db kvstore.DB, th *hw.Thread, i int) error {
+			switch op := wl.Ops[i]; op.Kind {
+			case OpPut:
+				return db.Put(th, []byte(op.Key), []byte(op.Value))
+			case OpDelete:
+				return db.Delete(th, []byte(op.Key))
+			default:
+				_, err := db.Get(th, []byte(op.Key))
+				if errors.Is(err, kvstore.ErrNotFound) {
+					err = nil
+				}
+				return err
+			}
+		},
+		// Durability is demanded when the domain or the engine contract
+		// guarantees it; a bit flip voids durability (corruption may eat a
+		// legitimately persisted suffix) but never validity.
+		Check: func(db kvstore.DB, th *hw.Thread, inflight int, domain cache.Domain, durableADR bool, fault Fault) ([]string, map[string]string) {
+			durable := (domain == cache.EADR || durableADR) && fault != FaultFlip
+			return checkOracle(db, th, wl, inflight, durable)
+		},
+	}
 }

@@ -699,35 +699,51 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 		}
 		data = data[:n]
 	}
-	// Align the bulk of the transfer to cachelines; ragged edges pay a
-	// read-modify-write at line granularity. Edge bytes are merged from the
-	// *visible* content — dirty cache lines included — not the stale backing.
+	// Align the transfer to cachelines; ragged edges pay a read-modify-write
+	// at line granularity. Edge bytes are merged from the *visible* content —
+	// dirty cache lines included — not the stale backing. Only the two edge
+	// lines are staged: whole lines in between stream from data as they are.
 	base := addr &^ (lineSize - 1)
 	head := int(addr - base)
 	padded := head + len(data)
 	if rem := padded % lineSize; rem != 0 {
 		padded += lineSize - rem
 	}
-	buf := make([]byte, padded)
-	if head > 0 || padded != len(data) {
-		c.dev.LoadRaw(base, buf)
-		if ln, ok := c.peekLine(base); ok {
-			copy(buf[:lineSize], ln)
-		}
-		lastBase := base + uint64(padded) - lineSize
+	lastBase := base + uint64(padded) - lineSize
+	var first, last [lineSize]byte
+	ragged := head > 0 || padded != len(data)
+	if ragged {
+		c.visibleLine(base, first[:])
 		if lastBase != base {
-			if ln, ok := c.peekLine(lastBase); ok {
-				copy(buf[padded-lineSize:], ln)
-			}
+			c.visibleLine(lastBase, last[:])
 		}
 	}
-	copy(buf[head:], data)
 	// Stale cached copies are dropped only after the edge merge read them.
 	c.invalidate(addr, len(data))
-	lines := padded / lineSize
-	clk.Advance(int64(lines) * c.costs.NTStore)
-	c.dev.WriteLinesPipelined(clk, base, buf)
+	clk.Advance(int64(padded/lineSize) * c.costs.NTStore)
+	if !ragged {
+		c.dev.WriteLinesPipelined(clk, base, data)
+	} else {
+		n := copy(first[head:], data)
+		c.dev.WriteLinesPipelined(clk, base, first[:])
+		if lastBase != base {
+			whole := int(lastBase-base) - lineSize // bytes of untouched middle lines
+			c.dev.WriteLinesPipelined(clk, base+lineSize, data[n:n+whole])
+			copy(last[:], data[n+whole:])
+			c.dev.WriteLinesPipelined(clk, lastBase, last[:])
+		}
+	}
 	clk.Advance(c.costs.Fence)
+}
+
+// visibleLine fills out with the line at base as a load would see it: the
+// cached copy when there is one, the backing bytes otherwise.
+func (c *LLC) visibleLine(base uint64, out []byte) {
+	if ln, ok := c.peekLine(base); ok {
+		copy(out, ln)
+		return
+	}
+	c.dev.LoadRaw(base, out)
 }
 
 // peekLine returns a copy of the line's current cached content, searching

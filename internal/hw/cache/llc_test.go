@@ -262,3 +262,39 @@ func TestStatsHitMissAccounting(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 2/1", st.Hits, st.Misses)
 	}
 }
+
+// TestNTWriteRaggedSpan pins the staged-edges path: a store that starts and
+// ends inside cachelines keeps both neighbours (one of them visible only as a
+// dirty cached line), lands every payload byte, and costs the device exactly
+// the lines it covers.
+func TestNTWriteRaggedSpan(t *testing.T) {
+	c, dev := newLLC(smallCfg(EADR))
+	var clk sim.Clock
+	old := bytes.Repeat([]byte{0xEE}, 512)
+	c.NTWrite(&clk, 0, old)
+	c.Write(&clk, 64, []byte{0xD1, 0xD2}, DefaultPartition) // dirty, not yet on media
+	before := dev.Snapshot()
+
+	payload := make([]byte, 300)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	c.NTWrite(&clk, 70, payload) // lines 1..5: ragged head, three whole lines, ragged tail
+
+	want := append([]byte(nil), old...)
+	want[64], want[65] = 0xD1, 0xD2
+	copy(want[70:], payload)
+	got := make([]byte, 512)
+	c.Read(&clk, 0, got, DefaultPartition)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("visible bytes after ragged NT store differ from the model")
+	}
+	dev.LoadRaw(0, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("media bytes after ragged NT store differ from the model")
+	}
+	delta := dev.Snapshot().Sub(before)
+	if delta.LineArrivals != 5 || delta.CallerWriteB != 5*64 {
+		t.Fatalf("ragged 300 B store over 5 lines: %d arrivals, %d caller bytes", delta.LineArrivals, delta.CallerWriteB)
+	}
+}

@@ -474,27 +474,7 @@ func covered(cover []RangeDel, ikey util.InternalKey) bool {
 // threads; concurrent flushes serialize on the tree lock only around version
 // installation.
 func (t *Tree) Flush(th *hw.Thread, it Iterator, maxSeq uint64) error {
-	it.SeekToFirst()
-	metas, err := t.writeTables(th, it, false, false, nil)
-	if err != nil {
-		return err
-	}
-	level := 0
-	if t.opts.SingleLevel {
-		level = 1
-	}
-	t.mu.Lock()
-	e := &versionEdit{lastSeq: maxSeq}
-	for _, mmeta := range metas {
-		e.added = append(e.added, addedFile{level: level, meta: mmeta})
-	}
-	if maxSeq > t.lastSeq {
-		e.lastSeq = maxSeq
-	}
-	err = t.logAndApply(th, e)
-	t.stats.TablesFlushed += int64(len(metas))
-	t.mu.Unlock()
-	if err != nil {
+	if err := t.FlushNoCompact(th, it, maxSeq); err != nil {
 		return err
 	}
 	return t.MaybeCompact(th)

@@ -53,7 +53,7 @@ type Writer struct {
 	data    *block.Builder
 	index   *block.Builder
 	filter  *bloom.Filter
-	keys    [][]byte // user keys for the filter
+	hashes  []uint32 // bloom hashes of the user keys, for the filter
 	pending bool     // an index entry awaits the next block's first key
 	pendKey []byte   // last key of the finished block
 	pendH   handle
@@ -89,7 +89,7 @@ func (t *Writer) Add(ikey util.InternalKey, value []byte) error {
 		t.first = append([]byte(nil), ikey...)
 	}
 	t.last = append(t.last[:0], ikey...)
-	t.keys = append(t.keys, append([]byte(nil), ikey.UserKey()...))
+	t.hashes = append(t.hashes, bloom.Hash(ikey.UserKey()))
 	t.data.Add(ikey, value)
 	t.count++
 	if t.data.EstimatedSize() >= TargetBlockSize {
@@ -126,7 +126,7 @@ func (t *Writer) Finish() (count int, smallest, largest util.InternalKey, err er
 		t.pending = false
 	}
 	// Filter block.
-	filterData := t.filter.Build(t.keys)
+	filterData := t.filter.BuildHashes(t.hashes)
 	filterH := handle{t.w.Offset(), uint64(len(filterData))}
 	if err := t.w.Append(t.th, filterData); err != nil {
 		return 0, nil, nil, err
