@@ -675,7 +675,12 @@ func (s *Session) Ingest(entries []IngestEntry) error {
 }
 
 // Scan visits up to limit live keys >= start in order, stopping early when
-// fn returns false; it reports how many entries were visited.
+// fn returns false; it reports how many entries were visited. key and value
+// are valid only during the call to fn — they may point into a block window
+// the scan reuses for its next row — so fn must copy what it keeps. A scan
+// that cannot read a table block returns the error (ErrCorrupt for a block
+// that does not decode) and the rows delivered before it are a prefix, not
+// the answer.
 func (s *Session) Scan(start []byte, limit int, fn func(key, value []byte) bool) (int, error) {
 	sp := s.db.col.StartOp(s.th, obs.OpScan)
 	n, err := s.db.inner.Scan(s.th, start, limit, fn)

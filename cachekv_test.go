@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"cachekv/internal/obs"
 )
 
 func TestOpenDefaultEngine(t *testing.T) {
@@ -201,6 +203,52 @@ func TestShardedRegistersEveryEngineMetric(t *testing.T) {
 	}
 	if got := snap.Float("lsm_l0_files"); got <= 0 {
 		t.Errorf("lsm_l0_files = %v after a flushed load, want > 0", got)
+	}
+}
+
+// sst_point_direct counts every foreground block load served in place — a
+// Get's and a scan iterator's alike — so the report invariant that bounds it,
+// direct + admitted <= misses, has to hold on a report that is mostly scans.
+func TestVerifyHoldsOnScanHeavyReport(t *testing.T) {
+	db, err := Open(Options{PMemMB: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.Session(0)
+	const keys = 20000
+	for i := 0; i < keys; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%06d", i)), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Registry().Gather()
+	for i := 0; i < 1500; i++ {
+		start := (i * 7919) % (keys - 50)
+		n, err := s.Scan([]byte(fmt.Sprintf("k%06d", start)), 50, func(k, v []byte) bool { return true })
+		if err != nil || n != 50 {
+			t.Fatalf("Scan from %d: %d rows, %v", start, n, err)
+		}
+		if i%10 == 0 {
+			if _, err := s.Get([]byte(fmt.Sprintf("k%06d", start))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := db.Registry().Gather()
+	run := obs.RunReport{Metrics: snap}
+	if bad := run.Verify(); len(bad) != 0 {
+		t.Fatalf("scan-heavy report violates its invariants: %v", bad)
+	}
+	direct := snap.Int(obs.MSSTPointDirect) - before.Int(obs.MSSTPointDirect)
+	if direct < 1500/2 {
+		t.Fatalf("1500 scans moved sst_point_direct by %d: scan blocks served in place are not counted", direct)
+	}
+	if d, a, m := snap.Int(obs.MSSTPointDirect), snap.Int(obs.MBlockCacheAdmitted), snap.Int(obs.MBlockCacheMisses); d+a > m || a == 0 {
+		t.Fatalf("direct %d + admitted %d vs misses %d", d, a, m)
 	}
 }
 

@@ -510,8 +510,7 @@ func (db *DB) Scan(th *hw.Thread, start []byte, limit int, fn func(key, value []
 		return 0, err
 	}
 	its = append(its, treeIt)
-	merged := lsm.NewMergingIterator(its...)
-	return kvstore.UserScan(merged, start, snapshot, limit, fn), nil
+	return kvstore.ScanSources(its, start, snapshot, limit, nil, fn)
 }
 
 // FlushAll implements kvstore.DB.

@@ -4,11 +4,12 @@
 // churn across compactions and concurrent lookups spread over independent
 // shard locks instead of serializing on one mutex.
 //
-// A point read that misses does not have to fill the cache: SSTables live on
-// byte-addressable PMem, so the reader can search the block in place and
-// leave the cache alone. Admit decides which misses are worth a fill — the
-// second one for the same block within a short window of recent misses — so
-// blocks that are touched once never evict blocks that are reused.
+// A foreground read — a Get or a scan — that misses does not have to fill the
+// cache: SSTables live on byte-addressable PMem, so the reader can search or
+// walk the block in place and leave the cache alone. Admit decides which
+// misses are worth a fill — the second one for the same block within a short
+// window of recent misses — so blocks that are touched once never evict
+// blocks that are reused.
 //
 // Values are the immutable decoded block contents; callers must not mutate
 // returned slices. Capacity is charged in bytes (value length plus a fixed
@@ -35,8 +36,8 @@ type Stats struct {
 	Evictions int64
 	Bytes     int64 // bytes currently charged
 	Entries   int64
-	Admitted  int64 // point-read misses Admit chose to fill
-	Direct    int64 // point-read misses served in place on PMem, without a fill
+	Admitted  int64 // foreground-read misses Admit chose to fill
+	Direct    int64 // foreground-read misses (Get and scan) served in place on PMem, without a fill
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookups.
@@ -154,10 +155,11 @@ func hash(k Key) uint64 {
 
 func (c *Cache) shardFor(k Key) *shard { return &c.shards[hash(k)&c.mask] }
 
-// Admit is called by a point read after Get missed on k. It reports whether
-// the block should be read whole and Put: true when k also missed recently
-// (a second touch shows reuse), false when the caller should serve this read
-// in place and leave the cache as it is. Lock-free; a nil cache never admits.
+// Admit is called by a foreground read after Get missed on k. It reports
+// whether the block should be read whole and Put: true when k also missed
+// recently (a second touch shows reuse), false when the caller should serve
+// this read in place and leave the cache as it is. Lock-free; a nil cache
+// never admits.
 func (c *Cache) Admit(k Key) bool {
 	if c == nil {
 		return false

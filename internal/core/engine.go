@@ -738,8 +738,25 @@ func (e *Engine) Scan(th *hw.Thread, start []byte, limit int, fn func(key, value
 	if err != nil {
 		return 0, err
 	}
-	merged := lsm.NewMergingIterator(its...)
-	return kvstore.UserScanTombs(merged, start, snapshot, limit, e.visibleRangeTombs(snapshot), fn), nil
+	return kvstore.ScanSources(its, start, snapshot, limit, e.visibleRangeTombs(snapshot), fn)
+}
+
+// sstIter bills everything a scan's tree iterator does — table opens, block
+// loads, the cache lines an in-place walk faults — to hw.PhaseSST, the phase
+// Get's tree lookup runs in.
+type sstIter struct {
+	lsm.Iterator
+	th *hw.Thread
+}
+
+func (s sstIter) SeekToFirst() { s.th.InPhase(hw.PhaseSST, s.Iterator.SeekToFirst) }
+func (s sstIter) Next()        { s.th.InPhase(hw.PhaseSST, s.Iterator.Next) }
+func (s sstIter) Seek(ik util.InternalKey) {
+	s.th.InPhase(hw.PhaseSST, func() { s.Iterator.Seek(ik) })
+}
+func (s sstIter) Value() (v []byte) {
+	s.th.InPhase(hw.PhaseSST, func() { v = s.Iterator.Value() })
+	return v
 }
 
 // internalIterators returns one iterator per live data source (active slots,
@@ -771,7 +788,7 @@ func (e *Engine) internalIterators(th *hw.Thread) ([]lsm.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	its = append(its, treeIt)
+	its = append(its, sstIter{treeIt, th})
 	return its, nil
 }
 

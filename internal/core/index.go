@@ -184,6 +184,13 @@ func (t *tableIter) Key() util.InternalKey { return util.InternalKey(t.it.Key())
 // Value returns the current value bytes.
 func (t *tableIter) Value() []byte { return t.val }
 
+// Err is always nil: an entry that fails its fetch check is a stale table's,
+// and ends the walk the way running out does.
+func (t *tableIter) Err() error { return nil }
+
+// Close is a no-op; the iterator borrows nothing.
+func (t *tableIter) Close() {}
+
 var _ lsm.Iterator = (*tableIter)(nil)
 
 // snapIter walks a sub-skiplist whose entry bytes were bulk-read into a DRAM
@@ -234,6 +241,12 @@ func (t *snapIter) Key() util.InternalKey { return util.InternalKey(t.it.Key()) 
 
 // Value returns the current value bytes.
 func (t *snapIter) Value() []byte { return t.val }
+
+// Err is always nil (see tableIter.Err).
+func (t *snapIter) Err() error { return nil }
+
+// Close is a no-op; the iterator borrows nothing.
+func (t *snapIter) Close() {}
 
 var _ lsm.Iterator = (*snapIter)(nil)
 

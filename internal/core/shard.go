@@ -635,8 +635,7 @@ func (sh *Sharded) Scan(th *hw.Thread, start []byte, limit int, fn func(key, val
 		its = append(its, sits...)
 		tombs = append(tombs, e.visibleRangeTombs(snapshot)...)
 	}
-	merged := lsm.NewMergingIterator(its...)
-	return kvstore.UserScanTombs(merged, start, snapshot, limit, tombs, fn), nil
+	return kvstore.ScanSources(its, start, snapshot, limit, tombs, fn)
 }
 
 // FlushAll implements kvstore.DB: flush every shard's pipeline.

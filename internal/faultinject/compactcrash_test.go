@@ -43,6 +43,8 @@ func (m *ckIter) Seek(ik util.InternalKey) { m.it.Seek(ik, nil) }
 func (m *ckIter) Next()                    { m.it.Next() }
 func (m *ckIter) Key() util.InternalKey    { return util.InternalKey(m.it.Key()) }
 func (m *ckIter) Value() []byte            { return m.it.Value() }
+func (m *ckIter) Err() error               { return nil }
+func (m *ckIter) Close()                   {}
 
 func ckCmp(a, b []byte) int {
 	return util.CompareInternal(util.InternalKey(a), util.InternalKey(b))

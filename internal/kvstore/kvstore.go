@@ -78,6 +78,17 @@ func UserScan(it lsm.Iterator, start []byte, seq uint64, limit int, fn func(key,
 	return UserScanTombs(it, start, seq, limit, nil, fn)
 }
 
+// ScanSources is a whole user scan: it merges the sources (newest first),
+// runs UserScanTombs over them and closes them. A source that failed — a
+// corrupt or vanished table block — fails the scan: the rows delivered are
+// then a prefix of the answer, not the answer.
+func ScanSources(its []lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) (int, error) {
+	merged := lsm.NewMergingIterator(its...)
+	defer merged.Close()
+	n := UserScanTombs(merged, start, seq, limit, tombs, fn)
+	return n, merged.Err()
+}
+
 // UserScanTombs is UserScan with range-tombstone awareness. tombs is the
 // pre-collected list of every range tombstone visible at the snapshot (a Seek
 // past a tombstone's start key would never visit its entry, so coverage
@@ -121,7 +132,9 @@ func UserScanTombs(it lsm.Iterator, start []byte, seq uint64, limit int, tombs [
 			continue
 		}
 		n++
-		if !fn(u, it.Value()) {
+		// The limit-th row ends the scan where it stands: one more advance
+		// could load a block nobody reads.
+		if !fn(u, it.Value()) || n == limit {
 			break
 		}
 		it.Next()

@@ -321,6 +321,12 @@ func (i *Iter) Key() util.InternalKey { return util.InternalKey(i.it.Key()) }
 // Value returns the current value.
 func (i *Iter) Value() []byte { return i.it.Value() }
 
+// Err is always nil: a DRAM skiplist walk cannot fail.
+func (i *Iter) Err() error { return nil }
+
+// Close is a no-op; the iterator borrows nothing.
+func (i *Iter) Close() {}
+
 var _ lsm.Iterator = (*Iter)(nil)
 
 // RecoverEntries scans a PMem entry log from the start of region, invoking fn

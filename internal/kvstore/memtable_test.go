@@ -202,6 +202,39 @@ func TestUserScanSkipsShadowsAndTombstones(t *testing.T) {
 	}
 }
 
+// countingIter counts the advances a scan makes.
+type countingIter struct {
+	*Iter
+	nexts int
+}
+
+func (c *countingIter) Next() { c.nexts++; c.Iter.Next() }
+
+// A scan that has delivered its limit-th row stops where it stands: one more
+// advance could load an SSTable block nobody reads. With only live,
+// single-version keys, limit rows take exactly limit-1 advances.
+func TestUserScanStopsAtLimitWithoutAdvancing(t *testing.T) {
+	m, th := testEnv()
+	mt := NewMemtable(MemtableConfig{Machine: m, Placement: PlaceDRAM})
+	for i := 0; i < 20; i++ {
+		mt.Insert(th, util.MakeInternalKey(nil, []byte(fmt.Sprintf("k%02d", i)), uint64(i+1), util.KindValue), []byte("v"))
+	}
+	for _, limit := range []int{1, 7, 20} {
+		it := &countingIter{Iter: mt.NewIter()}
+		if n := UserScan(it, nil, util.MaxSequence, limit, func(k, v []byte) bool { return true }); n != limit {
+			t.Fatalf("limit %d: %d rows", limit, n)
+		}
+		if it.nexts != limit-1 {
+			t.Errorf("limit %d: %d advances, want %d", limit, it.nexts, limit-1)
+		}
+	}
+	// Unlimited: every row is advanced past, which is how the scan finds the end.
+	it := &countingIter{Iter: mt.NewIter()}
+	if n := UserScan(it, nil, util.MaxSequence, 0, func(k, v []byte) bool { return true }); n != 20 || it.nexts != 20 {
+		t.Fatalf("unlimited scan: %d rows, %d advances", n, it.nexts)
+	}
+}
+
 func TestMemtableCacheSegmentsFlushOnFill(t *testing.T) {
 	m, th := testEnv()
 	part, err := m.Cache.Reserve(1 << 20)

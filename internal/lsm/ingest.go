@@ -47,6 +47,8 @@ func (it *ingestIter) fill() {
 }
 func (it *ingestIter) Key() util.InternalKey { return it.ikey }
 func (it *ingestIter) Value() []byte         { return it.entries[it.i].Value }
+func (it *ingestIter) Err() error            { return nil }
+func (it *ingestIter) Close()                {}
 
 // Ingest bulk-loads entries (strictly ascending unique user keys) as external
 // SSTables, installed all-or-nothing: the tables are written first, then one

@@ -21,6 +21,8 @@ func (m *memIter) Seek(ik util.InternalKey) { m.it.Seek(ik, nil) }
 func (m *memIter) Next()                    { m.it.Next() }
 func (m *memIter) Key() util.InternalKey    { return util.InternalKey(m.it.Key()) }
 func (m *memIter) Value() []byte            { return m.it.Value() }
+func (m *memIter) Err() error               { return nil }
+func (m *memIter) Close()                   {}
 
 func icmpBytes(a, b []byte) int {
 	return util.CompareInternal(util.InternalKey(a), util.InternalKey(b))

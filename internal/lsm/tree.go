@@ -448,6 +448,11 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 			}
 		}
 	}
+	// A source that failed looks exhausted: without this check a compaction
+	// over a corrupt block would install outputs missing the rest of the table.
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
 	if err := finish(); err != nil {
 		return nil, err
 	}
@@ -764,13 +769,16 @@ func (t *Tree) compact(th *hw.Thread, c *compaction) (compactResult, error) {
 		if err != nil {
 			return fail(err)
 		}
-		ti, err := r.NewIter(th)
+		// Every entry of an input is read once and the file then deleted:
+		// whole blocks, the one reader that does not walk them in place.
+		ti, err := r.NewCompactionIter(th)
 		if err != nil {
 			return fail(err)
 		}
 		its = append(its, ti)
 	}
 	merged := NewMergingIterator(its...)
+	defer merged.Close()
 	merged.SeekToFirst()
 
 	// Point tombstones can be dropped when no level below the output overlaps
@@ -991,27 +999,27 @@ func (t *Tree) GetInTable(th *hw.Thread, num uint64, ukey []byte, seq uint64) ([
 	return t.getInFile(th, num, ikey)
 }
 
-// NewIterator returns a merged iterator over every table in the tree.
-// Callers add their memtable sources on top via NewMergingIterator.
+// NewIterator returns a merged iterator over every table in the tree: one
+// source per file where files overlap (L0; every level in SingleLevel mode)
+// and one per sorted level below, so a scan seeks and holds open as many
+// tables as it has sources, not as many as the tree has files. No table is
+// opened before a Seek lands in it. Callers add their memtable sources on top
+// via NewMergingIterator and Close the result.
 func (t *Tree) NewIterator(th *hw.Thread) (Iterator, error) {
+	// The published version is immutable (see apply): the sources walk its
+	// level slices as they are.
 	t.mu.RLock()
-	var all []*FileMeta
-	for _, files := range t.levels {
-		all = append(all, files...)
-	}
+	levels := t.levels
 	t.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Num > all[j].Num })
-	its := make([]Iterator, 0, len(all))
-	for _, f := range all {
-		r, err := t.reader(th, f.Num)
-		if err != nil {
-			return nil, err
+	its := make([]Iterator, 0, len(levels[0])+len(levels)-1)
+	for lvl, files := range levels {
+		if lvl == 0 || t.opts.SingleLevel {
+			for i := range files {
+				its = append(its, &levelIter{t: t, th: th, files: files[i : i+1]})
+			}
+		} else if len(files) > 0 {
+			its = append(its, &levelIter{t: t, th: th, files: files})
 		}
-		ti, err := r.NewIter(th)
-		if err != nil {
-			return nil, err
-		}
-		its = append(its, ti)
 	}
 	return NewMergingIterator(its...), nil
 }

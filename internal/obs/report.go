@@ -42,9 +42,10 @@ const (
 	MBlockCacheMisses = "block_cache_misses"
 	MBlockCacheProbes = "block_cache_probes"
 	MBlockCacheRatio  = "block_cache_hit_ratio"
-	// The two ways a point read serves a block-cache miss: searching the
-	// block in place on PMem, or (second touch) copying it into the cache.
-	// Iterator misses, which always fill, are the rest of the misses.
+	// The two ways a foreground read (a Get or a scan iterator) serves a
+	// block-cache miss: reading the block in place on PMem, or (second
+	// touch) copying it into the cache. Compaction misses, which always
+	// fill, and blocks too large for the in-place window are the rest.
 	MSSTPointDirect     = "sst_point_direct"
 	MBlockCacheAdmitted = "blockcache_admitted"
 

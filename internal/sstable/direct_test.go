@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"cachekv/internal/block"
 	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/pmemfs"
@@ -150,11 +151,11 @@ func TestDirectGetMatchesResidentGet(t *testing.T) {
 			t.Fatalf("seed %d: table extent is cache-line aligned, the test wants it skewed", seed)
 		}
 
-		// resident serves every Get from the block cache: a full scan loads
-		// every block into a cache large enough to keep them.
+		// resident serves every Get from the block cache: a compaction-style
+		// walk loads every block into a cache large enough to keep them.
 		big := blockcache.New(256<<20, 4)
 		resident.SetCache(big, 1)
-		it, err := resident.NewIter(th)
+		it, err := resident.NewCompactionIter(th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,16 +224,16 @@ func benchEntries(n int) []entry {
 // block's last entry), read from the Reader's DRAM copy of the index.
 func blockIndex(t *testing.T, r *Reader, th *hw.Thread, es []entry) (hs []handle, ends []int) {
 	t.Helper()
-	it, err := r.NewIter(th)
+	idx, err := block.NewIter(r.index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for it.idx.SeekToFirst(); it.idx.Valid(); it.idx.Next() {
-		h, _, err := decodeHandle(it.idx.Value())
+	for idx.SeekToFirst(); idx.Valid(); idx.Next() {
+		h, _, err := decodeHandle(idx.Value())
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := string(util.InternalKey(it.idx.Key()).UserKey())
+		last := string(util.InternalKey(idx.Key()).UserKey())
 		hs = append(hs, h)
 		ends = append(ends, sort.Search(len(es), func(i int) bool { return es[i].key > last }))
 	}
@@ -305,15 +306,26 @@ func TestSecondTouchAdmission(t *testing.T) {
 			t.Fatalf("touch %d: stats %+v, want %+v", i+1, st, w)
 		}
 	}
-	// Iterators are not point reads: they fill on the first miss.
+	// A scan iterator is a foreground read like Get: its first miss on
+	// another block is served in place. A compaction iterator is not: it
+	// fills on the first miss, without asking Admit.
 	it, err := r.NewIter(th)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it.SeekToFirst()
-	if st := c.Stats(); st.Entries != 2 || st.Admitted != 1 || st.Direct != 1 {
-		t.Fatalf("after an iterator read: %+v", st)
+	if st := c.Stats(); st.Entries != 1 || st.Admitted != 1 || st.Direct != 2 {
+		t.Fatalf("after a scan iterator's first block: %+v", st)
 	}
+	it.Close()
+	if it, err = r.NewCompactionIter(th); err != nil {
+		t.Fatal(err)
+	}
+	it.SeekToFirst()
+	if st := c.Stats(); st.Entries != 2 || st.Admitted != 1 || st.Direct != 2 {
+		t.Fatalf("after a compaction iterator's first block: %+v", st)
+	}
+	it.Close()
 }
 
 // A table can be retired and its extent reused while a Reader is still open.

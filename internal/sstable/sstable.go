@@ -166,9 +166,9 @@ func (t *Writer) EstimatedSize() uint64 {
 // probe a shared DRAM block cache owned by the LSM tree (LevelDB keeps an
 // 8 MiB one): cached hits cost a DRAM access instead of PMem media reads,
 // and because the cache outlives the Reader, hot blocks survive reader churn
-// across compactions. On a miss iterators copy the block into the cache;
-// point reads search it in place on PMem (seekBlock). A nil cache disables
-// caching.
+// across compactions. On a miss foreground reads — Get and scan iterators —
+// search the block in place on PMem (seekBlock); compaction iterators copy
+// it into the cache (readBlock). A nil cache disables caching.
 type Reader struct {
 	f      *pmemfs.File
 	index  []byte
@@ -186,8 +186,8 @@ func (r *Reader) SetCache(c *blockcache.Cache, id uint64) {
 }
 
 // readBlock returns the whole data block at h through the shared block cache,
-// filling the cache on a miss. Iterators use it: a scan or compaction walks
-// every entry of the block, so one DRAM copy is the cheapest way to read it.
+// filling the cache on a miss. Compaction iterators use it: they walk every
+// entry of the block, so one DRAM copy is the cheapest way to read it.
 func (r *Reader) readBlock(th *hw.Thread, h handle) ([]byte, error) {
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
@@ -223,16 +223,16 @@ func (r *Reader) copyBlock(th *hw.Thread, h handle) ([]byte, error) {
 
 const (
 	lineSize = 64
-	// windowBytes is the largest block a Get searches in place. Blocks close
+	// windowBytes is the largest block searched in place. Blocks close
 	// at TargetBlockSize plus one entry, so twice that covers all but blocks
 	// holding an outsized value; those are read whole.
 	windowBytes = 2 * TargetBlockSize
 )
 
 // window is a lazily faulted view of one data block on PMem: the block.Backing
-// of an in-place search. Need reads each 64 B cache line the decoder touches
-// at most once, through pmemfs (so the LLC and device models charge exactly
-// the lines used), and the rest of the block is never loaded.
+// of an in-place search or walk. Need reads each 64 B cache line the decoder
+// touches at most once, through pmemfs (so the LLC and device models charge
+// exactly the lines used), and the rest of the block is never loaded.
 type window struct {
 	f    *pmemfs.File
 	th   *hw.Thread
@@ -277,8 +277,9 @@ func (w *window) Need(lo, hi int) error {
 	return nil
 }
 
-// getScratch is the per-Get working set, pooled so that a point read
-// allocates nothing but the value it returns.
+// getScratch is the working set of one foreground read — a Get, or a table
+// iterator from NewIter to Close — pooled so that a point read allocates
+// nothing but the value it returns and a scan no window per table.
 type getScratch struct {
 	idx, data block.Iter
 	win       window
@@ -286,12 +287,13 @@ type getScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(getScratch) }}
 
-// seekBlock points sc.data at the data block at h for a point read. The DRAM
-// block cache is probed first. On a miss the block is searched where it
-// lies — PMem is byte-addressable, and one entry costs a few cache lines
-// where a copy of the block costs all sixty-four — unless the cache has seen
-// the block miss recently: a second touch shows reuse, so then it is copied
-// into the cache and later reads hit DRAM.
+// seekBlock points sc.data at the data block at h for a foreground read. The
+// DRAM block cache is probed first. On a miss the block is read where it
+// lies — PMem is byte-addressable, and the entries a Get or a short scan
+// touches cost a few cache lines where a copy of the block costs all
+// sixty-four — unless the cache has seen the block miss recently: a second
+// touch shows reuse, so then it is copied into the cache and later reads hit
+// DRAM.
 func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch) error {
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
@@ -413,104 +415,139 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 	return val, found.Seq(), found.Kind(), true, nil
 }
 
-// Iter is a two-level iterator over the whole table.
+// Iter is a two-level iterator over the whole table. It borrows a getScratch
+// (index and data block iterators, in-place window) from the pool; Close
+// hands it back, after which the iterator, its Key and its Value are dead.
 type Iter struct {
-	r    *Reader
-	th   *hw.Thread
-	idx  *block.Iter
-	data *block.Iter
-	err  error
+	r     *Reader
+	th    *hw.Thread
+	whole bool        // read whole blocks through the cache (compaction) instead of in place
+	sc    *getScratch // nil once closed
+	ok    bool        // sc.data is on a loaded block
+	err   error
 }
 
-// NewIter returns an unpositioned table iterator.
-func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) {
-	idx, err := block.NewIter(r.index)
-	if err != nil {
+// NewIter returns an unpositioned foreground iterator. It loads a data block
+// the way Get does (seekBlock): a scan that leaves a block after a few
+// entries pays for those entries' cache lines, not for sixty-four, and a block
+// touched once does not evict one that is reused.
+func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, false) }
+
+// NewCompactionIter returns an unpositioned iterator that copies every block
+// it reaches into the block cache on a miss (readBlock). A compaction reads
+// every entry of its inputs once, so whole blocks are what it uses.
+func (r *Reader) NewCompactionIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, true) }
+
+func (r *Reader) newIter(th *hw.Thread, whole bool) (*Iter, error) {
+	sc := scratchPool.Get().(*getScratch)
+	if err := sc.idx.Reset(r.index); err != nil {
+		scratchPool.Put(sc)
 		return nil, err
 	}
-	return &Iter{r: r, th: th, idx: idx}, nil
+	return &Iter{r: r, th: th, whole: whole, sc: sc}, nil
 }
 
+// Close returns the iterator's scratch to the pool. Idempotent.
+func (it *Iter) Close() {
+	if it.sc != nil {
+		it.Err() // keep a pending data-block error past the scratch
+		scratchPool.Put(it.sc)
+		it.sc, it.ok = nil, false
+	}
+}
+
+// loadData points sc.data at the block under the index cursor. Past the last
+// block, or on an index or block error (kept for Err), the iterator is left
+// invalid.
 func (it *Iter) loadData() {
-	it.data = nil
-	if !it.idx.Valid() {
+	it.ok = false
+	if !it.sc.idx.Valid() {
+		it.fail(it.sc.idx.Err())
 		return
 	}
-	h, _, err := decodeHandle(it.idx.Value())
+	h, _, err := decodeHandle(it.sc.idx.Value())
+	if err == nil {
+		if it.whole {
+			var contents []byte
+			if contents, err = it.r.readBlock(it.th, h); err == nil {
+				err = it.sc.data.Reset(contents)
+			}
+		} else {
+			err = it.r.seekBlock(it.th, h, it.sc)
+		}
+	}
 	if err != nil {
-		it.err = err
+		it.fail(err)
 		return
 	}
-	contents, err := it.r.readBlock(it.th, h)
-	if err != nil {
+	it.ok = true
+}
+
+// fail ends the walk, keeping the first error.
+func (it *Iter) fail(err error) {
+	it.ok = false
+	if it.err == nil {
 		it.err = err
-		return
 	}
-	d, err := block.NewIter(contents)
-	if err != nil {
-		it.err = err
-		return
-	}
-	it.data = d
 }
 
 // SeekToFirst positions at the table's first entry.
 func (it *Iter) SeekToFirst() {
-	it.idx.SeekToFirst()
-	it.loadData()
-	if it.data != nil {
-		it.data.SeekToFirst()
+	it.sc.idx.SeekToFirst()
+	if it.loadData(); it.ok {
+		it.sc.data.SeekToFirst()
 	}
 	it.skipForward()
 }
 
 // Seek positions at the first entry >= ikey.
 func (it *Iter) Seek(ikey util.InternalKey) {
-	it.idx.Seek(ikey, icmp)
-	it.loadData()
-	if it.data != nil {
-		it.data.Seek(ikey, icmp)
+	it.sc.idx.Seek(ikey, icmp)
+	if it.loadData(); it.ok {
+		it.sc.data.Seek(ikey, icmp)
 	}
 	it.skipForward()
 }
 
 // Next advances to the following entry.
 func (it *Iter) Next() {
-	if it.data == nil {
+	if !it.ok {
 		return
 	}
-	it.data.Next()
+	it.sc.data.Next()
 	it.skipForward()
 }
 
+// skipForward moves to the first entry of the next block while the current
+// one is exhausted; a block that failed ends the walk with its error.
 func (it *Iter) skipForward() {
-	for it.err == nil && (it.data == nil || !it.data.Valid()) {
-		if it.data != nil && it.data.Err() != nil {
-			it.err = it.data.Err()
+	for it.ok && !it.sc.data.Valid() {
+		if err := it.sc.data.Err(); err != nil {
+			it.fail(err)
 			return
 		}
-		it.idx.Next()
-		if !it.idx.Valid() {
-			it.data = nil
-			return
-		}
-		it.loadData()
-		if it.data != nil {
-			it.data.SeekToFirst()
+		it.sc.idx.Next()
+		if it.loadData(); it.ok {
+			it.sc.data.SeekToFirst()
 		}
 	}
 }
 
 // Valid reports whether the iterator is on an entry.
-func (it *Iter) Valid() bool {
-	return it.err == nil && it.data != nil && it.data.Valid()
+func (it *Iter) Valid() bool { return it.ok && it.sc.data.Valid() }
+
+// Err returns the error that ended the walk, if one did: a corrupt or
+// unreadable index or data block, or a value whose lines could not be read.
+func (it *Iter) Err() error {
+	if it.ok && it.sc.data.Err() != nil {
+		it.fail(it.sc.data.Err())
+	}
+	return it.err
 }
 
-// Err returns any error encountered.
-func (it *Iter) Err() error { return it.err }
-
 // Key returns the current internal key.
-func (it *Iter) Key() util.InternalKey { return util.InternalKey(it.data.Key()) }
+func (it *Iter) Key() util.InternalKey { return util.InternalKey(it.sc.data.Key()) }
 
-// Value returns the current value.
-func (it *Iter) Value() []byte { return it.data.Value() }
+// Value returns the current value. Like Key it is valid until the iterator
+// moves: an in-place block's bytes live in the scratch window.
+func (it *Iter) Value() []byte { return it.sc.data.Value() }
