@@ -470,12 +470,17 @@ func engineMetrics(levels int) []engineMetric {
 	counter("engine_range_deletes", func(e *Engine) int64 { return e.stats.RangeDeletes.Load() })
 	counter("engine_ingests", func(e *Engine) int64 { return e.stats.Ingests.Load() })
 	counter("compact_bytes_in", func(e *Engine) int64 {
-		in, _ := e.tree.CompactionLevelStats()
+		in, _, _ := e.tree.CompactionLevelStats()
 		return sum(in)
 	})
 	counter("compact_bytes_out", func(e *Engine) int64 {
-		_, out := e.tree.CompactionLevelStats()
+		_, out, _ := e.tree.CompactionLevelStats()
 		return sum(out)
+	})
+	counter("compact_moved_files", func(e *Engine) int64 { return e.tree.GetStats().TablesMoved })
+	counter("compact_moved_bytes", func(e *Engine) int64 {
+		_, _, moved := e.tree.CompactionLevelStats()
+		return sum(moved)
 	})
 	counter("compact_jobs", func(e *Engine) int64 { return e.tree.SchedulerStats().JobsRun })
 	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.tree.SchedulerStats().Running) })

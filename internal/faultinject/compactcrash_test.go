@@ -140,14 +140,14 @@ func ckRunStep(tr *lsm.Tree, th *hw.Thread, step int, frozen func() bool) error 
 
 // ckOpen allocates the tree's regions on m and opens it. The region handles
 // must be reused for the post-crash reopen (same machine, same addresses).
-func ckOpen(m *hw.Machine, th *hw.Thread) (*lsm.Tree, hw.Region, hw.Region, error) {
+func ckOpen(m *hw.Machine, th *hw.Thread, opts lsm.Options) (*lsm.Tree, hw.Region, hw.Region, error) {
 	fsRegion := m.Alloc("ckfs", 64<<20, 0)
 	manifest := m.Alloc("ckmanifest", 4<<20, 0)
 	fs, err := pmemfs.Mount(m, fsRegion, th)
 	if err != nil {
 		return nil, fsRegion, manifest, err
 	}
-	tr, err := lsm.Open(m, fs, manifest, ckTreeOpts(), th)
+	tr, err := lsm.Open(m, fs, manifest, opts, th)
 	return tr, fsRegion, manifest, err
 }
 
@@ -157,7 +157,7 @@ func ckMarks(t *testing.T, domain cache.Domain) ([]int64, uint64) {
 	t.Helper()
 	m := NewMachine(domain)
 	th := m.NewThread(0)
-	tr, _, _, err := ckOpen(m, th)
+	tr, _, _, err := ckOpen(m, th, ckTreeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func ckMatches(tr *lsm.Tree, th *hw.Thread, v ckView) string {
 func ckRunOne(domain cache.Domain, marks []int64, crashAt int64, fault Fault) string {
 	m := NewMachine(domain)
 	th := m.NewThread(0)
-	tr, fsRegion, manifest, err := ckOpen(m, th)
+	tr, fsRegion, manifest, err := ckOpen(m, th, ckTreeOpts())
 	if err != nil {
 		return fmt.Sprintf("initial open: %v", err)
 	}
@@ -387,5 +387,219 @@ func runCompactIngestSweep(t *testing.T, target int) {
 			}
 		}
 		t.Logf("%s: %d schedules over %d events", domain, runs, total)
+	}
+}
+
+// The move-and-merge schedule: one compaction job that does everything a job
+// can do — merges an overlapping pair, moves two lone tables from L0 to L1 by
+// the manifest record alone, leaves two L1 tables inside its hull where they
+// are, and, being the third job to retire tables, deletes the first job's
+// from the graveyard — with the crash point on each of its persistence ops.
+// Every key was flushed (acknowledged) before the job, so whatever the crash
+// leaves, every key reads back.
+
+func mvTreeOpts() lsm.Options {
+	opts := ckTreeOpts()
+	opts.BaseLevelBytes = 1 << 20 // L1 never over its limit: L0 jobs only
+	return opts
+}
+
+// mvRuns are the flushed runs, in order: two pairs that each merge into an L1
+// table (setup jobs one and two), then the job under test's four L0 tables —
+// an overlapping pair and two lone tables either side of the L1 tables.
+var mvRuns = []struct{ first, step int }{
+	{20000, 2}, {20001, 2}, // -> L1, stays
+	{30000, 2}, {30001, 2}, // -> L1, stays
+	{0, 2}, {1, 2}, // merges
+	{10000, 1}, // moves
+	{40000, 1}, // moves
+}
+
+const mvRunKeys = 50
+
+func mvKey(run, i int) []byte {
+	return []byte(fmt.Sprintf("key%06d", mvRuns[run].first+i*mvRuns[run].step))
+}
+
+func mvFlush(tr *lsm.Tree, th *hw.Thread, run int) error {
+	l := skiplist.New(ckCmp, 1)
+	var seq uint64
+	for i := 0; i < mvRunKeys; i++ {
+		seq = uint64(1 + run*mvRunKeys + i)
+		l.Insert(util.MakeInternalKey(nil, mvKey(run, i), seq, util.KindValue), []byte(fmt.Sprintf("r%d-%d", run, i)), nil)
+	}
+	return tr.FlushNoCompact(th, &ckIter{it: l.NewIterator()}, seq)
+}
+
+// mvSetup flushes every run and compacts after the second and the fourth,
+// leaving the job under test due.
+func mvSetup(tr *lsm.Tree, th *hw.Thread) error {
+	for run := range mvRuns {
+		if err := mvFlush(tr, th, run); err != nil {
+			return err
+		}
+		if run == 1 || run == 3 {
+			if err := tr.MaybeCompact(th); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// mvLive returns the tree's file names and a violation if a number sits at two
+// levels or a sorted level overlaps.
+func mvLive(tr *lsm.Tree) (map[string]bool, string) {
+	live := map[string]bool{}
+	for lvl := 0; lvl < mvTreeOpts().MaxLevels; lvl++ {
+		files := tr.Files(lvl)
+		for i, f := range files {
+			name := fmt.Sprintf("%06d.sst", f.Num)
+			if live[name] {
+				return nil, fmt.Sprintf("table %s is at two levels", name)
+			}
+			live[name] = true
+			if lvl > 0 && i > 0 && bytes.Compare(files[i-1].Largest.UserKey(), f.Smallest.UserKey()) >= 0 {
+				return nil, fmt.Sprintf("L%d overlaps at %q", lvl, f.Smallest.UserKey())
+			}
+		}
+	}
+	return live, ""
+}
+
+func mvCheckKeys(tr *lsm.Tree, th *hw.Thread) string {
+	for run := range mvRuns {
+		for i := 0; i < mvRunKeys; i++ {
+			v, _, found, deleted, err := tr.Get(th, mvKey(run, i), util.MaxSequence)
+			if want := fmt.Sprintf("r%d-%d", run, i); err != nil || !found || deleted || string(v) != want {
+				return fmt.Sprintf("acked %s = %q found=%v deleted=%v err=%v, want %q", mvKey(run, i), v, found, deleted, err, want)
+			}
+		}
+	}
+	return ""
+}
+
+// mvMeasure runs setup and the job uncrashed and returns the event numbers of
+// the job's first and last persistence op.
+func mvMeasure(t *testing.T, domain cache.Domain) (first, last int64) {
+	t.Helper()
+	m := NewMachine(domain)
+	th := m.NewThread(0)
+	tr, _, _, err := ckOpen(m, th, mvTreeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector()
+	inj.Arm(0, FaultNone, 0)
+	m.SetMemGate(inj.Gate)
+	if err := mvSetup(tr, th); err != nil {
+		t.Fatal(err)
+	}
+	before, setupEvents := tr.GetStats(), inj.Events()
+	if err := tr.MaybeCompact(th); err != nil {
+		t.Fatal(err)
+	}
+	m.SetMemGate(nil)
+	st := tr.GetStats()
+	if jobs, merged, moved := st.Compactions-before.Compactions, st.TablesCompacted-before.TablesCompacted, st.TablesMoved-before.TablesMoved; jobs != 1 || merged != 2 || moved != 2 || before.Compactions != 2 {
+		t.Fatalf("%s: the schedule ran %d jobs after %d, merging %d tables and moving %d; want one job after two, 2 merged and 2 moved",
+			domain, jobs, before.Compactions, merged, moved)
+	}
+	if tr.NumFiles(0) != 0 || tr.NumFiles(1) != 5 {
+		t.Fatalf("%s: job left L0=%d L1=%d, want 0 and 5 (two kept, two moved, one merged)", domain, tr.NumFiles(0), tr.NumFiles(1))
+	}
+	return setupEvents + 1, inj.Events()
+}
+
+// mvRunOne crashes the job at event crashAt and checks the recovered tree.
+func mvRunOne(domain cache.Domain, crashAt int64, fault Fault) string {
+	m := NewMachine(domain)
+	th := m.NewThread(0)
+	tr, fsRegion, manifest, err := ckOpen(m, th, mvTreeOpts())
+	if err != nil {
+		return fmt.Sprintf("initial open: %v", err)
+	}
+	inj := NewInjector()
+	inj.Arm(crashAt, fault, scheduleSeed(131, crashAt, fault))
+	m.SetMemGate(inj.Gate)
+	if err := mvSetup(tr, th); err != nil || inj.Frozen() {
+		return fmt.Sprintf("setup: err=%v frozen=%v before the job", err, inj.Frozen())
+	}
+	if err := tr.MaybeCompact(th); err != nil && !inj.Frozen() {
+		return fmt.Sprintf("job failed before the crash point: %v", err)
+	}
+	if !inj.Frozen() {
+		return "crash point never reached"
+	}
+	m.Crash()
+	m.SetMemGate(nil)
+	flipMedia(m, inj)
+	m.Recover()
+
+	th2 := m.NewThread(0)
+	fs2, err := pmemfs.Mount(m, fsRegion, th2)
+	var tr2 *lsm.Tree
+	if err == nil {
+		tr2, err = lsm.Open(m, fs2, manifest, mvTreeOpts(), th2)
+	}
+	if err != nil {
+		if fault == FaultFlip {
+			return "" // refusing to mount corrupted metadata is honest
+		}
+		return fmt.Sprintf("reopen after crash: %v", err)
+	}
+	live, msg := mvLive(tr2)
+	if msg != "" {
+		return msg
+	}
+	// The orphan sweep leaves exactly the live tables: it deleted none of
+	// them and kept nothing else (unmanifested outputs, graveyarded inputs).
+	names := fs2.List()
+	if len(names) != len(live) {
+		return fmt.Sprintf("after recovery the filesystem holds %v, the version %d tables", names, len(live))
+	}
+	for _, name := range names {
+		if !live[name] {
+			return fmt.Sprintf("orphan %s survived the sweep; live set %v", name, names)
+		}
+	}
+	if msg := mvCheckKeys(tr2, th2); msg != "" {
+		return msg
+	}
+	// The recovered tree finishes (or reruns) the job and still holds every key.
+	if err := tr2.MaybeCompact(th2); err != nil {
+		return fmt.Sprintf("compaction after recovery: %v", err)
+	}
+	if _, msg := mvLive(tr2); msg != "" {
+		return "after the rerun: " + msg
+	}
+	if tr2.NumFiles(0) != 0 {
+		return fmt.Sprintf("L0 holds %d tables after the rerun", tr2.NumFiles(0))
+	}
+	return mvCheckKeys(tr2, th2)
+}
+
+// TestCompactMoveCrash puts the crash point on every persistence op of the
+// move-and-merge job, under both domains and all three fault modes. A flip
+// lands in the last op that took effect, so its sweep starts one op in: at
+// the job's first op that is the last flush's manifest record, whose loss is
+// the flush's, not the job's.
+func TestCompactMoveCrash(t *testing.T) {
+	for _, domain := range bothDomains {
+		first, last := mvMeasure(t, domain)
+		if again, _ := mvMeasure(t, domain); again != first || last-first < 8 {
+			t.Fatalf("%s: job spans events %d..%d (then %d..): not deterministic, or too short to be the job", domain, first, last, again)
+		}
+		for k := first; k <= last; k++ {
+			for _, fault := range []Fault{FaultNone, FaultTorn, FaultFlip} {
+				if fault == FaultFlip && k == first {
+					continue
+				}
+				if msg := mvRunOne(domain, k, fault); msg != "" {
+					t.Errorf("move/merge crash %s/%d/%s: %s", domain, k, fault, msg)
+				}
+			}
+		}
+		t.Logf("%s: %d crash points x 3 faults over the job's events %d..%d", domain, last-first+1, first, last)
 	}
 }

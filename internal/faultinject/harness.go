@@ -159,6 +159,19 @@ func Count(spec EngineSpec, domain cache.Domain, fam Family) (int64, uint64, err
 	return inj.Events(), inj.StreamHash(), nil
 }
 
+// flipMedia applies the bit flip a FaultFlip schedule selected at its crash
+// point (no-op for other faults), straight to the media: it must be the last
+// thing to touch it before recovery.
+func flipMedia(m *hw.Machine, inj *Injector) (addr uint64, bit uint, ok bool) {
+	if addr, bit, ok = inj.FlipTarget(); ok {
+		var b [1]byte
+		m.PMem.LoadRaw(addr, b[:])
+		b[0] ^= 1 << bit
+		m.PMem.StoreRaw(addr, b[:])
+	}
+	return addr, bit, ok
+}
+
 // Run executes one crash schedule end to end: open a fresh engine, arm the
 // injector, apply fam's script until the crash point freezes the platform,
 // halt the engine, apply the persistence-domain rule and any media fault,
@@ -225,14 +238,8 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 	m.Crash()
 	_ = db.Close(th)
 	m.SetMemGate(nil)
-	if fault == FaultFlip {
-		if addr, bit, ok := inj.FlipTarget(); ok {
-			var b [1]byte
-			m.PMem.LoadRaw(addr, b[:])
-			b[0] ^= 1 << bit
-			m.PMem.StoreRaw(addr, b[:])
-			tr.Emit(th.Clock.Now(), "media_fault", "addr", addr, "bit", bit)
-		}
+	if addr, bit, ok := flipMedia(m, inj); ok {
+		tr.Emit(th.Clock.Now(), "media_fault", "addr", addr, "bit", bit)
 	}
 	m.Recover()
 	res.StreamHash = inj.StreamHash()

@@ -43,7 +43,8 @@ func drainCompactions(t *testing.T, tr *Tree, th *hw.Thread) {
 // checkLevelInvariants asserts every level >= 1 holds sorted, disjoint
 // user-key ranges — the invariant the L1+ overlap-set fix protects. A pick
 // that misses same-level or next-level overlapping inputs installs outputs
-// that violate exactly this.
+// that violate exactly this. It reports with Errorf: the property test calls it
+// from a scheduler worker, which a Fatal would kill mid-drain.
 func checkLevelInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	tr.mu.RLock()
@@ -53,11 +54,11 @@ func checkLevelInvariants(t *testing.T, tr *Tree) {
 		for i := 1; i < len(files); i++ {
 			prev, cur := files[i-1], files[i]
 			if bytes.Compare(prev.Smallest.UserKey(), cur.Smallest.UserKey()) > 0 {
-				t.Fatalf("L%d not sorted: file %d starts at %q after %q",
+				t.Errorf("L%d not sorted: file %d starts at %q after %q",
 					lvl, cur.Num, cur.Smallest.UserKey(), prev.Smallest.UserKey())
 			}
 			if bytes.Compare(prev.Largest.UserKey(), cur.Smallest.UserKey()) >= 0 {
-				t.Fatalf("L%d overlap: file %d [%q..%q] vs file %d [%q..%q]",
+				t.Errorf("L%d overlap: file %d [%q..%q] vs file %d [%q..%q]",
 					lvl, prev.Num, prev.Smallest.UserKey(), prev.Largest.UserKey(),
 					cur.Num, cur.Smallest.UserKey(), cur.Largest.UserKey())
 			}

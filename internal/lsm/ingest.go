@@ -74,7 +74,7 @@ func (t *Tree) Ingest(th *hw.Thread, entries []IngestEntry, seq uint64) error {
 	}
 	it := &ingestIter{entries: entries, seq: seq}
 	it.SeekToFirst()
-	metas, err := t.writeTables(th, it, false, false, nil)
+	metas, err := t.writeTables(th, it, false, false, nil, t.opts.TableFileSize)
 	if err != nil {
 		return err
 	}
@@ -106,6 +106,7 @@ func (t *Tree) Ingest(th *hw.Thread, entries []IngestEntry, seq uint64) error {
 		e.lastSeq = seq
 	}
 	if err := t.logAndApply(th, e); err != nil {
+		t.deleteTables(th, metas)
 		return err
 	}
 	t.stats.Ingests++

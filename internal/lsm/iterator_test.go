@@ -23,17 +23,27 @@ type testEntry struct {
 	val  string
 }
 
+// memtableOf returns an iterator over entries in internal-key order, as a
+// frozen memtable presents them, and their highest sequence number.
+func memtableOf(entries []testEntry) (*memIter, uint64) {
+	l := skiplist.New(icmpBytes, 1)
+	var maxSeq uint64
+	for _, e := range entries {
+		l.Insert(util.MakeInternalKey(nil, []byte(e.ukey), e.seq, e.kind), []byte(e.val), nil)
+		if e.seq > maxSeq {
+			maxSeq = e.seq
+		}
+	}
+	return newMemIter(l), maxSeq
+}
+
 // installAt writes entries as tables of their own and installs them at level,
 // bypassing flush and compaction so a test decides each level's shape.
 func installAt(t *testing.T, tr *Tree, th *hw.Thread, level int, entries []testEntry) {
 	t.Helper()
-	l := skiplist.New(icmpBytes, 1)
-	for _, e := range entries {
-		l.Insert(util.MakeInternalKey(nil, []byte(e.ukey), e.seq, e.kind), []byte(e.val), nil)
-	}
-	it := newMemIter(l)
+	it, _ := memtableOf(entries)
 	it.SeekToFirst()
-	metas, err := tr.writeTables(th, it, false, false, nil)
+	metas, err := tr.writeTables(th, it, false, false, nil, tr.opts.TableFileSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,16 +250,22 @@ func (s *scheduler) drain(th *hw.Thread) {
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
+		// A failed job still closes its compact_start in the trace.
+		end := []any{"job", id, "level", res.Level, "out_level", res.OutLevel}
+		if err != nil {
+			end = append(end, "err", err.Error())
+		} else {
+			end = append(end, "bytes_in", res.BytesIn, "bytes_out", res.BytesOut,
+				"tables_in", res.Inputs, "tables_out", res.Outputs,
+				"moved", res.Moved, "components", res.Components)
+		}
+		s.cfg.Trace.Emit(done, "compact_end", append(end, "ns", dur)...)
 		if err != nil {
 			if s.cfg.OnError != nil {
 				s.cfg.OnError(err)
 			}
 			return
 		}
-		s.cfg.Trace.Emit(done, "compact_end",
-			"job", id, "level", res.Level, "out_level", res.OutLevel,
-			"bytes_in", res.BytesIn, "bytes_out", res.BytesOut,
-			"tables_in", res.Inputs, "tables_out", res.Outputs, "ns", dur)
 		if s.cfg.OnJobDone != nil {
 			s.cfg.OnJobDone(done)
 		}

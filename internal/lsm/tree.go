@@ -60,8 +60,9 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	TablesFlushed   int64
 	Compactions     int64
-	CompactedBytes  int64
+	CompactedBytes  int64 // input bytes compactions rewrote (moved tables excluded)
 	TablesCompacted int64
+	TablesMoved     int64 // tables a compaction re-levelled by manifest edit alone
 	Ingests         int64
 	TablesIngested  int64
 }
@@ -94,8 +95,10 @@ type Tree struct {
 	rangeDelCount int
 	// compactIn/compactOut accumulate, per level, bytes consumed from and
 	// written to that level by compactions — the write-amplification ledger.
-	compactIn  []int64
-	compactOut []int64
+	// compactMoved is the bytes that entered a level without being rewritten.
+	compactIn    []int64
+	compactOut   []int64
+	compactMoved []int64
 
 	sched *scheduler
 
@@ -129,6 +132,7 @@ func Open(m *hw.Machine, fs *pmemfs.FS, manifestRegion hw.Region, opts Options, 
 		compactPtr:     make([][]byte, opts.MaxLevels),
 		compactIn:      make([]int64, opts.MaxLevels),
 		compactOut:     make([]int64, opts.MaxLevels),
+		compactMoved:   make([]int64, opts.MaxLevels),
 	}
 	// Replay the previous manifest, if any.
 	r := wal.NewReader(m, manifestRegion)
@@ -342,8 +346,10 @@ func (t *Tree) dropReader(num uint64) {
 // is disabled).
 func (t *Tree) CacheStats() blockcache.Stats { return t.blockCache.Stats() }
 
-// writeTables drains it into one or more SSTables capped at TableFileSize,
-// returning their metadata. Entries must arrive in internal-key order.
+// writeTables drains it into one or more SSTables cut at target data bytes,
+// returning their metadata. Entries must arrive in internal-key order. On any
+// error it aborts the open table and deletes the ones it finished, so a failed
+// flush, ingest or compaction leaves the filesystem as it found it.
 //
 // cover lists the range tombstones participating in this rewrite (a
 // compaction passes the tombstones carried by its input files): point
@@ -361,11 +367,20 @@ func (t *Tree) CacheStats() blockcache.Stats { return t.blockCache.Stats() }
 // there would resurrect that entry when its slot finally spills. A range
 // tombstone's metadata footprint is tiny, so it simply outlives every version
 // it can still hide.
-func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombstones bool, cover []RangeDel) ([]FileMeta, error) {
-	var out []FileMeta
+func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombstones bool, cover []RangeDel, target uint64) (out []FileMeta, err error) {
 	var w *sstable.Writer
 	var num uint64
-	var lastUser []byte
+	defer func() {
+		if err == nil {
+			return
+		}
+		if w != nil {
+			w.Abort()
+		}
+		t.deleteTables(th, out)
+		out = nil
+	}()
+	var lastUser, lastAdded []byte
 	var curRDs []RangeDel
 	var lastRD util.InternalKey
 	haveLast := false
@@ -420,6 +435,18 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 				continue
 			}
 		}
+		// Cut between user keys: two tables of a sorted level must never share
+		// one (a key's point version and an older range tombstone starting at
+		// it stay together), and a flushed run whose tables share none is
+		// disjoint, so compaction can move them. A flush keeps every version,
+		// so a hot key could outgrow the file: past a quarter table of
+		// overshoot it is cut anyway, and those two tables merge later.
+		if w != nil && w.EstimatedSize() >= target && (!bytes.Equal(ikey.UserKey(), lastAdded) ||
+			!dropShadowed && w.EstimatedSize() >= target+t.opts.TableFileSize/4) {
+			if err := finish(); err != nil {
+				return out, err
+			}
+		}
 		if w == nil {
 			t.mu.Lock()
 			num = t.nextFile
@@ -428,12 +455,12 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 			capacity := t.opts.TableFileSize + t.opts.TableFileSize/2 + (256 << 10)
 			fw, err := t.fs.Create(th, tableName(num), capacity)
 			if err != nil {
-				return nil, err
+				return out, err
 			}
 			w = sstable.NewWriter(fw, th)
 		}
 		if err := w.Add(ikey, it.Value()); err != nil {
-			return nil, err
+			return out, err
 		}
 		if isRD {
 			curRDs = append(curRDs, RangeDel{
@@ -442,21 +469,26 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 				Seq:   ikey.Seq(),
 			})
 		}
-		if w.EstimatedSize() >= t.opts.TableFileSize {
-			if err := finish(); err != nil {
-				return nil, err
-			}
-		}
+		lastAdded = append(lastAdded[:0], ikey.UserKey()...)
 	}
 	// A source that failed looks exhausted: without this check a compaction
 	// over a corrupt block would install outputs missing the rest of the table.
 	if err := it.Err(); err != nil {
-		return nil, err
+		return out, err
 	}
 	if err := finish(); err != nil {
-		return nil, err
+		return out, err
 	}
 	return out, nil
+}
+
+// deleteTables removes tables no version ever referenced: outputs of a write
+// that failed before its manifest record. Best effort — the next Open's orphan
+// sweep takes whatever a failing filesystem keeps.
+func (t *Tree) deleteTables(th *hw.Thread, metas []FileMeta) {
+	for _, m := range metas {
+		_ = t.fs.Delete(th, tableName(m.Num))
+	}
 }
 
 // covered reports whether some tombstone in cover hides this point entry.
@@ -490,7 +522,7 @@ func (t *Tree) Flush(th *hw.Thread, it Iterator, maxSeq uint64) error {
 // compaction debt (CacheKV's spill path) use it and compact afterwards.
 func (t *Tree) FlushNoCompact(th *hw.Thread, it Iterator, maxSeq uint64) error {
 	it.SeekToFirst()
-	metas, err := t.writeTables(th, it, false, false, nil)
+	metas, err := t.writeTables(th, it, false, false, nil, t.opts.TableFileSize)
 	if err != nil {
 		return err
 	}
@@ -509,6 +541,9 @@ func (t *Tree) FlushNoCompact(th *hw.Thread, it Iterator, maxSeq uint64) error {
 	err = t.logAndApply(th, e)
 	t.stats.TablesFlushed += int64(len(metas))
 	t.mu.Unlock()
+	if err != nil {
+		t.deleteTables(th, metas)
+	}
 	return err
 }
 
@@ -736,55 +771,68 @@ func (t *Tree) MaybeCompact(th *hw.Thread) error {
 }
 
 // compactResult summarizes one finished job for the scheduler's trace and
-// write-amplification ledger.
+// write-amplification ledger. Bytes and table counts are what the job
+// rewrote; tables it moved are counted apart.
 type compactResult struct {
-	Level    int
-	OutLevel int
-	BytesIn  int64
-	BytesOut int64
-	Inputs   int
-	Outputs  int
+	Level      int
+	OutLevel   int
+	BytesIn    int64
+	BytesOut   int64
+	Inputs     int
+	Outputs    int
+	Moved      int
+	MovedBytes int64
+	Components int
 }
 
+// components partitions files into the connected components of key-range
+// overlap, in key order. Ranges are keyRange's: user keys, bounds inclusive,
+// range-tombstone spans included — so nothing in one component can shadow,
+// cover or share a user key with anything in another.
+func components(files []*FileMeta) [][]*FileMeta {
+	files = append([]*FileMeta(nil), files...)
+	sort.Slice(files, func(i, j int) bool {
+		li, _ := keyRange(files[i : i+1])
+		lj, _ := keyRange(files[j : j+1])
+		return bytes.Compare(li, lj) < 0
+	})
+	var comps [][]*FileMeta
+	var hi []byte // largest key of the component being grown
+	for i, f := range files {
+		flo, fhi := keyRange(files[i : i+1])
+		if i == 0 || bytes.Compare(flo, hi) > 0 {
+			comps = append(comps, nil)
+			hi = fhi
+		} else if bytes.Compare(fhi, hi) > 0 {
+			hi = fhi
+		}
+		comps[len(comps)-1] = append(comps[len(comps)-1], f)
+	}
+	return comps
+}
+
+// compact runs one picked job, rewriting only what it has to merge. The job's
+// files split into overlap components: a lone table already at the output
+// level stays where it is, a lone table at the input level moves down by the
+// manifest record alone (same file number, so its reader and cached blocks
+// stay valid; no byte read or written), and each component of two or more
+// tables is merged on its own, so no output spans a table that stayed. One
+// CRC'd manifest record installs the whole job.
 func (t *Tree) compact(th *hw.Thread, c *compaction) (compactResult, error) {
-	res := compactResult{Level: c.level, OutLevel: c.level + 1}
+	outLevel := c.level + 1
+	res := compactResult{Level: c.level, OutLevel: outLevel}
 	all := append(append([]*FileMeta(nil), c.inputs...), c.overlap...)
-	// The picker reserved every file in all; release on every exit. Releases
-	// happen under t.mu together with (or after) the version-edit apply, so a
-	// concurrent picker never sees a file both unreserved and already gone.
-	fail := func(err error) (compactResult, error) {
-		t.mu.Lock()
-		t.releaseLocked(c)
-		t.mu.Unlock()
-		return res, err
+	levelOf := make(map[uint64]int, len(all))
+	for _, f := range c.overlap {
+		levelOf[f.Num] = outLevel
 	}
-	// Newest-first ordering for the merge tie-break: higher file numbers are
-	// newer at L0; between levels, the upper level is newer.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Num > all[j].Num })
-	its := make([]Iterator, 0, len(all))
-	var tombs []RangeDel
-	for _, f := range all {
-		tombs = append(tombs, f.RangeDels...)
-		r, err := t.reader(th, f.Num)
-		if err != nil {
-			return fail(err)
-		}
-		// Every entry of an input is read once and the file then deleted:
-		// whole blocks, the one reader that does not walk them in place.
-		ti, err := r.NewCompactionIter(th)
-		if err != nil {
-			return fail(err)
-		}
-		its = append(its, ti)
+	for _, f := range c.inputs {
+		levelOf[f.Num] = c.level
 	}
-	merged := NewMergingIterator(its...)
-	defer merged.Close()
-	merged.SeekToFirst()
 
 	// Point tombstones can be dropped when no level below the output overlaps
 	// the compaction's key range (range-tombstone spans included); range
 	// tombstones are always retained — see writeTables.
-	outLevel := c.level + 1
 	lo, hi := keyRange(all)
 	t.mu.Lock()
 	dropTombs := true
@@ -796,44 +844,76 @@ func (t *Tree) compact(th *hw.Thread, c *compaction) (compactResult, error) {
 	}
 	t.mu.Unlock()
 
-	metas, err := t.writeTables(th, merged, true, dropTombs, tombs)
-	if err != nil {
-		return fail(err)
+	var merged, moved []*FileMeta
+	var outs []FileMeta
+	// The picker reserved every file in all; release on every exit. Releases
+	// happen under t.mu together with (or after) the version-edit apply, so a
+	// concurrent picker never sees a file both unreserved and already gone.
+	fail := func(err error) (compactResult, error) {
+		t.deleteTables(th, outs)
+		t.mu.Lock()
+		t.releaseLocked(c)
+		t.mu.Unlock()
+		return res, err
+	}
+	for _, comp := range components(all) {
+		res.Components++
+		if len(comp) == 1 {
+			if levelOf[comp[0].Num] == c.level {
+				moved = append(moved, comp[0])
+			}
+			continue
+		}
+		metas, err := t.mergeComponent(th, comp, dropTombs)
+		if err != nil {
+			return fail(err)
+		}
+		merged = append(merged, comp...)
+		outs = append(outs, metas...)
 	}
 
 	t.mu.Lock()
 	e := &versionEdit{}
-	var bytesIn, bytesOut int64
-	for _, f := range c.inputs {
+	for _, f := range merged {
+		e.deleted = append(e.deleted, deletedFile{level: levelOf[f.Num], num: f.Num})
+		res.BytesIn += int64(f.Size)
+	}
+	for _, f := range moved {
 		e.deleted = append(e.deleted, deletedFile{level: c.level, num: f.Num})
-		bytesIn += int64(f.Size)
-		t.compactIn[c.level] += int64(f.Size)
+		e.added = append(e.added, addedFile{level: outLevel, meta: *f})
+		res.MovedBytes += int64(f.Size)
 	}
-	for _, f := range c.overlap {
-		e.deleted = append(e.deleted, deletedFile{level: outLevel, num: f.Num})
-		bytesIn += int64(f.Size)
-		t.compactIn[outLevel] += int64(f.Size)
-	}
-	for _, mmeta := range metas {
+	for _, mmeta := range outs {
 		e.added = append(e.added, addedFile{level: outLevel, meta: mmeta})
-		bytesOut += int64(mmeta.Size)
+		res.BytesOut += int64(mmeta.Size)
 	}
-	t.compactOut[outLevel] += bytesOut
-	err = t.logAndApply(th, e)
+	res.Inputs, res.Outputs, res.Moved = len(merged), len(outs), len(moved)
+	if err := t.logAndApply(th, e); err != nil {
+		t.mu.Unlock()
+		return fail(err)
+	}
+	for _, f := range merged {
+		t.compactIn[levelOf[f.Num]] += int64(f.Size)
+	}
+	t.compactOut[outLevel] += res.BytesOut
+	t.compactMoved[outLevel] += res.MovedBytes
 	t.stats.Compactions++
-	t.stats.CompactedBytes += bytesIn
-	t.stats.TablesCompacted += int64(len(all))
+	t.stats.CompactedBytes += res.BytesIn
+	t.stats.TablesCompacted += int64(len(merged))
+	t.stats.TablesMoved += int64(len(moved))
 	t.releaseLocked(c)
 	t.mu.Unlock()
-	res.BytesIn, res.BytesOut = bytesIn, bytesOut
-	res.Inputs, res.Outputs = len(all), len(metas)
-	if err != nil {
-		return res, err
+	if len(merged) == 0 {
+		// Nothing retired: a move-only job must not age the graveyard, or a
+		// burst of them (microseconds each) would cut short the grace period
+		// lock-free readers of earlier versions rely on.
+		return res, nil
 	}
-	// Retire the inputs with a grace period instead of deleting them now.
+	// Retire the rewritten inputs with a grace period instead of deleting
+	// them now.
 	t.graveMu.Lock()
 	var dead []uint64
-	for _, f := range all {
+	for _, f := range merged {
 		dead = append(dead, f.Num)
 	}
 	t.graveyard = append(t.graveyard, dead)
@@ -850,6 +930,42 @@ func (t *Tree) compact(th *hw.Thread, c *compaction) (compactResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// mergeComponent rewrites one overlap component as tables of even size: its
+// bytes over the nearest whole number of TableFileSize tables, so a
+// component's tail does not leave a sliver at the output level.
+func (t *Tree) mergeComponent(th *hw.Thread, comp []*FileMeta, dropTombs bool) ([]FileMeta, error) {
+	// Newest-first ordering for the merge tie-break: higher file numbers are
+	// newer at L0; between levels, the upper level is newer.
+	sort.SliceStable(comp, func(i, j int) bool { return comp[i].Num > comp[j].Num })
+	its := make([]Iterator, 0, len(comp))
+	var tombs []RangeDel
+	var size uint64
+	for _, f := range comp {
+		tombs = append(tombs, f.RangeDels...)
+		size += f.Size
+		r, err := t.reader(th, f.Num)
+		var ti Iterator
+		if err == nil {
+			// Every entry of an input is read once and the file then deleted:
+			// whole blocks, the one reader that does not walk them in place.
+			ti, err = r.NewCompactionIter(th)
+		}
+		if err != nil {
+			NewMergingIterator(its...).Close()
+			return nil, err
+		}
+		its = append(its, ti)
+	}
+	merged := NewMergingIterator(its...)
+	defer merged.Close()
+	merged.SeekToFirst()
+	tables := (size + t.opts.TableFileSize/2) / t.opts.TableFileSize
+	if tables == 0 {
+		tables = 1
+	}
+	return t.writeTables(th, merged, true, dropTombs, tombs, size/tables)
 }
 
 // Get looks up ukey at snapshot seq. It returns the freshest visible value
@@ -1058,11 +1174,12 @@ func (t *Tree) CompactionDebt() uint64 {
 }
 
 // CompactionLevelStats returns per-level write-amplification counters: bytes
-// compactions consumed from each level and bytes they wrote into it.
-func (t *Tree) CompactionLevelStats() (in, out []int64) {
+// compactions consumed from each level, bytes they wrote into it, and bytes
+// that moved into it without being rewritten.
+func (t *Tree) CompactionLevelStats() (in, out, moved []int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]int64(nil), t.compactIn...), append([]int64(nil), t.compactOut...)
+	return append([]int64(nil), t.compactIn...), append([]int64(nil), t.compactOut...), append([]int64(nil), t.compactMoved...)
 }
 
 // Files returns a snapshot of the file metadata per level (for tests,

@@ -75,6 +75,22 @@ func Mount(m *hw.Machine, region hw.Region, th *hw.Thread) (*FS, error) {
 	if err := fs.replay(th); err != nil {
 		return nil, err
 	}
+	// A file created but never sealed was being written when power failed. No
+	// writer survives a mount, so discard it — logged, so that a later replay
+	// does not find it holding an extent since handed to another file — or its
+	// name and extent stay taken for good.
+	var torn []string
+	for name, f := range fs.files {
+		if !f.sealed {
+			torn = append(torn, name)
+		}
+	}
+	sort.Strings(torn)
+	for _, name := range torn {
+		if err := fs.Delete(th, name); err != nil {
+			return nil, err
+		}
+	}
 	return fs, nil
 }
 
@@ -263,6 +279,18 @@ func (fs *FS) List() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// FreeBytes returns the data-area bytes no file holds: the recycled extents
+// plus everything past the bump pointer.
+func (fs *FS) FreeBytes() uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	free := fs.region.End() - fs.next
+	for _, e := range fs.free {
+		free += e.size
+	}
+	return free
 }
 
 // Size returns a sealed file's length.

@@ -223,6 +223,32 @@ func TestUnsealedFileLostOnCrash(t *testing.T) {
 	if _, err := fs2.Open("wip"); err != ErrNotFound {
 		t.Fatal("unsealed file survived crash as openable")
 	}
+	// Nor may it keep its name or its extent: the writer that restarts after
+	// recovery creates the same file again, and a later mount must not find
+	// the discarded extent under a file created since.
+	free := fs2.FreeBytes()
+	w2, err := fs2.Create(th, "wip", 4096)
+	if err != nil {
+		t.Fatalf("re-create of the discarded file: %v", err)
+	}
+	w2.Append(th, []byte("whole"))
+	if err := w2.Finish(th); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs2.FreeBytes(); got != free-4096 {
+		t.Fatalf("free space %d after re-creating a 4096-byte file, was %d", got, free)
+	}
+	fs3, err := Mount(m, region, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs3.Open("wip")
+	if err != nil {
+		t.Fatalf("second mount: %v", err)
+	}
+	if f.Size() != 5 {
+		t.Fatalf("second mount: size %d, want the re-created file's 5", f.Size())
+	}
 }
 
 func TestMountTooSmall(t *testing.T) {
