@@ -27,9 +27,8 @@
 package cachekv
 
 import (
-	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"cachekv/internal/baseline"
 	"cachekv/internal/baseline/novelsm"
@@ -62,6 +61,11 @@ const (
 
 // ErrNotFound is returned by Get for missing (or deleted) keys.
 var ErrNotFound = kvstore.ErrNotFound
+
+// ErrClosed is returned by every operation on a store after Close (and by
+// SimulateCrash on one). It is a programming error, not a condition to wait
+// out: open the store again, do not retry. Test with errors.Is.
+var ErrClosed = kvstore.ErrClosed
 
 // ErrStalled is returned by deadline-bounded writes (Options.
 // WriteStallDeadline, Session.SetWriteDeadline) when the engine is overloaded
@@ -189,13 +193,11 @@ func (o Options) validate() error {
 
 // DB is an open store plus its simulated platform.
 type DB struct {
-	mu       sync.Mutex
-	machine  *hw.Machine
-	inner    kvstore.DB
-	store    core.Store // inner's CacheKV-family surface; nil for the baselines
-	opts     Options
-	sessions []*Session
-	closed   bool
+	machine *hw.Machine
+	inner   kvstore.DB
+	store   core.Store // inner's CacheKV-family surface; nil for the baselines
+	opts    Options
+	closed  atomic.Bool
 
 	// Observability (nil when Options.DisableObs): the collector and trace
 	// survive SimulateCrash so post-recovery analysis sees the whole history.
@@ -325,9 +327,7 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 		o.WriteStallDeadline = opts.WriteStallDeadline
 		o.DisableFlowControl = opts.DisableFlowControl
 		o.CompactionWorkers = opts.CompactionWorkers
-		if opts.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{Shards: opts.Shards, Base: o}, th)
-		}
+		o.Shards = opts.Shards
 		return core.Open(m, o, th)
 	case EngineNoveLSM, EngineNoveLSMNoFlush, EngineNoveLSMCache:
 		o := novelsm.DefaultOptions()
@@ -369,11 +369,7 @@ func (db *DB) EngineName() string { return db.inner.Name() }
 // Writes route by key hash, not by session core — the session's core decides
 // where its CPU time is modelled, never which shard its keys land in.
 func (db *DB) Session(core int) *Session {
-	s := &Session{db: db, th: db.machine.NewThread(core), deadline: db.opts.WriteStallDeadline}
-	db.mu.Lock()
-	db.sessions = append(db.sessions, s)
-	db.mu.Unlock()
-	return s
+	return &Session{db: db, th: db.machine.NewThread(core), deadline: db.opts.WriteStallDeadline}
 }
 
 // Flush forces all buffered writes down to the storage component.
@@ -388,13 +384,9 @@ func (db *DB) Flush() error {
 // Close stops background work. The simulated PMem contents survive; a
 // crashed-and-reopened view is available via SimulateCrash.
 func (db *DB) Close() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
-	db.mu.Unlock()
 	th := db.machine.NewThread(0)
 	return db.inner.Close(th)
 }
@@ -404,13 +396,9 @@ func (db *DB) Close() error {
 // discarded, and the engine is recovered from the surviving bytes. It
 // returns the recovered store; the receiver must not be used afterwards.
 func (db *DB) SimulateCrash() (*DB, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, errors.New("cachekv: store is closed")
+	if db.closed.Swap(true) {
+		return nil, fmt.Errorf("cachekv: SimulateCrash: %w", ErrClosed)
 	}
-	db.closed = true
-	db.mu.Unlock()
 	// The crash preempts the engine: Halt makes every background thread
 	// abandon its queued work (a power failure completes nothing), then the
 	// cache applies its persistence-domain rule and volatile state drops.

@@ -1,6 +1,7 @@
 package cachekv
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -54,6 +55,35 @@ func TestAllEnginesOpen(t *testing.T) {
 			t.Fatalf("%s Get: %v", eng, err)
 		}
 		db.Close()
+	}
+}
+
+// TestErrClosed: use after Close is one testable error on every engine and on
+// both CacheKV shapes, from a write and from SimulateCrash alike.
+func TestErrClosed(t *testing.T) {
+	configs := []Options{{Shards: 2}}
+	for _, eng := range allEngines {
+		configs = append(configs, Options{Engine: eng})
+	}
+	for _, o := range configs {
+		o.PMemMB = 1024
+		db, err := Open(o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		s := db.Session(0)
+		if err := s.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatalf("%s: %v", db.EngineName(), err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s Close: %v", db.EngineName(), err)
+		}
+		if err := s.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: Put after Close: %v, want ErrClosed", db.EngineName(), err)
+		}
+		if _, err := db.SimulateCrash(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: SimulateCrash after Close: %v, want ErrClosed", db.EngineName(), err)
+		}
 	}
 }
 

@@ -130,8 +130,9 @@ func slowMachine(c config) *hw.Machine {
 
 // engineOptions shapes a store small enough that the scripted op count
 // genuinely outruns the throttled flush pipeline.
-func engineOptions(disableFlow bool, tr *obs.Trace, compactWorkers int) core.Options {
+func engineOptions(shards int, disableFlow bool, tr *obs.Trace, compactWorkers int) core.Options {
 	o := core.DefaultOptions()
+	o.Shards = shards
 	o.FSBytes = 256 << 20
 	o.PoolBytes = 4 << 20
 	o.SubMemTableBytes = 256 << 10
@@ -148,7 +149,7 @@ func engineOptions(disableFlow bool, tr *obs.Trace, compactWorkers int) core.Opt
 // tolerates before Stop (4x the compaction trigger per shard, two files of
 // slack each; an L0 file is one flushed sub-MemTable).
 func defaultMemCap(shards int) uint64 {
-	o := engineOptions(false, nil, 0)
+	o := engineOptions(shards, false, nil, 0)
 	trigger := o.LSM.L0CompactionTrigger
 	if trigger <= 0 {
 		trigger = 4
@@ -168,10 +169,7 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 	m := slowMachine(c)
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	th0 := m.NewThread(0)
-	db, err := core.OpenSharded(m, core.ShardedOptions{
-		Shards: c.Shards,
-		Base:   engineOptions(!flowOn, tr, c.CompactWorkers),
-	}, th0)
+	db, err := core.Open(m, engineOptions(c.Shards, !flowOn, tr, c.CompactWorkers), th0)
 	if err != nil {
 		return leg, err
 	}
@@ -421,11 +419,8 @@ func runCrashLeg(c config) (*crashReport, error) {
 	cr := &crashReport{StateAtCrash: core.FlowOK.String()}
 	m := slowMachine(c)
 	th := m.NewThread(0)
-	opts := engineOptions(false, nil, c.CompactWorkers)
-	open := func(t *hw.Thread) (*core.Sharded, error) {
-		return core.OpenSharded(m, core.ShardedOptions{Shards: c.Shards, Base: opts}, t)
-	}
-	db, err := open(th)
+	opts := engineOptions(c.Shards, false, nil, c.CompactWorkers)
+	db, err := core.Open(m, opts, th)
 	if err != nil {
 		return cr, err
 	}
@@ -543,7 +538,7 @@ func runCrashLeg(c config) (*crashReport, error) {
 	_ = db.Close(th)
 	m.Recover()
 	th2 := m.NewThread(0)
-	db2, err := open(th2)
+	db2, err := core.Open(m, opts, th2)
 	if err != nil {
 		cr.Violations = append(cr.Violations, fmt.Sprintf("recovery open failed: %v", err))
 		return cr, nil

@@ -251,7 +251,7 @@ func (db *DB) write(th *hw.Thread, key, value []byte, kind util.ValueKind) error
 	if db.failed != nil || db.closed {
 		err := db.failed
 		if err == nil {
-			err = errClosed
+			err = kvstore.ErrClosed
 		}
 		db.mu.Unlock()
 		db.lock.Unlock(th.Clock)
@@ -302,7 +302,7 @@ func (db *DB) Halt() {
 	db.mu.Lock()
 	db.crashed = true
 	if db.failed == nil {
-		db.failed = errClosed
+		db.failed = kvstore.ErrClosed
 	}
 	db.mu.Unlock()
 }
@@ -504,11 +504,5 @@ func (db *DB) Close(th *hw.Thread) error {
 	defer db.mu.Unlock()
 	return db.failed
 }
-
-var errClosed = dbClosedError{}
-
-type dbClosedError struct{}
-
-func (dbClosedError) Error() string { return "slmdb: db closed" }
 
 var _ kvstore.DB = (*DB)(nil)

@@ -177,9 +177,7 @@ func (c EngineConfig) Open(kind EngineKind, m *hw.Machine, th *hw.Thread) (kvsto
 			opts.SkiplistCompaction = false
 		}
 		opts.Trace = c.Trace
-		if c.Shards > 1 {
-			return core.OpenSharded(m, core.ShardedOptions{Shards: c.Shards, Base: opts}, th)
-		}
+		opts.Shards = c.Shards
 		return core.Open(m, opts, th)
 	case NoveLSM, NoveLSMWoFlush, NoveLSMCache:
 		opts := novelsm.DefaultOptions()

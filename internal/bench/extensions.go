@@ -3,8 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"cachekv/internal/core"
-	"cachekv/internal/hw"
+	"cachekv/internal/kvstore"
 )
 
 // WriteAmp is an extension experiment (not a numbered paper figure): the
@@ -71,14 +70,13 @@ func Recovery(s Scale) (*Table, error) {
 		if _, err := fillRandom(r, ops, 4, 64); err != nil {
 			return nil, fmt.Errorf("recovery fill: %w", err)
 		}
-		eng := db.(*core.Engine)
-		eng.Halt()
+		db.(kvstore.Halter).Halt()
 		m.Crash()
 		_ = db.Close(th)
 		m.Recover()
 
 		rth := m.NewThread(0)
-		reopened, err := reopenCacheKV(cfg, m, rth)
+		reopened, err := cfg.Open(CacheKV, m, rth)
 		if err != nil {
 			return nil, fmt.Errorf("recovery reopen: %w", err)
 		}
@@ -98,33 +96,4 @@ func Recovery(s Scale) (*Table, error) {
 		_ = reopened.Close(rth)
 	}
 	return t, nil
-}
-
-// reopenCacheKV opens a CacheKV engine over an existing (crashed) machine.
-func reopenCacheKV(cfg EngineConfig, m *hw.Machine, th *hw.Thread) (*core.Engine, error) {
-	opts := core.DefaultOptions()
-	fsBytes := cfg.FSBytes
-	if fsBytes == 0 {
-		fsBytes = 1 << 30
-	}
-	if pm := cfg.PMemBytes; pm > 0 && fsBytes > pm/2 {
-		fsBytes = pm / 2
-	}
-	opts.FSBytes = fsBytes
-	if cfg.PoolBytes > 0 {
-		opts.PoolBytes = cfg.PoolBytes
-	}
-	if cfg.SubMemTableBytes > 0 {
-		opts.SubMemTableBytes = cfg.SubMemTableBytes
-	}
-	if cfg.FlushThreads > 0 {
-		opts.FlushThreads = cfg.FlushThreads
-	}
-	if z := cfg.DataBytes / 3; z > 0 && z < opts.ImmZoneBytes {
-		if z < 4<<20 {
-			z = 4 << 20
-		}
-		opts.ImmZoneBytes = z
-	}
-	return core.Open(m, opts, th)
 }

@@ -112,11 +112,12 @@ func (e *Engine) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 		return err
 	}
 	deadlineV := absDeadline(th, deadlineNs)
-	if err := e.flow.admitWrite(th, deadlineV); err != nil {
-		return err
+	err := e.flow.admitWrite(th, deadlineV)
+	if err == nil {
+		assignSeqs(e.seq, b.ops)
+		err = e.commitOps(th, b.ops, deadlineV)
 	}
-	assignSeqs(e.seq, b.ops)
-	return e.commitOps(th, b.ops, deadlineV)
+	return e.flow.countStall(err)
 }
 
 // assignSeqs draws len(ops) consecutive sequence numbers for ops.
@@ -211,7 +212,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 		if tail+need > s.dataCap() {
 			// Full: seal, queue the copy-based flush, grab a fresh one.
 			if sealed := e.pool.sealForCore(th, core); sealed != nil {
-				e.enqueueSealed(th, sealed)
+				e.queueSealed(th.Clock.Now(), sealed)
 			}
 			continue
 		}

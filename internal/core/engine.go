@@ -19,8 +19,8 @@ import (
 	"cachekv/internal/util"
 )
 
-// Options configure a CacheKV instance. Zero values take the paper's
-// Section IV-A defaults, noted per field.
+// Options configure a CacheKV store. Zero values take the paper's Section IV-A
+// defaults, noted per field.
 type Options struct {
 	PoolBytes        uint64 // sub-MemTable pool size pinned in the LLC (12 MiB)
 	SubMemTableBytes uint64 // initial sub-MemTable size (2 MiB)
@@ -28,7 +28,6 @@ type Options struct {
 	SyncThreshold    int    // writes per sub-MemTable before a lazy sync (64)
 	ImmZoneBytes     uint64 // PMem staging zone for flushed tables (32 MiB)
 	Elastic          bool   // enable miss-counter elasticity (on)
-	MissThreshold    int64  // misses before splitting free sub-MemTables (8)
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
@@ -39,29 +38,13 @@ type Options struct {
 	// (10, LevelDB's bloom budget). Negative disables the filters.
 	FilterBitsPerKey int
 
-	FSBytes       uint64 // PMem file-layer capacity for SSTables (256 MiB)
-	ManifestBytes uint64 // manifest log capacity (4 MiB)
-	LSM           lsm.Options
+	FSBytes uint64 // PMem file-layer capacity for SSTables (256 MiB)
+	LSM     lsm.Options
 
 	// Trace, when non-nil, receives lifecycle events (flush start/end,
 	// sub-MemTable seals, spills, compactions, recovery, block-cache eviction
 	// pressure). nil disables tracing; every emit site is nil-safe.
 	Trace *obs.Trace
-
-	// Sharded-deployment hooks (OpenSharded): Shard is this engine's index,
-	// carried on trace events so the lifecycle stream attributes seals and
-	// flushes to shards. RegionPrefix overrides the "cachekv" region-name
-	// prefix so several engines coexist on one machine; empty keeps the legacy
-	// names (and therefore the legacy on-media layout). SharedSeq, when
-	// non-nil, is a sequence counter shared across shards so cross-shard
-	// versions order globally. SharedPartition, when non-nil, is an externally
-	// reserved cache partition the pool lives in: the LLC is way-granular, so
-	// N shards share one reservation instead of burning a way each; the engine
-	// then skips Reserve and Release.
-	Shard           int
-	RegionPrefix    string
-	SharedSeq       *atomic.Uint64
-	SharedPartition *cache.PartitionID
 
 	// Overload protection. WriteStallDeadline is the deadline Put, Delete and
 	// DeleteRange hand to Write: how long a write may wait (virtual ns) for
@@ -69,11 +52,9 @@ type Options struct {
 	// space before failing with ErrStalled; 0 waits forever. A non-zero value
 	// also arms admission shaping for Write calls that pass no deadline.
 	// DisableFlowControl turns the state machine off entirely (baseline
-	// measurements). Flow tunes the pressure thresholds; zero fields take
-	// defaults derived from the zone and LSM budgets.
+	// measurements); its bounds derive from the budgets above (flowTable).
 	WriteStallDeadline int64
 	DisableFlowControl bool
-	Flow               FlowThresholds
 
 	// CompactionWorkers is the size of the background compaction scheduler's
 	// worker pool (each worker on its own simulated thread, attributed to
@@ -81,16 +62,54 @@ type Options struct {
 	// same-level jobs concurrently (1). LSM compaction never runs on the
 	// spill path.
 	CompactionWorkers int
+
+	// Shards hash-partitions the keyspace across that many engines behind the
+	// Sharded router (shard.go). PoolBytes, ImmZoneBytes and FSBytes are then
+	// TOTALS split across the shards, so a sharded store consumes the same
+	// pinned-cache and PMem budget as a single engine. 0 or 1 opens one Engine.
+	Shards int
 }
 
-// regionName returns the engine's name for one of its PMem regions,
-// honouring the RegionPrefix override.
-func (o Options) regionName(suffix string) string {
-	p := o.RegionPrefix
+// manifestBytes is the manifest log capacity: 4 MiB, split across the shards
+// of a router like the budgets in Options, with a 1 MiB floor.
+func manifestBytes(shards int) uint64 {
+	return max(4<<20/uint64(max(shards, 1)), 1<<20)
+}
+
+// shardEnv is what an engine running as one shard of a Sharded router shares
+// with its siblings; only the router fills it. The zero value is a standalone
+// engine: the legacy "cachekv" region names (and therefore the legacy
+// on-media layout), a private sequence counter, a pool partition the engine
+// reserves and releases itself, no two-phase log.
+type shardEnv struct {
+	index  int    // carried on trace events and background thread names
+	prefix string // region-name prefix, so several engines coexist on one machine
+	// seq orders versions across the whole keyspace of a router.
+	seq *atomic.Uint64
+	// part is the router's pinned cache partition: the LLC is way-granular, so
+	// N shards share one reservation instead of burning a way each.
+	part *cache.PartitionID
+	// wal reads the occupancy of the router's two-phase logs: flow control's
+	// fourth signal, which a standalone engine does not have.
+	wal func() uint64
+}
+
+// regionName returns the engine's name for one of its PMem regions.
+func (env shardEnv) regionName(suffix string) string {
+	p := env.prefix
 	if p == "" {
 		p = "cachekv"
 	}
 	return p + "." + suffix
+}
+
+// region finds the named PMem region or, on a fresh machine, allocates it;
+// found says which, i.e. whether there is prior state to recover.
+func region(m *hw.Machine, name string, size, align uint64) (r hw.Region, found bool) {
+	if r, found = m.LookupRegion(name); !found {
+		r = m.Alloc(name, size, align)
+	}
+	return r, found
 }
 
 // DefaultOptions returns the paper's evaluation configuration.
@@ -102,12 +121,10 @@ func DefaultOptions() Options {
 		SyncThreshold:      64,
 		ImmZoneBytes:       32 << 20,
 		Elastic:            true,
-		MissThreshold:      8,
 		LazyIndex:          true,
 		SkiplistCompaction: true,
 		FilterBitsPerKey:   10,
 		FSBytes:            256 << 20,
-		ManifestBytes:      4 << 20,
 		CompactionWorkers:  1,
 	}
 }
@@ -129,17 +146,11 @@ func (o Options) withDefaults() Options {
 	if o.ImmZoneBytes == 0 {
 		o.ImmZoneBytes = d.ImmZoneBytes
 	}
-	if o.MissThreshold == 0 {
-		o.MissThreshold = d.MissThreshold
-	}
 	if o.FilterBitsPerKey == 0 {
 		o.FilterBitsPerKey = d.FilterBitsPerKey
 	}
 	if o.FSBytes == 0 {
 		o.FSBytes = d.FSBytes
-	}
-	if o.ManifestBytes == 0 {
-		o.ManifestBytes = d.ManifestBytes
 	}
 	if o.CompactionWorkers <= 0 { // the scheduler is always on
 		o.CompactionWorkers = d.CompactionWorkers
@@ -172,6 +183,7 @@ type Stats struct {
 type Engine struct {
 	m    *hw.Machine
 	opts Options
+	env  shardEnv
 
 	poolPart cache.PartitionID
 	pool     *pool
@@ -181,8 +193,8 @@ type Engine struct {
 	tree     *lsm.Tree
 
 	// seq is the global version counter. Standalone engines own a private
-	// counter; shards of one Sharded store share a single counter (installed
-	// via Options.SharedSeq) so versions order across the whole keyspace.
+	// counter; shards of one Sharded store share a single counter (shardEnv.seq)
+	// so versions order across the whole keyspace.
 	seq           *atomic.Uint64
 	maxSpilledSeq atomic.Uint64
 
@@ -201,7 +213,7 @@ type Engine struct {
 	indexServer    *sim.ServerPool
 	pendingFlushes atomic.Int64
 	// pendingFlushBytes tracks sealed-but-unflushed slot payload bytes; with
-	// ImmZone occupancy it forms the backlog signal the flow controller polls.
+	// ImmZone occupancy it forms the backlog signal (see backlog).
 	pendingFlushBytes atomic.Int64
 	flow              *flowControl
 	flushWG           sync.WaitGroup
@@ -222,15 +234,29 @@ type Engine struct {
 	lastBCEvicts atomic.Int64 // block-cache evictions at last pressure event
 }
 
-var (
-	errEngineClosed  = errors.New("cachekv: engine closed")
-	errEngineCrashed = errors.New("cachekv: engine crash-stopped")
-)
+var errEngineCrashed = errors.New("cachekv: engine crash-stopped")
 
-// Open creates (or, after a crash, recovers) a CacheKV instance on machine m.
+// Open creates (or, after a crash, recovers) a CacheKV store on machine m:
+// one Engine, or with Options.Shards >= 2 the Sharded router over that many.
 // Region names are fixed, so reopening the same machine finds its prior
-// state.
-func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
+// state. On error the returned Store is nil (untyped), whichever shape failed.
+func Open(m *hw.Machine, opts Options, th *hw.Thread) (Store, error) {
+	if opts.Shards > 1 {
+		sh, err := newSharded(m, opts, th)
+		if err != nil {
+			return nil, err
+		}
+		return sh, nil
+	}
+	e, err := newEngine(m, opts, shardEnv{}, th)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// newEngine opens one engine: standalone (the zero env) or as a router's shard.
+func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Engine, err error) {
 	opts = opts.withDefaults()
 	filterBits := opts.FilterBitsPerKey
 	if filterBits < 0 {
@@ -239,8 +265,10 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 	e := &Engine{
 		m:         m,
 		opts:      opts,
+		env:       env,
 		trace:     opts.Trace,
 		mem:       newMemState(expectedSlotKeys(opts.ImmZoneBytes), filterBits),
+		seq:       env.seq,
 		flushCh:   make(chan *slot, 1024),
 		syncCh:    make(chan syncReq, 4096),
 		compactCh: make(chan struct{}, 64),
@@ -252,42 +280,32 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 	// sub-skiplist compaction; its work is billed here, overlapping flushes.
 	e.indexServer = sim.NewServerPool(1)
 	e.spillState.cond = sync.NewCond(&e.spillState.mu)
-
-	if opts.SharedSeq != nil {
-		e.seq = opts.SharedSeq
-	} else {
+	if e.seq == nil {
 		e.seq = new(atomic.Uint64)
 	}
 
-	if opts.SharedPartition != nil {
-		e.poolPart = *opts.SharedPartition
+	if env.part != nil {
+		e.poolPart = *env.part
 	} else {
-		part, err := m.Cache.Reserve(int(opts.PoolBytes))
+		e.poolPart, err = m.Cache.Reserve(int(opts.PoolBytes))
 		if err != nil {
 			return nil, fmt.Errorf("cachekv: pinning pool: %w", err)
 		}
-		e.poolPart = part
+		// Nothing below starts a thread before it can no longer fail, so a
+		// failed open owes the machine only the partition it pinned.
+		defer func() {
+			if err != nil {
+				m.Cache.Release(e.poolPart)
+			}
+		}()
 	}
 
-	poolRegion, recovered := m.LookupRegion(opts.regionName("pool"))
-	if !recovered {
-		poolRegion = m.Alloc(opts.regionName("pool"), opts.PoolBytes, 4096)
-	}
-	immRegion, ok := m.LookupRegion(opts.regionName("imm"))
-	if !ok {
-		immRegion = m.Alloc(opts.regionName("imm"), opts.ImmZoneBytes, 4096)
-	}
-	fsRegion, ok := m.LookupRegion(opts.regionName("fs"))
-	if !ok {
-		fsRegion = m.Alloc(opts.regionName("fs"), opts.FSBytes, 4096)
-	}
-	manifestRegion, ok := m.LookupRegion(opts.regionName("manifest"))
-	if !ok {
-		manifestRegion = m.Alloc(opts.regionName("manifest"), opts.ManifestBytes, 4096)
-	}
+	poolRegion, recovered := region(m, env.regionName("pool"), opts.PoolBytes, 4096)
+	immRegion, _ := region(m, env.regionName("imm"), opts.ImmZoneBytes, 4096)
+	fsRegion, _ := region(m, env.regionName("fs"), opts.FSBytes, 4096)
+	manifestRegion, _ := region(m, env.regionName("manifest"), manifestBytes(opts.Shards), 4096)
 
 	e.immArena = arena.NewPArena(immRegion)
-	var err error
 	e.fs, err = pmemfs.Mount(m, fsRegion, th)
 	if err != nil {
 		return nil, err
@@ -301,52 +319,29 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*Engine, error) {
 	e.bumpSeq(e.tree.LastSeq())
 	e.maxSpilledSeq.Store(e.tree.LastSeq())
 
-	e.flow = newFlowControl(opts, opts.DisableFlowControl,
-		e.tree.L0Pressure,
-		func() uint64 {
-			pending := e.pendingFlushBytes.Load()
-			if pending < 0 {
-				pending = 0
-			}
-			return e.immArena.Used() + uint64(pending)
-		}, e.tree.CompactionDebt)
+	e.flow = newFlowControl(e.flowTable(), env.index, opts)
 
 	if recovered {
-		e.trace.Emit(th.Clock.Now(), "recovery_start", "engine", e.Name(), "shard", opts.Shard)
-		var rerr error
+		e.trace.Emit(th.Clock.Now(), "recovery_start", "engine", e.Name(), "shard", env.index)
 		th.InPhase(hw.PhaseRecovery, func() {
-			rerr = e.recover(poolRegion, th)
+			err = e.recover(poolRegion, th)
 		})
-		if rerr != nil {
-			return nil, rerr
+		if err != nil {
+			return nil, err
 		}
 		e.mem.mu.RLock()
 		nImms := len(e.mem.imms)
 		e.mem.mu.RUnlock()
-		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", opts.Shard,
+		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", env.index,
 			"imm_tables", nImms, "filters_rebuilt", nImms, "last_seq", e.seq.Load())
 	} else {
-		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), opts.Elastic, opts.MissThreshold, th)
+		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), opts.Elastic, th)
 		if err != nil {
 			return nil, err
 		}
 		e.pool.filterBits = filterBits
 	}
-
-	e.pool.sealFn = func(s *slot) {
-		_, _, stail := unpackHdr(s.hdr.Load())
-		e.pendingFlushes.Add(1)
-		e.pendingFlushBytes.Add(int64(stail))
-		select {
-		case e.flushCh <- s:
-		default:
-			// The channel is sized far beyond the slot count; dropping here
-			// would leak an immutable slot, so treat overflow as a bug.
-			e.pendingFlushes.Add(-1)
-			e.pendingFlushBytes.Add(-int64(stail))
-			e.fail(fmt.Errorf("cachekv: flush queue overflow"))
-		}
-	}
+	e.pool.sealFn = e.queueSealed
 
 	e.tree.StartScheduler(lsm.SchedulerConfig{
 		Workers:   opts.CompactionWorkers,
@@ -402,7 +397,7 @@ func (e *Engine) err() error {
 		return *p
 	}
 	if e.closed.Load() {
-		return errEngineClosed
+		return kvstore.ErrClosed
 	}
 	return nil
 }
@@ -545,17 +540,19 @@ func (e *Engine) FlowState() FlowState { return e.flow.current() }
 // FlowStats reports the flow-control counter snapshot.
 func (e *Engine) FlowStats() FlowStats { return e.flow.snapshot() }
 
-// FlowSignals reports the raw pressure signals the flow controller polls:
-// L0 file count and bytes, and the backlog (ImmZone occupancy plus
-// sealed-but-unflushed slot bytes). Harnesses use it to assert the bounded
-// memory footprint oracle.
+// backlog is flow control's backlog reading: ImmZone occupancy plus
+// sealed-but-unflushed slot bytes (the memory component's flush debt). It may
+// legitimately exceed the zone size while seals queue.
+func (e *Engine) backlog() uint64 {
+	return e.immArena.Used() + uint64(max(e.pendingFlushBytes.Load(), 0))
+}
+
+// FlowSignals reports raw pressure readings: L0 file count and bytes, and the
+// backlog flow control polls. Harnesses use it to assert the bounded memory
+// footprint oracle.
 func (e *Engine) FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64) {
 	files, bytes := e.tree.L0Pressure()
-	pending := e.pendingFlushBytes.Load()
-	if pending < 0 {
-		pending = 0
-	}
-	return files, bytes, e.immArena.Used() + uint64(pending)
+	return files, bytes, e.backlog()
 }
 
 // DebugForceFlowState pins the flow-control state machine to state s at
@@ -575,22 +572,30 @@ func (e *Engine) FilterStats() (probes, negatives int64) {
 // BlockCacheStats reports the block cache's counters.
 func (e *Engine) BlockCacheStats() blockcache.Stats { return e.tree.CacheStats() }
 
-// Tree exposes the storage component (tests and tooling).
-func (e *Engine) Tree() *lsm.Tree { return e.tree }
-
 // PoolSlots reports the current number of usable sub-MemTables.
 func (e *Engine) PoolSlots() int { return e.pool.numSlots() }
 
-// enqueueSealed queues a sealed slot for its copy-based flush, maintaining
-// the backlog accounting and pressure state the flow controller reads.
-func (e *Engine) enqueueSealed(th *hw.Thread, sealed *slot) {
-	cnt, _, stail := unpackHdr(sealed.hdr.Load())
-	e.trace.Emit(th.Clock.Now(), "memtable_seal", "shard", e.opts.Shard,
-		"slot", sealed.idx, "entries", cnt, "bytes", stail)
+// queueSealed hands a sealed slot to the copy-based flush: the one place a
+// seal enters the backlog accounting, the lifecycle trace (exactly one
+// memtable_seal per queued slot, answered by one flush_end) and flow
+// control's view of the backlog. It never blocks — pool.acquire force-rotates
+// through it with pool.mu held.
+func (e *Engine) queueSealed(at int64, s *slot) {
+	cnt, _, tail := unpackHdr(s.hdr.Load())
+	e.trace.Emit(at, "memtable_seal", "shard", e.env.index,
+		"slot", s.idx, "entries", cnt, "bytes", tail)
 	e.pendingFlushes.Add(1)
-	e.pendingFlushBytes.Add(int64(stail))
-	e.flushCh <- sealed
-	e.flow.recompute(th.Clock.Now(), "memtable_seal")
+	e.pendingFlushBytes.Add(int64(tail))
+	select {
+	case e.flushCh <- s:
+		e.flow.recompute(at, "memtable_seal")
+	default:
+		// The channel is sized far beyond the slot count; dropping here
+		// would leak an immutable slot, so treat overflow as a bug.
+		e.pendingFlushes.Add(-1)
+		e.pendingFlushBytes.Add(-int64(tail))
+		e.fail(fmt.Errorf("cachekv: flush queue overflow"))
+	}
 }
 
 // Get implements kvstore.DB. The freshest version may live in any active
@@ -805,16 +810,12 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 	}
 	for core := range e.pool.coreSlot {
 		if s := e.pool.sealForCore(th, core); s != nil {
-			count, _, _ := unpackHdr(s.hdr.Load())
-			if count == 0 {
+			if count, _, _ := unpackHdr(s.hdr.Load()); count == 0 {
 				// Empty slot: free it directly rather than flushing nothing.
 				e.pool.markFree(th, s, th.Clock.Now())
 				continue
 			}
-			_, _, stail := unpackHdr(s.hdr.Load())
-			e.pendingFlushes.Add(1)
-			e.pendingFlushBytes.Add(int64(stail))
-			e.flushCh <- s
+			e.queueSealed(th.Clock.Now(), s)
 		}
 	}
 	for e.pendingFlushes.Load() > 0 {
@@ -857,13 +858,13 @@ func (e *Engine) Close(th *hw.Thread) error {
 	// (eADR would have drained these lines anyway). A crash-stopped engine
 	// skips this — the power is already off.
 	if p := e.failed.Load(); p == nil || *p != errEngineCrashed {
-		if r, ok := e.m.LookupRegion(e.opts.regionName("pool")); ok {
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/close", e.opts.Shard))
+		if r, ok := e.m.LookupRegion(e.env.regionName("pool")); ok {
+			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/close", e.env.index))
 			e.m.Cache.FlushOpt(th.Clock, r.Addr, int(r.Size))
 		}
 	}
 	// A shared partition belongs to the Sharded router that reserved it.
-	if e.opts.SharedPartition == nil {
+	if e.env.part == nil {
 		e.m.Cache.Release(e.poolPart)
 	}
 	if p := e.failed.Load(); p != nil {
@@ -883,6 +884,7 @@ type Store interface {
 	Ingest(th *hw.Thread, entries []lsm.IngestEntry) error
 	FlowState() FlowState
 	FlowStats() FlowStats
+	FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64)
 	BlockCacheStats() blockcache.Stats
 	FilterStats() (probes, negatives int64)
 }

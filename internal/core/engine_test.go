@@ -29,7 +29,7 @@ func smallOpts() Options {
 func openEngine(t *testing.T, m *hw.Machine, opts Options) (*Engine, *hw.Thread) {
 	t.Helper()
 	th := m.NewThread(0)
-	e, err := Open(m, opts, th)
+	e, err := newEngine(m, opts, shardEnv{}, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,6 @@ func TestElasticitySplitsUnderPressure(t *testing.T) {
 	opts := smallOpts()
 	opts.PoolBytes = 512 << 10
 	opts.SubMemTableBytes = 224 << 10 // two slots
-	opts.MissThreshold = 2
 	m := testMachine()
 	e, th := openEngine(t, m, opts)
 	defer e.Close(th)

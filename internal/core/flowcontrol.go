@@ -40,107 +40,67 @@ func (s FlowState) String() string {
 	}
 }
 
-// FlowThresholds are the RocksDB-style soft (Slowdown) and hard (Stop)
-// pressure bounds, each with a lower exit bound providing hysteresis: a state
-// is entered when any signal crosses its enter threshold and left only when
-// every signal is back under the exit threshold of the state being held.
-// Zero fields take defaults derived from the engine's zone and LSM budgets.
-type FlowThresholds struct {
-	// L0 file count (the storage component's compaction debt).
-	L0Slowdown, L0Stop         int
-	L0SlowdownExit, L0StopExit int
+// flowSignal is one row of the flow-control table: a pressure reading and the
+// RocksDB-style soft (Slowdown) and hard (Stop) bounds it is judged against,
+// each with a lower exit bound providing hysteresis. A state is entered when
+// any row's reading crosses its enter bound and left only when every row is
+// back under the exit bound of the state being held. A zero enter bound
+// disables that state of the row, for entering and for holding.
+type flowSignal struct {
+	name string // the reading's attribute on flow_state trace events
+	read func() uint64
 
-	// Backlog bytes: ImmZone occupancy plus sealed-but-unflushed slot bytes
-	// (the memory component's flush debt). May legitimately exceed the zone
-	// size while seals queue, hence Stop above 100%.
-	BacklogSlowdown, BacklogStop         uint64
-	BacklogSlowdownExit, BacklogStopExit uint64
-
-	// WAL bytes: the cross-shard two-phase logs (zero when the engine is not
-	// part of a sharded deployment; a zero enter threshold disables a signal).
-	WALSlowdown, WALStop         uint64
-	WALSlowdownExit, WALStopExit uint64
-
-	// Compaction-debt bytes: the storage component's reorganization backlog
-	// (L0 bytes once the trigger is reached plus every deeper level's overage;
-	// see lsm.Tree.CompactionDebt). Unlike the L0 file count this tracks what
-	// the background compaction scheduler still owes in bytes, so admission
-	// reacts to a deep-level pileup before it cascades back into L0. Zero
-	// enter thresholds take defaults derived from the LSM level budget.
-	DebtSlowdown, DebtStop         uint64
-	DebtSlowdownExit, DebtStopExit uint64
-
-	// Slowdown token pacing: the first delayed writer waits SlowdownBaseDelay
-	// virtual ns, and each admitted token doubles the refill interval up to
-	// SlowdownMaxDelay, so sustained pressure converges on a hard admission
-	// rate while short bursts pay almost nothing.
-	SlowdownBaseDelay int64
-	SlowdownMaxDelay  int64
+	slow, slowExit uint64
+	stop, stopExit uint64
 }
 
-// withDefaults derives unset thresholds from the engine configuration.
-func (t FlowThresholds) withDefaults(opts Options) FlowThresholds {
-	trigger := opts.LSM.L0CompactionTrigger
-	if trigger <= 0 {
+// flowTable builds the engine's rows, every bound a fixed fraction of the
+// budget the signal protects:
+//
+//   - L0 files (the storage component's unmerged flushes) against the L0
+//     compaction trigger: x2 and x4, exits 3/4;
+//   - backlog bytes (see Engine.backlog) against the ImmZone: 85% and — seals
+//     queue past a full zone — 110%, exits 3/4;
+//   - compaction-debt bytes (lsm.Tree.CompactionDebt: L0 bytes once the
+//     trigger is reached plus every deeper level's overage, so admission
+//     reacts to a deep-level pileup before it cascades back into L0) against
+//     the L1 budget: x1 and x4, exits 1/2 and 3/4;
+//   - on a router's shard, two-phase log bytes against the log capacity: 3/4
+//     and 15/16, exits 1/2 and 3/4 — a safety valve above the half-capacity
+//     auto-reset, so runaway cross-shard traffic escalates admission before a
+//     log-full failure.
+func (e *Engine) flowTable() []flowSignal {
+	trigger := uint64(e.opts.LSM.L0CompactionTrigger)
+	if e.opts.LSM.L0CompactionTrigger <= 0 {
 		trigger = 4
 	}
-	if t.L0Slowdown == 0 {
-		t.L0Slowdown = 2 * trigger
-	}
-	if t.L0Stop == 0 {
-		t.L0Stop = 4 * trigger
-	}
-	if t.L0SlowdownExit == 0 {
-		t.L0SlowdownExit = t.L0Slowdown * 3 / 4
-	}
-	if t.L0StopExit == 0 {
-		t.L0StopExit = t.L0Stop * 3 / 4
-	}
-	zone := opts.ImmZoneBytes
-	if t.BacklogSlowdown == 0 {
-		t.BacklogSlowdown = zone * 85 / 100
-	}
-	if t.BacklogStop == 0 {
-		t.BacklogStop = zone * 110 / 100
-	}
-	if t.BacklogSlowdownExit == 0 {
-		t.BacklogSlowdownExit = t.BacklogSlowdown * 3 / 4
-	}
-	if t.BacklogStopExit == 0 {
-		t.BacklogStopExit = t.BacklogStop * 3 / 4
-	}
-	// WAL thresholds stay zero (disabled) until a sharded deployment installs
-	// its two-phase log signal; OpenSharded fills them from the log capacity.
-	if t.WALSlowdownExit == 0 {
-		t.WALSlowdownExit = t.WALSlowdown / 2
-	}
-	if t.WALStopExit == 0 {
-		t.WALStopExit = t.WALStop * 3 / 4
-	}
-	base := opts.LSM.BaseLevelBytes
-	if base <= 0 {
+	zone := e.opts.ImmZoneBytes
+	base := uint64(e.opts.LSM.BaseLevelBytes)
+	if e.opts.LSM.BaseLevelBytes <= 0 {
 		base = 8 << 20
 	}
-	if t.DebtSlowdown == 0 {
-		t.DebtSlowdown = uint64(base)
+	l0Files := func() uint64 { files, _ := e.tree.L0Pressure(); return uint64(files) }
+	rows := []flowSignal{
+		{"l0_files", l0Files, 2 * trigger, 2 * trigger * 3 / 4, 4 * trigger, 4 * trigger * 3 / 4},
+		{"backlog_bytes", e.backlog, zone * 85 / 100, zone * 85 / 100 * 3 / 4, zone * 110 / 100, zone * 110 / 100 * 3 / 4},
+		{"debt_bytes", e.tree.CompactionDebt, base, base / 2, 4 * base, 4 * base * 3 / 4},
 	}
-	if t.DebtStop == 0 {
-		t.DebtStop = uint64(4 * base)
+	if e.env.wal != nil {
+		const walCap = 2 * twoPCLogBytes
+		rows = append(rows, flowSignal{"wal_bytes", e.env.wal,
+			walCap * 3 / 4, walCap * 3 / 4 / 2, walCap * 15 / 16, walCap * 15 / 16 * 3 / 4})
 	}
-	if t.DebtSlowdownExit == 0 {
-		t.DebtSlowdownExit = t.DebtSlowdown / 2
-	}
-	if t.DebtStopExit == 0 {
-		t.DebtStopExit = t.DebtStop * 3 / 4
-	}
-	if t.SlowdownBaseDelay == 0 {
-		t.SlowdownBaseDelay = 2_000 // 2µs virtual
-	}
-	if t.SlowdownMaxDelay == 0 {
-		t.SlowdownMaxDelay = 1 << 18 // ~262µs virtual
-	}
-	return t
+	return rows
 }
+
+// Slowdown token pacing: the first delayed writer waits slowdownBaseDelay
+// virtual ns, and each admitted token doubles the refill interval up to
+// slowdownMaxDelay, so sustained pressure converges on a hard admission rate
+// while short bursts pay almost nothing.
+const (
+	slowdownBaseDelay = 2_000   // 2µs virtual
+	slowdownMaxDelay  = 1 << 18 // ~262µs virtual
+)
 
 // FlowStats is a point-in-time snapshot of one engine's flow-control
 // counters (aggregated across shards by the sharded router).
@@ -162,9 +122,9 @@ type FlowStats struct {
 // every flush/spill/compaction lifecycle event (never per-write), so the hot
 // path costs one atomic load while the state is OK.
 type flowControl struct {
-	th    FlowThresholds
-	shard int
-	trace *obs.Trace
+	signals []flowSignal // immutable after newFlowControl
+	shard   int
+	trace   *obs.Trace
 
 	disabled bool
 
@@ -174,24 +134,16 @@ type flowControl struct {
 	// overload protection. Without it, deadline-0 writes bypass shaping
 	// entirely: token pacing couples the writer's virtual clock to background
 	// lifecycle timing, and shaping them unconditionally costs fill three
-	// orders of magnitude of throughput at today's thresholds (ROADMAP item 2).
+	// orders of magnitude of throughput at today's thresholds (ROADMAP item 6).
 	shapeBlocking bool
-
-	// Pressure signals, installed at Open. wal is nil until a sharded
-	// deployment wires its two-phase log size (installed under mu); debt may
-	// be nil (no signal).
-	l0      func() (files int, bytes int64)
-	backlog func() uint64
-	debt    func() uint64
 
 	mu         sync.Mutex
 	cond       *sync.Cond
 	state      atomic.Int32 // FlowState, readable without mu
-	wal        func() uint64
-	lastTransV int64 // virtual time of the last transition
-	nextTokenV int64 // next Slowdown admission slot
-	refillNs   int64 // current token refill interval
-	forced     bool  // test/harness override: recompute becomes a no-op
+	lastTransV int64        // virtual time of the last transition
+	nextTokenV int64        // next Slowdown admission slot
+	refillNs   int64        // current token refill interval
+	forced     bool         // test/harness override: recompute becomes a no-op
 	aborted    bool
 
 	dwellHist [3]*histogram.H
@@ -206,44 +158,29 @@ type flowControl struct {
 	stopWaitNs      atomic.Int64
 }
 
-func newFlowControl(opts Options, disabled bool, l0 func() (int, int64), backlog, debt func() uint64) *flowControl {
+// newFlowControl builds shard's state machine over the signal table; o
+// contributes the trace, the off switch and whether deadline-0 writes are
+// shaped.
+func newFlowControl(signals []flowSignal, shard int, o Options) *flowControl {
 	fc := &flowControl{
-		th:            opts.Flow.withDefaults(opts),
-		shard:         opts.Shard,
-		trace:         opts.Trace,
-		disabled:      disabled,
-		shapeBlocking: opts.WriteStallDeadline != 0,
-		l0:            l0,
-		backlog:       backlog,
-		debt:          debt,
+		signals:       signals,
+		shard:         shard,
+		trace:         o.Trace,
+		disabled:      o.DisableFlowControl,
+		shapeBlocking: o.WriteStallDeadline != 0,
+		refillNs:      slowdownBaseDelay,
 	}
 	fc.cond = sync.NewCond(&fc.mu)
-	fc.refillNs = fc.th.SlowdownBaseDelay
 	for i := range fc.dwellHist {
 		fc.dwellHist[i] = histogram.New()
 	}
 	return fc
 }
 
-// setWALSignal installs the two-phase log size signal and its thresholds
-// (called once by OpenSharded after the logs are allocated).
-func (fc *flowControl) setWALSignal(f func() uint64, slowdown, stop uint64) {
-	if fc == nil {
-		return
-	}
-	fc.mu.Lock()
-	fc.wal = f
-	fc.th.WALSlowdown = slowdown
-	fc.th.WALStop = stop
-	fc.th.WALSlowdownExit = slowdown / 2
-	fc.th.WALStopExit = stop * 3 / 4
-	fc.mu.Unlock()
-}
-
-// enterLevel maps one signal to the state it demands via enter thresholds;
-// holdLevel uses the lower exit thresholds (the state the signal can still
-// justify holding). A zero enter threshold disables the signal.
-func level3(v, slow, stop uint64) FlowState {
+// level maps a reading to the state it justifies against one pair of bounds:
+// a row's enter bounds say what the reading demands, its exit bounds what it
+// can still hold. A zero bound never triggers.
+func level(v, slow, stop uint64) FlowState {
 	switch {
 	case stop > 0 && v >= stop:
 		return FlowStop
@@ -254,90 +191,46 @@ func level3(v, slow, stop uint64) FlowState {
 	}
 }
 
-func (fc *flowControl) rawLevelLocked(l0 int, backlog, wal, debt uint64) FlowState {
-	s := level3(uint64(l0), uint64(fc.th.L0Slowdown), uint64(fc.th.L0Stop))
-	if b := level3(backlog, fc.th.BacklogSlowdown, fc.th.BacklogStop); b > s {
-		s = b
-	}
-	if w := level3(wal, fc.th.WALSlowdown, fc.th.WALStop); w > s {
-		s = w
-	}
-	if d := level3(debt, fc.th.DebtSlowdown, fc.th.DebtStop); d > s {
-		s = d
-	}
-	return s
-}
-
-func (fc *flowControl) holdLevelLocked(l0 int, backlog, wal, debt uint64) FlowState {
-	// A disabled signal (zero enter threshold) must not hold a state either.
-	hold := func(v, slowEnter, slowExit, stopEnter, stopExit uint64) FlowState {
-		switch {
-		case stopEnter > 0 && v >= stopExit:
-			return FlowStop
-		case slowEnter > 0 && v >= slowExit:
-			return FlowSlowdown
-		default:
-			return FlowOK
-		}
-	}
-	s := hold(uint64(l0), uint64(fc.th.L0Slowdown), uint64(fc.th.L0SlowdownExit),
-		uint64(fc.th.L0Stop), uint64(fc.th.L0StopExit))
-	if b := hold(backlog, fc.th.BacklogSlowdown, fc.th.BacklogSlowdownExit,
-		fc.th.BacklogStop, fc.th.BacklogStopExit); b > s {
-		s = b
-	}
-	if w := hold(wal, fc.th.WALSlowdown, fc.th.WALSlowdownExit,
-		fc.th.WALStop, fc.th.WALStopExit); w > s {
-		s = w
-	}
-	if d := hold(debt, fc.th.DebtSlowdown, fc.th.DebtSlowdownExit,
-		fc.th.DebtStop, fc.th.DebtStopExit); d > s {
-		s = d
-	}
-	return s
-}
-
 // recompute re-evaluates the pressure signals and transitions the state
 // machine. Called from lifecycle events (seal, flush end, spill end,
 // compaction end) — escalation is immediate, de-escalation held back by the
-// exit thresholds so the state cannot flap around a boundary.
+// exit bounds so the state cannot flap around a boundary.
 func (fc *flowControl) recompute(at int64, reason string) {
-	if fc == nil || fc.disabled {
+	if fc.disabled {
 		return
 	}
-	// Signals take their own locks (tree mu, arena atomics); evaluate them
+	// Signals take their own locks (tree mu, arena atomics); read them
 	// before fc.mu so admission is never blocked behind a signal read.
-	files, _ := fc.l0()
-	backlog := fc.backlog()
-	var debt uint64
-	if fc.debt != nil {
-		debt = fc.debt()
+	readings := make([]uint64, len(fc.signals))
+	var next, hold FlowState
+	for i, s := range fc.signals {
+		v := s.read()
+		readings[i] = v
+		next = max(next, level(v, s.slow, s.stop))
+		// Held down to the exit bounds, capped by the enter bounds: a state
+		// the row cannot enter (a zero bound) it cannot hold either.
+		hold = max(hold, level(v, min(s.slow, s.slowExit), min(s.stop, s.stopExit)))
 	}
 
 	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	if fc.forced || fc.aborted {
-		fc.mu.Unlock()
 		return
 	}
-	var wal uint64
-	if fc.wal != nil {
-		wal = fc.wal()
-	}
 	cur := FlowState(fc.state.Load())
-	next := fc.rawLevelLocked(files, backlog, wal, debt)
-	if hold := fc.holdLevelLocked(files, backlog, wal, debt); cur > next && cur <= hold {
-		next = cur // hysteresis: signals dropped below enter but not below exit
-	} else if cur > next && hold > next {
-		next = hold // step down one severity at most as far as exits allow
+	if cur > next {
+		// Hysteresis: the signals dropped below enter; stay, or step down,
+		// only as far as the exit bounds allow.
+		next = max(next, min(cur, hold))
 	}
 	if next != cur {
-		fc.transitionLocked(at, cur, next, reason, files, backlog, wal, debt)
+		fc.transitionLocked(at, cur, next, reason, readings)
 	}
-	fc.mu.Unlock()
 }
 
-// transitionLocked performs the state change bookkeeping under fc.mu.
-func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason string, l0 int, backlog, wal, debt uint64) {
+// transitionLocked performs the state change bookkeeping under fc.mu;
+// readings are the signal values that drove it, one per row.
+func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason string, readings []uint64) {
 	if d := at - fc.lastTransV; d > 0 {
 		fc.dwellHist[from].Record(d)
 		fc.dwellNs[from].Add(d)
@@ -349,18 +242,21 @@ func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason str
 		fc.slowdownEntries.Add(1)
 		if from == FlowOK {
 			// A fresh Slowdown starts pacing from the base interval.
-			fc.refillNs = fc.th.SlowdownBaseDelay
+			fc.refillNs = slowdownBaseDelay
 			fc.nextTokenV = at
 		}
 	case FlowStop:
 		fc.stopEntries.Add(1)
 	case FlowOK:
-		fc.refillNs = fc.th.SlowdownBaseDelay
+		fc.refillNs = slowdownBaseDelay
 	}
-	fc.trace.Emit(at, "flow_state", "shard", fc.shard,
-		"from", from.String(), "to", to.String(), "reason", reason,
-		"l0_files", l0, "backlog_bytes", backlog, "wal_bytes", wal,
-		"debt_bytes", debt)
+	if fc.trace != nil {
+		attrs := []any{"shard", fc.shard, "from", from.String(), "to", to.String(), "reason", reason}
+		for i, s := range fc.signals {
+			attrs = append(attrs, s.name, readings[i])
+		}
+		fc.trace.Emit(at, "flow_state", attrs...)
+	}
 	fc.cond.Broadcast()
 }
 
@@ -369,7 +265,7 @@ func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason str
 // State tracking, tracing, and metrics continue regardless — only the
 // foreground clock coupling is gated.
 func (fc *flowControl) admitWrite(th *hw.Thread, deadlineV int64) error {
-	if fc == nil || (deadlineV == 0 && !fc.shapeBlocking) {
+	if deadlineV == 0 && !fc.shapeBlocking {
 		return nil
 	}
 	return fc.admit(th, deadlineV)
@@ -382,7 +278,7 @@ func (fc *flowControl) admitWrite(th *hw.Thread, deadlineV int64) error {
 // cannot stretch the queue for everyone behind them. In Stop a deadline write
 // fails fast and a deadline-0 write blocks until the state de-escalates.
 func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
-	if fc == nil || fc.disabled {
+	if fc.disabled {
 		return nil
 	}
 	if FlowState(fc.state.Load()) == FlowOK {
@@ -406,18 +302,12 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 			}
 			if deadlineV > 0 && turn > deadlineV {
 				fc.mu.Unlock()
-				fc.rejectedWrites.Add(1)
 				fc.trace.Emit(now, "write_stall", "shard", fc.shard, "state", "slowdown",
 					"next_token_v_ns", turn, "deadline_v_ns", deadlineV)
 				return ErrStalled
 			}
 			fc.nextTokenV = turn + fc.refillNs
-			if fc.refillNs < fc.th.SlowdownMaxDelay {
-				fc.refillNs *= 2
-				if fc.refillNs > fc.th.SlowdownMaxDelay {
-					fc.refillNs = fc.th.SlowdownMaxDelay
-				}
-			}
+			fc.refillNs = min(2*fc.refillNs, slowdownMaxDelay)
 			fc.mu.Unlock()
 			if turn > now {
 				fc.delayedWrites.Add(1)
@@ -431,7 +321,6 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 		default: // FlowStop
 			if deadlineV > 0 {
 				fc.mu.Unlock()
-				fc.rejectedWrites.Add(1)
 				fc.trace.Emit(th.Clock.Now(), "write_stall", "shard", fc.shard, "state", "stop",
 					"deadline_v_ns", deadlineV)
 				return ErrStalled
@@ -456,12 +345,20 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 	}
 }
 
+// countStall counts err when it is the overload rejection and returns it. The
+// write entries (Engine.Write, Sharded.Write) pass their result through it, so
+// every ErrStalled that leaves the store is counted once, whichever wait —
+// admission, the group-commit queue, a slot, the two-phase logs — ran out.
+func (fc *flowControl) countStall(err error) error {
+	if errors.Is(err, ErrStalled) {
+		fc.rejectedWrites.Add(1)
+	}
+	return err
+}
+
 // abort wakes writers blocked in Stop so they observe the engine
 // failure (wired into Engine.fail).
 func (fc *flowControl) abort() {
-	if fc == nil {
-		return
-	}
 	fc.mu.Lock()
 	fc.aborted = true
 	fc.cond.Broadcast()
@@ -472,13 +369,10 @@ func (fc *flowControl) abort() {
 // recompute until forceOff. Deterministic crash-schedule harnesses use it to
 // script stall phases without real (and nondeterministic) backlog pressure.
 func (fc *flowControl) force(at int64, s FlowState) {
-	if fc == nil {
-		return
-	}
 	fc.mu.Lock()
 	fc.forced = true
 	if cur := FlowState(fc.state.Load()); cur != s {
-		fc.transitionLocked(at, cur, s, "forced", 0, 0, 0, 0)
+		fc.transitionLocked(at, cur, s, "forced", make([]uint64, len(fc.signals)))
 	}
 	fc.mu.Unlock()
 }
@@ -486,27 +380,16 @@ func (fc *flowControl) force(at int64, s FlowState) {
 // forceOff releases a force pin; the next lifecycle event re-evaluates the
 // real signals.
 func (fc *flowControl) forceOff() {
-	if fc == nil {
-		return
-	}
 	fc.mu.Lock()
 	fc.forced = false
 	fc.mu.Unlock()
 }
 
 // current returns the state without taking the mutex.
-func (fc *flowControl) current() FlowState {
-	if fc == nil {
-		return FlowOK
-	}
-	return FlowState(fc.state.Load())
-}
+func (fc *flowControl) current() FlowState { return FlowState(fc.state.Load()) }
 
 // snapshot returns the counter snapshot.
 func (fc *flowControl) snapshot() FlowStats {
-	if fc == nil {
-		return FlowStats{}
-	}
 	return FlowStats{
 		State:           fc.current(),
 		SlowdownEntries: fc.slowdownEntries.Load(),
@@ -551,11 +434,30 @@ func absDeadline(th *hw.Thread, deadlineNs int64) int64 {
 	return th.Clock.Now() + deadlineNs
 }
 
-// Backoff bounds for deadline-aware waits on host-side condition variables
-// (slot allocation, ImmZone space): each retry advances the virtual clock by
-// a doubling, capped step so a stalled writer's virtual wait converges on its
-// deadline instead of spinning at zero cost or waiting forever.
+// stallBackoff paces a deadline-bounded wait on a host-side condition variable
+// (slot allocation, ImmZone space): each retry advances the waiter's virtual
+// clock by a doubling, capped step, so a stalled writer's virtual wait
+// converges on its deadline instead of spinning at zero cost or waiting
+// forever. The zero value is ready to use.
+type stallBackoff struct{ ns int64 }
+
 const (
 	stallBackoffBaseNs = 1 << 10 // ~1µs virtual
 	stallBackoffMaxNs  = 1 << 16 // ~65µs virtual
 )
+
+// step charges th the next back-off step, clamped to what is left before
+// deadlineV, and reports false — charging nothing — once the deadline passed.
+func (b *stallBackoff) step(th *hw.Thread, deadlineV int64) bool {
+	rem := deadlineV - th.Clock.Now()
+	if rem <= 0 {
+		return false
+	}
+	if b.ns == 0 {
+		b.ns = stallBackoffBaseNs
+	} else if b.ns < stallBackoffMaxNs {
+		b.ns *= 2
+	}
+	th.Clock.Advance(min(b.ns, rem))
+	return true
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -14,28 +15,18 @@ func putBatch(key, value []byte) *Batch {
 	return b
 }
 
-// testFlow builds a flowControl with injected pressure signals so the state
-// machine can be driven without a real engine behind it.
-func testFlow(th FlowThresholds) (fc *flowControl, setL0 func(int), setBacklog func(uint64)) {
-	var l0 int
-	var backlog uint64
-	o := DefaultOptions()
-	o.Flow = th
-	fc = newFlowControl(o, false,
-		func() (int, int64) { return l0, 0 },
-		func() uint64 { return backlog }, nil)
-	return fc, func(v int) { l0 = v }, func(v uint64) { backlog = v }
-}
-
-// testThresholds: L0 enters Slowdown at 4 / Stop at 8, exits at 3 / 6;
-// backlog enters at 100 / 200 bytes, exits at 75 / 150.
-func testThresholds() FlowThresholds {
-	return FlowThresholds{
-		L0Slowdown: 4, L0Stop: 8, L0SlowdownExit: 3, L0StopExit: 6,
-		BacklogSlowdown: 100, BacklogStop: 200,
-		BacklogSlowdownExit: 75, BacklogStopExit: 150,
-		SlowdownBaseDelay: 1_000, SlowdownMaxDelay: 8_000,
-	}
+// testFlow builds a flowControl over a literal two-row table with injected
+// readings, so the state machine can be driven without an engine behind it:
+// L0 enters Slowdown at 4 / Stop at 8, exits at 3 / 6; backlog enters at
+// 100 / 200 bytes, exits at 75 / 150. extra rows are appended.
+func testFlow(extra ...flowSignal) (fc *flowControl, setL0 func(int), setBacklog func(uint64)) {
+	var l0, backlog uint64
+	rows := append([]flowSignal{
+		{"l0_files", func() uint64 { return l0 }, 4, 3, 8, 6},
+		{"backlog_bytes", func() uint64 { return backlog }, 100, 75, 200, 150},
+	}, extra...)
+	fc = newFlowControl(rows, 0, Options{})
+	return fc, func(v int) { l0 = uint64(v) }, func(v uint64) { backlog = v }
 }
 
 func TestFlowTransitions(t *testing.T) {
@@ -68,7 +59,7 @@ func TestFlowTransitions(t *testing.T) {
 		{9, 0, FlowStop, "single signal suffices for stop"},
 		{0, 0, FlowOK, "reset"},
 	}
-	fc, setL0, setBacklog := testFlow(testThresholds())
+	fc, setL0, setBacklog := testFlow()
 	var now int64
 	for i, s := range steps {
 		now += 10
@@ -90,31 +81,30 @@ func TestFlowTransitions(t *testing.T) {
 }
 
 func TestFlowDisabledSignalNeverTriggers(t *testing.T) {
-	// A zero enter threshold disables the signal entirely — it must neither
-	// enter nor hold a state. A zero zone keeps the derived backlog enter
-	// thresholds at zero (withDefaults refills zeros otherwise).
-	var backlog uint64
-	o := DefaultOptions()
-	o.ImmZoneBytes = 0
-	o.Flow = FlowThresholds{
-		L0Slowdown: 4, L0Stop: 8, L0SlowdownExit: 3, L0StopExit: 6,
-		BacklogSlowdownExit: 1, BacklogStopExit: 1, // must not resurrect it
-	}
-	fc := newFlowControl(o, false,
-		func() (int, int64) { return 0, 0 },
-		func() uint64 { return backlog }, nil)
-	setBacklog := func(v uint64) { backlog = v }
-	setBacklog(1 << 40)
+	// A zero enter bound disables the row entirely — it must neither enter nor
+	// hold a state, whatever its exit bounds say.
+	fc, _, _ := testFlow(flowSignal{name: "off", read: func() uint64 { return 1 << 40 },
+		slowExit: 1, stopExit: 1}) // must not resurrect it
 	fc.recompute(10, "test")
 	if got := fc.current(); got != FlowOK {
-		t.Fatalf("disabled backlog signal drove state to %v", got)
+		t.Fatalf("disabled signal drove state to %v", got)
+	}
+	// Nor may it hold a state another row entered and has since left.
+	fc, setL0, _ := testFlow(flowSignal{name: "off", read: func() uint64 { return 1 << 40 },
+		slowExit: 1, stopExit: 1})
+	setL0(8)
+	fc.recompute(10, "test")
+	setL0(0)
+	fc.recompute(20, "test")
+	if got := fc.current(); got != FlowOK {
+		t.Fatalf("disabled signal held state %v", got)
 	}
 }
 
 func TestFlowHysteresisNoFlap(t *testing.T) {
 	// Oscillating between the enter threshold and the exit band must produce
 	// exactly one Slowdown entry, not one per oscillation.
-	fc, setL0, _ := testFlow(testThresholds())
+	fc, setL0, _ := testFlow()
 	var now int64
 	setL0(4)
 	now += 10
@@ -137,8 +127,7 @@ func TestFlowHysteresisNoFlap(t *testing.T) {
 
 func TestFlowWALSignal(t *testing.T) {
 	var wal uint64
-	fc, _, _ := testFlow(testThresholds())
-	fc.setWALSignal(func() uint64 { return wal }, 1000, 2000)
+	fc, _, _ := testFlow(flowSignal{"wal_bytes", func() uint64 { return wal }, 1000, 500, 2000, 1500})
 	wal = 1000
 	fc.recompute(10, "test")
 	if fc.current() != FlowSlowdown {
@@ -164,7 +153,7 @@ func TestFlowWALSignal(t *testing.T) {
 func TestFlowSlowdownTokenPacing(t *testing.T) {
 	m := testMachine()
 	th := m.NewThread(0)
-	fc, setL0, _ := testFlow(testThresholds())
+	fc, setL0, _ := testFlow()
 	setL0(4)
 	fc.recompute(th.Clock.Now(), "test")
 
@@ -172,17 +161,16 @@ func TestFlowSlowdownTokenPacing(t *testing.T) {
 	// subsequent admit waits one refill interval, and the interval doubles up
 	// to the cap — so the inter-admission gaps must be the base, 2x, 4x, ...
 	// capped sequence.
-	base := testThresholds().SlowdownBaseDelay
-	max := testThresholds().SlowdownMaxDelay
+	const admits = 10 // enough doublings of the 2 µs base to reach the 2^18 ns cap
 	if err := fc.admit(th, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := fc.snapshot().DelayedWrites; d != 0 {
 		t.Fatalf("first token should be free, delayed=%d", d)
 	}
-	wantGap := base
+	wantGap := int64(slowdownBaseDelay)
 	prev := th.Clock.Now()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < admits; i++ {
 		if err := fc.admit(th, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -191,13 +179,13 @@ func TestFlowSlowdownTokenPacing(t *testing.T) {
 			t.Fatalf("admit %d: gap %d, want %d", i, gap, wantGap)
 		}
 		prev = th.Clock.Now()
-		wantGap *= 2
-		if wantGap > max {
-			wantGap = max
-		}
+		wantGap = min(2*wantGap, slowdownMaxDelay)
+	}
+	if wantGap != slowdownMaxDelay {
+		t.Fatalf("pacing never reached the cap: next gap %d", wantGap)
 	}
 	st := fc.snapshot()
-	if st.DelayedWrites != 6 || st.DelayedNs == 0 {
+	if st.DelayedWrites != admits || st.DelayedNs == 0 {
 		t.Fatalf("delay accounting: %+v", st)
 	}
 }
@@ -205,7 +193,7 @@ func TestFlowSlowdownTokenPacing(t *testing.T) {
 func TestFlowSlowdownDeadlineRejectKeepsToken(t *testing.T) {
 	m := testMachine()
 	th := m.NewThread(0)
-	fc, setL0, _ := testFlow(testThresholds())
+	fc, setL0, _ := testFlow()
 	setL0(4)
 	fc.recompute(th.Clock.Now(), "test")
 	// Burn tokens so the next slot is well in the future.
@@ -218,7 +206,7 @@ func TestFlowSlowdownDeadlineRejectKeepsToken(t *testing.T) {
 	tokenBefore := fc.nextTokenV
 	fc.mu.Unlock()
 	th2 := m.NewThread(1) // fresh clock, far behind the token queue
-	if err := fc.admit(th2, th2.Clock.Now()+1); err == nil || !errors.Is(err, ErrStalled) {
+	if err := fc.countStall(fc.admit(th2, th2.Clock.Now()+1)); err == nil || !errors.Is(err, ErrStalled) {
 		t.Fatalf("admit past deadline: %v, want ErrStalled", err)
 	}
 	fc.mu.Lock()
@@ -235,12 +223,12 @@ func TestFlowSlowdownDeadlineRejectKeepsToken(t *testing.T) {
 func TestFlowStopFastFailAndLegacyBlock(t *testing.T) {
 	m := testMachine()
 	th := m.NewThread(0)
-	fc, setL0, _ := testFlow(testThresholds())
+	fc, setL0, _ := testFlow()
 	setL0(8)
 	fc.recompute(th.Clock.Now(), "test")
 
 	// A deadline write fails fast without blocking.
-	if err := fc.admit(th, th.Clock.Now()+1_000_000); !errors.Is(err, ErrStalled) {
+	if err := fc.countStall(fc.admit(th, th.Clock.Now()+1_000_000)); !errors.Is(err, ErrStalled) {
 		t.Fatalf("deadline admit in Stop: %v, want ErrStalled", err)
 	}
 
@@ -269,7 +257,7 @@ func TestFlowStopFastFailAndLegacyBlock(t *testing.T) {
 
 func TestFlowAbortWakesLegacyWaiter(t *testing.T) {
 	m := testMachine()
-	fc, setL0, _ := testFlow(testThresholds())
+	fc, setL0, _ := testFlow()
 	setL0(8)
 	fc.recompute(10, "test")
 	th2 := m.NewThread(1)
@@ -427,37 +415,119 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 }
 
 func TestFlowPoolAcquireDeadline(t *testing.T) {
-	// With flow control disabled and a single tiny slot per core, a write
-	// that cannot get a slot before its deadline must stall instead of
-	// blocking forever — exercised through the public deadline API so the
-	// admission fast path stays out of the way.
-	o := smallOpts()
-	o.DisableFlowControl = true
-	o.PoolBytes = 256 << 10 // 2 slots of 128 KiB
-	o.FlushThreads = 1
-	e, th := openEngine(t, testMachine(), o)
-	defer e.Close(th)
-
-	val := make([]byte, 4<<10)
-	var sawStall bool
-	for i := 0; i < 2000; i++ {
-		err := e.Write(th, putBatch([]byte(fmt.Sprintf("k%06d", i)), val), 50)
-		if err != nil {
-			if !errors.Is(err, ErrStalled) {
+	// With flow control disabled and a pool of one small slot per engine, a
+	// write that cannot get a slot before its deadline must stall instead of
+	// blocking forever — exercised through Write so the admission fast path
+	// stays out of the way. A copy-based flush costs 250 virtual µs before its
+	// first byte, so a 50 ns deadline cannot outlast one: every seal stalls the
+	// writer behind it. Every ErrStalled that leaves Write is counted once,
+	// though none of these comes from admission.
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			o := smallOpts()
+			o.DisableFlowControl = true
+			o.PoolBytes = uint64(shards) * 256 << 10 // one 128 KiB slot per engine
+			o.FlushThreads = 1
+			o.Shards = shards
+			m := testMachine()
+			th := m.NewThread(0)
+			db, err := Open(m, o, th)
+			if err != nil {
 				t.Fatal(err)
 			}
-			sawStall = true
-			break
-		}
+			defer db.Close(th)
+
+			val := make([]byte, 4<<10)
+			var stalls int64
+			for i := 0; i < 2000; i++ {
+				err := db.Write(th, putBatch([]byte(fmt.Sprintf("k%06d", i)), val), 50)
+				if errors.Is(err, ErrStalled) {
+					stalls++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stalls == 0 {
+				t.Fatal("no write stalled on the slot wait")
+			}
+			if got := db.FlowStats().RejectedWrites; got != stalls {
+				t.Fatalf("flow_writes_rejected = %d, want the %d ErrStalled returns", got, stalls)
+			}
+			// The engine must still accept unbounded writes afterwards.
+			if err := db.Put(th, []byte("tail"), []byte("v")); err != nil {
+				t.Fatalf("legacy write after deadline traffic: %v", err)
+			}
+			if v, err := db.Get(th, []byte("tail")); err != nil || string(v) != "v" {
+				t.Fatalf("tail read: %q %v", v, err)
+			}
+		})
 	}
-	// Whether a stall occurs depends on flush keeping up; either way the
-	// engine must still accept unbounded writes afterwards.
-	_ = sawStall
-	if err := e.Put(th, []byte("tail"), []byte("v")); err != nil {
-		t.Fatalf("legacy write after deadline traffic: %v", err)
+}
+
+// TestFlowDefaultsPinned pins the flow table a store derives from its
+// budgets: the sixteen enter/exit bounds and the two pacing constants,
+// recorded from the threshold-option defaults of the commit the table
+// replaced them at, for the three geometries that matter — the paper's
+// defaults, the same split over two shards (what the ledger's mixed workload
+// runs), and cmd/torture's engineOptions at four shards.
+func TestFlowDefaultsPinned(t *testing.T) {
+	if slowdownBaseDelay != 2_000 || slowdownMaxDelay != 262_144 {
+		t.Fatalf("token pacing %d..%d ns, want 2000..262144", slowdownBaseDelay, slowdownMaxDelay)
 	}
-	if v, err := e.Get(th, []byte("tail")); err != nil || string(v) != "v" {
-		t.Fatalf("tail read: %q %v", v, err)
+	torture := DefaultOptions()
+	torture.FSBytes = 256 << 20
+	torture.PoolBytes = 4 << 20
+	torture.SubMemTableBytes = 256 << 10
+	torture.ImmZoneBytes = 8 << 20
+	type row struct {
+		name                           string
+		slow, slowExit, stop, stopExit uint64
+	}
+	l0 := row{"l0_files", 8, 6, 16, 12}
+	debt := row{"debt_bytes", 8388608, 4194304, 33554432, 25165824}
+	wal := row{"wal_bytes", 393216, 196608, 491520, 368640}
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		shards int
+		want   []row
+	}{
+		{"default", DefaultOptions(), 1,
+			[]row{l0, {"backlog_bytes", 28521267, 21390950, 36909875, 27682406}, debt}},
+		{"default-shards2", DefaultOptions(), 2,
+			[]row{l0, {"backlog_bytes", 14260633, 10695474, 18454937, 13841202}, debt, wal}},
+		{"torture-shards4", torture, 4,
+			[]row{l0, {"backlog_bytes", 1782579, 1336934, 2306867, 1730150}, debt, wal}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			th := m.NewThread(0)
+			tc.opts.Shards = tc.shards
+			db, err := Open(m, tc.opts, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close(th)
+			var engines []*Engine
+			switch s := db.(type) {
+			case *Engine:
+				engines = []*Engine{s}
+			case *Sharded:
+				engines = s.shards
+			}
+			if len(engines) != tc.shards {
+				t.Fatalf("%d engines, want %d", len(engines), tc.shards)
+			}
+			for k, e := range engines {
+				var got []row
+				for _, s := range e.flow.signals {
+					got = append(got, row{s.name, s.slow, s.slowExit, s.stop, s.stopExit})
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("shard %d flow table:\n got %v\nwant %v", k, got, tc.want)
+				}
+			}
+		})
 	}
 }
 

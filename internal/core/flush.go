@@ -111,7 +111,7 @@ func (e *Engine) serveSpill(at int64) {
 		e.spillState.mu.Unlock()
 		return
 	}
-	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/spill", e.opts.Shard))
+	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/spill", e.env.index))
 	th.Clock.AdvanceTo(at)
 	start := th.Clock.Now()
 	th.InPhase(hw.PhaseSpill, func() {
@@ -145,28 +145,16 @@ func (e *Engine) requestSpill(at int64) {
 // the caller can refresh pressure state instead of hanging forever. Zero
 // waits without bound.
 func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error {
-	backoff := int64(0)
+	var backoff stallBackoff
 	e.spillState.mu.Lock()
 	for e.immArena.Region().Size-e.immArena.Used() < need {
 		if e.bgErr() != nil {
 			e.spillState.mu.Unlock()
 			return nil
 		}
-		if deadlineV > 0 {
-			if th.Clock.Now() >= deadlineV {
-				e.spillState.mu.Unlock()
-				return ErrStalled
-			}
-			if backoff == 0 {
-				backoff = stallBackoffBaseNs
-			} else if backoff < stallBackoffMaxNs {
-				backoff *= 2
-			}
-			step := backoff
-			if rem := deadlineV - th.Clock.Now(); step > rem {
-				step = rem
-			}
-			th.Clock.Advance(step)
+		if deadlineV > 0 && !backoff.step(th, deadlineV) {
+			e.spillState.mu.Unlock()
+			return ErrStalled
 		}
 		// Request under the state lock: the spill thread's completion
 		// broadcast also takes it, so the request cannot be consumed and
@@ -195,11 +183,11 @@ func (e *Engine) flushOne(s *slot) {
 		finish()
 		return
 	}
-	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/flush", e.opts.Shard))
+	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/flush", e.env.index))
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
 	th.Clock.AdvanceTo(s.sealedAt.Load())
 	start := th.Clock.Now()
-	e.trace.Emit(start, "flush_start", "shard", e.opts.Shard, "slot", s.idx)
+	e.trace.Emit(start, "flush_start", "shard", e.env.index, "slot", s.idx)
 	var stallNs int64
 	// Fixed per-flush dispatch and metadata cost: the reason over-small
 	// sub-MemTables hurt write throughput (the paper's Exp#6 left side).
@@ -209,7 +197,7 @@ func (e *Engine) flushOne(s *slot) {
 	// The work itself runs here (the sub-skiplist must be complete before it
 	// moves to the ImmZone registry), but its virtual time is billed to the
 	// dedicated index thread, which overlaps with the copy-based flush.
-	syncTh := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.opts.Shard))
+	syncTh := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
 	syncTh.Clock.SetLabel(hw.PhaseIndex.Layer())
 	syncTh.Clock.AdvanceTo(s.sealedAt.Load())
 	e.syncSlot(syncTh, s)
@@ -251,7 +239,7 @@ func (e *Engine) flushOne(s *slot) {
 				// refreshes the flow-control state, escalating admission to
 				// Slowdown/Stop so the foreground sheds load instead of
 				// piling more seals behind this one.
-				e.trace.Emit(th.Clock.Now(), "flush_stall", "shard", e.opts.Shard,
+				e.trace.Emit(th.Clock.Now(), "flush_stall", "shard", e.env.index,
 					"slot", s.idx, "need", immZoneHdrSize+tail)
 				e.flow.recompute(th.Clock.Now(), "flush_stall")
 			}
@@ -325,7 +313,7 @@ func (e *Engine) flushOne(s *slot) {
 		}
 	}
 
-	e.trace.Emit(th.Clock.Now(), "flush_end", "shard", e.opts.Shard,
+	e.trace.Emit(th.Clock.Now(), "flush_end", "shard", e.env.index,
 		"slot", s.idx, "bytes", tail, "entries", count, "stall_ns", stallNs)
 	// Block-cache eviction pressure: surface sustained churn as a trace event
 	// (every 1024 new evictions) so read-path regressions are visible in the
@@ -387,7 +375,7 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	if len(imms) == 0 {
 		return
 	}
-	e.trace.Emit(th.Clock.Now(), "spill_start", "shard", e.opts.Shard, "tables", len(imms))
+	e.trace.Emit(th.Clock.Now(), "spill_start", "shard", e.env.index, "tables", len(imms))
 	// The spill merges via the sub-skiplists, so it cannot start before the
 	// index thread has finished syncing every table it covers: under
 	// sustained load the single index thread is the pipeline's ceiling,
@@ -446,7 +434,7 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 		e.m.Cache.NTWrite(th.Clock, e.immArena.Region().Addr, zero)
 	}
 	e.stats.Spills.Add(1)
-	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.opts.Shard, "tables", len(imms), "max_seq", maxSeq)
+	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.env.index, "tables", len(imms), "max_seq", maxSeq)
 }
 
 // syncReq is one trigger-2 lazy-sync request with the virtual time it was
@@ -469,7 +457,7 @@ func (e *Engine) indexLoop() {
 			if !ok {
 				return
 			}
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.opts.Shard))
+			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
 			th.Clock.SetLabel(hw.PhaseIndex.Layer())
 			th.Clock.AdvanceTo(req.at)
 			e.syncSlot(th, req.s)
@@ -478,7 +466,7 @@ func (e *Engine) indexLoop() {
 			if !ok {
 				return
 			}
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/compact", e.opts.Shard))
+			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/compact", e.env.index))
 			th.Clock.SetLabel(hw.PhaseCompact.Layer())
 			start := th.Clock.Now()
 			e.runCompaction(th)

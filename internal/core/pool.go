@@ -114,13 +114,13 @@ type pool struct {
 	// the sub-MemTable assigned to each core.
 	coreSlot []atomic.Int32 // slot index per core, -1 = none
 
-	missCounter   atomic.Int64 // cores that found no free sub-MemTable
-	missThreshold int64
-	elastic       bool
+	missCounter atomic.Int64 // cores that found no free sub-MemTable
+	elastic     bool
 
-	// sealFn is installed by the engine: it enqueues a force-sealed slot for
-	// a copy-based flush. Called with p.mu held; must not block.
-	sealFn func(*slot)
+	// sealFn is installed by the engine (Engine.queueSealed): it queues a slot
+	// force-sealed at virtual time at for its copy-based flush. Called with
+	// p.mu held; must not block.
+	sealFn func(at int64, s *slot)
 
 	// aborted is set when the engine fails: acquire stops blocking and
 	// returns nil so callers can surface the error instead of hanging.
@@ -138,9 +138,13 @@ type pool struct {
 
 const poolHeaderMagic = 0xCAC4EC001
 
+// missThreshold is how many allocation misses split the free sub-MemTables;
 // mergeQuietFrees is how many consecutive miss-free slot releases signal an
 // over-provisioned pool worth coalescing.
-const mergeQuietFrees = 8
+const (
+	missThreshold   = 8
+	mergeQuietFrees = 8
+)
 
 // poolHeaderBytes is the persistent slot-geometry table at the head of the
 // pool region: magic, slot count, then {offset,size} pairs.
@@ -151,23 +155,28 @@ func (p *pool) slotList() []*slot { return *p.slots.Load() }
 // setSlots installs a new slot slice (p.mu held).
 func (p *pool) setSlots(s []*slot) { p.slots.Store(&s) }
 
-// newPool carves region into slots of slotBytes each and persists the
-// geometry. The caller has already pinned the region into the cache.
-func newPool(m *hw.Machine, region hw.Region, part cache.PartitionID, slotBytes uint64, cores int, elastic bool, missThreshold int64, th *hw.Thread) (*pool, error) {
+// emptyPool is a pool over region with no slots yet and no core assigned.
+func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, elastic bool) *pool {
 	p := &pool{
-		m:             m,
-		region:        region,
-		partition:     part,
-		minSize:       64 << 10,
-		maxSize:       region.Size - poolHeaderBytes,
-		coreSlot:      make([]atomic.Int32, cores),
-		missThreshold: missThreshold,
-		elastic:       elastic,
+		m:         m,
+		region:    region,
+		partition: part,
+		minSize:   64 << 10,
+		maxSize:   region.Size - poolHeaderBytes,
+		coreSlot:  make([]atomic.Int32, cores),
+		elastic:   elastic,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for i := range p.coreSlot {
 		p.coreSlot[i].Store(-1)
 	}
+	return p
+}
+
+// newPool carves region into slots of slotBytes each and persists the
+// geometry. The caller has already pinned the region into the cache.
+func newPool(m *hw.Machine, region hw.Region, part cache.PartitionID, slotBytes uint64, cores int, elastic bool, th *hw.Thread) (*pool, error) {
+	p := emptyPool(m, region, part, cores, elastic)
 	usable := region.Size - poolHeaderBytes
 	n := usable / slotBytes
 	if n == 0 {
@@ -204,7 +213,7 @@ func (p *pool) persistGeometry(th *hw.Thread) {
 }
 
 // loadGeometry reads the persisted slot table (crash recovery).
-func loadGeometry(m *hw.Machine, region hw.Region, cores int, elastic bool, missThreshold int64) (*pool, error) {
+func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, elastic bool) (*pool, error) {
 	hdr := make([]byte, poolHeaderBytes)
 	m.PMem.LoadRaw(region.Addr, hdr)
 	if util.Fixed64(hdr) != poolHeaderMagic {
@@ -214,19 +223,7 @@ func loadGeometry(m *hw.Machine, region hw.Region, cores int, elastic bool, miss
 	if n <= 0 || 12+8*n > poolHeaderBytes {
 		return nil, fmt.Errorf("core: corrupt pool geometry (%d slots)", n)
 	}
-	p := &pool{
-		m:             m,
-		region:        region,
-		minSize:       64 << 10,
-		maxSize:       region.Size - poolHeaderBytes,
-		coreSlot:      make([]atomic.Int32, cores),
-		missThreshold: missThreshold,
-		elastic:       elastic,
-	}
-	p.cond = sync.NewCond(&p.mu)
-	for i := range p.coreSlot {
-		p.coreSlot[i].Store(-1)
-	}
+	p := emptyPool(m, region, part, cores, elastic)
 	var slots []*slot
 	for i := 0; i < n; i++ {
 		off := uint64(util.Fixed32(hdr[12+8*i:]))
@@ -290,7 +287,7 @@ func (p *pool) slotFor(core int) *slot {
 func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64) (*slot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	backoff := int64(0)
+	var backoff stallBackoff
 	for {
 		if p.aborted.Load() {
 			return nil, nil
@@ -326,7 +323,7 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 		// sustained, let elasticity split free slots next time around.
 		p.missCounter.Add(1)
 		p.freesSinceMiss.Store(0)
-		if p.elastic && p.missCounter.Load() >= p.missThreshold {
+		if p.elastic && p.missCounter.Load() >= missThreshold {
 			if p.splitFreeSlotsLocked(th) {
 				p.missCounter.Store(0)
 				continue
@@ -351,27 +348,12 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 		}
 		if !inflight && fullest != nil && p.sealFn != nil {
 			if p.forceSealLocked(th, fullest) {
-				p.sealFn(fullest)
+				p.sealFn(th.Clock.Now(), fullest)
 				continue
 			}
 		}
-		if deadlineV > 0 {
-			// Deadline-aware wait: charge a doubling, capped virtual backoff
-			// step per retry so the stalled writer's clock converges on its
-			// deadline, then fail fast instead of blocking indefinitely.
-			if th.Clock.Now() >= deadlineV {
-				return nil, ErrStalled
-			}
-			if backoff == 0 {
-				backoff = stallBackoffBaseNs
-			} else if backoff < stallBackoffMaxNs {
-				backoff *= 2
-			}
-			step := backoff
-			if rem := deadlineV - th.Clock.Now(); step > rem {
-				step = rem
-			}
-			th.Clock.Advance(step)
+		if deadlineV > 0 && !backoff.step(th, deadlineV) {
+			return nil, ErrStalled
 		}
 		p.cond.Wait()
 	}
@@ -432,7 +414,7 @@ func (p *pool) markFree(th *hw.Thread, s *slot, doneAt int64) {
 	// split the slot the moment it frees, doubling the supply; conversely a
 	// long miss-free stretch merges free neighbours back together, trading
 	// parallelism for fewer, cheaper background flushes (Section III-A).
-	if p.elastic && p.missCounter.Load() >= p.missThreshold {
+	if p.elastic && p.missCounter.Load() >= missThreshold {
 		if p.splitFreeSlotsLocked(th) {
 			p.missCounter.Store(0)
 			p.freesSinceMiss.Store(0)

@@ -124,7 +124,7 @@ func (e *Engine) Ingest(th *hw.Thread, entries []lsm.IngestEntry) error {
 			break
 		}
 	}
-	e.trace.Emit(th.Clock.Now(), "ingest", "shard", e.opts.Shard,
+	e.trace.Emit(th.Clock.Now(), "ingest", "shard", e.env.index,
 		"entries", len(entries), "seq", seq)
 	e.tree.Kick(th.Clock.Now())
 	e.flow.recompute(th.Clock.Now(), "ingest")

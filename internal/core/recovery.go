@@ -23,11 +23,10 @@ import (
 //     re-assigned (the paper's recovery resets allocated tables to Free);
 //  3. re-run the sub-skiplist compaction to rebuild the global skiplist.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
-	p, err := loadGeometry(e.m, poolRegion, e.m.Cores(), e.opts.Elastic, e.opts.MissThreshold)
+	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), e.opts.Elastic)
 	if err != nil {
 		return err
 	}
-	p.partition = e.poolPart
 	p.filterBits = e.mem.filterBits
 	e.pool = p
 

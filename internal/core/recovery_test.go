@@ -16,7 +16,7 @@ func crashAndReopen(t *testing.T, m *hw.Machine, opts Options) (*Engine, *hw.Thr
 	m.Crash()
 	m.Recover()
 	th := m.NewThread(0)
-	e, err := Open(m, opts, th)
+	e, err := newEngine(m, opts, shardEnv{}, th)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ package core
 //
 // The LLC is way-granular, so the router reserves ONE pinned partition sized
 // for the sum of all shard pools and hands it to every shard engine
-// (Options.SharedPartition); per-shard pool regions are distinct PMem ranges
-// inside that shared partition's capacity.
+// (shardEnv.part); per-shard pool regions are distinct PMem ranges inside that
+// shared partition's capacity.
 
 import (
 	"errors"
@@ -37,18 +37,6 @@ import (
 	"cachekv/internal/util"
 )
 
-// ShardedOptions configure OpenSharded. The Base options carry TOTAL budgets
-// (pool, ImmZone, FS, manifest) that are divided across shards, so a sharded
-// store consumes the same pinned-cache and PMem budget as a single-shard one.
-type ShardedOptions struct {
-	// Shards is the number of engine shards (>= 1).
-	Shards int
-	// Base is the per-engine configuration; PoolBytes, ImmZoneBytes, FSBytes
-	// and ManifestBytes are totals split across shards, SubMemTableBytes is
-	// clamped so every shard keeps at least two slots.
-	Base Options
-}
-
 const (
 	// groupCommitWindowNs is the virtual-time window within which
 	// concurrently arriving write requests coalesce into one group; a request
@@ -61,51 +49,21 @@ const (
 	twoPCLogBytes = 256 << 10
 )
 
-func (o ShardedOptions) withDefaults() ShardedOptions {
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	o.Base = o.Base.withDefaults()
-	return o
-}
-
-// shardOptions derives shard k's engine options from the totals.
-func (o ShardedOptions) shardOptions(k int, prefix string, seq *atomic.Uint64, part *cache.PartitionID) Options {
+// shardOptions derives one shard's engine options from o's totals (defaults
+// applied, Shards >= 1). Shards stays the deployment's count: the engine
+// sizes its slice of the manifest budget from it.
+func shardOptions(o Options) Options {
 	n := uint64(o.Shards)
-	eo := o.Base
-	eo.Shard = k
-	eo.RegionPrefix = fmt.Sprintf("%s.s%d", prefix, k)
-	eo.SharedSeq = seq
-	eo.SharedPartition = part
-
-	eo.PoolBytes = o.Base.PoolBytes / n
-	if min := uint64(poolHeaderBytes + 2*(64<<10)); eo.PoolBytes < min {
-		eo.PoolBytes = min
-	}
+	o.PoolBytes = max(o.PoolBytes/n, poolHeaderBytes+2*(64<<10))
 	// Keep at least two slots per shard so one can flush while the other
 	// absorbs writes.
-	if max := (eo.PoolBytes - poolHeaderBytes) / 2; eo.SubMemTableBytes > max {
-		eo.SubMemTableBytes = max &^ 7
+	if most := (o.PoolBytes - poolHeaderBytes) / 2; o.SubMemTableBytes > most {
+		o.SubMemTableBytes = most &^ 7
 	}
-	if eo.SubMemTableBytes < 64<<10 {
-		eo.SubMemTableBytes = 64 << 10
-	}
-	eo.ImmZoneBytes = o.Base.ImmZoneBytes / n
-	if min := 2 * eo.PoolBytes; eo.ImmZoneBytes < min {
-		eo.ImmZoneBytes = min
-	}
-	if eo.ImmZoneBytes < 1<<20 {
-		eo.ImmZoneBytes = 1 << 20
-	}
-	eo.FSBytes = o.Base.FSBytes / n
-	if eo.FSBytes < 8<<20 {
-		eo.FSBytes = 8 << 20
-	}
-	eo.ManifestBytes = o.Base.ManifestBytes / n
-	if eo.ManifestBytes < 1<<20 {
-		eo.ManifestBytes = 1 << 20
-	}
-	return eo
+	o.SubMemTableBytes = max(o.SubMemTableBytes, 64<<10)
+	o.ImmZoneBytes = max(o.ImmZoneBytes/n, 2*o.PoolBytes, 1<<20)
+	o.FSBytes = max(o.FSBytes/n, 8<<20)
+	return o
 }
 
 // writeReq is one caller's parked write: its operations (sequence numbers
@@ -153,7 +111,7 @@ func (w *shardWriter) submit(req *writeReq) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if w.closed {
-		return errEngineClosed
+		return kvstore.ErrClosed
 	}
 	w.ch <- req
 	return nil
@@ -242,7 +200,6 @@ func (w *shardWriter) commitGroup(group []*writeReq) {
 		if r.deadlineV > 0 && start > r.deadlineV {
 			r.doneV = r.deadlineV
 			r.err = ErrStalled
-			w.eng.flow.rejectedWrites.Add(1)
 			close(r.done)
 			continue
 		}
@@ -324,13 +281,11 @@ type shardStats struct {
 
 // Sharded is the N-shard CacheKV deployment. It implements kvstore.DB.
 type Sharded struct {
-	m    *hw.Machine
-	opts ShardedOptions
+	m             *hw.Machine
+	writeDeadline int64 // Options.WriteStallDeadline, for Put/Delete/DeleteRange
 
-	prefix  string
-	seq     *atomic.Uint64
-	part    cache.PartitionID
-	ownPart bool
+	seq  *atomic.Uint64
+	part cache.PartitionID
 
 	shards  []*Engine
 	writers []*shardWriter
@@ -348,75 +303,53 @@ type Sharded struct {
 	halted atomic.Bool
 }
 
-// OpenSharded creates (or recovers) an N-shard CacheKV deployment on m.
-func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, error) {
+// shardPrefix is the region-name prefix of a router's shard k. The names are
+// the on-media layout: cachekv.s<k>.{pool,imm,fs,manifest,2pc} per shard and
+// cachekv.2pc.commit for the router.
+func shardPrefix(k int) string { return fmt.Sprintf("cachekv.s%d", k) }
+
+// newSharded creates (or recovers) the router over max(o.Shards, 1) engines;
+// Open sends Shards >= 2 here.
+func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 	o = o.withDefaults()
-	prefix := o.Base.RegionPrefix
-	if prefix == "" {
-		prefix = "cachekv"
-	}
+	o.Shards = max(o.Shards, 1)
 	sh := &Sharded{
 		m:              m,
-		opts:           o,
-		prefix:         prefix,
-		trace:          o.Base.Trace,
+		writeDeadline:  o.WriteStallDeadline,
+		seq:            new(atomic.Uint64),
+		trace:          o.Trace,
 		batchHist:      histogram.New(),
 		waitHist:       histogram.New(),
 		perShardGroups: make([]atomic.Int64, o.Shards),
 	}
-	if o.Base.SharedSeq != nil {
-		sh.seq = o.Base.SharedSeq
-	} else {
-		sh.seq = new(atomic.Uint64)
+	var err error
+	sh.part, err = m.Cache.Reserve(int(o.PoolBytes))
+	if err != nil {
+		return nil, fmt.Errorf("cachekv: pinning sharded pool: %w", err)
 	}
-	if o.Base.SharedPartition != nil {
-		sh.part = *o.Base.SharedPartition
-	} else {
-		part, err := m.Cache.Reserve(int(o.Base.PoolBytes))
-		if err != nil {
-			return nil, fmt.Errorf("cachekv: pinning sharded pool: %w", err)
-		}
-		sh.part = part
-		sh.ownPart = true
-	}
-
+	// The two-phase state exists before the shards do, so that each shard's
+	// flow control can read its log occupancy from the start; the logs open
+	// after them, because replay feeds the shards.
+	sh.tpc = newTwoPC(sh, o.Shards)
+	eo := shardOptions(o)
 	for k := 0; k < o.Shards; k++ {
-		eo := o.shardOptions(k, prefix, sh.seq, &sh.part)
-		eng, err := Open(m, eo, th)
+		eng, err := newEngine(m, eo, shardEnv{
+			index: k, prefix: shardPrefix(k), seq: sh.seq, part: &sh.part, wal: sh.tpc.logBytes(k),
+		}, th)
 		if err != nil {
 			sh.teardown(th)
 			return nil, fmt.Errorf("cachekv: opening shard %d/%d: %w", k, o.Shards, err)
 		}
 		sh.shards = append(sh.shards, eng)
 	}
-
-	// Two-phase commit logs, and replay of any in-doubt cross-shard groups.
-	tpc, err := openTwoPC(sh, th)
-	if err != nil {
+	// Open the logs, replaying any in-doubt cross-shard groups.
+	if err := sh.tpc.open(th); err != nil {
 		sh.teardown(th)
 		return nil, err
 	}
-	sh.tpc = tpc
-	// Wire the two-phase log occupancy into each shard's flow controller as
-	// its WAL pressure signal: a safety valve above the half-capacity
-	// auto-reset, so runaway cross-shard traffic escalates admission before a
-	// log-full failure.
-	const walCap = 2 * twoPCLogBytes
-	for k := range sh.shards {
-		k := k
-		sh.shards[k].flow.setWALSignal(func() uint64 {
-			return tpc.prepBytes[k].Load() + tpc.commitBytes.Load()
-		}, walCap*3/4, walCap*15/16)
-	}
 
 	// Group-commit writers, one per shard, pinned round-robin over the cores.
-	maxBytes := o.Base.SubMemTableBytes / 4
-	if maxBytes > 32<<10 {
-		maxBytes = 32 << 10
-	}
-	if maxBytes < 4<<10 {
-		maxBytes = 4 << 10
-	}
+	maxBytes := min(max(o.SubMemTableBytes/4, 4<<10), 32<<10)
 	for k := 0; k < o.Shards; k++ {
 		w := &shardWriter{
 			sh:       sh,
@@ -433,14 +366,12 @@ func OpenSharded(m *hw.Machine, o ShardedOptions, th *hw.Thread) (*Sharded, erro
 	return sh, nil
 }
 
-// teardown closes whatever opened during a failed OpenSharded.
+// teardown closes whatever opened during a failed newSharded.
 func (sh *Sharded) teardown(th *hw.Thread) {
 	for _, e := range sh.shards {
 		_ = e.Close(th)
 	}
-	if sh.ownPart {
-		sh.m.Cache.Release(sh.part)
-	}
+	sh.m.Cache.Release(sh.part)
 }
 
 // ShardOf returns the shard index key routes to: a hash partition, so every
@@ -453,9 +384,6 @@ func (sh *Sharded) ShardOf(key []byte) int {
 // Shards returns the shard count.
 func (sh *Sharded) Shards() int { return len(sh.shards) }
 
-// Shard exposes shard k's engine (tests and tooling).
-func (sh *Sharded) Shard(k int) *Engine { return sh.shards[k] }
-
 // WriterCore reports the virtual core shard k's group-commit writer is pinned
 // to (k modulo the machine's core count) — the deterministic session/shard
 // core mapping documented on cachekv.DB.Session.
@@ -463,7 +391,7 @@ func (sh *Sharded) WriterCore(k int) int { return sh.writers[k].th.Core }
 
 func (sh *Sharded) err() error {
 	if sh.closed.Load() {
-		return errEngineClosed
+		return kvstore.ErrClosed
 	}
 	if sh.halted.Load() {
 		return errEngineCrashed
@@ -528,11 +456,13 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 		}
 	}
 	if one >= 0 {
-		if err := sh.shards[one].flow.admitWrite(th, deadlineV); err != nil {
-			return err
+		fc := sh.shards[one].flow
+		err := fc.admitWrite(th, deadlineV)
+		if err == nil {
+			assignSeqs(sh.seq, ops)
+			err = sh.submitAndWait(th, one, ops, deadlineV)
 		}
-		assignSeqs(sh.seq, ops)
-		return sh.submitAndWait(th, one, ops, deadlineV)
+		return fc.countStall(err)
 	}
 
 	// Two-phase path: the prepare record carries the sequence numbers, so they
@@ -558,19 +488,20 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 			portions = append(portions, &shardPortion{shard: k, ops: part})
 		}
 	}
-	return sh.tpc.commit(th, portions, deadlineV)
+	// A stalled cross-shard batch counts once, against its first participant.
+	return sh.shards[portions[0].shard].flow.countStall(sh.tpc.commit(th, portions, deadlineV))
 }
 
 // Put implements kvstore.DB.
 func (sh *Sharded) Put(th *hw.Thread, key, value []byte) error {
 	op := [1]batchOp{{key: key, value: value, kind: util.KindValue}}
-	return sh.Write(th, &Batch{ops: op[:]}, sh.opts.Base.WriteStallDeadline)
+	return sh.Write(th, &Batch{ops: op[:]}, sh.writeDeadline)
 }
 
 // Delete implements kvstore.DB.
 func (sh *Sharded) Delete(th *hw.Thread, key []byte) error {
 	op := [1]batchOp{{key: key, kind: util.KindDelete}}
-	return sh.Write(th, &Batch{ops: op[:]}, sh.opts.Base.WriteStallDeadline)
+	return sh.Write(th, &Batch{ops: op[:]}, sh.writeDeadline)
 }
 
 // DeleteRange deletes every key in [start, end) across the whole keyspace
@@ -578,7 +509,7 @@ func (sh *Sharded) Delete(th *hw.Thread, key []byte) error {
 func (sh *Sharded) DeleteRange(th *hw.Thread, start, end []byte) error {
 	var b Batch
 	b.DeleteRange(start, end)
-	return sh.Write(th, &b, sh.opts.Base.WriteStallDeadline)
+	return sh.Write(th, &b, sh.writeDeadline)
 }
 
 // Ingest bulk-loads sorted entries, routing each to its owning shard. Each
@@ -657,9 +588,7 @@ func (sh *Sharded) Halt() {
 	for _, e := range sh.shards {
 		e.Halt()
 	}
-	if sh.tpc != nil {
-		sh.tpc.abort()
-	}
+	sh.tpc.abort()
 }
 
 // Close implements kvstore.DB: drain the writers, close every shard, release
@@ -678,9 +607,7 @@ func (sh *Sharded) Close(th *hw.Thread) error {
 			first = err
 		}
 	}
-	if sh.ownPart {
-		sh.m.Cache.Release(sh.part)
-	}
+	sh.m.Cache.Release(sh.part)
 	return first
 }
 

@@ -10,24 +10,20 @@ import (
 	"cachekv/internal/util"
 )
 
-func smallShardedOpts(shards int) ShardedOptions {
-	return ShardedOptions{
-		Shards: shards,
-		Base: func() Options {
-			o := DefaultOptions()
-			o.PoolBytes = 1 << 20 // total, split across shards
-			o.SubMemTableBytes = 128 << 10
-			o.ImmZoneBytes = 4 << 20
-			o.FSBytes = 64 << 20
-			return o
-		}(),
-	}
+func smallShardedOpts(shards int) Options {
+	o := DefaultOptions()
+	o.Shards = shards
+	o.PoolBytes = 1 << 20 // total, split across shards
+	o.SubMemTableBytes = 128 << 10
+	o.ImmZoneBytes = 4 << 20
+	o.FSBytes = 64 << 20
+	return o
 }
 
-func openSharded(t *testing.T, m *hw.Machine, so ShardedOptions) (*Sharded, *hw.Thread) {
+func openSharded(t *testing.T, m *hw.Machine, so Options) (*Sharded, *hw.Thread) {
 	t.Helper()
 	th := m.NewThread(0)
-	sh, err := OpenSharded(m, so, th)
+	sh, err := newSharded(m, so, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +166,12 @@ func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
 	}
 }
 
-func crashAndReopenSharded(t *testing.T, m *hw.Machine, so ShardedOptions) (*Sharded, *hw.Thread) {
+func crashAndReopenSharded(t *testing.T, m *hw.Machine, so Options) (*Sharded, *hw.Thread) {
 	t.Helper()
 	m.Crash()
 	m.Recover()
 	th := m.NewThread(0)
-	sh, err := OpenSharded(m, so, th)
+	sh, err := newSharded(m, so, th)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +323,8 @@ func TestShardedSingleShardParity(t *testing.T) {
 	defer e.Close(eth)
 
 	mShard := testMachine()
-	so := smallShardedOpts(1)
-	so.Base = opts
+	so := opts
+	so.Shards = 1
 	sh, sth := openSharded(t, mShard, so)
 	defer sh.Close(sth)
 

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"cachekv/internal/hw"
+	"cachekv/internal/kvstore"
 	"cachekv/internal/util"
 	"cachekv/internal/wal"
 )
@@ -54,38 +55,34 @@ type twoPC struct {
 	commitBytes atomic.Uint64
 }
 
-func (sh *Sharded) prepareRegionName(k int) string {
-	return fmt.Sprintf("%s.s%d.2pc", sh.prefix, k)
+// newTwoPC builds the bookkeeping for n shards; open brings up the logs.
+func newTwoPC(sh *Sharded, n int) *twoPC {
+	t := &twoPC{sh: sh, nextID: 1, prepBytes: make([]atomic.Uint64, n)}
+	t.cond = sync.NewCond(&t.mu)
+	return t
 }
 
-func (sh *Sharded) commitRegionName() string {
-	return sh.prefix + ".2pc.commit"
+// logBytes returns the reading behind shard k's WAL flow signal: the bytes in
+// its prepare log plus those in the commit log.
+func (t *twoPC) logBytes(k int) func() uint64 {
+	return func() uint64 { return t.prepBytes[k].Load() + t.commitBytes.Load() }
 }
 
-// openTwoPC allocates (or, after a crash, recovers and replays) the two-phase
+// open allocates (or, after a crash, recovers and replays) the two-phase
 // logs. Shard engines must already be open: replay feeds committed portions
 // back through each shard's commitOps.
-func openTwoPC(sh *Sharded, th *hw.Thread) (*twoPC, error) {
-	t := &twoPC{sh: sh, nextID: 1}
-	t.cond = sync.NewCond(&t.mu)
-
-	m := sh.m
-	commitRg, recovered := m.LookupRegion(sh.commitRegionName())
-	if !recovered {
-		commitRg = m.Alloc(sh.commitRegionName(), twoPCLogBytes, 0)
-	}
-	t.commitRg = commitRg
-	for k := range sh.shards {
-		rg, ok := m.LookupRegion(sh.prepareRegionName(k))
-		if !ok {
-			rg = m.Alloc(sh.prepareRegionName(k), twoPCLogBytes, 0)
-		}
+func (t *twoPC) open(th *hw.Thread) error {
+	m := t.sh.m
+	var recovered bool
+	t.commitRg, recovered = region(m, "cachekv.2pc.commit", twoPCLogBytes, 0)
+	for k := range t.sh.shards {
+		rg, _ := region(m, shardPrefix(k)+".2pc", twoPCLogBytes, 0)
 		t.prepRgs = append(t.prepRgs, rg)
 	}
 
 	if recovered {
 		if err := t.replay(th); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -95,8 +92,7 @@ func openTwoPC(sh *Sharded, th *hw.Thread) (*twoPC, error) {
 	for _, rg := range t.prepRgs {
 		t.prepare = append(t.prepare, wal.NewWriter(m, rg, th))
 	}
-	t.prepBytes = make([]atomic.Uint64, len(t.prepare))
-	return t, nil
+	return nil
 }
 
 // replay resolves in-doubt cross-shard groups after a crash: collect durable
@@ -311,7 +307,7 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	}
 	if sh.closed.Load() {
 		t.mu.Unlock()
-		return errEngineClosed
+		return kvstore.ErrClosed
 	}
 	t.maybeResetLocked(th)
 	if t.aborted {
@@ -322,7 +318,6 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 		// The reset wait (or earlier admission delays) consumed the deadline;
 		// still nothing written, so the batch can fail cleanly.
 		t.mu.Unlock()
-		sh.shards[portions[0].shard].flow.rejectedWrites.Add(1)
 		return ErrStalled
 	}
 	id := t.nextID

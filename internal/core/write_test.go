@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cachekv/internal/hw"
@@ -223,4 +224,70 @@ func TestWriteAllocs(t *testing.T) {
 			t.Errorf("Write allocates %.0f objects for a %d-op batch, want 1", got, n)
 		}
 	}
+}
+
+// TestEverySealIsTraced: a slot reaches the copy-based flush by three routes —
+// it filled up, Flush sealed it, or pool starvation force-rotated it — and
+// each leaves exactly one memtable_seal answered by one flush_end, the balance
+// the ledger's quiet set-ups wait on. The empty slot Flush frees directly
+// leaves neither.
+func TestEverySealIsTraced(t *testing.T) {
+	count := func(tr *obs.Trace) (seals, flushes int) {
+		for _, ev := range tr.Events() {
+			switch ev.Type {
+			case "memtable_seal":
+				seals++
+			case "flush_end":
+				flushes++
+			}
+		}
+		return seals, flushes
+	}
+	put := func(e *Engine, th *hw.Thread) {
+		t.Helper()
+		if err := e.Put(th, []byte(fmt.Sprintf("core%d", th.Core)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("flush", func(t *testing.T) {
+		m := testMachine()
+		o := smallOpts()
+		o.Trace = obs.NewTrace(0)
+		e, th := openEngine(t, m, o)
+		defer e.Close(th)
+		put(e, m.NewThread(0))
+		put(e, m.NewThread(1))
+		if _, err := e.pool.acquire(m.NewThread(2), 2, 1, 0); err != nil { // allocated, never written
+			t.Fatal(err)
+		}
+		if err := e.FlushAll(th); err != nil {
+			t.Fatal(err)
+		}
+		if seals, flushes := count(o.Trace); seals != 2 || flushes != 2 {
+			t.Fatalf("Flush over two written slots and an empty one: %d memtable_seal, %d flush_end, want 2 and 2", seals, flushes)
+		}
+	})
+
+	t.Run("forced rotation", func(t *testing.T) {
+		m := testMachine()
+		o := smallOpts()
+		o.PoolBytes = 512 << 10
+		o.SubMemTableBytes = 224 << 10 // two slots
+		o.Elastic = false
+		o.Trace = obs.NewTrace(0)
+		e, th := openEngine(t, m, o)
+		defer e.Close(th)
+		// Both slots park on cores that go idle; a third core's write can only
+		// proceed by force-sealing one of them.
+		put(e, m.NewThread(0))
+		put(e, m.NewThread(1))
+		put(e, m.NewThread(2))
+		for e.pendingFlushes.Load() > 0 {
+			runtime.Gosched()
+		}
+		if seals, flushes := count(o.Trace); seals != 1 || flushes != 1 {
+			t.Fatalf("forced rotation: %d memtable_seal, %d flush_end, want 1 and 1", seals, flushes)
+		}
+	})
 }

@@ -140,8 +140,9 @@ func shardedSpec() EngineSpec {
 		DurableADR: false,
 		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
 			o := coreOptions()
+			o.Shards = crossShardShards
 			o.Trace = tr
-			return core.OpenSharded(m, core.ShardedOptions{Shards: crossShardShards, Base: o}, th)
+			return core.Open(m, o, th)
 		},
 	}
 }

@@ -17,6 +17,11 @@ import (
 // version is a tombstone).
 var ErrNotFound = errors.New("kvstore: key not found")
 
+// ErrClosed is returned by every engine for an operation on a store that has
+// been closed. It is a programming error, not a condition to wait out: open
+// the store again, do not retry.
+var ErrClosed = errors.New("kvstore: store is closed")
+
 // DB is the engine interface. Every operation executes on behalf of a
 // simulated thread whose virtual clock absorbs the operation's cost.
 type DB interface {

@@ -27,9 +27,10 @@ type Options struct {
 	// BlockCacheBytes sizes the shared DRAM block cache fronting SSTable
 	// data-block reads (8 MiB, LevelDB's default); negative disables it.
 	BlockCacheBytes int64
-	// BlockCacheShards is the cache's lock-shard count (16).
-	BlockCacheShards int
 }
+
+// blockCacheShards is the block cache's lock-shard count.
+const blockCacheShards = 16
 
 func (o Options) withDefaults() Options {
 	if o.L0CompactionTrigger == 0 {
@@ -49,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 8 << 20
-	}
-	if o.BlockCacheShards == 0 {
-		o.BlockCacheShards = 16
 	}
 	return o
 }
@@ -127,7 +125,7 @@ func Open(m *hw.Machine, fs *pmemfs.FS, manifestRegion hw.Region, opts Options, 
 		manifestRegion: manifestRegion,
 		nextFile:       1,
 		readers:        make(map[uint64]*sstable.Reader),
-		blockCache:     blockcache.New(opts.BlockCacheBytes, opts.BlockCacheShards),
+		blockCache:     blockcache.New(opts.BlockCacheBytes, blockCacheShards),
 		compacting:     make(map[uint64]bool),
 		compactPtr:     make([][]byte, opts.MaxLevels),
 		compactIn:      make([]int64, opts.MaxLevels),
