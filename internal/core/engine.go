@@ -659,7 +659,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 		if globalFilter != nil {
 			th.ChargeDRAM(1)
 			e.stats.FilterProbes.Add(1)
-			// Sound: compactInto adds to the filter before inserting into the
+			// Sound: mergeInto adds to the filter before upserting into the
 			// list, so any key present in global is present in its filter.
 			if !globalFilter.MayContain(key) {
 				e.stats.FilterNegatives.Add(1)

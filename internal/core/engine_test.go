@@ -26,7 +26,7 @@ func smallOpts() Options {
 	return o
 }
 
-func openEngine(t *testing.T, m *hw.Machine, opts Options) (*Engine, *hw.Thread) {
+func openEngine(t testing.TB, m *hw.Machine, opts Options) (*Engine, *hw.Thread) {
 	t.Helper()
 	th := m.NewThread(0)
 	e, err := newEngine(m, opts, shardEnv{}, th)

@@ -488,19 +488,19 @@ func (e *Engine) runCompaction(th *hw.Thread) {
 		}
 	}
 	e.mem.mu.RUnlock()
-	for _, t := range todo {
-		e.compactInto(th, global, globalFilter, t)
-		e.mem.mu.Lock()
-		// The global list may have been swapped by a spill while we merged;
-		// only mark compacted if the table is still present and the list is
-		// still current.
-		if e.mem.global == global {
+	if len(todo) == 0 {
+		return
+	}
+	e.mergeInto(th, global, globalFilter, todo)
+	e.mem.mu.Lock()
+	// The global list may have been swapped by a spill while we merged; the
+	// tables count as compacted only if it is still current.
+	if e.mem.global == global {
+		for _, t := range todo {
 			t.compacted = true
 		}
-		e.mem.mu.Unlock()
 	}
-	if len(todo) > 0 {
-		e.stats.Compactions.Add(1)
-		e.trace.Emit(th.Clock.Now(), "skiplist_compaction", "tables", len(todo))
-	}
+	e.mem.mu.Unlock()
+	e.stats.Compactions.Add(1)
+	e.trace.Emit(th.Clock.Now(), "skiplist_compaction", "tables", len(todo))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -254,7 +256,7 @@ var _ lsm.Iterator = (*snapIter)(nil)
 // Get hitting the compacted view can fetch the value straight from the
 // ImmZone without touching any per-table sub-skiplist.
 func encodeGlobalVal(seq uint64, kind util.ValueKind, addr uint64) []byte {
-	b := util.PutFixed64(nil, seq)
+	b := util.PutFixed64(make([]byte, 0, 17), seq)
 	b = append(b, byte(kind))
 	return util.PutFixed64(b, addr)
 }
@@ -263,35 +265,75 @@ func decodeGlobalVal(b []byte) (seq uint64, kind util.ValueKind, addr uint64) {
 	return util.Fixed64(b), util.ValueKind(b[8]), util.Fixed64(b[9:])
 }
 
-// compactInto merges one flushed table's sub-skiplist into the global
-// skiplist, keeping only the freshest version per user key — the
-// sub-skiplist compaction of Section III-D, which removes invalid nodes so
-// later reads walk one list instead of many. Every inserted key is also
-// recorded in the global negative filter (keys skipped as stale are already
-// present from a fresher insert), keeping the filter sound for the
-// compacted-view read path. Runs on the background index thread's clock.
-func (e *Engine) compactInto(th *hw.Thread, global *skiplist.List, globalFilter *memfilter.Filter, t *immTable) int {
-	it := t.list.NewIterator()
-	it.SeekToFirst()
-	merged := 0
-	charge := func(visits int) {
-		th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
+// addrIter walks a flushed table's sub-skiplist as a merge source whose values
+// are the entries' absolute ImmZone addresses — what a global-skiplist node
+// records — without reading a byte of the entries themselves.
+type addrIter struct {
+	*skiplist.Iterator
+	base uint64
+	addr [8]byte
+}
+
+// Key returns the current internal key.
+func (a *addrIter) Key() util.InternalKey { return a.Iterator.Key() }
+
+// Value returns the current entry's address; valid until the iterator moves.
+func (a *addrIter) Value() []byte {
+	return util.PutFixed64(a.addr[:0], a.base+util.Fixed64(a.Iterator.Value()))
+}
+
+// Seek positions at the first entry >= ik.
+func (a *addrIter) Seek(ik util.InternalKey) { a.Iterator.Seek(ik, nil) }
+
+// Err is always nil: the source is a DRAM list.
+func (a *addrIter) Err() error { return nil }
+
+// Close is a no-op; the iterator borrows nothing.
+func (a *addrIter) Close() {}
+
+var _ lsm.Iterator = (*addrIter)(nil)
+
+// mergeInto folds flushed tables' sub-skiplists into the global skiplist,
+// keeping only the freshest version per user key — the sub-skiplist
+// compaction of Section III-D, which removes invalid nodes so later reads
+// walk one list instead of many. The sub-skiplists are sorted runs, so they
+// are k-way merged in internal-key order (user key ascending, sequence
+// descending: the first version met of a key is its freshest in any table,
+// and on identical internal keys the earlier table wins) and the survivors,
+// which ascend, go into the global list through one finger instead of a
+// head-to-leaf search each. A key already in the list is replaced only by a
+// higher sequence. Every key is recorded in the global negative filter
+// before it is upserted, keeping the filter sound for the compacted-view read
+// path. Charged to th — the index thread's clock, or recovery's: one visit
+// per source node consumed plus the finger's, at the bulk-build rate.
+func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *memfilter.Filter, tables []*immTable) {
+	srcs := make([]lsm.Iterator, len(tables))
+	for i, t := range tables {
+		srcs[i] = &addrIter{Iterator: t.list.NewIterator(), base: t.base}
 	}
-	for it.Valid() {
-		ik := util.InternalKey(it.Key())
-		off := util.Fixed64(it.Value())
-		ukey := append([]byte(nil), ik.UserKey()...)
-		cur, ok := global.Get(ukey, charge)
-		if !ok || func() bool { s, _, _ := decodeGlobalVal(cur); return ik.Seq() > s }() {
-			// Filter first, list second: a reader that finds the key in the
-			// list must also find it in the filter.
-			if globalFilter != nil {
-				globalFilter.Add(ukey)
-			}
-			global.Insert(ukey, encodeGlobalVal(ik.Seq(), ik.Kind(), t.base+off), charge)
-			merged++
+	visits := 0
+	finger := global.NewFinger(func(n int) { visits += n })
+	var last []byte // user key of the previous source entry (non-nil even when empty)
+	it := lsm.NewMergingIterator(srcs...)
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		visits++
+		ik := it.Key()
+		ukey := ik.UserKey()
+		if last != nil && bytes.Equal(ukey, last) {
+			continue // an older version of the key just handled
 		}
-		it.Next()
+		last = ukey
+		if cur, ok := finger.Seek(ukey); ok {
+			if seq, _, _ := decodeGlobalVal(cur); ik.Seq() <= seq {
+				continue
+			}
+		}
+		// Filter first, list second: a reader that finds the key in the
+		// list must also find it in the filter.
+		if globalFilter != nil {
+			globalFilter.Add(ukey)
+		}
+		finger.Set(encodeGlobalVal(ik.Seq(), ik.Kind(), util.Fixed64(it.Value())))
 	}
-	return merged
+	th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
 }

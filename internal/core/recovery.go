@@ -6,7 +6,6 @@ import (
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
-	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -33,24 +32,13 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 	// Step 1: ImmZone scan.
 	zone := e.immArena.Region()
 	addr := zone.Addr
-	for addr+immZoneHdrSize <= zone.End() {
-		var hdr [immZoneHdrSize]byte
-		e.m.PMem.Read(th.Clock, addr, hdr[:])
-		if util.Fixed64(hdr[:]) != immHeaderMagic {
+	for {
+		dataLen, count, maxSeq, ok := e.readImmHdr(th, zone, addr)
+		if !ok {
 			break
 		}
-		dataLen := util.Fixed64(hdr[8:])
-		count := util.Fixed64(hdr[16:])
-		maxSeq := util.Fixed64(hdr[24:])
-		if addr+immZoneHdrSize+dataLen > zone.End() {
-			break
-		}
-		base := addr + immZoneHdrSize
-		list, filter, scanned, hiSeq := e.rebuildList(th, base, dataLen, count)
-		t := &immTable{base: base, dataLen: dataLen, count: scanned, maxSeq: maxSeq, list: list, filter: filter}
-		if hiSeq > maxSeq {
-			t.maxSeq = hiSeq
-		}
+		_, t := e.rebuildList(th, addr+immZoneHdrSize, dataLen, count)
+		t.maxSeq = max(t.maxSeq, maxSeq)
 		e.mem.imms = append(e.mem.imms, t)
 		e.bumpSeq(t.maxSeq)
 		addr += immZoneHdrSize + dataLen
@@ -60,12 +48,12 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 
 	// Step 2: non-Free sub-MemTables become sub-ImmMemTables in the zone.
 	for _, s := range p.slotList() {
-		count, state, tail := unpackHdr(s.hdr.Load())
-		if state == stateFree || s.size.Load() == 0 {
+		count, tail, live := slotExtent(s)
+		if !live {
 			continue
 		}
 		if tail > 0 {
-			list, filter, scanned, hiSeq := e.rebuildList(th, s.dataAddr(), tail, count)
+			snap, t := e.rebuildList(th, s.dataAddr(), tail, count)
 			dst, err := e.immArena.Alloc(immZoneHdrSize+tail, immZoneAlign)
 			if err != nil {
 				// The zone cannot hold the pre-crash tables plus the pool's
@@ -80,40 +68,79 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 			}
 			hdr := util.PutFixed64(nil, immHeaderMagic)
 			hdr = util.PutFixed64(hdr, tail)
-			hdr = util.PutFixed64(hdr, scanned)
-			hdr = util.PutFixed64(hdr, hiSeq)
+			hdr = util.PutFixed64(hdr, t.count)
+			hdr = util.PutFixed64(hdr, t.maxSeq)
 			e.m.Cache.NTWrite(th.Clock, dst, hdr)
-			buf := make([]byte, tail)
-			e.m.PMem.Read(th.Clock, s.dataAddr(), buf)
-			e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, buf)
+			// The copy is the snapshot the index was just rebuilt from: the
+			// slot is read once.
+			e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, snap)
 			// Rebase the rebuilt sub-skiplist onto the ImmZone copy: offsets
 			// are table-relative, so the list transfers unchanged.
-			e.mem.imms = append(e.mem.imms, &immTable{
-				base: dst + immZoneHdrSize, dataLen: tail, count: scanned,
-				maxSeq: hiSeq, list: list, filter: filter,
-			})
-			e.bumpSeq(hiSeq)
+			t.base = dst + immZoneHdrSize
+			e.mem.imms = append(e.mem.imms, t)
+			e.bumpSeq(t.maxSeq)
 		}
 		p.writeHdr(th, s, packHdr(0, stateFree, 0))
 	}
 
-	// Step 3: rebuild the global skiplist.
+	// Step 3: rebuild the global skiplist, every table in one merge.
 	if e.opts.SkiplistCompaction {
+		e.mergeInto(th, e.mem.global, e.mem.globalFilter, e.mem.imms)
 		for _, t := range e.mem.imms {
-			e.compactInto(th, e.mem.global, e.mem.globalFilter, t)
 			t.compacted = true
 		}
 	}
 	return nil
 }
 
-// rebuildList reconstructs one table's sub-skiplist by scanning its data
-// region; it stops after count entries or at the first torn encoding, and
-// returns the list, a freshly built negative filter covering every recovered
-// key (the DRAM filters are volatile, so recovery rebuilds them before the
-// engine serves reads), the entries recovered, and the highest sequence seen.
-func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) (*skiplist.List, *memfilter.Filter, uint64, uint64) {
-	list := skiplist.New(icmp, base|1)
+// readImmHdr reads the ImmZone table header at addr and reports whether a
+// table starts there: the magic matches and the data region it announces lies
+// inside the zone. The length is compared against what is left of the zone,
+// never added to addr — a dataLen near 2^64 would wrap the sum back below
+// zone.End(), and recovery would re-register the same table for ever.
+func (e *Engine) readImmHdr(th *hw.Thread, zone hw.Region, addr uint64) (dataLen, count, maxSeq uint64, ok bool) {
+	if addr > zone.End() || zone.End()-addr < immZoneHdrSize {
+		return 0, 0, 0, false
+	}
+	var hdr [immZoneHdrSize]byte
+	e.m.PMem.Read(th.Clock, addr, hdr[:])
+	if util.Fixed64(hdr[:]) != immHeaderMagic {
+		return 0, 0, 0, false
+	}
+	dataLen = util.Fixed64(hdr[8:])
+	if dataLen > zone.End()-addr-immZoneHdrSize {
+		return 0, 0, 0, false
+	}
+	return dataLen, util.Fixed64(hdr[16:]), util.Fixed64(hdr[24:]), true
+}
+
+// slotExtent reads a sub-MemTable's packed header the way recovery may trust
+// it: live reports a slot that was in use, and tail is cut back to the slot's
+// own data region — a longer one is corrupt, and tail sizes the snapshot.
+func slotExtent(s *slot) (count, tail uint64, live bool) {
+	count, state, tail := unpackHdr(s.hdr.Load())
+	size := s.size.Load()
+	if state == stateFree || size == 0 {
+		return 0, 0, false
+	}
+	if size < slotHdrSize {
+		size = slotHdrSize
+	}
+	return count, min(tail, size-slotHdrSize), true
+}
+
+// rebuildList reconstructs the DRAM side of the table whose data region is
+// the limit bytes at base, which the caller has bounded by the region that
+// holds it. The region is read in one sequential pass into a DRAM snapshot
+// (snapshotInto, the way the spill streams its inputs) and the entries are
+// decoded out of that; decoding stops after count entries or at the first
+// torn encoding. It returns the snapshot and the table: its sub-skiplist, a
+// freshly built negative filter covering every recovered key (the DRAM
+// filters are volatile, so recovery rebuilds them before the engine serves
+// reads), the entries recovered as its count and the highest sequence seen as
+// its maxSeq.
+func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) ([]byte, *immTable) {
+	t := &immTable{base: base, dataLen: limit, list: skiplist.New(icmp, base|1)}
 	expected := int(count)
 	// The header's counter is untrusted input here: media corruption (or a
 	// torn header write) can inflate it arbitrarily, and it must not size
@@ -125,18 +152,13 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) (*
 	if expected < 16 {
 		expected = 16
 	}
-	filter := newFilter(expected, e.mem.filterBits)
-	var off, scanned, hiSeq uint64
-	for scanned < count && off+8 <= limit {
-		var hdr [8]byte
-		e.m.PMem.Read(th.Clock, base+off, hdr[:])
-		blen := uint64(util.Fixed32(hdr[:]))
-		if blen == 0 || off+8+blen > limit {
-			break
-		}
-		buf := make([]byte, 8+blen)
-		e.m.PMem.Read(th.Clock, base+off, buf)
-		ik, val, n, err := kvstore.DecodeEntry(buf)
+	t.filter = newFilter(expected, e.mem.filterBits)
+	snap := t.snapshotInto(e, th)
+	var off uint64
+	for t.count < count && off+8 <= limit {
+		// DecodeEntry bounds the length header by what is left of the
+		// snapshot and checks the CRC before anything is believed.
+		ik, val, n, err := kvstore.DecodeEntry(snap[off:])
 		if err != nil {
 			break
 		}
@@ -150,17 +172,15 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) (*
 				Seq:   ik.Seq(),
 			})
 		}
-		if filter != nil {
-			filter.Add(ik.UserKey())
+		if t.filter != nil {
+			t.filter.Add(ik.UserKey())
 		}
-		list.Insert(ik, util.PutFixed64(nil, off), nil)
-		if s := ik.Seq(); s > hiSeq {
-			hiSeq = s
-		}
+		t.list.Insert(ik, util.PutFixed64(nil, off), nil)
+		t.maxSeq = max(t.maxSeq, ik.Seq())
 		off = align8(off + uint64(n))
-		scanned++
+		t.count++
 	}
-	return list, filter, scanned, hiSeq
+	return snap, t
 }
 
 func (e *Engine) bumpSeq(s uint64) {

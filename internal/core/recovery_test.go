@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
+	"cachekv/internal/obs"
+	"cachekv/internal/skiplist"
+	"cachekv/internal/util"
 )
 
 // crashAndReopen simulates power failure and recovers a fresh engine over the
@@ -194,6 +199,259 @@ func TestDoubleCrash(t *testing.T) {
 		}
 		if v, err := e3.Get(th3, []byte(fmt.Sprintf("b%04d", i))); err != nil || string(v) != "2" {
 			t.Fatalf("second-generation key lost: %q, %v", v, err)
+		}
+	}
+}
+
+// fillFlushed writes key(0), key(1), … until the copy-based flush has moved
+// tables sub-MemTables into the ImmZone and is idle again, and returns the
+// number of writes. It checks between short bursts, so the active slot is left
+// holding less than one burst — nowhere near its next seal.
+func fillFlushed(t testing.TB, e *Engine, th *hw.Thread, tables int, key func(i int) []byte, val []byte) int {
+	t.Helper()
+	const burst = 64
+	for i := 0; i < 1<<20; {
+		for end := i + burst; i < end; i++ {
+			if err := e.Put(th, key(i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e.pendingFlushes.Load() > 0 {
+			runtime.Gosched()
+		}
+		if int(e.stats.Flushes.Load()) >= tables {
+			return i
+		}
+	}
+	t.Fatalf("no %d flushes after a million writes", tables)
+	return 0
+}
+
+// TestRecoveryRejectsWrappedImmHeader: an ImmZone header whose dataLen is
+// close to 2^64 used to pass the extent check (addr+header+dataLen wrapped
+// back to addr), so the scan never advanced and registered the same table
+// until memory ran out. Recovery must return, end the zone at that header,
+// and still serve what the sub-MemTable pool held.
+func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
+	m := testMachine()
+	opts := smallOpts()
+	e, th := openEngine(t, m, opts)
+	val := make([]byte, 64)
+	fillFlushed(t, e, th, 2, func(i int) []byte { return []byte(fmt.Sprintf("flushed%09d", i)) }, val)
+	if n := len(e.mem.imms); n != 2 {
+		t.Fatalf("ImmZone holds %d tables, want 2", n)
+	}
+	for i := 0; i < 50; i++ {
+		if err := e.Put(th, []byte(fmt.Sprintf("pool%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.pendingFlushes.Load() != 0 || e.stats.Flushes.Load() != 2 {
+		t.Fatal("the pool keys were meant to stay in the active sub-MemTable")
+	}
+	zone := e.immArena.Region()
+	m.Crash()
+	wrapped := ^uint64(0) - immZoneHdrSize + 1 // zone.Addr + header + wrapped == zone.Addr
+	m.PMem.StoreRaw(zone.Addr+8, util.PutFixed64(nil, wrapped))
+	m.Recover()
+
+	th2 := m.NewThread(0)
+	var e2 *Engine
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e2, err = newEngine(m, opts, shardEnv{}, th2)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("recovery hangs on a wrapped ImmZone dataLen")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close(th2)
+	// The zone ended at its first header: the one table is the pool's.
+	if n := len(e2.mem.imms); n != 1 {
+		t.Fatalf("recovered %d tables, want the active sub-MemTable's alone", n)
+	}
+	for i := 0; i < 50; i++ {
+		k := []byte(fmt.Sprintf("pool%04d", i))
+		if v, err := e2.Get(th2, k); err != nil || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Get(%s) = %q, %v after recovering past the corrupt header", k, v, err)
+		}
+	}
+}
+
+// TestRecoveryVirtualCost pins what recovery costs per entry, in virtual time,
+// which repeats exactly on one thread: four flushed tables and a part-filled
+// active sub-MemTable, two keys in five overwritten, 16 B keys and 64 B values
+// as in the ledger's crash-recover row. Reading each table once and merging
+// the sub-skiplists costs about 90 vns per entry; a second read of each entry
+// or a per-key search of the global skiplist took it to 300 (340 at the
+// ledger's table count).
+func TestRecoveryVirtualCost(t *testing.T) {
+	m := testMachine()
+	opts := smallOpts()
+	e, th := openEngine(t, m, opts)
+	const unique = 2749 // prime, so the stride below visits every key
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%013d", i*1000003%unique)) }
+	val := make([]byte, 64)
+	n := fillFlushed(t, e, th, 4, key, val)
+	for end := n + 400; n < end; n++ {
+		if err := e.Put(th, key(n), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if over := float64(n-unique) / float64(n); over < 0.3 || over > 0.5 {
+		t.Fatalf("%d writes over %d keys: %.0f%% overwrites, want about 40%%", n, unique, over*100)
+	}
+
+	opts.Trace = obs.NewTrace(0)
+	e2, th2 := crashAndReopen(t, m, opts)
+	defer e2.Close(th2)
+	var total int64
+	for _, ev := range opts.Trace.Events() {
+		switch ev.Type {
+		case "recovery_start":
+			total -= ev.VNs
+		case "recovery_end":
+			total += ev.VNs
+		}
+	}
+	var entries uint64
+	for _, tb := range e2.mem.imms {
+		entries += tb.count
+	}
+	if len(e2.mem.imms) != 5 || entries != uint64(n) {
+		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, len(e2.mem.imms), n)
+	}
+	// Step 3 on its own: the same merge again, into an empty list with the
+	// global skiplist's seed, so it repeats to the visit.
+	th3 := m.NewThread(0)
+	e2.mergeInto(th3, skiplist.New(nil, 0xC0117EC7), nil, e2.mem.imms)
+	merge := th3.Clock.Now()
+
+	perEntry := float64(total) / float64(entries)
+	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-skiplist rebuild %d vns (%.0f%%)",
+		total, entries, perEntry, merge, 100*float64(merge)/float64(total))
+	if perEntry > 150 {
+		t.Errorf("recovery costs %.1f vns per entry, want at most 150", perEntry)
+	}
+	if merge*4 >= total {
+		t.Errorf("rebuilding the global skiplist is %d of recovery's %d vns, want under a quarter", merge, total)
+	}
+}
+
+// FuzzRebuildList feeds recovery's table decoder arbitrary bytes as a table's
+// data region under an arbitrary ImmZone header (count, dataLen) and an
+// arbitrary sub-MemTable header (count, tail). Whatever the bytes, recovery
+// gets a valid prefix of entries or nothing: no panic, no spin, no allocation
+// larger than the region that holds the table, every indexed offset inside it.
+func FuzzRebuildList(f *testing.F) {
+	// A real flushed table, and the ways media tears one.
+	opts := smallOpts()
+	opts.SubMemTableBytes = 16 << 10
+	seedM := testMachine()
+	se, sth := openEngine(f, seedM, opts)
+	fillFlushed(f, se, sth, 1, func(i int) []byte { return []byte(fmt.Sprintf("key%013d", i*7919%500)) }, make([]byte, 64))
+	real := se.mem.imms[0]
+	table := make([]byte, real.dataLen)
+	seedM.PMem.LoadRaw(real.base, table)
+	if err := se.Close(sth); err != nil {
+		f.Fatal(err)
+	}
+	n := uint64(len(table))
+	f.Add(table, real.count, n, n)
+	f.Add(table[:n-16], real.count, n-16, n-16) // torn tail
+	zeroLen := append([]byte(nil), table...)
+	copy(zeroLen[2*align8(8+uint64(util.Fixed32(table))):], []byte{0, 0, 0, 0}) // third entry: blen 0
+	f.Add(zeroLen, real.count, n, n)
+	f.Add(table, uint64(1)<<60, n, n)                                       // inflated count
+	f.Add(table, real.count, ^uint64(0)-immZoneHdrSize+1, uint64(tailMask)) // wrapped dataLen, tail past the slot
+	f.Add([]byte{}, uint64(3), uint64(0), uint64(0))
+
+	m := testMachine()
+	zone := m.Alloc("fuzz.immzone", 64<<10, immZoneAlign)
+	slotRegion := m.Alloc("fuzz.slot", 32<<10, 64)
+	th := m.NewThread(0)
+	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
+		e := &Engine{m: m, mem: newMemState(16, 10)}
+
+		// The ImmZone path: header, then the bytes, then zeroes to the zone's end.
+		img := make([]byte, zone.Size)
+		hdr := util.PutFixed64(img[:0], immHeaderMagic)
+		hdr = util.PutFixed64(hdr, dataLen)
+		util.PutFixed64(hdr, count)
+		copy(img[immZoneHdrSize:], data)
+		m.PMem.StoreRaw(zone.Addr, img)
+		if limit, cnt, _, ok := e.readImmHdr(th, zone, zone.Addr); ok {
+			if limit > zone.Size-immZoneHdrSize {
+				t.Fatalf("header dataLen %d accepted in a zone of %d", limit, zone.Size)
+			}
+			checkRebuilt(t, e, th, zone.Addr+immZoneHdrSize, limit, cnt)
+		}
+
+		// The sub-MemTable path: the packed header's tail bounds the region.
+		s := newSlot(0, slotRegion.Addr, slotRegion.Size)
+		s.hdr.Store(packHdr(count, stateAllocated, tail))
+		img = make([]byte, s.dataCap())
+		copy(img, data)
+		m.PMem.StoreRaw(s.dataAddr(), img)
+		cnt, limit, live := slotExtent(s)
+		if !live || limit > s.dataCap() {
+			t.Fatalf("slotExtent = (%d, %d, %v) for a live slot of %d data bytes", cnt, limit, live, s.dataCap())
+		}
+		checkRebuilt(t, e, th, s.dataAddr(), limit, cnt)
+	})
+}
+
+// checkRebuilt runs rebuildList over [base, base+limit) and holds the result
+// to an independent walk of the same bytes.
+func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64) {
+	t.Helper()
+	snap, tb := e.rebuildList(th, base, limit, count)
+	list, filter, scanned, hiSeq := tb.list, tb.filter, tb.count, tb.maxSeq
+	if uint64(len(snap)) != limit || tb.base != base || tb.dataLen != limit {
+		t.Fatalf("snapshot of %d bytes and a table of %d at %#x for the %d bytes at %#x", len(snap), tb.dataLen, tb.base, limit, base)
+	}
+	if scanned > count || scanned > limit/16+1 {
+		t.Fatalf("recovered %d entries from %d bytes under a count of %d", scanned, limit, count)
+	}
+	if filter.SizeBytes() > int(limit)+64 {
+		t.Fatalf("filter of %d bytes for a region of %d", filter.SizeBytes(), limit)
+	}
+	// The recovered entries are the longest valid prefix, up to count.
+	offsets := map[string]uint64{}
+	var off, maxSeq uint64
+	for i := uint64(0); i < scanned; i++ {
+		if off >= limit {
+			t.Fatalf("entry %d of %d starts at %d, past the region's %d bytes", i, scanned, off, limit)
+		}
+		ik, _, n, err := kvstore.DecodeEntry(snap[off:])
+		if err != nil {
+			t.Fatalf("entry %d of %d at offset %d does not decode: %v", i, scanned, off, err)
+		}
+		if !filter.MayContain(ik.UserKey()) {
+			t.Fatalf("recovered key %q is missing from the rebuilt filter", ik.UserKey())
+		}
+		offsets[string(ik)] = off
+		maxSeq = max(maxSeq, ik.Seq())
+		off = align8(off + uint64(n))
+	}
+	if scanned < count && off < limit {
+		if _, _, _, err := kvstore.DecodeEntry(snap[off:]); err == nil {
+			t.Fatalf("stopped after %d of %d entries with a valid entry at offset %d", scanned, count, off)
+		}
+	}
+	if hiSeq != maxSeq || list.Len() != len(offsets) {
+		t.Fatalf("hiSeq %d and %d list entries, want %d and %d", hiSeq, list.Len(), maxSeq, len(offsets))
+	}
+	it := list.NewIterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if want, ok := offsets[string(it.Key())]; !ok || util.Fixed64(it.Value()) != want {
+			t.Fatalf("list maps %q to offset %d, want %d (present %v)", it.Key(), util.Fixed64(it.Value()), want, ok)
 		}
 	}
 }
