@@ -1,7 +1,17 @@
-// Package block implements the SSTable block format: prefix-compressed
-// entries with restart points every 16 keys, terminated by the restart array
-// and its count, exactly as in LevelDB. Data blocks, index blocks and meta
-// blocks all share this encoding.
+// Package block implements the SSTable block format: restart runs of up to 16
+// prefix-compressed entries, each run keeping its keys apart from its values,
+// terminated by the restart array and its count. Data blocks, index blocks and
+// meta blocks all share this encoding.
+//
+//	block    = run* ‖ restart[0..n) (fixed32 each) ‖ n (fixed32)
+//	run      = uvarint(len(key area)) ‖ key area ‖ value area
+//	key area = (uvarint shared ‖ uvarint unshared ‖ uvarint vlen ‖ key suffix)*
+//	value area = the run's values, in the order of their key records
+//
+// restart[i] is the offset of run i. A search reads key records only — a
+// couple of dozen bytes apiece, back to back — and jumps to the one value it
+// returns: on byte-addressable PMem the bytes a comparison never looks at stay
+// out of the cache lines it pays for.
 package block
 
 import (
@@ -14,11 +24,12 @@ const restartInterval = 16
 
 // Builder assembles one block. Keys must be added in ascending order.
 type Builder struct {
-	buf      []byte
-	restarts []uint32
-	counter  int
-	lastKey  []byte
-	entries  int
+	buf        []byte // finished runs; after Finish, the block
+	keys, vals []byte // the open run's key area and value area
+	restarts   []uint32
+	counter    int // entries in the open run
+	lastKey    []byte
+	entries    int
 }
 
 // NewBuilder returns an empty block builder.
@@ -39,30 +50,48 @@ func (b *Builder) Add(key, value []byte) {
 			shared++
 		}
 	} else {
+		b.closeRun()
 		b.restarts = append(b.restarts, uint32(len(b.buf)))
-		b.counter = 0
 	}
-	b.buf = util.PutUvarint(b.buf, uint64(shared))
-	b.buf = util.PutUvarint(b.buf, uint64(len(key)-shared))
-	b.buf = util.PutUvarint(b.buf, uint64(len(value)))
-	b.buf = append(b.buf, key[shared:]...)
-	b.buf = append(b.buf, value...)
+	b.keys = util.PutUvarint(b.keys, uint64(shared))
+	b.keys = util.PutUvarint(b.keys, uint64(len(key)-shared))
+	b.keys = util.PutUvarint(b.keys, uint64(len(value)))
+	b.keys = append(b.keys, key[shared:]...)
+	b.vals = append(b.vals, value...)
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.counter++
 	b.entries++
 }
 
+// closeRun writes the open run — length prefix, key area, value area — behind
+// the finished ones.
+func (b *Builder) closeRun() {
+	if b.counter == 0 {
+		return
+	}
+	b.buf = util.PutUvarint(b.buf, uint64(len(b.keys)))
+	b.buf = append(b.buf, b.keys...)
+	b.buf = append(b.buf, b.vals...)
+	b.keys, b.vals, b.counter = b.keys[:0], b.vals[:0], 0
+}
+
 // Empty reports whether nothing has been added.
 func (b *Builder) Empty() bool { return b.entries == 0 }
 
-// EstimatedSize returns the finished block size so far.
+// EstimatedSize returns the finished block size so far: the closed runs, the
+// open run with its length prefix, and the trailer.
 func (b *Builder) EstimatedSize() int {
-	return len(b.buf) + 4*len(b.restarts) + 4
+	n := len(b.buf) + 4*len(b.restarts) + 4
+	if b.counter > 0 {
+		n += util.UvarintLen(uint64(len(b.keys))) + len(b.keys) + len(b.vals)
+	}
+	return n
 }
 
-// Finish appends the restart array and returns the completed block contents.
-// The builder must be Reset before reuse.
+// Finish closes the open run, appends the restart array and returns the
+// completed block contents. The builder must be Reset before reuse.
 func (b *Builder) Finish() []byte {
+	b.closeRun()
 	for _, r := range b.restarts {
 		b.buf = util.PutFixed32(b.buf, r)
 	}
@@ -73,6 +102,7 @@ func (b *Builder) Finish() []byte {
 // Reset clears the builder for a new block.
 func (b *Builder) Reset() {
 	b.buf = b.buf[:0]
+	b.keys, b.vals = b.keys[:0], b.vals[:0]
 	b.restarts = append(b.restarts[:0], 0)
 	b.counter = 0
 	b.lastKey = b.lastKey[:0]
@@ -80,16 +110,38 @@ func (b *Builder) Reset() {
 }
 
 // Backing faults byte ranges of a block into the buffer an Iter decodes
-// from. A point read that searches a block in place on byte-addressable PMem
-// implements it to load only the cache lines the search touches; Need(lo, hi)
-// must make buf[lo:hi] valid before it returns.
+// from. A foreground read that searches a block in place on byte-addressable
+// PMem implements it to load only the cache lines the search touches;
+// Need(lo, hi) must make buf[lo:hi] valid before it returns.
 type Backing interface {
 	Need(lo, hi int) error
 }
 
-// maxEntryHeader bounds an entry's three length varints. Each length is
-// smaller than the block, so a varint longer than five bytes is corrupt.
-const maxEntryHeader = 15
+// Fault is what an Iter over a Backing asks for ahead of the byte it is about
+// to decode. Which one a reader wants follows from what it is — a point
+// lookup or a walk — so the constructor it calls chooses, not an option.
+type Fault bool
+
+const (
+	// FaultPoint asks for key records as the search reaches them and for the
+	// one value the caller reads: the fewest lines, for a lookup that leaves
+	// the block after one entry.
+	FaultPoint Fault = false
+	// FaultWalk asks for the whole key area of a run on entering it — where a
+	// Seek lands and when Next crosses into the next run, not for the restart
+	// keys a Seek only probes. A walk then fetches key area, values, next key
+	// area in ascending address order, which the DIMM serves as a sequential
+	// read; alternating between a run's key lines and its value lines does not.
+	FaultWalk Fault = true
+)
+
+const (
+	// maxVarint bounds a length varint. Every length is smaller than the
+	// block, so one longer than five bytes is corrupt.
+	maxVarint = 5
+	// maxRecordHeader bounds a key record's three length varints.
+	maxRecordHeader = 3 * maxVarint
+)
 
 // Iter iterates over a finished block's entries. It decodes either resident
 // contents (back == nil) or a buffer its Backing fills on demand; both run
@@ -98,9 +150,13 @@ const maxEntryHeader = 15
 type Iter struct {
 	data      []byte  // whole block; with a Backing only the ranges asked for are valid
 	back      Backing // nil when data is resident
-	limit     int     // end of the entry area, start of the restart array
+	fault     Fault
+	limit     int // end of the entry area, start of the restart array
 	nRestarts int
-	nextOff   int
+	run       int // index of the run the cursors are in
+	kpos      int // key cursor: the next key record
+	kend      int // end of the current run's key area
+	vpos      int // value cursor: the next entry's value; past the run's last entry, the next run
 	key       []byte
 	vlo, vhi  int // extent of the current value within data
 	valid     bool
@@ -118,17 +174,15 @@ func NewIter(contents []byte) (*Iter, error) {
 }
 
 // Reset re-targets the iterator at resident contents, keeping its key buffer.
-func (it *Iter) Reset(contents []byte) error { return it.reset(contents, nil) }
+func (it *Iter) Reset(contents []byte) error { return it.ResetLazy(contents, nil, FaultPoint) }
 
-// ResetLazy re-targets the iterator at a block of len(buf) bytes that back
-// faults into buf on demand.
-func (it *Iter) ResetLazy(buf []byte, back Backing) error { return it.reset(buf, back) }
-
-// reset validates the trailer once for either backing: the restart count
-// fits the block and the restart offsets ascend strictly within the entry
-// area, so every later restart lookup and slice is in range.
-func (it *Iter) reset(data []byte, back Backing) error {
-	*it = Iter{data: data, back: back, key: it.key[:0]}
+// ResetLazy re-targets the iterator at a block of len(data) bytes that back
+// faults into data on demand, by the given policy. It validates the trailer
+// once, for either backing: the restart count fits the block and the restart
+// offsets ascend strictly within the entry area, so every later restart lookup
+// and slice is in range.
+func (it *Iter) ResetLazy(data []byte, back Backing, policy Fault) error {
+	*it = Iter{data: data, back: back, fault: policy, key: it.key[:0]}
 	n := len(data)
 	if n < 4 || !it.need(n-4, n) {
 		return it.corrupt()
@@ -150,6 +204,7 @@ func (it *Iter) reset(data []byte, back Backing) error {
 		}
 		prev = r
 	}
+	it.before(0)
 	return nil
 }
 
@@ -201,76 +256,114 @@ func (it *Iter) Value() []byte {
 
 // SeekToFirst positions at the first entry.
 func (it *Iter) SeekToFirst() {
-	it.key = it.key[:0]
-	it.nextOff = 0
+	it.before(0)
 	it.Next()
 }
 
 // Next advances to the following entry.
 func (it *Iter) Next() {
-	it.valid = it.err == nil && it.nextOff < it.limit && it.decodeAt(it.nextOff)
+	it.valid = it.err == nil && it.next()
 }
 
-// header decodes the entry header at off and returns the shared-prefix
-// length and the key and value extents, all checked against the entry area.
-func (it *Iter) header(off int) (shared, klo, khi, vhi int, ok bool) {
-	end := off + maxEntryHeader
+// before leaves the cursors as the end of run i-1 leaves them, so that the
+// next Next opens run i.
+func (it *Iter) before(i int) {
+	it.run, it.kpos, it.kend, it.vpos = i-1, 0, 0, it.restart(i)
+}
+
+// next decodes the key record under the key cursor. When the run is exhausted
+// it crosses into the next one, which starts where this run's values end — and
+// the restart array must say so too.
+func (it *Iter) next() bool {
+	if it.kpos == it.kend {
+		if it.vpos == it.limit {
+			return false // the entry area is used up
+		}
+		i := it.run + 1
+		if i >= it.nRestarts || it.restart(i) != it.vpos {
+			it.corrupt()
+			return false
+		}
+		if !it.openRun(i, it.fault) {
+			return false
+		}
+	}
+	return it.record()
+}
+
+// openRun decodes the header of run i, points the key cursor at its first
+// record and the value cursor at its value area, and empties the key: a run
+// opens on a full key, so its first record must share nothing. The key area
+// is at least one byte long and lies inside the entry area.
+func (it *Iter) openRun(i int, policy Fault) bool {
+	off := it.restart(i)
+	end := off + maxVarint
 	if end > it.limit {
 		end = it.limit
 	}
 	if !it.need(off, end) {
-		return 0, 0, 0, 0, false
+		return false
+	}
+	klen, n, err := util.Uvarint(it.data[off:end])
+	if err != nil || klen == 0 || klen > uint64(it.limit-off-n) {
+		it.corrupt()
+		return false
+	}
+	it.run, it.kpos = i, off+n
+	it.kend = it.kpos + int(klen)
+	it.vpos = it.kend
+	it.key = it.key[:0]
+	return policy == FaultPoint || it.need(it.kpos, it.kend)
+}
+
+// record decodes the key record under the key cursor — rebuilding the key on
+// the previous one, so records are walked in order from the start of a run —
+// and moves both cursors past the entry. The record ends inside its key area
+// and the value inside the entry area.
+func (it *Iter) record() bool {
+	off := it.kpos
+	end := off + maxRecordHeader
+	if end > it.kend {
+		end = it.kend
+	}
+	if !it.need(off, end) {
+		return false
 	}
 	p := it.data[off:end]
-	var sh, unshared, vlen uint64
+	var shared, unshared, vlen uint64
+	klo := off + 3
 	if len(p) >= 3 && p[0]|p[1]|p[2] < 0x80 {
 		// All three lengths fit one byte each: the common case.
-		sh, unshared, vlen = uint64(p[0]), uint64(p[1]), uint64(p[2])
-		klo = off + 3
+		shared, unshared, vlen = uint64(p[0]), uint64(p[1]), uint64(p[2])
 	} else {
 		var n1, n2, n3 int
 		var err1, err2, err3 error
-		sh, n1, err1 = util.Uvarint(p)
+		shared, n1, err1 = util.Uvarint(p)
 		unshared, n2, err2 = util.Uvarint(p[n1:])
 		vlen, n3, err3 = util.Uvarint(p[n1+n2:])
 		if err1 != nil || err2 != nil || err3 != nil {
 			it.corrupt()
-			return 0, 0, 0, 0, false
+			return false
 		}
 		klo = off + n1 + n2 + n3
 	}
-	room := uint64(it.limit - klo)
-	if unshared > room || vlen > room-unshared || sh > uint64(len(it.data)) {
-		it.corrupt()
-		return 0, 0, 0, 0, false
-	}
-	khi = klo + int(unshared)
-	return int(sh), klo, khi, khi + int(vlen), true
-}
-
-// decodeAt parses the entry at off, updating key, value extent and nextOff.
-// The key is reconstructed using the current it.key prefix, so callers must
-// walk entries in order from a restart point.
-func (it *Iter) decodeAt(off int) bool {
-	shared, klo, khi, vhi, ok := it.header(off)
-	if !ok {
-		return false
-	}
-	if shared > len(it.key) {
+	if shared > uint64(len(it.key)) || unshared > uint64(it.kend-klo) || vlen > uint64(it.limit-it.vpos) {
 		it.corrupt()
 		return false
 	}
+	khi := klo + int(unshared)
 	if !it.need(klo, khi) {
 		return false
 	}
 	it.key = append(it.key[:shared], it.data[klo:khi]...)
-	it.vlo, it.vhi = khi, vhi
-	it.nextOff = vhi
+	it.vlo, it.vhi = it.vpos, it.vpos+int(vlen)
+	it.kpos, it.vpos = khi, it.vhi
 	return true
 }
 
 // Seek positions at the first entry with key >= target (by cmp; nil means
-// bytes.Compare). It binary-searches the restart array then scans.
+// bytes.Compare). It binary-searches the runs' first keys — probes, faulted
+// as a point read whatever the policy — then walks the run it lands in.
 func (it *Iter) Seek(target []byte, cmp func(a, b []byte) int) {
 	if cmp == nil {
 		cmp = bytes.Compare
@@ -279,43 +372,24 @@ func (it *Iter) Seek(target []byte, cmp func(a, b []byte) int) {
 		it.valid = false
 		return
 	}
-	// Find the last restart whose key < target.
+	// Find the last run whose first key < target.
 	lo, hi := 0, it.nRestarts-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		k, ok := it.keyAtRestart(mid)
-		if !ok {
+		if !it.openRun(mid, FaultPoint) || !it.record() {
 			return
 		}
-		if cmp(k, target) < 0 {
+		if cmp(it.key, target) < 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	it.key = it.key[:0]
-	it.nextOff = it.restart(lo)
+	it.before(lo)
 	for {
 		it.Next()
 		if !it.valid || cmp(it.key, target) >= 0 {
 			return
 		}
 	}
-}
-
-// keyAtRestart decodes the full key stored at restart index i (restart
-// entries always have shared == 0).
-func (it *Iter) keyAtRestart(i int) ([]byte, bool) {
-	shared, klo, khi, _, ok := it.header(it.restart(i))
-	if !ok {
-		return nil, false
-	}
-	if shared != 0 {
-		it.corrupt()
-		return nil, false
-	}
-	if !it.need(klo, khi) {
-		return nil, false
-	}
-	return it.data[klo:khi], true
 }

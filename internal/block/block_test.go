@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +157,46 @@ func TestEstimatedSizeGrows(t *testing.T) {
 	}
 }
 
+// roundTrip builds a block of the sorted keys, reads it back entry for entry
+// and by a Seek of every key, and holds the resident, the point-faulted and
+// the walk-faulted reader to the same answers throughout.
+func roundTrip(t *testing.T, keys []string, value func(k string) string) bool {
+	t.Helper()
+	b := NewBuilder()
+	for _, k := range keys {
+		b.Add([]byte(k), []byte(value(k)))
+	}
+	contents := b.Finish()
+	it, err := NewIter(contents)
+	if err != nil {
+		return false
+	}
+	if it.Next(); !it.Valid() || string(it.Key()) != keys[0] { // unpositioned is before the first entry
+		return false
+	}
+	it.SeekToFirst()
+	for _, k := range keys {
+		if !it.Valid() || string(it.Key()) != k || string(it.Value()) != value(k) {
+			return false
+		}
+		it.Next()
+	}
+	if it.Valid() || it.Err() != nil {
+		return false
+	}
+	for i, k := range keys {
+		it.Seek([]byte(k), nil)
+		if !it.Valid() || !bytes.Equal(it.Key(), []byte(k)) || string(it.Value()) != value(k) {
+			return false
+		}
+		if i%5 == 0 {
+			agree(t, contents, []byte(k))
+		}
+	}
+	agree(t, contents, nil)
+	return true
+}
+
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(raw map[string]string) bool {
 		if len(raw) == 0 {
@@ -166,34 +207,30 @@ func TestPropertyRoundTrip(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		b := NewBuilder()
-		for _, k := range keys {
-			b.Add([]byte(k), []byte(raw[k]))
-		}
-		it, err := NewIter(b.Finish())
-		if err != nil {
-			return false
-		}
-		it.SeekToFirst()
-		for _, k := range keys {
-			if !it.Valid() || string(it.Key()) != k || string(it.Value()) != raw[k] {
-				return false
-			}
-			it.Next()
-		}
-		if it.Valid() {
-			return false
-		}
-		// Every key findable by Seek.
-		for _, k := range keys {
-			it.Seek([]byte(k), nil)
-			if !it.Valid() || !bytes.Equal(it.Key(), []byte(k)) {
-				return false
-			}
-		}
-		return true
+		return roundTrip(t, keys, func(k string) string { return raw[k] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+	// The shapes a run-packed layout can get wrong: a lone entry, a run that
+	// is exactly full, one entry into the next run, values of no bytes, and a
+	// value so large that the table writer gives it a block of its own.
+	numbered := func(n int) []string {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("key%04d", i)
+		}
+		return keys
+	}
+	for _, n := range []int{1, restartInterval, restartInterval + 1, 3 * restartInterval} {
+		if !roundTrip(t, numbered(n), func(k string) string { return "v" + k }) {
+			t.Fatalf("%d entries do not round-trip", n)
+		}
+		if !roundTrip(t, numbered(n), func(string) string { return "" }) {
+			t.Fatalf("%d entries with empty values do not round-trip", n)
+		}
+	}
+	if !roundTrip(t, numbered(1), func(string) string { return strings.Repeat("x", 10<<10) }) {
+		t.Fatal("one outsized value does not round-trip")
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"cachekv/internal/util"
@@ -35,49 +38,58 @@ func (b *byteBacking) Need(lo, hi int) error {
 	return nil
 }
 
-// agree drives a resident and a lazy iterator over the same contents through
-// the same calls and fails on the first observable difference.
+// agree drives a resident iterator and, over poisoned buffers, a point-faulted
+// and a walk-faulted one through the same calls on the same contents, and fails
+// on the first observable difference.
 func agree(t *testing.T, contents, target []byte) {
 	t.Helper()
-	res := new(Iter)
-	resErr := res.Reset(contents)
-	back := newByteBacking(contents)
-	lazy := new(Iter)
-	lazyErr := lazy.ResetLazy(back.buf, back)
-	if (resErr == nil) != (lazyErr == nil) {
-		t.Fatalf("reset: resident err %v, lazy err %v", resErr, lazyErr)
+	names := []string{"resident", "point", "walk"}
+	its := []*Iter{new(Iter), new(Iter), new(Iter)}
+	errs := []error{its[0].Reset(contents), nil, nil}
+	for i, policy := range []Fault{FaultPoint, FaultWalk} {
+		back := newByteBacking(contents)
+		errs[i+1] = its[i+1].ResetLazy(back.buf, back, policy)
 	}
-	if resErr != nil {
-		if !errors.Is(resErr, util.ErrCorrupt) {
-			t.Fatalf("reset error %v is not ErrCorrupt", resErr)
+	for i := 1; i < len(its); i++ {
+		if (errs[0] == nil) != (errs[i] == nil) {
+			t.Fatalf("reset: resident err %v, %s err %v", errs[0], names[i], errs[i])
+		}
+	}
+	if errs[0] != nil {
+		if !errors.Is(errs[0], util.ErrCorrupt) {
+			t.Fatalf("reset error %v is not ErrCorrupt", errs[0])
 		}
 		return
 	}
+	res := its[0]
 	same := func(step string) bool {
 		t.Helper()
-		if res.Valid() != lazy.Valid() || (res.Err() == nil) != (lazy.Err() == nil) {
-			t.Fatalf("%s: resident valid=%v err=%v, lazy valid=%v err=%v",
-				step, res.Valid(), res.Err(), lazy.Valid(), lazy.Err())
+		for i, it := range its[1:] {
+			if res.Valid() != it.Valid() || (res.Err() == nil) != (it.Err() == nil) {
+				t.Fatalf("%s: resident valid=%v err=%v, %s valid=%v err=%v",
+					step, res.Valid(), res.Err(), names[i+1], it.Valid(), it.Err())
+			}
+			if res.Valid() && (!bytes.Equal(res.Key(), it.Key()) || !bytes.Equal(res.Value(), it.Value())) {
+				t.Fatalf("%s: resident %q=%q, %s %q=%q", step, res.Key(), res.Value(), names[i+1], it.Key(), it.Value())
+			}
 		}
-		if !res.Valid() {
-			return false
+		if err := res.Err(); err != nil && !errors.Is(err, util.ErrCorrupt) {
+			t.Fatalf("%s: error %v is not ErrCorrupt", step, err)
 		}
-		if !bytes.Equal(res.Key(), lazy.Key()) || !bytes.Equal(res.Value(), lazy.Value()) {
-			t.Fatalf("%s: resident %q=%q, lazy %q=%q", step, res.Key(), res.Value(), lazy.Key(), lazy.Value())
-		}
-		return true
+		return res.Valid()
 	}
-	res.Seek(target, nil)
-	lazy.Seek(target, nil)
+	each := func(f func(*Iter)) {
+		for _, it := range its {
+			f(it)
+		}
+	}
+	each(func(it *Iter) { it.Seek(target, nil) })
 	for n := 0; same(fmt.Sprintf("seek+%d", n)) && n <= len(contents); n++ {
-		res.Next()
-		lazy.Next()
+		each((*Iter).Next)
 	}
-	res.SeekToFirst()
-	lazy.SeekToFirst()
+	each((*Iter).SeekToFirst)
 	for n := 0; same(fmt.Sprintf("first+%d", n)) && n <= len(contents); n++ {
-		res.Next()
-		lazy.Next()
+		each((*Iter).Next)
 	}
 }
 
@@ -104,23 +116,186 @@ func TestLazyAgreesWithResident(t *testing.T) {
 	agree(t, NewBuilder().Finish(), []byte("k")) // the empty block
 }
 
-// A Seek over a lazy backing must ask for far less than the block: the
-// trailer, a few restart keys and one restart run.
+// lineBacking faults whole 64 B cache lines of a block that starts skew bytes
+// into one, as the sstable window does, and notes each line it faults, in
+// order, with the Need range that first asked for it.
+type lineBacking struct {
+	src, buf []byte
+	skew     int
+	have     map[int]bool
+	faults   []lineFault
+}
+
+type lineFault struct{ line, lo, hi int }
+
+func newLineBacking(src []byte, skew int) *lineBacking {
+	return &lineBacking{src: src, buf: newByteBacking(src).buf, skew: skew, have: map[int]bool{}}
+}
+
+func (b *lineBacking) Need(lo, hi int) error {
+	for line := (lo + b.skew) / 64; line <= (hi-1+b.skew)/64; line++ {
+		if b.have[line] {
+			continue
+		}
+		b.have[line] = true
+		b.faults = append(b.faults, lineFault{line, lo, hi})
+		a, z := max(line*64-b.skew, 0), min((line+1)*64-b.skew, len(b.src))
+		copy(b.buf[a:z], b.src[a:z])
+	}
+	return nil
+}
+
+// runGeom is where one run of a well-formed block lies: its header at off, its
+// key area [klo, khi) and its value area [khi, end).
+type runGeom struct{ off, klo, khi, end int }
+
+func geometry(t *testing.T, contents []byte) (runs []runGeom, limit int) {
+	t.Helper()
+	it, err := NewIter(contents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < it.nRestarts; i++ {
+		if !it.openRun(i, FaultPoint) {
+			t.Fatal(it.Err())
+		}
+		end := it.limit
+		if i+1 < it.nRestarts {
+			end = it.restart(i + 1)
+		}
+		runs = append(runs, runGeom{it.restart(i), it.kpos, it.kend, end})
+	}
+	return runs, it.limit
+}
+
+// benchBlock is one data block of the benchmark's shape, closed as the table
+// writer closes it: 16 hex digits of a hash and an 8 B trailer for a key, a
+// 64 B value, 4 KiB.
+func benchBlock() ([]byte, [][]byte) {
+	var keys [][]byte
+	for i := uint64(0); i < 64; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("00000%011x\x01\x00\x00\x00\x00\x00\x00\x00", i*0x9E3779B97F4A7C15>>20)))
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	b := NewBuilder()
+	for i, k := range keys {
+		b.Add(k, bytes.Repeat([]byte{byte(i)}, 64))
+		if b.EstimatedSize() >= 4096 {
+			return b.Finish(), keys[:i+1]
+		}
+	}
+	panic("64 entries did not fill 4 KiB")
+}
+
+// seekTarget sorts just before key and after every smaller key of benchBlock,
+// as a Get's internal key sorts just before the version it finds.
+func seekTarget(key []byte) []byte { return key[:len(key)-8] }
+
+// A cold point Seek must fault the trailer, the first key of at most two runs
+// it does not land in, the key area of the one it does — as far as the search
+// walks it — and the value it returns: no other value, no other key area.
+// With keys apart from values that is under 9 of the block's 65 lines on
+// average (LevelDB's entry-after-entry layout: about 15).
 func TestLazySeekTouchesOneRun(t *testing.T) {
-	contents, keys := sampleBlock(480, 64) // 30 restart runs, 40 KiB
-	for _, k := range [][]byte{keys[0], keys[123], keys[479]} {
-		back := newByteBacking(contents)
-		it := new(Iter)
-		if err := it.ResetLazy(back.buf, back); err != nil {
-			t.Fatal(err)
+	contents, keys := benchBlock()
+	runs, limit := geometry(t, contents)
+	if lines := (len(contents) + 63) / 64; lines != 65 {
+		t.Fatalf("the block is %d lines, want 65", lines)
+	}
+	var phase [4]int // lines first faulted for the trailer, foreign restart keys, the landing run, the value
+	seeks := 0
+	for skew := 0; skew < 64; skew++ { // blocks lie anywhere in a table
+		for i, k := range keys {
+			back := newLineBacking(contents, skew)
+			it := new(Iter)
+			if err := it.ResetLazy(back.buf, back, FaultPoint); err != nil {
+				t.Fatal(err)
+			}
+			it.Seek(seekTarget(k), nil)
+			if !it.Valid() || !bytes.Equal(it.Key(), k) || !bytes.Equal(it.Value(), bytes.Repeat([]byte{byte(i)}, 64)) {
+				t.Fatalf("seek %q -> %q", k, it.Key())
+			}
+			seeks++
+			// The seek lands in the run that holds the greatest key below its
+			// target: the first key of a run is reached by walking the run before.
+			home := runs[max(i-1, 0)/restartInterval]
+			foreign := map[int]bool{}
+			for _, f := range back.faults {
+				switch {
+				case f.lo >= limit:
+					phase[0]++
+				case f.lo >= home.off && f.lo < home.khi:
+					phase[2]++
+				case f.lo == it.vlo:
+					phase[3]++
+				default:
+					// Anything else may only be the head of another run's key area.
+					r := runs[sort.Search(len(runs), func(j int) bool { return runs[j].end > f.lo })]
+					if f.lo >= r.off+1+maxRecordHeader+len(k) {
+						t.Fatalf("seek %q (run at %d) asked for byte %d of the run at %d (key area to %d)", k, home.off, f.lo, r.off, r.khi)
+					}
+					foreign[r.off] = true
+					phase[1]++
+				}
+			}
+			if len(foreign) > 2 {
+				t.Fatalf("seek %q probed %d runs besides its own", k, len(foreign))
+			}
 		}
-		it.Seek(k, nil)
-		if !it.Valid() || !bytes.Equal(it.Key(), k) {
-			t.Fatalf("seek %q -> %q", k, it.Key())
-		}
-		it.Value()
-		if limit := len(contents) / 10; back.asked > limit {
-			t.Fatalf("seek %q faulted %d of %d bytes, want at most %d", k, back.asked, len(contents), limit)
+	}
+	n := float64(seeks)
+	total := phase[0] + phase[1] + phase[2] + phase[3]
+	t.Logf("%d-entry block, lines faulted per cold seek: trailer %.2f, foreign restart keys %.2f, landing run %.2f, value %.2f = %.2f",
+		len(keys), float64(phase[0])/n, float64(phase[1])/n, float64(phase[2])/n, float64(phase[3])/n, float64(total)/n)
+	if total > 9*seeks {
+		t.Fatalf("%d cold seeks faulted %d lines, want at most 9 of the block's 65 each on average", seeks, total)
+	}
+}
+
+// A walk faults a run's whole key area on entering it, so that after the
+// seek's probes its line fetches only ever move forward: key area, the values
+// it reads, the next key area. (Fetching key lines as the records are reached
+// instead alternates between a run's key lines and its value lines, which the
+// DIMM does not serve as a sequential read.)
+func TestLazyWalkFaultsInAddressOrder(t *testing.T) {
+	contents, keys := benchBlock()
+	runs, _ := geometry(t, contents)
+	for _, skew := range []int{0, 40} {
+		for start := range keys {
+			back := newLineBacking(contents, skew)
+			it := new(Iter)
+			if err := it.ResetLazy(back.buf, back, FaultWalk); err != nil {
+				t.Fatal(err)
+			}
+			it.Seek(seekTarget(keys[start]), nil)
+			for n := 0; n < 50 && it.Valid(); n++ {
+				if !bytes.Equal(it.Key(), keys[start+n]) || !bytes.Equal(it.Value(), bytes.Repeat([]byte{byte(start + n)}, 64)) {
+					t.Fatalf("seek %d + %d: %q", start, n, it.Key())
+				}
+				it.Next()
+			}
+			if it.Err() != nil {
+				t.Fatal(it.Err())
+			}
+			// The walk proper starts where the landing run's key area is asked
+			// for whole; lines that a probe had already faulted do not repeat.
+			home := runs[max(start-1, 0)/restartInterval] // see TestLazySeekTouchesOneRun
+			landed, last := false, -1
+			for _, f := range back.faults {
+				if !landed && f.lo == home.klo && f.hi == home.khi {
+					landed = true
+				}
+				if !landed {
+					continue
+				}
+				if f.line <= last {
+					t.Fatalf("skew %d seek %d: line %d faulted after line %d: %v", skew, start, f.line, last, back.faults)
+				}
+				last = f.line
+			}
+			if !landed {
+				t.Fatalf("skew %d seek %d: the landing run's key area was never asked for whole: %v", skew, start, back.faults)
+			}
 		}
 	}
 }
@@ -128,25 +303,75 @@ func TestLazySeekTouchesOneRun(t *testing.T) {
 func TestLazyBackingErrorSurfaces(t *testing.T) {
 	contents, keys := sampleBlock(40, 8)
 	boom := errors.New("media fault")
-	back := newByteBacking(contents)
-	it := new(Iter)
-	if err := it.ResetLazy(back.buf, back); err != nil {
-		t.Fatal(err)
+	for _, policy := range []Fault{FaultPoint, FaultWalk} {
+		back := newByteBacking(contents)
+		it := new(Iter)
+		if err := it.ResetLazy(back.buf, back, policy); err != nil {
+			t.Fatal(err)
+		}
+		back.fail = boom
+		it.Seek(keys[20], nil)
+		if it.Valid() || !errors.Is(it.Err(), boom) {
+			t.Fatalf("valid=%v err=%v, want the backing's error", it.Valid(), it.Err())
+		}
+		back = newByteBacking(contents)
+		back.fail = boom
+		if err := new(Iter).ResetLazy(back.buf, back, policy); !errors.Is(err, boom) {
+			t.Fatalf("reset err=%v, want the backing's error", err)
+		}
 	}
-	back.fail = boom
-	it.Seek(keys[20], nil)
-	if it.Valid() || !errors.Is(it.Err(), boom) {
-		t.Fatalf("valid=%v err=%v, want the backing's error", it.Valid(), it.Err())
+}
+
+// rawBlock assembles a block from runs given as raw bytes, right or wrong:
+// the restart array records where each begins.
+func rawBlock(runs ...[]byte) []byte {
+	var b, trailer []byte
+	for _, r := range runs {
+		trailer = util.PutFixed32(trailer, uint32(len(b)))
+		b = append(b, r...)
 	}
-	back = newByteBacking(contents)
-	back.fail = boom
-	if err := new(Iter).ResetLazy(back.buf, back); !errors.Is(err, boom) {
-		t.Fatalf("reset err=%v, want the backing's error", err)
+	return util.PutFixed32(append(b, trailer...), uint32(len(runs)))
+}
+
+// rawRun is one run: a header claiming klen key-area bytes, then the key
+// records and the values as given.
+func rawRun(klen int, records [][]byte, vals string) []byte {
+	r := util.PutUvarint(nil, uint64(klen))
+	for _, rec := range records {
+		r = append(r, rec...)
+	}
+	return append(r, vals...)
+}
+
+func rawRecord(shared, vlen int, suffix string) []byte {
+	return append([]byte{byte(shared), byte(len(suffix)), byte(vlen)}, suffix...)
+}
+
+// hostileRuns are blocks of two runs — keys a1 a2 a3, b1 b2 b3, values of two
+// bytes — whose first run is sound and whose run structure is wrong in one
+// field each. The committed fuzz seeds of the same names hold the same bytes.
+func hostileRuns() (good []byte, bad map[string][]byte) {
+	recs := func(c string, shared int) [][]byte {
+		return [][]byte{rawRecord(shared, 2, c[:1-shared]+"1"), rawRecord(1, 2, "2"), rawRecord(1, 2, "3")}
+	}
+	a, b := recs("a", 0), recs("b", 0)
+	const klen = 5 + 4 + 4 // the three records of a run
+	first := rawRun(klen, a, "A1A2A3")
+	good = rawBlock(first, rawRun(klen, b, "B1B2B3"))
+	long := append([]byte{0x80 | klen, 0x80, 0x80, 0x80, 0x80, 0x00}, rawRun(klen, b, "B1B2B3")[1:]...) // klen in six bytes
+	return good, map[string][]byte{
+		"key-area-length-zero":         rawBlock(first, rawRun(0, b, "B1B2B3")),
+		"key-area-past-restart-array":  rawBlock(first, rawRun(klen+6+1, b, "B1B2B3")),
+		"record-straddles-key-area":    rawBlock(first, rawRun(klen-1, b, "B1B2B3")),
+		"values-past-entry-area":       rawBlock(first, rawRun(klen, [][]byte{b[0], b[1], rawRecord(1, 3, "3")}, "B1B2B3")),
+		"values-short-of-next-restart": rawBlock(rawRun(klen, a, "A1A2A3??"), rawRun(klen, b, "B1B2B3")),
+		"run-header-six-byte-varint":   rawBlock(first, long),
+		"restart-shared-prefix":        rawBlock(first, rawRun(klen-1, recs("b", 1), "B1B2B3")),
 	}
 }
 
 // Every count, offset and length in a block is media-derived; each of these
-// used to slice out of range.
+// would slice out of range, or misplace every later value, if believed.
 func TestHostileBlocks(t *testing.T) {
 	good, keys := sampleBlock(40, 8)
 	trailer := func(mut func(b []byte, restarts int)) []byte {
@@ -170,7 +395,7 @@ func TestHostileBlocks(t *testing.T) {
 		agree(t, b, keys[5])
 	}
 	// Damage inside the entry area passes reset and must fail (or answer)
-	// cleanly during the walk, identically for both backings.
+	// cleanly during the walk, identically for every backing.
 	for off := 0; off < len(good)-16; off += 3 {
 		for _, v := range []byte{0xff, 0x80, 0x00} {
 			b := append([]byte(nil), good...)
@@ -178,28 +403,44 @@ func TestHostileBlocks(t *testing.T) {
 			agree(t, b, keys[off%len(keys)])
 		}
 	}
-	// A restart that points at an entry with a shared prefix is corrupt.
-	b := append([]byte(nil), good...)
-	it, err := NewIter(b)
+	// A run whose structure is wrong ends the walk with ErrCorrupt after the
+	// sound run before it, and a Seek into it fails or finds the right value.
+	sound, runs := hostileRuns()
+	agree(t, sound, []byte("b2"))
+	it, err := NewIter(sound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it.SeekToFirst()
-	it.Next()
-	inRun := it.nextOff // an entry inside a run shares a prefix with its predecessor
-	put32(b, len(b)-4-4*3+4, uint32(inRun))
-	it, err = NewIter(b)
-	if err != nil {
-		t.Fatal(err)
+	if it.Seek([]byte("b2"), nil); !it.Valid() || string(it.Value()) != "B2" {
+		t.Fatalf("the sound two-run block does not read: valid=%v err=%v", it.Valid(), it.Err())
 	}
-	it.Seek(keys[39], nil)
-	if it.Valid() || !errors.Is(it.Err(), util.ErrCorrupt) {
-		t.Fatalf("restart with shared prefix: valid=%v err=%v", it.Valid(), it.Err())
+	for name, b := range runs {
+		if seed, err := os.ReadFile("testdata/fuzz/FuzzBlockSeek/" + name); err != nil || !bytes.Contains(seed, []byte(fmt.Sprintf("[]byte(%q)\n", b))) {
+			t.Errorf("%s: the committed fuzz seed of that name does not hold this block (%v)", name, err)
+		}
+		for _, target := range []string{"", "a2", "b1", "b2", "b3", "c"} {
+			agree(t, b, []byte(target))
+		}
+		if it, err = NewIter(b); err != nil {
+			t.Fatalf("%s: reset: %v", name, err)
+		}
+		var got []string
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			got = append(got, string(it.Key())+"="+string(it.Value()))
+		}
+		if want := "a1=A1 a2=A2 a3=A3"; !strings.HasPrefix(strings.Join(got, " "), want) || len(got) >= 6 || !errors.Is(it.Err(), util.ErrCorrupt) {
+			t.Errorf("%s: walked %v then err %v, want %s, at most two more and ErrCorrupt", name, got, it.Err(), want)
+		}
+		it, _ = NewIter(b)
+		if it.Seek([]byte("b3"), nil); it.Valid() && string(it.Value()) != "B3" {
+			t.Errorf("%s: Seek(b3) = %q=%q", name, it.Key(), it.Value())
+		}
 	}
 }
 
-// FuzzBlockSeek: on arbitrary bytes the resident and the lazy backing decode
-// the same thing, and neither panics, spins or reads out of range.
+// FuzzBlockSeek: on arbitrary bytes the resident, the point-faulted and the
+// walk-faulted backing decode the same thing, and none panics, spins or reads
+// out of range.
 func FuzzBlockSeek(f *testing.F) {
 	good, keys := sampleBlock(40, 8)
 	f.Add(good, keys[17])

@@ -77,6 +77,9 @@ func needsSync(s *slot) bool {
 	return s.list != nil && s.listCount < count
 }
 
+// cacheLine is the LLC's line size, the unit fetchEntry sizes its reads by.
+const cacheLine = 64
+
 // fetchEntry reads and decodes the entry stored at off within a data region
 // of limit bytes starting at base, reading through the cache under partition
 // part. The bounds check runs before the length header is trusted: a scan or
@@ -84,18 +87,33 @@ func needsSync(s *slot) bool {
 // and the torn header must not drive an unbounded read (the CRC inside
 // DecodeEntry then rejects any in-bounds torn payload, so a stale entry is
 // skipped, never fabricated).
+//
+// No cache line is read twice: the first read takes the 8 B header together
+// with the rest of its line (of the next line too, when the header straddles
+// into it), and the second only what the entry has beyond that, starting on a
+// line boundary.
 func (e *Engine) fetchEntry(th *hw.Thread, base, off, limit uint64, part cache.PartitionID) (util.InternalKey, []byte, bool) {
 	if off >= limit || limit-off < 8 {
 		return nil, nil, false
 	}
-	var hdr [8]byte
-	e.m.Cache.Read(th.Clock, base+off, hdr[:], part)
-	blen := uint64(util.Fixed32(hdr[:]))
+	addr := base + off
+	n := cacheLine - addr%cacheLine
+	if n < 8 {
+		n += cacheLine
+	}
+	if n > limit-off {
+		n = limit - off
+	}
+	var head [2 * cacheLine]byte
+	e.m.Cache.Read(th.Clock, addr, head[:n], part)
+	blen := uint64(util.Fixed32(head[:]))
 	if blen == 0 || blen > limit-off-8 {
 		return nil, nil, false
 	}
 	buf := make([]byte, 8+blen)
-	e.m.Cache.Read(th.Clock, base+off, buf, part)
+	if n = uint64(copy(buf, head[:n])); n < uint64(len(buf)) {
+		e.m.Cache.Read(th.Clock, addr+n, buf[n:], part)
+	}
 	ik, val, _, err := kvstore.DecodeEntry(buf)
 	if err != nil {
 		return nil, nil, false

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/cache"
+	"cachekv/internal/kvstore"
 	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
@@ -160,6 +162,46 @@ func TestMergeIntoEarlierTableWinsTies(t *testing.T) {
 	for k, w := range want {
 		if have[k] != w || w.addr>>32 != 1 {
 			t.Fatalf("key %s: merge has %+v, reference %+v, want the first table's copy", k, have[k], w)
+		}
+	}
+}
+
+// fetchEntry pays for each cache line of an entry once: the header's read
+// takes the rest of its line along (the next line too when the header
+// straddles into it) and the body's read starts on a line boundary — however
+// the entry lies across lines and wherever the region ends.
+func TestFetchEntryReadsEachLineOnce(t *testing.T) {
+	m := testMachine()
+	th := m.NewThread(0)
+	e := &Engine{m: m}
+	region := m.Alloc("fetch-entry", 1<<12, 0)
+	ik := util.MakeInternalKey(nil, []byte("key-of-16-bytes!"), 7, util.KindValue)
+	for _, off := range []uint64{0, 8, 40, 56, 57, 60, 63, 121} {
+		for _, vlen := range []int{0, 9, 30, 64, 500} {
+			val := make([]byte, vlen)
+			rand.New(rand.NewSource(int64(vlen))).Read(val)
+			entry := kvstore.EncodeEntry(nil, ik, val)
+			end := off + uint64(len(entry))
+			m.Cache.Write(th.Clock, region.Addr+off, entry, cache.DefaultPartition)
+			for _, limit := range []uint64{end, end + 5, end + 100, region.Size} {
+				before := m.Cache.Stats()
+				gotKey, gotVal, ok := e.fetchEntry(th, region.Addr, off, limit, cache.DefaultPartition)
+				after := m.Cache.Stats()
+				if !ok || string(gotKey) != string(ik) || string(gotVal) != string(val) {
+					t.Fatalf("off %d vlen %d limit %d: fetched %q=%x ok=%v", off, vlen, limit, gotKey, gotVal, ok)
+				}
+				lines := (region.Addr+end-1)/cacheLine - (region.Addr+off)/cacheLine + 1
+				if reads := after.Hits + after.Misses - before.Hits - before.Misses; reads != int64(lines) {
+					t.Fatalf("off %d vlen %d limit %d: %d line reads for an entry of %d lines", off, vlen, limit, reads, lines)
+				}
+			}
+			// A region that ends inside the entry, or before its header does,
+			// reads at most the header's lines and fetches nothing.
+			for _, limit := range []uint64{off, off + 7, off + 8, end - 1} {
+				if _, _, ok := e.fetchEntry(th, region.Addr, off, limit, cache.DefaultPartition); ok {
+					t.Fatalf("off %d vlen %d: fetched an entry of %d bytes from a region cut at %d", off, vlen, len(entry), limit-off)
+				}
+			}
 		}
 	}
 }

@@ -126,16 +126,7 @@ func AppendEntry(dst, ukey []byte, trailer uint64, value []byte) []byte {
 // EntryLen is the encoded size of an entry with a klen-byte user key and a
 // vlen-byte value.
 func EntryLen(klen, vlen int) int {
-	return 8 + uvarintLen(uint64(klen)) + uvarintLen(uint64(vlen)) + 8 + klen + vlen
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return 8 + util.UvarintLen(uint64(klen)) + util.UvarintLen(uint64(vlen)) + 8 + klen + vlen
 }
 
 // DecodeEntry parses one encoded entry, returning the internal key, value and

@@ -12,6 +12,7 @@ import (
 
 	"cachekv/internal/hw"
 	"cachekv/internal/obs"
+	"cachekv/internal/pmemfs"
 	"cachekv/internal/util"
 )
 
@@ -453,6 +454,54 @@ func (f *failingIter) Err() error {
 	return nil
 }
 
+// orphanReaders fails the test when the tree holds a reader of a table the
+// filesystem does not: a write registers the reader of each table it finishes,
+// and must take it back with the table when it fails.
+func orphanReaders(t *testing.T, tr *Tree, fs *pmemfs.FS) {
+	t.Helper()
+	tr.readerMu.Lock()
+	defer tr.readerMu.Unlock()
+	for num := range tr.readers {
+		if _, err := fs.Open(tableName(num)); err != nil {
+			t.Errorf("a reader of table %d outlived it: %v", num, err)
+		}
+	}
+}
+
+// TestWrittenTablesOpenFromTheirWriter: the tree that wrote a table serves it
+// through a reader built from the writer's own filter and index, so the
+// table's first Get reads the lines of one lookup; a reopened tree (readers
+// dropped) reads footer, filter and index back first.
+func TestWrittenTablesOpenFromTheirWriter(t *testing.T) {
+	m, tr, th, _, _ := newEnv(t, Options{L0CompactionTrigger: 100, TableFileSize: 512 << 10})
+	seq := uint64(0)
+	es := uniqueRun(0, 1, 12000, 64, &seq)
+	flushRun(t, tr, th, es)
+	files := tr.Files(0)
+	if len(files) < 2 || len(tr.readers) != len(files) {
+		t.Fatalf("flushed %d tables, %d readers registered", len(files), len(tr.readers))
+	}
+	lineReads := func(e testEntry) int64 {
+		t.Helper()
+		before := m.Cache.Stats()
+		v, _, found, _, err := tr.Get(th, []byte(e.ukey), util.MaxSequence)
+		if err != nil || !found || string(v) != e.val {
+			t.Fatalf("Get(%s) = %q found=%v err=%v", e.ukey, v, found, err)
+		}
+		after := m.Cache.Stats()
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	own := lineReads(es[10])
+	if own > 16 {
+		t.Errorf("the first Get of a table this tree wrote read %d cache lines, want one lookup's (about 9)", own)
+	}
+	dropReaders(tr)
+	filterLines := int64(files[len(files)-1].Count) * 10 / 8 / 64
+	if reopened := lineReads(es[20]); reopened < own+filterLines {
+		t.Errorf("the first Get of a table opened from media read %d cache lines, want the %d of its filter besides the lookup's %d: the test is not measuring the open", reopened, filterLines, own)
+	}
+}
+
 // TestFailedTableWriteLeavesNoFiles: a table write that fails — in the middle
 // of a merge, or in a later component of a job — leaves the filesystem as it
 // found it: no finished output, no open extent, no reservation.
@@ -476,6 +525,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 	if !reflect.DeepEqual(fs.List(), names) || fs.FreeBytes() != free {
 		t.Fatalf("failed write left files %v (free %d), was %v (free %d)", fs.List(), fs.FreeBytes(), names, free)
 	}
+	orphanReaders(t, tr, fs)
 
 	// The job's second component cannot open an input: the first component's
 	// finished outputs must go too.
@@ -486,6 +536,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 	if len(comps) != 2 || len(comps[0]) != 2 || len(comps[1]) != 2 {
 		t.Fatalf("job splits into %d components, want two pairs", len(comps))
 	}
+	dropReaders(tr)
 	if err := fs.Delete(th, tableName(comps[1][0].Num)); err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +547,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 	if !reflect.DeepEqual(fs.List(), names) || fs.FreeBytes() != free {
 		t.Fatalf("failed job left files %v (free %d), was %v (free %d)", fs.List(), fs.FreeBytes(), names, free)
 	}
+	orphanReaders(t, tr, fs)
 	if len(tr.compacting) != 0 {
 		t.Fatalf("failed job kept %d files reserved", len(tr.compacting))
 	}
@@ -509,6 +561,7 @@ func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 	seq := uint64(0)
 	flushRun(t, tr, th, uniqueRun(0, 2, 60, 24, &seq))
 	flushRun(t, tr, th, uniqueRun(1, 2, 60, 24, &seq))
+	dropReaders(tr)
 	if err := fs.Delete(th, tableName(tr.Files(0)[0].Num)); err != nil {
 		t.Fatal(err)
 	}

@@ -252,6 +252,8 @@ func TestScanBudget(t *testing.T) {
 		t.Fatalf("tree too small to prove anything: %d L1 and %d L2 files", len(tr.levels[1]), len(tr.levels[2]))
 	}
 
+	dropReaders(tr)
+
 	start := util.MakeInternalKey(nil, []byte("key01000"), util.MaxSequence, util.KindValue)
 	before := tr.CacheStats()
 	it, err := tr.NewIterator(th)
@@ -350,6 +352,7 @@ func TestLevelIterReportsFailedLazyOpen(t *testing.T) {
 		es = append(es, testEntry{fmt.Sprintf("key%05d", k), uint64(k + 1), util.KindValue, "v"})
 	}
 	installAt(t, tr, th, 1, es)
+	dropReaders(tr)
 	files := tr.levels[1]
 	if len(files) < 3 {
 		t.Fatalf("want at least 3 files in L1, have %d", len(files))

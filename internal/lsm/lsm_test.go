@@ -44,6 +44,15 @@ func newEnv(t *testing.T, opts Options) (*hw.Machine, *Tree, *hw.Thread, hw.Regi
 	return m, tr, th, manifest, fs
 }
 
+// dropReaders forgets every open table reader, which leaves the tree as a
+// reopened one finds it: the tables this process wrote are opened from media,
+// on first use, like any other.
+func dropReaders(tr *Tree) {
+	tr.readerMu.Lock()
+	defer tr.readerMu.Unlock()
+	clear(tr.readers)
+}
+
 // fillTable builds a skiplist memtable with n sequential entries starting at
 // seq, then flushes it into the tree.
 func fillTable(t *testing.T, tr *Tree, th *hw.Thread, start, n int, seq uint64, val string) uint64 {

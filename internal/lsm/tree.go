@@ -333,6 +333,14 @@ func (t *Tree) reader(th *hw.Thread, num uint64) (*sstable.Reader, error) {
 	return r, nil
 }
 
+// addReader registers the reader of a table this tree just wrote.
+func (t *Tree) addReader(num uint64, r *sstable.Reader) {
+	r.SetCache(t.blockCache, num)
+	t.readerMu.Lock()
+	t.readers[num] = r
+	t.readerMu.Unlock()
+}
+
 func (t *Tree) dropReader(num uint64) {
 	t.readerMu.Lock()
 	delete(t.readers, num)
@@ -396,12 +404,16 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 			// only open a writer when an entry is about to be added.)
 			return nil
 		}
-		size, err := t.fs.Size(tableName(num))
+		f, err := t.fs.Open(tableName(num))
 		if err != nil {
 			return err
 		}
+		// This process wrote the table, so its reader is built from the
+		// writer's own filter and index instead of reading them back on the
+		// table's first lookup; a reopened tree has only sstable.NewReader.
+		t.addReader(num, w.Reader(f))
 		out = append(out, FileMeta{
-			Num: num, Size: size, Count: count,
+			Num: num, Size: f.Size(), Count: count,
 			Smallest:  append(util.InternalKey(nil), smallest...),
 			Largest:   append(util.InternalKey(nil), largest...),
 			RangeDels: curRDs,
@@ -480,11 +492,12 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 	return out, nil
 }
 
-// deleteTables removes tables no version ever referenced: outputs of a write
-// that failed before its manifest record. Best effort — the next Open's orphan
-// sweep takes whatever a failing filesystem keeps.
+// deleteTables removes tables no version ever referenced, and their readers:
+// outputs of a write that failed before its manifest record. Best effort — the
+// next Open's orphan sweep takes whatever a failing filesystem keeps.
 func (t *Tree) deleteTables(th *hw.Thread, metas []FileMeta) {
 	for _, m := range metas {
+		t.dropReader(m.Num)
 		_ = t.fs.Delete(th, tableName(m.Num))
 	}
 }

@@ -71,6 +71,10 @@ func openTable(t *testing.T, fs *pmemfs.FS, th *hw.Thread, name string, entries 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The reader a writer hands out holds what NewReader reads back.
+	if own := w.Reader(f); !bytes.Equal(own.index, r.index) || !bytes.Equal(own.filter, r.filter) {
+		t.Fatal("Writer.Reader and NewReader disagree on the table's index or filter")
+	}
 	return f, r
 }
 
@@ -242,9 +246,12 @@ func blockIndex(t *testing.T, r *Reader, th *hw.Thread, es []entry) (hs []handle
 
 // A cold in-place Get must read a small fraction of the XPLines a copy of the
 // block reads: that is the whole point of not treating PMem as a block device.
-// For the benchmark's 88 B entries a 4 KiB block spans 17 XPLines and a Get
-// needs the trailer (1), a restart key outside its own run (about 1) and half
-// a 16-entry run on average (about 4), which measures 0.37; the bound is 0.4.
+// For the benchmark's 88 B entries a 4 KiB block spans 17 XPLines, and with a
+// run's key records apart from its values a Get needs the trailer (1), a
+// restart key outside its own run (about 1), half of a 16-record key area of
+// 1.4 XPLines (about 1.2, its own restart key included) and the one value it
+// returns (1, or 2 when it straddles), which measures 0.31; the bound is a
+// third. (Entry after entry, LevelDB's layout, the half run alone was 4.)
 func TestDirectGetReadsAFractionOfTheBlock(t *testing.T) {
 	m, fs, th := newMachineEnv(t)
 	skewFreeList(t, fs, th, 1_000_003)
@@ -277,8 +284,8 @@ func TestDirectGetReadsAFractionOfTheBlock(t *testing.T) {
 	}
 	t.Logf("in place: %d B of media reads for %d blocks; copying them: %d B (%.2f)",
 		direct, len(hs), whole, float64(direct)/float64(whole))
-	if direct*5 > whole*2 {
-		t.Fatalf("in-place Gets read %d B of media, more than 0.4 of the %d B their blocks occupy", direct, whole)
+	if direct*3 > whole {
+		t.Fatalf("in-place Gets read %d B of media, more than a third of the %d B their blocks occupy", direct, whole)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package sstable implements the Sorted String Table files that form the
 // LSM-tree's storage component: data blocks holding internal-key/value
 // entries, one bloom filter block, an index block mapping separator keys to
-// data-block handles, and a fixed footer. The layout follows LevelDB; keys
-// inside a table are internal keys ordered by util.CompareInternal.
+// data-block handles, and a fixed footer. The file layout follows LevelDB;
+// the blocks are package block's, which keep a restart run's keys apart from
+// its values. Keys inside a table are internal keys ordered by
+// util.CompareInternal.
 package sstable
 
 import (
@@ -61,6 +63,8 @@ type Writer struct {
 	last    []byte
 	count   int
 	err     error
+	// The finished filter and index blocks, kept past Finish for Reader.
+	filterData, indexData []byte
 }
 
 // NewWriter wraps a pmemfs writer. th is the thread charged for the I/O.
@@ -126,15 +130,15 @@ func (t *Writer) Finish() (count int, smallest, largest util.InternalKey, err er
 		t.pending = false
 	}
 	// Filter block.
-	filterData := t.filter.BuildHashes(t.hashes)
-	filterH := handle{t.w.Offset(), uint64(len(filterData))}
-	if err := t.w.Append(t.th, filterData); err != nil {
+	t.filterData = t.filter.BuildHashes(t.hashes)
+	filterH := handle{t.w.Offset(), uint64(len(t.filterData))}
+	if err := t.w.Append(t.th, t.filterData); err != nil {
 		return 0, nil, nil, err
 	}
 	// Index block.
-	indexData := t.index.Finish()
-	indexH := handle{t.w.Offset(), uint64(len(indexData))}
-	if err := t.w.Append(t.th, indexData); err != nil {
+	t.indexData = t.index.Finish()
+	indexH := handle{t.w.Offset(), uint64(len(t.indexData))}
+	if err := t.w.Append(t.th, t.indexData); err != nil {
 		return 0, nil, nil, err
 	}
 	// Footer: filter handle, index handle, padding, magic.
@@ -152,6 +156,14 @@ func (t *Writer) Finish() (count int, smallest, largest util.InternalKey, err er
 		return 0, nil, nil, err
 	}
 	return t.count, t.first, t.last, nil
+}
+
+// Reader opens the table a successful Finish sealed, on f, from the filter and
+// index blocks the writer still holds: the process that wrote a table need
+// not read ≈ 30 KB of it back from PMem on the table's first lookup. NewReader
+// opens the same table from media.
+func (t *Writer) Reader(f *pmemfs.File) *Reader {
+	return &Reader{f: f, filter: t.filterData, index: t.indexData}
 }
 
 // Abort abandons the table file.
@@ -293,8 +305,9 @@ var scratchPool = sync.Pool{New: func() any { return new(getScratch) }}
 // touches cost a few cache lines where a copy of the block costs all
 // sixty-four — unless the cache has seen the block miss recently: a second
 // touch shows reuse, so then it is copied into the cache and later reads hit
-// DRAM.
-func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch) error {
+// DRAM. policy is what the in-place decoder faults ahead of itself: a Get is a
+// point read, a table iterator a walk.
+func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch, policy block.Fault) error {
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
 		th.ChargeDRAM(1)
@@ -309,7 +322,7 @@ func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch) error {
 	}
 	if sc.win.open(r.f, th, h) {
 		r.cache.NoteDirect()
-		return sc.data.ResetLazy(sc.win.buf[:h.length], &sc.win)
+		return sc.data.ResetLazy(sc.win.buf[:h.length], &sc.win, policy)
 	}
 	contents, err := r.copyBlock(th, h)
 	if err != nil {
@@ -381,7 +394,7 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	if err := r.seekBlock(th, h, sc); err != nil {
+	if err := r.seekBlock(th, h, sc, block.FaultPoint); err != nil {
 		return nil, 0, 0, false, err
 	}
 	it := &sc.data
@@ -430,7 +443,9 @@ type Iter struct {
 // NewIter returns an unpositioned foreground iterator. It loads a data block
 // the way Get does (seekBlock): a scan that leaves a block after a few
 // entries pays for those entries' cache lines, not for sixty-four, and a block
-// touched once does not evict one that is reused.
+// touched once does not evict one that is reused. Where Get faults key records
+// one by one, a walk faults each run's key area whole (block.FaultWalk), so
+// that its reads move through the block in address order.
 func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, false) }
 
 // NewCompactionIter returns an unpositioned iterator that copies every block
@@ -473,7 +488,7 @@ func (it *Iter) loadData() {
 				err = it.sc.data.Reset(contents)
 			}
 		} else {
-			err = it.r.seekBlock(it.th, h, it.sc)
+			err = it.r.seekBlock(it.th, h, it.sc, block.FaultWalk)
 		}
 	}
 	if err != nil {

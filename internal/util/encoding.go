@@ -22,6 +22,15 @@ func PutUvarint(dst []byte, x uint64) []byte {
 	return append(dst, buf[:n]...)
 }
 
+// UvarintLen returns the number of bytes PutUvarint appends for x.
+func UvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Uvarint decodes a varint from src, returning the value and the number of
 // bytes consumed. It returns ErrCorrupt when src is truncated or malformed.
 func Uvarint(src []byte) (uint64, int, error) {

@@ -14,8 +14,8 @@ func TestUvarintRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Uvarint(%d): %v", v, err)
 		}
-		if got != v || n != len(b) {
-			t.Fatalf("Uvarint(%d) = %d, %d; want %d, %d", v, got, n, v, len(b))
+		if got != v || n != len(b) || UvarintLen(v) != len(b) {
+			t.Fatalf("Uvarint(%d) = %d, %d, UvarintLen %d; want %d, %d", v, got, n, UvarintLen(v), v, len(b))
 		}
 	}
 }
@@ -24,7 +24,7 @@ func TestUvarintProperty(t *testing.T) {
 	f := func(v uint64) bool {
 		b := PutUvarint(nil, v)
 		got, n, err := Uvarint(b)
-		return err == nil && got == v && n == len(b)
+		return err == nil && got == v && n == len(b) && UvarintLen(v) == len(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
