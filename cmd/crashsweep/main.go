@@ -3,11 +3,11 @@
 // workload generates (stores, non-temporal streams, flushes — each carrying
 // its fence), re-runs the workload crashing at chosen points, applies the
 // persistence-domain rule plus an optional media fault, recovers the engine,
-// and checks the family's durability oracle. -family picks the script and
-// oracle (DESIGN.md §6 "Families"): single-key operations on any engine,
-// cross-shard atomic batches (all-or-nothing), or a flow-control stall
-// episode (rejected writes absent), the last two on the sharded router.
-// Every failure prints a reproduce: line that replays the identical schedule.
+// and holds it to the one crash oracle (DESIGN.md §6). -family picks the
+// script: single-key operations on any engine, cross-shard atomic batches, or
+// a flow-control stall episode with rejected writes, the last two on the
+// sharded router. Every failure prints a reproduce: line that replays the
+// identical schedule.
 //
 // Bounded sweep (the CI shape):
 //
@@ -22,6 +22,9 @@
 //
 //	crashsweep -engine cachekv -domain eadr -crash-at 46 -fault flip
 //	crashsweep -family stall -domain eadr -crash-at 30 -trace -
+//
+// A replay whose script ends before event -crash-at prints NOT REACHED and
+// exits 1: nothing was crashed, so there is no verdict to print.
 package main
 
 import (
@@ -195,14 +198,18 @@ func replay(fam faultinject.Family, engine, domain string, crashAt int64, fault,
 	if r.RecoveryRefused != nil {
 		fmt.Printf("recovery refused (acceptable under fault=flip): %v\n", r.RecoveryRefused)
 	}
-	if !r.Failed() {
-		fmt.Println("PASS")
-		return 0
-	}
 	for _, v := range r.Violations {
 		fmt.Printf("VIOLATION: %s\n", v)
 	}
-	return 1
+	if r.Failed() {
+		return 1
+	}
+	if !r.Frozen {
+		fmt.Printf("NOT REACHED (script numbers %d events)\n", r.Events)
+		return 1
+	}
+	fmt.Println("PASS")
+	return 0
 }
 
 func parseEngines(list string) ([]faultinject.EngineSpec, error) {

@@ -1,53 +1,62 @@
 package faultinject
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-// TestCrossShardWorkloadShape pins the generator's contract: every put batch
-// spans at least two shards (so every mutation takes the two-phase path),
-// keys are unique per put batch, and regeneration is deterministic.
+// TestCrossShardWorkloadShape pins the builder's contract: every batch spans
+// at least two shards (so every mutation takes the two-phase path), keys are
+// unique per put batch, a delete batch removes exactly one earlier put
+// batch's keys, and regeneration is deterministic.
 func TestCrossShardWorkloadShape(t *testing.T) {
-	wl := NewBatchWorkload(3, 80, crossShardShards)
+	sc := crossShardFamily(3, 80).Script
 	seen := make(map[string]int)
 	puts, dels := 0, 0
-	for i, b := range wl.Batches {
-		if b.Delete {
+	for i, s := range sc.Steps {
+		shards := make(map[int]bool)
+		for _, m := range s.Muts {
+			shards[shardOfKey(m.Key)] = true
+		}
+		if len(shards) < 2 {
+			t.Fatalf("batch %d spans only %d shard(s)", i, len(shards))
+		}
+		if s.Muts[0].Delete {
 			dels++
-			if tb := wl.Batches[b.Target]; tb.Delete || b.Target >= i {
-				t.Fatalf("batch %d deletes an invalid target %d", i, b.Target)
+			target, ok := seen[s.Muts[0].Key]
+			if !ok || target >= i || len(s.Muts) != len(sc.Steps[target].Muts) {
+				t.Fatalf("batch %d deletes an invalid target %d", i, target)
+			}
+			for j, m := range s.Muts {
+				if !m.Delete || m.Key != sc.Steps[target].Muts[j].Key {
+					t.Fatalf("batch %d is not the delete of put batch %d", i, target)
+				}
 			}
 			continue
 		}
 		puts++
-		shards := make(map[int]bool)
-		for _, k := range b.Keys {
-			if prev, dup := seen[k]; dup {
-				t.Fatalf("key %q appears in put batches %d and %d", k, prev, i)
+		for _, m := range s.Muts {
+			if prev, dup := seen[m.Key]; dup {
+				t.Fatalf("key %q appears in put batches %d and %d", m.Key, prev, i)
 			}
-			seen[k] = i
-			shards[shardOfKey(k, crossShardShards)] = true
-		}
-		if len(shards) < 2 {
-			t.Fatalf("put batch %d spans only %d shard(s)", i, len(shards))
+			if m.Delete {
+				t.Fatalf("batch %d mixes puts and deletes", i)
+			}
+			seen[m.Key] = i
 		}
 	}
 	if puts == 0 || dels == 0 {
 		t.Fatalf("degenerate workload: %d puts, %d deletes", puts, dels)
 	}
-	wl2 := NewBatchWorkload(3, 80, crossShardShards)
-	for i := range wl.Batches {
-		a, b := wl.Batches[i], wl2.Batches[i]
-		if a.Delete != b.Delete || a.Target != b.Target || len(a.Keys) != len(b.Keys) {
-			t.Fatalf("batch %d not reproducible", i)
-		}
+	if again := crossShardFamily(3, 80).Script; !reflect.DeepEqual(sc, again) {
+		t.Fatal("script not reproducible")
 	}
 }
 
 // TestCrashSweepCrossShard is the CI cross-shard sweep (the -run TestCrashSweep
 // step picks it up): a seeded sample of crash points under both persistence
-// domains with all three fault modes, checked by the all-or-nothing oracle —
+// domains with all three fault modes, held to the oracle's atomic clause —
 // no half-applied two-phase group may survive recovery.
 func TestCrashSweepCrossShard(t *testing.T) {
 	per := 10

@@ -6,12 +6,14 @@ import (
 	"cachekv/internal/hw/cache"
 )
 
-// deleteBetween reports whether wl issues a delete of key with op index in
+// deleteBetween reports whether sc issues a delete of key with step index in
 // (after, bound].
-func deleteBetween(wl *Workload, key string, after, bound int) bool {
-	for i := after + 1; i <= bound && i < len(wl.Ops); i++ {
-		if op := wl.Ops[i]; op.Kind == OpDelete && op.Key == key {
-			return true
+func deleteBetween(sc *Script, key string, after, bound int) bool {
+	for i := after + 1; i <= bound && i < len(sc.Steps); i++ {
+		for _, m := range sc.Steps[i].Muts {
+			if m.Delete && m.Key == key {
+				return true
+			}
 		}
 	}
 	return false
@@ -29,7 +31,8 @@ func TestDomainDifferentialRecovery(t *testing.T) {
 	if !testing.Short() {
 		engines = append(engines, "novelsm-w/o-flush", "slm-db-w/o-flush")
 	}
-	wl, fam := NewWorkload(5, 200), singleKeyFamily(5, 200)
+	fam := singleKeyFamily(5, 200)
+	sc := &fam.Script
 	for _, name := range engines {
 		spec, ok := FindEngine(name)
 		if !ok {
@@ -74,20 +77,20 @@ func TestDomainDifferentialRecovery(t *testing.T) {
 				continue
 			}
 			for key, av := range ra.Recovered {
-				ai := ParsePutIndex(av)
+				ai, _ := writerOf(sc, key, av)
 				if ai < 0 {
-					t.Errorf("%s crashAt=%d: ADR recovered unparseable value %q for %q", name, k, av, key)
+					t.Errorf("%s crashAt=%d: ADR recovered value %q for %q, which no step writes", name, k, av, key)
 					continue
 				}
 				ev, present := re.Recovered[key]
 				if present {
-					if ei := ParsePutIndex(ev); ei < ai {
+					if ei, _ := writerOf(sc, key, ev); ei < ai {
 						t.Errorf("%s crashAt=%d: eADR recovered OLDER state for %q: put %d vs ADR's put %d",
 							name, k, key, ei, ai)
 					}
 					continue
 				}
-				if !deleteBetween(wl, key, ai, re.Inflight) {
+				if !deleteBetween(sc, key, ai, re.Inflight) {
 					t.Errorf("%s crashAt=%d: key %q present under ADR (put %d) but lost under eADR with no later delete",
 						name, k, key, ai)
 				}

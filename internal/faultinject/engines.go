@@ -136,7 +136,7 @@ func shardedSpec() EngineSpec {
 		// Single-key writes live in pinned cache lines exactly like the plain
 		// engine's, so the ADR contract is unchanged. (Cross-shard batches are
 		// stronger — their two-phase log is written with non-temporal stores —
-		// and the cross-shard oracle asserts that separately.)
+		// which the cross-shard family declares as LogDurable.)
 		DurableADR: false,
 		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
 			o := coreOptions()

@@ -12,33 +12,26 @@ import (
 	"cachekv/internal/obs"
 )
 
-// Family is one crash-schedule family: a deterministic script of engine
-// calls plus the oracle that says what recovery may leave behind. It is all a
-// feature has to supply to be swept; the runner (Count, Run, Sweep) owns the
-// rest — platform, injector, freeze detection, power failure, media faults,
-// recovery with its panic guard, and the reproduction tuple.
+// Family is one crash-schedule family: a script builder's output and one bool.
+// It is all a feature has to supply to be swept; the runner (Count, Run,
+// Sweep) owns the rest — platform, injector, freeze detection, power failure,
+// media faults, recovery with its panic guard, the oracle (oracle.go) and the
+// reproduction tuple.
 type Family struct {
 	Name string
 	// Engine names the one engine the script is written for (FindEngine);
 	// empty means it runs on any engine.
 	Engine string
 	Seed   uint64
-	// NumOps is the generator's size parameter (ops, batches, writes per
-	// stall phase): NewFamily(Name, Seed, NumOps) rebuilds the identical
-	// script, which is what makes a printed Schedule replayable.
+	// NumOps is the builder's size parameter (ops, batches, writes per stall
+	// phase): NewFamily(Name, Seed, NumOps) rebuilds the identical script,
+	// which is what makes a printed Schedule replayable.
 	NumOps int
-	// Steps is the script length; Apply runs for i in [0, Steps).
-	Steps int
-	// Apply issues script step i. An error before the crash point is a
-	// violation (the script is built to succeed on a healthy engine).
-	Apply func(db kvstore.DB, th *hw.Thread, i int) error
-	// Check probes the recovered engine. Steps before inflight were
-	// acknowledged, step inflight (== Steps if the script completed) was
-	// interrupted, later steps never ran. domain and durableADR (the engine's
-	// ADR contract) decide which acknowledged writes must have survived;
-	// fault tells the oracle what media damage it has to tolerate. It returns
-	// the violations and the recovered view (present keys only).
-	Check func(db kvstore.DB, th *hw.Thread, inflight int, domain cache.Domain, durableADR bool, fault Fault) (violations []string, recovered map[string]string)
+	Script Script
+	// LogDurable says the script writes only through the two-phase commit
+	// logs, which are written with non-temporal stores: its acknowledged steps
+	// are durable under ADR on an engine that does not contract DurableADR.
+	LogDurable bool
 }
 
 // FamilyNames lists the families NewFamily builds.
@@ -98,7 +91,7 @@ type Result struct {
 	Schedule   Schedule
 	Frozen     bool  // crash point was reached during the script
 	Events     int64 // events numbered before the run ended
-	Inflight   int   // step the crash interrupted (Family.Steps if none)
+	Inflight   int   // step the crash or a failure interrupted (len(Script.Steps) if none)
 	StreamHash uint64
 	// RecoveryRefused is set when reopening after a FaultFlip corruption
 	// failed with a clean error — an acceptable outcome for that mode.
@@ -151,8 +144,8 @@ func Count(spec EngineSpec, domain cache.Domain, fam Family) (int64, uint64, err
 		_ = db.Close(th)
 	}()
 	wth := m.NewThread(1)
-	for i := 0; i < fam.Steps; i++ {
-		if err := fam.Apply(db, wth, i); err != nil {
+	for i := range fam.Script.Steps {
+		if err := apply(db, wth, &fam.Script.Steps[i]); err != nil {
 			return 0, 0, fmt.Errorf("%s: %s step %d failed: %w", spec.Name, fam.Name, i, err)
 		}
 	}
@@ -175,10 +168,10 @@ func flipMedia(m *hw.Machine, inj *Injector) (addr uint64, bit uint, ok bool) {
 // Run executes one crash schedule end to end: open a fresh engine, arm the
 // injector, apply fam's script until the crash point freezes the platform,
 // halt the engine, apply the persistence-domain rule and any media fault,
-// recover, and let fam's oracle judge the result. Crash-point annotations are
-// emitted into tr (nil-safe), so a replayed schedule's event trace shows
-// exactly where the injected crash and media fault landed relative to engine
-// lifecycle events.
+// recover, probe the recovered engine and let the reference model judge what
+// the probe read. Crash-point annotations are emitted into tr (nil-safe), so
+// a replayed schedule's event trace shows exactly where the injected crash
+// and media fault landed relative to engine lifecycle events.
 func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace) *Result {
 	res := &Result{
 		Schedule: Schedule{
@@ -190,7 +183,7 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 			CrashAt:      crashAt,
 			Fault:        fault,
 		},
-		Inflight: fam.Steps,
+		Inflight: len(fam.Script.Steps),
 	}
 	m := NewMachine(domain)
 	th := m.NewThread(0)
@@ -206,15 +199,16 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 	wth := m.NewThread(1)
 	tr.Emit(wth.Clock.Now(), "crash_armed", "family", fam.Name,
 		"engine", spec.Name, "crash_at", crashAt, "fault", fault.String())
-	for i := 0; i < fam.Steps; i++ {
-		if err := fam.Apply(db, wth, i); err != nil && !inj.Frozen() {
+	for i := range fam.Script.Steps {
+		err := apply(db, wth, &fam.Script.Steps[i])
+		if err != nil && !inj.Frozen() {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("step %d failed before the crash point: %v", i, err))
-			break
 		}
-		if inj.Frozen() {
-			// The crash interrupted step i: some of its events may have taken
-			// effect, its acknowledgement never completed.
+		if err != nil || inj.Frozen() {
+			// The crash (or the failure) interrupted step i: some of its
+			// events may have taken effect, its acknowledgement never
+			// completed, and no later step was issued.
 			res.Inflight = i
 			break
 		}
@@ -280,9 +274,15 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 					fmt.Sprintf("recovered engine panicked under oracle probes: %v", r))
 			}
 		}()
+		// A bit flip may eat a legitimately persisted suffix, or one shard's
+		// half of a committed batch: it voids durability and atomicity, never
+		// validity. A torn crash-point write voids nothing.
+		intact := fault != FaultFlip
+		durable := intact && (domain == cache.EADR || spec.DurableADR || fam.LogDurable)
 		var v []string
-		v, res.Recovered = fam.Check(db2, th2, res.Inflight, domain, spec.DurableADR, fault)
+		res.Recovered, v = probe(db2, th2, fam.Script.Keys)
 		res.Violations = append(res.Violations, v...)
+		res.Violations = append(res.Violations, judge(&fam.Script, res.Inflight, durable, intact, res.Recovered)...)
 		if st, ok := db2.(core.Store); ok {
 			res.FilterProbes, res.FilterNegatives = st.FilterStats()
 		}
@@ -346,6 +346,10 @@ func Sweep(cfg SweepConfig) (*SweepStats, error) {
 				total, _, err := Count(spec, domain, fam)
 				if err != nil {
 					return nil, err
+				}
+				if total == 0 {
+					return nil, fmt.Errorf("%s/%s/%s: script numbers no persistence events; nothing to crash",
+						fam.Name, spec.Name, domain)
 				}
 				stats.EventTotals[fam.Name+"/"+spec.Name+"/"+domain.String()] = total
 				for _, fault := range cfg.Faults {

@@ -1,12 +1,18 @@
 package faultinject
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/kvstore"
+	"cachekv/internal/obs"
 )
 
 var bothDomains = []cache.Domain{cache.ADR, cache.EADR}
@@ -155,6 +161,71 @@ func TestCorruptCountRegression(t *testing.T) {
 	}
 	if !r.Frozen {
 		t.Fatal("schedule never reached its crash point")
+	}
+}
+
+// TestSweepRejectsEventlessScript: a script that numbers no persistence event
+// has no crash point to sweep. Seed 14's one op is a Get; the bounded sweep
+// used to divide by the zero event total, the exhaustive one to report zero
+// schedules as a clean sweep.
+func TestSweepRejectsEventlessScript(t *testing.T) {
+	fam := singleKeyFamily(14, 1)
+	if s := fam.Script.Steps[0]; len(s.Muts) != 0 || s.Get == "" {
+		t.Fatalf("seed 14's one op is %+v, no longer a Get", s)
+	}
+	spec, _ := FindEngine("cachekv")
+	for _, per := range []int{2, 0} {
+		_, err := Sweep(SweepConfig{
+			Engines:            []EngineSpec{spec},
+			Domains:            bothDomains,
+			Families:           []Family{fam},
+			SchedulesPerConfig: per,
+		})
+		if err == nil || !strings.Contains(err.Error(), "single-key/cachekv/ADR: script numbers no persistence events") {
+			t.Errorf("schedules=%d: Sweep returned %v, want the no-events error", per, err)
+		}
+	}
+}
+
+// failingDB refuses the Put of one value.
+type failingDB struct {
+	kvstore.DB
+	value string
+}
+
+func (f failingDB) Put(th *hw.Thread, key, value []byte) error {
+	if string(value) == f.value {
+		return errors.New("injected put failure")
+	}
+	return f.DB.Put(th, key, value)
+}
+
+// TestRunFailedStepIsFrontier: a step that fails before the crash point ends
+// the script there, so it is the in-flight step and no later step was issued.
+// Run used to leave Inflight at the script's end, and the oracle then demanded
+// every never-issued write, burying the one real violation under "lost" ones.
+func TestRunFailedStepIsFrontier(t *testing.T) {
+	fam := singleKeyFamily(3, 120)
+	k := 40
+	for len(fam.Script.Steps[k].Muts) == 0 || fam.Script.Steps[k].Muts[0].Delete {
+		k++
+	}
+	spec := shimSpec(false)
+	open := spec.Open
+	spec.Open = func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
+		db, err := open(m, th, tr)
+		if err != nil {
+			return nil, err
+		}
+		return failingDB{db, fam.Script.Steps[k].Muts[0].Value}, nil
+	}
+	r := Run(spec, cache.ADR, fam, 1<<40, FaultNone, nil)
+	want := fmt.Sprintf("step %d failed before the crash point: injected put failure", k)
+	if len(r.Violations) != 1 || r.Violations[0] != want {
+		t.Errorf("violations %q, want exactly %q", r.Violations, want)
+	}
+	if r.Inflight != k || r.Frozen {
+		t.Errorf("inflight %d frozen %v, want step %d and no freeze", r.Inflight, r.Frozen, k)
 	}
 }
 

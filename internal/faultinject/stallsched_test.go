@@ -9,8 +9,8 @@ import (
 // TestCrashSweepStall crashes the sharded engine at schedule points spread
 // across a scripted overload episode — healthy, Slowdown (token-delayed
 // admissions), Stop (rejections, including a cross-shard batch with a stopped
-// participant), recovered — and holds every recovery to the stall oracle:
-// rejected writes fully absent, acked writes durable (eADR), batches
+// participant), recovered — and holds every recovery to the oracle's overload
+// clauses: rejected writes fully absent, acked writes durable (eADR), batches
 // all-or-nothing, engine back in the OK state. Every point runs under all
 // three fault modes: a torn crash-point write relaxes nothing, a bit flip
 // relaxes durability and batch atomicity only.
