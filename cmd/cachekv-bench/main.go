@@ -18,7 +18,6 @@ import (
 
 	"cachekv/internal/bench"
 	"cachekv/internal/hw"
-	"cachekv/internal/hw/sim"
 	"cachekv/internal/obs"
 )
 
@@ -31,10 +30,8 @@ func main() {
 	flushThreads := flag.Int("flush-threads", 0, "CacheKV background flush threads (0 = default)")
 	poolMB := flag.Int("pool-mb", 0, "CacheKV sub-MemTable pool MiB (0 = default 12)")
 	tableKB := flag.Int("table-kb", 0, "CacheKV sub-MemTable size KiB (0 = default 2048)")
-	obsOut := flag.String("obs-out", "", "write a per-phase cachekv.obs/v1 attribution report here (e.g. BENCH_obs.json)")
 	shards := flag.Int("shards", 0, "CacheKV engine shards (0 or 1 = classic single engine)")
 	compactionWorkers := flag.Int("compaction-workers", 0, "CacheKV background compaction workers (0 = default (1))")
-	shardOut := flag.String("shard-out", "", "run the shard-scaling suite (YCSB-A/C, 1→32 threads, baseline vs Shards=threads) and write JSON here (ignores -benchmarks)")
 	profileOut := flag.String("profile-out", "", "write the virtual-time sampling profile (folded-stack text) here")
 	profileStep := flag.Int64("profile-step", hw.DefaultProfileStep, "profiler sampling period in virtual ns")
 	profileCheck := flag.Bool("profile-check", false, "verify profiler sample-conservation invariants after the run")
@@ -42,44 +39,9 @@ func main() {
 	slowopsOut := flag.String("slowops-out", "", "write captured slow-op dossiers (JSONL) here (requires -slowop-ns)")
 	flag.Parse()
 
-	if *shardOut != "" {
-		numSet, vsSet := false, false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "num":
-				numSet = true
-			case "value-size":
-				vsSet = true
-			}
-		})
-		cfg := bench.DefaultShardCurveConfig()
-		if numSet {
-			cfg.Records = *num
-			cfg.Ops = *num
-		}
-		if vsSet {
-			cfg.ValueSize = *valueSize
-		}
-		if err := runShardCurve(*shardOut, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	kind, ok := map[string]bench.EngineKind{
-		"cachekv":           bench.CacheKV,
-		"pcsm":              bench.PCSM,
-		"pcsm+liu":          bench.PCSMLIU,
-		"novelsm":           bench.NoveLSM,
-		"novelsm-w/o-flush": bench.NoveLSMWoFlush,
-		"novelsm-cache":     bench.NoveLSMCache,
-		"slm-db":            bench.SLMDB,
-		"slm-db-w/o-flush":  bench.SLMDBWoFlush,
-		"slm-db-cache":      bench.SLMDBCache,
-	}[strings.ToLower(*engine)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
+	kind, err := bench.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
@@ -97,7 +59,7 @@ func main() {
 	cfg.Shards = *shards
 	cfg.CompactionWorkers = *compactionWorkers
 	var tr *obs.Trace
-	if *obsOut != "" || *slowopNs > 0 {
+	if *slowopNs > 0 {
 		cfg.Obs = true
 		tr = obs.NewTrace(obs.DefaultTraceCap)
 		cfg.Trace = tr
@@ -113,13 +75,6 @@ func main() {
 		os.Exit(1)
 	}
 	runner := bench.NewRunner(m, db)
-	report := obs.NewReport("cachekv-bench")
-	var prevTally sim.TallySnapshot
-	var prevSnap *obs.Snapshot
-	if *obsOut != "" {
-		prevTally = m.ObsTally().Snapshot()
-		prevSnap = bench.BuildRegistry(m, db, tr).Gather()
-	}
 
 	fmt.Printf("engine:     %s\n", db.Name())
 	fmt.Printf("keys:       16 bytes each\n")
@@ -128,15 +83,12 @@ func main() {
 	fmt.Printf("threads:    %d\n", *threads)
 	fmt.Println(strings.Repeat("-", 52))
 
-	needCol := *obsOut != "" || *slowopNs > 0
 	var allDossiers []obs.Dossier
 	for _, name := range strings.Split(*benchmarks, ",") {
 		name = strings.TrimSpace(name)
-		if needCol {
-			runner.Col = obs.NewCollector() // fresh per phase: per-phase op stats
-			if *slowopNs > 0 {
-				runner.Col.EnableSlowOps(obs.SlowOpPolicy{StaticNs: *slowopNs}, tr)
-			}
+		if *slowopNs > 0 {
+			runner.Col = obs.NewCollector() // fresh per phase: its dossiers are the phase's
+			runner.Col.EnableSlowOps(obs.SlowOpPolicy{StaticNs: *slowopNs}, tr)
 		}
 		var res bench.Result
 		var err error
@@ -159,19 +111,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		if needCol {
+		if *slowopNs > 0 {
 			allDossiers = append(allDossiers, runner.Col.SlowOps()...)
-		}
-		if *obsOut != "" {
-			run := bench.BuildRunReport(res, runner, tr, false)
-			// Per-phase windows: layer totals and counter metrics become
-			// deltas over this phase rather than cumulative machine totals.
-			tallyNow := m.ObsTally().Snapshot()
-			run.Layers = obs.LayersFromTally(tallyNow.Sub(prevTally))
-			snapNow := run.Metrics
-			run.Metrics = snapNow.Sub(prevSnap)
-			prevTally, prevSnap = tallyNow, snapNow
-			report.Runs = append(report.Runs, run)
 		}
 		micros := float64(res.ElapsedNs) / 1000 / float64(res.Ops) * float64(res.Threads)
 		fmt.Printf("%-12s : %8.3f micros/op; %10.1f Kops/s; p50 %.0fns p99 %.0fns",
@@ -191,13 +132,6 @@ func main() {
 	fmt.Printf("XPBuffer write hit ratio : %.1f%%\n", snap.WriteHitRatio()*100)
 	fmt.Printf("write amplification      : %.2fx\n", snap.WriteAmplification())
 	fmt.Printf("media written            : %d MiB\n", snap.MediaWriteB>>20)
-	if *obsOut != "" {
-		if err := report.WriteFile(*obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("attribution report       : %s (%d phases)\n", *obsOut, len(report.Runs))
-	}
 	if *slowopNs > 0 {
 		fmt.Printf("slow-op dossiers         : %d captured (threshold %d ns)\n", len(allDossiers), *slowopNs)
 		if bad := obs.VerifySlowOps(allDossiers); len(bad) > 0 {
@@ -255,31 +189,6 @@ func main() {
 		}
 		fmt.Printf("profile (folded stacks)  : %s (%d rows)\n", *profileOut, len(entries))
 	}
-}
-
-// runShardCurve executes the shard-scaling suite (BENCH_shard.json): YCSB-A
-// and YCSB-C at each thread count, 1-shard baseline vs Shards=threads.
-func runShardCurve(out string, cfg bench.ShardCurveConfig) error {
-	report, err := bench.RunShardCurve(cfg)
-	if err != nil {
-		return err
-	}
-	for _, p := range report.Points {
-		tag := "baseline"
-		if p.Shards > 1 {
-			tag = fmt.Sprintf("%d shards", p.Shards)
-		}
-		fmt.Printf("%-7s t=%-3d %-9s : %10.1f Kops/s", p.Workload, p.Threads, tag, p.KopsPerSec)
-		if p.Shards > 1 {
-			fmt.Printf("  (%.2fx vs baseline, avg group %.1f ops)", p.SpeedupVsBaseline, p.AvgGroupSize)
-		}
-		if len(p.VerifyViolations) > 0 {
-			fmt.Printf("  OBS-VIOLATIONS: %v", p.VerifyViolations)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("YCSB-A speedup at 8 shards: %.2fx\n", report.YCSBASpeedupAt8)
-	return report.WriteJSON(out)
 }
 
 func makeWorkload(name string, num int64, threads, valueSize int) (bench.Workload, bool) {

@@ -1,8 +1,9 @@
-// Command obsdiff is the perf-regression gate: it structurally diffs two
-// cachekv.obs/v1 reports (or any BENCH_*.json with embedded run reports),
-// prints a human-readable delta table — throughput, per-op mean and tail
-// latency, per-layer attribution, flow-control stall dwell — and exits
-// non-zero when any metric regressed beyond its tolerance.
+// Command obsdiff explains the difference between two runs: it structurally
+// diffs two cachekv.obs/v1 reports (ycsb -report), prints a human-readable
+// delta table — throughput, per-op mean and tail latency, per-layer
+// attribution, flow-control stall dwell — and exits non-zero when any metric
+// regressed beyond its tolerance. The perf gate is the ledger (benchmark/),
+// run on parent and change; this tool says which op and layer moved.
 //
 // Usage:
 //
@@ -16,9 +17,8 @@
 //	-json            emit the delta list as JSON instead of a table
 //
 // Runs pair up by engine/workload; runs present on only one side are listed
-// but never fail the gate (a new benchmark must not block its own PR). A
-// metric missing on either side — e.g. p99.9 in a report predating the field
-// — is skipped for the same reason.
+// but never fail the diff. A metric missing on either side — e.g. p99.9 in a
+// report predating the field — is skipped for the same reason.
 package main
 
 import (
@@ -68,31 +68,21 @@ func main() {
 	}
 }
 
-// load reads path and extracts its run reports, exiting on failure.
+// load reads the report at path and returns its runs, exiting on failure.
 func load(path string, verify bool) []obs.RunReport {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	runs, shape, err := obs.ExtractRuns(raw)
+	rep, err := obs.LoadReport(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "obsdiff: %s: %v\n", path, err)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "obsdiff: %s: %d run(s) [%s]\n", path, len(runs), shape)
+	fmt.Fprintf(os.Stderr, "obsdiff: %s: %d run(s) [%s]\n", path, len(rep.Runs), rep.Tool)
 	if verify {
-		bad := 0
-		for i := range runs {
-			for _, v := range runs[i].Verify() {
-				fmt.Fprintf(os.Stderr, "obsdiff: %s: run %d (%s/%s): %s\n",
-					path, i, runs[i].Engine, runs[i].Workload, v)
-				bad++
+		if bad := rep.Verify(); len(bad) > 0 {
+			for _, v := range bad {
+				fmt.Fprintf(os.Stderr, "obsdiff: %s: %s\n", path, v)
 			}
-		}
-		if bad > 0 {
 			os.Exit(2)
 		}
 	}
-	return runs
+	return rep.Runs
 }

@@ -15,16 +15,15 @@
 //     recovers to a clean OK state with every acknowledged write intact
 //     (eADR) and every rejected write absent.
 //
-// The comparison run and the oracle verdict are written as JSON
-// (cachekv.bench_overload/v1), by default to BENCH_overload.json.
+// Each leg prints a one-line summary; the verdict is "torture: PASS" or one
+// VIOLATION line per failed clause and exit status 1.
 //
 // Usage:
 //
-//	torture [-smoke] [-out BENCH_overload.json]
+//	torture [-smoke] [-compaction-workers N]
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -44,74 +43,42 @@ import (
 )
 
 type config struct {
-	Shards       int    `json:"shards"`
-	Threads      int    `json:"threads"`
-	Records      int64  `json:"records"`
-	Ops          int64  `json:"ops"`
-	ValueSize    int    `json:"value_size"`
-	DeadlineNs   int64  `json:"deadline_ns"`
-	EnvelopeNs   int64  `json:"envelope_ns"`
-	SlowMult     int    `json:"slow_mult"`
-	FlushPauseNs int64  `json:"flush_pause_ns"`
-	MemCapBytes  uint64 `json:"mem_cap_bytes"`
-	// CompactWorkers > 0 runs the overload under the background compaction
-	// scheduler instead of inline spill-thread compaction.
-	CompactWorkers int     `json:"compact_workers"`
-	Divergence     float64 `json:"divergence"`
-	Seed           uint64  `json:"seed"`
+	Shards       int
+	Threads      int
+	Records      int64
+	Ops          int64
+	ValueSize    int
+	DeadlineNs   int64
+	EnvelopeNs   int64
+	SlowMult     int
+	FlushPauseNs int64
+	MemCapBytes  uint64
+	// CompactWorkers sizes each shard's background compaction scheduler
+	// (0 = the default, one worker).
+	CompactWorkers int
+	Divergence     float64
+	Seed           uint64
 }
 
-type latSummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50_ns"`
-	P99   float64 `json:"p99_ns"`
-	P999  float64 `json:"p999_ns"`
-	Max   int64   `json:"max_ns"`
+// legResult is what the oracle and the printed summary need of one leg.
+type legResult struct {
+	AckedWrites      int64
+	StalledWrites    int64
+	WriteP999        float64
+	WriteMax         int64
+	DeadlineOverruns int64
+	PeakFootprint    uint64
+	Flow             core.FlowStats
+	VerifyViolations []string
+	SlowOps          []obs.Dossier
 }
 
-func summarize(h *histogram.H) latSummary {
-	return latSummary{
-		Count: h.Count(),
-		P50:   h.Percentile(50),
-		P99:   h.Percentile(99),
-		P999:  h.Percentile(99.9),
-		Max:   h.Max(),
-	}
-}
-
-type legReport struct {
-	Name             string         `json:"name"`
-	FlowControl      bool           `json:"flow_control"`
-	AckedWrites      int64          `json:"acked_writes"`
-	StalledWrites    int64          `json:"stalled_writes"`
-	Reads            int64          `json:"reads"`
-	WriteLatency     latSummary     `json:"write_latency"`
-	ReadLatency      latSummary     `json:"read_latency"`
-	DeadlineOverruns int64          `json:"deadline_overruns"`
-	PeakFootprint    uint64         `json:"peak_footprint_bytes"`
-	ElapsedVNs       int64          `json:"elapsed_v_ns"`
-	KopsPerSec       float64        `json:"kops_per_sec"`
-	Flow             core.FlowStats `json:"flow"`
-	VerifyViolations []string       `json:"verify_violations"`
-	Run              obs.RunReport  `json:"run"`
-}
-
-type crashReport struct {
-	EnteredStall bool     `json:"entered_stall"`
-	StateAtCrash string   `json:"state_at_crash"`
-	AckedKeys    int      `json:"acked_keys"`
-	RejectedKeys int      `json:"rejected_keys"`
-	Violations   []string `json:"violations"`
-}
-
-type report struct {
-	Schema     string       `json:"schema"`
-	Tool       string       `json:"tool"`
-	Config     config       `json:"config"`
-	Legs       []legReport  `json:"legs"`
-	Crash      *crashReport `json:"crash,omitempty"`
-	Violations []string     `json:"violations"`
-	Pass       bool         `json:"pass"`
+type crashResult struct {
+	EnteredStall bool
+	StateAtCrash string
+	AckedKeys    int
+	RejectedKeys int
+	Violations   []string
 }
 
 // slowMachine builds the degraded platform: every PMem media cost multiplied,
@@ -161,11 +128,8 @@ func defaultMemCap(shards int) uint64 {
 // runLeg executes load + YCSB-A overload against one engine configuration
 // and returns its measurements. flowOn selects the protected engine with
 // per-write deadlines; otherwise the legacy blocking baseline.
-func runLeg(c config, flowOn bool) (legReport, error) {
-	leg := legReport{Name: "baseline", FlowControl: flowOn}
-	if flowOn {
-		leg.Name = "flow"
-	}
+func runLeg(c config, flowOn bool) (legResult, error) {
+	var leg legResult
 	m := slowMachine(c)
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	th0 := m.NewThread(0)
@@ -241,12 +205,9 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		runErr   error
-		maxEnd   int64
 		writeLat = histogram.New()
-		readLat  = histogram.New()
 		acked    int64
 		stalled  int64
-		reads    int64
 		overruns int64
 		peak     uint64
 		thVNs    int64
@@ -265,8 +226,8 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 			rng := sim.NewRNG(c.Seed + uint64(t)*0x9E3779B9)
 			vals := bench.NewValueGen(c.ValueSize)
 			keyBuf := make([]byte, 0, 32)
-			wl, rl := histogram.New(), histogram.New()
-			var lAcked, lStalled, lReads, lOver int64
+			wl := histogram.New()
+			var lAcked, lStalled, lOver int64
 			var lPeak uint64
 			var put core.Batch
 			for i := int64(0); i < perThread; i++ {
@@ -313,8 +274,6 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 						sp.End()
 						return
 					}
-					lReads++
-					rl.Record(th.Clock.Now() - opStart)
 				}
 				sp.End()
 				if i%32 == 0 {
@@ -326,16 +285,11 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 			}
 			mu.Lock()
 			writeLat.Merge(wl)
-			readLat.Merge(rl)
 			acked += lAcked
 			stalled += lStalled
-			reads += lReads
 			overruns += lOver
 			if lPeak > peak {
 				peak = lPeak
-			}
-			if end := th.Clock.Now(); end > maxEnd {
-				maxEnd = end
 			}
 			mu.Unlock()
 		}(t)
@@ -350,34 +304,25 @@ func runLeg(c config, flowOn bool) (legReport, error) {
 
 	leg.AckedWrites = acked
 	leg.StalledWrites = stalled
-	leg.Reads = reads
-	leg.WriteLatency = summarize(writeLat)
-	leg.ReadLatency = summarize(readLat)
+	leg.WriteP999 = writeLat.Percentile(99.9)
+	leg.WriteMax = writeLat.Max()
 	leg.DeadlineOverruns = overruns
 	leg.PeakFootprint = peak
-	leg.ElapsedVNs = maxEnd - epoch
-	if leg.ElapsedVNs > 0 {
-		leg.KopsPerSec = float64(c.Ops) / float64(leg.ElapsedVNs) * 1e6
-	}
 	leg.Flow = db.FlowStats()
+	leg.SlowOps = col.SlowOps()
 
-	leg.Run = obs.RunReport{
-		Engine:     db.Name(),
-		Workload:   "overload-ycsb-a",
-		Ops:        c.Ops,
-		Threads:    c.Threads,
-		ElapsedVNs: leg.ElapsedVNs,
-		ThreadVNs:  thVNs,
-		KopsPerSec: leg.KopsPerSec,
-		OpStats:    col.OpStats(),
+	// The leg's obs report, built only to be verified: per-op layer
+	// attribution must stay consistent for delayed and rejected writes too.
+	run := obs.RunReport{
+		ThreadVNs: thVNs,
+		OpStats:   col.OpStats(),
+		Metrics:   bench.BuildRegistry(m, db, tr).Gather(),
+		SlowOps:   leg.SlowOps,
 	}
 	if t := m.ObsTally(); t != nil {
-		leg.Run.Layers = obs.LayersFromTally(t.Snapshot())
+		run.Layers = obs.LayersFromTally(t.Snapshot())
 	}
-	leg.Run.Metrics = bench.BuildRegistry(m, db, tr).Gather()
-	leg.Run.SlowOps = col.SlowOps()
-	leg.Run.SlowOpsDropped = col.SlowOpsDropped()
-	leg.VerifyViolations = leg.Run.Verify()
+	leg.VerifyViolations = run.Verify()
 	return leg, nil
 }
 
@@ -415,8 +360,8 @@ func dossierNamesCause(ds []obs.Dossier) bool {
 // single synchronous writer cannot outrun the per-shard flush pipelines, so
 // it would wedge on the pool before the flow signals ever rise). Every writer
 // stops before the plug is pulled, so each key's last acked value is exact.
-func runCrashLeg(c config) (*crashReport, error) {
-	cr := &crashReport{StateAtCrash: core.FlowOK.String()}
+func runCrashLeg(c config) (*crashResult, error) {
+	cr := &crashResult{StateAtCrash: core.FlowOK.String()}
 	m := slowMachine(c)
 	th := m.NewThread(0)
 	opts := engineOptions(c.Shards, false, nil, c.CompactWorkers)
@@ -587,20 +532,6 @@ func runCrashLeg(c config) (*crashReport, error) {
 	return cr, nil
 }
 
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	shards := flag.Int("shards", 4, "engine shards")
 	threads := flag.Int("threads", 4, "writer threads")
@@ -617,7 +548,6 @@ func main() {
 	crash := flag.Bool("crash", true, "run the crash-mid-stall leg")
 	compactWorkers := flag.Int("compaction-workers", 0, "background compaction workers per shard (0 = default (1))")
 	smoke := flag.Bool("smoke", false, "shrink the run for CI")
-	out := flag.String("out", "BENCH_overload.json", "report path")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 
@@ -649,7 +579,7 @@ func main() {
 		c.MemCapBytes = defaultMemCap(c.Shards)
 	}
 
-	rep := report{Schema: "cachekv.bench_overload/v1", Tool: "torture", Config: c}
+	var violations []string
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "torture: %v\n", err)
 		os.Exit(1)
@@ -659,57 +589,54 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	rep.Legs = append(rep.Legs, flow)
 	fmt.Printf("flow:     acked=%d stalled=%d delayed=%d p99.9=%.0fns max=%dns peak=%dB dossiers=%d\n",
 		flow.AckedWrites, flow.StalledWrites, flow.Flow.DelayedWrites,
-		flow.WriteLatency.P999, flow.WriteLatency.Max, flow.PeakFootprint,
-		len(flow.Run.SlowOps))
+		flow.WriteP999, flow.WriteMax, flow.PeakFootprint, len(flow.SlowOps))
 
-	var base legReport
+	var base legResult
 	if *baseline {
 		base, err = runLeg(c, false)
 		if err != nil {
 			fail(err)
 		}
-		rep.Legs = append(rep.Legs, base)
 		fmt.Printf("baseline: acked=%d p99.9=%.0fns max=%dns peak=%dB\n",
-			base.AckedWrites, base.WriteLatency.P999, base.WriteLatency.Max, base.PeakFootprint)
+			base.AckedWrites, base.WriteP999, base.WriteMax, base.PeakFootprint)
 	}
 
 	// The protection oracle.
 	if flow.PeakFootprint > c.MemCapBytes {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
+		violations = append(violations, fmt.Sprintf(
 			"flow leg footprint unbounded: peak %d B exceeds cap %d B", flow.PeakFootprint, c.MemCapBytes))
 	}
 	if flow.DeadlineOverruns > 0 {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
+		violations = append(violations, fmt.Sprintf(
 			"%d acked writes exceeded deadline+envelope (%d ns)", flow.DeadlineOverruns, c.DeadlineNs+c.EnvelopeNs))
 	}
-	if p := float64(c.DeadlineNs + c.EnvelopeNs); flow.WriteLatency.P999 > p {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"flow leg write p99.9 %.0f ns above the %g ns envelope", flow.WriteLatency.P999, p))
+	if p := float64(c.DeadlineNs + c.EnvelopeNs); flow.WriteP999 > p {
+		violations = append(violations, fmt.Sprintf(
+			"flow leg write p99.9 %.0f ns above the %g ns envelope", flow.WriteP999, p))
 	}
 	if flow.Flow.DelayedWrites+flow.Flow.RejectedWrites == 0 {
-		rep.Violations = append(rep.Violations,
+		violations = append(violations,
 			"overload never engaged flow control (no delayed or rejected writes): raise -slow or lower the zones")
 	}
 	if len(flow.VerifyViolations) > 0 {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
+		violations = append(violations, fmt.Sprintf(
 			"flow leg obs report failed Verify: %s", flow.VerifyViolations[0]))
 	}
-	if len(flow.Run.SlowOps) == 0 {
-		rep.Violations = append(rep.Violations,
+	if len(flow.SlowOps) == 0 {
+		violations = append(violations,
 			"overload produced no slow-op dossiers: capture threshold too high or throttling never engaged")
-	} else if !dossierNamesCause(flow.Run.SlowOps) {
-		rep.Violations = append(rep.Violations,
+	} else if !dossierNamesCause(flow.SlowOps) {
+		violations = append(violations,
 			"no slow-op dossier's event window names the flow-control stall or compaction job behind it")
 	}
 	if *baseline && !*smoke {
 		// Divergence needs a long enough run for the baseline's unbounded
 		// queueing to reach p99.9; the shortened smoke run only exercises
 		// the harness and the flow leg's own bounds.
-		if ratio := base.WriteLatency.P999 / flow.WriteLatency.P999; ratio < c.Divergence {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
+		if ratio := base.WriteP999 / flow.WriteP999; ratio < c.Divergence {
+			violations = append(violations, fmt.Sprintf(
 				"baseline p99.9 only %.2fx the flow leg's (want >= %.1fx): overload too weak to show divergence",
 				ratio, c.Divergence))
 		}
@@ -719,21 +646,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		rep.Crash = cr
-		rep.Violations = append(rep.Violations, cr.Violations...)
+		violations = append(violations, cr.Violations...)
 		fmt.Printf("crash:    stall=%v state=%s acked=%d rejected=%d violations=%d\n",
 			cr.EnteredStall, cr.StateAtCrash, cr.AckedKeys, cr.RejectedKeys, len(cr.Violations))
 	}
 
-	rep.Pass = len(rep.Violations) == 0
-	if err := writeJSON(*out, &rep); err != nil {
-		fail(err)
-	}
-	if !rep.Pass {
-		for _, v := range rep.Violations {
+	if len(violations) > 0 {
+		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "torture: VIOLATION: %s\n", v)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("torture: PASS (%s)\n", *out)
+	fmt.Println("torture: PASS")
 }

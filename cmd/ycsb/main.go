@@ -37,19 +37,9 @@ func main() {
 	flag.Parse()
 	withObs := *reportPath != "" || *check
 
-	kind, ok := map[string]bench.EngineKind{
-		"cachekv":           bench.CacheKV,
-		"pcsm":              bench.PCSM,
-		"pcsm+liu":          bench.PCSMLIU,
-		"novelsm":           bench.NoveLSM,
-		"novelsm-w/o-flush": bench.NoveLSMWoFlush,
-		"novelsm-cache":     bench.NoveLSMCache,
-		"slm-db":            bench.SLMDB,
-		"slm-db-w/o-flush":  bench.SLMDBWoFlush,
-		"slm-db-cache":      bench.SLMDBCache,
-	}[strings.ToLower(*engine)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
+	kind, err := bench.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	specs := map[string]bench.YCSBSpec{
@@ -106,7 +96,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "ycsb-%s: settle: %v\n", spec.Name, err)
 				os.Exit(1)
 			}
-			run := bench.BuildRunReport(res, r, tr, false)
+			run := bench.BuildRunReport(res, r, tr)
 			printAttribution(run)
 			report.Runs = append(report.Runs, run)
 		}

@@ -174,6 +174,22 @@ func TestEngineKindString(t *testing.T) {
 	}
 }
 
+// Every engine parses back from its display name in either letter case, and
+// an unknown name is an error that lists the valid ones.
+func TestParseEngine(t *testing.T) {
+	for _, k := range AllEngines {
+		for _, name := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseEngine(name); err != nil || got != k {
+				t.Fatalf("ParseEngine(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	_, err := ParseEngine("rocksdb")
+	if err == nil || !strings.Contains(err.Error(), "novelsm-w/o-flush") || !strings.Contains(err.Error(), "cachekv") {
+		t.Fatalf("unknown engine error = %v", err)
+	}
+}
+
 func TestYCSBSpecs(t *testing.T) {
 	if YCSBA.Reads != 0.5 || YCSBA.Updates != 0.5 || YCSBA.Dist != "zipfian" {
 		t.Fatal("YCSB-A spec wrong")

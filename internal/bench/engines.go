@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"cachekv/internal/baseline"
 	"cachekv/internal/baseline/novelsm"
@@ -65,6 +66,19 @@ func (k EngineKind) String() string {
 	default:
 		return fmt.Sprintf("engine(%d)", int(k))
 	}
+}
+
+// ParseEngine resolves a command-line engine name: the display name of one of
+// AllEngines, in any letter case.
+func ParseEngine(name string) (EngineKind, error) {
+	valid := make([]string, len(AllEngines))
+	for i, k := range AllEngines {
+		valid[i] = strings.ToLower(k.String())
+		if strings.EqualFold(name, valid[i]) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // EngineConfig carries the knobs experiments vary.

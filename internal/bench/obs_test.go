@@ -15,22 +15,23 @@ import (
 // run), so two calls with the same arguments replay identically and the
 // zero-overhead comparison below can demand exact equality.
 func runObsYCSBC(t *testing.T, withObs bool) (Result, *Runner, *obs.Trace) {
-	return runObsYCSBCSlowOps(t, withObs, 0)
+	return runObsYCSB(t, YCSBC, 1, 0, withObs, 0)
 }
 
-// runObsYCSBCSlowOps is runObsYCSBC with slow-op capture armed at a static
-// threshold (0 = disarmed) for the measured phase. Requires withObs when
-// slowopNs > 0.
-func runObsYCSBCSlowOps(t *testing.T, withObs bool, slowopNs int64) (Result, *Runner, *obs.Trace) {
+// runObsYCSB loads, settles and then measures spec with the given worker
+// threads against a CacheKV of the given shard count (0 = the single engine).
+// slowopNs > 0 arms slow-op capture at that static threshold for the measured
+// phase, and requires withObs.
+func runObsYCSB(t *testing.T, spec YCSBSpec, threads, shards int, withObs bool, slowopNs int64) (Result, *Runner, *obs.Trace) {
 	t.Helper()
 	const (
 		records   = 2000
 		ops       = 4000
-		threads   = 1
 		valueSize = 64
 	)
 	cfg := DefaultEngineConfig()
 	cfg.DataBytes = uint64(records*2) * uint64(valueSize+40)
+	cfg.Shards = shards
 	var tr *obs.Trace
 	if withObs {
 		cfg.Obs = true
@@ -65,7 +66,7 @@ func runObsYCSBCSlowOps(t *testing.T, withObs bool, slowopNs int64) (Result, *Ru
 		t.Fatal(err)
 	}
 	r.Col = col
-	res, err := r.Run(YCSBC.workload(records, ops, threads, valueSize))
+	res, err := r.Run(spec.workload(records, ops, threads, valueSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,54 +81,69 @@ func runObsYCSBCSlowOps(t *testing.T, withObs bool, slowopNs int64) (Result, *Ru
 	return res, r, tr
 }
 
-// TestYCSBCAttributionInvariants is the PR's acceptance check: a YCSB-C run
+// TestYCSBCAttributionInvariants is the attribution acceptance check: a run
 // with attribution on must produce a report where (1) every invariant Verify
 // knows about holds, (2) summed foreground per-layer virtual ns equals the
 // threads' busy time within 1%, and (3) summed per-layer media write bytes
-// equal the PMem device's counter.
+// equal the PMem device's counter — on the single engine and, with writes
+// going through group commit, on the sharded router.
 func TestYCSBCAttributionInvariants(t *testing.T) {
-	res, r, tr := runObsYCSBC(t, true)
-	run := BuildRunReport(res, r, tr, false)
+	for _, tc := range []struct {
+		name            string
+		spec            YCSBSpec
+		threads, shards int
+	}{
+		{"single-YCSB-C", YCSBC, 1, 0},
+		{"4-shards-YCSB-A", YCSBA, 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, r, tr := runObsYCSB(t, tc.spec, tc.threads, tc.shards, true, 0)
+			run := BuildRunReport(res, r, tr)
 
-	if bad := run.Verify(); len(bad) != 0 {
-		t.Fatalf("report invariants violated: %v", bad)
-	}
-	if len(run.OpStats) == 0 || len(run.Layers) == 0 {
-		t.Fatalf("report missing attribution: %d op stats, %d layers", len(run.OpStats), len(run.Layers))
-	}
+			if bad := run.Verify(); len(bad) != 0 {
+				t.Fatalf("report invariants violated: %v", bad)
+			}
+			if len(run.OpStats) == 0 || len(run.Layers) == 0 {
+				t.Fatalf("report missing attribution: %d op stats, %d layers", len(run.OpStats), len(run.Layers))
+			}
+			if tc.shards > 1 && run.Metrics.Int("group_commits") <= 0 {
+				t.Fatal("sharded run committed no group")
+			}
 
-	// (2) Foreground ops (everything YCSB-C issues is foreground) account for
-	// the workers' entire busy time.
-	var fgNs int64
-	for _, st := range run.OpStats {
-		var sum int64
-		for _, l := range st.Layers {
-			sum += l.Ns
-		}
-		if d := sum - st.TotalNs; d > st.TotalNs/100 || -d > st.TotalNs/100 {
-			t.Fatalf("op %s: layer sum %d vs total %d exceeds 1%%", st.Op, sum, st.TotalNs)
-		}
-		fgNs += st.TotalNs
-	}
-	if res.ThreadVNs <= 0 {
-		t.Fatalf("ThreadVNs = %d", res.ThreadVNs)
-	}
-	if d := fgNs - res.ThreadVNs; d > res.ThreadVNs/100 || -d > res.ThreadVNs/100 {
-		t.Fatalf("foreground op ns %d vs thread busy ns %d exceeds 1%%", fgNs, res.ThreadVNs)
-	}
+			// (2) Foreground ops (everything YCSB issues is foreground) account
+			// for the workers' entire busy time.
+			var fgNs int64
+			for _, st := range run.OpStats {
+				var sum int64
+				for _, l := range st.Layers {
+					sum += l.Ns
+				}
+				if d := sum - st.TotalNs; d > st.TotalNs/100 || -d > st.TotalNs/100 {
+					t.Fatalf("op %s: layer sum %d vs total %d exceeds 1%%", st.Op, sum, st.TotalNs)
+				}
+				fgNs += st.TotalNs
+			}
+			if res.ThreadVNs <= 0 {
+				t.Fatalf("ThreadVNs = %d", res.ThreadVNs)
+			}
+			if d := fgNs - res.ThreadVNs; d > res.ThreadVNs/100 || -d > res.ThreadVNs/100 {
+				t.Fatalf("foreground op ns %d vs thread busy ns %d exceeds 1%%", fgNs, res.ThreadVNs)
+			}
 
-	// (3) The layer table and the device counters are two views of the same
-	// media traffic.
-	var layerMedia int64
-	for _, l := range run.Layers {
-		layerMedia += l.MediaWriteB
-	}
-	devMedia := r.M.PMem.Counters.MediaWriteB.Load()
-	if layerMedia != devMedia {
-		t.Fatalf("layer media write bytes %d != device %d", layerMedia, devMedia)
-	}
-	if devMedia == 0 {
-		t.Fatal("no media writes recorded — workload too small to exercise the device")
+			// (3) The layer table and the device counters are two views of the
+			// same media traffic.
+			var layerMedia int64
+			for _, l := range run.Layers {
+				layerMedia += l.MediaWriteB
+			}
+			devMedia := r.M.PMem.Counters.MediaWriteB.Load()
+			if layerMedia != devMedia {
+				t.Fatalf("layer media write bytes %d != device %d", layerMedia, devMedia)
+			}
+			if devMedia == 0 {
+				t.Fatal("no media writes recorded — workload too small to exercise the device")
+			}
+		})
 	}
 }
 
@@ -154,7 +170,7 @@ func TestObsZeroVirtualOverhead(t *testing.T) {
 // measured op, and even then the virtual schedule must be bit-identical to a
 // capture-off run — dossier recording reads clocks, it never advances them.
 func TestSlowOpCaptureZeroVirtualOverhead(t *testing.T) {
-	armed, r, _ := runObsYCSBCSlowOps(t, true, 1)
+	armed, r, _ := runObsYCSB(t, YCSBC, 1, 0, true, 1)
 	plain, _, _ := runObsYCSBC(t, true)
 	if armed.ElapsedNs != plain.ElapsedNs {
 		t.Fatalf("slow-op capture changed virtual elapsed time: armed=%d plain=%d",
@@ -179,7 +195,7 @@ func TestSlowOpCaptureZeroVirtualOverhead(t *testing.T) {
 func TestSlowOpDossierDeterminism(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		_, r, tr := runObsYCSBCSlowOps(t, true, 1)
+		_, r, tr := runObsYCSB(t, YCSBC, 1, 0, true, 1)
 		if tr.Dropped() != 0 {
 			// Ring-wrap drop order follows host-side emission arrival, which is
 			// not deterministic; this workload must fit the default ring.

@@ -19,10 +19,9 @@ func BuildRegistry(m *hw.Machine, db kvstore.DB, tr *obs.Trace) *obs.Registry {
 
 // BuildRunReport digests one phase's Result plus the runner's obs state into
 // the shared report schema. Layer stats come from the machine tally (empty
-// when the machine was built without Obs); events are included only when
-// includeEvents is set, since a long run's retained tail is rarely wanted in
-// every report.
-func BuildRunReport(res Result, r *Runner, tr *obs.Trace, includeEvents bool) obs.RunReport {
+// when the machine was built without Obs); the trace's retained events are
+// left out, since a long run's tail is rarely wanted in every report.
+func BuildRunReport(res Result, r *Runner, tr *obs.Trace) obs.RunReport {
 	run := obs.RunReport{
 		Engine:     res.Engine,
 		Workload:   res.Name,
@@ -37,9 +36,6 @@ func BuildRunReport(res Result, r *Runner, tr *obs.Trace, includeEvents bool) ob
 		run.Layers = obs.LayersFromTally(t.Snapshot())
 	}
 	run.Metrics = BuildRegistry(r.M, r.DB, tr).Gather()
-	if includeEvents && tr != nil {
-		run.Events = tr.Events()
-	}
 	run.SlowOps = r.Col.SlowOps()
 	run.SlowOpsDropped = r.Col.SlowOpsDropped()
 	return run

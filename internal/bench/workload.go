@@ -90,22 +90,16 @@ func NewZipfian(n int64) *ZipfianKeys {
 	z.zetan = zetaStatic(n, theta)
 	z.zeta2 = zetaStatic(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
 
 func zetaStatic(n int64, theta float64) float64 {
 	sum := 0.0
 	for i := int64(1); i <= n; i++ {
-		sum += 1.0 / pow(float64(i), theta)
+		sum += 1.0 / math.Pow(float64(i), theta)
 	}
 	return sum
-}
-
-func pow(x, y float64) float64 {
-	// math.Pow via exp/log would be fine; use the stdlib through a tiny
-	// wrapper kept local so the hot path stays obvious.
-	return mathPow(x, y)
 }
 
 // next draws the zipfian rank for u in [0,1).
@@ -114,10 +108,10 @@ func (z *ZipfianKeys) next(u float64) int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+pow(0.5, z.theta) {
+	if uz < 1.0+math.Pow(0.5, z.theta) {
 		return 1
 	}
-	return int64(float64(z.N) * pow(z.eta*u-z.eta+1, z.alpha))
+	return int64(float64(z.N) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
 // Key implements KeyGen. Ranks are scrambled with a hash so hot keys spread
@@ -184,6 +178,3 @@ func (v *ValueGen) Value(i int64) []byte {
 
 // Size returns the value size.
 func (v *ValueGen) Size() int { return v.size }
-
-// mathPow is math.Pow, isolated for clarity of the zipfian hot path.
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }

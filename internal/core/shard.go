@@ -637,18 +637,6 @@ func (sh *Sharded) BlockCacheStats() blockcache.Stats {
 	return sum
 }
 
-// GroupCommitStats reports the router's batching effectiveness: groups
-// committed, write requests coalesced into them, and cross-shard two-phase
-// batches.
-func (sh *Sharded) GroupCommitStats() (groups, groupedOps, crossShardBatches int64) {
-	return sh.stats.groups.Load(), sh.stats.groupedOps.Load(), sh.stats.crossBatch.Load()
-}
-
-// GroupCommitHists exposes the group-size and caller-wait histograms.
-func (sh *Sharded) GroupCommitHists() (batchSize, waitNs *histogram.H) {
-	return sh.batchHist, sh.waitHist
-}
-
 // RegisterObs publishes aggregate engine counters under the standard names
 // (so existing dashboards keep working), per-shard labeled variants, and the
 // group-commit instrumentation.
@@ -660,9 +648,9 @@ func (sh *Sharded) RegisterObs(r *obs.Registry) {
 	r.Counter("group_commit_ops", func() int64 { return sh.stats.groupedOps.Load() })
 	r.Counter("cross_shard_batches", func() int64 { return sh.stats.crossBatch.Load() })
 	r.Gauge("group_commit_batch_mean", func() float64 { return sh.batchHist.Mean() })
-	r.Gauge("group_commit_batch_p99", func() float64 { return float64(sh.batchHist.Percentile(0.99)) })
+	r.Gauge("group_commit_batch_p99", func() float64 { return sh.batchHist.Percentile(99) })
 	r.Gauge("group_commit_wait_mean_ns", func() float64 { return sh.waitHist.Mean() })
-	r.Gauge("group_commit_wait_p99_ns", func() float64 { return float64(sh.waitHist.Percentile(0.99)) })
+	r.Gauge("group_commit_wait_p99_ns", func() float64 { return sh.waitHist.Percentile(99) })
 
 	for k := range sh.shards {
 		k := k

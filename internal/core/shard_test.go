@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
+	"cachekv/internal/obs"
 	"cachekv/internal/util"
 )
 
@@ -109,12 +111,10 @@ func TestShardedWriterPinning(t *testing.T) {
 	}
 }
 
-func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
-	m := testMachine()
-	sh, th := openSharded(t, m, smallShardedOpts(4))
-	defer sh.Close(th)
-
-	const writers, per = 8, 400
+// putFromWriters drives the router from concurrent writers with disjoint
+// keys, so the per-shard writers coalesce their requests into groups.
+func putFromWriters(t *testing.T, m *hw.Machine, sh *Sharded, writers, per int) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -136,6 +136,15 @@ func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
+	m := testMachine()
+	sh, th := openSharded(t, m, smallShardedOpts(4))
+	defer sh.Close(th)
+
+	const writers, per = 8, 400
+	putFromWriters(t, m, sh, writers, per)
 
 	for w := 0; w < writers; w++ {
 		for i := 0; i < per; i++ {
@@ -150,19 +159,44 @@ func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
 		}
 	}
 
-	groups, ops, _ := sh.GroupCommitStats()
+	groups, ops := sh.stats.groups.Load(), sh.stats.groupedOps.Load()
 	if ops != writers*per {
 		t.Fatalf("group commit saw %d ops, want %d", ops, writers*per)
 	}
 	if groups <= 0 || groups > ops {
 		t.Fatalf("implausible group count %d for %d ops", groups, ops)
 	}
-	batch, wait := sh.GroupCommitHists()
-	if batch.Count() != groups {
-		t.Fatalf("batch histogram count %d != groups %d", batch.Count(), groups)
+	if sh.batchHist.Count() != groups {
+		t.Fatalf("batch histogram count %d != groups %d", sh.batchHist.Count(), groups)
 	}
-	if wait.Count() != ops {
-		t.Fatalf("wait histogram count %d != ops %d", wait.Count(), ops)
+	if sh.waitHist.Count() != ops {
+		t.Fatalf("wait histogram count %d != ops %d", sh.waitHist.Count(), ops)
+	}
+}
+
+// The p99 gauges publish the histograms' 99th percentile (histogram.H takes
+// 0 < p <= 100; 0.99 read the 0.99th, which sits below the median).
+func TestGroupCommitP99Gauges(t *testing.T) {
+	m := testMachine()
+	sh, th := openSharded(t, m, smallShardedOpts(4))
+	defer sh.Close(th)
+	putFromWriters(t, m, sh, 8, 400)
+
+	r := obs.NewRegistry()
+	sh.RegisterObs(r)
+	snap := r.Gather()
+	for _, g := range []struct {
+		name string
+		h    *histogram.H
+	}{
+		{"group_commit_wait_p99_ns", sh.waitHist},
+		{"group_commit_batch_p99", sh.batchHist},
+	} {
+		got := snap.Float(g.name)
+		if got < g.h.Percentile(50) || got != g.h.Percentile(99) {
+			t.Fatalf("%s = %v, want the histogram's p99 %v (p50 %v)",
+				g.name, got, g.h.Percentile(99), g.h.Percentile(50))
+		}
 	}
 }
 
@@ -232,7 +266,7 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, cross := sh.GroupCommitStats(); cross != int64(nBatches) {
+	if cross := sh.stats.crossBatch.Load(); cross != int64(nBatches) {
 		t.Fatalf("cross-shard batch count %d, want %d", cross, nBatches)
 	}
 

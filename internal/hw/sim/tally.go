@@ -62,23 +62,6 @@ type LayerCounters struct {
 	LLCFlushLines     int64
 }
 
-// Sub returns the delta c - o.
-func (c LayerCounters) Sub(o LayerCounters) LayerCounters {
-	return LayerCounters{
-		Ns:                c.Ns - o.Ns,
-		WaitNs:            c.WaitNs - o.WaitNs,
-		MediaWriteB:       c.MediaWriteB - o.MediaWriteB,
-		MediaReadB:        c.MediaReadB - o.MediaReadB,
-		CallerWriteB:      c.CallerWriteB - o.CallerWriteB,
-		LineArrivals:      c.LineArrivals - o.LineArrivals,
-		LineHits:          c.LineHits - o.LineHits,
-		XPLineEvicts:      c.XPLineEvicts - o.XPLineEvicts,
-		RMWEvicts:         c.RMWEvicts - o.RMWEvicts,
-		LLCWritebackLines: c.LLCWritebackLines - o.LLCWritebackLines,
-		LLCFlushLines:     c.LLCFlushLines - o.LLCFlushLines,
-	}
-}
-
 // Add returns the sum c + o.
 func (c LayerCounters) Add(o LayerCounters) LayerCounters {
 	return LayerCounters{
@@ -128,15 +111,6 @@ func (t *MemTally) Snapshot() TallySnapshot {
 		}
 	}
 	return s
-}
-
-// Sub returns the per-layer delta s - o.
-func (s TallySnapshot) Sub(o TallySnapshot) TallySnapshot {
-	var d TallySnapshot
-	for i := range s {
-		d[i] = s[i].Sub(o[i])
-	}
-	return d
 }
 
 // Total folds every layer into one LayerCounters.

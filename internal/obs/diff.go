@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -62,59 +61,6 @@ func (d *DiffResult) Regressions() []Delta {
 		}
 	}
 	return out
-}
-
-// ExtractRuns pulls RunReports out of raw JSON. A top-level cachekv.obs/v1
-// report contributes its runs directly; any other JSON shape (e.g. a
-// BENCH_*.json with embedded run reports) is walked recursively and every
-// object carrying engine/workload/kops_per_sec keys is treated as a run. The
-// returned label describes the source shape.
-func ExtractRuns(raw []byte) ([]RunReport, string, error) {
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err == nil && rep.Schema == Schema {
-		return rep.Runs, fmt.Sprintf("%s (%s)", rep.Schema, rep.Tool), nil
-	}
-	var any interface{}
-	if err := json.Unmarshal(raw, &any); err != nil {
-		return nil, "", fmt.Errorf("obs: not JSON: %w", err)
-	}
-	var runs []RunReport
-	var walk func(v interface{})
-	walk = func(v interface{}) {
-		switch x := v.(type) {
-		case map[string]interface{}:
-			_, hasEng := x["engine"]
-			_, hasWl := x["workload"]
-			_, hasKops := x["kops_per_sec"]
-			if hasEng && hasWl && hasKops {
-				b, err := json.Marshal(x)
-				if err == nil {
-					var r RunReport
-					if json.Unmarshal(b, &r) == nil {
-						runs = append(runs, r)
-						return
-					}
-				}
-			}
-			keys := make([]string, 0, len(x))
-			for k := range x {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				walk(x[k])
-			}
-		case []interface{}:
-			for _, e := range x {
-				walk(e)
-			}
-		}
-	}
-	walk(any)
-	if len(runs) == 0 {
-		return nil, "", fmt.Errorf("obs: no run reports found (need a %s report or embedded runs)", Schema)
-	}
-	return runs, "embedded runs", nil
 }
 
 // runKeys labels runs by engine/workload, disambiguating duplicates in

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -172,57 +173,44 @@ func TestDiffLayerAbsoluteSlack(t *testing.T) {
 	}
 }
 
-func TestExtractRunsTopLevelReport(t *testing.T) {
+func TestLoadReportFeedsDiff(t *testing.T) {
 	rep := NewReport("test")
-	rep.Runs = append(rep.Runs, diffRun())
-	raw, err := json.Marshal(rep)
+	rep.Runs = append(rep.Runs, diffRun(), diffRun())
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, shape, err := ExtractRuns(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 || runs[0].Workload != "ycsb-c" {
+	runs := back.Runs
+	if len(runs) != 2 || runs[0].Workload != "ycsb-c" {
 		t.Fatalf("runs = %+v", runs)
-	}
-	if !strings.Contains(shape, Schema) {
-		t.Fatalf("shape label = %q", shape)
-	}
-}
-
-func TestExtractRunsEmbedded(t *testing.T) {
-	// BENCH_overload.json shape: legs[].run carries the RunReport.
-	payload := map[string]any{
-		"schema": "cachekv.bench_overload/v1",
-		"legs": []any{
-			map[string]any{"name": "flow", "run": diffRun()},
-			map[string]any{"name": "baseline", "run": diffRun()},
-		},
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runs, shape, err := ExtractRuns(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || shape != "embedded runs" {
-		t.Fatalf("runs = %d, shape = %q", len(runs), shape)
 	}
 	// Duplicate engine/workload pairs must pair positionally, not collide.
 	res := DiffRuns(runs, runs, DiffTolerances{})
-	if len(res.Missing) != 0 || len(res.Regressions()) != 0 {
-		t.Fatalf("positional pairing broken: missing=%v reg=%v", res.Missing, res.Regressions())
+	paired := map[string]bool{}
+	for _, d := range res.Deltas {
+		paired[d.Run] = true
+	}
+	if len(paired) != 2 || len(res.Missing) != 0 || len(res.Regressions()) != 0 {
+		t.Fatalf("positional pairing broken: paired=%v missing=%v reg=%v", paired, res.Missing, res.Regressions())
 	}
 }
 
-func TestExtractRunsRejectsJunk(t *testing.T) {
-	if _, _, err := ExtractRuns([]byte("not json")); err == nil {
-		t.Fatal("junk accepted")
-	}
-	if _, _, err := ExtractRuns([]byte(`{"hello": "world"}`)); err == nil {
-		t.Fatal("run-free JSON accepted")
+func TestLoadReportRejectsJunk(t *testing.T) {
+	for name, raw := range map[string]string{
+		"junk":          "not json",
+		"run-free JSON": `{"hello": "world"}`,
+		"wrong schema":  `{"schema": "cachekv.obs/v0", "tool": "test", "runs": [{"engine": "cachekv", "workload": "ycsb-c", "kops_per_sec": 1}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadReport(path); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }

@@ -235,31 +235,6 @@ func TestRegistryOrderAndReplace(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	mk := func(b, a int64) *Snapshot {
-		return &Snapshot{Metrics: []Metric{
-			{Name: "b", Kind: KindCounter, Int: b},
-			{Name: "a", Kind: KindCounter, Int: a},
-			{Name: "r", Kind: KindGauge, Float: 0.9},
-		}}
-	}
-	d := mk(110, 25).Sub(mk(100, 20))
-	if d.Int("b") != 10 || d.Int("a") != 5 {
-		t.Fatalf("counter deltas = %d, %d", d.Int("b"), d.Int("a"))
-	}
-	if d.Float("r") != 0.9 {
-		t.Fatalf("gauge should pass through, got %v", d.Float("r"))
-	}
-	// Metrics absent from prev pass through unchanged; nil prev is identity.
-	d2 := mk(7, 3).Sub(&Snapshot{})
-	if d2.Int("b") != 7 {
-		t.Fatalf("absent-from-prev delta = %d", d2.Int("b"))
-	}
-	if mk(1, 1).Sub(nil).Int("b") != 1 {
-		t.Fatal("nil prev should be identity")
-	}
-}
-
 func TestSnapshotTextAndGoldenJSON(t *testing.T) {
 	s := &Snapshot{Metrics: []Metric{
 		{Name: "pmem_media_write_bytes", Kind: KindCounter, Int: 4096},

@@ -142,29 +142,6 @@ func (s *Snapshot) Float(name string) float64 {
 	return m.Float
 }
 
-// Sub returns the interval delta s - prev: counters are subtracted, gauges
-// keep their current value (a ratio's delta is meaningless). Metrics absent
-// from prev pass through unchanged.
-func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return &Snapshot{}
-	}
-	out := &Snapshot{Metrics: make([]Metric, len(s.Metrics))}
-	copy(out.Metrics, s.Metrics)
-	if prev == nil {
-		return out
-	}
-	for i := range out.Metrics {
-		if out.Metrics[i].Kind != KindCounter {
-			continue
-		}
-		if p, ok := prev.Get(out.Metrics[i].Name); ok && p.Kind == KindCounter {
-			out.Metrics[i].Int -= p.Int
-		}
-	}
-	return out
-}
-
 // WriteText renders the snapshot in a stable name-per-line text exposition.
 func (s *Snapshot) WriteText(w io.Writer) {
 	if s == nil {
