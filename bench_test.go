@@ -1,158 +1,14 @@
 package cachekv
 
-// The benchmark suite regenerates every table and figure of the paper's
-// evaluation (Section IV) at a benchmark-friendly scale, plus ablation
-// benches for the design choices DESIGN.md calls out. Each BenchmarkFigNN
-// runs the corresponding experiment once per b.N iteration and reports the
-// headline metric via b.ReportMetric; run the full-scale versions with
-// cmd/experiments instead (these exist so `go test -bench=.` exercises every
-// harness path).
+// Ablation benches for the design choices DESIGN.md §5 calls out, on the
+// public API. The paper's figures are not Go benchmarks: cmd/experiments runs
+// them from the registry in internal/bench, whose smoke test covers every
+// harness path.
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
-
-	"cachekv/internal/bench"
 )
-
-// benchScale keeps the per-iteration work small enough for `go test -bench`.
-var benchScale = bench.Scale{Ops: 30_000, YCSBOps: 20_000}
-
-func reportKops(b *testing.B, t *bench.Table, row, col int) {
-	b.Helper()
-	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
-		b.Fatalf("table %q has no cell (%d,%d)", t.Title, row, col)
-	}
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		// Percentage cells ("62.5%") report as-is after stripping the sign.
-		s := t.Rows[row][col]
-		v, err = strconv.ParseFloat(s[:len(s)-1], 64)
-		if err != nil {
-			b.Fatalf("cell %q not numeric", s)
-		}
-		b.ReportMetric(v, "hit%")
-		return
-	}
-	b.ReportMetric(v, "Kops/s")
-}
-
-// BenchmarkFig04WriteHitRatio regenerates Figure 4 (Ob1): the XPBuffer write
-// hit ratio of the six baseline systems.
-func BenchmarkFig04WriteHitRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig4(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, t, 0, 2) // NoveLSM @ 64 B
-	}
-}
-
-// BenchmarkFig05Threads regenerates Figure 5 (Ob2): baseline write
-// throughput under threads plus the NoveLSM-cache latency breakdown.
-func BenchmarkFig05Threads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ta, _, err := bench.Fig5(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, ta, 2, 4) // NoveLSM-cache @ 8 threads
-	}
-}
-
-// BenchmarkFig10Write regenerates Figure 10 (Exp#1): single-thread write
-// throughput of all nine systems.
-func BenchmarkFig10Write(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, rnd, err := bench.Fig10(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, rnd, 8, 2) // CacheKV random write @ 64 B
-	}
-}
-
-// BenchmarkFig11Read regenerates Figure 11 (Exp#2): single-thread read
-// throughput after a matching fill.
-func BenchmarkFig11Read(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, rnd, err := bench.Fig11(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, rnd, 8, 2) // CacheKV random read @ 64 B
-	}
-}
-
-// BenchmarkFig12MultiThread regenerates Figure 12 (Exp#3): multi-thread
-// random read and write throughput.
-func BenchmarkFig12MultiThread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, writes, err := bench.Fig12(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, writes, 4, 2) // CacheKV write @ 8 threads
-	}
-}
-
-// BenchmarkFig13YCSB regenerates Figure 13 (Exp#4): the YCSB workloads.
-func BenchmarkFig13YCSB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig13(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, t, 4, 1) // CacheKV @ YCSB-Load
-	}
-}
-
-// BenchmarkFig14FlushThreads regenerates Figure 14 (Exp#5): write throughput
-// versus background flush threads.
-func BenchmarkFig14FlushThreads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig14(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, t, 0, 4) // 2 user threads, 6 flush threads
-	}
-}
-
-// BenchmarkFig15TableSize regenerates Figure 15 (Exp#6): throughput versus
-// sub-MemTable size. (The harness raises tiny op counts to the experiment's
-// minimum, so this is the slowest bench in the suite.)
-func BenchmarkFig15TableSize(b *testing.B) {
-	if testing.Short() {
-		b.Skip("fig15 needs the dataset to dwarf the pool")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig15(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, t, 2, 2) // 1 MiB tables, fillrandom
-	}
-}
-
-// BenchmarkFig16PoolSize regenerates Figure 16 (Exp#7): throughput versus
-// pool size.
-func BenchmarkFig16PoolSize(b *testing.B) {
-	if testing.Short() {
-		b.Skip("fig16 needs the dataset to dwarf the pool")
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig16(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportKops(b, t, 2, 2) // 12 MiB pool, fillrandom
-	}
-}
-
-// --- Ablation benches (DESIGN.md §5) -------------------------------------
 
 // ablationFill measures CacheKV's random-write throughput under opts.
 func ablationFill(b *testing.B, opts Options, ops int) float64 {

@@ -30,10 +30,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"cachekv/internal/baseline"
-	"cachekv/internal/baseline/novelsm"
-	"cachekv/internal/baseline/slmdb"
 	"cachekv/internal/core"
+	"cachekv/internal/engines"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -261,6 +259,16 @@ func (db *DB) unsupported(what string) error {
 }
 
 func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (kvstore.DB, error) {
+	if opts.Engine == "" {
+		opts.Engine = EngineCacheKV
+	}
+	kind, err := engines.Parse(string(opts.Engine))
+	if err != nil {
+		return nil, fmt.Errorf("cachekv: %w", err)
+	}
+	if opts.Shards > 1 && kind.Family() != engines.FamilyCacheKV {
+		return nil, fmt.Errorf("cachekv: engine %q does not support sharding (Shards=%d)", opts.Engine, opts.Shards)
+	}
 	fsBytes := uint64(1) << 30
 	if opts.FSMB > 0 {
 		fsBytes = uint64(opts.FSMB) << 20
@@ -268,90 +276,49 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 	if max := m.PMem.Capacity() / 2; fsBytes > max {
 		fsBytes = max
 	}
-	if opts.Shards > 1 {
-		switch opts.Engine {
-		case EngineCacheKV, EnginePCSM, EnginePCSMLIU, "":
-		default:
-			return nil, fmt.Errorf("cachekv: engine %q does not support sharding (Shards=%d)", opts.Engine, opts.Shards)
-		}
+	size := engines.NewSizing(fsBytes, trace)
+	o := &size.Core
+	if opts.PoolMB > 0 {
+		o.PoolBytes = uint64(opts.PoolMB) << 20
 	}
-	switch opts.Engine {
-	case EngineCacheKV, EnginePCSM, EnginePCSMLIU, "":
-		o := core.DefaultOptions()
-		o.FSBytes = fsBytes
-		if opts.PoolMB > 0 {
-			o.PoolBytes = uint64(opts.PoolMB) << 20
-		}
-		if opts.SubMemTableKB > 0 {
-			o.SubMemTableBytes = uint64(opts.SubMemTableKB) << 10
-		}
-		if opts.FlushThreads > 0 {
-			o.FlushThreads = opts.FlushThreads
-		}
-		if opts.SyncThreshold > 0 {
-			o.SyncThreshold = opts.SyncThreshold
-		}
-		if opts.ImmZoneMB > 0 {
-			o.ImmZoneBytes = uint64(opts.ImmZoneMB) << 20
-		}
-		if opts.DisableElastic {
-			o.Elastic = false
-		}
-		if opts.TableSizeKB > 0 {
-			o.LSM.TableFileSize = uint64(opts.TableSizeKB) << 10
-		}
-		if opts.L0Trigger > 0 {
-			o.LSM.L0CompactionTrigger = opts.L0Trigger
-		}
-		if opts.BaseLevelMB > 0 {
-			o.LSM.BaseLevelBytes = int64(opts.BaseLevelMB) << 20
-		}
-		switch {
-		case opts.BlockCacheMB > 0:
-			o.LSM.BlockCacheBytes = int64(opts.BlockCacheMB) << 20
-		case opts.BlockCacheMB < 0:
-			o.LSM.BlockCacheBytes = -1 // disabled
-		}
-		if opts.FilterBitsPerKey != 0 {
-			o.FilterBitsPerKey = opts.FilterBitsPerKey
-		}
-		switch opts.Engine {
-		case EnginePCSM:
-			o.LazyIndex = false
-			o.SkiplistCompaction = false
-		case EnginePCSMLIU:
-			o.LazyIndex = true
-			o.SkiplistCompaction = false
-		}
-		o.Trace = trace
-		o.WriteStallDeadline = opts.WriteStallDeadline
-		o.DisableFlowControl = opts.DisableFlowControl
-		o.CompactionWorkers = opts.CompactionWorkers
-		o.Shards = opts.Shards
-		return core.Open(m, o, th)
-	case EngineNoveLSM, EngineNoveLSMNoFlush, EngineNoveLSMCache:
-		o := novelsm.DefaultOptions()
-		o.FSBytes = fsBytes
-		o.Variant = map[Engine]baseline.Variant{
-			EngineNoveLSM:        baseline.Vanilla,
-			EngineNoveLSMNoFlush: baseline.WithoutFlush,
-			EngineNoveLSMCache:   baseline.CacheSegments,
-		}[opts.Engine]
-		o.Trace = trace
-		return novelsm.Open(m, o, th)
-	case EngineSLMDB, EngineSLMDBNoFlush, EngineSLMDBCache:
-		o := slmdb.DefaultOptions()
-		o.FSBytes = fsBytes
-		o.Variant = map[Engine]baseline.Variant{
-			EngineSLMDB:        baseline.Vanilla,
-			EngineSLMDBNoFlush: baseline.WithoutFlush,
-			EngineSLMDBCache:   baseline.CacheSegments,
-		}[opts.Engine]
-		o.Trace = trace
-		return slmdb.Open(m, o, th)
-	default:
-		return nil, fmt.Errorf("cachekv: unknown engine %q", opts.Engine)
+	if opts.SubMemTableKB > 0 {
+		o.SubMemTableBytes = uint64(opts.SubMemTableKB) << 10
 	}
+	if opts.FlushThreads > 0 {
+		o.FlushThreads = opts.FlushThreads
+	}
+	if opts.SyncThreshold > 0 {
+		o.SyncThreshold = opts.SyncThreshold
+	}
+	if opts.ImmZoneMB > 0 {
+		o.ImmZoneBytes = uint64(opts.ImmZoneMB) << 20
+	}
+	if opts.DisableElastic {
+		o.Elastic = false
+	}
+	if opts.TableSizeKB > 0 {
+		o.LSM.TableFileSize = uint64(opts.TableSizeKB) << 10
+	}
+	if opts.L0Trigger > 0 {
+		o.LSM.L0CompactionTrigger = opts.L0Trigger
+	}
+	if opts.BaseLevelMB > 0 {
+		o.LSM.BaseLevelBytes = int64(opts.BaseLevelMB) << 20
+	}
+	switch {
+	case opts.BlockCacheMB > 0:
+		o.LSM.BlockCacheBytes = int64(opts.BlockCacheMB) << 20
+	case opts.BlockCacheMB < 0:
+		o.LSM.BlockCacheBytes = -1 // disabled
+	}
+	if opts.FilterBitsPerKey != 0 {
+		o.FilterBitsPerKey = opts.FilterBitsPerKey
+	}
+	o.WriteStallDeadline = opts.WriteStallDeadline
+	o.DisableFlowControl = opts.DisableFlowControl
+	o.CompactionWorkers = opts.CompactionWorkers
+	o.Shards = opts.Shards
+	return engines.Open(kind, m, th, size)
 }
 
 // EngineName returns the open engine's display name.

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"cachekv/internal/bench"
+	"cachekv/internal/engines"
 	"cachekv/internal/hw"
 	"cachekv/internal/obs"
 )
@@ -39,13 +40,13 @@ func main() {
 	slowopsOut := flag.String("slowops-out", "", "write captured slow-op dossiers (JSONL) here (requires -slowop-ns)")
 	flag.Parse()
 
-	kind, err := bench.ParseEngine(*engine)
+	kind, err := engines.Parse(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	cfg := bench.DefaultEngineConfig()
+	var cfg bench.EngineConfig
 	cfg.DataBytes = uint64(*num) * uint64(*valueSize+40)
 	if *flushThreads > 0 {
 		cfg.FlushThreads = *flushThreads

@@ -1,12 +1,11 @@
 // Command experiments regenerates the paper's evaluation figures (Figures 4,
-// 5, 10-16) on the simulated platform. Each figure prints as an aligned text
-// table with the same rows/series the paper plots.
+// 5, 10-16) and the two extensions on the simulated platform: a loop over the
+// registry in internal/bench. Each figure prints as aligned text tables with
+// the same rows/series the paper plots.
 //
-// Usage:
-//
-//	experiments -fig all              # every figure at the default scale
-//	experiments -fig 10 -ops 1000000  # one figure at a custom op count
-//	experiments -list                 # list available figures
+//	experiments -list                          # the figures
+//	experiments -fig 10 -ops 1000000           # one figure at a custom op count
+//	experiments -fig 4,wa -md EXPERIMENTS.md   # also rewrite their blocks in the file
 package main
 
 import (
@@ -19,134 +18,52 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4,5,10,11,12,13,14,15,16, wa, recovery, or 'all'")
-	ops := flag.Int64("ops", 0, "ops per measured phase (default 200000; paper used 10M)")
-	ycsbOps := flag.Int64("ycsb-ops", 0, "ops per YCSB phase (default 100000; paper used 5M)")
-	outPath := flag.String("o", "", "also append results to this file")
+	fig := flag.String("fig", "all", "comma-separated figures to regenerate (see -list), or 'all'")
+	ops := flag.Int64("ops", 200_000, "ops per measured phase (paper used 10M)")
+	ycsbOps := flag.Int64("ycsb-ops", 100_000, "ops per YCSB phase (paper used 5M)")
+	mdPath := flag.String("md", "", "rewrite the regenerated figures' blocks and the Summary's measured values in this Markdown file")
 	list := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()
 
-	var out *os.File
-	if *outPath != "" {
-		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = f
-	}
-
-	if *list {
-		fmt.Println("4   Ob1: XPBuffer write hit ratio of the baselines")
-		fmt.Println("5   Ob2: baseline thread scaling + NoveLSM-cache latency breakdown")
-		fmt.Println("10  Exp#1: sequential/random write throughput, all systems")
-		fmt.Println("11  Exp#2: sequential/random read throughput, all systems")
-		fmt.Println("12  Exp#3: multi-thread random read/write throughput")
-		fmt.Println("13  Exp#4: YCSB Load/A/B/C/D/F")
-		fmt.Println("14  Exp#5: CacheKV vs background flush threads")
-		fmt.Println("15  Exp#6: CacheKV vs sub-MemTable size")
-		fmt.Println("16  Exp#7: CacheKV vs pool size")
-		fmt.Println("wa        extension: PMem write amplification of every system")
-		fmt.Println("recovery  extension: CacheKV crash-recovery time")
-		return
-	}
-
-	scale := bench.Scale{Ops: *ops, YCSBOps: *ycsbOps}
 	wanted := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		wanted[strings.TrimSpace(f)] = true
+	for _, id := range strings.Split(*fig, ",") {
+		wanted[strings.TrimSpace(id)] = true
 	}
-	all := wanted["all"]
+	var selected []bench.Figure
+	for _, f := range bench.Figures {
+		if *list {
+			fmt.Printf("%-9s %s\n", f.ID, f.Summary)
+		} else if wanted["all"] || wanted[f.ID] {
+			selected = append(selected, f)
+		}
+		delete(wanted, f.ID)
+	}
+	delete(wanted, "all")
+	for id := range wanted {
+		check(fmt.Errorf("unknown figure %q (see -list)", id))
+	}
 
-	emit := func(tables ...*bench.Table) {
-		for _, t := range tables {
+	ran := map[string]bench.Rendered{}
+	for _, f := range selected {
+		r, err := f.Run(bench.Scale{Ops: *ops, YCSBOps: *ycsbOps})
+		check(err)
+		for _, t := range r.Tables {
 			fmt.Println(t)
-			if out != nil {
-				fmt.Fprintln(out, t)
-			}
 		}
+		ran[f.ID] = r
 	}
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-		os.Exit(1)
+	if *mdPath != "" {
+		doc, err := os.ReadFile(*mdPath)
+		check(err)
+		out, err := bench.UpdateDoc(string(doc), ran)
+		check(err)
+		check(os.WriteFile(*mdPath, []byte(out), 0o644))
 	}
+}
 
-	if all || wanted["4"] {
-		t, err := bench.Fig4(scale)
-		if err != nil {
-			fail("fig4", err)
-		}
-		emit(t)
-	}
-	if all || wanted["5"] {
-		a, b, err := bench.Fig5(scale)
-		if err != nil {
-			fail("fig5", err)
-		}
-		emit(a, b)
-	}
-	if all || wanted["10"] {
-		a, b, err := bench.Fig10(scale)
-		if err != nil {
-			fail("fig10", err)
-		}
-		emit(a, b)
-	}
-	if all || wanted["11"] {
-		a, b, err := bench.Fig11(scale)
-		if err != nil {
-			fail("fig11", err)
-		}
-		emit(a, b)
-	}
-	if all || wanted["12"] {
-		a, b, err := bench.Fig12(scale)
-		if err != nil {
-			fail("fig12", err)
-		}
-		emit(a, b)
-	}
-	if all || wanted["13"] {
-		t, err := bench.Fig13(scale)
-		if err != nil {
-			fail("fig13", err)
-		}
-		emit(t)
-	}
-	if all || wanted["14"] {
-		t, err := bench.Fig14(scale)
-		if err != nil {
-			fail("fig14", err)
-		}
-		emit(t)
-	}
-	if all || wanted["15"] {
-		t, err := bench.Fig15(scale)
-		if err != nil {
-			fail("fig15", err)
-		}
-		emit(t)
-	}
-	if all || wanted["16"] {
-		t, err := bench.Fig16(scale)
-		if err != nil {
-			fail("fig16", err)
-		}
-		emit(t)
-	}
-	if all || wanted["wa"] {
-		t, err := bench.WriteAmp(scale)
-		if err != nil {
-			fail("writeamp", err)
-		}
-		emit(t)
-	}
-	if all || wanted["recovery"] {
-		t, err := bench.Recovery(scale)
-		if err != nil {
-			fail("recovery", err)
-		}
-		emit(t)
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 }

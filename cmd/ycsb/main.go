@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"cachekv/internal/bench"
+	"cachekv/internal/engines"
 	"cachekv/internal/obs"
 )
 
@@ -37,7 +38,7 @@ func main() {
 	flag.Parse()
 	withObs := *reportPath != "" || *check
 
-	kind, err := bench.ParseEngine(*engine)
+	kind, err := engines.Parse(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -55,7 +56,7 @@ func main() {
 			os.Exit(1)
 		}
 		// Fresh platform per workload, as YCSB runs each against a clean DB.
-		cfg := bench.DefaultEngineConfig()
+		var cfg bench.EngineConfig
 		cfg.DataBytes = uint64(*records*2) * uint64(*valueSize+40)
 		cfg.Shards = *shards
 		cfg.CompactionWorkers = *compactionWorkers

@@ -2,10 +2,26 @@ package bench
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cachekv/internal/engines"
+	"cachekv/internal/hw"
 	"cachekv/internal/hw/sim"
+	"cachekv/internal/kvstore"
 )
+
+// openTest opens kind on a 1 GiB platform, closed when the test ends.
+func openTest(t *testing.T, kind engines.Kind) *openCell {
+	t.Helper()
+	cfg := EngineConfig{PMemBytes: 1 << 30}
+	c, err := Cell{Kind: kind, Config: cfg}.open(cfg.NewMachine())
+	if err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	t.Cleanup(func() { c.DB.Close(c.th) })
+	return c
+}
 
 func TestKeyGenerators(t *testing.T) {
 	rng := sim.NewRNG(1)
@@ -84,20 +100,14 @@ func TestValueGenDeterministic(t *testing.T) {
 	if string(a.Value(42)) != string(b.Value(42)) {
 		t.Fatal("values not deterministic")
 	}
-	if a.Size() != 64 || len(a.Value(1)) != 64 {
+	if a.size != 64 || len(a.Value(1)) != 64 {
 		t.Fatal("value size wrong")
 	}
 }
 
 func TestRunnerSmoke(t *testing.T) {
-	cfg := DefaultEngineConfig()
-	cfg.PMemBytes = 1 << 30
-	r, th, err := openRunner(cfg, CacheKV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeRunner(r, th)
-	res, err := fillRandom(r, 20000, 2, 64)
+	r := openTest(t, engines.CacheKV)
+	res, err := fillRandom(20000, 2, 64)(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +115,7 @@ func TestRunnerSmoke(t *testing.T) {
 		t.Fatalf("degenerate result: %+v", res)
 	}
 	// Read phase continues from the write epoch.
-	epoch := r.Epoch()
+	epoch := r.epoch
 	rres, err := r.Run(Workload{
 		Name: "read", Keys: UniformKeys{N: 20000}, ValueSize: 64,
 		Ops: 20000, Threads: 2, Mix: ReadOnly, Seed: 3,
@@ -113,7 +123,7 @@ func TestRunnerSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() <= epoch {
+	if r.epoch <= epoch {
 		t.Fatal("epoch did not advance")
 	}
 	if rres.NotFound == 20000 {
@@ -122,31 +132,27 @@ func TestRunnerSmoke(t *testing.T) {
 }
 
 func TestAllEnginesRunnable(t *testing.T) {
-	cfg := DefaultEngineConfig()
-	cfg.PMemBytes = 1 << 30
-	for _, kind := range AllEngines {
-		r, th, err := openRunner(cfg, kind)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		res, err := fillRandom(r, 5000, 2, 64)
-		if err != nil {
-			t.Fatalf("%s fill: %v", kind, err)
-		}
-		if res.KopsPerSec <= 0 {
-			t.Fatalf("%s: zero throughput", kind)
-		}
-		rres, err := r.Run(Workload{
-			Name: "read", Keys: UniformKeys{N: 5000}, ValueSize: 64,
-			Ops: 5000, Threads: 2, Mix: ReadOnly, Seed: 3,
+	for _, kind := range engines.All() {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := openTest(t, kind)
+			res, err := fillRandom(5000, 2, 64)(r)
+			if err != nil {
+				t.Fatalf("fill: %v", err)
+			}
+			if res.KopsPerSec <= 0 {
+				t.Fatal("zero throughput")
+			}
+			rres, err := r.Run(Workload{
+				Name: "read", Keys: UniformKeys{N: 5000}, ValueSize: 64,
+				Ops: 5000, Threads: 2, Mix: ReadOnly, Seed: 3,
+			})
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			if rres.NotFound == 5000 {
+				t.Fatal("reads found nothing")
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s read: %v", kind, err)
-		}
-		if rres.NotFound == 5000 {
-			t.Fatalf("%s: reads found nothing", kind)
-		}
-		closeRunner(r, th)
 	}
 }
 
@@ -165,31 +171,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestEngineKindString(t *testing.T) {
-	if CacheKV.String() != "CacheKV" || SLMDBWoFlush.String() != "SLM-DB-w/o-flush" {
-		t.Fatal("engine names wrong")
-	}
-	if EngineKind(99).String() == "" {
-		t.Fatal("unknown kind must still render")
-	}
-}
-
-// Every engine parses back from its display name in either letter case, and
-// an unknown name is an error that lists the valid ones.
-func TestParseEngine(t *testing.T) {
-	for _, k := range AllEngines {
-		for _, name := range []string{k.String(), strings.ToLower(k.String())} {
-			if got, err := ParseEngine(name); err != nil || got != k {
-				t.Fatalf("ParseEngine(%q) = %v, %v; want %v", name, got, err, k)
-			}
-		}
-	}
-	_, err := ParseEngine("rocksdb")
-	if err == nil || !strings.Contains(err.Error(), "novelsm-w/o-flush") || !strings.Contains(err.Error(), "cachekv") {
-		t.Fatalf("unknown engine error = %v", err)
-	}
-}
-
 func TestYCSBSpecs(t *testing.T) {
 	if YCSBA.Reads != 0.5 || YCSBA.Updates != 0.5 || YCSBA.Dist != "zipfian" {
 		t.Fatal("YCSB-A spec wrong")
@@ -204,14 +185,8 @@ func TestYCSBSpecs(t *testing.T) {
 }
 
 func TestRunYCSBSmoke(t *testing.T) {
-	cfg := DefaultEngineConfig()
-	cfg.PMemBytes = 1 << 30
-	r, th, err := openRunner(cfg, CacheKV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeRunner(r, th)
-	res, err := RunYCSB(r, YCSBA, 5000, 5000, 2, 64)
+	r := openTest(t, engines.CacheKV)
+	res, err := RunYCSB(r.Runner, YCSBA, 5000, 5000, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,5 +196,46 @@ func TestRunYCSBSmoke(t *testing.T) {
 	// Zipfian reads over loaded records should nearly always hit.
 	if float64(res.NotFound) > 0.2*5000 {
 		t.Fatalf("too many misses: %d", res.NotFound)
+	}
+}
+
+// countingDB counts the calls a Runner makes; every Get misses.
+type countingDB struct {
+	kvstore.DB // nil: any other call is a test bug
+	calls      atomic.Int64
+}
+
+func (d *countingDB) Put(*hw.Thread, []byte, []byte) error { d.calls.Add(1); return nil }
+func (d *countingDB) Get(*hw.Thread, []byte) ([]byte, error) {
+	d.calls.Add(1)
+	return nil, kvstore.ErrNotFound
+}
+func (d *countingDB) Name() string { return "counting" }
+
+// Run executes every op it reports: the remainder of Ops / Threads goes to
+// the first threads instead of being dropped, so the reported count, the
+// latency histogram and the calls the engine saw all agree.
+func TestRunExecutesEveryOp(t *testing.T) {
+	m := EngineConfig{}.NewMachine()
+	for _, tc := range []struct {
+		ops     int64
+		threads int
+	}{{10, 4}, {3, 4}, {24, 24}, {200_000, 24}} {
+		for _, mix := range []Mix{WriteOnly, ReadOnly} {
+			db := &countingDB{}
+			res, err := NewRunner(m, db).Run(Workload{
+				Keys: UniformKeys{N: tc.ops}, ValueSize: 8, Ops: tc.ops, Threads: tc.threads, Mix: mix,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops != tc.ops || res.Latency.Count() != res.Ops || db.calls.Load() != res.Ops {
+				t.Errorf("%d ops on %d threads: reported %d, timed %d, engine saw %d",
+					tc.ops, tc.threads, res.Ops, res.Latency.Count(), db.calls.Load())
+			}
+			if res.KopsPerSec <= 0 {
+				t.Errorf("%d ops on %d threads: %.1f Kops/s", tc.ops, tc.threads, res.KopsPerSec)
+			}
+		}
 	}
 }

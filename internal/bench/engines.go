@@ -1,90 +1,16 @@
 package bench
 
 import (
-	"fmt"
-	"strings"
-
-	"cachekv/internal/baseline"
-	"cachekv/internal/baseline/novelsm"
-	"cachekv/internal/baseline/slmdb"
-	"cachekv/internal/core"
+	"cachekv/internal/engines"
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
 )
 
-// EngineKind enumerates every system the paper evaluates.
-type EngineKind int
-
-// The nine systems of the evaluation section.
-const (
-	CacheKV EngineKind = iota
-	PCSM
-	PCSMLIU
-	NoveLSM
-	NoveLSMWoFlush
-	NoveLSMCache
-	SLMDB
-	SLMDBWoFlush
-	SLMDBCache
-)
-
-// AllEngines is every comparison system, in the paper's display order.
-var AllEngines = []EngineKind{
-	NoveLSM, NoveLSMWoFlush, NoveLSMCache,
-	SLMDB, SLMDBWoFlush, SLMDBCache,
-	PCSM, PCSMLIU, CacheKV,
-}
-
-// BaselineEngines is the six non-CacheKV systems (Figures 4 and 5).
-var BaselineEngines = []EngineKind{
-	NoveLSM, NoveLSMWoFlush, NoveLSMCache,
-	SLMDB, SLMDBWoFlush, SLMDBCache,
-}
-
-// String returns the engine's display name.
-func (k EngineKind) String() string {
-	switch k {
-	case CacheKV:
-		return "CacheKV"
-	case PCSM:
-		return "PCSM"
-	case PCSMLIU:
-		return "PCSM+LIU"
-	case NoveLSM:
-		return "NoveLSM"
-	case NoveLSMWoFlush:
-		return "NoveLSM-w/o-flush"
-	case NoveLSMCache:
-		return "NoveLSM-cache"
-	case SLMDB:
-		return "SLM-DB"
-	case SLMDBWoFlush:
-		return "SLM-DB-w/o-flush"
-	case SLMDBCache:
-		return "SLM-DB-cache"
-	default:
-		return fmt.Sprintf("engine(%d)", int(k))
-	}
-}
-
-// ParseEngine resolves a command-line engine name: the display name of one of
-// AllEngines, in any letter case.
-func ParseEngine(name string) (EngineKind, error) {
-	valid := make([]string, len(AllEngines))
-	for i, k := range AllEngines {
-		valid[i] = strings.ToLower(k.String())
-		if strings.EqualFold(name, valid[i]) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown engine %q (valid: %s)", name, strings.Join(valid, ", "))
-}
-
-// EngineConfig carries the knobs experiments vary.
+// EngineConfig carries the knobs experiments vary; the zero value is the
+// testbed platform with every engine at its defaults.
 type EngineConfig struct {
-	PMemBytes        uint64 // machine PMem capacity
-	FSBytes          uint64 // SSTable file-layer capacity
+	PMemBytes        uint64 // machine PMem capacity (0 = the testbed's 4 GiB)
 	PoolBytes        uint64 // CacheKV sub-MemTable pool (Exp#7)
 	SubMemTableBytes uint64 // CacheKV sub-MemTable size (Exp#6)
 	FlushThreads     int    // CacheKV background flush threads (Exp#5)
@@ -118,14 +44,6 @@ type EngineConfig struct {
 	ProfileStepNs int64
 }
 
-// DefaultEngineConfig sizes the platform for experiment-scale runs.
-func DefaultEngineConfig() EngineConfig {
-	return EngineConfig{
-		PMemBytes: 4 << 30,
-		FSBytes:   1 << 30,
-	}
-}
-
 // NewMachine builds the simulated testbed platform (36 MB eADR LLC, 24
 // cores) with the configured PMem capacity.
 func (c EngineConfig) NewMachine() *hw.Machine {
@@ -146,89 +64,42 @@ func (c EngineConfig) NewMachine() *hw.Machine {
 	return m
 }
 
-// Open builds engine kind on machine m.
-func (c EngineConfig) Open(kind EngineKind, m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
-	fsBytes := c.FSBytes
-	if fsBytes == 0 {
-		fsBytes = 1 << 30
-	}
-	if pm := c.PMemBytes; pm > 0 && fsBytes > pm/2 {
-		fsBytes = pm / 2 // leave room for pool/logs/manifest regions
-	}
+// Open builds engine kind on machine m, sized for the configured experiment.
+func (c EngineConfig) Open(kind engines.Kind, m *hw.Machine, th *hw.Thread) (kvstore.DB, error) {
+	// SSTable file-layer capacity; half the PMem stays for pool/logs/manifest.
+	fsBytes := min(1<<30, m.PMem.Capacity()/2)
 	data := c.DataBytes
 	if data == 0 {
 		data = 32 << 20
 	}
-	switch kind {
-	case CacheKV, PCSM, PCSMLIU:
-		opts := core.DefaultOptions()
-		opts.FSBytes = fsBytes
-		// Scale the ImmZone to the workload so scaled-down runs still reach
-		// the steady state where spills (and the index thread) set the pace,
-		// as the paper's 10M-op runs do.
-		if z := data / 3; z < opts.ImmZoneBytes {
-			if z < 4<<20 {
-				z = 4 << 20
-			}
-			opts.ImmZoneBytes = z
-		}
-		if c.PoolBytes > 0 {
-			opts.PoolBytes = c.PoolBytes
-		}
-		if c.SubMemTableBytes > 0 {
-			opts.SubMemTableBytes = c.SubMemTableBytes
-		}
-		if c.FlushThreads > 0 {
-			opts.FlushThreads = c.FlushThreads
-		}
-		opts.CompactionWorkers = c.CompactionWorkers
-		switch kind {
-		case PCSM:
-			opts.LazyIndex = false
-			opts.SkiplistCompaction = false
-		case PCSMLIU:
-			opts.LazyIndex = true
-			opts.SkiplistCompaction = false
-		}
-		opts.Trace = c.Trace
-		opts.Shards = c.Shards
-		return core.Open(m, opts, th)
-	case NoveLSM, NoveLSMWoFlush, NoveLSMCache:
-		opts := novelsm.DefaultOptions()
-		opts.FSBytes = fsBytes
-		// The paper's 4 GiB PMem MemTable never fills during a run; size it
-		// to absorb the workload (rotations still happen via the DRAM table).
-		if pm := int64(data + data/2); pm > opts.PMemMemBytes {
-			opts.PMemMemBytes = pm
-		}
-		opts.Variant = map[EngineKind]baseline.Variant{
-			NoveLSM:        baseline.Vanilla,
-			NoveLSMWoFlush: baseline.WithoutFlush,
-			NoveLSMCache:   baseline.CacheSegments,
-		}[kind]
-		opts.Trace = c.Trace
-		return novelsm.Open(m, opts, th)
-	case SLMDB, SLMDBWoFlush, SLMDBCache:
-		opts := slmdb.DefaultOptions()
-		opts.FSBytes = fsBytes
-		if kind == SLMDBCache {
-			// The paper enlarges SLM-DB-cache's MemTable to 4 GiB for a fair
-			// comparison with NoveLSM-cache: it absorbs the whole workload.
-			if pm := int64(data + data/2); pm > opts.MemBytes {
-				opts.MemBytes = pm
-			}
-		} else if pm := int64(data / 12); pm > opts.MemBytes {
-			// Vanilla SLM-DB's 64 MiB table holds ~8%% of a 10M-op run.
-			opts.MemBytes = pm
-		}
-		opts.Variant = map[EngineKind]baseline.Variant{
-			SLMDB:        baseline.Vanilla,
-			SLMDBWoFlush: baseline.WithoutFlush,
-			SLMDBCache:   baseline.CacheSegments,
-		}[kind]
-		opts.Trace = c.Trace
-		return slmdb.Open(m, opts, th)
-	default:
-		return nil, fmt.Errorf("bench: unknown engine kind %d", kind)
+	s := engines.NewSizing(fsBytes, c.Trace)
+	// Scale the ImmZone to the workload so scaled-down runs still reach the
+	// steady state where spills (and the index thread) set the pace, as the
+	// paper's 10M-op runs do.
+	if z := data / 3; z < s.Core.ImmZoneBytes {
+		s.Core.ImmZoneBytes = max(z, 4<<20)
 	}
+	if c.PoolBytes > 0 {
+		s.Core.PoolBytes = c.PoolBytes
+	}
+	if c.SubMemTableBytes > 0 {
+		s.Core.SubMemTableBytes = c.SubMemTableBytes
+	}
+	if c.FlushThreads > 0 {
+		s.Core.FlushThreads = c.FlushThreads
+	}
+	s.Core.CompactionWorkers = c.CompactionWorkers
+	s.Core.Shards = c.Shards
+	// A MemTable the paper configures at 4 GiB never fills during a run: size
+	// it to absorb the workload. That is NoveLSM's PMem MemTable (rotations
+	// still happen via the DRAM table) and SLM-DB-cache's, enlarged for a fair
+	// comparison with NoveLSM-cache; vanilla SLM-DB's 64 MiB table holds ~8%
+	// of a 10M-op run.
+	absorb, slmMem := int64(data+data/2), int64(data/12)
+	if kind == engines.SLMDBCache {
+		slmMem = absorb
+	}
+	s.NoveLSM.PMemMemBytes = max(s.NoveLSM.PMemMemBytes, absorb)
+	s.SLMDB.MemBytes = max(s.SLMDB.MemBytes, slmMem)
+	return engines.Open(kind, m, th, s)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachekv/internal/engines"
 	"cachekv/internal/obs"
 )
 
@@ -29,7 +30,7 @@ func runObsYCSB(t *testing.T, spec YCSBSpec, threads, shards int, withObs bool, 
 		ops       = 4000
 		valueSize = 64
 	)
-	cfg := DefaultEngineConfig()
+	var cfg EngineConfig
 	cfg.DataBytes = uint64(records*2) * uint64(valueSize+40)
 	cfg.Shards = shards
 	var tr *obs.Trace
@@ -40,7 +41,7 @@ func runObsYCSB(t *testing.T, spec YCSBSpec, threads, shards int, withObs bool, 
 	}
 	m := cfg.NewMachine()
 	th := m.NewThread(0)
-	db, err := cfg.Open(CacheKV, m, th)
+	db, err := cfg.Open(engines.CacheKV, m, th)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// fmtKops renders a throughput cell.
-func fmtKops(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// fmtRatio renders a 0..1 ratio as a percentage.
-func fmtRatio(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cachekv/internal/core"
 	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/pmem"
@@ -20,7 +21,6 @@ type OpKind int
 const (
 	OpPut OpKind = iota
 	OpGet
-	OpDelete
 	OpRMW         // read-modify-write (YCSB-F)
 	OpDeleteRange // range tombstone over a narrow key interval
 )
@@ -66,9 +66,6 @@ type Result struct {
 	Latency    *histogram.H // per-op virtual latency distribution
 }
 
-// WriteHitRatio is the phase's XPBuffer hit ratio (Figure 4's metric).
-func (r Result) WriteHitRatio() float64 { return r.HW.WriteHitRatio() }
-
 // Runner executes workload phases against one engine, maintaining the
 // virtual-time epoch across phases so background servers' timestamps from a
 // fill phase cannot distort a subsequent read phase.
@@ -76,16 +73,15 @@ type Runner struct {
 	M     *hw.Machine
 	DB    kvstore.DB
 	Col   *obs.Collector // optional per-op attribution sink (nil = off)
+	store core.Store     // DB as a CacheKV-family engine (range delete, ingest, halt); nil for the baselines
 	epoch int64
 }
 
 // NewRunner wraps an engine for benchmarking.
 func NewRunner(m *hw.Machine, db kvstore.DB) *Runner {
-	return &Runner{M: m, DB: db}
+	store, _ := db.(core.Store)
+	return &Runner{M: m, DB: db, store: store}
 }
-
-// Epoch returns the current virtual-time baseline.
-func (r *Runner) Epoch() int64 { return r.epoch }
 
 // Run executes one workload phase and returns its result.
 func (r *Runner) Run(w Workload) (Result, error) {
@@ -99,7 +95,10 @@ func (r *Runner) Run(w Workload) (Result, error) {
 		Latency: histogram.New()}
 	hwBefore := r.M.PMem.Snapshot()
 
-	perThread := w.Ops / int64(w.Threads)
+	// Thread t runs ops [start(t), start(t+1)): Ops/Threads each, the
+	// remainder one apiece to the first Ops%Threads threads.
+	perThread, extra := w.Ops/int64(w.Threads), w.Ops%int64(w.Threads)
+	start := func(t int) int64 { return perThread*int64(t) + min(int64(t), extra) }
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -119,10 +118,8 @@ func (r *Runner) Run(w Workload) (Result, error) {
 			rng := sim.NewRNG(w.Seed + uint64(t)*0x9E3779B9)
 			vals := NewValueGen(w.ValueSize)
 			keyBuf := make([]byte, 0, 32)
-			start := perThread * int64(t)
 			var notFound int64
-			for i := int64(0); i < perThread; i++ {
-				op := start + i
+			for op, end := start(t), start(t+1); op < end; op++ {
 				key := w.Keys.Key(keyBuf, op, rng)
 				kind := pickOp(w.Mix, rng)
 				sp := r.Col.StartOp(th, spanOp(kind))
@@ -151,11 +148,11 @@ func (r *Runner) Run(w Workload) (Result, error) {
 					if err == nil {
 						err = r.DB.Put(th, key, vals.Value(op))
 					}
-				case OpDelete:
-					err = r.DB.Delete(th, key)
 				case OpDeleteRange:
-					if rd, ok := r.DB.(rangeDeleter); ok {
-						err = rd.DeleteRange(th, key, rangeEnd(key))
+					if r.store != nil {
+						var b core.Batch
+						b.DeleteRange(key, rangeEnd(key))
+						err = r.store.Write(th, &b, 0)
 					} else {
 						// Engines without range tombstones model the same
 						// intent as a point delete.
@@ -203,8 +200,6 @@ func spanOp(k OpKind) obs.Op {
 	switch k {
 	case OpPut:
 		return obs.OpPut
-	case OpDelete:
-		return obs.OpDelete
 	case OpRMW:
 		return obs.OpRMW
 	case OpDeleteRange:
@@ -229,17 +224,6 @@ func pickOp(m Mix, rng *sim.RNG) OpKind {
 	}
 }
 
-// rangeDeleter is the optional engine surface behind OpDeleteRange (the
-// CacheKV family; single engine and sharded router both implement it).
-type rangeDeleter interface {
-	DeleteRange(th *hw.Thread, start, end []byte) error
-}
-
-// ingester is the optional bulk-load surface behind RunIngest.
-type ingester interface {
-	Ingest(th *hw.Thread, entries []lsm.IngestEntry) error
-}
-
 // rangeEnd returns the tightest exclusive upper bound covering key and its
 // immediate successors — a narrow range, so a delete-range mix thins the
 // keyspace instead of erasing it.
@@ -256,7 +240,7 @@ func rangeEnd(key []byte) []byte {
 
 // RunIngest bulk-loads batches of ascending pre-built entries through the
 // engine's atomic Ingest path, one attribution span per batch, and returns a
-// phase result. Engines without an Ingest surface get the same data via
+// phase result. The baselines, which have no bulk load, get the same data via
 // per-key Puts so cross-engine comparisons stay possible (their spans still
 // record under the ingest op type: the workload intent is identical).
 func (r *Runner) RunIngest(th *hw.Thread, batches, perBatch, valueSize int) (Result, error) {
@@ -269,7 +253,6 @@ func (r *Runner) RunIngest(th *hw.Thread, batches, perBatch, valueSize int) (Res
 	th.Clock.AdvanceTo(r.epoch)
 	phasesBefore := th.PhaseBreakdown()
 	vals := NewValueGen(valueSize)
-	ing, hasIngest := r.DB.(ingester)
 	seq := 0
 	for b := 0; b < batches; b++ {
 		entries := make([]lsm.IngestEntry, perBatch)
@@ -283,8 +266,8 @@ func (r *Runner) RunIngest(th *hw.Thread, batches, perBatch, valueSize int) (Res
 		sp := r.Col.StartOp(th, obs.OpIngest)
 		opStart := th.Clock.Now()
 		var err error
-		if hasIngest {
-			err = ing.Ingest(th, entries)
+		if r.store != nil {
+			err = r.store.Ingest(th, entries)
 		} else {
 			for _, e := range entries {
 				if err = r.DB.Put(th, e.Key, e.Value); err != nil {

@@ -1,9 +1,10 @@
 // Package bench is the evaluation harness: db_bench-style workload drivers,
 // a YCSB core, a multi-threaded runner measuring virtual-time throughput and
-// latency breakdowns, an engine factory covering every system the paper
-// compares, and one experiment function per figure of the evaluation
-// section. cmd/experiments and the root bench_test.go are thin wrappers over
-// this package.
+// latency breakdowns, experiment-scale sizing of the catalogue's engines
+// (internal/engines), and the evaluation section as data: Figures is the
+// registry of the paper's figures, Figure.Run the one grid runner behind every
+// table, UpdateDoc the generator of EXPERIMENTS.md. cmd/experiments is a loop
+// over the registry.
 package bench
 
 import (
@@ -19,8 +20,6 @@ import (
 type KeyGen interface {
 	// Key writes key number i into dst (reusing its storage) and returns it.
 	Key(dst []byte, i int64, rng *sim.RNG) []byte
-	// Name identifies the distribution in reports.
-	Name() string
 }
 
 // formatKey renders db_bench's fixed-width 16-byte numeric key.
@@ -43,9 +42,6 @@ type LoadKeys struct{}
 // Key implements KeyGen.
 func (LoadKeys) Key(dst []byte, i int64, _ *sim.RNG) []byte { return recordKey(dst, i) }
 
-// Name implements KeyGen.
-func (LoadKeys) Name() string { return "load" }
-
 // SequentialKeys generates keys 0,1,2,... (db_bench fillseq/readseq).
 type SequentialKeys struct{}
 
@@ -53,9 +49,6 @@ type SequentialKeys struct{}
 func (SequentialKeys) Key(dst []byte, i int64, _ *sim.RNG) []byte {
 	return formatKey(dst, uint64(i))
 }
-
-// Name implements KeyGen.
-func (SequentialKeys) Name() string { return "seq" }
 
 // UniformKeys draws keys uniformly from a space of N keys (db_bench
 // fillrandom/readrandom). The i-th draw is deterministic given the seed.
@@ -68,9 +61,6 @@ func (u UniformKeys) Key(dst []byte, i int64, _ *sim.RNG) []byte {
 	rank := util.Mix64(uint64(i)*0x9E3779B97F4A7C15) % uint64(u.N)
 	return recordKey(dst, int64(rank))
 }
-
-// Name implements KeyGen.
-func (u UniformKeys) Name() string { return "uniform" }
 
 // ZipfianKeys draws from a scrambled zipfian distribution with the YCSB
 // constant (theta = 0.99), the standard Gray et al. generator.
@@ -125,9 +115,6 @@ func (z *ZipfianKeys) Key(dst []byte, i int64, rng *sim.RNG) []byte {
 	return recordKey(dst, int64(item))
 }
 
-// Name implements KeyGen.
-func (z *ZipfianKeys) Name() string { return "zipfian" }
-
 // LatestKeys models YCSB's "latest" distribution: reads skew toward the most
 // recently inserted keys. The insertion frontier advances as ops execute.
 type LatestKeys struct {
@@ -151,9 +138,6 @@ func (l *LatestKeys) Key(dst []byte, i int64, rng *sim.RNG) []byte {
 	return recordKey(dst, k)
 }
 
-// Name implements KeyGen.
-func (l *LatestKeys) Name() string { return "latest" }
-
 // ValueGen produces deterministic value payloads of a fixed size.
 type ValueGen struct {
 	size int
@@ -175,6 +159,3 @@ func (v *ValueGen) Value(i int64) []byte {
 	}
 	return v.buf
 }
-
-// Size returns the value size.
-func (v *ValueGen) Size() int { return v.size }

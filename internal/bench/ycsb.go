@@ -12,6 +12,9 @@ type YCSBSpec struct {
 	Dist    string // "uniform", "zipfian", or "latest"
 }
 
+// String returns the workload's name, its column label in Figure 13.
+func (s YCSBSpec) String() string { return s.Name }
+
 // The six workloads of Figure 13.
 var (
 	YCSBLoad = YCSBSpec{Name: "Load", Updates: 1.0, Dist: "uniform"}

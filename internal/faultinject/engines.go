@@ -1,10 +1,9 @@
 package faultinject
 
 import (
-	"cachekv/internal/baseline"
-	"cachekv/internal/baseline/novelsm"
-	"cachekv/internal/baseline/slmdb"
-	"cachekv/internal/core"
+	"strings"
+
+	"cachekv/internal/engines"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -14,12 +13,10 @@ import (
 // EngineSpec describes one engine variant the harness can explore.
 type EngineSpec struct {
 	Name string
-	// DurableADR is the engine's durability contract on the ADR platform:
-	// true means an acknowledged write must survive a power failure even
-	// with volatile CPU caches (the engine flushes or streams every write
-	// before acking). Engines that keep acked data in cache lines — the
-	// whole point of the eADR designs — get only the validity clause of the
-	// oracle under ADR; under eADR every engine is held to full durability.
+	// DurableADR is the engine's durability contract on the ADR platform
+	// (engines.Kind.DurableADR). Engines without it get only the validity
+	// clause of the oracle under ADR; under eADR every engine is held to full
+	// durability.
 	DurableADR bool
 	// Open opens the engine on m, recovering whatever m's PMem holds. tr
 	// (nil = none) is wired in as the engine's lifecycle-event trace, so
@@ -46,134 +43,65 @@ func NewMachine(domain cache.Domain) *hw.Machine {
 	return hw.NewMachine(MachineConfig(domain))
 }
 
-// coreOptions is the scaled CacheKV configuration (pool and zones shrunk to
-// fit the harness LLC; behavioral knobs untouched).
-func coreOptions() core.Options {
-	o := core.DefaultOptions()
-	o.PoolBytes = 2 << 20
-	o.SubMemTableBytes = 256 << 10
-	o.ImmZoneBytes = 8 << 20
-	o.FSBytes = 32 << 20
-	return o
+// harnessSizing is every engine family scaled to the harness platform (pool,
+// tables, zones and logs shrunk to fit its LLC and PMem; behavioural knobs
+// untouched). shards > 1 opens the CacheKV family as the sharded router, which
+// divides the pool, zones and file-layer capacity itself.
+func harnessSizing(tr *obs.Trace, shards int) engines.Sizing {
+	s := engines.NewSizing(32<<20, tr)
+	s.Core.PoolBytes = 2 << 20
+	s.Core.SubMemTableBytes = 256 << 10
+	s.Core.ImmZoneBytes = 8 << 20
+	s.Core.Shards = shards
+	s.NoveLSM.DRAMMemBytes = 1 << 20
+	s.NoveLSM.PMemMemBytes = 4 << 20
+	s.NoveLSM.SegmentBytes = 1 << 20
+	s.NoveLSM.WALBytes = 8 << 20
+	s.NoveLSM.NodeBytes = 16 << 20
+	s.SLMDB.MemBytes = 4 << 20
+	s.SLMDB.SegmentBytes = 1 << 20
+	s.SLMDB.NodeBytes = 16 << 20
+	return s
 }
 
-func cacheKVSpec(name string, lazyIndex, listCompaction bool) EngineSpec {
-	return EngineSpec{
-		Name: name,
-		// CacheKV's memory component lives in pinned cache lines; under ADR
-		// those are volatile by design and acked writes may vanish (the
-		// paper's point, pinned by TestADRCrashLosesUnflushedWrites).
-		DurableADR: false,
-		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-			o := coreOptions()
-			o.LazyIndex = lazyIndex
-			o.SkiplistCompaction = listCompaction
-			o.Trace = tr
-			return core.Open(m, o, th)
-		},
+// spec is catalogue engine k on the harness platform, named by its lower-cased
+// display name (the sharded router by shardedEngineName).
+func spec(k engines.Kind, shards int) EngineSpec {
+	name := strings.ToLower(k.String())
+	if shards > 1 {
+		name = shardedEngineName
 	}
-}
-
-func novelsmSpec(name string, v baseline.Variant) EngineSpec {
-	return EngineSpec{
-		Name: name,
-		// Vanilla NoveLSM WAL-logs DRAM-tier writes with clwb+fence and its
-		// PMem tier appends with in-place flushes: durable on ADR. The
-		// -w/o-flush variant drops the flushes, the -cache variant stages
-		// the PMem tier in pinned cache segments; neither contracts ADR
-		// durability.
-		DurableADR: v == baseline.Vanilla,
-		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-			return novelsm.Open(m, novelsmOptions(v, tr), th)
-		},
-	}
-}
-
-// novelsmOptions is the scaled NoveLSM harness configuration.
-func novelsmOptions(v baseline.Variant, tr *obs.Trace) novelsm.Options {
-	o := novelsm.DefaultOptions()
-	o.Variant = v
-	o.DRAMMemBytes = 1 << 20
-	o.PMemMemBytes = 4 << 20
-	o.SegmentBytes = 1 << 20
-	o.WALBytes = 8 << 20
-	o.NodeBytes = 16 << 20
-	o.FSBytes = 32 << 20
-	o.Trace = tr
-	return o
-}
-
-func slmdbSpec(name string, v baseline.Variant) EngineSpec {
 	return EngineSpec{
 		Name:       name,
-		DurableADR: v == baseline.Vanilla,
+		DurableADR: k.DurableADR(),
 		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-			return slmdb.Open(m, slmdbOptions(v, tr), th)
+			return engines.Open(k, m, th, harnessSizing(tr, shards))
 		},
 	}
 }
 
-// slmdbOptions is the scaled SLM-DB harness configuration.
-func slmdbOptions(v baseline.Variant, tr *obs.Trace) slmdb.Options {
-	o := slmdb.DefaultOptions()
-	o.Variant = v
-	o.MemBytes = 4 << 20
-	o.SegmentBytes = 1 << 20
-	o.NodeBytes = 16 << 20
-	o.FSBytes = 32 << 20
-	o.Trace = tr
-	return o
-}
-
-// shardedSpec is the sharded CacheKV router on the harness platform: the
-// coreOptions budget split across shards (the router divides the pool, zones,
-// and file-layer capacity itself). Kept out of AllEngines so the classic
-// per-engine sweeps and differential tests keep their historical scope;
-// FindEngine resolves it by name for the families scripted against it.
-func shardedSpec() EngineSpec {
-	return EngineSpec{
-		Name: shardedEngineName,
-		// Single-key writes live in pinned cache lines exactly like the plain
-		// engine's, so the ADR contract is unchanged. (Cross-shard batches are
-		// stronger — their two-phase log is written with non-temporal stores —
-		// which the cross-shard family declares as LogDurable.)
-		DurableADR: false,
-		Open: func(m *hw.Machine, th *hw.Thread, tr *obs.Trace) (kvstore.DB, error) {
-			o := coreOptions()
-			o.Shards = crossShardShards
-			o.Trace = tr
-			return core.Open(m, o, th)
-		},
-	}
-}
-
-// AllEngines returns a spec for every engine variant the repository ships:
-// CacheKV and its two ablations, and both baselines with their eADR
-// variants.
+// AllEngines returns a spec for every engine of the catalogue.
 func AllEngines() []EngineSpec {
-	return []EngineSpec{
-		cacheKVSpec("cachekv", true, true),
-		cacheKVSpec("pcsm", false, false),
-		cacheKVSpec("pcsm+liu", true, false),
-		novelsmSpec("novelsm", baseline.Vanilla),
-		novelsmSpec("novelsm-w/o-flush", baseline.WithoutFlush),
-		novelsmSpec("novelsm-cache", baseline.CacheSegments),
-		slmdbSpec("slm-db", baseline.Vanilla),
-		slmdbSpec("slm-db-w/o-flush", baseline.WithoutFlush),
-		slmdbSpec("slm-db-cache", baseline.CacheSegments),
+	var all []EngineSpec
+	for _, k := range engines.All() {
+		all = append(all, spec(k, 0))
 	}
+	return all
 }
 
 // FindEngine returns the spec named name. Beyond AllEngines it resolves
-// "cachekv-sharded", the cross-shard harness router.
+// "cachekv-sharded", the cross-shard harness router, kept out of AllEngines so
+// the per-engine sweeps and differential tests keep their scope. Its single-key
+// writes live in pinned cache lines like the plain engine's, so the ADR contract
+// is unchanged (cross-shard batches are stronger — a two-phase log written with
+// non-temporal stores — which the cross-shard family declares as LogDurable).
 func FindEngine(name string) (EngineSpec, bool) {
-	for _, s := range AllEngines() {
-		if s.Name == name {
-			return s, true
-		}
-	}
 	if name == shardedEngineName {
-		return shardedSpec(), true
+		return spec(engines.CacheKV, crossShardShards), true
 	}
-	return EngineSpec{}, false
+	k, err := engines.Parse(name)
+	if err != nil {
+		return EngineSpec{}, false
+	}
+	return spec(k, 0), true
 }
