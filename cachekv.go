@@ -72,6 +72,13 @@ var ErrClosed = kvstore.ErrClosed
 // errors.Is.
 var ErrStalled = core.ErrStalled
 
+// ErrCorrupt is returned by Open, SimulateCrash, Get and Scan when bytes read
+// back from media cannot be what the store wrote: a table footer, manifest
+// record, directory record or pool geometry that does not decode, or a block
+// that fails mid-read. The image is damaged; retrying reads the same bytes.
+// Restore from a copy, or open a fresh platform. Test with errors.Is.
+var ErrCorrupt = util.ErrCorrupt
+
 // Options configure the platform and the chosen engine. The zero value opens
 // CacheKV on the paper's testbed configuration (36 MB eADR LLC, 24 cores)
 // with a 4 GiB PMem and the Section IV-A engine defaults.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cachekv/internal/obs"
+	"cachekv/internal/pmemfs"
 )
 
 func TestOpenDefaultEngine(t *testing.T) {
@@ -399,5 +400,57 @@ func TestBatchUnsupportedEngine(t *testing.T) {
 	b.Put([]byte("k"), []byte("v"))
 	if err := s.Apply(&b); err == nil {
 		t.Fatal("NoveLSM accepted a CacheKV batch")
+	}
+}
+
+// A table footer carries a magic and no CRC. A store reopened over one that
+// no longer reads as a footer reports it by the public name: callers need not
+// import internal/util to tell a damaged image from an absent key.
+func TestCorruptFooterIsErrCorrupt(t *testing.T) {
+	db, err := Open(Options{PMemMB: 1024, PoolMB: 2, SubMemTableKB: 256, ImmZoneMB: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session(0)
+	for i := 0; i < 2000; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil { // the keys now live in tables only
+		t.Fatal(err)
+	}
+	// Find the tables through the directory the engine wrote, and flip the
+	// last byte of each one's footer.
+	region, ok := db.machine.LookupRegion("cachekv.fs")
+	if !ok {
+		t.Fatal("no filesystem region")
+	}
+	view, err := pmemfs.Mount(db.machine, region, db.machine.NewThread(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := view.List()
+	if len(names) == 0 {
+		t.Fatal("Flush left no table")
+	}
+	for _, name := range names {
+		f, err := view.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		db.machine.PMem.LoadRaw(f.Addr(f.Size()-1), b[:])
+		b[0] ^= 0x01
+		db.machine.PMem.StoreRaw(f.Addr(f.Size()-1), b[:])
+	}
+	// The tree opens a table on the first read that reaches it.
+	ndb, err := db.SimulateCrash()
+	if err == nil {
+		defer ndb.Close()
+		_, err = ndb.Session(0).Get([]byte("key00042"))
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("reading through a flipped footer = %v, want ErrCorrupt", err)
 	}
 }

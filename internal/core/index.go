@@ -45,8 +45,9 @@ func (e *Engine) syncSlot(th *hw.Thread, s *slot) int {
 		// Read the entry header to size the fetch.
 		var hdr [8]byte
 		e.m.Cache.Read(th.Clock, s.dataAddr()+off, hdr[:], e.poolPart)
-		blen := uint64(util.Fixed32(hdr[:]))
-		if blen == 0 || off+8+blen > tail {
+		h := util.NewCursor(hdr[:])
+		blen := uint64(h.U32())
+		if blen == 0 || !util.InExtent(off, 8+blen, tail) {
 			break // torn tail; the committed counter should prevent this
 		}
 		buf := make([]byte, 8+blen)

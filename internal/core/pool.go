@@ -212,27 +212,33 @@ func (p *pool) persistGeometry(th *hw.Thread) {
 	p.m.Cache.NTWrite(th.Clock, p.region.Addr, buf)
 }
 
-// loadGeometry reads the persisted slot table (crash recovery).
+// loadGeometry reads the persisted slot table (crash recovery). Every slot,
+// live or parked at size 0 by a merge, keeps its header line inside the pool
+// region past the table, and a live one holds at least that line.
 func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, elastic bool) (*pool, error) {
 	hdr := make([]byte, poolHeaderBytes)
 	m.PMem.LoadRaw(region.Addr, hdr)
-	if util.Fixed64(hdr) != poolHeaderMagic {
-		return nil, fmt.Errorf("core: no pool found in region %q", region.Name)
+	c := util.NewCursor(hdr)
+	if c.U64() != poolHeaderMagic {
+		return nil, fmt.Errorf("core: no pool found in region %q: %w", region.Name, util.ErrCorrupt)
 	}
-	n := int(util.Fixed32(hdr[8:]))
-	if n <= 0 || 12+8*n > poolHeaderBytes {
-		return nil, fmt.Errorf("core: corrupt pool geometry (%d slots)", n)
+	n := c.Count(uint64(c.U32()), 8)
+	if n == 0 {
+		return nil, fmt.Errorf("core: pool geometry announces no slots, or more than its table holds: %w", util.ErrCorrupt)
 	}
 	p := emptyPool(m, region, part, cores, elastic)
-	var slots []*slot
-	for i := 0; i < n; i++ {
-		off := uint64(util.Fixed32(hdr[12+8*i:]))
-		size := uint64(util.Fixed32(hdr[16+8*i:]))
-		s := newSlot(i, region.Addr+off, size)
+	slots := make([]*slot, n)
+	for i := range slots {
+		off, size := uint64(c.U32()), uint64(c.U32())
+		if off < poolHeaderBytes || size != 0 && size < slotHdrSize || !util.InExtent(off, max(size, slotHdrSize), region.Size) {
+			return nil, fmt.Errorf("core: pool geometry: slot %d of %d bytes at offset %d of a %d-byte pool: %w",
+				i, size, off, region.Size, util.ErrCorrupt)
+		}
+		slots[i] = newSlot(i, region.Addr+off, size)
 		var word [8]byte
-		m.PMem.LoadRaw(s.addr, word[:])
-		s.hdr.Store(util.Fixed64(word[:]))
-		slots = append(slots, s)
+		m.PMem.LoadRaw(slots[i].addr, word[:])
+		w := util.NewCursor(word[:])
+		slots[i].hdr.Store(w.U64())
 	}
 	p.setSlots(slots)
 	return p, nil

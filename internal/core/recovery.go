@@ -95,38 +95,34 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 
 // readImmHdr reads the ImmZone table header at addr and reports whether a
 // table starts there: the magic matches and the data region it announces lies
-// inside the zone. The length is compared against what is left of the zone,
-// never added to addr — a dataLen near 2^64 would wrap the sum back below
-// zone.End(), and recovery would re-register the same table for ever.
+// inside the zone. InExtent never adds the length to addr — a dataLen near
+// 2^64 would wrap the sum back below zone.End(), and recovery would
+// re-register the same table for ever.
 func (e *Engine) readImmHdr(th *hw.Thread, zone hw.Region, addr uint64) (dataLen, count, maxSeq uint64, ok bool) {
-	if addr > zone.End() || zone.End()-addr < immZoneHdrSize {
+	off := addr - zone.Addr
+	if !util.InExtent(off, immZoneHdrSize, zone.Size) {
 		return 0, 0, 0, false
 	}
 	var hdr [immZoneHdrSize]byte
 	e.m.PMem.Read(th.Clock, addr, hdr[:])
-	if util.Fixed64(hdr[:]) != immHeaderMagic {
+	c := util.NewCursor(hdr[:])
+	magic, dataLen, count, maxSeq := c.U64(), c.U64(), c.U64(), c.U64()
+	if magic != immHeaderMagic || !util.InExtent(off+immZoneHdrSize, dataLen, zone.Size) {
 		return 0, 0, 0, false
 	}
-	dataLen = util.Fixed64(hdr[8:])
-	if dataLen > zone.End()-addr-immZoneHdrSize {
-		return 0, 0, 0, false
-	}
-	return dataLen, util.Fixed64(hdr[16:]), util.Fixed64(hdr[24:]), true
+	return dataLen, count, maxSeq, true
 }
 
 // slotExtent reads a sub-MemTable's packed header the way recovery may trust
 // it: live reports a slot that was in use, and tail is cut back to the slot's
 // own data region — a longer one is corrupt, and tail sizes the snapshot.
+// loadGeometry has refused a live slot smaller than its header line.
 func slotExtent(s *slot) (count, tail uint64, live bool) {
 	count, state, tail := unpackHdr(s.hdr.Load())
-	size := s.size.Load()
-	if state == stateFree || size == 0 {
+	if state == stateFree || s.size.Load() == 0 {
 		return 0, 0, false
 	}
-	if size < slotHdrSize {
-		size = slotHdrSize
-	}
-	return count, min(tail, size-slotHdrSize), true
+	return count, min(tail, s.dataCap()), true
 }
 
 // rebuildList reconstructs the DRAM side of the table whose data region is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -341,6 +342,59 @@ func TestRecoveryVirtualCost(t *testing.T) {
 	}
 	if merge*4 >= total {
 		t.Errorf("rebuilding the global skiplist is %d of recovery's %d vns, want under a quarter", merge, total)
+	}
+}
+
+// The pool's geometry table is read back from media on recovery. A slot it
+// places outside the pool region (recovery reads and later writes the slot's
+// header line), or sizes below that line, and a slot count its 4 KiB cannot
+// hold, fail the open with ErrCorrupt; the table as written recovers.
+func TestRecoveryRejectsHostileGeometry(t *testing.T) {
+	u32 := func(v uint64) []byte { return util.PutFixed32(nil, uint32(v)) }
+	for _, tc := range []struct {
+		name  string
+		patch func(pool hw.Region) (at uint64, b []byte) // at: byte of the table to overwrite
+		ok    bool
+	}{
+		{"as written", func(hw.Region) (uint64, []byte) { return 12, nil }, true},
+		{"slot offset past the pool", func(r hw.Region) (uint64, []byte) { return 12, u32(r.Size) }, false},
+		{"slot header line straddles the pool's end", func(r hw.Region) (uint64, []byte) { return 12, u32(r.Size - 8) }, false},
+		{"slot inside the geometry table", func(hw.Region) (uint64, []byte) { return 12, u32(64) }, false},
+		{"slot longer than the pool", func(r hw.Region) (uint64, []byte) { return 16, u32(r.Size) }, false},
+		{"slot smaller than its header line", func(hw.Region) (uint64, []byte) { return 16, u32(8) }, false},
+		{"no slots", func(hw.Region) (uint64, []byte) { return 8, u32(0) }, false},
+		{"more slots than the table holds", func(hw.Region) (uint64, []byte) { return 8, u32(511) }, false},
+		{"2^32-1 slots", func(hw.Region) (uint64, []byte) { return 8, u32(1<<32 - 1) }, false},
+		{"bad magic", func(hw.Region) (uint64, []byte) { return 0, u32(7) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			opts := smallOpts()
+			e, th := openEngine(t, m, opts)
+			if err := e.Put(th, []byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			pool := e.pool.region
+			m.Crash()
+			at, b := tc.patch(pool)
+			m.PMem.StoreRaw(pool.Addr+at, b)
+			m.Recover()
+			th2 := m.NewThread(0)
+			e2, err := newEngine(m, opts, shardEnv{}, th2)
+			if !tc.ok {
+				if !errors.Is(err, util.ErrCorrupt) {
+					t.Fatalf("open over the patched geometry = %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close(th2)
+			if v, err := e2.Get(th2, []byte("k")); err != nil || string(v) != "v" {
+				t.Fatalf("Get(k) after recovery = %q, %v", v, err)
+			}
+		})
 	}
 }
 

@@ -103,8 +103,7 @@ func (t *twoPC) replay(th *hw.Thread) error {
 	var maxID, maxSeq uint64
 	cr := wal.NewReader(sh.m, t.commitRg)
 	_ = cr.ReplayAll(th, func(rec []byte) error {
-		if len(rec) == 9 && rec[0] == twopcCommitTag {
-			id := util.Fixed64(rec[1:])
+		if id, ok := decodeCommit(rec); ok {
 			committed[id] = true
 			if id > maxID {
 				maxID = id
@@ -183,39 +182,20 @@ func encodePrepare(id uint64, p *shardPortion) []byte {
 	return rec
 }
 
+// decodePrepare parses a prepare record; a record that is not exactly one
+// prepare (a torn tail, a foreign tag, bytes left over) reports false.
 func decodePrepare(rec []byte) (*shardPortion, uint64, bool) {
-	if len(rec) < 17 || rec[0] != twopcPrepareTag {
-		return nil, 0, false
-	}
-	id := util.Fixed64(rec[1:])
-	p := &shardPortion{shard: int(util.Fixed32(rec[9:]))}
-	nops := int(util.Fixed32(rec[13:]))
-	off := 17
-	for i := 0; i < nops; i++ {
-		if off+17 > len(rec) {
-			return nil, 0, false
-		}
-		kind := util.ValueKind(rec[off])
-		seq := util.Fixed64(rec[off+1:])
-		klen := int(util.Fixed32(rec[off+9:]))
-		vlen := int(util.Fixed32(rec[off+13:]))
-		off += 17
-		if off+klen+vlen > len(rec) {
-			return nil, 0, false
-		}
-		op := batchOp{
-			key:  append([]byte(nil), rec[off:off+klen]...),
-			kind: kind,
-			seq:  seq,
-		}
-		off += klen
-		if vlen > 0 {
-			op.value = append([]byte(nil), rec[off:off+vlen]...)
-		}
-		off += vlen
+	c := util.NewCursor(rec)
+	tag, id := c.U8(), c.U64()
+	p := &shardPortion{shard: int(c.U32())}
+	for i := c.Count(uint64(c.U32()), 17); i > 0; i-- { // 17: an op's fixed fields
+		op := batchOp{kind: util.ValueKind(c.U8()), seq: c.U64()}
+		klen, vlen := uint64(c.U32()), uint64(c.U32())
+		op.key = append([]byte(nil), c.Bytes(klen)...)
+		op.value = append([]byte(nil), c.Bytes(vlen)...)
 		p.ops = append(p.ops, op)
 	}
-	if off != len(rec) {
+	if tag != twopcPrepareTag || !c.Done() {
 		return nil, 0, false
 	}
 	return p, id, true
@@ -225,6 +205,13 @@ func encodeCommit(id uint64) []byte {
 	rec := make([]byte, 0, 9)
 	rec = append(rec, twopcCommitTag)
 	return util.PutFixed64(rec, id)
+}
+
+// decodeCommit parses a commit marker, reporting false for any other record.
+func decodeCommit(rec []byte) (id uint64, ok bool) {
+	c := util.NewCursor(rec)
+	tag, id := c.U8(), c.U64()
+	return id, tag == twopcCommitTag && c.Done()
 }
 
 // needsResetLocked reports whether either log is past half capacity.

@@ -132,37 +132,20 @@ func EntryLen(klen, vlen int) int {
 // DecodeEntry parses one encoded entry, returning the internal key, value and
 // total bytes consumed. It returns util.ErrCorrupt at a torn or absent entry.
 func DecodeEntry(src []byte) (util.InternalKey, []byte, int, error) {
-	if len(src) < 8 {
+	c := util.NewCursor(src)
+	blen, crc := uint64(c.U32()), c.U32()
+	body := c.Bytes(blen)
+	if len(body) == 0 || util.UnmaskCRC(crc) != util.CRC(body) {
 		return nil, nil, 0, util.ErrCorrupt
 	}
-	blen := int(util.Fixed32(src))
-	crc := util.Fixed32(src[4:])
-	if blen == 0 || len(src)-8 < blen {
+	b := util.NewCursor(body)
+	klen, vlen, trailer := b.Uvarint(), b.Uvarint(), b.U64()
+	ukey, value := b.Bytes(klen), b.Bytes(vlen)
+	if b.Err() != nil {
 		return nil, nil, 0, util.ErrCorrupt
 	}
-	body := src[8 : 8+blen]
-	if util.UnmaskCRC(crc) != util.CRC(body) {
-		return nil, nil, 0, util.ErrCorrupt
-	}
-	klen, n1, err := util.Uvarint(body)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	vlen, n2, err := util.Uvarint(body[n1:])
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	p := n1 + n2
-	if len(body) < p+8+int(klen)+int(vlen) {
-		return nil, nil, 0, util.ErrCorrupt
-	}
-	trailer := util.Fixed64(body[p:])
-	p += 8
-	ukey := body[p : p+int(klen)]
-	value := body[p+int(klen) : p+int(klen)+int(vlen)]
 	seq, kind := util.UnpackTrailer(trailer)
-	ik := util.MakeInternalKey(nil, ukey, seq, kind)
-	return ik, append([]byte(nil), value...), 8 + blen, nil
+	return util.MakeInternalKey(nil, ukey, seq, kind), append([]byte(nil), value...), 8 + int(blen), nil
 }
 
 // Insert adds an entry, persisting it per the configured discipline and
@@ -324,24 +307,24 @@ var _ lsm.Iterator = (*Iter)(nil)
 // for every intact entry; it stops at the first torn entry (the durable
 // prefix). Engines use it to rebuild a PMem-placed memtable after a crash.
 func RecoverEntries(m *hw.Machine, region hw.Region, th *hw.Thread, fn func(ik util.InternalKey, value []byte)) uint64 {
-	addr := region.Addr
-	end := region.End()
+	var off uint64
 	var hdr [8]byte
-	for addr+8 <= end {
-		m.PMem.Read(th.Clock, addr, hdr[:])
-		blen := uint64(util.Fixed32(hdr[:]))
-		if blen == 0 || addr+8+blen > end {
+	for util.InExtent(off, 8, region.Size) {
+		m.PMem.Read(th.Clock, region.Addr+off, hdr[:])
+		h := util.NewCursor(hdr[:])
+		blen := uint64(h.U32())
+		if blen == 0 || !util.InExtent(off, 8+blen, region.Size) {
 			break
 		}
 		buf := make([]byte, 8+blen)
-		m.PMem.Read(th.Clock, addr, buf)
+		m.PMem.Read(th.Clock, region.Addr+off, buf)
 		ik, val, n, err := DecodeEntry(buf)
 		if err != nil {
 			break
 		}
 		fn(ik, val)
-		addr += uint64(n)
-		addr = (addr + 7) &^ 7
+		// The arena aligned the next entry's address, not its offset.
+		off = (region.Addr+off+uint64(n)+7)&^7 - region.Addr
 	}
-	return addr - region.Addr
+	return off
 }

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"fmt"
+
 	"cachekv/internal/util"
 )
 
@@ -80,96 +82,34 @@ func (e *versionEdit) encode() []byte {
 	return b
 }
 
-func decodeEdit(src []byte) (*versionEdit, error) {
-	e := &versionEdit{}
-	nAdd, n, err := util.Uvarint(src)
-	if err != nil {
-		return nil, err
+// decodeEdit parses one manifest record. levels bounds every level number in
+// it: the tree indexes its level slices by them.
+func decodeEdit(src []byte, levels int) (*versionEdit, error) {
+	e, c := &versionEdit{}, util.NewCursor(src)
+	badLevel := false
+	level := func() int {
+		l := c.Uvarint()
+		badLevel = badLevel || l >= uint64(levels)
+		return int(l)
 	}
-	src = src[n:]
-	for i := uint64(0); i < nAdd; i++ {
-		var a addedFile
-		var lvl uint64
-		if lvl, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		a.level = int(lvl)
-		src = src[n:]
-		if a.meta.Num, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		src = src[n:]
-		if a.meta.Size, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		src = src[n:]
-		var cnt uint64
-		if cnt, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		a.meta.Count = int(cnt)
-		src = src[n:]
-		var k []byte
-		if k, n, err = util.LengthPrefixed(src); err != nil {
-			return nil, err
-		}
-		a.meta.Smallest = append(util.InternalKey(nil), k...)
-		src = src[n:]
-		if k, n, err = util.LengthPrefixed(src); err != nil {
-			return nil, err
-		}
-		a.meta.Largest = append(util.InternalKey(nil), k...)
-		src = src[n:]
-		var nRD uint64
-		if nRD, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		src = src[n:]
-		for j := uint64(0); j < nRD; j++ {
-			var rd RangeDel
-			if k, n, err = util.LengthPrefixed(src); err != nil {
-				return nil, err
-			}
-			rd.Start = append([]byte(nil), k...)
-			src = src[n:]
-			if k, n, err = util.LengthPrefixed(src); err != nil {
-				return nil, err
-			}
-			rd.End = append([]byte(nil), k...)
-			src = src[n:]
-			if rd.Seq, n, err = util.Uvarint(src); err != nil {
-				return nil, err
-			}
-			src = src[n:]
-			a.meta.RangeDels = append(a.meta.RangeDels, rd)
+	key := func() []byte { return append([]byte(nil), c.LengthPrefixed()...) }
+	// The smallest added file is its seven one-byte fields, the smallest range
+	// tombstone three, the smallest deletion two.
+	for i := c.Count(c.Uvarint(), 7); i > 0; i-- {
+		a := addedFile{level: level()}
+		a.meta.Num, a.meta.Size, a.meta.Count = c.Uvarint(), c.Uvarint(), int(c.Uvarint())
+		a.meta.Smallest, a.meta.Largest = key(), key()
+		for j := c.Count(c.Uvarint(), 3); j > 0; j-- {
+			a.meta.RangeDels = append(a.meta.RangeDels, RangeDel{Start: key(), End: key(), Seq: c.Uvarint()})
 		}
 		e.added = append(e.added, a)
 	}
-	nDel, n, err := util.Uvarint(src)
-	if err != nil {
-		return nil, err
+	for i := c.Count(c.Uvarint(), 2); i > 0; i-- {
+		e.deleted = append(e.deleted, deletedFile{level: level(), num: c.Uvarint()})
 	}
-	src = src[n:]
-	for i := uint64(0); i < nDel; i++ {
-		var d deletedFile
-		var lvl uint64
-		if lvl, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		d.level = int(lvl)
-		src = src[n:]
-		if d.num, n, err = util.Uvarint(src); err != nil {
-			return nil, err
-		}
-		src = src[n:]
-		e.deleted = append(e.deleted, d)
-	}
-	if e.nextFile, n, err = util.Uvarint(src); err != nil {
-		return nil, err
-	}
-	src = src[n:]
-	if e.lastSeq, _, err = util.Uvarint(src); err != nil {
-		return nil, err
+	e.nextFile, e.lastSeq = c.Uvarint(), c.Uvarint()
+	if c.Err() != nil || badLevel {
+		return nil, fmt.Errorf("lsm: manifest record: %w", util.ErrCorrupt)
 	}
 	return e, nil
 }

@@ -135,7 +135,7 @@ func Open(m *hw.Machine, fs *pmemfs.FS, manifestRegion hw.Region, opts Options, 
 	// Replay the previous manifest, if any.
 	r := wal.NewReader(m, manifestRegion)
 	err := r.ReplayAll(th, func(rec []byte) error {
-		e, err := decodeEdit(rec)
+		e, err := decodeEdit(rec, opts.MaxLevels)
 		if err != nil {
 			return err
 		}

@@ -96,31 +96,30 @@ func Mount(m *hw.Machine, region hw.Region, th *hw.Thread) (*FS, error) {
 
 // replay scans the directory log until the first invalid record.
 func (fs *FS) replay(th *hw.Thread) error {
-	addr := fs.region.Addr
-	end := fs.region.Addr + dirLogSize
+	var off uint64 // into the directory log
 	var hdr [4]byte
-	for addr+4 <= end {
-		fs.m.PMem.Read(th.Clock, addr, hdr[:])
-		recLen := util.Fixed32(hdr[:])
-		if recLen == 0 || uint64(recLen) > dirLogSize || addr+4+uint64(recLen) > end {
+	for util.InExtent(off, 4, dirLogSize) {
+		fs.m.PMem.Read(th.Clock, fs.region.Addr+off, hdr[:])
+		h := util.NewCursor(hdr[:])
+		recLen := uint64(h.U32())
+		if recLen == 0 || !util.InExtent(off+4, recLen, dirLogSize) {
 			break
 		}
 		rec := make([]byte, recLen)
-		fs.m.PMem.Read(th.Clock, addr+4, rec)
-		if len(rec) < 5 {
-			break
-		}
-		stored := util.Fixed32(rec[len(rec)-4:])
-		body := rec[:len(rec)-4]
-		if util.UnmaskCRC(stored) != util.CRC(body) {
+		fs.m.PMem.Read(th.Clock, fs.region.Addr+off+4, rec)
+		c := util.NewCursor(rec)
+		// A record too short for a type byte and its CRC ends the log too:
+		// recLen-4 wraps or is 0, and Bytes hands back nothing.
+		body, stored := c.Bytes(recLen-4), c.U32()
+		if len(body) == 0 || util.UnmaskCRC(stored) != util.CRC(body) {
 			break
 		}
 		if err := fs.apply(body); err != nil {
 			return err
 		}
-		addr += 4 + uint64(recLen)
+		off += 4 + recLen
 	}
-	fs.logTail = addr
+	fs.logTail = fs.region.Addr + off
 	// Rebuild the bump pointer past the highest extent in use.
 	for _, f := range fs.files {
 		if f.addr+f.cap > fs.next {
@@ -130,37 +129,35 @@ func (fs *FS) replay(th *hw.Thread) error {
 	return nil
 }
 
+// apply replays one directory record. A created file's extent is checked
+// against the data area here, and a sealed size against the extent, so that
+// File.ReadAt's offset check is all a read needs.
 func (fs *FS) apply(body []byte) error {
-	typ := body[0]
-	name, n, err := util.LengthPrefixed(body[1:])
-	if err != nil {
-		return err
-	}
-	rest := body[1+n:]
+	c := util.NewCursor(body)
+	typ, name := c.U8(), string(c.LengthPrefixed())
 	switch typ {
 	case recCreate:
-		if len(rest) < 16 {
-			return util.ErrCorrupt
-		}
-		fs.files[string(name)] = &fileMeta{
-			name: string(name),
-			addr: util.Fixed64(rest),
-			cap:  util.Fixed64(rest[8:]),
+		f := &fileMeta{name: name, addr: c.U64(), cap: c.U64()}
+		if c.Err() == nil && f.addr >= fs.region.Addr+dirLogSize &&
+			util.InExtent(f.addr-fs.region.Addr, f.cap, fs.region.Size) {
+			fs.files[name] = f
+			return nil
 		}
 	case recSeal:
-		if len(rest) < 8 {
-			return util.ErrCorrupt
-		}
-		if f, ok := fs.files[string(name)]; ok {
-			f.size = util.Fixed64(rest)
-			f.sealed = true
+		size := c.U64()
+		if f, ok := fs.files[name]; c.Err() == nil && (!ok || size <= f.cap) {
+			if ok {
+				f.size, f.sealed = size, true
+			}
+			return nil
 		}
 	case recDelete:
-		delete(fs.files, string(name))
-	default:
-		return util.ErrCorrupt
+		if c.Err() == nil {
+			delete(fs.files, name)
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("pmemfs: directory record of type %d: %w", typ, util.ErrCorrupt)
 }
 
 // appendLog persists one directory record (caller holds fs.mu).
@@ -376,8 +373,8 @@ func (f *File) Addr(off uint64) uint64 { return f.f.addr + off }
 // ReadAt fills buf from the given offset, going through the LLC (repeated
 // reads of hot SSTable blocks hit the cache, as on real hardware).
 func (f *File) ReadAt(th *hw.Thread, off uint64, buf []byte) error {
-	if off+uint64(len(buf)) > f.f.size {
-		return fmt.Errorf("pmemfs: read [%d,%d) beyond EOF %d", off, off+uint64(len(buf)), f.f.size)
+	if !util.InExtent(off, uint64(len(buf)), f.f.size) {
+		return fmt.Errorf("pmemfs: read of %d bytes at %d beyond EOF %d", len(buf), off, f.f.size)
 	}
 	f.fs.m.Cache.Read(th.Clock, f.f.addr+off, buf, cache.DefaultPartition)
 	return nil

@@ -2,10 +2,12 @@ package pmemfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"cachekv/internal/hw"
+	"cachekv/internal/util"
 )
 
 func newFS(t *testing.T) (*hw.Machine, *FS, *hw.Thread) {
@@ -82,8 +84,53 @@ func TestReadBeyondEOF(t *testing.T) {
 	w.Append(th, []byte("abc"))
 	w.Finish(th)
 	f, _ := fs.Open("f")
-	if err := f.ReadAt(th, 2, make([]byte, 10)); err == nil {
-		t.Fatal("read past EOF should fail")
+	for _, tc := range []struct {
+		off  uint64
+		n    int
+		fits bool
+	}{
+		{0, 3, true}, {3, 0, true}, {2, 10, false}, {4, 0, false},
+		{^uint64(0) - 7, 16, false}, // off+n wraps to 8: must not read a wild address
+		{^uint64(0), 1, false},
+	} {
+		if err := f.ReadAt(th, tc.off, make([]byte, tc.n)); (err == nil) != tc.fits {
+			t.Errorf("ReadAt(%d, %d bytes) of a 3-byte file = %v, want success %v", tc.off, tc.n, err, tc.fits)
+		}
+	}
+}
+
+// A directory record with a good CRC is still media bytes: a file whose extent
+// leaves the data area, or whose sealed size exceeds its extent, would turn
+// ReadAt's offset check into a read of someone else's memory.
+func TestMountRejectsHostileRecords(t *testing.T) {
+	for name, rec := range map[string]func(r hw.Region) []byte{
+		"extent inside the directory log": func(r hw.Region) []byte { return createBody("f", r.Addr, 4096) },
+		"extent past the region":          func(r hw.Region) []byte { return createBody("f", r.End(), 4096) },
+		"capacity past the region":        func(r hw.Region) []byte { return createBody("f", r.Addr+dirLogSize, r.Size) },
+		"capacity near 2^64":              func(r hw.Region) []byte { return createBody("f", r.Addr+dirLogSize, ^uint64(0)-8) },
+		"sealed past its capacity":        func(hw.Region) []byte { return sealBody("ok", 4097) },
+		"unknown type":                    func(hw.Region) []byte { return []byte{9, 1, 'f'} },
+		"name runs past the record":       func(hw.Region) []byte { return []byte{recDelete, 200, 'f'} },
+		"truncated create":                func(r hw.Region) []byte { return createBody("f", r.Addr+dirLogSize, 4096)[:12] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := hw.NewMachine(hw.Config{PMemBytes: 256 << 20})
+			th := m.NewThread(0)
+			region := m.Alloc("fs", 64<<20, 0)
+			fs, err := Mount(m, region, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Create(th, "ok", 4096); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.appendLog(th, rec(region)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Mount(m, region, th); !errors.Is(err, util.ErrCorrupt) {
+				t.Fatalf("Mount over the record = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -233,7 +233,7 @@ func blockIndex(t *testing.T, r *Reader, th *hw.Thread, es []entry) (hs []handle
 		t.Fatal(err)
 	}
 	for idx.SeekToFirst(); idx.Valid(); idx.Next() {
-		h, _, err := decodeHandle(idx.Value())
+		h, err := r.indexHandle(idx.Value())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,32 +102,20 @@ func TestScanIterMatchesWholeBlockIter(t *testing.T) {
 // block i indexed under lastKeys[i], and opens it.
 func rawTable(t testing.TB, fs *pmemfs.FS, th *hw.Thread, name string, blocks, lastKeys [][]byte) *Reader {
 	t.Helper()
-	fw, err := fs.Create(th, name, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var parts [][]byte
+	var off uint64
 	put := func(b []byte) handle {
-		h := handle{fw.Offset(), uint64(len(b))}
-		if err := fw.Append(th, b); err != nil {
-			t.Fatal(err)
-		}
+		h := handle{off, uint64(len(b))}
+		parts, off = append(parts, b), off+uint64(len(b))
 		return h
 	}
 	index := block.NewBuilder()
 	for i, b := range blocks {
 		index.Add(lastKeys[i], put(b).encode(nil))
 	}
-	footer := put(bloom.New(10).BuildHashes(nil)).encode(nil)
-	footer = put(index.Finish()).encode(footer)
-	footer = append(footer, make([]byte, footerLen-8-len(footer))...)
-	put(util.PutFixed64(footer, tableMagic))
-	if err := fw.Finish(th); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fs.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	filterH := put(bloom.New(10).BuildHashes(nil))
+	indexH := put(index.Finish())
+	f := sealedFile(t, fs, th, name, append(parts, footerOf(filterH, indexH, tableMagic))...)
 	r, err := NewReader(f, th)
 	if err != nil {
 		t.Fatal(err)

@@ -35,16 +35,21 @@ func (h handle) encode(dst []byte) []byte {
 	return util.PutUvarint(dst, h.length)
 }
 
-func decodeHandle(src []byte) (handle, int, error) {
-	off, n1, err := util.Uvarint(src)
-	if err != nil {
-		return handle{}, 0, err
+// decodeHandle reads the handle at c and checks it against the table file: a
+// handle is believed only once its extent is known to lie inside the file, so
+// what it later sizes or addresses needs no check of its own.
+func (r *Reader) decodeHandle(c *util.Cursor) (handle, error) {
+	h := handle{c.Uvarint(), c.Uvarint()}
+	if c.Err() != nil || !util.InExtent(h.offset, h.length, r.f.Size()) {
+		return handle{}, util.ErrCorrupt
 	}
-	length, n2, err := util.Uvarint(src[n1:])
-	if err != nil {
-		return handle{}, 0, err
-	}
-	return handle{off, length}, n1 + n2, nil
+	return h, nil
+}
+
+// indexHandle decodes the value of an index-block entry.
+func (r *Reader) indexHandle(v []byte) (handle, error) {
+	c := util.NewCursor(v)
+	return r.decodeHandle(&c)
 }
 
 // Writer builds one SSTable into a pmemfs file. Entries must be added in
@@ -219,13 +224,8 @@ func (r *Reader) fillBlock(th *hw.Thread, h handle, key blockcache.Key) ([]byte,
 	return contents, nil
 }
 
-// copyBlock reads the whole block at h into a fresh buffer. The handle comes
-// from the index block, so it is checked against the file before it sizes an
-// allocation.
+// copyBlock reads the whole block at h into a fresh buffer.
 func (r *Reader) copyBlock(th *hw.Thread, h handle) ([]byte, error) {
-	if size := r.f.Size(); h.length > size || h.offset > size-h.length {
-		return nil, util.ErrCorrupt
-	}
 	contents := make([]byte, h.length)
 	if err := r.f.ReadAt(th, h.offset, contents); err != nil {
 		return nil, err
@@ -331,34 +331,33 @@ func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch, policy block
 	return sc.data.Reset(contents)
 }
 
-// NewReader opens a table, reading its footer, index and filter blocks.
+// NewReader opens a table, reading its footer, filter and index blocks. The
+// footer carries a magic and no CRC: every failure here is util.ErrCorrupt.
 func NewReader(f *pmemfs.File, th *hw.Thread) (*Reader, error) {
 	size := f.Size()
 	if size < footerLen {
-		return nil, fmt.Errorf("sstable: file too small (%d bytes)", size)
+		return nil, fmt.Errorf("sstable: file too small (%d bytes): %w", size, util.ErrCorrupt)
 	}
 	footer := make([]byte, footerLen)
 	if err := f.ReadAt(th, size-footerLen, footer); err != nil {
 		return nil, err
 	}
-	if util.Fixed64(footer[footerLen-8:]) != tableMagic {
-		return nil, fmt.Errorf("sstable: bad magic")
-	}
-	filterH, n, err := decodeHandle(footer)
-	if err != nil {
-		return nil, err
-	}
-	indexH, _, err := decodeHandle(footer[n:])
-	if err != nil {
-		return nil, err
+	magic := util.NewCursor(footer[footerLen-8:])
+	if magic.U64() != tableMagic {
+		return nil, fmt.Errorf("sstable: bad magic: %w", util.ErrCorrupt)
 	}
 	r := &Reader{f: f}
-	r.filter = make([]byte, filterH.length)
-	if err := f.ReadAt(th, filterH.offset, r.filter); err != nil {
+	c := util.NewCursor(footer[:footerLen-8])
+	filterH, ferr := r.decodeHandle(&c)
+	indexH, ierr := r.decodeHandle(&c)
+	if ferr != nil || ierr != nil {
+		return nil, fmt.Errorf("sstable: footer handle outside the %d-byte file: %w", size, util.ErrCorrupt)
+	}
+	var err error
+	if r.filter, err = r.copyBlock(th, filterH); err != nil {
 		return nil, err
 	}
-	r.index = make([]byte, indexH.length)
-	if err := f.ReadAt(th, indexH.offset, r.index); err != nil {
+	if r.index, err = r.copyBlock(th, indexH); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -390,7 +389,7 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 	if !sc.idx.Valid() {
 		return nil, 0, 0, false, sc.idx.Err()
 	}
-	h, _, err := decodeHandle(sc.idx.Value())
+	h, err := r.indexHandle(sc.idx.Value())
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -480,7 +479,7 @@ func (it *Iter) loadData() {
 		it.fail(it.sc.idx.Err())
 		return
 	}
-	h, _, err := decodeHandle(it.sc.idx.Value())
+	h, err := it.r.indexHandle(it.sc.idx.Value())
 	if err == nil {
 		if it.whole {
 			var contents []byte

@@ -197,17 +197,6 @@ func TestEmptyTable(t *testing.T) {
 	}
 }
 
-func TestCorruptFooter(t *testing.T) {
-	fs, th := newEnv(t)
-	fw, _ := fs.Create(th, "bad", 4096)
-	fw.Append(th, bytes.Repeat([]byte{7}, 100))
-	fw.Finish(th)
-	f, _ := fs.Open("bad")
-	if _, err := NewReader(f, th); err == nil {
-		t.Fatal("garbage file accepted as sstable")
-	}
-}
-
 func TestMultipleTablesShareFS(t *testing.T) {
 	fs, th := newEnv(t)
 	r1 := buildTable(t, fs, th, "a", sortedEntries(500))

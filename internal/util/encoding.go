@@ -68,16 +68,3 @@ func PutLengthPrefixed(dst, b []byte) []byte {
 	dst = PutUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
-
-// LengthPrefixed decodes a length-prefixed byte slice, returning the slice
-// (aliasing src) and the total bytes consumed.
-func LengthPrefixed(src []byte) ([]byte, int, error) {
-	l, n, err := Uvarint(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	if uint64(len(src)-n) < l {
-		return nil, 0, ErrCorrupt
-	}
-	return src[n : n+int(l)], n + int(l), nil
-}

@@ -54,9 +54,9 @@ func TestFixedRoundTrip(t *testing.T) {
 func TestLengthPrefixedRoundTrip(t *testing.T) {
 	f := func(payload []byte, suffix []byte) bool {
 		enc := PutLengthPrefixed(nil, payload)
-		enc = append(enc, suffix...)
-		got, n, err := LengthPrefixed(enc)
-		return err == nil && bytes.Equal(got, payload) && n == len(enc)-len(suffix)
+		c := NewCursor(append(enc, suffix...))
+		got := c.LengthPrefixed()
+		return c.Err() == nil && bytes.Equal(got, payload) && bytes.Equal(c.Bytes(uint64(len(suffix))), suffix) && c.Done()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -65,11 +65,11 @@ func TestLengthPrefixedRoundTrip(t *testing.T) {
 
 func TestLengthPrefixedCorrupt(t *testing.T) {
 	enc := PutLengthPrefixed(nil, []byte("hello"))
-	if _, _, err := LengthPrefixed(enc[:3]); err == nil {
-		t.Fatal("truncated payload should fail")
-	}
-	if _, _, err := LengthPrefixed(nil); err == nil {
-		t.Fatal("empty input should fail")
+	for _, src := range [][]byte{enc[:3], nil} {
+		c := NewCursor(src)
+		if got := c.LengthPrefixed(); got != nil || c.Err() != ErrCorrupt {
+			t.Fatalf("LengthPrefixed(%q) = %q, %v; want nil, ErrCorrupt", src, got, c.Err())
+		}
 	}
 }
 

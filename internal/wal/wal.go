@@ -190,21 +190,22 @@ func (r *Reader) Next(th *hw.Thread) ([]byte, bool) {
 			r.off += blockLeft
 			continue
 		}
-		if r.off+headerLen > r.region.Size {
+		if !util.InExtent(r.off, headerLen, r.region.Size) {
 			return nil, false
 		}
 		var hdr [headerLen]byte
 		r.m.PMem.Read(th.Clock, r.region.Addr+r.off, hdr[:])
-		length := uint64(hdr[4]) | uint64(hdr[5])<<8
-		typ := hdr[6]
+		c := util.NewCursor(hdr[:])
+		crc, lo, hi, typ := c.U32(), c.U8(), c.U8(), c.U8()
+		length := uint64(lo) | uint64(hi)<<8
 		if typ == 0 || typ > chunkLast || headerLen+length > blockLeft ||
-			r.off+headerLen+length > r.region.Size {
+			!util.InExtent(r.off, headerLen+length, r.region.Size) {
 			return nil, false
 		}
 		frag := make([]byte, length)
 		r.m.PMem.Read(th.Clock, r.region.Addr+r.off+headerLen, frag)
 		crcBody := append([]byte{typ}, frag...)
-		if util.UnmaskCRC(util.Fixed32(hdr[:4])) != util.CRC(crcBody) {
+		if util.UnmaskCRC(crc) != util.CRC(crcBody) {
 			return nil, false
 		}
 		r.off += headerLen + length
