@@ -193,12 +193,12 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 	}
 	wr := wal.NewReader(m, db.walRegion)
 	_ = wr.ReplayAll(th, func(rec []byte) error {
-		ik, val, _, err := kvstore.DecodeEntry(rec)
+		e, err := kvstore.ViewEntry(rec)
 		if err != nil {
 			return err
 		}
-		db.active.Insert(th, ik, val)
-		if s := ik.Seq(); s > db.seq {
+		db.active.Insert(th, e.InternalKey(nil), e.Value)
+		if s := e.Seq(); s > db.seq {
 			db.seq = s
 		}
 		replayed++

@@ -54,6 +54,10 @@ func opsSlotLen(ops []batchOp) uint64 {
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
+// maxScratchBytes is the largest encode buffer a thread keeps between writes:
+// twice the most a group commit carries.
+const maxScratchBytes = 64 << 10
+
 // Put queues a write into the batch.
 func (b *Batch) Put(key, value []byte) {
 	b.ops = append(b.ops, batchOp{
@@ -166,14 +170,20 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 	if len(ops) == 0 {
 		return nil
 	}
-	// Every entry is encoded straight into one pre-sized buffer; the padding
-	// between entries is the buffer's own zero fill.
+	// Every entry is encoded straight into the calling thread's buffer, sized
+	// once; the buffer is reused (unless an outsize batch grew it past what a
+	// thread should pin), so the padding between entries is zeroed by hand.
 	need := opsSlotLen(ops)
-	enc := make([]byte, 0, need)
+	enc := util.Sized(th.Scratch.Enc, int(need))[:0]
 	for i := range ops {
 		op := &ops[i]
 		enc = kvstore.AppendEntry(enc, op.key, util.PackTrailer(op.seq, op.kind), op.value)
-		enc = enc[:align8(uint64(len(enc)))]
+		for len(enc)%8 != 0 {
+			enc = append(enc, 0)
+		}
+	}
+	if cap(enc) <= maxScratchBytes {
+		th.Scratch.Enc = enc
 	}
 	n := uint64(len(ops))
 
@@ -277,7 +287,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 			off := tail
 			for i := range ops {
 				op := &ops[i]
-				s.list.Insert(util.MakeInternalKey(nil, op.key, op.seq, op.kind), util.PutFixed64(nil, off), charge)
+				s.index(kvstore.Entry{UKey: op.key, Trailer: util.PackTrailer(op.seq, op.kind)}, off, charge)
 				off += op.slotLen()
 			}
 			// Two threads on one core insert in either order; the cursor only

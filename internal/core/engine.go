@@ -221,6 +221,7 @@ type Engine struct {
 	spillWG           sync.WaitGroup
 
 	spillMu    sync.RWMutex
+	spillBufs  [][]byte // a spill's table snapshots, reused by the next (spillMu held)
 	spillState struct {
 		mu    sync.Mutex
 		cond  *sync.Cond
@@ -613,7 +614,8 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	// rejection skips both the trigger-1 lazy sync and the sub-skiplist
 	// search (sound: commitOps adds to the filter before the commit CAS, so
 	// the filter always leads the lazy index).
-	for _, s := range e.pool.snapshotActive() {
+	var slots [16]*slot
+	for _, s := range e.pool.snapshotActive(slots[:0]) {
 		if f := s.filter.Load(); f != nil {
 			th.ChargeDRAM(1)
 			e.stats.FilterProbes.Add(1)
@@ -638,7 +640,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 		// A KindRangeDel hit is structural (its value is the span's end key,
 		// not a user value); coverage comes from rangeTombs below.
 		if v, fseq, kind, ok := e.searchList(th, list, s.dataAddr(), s.dataCap(), e.poolPart, key, snapshot); ok && kind != util.KindRangeDel {
-			res.Consider(v, fseq, kind)
+			considerView(&res, v, fseq, kind)
 		}
 	}
 
@@ -647,7 +649,8 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	e.mem.mu.RLock()
 	global := e.mem.global
 	globalFilter := e.mem.globalFilter // swapped together with global under mu
-	var uncompacted []*immTable
+	var tables [16]*immTable
+	uncompacted := tables[:0]
 	for _, t := range e.mem.imms {
 		if !t.compacted {
 			uncompacted = append(uncompacted, t)
@@ -679,9 +682,9 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 						// The zone may have been spilled and refilled under this
 						// global-list snapshot; only trust the fetch if the entry
 						// still carries the key and sequence the node recorded.
-						if ik, val, okF := e.fetchEntry(th, addr, 0, zone.End()-addr, cache.DefaultPartition); okF &&
-							string(ik.UserKey()) == string(key) && ik.Seq() == gseq {
-							res.Consider(val, gseq, kind)
+						if ent, okF := e.fetchEntry(th, &th.Scratch.Entry, addr, 0, zone.End()-addr, cache.DefaultPartition); okF &&
+							string(ent.UKey) == string(key) && ent.Seq() == gseq {
+							considerView(&res, ent.Value, gseq, kind)
 						}
 					}
 				}
@@ -700,7 +703,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 			}
 		}
 		if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
-			res.Consider(v, fseq, kind)
+			considerView(&res, v, fseq, kind)
 		}
 	}
 
@@ -736,6 +739,15 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 		return nil, kvstore.ErrNotFound
 	}
 	return res.Value, nil
+}
+
+// considerView is res.Consider for a value that is a view into the thread's
+// scratch: the bytes are copied, and only when the candidate wins. That copy is
+// the value Get returns.
+func considerView(res *kvstore.UserGetResult, v []byte, seq uint64, kind util.ValueKind) {
+	if !res.Found || seq > res.Seq {
+		res.Consider(append([]byte(nil), v...), seq, kind)
+	}
 }
 
 // Scan implements kvstore.DB: a merged ordered walk over every source.
@@ -774,7 +786,7 @@ func (s sstIter) Value() (v []byte) {
 // The sharded router merges these across shards for cross-shard scans.
 func (e *Engine) internalIterators(th *hw.Thread) ([]lsm.Iterator, error) {
 	var its []lsm.Iterator
-	for _, s := range e.pool.snapshotActive() {
+	for _, s := range e.pool.snapshotActive(nil) {
 		// Scans need complete indexes; bill the sync like Get's trigger-1.
 		th.InPhase(hw.PhaseIndex, func() {
 			if e.syncSlot(th, s) > 0 {

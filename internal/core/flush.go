@@ -29,10 +29,10 @@ type immTable struct {
 }
 
 // snapshotInto bulk-reads the table's data region sequentially (one pass,
-// the way a real merge streams its inputs) and returns a DRAM copy for the
-// spill merge to decode from.
-func (t *immTable) snapshotInto(e *Engine, th *hw.Thread) []byte {
-	buf := make([]byte, t.dataLen)
+// the way a real merge streams its inputs) into buf, grown when it is too
+// small, and returns that DRAM copy for the spill merge to decode from.
+func (t *immTable) snapshotInto(e *Engine, th *hw.Thread, buf []byte) []byte {
+	buf = util.Sized(buf, int(t.dataLen))
 	e.m.PMem.Read(th.Clock, t.base, buf)
 	return buf
 }
@@ -84,8 +84,9 @@ func newFilter(expectedKeys, bitsPerKey int) *memfilter.Filter {
 // (Exp#5) governs when slots become reusable, independent of host scheduling.
 func (e *Engine) flusher() {
 	defer e.flushWG.Done()
+	var buf []byte // the table being copied; one buffer serves every flush
 	for s := range e.flushCh {
-		e.flushOne(s)
+		buf = e.flushOne(s, buf)
 	}
 }
 
@@ -171,8 +172,9 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 // flushOne performs the copy-based flush of one sealed sub-MemTable
 // (Section III-C): a final index sync, a non-temporal whole-table copy into
 // the ImmZone, registration of the resulting sub-ImmMemTable, and release of
-// the slot. If the ImmZone crosses its threshold, it spills to L0.
-func (e *Engine) flushOne(s *slot) {
+// the slot. If the ImmZone crosses its threshold, it spills to L0. The table
+// passes through buf, which is returned (grown if need be) for the next flush.
+func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 	_, _, sealedTail := unpackHdr(s.hdr.Load())
 	finish := func() {
 		e.pendingFlushes.Add(-1)
@@ -181,7 +183,7 @@ func (e *Engine) flushOne(s *slot) {
 	if err := e.bgErr(); err != nil {
 		// Crash-stopped: abandon the work, the power failure preempted it.
 		finish()
-		return
+		return buf
 	}
 	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/flush", e.env.index))
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
@@ -223,14 +225,14 @@ func (e *Engine) flushOne(s *slot) {
 			// space (the CacheKV analogue of an L0 write stall).
 			if immZoneHdrSize+tail > e.immArena.Region().Size {
 				e.fail(err)
-				return
+				return buf
 			}
 			w0 := th.Clock.Now()
 			werr := e.waitForSpace(th, immZoneHdrSize+tail, absDeadline(th, e.opts.WriteStallDeadline))
 			stallNs += th.Clock.Now() - w0
 			if e.bgErr() != nil {
 				finish()
-				return
+				return buf
 			}
 			if werr != nil {
 				// The ImmZone wait overran the stall deadline. The flusher
@@ -249,13 +251,15 @@ func (e *Engine) flushOne(s *slot) {
 		hdr := util.PutFixed64(nil, immHeaderMagic)
 		hdr = util.PutFixed64(hdr, tail)
 		hdr = util.PutFixed64(hdr, count)
+		// The final sync above indexed every entry of the table, so the highest
+		// sequence number it saw go by is the table's.
 		s.syncMu.Lock()
-		maxSeq := maxSeqOf(s.list)
+		maxSeq := s.listMaxSeq
 		s.syncMu.Unlock()
 		hdr = util.PutFixed64(hdr, maxSeq)
 		e.m.Cache.NTWrite(th.Clock, dst, hdr)
 
-		buf := make([]byte, tail)
+		buf = util.Sized(buf, int(tail))
 		e.m.Cache.Read(th.Clock, s.dataAddr(), buf, e.poolPart)
 		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, buf)
 		// The flush thread's software share: allocation, packing, verify.
@@ -330,22 +334,7 @@ func (e *Engine) flushOne(s *slot) {
 	}
 	finish()
 	e.flow.recompute(th.Clock.Now(), "flush_end")
-}
-
-func maxSeqOf(list *skiplist.List) uint64 {
-	if list == nil {
-		return 0
-	}
-	it := list.NewIterator()
-	it.SeekToFirst()
-	var max uint64
-	for it.Valid() {
-		if s := util.InternalKey(it.Key()).Seq(); s > max {
-			max = s
-		}
-		it.Next()
-	}
-	return max
+	return buf
 }
 
 // spill acquires the spill lock exclusively and, if the zone is still over
@@ -381,11 +370,18 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	// sustained load the single index thread is the pipeline's ceiling,
 	// exactly as in the paper's one-index-thread configuration.
 	its := make([]lsm.Iterator, 0, len(imms))
+	// The snapshots live in the spill's own buffers, which are its again when
+	// the merge below ends and serve the next spill.
+	for len(e.spillBufs) < len(imms) {
+		e.spillBufs = append(e.spillBufs, nil)
+	}
 	var maxSeq uint64
 	for i := len(imms) - 1; i >= 0; i-- { // newest first for merge tie-break
 		t := imms[i]
 		th.Clock.AdvanceTo(t.indexDoneV)
-		its = append(its, e.newSnapIter(t.list, t.snapshotInto(e, th)))
+		snap := &e.spillBufs[len(its)]
+		*snap = t.snapshotInto(e, th, *snap)
+		its = append(its, e.newSnapIter(t.list, *snap))
 		if t.maxSeq > maxSeq {
 			maxSeq = t.maxSeq
 		}

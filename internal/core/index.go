@@ -40,6 +40,11 @@ func (e *Engine) syncSlot(th *hw.Thread, s *slot) int {
 		return 0
 	}
 	applied := 0
+	// Bulk sequential index building keeps the skiplist's upper levels hot in
+	// the private caches: cheaper per hop than a cold lookup.
+	charge := func(visits int) {
+		th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
+	}
 	for s.listCount < count && s.listTail < tail {
 		off := s.listTail
 		// Read the entry header to size the fetch.
@@ -50,24 +55,27 @@ func (e *Engine) syncSlot(th *hw.Thread, s *slot) int {
 		if blen == 0 || !util.InExtent(off, 8+blen, tail) {
 			break // torn tail; the committed counter should prevent this
 		}
-		buf := make([]byte, 8+blen)
-		e.m.Cache.Read(th.Clock, s.dataAddr()+off, buf, e.poolPart)
-		ik, _, n, err := kvstore.DecodeEntry(buf)
+		s.entryBuf = util.Sized(s.entryBuf, int(8+blen))
+		e.m.Cache.Read(th.Clock, s.dataAddr()+off, s.entryBuf, e.poolPart)
+		ent, err := kvstore.ViewEntry(s.entryBuf)
 		if err != nil {
 			break
 		}
-		val := util.PutFixed64(nil, off)
-		// Bulk sequential index building keeps the skiplist's upper levels
-		// hot in the private caches: cheaper per hop than a cold lookup.
-		s.list.Insert(ik, val, func(visits int) {
-			th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
-		})
-		s.listTail += uint64(n)
-		s.listTail = (s.listTail + 7) &^ 7
+		s.index(ent, off, charge)
+		s.listTail = align8(s.listTail + uint64(ent.Len))
 		s.listCount++
 		applied++
 	}
 	return applied
+}
+
+// index adds the entry stored at data offset off to the sub-skiplist, which
+// copies the key and the offset it is handed; syncMu held.
+func (s *slot) index(ent kvstore.Entry, off uint64, charge skiplist.ChargeFunc) {
+	var val [8]byte
+	s.ikeyBuf = ent.InternalKey(s.ikeyBuf)
+	s.list.Insert(s.ikeyBuf, util.PutFixed64(val[:0], off), charge)
+	s.listMaxSeq = max(s.listMaxSeq, ent.Seq())
 }
 
 // needsSync reports whether the slot's sub-skiplist lags its table counter.
@@ -81,21 +89,22 @@ func needsSync(s *slot) bool {
 // cacheLine is the LLC's line size, the unit fetchEntry sizes its reads by.
 const cacheLine = 64
 
-// fetchEntry reads and decodes the entry stored at off within a data region
-// of limit bytes starting at base, reading through the cache under partition
-// part. The bounds check runs before the length header is trusted: a scan or
-// get racing a flush may hold a sub-skiplist whose table bytes were recycled,
-// and the torn header must not drive an unbounded read (the CRC inside
-// DecodeEntry then rejects any in-bounds torn payload, so a stale entry is
-// skipped, never fabricated).
+// fetchEntry reads the entry stored at off within a data region of limit
+// bytes starting at base, through the cache under partition part, into *buf
+// (grown as needed), and returns a view of it: valid until *buf is next
+// written. The bounds check runs before the length header is trusted: a scan
+// or get racing a flush may hold a sub-skiplist whose table bytes were
+// recycled, and the torn header must not drive an unbounded read (the CRC
+// inside ViewEntry then rejects any in-bounds torn payload, so a stale entry
+// is skipped, never fabricated).
 //
 // No cache line is read twice: the first read takes the 8 B header together
 // with the rest of its line (of the next line too, when the header straddles
 // into it), and the second only what the entry has beyond that, starting on a
 // line boundary.
-func (e *Engine) fetchEntry(th *hw.Thread, base, off, limit uint64, part cache.PartitionID) (util.InternalKey, []byte, bool) {
+func (e *Engine) fetchEntry(th *hw.Thread, buf *[]byte, base, off, limit uint64, part cache.PartitionID) (kvstore.Entry, bool) {
 	if off >= limit || limit-off < 8 {
-		return nil, nil, false
+		return kvstore.Entry{}, false
 	}
 	addr := base + off
 	n := cacheLine - addr%cacheLine
@@ -109,27 +118,27 @@ func (e *Engine) fetchEntry(th *hw.Thread, base, off, limit uint64, part cache.P
 	e.m.Cache.Read(th.Clock, addr, head[:n], part)
 	blen := uint64(util.Fixed32(head[:]))
 	if blen == 0 || blen > limit-off-8 {
-		return nil, nil, false
+		return kvstore.Entry{}, false
 	}
-	buf := make([]byte, 8+blen)
-	if n = uint64(copy(buf, head[:n])); n < uint64(len(buf)) {
-		e.m.Cache.Read(th.Clock, addr+n, buf[n:], part)
+	b := util.Sized(*buf, int(8+blen))
+	*buf = b
+	if n = uint64(copy(b, head[:n])); n < uint64(len(b)) {
+		e.m.Cache.Read(th.Clock, addr+n, b[n:], part)
 	}
-	ik, val, _, err := kvstore.DecodeEntry(buf)
-	if err != nil {
-		return nil, nil, false
-	}
-	return ik, val, true
+	ent, err := kvstore.ViewEntry(b)
+	return ent, err == nil
 }
 
 // searchList looks ukey up (at or below seq) in one sub-skiplist, resolving
 // the stored offset against base. Node visits are charged at DRAM latency —
-// the point of keeping sub-skiplists in DRAM.
+// the point of keeping sub-skiplists in DRAM. The value is a view into the
+// thread's scratch: the caller copies it before the thread's next fetch.
 func (e *Engine) searchList(th *hw.Thread, list *skiplist.List, base, limit uint64, part cache.PartitionID, ukey []byte, seq uint64) (value []byte, foundSeq uint64, kind util.ValueKind, ok bool) {
 	if list == nil {
 		return nil, 0, 0, false
 	}
-	target := util.MakeInternalKey(nil, ukey, seq, util.KindValue)
+	target := util.MakeInternalKey(th.Scratch.Key, ukey, seq, util.KindValue)
+	th.Scratch.Key = target
 	it := list.NewIterator()
 	it.Seek(target, func(visits int) {
 		th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
@@ -142,15 +151,15 @@ func (e *Engine) searchList(th *hw.Thread, list *skiplist.List, base, limit uint
 		return nil, 0, 0, false
 	}
 	off := util.Fixed64(it.Value())
-	ik, val, okFetch := e.fetchEntry(th, base, off, limit, part)
+	ent, okFetch := e.fetchEntry(th, &th.Scratch.Entry, base, off, limit, part)
 	// The fetched entry must carry the exact internal key the index node
 	// promised: a table recycled under a stale list reference can hold a
 	// boundary-aligned foreign entry at this offset whose CRC is perfectly
 	// valid, and returning its value would serve another key's bytes.
-	if !okFetch || string(ik) != string(found) {
+	if !okFetch || !ent.Is(found) {
 		return nil, 0, 0, false
 	}
-	return val, found.Seq(), found.Kind(), true
+	return ent.Value, found.Seq(), found.Kind(), true
 }
 
 // tableIter adapts (sub-skiplist, data base address) to lsm.Iterator,
@@ -163,6 +172,7 @@ type tableIter struct {
 	base  uint64
 	limit uint64 // data-region bytes at base; fetches past it are stale
 	part  cache.PartitionID
+	buf   []byte // the current entry's bytes; reused as the iterator moves
 	val   []byte
 	ok    bool
 }
@@ -177,13 +187,13 @@ func (t *tableIter) load() {
 		return
 	}
 	off := util.Fixed64(t.it.Value())
-	ik, val, ok := t.e.fetchEntry(t.th, t.base, off, t.limit, t.part)
+	ent, ok := t.e.fetchEntry(t.th, &t.buf, t.base, off, t.limit, t.part)
 	// Same stale-table defence as searchList: only a fetch that returns the
 	// indexed internal key verbatim is trusted.
-	if !ok || string(ik) != string(t.it.Key()) {
+	if !ok || !ent.Is(t.it.Key()) {
 		return
 	}
-	t.val = val
+	t.val = ent.Value
 	t.ok = true
 }
 
@@ -202,7 +212,7 @@ func (t *tableIter) Next() { t.it.Next(); t.load() }
 // Key returns the current internal key.
 func (t *tableIter) Key() util.InternalKey { return util.InternalKey(t.it.Key()) }
 
-// Value returns the current value bytes.
+// Value returns the current value bytes; valid until the iterator moves.
 func (t *tableIter) Value() []byte { return t.val }
 
 // Err is always nil: an entry that fails its fetch check is a stale table's,
@@ -237,11 +247,11 @@ func (t *snapIter) load() {
 	if off >= uint64(len(t.snap)) {
 		return
 	}
-	_, val, _, err := kvstore.DecodeEntry(t.snap[off:])
+	ent, err := kvstore.ViewEntry(t.snap[off:])
 	if err != nil {
 		return
 	}
-	t.val = val
+	t.val = ent.Value
 	t.ok = true
 }
 
@@ -260,7 +270,7 @@ func (t *snapIter) Next() { t.it.Next(); t.load() }
 // Key returns the current internal key.
 func (t *snapIter) Key() util.InternalKey { return util.InternalKey(t.it.Key()) }
 
-// Value returns the current value bytes.
+// Value returns the current value bytes, inside the snapshot.
 func (t *snapIter) Value() []byte { return t.val }
 
 // Err is always nil (see tableIter.Err).
@@ -274,10 +284,10 @@ var _ lsm.Iterator = (*snapIter)(nil)
 // Global-skiplist node values pack {seq, kind, absolute entry address} so a
 // Get hitting the compacted view can fetch the value straight from the
 // ImmZone without touching any per-table sub-skiplist.
-func encodeGlobalVal(seq uint64, kind util.ValueKind, addr uint64) []byte {
-	b := util.PutFixed64(make([]byte, 0, 17), seq)
-	b = append(b, byte(kind))
-	return util.PutFixed64(b, addr)
+func encodeGlobalVal(dst []byte, seq uint64, kind util.ValueKind, addr uint64) []byte {
+	dst = util.PutFixed64(dst, seq)
+	dst = append(dst, byte(kind))
+	return util.PutFixed64(dst, addr)
 }
 
 func decodeGlobalVal(b []byte) (seq uint64, kind util.ValueKind, addr uint64) {
@@ -333,6 +343,7 @@ func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *m
 	visits := 0
 	finger := global.NewFinger(func(n int) { visits += n })
 	var last []byte // user key of the previous source entry (non-nil even when empty)
+	var gv [17]byte // the node value being set; the list copies it
 	it := lsm.NewMergingIterator(srcs...)
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		visits++
@@ -352,7 +363,7 @@ func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *m
 		if globalFilter != nil {
 			globalFilter.Add(ukey)
 		}
-		finger.Set(encodeGlobalVal(ik.Seq(), ik.Kind(), util.Fixed64(it.Value())))
+		finger.Set(encodeGlobalVal(gv[:0], ik.Seq(), ik.Kind(), util.Fixed64(it.Value())))
 	}
 	th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
 }

@@ -31,7 +31,7 @@ func (e *Engine) compactInto(th *hw.Thread, global *skiplist.List, globalFilter 
 			if globalFilter != nil {
 				globalFilter.Add(ukey)
 			}
-			global.Insert(ukey, encodeGlobalVal(ik.Seq(), ik.Kind(), t.base+off), charge)
+			global.Insert(ukey, encodeGlobalVal(nil, ik.Seq(), ik.Kind(), t.base+off), charge)
 		}
 		it.Next()
 	}
@@ -185,10 +185,10 @@ func TestFetchEntryReadsEachLineOnce(t *testing.T) {
 			m.Cache.Write(th.Clock, region.Addr+off, entry, cache.DefaultPartition)
 			for _, limit := range []uint64{end, end + 5, end + 100, region.Size} {
 				before := m.Cache.Stats()
-				gotKey, gotVal, ok := e.fetchEntry(th, region.Addr, off, limit, cache.DefaultPartition)
+				got, ok := e.fetchEntry(th, &th.Scratch.Entry, region.Addr, off, limit, cache.DefaultPartition)
 				after := m.Cache.Stats()
-				if !ok || string(gotKey) != string(ik) || string(gotVal) != string(val) {
-					t.Fatalf("off %d vlen %d limit %d: fetched %q=%x ok=%v", off, vlen, limit, gotKey, gotVal, ok)
+				if !ok || !got.Is(ik) || string(got.Value) != string(val) {
+					t.Fatalf("off %d vlen %d limit %d: fetched %q=%x ok=%v", off, vlen, limit, got.UKey, got.Value, ok)
 				}
 				lines := (region.Addr+end-1)/cacheLine - (region.Addr+off)/cacheLine + 1
 				if reads := after.Hits + after.Misses - before.Hits - before.Misses; reads != int64(lines) {
@@ -198,7 +198,7 @@ func TestFetchEntryReadsEachLineOnce(t *testing.T) {
 			// A region that ends inside the entry, or before its header does,
 			// reads at most the header's lines and fetches nothing.
 			for _, limit := range []uint64{off, off + 7, off + 8, end - 1} {
-				if _, _, ok := e.fetchEntry(th, region.Addr, off, limit, cache.DefaultPartition); ok {
+				if _, ok := e.fetchEntry(th, &th.Scratch.Entry, region.Addr, off, limit, cache.DefaultPartition); ok {
 					t.Fatalf("off %d vlen %d: fetched an entry of %d bytes from a region cut at %d", off, vlen, len(entry), limit-off)
 				}
 			}

@@ -73,6 +73,12 @@ type slot struct {
 	list      *skiplist.List
 	listCount uint64 // entries reflected in the sub-skiplist
 	listTail  uint64 // data offset the sub-skiplist has consumed
+	// listMaxSeq is the highest sequence number indexed so far: the table's
+	// own once the pre-flush sync has run.
+	listMaxSeq uint64
+	// entryBuf and ikeyBuf are the indexer's scratch, reused entry after entry
+	// (the sub-skiplist copies what it keeps).
+	entryBuf, ikeyBuf []byte
 
 	// filter is the DRAM-side negative filter over this slot's user keys.
 	// Writers Add before the commit CAS, so a committed entry is always
@@ -316,8 +322,7 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 			}
 			best.syncMu.Lock()
 			best.list = skiplist.New(icmp, listSeed)
-			best.listCount = 0
-			best.listTail = 0
+			best.listCount, best.listTail, best.listMaxSeq = 0, 0, 0
 			best.syncMu.Unlock()
 			best.filter.Store(newFilter(expectedSlotKeys(best.dataCap()), p.filterBits))
 			best.owner.Store(int32(core))
@@ -512,17 +517,16 @@ func (p *pool) mergeFreeSlotsLocked(th *hw.Thread) bool {
 	return changed
 }
 
-// snapshotActive returns the slots currently holding data (allocated or
-// immutable), for the read path.
-func (p *pool) snapshotActive() []*slot {
-	var out []*slot
+// snapshotActive appends to dst the slots currently holding data (allocated
+// or immutable), for the read path; a Get hands it a stack array.
+func (p *pool) snapshotActive(dst []*slot) []*slot {
 	for _, s := range p.slotList() {
 		_, state, _ := unpackHdr(s.hdr.Load())
 		if state == stateAllocated || state == stateImmutable {
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 	}
-	return out
+	return dst
 }
 
 // numSlots returns how many usable slots exist (for stats and tests).

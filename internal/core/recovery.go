@@ -149,31 +149,34 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) ([
 		expected = 16
 	}
 	t.filter = newFilter(expected, e.mem.filterBits)
-	snap := t.snapshotInto(e, th)
+	snap := t.snapshotInto(e, th, nil)
 	var off uint64
+	var ik, val []byte // scratch: the sub-skiplist copies what it is handed
 	for t.count < count && off+8 <= limit {
-		// DecodeEntry bounds the length header by what is left of the
-		// snapshot and checks the CRC before anything is believed.
-		ik, val, n, err := kvstore.DecodeEntry(snap[off:])
+		// ViewEntry bounds the length header by what is left of the snapshot
+		// and checks the CRC before anything is believed.
+		ent, err := kvstore.ViewEntry(snap[off:])
 		if err != nil {
 			break
 		}
-		if ik.Kind() == util.KindRangeDel {
+		if ent.Kind() == util.KindRangeDel {
 			// Rebuild the DRAM tombstone mirror alongside the filters: the
 			// recovered entry is memory-resident again, so Get needs its
-			// coverage before the engine serves reads.
+			// coverage before the engine serves reads. The mirror outlives the
+			// snapshot, so it takes copies.
 			e.rangeTombs.add(lsm.RangeDel{
-				Start: append([]byte(nil), ik.UserKey()...),
-				End:   append([]byte(nil), val...),
-				Seq:   ik.Seq(),
+				Start: append([]byte(nil), ent.UKey...),
+				End:   append([]byte(nil), ent.Value...),
+				Seq:   ent.Seq(),
 			})
 		}
 		if t.filter != nil {
-			t.filter.Add(ik.UserKey())
+			t.filter.Add(ent.UKey)
 		}
-		t.list.Insert(ik, util.PutFixed64(nil, off), nil)
-		t.maxSeq = max(t.maxSeq, ik.Seq())
-		off = align8(off + uint64(n))
+		ik, val = ent.InternalKey(ik), util.PutFixed64(val[:0], off)
+		t.list.Insert(ik, val, nil)
+		t.maxSeq = max(t.maxSeq, ent.Seq())
+		off = align8(off + uint64(ent.Len))
 		t.count++
 	}
 	return snap, t

@@ -483,19 +483,19 @@ func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uin
 		if off >= limit {
 			t.Fatalf("entry %d of %d starts at %d, past the region's %d bytes", i, scanned, off, limit)
 		}
-		ik, _, n, err := kvstore.DecodeEntry(snap[off:])
+		ent, err := kvstore.ViewEntry(snap[off:])
 		if err != nil {
 			t.Fatalf("entry %d of %d at offset %d does not decode: %v", i, scanned, off, err)
 		}
-		if !filter.MayContain(ik.UserKey()) {
-			t.Fatalf("recovered key %q is missing from the rebuilt filter", ik.UserKey())
+		if !filter.MayContain(ent.UKey) {
+			t.Fatalf("recovered key %q is missing from the rebuilt filter", ent.UKey)
 		}
-		offsets[string(ik)] = off
-		maxSeq = max(maxSeq, ik.Seq())
-		off = align8(off + uint64(n))
+		offsets[string(ent.InternalKey(nil))] = off
+		maxSeq = max(maxSeq, ent.Seq())
+		off = align8(off + uint64(ent.Len))
 	}
 	if scanned < count && off < limit {
-		if _, _, _, err := kvstore.DecodeEntry(snap[off:]); err == nil {
+		if _, err := kvstore.ViewEntry(snap[off:]); err == nil {
 			t.Fatalf("stopped after %d of %d entries with a valid entry at offset %d", scanned, count, off)
 		}
 	}

@@ -100,6 +100,7 @@ type shardWriter struct {
 	id  int
 	th  *hw.Thread
 	ch  chan *writeReq
+	ops []batchOp // a group's concatenated operations; reused group after group
 
 	maxBytes uint64
 
@@ -233,15 +234,13 @@ func (w *shardWriter) commitGroup(group []*writeReq) {
 	if len(group) == 1 {
 		err = w.eng.commitOps(th, group[0].ops, group[0].deadlineV)
 	} else {
-		total := 0
-		for _, r := range group {
-			total += len(r.ops)
-		}
-		ops := make([]batchOp, 0, total)
+		ops := w.ops[:0]
 		for _, r := range group {
 			ops = append(ops, r.ops...)
 		}
 		err = w.eng.commitOps(th, ops, groupDeadline)
+		clear(ops) // the members' keys and values are theirs again
+		w.ops = ops
 		if err != nil {
 			// Degrade to per-request commits: a capacity error (or stall)
 			// belongs to the request that overflowed or expired, not to the

@@ -190,8 +190,9 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 }
 
 // TestWriteAllocs pins the host cost of the one write path: a Put allocates
-// one object, the encoded entry (it was 7 when Put had a path of its own), and
-// a batch pays that one buffer however many ops it carries.
+// nothing (it was 7 objects when Put had a path of its own, then 1, the encoded
+// entry, until that moved into the calling thread's scratch), and neither does
+// a batch, however many ops it carries.
 func TestWriteAllocs(t *testing.T) {
 	o := smallOpts()
 	o.SyncThreshold = 1 << 30 // keep the index thread (and its allocations) out of the count
@@ -212,16 +213,16 @@ func TestWriteAllocs(t *testing.T) {
 	if err := e.Put(th, k, v); err != nil { // re-acquire the slot outside the measurement
 		t.Fatal(err)
 	}
-	if put := testing.AllocsPerRun(100, func() { _ = e.Put(th, k, v) }); put != 1 {
-		t.Errorf("Engine.Put allocates %.0f objects per call, want 1", put)
+	if put := testing.AllocsPerRun(100, func() { _ = e.Put(th, k, v) }); put != 0 {
+		t.Errorf("Engine.Put allocates %.0f objects per call, want 0", put)
 	}
 	for _, n := range []int{1, 4} {
 		var b Batch
 		for i := 0; i < n; i++ {
 			b.Put(k, v)
 		}
-		if got := testing.AllocsPerRun(100, func() { _ = e.Write(th, &b, 0) }); got != 1 {
-			t.Errorf("Write allocates %.0f objects for a %d-op batch, want 1", got, n)
+		if got := testing.AllocsPerRun(100, func() { _ = e.Write(th, &b, 0) }); got != 0 {
+			t.Errorf("Write allocates %.0f objects for a %d-op batch, want 0", got, n)
 		}
 	}
 }

@@ -96,8 +96,34 @@ type lockedRegion struct {
 	mu       sync.Mutex
 	capLines int
 	lines    map[uint64]*line
+	free     []*line // lines not in use: dropped ones, and the rest of the last chunk
 	fifo     []uint64
 	overflow int64
+}
+
+// lockedChunkLines is how many lines a locked region allocates at a time.
+const lockedChunkLines = 256
+
+// newLine returns a clean line for base, not yet in lr.lines; lr.mu held.
+func (lr *lockedRegion) newLine(base uint64) *line {
+	if len(lr.free) == 0 {
+		chunk := make([]line, lockedChunkLines)
+		for i := range chunk {
+			lr.free = append(lr.free, &chunk[i])
+		}
+	}
+	ln := lr.free[len(lr.free)-1]
+	lr.free = lr.free[:len(lr.free)-1]
+	*ln = line{addr: base, present: true}
+	return ln
+}
+
+// drop removes base's line, if there is one, and keeps it for reuse; lr.mu held.
+func (lr *lockedRegion) drop(base uint64) {
+	if ln, ok := lr.lines[base]; ok {
+		delete(lr.lines, base)
+		lr.free = append(lr.free, ln)
+	}
 }
 
 // LLC is the modelled last-level cache.
@@ -502,25 +528,22 @@ func (c *LLC) lockedWrite(clk *sim.Clock, lr *lockedRegion, base uint64, off int
 						}
 						c.dev.WriteLines(clk, old, v.data[:])
 					}
-					delete(lr.lines, old)
+					lr.drop(old)
 					lr.overflow++
 					break
 				}
 			}
 		}
-		ln = &line{addr: base, present: true}
+		var fill [lineSize]byte
 		if off != 0 || len(data) != lineSize {
 			lr.mu.Unlock()
-			var fill [lineSize]byte
 			c.dev.Read(clk, base, fill[:])
 			lr.mu.Lock()
-			if existing, present := lr.lines[base]; present {
-				ln = existing
-			} else {
-				ln.data = fill
-			}
 		}
-		if _, present := lr.lines[base]; !present {
+		// Another writer may have installed the line while the fill was read.
+		if ln, ok = lr.lines[base]; !ok {
+			ln = lr.newLine(base)
+			ln.data = fill
 			lr.lines[base] = ln
 			lr.fifo = append(lr.fifo, base)
 		}
@@ -548,7 +571,8 @@ func (c *LLC) lockedRead(clk *sim.Clock, lr *lockedRegion, base uint64, off int,
 	lr.mu.Lock()
 	ln, ok := lr.lines[base]
 	if !ok {
-		ln = &line{addr: base, present: true, data: fill}
+		ln = lr.newLine(base)
+		ln.data = fill
 		lr.lines[base] = ln
 		lr.fifo = append(lr.fifo, base)
 	}
@@ -636,7 +660,7 @@ func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 					ln.dirty = false
 				}
 				if invalidate {
-					delete(lr.lines, base)
+					lr.drop(base)
 				}
 			}
 			lr.mu.Unlock()
@@ -676,7 +700,7 @@ func (c *LLC) invalidate(addr uint64, n int) {
 		s.mu.Unlock()
 		for _, lr := range regions {
 			lr.mu.Lock()
-			delete(lr.lines, base)
+			lr.drop(base)
 			lr.mu.Unlock()
 		}
 		if base == last {

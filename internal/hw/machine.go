@@ -301,6 +301,12 @@ type Thread struct {
 	RNG   *sim.RNG
 	costs *sim.CostModel
 
+	// Scratch is host memory, not part of the model: buffers the engine a
+	// thread calls into borrows for the length of one call, so that a call
+	// allocates only what it returns. A thread runs one call at a time, and
+	// whatever a call leaves in them means nothing to the next.
+	Scratch struct{ Key, Entry, Enc []byte }
+
 	name   string // profiler/forensics label; "" reads as "client"
 	phases Breakdown
 }

@@ -100,6 +100,7 @@ type Device struct {
 	// model's window is a calibration constant (see sim.CostModel).
 	bufMu    sync.Mutex
 	buf      map[uint64]*xpEntry
+	free     []*xpEntry // entries that left buf, for the next staged XPLine
 	fifo     []uint64
 	bufCap   int
 	bufTick  uint64
@@ -248,6 +249,7 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 			// A completed XPLine drains to media immediately; this is the
 			// cheap, amplification-free path.
 			delete(d.buf, base)
+			d.free = append(d.free, e)
 			d.bufMu.Unlock()
 			if chargeAccept {
 				clk.Advance(d.costs.XPBufferHit)
@@ -263,25 +265,33 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 	}
 	// Miss: allocate a staging slot, evicting the oldest entry if the buffer
 	// is full. Evicting a partial entry is the read-modify-write case.
-	var evict *xpEntry
+	var evicted bool
+	var evict xpEntry
 	for len(d.buf) >= d.bufCap && len(d.fifo) > 0 {
 		oldestAddr := d.fifo[0]
 		d.fifo = d.fifo[1:]
 		if e, ok := d.buf[oldestAddr]; ok {
-			evict = e
+			evicted, evict = true, *e
 			delete(d.buf, oldestAddr)
+			d.free = append(d.free, e)
 			break
 		}
 	}
 	d.bufTick++
-	d.buf[base] = &xpEntry{addr: base, mask: bit, tick: d.bufTick}
+	if n := len(d.free); n > 0 {
+		e, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		e = new(xpEntry)
+	}
+	*e = xpEntry{addr: base, mask: bit, tick: d.bufTick}
+	d.buf[base] = e
 	d.fifo = append(d.fifo, base)
 	d.bufMu.Unlock()
 
 	if chargeAccept {
 		clk.Advance(d.costs.XPBufferMiss)
 	}
-	if evict != nil {
+	if evicted {
 		d.drainXPLine(clk, evict.addr, evict.mask)
 	}
 }

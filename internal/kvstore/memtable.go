@@ -129,23 +129,47 @@ func EntryLen(klen, vlen int) int {
 	return 8 + util.UvarintLen(uint64(klen)) + util.UvarintLen(uint64(vlen)) + 8 + klen + vlen
 }
 
-// DecodeEntry parses one encoded entry, returning the internal key, value and
-// total bytes consumed. It returns util.ErrCorrupt at a torn or absent entry.
-func DecodeEntry(src []byte) (util.InternalKey, []byte, int, error) {
+// Entry is a view of one encoded entry. UKey and Value alias the bytes the
+// view was taken of: they are valid until those bytes are overwritten, and a
+// caller that keeps either past that copies it.
+type Entry struct {
+	UKey, Value []byte
+	Trailer     uint64 // packed sequence number and kind
+	Len         int    // encoded bytes the entry occupies
+}
+
+// Seq returns the entry's sequence number.
+func (e Entry) Seq() uint64 { seq, _ := util.UnpackTrailer(e.Trailer); return seq }
+
+// Kind returns the entry's value kind.
+func (e Entry) Kind() util.ValueKind { _, kind := util.UnpackTrailer(e.Trailer); return kind }
+
+// InternalKey renders the entry's internal key into dst's backing array.
+func (e Entry) InternalKey(dst []byte) util.InternalKey {
+	return util.PutFixed64(append(dst[:0], e.UKey...), e.Trailer)
+}
+
+// Is reports whether ik is the entry's internal key.
+func (e Entry) Is(ik util.InternalKey) bool {
+	return len(ik) == len(e.UKey)+8 && ik.Trailer() == e.Trailer && string(ik.UserKey()) == string(e.UKey)
+}
+
+// ViewEntry parses the encoded entry at the head of src without copying a
+// byte of it. It returns util.ErrCorrupt at a torn or absent entry.
+func ViewEntry(src []byte) (Entry, error) {
 	c := util.NewCursor(src)
 	blen, crc := uint64(c.U32()), c.U32()
 	body := c.Bytes(blen)
 	if len(body) == 0 || util.UnmaskCRC(crc) != util.CRC(body) {
-		return nil, nil, 0, util.ErrCorrupt
+		return Entry{}, util.ErrCorrupt
 	}
 	b := util.NewCursor(body)
 	klen, vlen, trailer := b.Uvarint(), b.Uvarint(), b.U64()
 	ukey, value := b.Bytes(klen), b.Bytes(vlen)
 	if b.Err() != nil {
-		return nil, nil, 0, util.ErrCorrupt
+		return Entry{}, util.ErrCorrupt
 	}
-	seq, kind := util.UnpackTrailer(trailer)
-	return util.MakeInternalKey(nil, ukey, seq, kind), append([]byte(nil), value...), 8 + int(blen), nil
+	return Entry{UKey: ukey, Value: value, Trailer: trailer, Len: 8 + int(blen)}, nil
 }
 
 // Insert adds an entry, persisting it per the configured discipline and
@@ -305,10 +329,13 @@ var _ lsm.Iterator = (*Iter)(nil)
 
 // RecoverEntries scans a PMem entry log from the start of region, invoking fn
 // for every intact entry; it stops at the first torn entry (the durable
-// prefix). Engines use it to rebuild a PMem-placed memtable after a crash.
+// prefix). Engines use it to rebuild a PMem-placed memtable after a crash. ik
+// and value are valid only during the call to fn: the next entry is read into
+// the same buffers.
 func RecoverEntries(m *hw.Machine, region hw.Region, th *hw.Thread, fn func(ik util.InternalKey, value []byte)) uint64 {
 	var off uint64
 	var hdr [8]byte
+	var buf, ik []byte
 	for util.InExtent(off, 8, region.Size) {
 		m.PMem.Read(th.Clock, region.Addr+off, hdr[:])
 		h := util.NewCursor(hdr[:])
@@ -316,15 +343,16 @@ func RecoverEntries(m *hw.Machine, region hw.Region, th *hw.Thread, fn func(ik u
 		if blen == 0 || !util.InExtent(off, 8+blen, region.Size) {
 			break
 		}
-		buf := make([]byte, 8+blen)
+		buf = util.Sized(buf, int(8+blen))
 		m.PMem.Read(th.Clock, region.Addr+off, buf)
-		ik, val, n, err := DecodeEntry(buf)
+		e, err := ViewEntry(buf)
 		if err != nil {
 			break
 		}
-		fn(ik, val)
+		ik = e.InternalKey(ik)
+		fn(ik, e.Value)
 		// The arena aligned the next entry's address, not its offset.
-		off = (region.Addr+off+uint64(n)+7)&^7 - region.Addr
+		off = (region.Addr+off+uint64(e.Len)+7)&^7 - region.Addr
 	}
 	return off
 }

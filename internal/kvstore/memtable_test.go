@@ -27,12 +27,12 @@ func TestEncodeDecodeEntry(t *testing.T) {
 		}
 		ik := util.MakeInternalKey(nil, key, seq, kind)
 		enc := EncodeEntry([]byte("pad"), ik, value)[3:] // appends after what dst holds
-		gotIK, gotVal, n, err := DecodeEntry(enc)
-		if err != nil || n != len(enc) || n != EntryLen(len(key), len(value)) {
+		got, err := ViewEntry(enc)
+		if err != nil || got.Len != len(enc) || got.Len != EntryLen(len(key), len(value)) {
 			return false
 		}
-		return bytes.Equal(gotIK.UserKey(), key) && gotIK.Seq() == seq &&
-			gotIK.Kind() == kind && bytes.Equal(gotVal, value)
+		return bytes.Equal(got.UKey, key) && got.Seq() == seq && got.Kind() == kind &&
+			bytes.Equal(got.Value, value) && bytes.Equal(got.InternalKey(nil), ik)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -44,18 +44,18 @@ func TestDecodeEntryCorrupt(t *testing.T) {
 	enc := EncodeEntry(nil, ik, []byte("value"))
 	// Truncations.
 	for _, n := range []int{0, 4, 7, len(enc) - 1} {
-		if _, _, _, err := DecodeEntry(enc[:n]); err == nil {
+		if _, err := ViewEntry(enc[:n]); err == nil {
 			t.Fatalf("truncation to %d accepted", n)
 		}
 	}
 	// Bit flip in body.
 	bad := append([]byte(nil), enc...)
 	bad[10] ^= 0xFF
-	if _, _, _, err := DecodeEntry(bad); err == nil {
+	if _, err := ViewEntry(bad); err == nil {
 		t.Fatal("corrupted body accepted")
 	}
 	// Zero-length header means unwritten space.
-	if _, _, _, err := DecodeEntry(make([]byte, 16)); err == nil {
+	if _, err := ViewEntry(make([]byte, 16)); err == nil {
 		t.Fatal("zero header accepted")
 	}
 }

@@ -1049,7 +1049,9 @@ func (t *Tree) RangeTombstones(seq uint64) []RangeDel {
 }
 
 func (t *Tree) getOnce(th *hw.Thread, ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
-	ikey := util.MakeInternalKey(nil, ukey, seq, util.KindValue)
+	// The search key is only compared against; it lives in the thread's scratch.
+	ikey := util.MakeInternalKey(th.Scratch.Key, ukey, seq, util.KindValue)
+	th.Scratch.Key = ikey
 	// The published version is immutable (see apply): take it and walk it
 	// outside the lock, with no copies.
 	t.mu.RLock()

@@ -10,6 +10,13 @@
 // compaction. A sorted run is merged in through a Finger, a single-writer
 // cursor that resumes each search where the previous key's ended.
 //
+// A list owns its memory: nodes, towers and the key and value bytes it is
+// handed are carved out of chunked slabs that belong to the list and are
+// collected with it. Insert and Finger.Set copy what they are given, so a
+// caller may reuse its buffers as soon as the call returns; a key or value the
+// list hands back (Get, Iterator, Finger.Seek) stays valid, and unchanged, for
+// as long as the list is reachable.
+//
 // Because the same structure lives in DRAM in some engines and in PMem in
 // others (where node visits are ~3-4x slower), operations accept an optional
 // ChargeFunc: the list reports how many node hops an operation made and the
@@ -37,15 +44,34 @@ type ChargeFunc func(nodeVisits int)
 
 type node struct {
 	key   []byte
-	value atomic.Pointer[[]byte]
+	value atomic.Pointer[[]byte] // &first until the key's value is replaced
+	first []byte                 // the value the node was created with
 	next  []atomic.Pointer[node] // len == node height
 }
 
-func newNode(key, value []byte, height int) *node {
-	n := &node{key: key, next: make([]atomic.Pointer[node], height)}
-	v := value
-	n.value.Store(&v)
-	return n
+// slab hands out runs of T carved from chunks it allocates: the first chunk
+// holds next elements and each later one twice the one before, up to limit.
+// Nothing is handed back; the chunks go when the list that owns them does.
+type slab[T any] struct {
+	free        []T
+	next, limit int
+}
+
+// take returns n fresh (zero) elements nobody else holds. A run that is large
+// against the biggest chunk gets an allocation of its own, so that it does not
+// strand the rest of the current chunk.
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		if 4*n > s.limit {
+			return make([]T, n)
+		}
+		size := max(s.next, 4*n)
+		s.free = make([]T, size)
+		s.next = min(2*size, s.limit)
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
 }
 
 // List is the concurrent skiplist.
@@ -54,12 +80,18 @@ type List struct {
 	head   *node
 	height atomic.Int32
 	length atomic.Int64
+
+	// mu guards the tower-height RNG and the slabs; inserts hold it for the
+	// few instructions it takes to draw a height and carve a node.
+	mu     spinLock
 	rng    *sim.RNG
-	rngMu  spinLock
+	nodes  slab[node]
+	towers slab[atomic.Pointer[node]]
+	bytes  slab[byte]
+	boxes  slab[[]byte] // slice headers of replacement values
 }
 
-// spinLock is a tiny mutex for the RNG; insert critical paths hold it for a
-// few instructions only.
+// spinLock is a tiny mutex; critical sections are a few instructions.
 type spinLock struct{ v atomic.Int32 }
 
 func (s *spinLock) lock() {
@@ -75,10 +107,16 @@ func New(cmp Comparator, seed uint64) *List {
 		cmp = bytes.Compare
 	}
 	l := &List{
-		cmp:  cmp,
-		head: newNode(nil, nil, maxHeight),
-		rng:  sim.NewRNG(seed),
+		cmp: cmp,
+		rng: sim.NewRNG(seed),
+		// A small list stays small; a table-sized one settles at a few dozen
+		// chunks of 32-64 KiB.
+		nodes:  slab[node]{next: 16, limit: 512},
+		towers: slab[atomic.Pointer[node]]{next: 64, limit: 4096},
+		bytes:  slab[byte]{next: 1 << 10, limit: 64 << 10},
+		boxes:  slab[[]byte]{next: 8, limit: 1024},
 	}
+	l.head = l.newNode(nil, nil, maxHeight)
 	l.height.Store(1)
 	return l
 }
@@ -87,14 +125,39 @@ func New(cmp Comparator, seed uint64) *List {
 // existing key do not change the length).
 func (l *List) Len() int { return int(l.length.Load()) }
 
+// randomHeight draws a tower height; l.mu held.
 func (l *List) randomHeight() int {
-	l.rngMu.lock()
 	h := 1
 	for h < maxHeight && l.rng.Intn(branching) == 0 {
 		h++
 	}
-	l.rngMu.unlock()
 	return h
+}
+
+// own copies b into the list's byte slab; l.mu held.
+func (l *List) own(b []byte) []byte {
+	c := l.bytes.take(len(b))
+	copy(c, b)
+	return c
+}
+
+// newNode carves a node of the given height holding copies of key and value;
+// l.mu held (or the list not yet shared).
+func (l *List) newNode(key, value []byte, height int) *node {
+	n := &l.nodes.take(1)[0]
+	n.next = l.towers.take(height)
+	n.key, n.first = l.own(key), l.own(value)
+	n.value.Store(&n.first)
+	return n
+}
+
+// replace publishes a copy of value as n's value.
+func (l *List) replace(n *node, value []byte) {
+	l.mu.lock()
+	box := &l.boxes.take(1)[0]
+	*box = l.own(value)
+	l.mu.unlock()
+	n.value.Store(box)
 }
 
 // findGE walks to the first node with key >= key. When prev is non-nil it is
@@ -122,21 +185,26 @@ func (l *List) findGE(key []byte, prev *[maxHeight]*node) (*node, int) {
 }
 
 // Insert adds key with value. If an equal key already exists its value is
-// replaced atomically (last writer wins). Key and value are retained by
-// reference; callers must not mutate them afterwards.
+// replaced atomically (last writer wins). Key and value are copied: the caller
+// may reuse both as soon as Insert returns.
 func (l *List) Insert(key, value []byte, charge ChargeFunc) {
 	var prev [maxHeight]*node
+	var n *node // carved once; a retry splices the same node
 	for {
 		found, visits := l.findGE(key, &prev)
 		if charge != nil {
 			charge(visits)
 		}
 		if found != nil && l.cmp(found.key, key) == 0 {
-			v := value
-			found.value.Store(&v)
+			l.replace(found, value)
 			return
 		}
-		h := l.randomHeight()
+		if n == nil {
+			l.mu.lock()
+			n = l.newNode(key, value, l.randomHeight())
+			l.mu.unlock()
+		}
+		h := len(n.next)
 		if cur := int(l.height.Load()); h > cur {
 			// Raise the list height; racing raisers are harmless because the
 			// head has maxHeight levels and prev for new levels is the head.
@@ -145,7 +213,6 @@ func (l *List) Insert(key, value []byte, charge ChargeFunc) {
 				prev[i] = l.head
 			}
 		}
-		n := newNode(key, value, h)
 		// Splice bottom-up; level 0 makes the node reachable, so its CAS is
 		// the linearization point. A failed CAS at level 0 means a racing
 		// insert changed the neighborhood: re-find and retry entirely.
@@ -194,8 +261,8 @@ type Finger struct {
 	// prev[i] is the last level-i node whose key is below key (the head when
 	// there is none), so prev[i].next[i] is nil or at/after key.
 	prev  [maxHeight]*node
-	key   []byte
-	found *node // the node holding key, nil when absent
+	key   []byte // the finger's own copy of the last key sought
+	found *node  // the node holding key, nil when absent
 }
 
 // NewFinger returns a finger positioned before the first entry. Every Seek
@@ -213,13 +280,13 @@ func (f *Finger) rewind() {
 }
 
 // Seek moves the finger to key and returns the value stored there, if any.
-// The key is retained if a following Set creates its node.
+// The key is copied: the caller may reuse it before the following Set.
 func (f *Finger) Seek(key []byte) ([]byte, bool) {
 	l := f.l
 	if f.key != nil && l.cmp(key, f.key) < 0 {
 		f.rewind()
 	}
-	f.key = key
+	f.key = append(f.key[:0], key...)
 	// Climb while the predecessor one level up still has a successor below
 	// key: once a level cannot advance, no level above it can.
 	visits, top := 1, -1
@@ -255,23 +322,24 @@ func (f *Finger) Seek(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// Set stores value at the key of the last Seek: an existing node's value is
-// replaced atomically, otherwise a node is spliced in behind the remembered
-// predecessors, bottom-up so that it is complete at every level a reader can
-// reach it from. The value is retained by reference.
+// Set stores a copy of value at the key of the last Seek: an existing node's
+// value is replaced atomically, otherwise a node is spliced in behind the
+// remembered predecessors, bottom-up so that it is complete at every level a
+// reader can reach it from.
 func (f *Finger) Set(value []byte) {
+	l := f.l
 	if f.found != nil {
-		v := value
-		f.found.value.Store(&v)
+		l.replace(f.found, value)
 		return
 	}
-	l := f.l
-	h := l.randomHeight()
+	l.mu.lock()
+	n := l.newNode(f.key, value, l.randomHeight())
+	l.mu.unlock()
+	h := len(n.next)
 	if h > int(l.height.Load()) {
 		// prev is still the head at every level above the old height.
 		l.height.Store(int32(h))
 	}
-	n := newNode(f.key, value, h)
 	for i := 0; i < h; i++ {
 		n.next[i].Store(f.prev[i].next[i].Load())
 		f.prev[i].next[i].Store(n)

@@ -99,7 +99,7 @@ func TestInExtent(t *testing.T) {
 	}
 }
 
-// TestCursorStaysOnTheStack is the per-operation budget of kvstore.DecodeEntry
+// TestCursorStaysOnTheStack is the per-operation budget of kvstore.ViewEntry
 // and sstable's index-value handles: decoding through a cursor allocates nothing.
 func TestCursorStaysOnTheStack(t *testing.T) {
 	src := PutLengthPrefixed(PutFixed64(PutUvarint(nil, 300), 9), []byte("payload"))

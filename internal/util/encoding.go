@@ -68,3 +68,13 @@ func PutLengthPrefixed(dst, b []byte) []byte {
 	dst = PutUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
+
+// Sized returns b resized to n bytes, allocating only when its capacity falls
+// short (then at least doubling it). What the bytes hold is unspecified: it is
+// for scratch buffers a caller fills before reading.
+func Sized(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n, max(n, 2*cap(b)))
+	}
+	return b[:n]
+}
