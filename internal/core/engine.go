@@ -360,8 +360,9 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	}
 	e.spillWG.Add(1)
 	go e.spillLoop()
-	e.indexWG.Add(1)
+	e.indexWG.Add(2)
 	go e.indexLoop()
+	go e.compactLoop()
 	// A recovered engine may reopen already under pressure (crash mid-stall).
 	e.flow.recompute(th.Clock.Now(), "open")
 	return e, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -314,6 +315,40 @@ func TestLazyIndexReadSync(t *testing.T) {
 	}
 	if e.stats.ReadSyncs.Load() == 0 {
 		t.Fatal("read did not trigger a lazy sync")
+	}
+}
+
+// TestSyncsOvertakeACompaction holds a sub-skiplist compaction inside
+// runCompaction and checks that trigger-2 syncs are still served: a merge
+// must not leave the active slot's sub-skiplist behind its writer, or whether
+// the next Get finds it current or pays for the catch-up itself depends on
+// host scheduling alone.
+func TestSyncsOvertakeACompaction(t *testing.T) {
+	e, th := openEngine(t, testMachine(), smallOpts())
+	defer e.Close(th)
+	e.mem.mu.Lock() // runCompaction's first step waits here
+	defer e.mem.mu.Unlock()
+	e.compactCh <- struct{}{}
+	for len(e.compactCh) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const puts = 4 * 64 // four trigger-2 requests at the default threshold
+	for i := 0; i < puts; i++ {
+		if err := e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.pool.snapshotActive(nil)[0]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.syncMu.Lock()
+		synced := s.listCount
+		s.syncMu.Unlock()
+		if synced == puts {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sub-skiplist holds %d of %d entries while a compaction runs", synced, puts)
+		}
 	}
 }
 

@@ -440,34 +440,34 @@ type syncReq struct {
 	at int64
 }
 
-// indexLoop is the background thread performing the lazy index updates
-// (trigger 2: write-count threshold) and the sub-skiplist compaction. The
-// paper dedicates one thread to both duties; so does the engine, and all of
-// its work is billed to the index server so the single thread's capacity is
-// a real pipeline ceiling.
+// The paper dedicates one background thread to the lazy index updates
+// (trigger 2: write-count threshold) and the sub-skiplist compaction. That
+// thread is the index server: both duties bill all of their work to it, so
+// its single capacity is a real pipeline ceiling. On the host they run as two
+// goroutines, indexLoop and compactLoop, so that a merge never holds queued
+// syncs back: otherwise the sub-skiplists fall a whole merge behind their
+// writers on the host, and whether a reader then finds them current or pays
+// for the catch-up itself turns on host scheduling alone.
 func (e *Engine) indexLoop() {
 	defer e.indexWG.Done()
-	for {
-		select {
-		case req, ok := <-e.syncCh:
-			if !ok {
-				return
-			}
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
-			th.Clock.SetLabel(hw.PhaseIndex.Layer())
-			th.Clock.AdvanceTo(req.at)
-			e.syncSlot(th, req.s)
-			e.indexServer.Submit(req.at, th.Clock.Now()-req.at)
-		case _, ok := <-e.compactCh:
-			if !ok {
-				return
-			}
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/compact", e.env.index))
-			th.Clock.SetLabel(hw.PhaseCompact.Layer())
-			start := th.Clock.Now()
-			e.runCompaction(th)
-			e.indexServer.Submit(start, th.Clock.Now()-start)
-		}
+	for req := range e.syncCh {
+		th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
+		th.Clock.SetLabel(hw.PhaseIndex.Layer())
+		th.Clock.AdvanceTo(req.at)
+		e.syncSlot(th, req.s)
+		e.indexServer.Submit(req.at, th.Clock.Now()-req.at)
+	}
+}
+
+// compactLoop runs the index thread's sub-skiplist compactions.
+func (e *Engine) compactLoop() {
+	defer e.indexWG.Done()
+	for range e.compactCh {
+		th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/compact", e.env.index))
+		th.Clock.SetLabel(hw.PhaseCompact.Layer())
+		start := th.Clock.Now()
+		e.runCompaction(th)
+		e.indexServer.Submit(start, th.Clock.Now()-start)
 	}
 }
 

@@ -345,7 +345,15 @@ func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *m
 	var last []byte // user key of the previous source entry (non-nil even when empty)
 	var gv [17]byte // the node value being set; the list copies it
 	it := lsm.NewMergingIterator(srcs...)
-	for it.SeekToFirst(); it.Valid(); it.Next() {
+	it.SeekToFirst()
+	if globalFilter != nil && it.Valid() {
+		// The run's keys ascend, so its first key and the largest of the
+		// tables' last keys bound it: fenced once here, the filter's fences
+		// do not move again (and copy no key) as the run is added below.
+		globalFilter.Add(it.Key().UserKey())
+		globalFilter.Add(maxUserKey(tables))
+	}
+	for ; it.Valid(); it.Next() {
 		visits++
 		ik := it.Key()
 		ukey := ik.UserKey()
@@ -366,4 +374,19 @@ func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *m
 		finger.Set(encodeGlobalVal(gv[:0], ik.Seq(), ik.Kind(), util.Fixed64(it.Value())))
 	}
 	th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
+}
+
+// maxUserKey returns the largest user key in the tables' sub-skiplists; at
+// least one holds an entry.
+func maxUserKey(tables []*immTable) []byte {
+	var hi []byte
+	for _, t := range tables {
+		it := t.list.NewIterator()
+		if it.SeekToLast(); it.Valid() {
+			if uk := util.InternalKey(it.Key()).UserKey(); hi == nil || bytes.Compare(uk, hi) > 0 {
+				hi = uk
+			}
+		}
+	}
+	return hi
 }

@@ -16,11 +16,21 @@
 // Dirty lines hold their own 64-byte payload; the PMem backing array only
 // sees bytes when a line is written back. That separation is what makes
 // crash simulation honest: under ADR, un-flushed stores genuinely vanish.
+//
+// The host layout is flat tables. A set's ways are three parallel arrays: tag
+// words (line address | present | dirty) that a lookup scans, LRU ticks, and
+// payloads. A pinned partition's lines live in a table indexed by address. A
+// count of resident set-array lines per 64 KiB granule lets range operations
+// skip granules that hold nothing. The partition layout is an immutable
+// snapshot that Reserve and Release replace, so a line operation takes no
+// lock but its set's (or its pinned table's).
 package cache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cachekv/internal/hw/pmem"
 	"cachekv/internal/hw/sim"
@@ -48,6 +58,23 @@ func (d Domain) String() string {
 
 const lineSize = 64
 
+// A way's tag word is its line address with the way's state in the low bits,
+// which a 64-byte-aligned address leaves free. An empty way's tag is 0.
+const (
+	tagPresent uint64 = 1
+	tagDirty   uint64 = 2
+	tagState          = tagPresent | tagDirty
+)
+
+// A granule is 64 KiB of address space: the unit of the residency counts and
+// of a pinned table's leaves.
+const (
+	granuleShift = 16
+	granuleLines = 1 << granuleShift / lineSize
+)
+
+func granule(addr uint64) uint64 { return addr >> granuleShift }
+
 // PartitionID names a CAT allocation class. DefaultPartition is the shared
 // pool every ordinary access uses.
 type PartitionID int
@@ -55,19 +82,34 @@ type PartitionID int
 // DefaultPartition is the unreserved portion of the cache.
 const DefaultPartition PartitionID = 0
 
-type line struct {
-	addr      uint64 // line-aligned address; valid only when present
-	present   bool
-	dirty     bool
-	partition PartitionID
-	lruTick   uint64
-	data      [lineSize]byte
+// set is one set's view into the LLC's flat arrays. A set's tag words, LRU
+// ticks and own tick sit side by side in one run of words, its payloads in
+// another, both at offsets the set's index gives: a lookup loads no pointer
+// before it reaches them.
+type set struct {
+	mu   *sync.Mutex
+	tags []uint64         // per way: line address | tagPresent | tagDirty, 0 when empty
+	lru  []uint64         // per way: the set tick of its last touch
+	tick *uint64          // the set's clock for lru
+	data [][lineSize]byte // per way: the line's bytes
 }
 
-type set struct {
-	mu   sync.Mutex
-	ways []line
-	tick uint64
+// find returns the way holding base, or -1. Every way is searched: an address
+// may have been installed under any partition.
+func (s *set) find(base uint64) int {
+	want := base | tagPresent
+	for w, t := range s.tags {
+		if t&^tagDirty == want {
+			return w
+		}
+	}
+	return -1
+}
+
+// touch makes way w the set's most recently used.
+func (s *set) touch(w int) {
+	*s.tick++
+	s.lru[w] = *s.tick
 }
 
 // Stats counts cache events.
@@ -83,47 +125,90 @@ type Stats struct {
 // class, mirroring a CAT way mask.
 type partition struct {
 	firstWay, nWays int
-	locked          bool // pseudo-locked: immune to ordinary replacement
+	pinned          *pinnedRegion // non-nil while the partition is pseudo-locked
 }
 
-// lockedRegion is the storage behind a pseudo-locked partition. Cache
+// partTable is the partition layout at one instant. It is never modified:
+// Reserve and Release publish a new one.
+type partTable struct {
+	parts  []partition     // by PartitionID
+	pinned []*pinnedRegion // the live pinned regions, in reservation order
+}
+
+// pinnedRegion is the storage behind a pseudo-locked partition. Cache
 // Pseudo-Locking guarantees that nothing else can evict the locked lines and
 // the locked working set fits by construction, so the model keeps them in a
-// dedicated exact-fit store instead of the hashed set array. Should a caller
-// overcommit, the oldest line is written back FIFO (and counted) rather than
-// corrupting anything.
-type lockedRegion struct {
+// dedicated exact-fit table instead of the hashed set array: a directory over
+// 64 KiB granules, each granule a leaf of 1 024 line slots allocated when the
+// first of its lines is installed. Should a caller overcommit, the oldest line
+// is written back FIFO (and counted) rather than corrupting anything.
+type pinnedRegion struct {
 	mu       sync.Mutex
 	capLines int
-	lines    map[uint64]*line
-	free     []*line // lines not in use: dropped ones, and the rest of the last chunk
-	fifo     []uint64
-	overflow int64
+	lines    int           // lines present
+	dir      []*pinnedLeaf // by granule, up to the highest one installed into
+	fifo     []uint64      // install order; see overcommit
 }
 
-// lockedChunkLines is how many lines a locked region allocates at a time.
-const lockedChunkLines = 256
-
-// newLine returns a clean line for base, not yet in lr.lines; lr.mu held.
-func (lr *lockedRegion) newLine(base uint64) *line {
-	if len(lr.free) == 0 {
-		chunk := make([]line, lockedChunkLines)
-		for i := range chunk {
-			lr.free = append(lr.free, &chunk[i])
-		}
-	}
-	ln := lr.free[len(lr.free)-1]
-	lr.free = lr.free[:len(lr.free)-1]
-	*ln = line{addr: base, present: true}
-	return ln
+type pinnedLeaf struct {
+	state [granuleLines]uint8 // per slot: tagPresent | tagDirty
+	data  [granuleLines][lineSize]byte
+	lines int // slots present
 }
 
-// drop removes base's line, if there is one, and keeps it for reuse; lr.mu held.
-func (lr *lockedRegion) drop(base uint64) {
-	if ln, ok := lr.lines[base]; ok {
-		delete(lr.lines, base)
-		lr.free = append(lr.free, ln)
+// lookup returns base's leaf and slot, and whether the line is present; r.mu
+// held. The leaf is nil when base's granule was never installed into.
+func (r *pinnedRegion) lookup(base uint64) (*pinnedLeaf, int, bool) {
+	g := granule(base)
+	if g >= uint64(len(r.dir)) || r.dir[g] == nil {
+		return nil, 0, false
 	}
+	lf, i := r.dir[g], int(base/lineSize)%granuleLines
+	return lf, i, lf.state[i] != 0
+}
+
+// insert makes absent base present and clean with fill's bytes and queues it
+// for overcommit; r.mu held.
+func (r *pinnedRegion) insert(base uint64, fill *[lineSize]byte) (*pinnedLeaf, int) {
+	g := granule(base)
+	if n := int(g) + 1; n > len(r.dir) {
+		r.dir = append(r.dir, make([]*pinnedLeaf, n-len(r.dir))...)
+	}
+	lf := r.dir[g]
+	if lf == nil {
+		lf = new(pinnedLeaf)
+		r.dir[g] = lf
+	}
+	i := int(base/lineSize) % granuleLines
+	lf.state[i] = uint8(tagPresent)
+	lf.data[i] = *fill
+	lf.lines++
+	r.lines++
+	r.fifo = append(r.fifo, base)
+	return lf, i
+}
+
+// drop removes the present line in lf's slot i; r.mu held.
+func (r *pinnedRegion) drop(lf *pinnedLeaf, i int) {
+	lf.state[i] = 0
+	lf.lines--
+	r.lines--
+}
+
+// leaf returns granule g's leaf if any of its lines is present, else nil;
+// r.mu held.
+func (r *pinnedRegion) leaf(g uint64) *pinnedLeaf {
+	if g < uint64(len(r.dir)) && r.dir[g] != nil && r.dir[g].lines > 0 {
+		return r.dir[g]
+	}
+	return nil
+}
+
+// holds reports whether any line of granule g is present.
+func (r *pinnedRegion) holds(g uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.leaf(g) != nil
 }
 
 // LLC is the modelled last-level cache.
@@ -134,21 +219,24 @@ type LLC struct {
 
 	nSets int
 	nWays int
-	sets  []set
+	locks []sync.Mutex     // per set
+	meta  []uint64         // per set, 2*nWays+1 words: its ways' tags, their LRU ticks, its tick
+	data  [][lineSize]byte // per set, nWays: its ways' bytes
 
-	partMu     sync.Mutex
-	partitions []partition
-	locked     map[PartitionID]*lockedRegion
+	// resident counts, per granule of the device, the set-array lines
+	// present; a range operation skips the set array where it reads 0.
+	resident []atomic.Int32
+
+	partMu sync.Mutex // serialises Reserve and Release
+	parts  atomic.Pointer[partTable]
 
 	// gate, when non-nil, intercepts every persistence-plane operation the
 	// cache accepts (see sim.MemGate). The fault-injection harness installs
 	// it to number crash-point events and to freeze the platform at a chosen
 	// one; ordinary operation leaves it nil.
-	gateMu sync.RWMutex
-	gate   sim.MemGate
+	gate atomic.Pointer[sim.MemGate]
 
-	statMu sync.Mutex
-	stats  Stats
+	hits, misses, evictions, writebacks, flushes atomic.Int64
 }
 
 // Config sizes the cache. The paper's testbed LLC is 36 MB with (typically)
@@ -176,19 +264,18 @@ func New(cfg Config, dev *pmem.Device, cm *sim.CostModel) *LLC {
 		nSets = 1
 	}
 	c := &LLC{
-		costs:  cm,
-		dev:    dev,
-		domain: cfg.Domain,
-		nSets:  nSets,
-		nWays:  cfg.Ways,
-		sets:   make([]set, nSets),
-		// Partition 0 initially owns every way.
-		partitions: []partition{{firstWay: 0, nWays: cfg.Ways}},
-		locked:     make(map[PartitionID]*lockedRegion),
+		costs:    cm,
+		dev:      dev,
+		domain:   cfg.Domain,
+		nSets:    nSets,
+		nWays:    cfg.Ways,
+		locks:    make([]sync.Mutex, nSets),
+		meta:     make([]uint64, nSets*(2*cfg.Ways+1)),
+		data:     make([][lineSize]byte, nSets*cfg.Ways),
+		resident: make([]atomic.Int32, granule(dev.Capacity())+1),
 	}
-	for i := range c.sets {
-		c.sets[i].ways = make([]line, cfg.Ways)
-	}
+	// Partition 0 initially owns every way.
+	c.parts.Store(&partTable{parts: []partition{{firstWay: 0, nWays: cfg.Ways}}})
 	return c
 }
 
@@ -199,21 +286,20 @@ func (c *LLC) Domain() Domain { return c.domain }
 // Crash-schedule exploration uses the gate to number and suppress operations;
 // see sim.MemGate for the interception contract.
 func (c *LLC) SetGate(g sim.MemGate) {
-	c.gateMu.Lock()
-	c.gate = g
-	c.gateMu.Unlock()
+	if g == nil {
+		c.gate.Store(nil)
+		return
+	}
+	c.gate.Store(&g)
 }
 
 // gateOp consults the installed gate, returning the permitted byte count
 // (n when no gate is installed).
 func (c *LLC) gateOp(op sim.MemOp, addr uint64, n int) int {
-	c.gateMu.RLock()
-	g := c.gate
-	c.gateMu.RUnlock()
-	if g == nil {
-		return n
+	if g := c.gate.Load(); g != nil {
+		return (*g)(op, addr, n)
 	}
-	return g(op, addr, n)
+	return n
 }
 
 // SizeBytes returns the total cache capacity.
@@ -221,9 +307,7 @@ func (c *LLC) SizeBytes() int { return c.nSets * c.nWays * lineSize }
 
 // PartitionBytes returns the capacity granted to partition p.
 func (c *LLC) PartitionBytes(p PartitionID) int {
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	return c.partitions[p].nWays * c.nSets * lineSize
+	return c.parts.Load().parts[p].nWays * c.nSets * lineSize
 }
 
 // Reserve carves a pseudo-locked CAT partition of at least sizeBytes out of
@@ -233,28 +317,26 @@ func (c *LLC) PartitionBytes(p PartitionID) int {
 func (c *LLC) Reserve(sizeBytes int) (PartitionID, error) {
 	c.partMu.Lock()
 	defer c.partMu.Unlock()
+	old := c.parts.Load()
 	perWay := c.nSets * lineSize
 	ways := (sizeBytes + perWay - 1) / perWay
 	if ways < 1 {
 		ways = 1
 	}
-	def := &c.partitions[DefaultPartition]
+	def := old.parts[DefaultPartition]
 	if def.nWays-ways < 1 {
 		return 0, fmt.Errorf("cache: cannot reserve %d ways, only %d available", ways, def.nWays-1)
 	}
 	// Take ways from the top of the default range.
-	def.nWays -= ways
-	c.partitions = append(c.partitions, partition{
-		firstWay: def.firstWay + def.nWays,
+	r := &pinnedRegion{capLines: ways * c.nSets}
+	parts := append(slices.Clone(old.parts), partition{
+		firstWay: def.firstWay + def.nWays - ways,
 		nWays:    ways,
-		locked:   true,
+		pinned:   r,
 	})
-	id := PartitionID(len(c.partitions) - 1)
-	c.locked[id] = &lockedRegion{
-		capLines: ways * c.nSets,
-		lines:    make(map[uint64]*line),
-	}
-	return id, nil
+	parts[DefaultPartition].nWays -= ways
+	c.parts.Store(&partTable{parts: parts, pinned: append(slices.Clone(old.pinned), r)})
+	return PartitionID(len(parts) - 1), nil
 }
 
 // Release returns a reserved partition's ways to the default pool and drops
@@ -265,32 +347,16 @@ func (c *LLC) Release(p PartitionID) {
 		return
 	}
 	c.partMu.Lock()
-	part := c.partitions[p]
-	c.partitions[p].nWays = 0
-	c.partitions[p].locked = false
-	if part.firstWay == c.partitions[DefaultPartition].firstWay+c.partitions[DefaultPartition].nWays {
-		c.partitions[DefaultPartition].nWays += part.nWays
-	}
-	delete(c.locked, p)
-	c.partMu.Unlock()
-}
-
-// lockedFor returns the locked region backing p, or nil for unlocked
-// partitions.
-func (c *LLC) lockedFor(p PartitionID) *lockedRegion {
-	if p == DefaultPartition {
-		return nil
-	}
-	c.partMu.Lock()
 	defer c.partMu.Unlock()
-	return c.locked[p]
-}
-
-func (c *LLC) waysFor(p PartitionID) (first, n int) {
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	part := c.partitions[p]
-	return part.firstWay, part.nWays
+	old := c.parts.Load()
+	parts := slices.Clone(old.parts)
+	part := parts[p]
+	parts[p] = partition{firstWay: part.firstWay}
+	if def := &parts[DefaultPartition]; part.firstWay == def.firstWay+def.nWays {
+		def.nWays += part.nWays
+	}
+	pinned := slices.DeleteFunc(slices.Clone(old.pinned), func(r *pinnedRegion) bool { return r == part.pinned })
+	c.parts.Store(&partTable{parts: parts, pinned: pinned})
 }
 
 // setFor hashes the line address to a set. Modern LLCs select slice and set
@@ -299,67 +365,67 @@ func (c *LLC) waysFor(p PartitionID) (first, n int) {
 // reawaken write amplification once flush instructions are removed (the
 // paper's Figure 3(c) / Observation 1: "the small-sized and randomized
 // eviction will amplify the internal write traffic").
-func (c *LLC) setFor(addr uint64) *set {
+func (c *LLC) setFor(addr uint64) set {
 	line := addr / lineSize
 	line ^= line >> 17
 	line *= 0x9E3779B97F4A7C15
 	line ^= line >> 29
-	return &c.sets[line%uint64(c.nSets)]
+	return c.set(int(line % uint64(c.nSets)))
 }
 
-// findWay locates addr within the set, searching every way (an address may
-// have been installed under any partition).
-func findWay(s *set, addr uint64) int {
-	for i := range s.ways {
-		if s.ways[i].present && s.ways[i].addr == addr {
-			return i
-		}
-	}
-	return -1
+// set returns set i's view.
+func (c *LLC) set(i int) set {
+	n := c.nWays
+	m := c.meta[i*(2*n+1) : (i+1)*(2*n+1)]
+	return set{mu: &c.locks[i], tags: m[:n:n], lru: m[n : 2*n : 2*n], tick: &m[2*n], data: c.data[i*n : (i+1)*n : (i+1)*n]}
 }
 
 // victimWay picks the least-recently-used way within the partition's range.
-func (c *LLC) victimWay(s *set, p PartitionID) int {
-	first, n := c.waysFor(p)
+func victimWay(s *set, part partition) int {
 	best := -1
-	for w := first; w < first+n; w++ {
-		if !s.ways[w].present {
+	for w := part.firstWay; w < part.firstWay+part.nWays; w++ {
+		if s.tags[w]&tagPresent == 0 {
 			return w
 		}
-		if best == -1 || s.ways[w].lruTick < s.ways[best].lruTick {
+		if best == -1 || s.lru[w] < s.lru[best] {
 			best = w
 		}
 	}
 	return best
 }
 
-// install places addr into the set under partition p, evicting the LRU line
-// of that partition if necessary. Returns the way index. The set lock must be
-// held; eviction writeback is performed with the lock held (the model
-// tolerates this because WriteLines never re-enters the cache).
-func (c *LLC) install(clk *sim.Clock, s *set, addr uint64, p PartitionID) int {
-	w := c.victimWay(s, p)
+// install places base, holding fill's bytes, into the set under part,
+// evicting the LRU line of that partition if necessary. Returns the way index.
+// The set lock must be held; eviction writeback is performed with the lock
+// held (the model tolerates this because WriteLines never re-enters the
+// cache).
+func (c *LLC) install(clk *sim.Clock, s *set, base uint64, part partition, fill *[lineSize]byte) int {
+	w := victimWay(s, part)
 	if w < 0 {
 		panic("cache: partition has no ways")
 	}
-	v := &s.ways[w]
-	if v.present {
-		c.statMu.Lock()
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-		}
-		c.statMu.Unlock()
-		if v.dirty {
+	if t := s.tags[w]; t&tagPresent != 0 {
+		c.evictions.Add(1)
+		if t&tagDirty != 0 {
+			c.writebacks.Add(1)
 			if cell := clk.Cell(); cell != nil {
 				cell.LLCWritebackLines.Add(1)
 			}
-			c.dev.WriteLines(clk, v.addr, v.data[:])
+			c.dev.WriteLines(clk, t&^tagState, s.data[w][:])
 		}
+		c.resident[granule(t)].Add(-1)
 	}
-	s.tick++
-	*v = line{addr: addr, present: true, partition: p, lruTick: s.tick}
+	s.tags[w] = base | tagPresent
+	s.data[w] = *fill
+	s.touch(w)
+	c.resident[granule(base)].Add(1)
 	return w
+}
+
+// empty empties way w of s; the set lock must be held.
+func (c *LLC) empty(s *set, w int) {
+	c.resident[granule(s.tags[w])].Add(-1)
+	s.tags[w] = 0
 }
 
 // Write stores data at addr through the cache under partition p. Partial-line
@@ -372,59 +438,42 @@ func (c *LLC) Write(clk *sim.Clock, addr uint64, data []byte, p PartitionID) {
 		}
 		data = data[:n]
 	}
+	part := c.parts.Load().parts[p]
 	for len(data) > 0 {
 		base := addr &^ (lineSize - 1)
 		off := int(addr - base)
-		n := lineSize - off
-		if n > len(data) {
-			n = len(data)
+		n := min(lineSize-off, len(data))
+		if part.pinned != nil {
+			c.pinnedWrite(clk, part.pinned, base, off, data[:n])
+		} else {
+			c.writeLine(clk, base, off, data[:n], part)
 		}
-		c.writeLine(clk, base, off, data[:n], p)
 		addr += uint64(n)
 		data = data[n:]
 	}
 }
 
-func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, p PartitionID) {
-	if lr := c.lockedFor(p); lr != nil {
-		c.lockedWrite(clk, lr, base, off, data)
-		return
-	}
+func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, part partition) {
 	s := c.setFor(base)
 	s.mu.Lock()
-	w := findWay(s, base)
+	w := s.find(base)
 	if w >= 0 {
-		c.statMu.Lock()
-		c.stats.Hits++
-		c.statMu.Unlock()
+		c.hits.Add(1)
 		clk.Advance(c.costs.CacheHitWrite)
 	} else {
-		c.statMu.Lock()
-		c.stats.Misses++
-		c.statMu.Unlock()
-		w = c.install(clk, s, base, p)
+		c.misses.Add(1)
+		var fill [lineSize]byte
 		if off != 0 || len(data) != lineSize {
-			// Write-allocate: fetch the rest of the line from the media.
-			s.mu.Unlock()
-			var fill [lineSize]byte
+			// Write-allocate: fetch the rest of the line from the media
+			// before the line is installed (see readLine).
 			c.dev.Read(clk, base, fill[:])
-			s.mu.Lock()
-			// Re-find: the line may have moved while unlocked.
-			w = findWay(s, base)
-			if w < 0 {
-				w = c.install(clk, s, base, p)
-			}
-			if !s.ways[w].dirty {
-				s.ways[w].data = fill
-			}
 		}
+		w = c.install(clk, &s, base, part, &fill)
 		clk.Advance(c.costs.CacheHitWrite + c.costs.CacheMissExtra)
 	}
-	ln := &s.ways[w]
-	copy(ln.data[off:], data)
-	ln.dirty = true
-	s.tick++
-	ln.lruTick = s.tick
+	copy(s.data[w][off:], data)
+	s.tags[w] |= tagDirty
+	s.touch(w)
 	s.mu.Unlock()
 }
 
@@ -436,56 +485,42 @@ func (c *LLC) Read(clk *sim.Clock, addr uint64, buf []byte, p PartitionID) {
 		c.readBypass(addr, buf)
 		return
 	}
+	part := c.parts.Load().parts[p]
 	for len(buf) > 0 {
 		base := addr &^ (lineSize - 1)
 		off := int(addr - base)
-		n := lineSize - off
-		if n > len(buf) {
-			n = len(buf)
+		n := min(lineSize-off, len(buf))
+		if part.pinned != nil {
+			c.pinnedRead(clk, part.pinned, base, off, buf[:n])
+		} else {
+			c.readLine(clk, base, off, buf[:n], part)
 		}
-		c.readLine(clk, base, off, buf[:n], p)
 		addr += uint64(n)
 		buf = buf[n:]
 	}
 }
 
-func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, p PartitionID) {
-	if lr := c.lockedFor(p); lr != nil {
-		c.lockedRead(clk, lr, base, off, buf)
-		return
-	}
+func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part partition) {
 	s := c.setFor(base)
 	s.mu.Lock()
-	if w := findWay(s, base); w >= 0 {
-		c.statMu.Lock()
-		c.stats.Hits++
-		c.statMu.Unlock()
-		copy(buf, s.ways[w].data[off:])
-		s.tick++
-		s.ways[w].lruTick = s.tick
-		s.mu.Unlock()
-		clk.Advance(c.costs.CacheHitRead)
-		return
+	w := s.find(base)
+	cost := c.costs.CacheHitRead
+	if w >= 0 {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+		// The fill is read with the set locked: this line's bytes reach the
+		// media only under the same lock (an eviction or a flush), so no
+		// reader sees the line before its fill, and no fill is torn or stale.
+		var fill [lineSize]byte
+		c.dev.Read(clk, base, fill[:])
+		w = c.install(clk, &s, base, part, &fill)
+		cost += c.costs.CacheMissExtra
 	}
-	c.statMu.Lock()
-	c.stats.Misses++
-	c.statMu.Unlock()
+	copy(buf, s.data[w][off:])
+	s.touch(w)
 	s.mu.Unlock()
-
-	var fill [lineSize]byte
-	c.dev.Read(clk, base, fill[:])
-
-	s.mu.Lock()
-	w := findWay(s, base)
-	if w < 0 {
-		w = c.install(clk, s, base, p)
-		s.ways[w].data = fill
-	}
-	copy(buf, s.ways[w].data[off:])
-	s.tick++
-	s.ways[w].lruTick = s.tick
-	s.mu.Unlock()
-	clk.Advance(c.costs.CacheHitRead + c.costs.CacheMissExtra)
+	clk.Advance(cost)
 }
 
 // readBypass serves a read from the currently visible content — the cached
@@ -496,11 +531,9 @@ func (c *LLC) readBypass(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		base := addr &^ (lineSize - 1)
 		off := int(addr - base)
-		n := lineSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if ln, ok := c.peekLine(base); ok {
+		n := min(lineSize-off, len(buf))
+		var ln [lineSize]byte
+		if c.peekLine(base, &ln) {
 			copy(buf[:n], ln[off:])
 		} else {
 			c.dev.LoadRaw(addr, buf[:n])
@@ -510,86 +543,76 @@ func (c *LLC) readBypass(addr uint64, buf []byte) {
 	}
 }
 
-// lockedWrite stores into a pseudo-locked region's line, allocating it on
-// first touch (with write-allocate fill for partial first writes).
-func (c *LLC) lockedWrite(clk *sim.Clock, lr *lockedRegion, base uint64, off int, data []byte) {
-	lr.mu.Lock()
-	ln, ok := lr.lines[base]
+// pinnedWrite stores into a pinned region's line, installing it on first
+// touch (with write-allocate fill for partial first writes).
+func (c *LLC) pinnedWrite(clk *sim.Clock, r *pinnedRegion, base uint64, off int, data []byte) {
+	r.mu.Lock()
+	lf, i, ok := r.lookup(base)
 	if !ok {
-		if len(lr.lines) >= lr.capLines {
-			// Overcommit: FIFO-writeback the oldest locked line.
-			for len(lr.fifo) > 0 {
-				old := lr.fifo[0]
-				lr.fifo = lr.fifo[1:]
-				if v, present := lr.lines[old]; present {
-					if v.dirty {
-						if cell := clk.Cell(); cell != nil {
-							cell.LLCWritebackLines.Add(1)
-						}
-						c.dev.WriteLines(clk, old, v.data[:])
-					}
-					lr.drop(old)
-					lr.overflow++
-					break
-				}
-			}
+		if r.lines >= r.capLines {
+			c.overcommit(clk, r)
 		}
 		var fill [lineSize]byte
 		if off != 0 || len(data) != lineSize {
-			lr.mu.Unlock()
+			r.mu.Unlock()
 			c.dev.Read(clk, base, fill[:])
-			lr.mu.Lock()
+			r.mu.Lock()
 		}
 		// Another writer may have installed the line while the fill was read.
-		if ln, ok = lr.lines[base]; !ok {
-			ln = lr.newLine(base)
-			ln.data = fill
-			lr.lines[base] = ln
-			lr.fifo = append(lr.fifo, base)
+		if lf, i, ok = r.lookup(base); !ok {
+			lf, i = r.insert(base, &fill)
 		}
 		clk.Advance(c.costs.CacheHitWrite + c.costs.CacheMissExtra)
 	} else {
 		clk.Advance(c.costs.CacheHitWrite)
 	}
-	copy(ln.data[off:], data)
-	ln.dirty = true
-	lr.mu.Unlock()
+	copy(lf.data[i][off:], data)
+	lf.state[i] |= uint8(tagDirty)
+	r.mu.Unlock()
 }
 
-// lockedRead loads from a pseudo-locked region, filling from media on a miss.
-func (c *LLC) lockedRead(clk *sim.Clock, lr *lockedRegion, base uint64, off int, buf []byte) {
-	lr.mu.Lock()
-	if ln, ok := lr.lines[base]; ok {
-		copy(buf, ln.data[off:])
-		lr.mu.Unlock()
+// overcommit writes back (when dirty) and drops the line at the head of r's
+// install order, skipping entries whose line is gone; r.mu held. An entry is
+// not retired when its line is dropped by a flush or an invalidate, so when
+// that line is installed again, its old entry evicts it ahead of its turn —
+// part of the model that write amplification figures are measured against.
+func (c *LLC) overcommit(clk *sim.Clock, r *pinnedRegion) {
+	for len(r.fifo) > 0 {
+		old := r.fifo[0]
+		r.fifo = r.fifo[1:]
+		if lf, i, present := r.lookup(old); present {
+			if lf.state[i]&uint8(tagDirty) != 0 {
+				if cell := clk.Cell(); cell != nil {
+					cell.LLCWritebackLines.Add(1)
+				}
+				c.dev.WriteLines(clk, old, lf.data[i][:])
+			}
+			r.drop(lf, i)
+			return
+		}
+	}
+}
+
+// pinnedRead loads from a pinned region, filling from media on a miss.
+func (c *LLC) pinnedRead(clk *sim.Clock, r *pinnedRegion, base uint64, off int, buf []byte) {
+	r.mu.Lock()
+	if lf, i, ok := r.lookup(base); ok {
+		copy(buf, lf.data[i][off:])
+		r.mu.Unlock()
 		clk.Advance(c.costs.CacheHitRead)
 		return
 	}
-	lr.mu.Unlock()
+	r.mu.Unlock()
 	var fill [lineSize]byte
 	c.dev.Read(clk, base, fill[:])
-	lr.mu.Lock()
-	ln, ok := lr.lines[base]
+	r.mu.Lock()
+	lf, i, ok := r.lookup(base)
 	if !ok {
-		ln = lr.newLine(base)
-		ln.data = fill
-		lr.lines[base] = ln
-		lr.fifo = append(lr.fifo, base)
+		lf, i = r.insert(base, &fill)
 	}
-	copy(buf, ln.data[off:])
-	lr.mu.Unlock()
+	copy(buf, lf.data[i][off:])
+	r.mu.Unlock()
 	clk.Advance(c.costs.CacheHitRead + c.costs.CacheMissExtra)
-}
-
-// lockedRegions snapshots the live locked regions.
-func (c *LLC) lockedRegions() []*lockedRegion {
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	out := make([]*lockedRegion, 0, len(c.locked))
-	for _, lr := range c.locked {
-		out = append(out, lr)
-	}
-	return out
 }
 
 // Flush performs clflush over [addr, addr+n): dirty lines are written back to
@@ -619,58 +642,75 @@ func (c *LLC) FlushOpt(clk *sim.Clock, addr uint64, n int) {
 	c.flushRange(clk, addr, n, false)
 }
 
+// forGranules calls fn(g, first, last) for each granule g that [addr,
+// addr+n) touches, with the first and last line address of the range in it;
+// n > 0.
+func forGranules(addr uint64, n int, fn func(g, first, last uint64)) {
+	first := addr &^ (lineSize - 1)
+	last := (addr + uint64(n) - 1) &^ (lineSize - 1)
+	for g := granule(first); g <= granule(last); g++ {
+		fn(g, max(first, g<<granuleShift), min(last, (g+1)<<granuleShift-lineSize))
+	}
+}
+
 func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 	if n <= 0 {
 		return
 	}
-	first := addr &^ (lineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (lineSize - 1)
-	regions := c.lockedRegions()
-	for base := first; ; base += lineSize {
-		s := c.setFor(base)
-		s.mu.Lock()
-		if w := findWay(s, base); w >= 0 {
-			ln := &s.ways[w]
-			if ln.dirty {
-				c.statMu.Lock()
-				c.stats.Flushes++
-				c.statMu.Unlock()
-				if cell := clk.Cell(); cell != nil {
-					cell.LLCFlushLines.Add(1)
-				}
-				c.dev.WriteLines(clk, base, ln.data[:])
-				ln.dirty = false
-			}
-			if invalidate {
-				*ln = line{}
+	pinned := c.parts.Load().pinned
+	forGranules(addr, n, func(g, first, last uint64) {
+		inSets := c.resident[g].Load() != 0
+		var held [4]*pinnedRegion
+		holding := held[:0]
+		for _, r := range pinned {
+			if r.holds(g) {
+				holding = append(holding, r)
 			}
 		}
-		s.mu.Unlock()
-		for _, lr := range regions {
-			lr.mu.Lock()
-			if ln, ok := lr.lines[base]; ok {
-				if ln.dirty {
-					c.statMu.Lock()
-					c.stats.Flushes++
-					c.statMu.Unlock()
-					if cell := clk.Cell(); cell != nil {
-						cell.LLCFlushLines.Add(1)
+		for base := first; ; base += lineSize {
+			if inSets {
+				s := c.setFor(base)
+				s.mu.Lock()
+				if w := s.find(base); w >= 0 {
+					if s.tags[w]&tagDirty != 0 {
+						c.writeBack(clk, base, &s.data[w])
+						s.tags[w] &^= tagDirty
 					}
-					c.dev.WriteLines(clk, base, ln.data[:])
-					ln.dirty = false
+					if invalidate {
+						c.empty(&s, w)
+					}
 				}
-				if invalidate {
-					lr.drop(base)
-				}
+				s.mu.Unlock()
 			}
-			lr.mu.Unlock()
+			for _, r := range holding {
+				r.mu.Lock()
+				if lf, i, ok := r.lookup(base); ok {
+					if lf.state[i]&uint8(tagDirty) != 0 {
+						c.writeBack(clk, base, &lf.data[i])
+						lf.state[i] &^= uint8(tagDirty)
+					}
+					if invalidate {
+						r.drop(lf, i)
+					}
+				}
+				r.mu.Unlock()
+			}
+			clk.Advance(c.costs.CLFlush)
+			if base == last {
+				break
+			}
 		}
-		clk.Advance(c.costs.CLFlush)
-		if base == last {
-			break
-		}
-	}
+	})
 	clk.Advance(c.costs.Fence)
+}
+
+// writeBack pushes one dirty line to the PMem for a flush instruction.
+func (c *LLC) writeBack(clk *sim.Clock, base uint64, data *[lineSize]byte) {
+	c.flushes.Add(1)
+	if cell := clk.Cell(); cell != nil {
+		cell.LLCFlushLines.Add(1)
+	}
+	c.dev.WriteLines(clk, base, data[:])
 }
 
 // Invalidate drops lines in [addr, addr+n) without writing them back. It
@@ -688,25 +728,33 @@ func (c *LLC) invalidate(addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	first := addr &^ (lineSize - 1)
-	last := (addr + uint64(n) - 1) &^ (lineSize - 1)
-	regions := c.lockedRegions()
-	for base := first; ; base += lineSize {
-		s := c.setFor(base)
-		s.mu.Lock()
-		if w := findWay(s, base); w >= 0 {
-			s.ways[w] = line{}
+	pinned := c.parts.Load().pinned
+	forGranules(addr, n, func(g, first, last uint64) {
+		if c.resident[g].Load() != 0 {
+			for base := first; ; base += lineSize {
+				s := c.setFor(base)
+				s.mu.Lock()
+				if w := s.find(base); w >= 0 {
+					c.empty(&s, w)
+				}
+				s.mu.Unlock()
+				if base == last {
+					break
+				}
+			}
 		}
-		s.mu.Unlock()
-		for _, lr := range regions {
-			lr.mu.Lock()
-			lr.drop(base)
-			lr.mu.Unlock()
+		for _, r := range pinned {
+			r.mu.Lock()
+			if lf := r.leaf(g); lf != nil {
+				for i := int(first/lineSize) % granuleLines; i <= int(last/lineSize)%granuleLines; i++ {
+					if lf.state[i] != 0 {
+						r.drop(lf, i)
+					}
+				}
+			}
+			r.mu.Unlock()
 		}
-		if base == last {
-			break
-		}
-	}
+	})
 }
 
 // NTWrite stores data at addr with non-temporal semantics: the cache is
@@ -737,9 +785,9 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 	var first, last [lineSize]byte
 	ragged := head > 0 || padded != len(data)
 	if ragged {
-		c.visibleLine(base, first[:])
+		c.visibleLine(base, &first)
 		if lastBase != base {
-			c.visibleLine(lastBase, last[:])
+			c.visibleLine(lastBase, &last)
 		}
 	}
 	// Stale cached copies are dropped only after the edge merge read them.
@@ -762,61 +810,49 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 
 // visibleLine fills out with the line at base as a load would see it: the
 // cached copy when there is one, the backing bytes otherwise.
-func (c *LLC) visibleLine(base uint64, out []byte) {
-	if ln, ok := c.peekLine(base); ok {
-		copy(out, ln)
-		return
+func (c *LLC) visibleLine(base uint64, out *[lineSize]byte) {
+	if !c.peekLine(base, out) {
+		c.dev.LoadRaw(base, out[:])
 	}
-	c.dev.LoadRaw(base, out)
 }
 
-// peekLine returns a copy of the line's current cached content, searching
-// both the set array and every locked region.
-func (c *LLC) peekLine(base uint64) ([]byte, bool) {
-	s := c.setFor(base)
-	s.mu.Lock()
-	if w := findWay(s, base); w >= 0 {
-		out := make([]byte, lineSize)
-		copy(out, s.ways[w].data[:])
-		s.mu.Unlock()
-		return out, true
-	}
-	s.mu.Unlock()
-	for _, lr := range c.lockedRegions() {
-		lr.mu.Lock()
-		if ln, ok := lr.lines[base]; ok {
-			out := make([]byte, lineSize)
-			copy(out, ln.data[:])
-			lr.mu.Unlock()
-			return out, true
-		}
-		lr.mu.Unlock()
-	}
-	return nil, false
+// peekLine copies the line's current cached content into out, searching both
+// the set array and every pinned region, and reports whether it was cached.
+func (c *LLC) peekLine(base uint64, out *[lineSize]byte) bool {
+	found := false
+	c.lookupLine(base, func(data *[lineSize]byte, _ bool) { *out, found = *data, true })
+	return found
 }
 
 // Contains reports whether addr's line is present (and if so, dirty). Tests
 // and crash accounting use it; engines must not.
 func (c *LLC) Contains(addr uint64) (present, dirty bool) {
-	base := addr &^ (lineSize - 1)
-	s := c.setFor(base)
-	s.mu.Lock()
-	if w := findWay(s, base); w >= 0 {
-		d := s.ways[w].dirty
-		s.mu.Unlock()
-		return true, d
-	}
-	s.mu.Unlock()
-	for _, lr := range c.lockedRegions() {
-		lr.mu.Lock()
-		if ln, ok := lr.lines[base]; ok {
-			d := ln.dirty
-			lr.mu.Unlock()
-			return true, d
+	c.lookupLine(addr&^(lineSize-1), func(_ *[lineSize]byte, d bool) { present, dirty = true, d })
+	return present, dirty
+}
+
+// lookupLine calls fn, under the lock that guards it, with the first cached
+// copy of base's line found: the set array's, else a pinned region's.
+func (c *LLC) lookupLine(base uint64, fn func(data *[lineSize]byte, dirty bool)) {
+	if c.resident[granule(base)].Load() != 0 {
+		s := c.setFor(base)
+		s.mu.Lock()
+		if w := s.find(base); w >= 0 {
+			fn(&s.data[w], s.tags[w]&tagDirty != 0)
+			s.mu.Unlock()
+			return
 		}
-		lr.mu.Unlock()
+		s.mu.Unlock()
 	}
-	return false, false
+	for _, r := range c.parts.Load().pinned {
+		r.mu.Lock()
+		if lf, i, ok := r.lookup(base); ok {
+			fn(&lf.data[i], lf.state[i]&uint8(tagDirty) != 0)
+			r.mu.Unlock()
+			return
+		}
+		r.mu.Unlock()
+	}
 }
 
 // Crash applies the persistence-domain rule at power failure. Under eADR all
@@ -824,34 +860,46 @@ func (c *LLC) Contains(addr uint64) (present, dirty bool) {
 // not move, as the platform does this with stored energy, not software).
 // Under ADR dirty lines are discarded. In both cases the cache ends empty.
 func (c *LLC) Crash() {
-	for i := range c.sets {
-		s := &c.sets[i]
+	drain := c.domain == EADR
+	for i := range c.locks {
+		s := c.set(i)
 		s.mu.Lock()
-		for w := range s.ways {
-			ln := &s.ways[w]
-			if ln.present && ln.dirty && c.domain == EADR {
-				c.dev.StoreRaw(ln.addr, ln.data[:])
+		for w, t := range s.tags {
+			if t&tagDirty != 0 && drain {
+				c.dev.StoreRaw(t&^tagState, s.data[w][:])
 			}
-			*ln = line{}
+			s.tags[w] = 0
 		}
 		s.mu.Unlock()
 	}
-	for _, lr := range c.lockedRegions() {
-		lr.mu.Lock()
-		for addr, ln := range lr.lines {
-			if ln.dirty && c.domain == EADR {
-				c.dev.StoreRaw(addr, ln.data[:])
+	for i := range c.resident {
+		c.resident[i].Store(0)
+	}
+	for _, r := range c.parts.Load().pinned {
+		r.mu.Lock()
+		for g, lf := range r.dir {
+			if lf == nil || !drain {
+				continue
 			}
-			delete(lr.lines, addr)
+			for i, st := range lf.state {
+				if st&uint8(tagDirty) != 0 {
+					c.dev.StoreRaw(uint64(g)<<granuleShift+uint64(i)*lineSize, lf.data[i][:])
+				}
+			}
 		}
-		lr.fifo = lr.fifo[:0]
-		lr.mu.Unlock()
+		r.dir, r.lines = nil, 0
+		r.fifo = r.fifo[:0]
+		r.mu.Unlock()
 	}
 }
 
 // Stats returns a copy of the event counters.
 func (c *LLC) Stats() Stats {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return c.stats
+	return Stats{
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Evictions:  c.evictions.Load(),
+		Writebacks: c.writebacks.Load(),
+		Flushes:    c.flushes.Load(),
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cachekv/internal/hw/pmem"
 	"cachekv/internal/hw/sim"
+	"cachekv/internal/util"
 )
 
 func newLLC(cfg Config) (*LLC, *pmem.Device) {
@@ -296,5 +297,90 @@ func TestNTWriteRaggedSpan(t *testing.T) {
 	delta := dev.Snapshot().Sub(before)
 	if delta.LineArrivals != 5 || delta.CallerWriteB != 5*64 {
 		t.Fatalf("ragged 300 B store over 5 lines: %d arrivals, %d caller bytes", delta.LineArrivals, delta.CallerWriteB)
+	}
+}
+
+// TestWriteAllocateNeverExposesAZeroedLine: a partial write to an absent line
+// fetches the rest of the line from media before the line is installed, so a
+// reader of the line's other bytes sees the media's bytes, never the zeros of
+// a line installed ahead of its fill. The cache is a quarter of the range, so
+// the writer's lines are evicted and missed again all the time.
+func TestWriteAllocateNeverExposesAZeroedLine(t *testing.T) {
+	c, dev := newLLC(Config{SizeBytes: 16 << 10, Ways: 4, Domain: EADR})
+	const lines = 1024
+	dev.StoreRaw(0, bytes.Repeat([]byte{0xA5}, lines*lineSize))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var clk sim.Clock
+		for round := 0; round < 100; round++ {
+			for l := uint64(0); l < lines; l++ {
+				c.Write(&clk, l*lineSize, []byte{0xA5}, DefaultPartition)
+			}
+		}
+	}()
+	var clk sim.Clock
+	rng := sim.NewRNG(1)
+	buf := make([]byte, lineSize-1)
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			t.Logf("%d reads", reads)
+			return
+		default:
+		}
+		addr := rng.Uint64n(lines)*lineSize + 1
+		c.Read(&clk, addr, buf, DefaultPartition)
+		for i, b := range buf {
+			if b != 0xA5 {
+				t.Fatalf("read %d: byte %#x reads %#x, media holds 0xa5", reads, addr+uint64(i), b)
+			}
+		}
+	}
+}
+
+// TestLLCAllocs pins the host cost of the line paths: a hit Read or Write,
+// through the default partition or a pinned one, allocates nothing, and nor
+// does dropping or NT-storing a 4 KiB range, whether its lines are cached or
+// not.
+func TestLLCAllocs(t *testing.T) {
+	if util.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c, _ := newLLC(smallCfg(EADR))
+	pin, err := c.Reserve(16 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk sim.Clock
+	buf := make([]byte, 48)
+	page := make([]byte, 4096)
+	const hot, cold, pinned = 4096, 64 << 10, 1 << 20
+	c.Write(&clk, hot, page[:128], DefaultPartition)
+	c.Write(&clk, pinned, page[:128], pin)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Read hit", func() { c.Read(&clk, hot+40, buf, DefaultPartition) }},
+		{"Write hit", func() { c.Write(&clk, hot+40, buf, DefaultPartition) }},
+		{"pinned Read hit", func() { c.Read(&clk, pinned+40, buf, pin) }},
+		{"pinned Write hit", func() { c.Write(&clk, pinned+40, buf, pin) }},
+		{"Invalidate 4 KiB, cached", func() {
+			c.Write(&clk, cold, page, DefaultPartition)
+			c.Write(&clk, pinned+4096, page, pin)
+			c.Invalidate(cold, 4096)
+			c.Invalidate(pinned+4096, 4096)
+		}},
+		{"Invalidate 4 KiB, not cached", func() { c.Invalidate(cold+8192, 4096) }},
+		{"NTWrite 4 KiB, cached", func() {
+			c.Write(&clk, cold, page, DefaultPartition)
+			c.NTWrite(&clk, cold, page)
+		}},
+		{"NTWrite 4 KiB, ragged", func() { c.NTWrite(&clk, cold+8192+3, page[:4000]) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", tc.name, n)
+		}
 	}
 }

@@ -80,35 +80,112 @@ func (s CountersSnapshot) Sub(o CountersSnapshot) CountersSnapshot {
 	}
 }
 
-// xpEntry is one XPLine being staged in the write-combining buffer.
-type xpEntry struct {
-	addr uint64 // XPLine-aligned base address
-	mask uint8  // which 64 B lines of the XPLine have arrived
-	tick uint64 // insertion order, for FIFO eviction
-}
-
 // Device is the simulated PMem module array.
 type Device struct {
 	costs    *sim.CostModel
 	capacity uint64
 
-	chunks []atomic.Pointer[[]byte]
+	chunks []atomic.Pointer[chunk]
 
 	// XPBuffer state: a FIFO write-combining window. Real Optane stages
 	// ~16 KB per DIMM in the XPBuffer proper, but the effective coalescing
 	// window observed through the iMC write-pending queues is larger; the
 	// model's window is a calibration constant (see sim.CostModel).
 	bufMu    sync.Mutex
-	buf      map[uint64]*xpEntry
-	free     []*xpEntry // entries that left buf, for the next staged XPLine
-	fifo     []uint64
-	bufCap   int
-	bufTick  uint64
+	buf      xpBuffer
 	lastRead atomic.Uint64 // last media read address, for seq/rand latency
 
 	bw sim.Bandwidth // shared media write pipe
 
 	Counters Counters
+}
+
+// xpBuffer is the write-combining buffer's staging state: an open-addressed
+// table of the XPLines being staged, keyed by address, and the FIFO of staged
+// addresses that picks the victim when the buffer is full.
+type xpBuffer struct {
+	slots  []xpSlot // linear probing; four per entry the buffer holds
+	shift  uint     // 64 - log2(len(slots))
+	n      int      // XPLines staged
+	window int      // XPLines the buffer holds
+
+	// fifo holds every staged address in staging order. An XPLine that
+	// completes leaves its address behind, so if it is staged again before
+	// that old entry comes up, the old entry evicts it early: the window the
+	// write-amplification figures are measured against.
+	fifo []uint64
+}
+
+// xpSlot is one XPLine being staged; mask 0 marks an empty slot.
+type xpSlot struct {
+	addr uint64 // XPLine-aligned base address
+	mask uint8  // which 64 B lines of the XPLine have arrived
+}
+
+func newXPBuffer(entries int) xpBuffer {
+	bits := uint(2)
+	for 1<<bits < 4*entries {
+		bits++
+	}
+	return xpBuffer{slots: make([]xpSlot, 1<<bits), shift: 64 - bits, window: entries}
+}
+
+// reset empties the buffer and the FIFO.
+func (b *xpBuffer) reset() {
+	clear(b.slots)
+	b.n = 0
+	b.fifo = b.fifo[:0]
+}
+
+// home is addr's first slot.
+func (b *xpBuffer) home(addr uint64) int { return int((addr >> 8) * 0x9E3779B97F4A7C15 >> b.shift) }
+
+// find returns addr's slot, or the empty slot that ends its probe.
+func (b *xpBuffer) find(addr uint64) (i int, staged bool) {
+	m := len(b.slots) - 1
+	for i = b.home(addr); b.slots[i].mask != 0; i = (i + 1) & m {
+		if b.slots[i].addr == addr {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// stage puts addr, holding the lines in mask, in empty slot i and queues it.
+func (b *xpBuffer) stage(i int, addr uint64, mask uint8) {
+	b.slots[i] = xpSlot{addr, mask}
+	b.n++
+	b.fifo = append(b.fifo, addr)
+}
+
+// unstage empties slot i.
+func (b *xpBuffer) unstage(i int) {
+	b.n--
+	// Backward-shift deletion: each later member of the probe run moves into
+	// the hole unless its home lies cyclically in (hole, member].
+	m := len(b.slots) - 1
+	for next := (i + 1) & m; b.slots[next].mask != 0; next = (next + 1) & m {
+		if h := b.home(b.slots[next].addr); (next-h)&m >= (next-i)&m {
+			b.slots[i] = b.slots[next]
+			i = next
+		}
+	}
+	b.slots[i] = xpSlot{}
+}
+
+// evictOldest unstages the XPLine of the first address in the FIFO that is
+// still staged, dropping the addresses before it, and returns it.
+func (b *xpBuffer) evictOldest() (xpSlot, bool) {
+	for len(b.fifo) > 0 {
+		addr := b.fifo[0]
+		b.fifo = b.fifo[1:]
+		if i, staged := b.find(addr); staged {
+			e := b.slots[i]
+			b.unstage(i)
+			return e, true
+		}
+	}
+	return xpSlot{}, false
 }
 
 // NewDevice creates a device with the given capacity in bytes. The XPBuffer
@@ -125,28 +202,36 @@ func NewDevice(capacity uint64, cm *sim.CostModel) *Device {
 	return &Device{
 		costs:    cm,
 		capacity: nChunks * chunkSize,
-		chunks:   make([]atomic.Pointer[[]byte], nChunks),
-		buf:      make(map[uint64]*xpEntry),
-		bufCap:   bufCap,
+		chunks:   make([]atomic.Pointer[chunk], nChunks),
+		buf:      newXPBuffer(bufCap),
 	}
 }
 
 // Capacity returns the usable byte capacity.
 func (d *Device) Capacity() uint64 { return d.capacity }
 
-func (d *Device) chunk(addr uint64) []byte {
+// chunk is one allocation unit of the sparse backing store. Software may load
+// bytes that another thread is storing — a scan fetching from a table that a
+// flush recycles (DESIGN §8.4) — as it may on real media, where a torn read
+// is caught by the entry's CRC; mu orders the model's copies of those bytes.
+type chunk struct {
+	mu sync.RWMutex
+	b  []byte
+}
+
+func (d *Device) chunk(addr uint64) *chunk {
 	idx := addr / chunkSize
 	if idx >= uint64(len(d.chunks)) {
 		panic(fmt.Sprintf("pmem: address %#x beyond capacity %#x", addr, d.capacity))
 	}
-	if p := d.chunks[idx].Load(); p != nil {
-		return *p
+	if c := d.chunks[idx].Load(); c != nil {
+		return c
 	}
-	fresh := make([]byte, chunkSize)
-	if d.chunks[idx].CompareAndSwap(nil, &fresh) {
+	fresh := &chunk{b: make([]byte, chunkSize)}
+	if d.chunks[idx].CompareAndSwap(nil, fresh) {
 		return fresh
 	}
-	return *d.chunks[idx].Load()
+	return d.chunks[idx].Load()
 }
 
 // storeRaw copies data into the backing array with no event accounting; it is
@@ -154,8 +239,9 @@ func (d *Device) chunk(addr uint64) []byte {
 func (d *Device) storeRaw(addr uint64, data []byte) {
 	for len(data) > 0 {
 		c := d.chunk(addr)
-		off := addr % chunkSize
-		n := copy(c[off:], data)
+		c.mu.Lock()
+		n := copy(c.b[addr%chunkSize:], data)
+		c.mu.Unlock()
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -165,8 +251,9 @@ func (d *Device) storeRaw(addr uint64, data []byte) {
 func (d *Device) loadRaw(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		c := d.chunk(addr)
-		off := addr % chunkSize
-		n := copy(buf, c[off:])
+		c.mu.RLock()
+		n := copy(buf, c.b[addr%chunkSize:])
+		c.mu.RUnlock()
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -238,18 +325,18 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 	if cell != nil {
 		cell.LineArrivals.Add(1)
 	}
-	e, ok := d.buf[base]
-	if ok {
+	b := &d.buf
+	i, staged := b.find(base)
+	if staged {
 		d.Counters.LineHits.Add(1)
 		if cell != nil {
 			cell.LineHits.Add(1)
 		}
-		e.mask |= bit
-		if e.mask == full {
+		b.slots[i].mask |= bit
+		if b.slots[i].mask == full {
 			// A completed XPLine drains to media immediately; this is the
 			// cheap, amplification-free path.
-			delete(d.buf, base)
-			d.free = append(d.free, e)
+			b.unstage(i)
 			d.bufMu.Unlock()
 			if chargeAccept {
 				clk.Advance(d.costs.XPBufferHit)
@@ -263,29 +350,16 @@ func (d *Device) acceptLine(clk *sim.Clock, addr uint64, chargeAccept bool) {
 		}
 		return
 	}
-	// Miss: allocate a staging slot, evicting the oldest entry if the buffer
-	// is full. Evicting a partial entry is the read-modify-write case.
+	// Miss: stage the XPLine, evicting the oldest entry if the buffer is
+	// full. Evicting a partial entry is the read-modify-write case.
+	var evict xpSlot
 	var evicted bool
-	var evict xpEntry
-	for len(d.buf) >= d.bufCap && len(d.fifo) > 0 {
-		oldestAddr := d.fifo[0]
-		d.fifo = d.fifo[1:]
-		if e, ok := d.buf[oldestAddr]; ok {
-			evicted, evict = true, *e
-			delete(d.buf, oldestAddr)
-			d.free = append(d.free, e)
-			break
+	if b.n >= b.window {
+		if evict, evicted = b.evictOldest(); evicted {
+			i, _ = b.find(base) // the deletion may have moved base's probe end
 		}
 	}
-	d.bufTick++
-	if n := len(d.free); n > 0 {
-		e, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		e = new(xpEntry)
-	}
-	*e = xpEntry{addr: base, mask: bit, tick: d.bufTick}
-	d.buf[base] = e
-	d.fifo = append(d.fifo, base)
+	b.stage(i, base, bit)
 	d.bufMu.Unlock()
 
 	if chargeAccept {
@@ -334,16 +408,13 @@ func (d *Device) drainXPLine(clk *sim.Clock, base uint64, mask uint8) {
 // end-of-run accounting can reach a quiescent state.
 func (d *Device) Flush(clk *sim.Clock) {
 	d.bufMu.Lock()
-	entries := make([]*xpEntry, 0, len(d.buf))
-	for _, e := range d.buf {
-		entries = append(entries, e)
+	defer d.bufMu.Unlock()
+	for _, e := range d.buf.slots {
+		if e.mask != 0 {
+			d.drainXPLine(clk, e.addr, e.mask)
+		}
 	}
-	d.buf = make(map[uint64]*xpEntry)
-	d.fifo = d.fifo[:0]
-	d.bufMu.Unlock()
-	for _, e := range entries {
-		d.drainXPLine(clk, e.addr, e.mask)
-	}
+	d.buf.reset()
 }
 
 // PowerCycle resets the device's volatile staging metadata to its power-on
@@ -357,8 +428,7 @@ func (d *Device) Flush(clk *sim.Clock) {
 // hardware counters are untouched.
 func (d *Device) PowerCycle() {
 	d.bufMu.Lock()
-	d.buf = make(map[uint64]*xpEntry)
-	d.fifo = d.fifo[:0]
+	d.buf.reset()
 	d.bufMu.Unlock()
 	d.lastRead.Store(0)
 }

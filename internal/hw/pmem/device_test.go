@@ -170,7 +170,7 @@ func TestXPBufferEvictionUnderPressure(t *testing.T) {
 	line := make([]byte, 64)
 	// Touch far more XPLines than the buffer holds without completing any:
 	// evictions must occur, all partial.
-	n := d.bufCap * 4
+	n := d.buf.window * 4
 	for i := 0; i < n; i++ {
 		d.WriteLines(&clk, uint64(i)*256, line)
 	}
