@@ -283,6 +283,86 @@ func TestVerifyHoldsOnScanHeavyReport(t *testing.T) {
 	}
 }
 
+// TestSlowOpsThroughPublicAPI follows Options.SlowOpThreshold to DB.SlowOps
+// through the public surface alone: a 1 ns static threshold makes every op a
+// Verify-clean dossier stamped with the engine's flow state; a negative
+// threshold and DisableObs capture nothing; and after SimulateCrash the
+// collector, rebound to the recovered engine, numbers its dossiers on from
+// where the crashed instance stopped.
+func TestSlowOpsThroughPublicAPI(t *testing.T) {
+	put := func(t *testing.T, db *DB, prefix string, n int) {
+		t.Helper()
+		s := db.Session(0)
+		for i := 0; i < n; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("%s%05d", prefix, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, ds []obs.Dossier) {
+		t.Helper()
+		if bad := obs.VerifySlowOps(ds); len(bad) != 0 {
+			t.Fatalf("dossiers violate their invariants: %v", bad)
+		}
+		for _, d := range ds {
+			if d.FlowState == "" {
+				t.Fatalf("dossier %d (%s) carries no flow state", d.Seq, d.Op)
+			}
+		}
+	}
+
+	for name, opts := range map[string]Options{
+		"negative threshold": {PMemMB: 1024, SlowOpThreshold: -1},
+		"DisableObs":         {PMemMB: 1024, SlowOpThreshold: 1, DisableObs: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			put(t, db, "k", 200)
+			if ds := db.SlowOps(); ds != nil {
+				t.Fatalf("capture is off, yet SlowOps returned %d dossiers", len(ds))
+			}
+		})
+	}
+
+	db, err := Open(Options{PMemMB: 1024, SlowOpThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const before, after = 200, 10
+	put(t, db, "a", before)
+	ds := db.SlowOps()
+	if len(ds) == 0 {
+		t.Fatal("a 1 ns threshold captured nothing")
+	}
+	check(t, ds)
+	last := ds[len(ds)-1].Seq
+	if last != before {
+		t.Fatalf("newest dossier is #%d after %d Puts", last, before)
+	}
+
+	db2, err := db.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	put(t, db2, "b", after)
+	ds = db2.SlowOps()
+	if len(ds) < after {
+		t.Fatalf("%d dossiers retained after the crash, want at least %d", len(ds), after)
+	}
+	tail := ds[len(ds)-after:]
+	check(t, tail)
+	for i, d := range tail {
+		if want := last + uint64(i) + 1; d.Seq != want || d.Op != "put" {
+			t.Fatalf("post-crash dossier %d is #%d %s, want #%d put", i, d.Seq, d.Op, want)
+		}
+	}
+}
+
 func TestCustomKnobs(t *testing.T) {
 	db, err := Open(Options{
 		PMemMB:        1024,

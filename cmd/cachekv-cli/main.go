@@ -183,6 +183,25 @@ func main() {
 	db.Close()
 }
 
+// smoke is the deterministic workload both subcommands run: ops operations
+// over ops/2+1 keys, three Puts of a 64-byte value to every Get, then a Flush.
+func smoke(db *cachekv.DB, ops int) error {
+	s := db.Session(0)
+	var key [16]byte
+	val := []byte(strings.Repeat("v", 64))
+	for i := 0; i < ops; i++ {
+		copy(key[:], fmt.Sprintf("key%013d", i%(ops/2+1)))
+		if i%4 == 3 {
+			if _, err := s.Get(key[:]); err != nil && err != cachekv.ErrNotFound {
+				return err
+			}
+		} else if err := s.Put(key[:], val); err != nil {
+			return err
+		}
+	}
+	return db.Flush()
+}
+
 // statsCmd runs a deterministic smoke workload against a fresh store and
 // dumps the metrics registry, as aligned text or (with -json) the sorted JSON
 // snapshot the golden tests pin.
@@ -200,22 +219,7 @@ func statsCmd(args []string) int {
 		return 1
 	}
 	defer db.Close()
-	s := db.Session(0)
-	var key [16]byte
-	val := []byte(strings.Repeat("v", 64))
-	for i := 0; i < *ops; i++ {
-		copy(key[:], fmt.Sprintf("key%013d", i%(*ops/2+1)))
-		if i%4 == 3 {
-			if _, err := s.Get(key[:]); err != nil && err != cachekv.ErrNotFound {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		} else if err := s.Put(key[:], val); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if err := db.Flush(); err != nil {
+	if err := smoke(db, *ops); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -256,22 +260,7 @@ func slowopsCmd(args []string) int {
 		return 1
 	}
 	defer db.Close()
-	s := db.Session(0)
-	var key [16]byte
-	val := []byte(strings.Repeat("v", 64))
-	for i := 0; i < *ops; i++ {
-		copy(key[:], fmt.Sprintf("key%013d", i%(*ops/2+1)))
-		if i%4 == 3 {
-			if _, err := s.Get(key[:]); err != nil && err != cachekv.ErrNotFound {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		} else if err := s.Put(key[:], val); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if err := db.Flush(); err != nil {
+	if err := smoke(db, *ops); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
@@ -309,8 +298,8 @@ func printDossier(d obs.Dossier) {
 	if d.Adaptive {
 		mode = "adaptive"
 	}
-	fmt.Printf("#%d %-6s on %s (core %d): %d ns  [threshold %d ns, %s]\n",
-		d.Seq, d.Op, d.Thread, d.Core, d.TotalNs, d.ThresholdNs, mode)
+	fmt.Printf("#%d %-6s (core %d): %d ns  [threshold %d ns, %s]\n",
+		d.Seq, d.Op, d.Core, d.TotalNs, d.ThresholdNs, mode)
 	fmt.Printf("   window v[%d..%d]  wait %d ns / busy %d ns", d.StartVNs, d.EndVNs, d.WaitNs, d.BusyNs)
 	if d.FlowState != "" {
 		fmt.Printf("  flow=%s", d.FlowState)

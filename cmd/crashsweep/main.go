@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"cachekv/internal/faultinject"
@@ -55,7 +54,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent schedule runs")
 	verbose := flag.Bool("v", false, "log per-configuration event totals")
 	tracePath := flag.String("trace", "", "replay mode: write the annotated lifecycle event trace as JSONL here ('-' for stdout)")
-	reportPath := flag.String("report", "", "write sweep results as a cachekv.obs/v1 JSON report here")
 	flag.Parse()
 
 	fam, err := faultinject.NewFamily(*family, *seed, *ops)
@@ -108,11 +106,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("crashsweep: %s: %d schedules, %d failures\n", fam.Name, stats.Runs, len(stats.Failures))
-	if *reportPath != "" {
-		if err := writeSweepReport(*reportPath, *engines, stats); err != nil {
-			fatal(err)
-		}
-	}
 	for _, r := range stats.Failures {
 		fmt.Printf("FAIL {%s}\n", r.Schedule)
 		for _, v := range r.Violations {
@@ -123,39 +116,6 @@ func main() {
 	if len(stats.Failures) > 0 {
 		os.Exit(1)
 	}
-}
-
-// writeSweepReport emits the sweep's outcome in the shared report schema: one
-// run whose metrics carry schedule/failure counts plus each configuration's
-// crash-point-space size, and whose events list one entry per failure with
-// its full reproduction tuple.
-func writeSweepReport(path, engines string, stats *faultinject.SweepStats) error {
-	snap := &obs.Snapshot{Metrics: []obs.Metric{
-		{Name: "sweep_schedules", Kind: obs.KindCounter, Int: int64(stats.Runs)},
-		{Name: "sweep_failures", Kind: obs.KindCounter, Int: int64(len(stats.Failures))},
-	}}
-	keys := make([]string, 0, len(stats.EventTotals))
-	for k := range stats.EventTotals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		snap.Metrics = append(snap.Metrics, obs.Metric{
-			Name: "sweep_events_" + k, Kind: obs.KindCounter, Int: stats.EventTotals[k]})
-	}
-	run := obs.RunReport{Engine: engines, Workload: "crashsweep", Ops: int64(stats.Runs), Metrics: snap}
-	for i, f := range stats.Failures {
-		run.Events = append(run.Events, obs.Event{
-			Seq: uint64(i + 1), Type: "oracle_violation",
-			Attrs: map[string]any{
-				"schedule":  f.Schedule.String(),
-				"violation": f.Violations[0],
-			},
-		})
-	}
-	rep := obs.NewReport("crashsweep")
-	rep.Runs = append(rep.Runs, run)
-	return rep.WriteFile(path)
 }
 
 func replay(fam faultinject.Family, engine, domain string, crashAt int64, fault, tracePath string) int {

@@ -15,15 +15,9 @@ type EngineConfig struct {
 	SubMemTableBytes uint64 // CacheKV sub-MemTable size (Exp#6)
 	FlushThreads     int    // CacheKV background flush threads (Exp#5)
 
-	// Cores overrides the simulated core count (default: the testbed's 24).
-	// Thread-scaling experiments past 24 threads raise it.
-	Cores int
 	// Shards opens the CacheKV-family engines as a sharded router with this
 	// many engine shards (0 or 1: the classic single engine).
 	Shards int
-	// CompactionWorkers sizes the CacheKV-family engines' background
-	// compaction scheduler (per shard when sharded); 0 = default (1).
-	CompactionWorkers int
 
 	// DataBytes is the expected working-set size of the experiment. It
 	// scales the baselines' memtables the way the paper configures them:
@@ -38,10 +32,6 @@ type EngineConfig struct {
 	Obs bool
 	// Trace, when non-nil, receives engine lifecycle events.
 	Trace *obs.Trace
-	// ProfileStepNs > 0 enables the continuous virtual-time sampling profiler
-	// with that period (NewMachine calls EnableProfiler before any thread
-	// exists). Like Obs, sampling adds zero virtual time.
-	ProfileStepNs int64
 }
 
 // NewMachine builds the simulated testbed platform (36 MB eADR LLC, 24
@@ -51,15 +41,9 @@ func (c EngineConfig) NewMachine() *hw.Machine {
 	if c.PMemBytes > 0 {
 		cfg.PMemBytes = c.PMemBytes
 	}
-	if c.Cores > 0 {
-		cfg.Cores = c.Cores
-	}
 	m := hw.NewMachine(cfg)
 	if c.Obs {
 		m.EnableObs()
-	}
-	if c.ProfileStepNs > 0 {
-		m.EnableProfiler(c.ProfileStepNs)
 	}
 	return m
 }
@@ -88,7 +72,6 @@ func (c EngineConfig) Open(kind engines.Kind, m *hw.Machine, th *hw.Thread) (kvs
 	if c.FlushThreads > 0 {
 		s.Core.FlushThreads = c.FlushThreads
 	}
-	s.Core.CompactionWorkers = c.CompactionWorkers
 	s.Core.Shards = c.Shards
 	// A MemTable the paper configures at 4 GiB never fills during a run: size
 	// it to absorb the workload. That is NoveLSM's PMem MemTable (rotations

@@ -8,6 +8,7 @@ import (
 
 	"cachekv/internal/engines"
 	"cachekv/internal/hw"
+	"cachekv/internal/kvstore"
 )
 
 // Scale controls how large the experiments run. The paper uses 10 M ops per
@@ -105,7 +106,7 @@ func workload(w Workload) Phase {
 // the persistence domain kept; its Result's ElapsedNs is the virtual time the
 // reopen — recovery — took.
 func powerCut(c *openCell) (Result, error) {
-	c.store.Halt() // CacheKV family only
+	c.DB.(kvstore.Halter).Halt()
 	c.M.Crash()
 	_ = c.DB.Close(c.th) // a halted engine's Close only stops its goroutines
 	c.M.Recover()

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"fmt"
 	"sync"
 
-	"cachekv/internal/core"
 	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/pmem"
 	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
-	"cachekv/internal/lsm"
 	"cachekv/internal/obs"
 )
 
@@ -21,16 +18,14 @@ type OpKind int
 const (
 	OpPut OpKind = iota
 	OpGet
-	OpRMW         // read-modify-write (YCSB-F)
-	OpDeleteRange // range tombstone over a narrow key interval
+	OpRMW // read-modify-write (YCSB-F)
 )
 
 // Mix selects an operation kind per op index. Fractions are cumulative
 // probabilities evaluated against a per-op deterministic draw.
 type Mix struct {
-	PutFrac         float64 // fraction of puts
-	RMWFrac         float64 // fraction of read-modify-writes
-	DeleteRangeFrac float64 // fraction of range deletes
+	PutFrac float64 // fraction of puts
+	RMWFrac float64 // fraction of read-modify-writes
 	// remainder are gets
 }
 
@@ -73,14 +68,12 @@ type Runner struct {
 	M     *hw.Machine
 	DB    kvstore.DB
 	Col   *obs.Collector // optional per-op attribution sink (nil = off)
-	store core.Store     // DB as a CacheKV-family engine (range delete, ingest, halt); nil for the baselines
 	epoch int64
 }
 
 // NewRunner wraps an engine for benchmarking.
 func NewRunner(m *hw.Machine, db kvstore.DB) *Runner {
-	store, _ := db.(core.Store)
-	return &Runner{M: m, DB: db, store: store}
+	return &Runner{M: m, DB: db}
 }
 
 // Run executes one workload phase and returns its result.
@@ -148,16 +141,6 @@ func (r *Runner) Run(w Workload) (Result, error) {
 					if err == nil {
 						err = r.DB.Put(th, key, vals.Value(op))
 					}
-				case OpDeleteRange:
-					if r.store != nil {
-						var b core.Batch
-						b.DeleteRange(key, rangeEnd(key))
-						err = r.store.Write(th, &b, 0)
-					} else {
-						// Engines without range tombstones model the same
-						// intent as a point delete.
-						err = r.DB.Delete(th, key)
-					}
 				}
 				if err != nil {
 					mu.Lock()
@@ -202,8 +185,6 @@ func spanOp(k OpKind) obs.Op {
 		return obs.OpPut
 	case OpRMW:
 		return obs.OpRMW
-	case OpDeleteRange:
-		return obs.OpDeleteRange
 	default:
 		return obs.OpGet
 	}
@@ -217,81 +198,9 @@ func pickOp(m Mix, rng *sim.RNG) OpKind {
 		return OpPut
 	case u < m.PutFrac+m.RMWFrac:
 		return OpRMW
-	case u < m.PutFrac+m.RMWFrac+m.DeleteRangeFrac:
-		return OpDeleteRange
 	default:
 		return OpGet
 	}
-}
-
-// rangeEnd returns the tightest exclusive upper bound covering key and its
-// immediate successors — a narrow range, so a delete-range mix thins the
-// keyspace instead of erasing it.
-func rangeEnd(key []byte) []byte {
-	end := append([]byte(nil), key...)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] < 0xff {
-			end[i]++
-			return end[:i+1]
-		}
-	}
-	return append(end, 0xff)
-}
-
-// RunIngest bulk-loads batches of ascending pre-built entries through the
-// engine's atomic Ingest path, one attribution span per batch, and returns a
-// phase result. The baselines, which have no bulk load, get the same data via
-// per-key Puts so cross-engine comparisons stay possible (their spans still
-// record under the ingest op type: the workload intent is identical).
-func (r *Runner) RunIngest(th *hw.Thread, batches, perBatch, valueSize int) (Result, error) {
-	if batches < 1 || perBatch < 1 {
-		batches, perBatch = 1, 1
-	}
-	res := Result{Name: "ingest", Engine: r.DB.Name(), Ops: int64(batches * perBatch),
-		Threads: 1, Latency: histogram.New()}
-	hwBefore := r.M.PMem.Snapshot()
-	th.Clock.AdvanceTo(r.epoch)
-	phasesBefore := th.PhaseBreakdown()
-	vals := NewValueGen(valueSize)
-	seq := 0
-	for b := 0; b < batches; b++ {
-		entries := make([]lsm.IngestEntry, perBatch)
-		for i := range entries {
-			entries[i] = lsm.IngestEntry{
-				Key:   []byte(fmt.Sprintf("zz-ingest%09d", seq)),
-				Value: append([]byte(nil), vals.Value(int64(seq))...),
-			}
-			seq++
-		}
-		sp := r.Col.StartOp(th, obs.OpIngest)
-		opStart := th.Clock.Now()
-		var err error
-		if r.store != nil {
-			err = r.store.Ingest(th, entries)
-		} else {
-			for _, e := range entries {
-				if err = r.DB.Put(th, e.Key, e.Value); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Latency.Record(th.Clock.Now() - opStart)
-		sp.End()
-	}
-	res.Breakdown = th.PhaseBreakdown().Sub(phasesBefore)
-	res.ThreadVNs = th.Clock.Now() - r.epoch
-	res.ElapsedNs = res.ThreadVNs
-	if res.ElapsedNs > 0 {
-		res.KopsPerSec = float64(res.Ops) / float64(res.ElapsedNs) * 1e6
-	}
-	res.HW = r.M.PMem.Snapshot().Sub(hwBefore)
-	if now := th.Clock.Now(); now > r.epoch {
-		r.epoch = now
-	}
-	return res, nil
 }
 
 // Settle flushes the engine and the XPBuffer so hardware counters quiesce

@@ -82,7 +82,7 @@ func manifestBytes(shards int) uint64 {
 // on-media layout), a private sequence counter, a pool partition the engine
 // reserves and releases itself, no two-phase log.
 type shardEnv struct {
-	index  int    // carried on trace events and background thread names
+	index  int    // carried on trace events
 	prefix string // region-name prefix, so several engines coexist on one machine
 	// seq orders versions across the whole keyspace of a router.
 	seq *atomic.Uint64
@@ -872,7 +872,7 @@ func (e *Engine) Close(th *hw.Thread) error {
 	// skips this — the power is already off.
 	if p := e.failed.Load(); p == nil || *p != errEngineCrashed {
 		if r, ok := e.m.LookupRegion(e.env.regionName("pool")); ok {
-			th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/close", e.env.index))
+			th := e.m.NewThread(0)
 			e.m.Cache.FlushOpt(th.Clock, r.Addr, int(r.Size))
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"cachekv/internal/hw"
@@ -112,7 +111,7 @@ func (e *Engine) serveSpill(at int64) {
 		e.spillState.mu.Unlock()
 		return
 	}
-	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/spill", e.env.index))
+	th := e.m.NewThread(0)
 	th.Clock.AdvanceTo(at)
 	start := th.Clock.Now()
 	th.InPhase(hw.PhaseSpill, func() {
@@ -185,7 +184,7 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 		finish()
 		return buf
 	}
-	th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/flush", e.env.index))
+	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
 	th.Clock.AdvanceTo(s.sealedAt.Load())
 	start := th.Clock.Now()
@@ -199,7 +198,7 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 	// The work itself runs here (the sub-skiplist must be complete before it
 	// moves to the ImmZone registry), but its virtual time is billed to the
 	// dedicated index thread, which overlaps with the copy-based flush.
-	syncTh := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
+	syncTh := e.m.NewThread(0)
 	syncTh.Clock.SetLabel(hw.PhaseIndex.Layer())
 	syncTh.Clock.AdvanceTo(s.sealedAt.Load())
 	e.syncSlot(syncTh, s)
@@ -451,7 +450,7 @@ type syncReq struct {
 func (e *Engine) indexLoop() {
 	defer e.indexWG.Done()
 	for req := range e.syncCh {
-		th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/index", e.env.index))
+		th := e.m.NewThread(0)
 		th.Clock.SetLabel(hw.PhaseIndex.Layer())
 		th.Clock.AdvanceTo(req.at)
 		e.syncSlot(th, req.s)
@@ -463,7 +462,7 @@ func (e *Engine) indexLoop() {
 func (e *Engine) compactLoop() {
 	defer e.indexWG.Done()
 	for range e.compactCh {
-		th := e.m.NewThread(0).SetName(fmt.Sprintf("shard%d/compact", e.env.index))
+		th := e.m.NewThread(0)
 		th.Clock.SetLabel(hw.PhaseCompact.Layer())
 		start := th.Clock.Now()
 		e.runCompaction(th)

@@ -354,7 +354,7 @@ func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 			sh:       sh,
 			eng:      sh.shards[k],
 			id:       k,
-			th:       m.NewThread(k).SetName(fmt.Sprintf("shard%d/writer", k)),
+			th:       m.NewThread(k),
 			ch:       make(chan *writeReq, 1024),
 			maxBytes: maxBytes,
 		}

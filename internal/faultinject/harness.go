@@ -315,9 +315,8 @@ type SweepConfig struct {
 
 // SweepStats aggregates a sweep.
 type SweepStats struct {
-	Runs        int
-	Failures    []*Result
-	EventTotals map[string]int64 // "family/engine/domain" -> script event count
+	Runs     int
+	Failures []*Result
 }
 
 // Sweep enumerates or samples crash schedules per the config and runs each
@@ -330,7 +329,7 @@ func Sweep(cfg SweepConfig) (*SweepStats, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	stats := &SweepStats{EventTotals: make(map[string]int64)}
+	stats := &SweepStats{}
 
 	type job struct {
 		spec    EngineSpec
@@ -351,7 +350,6 @@ func Sweep(cfg SweepConfig) (*SweepStats, error) {
 					return nil, fmt.Errorf("%s/%s/%s: script numbers no persistence events; nothing to crash",
 						fam.Name, spec.Name, domain)
 				}
-				stats.EventTotals[fam.Name+"/"+spec.Name+"/"+domain.String()] = total
 				for _, fault := range cfg.Faults {
 					if cfg.SchedulesPerConfig <= 0 {
 						for k := int64(1); k <= total; k++ {

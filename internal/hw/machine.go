@@ -56,10 +56,6 @@ type Machine struct {
 	crashed   atomic.Bool
 
 	obsTally *sim.MemTally // per-layer hardware attribution; nil until EnableObs
-
-	profStep    int64 // virtual-time sample period; 0 until EnableProfiler
-	profMu      sync.Mutex
-	profThreads []*Thread // every thread created after EnableProfiler
 }
 
 // Region is a named, contiguous range of PMem physical addresses.
@@ -111,35 +107,6 @@ func (m *Machine) EnableObs() {
 // was never called. sim.MemTally's Snapshot is nil-safe, so callers may use
 // the result unconditionally.
 func (m *Machine) ObsTally() *sim.MemTally { return m.obsTally }
-
-// DefaultProfileStep is the virtual-time sampling period EnableProfiler uses
-// when given 0: one sample per microsecond of virtual time.
-const DefaultProfileStep = int64(1000)
-
-// EnableProfiler turns on continuous virtual-time sampling for this platform:
-// every thread created afterwards carries a sim.Profile that accrues one
-// sample per stepNs of virtual time, split busy/wait per attribution layer.
-// Like EnableObs it must run before thread creation, and it adds zero virtual
-// time — samples are host-side counter bumps driven by clock arithmetic.
-func (m *Machine) EnableProfiler(stepNs int64) {
-	if stepNs <= 0 {
-		stepNs = DefaultProfileStep
-	}
-	m.profStep = stepNs
-}
-
-// ProfileStep returns the sampling period, or 0 when profiling is off.
-func (m *Machine) ProfileStep() int64 { return m.profStep }
-
-// ProfiledThreads returns every thread created since EnableProfiler, in
-// creation order.
-func (m *Machine) ProfiledThreads() []*Thread {
-	m.profMu.Lock()
-	defer m.profMu.Unlock()
-	out := make([]*Thread, len(m.profThreads))
-	copy(out, m.profThreads)
-	return out
-}
 
 // Alloc reserves size bytes of PMem address space under name, aligned to
 // align (which must be a power of two; 0 means XPLine alignment). Allocation
@@ -307,7 +274,6 @@ type Thread struct {
 	// whatever a call leaves in them means nothing to the next.
 	Scratch struct{ Key, Entry, Enc []byte }
 
-	name   string // profiler/forensics label; "" reads as "client"
 	phases Breakdown
 }
 
@@ -321,34 +287,8 @@ func (m *Machine) NewThread(core int) *Thread {
 		costs: m.Costs,
 	}
 	th.Clock.SetTally(m.obsTally)
-	if m.profStep > 0 {
-		th.Clock.SetProfile(&sim.Profile{}, m.profStep)
-		m.profMu.Lock()
-		m.profThreads = append(m.profThreads, th)
-		m.profMu.Unlock()
-	}
 	return th
 }
-
-// SetName labels the thread for the profiler and slow-op dossiers; threads
-// with the same name fold together in profile output. Returns the thread so
-// creation sites can chain it.
-func (t *Thread) SetName(name string) *Thread {
-	t.name = name
-	return t
-}
-
-// Name returns the thread's label ("client" when never set).
-func (t *Thread) Name() string {
-	if t.name == "" {
-		return "client"
-	}
-	return t.name
-}
-
-// Profile returns the thread's sampling profile, or nil when the machine was
-// built without EnableProfiler.
-func (t *Thread) Profile() *sim.Profile { return t.Clock.Profile() }
 
 // ChargeDRAM charges n DRAM accesses to the thread.
 func (t *Thread) ChargeDRAM(n int) { t.Clock.Advance(int64(n) * t.costs.DRAMAccess) }
@@ -376,6 +316,3 @@ func (t *Thread) AddPhase(p Phase, ns int64) { t.phases[p] += ns }
 
 // PhaseBreakdown returns the accumulated per-phase accounting.
 func (t *Thread) PhaseBreakdown() Breakdown { return t.phases }
-
-// ResetPhases clears the per-phase accounting (between experiment windows).
-func (t *Thread) ResetPhases() { t.phases = Breakdown{} }

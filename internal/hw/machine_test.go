@@ -126,10 +126,6 @@ func TestPhaseBreakdown(t *testing.T) {
 	if sum.Total() != 2*b.Total() {
 		t.Fatal("Breakdown.Add wrong")
 	}
-	th.ResetPhases()
-	if th.PhaseBreakdown().Total() != 0 {
-		t.Fatal("ResetPhases did not clear")
-	}
 	if PhaseWAL.String() != "wal" || PhaseFlushInstr.String() != "flush" {
 		t.Fatal("phase names wrong")
 	}

@@ -28,27 +28,11 @@ type Clock struct {
 	wait  atomic.Int64 // total ns spent blocked (AdvanceTo jumps)
 	label atomic.Int32 // attribution layer; 0 = direct/unlabeled
 	tally *MemTally    // set once at creation, nil when obs is disabled
-
-	prof     *Profile // virtual-time sampling profile, nil when profiling is off
-	profStep int64    // sample period in virtual ns
 }
 
 // SetTally attaches the machine-wide tally. It must be called before the
 // clock is shared (Machine.NewThread does this at creation).
 func (c *Clock) SetTally(t *MemTally) { c.tally = t }
-
-// SetProfile attaches a sampling profile with period stepNs. Like SetTally it
-// must be called before the clock is shared; stepNs <= 0 disables sampling.
-func (c *Clock) SetProfile(p *Profile, stepNs int64) {
-	if p == nil || stepNs <= 0 {
-		c.prof, c.profStep = nil, 0
-		return
-	}
-	c.prof, c.profStep = p, stepNs
-}
-
-// Profile returns the clock's sampling profile (nil when profiling is off).
-func (c *Clock) Profile() *Profile { return c.prof }
 
 // WaitNs returns the total virtual ns this clock spent blocked (the sum of
 // all AdvanceTo jumps), for wait-vs-busy splits in op forensics.
@@ -85,13 +69,7 @@ func (c *Clock) Advance(d int64) int64 {
 	if d > 0 && c.tally != nil {
 		c.tally.Cell(c.label.Load()).Ns.Add(d)
 	}
-	now := c.ns.Add(d)
-	if c.prof != nil && d > 0 {
-		if k := now/c.profStep - (now-d)/c.profStep; k > 0 {
-			c.prof.busy[c.label.Load()].Add(k)
-		}
-	}
-	return now
+	return c.ns.Add(d)
 }
 
 // AdvanceTo moves the clock forward to at least t (it never moves backward)
@@ -109,15 +87,7 @@ func (c *Clock) AdvanceTo(t int64) int64 {
 			if c.tally != nil {
 				c.tally.Cell(c.label.Load()).WaitNs.Add(t - cur)
 			}
-			if c.prof != nil {
-				if k := t/c.profStep - cur/c.profStep; k > 0 {
-					c.prof.wait[c.label.Load()].Add(k)
-				}
-			}
 			return t
 		}
 	}
 }
-
-// Reset rewinds the clock to zero; only used between experiment runs.
-func (c *Clock) Reset() { c.ns.Store(0) }

@@ -181,7 +181,7 @@ func (s *scheduler) abort() {
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
-	th := s.t.m.NewThread(0).SetName("compact-worker")
+	th := s.t.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseCompact.Layer())
 	for {
 		select {

@@ -2,7 +2,8 @@
 // hardware attribution spans, a bounded lifecycle event trace, and a metrics
 // registry with text and JSON exposition. It sits directly above internal/hw
 // (and internal/histogram) so every engine, the bench harness, and the CLI
-// tools can share one report schema.
+// tools share one set of metric names and one consistency check
+// (RunReport.Verify).
 //
 // The attribution model has two coordinated halves:
 //
@@ -62,7 +63,7 @@ func (o Op) String() string {
 }
 
 // foreground reports whether the op runs on a client thread (and therefore
-// counts toward the thread-busy-time invariant in Report.Verify).
+// counts toward the thread-busy-time invariant in RunReport.Verify).
 func (o Op) foreground() bool { return o != OpFlush && o != OpRecovery }
 
 // Collector accumulates per-op-type latency histograms and per-layer virtual

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -295,64 +294,6 @@ func TestSafeRatio(t *testing.T) {
 	}
 	if got := SafeRatio(0, 5); got != 0 {
 		t.Fatalf("SafeRatio(0, 5) = %v", got)
-	}
-}
-
-func TestReportRoundTrip(t *testing.T) {
-	rep := NewReport("test")
-	rep.Runs = append(rep.Runs, RunReport{
-		Engine:     "cachekv",
-		Workload:   "YCSB-C",
-		Ops:        1000,
-		Threads:    2,
-		ElapsedVNs: 500000,
-		ThreadVNs:  990000,
-		KopsPerSec: 2000,
-		OpStats: []OpStat{{
-			Op: "get", Count: 1000, TotalNs: 990000,
-			Layers: []OpLayer{{Layer: "direct", Ns: 490000}, {Layer: "client", Ns: 500000}},
-		}},
-		Metrics: &Snapshot{Metrics: []Metric{
-			{Name: MPMemLineArrivals, Kind: KindCounter, Int: 100},
-			{Name: MPMemLineHits, Kind: KindCounter, Int: 40},
-			{Name: MPMemMediaWriteB, Kind: KindCounter, Int: 25600},
-			{Name: MPMemCallerWriteB, Kind: KindCounter, Int: 20000},
-		}},
-	})
-	if bad := rep.Verify(); len(bad) != 0 {
-		t.Fatalf("verify: %v", bad)
-	}
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Schema != Schema || back.Tool != "test" || len(back.Runs) != 1 {
-		t.Fatalf("round-trip header: %+v", back)
-	}
-	r0 := back.Runs[0]
-	if r0.Engine != "cachekv" || r0.Ops != 1000 || r0.Metrics.Int(MPMemMediaWriteB) != 25600 {
-		t.Fatalf("round-trip run: %+v", r0)
-	}
-	if bad := back.Verify(); len(bad) != 0 {
-		t.Fatalf("verify after round-trip: %v", bad)
-	}
-}
-
-func TestReportSchemaRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	rep := &Report{Schema: "cachekv.obs/v0", Tool: "test"}
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadReport(path); err == nil {
-		t.Fatal("LoadReport accepted a foreign schema")
-	}
-	if bad := rep.Verify(); len(bad) == 0 {
-		t.Fatal("Verify accepted a foreign schema")
 	}
 }
 

@@ -1,24 +1,16 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"cachekv/internal/blockcache"
-	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/sim"
 )
 
-// Schema tags every report this package emits, so consumers can reject
-// payloads from a different era. Bump on breaking changes.
-const Schema = "cachekv.obs/v1"
-
-// Canonical metric names shared by every tool's registry, so the same report
-// parser works against cachekv-bench, ycsb, crashsweep, and cachekv-cli
-// output. Verify's invariants are phrased over these names.
+// Canonical metric names shared by every registry — the public DB's, the
+// bench harness's and cachekv-cli's. RunReport.Verify's invariants are
+// phrased over these names.
 const (
 	MPMemLineArrivals = "pmem_line_arrivals"
 	MPMemLineHits     = "pmem_line_hits"
@@ -144,61 +136,33 @@ type OpLayer struct {
 	Ns    int64  `json:"ns"`
 }
 
-// OpStat is one op type's latency distribution plus per-layer attribution.
+// OpStat is one op type's count, total virtual time and per-layer
+// attribution.
 type OpStat struct {
-	Op      string            `json:"op"`
-	Count   int64             `json:"count"`
-	TotalNs int64             `json:"total_ns"`
-	Latency histogram.Summary `json:"latency"`
-	Layers  []OpLayer         `json:"layers,omitempty"`
+	Op      string
+	Count   int64
+	TotalNs int64
+	Layers  []OpLayer
 }
 
-// LayerStat is one attribution layer's machine-wide hardware totals.
+// LayerStat is one attribution layer's machine-wide PMem byte totals.
 type LayerStat struct {
-	Layer             string `json:"layer"`
-	Ns                int64  `json:"ns"`
-	WaitNs            int64  `json:"wait_ns,omitempty"`
-	MediaWriteB       int64  `json:"media_write_bytes"`
-	MediaReadB        int64  `json:"media_read_bytes"`
-	CallerWriteB      int64  `json:"caller_write_bytes"`
-	LineArrivals      int64  `json:"line_arrivals"`
-	LineHits          int64  `json:"line_hits"`
-	XPLineEvicts      int64  `json:"xpline_evicts"`
-	RMWEvicts         int64  `json:"rmw_evicts"`
-	LLCWritebackLines int64  `json:"llc_writeback_lines"`
-	LLCFlushLines     int64  `json:"llc_flush_lines"`
+	Layer        string
+	MediaWriteB  int64
+	MediaReadB   int64
+	CallerWriteB int64
 }
 
-// RunReport is one workload run's full telemetry: throughput, per-op-type
-// attribution, machine-wide per-layer hardware totals, the metrics snapshot,
-// and (optionally) the retained event trace. It deliberately carries no
-// wall-clock timestamps so identical runs produce identical reports.
+// RunReport is what RunReport.Verify checks of one run: the clients' busy
+// time, per-op-type attribution, machine-wide per-layer byte totals, the
+// metrics snapshot and the slow-op dossiers. It is built in memory and never
+// written out; the ledger's JSON (benchmark/) is the only report format.
 type RunReport struct {
-	Engine         string      `json:"engine"`
-	Workload       string      `json:"workload"`
-	Ops            int64       `json:"ops"`
-	Threads        int         `json:"threads"`
-	ElapsedVNs     int64       `json:"elapsed_v_ns"`
-	ThreadVNs      int64       `json:"thread_v_ns,omitempty"`
-	KopsPerSec     float64     `json:"kops_per_sec"`
-	OpStats        []OpStat    `json:"op_stats,omitempty"`
-	Layers         []LayerStat `json:"layers,omitempty"`
-	Metrics        *Snapshot   `json:"metrics,omitempty"`
-	Events         []Event     `json:"events,omitempty"`
-	SlowOps        []Dossier   `json:"slow_ops,omitempty"`
-	SlowOpsDropped uint64      `json:"slow_ops_dropped,omitempty"`
-}
-
-// Report is the top-level schema every tool emits.
-type Report struct {
-	Schema string      `json:"schema"`
-	Tool   string      `json:"tool"`
-	Runs   []RunReport `json:"runs"`
-}
-
-// NewReport starts a report for the named tool.
-func NewReport(tool string) *Report {
-	return &Report{Schema: Schema, Tool: tool}
+	ThreadVNs int64
+	OpStats   []OpStat
+	Layers    []LayerStat
+	Metrics   *Snapshot
+	SlowOps   []Dossier
 }
 
 // OpStats digests a collector into per-op-type stats, skipping idle op types.
@@ -216,7 +180,6 @@ func (c *Collector) OpStats() []OpStat {
 			Op:      op.String(),
 			Count:   h.Count(),
 			TotalNs: c.totalNs[op].Load(),
-			Latency: h.Summary(),
 		}
 		for l := 0; l < hw.NumLayers; l++ {
 			if ns := c.layerNs[op][l].Load(); ns != 0 {
@@ -238,18 +201,10 @@ func LayersFromTally(s sim.TallySnapshot) []LayerStat {
 			continue
 		}
 		out = append(out, LayerStat{
-			Layer:             hw.LayerName(i),
-			Ns:                c.Ns,
-			WaitNs:            c.WaitNs,
-			MediaWriteB:       c.MediaWriteB,
-			MediaReadB:        c.MediaReadB,
-			CallerWriteB:      c.CallerWriteB,
-			LineArrivals:      c.LineArrivals,
-			LineHits:          c.LineHits,
-			XPLineEvicts:      c.XPLineEvicts,
-			RMWEvicts:         c.RMWEvicts,
-			LLCWritebackLines: c.LLCWritebackLines,
-			LLCFlushLines:     c.LLCFlushLines,
+			Layer:        hw.LayerName(i),
+			MediaWriteB:  c.MediaWriteB,
+			MediaReadB:   c.MediaReadB,
+			CallerWriteB: c.CallerWriteB,
 		})
 	}
 	return out
@@ -359,54 +314,4 @@ func (r *RunReport) Verify() []string {
 	}
 	bad = append(bad, VerifySlowOps(r.SlowOps)...)
 	return bad
-}
-
-// Verify checks every run in the report.
-func (r *Report) Verify() []string {
-	var bad []string
-	if r.Schema != Schema {
-		bad = append(bad, fmt.Sprintf("schema %q != %q", r.Schema, Schema))
-	}
-	for i := range r.Runs {
-		for _, v := range r.Runs[i].Verify() {
-			bad = append(bad, fmt.Sprintf("run %d (%s/%s): %s", i, r.Runs[i].Engine, r.Runs[i].Workload, v))
-		}
-	}
-	return bad
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the report as indented JSON to path.
-func (r *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadReport parses a report from path and checks its schema tag.
-func LoadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, err
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("obs: report schema %q, want %q", r.Schema, Schema)
-	}
-	return &r, nil
 }

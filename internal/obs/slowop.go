@@ -73,7 +73,6 @@ func (p SlowOpPolicy) withDefaults() SlowOpPolicy {
 type Dossier struct {
 	Seq             uint64    `json:"seq"`
 	Op              string    `json:"op"`
-	Thread          string    `json:"thread"`
 	Core            int       `json:"core"`
 	StartVNs        int64     `json:"start_v_ns"`
 	EndVNs          int64     `json:"end_v_ns"`
@@ -99,12 +98,11 @@ type slowState struct {
 	thr      [NumOps]atomic.Int64
 	adaptive [NumOps]bool
 
-	mu      sync.Mutex
-	ring    []Dossier
-	start   int
-	n       int
-	seq     uint64
-	dropped uint64
+	mu    sync.Mutex
+	ring  []Dossier
+	start int
+	n     int
+	seq   uint64
 }
 
 // EnableSlowOps arms triggered slow-op capture on the collector. tr (may be
@@ -177,20 +175,6 @@ func (c *Collector) SlowOps() []Dossier {
 	return out
 }
 
-// SlowOpsDropped returns how many dossiers were evicted by ring wrap.
-func (c *Collector) SlowOpsDropped() uint64 {
-	if c == nil {
-		return 0
-	}
-	sl := c.slow.Load()
-	if sl == nil {
-		return 0
-	}
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.dropped
-}
-
 // WriteSlowOpsJSONL writes the retained dossiers to w, one JSON object per
 // line. With a deterministic schedule (single foreground thread) and an
 // unwrapped trace ring the output is byte-identical across runs.
@@ -224,7 +208,6 @@ func (sl *slowState) capture(s Span, total, waitNs int64, layers []OpLayer, thr 
 	end := s.start + total
 	d := Dossier{
 		Op:             s.op.String(),
-		Thread:         s.th.Name(),
 		Core:           s.th.Core,
 		StartVNs:       s.start,
 		EndVNs:         end,
@@ -268,7 +251,6 @@ func (sl *slowState) capture(s Span, total, waitNs int64, layers []OpLayer, thr 
 	} else {
 		sl.ring[sl.start] = d
 		sl.start = (sl.start + 1) % len(sl.ring)
-		sl.dropped++
 	}
 	sl.mu.Unlock()
 }

@@ -151,9 +151,6 @@ func TestSlowOpRingWrapDrops(t *testing.T) {
 	if len(ds) != 4 {
 		t.Fatalf("retained = %d, want 4", len(ds))
 	}
-	if c.SlowOpsDropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", c.SlowOpsDropped())
-	}
 	// Oldest evicted: surviving seqs are 3..6 in order.
 	for i, d := range ds {
 		if d.Seq != uint64(i+3) {
@@ -214,7 +211,7 @@ func TestSlowOpDisarmedIsInert(t *testing.T) {
 	sp := c.StartOp(th, OpPut)
 	th.Clock.Advance(1 << 40)
 	sp.End()
-	if c.SlowOps() != nil || c.SlowOpsDropped() != 0 {
+	if c.SlowOps() != nil {
 		t.Fatal("disarmed collector captured dossiers")
 	}
 	var buf bytes.Buffer
@@ -225,7 +222,7 @@ func TestSlowOpDisarmedIsInert(t *testing.T) {
 	var nc *Collector
 	nc.EnableSlowOps(SlowOpPolicy{StaticNs: 1}, nil)
 	nc.SetSlowOpContext(func() string { return "x" })
-	if nc.SlowOps() != nil || nc.SlowOpsDropped() != 0 || nc.SlowOpThreshold(OpGet) != math.MaxInt64 {
+	if nc.SlowOps() != nil || nc.SlowOpThreshold(OpGet) != math.MaxInt64 {
 		t.Fatal("nil collector not inert")
 	}
 }
