@@ -452,12 +452,9 @@ func (db *DB) Scan(th *hw.Thread, start []byte, limit int, fn func(key, value []
 		its = append(its, db.imms[i].NewIter())
 	}
 	db.mu.Unlock()
-	treeIt, err := db.tree.NewIterator(th)
-	if err != nil {
-		return 0, err
-	}
-	its = append(its, treeIt)
-	return kvstore.ScanSources(its, start, snapshot, limit, nil, fn)
+	var ts lsm.TreeSources
+	var st kvstore.ScanState
+	return kvstore.ScanSources(&st, db.tree.AppendSources(th, its, &ts), start, snapshot, limit, nil, fn)
 }
 
 // FlushAll implements kvstore.DB.

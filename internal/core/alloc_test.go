@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/util"
 )
@@ -127,9 +128,86 @@ func TestGetAllocs(t *testing.T) {
 	}
 }
 
+// sealActive moves every shard's active slots into its ImmZone, short of a
+// spill, and waits until the flushes have landed.
+func sealActive(th *hw.Thread, shards []*Engine) {
+	for _, e := range shards {
+		for core := range e.pool.coreSlot {
+			if s := e.pool.sealForCore(th, core); s != nil {
+				e.queueSealed(th.Clock.Now(), s)
+			}
+		}
+		for e.pendingFlushes.Load() > 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestScanAllocs: once a Scan has run, the next one allocates nothing — on
+// the plain engine and on the router — although its sources are an active
+// slot, an ImmZone table, L0 files and an L1 level on every shard (about 23
+// objects at the commit before the scan cursor was pooled).
+func TestScanAllocs(t *testing.T) {
+	skipAllocsUnderRace(t)
+	m := testMachine()
+	o := quietOpts()
+	o.SkiplistCompaction = false
+	e, th := openEngine(t, m, o)
+	defer e.Close(th)
+	so := smallShardedOpts(2)
+	so.SyncThreshold, so.Elastic, so.SkiplistCompaction = 1<<30, false, false
+	sh, sth := openSharded(t, testMachine(), so)
+	defer sh.Close(sth)
+
+	val := make([]byte, 64)
+	rows := 0
+	count := func(k, v []byte) bool { rows++; return true } // allocated once, outside the measured runs
+	for name, db := range map[string]struct {
+		kvstore.DB
+		th     *hw.Thread
+		shards []*Engine
+	}{"engine": {e, th, []*Engine{e}}, "2 shards": {sh, sth, sh.shards}} {
+		put := func(from, to int) {
+			for i := from; i < to; i++ {
+				if err := db.Put(db.th, allocKey(i*7919%4001), val); err != nil { // 7919 generates Z/4001
+					t.Fatal(err)
+				}
+			}
+		}
+		for r := 0; r < 6; r++ { // L0 files and L1 on every shard
+			put(r*400, r*400+600)
+			if err := db.FlushAll(db.th); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(2400, 3000)
+		sealActive(db.th, db.shards)
+		put(3000, 3400)
+		for k, s := range db.shards {
+			if len(s.mem.imms) == 0 || s.tree.NumFiles(0) == 0 || s.tree.NumFiles(1) == 0 {
+				t.Fatalf("%s: shard %d has %d ImmZone tables, %d L0 and %d L1 files; the scan is meant to cross all of them",
+					name, k, len(s.mem.imms), s.tree.NumFiles(0), s.tree.NumFiles(1))
+			}
+		}
+		start := allocKey(1000)
+		scan := func() {
+			rows = 0
+			if n, err := db.Scan(db.th, start, 50, count); err != nil || n != 50 || rows != 50 {
+				t.Fatalf("%s: Scan = %d rows (callback %d), %v; want 50", name, n, rows, err)
+			}
+		}
+		scan() // syncs the active slots and touches the blocks once; the next touch caches them
+		scan()
+		if n := testing.AllocsPerRun(100, scan); n != 0 {
+			t.Errorf("%s: a 50-row Scan allocates %.1f objects, want 0", name, n)
+		}
+	}
+}
+
 // TestOwnershipScanCallback: the key and value a Scan hands its callback stay
 // intact for the whole callback — even while the callback itself runs Gets on
-// the same thread, which overwrite the thread's scratch — although the rows of
+// the same thread, which overwrite the thread's scratch, and a Scan, which
+// takes a pooled cursor of its own — although the rows of
 // a sub-MemTable or a flushed table are all read through one buffer per source
 // that the next row reuses. Rows come from an active slot, a flushed table and
 // the tree at once.
@@ -169,6 +247,18 @@ func TestOwnershipScanCallback(t *testing.T) {
 			if got, err := e.Get(th, allocKey(other)); err != nil || string(got) != string(val(other)) {
 				t.Fatalf("Get(%s) inside the callback = %q, %v", allocKey(other), got, err)
 			}
+		}
+		// A Scan inside the callback, on the same thread, walks sources of its
+		// own: the outer row's bytes stay where they are.
+		inner := 600 - rows
+		if n, err := e.Scan(th, allocKey(inner), 3, func(key, value []byte) bool {
+			if string(key) != string(allocKey(inner)) || string(value) != string(val(inner)) {
+				t.Fatalf("nested scan row is %s=%s, want %s=%s", key, value, allocKey(inner), val(inner))
+			}
+			inner++
+			return true
+		}); err != nil || n != min(3, rows+1) {
+			t.Fatalf("nested Scan inside row %d visited %d rows, err %v", rows, n, err)
 		}
 		if string(key) != k || string(value) != v {
 			t.Fatalf("row %d changed under the callback: now %s=%s, was %s=%s", rows, key, value, k, v)

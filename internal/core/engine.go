@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,6 +17,7 @@ import (
 	"cachekv/internal/lsm"
 	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
+	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
 
@@ -756,15 +758,10 @@ func (e *Engine) Scan(th *hw.Thread, start []byte, limit int, fn func(key, value
 	if err := e.err(); err != nil {
 		return 0, err
 	}
-	snapshot := e.seq.Load()
-	its, err := e.internalIterators(th)
-	if err != nil {
-		return 0, err
-	}
-	return kvstore.ScanSources(its, start, snapshot, limit, e.visibleRangeTombs(snapshot), fn)
+	return scanShards(th, []*Engine{e}, start, limit, fn)
 }
 
-// sstIter bills everything a scan's tree iterator does — table opens, block
+// sstIter bills everything a scan's tree source does — table opens, block
 // loads, the cache lines an in-place walk faults — to hw.PhaseSST, the phase
 // Get's tree lookup runs in.
 type sstIter struct {
@@ -782,12 +779,66 @@ func (s sstIter) Value() (v []byte) {
 	return v
 }
 
-// internalIterators returns one iterator per live data source (active slots,
-// flushed tables, the LSM tree), billing the same index syncs a scan performs.
-// The sharded router merges these across shards for cross-shard scans.
-func (e *Engine) internalIterators(th *hw.Thread) ([]lsm.Iterator, error) {
-	var its []lsm.Iterator
-	for _, s := range e.pool.snapshotActive(nil) {
+// scanCursor is everything one Scan walks with, from scanPool: a warm Scan
+// allocates nothing, and a Scan inside a Scan's callback gets its own. Each
+// tableIter and sstIter is an allocation it keeps, so the merge's pointers
+// to them stay put however far the slices grow.
+type scanCursor struct {
+	kvstore.ScanState
+	srcs   []lsm.Iterator // this pass's sources, in merge order
+	tables []*tableIter
+	trees  []*lsm.TreeSources // one per shard
+	ssts   []*sstIter
+	tombs  []lsm.RangeDel
+	resume []byte
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanCursor) }}
+
+// maxScanPasses bounds a Scan's passes: a table that fails the fetch check
+// pass after pass is damaged, not recycled, and the Scan reports it.
+const maxScanPasses = 16
+
+// scanShards runs one Scan over the sources of shards, in shard order, at the
+// sequence before they are collected. A tree that took in newer entries
+// meanwhile (a spill or an ingest) may have compacted away a version that
+// snapshot reads: the pass starts over at a new one. A table recycled under
+// the walk (errStaleTable) ends a pass but not the Scan: its entries have
+// reached the ImmZone or the tree, where the next pass, collected afresh,
+// finds them as it goes on just past the last key decided.
+func scanShards(th *hw.Thread, shards []*Engine, start []byte, limit int, fn func(key, value []byte) bool) (int, error) {
+	c := scanPool.Get().(*scanCursor)
+	defer scanPool.Put(c)
+	snapshot, total := shards[0].seq.Load(), 0
+	for pass := 1; ; pass++ {
+		c.srcs, c.tables, c.trees, c.ssts, c.tombs = c.srcs[:0], c.tables[:0], c.trees[:0], c.ssts[:0], c.tombs[:0]
+		newer := false
+		for _, e := range shards {
+			newer = e.appendSources(th, c, snapshot) || newer
+		}
+		if newer && pass < maxScanPasses { // the sources hold nothing before their Seek
+			snapshot = shards[0].seq.Load()
+			continue
+		}
+		n, err := kvstore.ScanSources(&c.ScanState, c.srcs, start, snapshot, limit-total, c.tombs, fn)
+		total += n
+		if !errors.Is(err, errStaleTable) || pass >= maxScanPasses {
+			return total, err
+		}
+		if n > 0 {
+			c.resume = append(append(c.resume[:0], c.Last()...), 0)
+			start = c.resume
+		}
+	}
+}
+
+// appendSources adds e's sources to c — one per active slot, billing the
+// index sync a scan performs, one per ImmZone table, newest first, then the
+// tree's, billed to hw.PhaseSST — and the range tombstones visible at
+// snapshot. It reports whether the tree holds entries newer than snapshot.
+func (e *Engine) appendSources(th *hw.Thread, c *scanCursor, snapshot uint64) bool {
+	var slots [16]*slot
+	for _, s := range e.pool.snapshotActive(slots[:0]) {
 		// Scans need complete indexes; bill the sync like Get's trigger-1.
 		th.InPhase(hw.PhaseIndex, func() {
 			if e.syncSlot(th, s) > 0 {
@@ -798,21 +849,44 @@ func (e *Engine) internalIterators(th *hw.Thread) ([]lsm.Iterator, error) {
 		list := s.list
 		s.syncMu.Unlock()
 		if list != nil {
-			its = append(its, e.newTableIter(th, list, s.dataAddr(), s.dataCap(), e.poolPart))
+			c.addTable(e, th, list, s.dataAddr(), s.dataCap(), e.poolPart)
 		}
 	}
 	e.mem.mu.RLock()
 	for i := len(e.mem.imms) - 1; i >= 0; i-- {
 		t := e.mem.imms[i]
-		its = append(its, e.newTableIter(th, t.list, t.base, t.dataLen, cache.DefaultPartition))
+		c.addTable(e, th, t.list, t.base, t.dataLen, cache.DefaultPartition)
 	}
 	e.mem.mu.RUnlock()
-	treeIt, err := e.tree.NewIterator(th)
-	if err != nil {
-		return nil, err
+	var ts *lsm.TreeSources
+	c.trees, ts = extend(c.trees)
+	n := len(c.srcs)
+	for c.srcs = e.tree.AppendSources(th, c.srcs, ts); n < len(c.srcs); n++ {
+		var w *sstIter
+		c.ssts, w = extend(c.ssts)
+		*w, c.srcs[n] = sstIter{c.srcs[n], th}, w
 	}
-	its = append(its, sstIter{treeIt, th})
-	return its, nil
+	c.tombs = e.appendRangeTombs(c.tombs, snapshot)
+	return e.tree.LastSeq() > snapshot
+}
+
+// addTable adds a source over one table, keeping its tableIter's buffer.
+func (c *scanCursor) addTable(e *Engine, th *hw.Thread, list *skiplist.List, base, limit uint64, part cache.PartitionID) {
+	var t *tableIter
+	c.tables, t = extend(c.tables)
+	*t = tableIter{e: e, th: th, base: base, limit: limit, part: part, buf: t.buf}
+	list.ResetIterator(&t.it)
+	c.srcs = append(c.srcs, t)
+}
+
+// extend lengthens s by one and returns its new last element: the one an
+// earlier use left past len(s), or a new one.
+func extend[T any](s []*T) ([]*T, *T) {
+	s = slices.Grow(s, 1)[:len(s)+1]
+	if s[len(s)-1] == nil {
+		s[len(s)-1] = new(T)
+	}
+	return s, s[len(s)-1]
 }
 
 // FlushAll implements kvstore.DB: seal everything, drain the flush pipeline,

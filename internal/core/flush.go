@@ -385,8 +385,9 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 			maxSeq = t.maxSeq
 		}
 	}
-	merged := lsm.NewMergingIterator(its...)
-	if err := e.tree.FlushNoCompact(th, merged, maxSeq); err != nil {
+	var merged lsm.MergingIterator
+	merged.Reset(its)
+	if err := e.tree.FlushNoCompact(th, &merged, maxSeq); err != nil {
 		e.fail(err)
 		return
 	}

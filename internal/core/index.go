@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -168,18 +169,18 @@ func (e *Engine) searchList(th *hw.Thread, list *skiplist.List, base, limit uint
 type tableIter struct {
 	e     *Engine
 	th    *hw.Thread
-	it    *skiplist.Iterator
+	it    skiplist.Iterator
 	base  uint64
 	limit uint64 // data-region bytes at base; fetches past it are stale
 	part  cache.PartitionID
 	buf   []byte // the current entry's bytes; reused as the iterator moves
 	val   []byte
 	ok    bool
+	err   error // errStaleTable once an entry failed its fetch check
 }
 
-func (e *Engine) newTableIter(th *hw.Thread, list *skiplist.List, base, limit uint64, part cache.PartitionID) *tableIter {
-	return &tableIter{e: e, th: th, it: list.NewIterator(), base: base, limit: limit, part: part}
-}
+// errStaleTable ends a tableIter whose table's bytes were recycled under it.
+var errStaleTable = errors.New("core: a scanned table was recycled under the scan")
 
 func (t *tableIter) load() {
 	t.ok = false
@@ -191,6 +192,7 @@ func (t *tableIter) load() {
 	// Same stale-table defence as searchList: only a fetch that returns the
 	// indexed internal key verbatim is trusted.
 	if !ok || !ent.Is(t.it.Key()) {
+		t.err = errStaleTable
 		return
 	}
 	t.val = ent.Value
@@ -215,9 +217,9 @@ func (t *tableIter) Key() util.InternalKey { return util.InternalKey(t.it.Key())
 // Value returns the current value bytes; valid until the iterator moves.
 func (t *tableIter) Value() []byte { return t.val }
 
-// Err is always nil: an entry that fails its fetch check is a stale table's,
-// and ends the walk the way running out does.
-func (t *tableIter) Err() error { return nil }
+// Err is errStaleTable once an entry failed its fetch check: a flushed slot
+// or a spilled ImmZone holds another table now.
+func (t *tableIter) Err() error { return t.err }
 
 // Close is a no-op; the iterator borrows nothing.
 func (t *tableIter) Close() {}
@@ -273,7 +275,7 @@ func (t *snapIter) Key() util.InternalKey { return util.InternalKey(t.it.Key()) 
 // Value returns the current value bytes, inside the snapshot.
 func (t *snapIter) Value() []byte { return t.val }
 
-// Err is always nil (see tableIter.Err).
+// Err is always nil: the snapshot is the spill's own copy.
 func (t *snapIter) Err() error { return nil }
 
 // Close is a no-op; the iterator borrows nothing.
@@ -344,7 +346,8 @@ func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *m
 	finger := global.NewFinger(func(n int) { visits += n })
 	var last []byte // user key of the previous source entry (non-nil even when empty)
 	var gv [17]byte // the node value being set; the list copies it
-	it := lsm.NewMergingIterator(srcs...)
+	var it lsm.MergingIterator
+	it.Reset(srcs)
 	it.SeekToFirst()
 	if globalFilter != nil && it.Valid() {
 		// The run's keys ascend, so its first key and the largest of the

@@ -41,17 +41,16 @@ func (l *rangeTombList) coverSeq(ukey []byte, snap uint64) uint64 {
 	return cover
 }
 
-// visible returns a copy of every tombstone with sequence <= snap.
-func (l *rangeTombList) visible(snap uint64) []lsm.RangeDel {
+// appendVisible appends to dst every tombstone with sequence <= snap.
+func (l *rangeTombList) appendVisible(dst []lsm.RangeDel, snap uint64) []lsm.RangeDel {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []lsm.RangeDel
 	for _, rd := range l.tombs {
 		if rd.Seq <= snap {
-			out = append(out, rd)
+			dst = append(dst, rd)
 		}
 	}
-	return out
+	return dst
 }
 
 type tombKey struct {
@@ -85,15 +84,15 @@ func (l *rangeTombList) pruneTo(spilled []lsm.RangeDel) {
 // pruneRangeTombs retires DRAM tombstone mirrors the tree now owns; called
 // after a spill installs.
 func (e *Engine) pruneRangeTombs() {
-	e.rangeTombs.pruneTo(e.tree.RangeTombstones(util.MaxSequence))
+	e.rangeTombs.pruneTo(e.tree.RangeTombstones(nil, util.MaxSequence))
 }
 
-// visibleRangeTombs collects every range tombstone visible at snap from both
-// the memory component and the tree. An unpruned DRAM mirror may duplicate a
-// tree entry; scans take the max cover, so duplicates are harmless.
-func (e *Engine) visibleRangeTombs(snap uint64) []lsm.RangeDel {
-	tombs := e.rangeTombs.visible(snap)
-	return append(tombs, e.tree.RangeTombstones(snap)...)
+// appendRangeTombs appends to dst every range tombstone visible at snap, from
+// the memory component and then the tree. An unpruned DRAM mirror may
+// duplicate a tree entry; scans take the max cover, so duplicates are
+// harmless.
+func (e *Engine) appendRangeTombs(dst []lsm.RangeDel, snap uint64) []lsm.RangeDel {
+	return e.tree.RangeTombstones(e.rangeTombs.appendVisible(dst, snap), snap)
 }
 
 // Ingest bulk-loads entries (strictly ascending unique user keys) as external

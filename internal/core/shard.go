@@ -554,18 +554,7 @@ func (sh *Sharded) Scan(th *hw.Thread, start []byte, limit int, fn func(key, val
 	if err := sh.err(); err != nil {
 		return 0, err
 	}
-	snapshot := sh.seq.Load()
-	var its []lsm.Iterator
-	var tombs []lsm.RangeDel
-	for _, e := range sh.shards {
-		sits, err := e.internalIterators(th)
-		if err != nil {
-			return 0, err
-		}
-		its = append(its, sits...)
-		tombs = append(tombs, e.visibleRangeTombs(snapshot)...)
-	}
-	return kvstore.ScanSources(its, start, snapshot, limit, tombs, fn)
+	return scanShards(th, sh.shards, start, limit, fn)
 }
 
 // FlushAll implements kvstore.DB: flush every shard's pipeline.

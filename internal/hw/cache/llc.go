@@ -512,9 +512,12 @@ func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part pa
 		// The fill is read with the set locked: this line's bytes reach the
 		// media only under the same lock (an eviction or a flush), so no
 		// reader sees the line before its fill, and no fill is torn or stale.
+		// Counted resident before the fill: a concurrent NTWrite then drops it.
 		var fill [lineSize]byte
+		c.resident[granule(base)].Add(1)
 		c.dev.Read(clk, base, fill[:])
 		w = c.install(clk, &s, base, part, &fill)
+		c.resident[granule(base)].Add(-1)
 		cost += c.costs.CacheMissExtra
 	}
 	copy(buf, s.data[w][off:])
@@ -805,6 +808,8 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 			c.dev.WriteLinesPipelined(clk, lastBase, last[:])
 		}
 	}
+	// Drop what a load that missed meanwhile filled from the old bytes.
+	c.invalidate(addr, len(data))
 	clk.Advance(c.costs.Fence)
 }
 

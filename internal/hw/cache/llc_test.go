@@ -339,6 +339,47 @@ func TestWriteAllocateNeverExposesAZeroedLine(t *testing.T) {
 	}
 }
 
+// TestNTWriteLeavesNoStaleLine: a load that misses while an NT store rewrites
+// its line fills the line from the media. Once the store returns, no such fill
+// may be left in the cache holding the old bytes — it would serve them until
+// evicted (a scan reading a recycled ImmZone table while a flush NT-copies
+// the next table over it left exactly that at e57b644).
+func TestNTWriteLeavesNoStaleLine(t *testing.T) {
+	c, _ := newLLC(Config{SizeBytes: 1 << 20, Ways: 16, Domain: EADR}) // holds the region: nothing is evicted
+	const lines = 1024
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var clk sim.Clock
+		rng := sim.NewRNG(2)
+		buf := make([]byte, 8)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.Read(&clk, rng.Uint64n(lines)*lineSize, buf, DefaultPartition)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	var clk sim.Clock
+	region, line := make([]byte, lines*lineSize), make([]byte, lineSize)
+	for round := byte(1); round <= 200; round++ {
+		for i := range region {
+			region[i] = round
+		}
+		c.NTWrite(&clk, 0, region)
+		for l := uint64(0); l < lines; l++ {
+			c.Read(&clk, l*lineSize, line, DefaultPartition)
+			if line[0] != round || line[lineSize-1] != round {
+				t.Fatalf("round %d: line %d reads %d after the NT store returned", round, l, line[0])
+			}
+		}
+	}
+}
+
 // TestLLCAllocs pins the host cost of the line paths: a hit Read or Write,
 // through the default partition or a pinned one, allocates nothing, and nor
 // does dropping or NT-storing a 4 KiB range, whether its lines are cached or

@@ -76,36 +76,46 @@ func (r *UserGetResult) Consider(value []byte, seq uint64, kind util.ValueKind) 
 	}
 }
 
-// UserScan drives a merged internal-key iterator (memtables over tree) and
-// yields each live user key's freshest value, skipping shadowed versions and
-// tombstones. It returns the number of entries visited.
-func UserScan(it lsm.Iterator, start []byte, seq uint64, limit int, fn func(key, value []byte) bool) int {
-	return UserScanTombs(it, start, seq, limit, nil, fn)
+// ScanState is what a user scan keeps from one call to the next: its merge and
+// its search-key and last-user-key buffers. The zero value is ready.
+type ScanState struct {
+	merge      lsm.MergingIterator
+	ikey, last []byte
 }
 
-// ScanSources is a whole user scan: it merges the sources (newest first),
-// runs UserScanTombs over them and closes them. A source that failed — a
-// corrupt or vanished table block — fails the scan: the rows delivered are
-// then a prefix of the answer, not the answer.
-func ScanSources(its []lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) (int, error) {
-	merged := lsm.NewMergingIterator(its...)
-	defer merged.Close()
-	n := UserScanTombs(merged, start, seq, limit, tombs, fn)
-	return n, merged.Err()
+// ScanSources is a whole user scan: it merges the sources (newest first)
+// through st, runs UserScanTombs over them and closes them. A source that
+// failed — a corrupt or vanished table block — fails the scan: the rows
+// delivered are then a prefix of the answer, not the answer.
+func ScanSources(st *ScanState, its []lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) (int, error) {
+	st.merge.Reset(its)
+	defer st.merge.Close()
+	n := st.scan(&st.merge, start, seq, limit, tombs, fn)
+	return n, st.merge.Err()
 }
 
-// UserScanTombs is UserScan with range-tombstone awareness. tombs is the
-// pre-collected list of every range tombstone visible at the snapshot (a Seek
-// past a tombstone's start key would never visit its entry, so coverage
-// cannot be derived from the iterator alone). A key's freshest visible
-// version is suppressed when some tombstone spans it with a strictly higher
-// sequence — the equal-seq point write survives. KindRangeDel entries
-// surfacing from the sources are structural, not key versions: they neither
-// shadow a point write at the same user key nor appear in the output.
+// Last returns the last user key the latest scan through st decided, once it
+// delivered a row: a scan that failed part-way can go on just past it.
+func (st *ScanState) Last() []byte { return st.last }
+
+// UserScanTombs drives a merged internal-key iterator (memtables over tree)
+// and yields each live user key's freshest value, skipping shadowed versions,
+// tombstones and what range tombstones cover. It returns the number of
+// entries visited. tombs is the pre-collected list of every range tombstone
+// visible at the snapshot (a Seek past a tombstone's start key would never
+// visit its entry, so coverage cannot be derived from the iterator alone). A
+// key's freshest visible version is suppressed when some tombstone spans it
+// with a strictly higher sequence — the equal-seq point write survives.
+// KindRangeDel entries surfacing from the sources are structural, not key
+// versions: they neither shadow a point write at the same user key nor appear
+// in the output.
 func UserScanTombs(it lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) int {
-	ik := util.MakeInternalKey(nil, start, seq, util.KindValue)
-	it.Seek(ik)
-	var lastUser []byte
+	return new(ScanState).scan(it, start, seq, limit, tombs, fn)
+}
+
+func (st *ScanState) scan(it lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) int {
+	st.ikey = util.MakeInternalKey(st.ikey[:0], start, seq, util.KindValue)
+	it.Seek(st.ikey)
 	haveLast := false
 	n := 0
 	for it.Valid() && (limit <= 0 || n < limit) {
@@ -115,11 +125,11 @@ func UserScanTombs(it lsm.Iterator, start []byte, seq uint64, limit int, tombs [
 			continue
 		}
 		u := key.UserKey()
-		if haveLast && string(u) == string(lastUser) {
+		if haveLast && string(u) == string(st.last) {
 			it.Next()
 			continue
 		}
-		lastUser = append(lastUser[:0], u...)
+		st.last = append(st.last[:0], u...)
 		haveLast = true
 		if key.Kind() == util.KindDelete {
 			it.Next()

@@ -184,21 +184,21 @@ func TestUserScanSkipsShadowsAndTombstones(t *testing.T) {
 	insert("b", 6, util.KindDelete, "")
 	insert("c", 3, util.KindValue, "c3")
 	var got []string
-	n := UserScan(mt.NewIter(), nil, util.MaxSequence, 0, func(k, v []byte) bool {
+	n := UserScanTombs(mt.NewIter(), nil, util.MaxSequence, 0, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
 	if n != 2 || got[0] != "a=a5" || got[1] != "c=c3" {
-		t.Fatalf("UserScan = %v (n=%d)", got, n)
+		t.Fatalf("UserScanTombs = %v (n=%d)", got, n)
 	}
 	// At a snapshot before the tombstone and the overwrite, old values show.
 	got = nil
-	UserScan(mt.NewIter(), nil, 4, 0, func(k, v []byte) bool {
+	UserScanTombs(mt.NewIter(), nil, 4, 0, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
 	if len(got) != 3 || got[0] != "a=a1" || got[1] != "b=b2" || got[2] != "c=c3" {
-		t.Fatalf("snapshot UserScan = %v", got)
+		t.Fatalf("snapshot UserScanTombs = %v", got)
 	}
 }
 
@@ -221,7 +221,7 @@ func TestUserScanStopsAtLimitWithoutAdvancing(t *testing.T) {
 	}
 	for _, limit := range []int{1, 7, 20} {
 		it := &countingIter{Iter: mt.NewIter()}
-		if n := UserScan(it, nil, util.MaxSequence, limit, func(k, v []byte) bool { return true }); n != limit {
+		if n := UserScanTombs(it, nil, util.MaxSequence, limit, nil, func(k, v []byte) bool { return true }); n != limit {
 			t.Fatalf("limit %d: %d rows", limit, n)
 		}
 		if it.nexts != limit-1 {
@@ -230,7 +230,7 @@ func TestUserScanStopsAtLimitWithoutAdvancing(t *testing.T) {
 	}
 	// Unlimited: every row is advanced past, which is how the scan finds the end.
 	it := &countingIter{Iter: mt.NewIter()}
-	if n := UserScan(it, nil, util.MaxSequence, 0, func(k, v []byte) bool { return true }); n != 20 || it.nexts != 20 {
+	if n := UserScanTombs(it, nil, util.MaxSequence, 0, nil, func(k, v []byte) bool { return true }); n != 20 || it.nexts != 20 {
 		t.Fatalf("unlimited scan: %d rows, %d advances", n, it.nexts)
 	}
 }

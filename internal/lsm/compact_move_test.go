@@ -185,13 +185,9 @@ func (mm *moveModel) check(t *testing.T, tr *Tree, th *hw.Thread, rng *rand.Rand
 	mm.at = at
 
 	// The merged iterator, read the way a scan reads it.
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Error(err)
-		return
-	}
+	it := treeIterator(tr, th)
 	defer it.Close()
-	tombs := tr.RangeTombstones(util.MaxSequence)
+	tombs := tr.RangeTombstones(nil, util.MaxSequence)
 	got := map[string]string{}
 	var last []byte
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -320,10 +316,7 @@ func TestMoveOnlyJobsDoNotAgeGraveyard(t *testing.T) {
 	// Two overlapping tables: the job that takes them must merge.
 	flushRun(t, tr, th, uniqueRun(0, 2, 60, 24, &seq))
 	flushRun(t, tr, th, uniqueRun(1, 2, 60, 24, &seq))
-	it, err := tr.NewIterator(th) // lazy: no table is opened before the first Seek
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := treeIterator(tr, th) // lazy: no table is opened before the first Seek
 	defer it.Close()
 	if _, res, ok := runJob(t, tr, th); !ok || res.Inputs != 2 {
 		t.Fatalf("first job merged %d tables (ran=%v), want the 2 the iterator holds", res.Inputs, ok)

@@ -206,10 +206,7 @@ func TestIteratorHeldAcrossCompaction(t *testing.T) {
 		}
 	}
 
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := treeIterator(tr, th)
 	// Run up to two compaction jobs — the graveyard's guarantee window —
 	// retiring the L0 files the iterator holds.
 	jobs := 0
@@ -303,11 +300,7 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 					return
 				default:
 				}
-				it, err := tr.NewIterator(rth)
-				if err != nil {
-					t.Errorf("NewIterator: %v", err)
-					return
-				}
+				it := treeIterator(tr, rth)
 				n := 0
 				var last []byte
 				for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -411,11 +404,8 @@ func TestRangeDelVisibilityEdges(t *testing.T) {
 	// suppression rule is the one kvstore.UserScanTombs applies: newest
 	// visible version per user key, hidden when a tombstone with
 	// rd.Seq <= snap strictly covers it.
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tombs := tr.RangeTombstones(util.MaxSequence)
+	it := treeIterator(tr, th)
+	tombs := tr.RangeTombstones(nil, util.MaxSequence)
 	var seen []string
 	var lastUser []byte
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -461,7 +451,7 @@ func TestRangeDelSurvivesCompaction(t *testing.T) {
 	drainCompactions(t, tr, th)
 	checkLevelInvariants(t, tr)
 
-	tombs := tr.RangeTombstones(util.MaxSequence)
+	tombs := tr.RangeTombstones(nil, util.MaxSequence)
 	found := false
 	for _, rd := range tombs {
 		if string(rd.Start) == "key00000050" && string(rd.End) == "key00000150" {

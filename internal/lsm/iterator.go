@@ -7,8 +7,8 @@
 package lsm
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cachekv/internal/hw"
@@ -40,52 +40,66 @@ type mergeItem struct {
 	ord int // tie-break: lower ord wins (newer source)
 }
 
-type mergeHeap []*mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	c := util.CompareInternal(h[i].it.Key(), h[j].it.Key())
-	if c != 0 {
+// less orders sources by (current internal key, ord).
+func (a *mergeItem) less(b *mergeItem) bool {
+	if c := util.CompareInternal(a.it.Key(), b.it.Key()); c != 0 {
 		return c < 0
 	}
-	return h[i].ord < h[j].ord
-}
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return a.ord < b.ord
 }
 
 // MergingIterator merges several sources into one ordered stream. Sources
 // listed earlier win ties on identical internal keys (callers order newest
 // first, although identical internal keys cannot occur between well-formed
-// sources because sequence numbers are unique).
+// sources because sequence numbers are unique). The zero value is empty; Reset
+// gives it sources, so a merge reused walk after walk allocates nothing.
 type MergingIterator struct {
 	all []mergeItem
-	h   mergeHeap
+	h   []*mergeItem // a binary min-heap of the valid sources
 }
 
-// NewMergingIterator builds a merged view of its (unpositioned) sources.
-func NewMergingIterator(its ...Iterator) *MergingIterator {
-	m := &MergingIterator{all: make([]mergeItem, len(its)), h: make(mergeHeap, 0, len(its))}
+// Reset makes its (unpositioned) sources the merge's, in their order.
+func (m *MergingIterator) Reset(its []Iterator) {
+	m.all, m.h = slices.Grow(m.all[:0], len(its)), slices.Grow(m.h[:0], len(its))
 	for i, it := range its {
-		m.all[i] = mergeItem{it: it, ord: i}
+		m.all = append(m.all, mergeItem{it: it, ord: i})
 	}
-	return m
 }
 
+// rebuild heaps the valid sources once every one is positioned. A source that
+// failed leaves the merge empty.
 func (m *MergingIterator) rebuild() {
 	m.h = m.h[:0]
 	for i := range m.all {
 		if m.all[i].it.Valid() {
 			m.h = append(m.h, &m.all[i])
+		} else if m.all[i].it.Err() != nil {
+			m.h = m.h[:0]
+			return
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+}
+
+// down sifts h[i] towards the leaves until neither child is smaller.
+func (m *MergingIterator) down(i int) {
+	h := m.h
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].less(h[j]) {
+			j = r
+		}
+		if !h[j].less(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // SeekToFirst positions every source at its start.
@@ -113,20 +127,26 @@ func (m *MergingIterator) Key() util.InternalKey { return m.h[0].it.Key() }
 // Value returns the value paired with Key.
 func (m *MergingIterator) Value() []byte { return m.h[0].it.Value() }
 
-// Next advances the winning source and restores heap order.
+// Next advances the winning source and restores heap order. A source that
+// fails ends the merge where it stands.
 func (m *MergingIterator) Next() {
 	top := m.h[0]
 	top.it.Next()
-	if top.it.Valid() {
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
+	switch n := len(m.h) - 1; {
+	case top.it.Valid():
+	case top.it.Err() != nil:
+		m.h = m.h[:0]
+		return
+	default:
+		m.h[0] = m.h[n]
+		m.h = m.h[:n]
 	}
+	m.down(0)
 }
 
-// Err returns the first error among the sources. A source that fails drops
-// out of the merge, so the stream a caller consumed is short exactly when
-// Err is non-nil: check it once the walk is over.
+// Err returns the first error among the sources. A source that fails ends
+// the merge, so the stream a caller consumed is a prefix of the whole exactly
+// when Err is non-nil: check it once the walk is over.
 func (m *MergingIterator) Err() error {
 	for i := range m.all {
 		if err := m.all[i].it.Err(); err != nil {
@@ -148,13 +168,15 @@ func (m *MergingIterator) Close() {
 // ascend without overlapping, or a single file — into one source. Seek
 // binary-searches the files' largest keys and opens only the table it lands
 // in; the next one is opened when the walk gets there, so a scan holds one
-// table iterator per level however many files the level has.
+// table iterator per level however many files the level has. Opening a table
+// re-targets the one iterator the levelIter embeds.
 type levelIter struct {
 	t     *Tree
 	th    *hw.Thread
-	files []*FileMeta // a published level (or a slice of one): immutable
-	i     int         // files[i] is open in cur
-	cur   *sstable.Iter
+	files []*FileMeta   // a published level (or a slice of one): immutable
+	i     int           // files[i] is open in cur
+	cur   *sstable.Iter // &it while a table is open, else nil
+	it    sstable.Iter
 	err   error
 }
 
@@ -167,13 +189,13 @@ func (l *levelIter) open(i int) bool {
 	}
 	r, err := l.t.reader(l.th, l.files[i].Num)
 	if err == nil {
-		l.cur, err = r.NewIter(l.th)
+		err = r.ResetIter(&l.it, l.th)
 	}
 	if err != nil {
 		l.err = fmt.Errorf("lsm: iterator: open table %d: %w", l.files[i].Num, err)
 		return false
 	}
-	l.i = i
+	l.i, l.cur = i, &l.it
 	return true
 }
 
@@ -227,4 +249,35 @@ func (l *levelIter) Close() {
 		l.cur.Close()
 		l.cur = nil
 	}
+}
+
+// TreeSources holds the sources AppendSources hands out, so a scan repeated
+// through one allocates none. The zero value is ready.
+type TreeSources struct{ runs []levelIter }
+
+// AppendSources appends to dst a source per sorted run of the tree's published
+// version: one per L0 file, newest first, then one per deeper level (one per
+// file under SingleLevel). A scan holds open as many tables as it has
+// sources, and none before a Seek lands in it. The sources live in ts until
+// its next AppendSources; Close them when the walk ends.
+func (t *Tree) AppendSources(th *hw.Thread, dst []Iterator, ts *TreeSources) []Iterator {
+	// The published version is immutable (see apply): the sources walk its
+	// level slices as they are.
+	t.mu.RLock()
+	levels := t.levels
+	t.mu.RUnlock()
+	ts.runs = ts.runs[:0]
+	for lvl, files := range levels {
+		if lvl == 0 || t.opts.SingleLevel {
+			for i := range files {
+				ts.runs = append(ts.runs, levelIter{t: t, th: th, files: files[i : i+1]})
+			}
+		} else if len(files) > 0 {
+			ts.runs = append(ts.runs, levelIter{t: t, th: th, files: files})
+		}
+	}
+	for i := range ts.runs { // only now is ts.runs where it stays
+		dst = append(dst, &ts.runs[i])
+	}
+	return dst
 }

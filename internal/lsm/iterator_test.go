@@ -75,7 +75,9 @@ func eagerIterator(t *testing.T, tr *Tree, th *hw.Thread) Iterator {
 		}
 		its = append(its, it)
 	}
-	return NewMergingIterator(its...)
+	var m MergingIterator
+	m.Reset(its)
+	return &m
 }
 
 // sameStream walks both iterators from where they stand and fails on the
@@ -124,7 +126,7 @@ func randomLevel(rng *rand.Rand, keys, pick int, seq *uint64) []testEntry {
 }
 
 // TestLazyIteratorMatchesEagerMerge is the differential test for
-// Tree.NewIterator: over seeded random trees — 0 to 6 L0 files, levels that
+// Tree.AppendSources: over seeded random trees — 0 to 6 L0 files, levels that
 // are empty, hold one file or hold many, range tombstones, user keys repeated
 // across levels — it must yield the stream a merge of one eager iterator per
 // file yields, from the start and from a Seek at every file boundary, inside
@@ -176,10 +178,7 @@ func TestLazyIteratorMatchesEagerMerge(t *testing.T) {
 			}
 		}
 
-		lazy, err := tr.NewIterator(th)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lazy := treeIterator(tr, th)
 		eager := eagerIterator(t, tr, th)
 		lazy.SeekToFirst()
 		eager.SeekToFirst()
@@ -256,13 +255,10 @@ func TestScanBudget(t *testing.T) {
 
 	start := util.MakeInternalKey(nil, []byte("key01000"), util.MaxSequence, util.KindValue)
 	before := tr.CacheStats()
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := treeIterator(tr, th)
 	defer it.Close()
 	if len(tr.readers) != 0 {
-		t.Fatalf("NewIterator opened %d tables before any Seek", len(tr.readers))
+		t.Fatalf("AppendSources opened %d tables before any Seek", len(tr.readers))
 	}
 	const rows = 50
 	var popped []util.InternalKey // every internal row the merge delivered
@@ -357,10 +353,7 @@ func TestLevelIterReportsFailedLazyOpen(t *testing.T) {
 	if len(files) < 3 {
 		t.Fatalf("want at least 3 files in L1, have %d", len(files))
 	}
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := treeIterator(tr, th)
 	defer it.Close()
 	it.SeekToFirst()
 	if err := fs.Delete(th, tableName(files[1].Num)); err != nil {
@@ -375,5 +368,42 @@ func TestLevelIterReportsFailedLazyOpen(t *testing.T) {
 	}
 	if !errors.Is(it.Err(), pmemfs.ErrNotFound) {
 		t.Fatalf("Err() = %v, want pmemfs.ErrNotFound", it.Err())
+	}
+}
+
+// TestMergingIteratorAllocs: a merge reused through Reset allocates nothing —
+// not its items, not its heap, not in Seek or Next — and still yields the
+// interleaved stream in (internal key, ord) order.
+func TestMergingIteratorAllocs(t *testing.T) {
+	if util.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const sources, perSource = 6, 50
+	its := make([]Iterator, sources)
+	for s := range its {
+		l := skiplist.New(icmpBytes, uint64(s+1))
+		for i := 0; i < perSource; i++ {
+			k := i*sources + s // source s holds every sixth key
+			l.Insert(util.MakeInternalKey(nil, []byte(fmt.Sprintf("k%04d", k)), uint64(k+1), util.KindValue), nil, nil)
+		}
+		its[s] = newMemIter(l)
+	}
+	start := util.MakeInternalKey(nil, []byte("k0010"), util.MaxSequence, util.KindValue)
+	var m MergingIterator
+	rows, ordered := 0, true
+	walk := func() {
+		m.Reset(its)
+		rows = 0
+		for m.Seek(start); m.Valid(); m.Next() {
+			ordered = ordered && m.Key().Seq() == uint64(10+rows+1)
+			rows++
+		}
+	}
+	walk()
+	if n := testing.AllocsPerRun(100, walk); n != 0 {
+		t.Errorf("Reset + Seek + a walk over %d sources allocates %.1f objects, want 0", sources, n)
+	}
+	if rows != sources*perSource-10 || !ordered {
+		t.Fatalf("the merge yielded %d rows (in order: %v), want %d in order", rows, ordered, sources*perSource-10)
 	}
 }

@@ -24,6 +24,14 @@ func (m *memIter) Value() []byte            { return m.it.Value() }
 func (m *memIter) Err() error               { return nil }
 func (m *memIter) Close()                   {}
 
+// treeIterator merges every source AppendSources gives for tr: the tree as
+// one ordered stream, read the way a scan reads it.
+func treeIterator(tr *Tree, th *hw.Thread) *MergingIterator {
+	var m MergingIterator
+	m.Reset(tr.AppendSources(th, nil, new(TreeSources)))
+	return &m
+}
+
 func icmpBytes(a, b []byte) int {
 	return util.CompareInternal(util.InternalKey(a), util.InternalKey(b))
 }
@@ -282,10 +290,7 @@ func TestFullScanMergesLevels(t *testing.T) {
 	_, tr, th, _, _ := newEnv(t, Options{L0CompactionTrigger: 3})
 	seq := fillTable(t, tr, th, 0, 500, 1, "old")
 	fillTable(t, tr, th, 250, 500, seq, "new")
-	it, err := tr.NewIterator(th)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := treeIterator(tr, th)
 	it.SeekToFirst()
 	// Walk and keep the freshest version per user key.
 	fresh := map[string]string{}
@@ -319,7 +324,8 @@ func TestMergingIteratorSeek(t *testing.T) {
 	for i := 1; i < 100; i += 2 {
 		b.Insert(util.MakeInternalKey(nil, []byte(fmt.Sprintf("k%03d", i)), uint64(i+1), util.KindValue), []byte("b"), nil)
 	}
-	m := NewMergingIterator(newMemIter(a), newMemIter(b))
+	var m MergingIterator
+	m.Reset([]Iterator{newMemIter(a), newMemIter(b)})
 	m.SeekToFirst()
 	for i := 0; i < 100; i++ {
 		if !m.Valid() {

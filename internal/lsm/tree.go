@@ -951,6 +951,8 @@ func (t *Tree) mergeComponent(th *hw.Thread, comp []*FileMeta, dropTombs bool) (
 	// newer at L0; between levels, the upper level is newer.
 	sort.SliceStable(comp, func(i, j int) bool { return comp[i].Num > comp[j].Num })
 	its := make([]Iterator, 0, len(comp))
+	var merged MergingIterator
+	defer merged.Close()
 	var tombs []RangeDel
 	var size uint64
 	for _, f := range comp {
@@ -964,19 +966,18 @@ func (t *Tree) mergeComponent(th *hw.Thread, comp []*FileMeta, dropTombs bool) (
 			ti, err = r.NewCompactionIter(th)
 		}
 		if err != nil {
-			NewMergingIterator(its...).Close()
+			merged.Reset(its) // for the deferred Close
 			return nil, err
 		}
 		its = append(its, ti)
 	}
-	merged := NewMergingIterator(its...)
-	defer merged.Close()
+	merged.Reset(its)
 	merged.SeekToFirst()
 	tables := (size + t.opts.TableFileSize/2) / t.opts.TableFileSize
 	if tables == 0 {
 		tables = 1
 	}
-	return t.writeTables(th, merged, true, dropTombs, tombs, size/tables)
+	return t.writeTables(th, &merged, true, dropTombs, tombs, size/tables)
 }
 
 // Get looks up ukey at snapshot seq. It returns the freshest visible value
@@ -1027,25 +1028,24 @@ func (t *Tree) RangeCoverSeq(ukey []byte, seq uint64) uint64 {
 	return best
 }
 
-// RangeTombstones returns every range tombstone visible at snapshot seq —
-// scan paths aggregate these with the memory-resident tombstone list.
-func (t *Tree) RangeTombstones(seq uint64) []RangeDel {
+// RangeTombstones appends to dst every range tombstone visible at snapshot
+// seq — scan paths aggregate these with the memory-resident tombstone list.
+func (t *Tree) RangeTombstones(dst []RangeDel, seq uint64) []RangeDel {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.rangeDelCount == 0 {
-		return nil
+		return dst
 	}
-	var out []RangeDel
 	for _, files := range t.levels {
 		for _, f := range files {
 			for _, rd := range f.RangeDels {
 				if rd.Seq <= seq {
-					out = append(out, rd)
+					dst = append(dst, rd)
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 func (t *Tree) getOnce(th *hw.Thread, ukey []byte, seq uint64) (value []byte, foundSeq uint64, found, deleted bool, err error) {
@@ -1126,31 +1126,6 @@ func (t *Tree) getInFile(th *hw.Thread, num uint64, ikey util.InternalKey) ([]by
 func (t *Tree) GetInTable(th *hw.Thread, num uint64, ukey []byte, seq uint64) ([]byte, uint64, util.ValueKind, bool, error) {
 	ikey := util.MakeInternalKey(nil, ukey, seq, util.KindValue)
 	return t.getInFile(th, num, ikey)
-}
-
-// NewIterator returns a merged iterator over every table in the tree: one
-// source per file where files overlap (L0; every level in SingleLevel mode)
-// and one per sorted level below, so a scan seeks and holds open as many
-// tables as it has sources, not as many as the tree has files. No table is
-// opened before a Seek lands in it. Callers add their memtable sources on top
-// via NewMergingIterator and Close the result.
-func (t *Tree) NewIterator(th *hw.Thread) (Iterator, error) {
-	// The published version is immutable (see apply): the sources walk its
-	// level slices as they are.
-	t.mu.RLock()
-	levels := t.levels
-	t.mu.RUnlock()
-	its := make([]Iterator, 0, len(levels[0])+len(levels)-1)
-	for lvl, files := range levels {
-		if lvl == 0 || t.opts.SingleLevel {
-			for i := range files {
-				its = append(its, &levelIter{t: t, th: th, files: files[i : i+1]})
-			}
-		} else if len(files) > 0 {
-			its = append(its, &levelIter{t: t, th: th, files: files})
-		}
-	}
-	return NewMergingIterator(its...), nil
 }
 
 // TableIterator returns an iterator over one specific table (SLM-DB walks

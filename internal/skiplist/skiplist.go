@@ -371,6 +371,10 @@ type Iterator struct {
 // NewIterator returns an unpositioned iterator; call Seek* before use.
 func (l *List) NewIterator() *Iterator { return &Iterator{l: l} }
 
+// ResetIterator makes it an unpositioned iterator over l, as NewIterator
+// would return, without allocating one.
+func (l *List) ResetIterator(it *Iterator) { *it = Iterator{l: l} }
+
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool { return it.n != nil }
 

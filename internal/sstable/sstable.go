@@ -453,12 +453,25 @@ func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, fa
 func (r *Reader) NewCompactionIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, true) }
 
 func (r *Reader) newIter(th *hw.Thread, whole bool) (*Iter, error) {
+	it := new(Iter)
+	if err := r.ResetIter(it, th); err != nil {
+		return nil, err
+	}
+	it.whole = whole
+	return it, nil
+}
+
+// ResetIter closes it and makes it what NewIter returns, keeping nothing of
+// its last walk: an iterator re-targeted table after table allocates nothing.
+func (r *Reader) ResetIter(it *Iter, th *hw.Thread) error {
+	it.Close()
 	sc := scratchPool.Get().(*getScratch)
 	if err := sc.idx.Reset(r.index); err != nil {
 		scratchPool.Put(sc)
-		return nil, err
+		return err
 	}
-	return &Iter{r: r, th: th, whole: whole, sc: sc}, nil
+	*it = Iter{r: r, th: th, sc: sc}
+	return nil
 }
 
 // Close returns the iterator's scratch to the pool. Idempotent.
