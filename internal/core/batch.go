@@ -267,10 +267,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 			// Trigger 2: hand the slot to the background index thread whenever
 			// the table counter crosses a multiple of SyncThreshold.
 			if (count+n)%uint64(e.opts.SyncThreshold) < n {
-				select {
-				case e.syncCh <- syncReq{s: s, at: th.Clock.Now()}:
-				default:
-				}
+				e.syncs.Submit(th.Clock.Now(), s)
 			}
 			return nil
 		}

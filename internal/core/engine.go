@@ -3,16 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cachekv/internal/arena"
+	"cachekv/internal/bgpool"
 	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
-	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
 	"cachekv/internal/obs"
@@ -58,8 +57,8 @@ type Options struct {
 	WriteStallDeadline int64
 	DisableFlowControl bool
 
-	// CompactionWorkers is the size of the background compaction scheduler's
-	// worker pool (each worker on its own simulated thread, attributed to
+	// CompactionWorkers is the worker count of the background pool's
+	// compaction kind (each worker on its own simulated thread, attributed to
 	// PhaseCompact) picking jobs by priority and running disjoint-range
 	// same-level jobs concurrently (1). LSM compaction never runs on the
 	// spill path.
@@ -154,7 +153,7 @@ func (o Options) withDefaults() Options {
 	if o.FSBytes == 0 {
 		o.FSBytes = d.FSBytes
 	}
-	if o.CompactionWorkers <= 0 { // the scheduler is always on
+	if o.CompactionWorkers <= 0 { // compaction always has a worker
 		o.CompactionWorkers = d.CompactionWorkers
 	}
 	return o
@@ -169,6 +168,7 @@ type Stats struct {
 	Spills      atomic.Int64 // L0 spills
 	Compactions atomic.Int64 // sub-skiplist compaction rounds
 	ReadSyncs   atomic.Int64 // trigger-1 lazy syncs performed by readers
+	GetRetries  atomic.Int64 // Get passes started over at a new snapshot
 
 	// Memory-component negative-filter effectiveness: probes against slot,
 	// imm-table, and global filters, and how many rejected (each rejection
@@ -206,32 +206,26 @@ type Engine struct {
 	// tree's own metadata carries them (see pruneRangeTombs).
 	rangeTombs rangeTombList
 
-	flushCh        chan *slot
-	syncCh         chan syncReq
-	compactCh      chan struct{}
-	spillCh        chan int64
-	flushServers   *sim.ServerPool
-	spillServer    *sim.ServerPool
-	indexServer    *sim.ServerPool
+	// bg runs the background jobs, one kind each (startBackground).
+	bg             *bgpool.Pool
+	flushes        *bgpool.Kind[*slot]
+	syncs          *bgpool.Kind[*slot]
+	merges         *bgpool.Kind[struct{}]
+	spills         *bgpool.Kind[struct{}]
+	compacts       *bgpool.Kind[struct{}]
+	flushBufs      [][]byte     // per flush worker: the table being copied
+	compactThreads []*hw.Thread // per compaction worker
 	pendingFlushes atomic.Int64
 	// pendingFlushBytes tracks sealed-but-unflushed slot payload bytes; with
 	// ImmZone occupancy it forms the backlog signal (see backlog).
 	pendingFlushBytes atomic.Int64
 	flow              *flowControl
-	flushWG           sync.WaitGroup
-	indexWG           sync.WaitGroup
-	spillWG           sync.WaitGroup
 
-	spillMu    sync.RWMutex
-	spillBufs  [][]byte // a spill's table snapshots, reused by the next (spillMu held)
-	spillState struct {
-		mu    sync.Mutex
-		cond  *sync.Cond
-		doneV int64 // virtual completion time of the latest spill
-	}
-	stats  Stats
-	failed atomic.Pointer[error]
-	closed atomic.Bool
+	spillMu   sync.RWMutex
+	spillBufs [][]byte // a spill's table snapshots, reused by the next (spillMu held)
+	stats     Stats
+	failed    atomic.Pointer[error]
+	closed    atomic.Bool
 
 	trace        *obs.Trace
 	lastBCEvicts atomic.Int64 // block-cache evictions at last pressure event
@@ -266,23 +260,14 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		filterBits = 0 // filters disabled
 	}
 	e := &Engine{
-		m:         m,
-		opts:      opts,
-		env:       env,
-		trace:     opts.Trace,
-		mem:       newMemState(expectedSlotKeys(opts.ImmZoneBytes), filterBits),
-		seq:       env.seq,
-		flushCh:   make(chan *slot, 1024),
-		syncCh:    make(chan syncReq, 4096),
-		compactCh: make(chan struct{}, 64),
-		spillCh:   make(chan int64, 1),
+		m:     m,
+		opts:  opts,
+		env:   env,
+		trace: opts.Trace,
+		mem:   newMemState(expectedSlotKeys(opts.ImmZoneBytes), filterBits),
+		seq:   env.seq,
 	}
-	e.flushServers = sim.NewServerPool(opts.FlushThreads)
-	e.spillServer = sim.NewServerPool(1)
-	// The paper dedicates one background thread to the lazy index update and
-	// sub-skiplist compaction; its work is billed here, overlapping flushes.
-	e.indexServer = sim.NewServerPool(1)
-	e.spillState.cond = sync.NewCond(&e.spillState.mu)
+	e.bg = bgpool.New(e.fail)
 	if e.seq == nil {
 		e.seq = new(atomic.Uint64)
 	}
@@ -346,25 +331,9 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	}
 	e.pool.sealFn = e.queueSealed
 
-	e.tree.StartScheduler(lsm.SchedulerConfig{
-		Workers:   opts.CompactionWorkers,
-		OnError:   e.fail,
-		OnJobDone: func(at int64) { e.flow.recompute(at, "lsm_compaction") },
-		Err:       e.bgErr,
-		Trace:     opts.Trace,
-	})
+	e.startBackground()
 	// A recovered tree may reopen with debt already due (crash mid-burst).
-	e.tree.Kick(th.Clock.Now())
-
-	for i := 0; i < opts.FlushThreads; i++ {
-		e.flushWG.Add(1)
-		go e.flusher()
-	}
-	e.spillWG.Add(1)
-	go e.spillLoop()
-	e.indexWG.Add(2)
-	go e.indexLoop()
-	go e.compactLoop()
+	e.compacts.Submit(th.Clock.Now(), struct{}{})
 	// A recovered engine may reopen already under pressure (crash mid-stall).
 	e.flow.recompute(th.Clock.Now(), "open")
 	return e, nil
@@ -381,14 +350,7 @@ func (e *Engine) fail(err error) {
 		e.pool.aborted.Store(true)
 	}
 	e.flow.abort()
-	if e.tree != nil {
-		e.tree.AbortScheduler()
-	}
-	if e.spillState.cond != nil {
-		e.spillState.mu.Lock()
-		e.spillState.cond.Broadcast()
-		e.spillState.mu.Unlock()
-	}
+	e.bg.Abort()
 	if e.pool != nil {
 		e.pool.mu.Lock()
 		e.pool.cond.Broadcast()
@@ -465,6 +427,7 @@ func engineMetrics(levels int) []engineMetric {
 	counter("engine_spills", func(e *Engine) int64 { return e.stats.Spills.Load() })
 	counter("engine_compactions", func(e *Engine) int64 { return e.stats.Compactions.Load() })
 	counter("engine_read_syncs", func(e *Engine) int64 { return e.stats.ReadSyncs.Load() })
+	counter("engine_get_retries", func(e *Engine) int64 { return e.stats.GetRetries.Load() })
 	counter("engine_pool_slots", func(e *Engine) int64 { return int64(e.pool.numSlots()) })
 	counter("engine_range_deletes", func(e *Engine) int64 { return e.stats.RangeDeletes.Load() })
 	counter("engine_ingests", func(e *Engine) int64 { return e.stats.Ingests.Load() })
@@ -481,10 +444,18 @@ func engineMetrics(levels int) []engineMetric {
 		_, _, moved := e.tree.CompactionLevelStats()
 		return sum(moved)
 	})
-	counter("compact_jobs", func(e *Engine) int64 { return e.tree.SchedulerStats().JobsRun })
-	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.tree.SchedulerStats().Running) })
-	gauge("compact_queued", false, func(e *Engine) float64 { return float64(e.tree.SchedulerStats().Queued) })
-	counter("compact_busy_ns", func(e *Engine) int64 { return e.tree.SchedulerStats().BusyNs })
+	counter("compact_jobs", func(e *Engine) int64 {
+		jobs, _ := e.compacts.Server.Stats()
+		return jobs
+	})
+	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.compacts.Running()) })
+	gauge("compact_queued", false, func(e *Engine) float64 {
+		return float64(max(e.tree.DueLevels()-e.compacts.Running(), 0))
+	})
+	counter("compact_busy_ns", func(e *Engine) int64 {
+		_, busy := e.compacts.Server.Stats()
+		return busy
+	})
 	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
 	for lvl := 0; lvl < levels; lvl++ {
 		gauge(fmt.Sprintf("lsm_l%d_files", lvl), false, func(e *Engine) float64 { return float64(e.tree.NumFiles(lvl)) })
@@ -588,29 +559,40 @@ func (e *Engine) queueSealed(at int64, s *slot) {
 	cnt, _, tail := unpackHdr(s.hdr.Load())
 	e.trace.Emit(at, "memtable_seal", "shard", e.env.index,
 		"slot", s.idx, "entries", cnt, "bytes", tail)
-	e.pendingFlushes.Add(1)
-	e.pendingFlushBytes.Add(int64(tail))
-	select {
-	case e.flushCh <- s:
-		e.flow.recompute(at, "memtable_seal")
-	default:
-		// The channel is sized far beyond the slot count; dropping here
-		// would leak an immutable slot, so treat overflow as a bug.
-		e.pendingFlushes.Add(-1)
-		e.pendingFlushBytes.Add(-int64(tail))
-		e.fail(fmt.Errorf("cachekv: flush queue overflow"))
+	e.addPending(1, tail)
+	if !e.flushes.Submit(at, s) {
+		e.addPending(-1, tail) // overflow: the pool failed the engine
+		return
 	}
+	e.flow.recompute(at, "memtable_seal")
 }
 
 // Get implements kvstore.DB. The freshest version may live in any active
 // sub-MemTable, any flushed sub-ImmMemTable (directly or via the global
 // skiplist), or the LSM tree; candidates are compared by sequence number.
+// Both places that keep only a key's newest version can take in one newer than
+// the Get's snapshot while it reads, and so drop the version that snapshot
+// reads, leaving the key absent or at an older version: the global skiplist
+// (a merge) and the tree (a spill or an ingest, then a compaction). The Get
+// then starts over at a new snapshot, as a Scan's pass does.
 func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	if err := e.err(); err != nil {
 		return nil, err
 	}
 	e.stats.Gets.Add(1)
-	snapshot := e.seq.Load()
+	for pass := 1; ; pass++ {
+		v, stale, err := e.getAt(th, key, e.seq.Load())
+		if !stale || pass >= maxReadPasses {
+			return v, err
+		}
+		e.stats.GetRetries.Add(1)
+	}
+}
+
+// getAt is one pass of Get at snapshot; stale reports that a place it read
+// held a version newer than snapshot: the global skiplist one of key, the
+// tree any.
+func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, stale bool, _ error) {
 	var res kvstore.UserGetResult
 
 	// 1. Active sub-MemTables: probe the slot's negative filter first — a
@@ -678,7 +660,8 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 			})
 			if ok {
 				gseq, kind, addr := decodeGlobalVal(gv)
-				if gseq <= snapshot && kind != util.KindRangeDel {
+				stale = gseq > snapshot
+				if !stale && kind != util.KindRangeDel {
 					// The global list stores absolute ImmZone addresses; bound
 					// the fetch by the zone's remaining extent.
 					if zone := e.immArena.Region(); addr < zone.End() {
@@ -721,13 +704,14 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 			v, fseq, found, deleted, terr = e.tree.Get(th, key, snapshot)
 		})
 		if terr != nil {
-			return nil, terr
+			return nil, stale, terr
 		}
 		if found {
 			res.Consider(v, fseq, util.KindValue)
 		} else if deleted {
 			res.Consider(nil, fseq, util.KindDelete)
 		}
+		stale = stale || e.tree.LastSeq() > snapshot
 	}
 
 	// Memory-resident range tombstones: the tree applies its own coverage,
@@ -736,12 +720,12 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	// skipped for has res.Seq > maxSpilledSeq, and every tree tombstone's
 	// sequence is at or below maxSpilledSeq, so it could not cover anyway.
 	if cover := e.rangeTombs.coverSeq(key, snapshot); cover > 0 && (!res.Found || cover > res.Seq) {
-		return nil, kvstore.ErrNotFound
+		return nil, stale, kvstore.ErrNotFound
 	}
 	if !res.Found || res.Kind == util.KindDelete {
-		return nil, kvstore.ErrNotFound
+		return nil, stale, kvstore.ErrNotFound
 	}
-	return res.Value, nil
+	return res.Value, stale, nil
 }
 
 // considerView is res.Consider for a value that is a view into the thread's
@@ -795,9 +779,10 @@ type scanCursor struct {
 
 var scanPool = sync.Pool{New: func() any { return new(scanCursor) }}
 
-// maxScanPasses bounds a Scan's passes: a table that fails the fetch check
-// pass after pass is damaged, not recycled, and the Scan reports it.
-const maxScanPasses = 16
+// maxReadPasses bounds a Get's and a Scan's passes: a table that fails the
+// fetch check pass after pass is damaged, not recycled, and the Scan reports
+// it; a Get that a busy writer outruns that often answers at its last pass.
+const maxReadPasses = 16
 
 // scanShards runs one Scan over the sources of shards, in shard order, at the
 // sequence before they are collected. A tree that took in newer entries
@@ -816,13 +801,13 @@ func scanShards(th *hw.Thread, shards []*Engine, start []byte, limit int, fn fun
 		for _, e := range shards {
 			newer = e.appendSources(th, c, snapshot) || newer
 		}
-		if newer && pass < maxScanPasses { // the sources hold nothing before their Seek
+		if newer && pass < maxReadPasses { // the sources hold nothing before their Seek
 			snapshot = shards[0].seq.Load()
 			continue
 		}
 		n, err := kvstore.ScanSources(&c.ScanState, c.srcs, start, snapshot, limit-total, c.tombs, fn)
 		total += n
-		if !errors.Is(err, errStaleTable) || pass >= maxScanPasses {
+		if !errors.Is(err, errStaleTable) || pass >= maxReadPasses {
 			return total, err
 		}
 		if n > 0 {
@@ -905,41 +890,34 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 			e.queueSealed(th.Clock.Now(), s)
 		}
 	}
-	for e.pendingFlushes.Load() > 0 {
-		if err := e.err(); err != nil {
-			return err
-		}
-		runtime.Gosched()
+	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 }) {
+		return e.err()
 	}
 	e.spill(th)
-	e.tree.Kick(th.Clock.Now())
-	e.tree.WaitCompactIdle(th)
+	e.tree.WaitSettled(th, e.compacts)
 	// Advance the caller past all background virtual time.
-	th.Clock.AdvanceTo(e.flushServers.EarliestFree())
+	th.Clock.AdvanceTo(e.flushes.Server.EarliestFree())
 	return e.err()
 }
 
 // Halt crash-stops the engine: all operations begin failing immediately and
 // background threads abandon their queued work instead of completing it.
 // Used by crash simulation, where a graceful Close would persist more state
-// than a power failure leaves behind.
-func (e *Engine) Halt() { e.fail(errEngineCrashed) }
+// than a power failure leaves behind. It returns once no background job runs:
+// one still running would write past the power failure that follows.
+func (e *Engine) Halt() {
+	e.fail(errEngineCrashed)
+	e.bg.Halt()
+}
 
 // Close implements kvstore.DB.
 func (e *Engine) Close(th *hw.Thread) error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	// Drain flushers first: an in-flight flush may still signal the spill or
-	// index threads, so their channels close only after every flusher exits.
-	close(e.flushCh)
-	e.flushWG.Wait()
-	close(e.spillCh)
-	e.spillWG.Wait()
-	e.tree.StopScheduler()
-	close(e.syncCh)
-	close(e.compactCh)
-	e.indexWG.Wait()
+	// Drain the background kinds in startBackground's order; compaction
+	// drops what is due instead of draining it.
+	e.bg.Close()
 	// Graceful shutdown: write the pinned pool back to the PMem before
 	// surrendering the partition, so a close is never lossier than a crash
 	// (eADR would have drained these lines anyway). A crash-stopped engine

@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
+	"cachekv/internal/lsm"
 )
 
 func testMachine() *hw.Machine {
@@ -318,18 +321,18 @@ func TestLazyIndexReadSync(t *testing.T) {
 	}
 }
 
-// TestSyncsOvertakeACompaction holds a sub-skiplist compaction inside
-// runCompaction and checks that trigger-2 syncs are still served: a merge
-// must not leave the active slot's sub-skiplist behind its writer, or whether
-// the next Get finds it current or pays for the catch-up itself depends on
-// host scheduling alone.
+// TestSyncsOvertakeACompaction holds the merge kind's job inside runMerge and
+// checks that the sync kind's jobs are still served: a merge must not leave
+// the active slot's sub-skiplist behind its writer, or whether the next Get
+// finds it current or pays for the catch-up itself depends on host scheduling
+// alone.
 func TestSyncsOvertakeACompaction(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
-	e.mem.mu.Lock() // runCompaction's first step waits here
+	e.mem.mu.Lock() // runMerge's first step waits here
 	defer e.mem.mu.Unlock()
-	e.compactCh <- struct{}{}
-	for len(e.compactCh) > 0 {
+	e.merges.Submit(th.Clock.Now(), struct{}{})
+	for e.merges.Running() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	const puts = 4 * 64 // four trigger-2 requests at the default threshold
@@ -559,5 +562,70 @@ func TestGetNeverMissesAcrossFlushHandOver(t *testing.T) {
 	}
 	if n := e.stats.Flushes.Load(); n < 50 {
 		t.Fatalf("only %d flushes: the hand-over was not exercised", n)
+	}
+}
+
+// TestGetReadsItsSnapshotAcrossSpillAndCompaction: sessions Get keys a writer
+// keeps overwriting while its writes seal, flush, merge into the global
+// skiplist, spill to L0 and compact L0 into L1 under them. Every Get must
+// return a version at least as new as the one acknowledged before it began.
+// A merge, or a spill and the compaction it triggers, can take in a version
+// newer than a Get's snapshot while it reads and drop the one that snapshot
+// reads: the key then reads at an older version, or absent.
+func TestGetReadsItsSnapshotAcrossSpillAndCompaction(t *testing.T) {
+	opts := smallOpts()
+	opts.ImmZoneBytes = 512 << 10
+	opts.LSM = lsm.Options{L0CompactionTrigger: 2, TableFileSize: 64 << 10}
+	opts.SkiplistCompaction = false
+	m := testMachine()
+	e, th := openEngine(t, m, opts)
+	defer e.Close(th)
+	const keys, rounds, readers = 64, 1500, 3
+	key := func(k int) []byte { return []byte(fmt.Sprintf("key%04d", k)) }
+	var acked [keys]atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rth := m.NewThread(1 + r)
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := rng.Intn(keys)
+				lo := acked[k].Load()
+				if lo == 0 {
+					continue
+				}
+				v, err := e.Get(rth, key(k))
+				var ver int64
+				if err == nil {
+					_, err = fmt.Sscanf(string(v[:9]), "v%08d", &ver)
+				}
+				if err != nil || ver < lo {
+					t.Errorf("Get(%s) = version %d, %v; version %d was acknowledged before it began", key(k), ver, err, lo)
+					return
+				}
+			}
+		}()
+	}
+	pad := make([]byte, 180)
+	for v := int64(1); v <= rounds && !t.Failed(); v++ {
+		for k := range keys {
+			if err := e.Put(th, key(k), append([]byte(fmt.Sprintf("v%08d", v)), pad...)); err != nil {
+				t.Fatal(err)
+			}
+			acked[k].Store(v)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if jobs, _ := e.compacts.Server.Stats(); e.stats.Spills.Load() < 4 || jobs == 0 {
+		t.Fatalf("%d spills and %d compactions: the window was not exercised", e.stats.Spills.Load(), jobs)
 	}
 }

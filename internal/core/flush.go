@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
 	"cachekv/internal/lsm"
 	"cachekv/internal/memfilter"
@@ -77,40 +78,51 @@ func newFilter(expectedKeys, bitsPerKey int) *memfilter.Filter {
 	return memfilter.New(expectedKeys, bitsPerKey)
 }
 
-// flusher is the background copy-based flush loop: one goroutine per
-// configured flush thread, all drawing from the shared channel. Virtual
-// timing goes through the ServerPool so that the *number* of flush threads
-// (Exp#5) governs when slots become reusable, independent of host scheduling.
-func (e *Engine) flusher() {
-	defer e.flushWG.Done()
-	var buf []byte // the table being copied; one buffer serves every flush
-	for s := range e.flushCh {
-		buf = e.flushOne(s, buf)
+// startBackground adds the engine's five kinds of background job to its pool:
+// the paper's N flush threads and one index thread (its trigger-2 syncs and
+// its sub-skiplist merges on workers of their own, so that a merge never holds
+// queued syncs back), the spill thread, and the LSM compaction workers. Each
+// kind books its jobs on its own virtual server — sync and merge on the index
+// thread's one — so that configured thread counts, not host scheduling, pace
+// the pipeline (Exp#3/#5). The order is Close's: an in-flight flush may still
+// submit a spill, a sync or a merge, and a spill a compaction.
+func (e *Engine) startBackground() {
+	o := e.opts
+	e.flushBufs = make([][]byte, max(o.FlushThreads, 1)) // the pool gives every kind a worker
+	// A slot is queued at most once at a time: 1 024 is far beyond any pool's
+	// slot count.
+	e.flushes = bgpool.Add(e.bg, bgpool.Config{Name: "flush", Workers: o.FlushThreads, Rule: bgpool.FIFO, Queue: 1024},
+		e.flushOne, func(s *slot) {
+			_, _, tail := unpackHdr(s.hdr.Load())
+			e.addPending(-1, tail) // the power failure preempted the flush
+		})
+	// A spill asked for while one is queued is the queued one.
+	e.spills = bgpool.Add(e.bg, bgpool.Config{Name: "spill", Workers: 1, Rule: bgpool.Lossy, Queue: 1}, e.spillJob, nil)
+	for range o.CompactionWorkers {
+		th := e.m.NewThread(0)
+		th.Clock.SetLabel(hw.PhaseCompact.Layer())
+		e.compactThreads = append(e.compactThreads, th)
 	}
+	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
+	// Trigger 2 asks for a sync every SyncThreshold writes; a request that
+	// finds 4 096 queued is dropped, and a later one or the reader catches up.
+	e.syncs = bgpool.Add(e.bg, bgpool.Config{Name: "sync", Workers: 1, Rule: bgpool.Lossy, Queue: 4096}, e.syncJob, nil)
+	e.merges = bgpool.Add(e.bg, bgpool.Config{Name: "merge", Workers: 1, Rule: bgpool.Coalesce, Server: e.syncs.Server}, e.mergeJob, nil)
 }
 
-// spillLoop is the LSM background thread (LevelDB's compaction thread in the
-// prototype): it serves L0 spill requests so that copy-based flushes stay
-// cheap and writers only stall when the ImmZone is genuinely out of space.
-func (e *Engine) spillLoop() {
-	defer e.spillWG.Done()
-	for at := range e.spillCh {
-		e.serveSpill(at)
-	}
+// addPending moves a sealed slot of tail bytes into (n = 1) or out of (n = -1)
+// the flush backlog.
+func (e *Engine) addPending(n int64, tail uint64) {
+	e.pendingFlushes.Add(n)
+	e.pendingFlushBytes.Add(n * int64(tail))
 }
 
-// serveSpill is one spillLoop iteration: the spill itself, then a kick so the
-// compaction scheduler's workers pick up the debt it created while the spill
-// thread returns to serving writers immediately.
-func (e *Engine) serveSpill(at int64) {
-	if e.bgErr() != nil {
-		// Crash-stopped: acknowledge the request so waiters re-check
-		// the failure instead of sleeping forever.
-		e.spillState.mu.Lock()
-		e.spillState.cond.Broadcast()
-		e.spillState.mu.Unlock()
-		return
-	}
+// spillJob is the spill kind's job, the LSM background thread (LevelDB's
+// compaction thread in the prototype): it spills from the request's instant,
+// so that copy-based flushes stay cheap and writers only stall when
+// the ImmZone is genuinely out of space, then hands the debt it created to the
+// compaction workers and returns to serving writers.
+func (e *Engine) spillJob(_ int, at int64, _ struct{}) (int64, bool) {
 	th := e.m.NewThread(0)
 	th.Clock.AdvanceTo(at)
 	start := th.Clock.Now()
@@ -119,74 +131,51 @@ func (e *Engine) serveSpill(at int64) {
 		e.spillLocked(th)
 		e.spillMu.Unlock()
 	})
-	done := e.spillServer.Submit(at, th.Clock.Now()-start)
-	e.spillState.mu.Lock()
-	if done > e.spillState.doneV {
-		e.spillState.doneV = done
-	}
-	e.spillState.cond.Broadcast()
-	e.spillState.mu.Unlock()
+	done := e.spills.Server.Submit(at, th.Clock.Now()-start)
 	e.flow.recompute(th.Clock.Now(), "spill_end")
-	e.tree.Kick(th.Clock.Now())
-}
-
-// requestSpill asks the spill thread to run (idempotent while one is queued).
-func (e *Engine) requestSpill(at int64) {
-	select {
-	case e.spillCh <- at:
-	default:
-	}
+	e.compacts.Submit(th.Clock.Now(), struct{}{})
+	return done, false
 }
 
 // waitForSpace blocks (really and virtually) until the ImmZone can hold need
 // more bytes, driving the spill thread as necessary. deadlineV bounds the
-// wait on the virtual clock: each retry charges a capped exponential backoff
-// step, and once the clock passes the deadline the wait returns ErrStalled so
-// the caller can refresh pressure state instead of hanging forever. Zero
-// waits without bound.
+// wait on the virtual clock: each retry — one per spill — charges a capped
+// exponential backoff step, and once the clock passes the deadline the wait
+// returns ErrStalled so the caller can refresh pressure state instead of
+// hanging forever. Zero waits without bound.
 func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error {
 	var backoff stallBackoff
-	e.spillState.mu.Lock()
-	for e.immArena.Region().Size-e.immArena.Used() < need {
-		if e.bgErr() != nil {
-			e.spillState.mu.Unlock()
-			return nil
+	stalled := false
+	if !e.spills.Wait(func() bool {
+		if e.immArena.Region().Size-e.immArena.Used() >= need {
+			return true
 		}
 		if deadlineV > 0 && !backoff.step(th, deadlineV) {
-			e.spillState.mu.Unlock()
-			return ErrStalled
+			stalled = true
+			return true
 		}
-		// Request under the state lock: the spill thread's completion
-		// broadcast also takes it, so the request cannot be consumed and
-		// answered between our check and the Wait (no missed wakeup).
-		e.requestSpill(th.Clock.Now())
-		e.spillState.cond.Wait()
+		e.spills.Submit(th.Clock.Now(), struct{}{})
+		return false
+	}) {
+		return nil // crash-stopped: the caller re-checks the failure
 	}
-	doneV := e.spillState.doneV
-	e.spillState.mu.Unlock()
-	th.Clock.AdvanceTo(doneV)
+	if stalled {
+		return ErrStalled
+	}
+	th.Clock.AdvanceTo(e.spills.LastDone())
 	return nil
 }
 
-// flushOne performs the copy-based flush of one sealed sub-MemTable
-// (Section III-C): a final index sync, a non-temporal whole-table copy into
-// the ImmZone, registration of the resulting sub-ImmMemTable, and release of
-// the slot. If the ImmZone crosses its threshold, it spills to L0. The table
-// passes through buf, which is returned (grown if need be) for the next flush.
-func (e *Engine) flushOne(s *slot, buf []byte) []byte {
+// flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
+// sealed at virtual time sealedAt (Section III-C) — a final index sync, a
+// non-temporal whole-table copy into the ImmZone, registration of the
+// resulting sub-ImmMemTable, and release of the slot. If the ImmZone crosses
+// its threshold, it spills to L0. The table passes through worker w's buffer.
+func (e *Engine) flushOne(w int, sealedAt int64, s *slot) (int64, bool) {
 	_, _, sealedTail := unpackHdr(s.hdr.Load())
-	finish := func() {
-		e.pendingFlushes.Add(-1)
-		e.pendingFlushBytes.Add(-int64(sealedTail))
-	}
-	if err := e.bgErr(); err != nil {
-		// Crash-stopped: abandon the work, the power failure preempted it.
-		finish()
-		return buf
-	}
 	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
-	th.Clock.AdvanceTo(s.sealedAt.Load())
+	th.Clock.AdvanceTo(sealedAt)
 	start := th.Clock.Now()
 	e.trace.Emit(start, "flush_start", "shard", e.env.index, "slot", s.idx)
 	var stallNs int64
@@ -200,9 +189,9 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 	// dedicated index thread, which overlaps with the copy-based flush.
 	syncTh := e.m.NewThread(0)
 	syncTh.Clock.SetLabel(hw.PhaseIndex.Layer())
-	syncTh.Clock.AdvanceTo(s.sealedAt.Load())
+	syncTh.Clock.AdvanceTo(sealedAt)
 	e.syncSlot(syncTh, s)
-	indexDoneV := e.indexServer.Submit(s.sealedAt.Load(), syncTh.Clock.Now()-s.sealedAt.Load())
+	indexDoneV := e.syncs.Server.Submit(sealedAt, syncTh.Clock.Now()-sealedAt)
 
 	count, _, tail := unpackHdr(s.hdr.Load())
 	var t *immTable
@@ -224,14 +213,14 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 			// space (the CacheKV analogue of an L0 write stall).
 			if immZoneHdrSize+tail > e.immArena.Region().Size {
 				e.fail(err)
-				return buf
+				return 0, false
 			}
 			w0 := th.Clock.Now()
 			werr := e.waitForSpace(th, immZoneHdrSize+tail, absDeadline(th, e.opts.WriteStallDeadline))
 			stallNs += th.Clock.Now() - w0
 			if e.bgErr() != nil {
-				finish()
-				return buf
+				e.addPending(-1, sealedTail)
+				return 0, false
 			}
 			if werr != nil {
 				// The ImmZone wait overran the stall deadline. The flusher
@@ -258,7 +247,8 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 		hdr = util.PutFixed64(hdr, maxSeq)
 		e.m.Cache.NTWrite(th.Clock, dst, hdr)
 
-		buf = util.Sized(buf, int(tail))
+		buf := util.Sized(e.flushBufs[w], int(tail))
+		e.flushBufs[w] = buf
 		e.m.Cache.Read(th.Clock, s.dataAddr(), buf, e.poolPart)
 		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, buf)
 		// The flush thread's software share: allocation, packing, verify.
@@ -299,7 +289,7 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 	// spent waiting for the spill thread is not flush-server work, but the
 	// slot cannot free before the copy ended.
 	duration := th.Clock.Now() - start - stallNs
-	doneAt := e.flushServers.Submit(s.sealedAt.Load(), duration)
+	doneAt := e.flushes.Server.Submit(sealedAt, duration)
 	if indexDoneV > doneAt {
 		doneAt = indexDoneV
 	}
@@ -310,10 +300,7 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 
 	// Hand the new table to the index/compaction thread (Section III-D).
 	if t != nil && e.opts.SkiplistCompaction {
-		select {
-		case e.compactCh <- struct{}{}:
-		default:
-		}
+		e.merges.Submit(th.Clock.Now(), struct{}{})
 	}
 
 	e.trace.Emit(th.Clock.Now(), "flush_end", "shard", e.env.index,
@@ -329,11 +316,11 @@ func (e *Engine) flushOne(s *slot, buf []byte) []byte {
 	}
 
 	if e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
-		e.requestSpill(th.Clock.Now())
+		e.spills.Submit(th.Clock.Now(), struct{}{})
 	}
-	finish()
+	e.addPending(-1, sealedTail)
 	e.flow.recompute(th.Clock.Now(), "flush_end")
-	return buf
+	return doneAt, false
 }
 
 // spill acquires the spill lock exclusively and, if the zone is still over
@@ -342,13 +329,7 @@ func (e *Engine) spill(th *hw.Thread) {
 	e.spillMu.Lock()
 	e.spillLocked(th)
 	e.spillMu.Unlock()
-	// Wake any flusher stalled on ImmZone space.
-	e.spillState.mu.Lock()
-	if now := th.Clock.Now(); now > e.spillState.doneV {
-		e.spillState.doneV = now
-	}
-	e.spillState.cond.Broadcast()
-	e.spillState.mu.Unlock()
+	e.spills.Done(th.Clock.Now()) // wakes any flusher stalled on ImmZone space
 	e.flow.recompute(th.Clock.Now(), "spill_end")
 }
 
@@ -391,6 +372,14 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 		e.fail(err)
 		return
 	}
+	// Raise maxSpilledSeq before the tables leave memory, or a Get that misses
+	// them there takes an older version in a slot as current and skips the tree.
+	for {
+		cur := e.maxSpilledSeq.Load()
+		if maxSeq <= cur || e.maxSpilledSeq.CompareAndSwap(cur, maxSeq) {
+			break
+		}
+	}
 	// Install the new memory state: drop the spilled tables, fresh global
 	// skiplist, reclaim the zone. Tables flushed concurrently (appended to
 	// e.mem.imms after our snapshot) are preserved — but they cannot exist:
@@ -412,13 +401,6 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	e.mem.global = skiplist.New(nil, 0xC0117EC7)
 	e.mem.globalFilter = newFilter(e.mem.expGlobalKeys, e.mem.filterBits)
 	e.mem.mu.Unlock()
-
-	for {
-		cur := e.maxSpilledSeq.Load()
-		if maxSeq <= cur || e.maxSpilledSeq.CompareAndSwap(cur, maxSeq) {
-			break
-		}
-	}
 	// Range tombstones that just reached the tree no longer need their DRAM
 	// mirrors (retirement is by tree membership, not sequence — see
 	// pruneRangeTombs).
@@ -433,47 +415,45 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.env.index, "tables", len(imms), "max_seq", maxSeq)
 }
 
-// syncReq is one trigger-2 lazy-sync request with the virtual time it was
-// issued, so the index server can be billed from the right instant.
-type syncReq struct {
-	s  *slot
-	at int64
+// syncJob is the sync kind's job: a trigger-2 lazy sync of slot s requested
+// at virtual time at, billed to the index thread from that instant.
+func (e *Engine) syncJob(_ int, at int64, s *slot) (int64, bool) {
+	th := e.m.NewThread(0)
+	th.Clock.SetLabel(hw.PhaseIndex.Layer())
+	th.Clock.AdvanceTo(at)
+	e.syncSlot(th, s)
+	return e.syncs.Server.Submit(at, th.Clock.Now()-at), false
 }
 
-// The paper dedicates one background thread to the lazy index updates
-// (trigger 2: write-count threshold) and the sub-skiplist compaction. That
-// thread is the index server: both duties bill all of their work to it, so
-// its single capacity is a real pipeline ceiling. On the host they run as two
-// goroutines, indexLoop and compactLoop, so that a merge never holds queued
-// syncs back: otherwise the sub-skiplists fall a whole merge behind their
-// writers on the host, and whether a reader then finds them current or pays
-// for the catch-up itself turns on host scheduling alone.
-func (e *Engine) indexLoop() {
-	defer e.indexWG.Done()
-	for req := range e.syncCh {
-		th := e.m.NewThread(0)
-		th.Clock.SetLabel(hw.PhaseIndex.Layer())
-		th.Clock.AdvanceTo(req.at)
-		e.syncSlot(th, req.s)
-		e.indexServer.Submit(req.at, th.Clock.Now()-req.at)
+// mergeJob is the merge kind's job: the index thread's sub-skiplist
+// compaction. Its clock starts at 0 and its work is booked as runnable at 0,
+// whatever flush asked for it (ROADMAP item 1b).
+func (e *Engine) mergeJob(int, int64, struct{}) (int64, bool) {
+	th := e.m.NewThread(0)
+	th.Clock.SetLabel(hw.PhaseCompact.Layer())
+	start := th.Clock.Now()
+	e.runMerge(th)
+	return e.merges.Server.Submit(start, th.Clock.Now()-start), false
+}
+
+// compactJob is the compaction kind's job: one LSM compaction picked at the
+// frontier of the debt-creating events, run on worker w's own clock. It asks
+// to run again until nothing is pickable.
+func (e *Engine) compactJob(w int, at int64, _ struct{}) (int64, bool) {
+	done, ran, err := e.tree.CompactNext(e.compactThreads[w], at, e.compacts, e.trace)
+	if err != nil {
+		e.fail(err)
+		return done, false
 	}
-}
-
-// compactLoop runs the index thread's sub-skiplist compactions.
-func (e *Engine) compactLoop() {
-	defer e.indexWG.Done()
-	for range e.compactCh {
-		th := e.m.NewThread(0)
-		th.Clock.SetLabel(hw.PhaseCompact.Layer())
-		start := th.Clock.Now()
-		e.runCompaction(th)
-		e.indexServer.Submit(start, th.Clock.Now()-start)
+	if ran {
+		e.flow.recompute(done, "lsm_compaction")
 	}
+	return done, ran
 }
 
-// runCompaction merges every not-yet-compacted sub-ImmMemTable into the
-// global skiplist.
-func (e *Engine) runCompaction(th *hw.Thread) {
+// runMerge merges every not-yet-compacted sub-ImmMemTable into the global
+// skiplist.
+func (e *Engine) runMerge(th *hw.Thread) {
 	e.mem.mu.RLock()
 	var todo []*immTable
 	global := e.mem.global

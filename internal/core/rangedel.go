@@ -125,7 +125,7 @@ func (e *Engine) Ingest(th *hw.Thread, entries []lsm.IngestEntry) error {
 	}
 	e.trace.Emit(th.Clock.Now(), "ingest", "shard", e.env.index,
 		"entries", len(entries), "seq", seq)
-	e.tree.Kick(th.Clock.Now())
+	e.compacts.Submit(th.Clock.Now(), struct{}{})
 	e.flow.recompute(th.Clock.Now(), "ingest")
 	e.stats.Ingests.Add(1)
 	return nil

@@ -160,8 +160,8 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 				}
 			}
 		}
-		if st := e.tree.SchedulerStats(); st.Workers != 1 || st.JobsRun == 0 {
-			t.Fatalf("CompactionWorkers=%d: scheduler has %d workers and ran %d jobs", workers, st.Workers, st.JobsRun)
+		if jobs, _ := e.compacts.Server.Stats(); len(e.compactThreads) != 1 || jobs == 0 {
+			t.Fatalf("CompactionWorkers=%d: compaction has %d workers and ran %d jobs", workers, len(e.compactThreads), jobs)
 		}
 		r := obs.NewRegistry()
 		obs.RegisterMachine(r, m)

@@ -61,9 +61,7 @@ func placement(t *testing.T, tr *Tree) map[uint64]int {
 // nothing is due.
 func runJob(t *testing.T, tr *Tree, th *hw.Thread) (c *compaction, res compactResult, ok bool) {
 	t.Helper()
-	tr.mu.Lock()
 	c = tr.pickCompaction()
-	tr.mu.Unlock()
 	if c == nil {
 		return nil, res, false
 	}
@@ -158,8 +156,8 @@ type moveModel struct {
 	at   map[uint64]int // placement at the previous check
 }
 
-// check holds the tree to the model. It runs after every job (from the
-// scheduler's worker) and after every write (from the test), under mm.mu.
+// check holds the tree to the model. It runs after every job (from a
+// compaction worker) and after every write (from the test), under mm.mu.
 func (mm *moveModel) check(t *testing.T, tr *Tree, th *hw.Thread, rng *rand.Rand) {
 	checkLevelInvariants(t, tr)
 	at := placement(t, tr)
@@ -220,9 +218,9 @@ const moveKeys = 3000
 
 // TestPropertyMovesAndMergesMatchModel drives seeded random mixes of
 // spill-shaped disjoint runs, runs that overlap what is already there, point
-// deletes, range tombstones and ingests through the scheduler at one and two
-// workers, and after every job checks the tree's shape (L1+ sorted and
-// disjoint, one level per file number, moved tables clear of their
+// deletes, range tombstones and ingests through one and two pool-driven
+// compaction workers, and after every job checks the tree's shape (L1+ sorted
+// and disjoint, one level per file number, moved tables clear of their
 // neighbours) and its contents (Get and the merged iterator) against a map.
 func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 	for _, workers := range []int{1, 2} {
@@ -232,16 +230,16 @@ func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				mm := &moveModel{vals: map[string]string{}, at: map[uint64]int{}}
 				checkTh := m.NewThread(0)
-				tr.StartScheduler(SchedulerConfig{
-					Workers: workers,
-					OnError: func(err error) { t.Errorf("background compaction failed: %v", err) },
-					OnJobDone: func(int64) {
-						mm.mu.Lock()
-						defer mm.mu.Unlock()
-						mm.check(t, tr, checkTh, rng)
-					},
+				c := startCompactor(tr, workers, nil, func(err error) {
+					if err != nil {
+						t.Errorf("background compaction failed: %v", err)
+						return
+					}
+					mm.mu.Lock()
+					defer mm.mu.Unlock()
+					mm.check(t, tr, checkTh, rng)
 				})
-				defer tr.StopScheduler()
+				defer c.pool.Close()
 				seq := uint64(0)
 				write := func() (wait bool) {
 					mm.mu.Lock()
@@ -290,17 +288,42 @@ func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 				}
 				for round := 0; round < 24 && !t.Failed(); round++ {
 					wait := write()
-					tr.Kick(th.Clock.Now())
+					c.kick(th.Clock.Now())
 					if wait {
-						tr.WaitCompactIdle(th)
+						c.waitIdle(th)
 					}
 				}
-				tr.WaitCompactIdle(th)
+				c.waitIdle(th)
 				st := tr.GetStats()
 				if st.TablesMoved == 0 || st.TablesCompacted == 0 {
 					t.Fatalf("moved %d tables, merged %d: the mix must exercise both", st.TablesMoved, st.TablesCompacted)
 				}
 			})
+		}
+	}
+}
+
+// TestTombstoneReachPullsItsNeighbourIntoTheJob: an L2 table whose range
+// tombstone reaches past its last key over its neighbour's keys, and an L1 table
+// that meets the tombstone's reach but not the neighbour. The merge's output
+// spans all three tables, so the job must take the neighbour too, or the
+// neighbour is left inside the output at L2. Two compaction workers found this
+// one job in ten (TestPropertyMovesAndMergesMatchModel, workers=2).
+func TestTombstoneReachPullsItsNeighbourIntoTheJob(t *testing.T) {
+	_, tr, th, _, _ := newEnv(t, Options{L0CompactionTrigger: 100, BaseLevelBytes: 1, MaxLevels: 4})
+	installAt(t, tr, th, 2, []testEntry{
+		{"key10", 1, util.KindValue, "a"}, {"key15", 2, util.KindRangeDel, "key40"}, {"key20", 3, util.KindValue, "b"},
+	})
+	installAt(t, tr, th, 2, []testEntry{{"key30", 4, util.KindValue, "c"}, {"key31", 5, util.KindValue, "d"}})
+	installAt(t, tr, th, 1, []testEntry{{"key35", 6, util.KindValue, "e"}, {"key50", 7, util.KindValue, "f"}})
+	c, _, ok := runJob(t, tr, th)
+	if !ok || c.level != 1 || len(c.overlap) != 2 {
+		t.Fatalf("job ran=%v at L%d took %d L2 tables, want the L1 table's job to take both", ok, c.level, len(c.overlap))
+	}
+	checkLevelInvariants(t, tr)
+	for k, want := range map[string]string{"key10": "a", "key20": "b", "key30": "c", "key31": "d", "key35": "e", "key50": "f"} {
+		if v, _, found, _, err := tr.Get(th, []byte(k), util.MaxSequence); err != nil || !found || string(v) != want {
+			t.Errorf("Get(%s) = %q found=%v err=%v, want %q", k, v, found, err, want)
 		}
 	}
 }
@@ -522,9 +545,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 
 	// The job's second component cannot open an input: the first component's
 	// finished outputs must go too.
-	tr.mu.Lock()
 	c := tr.pickCompaction()
-	tr.mu.Unlock()
 	comps := components(c.inputs)
 	if len(comps) != 2 || len(comps[0]) != 2 || len(comps[1]) != 2 {
 		t.Fatalf("job splits into %d components, want two pairs", len(comps))
@@ -548,7 +569,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 
 // TestSchedulerClosesTraceOnJobError: a job that fails still emits the
 // compact_end matching its compact_start, with the error and the ns attr the
-// ledger reads, before the error hook runs.
+// ledger reads, before its worker reports the error.
 func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 	_, tr, th, _, fs := newEnv(t, smallOpts())
 	seq := uint64(0)
@@ -559,33 +580,22 @@ func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := obs.NewTrace(64)
-	var mu sync.Mutex
 	var failed error
 	endsAtError := -1
-	tr.StartScheduler(SchedulerConfig{
-		Workers: 1,
-		Trace:   trace,
-		OnError: func(err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			failed = err
-			endsAtError = 0
-			for _, e := range trace.Events() {
-				if e.Type == "compact_end" {
-					endsAtError++
-				}
+	c := startCompactor(tr, 1, trace, func(err error) {
+		if err == nil {
+			return
+		}
+		failed = err
+		endsAtError = 0
+		for _, e := range trace.Events() {
+			if e.Type == "compact_end" {
+				endsAtError++
 			}
-		},
-		Err: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			return failed
-		},
+		}
 	})
-	defer tr.StopScheduler()
-	tr.Kick(th.Clock.Now())
-	tr.WaitCompactIdle(th)
-	tr.StopScheduler()
+	c.waitIdle(th)
+	c.pool.Close()
 	if failed == nil || endsAtError != 1 {
 		t.Fatalf("error hook saw err=%v with %d compact_end events; want the error after exactly one", failed, endsAtError)
 	}

@@ -2,12 +2,13 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
+	"cachekv/internal/obs"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -39,6 +40,40 @@ func drainCompactions(t *testing.T, tr *Tree, th *hw.Thread) {
 		}
 	}
 }
+
+// compactor runs a tree's compactions as an engine's compact kind does: each
+// of a pool's workers runs CompactNext on its own clock. onJob sees each job's
+// outcome; an error crash-stops the pool, as the engine's fail does.
+type compactor struct {
+	*bgpool.Kind[struct{}]
+	pool *bgpool.Pool
+	tr   *Tree
+}
+
+func startCompactor(tr *Tree, workers int, trace *obs.Trace, onJob func(err error)) *compactor {
+	c := &compactor{pool: bgpool.New(func(error) {}), tr: tr}
+	ths := make([]*hw.Thread, workers)
+	for w := range ths {
+		ths[w] = tr.m.NewThread(0)
+	}
+	c.Kind = bgpool.Add(c.pool, bgpool.Config{Name: "compact", Workers: workers, Rule: bgpool.Coalesce, Abandon: true},
+		func(w int, at int64, _ struct{}) (int64, bool) {
+			done, ran, err := tr.CompactNext(ths[w], at, c.Kind, trace)
+			if ran && onJob != nil {
+				onJob(err)
+			}
+			if err != nil {
+				c.pool.Abort()
+			}
+			return done, ran && err == nil
+		}, nil)
+	return c
+}
+
+func (c *compactor) kick(at int64) { c.Submit(at, struct{}{}) }
+
+// waitIdle waits for the tree to settle, as an engine's FlushAll does.
+func (c *compactor) waitIdle(th *hw.Thread) { c.tr.WaitSettled(th, c.Kind) }
 
 // checkLevelInvariants asserts every level >= 1 holds sorted, disjoint
 // user-key ranges — the invariant the L1+ overlap-set fix protects. A pick
@@ -115,11 +150,12 @@ func TestCompactionOverlapSetsStayConsistent(t *testing.T) {
 
 func TestSchedulerDrainsDebt(t *testing.T) {
 	_, tr, th, _, _ := newEnv(t, smallOpts())
-	tr.StartScheduler(SchedulerConfig{
-		Workers: 2,
-		OnError: func(err error) { t.Errorf("background compaction failed: %v", err) },
+	c := startCompactor(tr, 2, nil, func(err error) {
+		if err != nil {
+			t.Errorf("background compaction failed: %v", err)
+		}
 	})
-	defer tr.StopScheduler()
+	defer c.pool.Close()
 
 	seq := uint64(1)
 	for i := 0; i < 6; i++ {
@@ -134,22 +170,18 @@ func TestSchedulerDrainsDebt(t *testing.T) {
 		if err := tr.FlushNoCompact(th, newMemIter(l), maxSeq); err != nil {
 			t.Fatal(err)
 		}
-		tr.Kick(th.Clock.Now())
+		c.kick(th.Clock.Now())
 	}
-	tr.WaitCompactIdle(th)
+	c.waitIdle(th)
 
 	if debt := tr.CompactionDebt(); debt != 0 {
-		t.Fatalf("scheduler left %d bytes of debt after WaitCompactIdle", debt)
+		t.Fatalf("workers left %d bytes of debt after waitIdle", debt)
 	}
-	st := tr.SchedulerStats()
-	if st.JobsRun == 0 {
-		t.Fatal("scheduler ran no jobs despite L0 debt")
+	if jobs, _ := c.Server.Stats(); jobs == 0 {
+		t.Fatal("workers ran no jobs despite L0 debt")
 	}
-	if st.Running != 0 || st.Queued != 0 {
-		t.Fatalf("idle scheduler reports running=%d queued=%d", st.Running, st.Queued)
-	}
-	if st.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", st.Workers)
+	if c.Running() != 0 || tr.DueLevels() != 0 {
+		t.Fatalf("idle workers report running=%d due=%d", c.Running(), tr.DueLevels())
 	}
 	checkLevelInvariants(t, tr)
 	// Newest generation of every key survives the background cascade.
@@ -166,20 +198,18 @@ func TestSchedulerDrainsDebt(t *testing.T) {
 }
 
 // TestSchedulerStopsOnStickyError checks the crash-stop contract: once the
-// engine error hook reports failure, workers stop picking jobs.
+// engine failed and aborted its pool, workers pick no more jobs.
 func TestSchedulerStopsOnStickyError(t *testing.T) {
 	_, tr, th, _, _ := newEnv(t, smallOpts())
-	sticky := errors.New("engine failed")
-	tr.StartScheduler(SchedulerConfig{
-		Workers: 1,
-		Err:     func() error { return sticky },
-	})
-	defer tr.StopScheduler()
-	fillTable(t, tr, th, 0, 400, 1, "v")
-	tr.Kick(th.Clock.Now())
-	tr.WaitCompactIdle(th)
-	if st := tr.SchedulerStats(); st.JobsRun != 0 {
-		t.Fatalf("scheduler ran %d jobs past a sticky engine error", st.JobsRun)
+	c := startCompactor(tr, 1, nil, nil)
+	c.pool.Abort()
+	seq := uint64(0)
+	flushRun(t, tr, th, uniqueRun(0, 2, 60, 24, &seq)) // two overlapping L0 tables: due
+	flushRun(t, tr, th, uniqueRun(1, 2, 60, 24, &seq))
+	c.waitIdle(th)
+	c.pool.Close()
+	if jobs, _ := c.Server.Stats(); jobs != 0 || tr.DueLevels() == 0 {
+		t.Fatalf("workers ran %d jobs past a crash-stop, %d levels left due", jobs, tr.DueLevels())
 	}
 }
 
@@ -211,9 +241,7 @@ func TestIteratorHeldAcrossCompaction(t *testing.T) {
 	// retiring the L0 files the iterator holds.
 	jobs := 0
 	for i := 0; i < 2; i++ {
-		tr.mu.Lock()
 		c := tr.pickCompaction()
-		tr.mu.Unlock()
 		if c == nil {
 			break
 		}
@@ -259,11 +287,12 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 		MaxLevels:           5,
 		TableFileSize:       8 << 10,
 	})
-	tr.StartScheduler(SchedulerConfig{
-		Workers: 2,
-		OnError: func(err error) { t.Errorf("background compaction failed: %v", err) },
+	c := startCompactor(tr, 2, nil, func(err error) {
+		if err != nil {
+			t.Errorf("background compaction failed: %v", err)
+		}
 	})
-	defer tr.StopScheduler()
+	defer c.pool.Close()
 
 	const keys = 400
 	seq := uint64(1)
@@ -283,7 +312,7 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tr.Kick(th.Clock.Now())
+		c.kick(th.Clock.Now())
 	}
 	flushWave(0)
 
@@ -319,11 +348,11 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 	}
 
 	flushWave(1)
-	tr.WaitCompactIdle(th)
+	c.waitIdle(th)
 	close(stop)
 	wg.Wait()
 
-	if st := tr.SchedulerStats(); st.JobsRun == 0 {
+	if jobs, _ := c.Server.Stats(); jobs == 0 {
 		t.Fatal("no background jobs ran during the scan workload")
 	}
 	checkLevelInvariants(t, tr)

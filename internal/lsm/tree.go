@@ -3,11 +3,15 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"cachekv/internal/bgpool"
 	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
+	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
 	"cachekv/internal/sstable"
 	"cachekv/internal/util"
@@ -98,7 +102,8 @@ type Tree struct {
 	compactOut   []int64
 	compactMoved []int64
 
-	sched *scheduler
+	// jobs numbers the jobs CompactNext runs, for their trace events.
+	jobs atomic.Int64
 
 	readerMu sync.Mutex
 	readers  map[uint64]*sstable.Reader
@@ -577,57 +582,58 @@ type compaction struct {
 	score   float64
 }
 
-// pickCompaction chooses the next compaction under t.mu and reserves its
-// files; nil means nothing is due or every due job conflicts with a running
-// one. Levels are ranked by debt score — L0 by file count over the trigger,
-// L1+ by bytes over the level limit — so the worker pool always digests the
-// deepest debt first instead of walking levels in FIFO order.
-func (t *Tree) pickCompaction() *compaction {
+// dueLevel is a level over its limit and its debt score: L0 by file count
+// over the trigger, L1+ by bytes over the level limit.
+type dueLevel struct {
+	level int
+	score float64
+}
+
+// dueLocked lists the levels over their limits (t.mu held). Reservations do
+// not count: a due level whose files are all claimed is still pending work.
+func (t *Tree) dueLocked() []dueLevel {
 	if t.opts.SingleLevel {
 		return nil
 	}
-	type cand struct {
-		level int
-		score float64
-	}
-	var cands []cand
+	var due []dueLevel
 	if n := len(t.levels[0]); n >= t.opts.L0CompactionTrigger {
-		cands = append(cands, cand{0, float64(n) / float64(t.opts.L0CompactionTrigger)})
+		due = append(due, dueLevel{0, float64(n) / float64(t.opts.L0CompactionTrigger)})
 	}
 	for lvl := 1; lvl < t.opts.MaxLevels-1; lvl++ {
 		if len(t.levels[lvl]) == 0 {
 			continue
 		}
 		if score := float64(t.levelBytesLocked(lvl)) / float64(t.levelLimit(lvl)); score > 1.0 {
-			cands = append(cands, cand{lvl, score})
+			due = append(due, dueLevel{lvl, score})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-	for _, cd := range cands {
-		if c := t.buildCompactionLocked(cd.level); c != nil {
-			c.score = cd.score
+	return due
+}
+
+// DueLevels counts the levels over their limits: the tree is settled when it
+// is 0 and no job runs.
+func (t *Tree) DueLevels() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.dueLocked())
+}
+
+// pickCompaction chooses the next compaction and reserves its files; nil
+// means nothing is due or every due job conflicts with a running one. Levels
+// are ranked by debt score, so the workers always digest the deepest debt
+// first instead of walking levels in FIFO order.
+func (t *Tree) pickCompaction() *compaction {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	due := t.dueLocked()
+	sort.Slice(due, func(i, j int) bool { return due[i].score > due[j].score })
+	for _, d := range due {
+		if c := t.buildCompactionLocked(d.level); c != nil {
+			c.score = d.score
 			return c
 		}
 	}
 	return nil
-}
-
-// compactionDueLocked reports whether any level is over its limit — the
-// backlog probe used by WaitCompactIdle (ignores reservations: a due level
-// whose files are all claimed still counts as pending work).
-func (t *Tree) compactionDueLocked() bool {
-	if t.opts.SingleLevel {
-		return false
-	}
-	if len(t.levels[0]) >= t.opts.L0CompactionTrigger {
-		return true
-	}
-	for lvl := 1; lvl < t.opts.MaxLevels-1; lvl++ {
-		if len(t.levels[lvl]) > 0 && t.levelBytesLocked(lvl) > t.levelLimit(lvl) {
-			return true
-		}
-	}
-	return false
 }
 
 // buildCompactionLocked assembles and reserves a job at level, or returns nil
@@ -641,7 +647,7 @@ func (t *Tree) buildCompactionLocked(level int) *compaction {
 		if t.anyReservedLocked(inputs) {
 			return nil
 		}
-		overlap := t.overlapping(1, inputs)
+		overlap := t.overlapClosure(1, inputs)
 		if t.anyReservedLocked(overlap) {
 			return nil
 		}
@@ -670,7 +676,7 @@ func (t *Tree) buildCompactionLocked(level int) *compaction {
 		if t.anyReservedLocked(inputs) {
 			continue
 		}
-		overlap := t.overlapping(level+1, inputs)
+		overlap := t.overlapClosure(level+1, inputs)
 		if t.anyReservedLocked(overlap) {
 			continue
 		}
@@ -730,6 +736,22 @@ func (t *Tree) overlapping(level int, inputs []*FileMeta) []*FileMeta {
 	return t.overlappingRange(level, lo, hi)
 }
 
+// overlapClosure returns the files at level a job over inputs must take: those
+// meeting the inputs' range, grown until no file left at the level meets the
+// range of inputs and overlap together. A range tombstone can stretch a taken
+// file's range over a neighbour its keys do not reach, and the merge's output
+// spans the whole range, so a neighbour left out would end up inside it.
+func (t *Tree) overlapClosure(level int, inputs []*FileMeta) []*FileMeta {
+	overlap := t.overlapping(level, inputs)
+	for {
+		grown := t.overlapping(level, append(slices.Clip(inputs), overlap...))
+		if len(grown) == len(overlap) {
+			return overlap
+		}
+		overlap = grown
+	}
+}
+
 // keyRange returns the user-key span covered by files, including their range
 // tombstones' [Start, End) spans (End is treated as inclusive — conservative).
 func keyRange(files []*FileMeta) (lo, hi []byte) {
@@ -765,13 +787,12 @@ func (t *Tree) overlappingRange(level int, lo, hi []byte) []*FileMeta {
 }
 
 // MaybeCompact runs compactions until every level is within limits. It is
-// charged to the calling (background) thread. It cooperates with a running
-// scheduler through the same reservation set, so the two never double-claim.
+// charged to the calling (background) thread. It cooperates with background
+// compaction jobs through the same reservation set, so the two never
+// double-claim.
 func (t *Tree) MaybeCompact(th *hw.Thread) error {
 	for {
-		t.mu.Lock()
 		c := t.pickCompaction()
-		t.mu.Unlock()
 		if c == nil {
 			return nil
 		}
@@ -781,7 +802,57 @@ func (t *Tree) MaybeCompact(th *hw.Thread) error {
 	}
 }
 
-// compactResult summarizes one finished job for the scheduler's trace and
+// CompactNext is a job of the compaction kind k on a worker whose clock th is,
+// at k's frontier at. It picks a job, submits to k so that another worker can
+// take a disjoint one, runs it in PhaseCompact between its compact_start and
+// compact_end events, books it on k's server and returns its completion, to
+// which th advances. ran is false when nothing was pickable.
+func (t *Tree) CompactNext(th *hw.Thread, at int64, k *bgpool.Kind[struct{}], trace *obs.Trace) (done int64, ran bool, err error) {
+	th.Clock.AdvanceTo(at)
+	c := t.pickCompaction()
+	if c == nil {
+		return 0, false, nil
+	}
+	k.Submit(th.Clock.Now(), struct{}{})
+	id := t.jobs.Add(1) - 1
+	start := th.Clock.Now()
+	trace.Emit(start, "compact_start", "job", id, "level", c.level,
+		"inputs", len(c.inputs), "overlap", len(c.overlap), "score", c.score)
+	var res compactResult
+	th.InPhase(hw.PhaseCompact, func() {
+		res, err = t.compact(th, c)
+	})
+	dur := th.Clock.Now() - start
+	done = k.Server.Submit(start, dur)
+	th.Clock.AdvanceTo(done)
+	end := []any{"job", id, "level", res.Level, "out_level", res.OutLevel}
+	if err != nil {
+		end = append(end, "err", err.Error())
+	} else {
+		end = append(end, "bytes_in", res.BytesIn, "bytes_out", res.BytesOut,
+			"tables_in", res.Inputs, "tables_out", res.Outputs,
+			"moved", res.Moved, "components", res.Components)
+	}
+	trace.Emit(done, "compact_end", append(end, "ns", dur)...)
+	return done, true, err
+}
+
+// WaitSettled waits until no job of the compaction kind k runs and no level is
+// due, submitting to k at th's clock whenever that is not so yet, then advances
+// th past k's latest job. It returns at once when k's pool crash-stops.
+func (t *Tree) WaitSettled(th *hw.Thread, k *bgpool.Kind[struct{}]) {
+	if k.Wait(func() bool {
+		if k.Running() == 0 && t.DueLevels() == 0 {
+			return true
+		}
+		k.Submit(th.Clock.Now(), struct{}{})
+		return false
+	}) {
+		th.Clock.AdvanceTo(k.LastDone())
+	}
+}
+
+// compactResult summarizes one finished job for its trace events and the
 // write-amplification ledger. Bytes and table counts are what the job
 // rewrote; tables it moved are counted apart.
 type compactResult struct {
@@ -1141,7 +1212,7 @@ func (t *Tree) TableIterator(th *hw.Thread, num uint64) (Iterator, error) {
 // CompactionDebt sizes the reorganization backlog in bytes: every byte of L0
 // once the trigger is reached, plus each level's overage beyond its limit.
 // The engine's flow controller consumes it as the storage-pressure signal —
-// it tracks what the compaction scheduler still owes rather than a raw file
+// it tracks what the compaction workers still owe rather than a raw file
 // count.
 func (t *Tree) CompactionDebt() uint64 {
 	t.mu.RLock()
