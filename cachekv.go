@@ -112,10 +112,10 @@ type Options struct {
 	// Shards partitions the keyspace across N independent engine shards, each
 	// with its own sub-MemTable pool, flush pipeline, and lock domain, behind
 	// a router that preserves this API (CacheKV-family engines only). 0 or 1
-	// opens the classic single-engine store. With Shards > 1, writes arriving
-	// at one shard within 10µs of virtual time (at most 64 operations)
-	// coalesce into a single group commit: one sub-MemTable append and one
-	// persistence fence.
+	// opens the classic single-engine store. With Shards > 1, a write whose
+	// keys all live on one shard commits exactly as on the single engine, on
+	// the session's own thread into its core's sub-MemTable of that shard; a
+	// batch spanning shards commits atomically through a two-phase log.
 	Shards int
 
 	// CompactionWorkers is the number of worker threads of the background
@@ -336,12 +336,12 @@ func (db *DB) EngineName() string { return db.inner.Name() }
 // and Session(c).Core() reports that resolved core. Sessions are not safe for
 // concurrent use; create one per goroutine.
 //
-// On a sharded store (Options.Shards > 1) the same rule extends to the
-// engine's own threads: shard k's group-commit writer is pinned to virtual
-// core k % Options.Cores, so a session on core c shares a core with the
-// writer of shard c (when c < Shards) and with any session on c + i*Cores.
-// Writes route by key hash, not by session core — the session's core decides
-// where its CPU time is modelled, never which shard its keys land in.
+// On a sharded store (Options.Shards > 1) a session's writes run on its own
+// thread too: each lands in the session core's sub-MemTable of the key's
+// shard, so a session on core c shares slots with any session on c + i*Cores
+// and with no engine thread. Writes route by key hash, not by session core —
+// the session's core decides where its CPU time is modelled and which slot of
+// a shard it appends to, never which shard its keys land in.
 func (db *DB) Session(core int) *Session {
 	return &Session{db: db, th: db.machine.NewThread(core), deadline: db.opts.WriteStallDeadline}
 }

@@ -30,9 +30,8 @@ type batchOp struct {
 	key   []byte
 	value []byte // the exclusive end key for KindRangeDel
 	kind  util.ValueKind
-	// seq is the version Write drew for the op (group commit concatenates
-	// requests whose seqs were drawn at arrival time; two-phase replay reads
-	// it back from the prepare record).
+	// seq is the version Write drew for the op (two-phase replay reads it
+	// back from the prepare record).
 	seq uint64
 }
 
@@ -54,8 +53,8 @@ func opsSlotLen(ops []batchOp) uint64 {
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 
-// maxScratchBytes is the largest encode buffer a thread keeps between writes:
-// twice the most a group commit carries.
+// maxScratchBytes is the largest encode buffer a thread keeps between writes;
+// a larger batch's buffer is dropped after it.
 const maxScratchBytes = 64 << 10
 
 // Put queues a write into the batch.
@@ -154,8 +153,8 @@ func (e *Engine) DeleteRange(th *hw.Thread, start, end []byte) error {
 
 // commitOps appends ops (sequence numbers already assigned) to the calling
 // core's sub-MemTable and commits them all with a single CAS on the packed
-// header — the one commit primitive behind Write, the group-commit writers,
-// and two-phase recovery replay. Range tombstones are ordinary entries
+// header — the one commit primitive behind Write, the two-phase apply, and
+// two-phase recovery replay. Range tombstones are ordinary entries
 // (internal key start@seq with KindRangeDel, value = end key): riding the
 // same commit, flush and spill path is what makes them crash-durable.
 //
@@ -212,14 +211,17 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 			return fmt.Errorf("cachekv: batch of %d bytes exceeds sub-MemTable capacity %d",
 				need, s.dataCap())
 		}
+		s.appendMu.Lock()
 		hdr := s.hdr.Load()
 		count, state, tail := unpackHdr(hdr)
 		if state != stateAllocated {
+			s.appendMu.Unlock()
 			// Slot was sealed under us (FlushAll); drop the mapping and retry.
 			e.pool.coreSlot[core].CompareAndSwap(int32(s.idx), -1)
 			continue
 		}
 		if tail+need > s.dataCap() {
+			s.appendMu.Unlock()
 			// Full: seal, queue the copy-based flush, grab a fresh one.
 			if sealed := e.pool.sealForCore(th, core); sealed != nil {
 				e.queueSealed(th.Clock.Now(), sealed)
@@ -241,8 +243,9 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 		}
 		// The commit point: counter += len(ops), tail += need, in one atomic
 		// compare-and-swap (the persistence point).
-		if !e.pool.casHdr(th, s, hdr, packHdr(count+n, stateAllocated, tail+need)) {
-			// Another thread on this core raced us; retry cleanly.
+		committed := e.pool.casHdr(th, s, hdr, packHdr(count+n, stateAllocated, tail+need))
+		s.appendMu.Unlock()
+		if !committed {
 			continue
 		}
 		for i := range ops {

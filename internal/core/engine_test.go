@@ -269,6 +269,65 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestSharedSlotAppendsKeepEveryEntry: writers that append to one slot at
+// once — sessions on one core, or a writer whose slot a starved core sealed
+// away mid-append — each keep every acknowledged entry. The header CAS orders
+// commits, but the bytes go in before it: without the slot's append lock two
+// appenders wrote the same tail, tearing both entries (the lazy sync stops at
+// a torn one and hides the rest of the slot) or leaving the loser's entry
+// under the winner's commit.
+func TestSharedSlotAppendsKeepEveryEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		core  func(w int) int
+		shape func(*Options)
+	}{
+		{"four writers on one core", func(int) int { return 0 }, func(*Options) {}},
+		{"four cores on two slots", func(w int) int { return w }, func(o *Options) {
+			o.PoolBytes, o.SubMemTableBytes, o.Elastic = 512<<10, 224<<10, false
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			o := smallOpts()
+			tc.shape(&o)
+			e, th := openEngine(t, m, o)
+			defer e.Close(th)
+			const writers, per = 4, 3000
+			key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-key%06d", w, i)) }
+			val := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-val%06d", w, i)) }
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					wth := m.NewThread(tc.core(w))
+					for i := 0; i < per; i++ {
+						if err := e.Put(wth, key(w, i), val(w, i)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			lost := 0
+			for w := 0; w < writers; w++ {
+				for i := 0; i < per; i++ {
+					if v, err := e.Get(th, key(w, i)); err != nil || string(v) != string(val(w, i)) {
+						if lost++; lost <= 3 {
+							t.Errorf("acked %s reads %q, %v", key(w, i), v, err)
+						}
+					}
+				}
+			}
+			if lost > 0 {
+				t.Fatalf("%d of %d acked writes lost", lost, writers*per)
+			}
+		})
+	}
+}
+
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	m := testMachine()
 	e, th := openEngine(t, m, smallOpts())

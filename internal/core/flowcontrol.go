@@ -348,7 +348,7 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 // countStall counts err when it is the overload rejection and returns it. The
 // write entries (Engine.Write, Sharded.Write) pass their result through it, so
 // every ErrStalled that leaves the store is counted once, whichever wait —
-// admission, the group-commit queue, a slot, the two-phase logs — ran out.
+// admission, a slot, ImmZone space, the two-phase logs — ran out.
 func (fc *flowControl) countStall(err error) error {
 	if errors.Is(err, ErrStalled) {
 		fc.rejectedWrites.Add(1)

@@ -68,6 +68,14 @@ type slot struct {
 
 	hdr atomic.Uint64 // packed header (authoritative mirror of the cached word)
 
+	// appendMu is held from an append's header read through its commit CAS,
+	// and by a seal. The CAS orders the header only: two appenders that read
+	// the same tail write the same bytes, tearing both entries or leaving the
+	// loser's under the winner's commit. Two sessions on one core share a
+	// slot, and a writer can still hold a slot a starved core sealed away;
+	// neither may write while another appends, and no seal lands mid-append.
+	appendMu sync.Mutex
+
 	// DRAM-side lazy index state (Section III-B), guarded by syncMu.
 	syncMu    sync.Mutex
 	list      *skiplist.List
@@ -113,7 +121,6 @@ type pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	slots   atomic.Pointer[[]*slot]
-	minSize uint64
 	maxSize uint64
 
 	// Global metadata structure (kept in DRAM per Section III-A): index of
@@ -156,6 +163,11 @@ const (
 // pool region: magic, slot count, then {offset,size} pairs.
 const poolHeaderBytes = 4096
 
+// minSlotBytes is the smallest sub-MemTable: elasticity never splits a slot
+// below it, a router's shard is sized to hold at least two, and a cross-shard
+// portion must fit one (it replays into whatever slot recovery finds).
+const minSlotBytes = 64 << 10
+
 func (p *pool) slotList() []*slot { return *p.slots.Load() }
 
 // setSlots installs a new slot slice (p.mu held).
@@ -167,7 +179,6 @@ func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores in
 		m:         m,
 		region:    region,
 		partition: part,
-		minSize:   64 << 10,
 		maxSize:   region.Size - poolHeaderBytes,
 		coreSlot:  make([]atomic.Int32, cores),
 		elastic:   elastic,
@@ -377,6 +388,8 @@ func (p *pool) sealForCore(th *hw.Thread, core int) *slot {
 	if s == nil {
 		return nil
 	}
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	for {
 		old := s.hdr.Load()
 		count, state, tail := unpackHdr(old)
@@ -394,9 +407,11 @@ func (p *pool) sealForCore(th *hw.Thread, core int) *slot {
 }
 
 // forceSealLocked transitions another core's allocated slot to Immutable and
-// detaches it from its owner. Safe against the owner's concurrent append:
-// the owner's commit CAS observes the state change and retries. p.mu held.
+// detaches it from its owner, after the owner's append in flight, if any,
+// has committed. p.mu held.
 func (p *pool) forceSealLocked(th *hw.Thread, s *slot) bool {
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	for {
 		old := s.hdr.Load()
 		count, state, tail := unpackHdr(old)
@@ -456,7 +471,7 @@ func (p *pool) splitFreeSlotsLocked(th *hw.Thread) bool {
 	for _, s := range old {
 		_, state, _ := unpackHdr(s.hdr.Load())
 		sz := s.size.Load()
-		if state != stateFree || sz/2 < p.minSize || sz == 0 {
+		if state != stateFree || sz/2 < minSlotBytes || sz == 0 {
 			continue
 		}
 		half := sz / 2

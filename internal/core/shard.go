@@ -3,18 +3,13 @@ package core
 // shard.go implements the sharded multi-core deployment of CacheKV: the
 // keyspace is hash-partitioned across N full engine instances — each with its
 // own sub-MemTable pool, flush/spill/index pipelines, ImmZone, LSM tree, and
-// lock domain — behind a router that preserves the kvstore.DB surface. Two
-// mechanisms ride on top of the partitioning:
-//
-//   - Group commit: one writer goroutine per shard coalesces concurrently
-//     arriving Put/Delete/Batch requests into a single sub-MemTable append
-//     committed by one CAS and made durable by one fence, amortizing the
-//     persistence point across the group. Callers park until their group's
-//     fence lands (the wait is attributed to the "lock" layer).
-//
-//   - Two-phase commit for cross-shard atomic batches: per-shard prepare
-//     records plus a single commit marker in a global commit log (twopc.go),
-//     so recovery can resolve in-doubt groups all-or-nothing.
+// lock domain — behind a router that preserves the kvstore.DB surface. The
+// router starts no thread of its own: a write whose ops all land on one shard
+// runs that shard's Engine.Write on the caller's thread, into the caller's
+// core's sub-MemTable, exactly as on the single engine. A batch spanning
+// shards runs the two-phase protocol (twopc.go): per-shard prepare records
+// plus a single commit marker in a global commit log, so recovery can resolve
+// in-doubt batches all-or-nothing.
 //
 // The LLC is way-granular, so the router reserves ONE pinned partition sized
 // for the sum of all shard pools and hands it to every shard engine
@@ -24,11 +19,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cachekv/internal/blockcache"
-	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -37,245 +30,25 @@ import (
 	"cachekv/internal/util"
 )
 
-const (
-	// groupCommitWindowNs is the virtual-time window within which
-	// concurrently arriving write requests coalesce into one group; a request
-	// arriving later than the group leader's arrival + window starts the next
-	// group. groupCommitMaxOps caps the operations in one group.
-	groupCommitWindowNs = 10_000
-	groupCommitMaxOps   = 64
-	// twoPCLogBytes sizes each per-shard two-phase prepare log and the global
-	// commit-marker log.
-	twoPCLogBytes = 256 << 10
-)
+// twoPCLogBytes sizes each per-shard two-phase prepare log and the global
+// commit-marker log.
+const twoPCLogBytes = 256 << 10
 
 // shardOptions derives one shard's engine options from o's totals (defaults
 // applied, Shards >= 1). Shards stays the deployment's count: the engine
 // sizes its slice of the manifest budget from it.
 func shardOptions(o Options) Options {
 	n := uint64(o.Shards)
-	o.PoolBytes = max(o.PoolBytes/n, poolHeaderBytes+2*(64<<10))
+	o.PoolBytes = max(o.PoolBytes/n, poolHeaderBytes+2*minSlotBytes)
 	// Keep at least two slots per shard so one can flush while the other
 	// absorbs writes.
 	if most := (o.PoolBytes - poolHeaderBytes) / 2; o.SubMemTableBytes > most {
 		o.SubMemTableBytes = most &^ 7
 	}
-	o.SubMemTableBytes = max(o.SubMemTableBytes, 64<<10)
+	o.SubMemTableBytes = max(o.SubMemTableBytes, minSlotBytes)
 	o.ImmZoneBytes = max(o.ImmZoneBytes/n, 2*o.PoolBytes, 1<<20)
 	o.FSBytes = max(o.FSBytes/n, 8<<20)
 	return o
-}
-
-// writeReq is one caller's parked write: its operations (sequence numbers
-// assigned), the virtual arrival time, and the completion signal. The writer
-// fills doneV/err before closing done.
-type writeReq struct {
-	ops   []batchOp
-	bytes uint64 // rough encoded-size estimate for group byte budgeting
-	at    int64  // caller's virtual clock at submission
-	// deadlineV is the caller's absolute virtual-time write deadline (0 =
-	// none). The group inherits the laxest member deadline; a member whose
-	// own deadline expires fails alone via the degrade path.
-	deadlineV int64
-	doneV     int64 // group fence's virtual completion time
-	err       error
-	done      chan struct{}
-}
-
-func newWriteReq(ops []batchOp, at, deadlineV int64) *writeReq {
-	req := &writeReq{ops: ops, at: at, deadlineV: deadlineV, done: make(chan struct{})}
-	for _, op := range ops {
-		req.bytes += uint64(len(op.key)+len(op.value)) + 24
-	}
-	return req
-}
-
-// shardWriter is one shard's group-commit loop: a dedicated goroutine (with
-// its own virtual thread pinned to core shard%cores) that drains the request
-// channel, coalesces adjacent requests into one commit, and answers every
-// member with the group's fence time.
-type shardWriter struct {
-	sh  *Sharded
-	eng *Engine
-	id  int
-	th  *hw.Thread
-	ch  chan *writeReq
-	ops []batchOp // a group's concatenated operations; reused group after group
-
-	maxBytes uint64
-
-	mu     sync.RWMutex // guards closed against concurrent submits
-	closed bool
-}
-
-func (w *shardWriter) submit(req *writeReq) error {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.closed {
-		return kvstore.ErrClosed
-	}
-	w.ch <- req
-	return nil
-}
-
-func (w *shardWriter) stop() {
-	w.mu.Lock()
-	if !w.closed {
-		w.closed = true
-		close(w.ch)
-	}
-	w.mu.Unlock()
-}
-
-// loop drains requests, assembling groups bounded by op count, encoded bytes,
-// and the virtual arrival window. pending carries a request that arrived past
-// the current group's window into the next group.
-func (w *shardWriter) loop() {
-	defer w.sh.wg.Done()
-	var pending *writeReq
-	group := make([]*writeReq, 0, 16)
-	for {
-		var first *writeReq
-		if pending != nil {
-			first, pending = pending, nil
-		} else {
-			var ok bool
-			first, ok = <-w.ch
-			if !ok {
-				return
-			}
-		}
-		group = append(group[:0], first)
-		nOps := len(first.ops)
-		nBytes := first.bytes
-		drained := false
-	coalesce:
-		for nOps < groupCommitMaxOps && nBytes < w.maxBytes {
-			select {
-			case r, ok := <-w.ch:
-				if !ok {
-					drained = true
-					break coalesce
-				}
-				if r.at-first.at > groupCommitWindowNs {
-					pending = r
-					break coalesce
-				}
-				group = append(group, r)
-				nOps += len(r.ops)
-				nBytes += r.bytes
-			default:
-				break coalesce
-			}
-		}
-		w.commitGroup(group)
-		if drained && pending == nil {
-			return
-		}
-	}
-}
-
-// commitGroup appends the whole group with one commitOps call (one slot
-// append, one commit CAS) and one fsync-equivalent fence, then releases every
-// member at the fence's virtual time. On a multi-member failure each request
-// retries alone so one oversized batch cannot poison its neighbours.
-func (w *shardWriter) commitGroup(group []*writeReq) {
-	th := w.th
-	// The group starts when the writer is free AND the last member arrived.
-	start := th.Clock.Now()
-	for _, r := range group {
-		if r.at > start {
-			start = r.at
-		}
-	}
-	th.Clock.AdvanceTo(start)
-
-	// The group-commit queue is the write path's last unbounded wait: under
-	// sustained overload requests park behind earlier groups for longer than
-	// any in-engine stall. A member whose deadline passed while it queued is
-	// rejected here, before any of its ops reach the commit CAS, so it is
-	// fully absent and its caller observes ErrStalled at exactly its own
-	// deadline instead of an arbitrarily late ack.
-	kept := group[:0]
-	for _, r := range group {
-		if r.deadlineV > 0 && start > r.deadlineV {
-			r.doneV = r.deadlineV
-			r.err = ErrStalled
-			close(r.done)
-			continue
-		}
-		kept = append(kept, r)
-	}
-	group = kept
-	if len(group) == 0 {
-		return
-	}
-
-	// The group's slot wait runs under the laxest member deadline: if any
-	// member carries no deadline the group must not fail on one, and on a
-	// stall the degrade path below retries members individually so only the
-	// writers whose own deadlines expired observe ErrStalled — rejection
-	// happens before the commit CAS, so a failed member is fully absent.
-	groupDeadline := int64(-1)
-	for _, r := range group {
-		if r.deadlineV == 0 {
-			groupDeadline = 0
-			break
-		}
-		if r.deadlineV > groupDeadline {
-			groupDeadline = r.deadlineV
-		}
-	}
-	if groupDeadline < 0 {
-		groupDeadline = 0
-	}
-
-	var err error
-	if len(group) == 1 {
-		err = w.eng.commitOps(th, group[0].ops, group[0].deadlineV)
-	} else {
-		ops := w.ops[:0]
-		for _, r := range group {
-			ops = append(ops, r.ops...)
-		}
-		err = w.eng.commitOps(th, ops, groupDeadline)
-		clear(ops) // the members' keys and values are theirs again
-		w.ops = ops
-		if err != nil {
-			// Degrade to per-request commits: a capacity error (or stall)
-			// belongs to the request that overflowed or expired, not to the
-			// whole group.
-			for _, r := range group {
-				w.commitGroup([]*writeReq{r})
-			}
-			return
-		}
-	}
-	if err == nil {
-		// The group's single persistence fence (the amortized fsync).
-		th.InPhase(hw.PhaseWAL, func() {
-			th.Clock.Advance(w.sh.m.Costs.Fence)
-		})
-	}
-	doneV := th.Clock.Now()
-
-	w.sh.stats.groups.Add(1)
-	w.sh.stats.groupedOps.Add(int64(len(group)))
-	w.sh.perShardGroups[w.id].Add(1)
-	w.sh.batchHist.Record(int64(len(group)))
-	for _, r := range group {
-		r.doneV = doneV
-		r.err = err
-		w.sh.waitHist.Record(doneV - r.at)
-		close(r.done)
-	}
-}
-
-// shardStats aggregates router-level counters.
-type shardStats struct {
-	groups     atomic.Int64 // group commits executed
-	groupedOps atomic.Int64 // write requests that went through group commit
-	crossBatch atomic.Int64 // cross-shard two-phase batches committed
 }
 
 // Sharded is the N-shard CacheKV deployment. It implements kvstore.DB.
@@ -286,16 +59,10 @@ type Sharded struct {
 	seq  *atomic.Uint64
 	part cache.PartitionID
 
-	shards  []*Engine
-	writers []*shardWriter
-	wg      sync.WaitGroup
+	shards []*Engine
+	tpc    *twoPC
 
-	tpc *twoPC
-
-	stats          shardStats
-	perShardGroups []atomic.Int64
-	batchHist      *histogram.H // ops per group commit
-	waitHist       *histogram.H // caller park time (virtual ns)
+	crossBatches atomic.Int64 // cross-shard two-phase batches committed
 
 	trace  *obs.Trace
 	closed atomic.Bool
@@ -313,13 +80,10 @@ func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 	o = o.withDefaults()
 	o.Shards = max(o.Shards, 1)
 	sh := &Sharded{
-		m:              m,
-		writeDeadline:  o.WriteStallDeadline,
-		seq:            new(atomic.Uint64),
-		trace:          o.Trace,
-		batchHist:      histogram.New(),
-		waitHist:       histogram.New(),
-		perShardGroups: make([]atomic.Int64, o.Shards),
+		m:             m,
+		writeDeadline: o.WriteStallDeadline,
+		seq:           new(atomic.Uint64),
+		trace:         o.Trace,
 	}
 	var err error
 	sh.part, err = m.Cache.Reserve(int(o.PoolBytes))
@@ -346,22 +110,6 @@ func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 		sh.teardown(th)
 		return nil, err
 	}
-
-	// Group-commit writers, one per shard, pinned round-robin over the cores.
-	maxBytes := min(max(o.SubMemTableBytes/4, 4<<10), 32<<10)
-	for k := 0; k < o.Shards; k++ {
-		w := &shardWriter{
-			sh:       sh,
-			eng:      sh.shards[k],
-			id:       k,
-			th:       m.NewThread(k),
-			ch:       make(chan *writeReq, 1024),
-			maxBytes: maxBytes,
-		}
-		sh.writers = append(sh.writers, w)
-		sh.wg.Add(1)
-		go w.loop()
-	}
 	return sh, nil
 }
 
@@ -383,11 +131,6 @@ func (sh *Sharded) ShardOf(key []byte) int {
 // Shards returns the shard count.
 func (sh *Sharded) Shards() int { return len(sh.shards) }
 
-// WriterCore reports the virtual core shard k's group-commit writer is pinned
-// to (k modulo the machine's core count) — the deterministic session/shard
-// core mapping documented on cachekv.DB.Session.
-func (sh *Sharded) WriterCore(k int) int { return sh.writers[k].th.Core }
-
 func (sh *Sharded) err() error {
 	if sh.closed.Load() {
 		return kvstore.ErrClosed
@@ -403,34 +146,17 @@ func (sh *Sharded) Name() string {
 	return fmt.Sprintf("CacheKV(shards=%d)", len(sh.shards))
 }
 
-// submitAndWait routes one sequenced request to shard idx's writer and parks
-// the caller until the group's fence lands. The park is attributed to the lock
-// layer: it is commit-ordering wait, the sharded analogue of the
-// single-writer lock the paper's Figure 5(b) charges there.
-func (sh *Sharded) submitAndWait(th *hw.Thread, idx int, ops []batchOp, deadlineV int64) error {
-	req := newWriteReq(ops, th.Clock.Now(), deadlineV)
-	if err := sh.writers[idx].submit(req); err != nil {
-		return err
-	}
-	th.InPhase(hw.PhaseLock, func() {
-		<-req.done
-		th.Clock.AdvanceTo(req.doneV)
-	})
-	return req.err
-}
-
 // Write commits b atomically; it is the only way a mutation enters the
 // router (deadlineNs as in Engine.Write). Point ops route to ShardOf(key); a
 // range tombstone goes to EVERY shard, because keys hash-partition and any
-// key of the span may live anywhere. A batch with one participant shard
-// commits through that shard's group-commit writer exactly like the
-// single-engine path (one CAS); one with several goes through the two-phase
-// protocol in twopc.go, so after a crash either every shard carries its
-// portion or none does.
+// key of the span may live anywhere. A batch with one participant shard is
+// that shard's Engine.Write on the caller's thread (admission, sequence
+// numbers, one CAS on the caller's core's slot); one with several goes
+// through the two-phase protocol in twopc.go, so after a crash either every
+// shard carries its portion or none does.
 //
 // Every participant's flow controller must admit the batch before it reaches
-// a writer or a log, so a rejected batch is fully absent and the group-commit
-// pipeline only carries admitted work.
+// a sub-MemTable or a log, so a rejected batch is fully absent.
 func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 	ops := b.ops
 	if len(ops) == 0 {
@@ -442,11 +168,8 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 	// Router lookup: one DRAM access, same charge as the engine's global
 	// metadata structure.
 	th.ChargeDRAM(1)
-	deadlineV := absDeadline(th, deadlineNs)
 
 	// Common case first: every op lands on one shard, nothing to partition.
-	// As in Engine.Write, admission runs before a sequence number is drawn, so
-	// a rejected write consumes none and a writer parked in Stop holds none.
 	one := sh.ShardOf(ops[0].key)
 	for i := 0; i < len(ops) && len(sh.shards) > 1; i++ {
 		if ops[i].kind == util.KindRangeDel || sh.ShardOf(ops[i].key) != one {
@@ -455,13 +178,7 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 		}
 	}
 	if one >= 0 {
-		fc := sh.shards[one].flow
-		err := fc.admitWrite(th, deadlineV)
-		if err == nil {
-			assignSeqs(sh.seq, ops)
-			err = sh.submitAndWait(th, one, ops, deadlineV)
-		}
-		return fc.countStall(err)
+		return sh.shards[one].Write(th, b, deadlineNs)
 	}
 
 	// Two-phase path: the prepare record carries the sequence numbers, so they
@@ -488,7 +205,8 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 		}
 	}
 	// A stalled cross-shard batch counts once, against its first participant.
-	return sh.shards[portions[0].shard].flow.countStall(sh.tpc.commit(th, portions, deadlineV))
+	err := sh.tpc.commit(th, portions, absDeadline(th, deadlineNs))
+	return sh.shards[portions[0].shard].flow.countStall(err)
 }
 
 // Put implements kvstore.DB.
@@ -579,16 +297,12 @@ func (sh *Sharded) Halt() {
 	sh.tpc.abort()
 }
 
-// Close implements kvstore.DB: drain the writers, close every shard, release
-// the shared partition.
+// Close implements kvstore.DB: close every shard, release the shared
+// partition.
 func (sh *Sharded) Close(th *hw.Thread) error {
 	if sh.closed.Swap(true) {
 		return nil
 	}
-	for _, w := range sh.writers {
-		w.stop()
-	}
-	sh.wg.Wait()
 	var first error
 	for _, e := range sh.shards {
 		if err := e.Close(th); err != nil && first == nil {
@@ -627,18 +341,11 @@ func (sh *Sharded) BlockCacheStats() blockcache.Stats {
 
 // RegisterObs publishes aggregate engine counters under the standard names
 // (so existing dashboards keep working), per-shard labeled variants, and the
-// group-commit instrumentation.
+// router's cross-shard batch count.
 func (sh *Sharded) RegisterObs(r *obs.Registry) {
 	registerEngineMetrics(r, sh.shards)
 	r.Counter("engine_shards", func() int64 { return int64(len(sh.shards)) })
-
-	r.Counter("group_commits", func() int64 { return sh.stats.groups.Load() })
-	r.Counter("group_commit_ops", func() int64 { return sh.stats.groupedOps.Load() })
-	r.Counter("cross_shard_batches", func() int64 { return sh.stats.crossBatch.Load() })
-	r.Gauge("group_commit_batch_mean", func() float64 { return sh.batchHist.Mean() })
-	r.Gauge("group_commit_batch_p99", func() float64 { return sh.batchHist.Percentile(99) })
-	r.Gauge("group_commit_wait_mean_ns", func() float64 { return sh.waitHist.Mean() })
-	r.Gauge("group_commit_wait_p99_ns", func() float64 { return sh.waitHist.Percentile(99) })
+	r.Counter("cross_shard_batches", func() int64 { return sh.crossBatches.Load() })
 
 	for k := range sh.shards {
 		k := k
@@ -646,7 +353,6 @@ func (sh *Sharded) RegisterObs(r *obs.Registry) {
 		r.Counter(fmt.Sprintf("shard%d_engine_puts", k), func() int64 { return e.stats.Puts.Load() })
 		r.Counter(fmt.Sprintf("shard%d_engine_gets", k), func() int64 { return e.stats.Gets.Load() })
 		r.Counter(fmt.Sprintf("shard%d_engine_flushes", k), func() int64 { return e.stats.Flushes.Load() })
-		r.Counter(fmt.Sprintf("shard%d_group_commits", k), func() int64 { return sh.perShardGroups[k].Load() })
 		r.Gauge(fmt.Sprintf("shard%d_flow_state", k), func() float64 { return float64(e.flow.current()) })
 	}
 }

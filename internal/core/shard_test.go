@@ -5,10 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
-	"cachekv/internal/obs"
 	"cachekv/internal/util"
 )
 
@@ -99,22 +97,15 @@ func TestShardRoutingStable(t *testing.T) {
 	}
 }
 
-func TestShardedWriterPinning(t *testing.T) {
+// TestShardedConcurrentWriters: eight writers, one thread each on core w,
+// put disjoint keys through the router at once, every shard taking writes
+// from several cores; every key then reads back its value.
+func TestShardedConcurrentWriters(t *testing.T) {
 	m := testMachine()
-	sh, th := openSharded(t, m, smallShardedOpts(8))
+	sh, th := openSharded(t, m, smallShardedOpts(4))
 	defer sh.Close(th)
-	cores := m.Cores()
-	for k := 0; k < sh.Shards(); k++ {
-		if got, want := sh.WriterCore(k), k%cores; got != want {
-			t.Fatalf("shard %d writer pinned to core %d, want %d", k, got, want)
-		}
-	}
-}
 
-// putFromWriters drives the router from concurrent writers with disjoint
-// keys, so the per-shard writers coalesce their requests into groups.
-func putFromWriters(t *testing.T, m *hw.Machine, sh *Sharded, writers, per int) {
-	t.Helper()
+	const writers, per = 8, 400
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -136,15 +127,6 @@ func putFromWriters(t *testing.T, m *hw.Machine, sh *Sharded, writers, per int) 
 	for err := range errs {
 		t.Fatal(err)
 	}
-}
-
-func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
-	m := testMachine()
-	sh, th := openSharded(t, m, smallShardedOpts(4))
-	defer sh.Close(th)
-
-	const writers, per = 8, 400
-	putFromWriters(t, m, sh, writers, per)
 
 	for w := 0; w < writers; w++ {
 		for i := 0; i < per; i++ {
@@ -158,44 +140,32 @@ func TestShardedConcurrentWritersGroupCommit(t *testing.T) {
 			}
 		}
 	}
-
-	groups, ops := sh.stats.groups.Load(), sh.stats.groupedOps.Load()
-	if ops != writers*per {
-		t.Fatalf("group commit saw %d ops, want %d", ops, writers*per)
-	}
-	if groups <= 0 || groups > ops {
-		t.Fatalf("implausible group count %d for %d ops", groups, ops)
-	}
-	if sh.batchHist.Count() != groups {
-		t.Fatalf("batch histogram count %d != groups %d", sh.batchHist.Count(), groups)
-	}
-	if sh.waitHist.Count() != ops {
-		t.Fatalf("wait histogram count %d != ops %d", sh.waitHist.Count(), ops)
-	}
 }
 
-// The p99 gauges publish the histograms' 99th percentile (histogram.H takes
-// 0 < p <= 100; 0.99 read the 0.99th, which sits below the median).
-func TestGroupCommitP99Gauges(t *testing.T) {
+// TestShardedWritesUseTheCallersSlot: a router's write lands in the writing
+// session's own core's sub-MemTable of the key's shard, as on the single
+// engine — two sessions writing one shard's keys each hold a slot of it.
+func TestShardedWritesUseTheCallersSlot(t *testing.T) {
 	m := testMachine()
-	sh, th := openSharded(t, m, smallShardedOpts(4))
+	sh, th := openSharded(t, m, smallShardedOpts(2))
 	defer sh.Close(th)
-	putFromWriters(t, m, sh, 8, 400)
-
-	r := obs.NewRegistry()
-	sh.RegisterObs(r)
-	snap := r.Gather()
-	for _, g := range []struct {
-		name string
-		h    *histogram.H
-	}{
-		{"group_commit_wait_p99_ns", sh.waitHist},
-		{"group_commit_batch_p99", sh.batchHist},
-	} {
-		got := snap.Float(g.name)
-		if got < g.h.Percentile(50) || got != g.h.Percentile(99) {
-			t.Fatalf("%s = %v, want the histogram's p99 %v (p50 %v)",
-				g.name, got, g.h.Percentile(99), g.h.Percentile(50))
+	const target = 1
+	for core := 0; core < 2; core++ {
+		wth := m.NewThread(core)
+		for i, n := 0, 0; n < 50; i++ {
+			k := []byte(fmt.Sprintf("c%d-key%d", core, i))
+			if sh.ShardOf(k) != target {
+				continue
+			}
+			if err := sh.Put(wth, k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	for core := 0; core < 2; core++ {
+		if idx := sh.shards[target].pool.coreSlot[core].Load(); idx < 0 {
+			t.Errorf("core %d wrote 50 keys of shard %d but holds none of its slots", core, target)
 		}
 	}
 }
@@ -266,7 +236,7 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cross := sh.stats.crossBatch.Load(); cross != int64(nBatches) {
+	if cross := sh.crossBatches.Load(); cross != int64(nBatches) {
 		t.Fatalf("cross-shard batch count %d, want %d", cross, nBatches)
 	}
 

@@ -258,10 +258,11 @@ func (t *twoPC) abort() {
 
 // commit runs the two-phase protocol for portions (ascending shard order):
 // prepare records on every participant, one fence, then the commit marker and
-// its fence — the commit point — and finally the portions flow through each
-// shard's group-commit writer. The caller's thread performs all log appends
-// under t.mu, so the persistence-op stream is deterministic for a
-// single-threaded workload (crashsweep relies on this).
+// its fence — the commit point — and finally each portion is applied to its
+// shard. The caller's thread does all of it: the log appends under t.mu, so
+// the persistence-op stream is deterministic for a single-threaded workload
+// (crashsweep relies on this), and the apply into the caller's core's slot of
+// every participant, as replay does.
 //
 // deadlineV (0 = none) is enforced strictly BEFORE the first prepare record:
 // every participant shard must admit the batch, and the deadline is
@@ -273,7 +274,7 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	// a portion that cannot replay into a minimum-size sub-MemTable must be
 	// rejected before any record is written.
 	for _, p := range portions {
-		if opsSlotLen(p.ops) > (64<<10)-slotHdrSize {
+		if opsSlotLen(p.ops) > minSlotBytes-slotHdrSize {
 			return errBatchTooLarge
 		}
 	}
@@ -335,38 +336,19 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	t.inflight++
 	t.mu.Unlock()
 
-	// Apply each portion through its shard's writer. Submissions share one
-	// virtual arrival stamp so the shards absorb their portions in parallel
-	// virtual time; the host-side waits are sequential for determinism.
-	at := th.Clock.Now()
-	doneV := at
+	// No deadline: the commit marker already landed, so the apply must run to
+	// completion however stalled a shard is.
 	var applyErr error
-	th.InPhase(hw.PhaseLock, func() {
-		for _, p := range portions {
-			// No deadline: the commit marker already landed, so the apply
-			// must run to completion however stalled the shard is.
-			req := newWriteReq(p.ops, at, 0)
-			if err := sh.writers[p.shard].submit(req); err != nil {
-				if applyErr == nil {
-					applyErr = err
-				}
-				continue
-			}
-			<-req.done
-			if req.err != nil && applyErr == nil {
-				applyErr = req.err
-			}
-			if req.doneV > doneV {
-				doneV = req.doneV
-			}
+	for _, p := range portions {
+		if err := sh.shards[p.shard].commitOps(th, p.ops, 0); err != nil && applyErr == nil {
+			applyErr = err
 		}
-		th.Clock.AdvanceTo(doneV)
-	})
+	}
 
 	t.mu.Lock()
 	t.inflight--
 	t.cond.Broadcast()
 	t.mu.Unlock()
-	sh.stats.crossBatch.Add(1)
+	sh.crossBatches.Add(1)
 	return applyErr
 }

@@ -192,37 +192,51 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 // TestWriteAllocs pins the host cost of the one write path: a Put allocates
 // nothing (it was 7 objects when Put had a path of its own, then 1, the encoded
 // entry, until that moved into the calling thread's scratch), and neither does
-// a batch, however many ops it carries.
+// a batch, however many ops it carries — on the engine and through a router,
+// whose one-shard write is that shard's Engine.Write on the caller's thread.
+// Handed to a writer goroutine instead, it cost 2 objects (the request and its
+// channel), and a Put 3 (its op escaped with the request).
 func TestWriteAllocs(t *testing.T) {
 	o := smallOpts()
 	o.SyncThreshold = 1 << 30 // keep the index thread (and its allocations) out of the count
 	o.Elastic = false
 	e, th := openEngine(t, testMachine(), o)
 	defer e.Close(th)
+	so := smallShardedOpts(2)
+	so.SyncThreshold, so.Elastic = o.SyncThreshold, o.Elastic
+	sh, sth := openSharded(t, testMachine(), so)
+	defer sh.Close(sth)
 	k, v := []byte("key-0123456789"), make([]byte, 64)
-	// The simulated LLC allocates a line on first touch. Touch most of slot 0
-	// once and hand it back, so the measured writes land on resident lines.
-	for i := 0; i < 1200; i++ {
-		if err := e.Put(th, k, v); err != nil {
+	for _, db := range []struct {
+		name string
+		Store
+		th *hw.Thread
+	}{{"engine", e, th}, {"2 shards", sh, sth}} {
+		// The simulated LLC allocates a line on first touch. Touch most of the
+		// slot once and hand it back, so the measured writes land on resident
+		// lines.
+		for i := 0; i < 1200; i++ {
+			if err := db.Put(db.th, k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.FlushAll(db.th); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := e.FlushAll(th); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Put(th, k, v); err != nil { // re-acquire the slot outside the measurement
-		t.Fatal(err)
-	}
-	if put := testing.AllocsPerRun(100, func() { _ = e.Put(th, k, v) }); put != 0 {
-		t.Errorf("Engine.Put allocates %.0f objects per call, want 0", put)
-	}
-	for _, n := range []int{1, 4} {
-		var b Batch
-		for i := 0; i < n; i++ {
-			b.Put(k, v)
+		if err := db.Put(db.th, k, v); err != nil { // re-acquire the slot outside the measurement
+			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(100, func() { _ = e.Write(th, &b, 0) }); got != 0 {
-			t.Errorf("Write allocates %.0f objects for a %d-op batch, want 0", got, n)
+		if put := testing.AllocsPerRun(100, func() { _ = db.Put(db.th, k, v) }); put != 0 {
+			t.Errorf("%s: Put allocates %.0f objects per call, want 0", db.name, put)
+		}
+		for _, n := range []int{1, 4} {
+			var b Batch
+			for i := 0; i < n; i++ {
+				b.Put(k, v)
+			}
+			if got := testing.AllocsPerRun(100, func() { _ = db.Write(db.th, &b, 0) }); got != 0 {
+				t.Errorf("%s: Write allocates %.0f objects for a %d-op batch, want 0", db.name, got, n)
+			}
 		}
 	}
 }

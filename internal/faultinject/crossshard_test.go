@@ -105,8 +105,8 @@ func TestCrashSweepCrossShardEdges(t *testing.T) {
 }
 
 // TestCrashSweepShardedSingleKey runs the classic single-key workload sweep
-// against the sharded router, covering the group-commit write path (WAL
-// append + fence per coalesced group) under crash schedules with the standard
+// against the sharded router, covering its one-shard write path (the shard's
+// own commit on the caller's core) under crash schedules with the standard
 // oracle: durable under eADR, validity-only under ADR.
 func TestCrashSweepShardedSingleKey(t *testing.T) {
 	per := 8

@@ -73,8 +73,7 @@ func TestStressShardedCrossBatches(t *testing.T) {
 				}
 			}(w)
 		}
-		// Scanners and point readers share cores with the writers and the
-		// shards' group-commit threads.
+		// Scanners and point readers share cores with the writers.
 		for rdr := 0; rdr < 2; rdr++ {
 			wg.Add(1)
 			go func(rdr int) {
