@@ -365,26 +365,21 @@ func (db *DB) Close() error {
 	return db.inner.Close(th)
 }
 
-// SimulateCrash models a power failure: the cache applies its persistence
-// domain (eADR drains dirty lines, ADR drops them), all DRAM state is
-// discarded, and the engine is recovered from the surviving bytes. It
-// returns the recovered store; the receiver must not be used afterwards.
+// SimulateCrash models a power failure: nothing the store still does reaches
+// the media, the cache applies its persistence domain (eADR drains dirty
+// lines, ADR drops them), all DRAM state is discarded, and the engine is
+// recovered from the surviving bytes. It returns the recovered store; the
+// receiver and its sessions must not be used afterwards.
 func (db *DB) SimulateCrash() (*DB, error) {
 	if db.closed.Swap(true) {
 		return nil, fmt.Errorf("cachekv: SimulateCrash: %w", ErrClosed)
 	}
-	// The crash preempts the engine: Halt makes every background thread
-	// abandon its queued work (a power failure completes nothing), then the
-	// cache applies its persistence-domain rule and volatile state drops.
-	if h, ok := db.inner.(kvstore.Halter); ok {
-		h.Halt()
-	}
 	// Crash while the partitions are still pinned (the persistence-domain
-	// drain must see the pool), then tear the dead engine down.
-	th0 := db.machine.NewThread(0)
-	db.trace.Emit(th0.Clock.Now(), "crash", "engine", db.inner.Name())
-	db.machine.Crash()
+	// drain must see the pool), then stop the dead engine before the power
+	// comes back: on a crashed machine Close drops its queued work.
 	th := db.machine.NewThread(0)
+	db.trace.Emit(th.Clock.Now(), "crash", "engine", db.inner.Name())
+	db.machine.Crash()
 	_ = db.inner.Close(th)
 	db.machine.Recover()
 	ndb, err := openOn(db.machine, db.opts, db.col, db.trace)

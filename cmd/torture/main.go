@@ -495,7 +495,6 @@ func runCrashLeg(c config) (*crashResult, error) {
 			"crash leg never entered Slowdown/Stop: overload too weak to test crash-mid-stall")
 	}
 
-	db.Halt()
 	m.Crash()
 	_ = db.Close(th)
 	m.Recover()

@@ -13,9 +13,11 @@ package novelsm
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cachekv/internal/arena"
 	"cachekv/internal/baseline"
+	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
@@ -119,24 +121,23 @@ type DB struct {
 	dramPending int
 	nodeRegion  hw.Region
 
-	flushCh     chan flushJob
-	flushWG     sync.WaitGroup
-	flushServer *sim.ServerPool
-	pending     sync.WaitGroup
-	cond        *sync.Cond
+	// flushes drains sealed MemTables to L0 one at a time. The two ping-pong
+	// logs allow at most three sealed tables at once, well inside its queue.
+	bg      *bgpool.Pool
+	flushes *bgpool.Kind[flushJob]
+	pending atomic.Int64 // sealed tables not yet flushed or dropped
+	cond    *sync.Cond
 
 	fs   *pmemfs.FS
 	tree *lsm.Tree
 
-	failed  error
-	closed  bool
-	crashed bool
+	failed error
+	closed bool
 }
 
 type flushJob struct {
-	mt       *kvstore.Memtable
-	logIdx   int // PMem log to recycle afterwards (-1 for DRAM tables)
-	sealedAt int64
+	mt     *kvstore.Memtable
+	logIdx int // PMem log to recycle afterwards (-1 for DRAM tables)
 }
 
 // Open creates (or recovers) a NoveLSM instance on machine m.
@@ -147,12 +148,10 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		m:           m,
-		opts:        opts,
-		part:        part,
-		lock:        sim.NewVMutex(m.Costs),
-		flushCh:     make(chan flushJob, 8),
-		flushServer: sim.NewServerPool(1),
+		m:    m,
+		opts: opts,
+		part: part,
+		lock: sim.NewVMutex(m.Costs),
 	}
 	db.cond = sync.NewCond(&db.mu)
 
@@ -174,20 +173,21 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 		return nil, err
 	}
 	db.seq = db.tree.LastSeq()
+	db.bg = bgpool.New(func(err error) { panic(err) })
+	db.flushes = bgpool.Add(db.bg, bgpool.Config{Name: "flush", Workers: 1, Rule: bgpool.FIFO, Queue: 8}, db.flushOne, db.release)
 
 	// Crash recovery: replay the WAL (DRAM MemTable contents) and both PMem
 	// entry logs into a fresh active MemTable generation.
 	db.active = db.newMemtable(tierDRAM, 0)
 	replayed := 0
 	for _, log := range db.logs {
-		n := kvstore.RecoverEntries(m, log.Region(), th, func(ik util.InternalKey, val []byte) {
+		kvstore.RecoverEntries(m, log.Region(), th, func(ik util.InternalKey, val []byte) {
 			db.active.Insert(th, ik, val)
 			if s := ik.Seq(); s > db.seq {
 				db.seq = s
 			}
 			replayed++
 		})
-		_ = n
 		log.Reset()
 		db.zeroLogHead(th, log)
 	}
@@ -211,9 +211,6 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 		// Push recovered data straight down to L0 so the logs stay reset.
 		db.sealActiveLocked(th)
 	}
-
-	db.flushWG.Add(1)
-	go db.flusher()
 	return db, nil
 }
 
@@ -362,7 +359,7 @@ func (db *DB) sealActiveLocked(th *hw.Thread) {
 			db.logCur ^= 1
 		}
 		db.logBusy[db.logCur] = true
-		th.Clock.AdvanceTo(db.flushServer.EarliestFree())
+		th.Clock.AdvanceTo(db.flushes.Server.EarliestFree())
 		db.active = db.newMemtable(tierPMem, db.logCur)
 	} else {
 		db.activeTie = tierDRAM
@@ -371,75 +368,65 @@ func (db *DB) sealActiveLocked(th *hw.Thread) {
 		for db.dramPending > 0 {
 			db.cond.Wait()
 		}
-		db.walW.Reset(th)
-		_ = db.walMode() // discipline is fixed at open; Reset keeps it
+		db.walW.Reset(th) // keeps the discipline fixed at open
 		db.active = db.newMemtable(tierDRAM, 0)
 	}
 	db.imms = append(db.imms, sealed)
 	db.pending.Add(1)
-	job := flushJob{mt: sealed, logIdx: -1, sealedAt: th.Clock.Now()}
+	job := flushJob{mt: sealed, logIdx: -1}
 	if sealedTier == tierPMem {
 		job.logIdx = sealedLog
 	} else {
 		db.dramPending++
 	}
-	db.flushCh <- job
+	db.flushes.Submit(th.Clock.Now(), job)
 }
 
-// Halt crash-stops the store: operations fail immediately and background
-// flushes abandon their queued MemTables (a power failure, not a shutdown).
-func (db *DB) Halt() {
+// flushOne is the flush kind's job: it drains one MemTable, sealed at virtual
+// time sealedAt, to L0.
+func (db *DB) flushOne(_ int, sealedAt int64, job flushJob) (int64, bool) {
+	th := db.m.NewThread(0)
+	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
+	th.Clock.AdvanceTo(sealedAt)
+	start := th.Clock.Now()
+	db.opts.Trace.Emit(start, "flush_start", "entries", job.mt.Len())
+	it := job.mt.NewIter()
+	err := db.tree.Flush(th, it, job.mt.MaxSeq())
+	done := db.flushes.Server.Submit(sealedAt, th.Clock.Now()-start)
+	db.opts.Trace.Emit(th.Clock.Now(), "flush_end",
+		"entries", job.mt.Len(), "ns", th.Clock.Now()-start)
 	db.mu.Lock()
-	db.crashed = true
-	if db.failed == nil {
-		db.failed = kvstore.ErrClosed
+	if err != nil && db.failed == nil {
+		db.failed = err
+	}
+	for i, mt := range db.imms {
+		if mt == job.mt {
+			db.imms = append(db.imms[:i], db.imms[i+1:]...)
+			break
+		}
+	}
+	if job.logIdx >= 0 {
+		db.logs[job.logIdx].Reset()
+		db.zeroLogHead(th, db.logs[job.logIdx])
 	}
 	db.mu.Unlock()
+	db.release(job)
+	return done, false
 }
 
-// flusher drains sealed MemTables to L0.
-func (db *DB) flusher() {
-	defer db.flushWG.Done()
-	for job := range db.flushCh {
-		db.mu.Lock()
-		if db.crashed {
-			db.mu.Unlock()
-			db.pending.Done()
-			continue
-		}
-		db.mu.Unlock()
-		th := db.m.NewThread(0)
-		th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
-		th.Clock.AdvanceTo(job.sealedAt)
-		start := th.Clock.Now()
-		db.opts.Trace.Emit(start, "flush_start", "entries", job.mt.Len())
-		it := job.mt.NewIter()
-		err := db.tree.Flush(th, it, job.mt.MaxSeq())
-		done := db.flushServer.Submit(job.sealedAt, th.Clock.Now()-start)
-		db.opts.Trace.Emit(th.Clock.Now(), "flush_end",
-			"entries", job.mt.Len(), "ns", th.Clock.Now()-start)
-		db.mu.Lock()
-		if err != nil && db.failed == nil {
-			db.failed = err
-		}
-		for i, mt := range db.imms {
-			if mt == job.mt {
-				db.imms = append(db.imms[:i], db.imms[i+1:]...)
-				break
-			}
-		}
-		if job.logIdx >= 0 {
-			db.logs[job.logIdx].Reset()
-			db.zeroLogHead(th, db.logs[job.logIdx])
-			db.logBusy[job.logIdx] = false
-		} else {
-			db.dramPending--
-		}
-		db.cond.Broadcast()
-		db.mu.Unlock()
-		_ = done
-		db.pending.Done()
+// release is what a sealed table owes once its flush ended or the crash-stop
+// dropped it: its log or its WAL hold, so that a writer parked in
+// sealActiveLocked wakes.
+func (db *DB) release(job flushJob) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if job.logIdx >= 0 {
+		db.logBusy[job.logIdx] = false
+	} else {
+		db.dramPending--
 	}
+	db.pending.Add(-1)
+	db.cond.Broadcast()
 }
 
 // Get implements kvstore.DB. Like LevelDB, the read path briefly takes the
@@ -517,14 +504,15 @@ func (db *DB) FlushAll(th *hw.Thread) error {
 		db.sealActiveLocked(th)
 	}
 	db.mu.Unlock()
-	db.pending.Wait()
-	th.Clock.AdvanceTo(db.flushServer.EarliestFree())
+	db.flushes.Wait(func() bool { return db.pending.Load() == 0 })
+	th.Clock.AdvanceTo(db.flushes.Server.EarliestFree())
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.failed
 }
 
-// Close implements kvstore.DB.
+// Close implements kvstore.DB. On a crashed machine it is the crash-stop:
+// the store fails and queued flushes are dropped.
 func (db *DB) Close(th *hw.Thread) error {
 	db.mu.Lock()
 	if db.closed {
@@ -532,22 +520,23 @@ func (db *DB) Close(th *hw.Thread) error {
 		return nil
 	}
 	db.closed = true
+	crashed := db.m.Crashed()
+	if crashed && db.failed == nil {
+		db.failed = kvstore.ErrClosed
+	}
 	db.mu.Unlock()
-	db.pending.Wait()
-	close(db.flushCh)
-	db.flushWG.Wait()
-	db.mu.Lock()
-	crashed := db.crashed
-	db.mu.Unlock()
-	if db.opts.Variant == baseline.CacheSegments && !crashed {
+	if crashed {
+		db.bg.Abort()
+	}
+	db.bg.Close()
+	if db.opts.Variant == baseline.CacheSegments {
 		// Drain the pinned segments before surrendering the partition so a
-		// graceful close is never lossier than an eADR crash.
+		// graceful close is never lossier than an eADR crash (a crashed
+		// machine refuses the drain).
 		th := db.m.NewThread(0)
 		for _, log := range db.logs {
 			db.m.Cache.FlushOpt(th.Clock, log.Region().Addr, int(log.Used()))
 		}
-	}
-	if db.opts.Variant == baseline.CacheSegments {
 		db.m.Cache.Release(db.part)
 	}
 	db.mu.Lock()

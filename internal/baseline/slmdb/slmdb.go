@@ -12,9 +12,11 @@ package slmdb
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cachekv/internal/arena"
 	"cachekv/internal/baseline"
+	"cachekv/internal/bgpool"
 	"cachekv/internal/btree"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -94,27 +96,26 @@ type DB struct {
 	index      *btree.Tree
 	nodeRegion hw.Region
 
-	logs        [2]*arena.PArena
-	logBusy     [2]bool
-	logCur      int
-	flushCh     chan flushJob
-	flushWG     sync.WaitGroup
-	flushServer *sim.ServerPool
-	pending     sync.WaitGroup
-	cond        *sync.Cond
+	logs    [2]*arena.PArena
+	logBusy [2]bool
+	logCur  int
+	// flushes drains sealed MemTables one at a time; the two ping-pong logs
+	// allow one sealed table at a time, well inside its queue.
+	bg      *bgpool.Pool
+	flushes *bgpool.Kind[flushJob]
+	pending atomic.Int64 // sealed tables not yet flushed or dropped
+	cond    *sync.Cond
 
 	fs   *pmemfs.FS
 	tree *lsm.Tree
 
-	failed  error
-	closed  bool
-	crashed bool
+	failed error
+	closed bool
 }
 
 type flushJob struct {
-	mt       *kvstore.Memtable
-	logIdx   int
-	sealedAt int64
+	mt     *kvstore.Memtable
+	logIdx int
 }
 
 // Open creates (or recovers) an SLM-DB instance on machine m.
@@ -125,13 +126,11 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		m:           m,
-		opts:        opts,
-		part:        part,
-		lock:        sim.NewVMutex(m.Costs),
-		index:       btree.New(),
-		flushCh:     make(chan flushJob, 8),
-		flushServer: sim.NewServerPool(1),
+		m:     m,
+		opts:  opts,
+		part:  part,
+		lock:  sim.NewVMutex(m.Costs),
+		index: btree.New(),
 	}
 	db.cond = sync.NewCond(&db.mu)
 
@@ -160,6 +159,9 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 		db.indexTable(th, f.Num)
 	}
 
+	db.bg = bgpool.New(func(err error) { panic(err) })
+	db.flushes = bgpool.Add(db.bg, bgpool.Config{Name: "flush", Workers: 1, Rule: bgpool.FIFO, Queue: 8}, db.flushOne, db.release)
+
 	// Recover the persistent MemTable from its entry logs.
 	db.active = db.newMemtable(0)
 	replayed := 0
@@ -182,9 +184,6 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (*DB, error) {
 	} else {
 		db.logBusy[0] = true // active memtable owns log 0
 	}
-
-	db.flushWG.Add(1)
-	go db.flusher()
 	return db, nil
 }
 
@@ -289,78 +288,65 @@ func (db *DB) sealActiveLocked(th *hw.Thread) {
 	}
 	db.logBusy[next] = true
 	db.logCur = next
-	th.Clock.AdvanceTo(db.flushServer.EarliestFree())
+	th.Clock.AdvanceTo(db.flushes.Server.EarliestFree())
 	db.active = db.newMemtable(next)
 	db.imms = append(db.imms, sealed)
 	db.pending.Add(1)
-	db.flushCh <- flushJob{mt: sealed, logIdx: sealedLog, sealedAt: th.Clock.Now()}
+	db.flushes.Submit(th.Clock.Now(), flushJob{mt: sealed, logIdx: sealedLog})
 }
 
-// Halt crash-stops the store: operations fail immediately and background
-// flushes abandon their queued MemTables (a power failure, not a shutdown).
-func (db *DB) Halt() {
+// flushOne is the flush kind's job: it drains one MemTable, sealed at virtual
+// time sealedAt, into single-level SSTables and installs every flushed key
+// into the global B+-tree.
+func (db *DB) flushOne(_ int, sealedAt int64, job flushJob) (int64, bool) {
+	th := db.m.NewThread(0)
+	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
+	th.Clock.AdvanceTo(sealedAt)
+	start := th.Clock.Now()
+	db.opts.Trace.Emit(start, "flush_start", "entries", job.mt.Len())
+	before := db.tree.Files(1)
+	it := job.mt.NewIter()
+	err := db.tree.Flush(th, it, job.mt.MaxSeq())
+	if err == nil {
+		// Index the new tables' keys in the B+-tree.
+		seen := make(map[uint64]bool, len(before))
+		for _, f := range before {
+			seen[f.Num] = true
+		}
+		for _, f := range db.tree.Files(1) {
+			if !seen[f.Num] {
+				db.indexTable(th, f.Num)
+			}
+		}
+	}
+	done := db.flushes.Server.Submit(sealedAt, th.Clock.Now()-start)
+	db.opts.Trace.Emit(th.Clock.Now(), "flush_end",
+		"entries", job.mt.Len(), "ns", th.Clock.Now()-start)
 	db.mu.Lock()
-	db.crashed = true
-	if db.failed == nil {
-		db.failed = kvstore.ErrClosed
+	if err != nil && db.failed == nil {
+		db.failed = err
 	}
+	for i, mt := range db.imms {
+		if mt == job.mt {
+			db.imms = append(db.imms[:i], db.imms[i+1:]...)
+			break
+		}
+	}
+	db.logs[job.logIdx].Reset()
+	db.zeroLogHead(th, db.logs[job.logIdx])
 	db.mu.Unlock()
+	db.release(job)
+	return done, false
 }
 
-// flusher drains sealed MemTables into single-level SSTables and installs
-// every flushed key into the global B+-tree.
-func (db *DB) flusher() {
-	defer db.flushWG.Done()
-	for job := range db.flushCh {
-		db.mu.Lock()
-		if db.crashed {
-			db.logBusy[job.logIdx] = false
-			db.cond.Broadcast()
-			db.mu.Unlock()
-			db.pending.Done()
-			continue
-		}
-		db.mu.Unlock()
-		th := db.m.NewThread(0)
-		th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
-		th.Clock.AdvanceTo(job.sealedAt)
-		start := th.Clock.Now()
-		db.opts.Trace.Emit(start, "flush_start", "entries", job.mt.Len())
-		before := db.tree.Files(1)
-		it := job.mt.NewIter()
-		err := db.tree.Flush(th, it, job.mt.MaxSeq())
-		if err == nil {
-			// Index the new tables' keys in the B+-tree.
-			seen := make(map[uint64]bool, len(before))
-			for _, f := range before {
-				seen[f.Num] = true
-			}
-			for _, f := range db.tree.Files(1) {
-				if !seen[f.Num] {
-					db.indexTable(th, f.Num)
-				}
-			}
-		}
-		db.flushServer.Submit(job.sealedAt, th.Clock.Now()-start)
-		db.opts.Trace.Emit(th.Clock.Now(), "flush_end",
-			"entries", job.mt.Len(), "ns", th.Clock.Now()-start)
-		db.mu.Lock()
-		if err != nil && db.failed == nil {
-			db.failed = err
-		}
-		for i, mt := range db.imms {
-			if mt == job.mt {
-				db.imms = append(db.imms[:i], db.imms[i+1:]...)
-				break
-			}
-		}
-		db.logs[job.logIdx].Reset()
-		db.zeroLogHead(th, db.logs[job.logIdx])
-		db.logBusy[job.logIdx] = false
-		db.cond.Broadcast()
-		db.mu.Unlock()
-		db.pending.Done()
-	}
+// release is what a sealed table owes once its flush ended or the crash-stop
+// dropped it: its log, so that a writer parked in sealActiveLocked wakes.
+func (db *DB) release(job flushJob) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.logBusy[job.logIdx] = false
+	db.pending.Add(-1)
+	db.cond.Broadcast()
 }
 
 // indexTable walks one SSTable and points the B+-tree at it for every user
@@ -464,14 +450,15 @@ func (db *DB) FlushAll(th *hw.Thread) error {
 		db.sealActiveLocked(th)
 	}
 	db.mu.Unlock()
-	db.pending.Wait()
-	th.Clock.AdvanceTo(db.flushServer.EarliestFree())
+	db.flushes.Wait(func() bool { return db.pending.Load() == 0 })
+	th.Clock.AdvanceTo(db.flushes.Server.EarliestFree())
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.failed
 }
 
-// Close implements kvstore.DB.
+// Close implements kvstore.DB. On a crashed machine it is the crash-stop:
+// the store fails and queued flushes are dropped.
 func (db *DB) Close(th *hw.Thread) error {
 	db.mu.Lock()
 	if db.closed {
@@ -479,22 +466,23 @@ func (db *DB) Close(th *hw.Thread) error {
 		return nil
 	}
 	db.closed = true
+	crashed := db.m.Crashed()
+	if crashed && db.failed == nil {
+		db.failed = kvstore.ErrClosed
+	}
 	db.mu.Unlock()
-	db.pending.Wait()
-	close(db.flushCh)
-	db.flushWG.Wait()
-	db.mu.Lock()
-	crashed := db.crashed
-	db.mu.Unlock()
-	if db.opts.Variant == baseline.CacheSegments && !crashed {
+	if crashed {
+		db.bg.Abort()
+	}
+	db.bg.Close()
+	if db.opts.Variant == baseline.CacheSegments {
 		// Drain the pinned segments before surrendering the partition so a
-		// graceful close is never lossier than an eADR crash.
+		// graceful close is never lossier than an eADR crash (a crashed
+		// machine refuses the drain).
 		th := db.m.NewThread(0)
 		for _, log := range db.logs {
 			db.m.Cache.FlushOpt(th.Clock, log.Region().Addr, int(log.Used()))
 		}
-	}
-	if db.opts.Variant == baseline.CacheSegments {
 		db.m.Cache.Release(db.part)
 	}
 	db.mu.Lock()

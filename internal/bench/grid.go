@@ -8,7 +8,6 @@ import (
 
 	"cachekv/internal/engines"
 	"cachekv/internal/hw"
-	"cachekv/internal/kvstore"
 )
 
 // Scale controls how large the experiments run. The paper uses 10 M ops per
@@ -102,13 +101,12 @@ func workload(w Workload) Phase {
 	return func(c *openCell) (Result, error) { return c.Run(w) }
 }
 
-// powerCut halts the engine, cuts the power and reopens the engine on what
-// the persistence domain kept; its Result's ElapsedNs is the virtual time the
-// reopen — recovery — took.
+// powerCut cuts the power and reopens the engine on what the persistence
+// domain kept; its Result's ElapsedNs is the virtual time the reopen —
+// recovery — took.
 func powerCut(c *openCell) (Result, error) {
-	c.DB.(kvstore.Halter).Halt()
 	c.M.Crash()
-	_ = c.DB.Close(c.th) // a halted engine's Close only stops its goroutines
+	_ = c.DB.Close(c.th) // on a crashed machine Close only stops its goroutines
 	c.M.Recover()
 	re, err := c.Cell.open(c.M)
 	if err != nil {

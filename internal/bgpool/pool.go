@@ -7,7 +7,6 @@ package bgpool
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,10 +54,7 @@ type Pool struct {
 }
 
 // kind is what the pool needs of a Kind, whatever its payload type.
-type kind interface {
-	stop()
-	Running() int
-}
+type kind interface{ stop() }
 
 // New returns an empty pool; fail receives a FIFO kind's overflow.
 func New(fail func(error)) *Pool {
@@ -78,18 +74,6 @@ func (p *Pool) broadcast() {
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-// Halt is Abort that returns once no job of any kind runs: a simulated power
-// failure that follows it finds no job still writing. Call it from outside
-// the pool's jobs.
-func (p *Pool) Halt() {
-	p.Abort()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for slices.ContainsFunc(p.kinds, func(k kind) bool { return k.Running() > 0 }) {
-		p.cond.Wait()
-	}
 }
 
 // Close stops the kinds in the order they were added, each once its workers
@@ -230,13 +214,9 @@ func (k *Kind[T]) work(w int) {
 
 // serve runs one job, and a Coalesce kind's job again while it asks for more,
 // each time at the frontier; the crash-stop rule is checked before every run.
-// The worker counts itself running before it checks, so that a Halt either
-// sees it or it sees the Halt.
 func (k *Kind[T]) serve(w int, j job[T]) {
 	for more := true; more; {
-		k.running.Add(1)
 		if k.abandoned() {
-			k.running.Add(-1)
 			if k.drop != nil {
 				k.drop(j.x)
 			}
@@ -246,6 +226,7 @@ func (k *Kind[T]) serve(w int, j job[T]) {
 		if k.cfg.Rule == Coalesce {
 			j.at = k.front.Load()
 		}
+		k.running.Add(1)
 		var done int64
 		done, more = k.run(w, j.at, j.x)
 		k.running.Add(-1)

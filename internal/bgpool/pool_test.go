@@ -180,39 +180,6 @@ func TestAbortWakesWaitersAndDropsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestHaltWaitsForTheRunningJob: Halt is a crash-stop that returns only once
-// the job in flight finished, and nothing queued behind it runs: a simulated
-// power failure after it finds no job still writing.
-func TestHaltWaitsForTheRunningJob(t *testing.T) {
-	p := New(func(err error) { t.Error(err) })
-	gate := make(chan struct{})
-	var runs, finished atomic.Int32
-	k := Add(p, Config{Name: "compact", Workers: 1, Rule: Coalesce}, func(_ int, at int64, _ struct{}) (int64, bool) {
-		runs.Add(1)
-		<-gate
-		finished.Add(1)
-		return at, true
-	}, nil)
-	k.Submit(1, struct{}{})
-	eventually(t, "the first job", func() bool { return k.Running() == 1 })
-	halted := make(chan struct{})
-	go func() {
-		p.Halt()
-		close(halted)
-	}()
-	eventually(t, "the abort", p.aborted.Load)
-	k.Submit(2, struct{}{})
-	close(gate)
-	<-halted
-	if finished.Load() != 1 {
-		t.Fatal("Halt returned before the running job finished")
-	}
-	p.Close()
-	if runs.Load() != 1 {
-		t.Fatalf("%d jobs ran, want only the one in flight at the Halt", runs.Load())
-	}
-}
-
 // TestCloseDrainsInOrder: Close stops the kinds in the order they were added
 // — flush, spill, compact, sync, merge, as an engine adds them — so the jobs
 // a draining flush submits to the spill, and the spill to the index kinds,

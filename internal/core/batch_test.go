@@ -98,7 +98,7 @@ func TestBatchAtomicAcrossCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	for n := 0; n < 50; n++ {
 		for i := 0; i < 20; i++ {

@@ -900,33 +900,24 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 	return e.err()
 }
 
-// Halt crash-stops the engine: all operations begin failing immediately and
-// background threads abandon their queued work instead of completing it.
-// Used by crash simulation, where a graceful Close would persist more state
-// than a power failure leaves behind. It returns once no background job runs:
-// one still running would write past the power failure that follows.
-func (e *Engine) Halt() {
-	e.fail(errEngineCrashed)
-	e.bg.Halt()
-}
-
-// Close implements kvstore.DB.
+// Close implements kvstore.DB. On a crashed machine it is the crash-stop: the
+// engine fails with errEngineCrashed and drops its queued background work.
 func (e *Engine) Close(th *hw.Thread) error {
 	if e.closed.Swap(true) {
 		return nil
+	}
+	if e.m.Crashed() {
+		e.fail(errEngineCrashed)
 	}
 	// Drain the background kinds in startBackground's order; compaction
 	// drops what is due instead of draining it.
 	e.bg.Close()
 	// Graceful shutdown: write the pinned pool back to the PMem before
 	// surrendering the partition, so a close is never lossier than a crash
-	// (eADR would have drained these lines anyway). A crash-stopped engine
-	// skips this — the power is already off.
-	if p := e.failed.Load(); p == nil || *p != errEngineCrashed {
-		if r, ok := e.m.LookupRegion(e.env.regionName("pool")); ok {
-			th := e.m.NewThread(0)
-			e.m.Cache.FlushOpt(th.Clock, r.Addr, int(r.Size))
-		}
+	// (eADR would have drained these lines anyway). A crashed machine refuses
+	// the write-back: the power is already off.
+	if r, ok := e.m.LookupRegion(e.env.regionName("pool")); ok {
+		e.m.Cache.FlushOpt(e.m.NewThread(0).Clock, r.Addr, int(r.Size))
 	}
 	// A shared partition belongs to the Sharded router that reserved it.
 	if e.env.part == nil {
@@ -939,12 +930,11 @@ func (e *Engine) Close(th *hw.Thread) error {
 }
 
 // Store is what both engine shapes (*Engine and the *Sharded router) offer on
-// top of kvstore.DB: the one mutation entry, bulk ingest, the crash-stop hook,
-// and the counters the public API reports. Callers outside the package hold a
-// Store instead of probing a kvstore.DB for individual methods.
+// top of kvstore.DB: the one mutation entry, bulk ingest, and the counters the
+// public API reports. Callers outside the package hold a Store instead of
+// probing a kvstore.DB for individual methods.
 type Store interface {
 	kvstore.DB
-	kvstore.Halter
 	Write(th *hw.Thread, b *Batch, deadlineNs int64) error
 	Ingest(th *hw.Thread, entries []lsm.IngestEntry) error
 	FlowState() FlowState

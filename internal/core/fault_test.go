@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -77,19 +78,35 @@ func TestFaultOperationsAfterFailure(t *testing.T) {
 	}
 }
 
-// TestFaultHaltStopsEverything verifies Halt makes all operations fail and
-// Close still terminates cleanly.
-func TestFaultHaltStopsEverything(t *testing.T) {
+// TestFaultCrashStopsEverything: after Crash, Close is the crash-stop — it
+// returns the crash error, every later operation fails with it — and nothing
+// the dead engine or its session does reaches the media.
+func TestFaultCrashStopsEverything(t *testing.T) {
 	m := testMachine()
 	e, th := openEngine(t, m, smallOpts())
 	for i := 0; i < 5000; i++ {
 		e.Put(th, []byte(fmt.Sprintf("k%06d", i)), make([]byte, 64))
 	}
-	e.Halt()
-	if err := e.Put(th, []byte("post"), []byte("v")); err == nil {
-		t.Fatal("Put succeeded after Halt")
+	// Settled, so that no job of the dead engine trips over what it failed to
+	// store and fails it before Close does.
+	if err := e.FlushAll(th); err != nil {
+		t.Fatal(err)
 	}
-	if err := e.Close(th); err == nil {
-		t.Fatal("Close after Halt should surface the crash-stop")
+	m.Crash()
+	before := m.PMem.Snapshot()
+	if err := e.Put(th, []byte("dead"), []byte("v")); err != nil {
+		t.Fatalf("Put between Crash and Close = %v: the engine cannot know of the crash yet", err)
+	}
+	if err := e.Close(th); !errors.Is(err, errEngineCrashed) {
+		t.Fatalf("Close after Crash = %v, want the crash-stop", err)
+	}
+	if err := e.Put(th, []byte("post"), []byte("v")); !errors.Is(err, errEngineCrashed) {
+		t.Fatalf("Put after the crash-stop = %v, want the crash error", err)
+	}
+	if after := m.PMem.Snapshot(); after != before {
+		t.Fatalf("the dead engine reached the media:\n before %+v\n after  %+v", before, after)
+	}
+	if m.Cache.Stats().PostCrashStores == 0 {
+		t.Fatal("the Put after Crash stored nothing to refuse")
 	}
 }

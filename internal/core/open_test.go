@@ -80,9 +80,7 @@ func TestOpenShapes(t *testing.T) {
 			if err := db.Put(th, []byte("k"), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			db.Halt()
-			m.Crash()
-			db.Close(th)
+			crash(m, db)
 			m.Recover()
 			th2 := m.NewThread(0)
 			db2, err := Open(m, o, th2)

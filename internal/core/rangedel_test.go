@@ -108,7 +108,7 @@ func TestDeleteRangeRecovery(t *testing.T) {
 	}
 	// No FlushAll: the tombstone lives only in the persistent memtable, and
 	// recovery must rebuild the DRAM coverage list from it.
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	for i := 0; i < 100; i += 3 {
 		k := []byte(fmt.Sprintf("key%05d", i))

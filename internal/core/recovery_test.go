@@ -15,11 +15,21 @@ import (
 	"cachekv/internal/util"
 )
 
-// crashAndReopen simulates power failure and recovers a fresh engine over the
-// same machine (DRAM structures are dropped by discarding the old Engine).
-func crashAndReopen(t *testing.T, m *hw.Machine, opts Options) (*Engine, *hw.Thread) {
-	t.Helper()
+// crash cuts m's power and stops dead, the store it killed, as every crash
+// caller must before Recover: a job of dead still running past Recover would
+// run on a live machine.
+func crash(m *hw.Machine, dead kvstore.DB) {
 	m.Crash()
+	_ = dead.Close(m.NewThread(0))
+}
+
+// crashAndReopen simulates power failure under dead and recovers a fresh
+// engine over the same machine (DRAM structures are dropped by discarding the
+// old Engine).
+func crashAndReopen(t *testing.T, dead *Engine, opts Options) (*Engine, *hw.Thread) {
+	t.Helper()
+	m := dead.m
+	crash(m, dead)
 	m.Recover()
 	th := m.NewThread(0)
 	e, err := newEngine(m, opts, shardEnv{}, th)
@@ -39,7 +49,7 @@ func TestRecoveryFromActiveSubMemTables(t *testing.T) {
 		}
 	}
 	// No FlushAll, no Close: everything lives in the (persistent) cache.
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	for i := 0; i < 500; i++ {
 		k := []byte(fmt.Sprintf("key%05d", i))
@@ -69,7 +79,7 @@ func TestRecoveryFromImmZoneAndTree(t *testing.T) {
 	if e.stats.Spills.Load() == 0 {
 		t.Fatal("test needs spills to be meaningful")
 	}
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	for i := 0; i < n; i += 307 {
 		k := []byte(fmt.Sprintf("key%06d", i))
@@ -96,7 +106,7 @@ func TestRecoveryPreservesFreshness(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.Put(th, []byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("new%d", i)))
 	}
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	for i := 0; i < 500; i += 17 {
 		k := []byte(fmt.Sprintf("key%04d", i))
@@ -117,7 +127,7 @@ func TestRecoveryPreservesTombstones(t *testing.T) {
 	e.Put(th, []byte("doomed"), []byte("v"))
 	e.FlushAll(th)
 	e.Delete(th, []byte("doomed"))
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	if _, err := e2.Get(th2, []byte("doomed")); err != kvstore.ErrNotFound {
 		t.Fatalf("tombstone lost across crash: %v", err)
@@ -131,7 +141,7 @@ func TestRecoveredEngineKeepsWorking(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		e.Put(th, []byte(fmt.Sprintf("pre%05d", i)), []byte("x"))
 	}
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	// New writes must get sequence numbers above everything recovered.
 	for i := 0; i < 1000; i++ {
@@ -161,8 +171,7 @@ func TestADRCrashLosesUnflushedWrites(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Put(th, []byte(fmt.Sprintf("key%03d", i)), []byte("v"))
 	}
-	_ = e // crash without flush
-	m.Crash()
+	crash(m, e) // without a flush
 	m.Recover()
 	th2 := m.NewThread(0)
 	e2, err := Open(m, opts, th2)
@@ -188,11 +197,11 @@ func TestDoubleCrash(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		e.Put(th, []byte(fmt.Sprintf("a%04d", i)), []byte("1"))
 	}
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	for i := 0; i < 300; i++ {
 		e2.Put(th2, []byte(fmt.Sprintf("b%04d", i)), []byte("2"))
 	}
-	e3, th3 := crashAndReopen(t, m, opts)
+	e3, th3 := crashAndReopen(t, e2, opts)
 	defer e3.Close(th3)
 	for i := 0; i < 300; i += 29 {
 		if v, err := e3.Get(th3, []byte(fmt.Sprintf("a%04d", i))); err != nil || string(v) != "1" {
@@ -251,7 +260,7 @@ func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
 		t.Fatal("the pool keys were meant to stay in the active sub-MemTable")
 	}
 	zone := e.immArena.Region()
-	m.Crash()
+	crash(m, e)
 	wrapped := ^uint64(0) - immZoneHdrSize + 1 // zone.Addr + header + wrapped == zone.Addr
 	m.PMem.StoreRaw(zone.Addr+8, util.PutFixed64(nil, wrapped))
 	m.Recover()
@@ -310,7 +319,7 @@ func TestRecoveryVirtualCost(t *testing.T) {
 	}
 
 	opts.Trace = obs.NewTrace(0)
-	e2, th2 := crashAndReopen(t, m, opts)
+	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
 	var total int64
 	for _, ev := range opts.Trace.Events() {
@@ -375,7 +384,7 @@ func TestRecoveryRejectsHostileGeometry(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := e.pool.region
-			m.Crash()
+			crash(m, e)
 			at, b := tc.patch(pool)
 			m.PMem.StoreRaw(pool.Addr+at, b)
 			m.Recover()

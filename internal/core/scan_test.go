@@ -192,8 +192,7 @@ func TestScanReportsCorruptBlock(t *testing.T) {
 		}
 		check(t, e, th, []*Engine{e})
 		repair()
-		e.Halt()
-		e2, th2 := crashAndReopen(t, m, smallOpts())
+		e2, th2 := crashAndReopen(t, e, smallOpts())
 		defer e2.Close(th2)
 		whole(t, e2, th2)
 	})
@@ -208,8 +207,7 @@ func TestScanReportsCorruptBlock(t *testing.T) {
 		}
 		check(t, sh, th, sh.shards)
 		repair()
-		sh.Halt()
-		sh2, th2 := crashAndReopenSharded(t, m, so)
+		sh2, th2 := crashAndReopenSharded(t, sh, so)
 		defer sh2.Close(th2)
 		whole(t, sh2, th2)
 	})

@@ -66,7 +66,6 @@ type Sharded struct {
 
 	trace  *obs.Trace
 	closed atomic.Bool
-	halted atomic.Bool
 }
 
 // shardPrefix is the region-name prefix of a router's shard k. The names are
@@ -134,9 +133,6 @@ func (sh *Sharded) Shards() int { return len(sh.shards) }
 func (sh *Sharded) err() error {
 	if sh.closed.Load() {
 		return kvstore.ErrClosed
-	}
-	if sh.halted.Load() {
-		return errEngineCrashed
 	}
 	return nil
 }
@@ -286,15 +282,6 @@ func (sh *Sharded) FlushAll(th *hw.Thread) error {
 		}
 	}
 	return nil
-}
-
-// Halt crash-stops every shard (power failure semantics).
-func (sh *Sharded) Halt() {
-	sh.halted.Store(true)
-	for _, e := range sh.shards {
-		e.Halt()
-	}
-	sh.tpc.abort()
 }
 
 // Close implements kvstore.DB: close every shard, release the shared

@@ -170,9 +170,10 @@ func TestShardedWritesUseTheCallersSlot(t *testing.T) {
 	}
 }
 
-func crashAndReopenSharded(t *testing.T, m *hw.Machine, so Options) (*Sharded, *hw.Thread) {
+func crashAndReopenSharded(t *testing.T, dead *Sharded, so Options) (*Sharded, *hw.Thread) {
 	t.Helper()
-	m.Crash()
+	m := dead.m
+	crash(m, dead)
 	m.Recover()
 	th := m.NewThread(0)
 	sh, err := newSharded(m, so, th)
@@ -192,8 +193,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh.Halt()
-	sh2, th2 := crashAndReopenSharded(t, m, so)
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
 	defer sh2.Close(th2)
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key%06d", i))
@@ -240,8 +240,7 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 		t.Fatalf("cross-shard batch count %d, want %d", cross, nBatches)
 	}
 
-	sh.Halt()
-	sh2, th2 := crashAndReopenSharded(t, m, so)
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
 	defer sh2.Close(th2)
 	for b := 0; b < nBatches; b++ {
 		for j := 0; j < 6; j++ {
@@ -278,8 +277,7 @@ func TestShardedInDoubtBatchDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh.Halt()
-	sh2, th2 := crashAndReopenSharded(t, m, so)
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
 	defer sh2.Close(th2)
 	if _, err := sh2.Get(th2, []byte("indoubt-key")); err != kvstore.ErrNotFound {
 		t.Fatalf("in-doubt prepare became visible: %v", err)

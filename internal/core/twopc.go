@@ -46,7 +46,6 @@ type twoPC struct {
 	commitRg hw.Region
 	nextID   uint64
 	inflight int // committed batches whose portions are still being applied
-	aborted  bool
 
 	// Lock-free mirrors of the log offsets, updated under t.mu after every
 	// append/reset: the per-shard flow controllers read them as the WAL
@@ -230,15 +229,14 @@ func (t *twoPC) needsResetLocked() bool {
 // maybeResetLocked truncates both logs once no committed batch is still
 // applying. Safe because every batch recorded in the logs has either fully
 // applied to its shards' sub-MemTables (inflight == 0) or never got a marker.
+// A crash-stop ends the wait too: an applying batch returns once its shard
+// failed.
 func (t *twoPC) maybeResetLocked(th *hw.Thread) {
 	if !t.needsResetLocked() {
 		return
 	}
-	for t.inflight > 0 && !t.aborted {
+	for t.inflight > 0 {
 		t.cond.Wait()
-	}
-	if t.aborted {
-		return
 	}
 	t.commitW.Reset(th)
 	t.commitBytes.Store(t.commitW.Offset())
@@ -246,14 +244,6 @@ func (t *twoPC) maybeResetLocked(th *hw.Thread) {
 		w.Reset(th)
 		t.prepBytes[k].Store(w.Offset())
 	}
-}
-
-// abort wakes anyone parked in maybeResetLocked after a crash-stop.
-func (t *twoPC) abort() {
-	t.mu.Lock()
-	t.aborted = true
-	t.cond.Broadcast()
-	t.mu.Unlock()
 }
 
 // commit runs the two-phase protocol for portions (ascending shard order):
@@ -289,19 +279,11 @@ func (t *twoPC) commit(th *hw.Thread, portions []*shardPortion, deadlineV int64)
 	}
 
 	t.mu.Lock()
-	if t.aborted {
-		t.mu.Unlock()
-		return errEngineCrashed
-	}
 	if sh.closed.Load() {
 		t.mu.Unlock()
 		return kvstore.ErrClosed
 	}
 	t.maybeResetLocked(th)
-	if t.aborted {
-		t.mu.Unlock()
-		return errEngineCrashed
-	}
 	if deadlineV > 0 && th.Clock.Now() >= deadlineV {
 		// The reset wait (or earlier admission delays) consumed the deadline;
 		// still nothing written, so the batch can fail cleanly.

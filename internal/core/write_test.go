@@ -46,8 +46,7 @@ func TestShardedBatchDeleteRangeReachesEveryShard(t *testing.T) {
 		}
 	}
 	check(sh, th, "live")
-	sh.Halt()
-	sh2, th2 := crashAndReopenSharded(t, m, so)
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
 	defer sh2.Close(th2)
 	check(sh2, th2, "recovered")
 }

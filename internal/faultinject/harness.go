@@ -167,7 +167,7 @@ func flipMedia(m *hw.Machine, inj *Injector) (addr uint64, bit uint, ok bool) {
 
 // Run executes one crash schedule end to end: open a fresh engine, arm the
 // injector, apply fam's script until the crash point freezes the platform,
-// halt the engine, apply the persistence-domain rule and any media fault,
+// cut the power, stop the dead engine, apply any media fault,
 // recover, probe the recovered engine and let the reference model judge what
 // the probe read. Crash-point annotations are emitted into tr (nil-safe), so
 // a replayed schedule's event trace shows exactly where the injected crash
@@ -220,15 +220,9 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 			"inflight_op", res.Inflight, "events", res.Events)
 	}
 
-	// Power failure: preempt the engine, apply the domain rule while
-	// partitions are still pinned (the eADR drain must see them), then tear
-	// the dead engine down. The media corruption is injected only after
-	// Close has joined the engine's background goroutines — they may still
-	// be mid-read until then, and the flip must be the last thing to touch
-	// the media before recovery regardless.
-	if h, ok := db.(kvstore.Halter); ok {
-		h.Halt()
-	}
+	// Power failure while the partitions are still pinned (the eADR drain must
+	// see them), then stop the dead engine. The media flip waits for Close to
+	// join its goroutines: it must be the last thing to touch the media.
 	m.Crash()
 	_ = db.Close(th)
 	m.SetMemGate(nil)

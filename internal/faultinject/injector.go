@@ -89,8 +89,8 @@ type opRec struct {
 // and every later mutating operation is suppressed while reads are served
 // from the visible content without installing cache lines. The engine's
 // software keeps running (a "zombie" window) until the workload runner
-// notices the freeze and halts it; nothing the zombie does can reach
-// durable state.
+// notices the freeze and cuts the power, after which the machine itself
+// refuses its stores; nothing the zombie does can reach durable state.
 type Injector struct {
 	mu      sync.Mutex
 	armed   bool

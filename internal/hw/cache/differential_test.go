@@ -26,26 +26,34 @@ var diffSpaces = [3]struct{ lo, size uint64 }{
 	{5<<20 - 8<<10, 24 << 10},
 }
 
-// diffSide is one cache under test with its own device, clock and tally.
+// diffSide is one cache under test with its own device, tally, the clock of
+// the current boot and that of the boot before (nil until the first Recover).
 type diffSide struct {
-	dev   *pmem.Device
-	clk   *sim.Clock
-	tally *sim.MemTally
+	dev        *pmem.Device
+	clk, stale *sim.Clock
+	tally      *sim.MemTally
 }
 
 func newDiffSide() diffSide {
-	s := diffSide{dev: pmem.NewDevice(diffDevBytes, nil), clk: &sim.Clock{}, tally: &sim.MemTally{}}
-	s.clk.SetTally(s.tally)
+	s := diffSide{dev: pmem.NewDevice(diffDevBytes, nil), tally: &sim.MemTally{}}
+	s.reboot(0)
 	return s
+}
+
+// reboot keeps the current clock as the stale one and starts a clock of boot.
+func (s *diffSide) reboot(boot uint64) {
+	s.stale, s.clk = s.clk, sim.NewClock(s.tally, boot)
 }
 
 // TestDifferentialAgainstReference drives the flat-table LLC and the
 // reference implementation it replaced (llc_ref_test.go) with one seeded
 // random operation stream — ragged writes and reads under the default and two
 // pinned partitions, NT stores, clflush, clwb, invalidate, release and
-// re-reserve, power failure — and requires, after every operation, the same
-// bytes returned, the same clock, cache counters, device counters, media
-// bytes over the touched range and tally cells, under both domains.
+// re-reserve, power failure, operations between it and the recovery, and
+// operations from a thread of the boot before — and requires, after every
+// operation, the same bytes returned, the same clocks, cache counters, device
+// counters, media bytes over the touched range and tally cells, under both
+// domains.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for _, domain := range []cache.Domain{cache.ADR, cache.EADR} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -80,11 +88,18 @@ func runDifferential(t *testing.T, domain cache.Domain, seed uint64, ops int) {
 
 	gbuf, wbuf := make([]byte, 8<<10), make([]byte, 8<<10)
 	data := make([]byte, 8<<10)
+	crashed := false
 	for op := 0; op < ops; op++ {
+		// One op in eight, once there was a recovery, is a thread of the boot
+		// before.
+		gclk, wclk := g.clk, w.clk
+		if g.stale != nil && rng.Uint64n(8) == 0 {
+			gclk, wclk = g.stale, w.stale
+		}
 		// A label per op, so that every tally cell sees traffic.
 		label := int32(rng.Uint64n(4))
-		g.clk.SetLabel(label)
-		w.clk.SetLabel(label)
+		gclk.SetLabel(label)
+		wclk.SetLabel(label)
 
 		space := int(rng.Uint64n(3))
 		part := cache.DefaultPartition
@@ -107,29 +122,39 @@ func runDifferential(t *testing.T, domain cache.Domain, seed uint64, ops int) {
 
 		var what string
 		switch k := rng.Uint64n(100); {
+		case crashed && k < 6:
+			// About sixteen operations run between a power failure and the
+			// recovery.
+			what = "Recover"
+			got.Recover()
+			want.Recover()
+			crashed = false
+			g.reboot(got.Boot())
+			w.reboot(want.Boot())
+			addr, n = 0, 6<<20
 		case k < 40:
 			what = "Write"
-			got.Write(g.clk, addr, data[:n], part)
-			want.Write(w.clk, addr, data[:n], PartitionID(part))
+			got.Write(gclk, addr, data[:n], part)
+			want.Write(wclk, addr, data[:n], PartitionID(part))
 		case k < 75:
 			what = "Read"
-			got.Read(g.clk, addr, gbuf[:n], part)
-			want.Read(w.clk, addr, wbuf[:n], PartitionID(part))
+			got.Read(gclk, addr, gbuf[:n], part)
+			want.Read(wclk, addr, wbuf[:n], PartitionID(part))
 			if !bytes.Equal(gbuf[:n], wbuf[:n]) {
 				t.Fatalf("op %d: Read(%#x, %d, p%d) returned different bytes", op, addr, n, part)
 			}
 		case k < 82:
 			what = "NTWrite"
-			got.NTWrite(g.clk, addr, data[:n])
-			want.NTWrite(w.clk, addr, data[:n])
+			got.NTWrite(gclk, addr, data[:n])
+			want.NTWrite(wclk, addr, data[:n])
 		case k < 87:
 			what = "Flush"
-			got.Flush(g.clk, addr, n)
-			want.Flush(w.clk, addr, n)
+			got.Flush(gclk, addr, n)
+			want.Flush(wclk, addr, n)
 		case k < 92:
 			what = "FlushOpt"
-			got.FlushOpt(g.clk, addr, n)
-			want.FlushOpt(w.clk, addr, n)
+			got.FlushOpt(gclk, addr, n)
+			want.FlushOpt(wclk, addr, n)
 		case k < 97:
 			what = "Invalidate"
 			got.Invalidate(addr, n)
@@ -148,11 +173,12 @@ func runDifferential(t *testing.T, domain cache.Domain, seed uint64, ops int) {
 			what = "Crash"
 			got.Crash()
 			want.Crash()
+			crashed = true
 			addr, n = 0, 6<<20 // compare every space
 		}
 
-		where := fmt.Sprintf("op %d: %s(%#x, %d, p%d)", op, what, addr, n, part)
-		if gn, wn := g.clk.Now(), w.clk.Now(); gn != wn {
+		where := fmt.Sprintf("op %d: %s(%#x, %d, p%d, boot %d)", op, what, addr, n, part, gclk.Boot())
+		if gn, wn := gclk.Now(), wclk.Now(); gn != wn {
 			t.Fatalf("%s: clock %d, want %d", where, gn, wn)
 		}
 		if gs, ws := got.Stats(), want.Stats(); gs != cache.Stats(ws) {
@@ -174,5 +200,8 @@ func runDifferential(t *testing.T, domain cache.Domain, seed uint64, ops int) {
 		if wp, wd := want.Contains(addr); gp != wp || gd != wd {
 			t.Fatalf("%s: Contains = %v, %v; want %v, %v", where, gp, gd, wp, wd)
 		}
+	}
+	if got.Stats().PostCrashStores == 0 {
+		t.Fatal("the stream refused no store: no operation ran after a power failure")
 	}
 }

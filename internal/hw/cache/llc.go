@@ -11,7 +11,9 @@
 //   - explicit clflush / clwb / invalidate, and a non-temporal store path
 //     that bypasses the cache entirely;
 //   - a persistence-domain switch: on simulated power failure, eADR drains
-//     every dirty line into the PMem device while ADR discards them.
+//     every dirty line into the PMem device while ADR discards them;
+//   - a power rule: from Crash to Recover nothing stores, and a thread of an
+//     earlier boot never stores again.
 //
 // Dirty lines hold their own 64-byte payload; the PMem backing array only
 // sees bytes when a line is written back. That separation is what makes
@@ -114,11 +116,12 @@ func (s *set) touch(w int) {
 
 // Stats counts cache events.
 type Stats struct {
-	Hits       int64
-	Misses     int64
-	Evictions  int64 // capacity evictions (dirty or clean)
-	Writebacks int64 // dirty lines pushed to PMem by eviction
-	Flushes    int64 // lines written back by explicit clflush/clwb
+	Hits            int64
+	Misses          int64
+	Evictions       int64 // capacity evictions (dirty or clean)
+	Writebacks      int64 // dirty lines pushed to PMem by eviction
+	Flushes         int64 // lines written back by explicit clflush/clwb
+	PostCrashStores int64 // stores, flushes, invalidates refused: see Crash
 }
 
 // partition describes a contiguous run of ways granted to one allocation
@@ -236,7 +239,14 @@ type LLC struct {
 	// one; ordinary operation leaves it nil.
 	gate atomic.Pointer[sim.MemGate]
 
-	hits, misses, evictions, writebacks, flushes atomic.Int64
+	// power is twice the recoveries so far, plus one from Crash to Recover.
+	// A store, flush or line fill needs it even and equal to its clock's Boot,
+	// checked under a lock Crash's sweep takes (a set's, a pinned region's, or
+	// ntMu shared), so none still reaches the media once Crash returns.
+	power atomic.Uint64
+	ntMu  sync.RWMutex
+
+	hits, misses, evictions, writebacks, flushes, postCrash atomic.Int64
 }
 
 // Config sizes the cache. The paper's testbed LLC is 36 MB with (typically)
@@ -301,6 +311,27 @@ func (c *LLC) gateOp(op sim.MemOp, addr uint64, n int) int {
 	}
 	return n
 }
+
+// live reports whether clk may store: the power is on and clk is of this boot.
+func (c *LLC) live(clk *sim.Clock) bool {
+	b := clk.Boot()
+	return b&1 == 0 && b == c.power.Load()
+}
+
+// refused reports whether clk may not store, counting the refusal.
+func (c *LLC) refused(clk *sim.Clock) bool {
+	dead := !c.live(clk)
+	if dead {
+		c.postCrash.Add(1)
+	}
+	return dead
+}
+
+// Boot returns the boot a clock created now belongs to (sim.NewClock).
+func (c *LLC) Boot() uint64 { return c.power.Load() }
+
+// Crashed reports whether the power is off: between Crash and Recover.
+func (c *LLC) Crashed() bool { return c.power.Load()&1 != 0 }
 
 // SizeBytes returns the total cache capacity.
 func (c *LLC) SizeBytes() int { return c.nSets * c.nWays * lineSize }
@@ -438,6 +469,9 @@ func (c *LLC) Write(clk *sim.Clock, addr uint64, data []byte, p PartitionID) {
 		}
 		data = data[:n]
 	}
+	if c.refused(clk) {
+		return
+	}
 	part := c.parts.Load().parts[p]
 	for len(data) > 0 {
 		base := addr &^ (lineSize - 1)
@@ -456,6 +490,10 @@ func (c *LLC) Write(clk *sim.Clock, addr uint64, data []byte, p PartitionID) {
 func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, part partition) {
 	s := c.setFor(base)
 	s.mu.Lock()
+	if !c.live(clk) { // the power failed since Write checked
+		s.mu.Unlock()
+		return
+	}
 	w := s.find(base)
 	if w >= 0 {
 		c.hits.Add(1)
@@ -479,9 +517,9 @@ func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, part 
 
 // Read loads len(buf) bytes at addr through the cache under partition p.
 func (c *LLC) Read(clk *sim.Clock, addr uint64, buf []byte, p PartitionID) {
-	if c.gateOp(sim.MemOpRead, addr, len(buf)) < len(buf) {
-		// Frozen platform: serve the currently visible content without
-		// installing lines, so the read causes no eviction writebacks.
+	if c.gateOp(sim.MemOpRead, addr, len(buf)) < len(buf) || !c.live(clk) {
+		// Frozen platform or dead thread: serve the currently visible content
+		// without installing lines, so the read causes no eviction writebacks.
 		c.readBypass(addr, buf)
 		return
 	}
@@ -507,6 +545,11 @@ func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part pa
 	cost := c.costs.CacheHitRead
 	if w >= 0 {
 		c.hits.Add(1)
+	} else if !c.live(clk) {
+		// The power failed since Read checked: a fill could evict a dirty line.
+		s.mu.Unlock()
+		c.readBypass(base+uint64(off), buf)
+		return
 	} else {
 		c.misses.Add(1)
 		// The fill is read with the set locked: this line's bytes reach the
@@ -528,8 +571,8 @@ func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part pa
 
 // readBypass serves a read from the currently visible content — the cached
 // line when present, the media backing otherwise — without installing lines
-// or touching LRU state. The gate's freeze mode uses it so that reads issued
-// after the crash point cannot mutate what is durable.
+// or touching LRU state. The gate's freeze mode and the power rule use it so
+// that reads issued after the crash point cannot mutate what is durable.
 func (c *LLC) readBypass(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		base := addr &^ (lineSize - 1)
@@ -550,6 +593,10 @@ func (c *LLC) readBypass(addr uint64, buf []byte) {
 // touch (with write-allocate fill for partial first writes).
 func (c *LLC) pinnedWrite(clk *sim.Clock, r *pinnedRegion, base uint64, off int, data []byte) {
 	r.mu.Lock()
+	if !c.live(clk) { // the power failed since Write checked
+		r.mu.Unlock()
+		return
+	}
 	lf, i, ok := r.lookup(base)
 	if !ok {
 		if r.lines >= r.capLines {
@@ -657,7 +704,7 @@ func forGranules(addr uint64, n int, fn func(g, first, last uint64)) {
 }
 
 func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
-	if n <= 0 {
+	if n <= 0 || c.refused(clk) {
 		return
 	}
 	pinned := c.parts.Load().pinned
@@ -671,10 +718,12 @@ func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 			}
 		}
 		for base := first; ; base += lineSize {
+			// Each line is checked under the lock Crash's sweep takes: a flush
+			// the power failure cut writes back nothing after it.
 			if inSets {
 				s := c.setFor(base)
 				s.mu.Lock()
-				if w := s.find(base); w >= 0 {
+				if w := s.find(base); w >= 0 && c.live(clk) {
 					if s.tags[w]&tagDirty != 0 {
 						c.writeBack(clk, base, &s.data[w])
 						s.tags[w] &^= tagDirty
@@ -687,7 +736,7 @@ func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 			}
 			for _, r := range holding {
 				r.mu.Lock()
-				if lf, i, ok := r.lookup(base); ok {
+				if lf, i, ok := r.lookup(base); ok && c.live(clk) {
 					if lf.state[i]&uint8(tagDirty) != 0 {
 						c.writeBack(clk, base, &lf.data[i])
 						lf.state[i] &^= uint8(tagDirty)
@@ -720,6 +769,10 @@ func (c *LLC) writeBack(clk *sim.Clock, base uint64, data *[lineSize]byte) {
 // models reusing a region whose contents were already copied elsewhere.
 func (c *LLC) Invalidate(addr uint64, n int) {
 	if c.gateOp(sim.MemOpInvalidate, addr, n) < n {
+		return
+	}
+	if c.Crashed() {
+		c.postCrash.Add(1)
 		return
 	}
 	c.invalidate(addr, n)
@@ -773,6 +826,12 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 			return
 		}
 		data = data[:n]
+	}
+	// Crash waits for every NT store past this check.
+	c.ntMu.RLock()
+	defer c.ntMu.RUnlock()
+	if c.refused(clk) {
+		return
 	}
 	// Align the transfer to cachelines; ragged edges pay a read-modify-write
 	// at line granularity. Edge bytes are merged from the *visible* content —
@@ -860,11 +919,22 @@ func (c *LLC) lookupLine(base uint64, fn func(data *[lineSize]byte, dirty bool))
 	}
 }
 
-// Crash applies the persistence-domain rule at power failure. Under eADR all
-// dirty lines drain to the PMem backing (content only — the event counters do
-// not move, as the platform does this with stored energy, not software).
-// Under ADR dirty lines are discarded. In both cases the cache ends empty.
+// Crash cuts the power: until Recover the cache refuses every store, NT store,
+// flush and invalidate (Stats.PostCrashStores) and serves reads from the
+// visible content without installing a line. Then the persistence-domain
+// rule: under eADR every dirty line drains to the PMem backing (content only —
+// the event counters do not move, as the platform does this with stored
+// energy, not software); under ADR they are lost at Recover. The lines stay
+// readable until then.
 func (c *LLC) Crash() {
+	if c.Crashed() {
+		return
+	}
+	c.power.Add(1)
+	c.ntMu.Lock() // no NT store is still writing
+	c.ntMu.Unlock()
+	// The sweep takes every lock a store checks the power under, so a store
+	// that saw the power on has finished when the sweep passes its line.
 	drain := c.domain == EADR
 	for i := range c.locks {
 		s := c.set(i)
@@ -873,12 +943,8 @@ func (c *LLC) Crash() {
 			if t&tagDirty != 0 && drain {
 				c.dev.StoreRaw(t&^tagState, s.data[w][:])
 			}
-			s.tags[w] = 0
 		}
 		s.mu.Unlock()
-	}
-	for i := range c.resident {
-		c.resident[i].Store(0)
 	}
 	for _, r := range c.parts.Load().pinned {
 		r.mu.Lock()
@@ -892,19 +958,44 @@ func (c *LLC) Crash() {
 				}
 			}
 		}
+		r.mu.Unlock()
+	}
+}
+
+// Recover boots the platform after a Crash: the cache empties with no
+// writeback (the ADR rule), the PMem device power-cycles, and the power comes
+// back on for clocks created from now on.
+func (c *LLC) Recover() {
+	if !c.Crashed() {
+		return
+	}
+	for i := range c.locks {
+		s := c.set(i)
+		s.mu.Lock()
+		clear(s.tags)
+		s.mu.Unlock()
+	}
+	for i := range c.resident {
+		c.resident[i].Store(0)
+	}
+	for _, r := range c.parts.Load().pinned {
+		r.mu.Lock()
 		r.dir, r.lines = nil, 0
 		r.fifo = r.fifo[:0]
 		r.mu.Unlock()
 	}
+	c.dev.PowerCycle()
+	c.power.Add(1)
 }
 
 // Stats returns a copy of the event counters.
 func (c *LLC) Stats() Stats {
 	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Writebacks: c.writebacks.Load(),
-		Flushes:    c.flushes.Load(),
+		Hits:            c.hits.Load(),
+		Misses:          c.misses.Load(),
+		Evictions:       c.evictions.Load(),
+		Writebacks:      c.writebacks.Load(),
+		Flushes:         c.flushes.Load(),
+		PostCrashStores: c.postCrash.Load(),
 	}
 }

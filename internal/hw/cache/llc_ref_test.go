@@ -1,9 +1,10 @@
 // This file is the cache model as it was before its host data structures
 // became flat tables (line maps, per-line partition and statistics locks),
-// kept verbatim below this comment but for the package clause, as the
-// reference that differential_test.go holds the flat-table LLC to: the same
-// victims, write-back order, clock charges, counters and tally cells for the
-// same operation stream.
+// kept verbatim below this comment but for the package clause and the power
+// rule (power, PostCrashStores, the checks at each operation's entry, Crash
+// and Recover), as the reference that differential_test.go holds the
+// flat-table LLC to: the same victims, write-back order, clock charges,
+// counters and tally cells for the same operation stream.
 
 package cache_test
 
@@ -66,6 +67,9 @@ type Stats struct {
 	Evictions  int64 // capacity evictions (dirty or clean)
 	Writebacks int64 // dirty lines pushed to PMem by eviction
 	Flushes    int64 // lines written back by explicit clflush/clwb
+	// PostCrashStores counts the stores, flushes and invalidates refused
+	// while the power is off or from a clock of an earlier boot.
+	PostCrashStores int64
 }
 
 // partition describes a contiguous run of ways granted to one allocation
@@ -136,9 +140,27 @@ type LLC struct {
 	gateMu sync.RWMutex
 	gate   sim.MemGate
 
+	// power is twice the recoveries so far, plus one from Crash to Recover; a
+	// clock may store only while its Boot is power.
+	power uint64
+
 	statMu sync.Mutex
 	stats  Stats
 }
+
+// refused reports whether clk may not store, counting the refusal.
+func (c *LLC) refused(clk *sim.Clock) bool {
+	if clk.Boot() == c.power && c.power&1 == 0 {
+		return false
+	}
+	c.statMu.Lock()
+	c.stats.PostCrashStores++
+	c.statMu.Unlock()
+	return true
+}
+
+// Boot returns the value a clock created now records.
+func (c *LLC) Boot() uint64 { return c.power }
 
 // Config sizes the cache. The paper's testbed LLC is 36 MB with (typically)
 // 12 ways; experiments that restrict CacheKV to 3-30 MB do so with CAT
@@ -361,6 +383,9 @@ func (c *LLC) Write(clk *sim.Clock, addr uint64, data []byte, p PartitionID) {
 		}
 		data = data[:n]
 	}
+	if c.refused(clk) {
+		return
+	}
 	for len(data) > 0 {
 		base := addr &^ (lineSize - 1)
 		off := int(addr - base)
@@ -419,8 +444,8 @@ func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, p Par
 
 // Read loads len(buf) bytes at addr through the cache under partition p.
 func (c *LLC) Read(clk *sim.Clock, addr uint64, buf []byte, p PartitionID) {
-	if c.gateOp(sim.MemOpRead, addr, len(buf)) < len(buf) {
-		// Frozen platform: serve the currently visible content without
+	if c.gateOp(sim.MemOpRead, addr, len(buf)) < len(buf) || clk.Boot() != c.power || c.power&1 != 0 {
+		// Frozen platform or dead thread: serve the currently visible content without
 		// installing lines, so the read causes no eviction writebacks.
 		c.readBypass(addr, buf)
 		return
@@ -593,6 +618,9 @@ func (c *LLC) Flush(clk *sim.Clock, addr uint64, n int) {
 		}
 		n = g
 	}
+	if c.refused(clk) {
+		return
+	}
 	c.flushRange(clk, addr, n, true)
 }
 
@@ -604,6 +632,9 @@ func (c *LLC) FlushOpt(clk *sim.Clock, addr uint64, n int) {
 			return
 		}
 		n = g
+	}
+	if c.refused(clk) {
+		return
 	}
 	c.flushRange(clk, addr, n, false)
 }
@@ -668,6 +699,12 @@ func (c *LLC) Invalidate(addr uint64, n int) {
 	if c.gateOp(sim.MemOpInvalidate, addr, n) < n {
 		return
 	}
+	if c.power&1 != 0 {
+		c.statMu.Lock()
+		c.stats.PostCrashStores++
+		c.statMu.Unlock()
+		return
+	}
 	c.invalidate(addr, n)
 }
 
@@ -711,6 +748,9 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 			return
 		}
 		data = data[:n]
+	}
+	if c.refused(clk) {
+		return
 	}
 	// Align the transfer to cachelines; ragged edges pay a read-modify-write
 	// at line granularity. Edge bytes are merged from the *visible* content —
@@ -808,34 +848,50 @@ func (c *LLC) Contains(addr uint64) (present, dirty bool) {
 	return false, false
 }
 
-// Crash applies the persistence-domain rule at power failure. Under eADR all
+// Crash cuts the power and applies the persistence-domain rule. Under eADR all
 // dirty lines drain to the PMem backing (content only — the event counters do
 // not move, as the platform does this with stored energy, not software).
-// Under ADR dirty lines are discarded. In both cases the cache ends empty.
+// Under ADR dirty lines are lost at Recover. The lines stay readable until
+// then.
 func (c *LLC) Crash() {
+	if c.power&1 != 0 {
+		return
+	}
+	c.power++
+	if c.domain != EADR {
+		return
+	}
 	for i := range c.sets {
-		s := &c.sets[i]
-		s.mu.Lock()
-		for w := range s.ways {
-			ln := &s.ways[w]
-			if ln.present && ln.dirty && c.domain == EADR {
+		for _, ln := range c.sets[i].ways {
+			if ln.present && ln.dirty {
 				c.dev.StoreRaw(ln.addr, ln.data[:])
 			}
-			*ln = line{}
 		}
-		s.mu.Unlock()
 	}
 	for _, lr := range c.lockedRegions() {
-		lr.mu.Lock()
 		for addr, ln := range lr.lines {
-			if ln.dirty && c.domain == EADR {
+			if ln.dirty {
 				c.dev.StoreRaw(addr, ln.data[:])
 			}
-			delete(lr.lines, addr)
 		}
-		lr.fifo = lr.fifo[:0]
-		lr.mu.Unlock()
 	}
+}
+
+// Recover empties the cache with no writeback, power-cycles the device and
+// turns the power back on.
+func (c *LLC) Recover() {
+	if c.power&1 == 0 {
+		return
+	}
+	for i := range c.sets {
+		clear(c.sets[i].ways)
+	}
+	for _, lr := range c.lockedRegions() {
+		clear(lr.lines)
+		lr.fifo = lr.fifo[:0]
+	}
+	c.dev.PowerCycle()
+	c.power++
 }
 
 // Stats returns a copy of the event counters.

@@ -225,8 +225,12 @@ func TestCrashEADRDrainsDirtyLines(t *testing.T) {
 	if !bytes.Equal(raw, []byte("survive")) {
 		t.Fatalf("eADR crash lost dirty data: %q", raw)
 	}
+	if present, _ := c.Contains(4096); !present {
+		t.Fatal("lines must stay readable until Recover")
+	}
+	c.Recover()
 	if present, _ := c.Contains(4096); present {
-		t.Fatal("cache must be cold after crash")
+		t.Fatal("cache must be cold after Recover")
 	}
 }
 

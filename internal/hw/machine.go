@@ -53,7 +53,6 @@ type Machine struct {
 	regions map[string]Region
 
 	threadSeq atomic.Int64
-	crashed   atomic.Bool
 
 	obsTally *sim.MemTally // per-layer hardware attribution; nil until EnableObs
 }
@@ -141,26 +140,23 @@ func (m *Machine) LookupRegion(name string) (Region, bool) {
 	return r, ok
 }
 
-// Crash simulates power failure: the cache applies its persistence-domain
-// rule (eADR drains dirty lines, ADR drops them) and the machine is marked
-// crashed until Recover. Callers are responsible for discarding their
-// DRAM-resident structures — that is the point of the exercise.
-func (m *Machine) Crash() {
-	m.Cache.Crash()
-	m.crashed.Store(true)
-}
+// Crash simulates power failure. The platform freezes first — until Recover
+// the cache refuses every store and flush and installs no line, so nothing a
+// thread still running does reaches the media — then the cache applies its
+// persistence-domain rule (cache.LLC.Crash). Nothing is stopped: software
+// still running sees the frozen view, and stopping it is its own Close's job.
+// Callers are responsible for discarding their DRAM-resident structures —
+// that is the point of the exercise.
+func (m *Machine) Crash() { m.Cache.Crash() }
 
-// Recover boots the platform after a Crash: the crashed flag clears, the
-// cache comes up cold (Crash emptied it), and the PMem device's volatile
-// staging state — the XPBuffer combining window and the sequential-read
-// tracker — resets to power-on values so that post-reboot accesses cannot
-// combine with (or ride the locality of) pre-crash ones. Thread contexts are
-// not machine state: they are volatile, owned by the software that created
-// them, and must be recreated after a crash like every other DRAM structure.
-func (m *Machine) Recover() {
-	m.PMem.PowerCycle()
-	m.crashed.Store(false)
-}
+// Recover boots the platform after a Crash: the cache comes up cold, the PMem
+// device's volatile staging state — the XPBuffer combining window and the
+// sequential-read tracker — resets so that post-reboot accesses cannot
+// combine with (or ride the locality of) pre-crash ones, and the platform
+// thaws. Thread contexts are not machine state: like every other DRAM
+// structure they must be recreated after a crash — a thread created before
+// Recover never stores again.
+func (m *Machine) Recover() { m.Cache.Recover() }
 
 // SetMemGate installs g as the persistence-operation gate on the platform's
 // cache (nil removes it). The fault-injection harness uses the gate to number
@@ -169,7 +165,7 @@ func (m *Machine) Recover() {
 func (m *Machine) SetMemGate(g sim.MemGate) { m.Cache.SetGate(g) }
 
 // Crashed reports whether the machine is between Crash and Recover.
-func (m *Machine) Crashed() bool { return m.crashed.Load() }
+func (m *Machine) Crashed() bool { return m.Cache.Crashed() }
 
 // Phase labels the write-path segments the paper's Figure 5(b) breaks down.
 type Phase int
@@ -280,14 +276,12 @@ type Thread struct {
 // NewThread creates a thread pinned to core (wrapped modulo the core count).
 func (m *Machine) NewThread(core int) *Thread {
 	id := m.threadSeq.Add(1)
-	th := &Thread{
-		Clock: &sim.Clock{},
+	return &Thread{
+		Clock: sim.NewClock(m.obsTally, m.Cache.Boot()),
 		Core:  core % m.cfg.Cores,
 		RNG:   sim.NewRNG(uint64(id) * 0x9e3779b97f4a7c15),
 		costs: m.Costs,
 	}
-	th.Clock.SetTally(m.obsTally)
-	return th
 }
 
 // ChargeDRAM charges n DRAM accesses to the thread.

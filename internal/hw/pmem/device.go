@@ -424,7 +424,7 @@ func (d *Device) Flush(clk *sim.Clock) {
 // survive a power cycle: a line written after reboot must not combine with
 // an XPLine staged before the failure, and the first read after reboot pays
 // the random-access latency regardless of where the last pre-crash read
-// landed. Machine.Recover calls this; the durable contents and the monotonic
+// landed. The cache's Recover calls this; the durable contents and the monotonic
 // hardware counters are untouched.
 func (d *Device) PowerCycle() {
 	d.bufMu.Lock()

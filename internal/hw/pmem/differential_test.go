@@ -23,10 +23,8 @@ func TestDifferentialXPBufferAgainstReference(t *testing.T) {
 				cm := sim.DefaultCosts()
 				cm.XPBufferLines = window
 				got, want := pmem.NewDevice(4<<20, cm), NewDevice(4<<20, cm)
-				var gclk, wclk sim.Clock
 				var gtally, wtally sim.MemTally
-				gclk.SetTally(&gtally)
-				wclk.SetTally(&wtally)
+				gclk, wclk := sim.NewClock(&gtally, 0), sim.NewClock(&wtally, 0)
 				rng := sim.NewRNG(seed)
 				data := make([]byte, 4096)
 				gbuf, wbuf := make([]byte, 4096), make([]byte, 4096)
@@ -52,24 +50,24 @@ func TestDifferentialXPBufferAgainstReference(t *testing.T) {
 					switch k := rng.Uint64n(100); {
 					case k < 45:
 						what = "WriteLines"
-						got.WriteLines(&gclk, addr, data[:n])
-						want.WriteLines(&wclk, addr, data[:n])
+						got.WriteLines(gclk, addr, data[:n])
+						want.WriteLines(wclk, addr, data[:n])
 					case k < 85:
 						what = "WriteLinesPipelined"
-						got.WriteLinesPipelined(&gclk, addr, data[:n])
-						want.WriteLinesPipelined(&wclk, addr, data[:n])
+						got.WriteLinesPipelined(gclk, addr, data[:n])
+						want.WriteLinesPipelined(wclk, addr, data[:n])
 					case k < 95:
 						what = "Read"
 						n -= int(rng.Uint64n(64))
-						got.Read(&gclk, addr+7, gbuf[:n])
-						want.Read(&wclk, addr+7, wbuf[:n])
+						got.Read(gclk, addr+7, gbuf[:n])
+						want.Read(wclk, addr+7, wbuf[:n])
 						if !bytes.Equal(gbuf[:n], wbuf[:n]) {
 							t.Fatalf("op %d: Read(%#x, %d) returned different bytes", op, addr+7, n)
 						}
 					case k < 98:
 						what = "Flush"
-						got.Flush(&gclk)
-						want.Flush(&wclk)
+						got.Flush(gclk)
+						want.Flush(wclk)
 					default:
 						what = "PowerCycle"
 						got.PowerCycle()

@@ -28,11 +28,17 @@ type Clock struct {
 	wait  atomic.Int64 // total ns spent blocked (AdvanceTo jumps)
 	label atomic.Int32 // attribution layer; 0 = direct/unlabeled
 	tally *MemTally    // set once at creation, nil when obs is disabled
+	boot  uint64       // set once at creation: the platform boot it belongs to
 }
 
-// SetTally attaches the machine-wide tally. It must be called before the
-// clock is shared (Machine.NewThread does this at creation).
-func (c *Clock) SetTally(t *MemTally) { c.tally = t }
+// NewClock returns a clock of platform boot boot that tallies into the
+// machine-wide tally t (nil when obs is disabled); Machine.NewThread makes
+// every thread's clock with it. The zero Clock has no tally and belongs to a
+// platform's first boot.
+func NewClock(t *MemTally, boot uint64) *Clock { return &Clock{tally: t, boot: boot} }
+
+// Boot returns the boot the clock belongs to; the cache refuses other boots'.
+func (c *Clock) Boot() uint64 { return c.boot }
 
 // WaitNs returns the total virtual ns this clock spent blocked (the sum of
 // all AdvanceTo jumps), for wait-vs-busy splits in op forensics.

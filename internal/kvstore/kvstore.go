@@ -37,18 +37,15 @@ type DB interface {
 	// FlushAll forces every buffered write down to the storage component and
 	// waits for background work to settle (used between benchmark phases).
 	FlushAll(th *hw.Thread) error
-	// Close releases background resources. The machine (and its PMem
-	// contents) outlive the engine, which is how crash tests reopen state.
+	// Close is the only thing that stops the store's goroutines. The machine
+	// (and its PMem contents) outlive the engine, which is how crash tests
+	// reopen state. Between hw.Machine Crash and Recover it is the
+	// crash-stop — the store fails, drops its queued work, writes nothing
+	// back and returns the failure — and it must come before Recover.
 	Close(th *hw.Thread) error
 	// Name identifies the engine variant in benchmark output.
 	Name() string
 }
-
-// Halter is the crash-stop hook every engine kind implements: operations
-// begin failing immediately and background threads abandon their queued work,
-// as a power failure would — a graceful Close persists more than a crash
-// leaves behind.
-type Halter interface{ Halt() }
 
 // Stats common to all engines, exposed by the concrete types (not through DB,
 // so each engine can extend its own).

@@ -130,6 +130,7 @@ func TestDisjointRunMovesWithoutRewrite(t *testing.T) {
 
 	m.Crash()
 	m.Recover()
+	th = m.NewThread(0) // the old boot's thread would store nothing
 	tr2, err := Open(m, fs, manifest, smallOpts(), th)
 	if err != nil {
 		t.Fatal(err)

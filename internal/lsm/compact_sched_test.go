@@ -563,6 +563,7 @@ func TestIngestPlacementAndAtomicity(t *testing.T) {
 	}
 	m.Crash()
 	m.Recover()
+	th = m.NewThread(0) // the old boot's thread would store nothing
 	tr2, err := Open(m, fs, manifest, Options{L0CompactionTrigger: 100}, th)
 	if err != nil {
 		t.Fatal(err)

@@ -261,6 +261,7 @@ func TestManifestRecovery(t *testing.T) {
 	lastSeq := tr.LastSeq()
 	m.Crash()
 	m.Recover()
+	th = m.NewThread(0) // the old boot's thread would store nothing
 	tr2, err := Open(m, fs, manifest, Options{L0CompactionTrigger: 3}, th)
 	if err != nil {
 		t.Fatal(err)

@@ -63,6 +63,7 @@ func TestPropertyTreeMatchesModel(t *testing.T) {
 		if crash {
 			m.Crash()
 			m.Recover()
+			th = m.NewThread(0) // the old boot's thread would store nothing
 			tr, err = Open(m, fs, manifest, opts, th)
 			if err != nil {
 				return false

@@ -222,6 +222,7 @@ func TestRemountRecoversDirectory(t *testing.T) {
 	// with intact contents.
 	m.Crash()
 	m.Recover()
+	th = m.NewThread(0) // the old boot's thread would store nothing
 	fs2, err := Mount(m, region, th)
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +264,7 @@ func TestUnsealedFileLostOnCrash(t *testing.T) {
 	w.Append(th, []byte("partial"))
 	m.Crash()
 	m.Recover()
+	th = m.NewThread(0) // the old boot's thread would store nothing
 	fs2, err := Mount(m, region, th)
 	if err != nil {
 		t.Fatal(err)
