@@ -16,6 +16,8 @@ import (
 func TestFamilyStreamsUnchanged(t *testing.T) {
 	cachekv, _ := FindEngine("cachekv")
 	sharded, _ := FindEngine(shardedEngineName)
+	find := func(name string) EngineSpec { s, _ := FindEngine(name); return s }
+	single := singleKeyFamily(1, 200)
 	for _, g := range []struct {
 		spec  EngineSpec
 		fam   Family
@@ -28,9 +30,16 @@ func TestFamilyStreamsUnchanged(t *testing.T) {
 		inflight  int
 		recovered int
 	}{
-		{cachekv, singleKeyFamily(1, 200), 361, 0x1053a14ba8a50809, 46, FaultFlip, 0xdc978f6aeb51a43c, 23, 16},
+		{cachekv, single, 361, 0x1053a14ba8a50809, 46, FaultFlip, 0xdc978f6aeb51a43c, 23, 16},
 		{sharded, crossShardFamily(1, 60), 508, 0x5f305512d667095a, 100, FaultTorn, 0x63b055b6734e0a0e, 11, 30},
 		{sharded, stallFamily(42, 3), 48, 0x123358a391a74730, 30, FaultNone, 0x7ecd871eed8391c6, 13, 11},
+		// The six baselines, recorded before their two stores became one.
+		{find("NoveLSM"), single, 360, 0x87b03e9fdcbf8db5, 100, FaultTorn, 0xc47f0044532a57f5, 54, 26},
+		{find("NoveLSM-w/o-flush"), single, 180, 0x8619b7b77de4146a, 100, FaultTorn, 0xfef0805a90293255, 112, 32},
+		{find("NoveLSM-cache"), single, 360, 0x87b03e9fdcbf8db5, 100, FaultTorn, 0xc47f0044532a57f5, 54, 26},
+		{find("SLM-DB"), single, 720, 0xdacb27b8176cf032, 100, FaultTorn, 0x6dd22ef1d0f34da, 25, 18},
+		{find("SLM-DB-w/o-flush"), single, 540, 0xdf6aa72cc7b66774, 100, FaultTorn, 0xb43a179e779b2d7e, 35, 22},
+		{find("SLM-DB-cache"), single, 540, 0xdf6aa72cc7b66774, 100, FaultTorn, 0xb43a179e779b2d7e, 35, 22},
 	} {
 		for _, domain := range bothDomains {
 			total, hash, err := Count(g.spec, domain, g.fam)
@@ -38,8 +47,8 @@ func TestFamilyStreamsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			if total != g.total || hash != g.hash {
-				t.Errorf("%s/%s: stream changed: (%d, %#x), recorded (%d, %#x)",
-					g.fam.Name, domain, total, hash, g.total, g.hash)
+				t.Errorf("%s/%s/%s: stream changed: (%d, %#x), recorded (%d, %#x)",
+					g.fam.Name, g.spec.Name, domain, total, hash, g.total, g.hash)
 			}
 		}
 		a := Run(g.spec, cache.EADR, g.fam, g.crashAt, g.fault, nil)
