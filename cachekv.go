@@ -505,7 +505,9 @@ func (db *DB) Metrics() Metrics {
 func (db *DB) Registry() *obs.Registry {
 	r := obs.NewRegistry()
 	obs.RegisterMachine(r, db.machine)
-	obs.RegisterKV(r, db.inner)
+	if db.store != nil {
+		db.store.RegisterObs(r)
+	}
 	obs.RegisterTrace(r, db.trace)
 	return r
 }

@@ -1,7 +1,12 @@
-// Package baseline holds the machinery shared by the two comparison systems
-// the paper evaluates against — NoveLSM (ATC'18) and SLM-DB (FAST'19) — and
+// Package baseline is the one store behind the two comparison systems the
+// paper evaluates against — NoveLSM (ATC'18) and SLM-DB (FAST'19) — and
 // their eADR-adapted variants ("-w/o-flush" and "-cache") that the paper
-// itself constructs in Sections II-C and IV-A.
+// itself constructs in Sections II-C and IV-A. Both are LevelDB over PMem:
+// MemTables whose entries append in place to one of two ping-pong PMem logs,
+// one shared MemTable lock, a one-worker flush into one lsm.Tree. Store is
+// that design; an engine adds only what the paper says differs, as a Tier
+// (where its MemTables live and how each is made durable) and an Index (how
+// a memory miss finds its SSTable).
 package baseline
 
 import (
@@ -9,6 +14,8 @@ import (
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/lsm"
+	"cachekv/internal/obs"
 )
 
 // Variant selects the flush discipline of a baseline engine.
@@ -39,9 +46,9 @@ func (v Variant) Suffix() string {
 	}
 }
 
-// ReservePartition pins segBytes of LLC for a -cache variant and returns the
+// reservePartition pins segBytes of LLC for a -cache variant and returns the
 // partition (DefaultPartition for the other variants).
-func ReservePartition(m *hw.Machine, v Variant, segBytes uint64) (cache.PartitionID, error) {
+func reservePartition(m *hw.Machine, v Variant, segBytes uint64) (cache.PartitionID, error) {
 	if v != CacheSegments {
 		return cache.DefaultPartition, nil
 	}
@@ -52,11 +59,30 @@ func ReservePartition(m *hw.Machine, v Variant, segBytes uint64) (cache.Partitio
 	return part, nil
 }
 
-// LookupOrAlloc finds a named region or allocates it, so reopening a machine
-// after a crash reuses the same memory map.
-func LookupOrAlloc(m *hw.Machine, name string, size uint64) hw.Region {
-	if r, ok := m.LookupRegion(name); ok {
-		return r
+// Options size a baseline store. Sizes are scaled down from the paper's
+// configuration so that experiment-sized workloads exercise every rotation.
+type Options struct {
+	Variant       Variant
+	MemBytes      int64  // PMem MemTable size (paper: 64 MiB; 4 GiB for NoveLSM)
+	SegmentBytes  uint64 // pinned cache segment for the -cache variant (12 MiB)
+	NodeBytes     uint64 // PMem index-node area (its random dirty lines)
+	FSBytes       uint64
+	ManifestBytes uint64
+	LSM           lsm.Options
+
+	// Trace, when non-nil, receives lifecycle events (rotation, flush
+	// start/end, recovery). Every emit site is nil-safe.
+	Trace *obs.Trace
+}
+
+// DefaultOptions returns the scaled evaluation sizes with a PMem MemTable of
+// memBytes.
+func DefaultOptions(memBytes int64) Options {
+	return Options{
+		MemBytes:      memBytes,
+		SegmentBytes:  12 << 20,
+		NodeBytes:     64 << 20,
+		FSBytes:       256 << 20,
+		ManifestBytes: 4 << 20,
 	}
-	return m.Alloc(name, size, 4096)
 }

@@ -16,11 +16,11 @@ func TestVariantSuffixes(t *testing.T) {
 func TestReservePartition(t *testing.T) {
 	m := hw.NewMachine(hw.DefaultConfig())
 	// Non-cache variants use the shared partition and reserve nothing.
-	p, err := ReservePartition(m, Vanilla, 12<<20)
+	p, err := reservePartition(m, Vanilla, 12<<20)
 	if err != nil || p != cache.DefaultPartition {
 		t.Fatalf("Vanilla: %v, %v", p, err)
 	}
-	p, err = ReservePartition(m, CacheSegments, 12<<20)
+	p, err = reservePartition(m, CacheSegments, 12<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +28,7 @@ func TestReservePartition(t *testing.T) {
 		t.Fatal("cache variant did not pin a partition")
 	}
 	// Impossible reservations fail cleanly.
-	if _, err := ReservePartition(m, CacheSegments, 1<<30); err == nil {
+	if _, err := reservePartition(m, CacheSegments, 1<<30); err == nil {
 		t.Fatal("oversized reservation accepted")
-	}
-}
-
-func TestLookupOrAlloc(t *testing.T) {
-	m := hw.NewMachine(hw.Config{PMemBytes: 64 << 20})
-	a := LookupOrAlloc(m, "region-x", 1<<20)
-	b := LookupOrAlloc(m, "region-x", 1<<20)
-	if a != b {
-		t.Fatal("second lookup allocated a fresh region")
-	}
-	c := LookupOrAlloc(m, "region-y", 1<<20)
-	if c == a {
-		t.Fatal("distinct names shared a region")
 	}
 }

@@ -2,12 +2,11 @@ package slmdb
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"cachekv/internal/baseline"
+	"cachekv/internal/baseline/storetest"
 	"cachekv/internal/hw"
-	"cachekv/internal/kvstore"
 )
 
 func testMachine() *hw.Machine {
@@ -35,26 +34,25 @@ func openDB(t *testing.T, m *hw.Machine, opts Options) (*DB, *hw.Thread) {
 	return db, th
 }
 
-func TestPutGetAllVariants(t *testing.T) {
-	for _, v := range []baseline.Variant{baseline.Vanilla, baseline.WithoutFlush, baseline.CacheSegments} {
-		t.Run("variant"+v.Suffix(), func(t *testing.T) {
-			db, th := openDB(t, testMachine(), smallOpts(v))
-			defer db.Close(th)
-			for i := 0; i < 2000; i++ {
-				if err := db.Put(th, []byte(fmt.Sprintf("key%06d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 2000; i += 53 {
-				k := []byte(fmt.Sprintf("key%06d", i))
-				v, err := db.Get(th, k)
-				if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-					t.Fatalf("Get(%s) = %q, %v", k, v, err)
-				}
-			}
-		})
-	}
+var engine = storetest.Engine{
+	Name: "SLM-DB",
+	Open: func(m *hw.Machine, th *hw.Thread, v baseline.Variant) (*baseline.Store, error) {
+		db, err := Open(m, smallOpts(v), th)
+		if err != nil {
+			return nil, err
+		}
+		return db.Store, nil
+	},
 }
+
+// The behaviour SLM-DB shares with NoveLSM (package storetest).
+func TestPutGetAllVariants(t *testing.T)  { storetest.Run(t, engine, storetest.PutGet) }
+func TestNames(t *testing.T)              { storetest.Run(t, engine, storetest.Name) }
+func TestDelete(t *testing.T)             { storetest.Run(t, engine, storetest.DeleteOverwrite) }
+func TestScan(t *testing.T)               { storetest.Run(t, engine, storetest.Scan) }
+func TestConcurrentWriters(t *testing.T)  { storetest.Run(t, engine, storetest.ConcurrentWriters) }
+func TestCrashRecovery(t *testing.T)      { storetest.Run(t, engine, storetest.CrashRecovery) }
+func TestFlushAllIdempotent(t *testing.T) { storetest.Run(t, engine, storetest.FlushAllIdempotent) }
 
 func TestSingleLevelInvariant(t *testing.T) {
 	db, th := openDB(t, testMachine(), smallOpts(baseline.Vanilla))
@@ -67,13 +65,13 @@ func TestSingleLevelInvariant(t *testing.T) {
 	if err := db.FlushAll(th); err != nil {
 		t.Fatal(err)
 	}
-	if db.tree.NumFiles(0) != 0 {
+	if db.Tree().NumFiles(0) != 0 {
 		t.Fatal("SLM-DB put files in L0")
 	}
-	if db.tree.NumFiles(1) == 0 {
+	if db.Tree().NumFiles(1) == 0 {
 		t.Fatal("no single-level tables")
 	}
-	if db.tree.GetStats().Compactions != 0 {
+	if db.Tree().GetStats().Compactions != 0 {
 		t.Fatal("SLM-DB ran hierarchical compactions")
 	}
 }
@@ -120,123 +118,5 @@ func TestOverwriteAcrossTables(t *testing.T) {
 		if err != nil || string(v) != "new" {
 			t.Fatalf("stale read: %q, %v", v, err)
 		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	db, th := openDB(t, testMachine(), smallOpts(baseline.Vanilla))
-	defer db.Close(th)
-	db.Put(th, []byte("k"), []byte("v"))
-	db.FlushAll(th)
-	db.Delete(th, []byte("k"))
-	if _, err := db.Get(th, []byte("k")); err != kvstore.ErrNotFound {
-		t.Fatalf("delete over flushed data: %v", err)
-	}
-	db.FlushAll(th)
-	if _, err := db.Get(th, []byte("k")); err != kvstore.ErrNotFound {
-		t.Fatalf("tombstone lost in flush: %v", err)
-	}
-}
-
-func TestScan(t *testing.T) {
-	db, th := openDB(t, testMachine(), smallOpts(baseline.Vanilla))
-	defer db.Close(th)
-	for i := 0; i < 1000; i++ {
-		db.Put(th, []byte(fmt.Sprintf("k%05d", i)), []byte("v"))
-	}
-	db.FlushAll(th)
-	for i := 500; i < 600; i++ {
-		db.Put(th, []byte(fmt.Sprintf("k%05d", i)), []byte("v2"))
-	}
-	count := 0
-	sawNew := false
-	db.Scan(th, []byte("k00490"), 30, func(k, v []byte) bool {
-		count++
-		if string(k) == "k00500" && string(v) == "v2" {
-			sawNew = true
-		}
-		return true
-	})
-	if count != 30 {
-		t.Fatalf("scanned %d", count)
-	}
-	if !sawNew {
-		t.Fatal("scan returned stale version")
-	}
-}
-
-func TestConcurrentWriters(t *testing.T) {
-	m := testMachine()
-	db, th := openDB(t, m, smallOpts(baseline.Vanilla))
-	defer db.Close(th)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wth := m.NewThread(w)
-			for i := 0; i < 2000; i++ {
-				if err := db.Put(wth, []byte(fmt.Sprintf("w%d-%05d", w, i)), []byte("v")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < 4; w++ {
-		for i := 0; i < 2000; i += 331 {
-			if _, err := db.Get(th, []byte(fmt.Sprintf("w%d-%05d", w, i))); err != nil {
-				t.Fatalf("lost w%d-%05d: %v", w, i, err)
-			}
-		}
-	}
-}
-
-func TestCrashRecovery(t *testing.T) {
-	m := testMachine()
-	opts := smallOpts(baseline.Vanilla)
-	db, th := openDB(t, m, opts)
-	for i := 0; i < 10000; i++ {
-		if err := db.Put(th, []byte(fmt.Sprintf("key%08d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Stop the dead store before the power comes back: its flush job would
-	// otherwise race the recovery below on the host.
-	m.Crash()
-	if err := db.Close(th); err == nil {
-		t.Fatal("Close on a crashed machine reported no failure")
-	}
-	m.Recover()
-	th2 := m.NewThread(0)
-	db2, err := Open(m, opts, th2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close(th2)
-	for i := 0; i < 10000; i += 101 {
-		k := []byte(fmt.Sprintf("key%08d", i))
-		v, err := db2.Get(th2, k)
-		if err != nil {
-			t.Fatalf("lost %s: %v", k, err)
-		}
-		if string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("recovered %s = %q", k, v)
-		}
-	}
-}
-
-func TestNames(t *testing.T) {
-	for v, want := range map[baseline.Variant]string{
-		baseline.Vanilla:       "SLM-DB",
-		baseline.WithoutFlush:  "SLM-DB-w/o-flush",
-		baseline.CacheSegments: "SLM-DB-cache",
-	} {
-		db, th := openDB(t, testMachine(), smallOpts(v))
-		if db.Name() != want {
-			t.Fatalf("Name() = %s", db.Name())
-		}
-		db.Close(th)
 	}
 }

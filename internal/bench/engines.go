@@ -82,7 +82,7 @@ func (c EngineConfig) Open(kind engines.Kind, m *hw.Machine, th *hw.Thread) (kvs
 	if kind == engines.SLMDBCache {
 		slmMem = absorb
 	}
-	s.NoveLSM.PMemMemBytes = max(s.NoveLSM.PMemMemBytes, absorb)
+	s.NoveLSM.MemBytes = max(s.NoveLSM.MemBytes, absorb)
 	s.SLMDB.MemBytes = max(s.SLMDB.MemBytes, slmMem)
 	return engines.Open(kind, m, th, s)
 }

@@ -1,18 +1,21 @@
 package bench
 
 import (
+	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
 )
 
 // BuildRegistry assembles the canonical metrics registry for a bench run:
-// platform hardware counters, whatever surfaces the engine exposes, and the
-// trace's emission counters.
+// platform hardware counters, a CacheKV-family store's own (core.Store), and
+// the trace's emission counters.
 func BuildRegistry(m *hw.Machine, db kvstore.DB, tr *obs.Trace) *obs.Registry {
 	r := obs.NewRegistry()
 	obs.RegisterMachine(r, m)
-	obs.RegisterKV(r, db)
+	if st, ok := db.(core.Store); ok {
+		st.RegisterObs(r)
+	}
 	obs.RegisterTrace(r, tr)
 	return r
 }

@@ -104,15 +104,6 @@ func (env shardEnv) regionName(suffix string) string {
 	return p + "." + suffix
 }
 
-// region finds the named PMem region or, on a fresh machine, allocates it;
-// found says which, i.e. whether there is prior state to recover.
-func region(m *hw.Machine, name string, size, align uint64) (r hw.Region, found bool) {
-	if r, found = m.LookupRegion(name); !found {
-		r = m.Alloc(name, size, align)
-	}
-	return r, found
-}
-
 // DefaultOptions returns the paper's evaluation configuration.
 func DefaultOptions() Options {
 	return Options{
@@ -288,10 +279,10 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		}()
 	}
 
-	poolRegion, recovered := region(m, env.regionName("pool"), opts.PoolBytes, 4096)
-	immRegion, _ := region(m, env.regionName("imm"), opts.ImmZoneBytes, 4096)
-	fsRegion, _ := region(m, env.regionName("fs"), opts.FSBytes, 4096)
-	manifestRegion, _ := region(m, env.regionName("manifest"), manifestBytes(opts.Shards), 4096)
+	poolRegion, recovered := m.FindOrAlloc(env.regionName("pool"), opts.PoolBytes, 4096)
+	immRegion, _ := m.FindOrAlloc(env.regionName("imm"), opts.ImmZoneBytes, 4096)
+	fsRegion, _ := m.FindOrAlloc(env.regionName("fs"), opts.FSBytes, 4096)
+	manifestRegion, _ := m.FindOrAlloc(env.regionName("manifest"), manifestBytes(opts.Shards), 4096)
 
 	e.immArena = arena.NewPArena(immRegion)
 	e.fs, err = pmemfs.Mount(m, fsRegion, th)
@@ -478,8 +469,19 @@ func engineMetrics(levels int) []engineMetric {
 	return ms
 }
 
-// registerEngineMetrics publishes engineMetrics on r, aggregated over engines.
-func registerEngineMetrics(r *obs.Registry, engines []*Engine) {
+// registerMetrics publishes s's counters on r: its block cache's and its
+// memory-component filters' under the canonical names, then engineMetrics
+// aggregated over engines (s's one engine, or its shards).
+func registerMetrics(r *obs.Registry, s Store, engines []*Engine) {
+	r.Counter(obs.MBlockCacheHits, func() int64 { return s.BlockCacheStats().Hits })
+	r.Counter(obs.MBlockCacheMisses, func() int64 { return s.BlockCacheStats().Misses })
+	r.Counter(obs.MBlockCacheProbes, func() int64 { st := s.BlockCacheStats(); return st.Hits + st.Misses })
+	r.Gauge(obs.MBlockCacheRatio, func() float64 { return s.BlockCacheStats().HitRatio() })
+	r.Counter(obs.MSSTPointDirect, func() int64 { return s.BlockCacheStats().Direct })
+	r.Counter(obs.MBlockCacheAdmitted, func() int64 { return s.BlockCacheStats().Admitted })
+	r.Counter(obs.MFilterProbes, func() int64 { p, _ := s.FilterStats(); return p })
+	r.Counter(obs.MFilterNegatives, func() int64 { _, n := s.FilterStats(); return n })
+	r.Gauge(obs.MFilterNegRatio, func() float64 { p, n := s.FilterStats(); return obs.SafeRatio(n, p) })
 	for _, m := range engineMetrics(engines[0].tree.NumLevels()) {
 		if m.count != nil {
 			r.Counter(m.name, func() int64 {
@@ -505,9 +507,8 @@ func registerEngineMetrics(r *obs.Registry, engines []*Engine) {
 	}
 }
 
-// RegisterObs publishes the engine's internal counters on r (obs.RegisterKV
-// discovers this via the ObsRegistrar interface).
-func (e *Engine) RegisterObs(r *obs.Registry) { registerEngineMetrics(r, []*Engine{e}) }
+// RegisterObs publishes the engine's counters on r.
+func (e *Engine) RegisterObs(r *obs.Registry) { registerMetrics(r, e, []*Engine{e}) }
 
 // FlowState reports the current write-admission state.
 func (e *Engine) FlowState() FlowState { return e.flow.current() }
@@ -942,6 +943,10 @@ type Store interface {
 	FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64)
 	BlockCacheStats() blockcache.Stats
 	FilterStats() (probes, negatives int64)
+	// RegisterObs publishes the store's counters on r: block cache and
+	// filters under the canonical names (obs.MBlockCacheHits, ...), then the
+	// engine's own.
+	RegisterObs(r *obs.Registry)
 }
 
 var (

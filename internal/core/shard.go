@@ -330,7 +330,7 @@ func (sh *Sharded) BlockCacheStats() blockcache.Stats {
 // (so existing dashboards keep working), per-shard labeled variants, and the
 // router's cross-shard batch count.
 func (sh *Sharded) RegisterObs(r *obs.Registry) {
-	registerEngineMetrics(r, sh.shards)
+	registerMetrics(r, sh, sh.shards)
 	r.Counter("engine_shards", func() int64 { return int64(len(sh.shards)) })
 	r.Counter("cross_shard_batches", func() int64 { return sh.crossBatches.Load() })
 
@@ -389,8 +389,6 @@ func (sh *Sharded) DebugUnforceFlowState() {
 		e.flow.forceOff()
 	}
 }
-
-var _ obs.ObsRegistrar = (*Sharded)(nil)
 
 // errBatchTooLarge rejects cross-shard portions that could never replay into
 // a minimum-size sub-MemTable.

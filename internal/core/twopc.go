@@ -73,9 +73,9 @@ func (t *twoPC) logBytes(k int) func() uint64 {
 func (t *twoPC) open(th *hw.Thread) error {
 	m := t.sh.m
 	var recovered bool
-	t.commitRg, recovered = region(m, "cachekv.2pc.commit", twoPCLogBytes, 0)
+	t.commitRg, recovered = m.FindOrAlloc("cachekv.2pc.commit", twoPCLogBytes, 0)
 	for k := range t.sh.shards {
-		rg, _ := region(m, shardPrefix(k)+".2pc", twoPCLogBytes, 0)
+		rg, _ := m.FindOrAlloc(shardPrefix(k)+".2pc", twoPCLogBytes, 0)
 		t.prepRgs = append(t.prepRgs, rg)
 	}
 

@@ -121,11 +121,13 @@ type Sizing struct {
 }
 
 // NewSizing returns every family's default options with the two settings all
-// three share: the SSTable file-layer capacity and the lifecycle-event trace
-// (nil = none).
+// three share: the SSTable file-layer capacity (0 = each family's default) and
+// the lifecycle-event trace (nil = none).
 func NewSizing(fsBytes uint64, tr *obs.Trace) Sizing {
 	s := Sizing{core.DefaultOptions(), novelsm.DefaultOptions(), slmdb.DefaultOptions()}
-	s.Core.FSBytes, s.NoveLSM.FSBytes, s.SLMDB.FSBytes = fsBytes, fsBytes, fsBytes
+	if fsBytes > 0 {
+		s.Core.FSBytes, s.NoveLSM.FSBytes, s.SLMDB.FSBytes = fsBytes, fsBytes, fsBytes
+	}
 	s.Core.Trace, s.NoveLSM.Trace, s.SLMDB.Trace = tr, tr, tr
 	return s
 }

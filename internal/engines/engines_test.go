@@ -1,12 +1,15 @@
 package engines_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"cachekv"
 	"cachekv/internal/engines"
 	"cachekv/internal/hw"
+	"cachekv/internal/kvstore"
 )
 
 // TestCatalogueNamesMatchEngines pins the catalogue against everything that
@@ -60,5 +63,66 @@ func TestCatalogueNamesMatchEngines(t *testing.T) {
 	}
 	if _, err := engines.Open(engines.Kind(99), nil, nil, engines.Sizing{}); err == nil {
 		t.Error("unknown kind opened")
+	}
+}
+
+// TestClosedStoreRefusesEveryOp holds every engine, and the two-shard router,
+// to kvstore.ErrClosed's contract: once Close returns, each operation fails
+// with an error wrapping ErrClosed, promptly — a closed store serves no read
+// and its FlushAll waits on no background work.
+func TestClosedStoreRefusesEveryOp(t *testing.T) {
+	type config struct {
+		kind   engines.Kind
+		shards int
+	}
+	configs := []config{{engines.CacheKV, 2}}
+	for _, k := range engines.All() {
+		configs = append(configs, config{kind: k})
+	}
+	for _, c := range configs {
+		cfg := hw.DefaultConfig()
+		cfg.PMemBytes = 1 << 30
+		m := hw.NewMachine(cfg)
+		th := m.NewThread(0)
+		s := engines.NewSizing(0, nil)
+		s.Core.Shards = c.shards
+		db, err := engines.Open(c.kind, m, th, s)
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		if err := db.Put(th, []byte("k"), []byte("v")); err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		if err := db.Close(th); err != nil {
+			t.Fatalf("%s: close: %v", c.kind, err)
+		}
+		name := c.kind.String()
+		if c.shards > 1 {
+			name += "-sharded"
+		}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Put", func() error { return db.Put(th, []byte("k"), []byte("v2")) }},
+			{"Delete", func() error { return db.Delete(th, []byte("k")) }},
+			{"Get", func() error { _, err := db.Get(th, []byte("k")); return err }},
+			{"Scan", func() error {
+				_, err := db.Scan(th, nil, 0, func(_, _ []byte) bool { return true })
+				return err
+			}},
+			{"FlushAll", func() error { return db.FlushAll(th) }},
+		} {
+			done := make(chan error, 1)
+			go func() { done <- op.run() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, kvstore.ErrClosed) {
+					t.Errorf("%s: %s after Close = %v, want ErrClosed", name, op.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s: %s after Close did not return within 5 s", name, op.name)
+			}
+		}
 	}
 }

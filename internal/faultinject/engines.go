@@ -54,7 +54,7 @@ func harnessSizing(tr *obs.Trace, shards int) engines.Sizing {
 	s.Core.ImmZoneBytes = 8 << 20
 	s.Core.Shards = shards
 	s.NoveLSM.DRAMMemBytes = 1 << 20
-	s.NoveLSM.PMemMemBytes = 4 << 20
+	s.NoveLSM.MemBytes = 4 << 20
 	s.NoveLSM.SegmentBytes = 1 << 20
 	s.NoveLSM.WALBytes = 8 << 20
 	s.NoveLSM.NodeBytes = 16 << 20

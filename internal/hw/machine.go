@@ -140,6 +140,17 @@ func (m *Machine) LookupRegion(name string) (Region, bool) {
 	return r, ok
 }
 
+// FindOrAlloc finds the named region or, on a fresh machine, allocates it
+// (see Alloc); found says which, i.e. whether there is prior state to
+// recover. A store calls it for each of its regions, so that reopening it
+// after a crash reuses the same memory map.
+func (m *Machine) FindOrAlloc(name string, size, align uint64) (r Region, found bool) {
+	if r, found = m.LookupRegion(name); !found {
+		r = m.Alloc(name, size, align)
+	}
+	return r, found
+}
+
 // Crash simulates power failure. The platform freezes first — until Recover
 // the cache refuses every store and flush and installs no line, so nothing a
 // thread still running does reaches the media — then the cache applies its

@@ -35,6 +35,21 @@ func TestAllocRegions(t *testing.T) {
 	}
 }
 
+func TestFindOrAlloc(t *testing.T) {
+	m := NewMachine(testCfg(cache.EADR))
+	a, found := m.FindOrAlloc("region-x", 1<<20, 4096)
+	if found {
+		t.Fatal("a fresh machine found a region")
+	}
+	b, found := m.FindOrAlloc("region-x", 1<<20, 4096)
+	if !found || a != b {
+		t.Fatalf("second call: %+v, found %v; want %+v, found", b, found, a)
+	}
+	if c, _ := m.FindOrAlloc("region-y", 1<<20, 4096); c == a {
+		t.Fatal("distinct names shared a region")
+	}
+}
+
 func TestAllocDuplicatePanics(t *testing.T) {
 	m := NewMachine(testCfg(cache.EADR))
 	m.Alloc("x", 100, 0)

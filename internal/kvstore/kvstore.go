@@ -47,16 +47,6 @@ type DB interface {
 	Name() string
 }
 
-// Stats common to all engines, exposed by the concrete types (not through DB,
-// so each engine can extend its own).
-type Stats struct {
-	Puts    int64
-	Gets    int64
-	Deletes int64
-	Hits    int64
-	Misses  int64
-}
-
 // UserGetResult resolves the multi-source freshness race: engines gather the
 // best candidate per layer and keep the one with the highest sequence.
 type UserGetResult struct {

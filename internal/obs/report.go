@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 
-	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/sim"
 )
@@ -80,45 +79,6 @@ func RegisterMachine(r *Registry, m *hw.Machine) {
 		s := llc.Stats()
 		return SafeRatio(s.Hits, s.Hits+s.Misses)
 	})
-}
-
-// ObsRegistrar is implemented by engines that publish their own counters.
-type ObsRegistrar interface {
-	RegisterObs(*Registry)
-}
-
-// blockCacheStatser / filterStatser mirror the optional interfaces cachekv's
-// Metrics already probes on engines.
-type blockCacheStatser interface {
-	BlockCacheStats() blockcache.Stats
-}
-type filterStatser interface {
-	FilterStats() (probes, negatives int64)
-}
-
-// RegisterKV registers whatever observability surfaces the engine exposes:
-// block-cache stats, filter stats, and any engine-specific counters (via
-// ObsRegistrar).
-func RegisterKV(r *Registry, db any) {
-	if r == nil || db == nil {
-		return
-	}
-	if bc, ok := db.(blockCacheStatser); ok {
-		r.Counter(MBlockCacheHits, func() int64 { return bc.BlockCacheStats().Hits })
-		r.Counter(MBlockCacheMisses, func() int64 { return bc.BlockCacheStats().Misses })
-		r.Counter(MBlockCacheProbes, func() int64 { st := bc.BlockCacheStats(); return st.Hits + st.Misses })
-		r.Gauge(MBlockCacheRatio, func() float64 { return bc.BlockCacheStats().HitRatio() })
-		r.Counter(MSSTPointDirect, func() int64 { return bc.BlockCacheStats().Direct })
-		r.Counter(MBlockCacheAdmitted, func() int64 { return bc.BlockCacheStats().Admitted })
-	}
-	if f, ok := db.(filterStatser); ok {
-		r.Counter(MFilterProbes, func() int64 { p, _ := f.FilterStats(); return p })
-		r.Counter(MFilterNegatives, func() int64 { _, n := f.FilterStats(); return n })
-		r.Gauge(MFilterNegRatio, func() float64 { p, n := f.FilterStats(); return SafeRatio(n, p) })
-	}
-	if reg, ok := db.(ObsRegistrar); ok {
-		reg.RegisterObs(r)
-	}
 }
 
 // RegisterTrace publishes a trace's emission counters.
