@@ -92,18 +92,32 @@ func TestRebuildListAllocs(t *testing.T) {
 
 // TestGetAllocs: a Get served by the memory component allocates the value it
 // returns and nothing else, wherever the key lives — an active sub-MemTable,
-// a flushed table behind the global skiplist, a flushed table searched on its
-// own — and a Get that finds nothing allocates nothing.
+// a flushed table behind the global index, a flushed table searched on its
+// own — so a key with an empty value allocates nothing, and neither does a
+// Get that finds nothing, though it probes a populated index.
 func TestGetAllocs(t *testing.T) {
 	skipAllocsUnderRace(t)
+	empty := []byte("key0000000000000+") // sorts among the flushed keys
 	for _, compaction := range []bool{true, false} {
 		o := quietOpts()
 		o.SkiplistCompaction = compaction
 		e, th := openEngine(t, testMachine(), o)
+		if err := e.Put(th, empty, nil); err != nil {
+			t.Fatal(err)
+		}
 		val := make([]byte, 64)
 		flushed := fillFlushed(t, e, th, 1, allocKey, val)
 		for compaction && e.stats.Compactions.Load() == 0 {
-			runtime.Gosched() // the index thread folds the table into the global list
+			runtime.Gosched() // the index thread folds the table into the global index
+		}
+		if n := e.mem.global.n.Load(); compaction != (n > 0) {
+			t.Fatalf("compaction=%v: the global index holds %d keys", compaction, n)
+		}
+		if v, err := e.Get(th, empty); err != nil || len(v) != 0 {
+			t.Fatalf("Get(%s) = %q, %v; want the empty value", empty, v, err)
+		}
+		if n := testing.AllocsPerRun(200, func() { _, _ = e.Get(th, empty) }); n != 0 {
+			t.Errorf("compaction=%v: a Get of a flushed key with an empty value allocates %.0f objects, want 0", compaction, n)
 		}
 		active := allocKey(flushed - 1) // the last burst went into a fresh slot
 		for name, key := range map[string][]byte{"active slot": active, "flushed table": allocKey(0)} {
@@ -114,7 +128,7 @@ func TestGetAllocs(t *testing.T) {
 				t.Errorf("compaction=%v: a Get from the %s allocates %.0f objects, want at most 1", compaction, name, n)
 			}
 		}
-		for _, key := range [][]byte{allocKey(1 << 40), []byte("a"), []byte("zzz")} {
+		for _, key := range [][]byte{allocKey(1 << 40), []byte("a"), []byte("zzz"), []byte("key0000000000005+")} {
 			if _, err := e.Get(th, key); err != kvstore.ErrNotFound {
 				t.Fatalf("Get(%s) = %v, want ErrNotFound", key, err)
 			}

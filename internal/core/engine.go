@@ -14,6 +14,7 @@ import (
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
+	"cachekv/internal/memfilter"
 	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
 	"cachekv/internal/skiplist"
@@ -32,11 +33,11 @@ type Options struct {
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
-	SkiplistCompaction bool // false = never build the global skiplist (PCSM[+LIU])
+	SkiplistCompaction bool // false = never build the global index (PCSM[+LIU])
 
 	// FilterBitsPerKey sizes the DRAM-side negative filters kept per
-	// sub-MemTable slot, per sub-ImmMemTable, and over the global skiplist
-	// (10, LevelDB's bloom budget). Negative disables the filters.
+	// sub-MemTable slot and per sub-ImmMemTable (10, LevelDB's bloom
+	// budget). Negative disables the filters.
 	FilterBitsPerKey int
 
 	FSBytes uint64 // PMem file-layer capacity for SSTables (256 MiB)
@@ -161,10 +162,10 @@ type Stats struct {
 	ReadSyncs   atomic.Int64 // trigger-1 lazy syncs performed by readers
 	GetRetries  atomic.Int64 // Get passes started over at a new snapshot
 
-	// Memory-component negative-filter effectiveness: probes against slot,
-	// imm-table, and global filters, and how many rejected (each rejection
-	// skips a sub-skiplist search, and for active slots also the trigger-1
-	// lazy sync).
+	// Memory-component negative-filter effectiveness: probes against slot
+	// and imm-table filters, and how many rejected (each rejection skips a
+	// sub-skiplist search, and for active slots also the trigger-1 lazy
+	// sync). The global index has no filter: its probe reads one line.
 	FilterProbes    atomic.Int64
 	FilterNegatives atomic.Int64
 
@@ -255,7 +256,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		opts:  opts,
 		env:   env,
 		trace: opts.Trace,
-		mem:   newMemState(expectedSlotKeys(opts.ImmZoneBytes), filterBits),
+		mem:   newMemState(filterBits),
 		seq:   env.seq,
 	}
 	e.bg = bgpool.New(e.fail)
@@ -570,10 +571,10 @@ func (e *Engine) queueSealed(at int64, s *slot) {
 
 // Get implements kvstore.DB. The freshest version may live in any active
 // sub-MemTable, any flushed sub-ImmMemTable (directly or via the global
-// skiplist), or the LSM tree; candidates are compared by sequence number.
+// index), or the LSM tree; candidates are compared by sequence number.
 // Both places that keep only a key's newest version can take in one newer than
 // the Get's snapshot while it reads, and so drop the version that snapshot
-// reads, leaving the key absent or at an older version: the global skiplist
+// reads, leaving the key absent or at an older version: the global index
 // (a merge) and the tree (a spill or an ingest, then a compaction). The Get
 // then starts over at a new snapshot, as a Scan's pass does.
 func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
@@ -591,7 +592,7 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 }
 
 // getAt is one pass of Get at snapshot; stale reports that a place it read
-// held a version newer than snapshot: the global skiplist one of key, the
+// held a version newer than snapshot: the global index one of key, the
 // tree any.
 func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, stale bool, _ error) {
 	var res kvstore.UserGetResult
@@ -602,13 +603,8 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 	// the filter always leads the lazy index).
 	var slots [16]*slot
 	for _, s := range e.pool.snapshotActive(slots[:0]) {
-		if f := s.filter.Load(); f != nil {
-			th.ChargeDRAM(1)
-			e.stats.FilterProbes.Add(1)
-			if !f.MayContain(key) {
-				e.stats.FilterNegatives.Add(1)
-				continue
-			}
+		if !e.probeFilter(th, s.filter.Load(), key) {
+			continue
 		}
 		if e.opts.LazyIndex && needsSync(s) {
 			th.InPhase(hw.PhaseIndex, func() {
@@ -630,11 +626,10 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		}
 	}
 
-	// 2. Flushed sub-ImmMemTables: the global skiplist covers compacted
+	// 2. Flushed sub-ImmMemTables: the global index covers compacted
 	// tables; uncompacted ones are searched individually.
 	e.mem.mu.RLock()
 	global := e.mem.global
-	globalFilter := e.mem.globalFilter // swapped together with global under mu
 	var tables [16]*immTable
 	uncompacted := tables[:0]
 	for _, t := range e.mem.imms {
@@ -644,50 +639,37 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 	}
 	e.mem.mu.RUnlock()
 	if e.opts.SkiplistCompaction {
-		searchGlobal := true
-		if globalFilter != nil {
-			th.ChargeDRAM(1)
-			e.stats.FilterProbes.Add(1)
-			// Sound: mergeInto adds to the filter before upserting into the
-			// list, so any key present in global is present in its filter.
-			if !globalFilter.MayContain(key) {
-				e.stats.FilterNegatives.Add(1)
-				searchGlobal = false
+		// One DRAM access per bucket line, the price of the filter probe this
+		// probe replaced; an empty index costs its one line too.
+		global.get(key, func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, addr uint64) bool {
+			if trailer>>8 > snapshot {
+				stale = true // key's, or one sharing its fingerprint: a pass more
+				return true
 			}
-		}
-		if searchGlobal {
-			gv, ok := global.Get(key, func(visits int) {
-				th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
-			})
-			if ok {
-				gseq, kind, addr := decodeGlobalVal(gv)
-				stale = gseq > snapshot
-				if !stale && kind != util.KindRangeDel {
-					// The global list stores absolute ImmZone addresses; bound
-					// the fetch by the zone's remaining extent.
-					if zone := e.immArena.Region(); addr < zone.End() {
-						// The zone may have been spilled and refilled under this
-						// global-list snapshot; only trust the fetch if the entry
-						// still carries the key and sequence the node recorded.
-						if ent, okF := e.fetchEntry(th, &th.Scratch.Entry, addr, 0, zone.End()-addr, cache.DefaultPartition); okF &&
-							string(ent.UKey) == string(key) && ent.Seq() == gseq {
-							considerView(&res, ent.Value, gseq, kind)
-						}
-					}
-				}
+			// The index stores absolute ImmZone addresses; bound the fetch by
+			// the zone's remaining extent. The zone may have been spilled and
+			// refilled under this index, and a fingerprint may be another
+			// key's: only an entry that carries the key and trailer the slot
+			// recorded is trusted.
+			zone := e.immArena.Region()
+			if addr >= zone.End() {
+				return false
 			}
-		}
+			ent, ok := e.fetchEntry(th, &th.Scratch.Entry, addr, 0, zone.End()-addr, cache.DefaultPartition)
+			if !ok || ent.Trailer != trailer || string(ent.UKey) != string(key) {
+				return false
+			}
+			if kind := ent.Kind(); kind != util.KindRangeDel {
+				considerView(&res, ent.Value, ent.Seq(), kind)
+			}
+			return true
+		})
 	}
 	for _, t := range uncompacted {
 		// The imm filter is the slot's filter handed over at flush: it covers
 		// every committed key of exactly this table.
-		if f := t.filter; f != nil {
-			th.ChargeDRAM(1)
-			e.stats.FilterProbes.Add(1)
-			if !f.MayContain(key) {
-				e.stats.FilterNegatives.Add(1)
-				continue
-			}
+		if !e.probeFilter(th, t.filter, key) {
+			continue
 		}
 		if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
 			considerView(&res, v, fseq, kind)
@@ -727,6 +709,20 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		return nil, stale, kvstore.ErrNotFound
 	}
 	return res.Value, stale, nil
+}
+
+// probeFilter reports whether a slot's or a table's negative filter f (nil:
+// filters are off) may hold key, charging the probe to hw.PhaseIndex.
+func (e *Engine) probeFilter(th *hw.Thread, f *memfilter.Filter, key []byte) (may bool) {
+	if f == nil {
+		return true
+	}
+	th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) })
+	e.stats.FilterProbes.Add(1)
+	if may = f.MayContain(key); !may {
+		e.stats.FilterNegatives.Add(1)
+	}
+	return may
 }
 
 // considerView is res.Consider for a value that is a view into the thread's

@@ -16,7 +16,7 @@ const spillFraction = 0.75
 
 // immTable is one sub-ImmMemTable after its copy-based flush: the entry bytes
 // live in the ImmZone (PMem), its sub-skiplist stays in DRAM, and a compacted
-// flag records whether the global skiplist already covers it.
+// flag records whether the global index already covers it.
 type immTable struct {
 	base       uint64 // ImmZone address of the data region
 	dataLen    uint64
@@ -47,26 +47,16 @@ const (
 )
 
 // memState is the engine's DRAM view of the memory component: flushed tables
-// plus the global skiplist and its negative filter. Swapped wholesale at L0
-// spill.
+// plus the global index. Swapped wholesale at L0 spill.
 type memState struct {
-	mu           sync.RWMutex
-	imms         []*immTable
-	global       *skiplist.List
-	globalFilter *memfilter.Filter // covers every key merged into global
-
-	// Filter sizing for replacement filters installed at spill.
-	expGlobalKeys int
-	filterBits    int
+	mu         sync.RWMutex
+	imms       []*immTable
+	global     *hashIndex
+	filterBits int // sizes the tables' and slots' negative filters
 }
 
-func newMemState(expGlobalKeys, filterBits int) *memState {
-	return &memState{
-		global:        skiplist.New(nil, 0xC0117EC7),
-		globalFilter:  newFilter(expGlobalKeys, filterBits),
-		expGlobalKeys: expGlobalKeys,
-		filterBits:    filterBits,
-	}
+func newMemState(filterBits int) *memState {
+	return &memState{global: newHashIndex(seededHash, 0), filterBits: filterBits}
 }
 
 // newFilter builds a negative filter, or nil when filters are disabled
@@ -334,7 +324,7 @@ func (e *Engine) spill(th *hw.Thread) {
 }
 
 // spillLocked merges every sub-ImmMemTable into L0 SSTables, then resets the
-// ImmZone and the global skiplist. Deferred space reclamation happens here —
+// ImmZone and the global index. Deferred space reclamation happens here —
 // exactly when "the total size of sub-ImmMemTables reaches a pre-configured
 // threshold" (Section III-D). Caller holds spillMu.
 func (e *Engine) spillLocked(th *hw.Thread) {
@@ -381,7 +371,7 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 		}
 	}
 	// Install the new memory state: drop the spilled tables, fresh global
-	// skiplist, reclaim the zone. Tables flushed concurrently (appended to
+	// index, reclaim the zone. Tables flushed concurrently (appended to
 	// e.mem.imms after our snapshot) are preserved — but they cannot exist:
 	// flushOne allocates from the arena we are about to reset, so spillMu
 	// callers serialize with it via the arena retry path. Keep the general
@@ -398,8 +388,8 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 		}
 	}
 	e.mem.imms = rest
-	e.mem.global = skiplist.New(nil, 0xC0117EC7)
-	e.mem.globalFilter = newFilter(e.mem.expGlobalKeys, e.mem.filterBits)
+	// The next fill of the zone is likely to bring as many keys as the last.
+	e.mem.global = newHashIndex(seededHash, int(e.mem.global.n.Load()))
 	e.mem.mu.Unlock()
 	// Range tombstones that just reached the tree no longer need their DRAM
 	// mirrors (retirement is by tree membership, not sequence — see
@@ -452,12 +442,11 @@ func (e *Engine) compactJob(w int, at int64, _ struct{}) (int64, bool) {
 }
 
 // runMerge merges every not-yet-compacted sub-ImmMemTable into the global
-// skiplist.
+// index.
 func (e *Engine) runMerge(th *hw.Thread) {
 	e.mem.mu.RLock()
 	var todo []*immTable
 	global := e.mem.global
-	globalFilter := e.mem.globalFilter
 	for _, t := range e.mem.imms {
 		if !t.compacted {
 			todo = append(todo, t)
@@ -467,9 +456,9 @@ func (e *Engine) runMerge(th *hw.Thread) {
 	if len(todo) == 0 {
 		return
 	}
-	e.mergeInto(th, global, globalFilter, todo)
+	e.mergeInto(th, global, todo)
 	e.mem.mu.Lock()
-	// The global list may have been swapped by a spill while we merged; the
+	// The global index may have been swapped by a spill while we merged; the
 	// tables count as compacted only if it is still current.
 	if e.mem.global == global {
 		for _, t := range todo {

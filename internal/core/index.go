@@ -8,7 +8,6 @@ import (
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
-	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -132,8 +131,9 @@ func (e *Engine) fetchEntry(th *hw.Thread, buf *[]byte, base, off, limit uint64,
 
 // searchList looks ukey up (at or below seq) in one sub-skiplist, resolving
 // the stored offset against base. Node visits are charged at DRAM latency —
-// the point of keeping sub-skiplists in DRAM. The value is a view into the
-// thread's scratch: the caller copies it before the thread's next fetch.
+// the point of keeping sub-skiplists in DRAM — to hw.PhaseIndex. The value is
+// a view into the thread's scratch: the caller copies it before the thread's
+// next fetch.
 func (e *Engine) searchList(th *hw.Thread, list *skiplist.List, base, limit uint64, part cache.PartitionID, ukey []byte, seq uint64) (value []byte, foundSeq uint64, kind util.ValueKind, ok bool) {
 	if list == nil {
 		return nil, 0, 0, false
@@ -141,8 +141,10 @@ func (e *Engine) searchList(th *hw.Thread, list *skiplist.List, base, limit uint
 	target := util.MakeInternalKey(th.Scratch.Key, ukey, seq, util.KindValue)
 	th.Scratch.Key = target
 	it := list.NewIterator()
-	it.Seek(target, func(visits int) {
-		th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
+	th.InPhase(hw.PhaseIndex, func() {
+		it.Seek(target, func(visits int) {
+			th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 8)
+		})
 	})
 	if !it.Valid() {
 		return nil, 0, 0, false
@@ -283,113 +285,31 @@ func (t *snapIter) Close() {}
 
 var _ lsm.Iterator = (*snapIter)(nil)
 
-// Global-skiplist node values pack {seq, kind, absolute entry address} so a
-// Get hitting the compacted view can fetch the value straight from the
-// ImmZone without touching any per-table sub-skiplist.
-func encodeGlobalVal(dst []byte, seq uint64, kind util.ValueKind, addr uint64) []byte {
-	dst = util.PutFixed64(dst, seq)
-	dst = append(dst, byte(kind))
-	return util.PutFixed64(dst, addr)
-}
-
-func decodeGlobalVal(b []byte) (seq uint64, kind util.ValueKind, addr uint64) {
-	return util.Fixed64(b), util.ValueKind(b[8]), util.Fixed64(b[9:])
-}
-
-// addrIter walks a flushed table's sub-skiplist as a merge source whose values
-// are the entries' absolute ImmZone addresses — what a global-skiplist node
-// records — without reading a byte of the entries themselves.
-type addrIter struct {
-	*skiplist.Iterator
-	base uint64
-	addr [8]byte
-}
-
-// Key returns the current internal key.
-func (a *addrIter) Key() util.InternalKey { return a.Iterator.Key() }
-
-// Value returns the current entry's address; valid until the iterator moves.
-func (a *addrIter) Value() []byte {
-	return util.PutFixed64(a.addr[:0], a.base+util.Fixed64(a.Iterator.Value()))
-}
-
-// Seek positions at the first entry >= ik.
-func (a *addrIter) Seek(ik util.InternalKey) { a.Iterator.Seek(ik, nil) }
-
-// Err is always nil: the source is a DRAM list.
-func (a *addrIter) Err() error { return nil }
-
-// Close is a no-op; the iterator borrows nothing.
-func (a *addrIter) Close() {}
-
-var _ lsm.Iterator = (*addrIter)(nil)
-
-// mergeInto folds flushed tables' sub-skiplists into the global skiplist,
+// mergeInto folds flushed tables' sub-skiplists into the global index,
 // keeping only the freshest version per user key — the sub-skiplist
-// compaction of Section III-D, which removes invalid nodes so later reads
-// walk one list instead of many. The sub-skiplists are sorted runs, so they
-// are k-way merged in internal-key order (user key ascending, sequence
-// descending: the first version met of a key is its freshest in any table,
-// and on identical internal keys the earlier table wins) and the survivors,
-// which ascend, go into the global list through one finger instead of a
-// head-to-leaf search each. A key already in the list is replaced only by a
-// higher sequence. Every key is recorded in the global negative filter
-// before it is upserted, keeping the filter sound for the compacted-view read
-// path. Charged to th — the index thread's clock, or recovery's: one visit
-// per source node consumed plus the finger's, at the bulk-build rate.
-func (e *Engine) mergeInto(th *hw.Thread, global *skiplist.List, globalFilter *memfilter.Filter, tables []*immTable) {
-	srcs := make([]lsm.Iterator, len(tables))
-	for i, t := range tables {
-		srcs[i] = &addrIter{Iterator: t.list.NewIterator(), base: t.base}
-	}
+// compaction of Section III-D, which removes invalid nodes so that a later
+// read probes one index instead of one per table. Each sub-skiplist is walked
+// in internal-key order, so a key's first node in a table is its freshest
+// there, and only that one is upserted: the index takes a version only over a
+// lower sequence, so the tables may come in any order and, on identical
+// internal keys (one table recovered from both its ImmZone copy and its slot),
+// the earlier table wins. Charged to th — the index thread's clock, or
+// recovery's — at the bulk-build rate: one visit per source node and one per
+// line the index touches.
+func (e *Engine) mergeInto(th *hw.Thread, x *hashIndex, tables []*immTable) {
 	visits := 0
-	finger := global.NewFinger(func(n int) { visits += n })
-	var last []byte // user key of the previous source entry (non-nil even when empty)
-	var gv [17]byte // the node value being set; the list copies it
-	var it lsm.MergingIterator
-	it.Reset(srcs)
-	it.SeekToFirst()
-	if globalFilter != nil && it.Valid() {
-		// The run's keys ascend, so its first key and the largest of the
-		// tables' last keys bound it: fenced once here, the filter's fences
-		// do not move again (and copy no key) as the run is added below.
-		globalFilter.Add(it.Key().UserKey())
-		globalFilter.Add(maxUserKey(tables))
-	}
-	for ; it.Valid(); it.Next() {
-		visits++
-		ik := it.Key()
-		ukey := ik.UserKey()
-		if last != nil && bytes.Equal(ukey, last) {
-			continue // an older version of the key just handled
-		}
-		last = ukey
-		if cur, ok := finger.Seek(ukey); ok {
-			if seq, _, _ := decodeGlobalVal(cur); ik.Seq() <= seq {
-				continue
+	var it skiplist.Iterator
+	for _, t := range tables {
+		t.list.ResetIterator(&it)
+		var last []byte // user key of the previous node (non-nil even when empty)
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			visits++
+			ik := util.InternalKey(it.Key())
+			if ukey := ik.UserKey(); last == nil || !bytes.Equal(ukey, last) {
+				last = ukey
+				visits += x.upsert(ukey, ik.Trailer(), t.base+util.Fixed64(it.Value()))
 			}
 		}
-		// Filter first, list second: a reader that finds the key in the
-		// list must also find it in the filter.
-		if globalFilter != nil {
-			globalFilter.Add(ukey)
-		}
-		finger.Set(encodeGlobalVal(gv[:0], ik.Seq(), ik.Kind(), util.Fixed64(it.Value())))
 	}
 	th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
-}
-
-// maxUserKey returns the largest user key in the tables' sub-skiplists; at
-// least one holds an entry.
-func maxUserKey(tables []*immTable) []byte {
-	var hi []byte
-	for _, t := range tables {
-		it := t.list.NewIterator()
-		if it.SeekToLast(); it.Valid() {
-			if uk := util.InternalKey(it.Key()).UserKey(); hi == nil || bytes.Compare(uk, hi) > 0 {
-				hi = uk
-			}
-		}
-	}
-	return hi
 }

@@ -11,7 +11,7 @@
 //     (Section III-B);
 //   - flush.go: the copy-based flush that non-temporally copies full
 //     sub-ImmMemTables into the PMem ImmZone (Section III-C), the
-//     sub-skiplist compaction into a global skiplist (Section III-D), and
+//     sub-skiplist compaction into a global index (Section III-D), and
 //     the L0 spill into the LSM tree;
 //   - engine.go: the kvstore.DB surface, background threads, and crash
 //     recovery (Section III-E).

@@ -14,13 +14,13 @@ import (
 // eADR the whole sub-MemTable pool was drained from the caches into the PMem
 // backing, so the committed prefix of every sub-MemTable — everything the
 // packed header's counter covers — is intact. The DRAM side (sub-skiplists,
-// global skiplist, imm-table registry) is gone and is reconstructed here:
+// global index, imm-table registry) is gone and is reconstructed here:
 //
 //  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers;
 //  2. for each non-Free sub-MemTable, rebuild its sub-skiplist from the data
 //     region, flush it into the ImmZone, and mark the slot Free so it can be
 //     re-assigned (the paper's recovery resets allocated tables to Free);
-//  3. re-run the sub-skiplist compaction to rebuild the global skiplist.
+//  3. re-run the sub-skiplist compaction to rebuild the global index.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), e.opts.Elastic)
 	if err != nil {
@@ -83,9 +83,15 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 		p.writeHdr(th, s, packHdr(0, stateFree, 0))
 	}
 
-	// Step 3: rebuild the global skiplist, every table in one merge.
+	// Step 3: rebuild the global index, every table in one merge into an
+	// index sized for all their entries.
 	if e.opts.SkiplistCompaction {
-		e.mergeInto(th, e.mem.global, e.mem.globalFilter, e.mem.imms)
+		var n uint64
+		for _, t := range e.mem.imms {
+			n += t.count
+		}
+		e.mem.global = newHashIndex(seededHash, int(n))
+		e.mergeInto(th, e.mem.global, e.mem.imms)
 		for _, t := range e.mem.imms {
 			t.compacted = true
 		}

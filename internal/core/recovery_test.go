@@ -11,7 +11,6 @@ import (
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
-	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
 
@@ -299,7 +298,7 @@ func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
 // active sub-MemTable, two keys in five overwritten, 16 B keys and 64 B values
 // as in the ledger's crash-recover row. Reading each table once and merging
 // the sub-skiplists costs about 90 vns per entry; a second read of each entry
-// or a per-key search of the global skiplist took it to 300 (340 at the
+// or a per-key search of a global skiplist took it to 300 (340 at the
 // ledger's table count).
 func TestRecoveryVirtualCost(t *testing.T) {
 	m := testMachine()
@@ -337,20 +336,24 @@ func TestRecoveryVirtualCost(t *testing.T) {
 	if len(e2.mem.imms) != 5 || entries != uint64(n) {
 		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, len(e2.mem.imms), n)
 	}
-	// Step 3 on its own: the same merge again, into an empty list with the
-	// global skiplist's seed, so it repeats to the visit.
+	// Step 3 on its own: the same merge again, into an empty index sized the
+	// way recovery sizes it, so it repeats to the line.
 	th3 := m.NewThread(0)
-	e2.mergeInto(th3, skiplist.New(nil, 0xC0117EC7), nil, e2.mem.imms)
+	x := newHashIndex(seededHash, int(entries))
+	e2.mergeInto(th3, x, e2.mem.imms)
 	merge := th3.Clock.Now()
+	if got := len(x.tab.Load().buckets); got != len(e2.mem.global.tab.Load().buckets) {
+		t.Errorf("step 3 again ends with %d buckets, recovery's index %d", got, len(e2.mem.global.tab.Load().buckets))
+	}
 
 	perEntry := float64(total) / float64(entries)
-	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-skiplist rebuild %d vns (%.0f%%)",
+	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-index rebuild %d vns (%.0f%%)",
 		total, entries, perEntry, merge, 100*float64(merge)/float64(total))
 	if perEntry > 150 {
 		t.Errorf("recovery costs %.1f vns per entry, want at most 150", perEntry)
 	}
 	if merge*4 >= total {
-		t.Errorf("rebuilding the global skiplist is %d of recovery's %d vns, want under a quarter", merge, total)
+		t.Errorf("rebuilding the global index is %d of recovery's %d vns, want under a quarter", merge, total)
 	}
 }
 
@@ -440,7 +443,7 @@ func FuzzRebuildList(f *testing.F) {
 	slotRegion := m.Alloc("fuzz.slot", 32<<10, 64)
 	th := m.NewThread(0)
 	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
-		e := &Engine{m: m, mem: newMemState(16, 10)}
+		e := &Engine{m: m, mem: newMemState(10)}
 
 		// The ImmZone path: header, then the bytes, then zeroes to the zone's end.
 		img := make([]byte, zone.Size)

@@ -100,9 +100,10 @@ type Result struct {
 	Recovered       map[string]string // post-recovery present keys
 	// FilterProbes/FilterNegatives capture the recovered engine's negative-
 	// filter counters after the oracle's probes, when the engine exposes
-	// them (CacheKV family). The oracle's Gets all go through the rebuilt
-	// filters, so a zero probe count would mean the filters were not
-	// exercised.
+	// them (CacheKV family). Without sub-skiplist compaction the oracle's
+	// Gets all go through the recovered tables' rebuilt filters, so a zero
+	// probe count would mean the filters were not exercised; CacheKV's Gets
+	// go through its rebuilt global index instead.
 	FilterProbes    int64
 	FilterNegatives int64
 }

@@ -155,32 +155,6 @@ func (h *H) Max() int64 {
 	return h.max
 }
 
-// Summary is a JSON-marshalable digest of the distribution.
-type Summary struct {
-	Count  int64   `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P90Ns  float64 `json:"p90_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-	MinNs  int64   `json:"min_ns"`
-	MaxNs  int64   `json:"max_ns"`
-}
-
-// Summary digests the histogram for machine-readable reports.
-func (h *H) Summary() Summary {
-	return Summary{
-		Count:  h.Count(),
-		MeanNs: h.Mean(),
-		P50Ns:  h.Percentile(50),
-		P90Ns:  h.Percentile(90),
-		P99Ns:  h.Percentile(99),
-		P999Ns: h.Percentile(99.9),
-		MinNs:  h.Min(),
-		MaxNs:  h.Max(),
-	}
-}
-
 // String renders a db_bench-style summary line.
 func (h *H) String() string {
 	return fmt.Sprintf("count=%d mean=%.1fns p50=%.0fns p99=%.0fns max=%dns",

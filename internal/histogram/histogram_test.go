@@ -94,9 +94,8 @@ func TestSingleSample(t *testing.T) {
 			t.Fatalf("p%v of single sample = %v, want 12345", p, v)
 		}
 	}
-	s := h.Summary()
-	if s.Count != 1 || s.MinNs != 12345 || s.MaxNs != 12345 || s.MeanNs != 12345 {
-		t.Fatalf("single-sample summary = %+v", s)
+	if h.Count() != 1 || h.Min() != 12345 || h.Max() != 12345 || h.Mean() != 12345 {
+		t.Fatalf("single sample: count %d min %d max %d mean %v", h.Count(), h.Min(), h.Max(), h.Mean())
 	}
 }
 
@@ -119,15 +118,17 @@ func TestMaxBucketOverflow(t *testing.T) {
 	}
 }
 
+// TestEmptySummary: every statistic of an empty histogram reads zero.
 func TestEmptySummary(t *testing.T) {
-	s := New().Summary()
-	if s.Count != 0 || s.MeanNs != 0 || s.P50Ns != 0 || s.P99Ns != 0 || s.MinNs != 0 || s.MaxNs != 0 {
-		t.Fatalf("empty summary = %+v", s)
+	h := New()
+	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(50) != 0 || h.Percentile(99) != 0 || h.Min() != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram: count %d mean %v p50 %v p99 %v min %d max %d",
+			h.Count(), h.Mean(), h.Percentile(50), h.Percentile(99), h.Min(), h.Max())
 	}
 }
 
 func TestConcurrentRecordAndRead(t *testing.T) {
-	// Writers hammer Record while readers take percentiles and summaries;
+	// Writers hammer Record while readers take percentiles and extremes;
 	// run under -race this pins the locking discipline.
 	h := New()
 	var writers, readers sync.WaitGroup
@@ -151,7 +152,7 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 					return
 				default:
 					_ = h.Percentile(99)
-					_ = h.Summary()
+					_ = h.Max()
 					_ = h.Mean()
 				}
 			}
@@ -211,12 +212,9 @@ func TestMergeMatchesSingleStream(t *testing.T) {
 			t.Fatalf("p%v: merged %f != single %f", p, m, s)
 		}
 	}
-	ms, ss := merged.Summary(), single.Summary()
-	if ms != ss {
-		t.Fatalf("summaries differ: %+v vs %+v", ms, ss)
-	}
 }
 
+// TestSummaryP999: the tail digest separates p99.9 from p99.
 func TestSummaryP999(t *testing.T) {
 	h := New()
 	// 9980 fast ops and 20 slow outliers: p99 stays low, p99.9 must reach
@@ -227,14 +225,14 @@ func TestSummaryP999(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h.Record(1_000_000)
 	}
-	s := h.Summary()
-	if s.P999Ns < s.P99Ns {
-		t.Fatalf("p99.9 %f below p99 %f", s.P999Ns, s.P99Ns)
+	p99, p999 := h.Percentile(99), h.Percentile(99.9)
+	if p999 < p99 {
+		t.Fatalf("p99.9 %f below p99 %f", p999, p99)
 	}
-	if s.P99Ns >= 1000 {
-		t.Fatalf("p99 %f should not see the 0.1%% tail", s.P99Ns)
+	if p99 >= 1000 {
+		t.Fatalf("p99 %f should not see the 0.1%% tail", p99)
 	}
-	if s.P999Ns < 100_000 {
-		t.Fatalf("p99.9 %f missed the outlier tail", s.P999Ns)
+	if p999 < 100_000 {
+		t.Fatalf("p99.9 %f missed the outlier tail", p999)
 	}
 }

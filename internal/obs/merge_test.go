@@ -9,7 +9,7 @@ import (
 // TestCollectorMergeMatchesSingleStream pins the sharded-collection contract:
 // per-shard collectors folded with Merge must be indistinguishable from one
 // collector that saw every span — identical totals, identical per-layer
-// attribution, identical histogram summaries (and hence percentiles).
+// attribution, identical histograms (counts, extremes and percentiles).
 func TestCollectorMergeMatchesSingleStream(t *testing.T) {
 	m := hw.NewMachine(hw.DefaultConfig())
 	th := m.NewThread(0)
@@ -42,9 +42,14 @@ func TestCollectorMergeMatchesSingleStream(t *testing.T) {
 				t.Fatalf("%s/%s: merged layer ns %d != single %d", op, hw.LayerName(l), got, want)
 			}
 		}
-		ms, ss := merged.Hist(op).Summary(), single.Hist(op).Summary()
-		if ms != ss {
-			t.Fatalf("%s: merged summary %+v != single %+v", op, ms, ss)
+		mh, sh := merged.Hist(op), single.Hist(op)
+		if mh.Count() != sh.Count() || mh.Mean() != sh.Mean() || mh.Min() != sh.Min() || mh.Max() != sh.Max() {
+			t.Fatalf("%s: merged histogram %v != single %v", op, mh, sh)
+		}
+		for _, p := range []float64{50, 90, 99, 99.9} {
+			if m, s := mh.Percentile(p), sh.Percentile(p); m != s {
+				t.Fatalf("%s: merged p%v %f != single %f", op, p, m, s)
+			}
 		}
 	}
 }

@@ -47,25 +47,10 @@ func TestInsertAllocs(t *testing.T) {
 	}); got > 0.1 {
 		t.Errorf("Insert over an existing key allocates %.3f objects, want at most 0.1", got)
 	}
-	for i := range keys {
-		keys[i] = key(i)
-	}
-	next = 0
-	fl := New(nil, 1)
-	if got := amortised(n, func(n int) {
-		fg := fl.NewFinger(nil) // each call is an ascending run of its own
-		for ; n > 0; n-- {
-			fg.Seek(keys[next])
-			fg.Set(value)
-			next++
-		}
-	}); got > 0.1 {
-		t.Errorf("Finger.Set allocates %.3f objects per key, want at most 0.1", got)
-	}
 }
 
-// TestOwnershipCallerBuffers: Insert, Finger.Seek and Finger.Set copy what
-// they are handed, so a caller that reuses one key buffer and one value buffer
+// TestOwnershipCallerBuffers: Insert copies what it is handed, a new key or a
+// replaced value, so a caller that reuses one key buffer and one value buffer
 // for every entry reads every entry back as it was written.
 func TestOwnershipCallerBuffers(t *testing.T) {
 	const n = 5000
@@ -81,18 +66,12 @@ func TestOwnershipCallerBuffers(t *testing.T) {
 			v[j] = 0xEE
 		}
 	}
-	fg := l.NewFinger(nil)
 	for i := 0; i < n; i++ { // odd keys are new, even ones replaced
-		k = append(k[:0], key(i)...)
-		_, found := fg.Seek(k)
-		if found != (i%2 == 0) {
-			t.Fatalf("Seek(%s) found = %v", key(i), found)
-		}
-		for j := range k { // between Seek and Set the key is already the finger's
+		k, v = append(k[:0], key(i)...), append(v[:0], fmt.Sprintf("w%d", i)...)
+		l.Insert(k, v, nil)
+		for j := range k {
 			k[j] = 0xEE
 		}
-		v = append(v[:0], fmt.Sprintf("w%d", i)...)
-		fg.Set(v)
 		for j := range v {
 			v[j] = 0xEE
 		}
@@ -120,9 +99,7 @@ func TestOwnershipViewsOutliveReplacement(t *testing.T) {
 	l.Insert([]byte("k"), []byte("first"), nil)
 	old, _ := l.Get([]byte("k"), nil)
 	l.Insert([]byte("k"), []byte("again"), nil)
-	fg := l.NewFinger(nil)
-	fg.Seek([]byte("k"))
-	fg.Set([]byte("third"))
+	l.Insert([]byte("k"), []byte("third"), nil)
 	if now, _ := l.Get([]byte("k"), nil); string(old) != "first" || string(now) != "third" {
 		t.Fatalf("the view reads %q and Get %q, want first and third", old, now)
 	}

@@ -1,21 +1,19 @@
 // Package skiplist implements the concurrent ordered map used for every
-// memtable index in the repository: the baselines' MemTable skiplists, the
-// per-sub-MemTable sub-skiplists of CacheKV's lazy index, and the global
-// skiplist produced by sub-skiplist compaction.
+// memtable index in the repository: the baselines' MemTable skiplists and the
+// per-sub-MemTable sub-skiplists of CacheKV's lazy index.
 //
 // Inserts are lock-free (CAS splicing at every level, as in LevelDB's
 // concurrent skiplist but allowing many writers); reads never block. Nodes
 // are never physically removed — LSM semantics supersede entries with newer
 // sequence numbers instead — except via whole-list replacement during
-// compaction. A sorted run is merged in through a Finger, a single-writer
-// cursor that resumes each search where the previous key's ended.
+// compaction.
 //
 // A list owns its memory: nodes, towers and the key and value bytes it is
 // handed are carved out of chunked slabs that belong to the list and are
-// collected with it. Insert and Finger.Set copy what they are given, so a
-// caller may reuse its buffers as soon as the call returns; a key or value the
-// list hands back (Get, Iterator, Finger.Seek) stays valid, and unchanged, for
-// as long as the list is reachable.
+// collected with it. Insert copies what it is given, so a caller may reuse
+// its buffers as soon as the call returns; a key or value the list hands back
+// (Get, Iterator) stays valid, and unchanged, for as long as the list is
+// reachable.
 //
 // Because the same structure lives in DRAM in some engines and in PMem in
 // others (where node visits are ~3-4x slower), operations accept an optional
@@ -245,109 +243,6 @@ func (l *List) Insert(key, value []byte, charge ChargeFunc) {
 	}
 }
 
-// Finger is an upsert cursor for feeding a list keys in ascending order — a
-// merge of sorted runs, not a stream of unrelated inserts. It remembers the
-// predecessor of the last key at every level and resumes the next search from
-// there, so a run of n ascending keys costs O(log gap) visits each, where gap
-// is the number of nodes between one key and the next, instead of O(log Len).
-// A key below the previous one is still correct: it restarts from the head.
-//
-// A finger is the list's only writer for as long as it is in use (the cached
-// predecessors would go stale under a concurrent Insert); Get and iterators
-// run against it lock-free as they do against Insert.
-type Finger struct {
-	l      *List
-	charge ChargeFunc
-	// prev[i] is the last level-i node whose key is below key (the head when
-	// there is none), so prev[i].next[i] is nil or at/after key.
-	prev  [maxHeight]*node
-	key   []byte // the finger's own copy of the last key sought
-	found *node  // the node holding key, nil when absent
-}
-
-// NewFinger returns a finger positioned before the first entry. Every Seek
-// reports its node visits through charge (nil charges nothing).
-func (l *List) NewFinger(charge ChargeFunc) *Finger {
-	f := &Finger{l: l, charge: charge}
-	f.rewind()
-	return f
-}
-
-func (f *Finger) rewind() {
-	for i := range f.prev {
-		f.prev[i] = f.l.head
-	}
-}
-
-// Seek moves the finger to key and returns the value stored there, if any.
-// The key is copied: the caller may reuse it before the following Set.
-func (f *Finger) Seek(key []byte) ([]byte, bool) {
-	l := f.l
-	if f.key != nil && l.cmp(key, f.key) < 0 {
-		f.rewind()
-	}
-	f.key = append(f.key[:0], key...)
-	// Climb while the predecessor one level up still has a successor below
-	// key: once a level cannot advance, no level above it can.
-	visits, top := 1, -1
-	var x *node
-	for height := int(l.height.Load()); top+1 < height; top++ {
-		next := f.prev[top+1].next[top+1].Load()
-		if next == nil || l.cmp(next.key, key) >= 0 {
-			break
-		}
-		x = next
-		visits++
-	}
-	// Then the usual descent, from the last node the climb stepped onto.
-	for level := top; level >= 0; level-- {
-		for {
-			next := x.next[level].Load()
-			if next == nil || l.cmp(next.key, key) >= 0 {
-				break
-			}
-			x = next
-			visits++
-		}
-		f.prev[level] = x
-	}
-	if f.charge != nil {
-		f.charge(visits)
-	}
-	if n := f.prev[0].next[0].Load(); n != nil && l.cmp(n.key, key) == 0 {
-		f.found = n
-		return *n.value.Load(), true
-	}
-	f.found = nil
-	return nil, false
-}
-
-// Set stores a copy of value at the key of the last Seek: an existing node's
-// value is replaced atomically, otherwise a node is spliced in behind the
-// remembered predecessors, bottom-up so that it is complete at every level a
-// reader can reach it from.
-func (f *Finger) Set(value []byte) {
-	l := f.l
-	if f.found != nil {
-		l.replace(f.found, value)
-		return
-	}
-	l.mu.lock()
-	n := l.newNode(f.key, value, l.randomHeight())
-	l.mu.unlock()
-	h := len(n.next)
-	if h > int(l.height.Load()) {
-		// prev is still the head at every level above the old height.
-		l.height.Store(int32(h))
-	}
-	for i := 0; i < h; i++ {
-		n.next[i].Store(f.prev[i].next[i].Load())
-		f.prev[i].next[i].Store(n)
-	}
-	l.length.Add(1)
-	f.found = n
-}
-
 // Get returns the value stored at exactly key, or (nil, false).
 func (l *List) Get(key []byte, charge ChargeFunc) ([]byte, bool) {
 	n, visits := l.findGE(key, nil)
@@ -398,27 +293,4 @@ func (it *Iterator) Seek(key []byte, charge ChargeFunc) {
 		charge(visits)
 	}
 	it.n = n
-}
-
-// SeekToLast positions at the largest entry (linear at the top levels; used
-// only by reverse scans, which are rare).
-func (it *Iterator) SeekToLast() {
-	x := it.l.head
-	level := int(it.l.height.Load()) - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil {
-			x = next
-			continue
-		}
-		if level == 0 {
-			break
-		}
-		level--
-	}
-	if x == it.l.head {
-		it.n = nil
-		return
-	}
-	it.n = x
 }

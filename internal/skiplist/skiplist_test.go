@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -23,10 +22,6 @@ func TestEmptyList(t *testing.T) {
 	it.SeekToFirst()
 	if it.Valid() {
 		t.Fatal("iterator valid on empty list")
-	}
-	it.SeekToLast()
-	if it.Valid() {
-		t.Fatal("SeekToLast valid on empty list")
 	}
 }
 
@@ -111,10 +106,6 @@ func TestSeek(t *testing.T) {
 	it.Seek([]byte("k999"), nil)
 	if it.Valid() {
 		t.Fatal("Seek past end should be invalid")
-	}
-	it.SeekToLast()
-	if !it.Valid() || string(it.Key()) != "k098" {
-		t.Fatalf("SeekToLast landed on %s", it.Key())
 	}
 }
 
@@ -261,26 +252,6 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 		if it.Valid() {
 			return false
 		}
-		// A finger fed the same upserts builds the same list, in ascending
-		// order (what it is for; the stable sort keeps a key's last value
-		// last) and in arrival order (every smaller key restarts from the head).
-		arrival := make([]int, len(keys))
-		for i := range arrival {
-			arrival[i] = i
-		}
-		ascending := append([]int(nil), arrival...)
-		sort.SliceStable(ascending, func(a, b int) bool { return bytes.Compare(keys[ascending[a]], keys[ascending[b]]) < 0 })
-		for _, order := range [][]int{ascending, arrival} {
-			fl := New(nil, 7)
-			fg := fl.NewFinger(nil)
-			for _, i := range order {
-				fg.Seek(append([]byte(nil), keys[i]...))
-				fg.Set([]byte(fmt.Sprintf("v%d", i)))
-			}
-			if fl.Len() != l.Len() || !sameEntries(l, fl) {
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -288,23 +259,8 @@ func TestPropertyMatchesSortedMap(t *testing.T) {
 	}
 }
 
-// key is the i-th of the fixed-width keys the finger tests upsert in order.
+// key is the i-th of a run of fixed-width keys.
 func key(i int) []byte { return []byte(fmt.Sprintf("k%08d", i)) }
-
-// sameEntries reports whether two lists hold the same keys and values in the
-// same order.
-func sameEntries(a, b *List) bool {
-	ia, ib := a.NewIterator(), b.NewIterator()
-	ia.SeekToFirst()
-	ib.SeekToFirst()
-	for ; ia.Valid() && ib.Valid(); ia.Next() {
-		if !bytes.Equal(ia.Key(), ib.Key()) || !bytes.Equal(ia.Value(), ib.Value()) {
-			return false
-		}
-		ib.Next()
-	}
-	return !ia.Valid() && !ib.Valid()
-}
 
 // checkTowers verifies every level of the list: keys strictly ascend, and a
 // node linked at level i is linked at every level below it.
@@ -326,165 +282,5 @@ func checkTowers(t *testing.T, l *List) {
 		if l.head.next[level].Load() != nil {
 			t.Fatalf("level %d is linked above the list height %d", level, l.height.Load())
 		}
-	}
-}
-
-func TestFingerEqualKeysReplace(t *testing.T) {
-	l := New(nil, 3)
-	l.Insert([]byte("b"), []byte("old"), nil)
-	fg := l.NewFinger(nil)
-	if _, ok := fg.Seek([]byte("a")); ok {
-		t.Fatal("Seek found a key that was never inserted")
-	}
-	fg.Set([]byte("a1"))
-	// The same key again, straight after the Set that created it.
-	if v, ok := fg.Seek([]byte("a")); !ok || string(v) != "a1" {
-		t.Fatalf("Seek(a) after Set = %q, %v", v, ok)
-	}
-	fg.Set([]byte("a2"))
-	if v, ok := fg.Seek([]byte("b")); !ok || string(v) != "old" {
-		t.Fatalf("Seek(b) = %q, %v, want the inserted value", v, ok)
-	}
-	fg.Set([]byte("new"))
-	fg.Set([]byte("newer")) // a second Set lands on the same node
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d after replacing, want 2", l.Len())
-	}
-	for k, want := range map[string]string{"a": "a2", "b": "newer"} {
-		if v, ok := l.Get([]byte(k), nil); !ok || string(v) != want {
-			t.Fatalf("Get(%s) = %q, %v, want %q", k, v, ok, want)
-		}
-	}
-}
-
-// TestFingerRaisesHeight drives one finger from an empty one-level list to a
-// tall one, and a second finger through a list that already is: towers taller
-// than anything the finger has descended must be spliced in at every level.
-func TestFingerRaisesHeight(t *testing.T) {
-	const n = 20000
-	l := New(nil, 11)
-	fg := l.NewFinger(nil)
-	raises, height := 0, l.height.Load()
-	for i := 0; i < n; i += 2 {
-		fg.Seek(key(i))
-		fg.Set(key(i))
-		if h := l.height.Load(); h > height {
-			raises, height = raises+1, h
-		}
-	}
-	if raises < 3 {
-		t.Fatalf("the list grew taller %d times; the test needs mid-run raises", raises)
-	}
-	checkTowers(t, l)
-	// Odd keys interleave with what is there, from a fresh finger.
-	fg = l.NewFinger(nil)
-	for i := 1; i < n; i += 2 {
-		if _, ok := fg.Seek(key(i)); ok {
-			t.Fatalf("%s found before it was set", key(i))
-		}
-		fg.Set(key(i))
-	}
-	checkTowers(t, l)
-	if l.Len() != n {
-		t.Fatalf("Len = %d, want %d", l.Len(), n)
-	}
-	it := l.NewIterator()
-	it.SeekToFirst()
-	for i := 0; i < n; i++ {
-		if !it.Valid() || !bytes.Equal(it.Key(), key(i)) {
-			t.Fatalf("entry %d missing from the bottom level", i)
-		}
-		if v, ok := l.Get(key(i), nil); !ok || !bytes.Equal(v, key(i)) {
-			t.Fatalf("Get(%s) = %q, %v", key(i), v, ok)
-		}
-		it.Next()
-	}
-}
-
-// TestFingerVisits pins what the finger is for: ascending upserts report
-// their visits, and cost a fraction of what head-to-leaf inserts do.
-func TestFingerVisits(t *testing.T) {
-	const base, n = 50000, 5000
-	build := func() *List {
-		l := New(nil, 5)
-		for i := 0; i < base; i++ {
-			l.Insert(key(i*10), nil, nil)
-		}
-		return l
-	}
-	var inserted, fingered int
-	l := build()
-	for i := 0; i < n; i++ {
-		l.Insert(key(i*100+5), nil, func(v int) { inserted += v })
-	}
-	l = build()
-	fg := l.NewFinger(func(v int) {
-		if v < 1 {
-			t.Fatalf("a Seek reported %d visits", v)
-		}
-		fingered += v
-	})
-	for i := 0; i < n; i++ {
-		fg.Seek(key(i*100 + 5))
-		fg.Set(nil)
-	}
-	t.Logf("visits per upsert: Insert %.1f, finger %.1f", float64(inserted)/n, float64(fingered)/n)
-	if fingered == 0 || fingered*2 > inserted {
-		t.Fatalf("finger made %d visits, Insert %d: want well under half", fingered, inserted)
-	}
-}
-
-// TestFingerConcurrentReaders runs Get and iterators against a live finger
-// writer (run with -race): a reader must find every key published before it
-// looked, and always walk keys in order.
-func TestFingerConcurrentReaders(t *testing.T) {
-	const n = 20000
-	l := New(nil, 13)
-	for i := 0; i < n; i += 4 { // the writer both replaces and inserts
-		l.Insert(key(i), []byte("old"), nil)
-	}
-	var published atomic.Int64 // keys below it are set
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		fg := l.NewFinger(nil)
-		for i := 0; i < n; i++ {
-			fg.Seek(key(i))
-			fg.Set([]byte("new"))
-			published.Store(int64(i + 1))
-		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r)))
-			for published.Load() < n {
-				if p := int(published.Load()); p > 0 {
-					k := key(rng.Intn(p))
-					if v, ok := l.Get(k, nil); !ok || string(v) != "new" {
-						t.Errorf("Get(%s) = %q, %v after it was published", k, v, ok)
-						return
-					}
-				}
-				it := l.NewIterator()
-				it.Seek(key(rng.Intn(n)), nil)
-				var prev []byte
-				for j := 0; it.Valid() && j < 32; j++ {
-					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-						t.Errorf("iterator went from %q to %q", prev, it.Key())
-						return
-					}
-					prev = it.Key()
-					it.Next()
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	checkTowers(t, l)
-	if l.Len() != n {
-		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
 }
