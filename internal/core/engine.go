@@ -213,6 +213,10 @@ type Engine struct {
 	pendingFlushBytes atomic.Int64
 	flow              *flowControl
 
+	// spillMu orders the ImmZone's two writers. A flush holds it shared from
+	// its allocation through registering its table, a spill exclusively from
+	// reading the registry through resetting the zone: no table registers
+	// while a spill runs, so a spill writes out every registered table.
 	spillMu   sync.RWMutex
 	spillBufs [][]byte // a spill's table snapshots, reused by the next (spillMu held)
 	stats     Stats
@@ -301,10 +305,11 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 
 	e.flow = newFlowControl(e.flowTable(), env.index, opts)
 
+	var sealed []*slot
 	if recovered {
 		e.trace.Emit(th.Clock.Now(), "recovery_start", "engine", e.Name(), "shard", env.index)
 		th.InPhase(hw.PhaseRecovery, func() {
-			err = e.recover(poolRegion, th)
+			sealed, err = e.recover(poolRegion, th)
 		})
 		if err != nil {
 			return nil, err
@@ -313,7 +318,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		nImms := len(e.mem.imms)
 		e.mem.mu.RUnlock()
 		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", env.index,
-			"imm_tables", nImms, "filters_rebuilt", nImms, "last_seq", e.seq.Load())
+			"imm_tables", nImms, "filters_rebuilt", nImms+len(sealed), "last_seq", e.seq.Load())
 	} else {
 		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), opts.Elastic, th)
 		if err != nil {
@@ -324,6 +329,11 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	e.pool.sealFn = e.queueSealed
 
 	e.startBackground()
+	// Recovery sealed the pool's live sub-MemTables: the flush kind copies
+	// them into the ImmZone as it copies any full one.
+	for _, s := range sealed {
+		e.queueSealed(th.Clock.Now(), s)
+	}
 	// A recovered tree may reopen with debt already due (crash mid-burst).
 	e.compacts.Submit(th.Clock.Now(), struct{}{})
 	// A recovered engine may reopen already under pressure (crash mid-stall).
@@ -381,9 +391,6 @@ func (e *Engine) Name() string {
 		return "CacheKV"
 	}
 }
-
-// GetStats returns the engine's counters.
-func (e *Engine) GetStats() *Stats { return &e.stats }
 
 // engineMetric is one metric every engine publishes: a counter (count) or a
 // gauge (level). Engine.RegisterObs publishes the table for its one engine,
@@ -533,13 +540,10 @@ func (e *Engine) FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64)
 }
 
 // DebugForceFlowState pins the flow-control state machine to state s at
-// virtual time at, suppressing signal-driven transitions until
-// DebugUnforceFlowState. Deterministic crash harnesses script stall phases
-// with it; production code never calls it.
+// virtual time at, suppressing signal-driven transitions for good.
+// Deterministic crash harnesses script stall phases with it; production code
+// never calls it.
 func (e *Engine) DebugForceFlowState(at int64, s FlowState) { e.flow.force(at, s) }
-
-// DebugUnforceFlowState releases a DebugForceFlowState pin.
-func (e *Engine) DebugUnforceFlowState() { e.flow.forceOff() }
 
 // FilterStats reports memory-component negative-filter probes and rejections.
 func (e *Engine) FilterStats() (probes, negatives int64) {
@@ -548,9 +552,6 @@ func (e *Engine) FilterStats() (probes, negatives int64) {
 
 // BlockCacheStats reports the block cache's counters.
 func (e *Engine) BlockCacheStats() blockcache.Stats { return e.tree.CacheStats() }
-
-// PoolSlots reports the current number of usable sub-MemTables.
-func (e *Engine) PoolSlots() int { return e.pool.numSlots() }
 
 // queueSealed hands a sealed slot to the copy-based flush: the one place a
 // seal enters the backlog accounting, the lifecycle trace (exactly one

@@ -460,7 +460,7 @@ func TestElasticitySplitsUnderPressure(t *testing.T) {
 	m := testMachine()
 	e, th := openEngine(t, m, opts)
 	defer e.Close(th)
-	before := e.PoolSlots()
+	before := e.pool.numSlots()
 	// Hammer writes from many cores so slots run out and misses accumulate.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -474,8 +474,8 @@ func TestElasticitySplitsUnderPressure(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if e.PoolSlots() <= before {
-		t.Fatalf("elasticity never split: %d -> %d slots", before, e.PoolSlots())
+	if e.pool.numSlots() <= before {
+		t.Fatalf("elasticity never split: %d -> %d slots", before, e.pool.numSlots())
 	}
 }
 
@@ -556,7 +556,7 @@ func TestElasticityMergesWhenQuiet(t *testing.T) {
 	m := testMachine()
 	e, th := openEngine(t, m, opts)
 	defer e.Close(th)
-	before := e.PoolSlots()
+	before := e.pool.numSlots()
 	if before < 10 {
 		t.Fatalf("expected a fragmented pool, got %d slots", before)
 	}
@@ -573,10 +573,10 @@ func TestElasticityMergesWhenQuiet(t *testing.T) {
 		if err := e.FlushAll(th); err != nil {
 			t.Fatal(err)
 		}
-		merged = e.PoolSlots() < before
+		merged = e.pool.numSlots() < before
 	}
 	if !merged {
-		t.Fatalf("quiet periods never merged slots: still %d", e.PoolSlots())
+		t.Fatalf("quiet periods never merged slots: still %d", e.pool.numSlots())
 	}
 	// Data stays intact through the geometry changes.
 	for i := 0; i < 120000; i += 7919 {

@@ -296,7 +296,7 @@ func TestFlowEngineDeadlineUnderForcedStop(t *testing.T) {
 	}
 
 	// The rejected writes left nothing behind, and the pre-stall key survived.
-	e.DebugUnforceFlowState()
+	e.flow.forceOff()
 	e.flow.recompute(th.Clock.Now(), "test")
 	if got := e.FlowState(); got != FlowOK {
 		t.Fatalf("state after unforce: %v", got)
@@ -351,9 +351,9 @@ func TestFlowPerShardIndependence(t *testing.T) {
 	if stalled == 0 || admitted == 0 {
 		t.Fatalf("keys did not cover both halves: stalled=%d admitted=%d", stalled, admitted)
 	}
-	sh.DebugUnforceFlowState()
-	for k := range sh.shards {
-		sh.shards[k].flow.recompute(th.Clock.Now(), "test")
+	for _, e := range sh.shards {
+		e.flow.forceOff()
+		e.flow.recompute(th.Clock.Now(), "test")
 	}
 	if got := sh.FlowState(); got != FlowOK {
 		t.Fatalf("aggregate state after unforce: %v", got)
@@ -402,7 +402,9 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 		t.Fatal("rejected batch leaked a key on the stopped shard")
 	}
 	// After release the same batch commits whole.
-	sh.DebugUnforceFlowState()
+	for _, e := range sh.shards {
+		e.flow.forceOff()
+	}
 	sh.shards[1].flow.recompute(th.Clock.Now(), "test")
 	if err := sh.Write(th, &b, 1_000_000); err != nil {
 		t.Fatalf("batch after release: %v", err)

@@ -326,10 +326,10 @@ func (e *Engine) spill(th *hw.Thread) {
 // spillLocked merges every sub-ImmMemTable into L0 SSTables, then resets the
 // ImmZone and the global index. Deferred space reclamation happens here —
 // exactly when "the total size of sub-ImmMemTables reaches a pre-configured
-// threshold" (Section III-D). Caller holds spillMu.
+// threshold" (Section III-D). Caller holds spillMu exclusively.
 func (e *Engine) spillLocked(th *hw.Thread) {
 	e.mem.mu.RLock()
-	imms := append([]*immTable(nil), e.mem.imms...)
+	imms := e.mem.imms
 	e.mem.mu.RUnlock()
 	if len(imms) == 0 {
 		return
@@ -370,24 +370,10 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 			break
 		}
 	}
-	// Install the new memory state: drop the spilled tables, fresh global
-	// index, reclaim the zone. Tables flushed concurrently (appended to
-	// e.mem.imms after our snapshot) are preserved — but they cannot exist:
-	// flushOne allocates from the arena we are about to reset, so spillMu
-	// callers serialize with it via the arena retry path. Keep the general
-	// code anyway.
+	// Install the new memory state: no tables, a fresh global index, the
+	// zone reclaimed (spillMu keeps every flush out meanwhile).
 	e.mem.mu.Lock()
-	var rest []*immTable
-	spilled := make(map[*immTable]bool, len(imms))
-	for _, t := range imms {
-		spilled[t] = true
-	}
-	for _, t := range e.mem.imms {
-		if !spilled[t] {
-			rest = append(rest, t)
-		}
-	}
-	e.mem.imms = rest
+	e.mem.imms = nil
 	// The next fill of the zone is likely to bring as many keys as the last.
 	e.mem.global = newHashIndex(seededHash, int(e.mem.global.n.Load()))
 	e.mem.mu.Unlock()
@@ -395,12 +381,10 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	// mirrors (retirement is by tree membership, not sequence — see
 	// pruneRangeTombs).
 	e.pruneRangeTombs()
-	if len(rest) == 0 {
-		e.immArena.Reset()
-		// Invalidate the recovery scan: zero the first header's magic.
-		zero := make([]byte, 8)
-		e.m.Cache.NTWrite(th.Clock, e.immArena.Region().Addr, zero)
-	}
+	e.immArena.Reset()
+	// Invalidate the recovery scan: zero the first header's magic.
+	zero := make([]byte, 8)
+	e.m.Cache.NTWrite(th.Clock, e.immArena.Region().Addr, zero)
 	e.stats.Spills.Add(1)
 	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.env.index, "tables", len(imms), "max_seq", maxSeq)
 }

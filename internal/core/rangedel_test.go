@@ -55,14 +55,14 @@ func TestDeleteRangeBasic(t *testing.T) {
 	if len(seen) != want {
 		t.Fatalf("scan saw %d keys, want %d (%v...)", len(seen), want, seen[:5])
 	}
-	if e.GetStats().RangeDeletes.Load() != 1 {
-		t.Fatalf("RangeDeletes = %d", e.GetStats().RangeDeletes.Load())
+	if e.stats.RangeDeletes.Load() != 1 {
+		t.Fatalf("RangeDeletes = %d", e.stats.RangeDeletes.Load())
 	}
 	// Empty and inverted ranges are no-ops.
 	if err := e.DeleteRange(th, []byte("z"), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if e.GetStats().RangeDeletes.Load() != 1 {
+	if e.stats.RangeDeletes.Load() != 1 {
 		t.Fatal("inverted range counted")
 	}
 }
@@ -142,8 +142,8 @@ func TestBatchDeleteRangeAtomic(t *testing.T) {
 	if _, err := e.Get(th, []byte("key00030")); err != nil {
 		t.Fatalf("key outside batch tombstone lost: %v", err)
 	}
-	if e.GetStats().RangeDeletes.Load() != 1 {
-		t.Fatalf("RangeDeletes = %d", e.GetStats().RangeDeletes.Load())
+	if e.stats.RangeDeletes.Load() != 1 {
+		t.Fatalf("RangeDeletes = %d", e.stats.RangeDeletes.Load())
 	}
 }
 
@@ -186,8 +186,8 @@ func TestEngineIngest(t *testing.T) {
 	if v, _ := e.Get(th, []byte("key00005")); string(v) != "newest" {
 		t.Fatalf("post-ingest put shadowed: %q", v)
 	}
-	if e.GetStats().Ingests.Load() != 1 {
-		t.Fatalf("Ingests = %d", e.GetStats().Ingests.Load())
+	if e.stats.Ingests.Load() != 1 {
+		t.Fatalf("Ingests = %d", e.stats.Ingests.Load())
 	}
 	// Unsorted input is rejected whole.
 	bad := []lsm.IngestEntry{{Key: []byte("b")}, {Key: []byte("a")}}

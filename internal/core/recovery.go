@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
@@ -17,14 +15,15 @@ import (
 // global index, imm-table registry) is gone and is reconstructed here:
 //
 //  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers;
-//  2. for each non-Free sub-MemTable, rebuild its sub-skiplist from the data
-//     region, flush it into the ImmZone, and mark the slot Free so it can be
-//     re-assigned (the paper's recovery resets allocated tables to Free);
+//  2. seal each non-Free sub-MemTable with its sub-skiplist, counters and
+//     filter rebuilt in place, and return the sealed slots: the engine hands
+//     them to the flush kind once it runs, the one way a slot reaches the
+//     ImmZone, and Gets find them among the pool's active slots until then;
 //  3. re-run the sub-skiplist compaction to rebuild the global index.
-func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
+func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) ([]*slot, error) {
 	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), e.opts.Elastic)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	p.filterBits = e.mem.filterBits
 	e.pool = p
@@ -37,7 +36,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 		if !ok {
 			break
 		}
-		_, t := e.rebuildList(th, addr+immZoneHdrSize, dataLen, count)
+		t := e.rebuildList(th, addr+immZoneHdrSize, dataLen, count)
 		t.maxSeq = max(t.maxSeq, maxSeq)
 		e.mem.imms = append(e.mem.imms, t)
 		e.bumpSeq(t.maxSeq)
@@ -46,41 +45,25 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 	}
 	e.immArena.Restore(addr)
 
-	// Step 2: non-Free sub-MemTables become sub-ImmMemTables in the zone.
+	// Step 2: non-Free sub-MemTables become sealed slots. The header keeps
+	// the tail and counts the entries recovered, so a torn tail leaves
+	// nothing to sync.
+	var sealed []*slot
 	for _, s := range p.slotList() {
 		count, tail, live := slotExtent(s)
 		if !live {
 			continue
 		}
-		if tail > 0 {
-			snap, t := e.rebuildList(th, s.dataAddr(), tail, count)
-			dst, err := e.immArena.Alloc(immZoneHdrSize+tail, immZoneAlign)
-			if err != nil {
-				// The zone cannot hold the pre-crash tables plus the pool's
-				// contents: spill what is already registered down to L0 and
-				// retry — the same deferred reclamation the engine performs
-				// at runtime.
-				e.spillLocked(th)
-				dst, err = e.immArena.Alloc(immZoneHdrSize+tail, immZoneAlign)
-				if err != nil {
-					return fmt.Errorf("cachekv: recovery ImmZone overflow: %w", err)
-				}
-			}
-			hdr := util.PutFixed64(nil, immHeaderMagic)
-			hdr = util.PutFixed64(hdr, tail)
-			hdr = util.PutFixed64(hdr, t.count)
-			hdr = util.PutFixed64(hdr, t.maxSeq)
-			e.m.Cache.NTWrite(th.Clock, dst, hdr)
-			// The copy is the snapshot the index was just rebuilt from: the
-			// slot is read once.
-			e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, snap)
-			// Rebase the rebuilt sub-skiplist onto the ImmZone copy: offsets
-			// are table-relative, so the list transfers unchanged.
-			t.base = dst + immZoneHdrSize
-			e.mem.imms = append(e.mem.imms, t)
-			e.bumpSeq(t.maxSeq)
+		if tail == 0 {
+			p.writeHdr(th, s, packHdr(0, stateFree, 0))
+			continue
 		}
-		p.writeHdr(th, s, packHdr(0, stateFree, 0))
+		t := e.rebuildList(th, s.dataAddr(), tail, count)
+		s.list, s.listCount, s.listTail, s.listMaxSeq = t.list, t.count, tail, t.maxSeq
+		s.filter.Store(t.filter)
+		p.writeHdr(th, s, packHdr(t.count, stateImmutable, tail))
+		e.bumpSeq(t.maxSeq)
+		sealed = append(sealed, s)
 	}
 
 	// Step 3: rebuild the global index, every table in one merge into an
@@ -96,7 +79,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) error {
 			t.compacted = true
 		}
 	}
-	return nil
+	return sealed, nil
 }
 
 // readImmHdr reads the ImmZone table header at addr and reports whether a
@@ -136,12 +119,11 @@ func slotExtent(s *slot) (count, tail uint64, live bool) {
 // holds it. The region is read in one sequential pass into a DRAM snapshot
 // (snapshotInto, the way the spill streams its inputs) and the entries are
 // decoded out of that; decoding stops after count entries or at the first
-// torn encoding. It returns the snapshot and the table: its sub-skiplist, a
-// freshly built negative filter covering every recovered key (the DRAM
-// filters are volatile, so recovery rebuilds them before the engine serves
-// reads), the entries recovered as its count and the highest sequence seen as
-// its maxSeq.
-func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) ([]byte, *immTable) {
+// torn encoding. It returns the table: its sub-skiplist, a freshly built
+// negative filter covering every recovered key (the DRAM filters are volatile,
+// so recovery rebuilds them before the engine serves reads), the entries
+// recovered as its count and the highest sequence seen as its maxSeq.
+func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) *immTable {
 	t := &immTable{base: base, dataLen: limit, list: skiplist.New(icmp, base|1)}
 	expected := int(count)
 	// The header's counter is untrusted input here: media corruption (or a
@@ -185,7 +167,7 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) ([
 		off = align8(off + uint64(ent.Len))
 		t.count++
 	}
-	return snap, t
+	return t
 }
 
 func (e *Engine) bumpSeq(s uint64) {

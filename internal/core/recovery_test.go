@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
 	"cachekv/internal/util"
@@ -212,6 +214,113 @@ func TestDoubleCrash(t *testing.T) {
 	}
 }
 
+// TestCrashBeforeTheRecoveredSlotFlushes: recovery seals the pool's live
+// sub-MemTable, and the flush kind copies it into the ImmZone once Open has
+// returned. A second power failure at any store of that flush — the table
+// header, the data copy (its last store into the zone), or the slot's release
+// after it — loses no acked key: the slot says Immutable until released, so
+// the next recovery finds the entries there (in the last case, in the zone as
+// well). A gate stops the flush at the store, so the crash point does not
+// depend on host timing; while it is stopped before its copy, a Get finds the
+// keys in the sealed slot, the only place holding them.
+func TestCrashBeforeTheRecoveredSlotFlushes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   int32 // the flush's store to crash at: 1 header, 2 data, 3 release
+	}{
+		{"first ImmZone store", 1},
+		{"last ImmZone store", 2},
+		{"slot release", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testMachine()
+			opts := smallOpts()
+			e, th := openEngine(t, m, opts)
+			const n = 300
+			key := func(i int) []byte { return []byte(fmt.Sprintf("key%05d", i)) }
+			val := func(i int) string { return fmt.Sprintf("v%d", i) }
+			for i := 0; i < n; i++ {
+				if err := e.Put(th, key(i), []byte(val(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var live []*slot
+			for _, s := range e.pool.slotList() {
+				if _, state, _ := unpackHdr(s.hdr.Load()); state != stateFree {
+					live = append(live, s)
+				}
+			}
+			if len(live) != 1 || e.stats.Flushes.Load() != 0 {
+				t.Fatalf("%d live slots after %d flushes, want the keys in one unflushed slot", len(live), e.stats.Flushes.Load())
+			}
+			slotAddr, zone := live[0].addr, e.immArena.Region()
+			crash(m, e)
+
+			// The stop store is not applied, as at a crash point of the fault
+			// injector; the flush waits there until the power is off.
+			var zoneStores atomic.Int32
+			var stopped atomic.Bool
+			reached, release := make(chan struct{}), make(chan struct{})
+			m.SetMemGate(func(op sim.MemOp, addr uint64, size int) int {
+				var stop bool
+				switch {
+				case op == sim.MemOpNTWrite && zone.Addr <= addr && addr < zone.End():
+					stop = zoneStores.Add(1) == tc.at
+				case op == sim.MemOpWrite && addr == slotAddr:
+					stop = tc.at == 3 && zoneStores.Load() == 2
+				}
+				if !stop || !stopped.CompareAndSwap(false, true) {
+					return size
+				}
+				close(reached)
+				<-release
+				return 0
+			})
+			m.Recover()
+			th2 := m.NewThread(0)
+			e2, err := newEngine(m, opts, shardEnv{}, th2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-reached:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the recovered slot's flush never reached the store to crash at")
+			}
+			if tc.at < 3 {
+				e2.mem.mu.RLock()
+				registered := len(e2.mem.imms)
+				e2.mem.mu.RUnlock()
+				if registered != 0 {
+					t.Fatalf("%d tables registered while the flush is stopped before its copy", registered)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if v, err := e2.Get(th2, key(i)); err != nil || string(v) != val(i) {
+					t.Fatalf("Get(%s) = %q, %v while the recovered slot awaits its flush", key(i), v, err)
+				}
+			}
+
+			m.Crash()
+			close(release)
+			_ = e2.Close(m.NewThread(0))
+			m.SetMemGate(nil)
+			m.Recover()
+			th3 := m.NewThread(0)
+			e3, err := newEngine(m, opts, shardEnv{}, th3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e3.Close(th3)
+			for i := 0; i < n; i++ {
+				if v, err := e3.Get(th3, key(i)); err != nil || string(v) != val(i) {
+					t.Fatalf("Get(%s) = %q, %v after a crash in the recovered slot's flush", key(i), v, err)
+				}
+			}
+		})
+	}
+}
+
 // fillFlushed writes key(0), key(1), … until the copy-based flush has moved
 // tables sub-MemTables into the ImmZone and is idle again, and returns the
 // number of writes. It checks between short bursts, so the active slot is left
@@ -234,6 +343,29 @@ func fillFlushed(t testing.TB, e *Engine, th *hw.Thread, tables int, key func(i 
 	}
 	t.Fatalf("no %d flushes after a million writes", tables)
 	return 0
+}
+
+// memTables reports the tables of e's memory component and the entries they
+// hold: the registered sub-ImmMemTables, and the sealed slots whose flush has
+// not registered theirs yet, as a recovered engine holds them until its flush
+// kind lands them. It holds spillMu exclusively, which keeps every flush out
+// of the span where its table is both registered and still in the slot.
+func memTables(e *Engine) (tables int, entries uint64) {
+	e.spillMu.Lock()
+	defer e.spillMu.Unlock()
+	e.mem.mu.RLock()
+	for _, tb := range e.mem.imms {
+		tables, entries = tables+1, entries+tb.count
+	}
+	e.mem.mu.RUnlock()
+	for _, s := range e.pool.slotList() {
+		s.syncMu.Lock()
+		if _, state, _ := unpackHdr(s.hdr.Load()); state == stateImmutable && s.list != nil {
+			tables, entries = tables+1, entries+s.listCount
+		}
+		s.syncMu.Unlock()
+	}
+	return tables, entries
 }
 
 // TestRecoveryRejectsWrappedImmHeader: an ImmZone header whose dataLen is
@@ -282,7 +414,7 @@ func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
 	}
 	defer e2.Close(th2)
 	// The zone ended at its first header: the one table is the pool's.
-	if n := len(e2.mem.imms); n != 1 {
+	if n, _ := memTables(e2); n != 1 {
 		t.Fatalf("recovered %d tables, want the active sub-MemTable's alone", n)
 	}
 	for i := 0; i < 50; i++ {
@@ -329,21 +461,26 @@ func TestRecoveryVirtualCost(t *testing.T) {
 			total += ev.VNs
 		}
 	}
-	var entries uint64
-	for _, tb := range e2.mem.imms {
-		entries += tb.count
+	tables, entries := memTables(e2)
+	if tables != 5 || entries != uint64(n) {
+		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, tables, n)
 	}
-	if len(e2.mem.imms) != 5 || entries != uint64(n) {
-		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, len(e2.mem.imms), n)
+	// Step 3 on its own: the same merge again, of the four tables step 1 found
+	// (registered ahead of any the flush kind adds), into an empty index sized
+	// the way recovery sizes it, so it repeats to the line.
+	e2.mem.mu.RLock()
+	zone, global := e2.mem.imms[:4], e2.mem.global
+	e2.mem.mu.RUnlock()
+	var zoneEntries uint64
+	for _, tb := range zone {
+		zoneEntries += tb.count
 	}
-	// Step 3 on its own: the same merge again, into an empty index sized the
-	// way recovery sizes it, so it repeats to the line.
 	th3 := m.NewThread(0)
-	x := newHashIndex(seededHash, int(entries))
-	e2.mergeInto(th3, x, e2.mem.imms)
+	x := newHashIndex(seededHash, int(zoneEntries))
+	e2.mergeInto(th3, x, zone)
 	merge := th3.Clock.Now()
-	if got := len(x.tab.Load().buckets); got != len(e2.mem.global.tab.Load().buckets) {
-		t.Errorf("step 3 again ends with %d buckets, recovery's index %d", got, len(e2.mem.global.tab.Load().buckets))
+	if got := len(x.tab.Load().buckets); got != len(global.tab.Load().buckets) {
+		t.Errorf("step 3 again ends with %d buckets, recovery's index %d", got, len(global.tab.Load().buckets))
 	}
 
 	perEntry := float64(total) / float64(entries)
@@ -477,11 +614,13 @@ func FuzzRebuildList(f *testing.F) {
 // to an independent walk of the same bytes.
 func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64) {
 	t.Helper()
-	snap, tb := e.rebuildList(th, base, limit, count)
+	tb := e.rebuildList(th, base, limit, count)
 	list, filter, scanned, hiSeq := tb.list, tb.filter, tb.count, tb.maxSeq
-	if uint64(len(snap)) != limit || tb.base != base || tb.dataLen != limit {
-		t.Fatalf("snapshot of %d bytes and a table of %d at %#x for the %d bytes at %#x", len(snap), tb.dataLen, tb.base, limit, base)
+	if tb.base != base || tb.dataLen != limit {
+		t.Fatalf("a table of %d bytes at %#x for the %d bytes at %#x", tb.dataLen, tb.base, limit, base)
 	}
+	snap := make([]byte, limit)
+	e.m.PMem.LoadRaw(base, snap)
 	if scanned > count || scanned > limit/16+1 {
 		t.Fatalf("recovered %d entries from %d bytes under a count of %d", scanned, limit, count)
 	}

@@ -383,13 +383,6 @@ func (sh *Sharded) DebugForceFlowState(at int64, k int, s FlowState) {
 	sh.shards[k].flow.force(at, s)
 }
 
-// DebugUnforceFlowState releases every shard's force pin.
-func (sh *Sharded) DebugUnforceFlowState() {
-	for _, e := range sh.shards {
-		e.flow.forceOff()
-	}
-}
-
 // errBatchTooLarge rejects cross-shard portions that could never replay into
 // a minimum-size sub-MemTable.
 var errBatchTooLarge = errors.New("cachekv: cross-shard batch portion exceeds sub-MemTable capacity")
