@@ -80,7 +80,8 @@ func TestRebuildListAllocs(t *testing.T) {
 	fillFlushed(t, e, th, 1, func(i int) []byte { return allocKey(i * 7919 % 100003) }, make([]byte, 64))
 	real := e.mem.imms[0]
 	var rebuilt *immTable
-	got := mallocs(func() { rebuilt = e.rebuildList(th, real.base, real.dataLen, real.count) })
+	var snap []byte
+	got := mallocs(func() { rebuilt = e.rebuildList(th, real.base, real.dataLen, real.count, &snap) })
 	if rebuilt.count != real.count || rebuilt.maxSeq != real.maxSeq || rebuilt.list.Len() != real.list.Len() {
 		t.Fatalf("rebuilt %d entries up to seq %d, the flushed table has %d up to %d",
 			rebuilt.count, rebuilt.maxSeq, real.count, real.maxSeq)

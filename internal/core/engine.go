@@ -308,8 +308,9 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	var sealed []*slot
 	if recovered {
 		e.trace.Emit(th.Clock.Now(), "recovery_start", "engine", e.Name(), "shard", env.index)
+		var workers int
 		th.InPhase(hw.PhaseRecovery, func() {
-			sealed, err = e.recover(poolRegion, th)
+			sealed, workers, err = e.recover(poolRegion, th)
 		})
 		if err != nil {
 			return nil, err
@@ -318,7 +319,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		nImms := len(e.mem.imms)
 		e.mem.mu.RUnlock()
 		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", env.index,
-			"imm_tables", nImms, "filters_rebuilt", nImms+len(sealed), "last_seq", e.seq.Load())
+			"imm_tables", nImms, "filters_rebuilt", nImms+len(sealed), "workers", workers, "last_seq", e.seq.Load())
 	} else {
 		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), opts.Elastic, th)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
 	"cachekv/internal/skiplist"
@@ -20,15 +21,21 @@ import (
 //     them to the flush kind once it runs, the one way a slot reaches the
 //     ImmZone, and Gets find them among the pool's active slots until then;
 //  3. re-run the sub-skiplist compaction to rebuild the global index.
-func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) ([]*slot, error) {
+//
+// The tables of steps 1 and 2 are independent byte ranges, so they are
+// rebuilt side by side (rebuildAll); it also returns how many servers that
+// took.
+func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, workers int, err error) {
 	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), e.opts.Elastic)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.filterBits = e.mem.filterBits
 	e.pool = p
 
-	// Step 1: ImmZone scan.
+	// Step 1: the ImmZone's header walk, on this thread; each table found is
+	// a job.
+	var jobs []rebuildJob
 	zone := e.immArena.Region()
 	addr := zone.Addr
 	for {
@@ -36,21 +43,31 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) ([]*slot, error) {
 		if !ok {
 			break
 		}
-		t := e.rebuildList(th, addr+immZoneHdrSize, dataLen, count)
-		t.maxSeq = max(t.maxSeq, maxSeq)
-		e.mem.imms = append(e.mem.imms, t)
-		e.bumpSeq(t.maxSeq)
+		jobs = append(jobs, rebuildJob{base: addr + immZoneHdrSize, limit: dataLen, count: count, maxSeq: maxSeq})
 		addr += immZoneHdrSize + dataLen
 		addr = (addr + immZoneAlign - 1) &^ (immZoneAlign - 1)
 	}
 	e.immArena.Restore(addr)
-
-	// Step 2: non-Free sub-MemTables become sealed slots. The header keeps
-	// the tail and counts the entries recovered, so a torn tail leaves
-	// nothing to sync.
-	var sealed []*slot
+	zoneJobs := len(jobs)
+	// Step 2's jobs: every live sub-MemTable that holds data.
 	for _, s := range p.slotList() {
-		count, tail, live := slotExtent(s)
+		if count, tail, live := slotExtent(s); live && tail > 0 {
+			jobs = append(jobs, rebuildJob{base: s.dataAddr(), limit: tail, count: count})
+		}
+	}
+	workers = e.rebuildAll(th, jobs)
+
+	for _, j := range jobs[:zoneJobs] {
+		j.t.maxSeq = max(j.t.maxSeq, j.maxSeq)
+		e.mem.imms = append(e.mem.imms, j.t)
+		e.bumpSeq(j.t.maxSeq)
+	}
+	// Step 2's header rewrites: non-Free sub-MemTables become sealed slots.
+	// The header keeps the tail and counts the entries recovered, so a torn
+	// tail leaves nothing to sync.
+	slotJobs := jobs[zoneJobs:]
+	for _, s := range p.slotList() {
+		_, tail, live := slotExtent(s)
 		if !live {
 			continue
 		}
@@ -58,7 +75,8 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) ([]*slot, error) {
 			p.writeHdr(th, s, packHdr(0, stateFree, 0))
 			continue
 		}
-		t := e.rebuildList(th, s.dataAddr(), tail, count)
+		t := slotJobs[0].t
+		slotJobs = slotJobs[1:]
 		s.list, s.listCount, s.listTail, s.listMaxSeq = t.list, t.count, tail, t.maxSeq
 		s.filter.Store(t.filter)
 		p.writeHdr(th, s, packHdr(t.count, stateImmutable, tail))
@@ -79,7 +97,39 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) ([]*slot, error) {
 			t.compacted = true
 		}
 	}
-	return sealed, nil
+	return sealed, workers, nil
+}
+
+// rebuildJob is one table steps 1 and 2 rebuild: an ImmZone table (maxSeq is
+// its header's) or a live sub-MemTable's data region. rebuildAll sets t.
+type rebuildJob struct {
+	base, limit, count, maxSeq uint64
+	t                          *immTable
+}
+
+// rebuildAll runs the jobs of steps 1 and 2 as virtual servers, the way the
+// flush kind books its copies: each job runs rebuildList on a thread of its
+// own from th's instant, booked on one of m.Cores() recovery servers, and th
+// advances to the last completion — the steps take their longest table, not
+// the sum. The host runs the jobs one after another in order, through one
+// snapshot buffer: the device's sequential-read tracker is machine-wide, so
+// jobs on host goroutines would make virtual time depend on how they
+// interleave. It returns how many servers ran a job.
+func (e *Engine) rebuildAll(th *hw.Thread, jobs []rebuildJob) int {
+	servers := sim.NewServerPool(e.m.Cores())
+	start := th.Clock.Now()
+	end := start
+	var snap []byte
+	for i := range jobs {
+		j := &jobs[i]
+		jth := e.m.NewThread(0)
+		jth.Clock.SetLabel(hw.PhaseRecovery.Layer())
+		jth.Clock.AdvanceTo(start)
+		j.t = e.rebuildList(jth, j.base, j.limit, j.count, &snap)
+		end = max(end, servers.Submit(start, jth.Clock.Now()-start))
+	}
+	th.Clock.AdvanceTo(end)
+	return min(len(jobs), servers.Size())
 }
 
 // readImmHdr reads the ImmZone table header at addr and reports whether a
@@ -117,13 +167,14 @@ func slotExtent(s *slot) (count, tail uint64, live bool) {
 // rebuildList reconstructs the DRAM side of the table whose data region is
 // the limit bytes at base, which the caller has bounded by the region that
 // holds it. The region is read in one sequential pass into a DRAM snapshot
-// (snapshotInto, the way the spill streams its inputs) and the entries are
+// (snapshotInto, the way the spill streams its inputs) in *snap, which it
+// grows when it is too small and the next call reuses, and the entries are
 // decoded out of that; decoding stops after count entries or at the first
 // torn encoding. It returns the table: its sub-skiplist, a freshly built
 // negative filter covering every recovered key (the DRAM filters are volatile,
 // so recovery rebuilds them before the engine serves reads), the entries
 // recovered as its count and the highest sequence seen as its maxSeq.
-func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) *immTable {
+func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]byte) *immTable {
 	t := &immTable{base: base, dataLen: limit, list: skiplist.New(icmp, base|1)}
 	expected := int(count)
 	// The header's counter is untrusted input here: media corruption (or a
@@ -137,13 +188,14 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit uint64, count uint64) *i
 		expected = 16
 	}
 	t.filter = newFilter(expected, e.mem.filterBits)
-	snap := t.snapshotInto(e, th, nil)
+	*snap = t.snapshotInto(e, th, *snap)
+	buf := *snap
 	var off uint64
 	var ik, val []byte // scratch: the sub-skiplist copies what it is handed
 	for t.count < count && off+8 <= limit {
 		// ViewEntry bounds the length header by what is left of the snapshot
 		// and checks the CRC before anything is believed.
-		ent, err := kvstore.ViewEntry(snap[off:])
+		ent, err := kvstore.ViewEntry(buf[off:])
 		if err != nil {
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -428,39 +429,22 @@ func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
 // TestRecoveryVirtualCost pins what recovery costs per entry, in virtual time,
 // which repeats exactly on one thread: four flushed tables and a part-filled
 // active sub-MemTable, two keys in five overwritten, 16 B keys and 64 B values
-// as in the ledger's crash-recover row. Reading each table once and merging
-// the sub-skiplists costs about 90 vns per entry; a second read of each entry
-// or a per-key search of a global skiplist took it to 300 (340 at the
-// ledger's table count).
+// as in the ledger's crash-recover row. Reading the five tables side by side
+// and merging the four ImmZone tables into the global index costs about 30
+// vns per entry (about 90 when the tables were read one after another); a
+// second read of each entry or a per-key search of a global skiplist took it
+// to 300 (340 at the ledger's table count). The merge is also held on its
+// own, per entry it merges, far below that search's cost.
 func TestRecoveryVirtualCost(t *testing.T) {
 	m := testMachine()
 	opts := smallOpts()
 	e, th := openEngine(t, m, opts)
-	const unique = 2749 // prime, so the stride below visits every key
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key%013d", i*1000003%unique)) }
-	val := make([]byte, 64)
-	n := fillFlushed(t, e, th, 4, key, val)
-	for end := n + 400; n < end; n++ {
-		if err := e.Put(th, key(n), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if over := float64(n-unique) / float64(n); over < 0.3 || over > 0.5 {
-		t.Fatalf("%d writes over %d keys: %.0f%% overwrites, want about 40%%", n, unique, over*100)
-	}
+	n := fillForRecovery(t, e, th)
 
 	opts.Trace = obs.NewTrace(0)
 	e2, th2 := crashAndReopen(t, e, opts)
 	defer e2.Close(th2)
-	var total int64
-	for _, ev := range opts.Trace.Events() {
-		switch ev.Type {
-		case "recovery_start":
-			total -= ev.VNs
-		case "recovery_end":
-			total += ev.VNs
-		}
-	}
+	total, _ := recoverySpan(opts.Trace)
 	tables, entries := memTables(e2)
 	if tables != 5 || entries != uint64(n) {
 		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, tables, n)
@@ -484,14 +468,155 @@ func TestRecoveryVirtualCost(t *testing.T) {
 	}
 
 	perEntry := float64(total) / float64(entries)
-	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-index rebuild %d vns (%.0f%%)",
-		total, entries, perEntry, merge, 100*float64(merge)/float64(total))
-	if perEntry > 150 {
-		t.Errorf("recovery costs %.1f vns per entry, want at most 150", perEntry)
+	mergePerEntry := float64(merge) / float64(zoneEntries)
+	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-index rebuild %d vns for %d entries = %.1f vns/entry",
+		total, entries, perEntry, merge, zoneEntries, mergePerEntry)
+	if perEntry > 50 {
+		t.Errorf("recovery costs %.1f vns per entry, want at most 50", perEntry)
 	}
-	if merge*4 >= total {
-		t.Errorf("rebuilding the global index is %d of recovery's %d vns, want under a quarter", merge, total)
+	if mergePerEntry > 30 {
+		t.Errorf("rebuilding the global index costs %.1f vns per entry it merges, want at most 30", mergePerEntry)
 	}
+}
+
+// fillForRecovery leaves e with four flushed tables and a part-filled active
+// sub-MemTable, two keys in five overwritten, 16 B keys and 64 B values as in
+// the ledger's crash-recover row, and returns the number of writes.
+func fillForRecovery(t *testing.T, e *Engine, th *hw.Thread) int {
+	t.Helper()
+	const unique = 2749 // prime, so the stride below visits every key
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%013d", i*1000003%unique)) }
+	val := make([]byte, 64)
+	n := fillFlushed(t, e, th, 4, key, val)
+	for end := n + 400; n < end; n++ {
+		if err := e.Put(th, key(n), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if over := float64(n-unique) / float64(n); over < 0.3 || over > 0.5 {
+		t.Fatalf("%d writes over %d keys: %.0f%% overwrites, want about 40%%", n, unique, over*100)
+	}
+	return n
+}
+
+// recoverySpan returns the virtual time from the trace's recovery_start to
+// its recovery_end, and the servers recovery_end says the jobs took.
+func recoverySpan(tr *obs.Trace) (span int64, workers any) {
+	for _, ev := range tr.Events() {
+		switch ev.Type {
+		case "recovery_start":
+			span -= ev.VNs
+		case "recovery_end":
+			span += ev.VNs
+			workers = ev.Attrs["workers"]
+		}
+	}
+	return span, workers
+}
+
+// TestRecoverySpanIsTheCriticalPath: steps 1 and 2 rebuild each table as a job
+// of its own on the machine's cores, so recovery's span is its critical path —
+// the header walk, the busiest core's jobs (the longest job when there are
+// more cores than jobs), the slots' header lines and step 3's merge — not the
+// sum of the jobs, and never less than the busiest core's share.
+func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
+	for _, cores := range []int{hw.DefaultConfig().Cores, 2} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			cfg := hw.DefaultConfig()
+			cfg.PMemBytes = 1 << 30
+			cfg.Cores = cores
+			m := hw.NewMachine(cfg)
+			opts := smallOpts()
+			e, th := openEngine(t, m, opts)
+			fillForRecovery(t, e, th)
+			zone, poolRegion := e.immArena.Region(), e.pool.region
+			crash(m, e)
+			m.Recover()
+			walk, jobs, merge := priceRecovery(t, m, e, zone, poolRegion)
+
+			opts.Trace = obs.NewTrace(0)
+			th2 := m.NewThread(0)
+			e2, err := newEngine(m, opts, shardEnv{}, th2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close(th2)
+			span, workers := recoverySpan(opts.Trace)
+
+			// The jobs start together and go to the earliest-free core, as
+			// sim.ServerPool books them.
+			busy := make([]int64, cores)
+			var total int64
+			for _, d := range jobs {
+				busy[slices.Index(busy, slices.Min(busy))] += d
+				total += d
+			}
+			busiest, longest := slices.Max(busy), slices.Max(jobs)
+			slack := 4 * m.Costs.PMemReadRand // the slots' header lines
+			t.Logf("span %d vns: walk %d, %d jobs (longest %d, busiest core %d), merge %d",
+				span, walk, len(jobs), longest, busiest, merge)
+			if len(jobs) != 5 {
+				t.Fatalf("recovery ran %d jobs, want 5: four ImmZone tables and the active sub-MemTable", len(jobs))
+			}
+			if want := min(len(jobs), cores); workers != want {
+				t.Errorf("recovery_end says workers=%v, want %d", workers, want)
+			}
+			if span < busiest {
+				t.Errorf("recovery took %d vns, less than the %d its busiest core's jobs take", span, busiest)
+			}
+			if limit := walk + busiest + merge + slack; span > limit {
+				t.Errorf("recovery took %d vns, over its critical path's %d (the jobs sum to %d)", span, limit, total)
+			}
+		})
+	}
+}
+
+// priceRecovery re-runs on fresh threads what recovering the crashed store
+// dead (zone and pool are its regions) runs on media before it rewrites
+// headers: the ImmZone header walk, then each table's rebuildList in the
+// order recovery's jobs run, so that every read meets the device's
+// sequential-read tracker as recovery's will, and step 3's merge of the
+// zone's tables. It returns the walk's virtual cost, each job's and the
+// merge's.
+func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion hw.Region) (walk int64, jobs []int64, merge int64) {
+	t.Helper()
+	e := &Engine{m: m, mem: newMemState(dead.mem.filterBits)}
+	th := m.NewThread(0)
+	type table struct{ base, limit, count uint64 }
+	var tables []table
+	for addr := zone.Addr; ; {
+		dataLen, count, _, ok := e.readImmHdr(th, zone, addr)
+		if !ok {
+			break
+		}
+		tables = append(tables, table{addr + immZoneHdrSize, dataLen, count})
+		addr = (addr + immZoneHdrSize + dataLen + immZoneAlign - 1) &^ (immZoneAlign - 1)
+	}
+	walk = th.Clock.Now()
+	inZone := len(tables)
+	p, err := loadGeometry(m, poolRegion, dead.poolPart, m.Cores(), dead.opts.Elastic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.slotList() {
+		if count, tail, live := slotExtent(s); live && tail > 0 {
+			tables = append(tables, table{s.dataAddr(), tail, count})
+		}
+	}
+	var snap []byte
+	var zoneTables []*immTable
+	var entries uint64
+	for i, tb := range tables {
+		jth := m.NewThread(0)
+		rebuilt := e.rebuildList(jth, tb.base, tb.limit, tb.count, &snap)
+		jobs = append(jobs, jth.Clock.Now())
+		if i < inZone {
+			zoneTables, entries = append(zoneTables, rebuilt), entries+rebuilt.count
+		}
+	}
+	mth := m.NewThread(0)
+	e.mergeInto(mth, newHashIndex(seededHash, int(entries)), zoneTables)
+	return walk, jobs, mth.Clock.Now()
 }
 
 // The pool's geometry table is read back from media on recovery. A slot it
@@ -579,6 +704,7 @@ func FuzzRebuildList(f *testing.F) {
 	zone := m.Alloc("fuzz.immzone", 64<<10, immZoneAlign)
 	slotRegion := m.Alloc("fuzz.slot", 32<<10, 64)
 	th := m.NewThread(0)
+	var buf []byte // one snapshot buffer for every table, as recovery's jobs share one
 	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
 		e := &Engine{m: m, mem: newMemState(10)}
 
@@ -593,7 +719,7 @@ func FuzzRebuildList(f *testing.F) {
 			if limit > zone.Size-immZoneHdrSize {
 				t.Fatalf("header dataLen %d accepted in a zone of %d", limit, zone.Size)
 			}
-			checkRebuilt(t, e, th, zone.Addr+immZoneHdrSize, limit, cnt)
+			checkRebuilt(t, e, th, zone.Addr+immZoneHdrSize, limit, cnt, &buf)
 		}
 
 		// The sub-MemTable path: the packed header's tail bounds the region.
@@ -606,15 +732,16 @@ func FuzzRebuildList(f *testing.F) {
 		if !live || limit > s.dataCap() {
 			t.Fatalf("slotExtent = (%d, %d, %v) for a live slot of %d data bytes", cnt, limit, live, s.dataCap())
 		}
-		checkRebuilt(t, e, th, s.dataAddr(), limit, cnt)
+		checkRebuilt(t, e, th, s.dataAddr(), limit, cnt, &buf)
 	})
 }
 
-// checkRebuilt runs rebuildList over [base, base+limit) and holds the result
-// to an independent walk of the same bytes.
-func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64) {
+// checkRebuilt runs rebuildList over [base, base+limit) through the snapshot
+// buffer *buf, which earlier tables may have left longer and holding their
+// bytes, and holds the result to an independent walk of the same bytes.
+func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64, buf *[]byte) {
 	t.Helper()
-	tb := e.rebuildList(th, base, limit, count)
+	tb := e.rebuildList(th, base, limit, count, buf)
 	list, filter, scanned, hiSeq := tb.list, tb.filter, tb.count, tb.maxSeq
 	if tb.base != base || tb.dataLen != limit {
 		t.Fatalf("a table of %d bytes at %#x for the %d bytes at %#x", tb.dataLen, tb.base, limit, base)
