@@ -8,6 +8,8 @@ package cachekv
 import (
 	"fmt"
 	"testing"
+
+	"cachekv/internal/core"
 )
 
 // ablationFill measures CacheKV's random-write throughput under opts.
@@ -56,7 +58,7 @@ func BenchmarkAblationSyncThreshold(b *testing.B) {
 	for _, thr := range []int{1, 64, 1 << 20} {
 		b.Run(fmt.Sprintf("threshold=%d", thr), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				db, err := Open(Options{PMemMB: 1024, SyncThreshold: thr})
+				db, err := Open(Options{PMemMB: 1024, tune: func(o *core.Options) { o.SyncThreshold = thr }})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,37 +103,5 @@ func BenchmarkAblationIndexPlacement(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(read(EngineCacheKV)/read(EngineNoveLSM), "read-speedup")
-	}
-}
-
-// BenchmarkAblationElastic contrasts elastic and fixed sub-MemTable sizing
-// under a bursty many-core write load.
-func BenchmarkAblationElastic(b *testing.B) {
-	burst := func(disable bool) float64 {
-		db, err := Open(Options{PMemMB: 1024, DisableElastic: disable, PoolMB: 4, SubMemTableKB: 2048})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		done := make(chan int64, 8)
-		for w := 0; w < 8; w++ {
-			go func(w int) {
-				s := db.Session(w)
-				for i := 0; i < 5_000; i++ {
-					s.Put([]byte(fmt.Sprintf("w%d-%08d", w, i)), make([]byte, 64))
-				}
-				done <- s.VirtualNanos()
-			}(w)
-		}
-		var max int64
-		for w := 0; w < 8; w++ {
-			if ns := <-done; ns > max {
-				max = ns
-			}
-		}
-		return float64(8*5_000) / float64(max) * 1e6
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(burst(false)/burst(true), "elastic-speedup")
 	}
 }

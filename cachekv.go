@@ -96,18 +96,9 @@ type Options struct {
 	Cores int
 
 	// CacheKV-specific knobs (ignored by other engines); zero values take
-	// the paper's defaults (12 MiB pool, 2 MiB sub-MemTables, 1 flush
-	// thread).
-	PoolMB         int
-	SubMemTableKB  int
-	FlushThreads   int
-	DisableElastic bool
-	SyncThreshold  int
-	ImmZoneMB      int
-	FSMB           int // SSTable file-layer capacity (default 1024)
-	TableSizeKB    int // LSM SSTable target size
-	L0Trigger      int // L0 compaction trigger
-	BaseLevelMB    int // L1 size limit
+	// the paper's defaults (2 MiB sub-MemTables, 1 flush thread).
+	SubMemTableKB int
+	FlushThreads  int
 
 	// Shards partitions the keyspace across N independent engine shards, each
 	// with its own sub-MemTable pool, flush pipeline, and lock domain, behind
@@ -133,19 +124,6 @@ type Options struct {
 	// indefinitely. Every Session starts with this deadline and may change
 	// its own with Session.SetWriteDeadline (CacheKV-family engines).
 	WriteStallDeadline int64
-	// DisableFlowControl turns off write-path flow control (the
-	// OK/Slowdown/Stop state machine over L0, flush-backlog and 2PC-WAL
-	// pressure). Deadlines still bound pool/ImmZone waits. Useful for
-	// baseline comparisons; production-shaped runs should leave it on.
-	DisableFlowControl bool
-
-	// BlockCacheMB sizes the shared DRAM block cache over SSTable blocks,
-	// shared by every table reader (default 8 MiB). Negative disables it.
-	BlockCacheMB int
-	// FilterBitsPerKey sizes the memory component's DRAM-side negative
-	// filters (default 10 bits/key). Negative disables them. The filters are
-	// volatile and rebuilt during recovery, so crash semantics are unchanged.
-	FilterBitsPerKey int
 
 	// DisableObs turns off the observability layer: no per-operation
 	// latency/attribution collection and no lifecycle event trace. Attribution
@@ -161,12 +139,16 @@ type Options struct {
 	// disables capture. Sub-threshold ops cost one atomic load and allocate
 	// nothing. Ignored when DisableObs is set.
 	SlowOpThreshold int64
+
+	// tune, when set, adjusts the CacheKV-family engine options last, after
+	// the fields above: the package's tests reach the pool geometry, the LSM
+	// shape and the read-path accelerators through it. SimulateCrash reopens
+	// with the same Options, so a tuned store recovers tuned.
+	tune func(*core.Options)
 }
 
 // validate rejects nonsense configurations with a descriptive error rather
 // than letting a negative size wrap around in a uint64 conversion downstream.
-// BlockCacheMB and FilterBitsPerKey are exempt: negative is their documented
-// "disable" value.
 func (o Options) validate() error {
 	for _, f := range []struct {
 		name string
@@ -174,15 +156,8 @@ func (o Options) validate() error {
 	}{
 		{"PMemMB", o.PMemMB},
 		{"Cores", o.Cores},
-		{"PoolMB", o.PoolMB},
 		{"SubMemTableKB", o.SubMemTableKB},
 		{"FlushThreads", o.FlushThreads},
-		{"SyncThreshold", o.SyncThreshold},
-		{"ImmZoneMB", o.ImmZoneMB},
-		{"FSMB", o.FSMB},
-		{"TableSizeKB", o.TableSizeKB},
-		{"L0Trigger", o.L0Trigger},
-		{"BaseLevelMB", o.BaseLevelMB},
 		{"Shards", o.Shards},
 		{"CompactionWorkers", o.CompactionWorkers},
 	} {
@@ -276,55 +251,21 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 	if opts.Shards > 1 && kind.Family() != engines.FamilyCacheKV {
 		return nil, fmt.Errorf("cachekv: engine %q does not support sharding (Shards=%d)", opts.Engine, opts.Shards)
 	}
-	fsBytes := uint64(1) << 30
-	if opts.FSMB > 0 {
-		fsBytes = uint64(opts.FSMB) << 20
-	}
-	if max := m.PMem.Capacity() / 2; fsBytes > max {
-		fsBytes = max
-	}
-	size := engines.NewSizing(fsBytes, trace)
+	// The SSTable file layer takes 1 GiB, or half the PMem when that is less.
+	size := engines.NewSizing(min(uint64(1)<<30, m.PMem.Capacity()/2), trace)
 	o := &size.Core
-	if opts.PoolMB > 0 {
-		o.PoolBytes = uint64(opts.PoolMB) << 20
-	}
 	if opts.SubMemTableKB > 0 {
 		o.SubMemTableBytes = uint64(opts.SubMemTableKB) << 10
 	}
 	if opts.FlushThreads > 0 {
 		o.FlushThreads = opts.FlushThreads
 	}
-	if opts.SyncThreshold > 0 {
-		o.SyncThreshold = opts.SyncThreshold
-	}
-	if opts.ImmZoneMB > 0 {
-		o.ImmZoneBytes = uint64(opts.ImmZoneMB) << 20
-	}
-	if opts.DisableElastic {
-		o.Elastic = false
-	}
-	if opts.TableSizeKB > 0 {
-		o.LSM.TableFileSize = uint64(opts.TableSizeKB) << 10
-	}
-	if opts.L0Trigger > 0 {
-		o.LSM.L0CompactionTrigger = opts.L0Trigger
-	}
-	if opts.BaseLevelMB > 0 {
-		o.LSM.BaseLevelBytes = int64(opts.BaseLevelMB) << 20
-	}
-	switch {
-	case opts.BlockCacheMB > 0:
-		o.LSM.BlockCacheBytes = int64(opts.BlockCacheMB) << 20
-	case opts.BlockCacheMB < 0:
-		o.LSM.BlockCacheBytes = -1 // disabled
-	}
-	if opts.FilterBitsPerKey != 0 {
-		o.FilterBitsPerKey = opts.FilterBitsPerKey
-	}
 	o.WriteStallDeadline = opts.WriteStallDeadline
-	o.DisableFlowControl = opts.DisableFlowControl
 	o.CompactionWorkers = opts.CompactionWorkers
 	o.Shards = opts.Shards
+	if opts.tune != nil {
+		opts.tune(o)
+	}
 	return engines.Open(kind, m, th, size)
 }
 
@@ -332,9 +273,10 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 func (db *DB) EngineName() string { return db.inner.Name() }
 
 // Session creates a simulated thread pinned to the given core. The pinning is
-// deterministic: the session's virtual thread runs on core % Options.Cores,
-// and Session(c).Core() reports that resolved core. Sessions are not safe for
-// concurrent use; create one per goroutine.
+// deterministic: the session's virtual thread runs on core modulo
+// Options.Cores, in [0, Cores) for a negative core too, and Session(c).Core()
+// reports that resolved core. Sessions are not safe for concurrent use; create
+// one per goroutine.
 //
 // On a sharded store (Options.Shards > 1) a session's writes run on its own
 // thread too: each lands in the session core's sub-MemTable of the key's
@@ -484,10 +426,12 @@ func (db *DB) Metrics() Metrics {
 		CacheMisses:        cs.Misses,
 	}
 	if db.store != nil {
-		bc := db.store.BlockCacheStats()
-		m.BlockCacheHits, m.BlockCacheMisses = bc.Hits, bc.Misses
+		r := obs.NewRegistry()
+		db.store.RegisterObs(r)
+		snap := r.Gather()
+		m.BlockCacheHits, m.BlockCacheMisses = snap.Int(obs.MBlockCacheHits), snap.Int(obs.MBlockCacheMisses)
 		m.BlockCacheHitRatio = obs.SafeRatio(m.BlockCacheHits, m.BlockCacheHits+m.BlockCacheMisses)
-		m.FilterProbes, m.FilterNegatives = db.store.FilterStats()
+		m.FilterProbes, m.FilterNegatives = snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
 		st := db.store.FlowStats()
 		m.StallState = int64(st.State)
 		m.StallSlowdowns = st.SlowdownEntries

@@ -6,9 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"cachekv/internal/core"
 	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
 )
+
+// smallGeometry shrinks the pool, the ImmZone, L1 and the SSTable target so
+// that a few thousand puts fill slots, spill and schedule compactions.
+func smallGeometry(o *core.Options) {
+	o.PoolBytes, o.ImmZoneBytes = 2<<20, 4<<20
+	o.LSM.BaseLevelBytes, o.LSM.TableFileSize = 1<<20, 256<<10
+}
 
 func TestOpenDefaultEngine(t *testing.T) {
 	db, err := Open(Options{PMemMB: 1024})
@@ -174,6 +182,85 @@ func TestSimulateCrashEADR(t *testing.T) {
 	// Old handle unusable.
 	if _, err := db.SimulateCrash(); err == nil {
 		t.Fatal("double crash on stale handle should fail")
+	}
+}
+
+// TestTunedGeometrySurvivesCrash: SimulateCrash reopens with the Options the
+// store was opened with, the tune hook included, so a store tuned to a small
+// pool without memory-component filters recovers that pool and still runs
+// without filters. An untuned store beside it shows both settings matter.
+func TestTunedGeometrySurvivesCrash(t *testing.T) {
+	gather := func(db *DB) *obs.Snapshot { return db.Registry().Gather() }
+	plain, err := Open(Options{PMemMB: 512, SubMemTableKB: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	db, err := Open(Options{PMemMB: 512, SubMemTableKB: 256, tune: func(o *core.Options) {
+		o.PoolBytes, o.FilterBitsPerKey = 2<<20, -1
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := gather(db).Int("engine_pool_slots")
+	if def := gather(plain).Int("engine_pool_slots"); slots == def {
+		t.Fatalf("the tuned pool has the default pool's %d slots", def)
+	}
+	s := db.Session(0)
+	for i := 0; i < 100; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err = db.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := gather(db).Int("engine_pool_slots"); got != slots {
+		t.Fatalf("recovered pool has %d slots, want the tuned %d", got, slots)
+	}
+	for _, d := range []*DB{plain, db} {
+		s := d.Session(0)
+		for i := 100; i < 200; i++ {
+			k := []byte(fmt.Sprintf("k%05d", i))
+			if err := s.Put(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p := gather(plain).Int(obs.MFilterProbes); p == 0 {
+		t.Fatal("the untuned store probed no filter")
+	}
+	if p := gather(db).Int(obs.MFilterProbes); p != 0 {
+		t.Fatalf("the recovered store probed its filters %d times; tuned, it has none", p)
+	}
+}
+
+// TestNegativeSessionCore: a negative core wraps into [0, Cores) like any
+// other, so a session's first write never indexes the pool's per-core slot
+// table below zero.
+func TestNegativeSessionCore(t *testing.T) {
+	db, err := Open(Options{PMemMB: 512, Cores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, c := range []struct{ core, want int }{{-1, 3}, {-4, 0}, {-6, 2}} {
+		s := db.Session(c.core)
+		if got := s.Core(); got != c.want {
+			t.Fatalf("Session(%d).Core() = %d, want %d", c.core, got, c.want)
+		}
+		k := []byte(fmt.Sprintf("core%d", c.core))
+		if err := s.Put(k, []byte("v")); err != nil {
+			t.Fatalf("Session(%d).Put: %v", c.core, err)
+		}
+		if v, err := s.Get(k); err != nil || string(v) != "v" {
+			t.Fatalf("Session(%d).Get = %q, %v", c.core, v, err)
+		}
 	}
 }
 
@@ -366,11 +453,11 @@ func TestSlowOpsThroughPublicAPI(t *testing.T) {
 func TestCustomKnobs(t *testing.T) {
 	db, err := Open(Options{
 		PMemMB:        1024,
-		PoolMB:        6,
 		SubMemTableKB: 512,
 		FlushThreads:  2,
-		SyncThreshold: 16,
-		ImmZoneMB:     8,
+		tune: func(o *core.Options) {
+			o.PoolBytes, o.SyncThreshold, o.ImmZoneBytes = 6<<20, 16, 8<<20
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +574,9 @@ func TestBatchUnsupportedEngine(t *testing.T) {
 // no longer reads as a footer reports it by the public name: callers need not
 // import internal/util to tell a damaged image from an absent key.
 func TestCorruptFooterIsErrCorrupt(t *testing.T) {
-	db, err := Open(Options{PMemMB: 1024, PoolMB: 2, SubMemTableKB: 256, ImmZoneMB: 4})
+	db, err := Open(Options{PMemMB: 1024, SubMemTableKB: 256, tune: func(o *core.Options) {
+		o.PoolBytes, o.ImmZoneBytes = 2<<20, 4<<20
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,7 @@ func writesOf(s pmem.CountersSnapshot) pmem.CountersSnapshot {
 // recovers every write acknowledged before the crash, and no write that was
 // never issued.
 func TestSimulateCrashCutsWorkInFlight(t *testing.T) {
-	db, err := Open(Options{PMemMB: 512, CompactionWorkers: 2, PoolMB: 2, SubMemTableKB: 256,
-		ImmZoneMB: 4, BaseLevelMB: 1, TableSizeKB: 256})
+	db, err := Open(Options{PMemMB: 512, CompactionWorkers: 2, SubMemTableKB: 256, tune: smallGeometry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,15 @@ import (
 	"fmt"
 	"testing"
 
+	"cachekv/internal/core"
 	"cachekv/internal/hw/sim"
 )
+
+// disableAccelerators turns off the memory component's negative filters and
+// the block cache: the reference run of the differential tests.
+func disableAccelerators(o *core.Options) {
+	o.FilterBitsPerKey, o.LSM.BlockCacheBytes = -1, -1
+}
 
 func openPair(t *testing.T) (filtered, unfiltered *DB) {
 	t.Helper()
@@ -19,12 +26,7 @@ func openPair(t *testing.T) (filtered, unfiltered *DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfiltered, err = Open(Options{
-		Engine:           EngineCacheKV,
-		PMemMB:           1024,
-		FilterBitsPerKey: -1, // baseline: filters disabled
-		BlockCacheMB:     -1, // and no block cache either
-	})
+	unfiltered, err = Open(Options{Engine: EngineCacheKV, PMemMB: 1024, tune: disableAccelerators})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,28 +161,23 @@ func TestFilterRebuildAfterCrash(t *testing.T) {
 // TestValidateOptions covers the Open-time validation of negative knobs.
 func TestValidateOptions(t *testing.T) {
 	bad := []Options{
-		{PoolMB: -1},
 		{SubMemTableKB: -4},
 		{FlushThreads: -2},
-		{SyncThreshold: -64},
-		{ImmZoneMB: -32},
-		{FSMB: -256},
-		{TableSizeKB: -8},
-		{L0Trigger: -4},
-		{BaseLevelMB: -10},
 		{PMemMB: -4096},
 		{Cores: -24},
+		{Shards: -2},
+		{CompactionWorkers: -1},
+		{WriteStallDeadline: -1},
 	}
 	for _, o := range bad {
 		if _, err := Open(o); err == nil {
 			t.Fatalf("Open(%+v) accepted a negative knob", o)
 		}
 	}
-	// Negative BlockCacheMB / FilterBitsPerKey are the documented "disable"
-	// values, not errors.
-	db, err := Open(Options{BlockCacheMB: -1, FilterBitsPerKey: -1})
+	// The engine's own "disable" values stay reachable through the hook.
+	db, err := Open(Options{tune: disableAccelerators})
 	if err != nil {
-		t.Fatalf("disable values rejected: %v", err)
+		t.Fatalf("disabled filters and block cache rejected: %v", err)
 	}
 	s := db.Session(0)
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {

@@ -35,7 +35,6 @@ func allocKey(i int) []byte { return []byte(fmt.Sprintf("key%013d", i)) }
 func quietOpts() Options {
 	o := smallOpts()
 	o.SyncThreshold = 1 << 30
-	o.Elastic = false
 	return o
 }
 
@@ -170,7 +169,7 @@ func TestScanAllocs(t *testing.T) {
 	e, th := openEngine(t, m, o)
 	defer e.Close(th)
 	so := smallShardedOpts(2)
-	so.SyncThreshold, so.Elastic, so.SkiplistCompaction = 1<<30, false, false
+	so.SyncThreshold, so.SkiplistCompaction = 1<<30, false
 	sh, sth := openSharded(t, testMachine(), so)
 	defer sh.Close(sth)
 

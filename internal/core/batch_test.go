@@ -69,7 +69,6 @@ func TestBatchEmptyAndReset(t *testing.T) {
 func TestBatchTooLarge(t *testing.T) {
 	opts := smallOpts()
 	opts.SubMemTableBytes = 64 << 10
-	opts.Elastic = false
 	e, th := openEngine(t, testMachine(), opts)
 	defer e.Close(th)
 	var b Batch
@@ -113,7 +112,6 @@ func TestBatchAtomicAcrossCrash(t *testing.T) {
 
 func TestBatchSealsWhenFull(t *testing.T) {
 	opts := smallOpts()
-	opts.Elastic = false // keep slot geometry fixed so rollover is forced
 	e, th := openEngine(t, testMachine(), opts)
 	defer e.Close(th)
 	// Many medium batches must roll over sub-MemTables transparently.

@@ -9,7 +9,6 @@ import (
 
 	"cachekv/internal/arena"
 	"cachekv/internal/bgpool"
-	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -29,7 +28,6 @@ type Options struct {
 	FlushThreads     int    // background copy-based flush threads (1)
 	SyncThreshold    int    // writes per sub-MemTable before a lazy sync (64)
 	ImmZoneBytes     uint64 // PMem staging zone for flushed tables (32 MiB)
-	Elastic          bool   // enable miss-counter elasticity (on)
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
@@ -113,7 +111,6 @@ func DefaultOptions() Options {
 		FlushThreads:       1,
 		SyncThreshold:      64,
 		ImmZoneBytes:       32 << 20,
-		Elastic:            true,
 		LazyIndex:          true,
 		SkiplistCompaction: true,
 		FilterBitsPerKey:   10,
@@ -321,7 +318,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", env.index,
 			"imm_tables", nImms, "filters_rebuilt", nImms+len(sealed), "workers", workers, "last_seq", e.seq.Load())
 	} else {
-		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), opts.Elastic, th)
+		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), th)
 		if err != nil {
 			return nil, err
 		}
@@ -478,28 +475,35 @@ func engineMetrics(levels int) []engineMetric {
 	return ms
 }
 
-// registerMetrics publishes s's counters on r: its block cache's and its
-// memory-component filters' under the canonical names, then engineMetrics
-// aggregated over engines (s's one engine, or its shards).
-func registerMetrics(r *obs.Registry, s Store, engines []*Engine) {
-	r.Counter(obs.MBlockCacheHits, func() int64 { return s.BlockCacheStats().Hits })
-	r.Counter(obs.MBlockCacheMisses, func() int64 { return s.BlockCacheStats().Misses })
-	r.Counter(obs.MBlockCacheProbes, func() int64 { st := s.BlockCacheStats(); return st.Hits + st.Misses })
-	r.Gauge(obs.MBlockCacheRatio, func() float64 { return s.BlockCacheStats().HitRatio() })
-	r.Counter(obs.MSSTPointDirect, func() int64 { return s.BlockCacheStats().Direct })
-	r.Counter(obs.MBlockCacheAdmitted, func() int64 { return s.BlockCacheStats().Admitted })
-	r.Counter(obs.MFilterProbes, func() int64 { p, _ := s.FilterStats(); return p })
-	r.Counter(obs.MFilterNegatives, func() int64 { _, n := s.FilterStats(); return n })
-	r.Gauge(obs.MFilterNegRatio, func() float64 { p, n := s.FilterStats(); return obs.SafeRatio(n, p) })
+// registerMetrics publishes the counters of engines (one engine, or a
+// router's shards) on r, summed: their block caches' and memory-component
+// filters' under the canonical names, the two ratios computed from the sums,
+// then engineMetrics.
+func registerMetrics(r *obs.Registry, engines []*Engine) {
+	total := func(f func(e *Engine) int64) func() int64 {
+		return func() (t int64) {
+			for _, e := range engines {
+				t += f(e)
+			}
+			return t
+		}
+	}
+	hits := total(func(e *Engine) int64 { return e.tree.CacheStats().Hits })
+	misses := total(func(e *Engine) int64 { return e.tree.CacheStats().Misses })
+	probes := total(func(e *Engine) int64 { return e.stats.FilterProbes.Load() })
+	negatives := total(func(e *Engine) int64 { return e.stats.FilterNegatives.Load() })
+	r.Counter(obs.MBlockCacheHits, hits)
+	r.Counter(obs.MBlockCacheMisses, misses)
+	r.Counter(obs.MBlockCacheProbes, func() int64 { return hits() + misses() })
+	r.Gauge(obs.MBlockCacheRatio, func() float64 { h := hits(); return obs.SafeRatio(h, h+misses()) })
+	r.Counter(obs.MSSTPointDirect, total(func(e *Engine) int64 { return e.tree.CacheStats().Direct }))
+	r.Counter(obs.MBlockCacheAdmitted, total(func(e *Engine) int64 { return e.tree.CacheStats().Admitted }))
+	r.Counter(obs.MFilterProbes, probes)
+	r.Counter(obs.MFilterNegatives, negatives)
+	r.Gauge(obs.MFilterNegRatio, func() float64 { return obs.SafeRatio(negatives(), probes()) })
 	for _, m := range engineMetrics(engines[0].tree.NumLevels()) {
 		if m.count != nil {
-			r.Counter(m.name, func() int64 {
-				var t int64
-				for _, e := range engines {
-					t += m.count(e)
-				}
-				return t
-			})
+			r.Counter(m.name, total(m.count))
 			continue
 		}
 		r.Gauge(m.name, func() float64 {
@@ -517,7 +521,7 @@ func registerMetrics(r *obs.Registry, s Store, engines []*Engine) {
 }
 
 // RegisterObs publishes the engine's counters on r.
-func (e *Engine) RegisterObs(r *obs.Registry) { registerMetrics(r, e, []*Engine{e}) }
+func (e *Engine) RegisterObs(r *obs.Registry) { registerMetrics(r, []*Engine{e}) }
 
 // FlowState reports the current write-admission state.
 func (e *Engine) FlowState() FlowState { return e.flow.current() }
@@ -545,14 +549,6 @@ func (e *Engine) FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64)
 // Deterministic crash harnesses script stall phases with it; production code
 // never calls it.
 func (e *Engine) DebugForceFlowState(at int64, s FlowState) { e.flow.force(at, s) }
-
-// FilterStats reports memory-component negative-filter probes and rejections.
-func (e *Engine) FilterStats() (probes, negatives int64) {
-	return e.stats.FilterProbes.Load(), e.stats.FilterNegatives.Load()
-}
-
-// BlockCacheStats reports the block cache's counters.
-func (e *Engine) BlockCacheStats() blockcache.Stats { return e.tree.CacheStats() }
 
 // queueSealed hands a sealed slot to the copy-based flush: the one place a
 // seal enters the backlog accounting, the lifecycle trace (exactly one
@@ -939,8 +935,6 @@ type Store interface {
 	FlowState() FlowState
 	FlowStats() FlowStats
 	FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64)
-	BlockCacheStats() blockcache.Stats
-	FilterStats() (probes, negatives int64)
 	// RegisterObs publishes the store's counters on r: block cache and
 	// filters under the canonical names (obs.MBlockCacheHits, ...), then the
 	// engine's own.

@@ -284,7 +284,7 @@ func TestSharedSlotAppendsKeepEveryEntry(t *testing.T) {
 	}{
 		{"four writers on one core", func(int) int { return 0 }, func(*Options) {}},
 		{"four cores on two slots", func(w int) int { return w }, func(o *Options) {
-			o.PoolBytes, o.SubMemTableBytes, o.Elastic = 512<<10, 224<<10, false
+			o.PoolBytes, o.SubMemTableBytes = 512<<10, 224<<10
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -128,7 +128,6 @@ type pool struct {
 	coreSlot []atomic.Int32 // slot index per core, -1 = none
 
 	missCounter atomic.Int64 // cores that found no free sub-MemTable
-	elastic     bool
 
 	// sealFn is installed by the engine (Engine.queueSealed): it queues a slot
 	// force-sealed at virtual time at for its copy-based flush. Called with
@@ -174,14 +173,13 @@ func (p *pool) slotList() []*slot { return *p.slots.Load() }
 func (p *pool) setSlots(s []*slot) { p.slots.Store(&s) }
 
 // emptyPool is a pool over region with no slots yet and no core assigned.
-func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, elastic bool) *pool {
+func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int) *pool {
 	p := &pool{
 		m:         m,
 		region:    region,
 		partition: part,
 		maxSize:   region.Size - poolHeaderBytes,
 		coreSlot:  make([]atomic.Int32, cores),
-		elastic:   elastic,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for i := range p.coreSlot {
@@ -192,8 +190,8 @@ func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores in
 
 // newPool carves region into slots of slotBytes each and persists the
 // geometry. The caller has already pinned the region into the cache.
-func newPool(m *hw.Machine, region hw.Region, part cache.PartitionID, slotBytes uint64, cores int, elastic bool, th *hw.Thread) (*pool, error) {
-	p := emptyPool(m, region, part, cores, elastic)
+func newPool(m *hw.Machine, region hw.Region, part cache.PartitionID, slotBytes uint64, cores int, th *hw.Thread) (*pool, error) {
+	p := emptyPool(m, region, part, cores)
 	usable := region.Size - poolHeaderBytes
 	n := usable / slotBytes
 	if n == 0 {
@@ -232,7 +230,7 @@ func (p *pool) persistGeometry(th *hw.Thread) {
 // loadGeometry reads the persisted slot table (crash recovery). Every slot,
 // live or parked at size 0 by a merge, keeps its header line inside the pool
 // region past the table, and a live one holds at least that line.
-func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, elastic bool) (*pool, error) {
+func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int) (*pool, error) {
 	hdr := make([]byte, poolHeaderBytes)
 	m.PMem.LoadRaw(region.Addr, hdr)
 	c := util.NewCursor(hdr)
@@ -243,7 +241,7 @@ func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores
 	if n == 0 {
 		return nil, fmt.Errorf("core: pool geometry announces no slots, or more than its table holds: %w", util.ErrCorrupt)
 	}
-	p := emptyPool(m, region, part, cores, elastic)
+	p := emptyPool(m, region, part, cores)
 	slots := make([]*slot, n)
 	for i := range slots {
 		off, size := uint64(c.U32()), uint64(c.U32())
@@ -345,7 +343,7 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 		// sustained, let elasticity split free slots next time around.
 		p.missCounter.Add(1)
 		p.freesSinceMiss.Store(0)
-		if p.elastic && p.missCounter.Load() >= missThreshold {
+		if p.missCounter.Load() >= missThreshold {
 			if p.splitFreeSlotsLocked(th) {
 				p.missCounter.Store(0)
 				continue
@@ -439,21 +437,19 @@ func (p *pool) markFree(th *hw.Thread, s *slot, doneAt int64) {
 	// Elasticity fires here: misses accumulated while everything was busy
 	// split the slot the moment it frees, doubling the supply; conversely a
 	// long miss-free stretch merges free neighbours back together, trading
-	// parallelism for fewer, cheaper background flushes (Section III-A).
-	if p.elastic && p.missCounter.Load() >= missThreshold {
+	// parallelism for fewer, cheaper background flushes (Section III-A). A
+	// quiet release first decays residual miss pressure.
+	switch {
+	case p.missCounter.Load() >= missThreshold:
 		if p.splitFreeSlotsLocked(th) {
 			p.missCounter.Store(0)
 			p.freesSinceMiss.Store(0)
 		}
-	} else if p.elastic {
-		// Quiet release: decay residual miss pressure, and once a long
-		// miss-free stretch has passed, coalesce free buddies.
-		if p.missCounter.Load() > 0 {
-			p.missCounter.Add(-1)
-		} else if n := p.freesSinceMiss.Add(1); n >= mergeQuietFrees {
-			if p.mergeFreeSlotsLocked(th) {
-				p.freesSinceMiss.Store(0)
-			}
+	case p.missCounter.Load() > 0:
+		p.missCounter.Add(-1)
+	case p.freesSinceMiss.Add(1) >= mergeQuietFrees:
+		if p.mergeFreeSlotsLocked(th) {
+			p.freesSinceMiss.Store(0)
 		}
 	}
 	p.cond.Broadcast()

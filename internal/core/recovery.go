@@ -26,7 +26,7 @@ import (
 // rebuilt side by side (rebuildAll); it also returns how many servers that
 // took.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, workers int, err error) {
-	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), e.opts.Elastic)
+	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores())
 	if err != nil {
 		return nil, 0, err
 	}

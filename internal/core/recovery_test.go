@@ -594,7 +594,7 @@ func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion h
 	}
 	walk = th.Clock.Now()
 	inZone := len(tables)
-	p, err := loadGeometry(m, poolRegion, dead.poolPart, m.Cores(), dead.opts.Elastic)
+	p, err := loadGeometry(m, poolRegion, dead.poolPart, m.Cores())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
@@ -300,37 +299,11 @@ func (sh *Sharded) Close(th *hw.Thread) error {
 	return first
 }
 
-// FilterStats aggregates the shards' negative-filter counters.
-func (sh *Sharded) FilterStats() (probes, negatives int64) {
-	for _, e := range sh.shards {
-		p, n := e.FilterStats()
-		probes += p
-		negatives += n
-	}
-	return probes, negatives
-}
-
-// BlockCacheStats aggregates the shards' block-cache counters.
-func (sh *Sharded) BlockCacheStats() blockcache.Stats {
-	var sum blockcache.Stats
-	for _, e := range sh.shards {
-		st := e.BlockCacheStats()
-		sum.Hits += st.Hits
-		sum.Misses += st.Misses
-		sum.Evictions += st.Evictions
-		sum.Bytes += st.Bytes
-		sum.Entries += st.Entries
-		sum.Admitted += st.Admitted
-		sum.Direct += st.Direct
-	}
-	return sum
-}
-
 // RegisterObs publishes aggregate engine counters under the standard names
 // (so existing dashboards keep working), per-shard labeled variants, and the
 // router's cross-shard batch count.
 func (sh *Sharded) RegisterObs(r *obs.Registry) {
-	registerMetrics(r, sh, sh.shards)
+	registerMetrics(r, sh.shards)
 	r.Counter("engine_shards", func() int64 { return int64(len(sh.shards)) })
 	r.Counter("cross_shard_batches", func() int64 { return sh.crossBatches.Load() })
 

@@ -198,11 +198,10 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 func TestWriteAllocs(t *testing.T) {
 	o := smallOpts()
 	o.SyncThreshold = 1 << 30 // keep the index thread (and its allocations) out of the count
-	o.Elastic = false
 	e, th := openEngine(t, testMachine(), o)
 	defer e.Close(th)
 	so := smallShardedOpts(2)
-	so.SyncThreshold, so.Elastic = o.SyncThreshold, o.Elastic
+	so.SyncThreshold = o.SyncThreshold
 	sh, sth := openSharded(t, testMachine(), so)
 	defer sh.Close(sth)
 	k, v := []byte("key-0123456789"), make([]byte, 64)
@@ -288,7 +287,6 @@ func TestEverySealIsTraced(t *testing.T) {
 		o := smallOpts()
 		o.PoolBytes = 512 << 10
 		o.SubMemTableBytes = 224 << 10 // two slots
-		o.Elastic = false
 		o.Trace = obs.NewTrace(0)
 		e, th := openEngine(t, m, o)
 		defer e.Close(th)

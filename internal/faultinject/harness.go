@@ -279,7 +279,10 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 		res.Violations = append(res.Violations, v...)
 		res.Violations = append(res.Violations, judge(&fam.Script, res.Inflight, durable, intact, res.Recovered)...)
 		if st, ok := db2.(core.Store); ok {
-			res.FilterProbes, res.FilterNegatives = st.FilterStats()
+			r := obs.NewRegistry()
+			st.RegisterObs(r)
+			snap := r.Gather()
+			res.FilterProbes, res.FilterNegatives = snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
 		}
 		_ = db2.Close(th2)
 	}()

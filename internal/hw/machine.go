@@ -284,12 +284,14 @@ type Thread struct {
 	phases Breakdown
 }
 
-// NewThread creates a thread pinned to core (wrapped modulo the core count).
+// NewThread creates a thread pinned to core, wrapped into [0, Cores) — a
+// negative core too.
 func (m *Machine) NewThread(core int) *Thread {
 	id := m.threadSeq.Add(1)
+	n := m.cfg.Cores
 	return &Thread{
 		Clock: sim.NewClock(m.obsTally, m.Cache.Boot()),
-		Core:  core % m.cfg.Cores,
+		Core:  (core%n + n) % n,
 		RNG:   sim.NewRNG(uint64(id) * 0x9e3779b97f4a7c15),
 		costs: m.Costs,
 	}
