@@ -95,8 +95,12 @@ type Options struct {
 	// Cores is the simulated core count (default 24).
 	Cores int
 
-	// CacheKV-specific knobs (ignored by other engines); zero values take
-	// the paper's defaults (2 MiB sub-MemTables, 1 flush thread).
+	// CacheKV-specific knobs (ignored by other engines). SubMemTableKB 0
+	// takes the paper's 2 MiB sub-MemTables. FlushThreads is the number of
+	// copy-based flush threads, each a virtual server: one host goroutine
+	// feeds them the sealed sub-MemTables in seal order, and each table's copy
+	// runs on the earliest-free one. 0 takes 4, the knee of the paper's
+	// flush-thread sweep (Exp#5, Fig 14) and its Exp#6/#7 setting.
 	SubMemTableKB int
 	FlushThreads  int
 
@@ -240,6 +244,11 @@ func (db *DB) unsupported(what string) error {
 	return fmt.Errorf("cachekv: engine %s does not support %s", db.EngineName(), what)
 }
 
+// defaultFlushThreads is the number of flush servers a store opened through
+// Open runs when Options.FlushThreads is 0. core.DefaultOptions keeps the paper's
+// Section IV-A value of 1, which the figures and the crash harness reproduce.
+const defaultFlushThreads = 4
+
 func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (kvstore.DB, error) {
 	if opts.Engine == "" {
 		opts.Engine = EngineCacheKV
@@ -257,6 +266,7 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 	if opts.SubMemTableKB > 0 {
 		o.SubMemTableBytes = uint64(opts.SubMemTableKB) << 10
 	}
+	o.FlushThreads = defaultFlushThreads
 	if opts.FlushThreads > 0 {
 		o.FlushThreads = opts.FlushThreads
 	}

@@ -477,6 +477,43 @@ func TestCustomKnobs(t *testing.T) {
 	}
 }
 
+// TestFlushServersDefaultToFour: zero Options open four flush servers and
+// FlushThreads: 1 opens one. The flush counters tell them apart: a writer that
+// outruns one server keeps several busy at once only when there are several,
+// and then the servers' busy time exceeds the virtual time the load and its
+// FlushAll took — one server's cannot.
+func TestFlushServersDefaultToFour(t *testing.T) {
+	for _, c := range []struct{ threads, servers int }{{0, 4}, {1, 1}} {
+		var servers int
+		db, err := Open(Options{PMemMB: 1024, SubMemTableKB: 256, FlushThreads: c.threads, tune: func(o *core.Options) {
+			smallGeometry(o)
+			servers = o.FlushThreads
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := db.Session(0)
+		for i := 0; i < 20000; i++ {
+			if err := s.Put([]byte(fmt.Sprintf("k%07d", i)), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// FlushAll returns its caller once the last flush server frees.
+		th := db.machine.NewThread(0)
+		if err := db.inner.FlushAll(th); err != nil {
+			t.Fatal(err)
+		}
+		busy, elapsed := db.Registry().Gather().Int("flush_busy_ns"), th.Clock.Now()
+		db.Close()
+		if servers != c.servers {
+			t.Errorf("FlushThreads: %d opened %d flush servers, want %d", c.threads, servers, c.servers)
+		}
+		if several := busy > elapsed; several != (c.servers > 1) {
+			t.Errorf("FlushThreads: %d: the flush servers were busy %d vns in %d elapsed", c.threads, busy, elapsed)
+		}
+	}
+}
+
 func TestBatchPublicAPI(t *testing.T) {
 	db, err := Open(Options{PMemMB: 1024})
 	if err != nil {

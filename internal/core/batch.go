@@ -270,7 +270,7 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 			// Trigger 2: hand the slot to the background index thread whenever
 			// the table counter crosses a multiple of SyncThreshold.
 			if (count+n)%uint64(e.opts.SyncThreshold) < n {
-				e.syncs.Submit(th.Clock.Now(), s)
+				e.requestSync(th.Clock.Now(), s)
 			}
 			return nil
 		}

@@ -25,9 +25,12 @@ import (
 type Options struct {
 	PoolBytes        uint64 // sub-MemTable pool size pinned in the LLC (12 MiB)
 	SubMemTableBytes uint64 // initial sub-MemTable size (2 MiB)
-	FlushThreads     int    // background copy-based flush threads (1)
-	SyncThreshold    int    // writes per sub-MemTable before a lazy sync (64)
-	ImmZoneBytes     uint64 // PMem staging zone for flushed tables (32 MiB)
+	// FlushThreads is the number of copy-based flush threads (1). Each is a
+	// virtual server: one host goroutine takes the sealed sub-MemTables in
+	// seal order and books each copy on the earliest-free server.
+	FlushThreads  int
+	SyncThreshold int    // writes per sub-MemTable before a lazy sync (64)
+	ImmZoneBytes  uint64 // PMem staging zone for flushed tables (32 MiB)
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
@@ -202,9 +205,13 @@ type Engine struct {
 	merges         *bgpool.Kind[struct{}]
 	spills         *bgpool.Kind[struct{}]
 	compacts       *bgpool.Kind[struct{}]
-	flushBufs      [][]byte     // per flush worker: the table being copied
+	flushBuf       []byte       // the table being copied (the flush kind has one worker)
 	compactThreads []*hw.Thread // per compaction worker
 	pendingFlushes atomic.Int64
+	// syncJobs and syncBusyNs tally the syncs booked on the index thread's
+	// server (bookSync); pendingSyncs counts the trigger-2 syncs requested
+	// and not yet run (requestSync).
+	syncJobs, syncBusyNs, pendingSyncs atomic.Int64
 	// pendingFlushBytes tracks sealed-but-unflushed slot payload bytes; with
 	// ImmZone occupancy it forms the backlog signal (see backlog).
 	pendingFlushBytes atomic.Int64
@@ -454,6 +461,28 @@ func engineMetrics(levels int) []engineMetric {
 		return busy
 	})
 	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
+	// The other kinds' virtual servers, read the same way: the jobs each
+	// booked and the virtual time it kept them busy. The index pair counts the
+	// syncs (bookSync), not the merges that share the index thread's server:
+	// how merges coalesce follows the host's scheduling, as
+	// engine_compactions does.
+	for _, k := range []struct {
+		name  string
+		stats func(e *Engine) (jobs, busyNs int64)
+	}{
+		{"flush", func(e *Engine) (int64, int64) { return e.flushes.Server.Stats() }},
+		{"spill", func(e *Engine) (int64, int64) { return e.spills.Server.Stats() }},
+		{"index", func(e *Engine) (int64, int64) { return e.syncJobs.Load(), e.syncBusyNs.Load() }},
+	} {
+		counter(k.name+"_jobs", func(e *Engine) int64 {
+			jobs, _ := k.stats(e)
+			return jobs
+		})
+		counter(k.name+"_busy_ns", func(e *Engine) int64 {
+			_, busy := k.stats(e)
+			return busy
+		})
+	}
 	for lvl := 0; lvl < levels; lvl++ {
 		gauge(fmt.Sprintf("lsm_l%d_files", lvl), false, func(e *Engine) float64 { return float64(e.tree.NumFiles(lvl)) })
 		gauge(fmt.Sprintf("lsm_l%d_bytes", lvl), false, func(e *Engine) float64 { return float64(e.tree.LevelBytes(lvl)) })
@@ -888,10 +917,17 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 }) {
 		return e.err()
 	}
+	// The trigger-2 syncs still queued find their tables indexed by the
+	// flushes' final syncs. Wait them out anyway: then none runs on after
+	// FlushAll, and the index counters are final when it returns.
+	if !e.syncs.Wait(func() bool { return e.pendingSyncs.Load() == 0 }) {
+		return e.err()
+	}
 	e.spill(th)
 	e.tree.WaitSettled(th, e.compacts)
-	// Advance the caller past all background virtual time.
-	th.Clock.AdvanceTo(e.flushes.Server.EarliestFree())
+	// Advance the caller past all background virtual time: the last flush
+	// ends when the busiest flush server frees.
+	th.Clock.AdvanceTo(e.flushes.Server.LatestFree())
 	return e.err()
 }
 

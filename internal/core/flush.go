@@ -5,6 +5,7 @@ import (
 
 	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/lsm"
 	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
@@ -76,12 +77,16 @@ func newFilter(expectedKeys, bitsPerKey int) *memfilter.Filter {
 // thread's one — so that configured thread counts, not host scheduling, pace
 // the pipeline (Exp#3/#5). The order is Close's: an in-flight flush may still
 // submit a spill, a sync or a merge, and a spill a compaction.
+//
+// A flush thread is a virtual server: one host worker takes the sealed slots
+// in seal order and books each table's copy on the earliest-free of the
+// FlushThreads servers, so tables copy side by side in virtual time while the
+// host copies them one at a time, through one buffer.
 func (e *Engine) startBackground() {
 	o := e.opts
-	e.flushBufs = make([][]byte, max(o.FlushThreads, 1)) // the pool gives every kind a worker
 	// A slot is queued at most once at a time: 1 024 is far beyond any pool's
 	// slot count.
-	e.flushes = bgpool.Add(e.bg, bgpool.Config{Name: "flush", Workers: o.FlushThreads, Rule: bgpool.FIFO, Queue: 1024},
+	e.flushes = bgpool.Add(e.bg, bgpool.Config{Name: "flush", Workers: 1, Rule: bgpool.FIFO, Queue: 1024, Server: sim.NewServerPool(o.FlushThreads)},
 		e.flushOne, func(s *slot) {
 			_, _, tail := unpackHdr(s.hdr.Load())
 			e.addPending(-1, tail) // the power failure preempted the flush
@@ -96,7 +101,8 @@ func (e *Engine) startBackground() {
 	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
 	// Trigger 2 asks for a sync every SyncThreshold writes; a request that
 	// finds 4 096 queued is dropped, and a later one or the reader catches up.
-	e.syncs = bgpool.Add(e.bg, bgpool.Config{Name: "sync", Workers: 1, Rule: bgpool.Lossy, Queue: 4096}, e.syncJob, nil)
+	e.syncs = bgpool.Add(e.bg, bgpool.Config{Name: "sync", Workers: 1, Rule: bgpool.Lossy, Queue: 4096}, e.syncJob,
+		func(*slot) { e.pendingSyncs.Add(-1) })
 	e.merges = bgpool.Add(e.bg, bgpool.Config{Name: "merge", Workers: 1, Rule: bgpool.Coalesce, Server: e.syncs.Server}, e.mergeJob, nil)
 }
 
@@ -160,8 +166,9 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 // sealed at virtual time sealedAt (Section III-C) — a final index sync, a
 // non-temporal whole-table copy into the ImmZone, registration of the
 // resulting sub-ImmMemTable, and release of the slot. If the ImmZone crosses
-// its threshold, it spills to L0. The table passes through worker w's buffer.
-func (e *Engine) flushOne(w int, sealedAt int64, s *slot) (int64, bool) {
+// its threshold, it spills to L0. The table passes through the kind's one
+// buffer.
+func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	_, _, sealedTail := unpackHdr(s.hdr.Load())
 	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
@@ -181,7 +188,7 @@ func (e *Engine) flushOne(w int, sealedAt int64, s *slot) (int64, bool) {
 	syncTh.Clock.SetLabel(hw.PhaseIndex.Layer())
 	syncTh.Clock.AdvanceTo(sealedAt)
 	e.syncSlot(syncTh, s)
-	indexDoneV := e.syncs.Server.Submit(sealedAt, syncTh.Clock.Now()-sealedAt)
+	indexDoneV := e.bookSync(sealedAt, syncTh.Clock.Now()-sealedAt)
 
 	count, _, tail := unpackHdr(s.hdr.Load())
 	var t *immTable
@@ -237,10 +244,9 @@ func (e *Engine) flushOne(w int, sealedAt int64, s *slot) (int64, bool) {
 		hdr = util.PutFixed64(hdr, maxSeq)
 		e.m.Cache.NTWrite(th.Clock, dst, hdr)
 
-		buf := util.Sized(e.flushBufs[w], int(tail))
-		e.flushBufs[w] = buf
-		e.m.Cache.Read(th.Clock, s.dataAddr(), buf, e.poolPart)
-		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, buf)
+		e.flushBuf = util.Sized(e.flushBuf, int(tail))
+		e.m.Cache.Read(th.Clock, s.dataAddr(), e.flushBuf, e.poolPart)
+		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, e.flushBuf)
 		// The flush thread's software share: allocation, packing, verify.
 		th.Clock.Advance(int64(tail) * e.m.Costs.FlushBytePerKB / 1024)
 
@@ -294,7 +300,7 @@ func (e *Engine) flushOne(w int, sealedAt int64, s *slot) (int64, bool) {
 	}
 
 	e.trace.Emit(th.Clock.Now(), "flush_end", "shard", e.env.index,
-		"slot", s.idx, "bytes", tail, "entries", count, "stall_ns", stallNs)
+		"slot", s.idx, "bytes", tail, "entries", count, "stall_ns", stallNs, "free_at", doneAt)
 	// Block-cache eviction pressure: surface sustained churn as a trace event
 	// (every 1024 new evictions) so read-path regressions are visible in the
 	// lifecycle stream, not only as an aggregate hit ratio.
@@ -389,6 +395,16 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.env.index, "tables", len(imms), "max_seq", maxSeq)
 }
 
+// requestSync asks the index thread for a trigger-2 lazy sync of slot s at
+// virtual time at. pendingSyncs counts the requests not yet served, so that
+// FlushAll can wait them out.
+func (e *Engine) requestSync(at int64, s *slot) {
+	e.pendingSyncs.Add(1)
+	if !e.syncs.Submit(at, s) {
+		e.pendingSyncs.Add(-1) // dropped: 4 096 were queued
+	}
+}
+
 // syncJob is the sync kind's job: a trigger-2 lazy sync of slot s requested
 // at virtual time at, billed to the index thread from that instant.
 func (e *Engine) syncJob(_ int, at int64, s *slot) (int64, bool) {
@@ -396,7 +412,17 @@ func (e *Engine) syncJob(_ int, at int64, s *slot) (int64, bool) {
 	th.Clock.SetLabel(hw.PhaseIndex.Layer())
 	th.Clock.AdvanceTo(at)
 	e.syncSlot(th, s)
-	return e.syncs.Server.Submit(at, th.Clock.Now()-at), false
+	done := e.bookSync(at, th.Clock.Now()-at)
+	e.pendingSyncs.Add(-1) // before the completion wakes FlushAll
+	return done, false
+}
+
+// bookSync books a sync of d virtual ns, runnable at at, on the index
+// thread's server and returns its completion.
+func (e *Engine) bookSync(at, d int64) int64 {
+	e.syncJobs.Add(1)
+	e.syncBusyNs.Add(d)
+	return e.syncs.Server.Submit(at, d)
 }
 
 // mergeJob is the merge kind's job: the index thread's sub-skiplist

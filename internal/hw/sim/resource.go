@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -125,6 +126,14 @@ func (p *ServerPool) EarliestFree() int64 {
 		}
 	}
 	return min
+}
+
+// LatestFree returns the virtual time at which every server is free: the end
+// of the last job booked.
+func (p *ServerPool) LatestFree() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Max(p.free)
 }
 
 // Size returns the number of servers in the pool.

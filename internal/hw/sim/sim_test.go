@@ -119,6 +119,24 @@ func TestServerPoolRespectsReadyTime(t *testing.T) {
 	}
 }
 
+// TestServerPoolLatestFree: with servers idle beside a busy one, the earliest
+// free time is an idle server's and the latest the busy one's end; at one
+// server the two agree.
+func TestServerPoolLatestFree(t *testing.T) {
+	p := NewServerPool(4)
+	p.Submit(500, 100)
+	p.Submit(0, 50)
+	if e, l := p.EarliestFree(), p.LatestFree(); e != 0 || l != 600 {
+		t.Fatalf("EarliestFree, LatestFree = %d, %d; want 0, 600", e, l)
+	}
+	one := NewServerPool(1)
+	one.Submit(500, 100)
+	one.Submit(0, 100)
+	if e, l := one.EarliestFree(), one.LatestFree(); e != 700 || l != 700 {
+		t.Fatalf("one server: EarliestFree, LatestFree = %d, %d; want 700, 700", e, l)
+	}
+}
+
 func TestBandwidthSerializes(t *testing.T) {
 	var b Bandwidth
 	if done := b.Acquire(0, 10, 7); done != 70 {

@@ -159,12 +159,19 @@ func (l *List) replace(n *node, value []byte) {
 }
 
 // findGE walks to the first node with key >= key. When prev is non-nil it is
-// filled with the predecessor at every level (for splicing). Returns the node
-// (or nil) and the number of node visits made.
+// filled with the predecessor at every level (for splicing): the walk's below
+// the height it read, the head at and above it — a racing insert may raise the
+// height past that before the caller splices, and the head precedes every key.
+// Returns the node (or nil) and the number of node visits made.
 func (l *List) findGE(key []byte, prev *[maxHeight]*node) (*node, int) {
 	visits := 0
 	x := l.head
 	level := int(l.height.Load()) - 1
+	if prev != nil {
+		for i := level + 1; i < maxHeight; i++ {
+			prev[i] = l.head
+		}
+	}
 	for {
 		next := x.next[level].Load()
 		if next != nil && l.cmp(next.key, key) < 0 {
@@ -203,13 +210,10 @@ func (l *List) Insert(key, value []byte, charge ChargeFunc) {
 			l.mu.unlock()
 		}
 		h := len(n.next)
-		if cur := int(l.height.Load()); h > cur {
-			// Raise the list height; racing raisers are harmless because the
-			// head has maxHeight levels and prev for new levels is the head.
-			l.height.CompareAndSwap(int32(cur), int32(h))
-			for i := cur; i < h; i++ {
-				prev[i] = l.head
-			}
+		// Raise the list height; racing raisers are harmless because the head
+		// has maxHeight levels and findGE left it as prev above its walk.
+		if cur := l.height.Load(); int32(h) > cur {
+			l.height.CompareAndSwap(cur, int32(h))
 		}
 		// Splice bottom-up; level 0 makes the node reachable, so its CAS is
 		// the linearization point. A failed CAS at level 0 means a racing

@@ -143,6 +143,50 @@ func TestCustomComparator(t *testing.T) {
 	}
 }
 
+// TestInsertAfterARacingHeightRaise replays, on one goroutine, the race that
+// once panicked TestConcurrentInserts: a racing insert raises the list's
+// height after Insert's walk read it, so Insert sees no raise of its own to
+// make, and its taller node must still splice at the levels the walk never
+// visited. The comparator plays the racer on its first call, mid-walk.
+func TestInsertAfterARacingHeightRaise(t *testing.T) {
+	// A seed whose second tower is taller than its first.
+	var seed uint64
+	for seed = 1; ; seed++ {
+		l := New(nil, seed)
+		if h1 := l.randomHeight(); l.randomHeight() > h1 {
+			break
+		}
+	}
+	var l *List
+	armed := false
+	l = New(func(a, b []byte) int {
+		if armed {
+			armed = false
+			l.height.Store(maxHeight)
+		}
+		return bytes.Compare(a, b)
+	}, seed)
+	l.Insert([]byte("a"), []byte("1"), nil)
+	armed = true
+	l.Insert([]byte("b"), []byte("2"), nil)
+	if armed {
+		t.Fatal("the walk compared no key: the race was not replayed")
+	}
+	for _, k := range []string{"a", "b"} {
+		if _, ok := l.Get([]byte(k), nil); !ok {
+			t.Fatalf("Get(%q) missed after the raise", k)
+		}
+	}
+	it := l.NewIterator()
+	var keys []string
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		keys = append(keys, string(it.Key()))
+	}
+	if fmt.Sprint(keys) != "[a b]" {
+		t.Fatalf("iterated %v, want [a b]", keys)
+	}
+}
+
 func TestConcurrentInserts(t *testing.T) {
 	l := New(nil, 6)
 	const (
