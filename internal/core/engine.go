@@ -24,7 +24,7 @@ import (
 // defaults, noted per field.
 type Options struct {
 	PoolBytes        uint64 // sub-MemTable pool size pinned in the LLC (12 MiB)
-	SubMemTableBytes uint64 // initial sub-MemTable size (2 MiB)
+	SubMemTableBytes uint64 // sub-MemTable size (2 MiB): elasticity halves it, and merges back no further
 	// FlushThreads is the number of copy-based flush threads (1). Each is a
 	// virtual server: one host goroutine takes the sealed sub-MemTables in
 	// seal order and books each copy on the earliest-free server.
@@ -433,6 +433,8 @@ func engineMetrics(levels int) []engineMetric {
 	counter("engine_read_syncs", func(e *Engine) int64 { return e.stats.ReadSyncs.Load() })
 	counter("engine_get_retries", func(e *Engine) int64 { return e.stats.GetRetries.Load() })
 	counter("engine_pool_slots", func(e *Engine) int64 { return int64(e.pool.numSlots()) })
+	counter("pool_splits", func(e *Engine) int64 { return e.pool.splits.Load() })
+	counter("pool_merges", func(e *Engine) int64 { return e.pool.merges.Load() })
 	counter("engine_range_deletes", func(e *Engine) int64 { return e.stats.RangeDeletes.Load() })
 	counter("engine_ingests", func(e *Engine) int64 { return e.stats.Ingests.Load() })
 	counter("compact_bytes_in", func(e *Engine) int64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -544,44 +545,74 @@ func TestPoolPinnedLinesSurviveOtherTraffic(t *testing.T) {
 	}
 }
 
-func TestElasticityMergesWhenQuiet(t *testing.T) {
-	// Merge elasticity serves the over-provisioned case: a pool fragmented
-	// into many small sub-MemTables but written by a single calm core. Every
-	// seal/free happens with zero allocation misses, so free buddies should
-	// coalesce back into larger tables, cutting background flush overhead.
+// TestElasticityRestoresConfiguredSize: eight writers on a pool of two slots
+// miss, and the misses split the slots; then one calm writer finds a slot
+// free at every turn, and the hits merge the halves back into the slots the
+// pool was carved into — never past them. The data stays intact through
+// every geometry change.
+func TestElasticityRestoresConfiguredSize(t *testing.T) {
 	opts := smallOpts()
-	opts.PoolBytes = 1 << 20
-	opts.SubMemTableBytes = 64 << 10 // 15 small slots from the start
-	opts.FSBytes = 256 << 20         // several calm rounds' compaction churn
+	opts.PoolBytes = 512 << 10
+	opts.SubMemTableBytes = 224 << 10 // two slots
+	opts.FSBytes = 256 << 20
 	m := testMachine()
 	e, th := openEngine(t, m, opts)
 	defer e.Close(th)
-	before := e.pool.numSlots()
-	if before < 10 {
-		t.Fatalf("expected a fragmented pool, got %d slots", before)
+	checkSizes := func(when string) {
+		t.Helper()
+		for _, s := range e.pool.slotList() {
+			if sz := s.size.Load(); sz > opts.SubMemTableBytes {
+				t.Fatalf("%s: slot %d holds %d bytes, past the configured %d", when, s.idx, sz, opts.SubMemTableBytes)
+			}
+		}
 	}
-	// Whether a given quiet stretch is long enough depends on real flush
-	// scheduling; write calm rounds until coalescing shows (bounded).
-	merged := false
-	for round := 0; round < 5 && !merged; round++ {
-		for i := 0; i < 120000; i++ {
-			k := fmt.Sprintf("calm%d-%08d", round, i)
-			if err := e.Put(th, []byte(k), make([]byte, 100)); err != nil {
+	key := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-%06d", w, i)) }
+	var wg sync.WaitGroup
+	ends := make([]int64, 8)
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wth := m.NewThread(w)
+			for i := range 4000 {
+				if err := e.Put(wth, key(w, i), make([]byte, 100)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			ends[w] = wth.Clock.Now()
+		}()
+	}
+	wg.Wait()
+	checkSizes("after the pressure")
+	if e.pool.splits.Load() == 0 || e.pool.numSlots() <= 2 {
+		t.Fatalf("eight writers on two slots never split: %d splits, %d slots", e.pool.splits.Load(), e.pool.numSlots())
+	}
+	// A calm writer, once FlushAll has taken back the slots the others left
+	// allocated: think time between puts lets every flush end before its slot
+	// comes round again.
+	calm := m.NewThread(0)
+	calm.Clock.AdvanceTo(slices.Max(ends))
+	if err := e.FlushAll(calm); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 16 && e.pool.numSlots() > 2; round++ {
+		for i := range 4000 {
+			calm.Clock.Advance(2_000)
+			if err := e.Put(calm, key(8+round, i), make([]byte, 100)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := e.FlushAll(th); err != nil {
-			t.Fatal(err)
-		}
-		merged = e.pool.numSlots() < before
+		checkSizes(fmt.Sprintf("calm round %d", round))
 	}
-	if !merged {
-		t.Fatalf("quiet periods never merged slots: still %d", e.pool.numSlots())
+	if n := e.pool.numSlots(); n != 2 || e.pool.merges.Load() == 0 {
+		t.Fatalf("the calm writer left %d slots after %d merges, want the 2 configured", n, e.pool.merges.Load())
 	}
-	// Data stays intact through the geometry changes.
-	for i := 0; i < 120000; i += 7919 {
-		if _, err := e.Get(th, []byte(fmt.Sprintf("calm0-%08d", i))); err != nil {
-			t.Fatalf("lost calm0-%08d: %v", i, err)
+	for w := range 9 {
+		for i := 0; i < 4000; i += 397 { // the writers' keys and the first calm round's
+			if _, err := e.Get(th, key(w, i)); err != nil {
+				t.Fatalf("lost %s: %v", key(w, i), err)
+			}
 		}
 	}
 }

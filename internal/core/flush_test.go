@@ -13,10 +13,9 @@ import (
 // FlushAll. It returns the engine (closed by the test's cleanup), the
 // caller's clock after FlushAll, and the trace.
 //
-// The writer holds the spill lock while it writes, so every flush waits on
-// the host before its copy: no slot frees, to be taken again by the writer
-// and waited out, until the load ends. The seals, and so the flushes'
-// bookings, fall at the same virtual times in every run.
+// The pool hands the writer its slots by its virtual clock, however far the
+// host's flush worker has got, so the seals, and so the flushes' bookings,
+// fall at the same virtual times in every run.
 func flushLoad(t *testing.T, servers, puts int) (*Engine, int64, *obs.Trace) {
 	t.Helper()
 	m := testMachine()
@@ -27,14 +26,11 @@ func flushLoad(t *testing.T, servers, puts int) (*Engine, int64, *obs.Trace) {
 	o.Trace = obs.NewTrace(0)
 	e, th := openEngine(t, m, o)
 	t.Cleanup(func() { e.Close(th) })
-	e.spillMu.Lock()
 	for i := range puts {
 		if err := e.Put(th, []byte(fmt.Sprintf("key%06d", i)), make([]byte, 100)); err != nil {
-			e.spillMu.Unlock()
 			t.Fatal(err)
 		}
 	}
-	e.spillMu.Unlock()
 	if err := e.FlushAll(th); err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,14 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
@@ -118,16 +121,23 @@ type pool struct {
 	region    hw.Region
 	partition cache.PartitionID
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	slots   atomic.Pointer[[]*slot]
+	mu    sync.Mutex
+	cond  *sync.Cond
+	slots atomic.Pointer[[]*slot]
+	// maxSize is the configured sub-MemTable size, the largest a merge
+	// makes a slot (newPool's slotBytes; the engine sets it on a recovered
+	// pool, as it sets filterBits).
 	maxSize uint64
 
 	// Global metadata structure (kept in DRAM per Section III-A): index of
 	// the sub-MemTable assigned to each core.
 	coreSlot []atomic.Int32 // slot index per core, -1 = none
 
-	missCounter atomic.Int64 // cores that found no free sub-MemTable
+	// Elasticity's state (Section III-A), under mu: misses and hits are the
+	// running verdicts of acquire, splits and merges count the geometry
+	// changes for the registry.
+	misses, hits   int
+	splits, merges atomic.Int64
 
 	// sealFn is installed by the engine (Engine.queueSealed): it queues a slot
 	// force-sealed at virtual time at for its copy-based flush. Called with
@@ -141,21 +151,16 @@ type pool struct {
 	// filterBits is the bits-per-key budget for per-slot negative filters
 	// (installed by the engine right after construction).
 	filterBits int
-
-	// freesSinceMiss counts slot releases with no allocation miss; a long
-	// quiet stretch triggers the inverse elasticity move (merging free
-	// neighbours back into bigger sub-MemTables to cut flush overhead).
-	freesSinceMiss atomic.Int64
 }
 
 const poolHeaderMagic = 0xCAC4EC001
 
 // missThreshold is how many allocation misses split the free sub-MemTables;
-// mergeQuietFrees is how many consecutive miss-free slot releases signal an
-// over-provisioned pool worth coalescing.
+// mergeHits is how many hits past the last miss signal a pool with slots to
+// spare, worth coalescing back.
 const (
-	missThreshold   = 8
-	mergeQuietFrees = 8
+	missThreshold = 8
+	mergeHits     = 8
 )
 
 // poolHeaderBytes is the persistent slot-geometry table at the head of the
@@ -192,6 +197,7 @@ func emptyPool(m *hw.Machine, region hw.Region, part cache.PartitionID, cores in
 // geometry. The caller has already pinned the region into the cache.
 func newPool(m *hw.Machine, region hw.Region, part cache.PartitionID, slotBytes uint64, cores int, th *hw.Thread) (*pool, error) {
 	p := emptyPool(m, region, part, cores)
+	p.maxSize = slotBytes
 	usable := region.Size - poolHeaderBytes
 	n := usable / slotBytes
 	if n == 0 {
@@ -300,11 +306,25 @@ func (p *pool) slotFor(core int) *slot {
 // virtual time) until one is available. Waiting time is how write stalls
 // surface when the background flush cannot keep up (Exp#5 / Exp#7).
 //
-// deadlineV bounds the wait on the virtual clock: while no slot frees, each
-// retry advances the clock by a capped exponential backoff step, and once it
-// passes the deadline the call returns ErrStalled instead of blocking on. A
-// zero deadline keeps the legacy wait-forever contract; a nil slot with a nil
-// error means the pool aborted (the caller re-checks the engine error).
+// Every choice reads the caller's virtual clock, never how far the host's
+// flush worker has got. A free slot whose flush ended by now is taken at once:
+// of those, the one freed last, its lines the warmest (a hit). Otherwise the
+// caller takes the slot that frees first and advances to it (a miss). A flush
+// still in flight has not booked its end, so before either choice the caller
+// waits on the host for every flush that could end early enough to change it
+// (flushFloor): by now for a hit, by the first free slot's end for a miss.
+// Elasticity runs here, on that verdict, before the caller picks:
+// missThreshold misses split the free slots — once every flush of a slot wide
+// enough to halve has booked, so that which slots split does not depend on
+// the host — and mergeHits
+// hits, once residual misses have decayed, merge buddies free by now back
+// towards the configured size.
+//
+// deadlineV bounds the wait on the virtual clock: a slot that frees past it
+// returns ErrStalled, and while no slot is free at all each retry advances the
+// clock by a capped exponential backoff step until it passes the deadline. A
+// zero deadline waits forever; a nil slot with a nil error means the pool
+// aborted (the caller re-checks the engine error).
 func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64) (*slot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -313,70 +333,119 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 		if p.aborted.Load() {
 			return nil, nil
 		}
-		var best *slot
-		for _, s := range p.slotList() {
-			_, state, _ := unpackHdr(s.hdr.Load())
-			if state == stateFree && s.size.Load() > 0 {
-				best = s
-				break
+		now := th.Clock.Now()
+		c := p.candidatesLocked(now)
+		if c.warm != nil && c.floor > now {
+			if p.hitLocked(th, now) {
+				c = p.candidatesLocked(now) // a merge joins slots free by now only
 			}
-		}
-		if best != nil {
-			// Wait out the (virtual) tail of the flush that freed it.
-			if fa := best.freeAt.Load(); fa > th.Clock.Now() {
-				if deadlineV > 0 && fa > deadlineV {
-					return nil, ErrStalled
-				}
-				th.Clock.AdvanceTo(fa)
+			s := c.warm
+			if p.hits >= mergeHits {
+				// Merges are due but no buddies are free together: take the
+				// largest slot and let the small ones drain, or one writer
+				// ping-pongs between two halves and never frees both.
+				s = c.roomiest
 			}
-			best.syncMu.Lock()
-			best.list = skiplist.New(icmp, listSeed)
-			best.listCount, best.listTail, best.listMaxSeq = 0, 0, 0
-			best.syncMu.Unlock()
-			best.filter.Store(newFilter(expectedSlotKeys(best.dataCap()), p.filterBits))
-			best.owner.Store(int32(core))
-			p.writeHdr(th, best, packHdr(0, stateAllocated, 0))
-			p.coreSlot[core].Store(int32(best.idx))
-			return best, nil
+			p.assignLocked(th, s, core, listSeed)
+			return s, nil
 		}
-		// No free sub-MemTable: count the miss and, if the pressure is
-		// sustained, let elasticity split free slots next time around.
-		p.missCounter.Add(1)
-		p.freesSinceMiss.Store(0)
-		if p.missCounter.Load() >= missThreshold {
-			if p.splitFreeSlotsLocked(th) {
-				p.missCounter.Store(0)
+		splitDue := p.misses+1 >= missThreshold
+		if c.warm == nil && c.first != nil && c.floor > c.first.freeAt.Load() && !(splitDue && c.inflightWide) {
+			// A miss. A split keeps first as its lower half, freeing when it
+			// did.
+			p.missLocked(th)
+			fa := c.first.freeAt.Load()
+			if deadlineV > 0 && fa > deadlineV {
+				return nil, ErrStalled
+			}
+			th.Clock.AdvanceTo(fa)
+			p.assignLocked(th, c.first, core, listSeed)
+			return c.first, nil
+		}
+		if c.first == nil && c.warm == nil {
+			// No free sub-MemTable. If nothing is in flight either, every
+			// slot is parked on an idle core — force-rotate the fullest one
+			// into the flush pipeline so the pool cannot starve this waiter.
+			if !c.inflight && c.fullest != nil && p.sealFn != nil && p.forceSealLocked(th, c.fullest) {
+				p.sealFn(th.Clock.Now(), c.fullest)
 				continue
 			}
-		}
-		// If nothing is in flight either, every slot is parked on an idle
-		// core — force-rotate the fullest one into the flush pipeline so the
-		// pool cannot starve this waiter.
-		inflight := false
-		var fullest *slot
-		var fullestTail uint64
-		for _, s := range p.slotList() {
-			_, state, tail := unpackHdr(s.hdr.Load())
-			switch state {
-			case stateImmutable:
-				inflight = true
-			case stateAllocated:
-				if fullest == nil || tail > fullestTail {
-					fullest, fullestTail = s, tail
-				}
+			if deadlineV > 0 && !backoff.step(th, deadlineV) {
+				return nil, ErrStalled
 			}
-		}
-		if !inflight && fullest != nil && p.sealFn != nil {
-			if p.forceSealLocked(th, fullest) {
-				p.sealFn(th.Clock.Now(), fullest)
-				continue
-			}
-		}
-		if deadlineV > 0 && !backoff.step(th, deadlineV) {
-			return nil, ErrStalled
 		}
 		p.cond.Wait()
 	}
+}
+
+// candidates is what acquire chooses from at one virtual instant.
+type candidates struct {
+	warm         *slot // of the slots free by then, the one freed last
+	roomiest     *slot // of the slots free by then, the largest (ties: freed last)
+	first        *slot // of the slots free later, the one that frees first
+	fullest      *slot // the allocated slot with the most data
+	inflight     bool  // a sealed slot's flush has not booked its end yet
+	inflightWide bool  // and that slot could halve once free
+	floor        int64 // the earliest such a flush can end (MaxInt64: none)
+}
+
+// candidatesLocked scans the slots at virtual time now. Ties go to the
+// lowest index. p.mu held.
+func (p *pool) candidatesLocked(now int64) candidates {
+	c := candidates{floor: math.MaxInt64}
+	var fullestTail uint64
+	for _, s := range p.slotList() {
+		_, state, tail := unpackHdr(s.hdr.Load())
+		fa := s.freeAt.Load()
+		switch {
+		case state == stateImmutable:
+			c.inflight = true
+			c.inflightWide = c.inflightWide || s.size.Load()/2 >= minSlotBytes
+			c.floor = min(c.floor, flushFloor(p.m.Costs, s.sealedAt.Load(), tail))
+		case state == stateAllocated:
+			if c.fullest == nil || tail > fullestTail {
+				c.fullest, fullestTail = s, tail
+			}
+		case s.size.Load() == 0: // parked by a merge
+		case fa <= now:
+			if c.warm == nil || fa > c.warm.freeAt.Load() {
+				c.warm = s
+			}
+			if r := c.roomiest; r == nil || s.size.Load() > r.size.Load() || s.size.Load() == r.size.Load() && fa > r.freeAt.Load() {
+				c.roomiest = s
+			}
+		default:
+			if c.first == nil || fa < c.first.freeAt.Load() {
+				c.first = s
+			}
+		}
+	}
+	return c
+}
+
+// flushFloor is the earliest virtual time the flush of a slot sealed at
+// sealedAt with tail bytes can free it: flushOne charges at least the fixed
+// dispatch cost and the per-KiB packing of a non-empty table, and its server
+// starts it no earlier than the seal. An empty slot may be freed at once
+// (FlushAll frees it without a flush).
+func flushFloor(c *sim.CostModel, sealedAt int64, tail uint64) int64 {
+	if tail == 0 {
+		return sealedAt
+	}
+	return sealedAt + c.FlushFixed + int64(tail)*c.FlushBytePerKB/1024
+}
+
+// assignLocked hands the free slot s to core: a fresh sub-skiplist and filter,
+// the header allocated, the core's mapping. p.mu held.
+func (p *pool) assignLocked(th *hw.Thread, s *slot, core int, listSeed uint64) {
+	s.syncMu.Lock()
+	s.list = skiplist.New(icmp, listSeed)
+	s.listCount, s.listTail, s.listMaxSeq = 0, 0, 0
+	s.syncMu.Unlock()
+	s.filter.Store(newFilter(expectedSlotKeys(s.dataCap()), p.filterBits))
+	s.owner.Store(int32(core))
+	p.writeHdr(th, s, packHdr(0, stateAllocated, 0))
+	p.coreSlot[core].Store(int32(s.idx))
 }
 
 // sealForCore marks a core's slot immutable and detaches it, returning the
@@ -429,41 +498,60 @@ func (p *pool) forceSealLocked(th *hw.Thread, s *slot) bool {
 }
 
 // markFree returns a flushed slot to the pool at virtual completion time
-// doneAt and wakes waiters.
+// doneAt and wakes the waiters; what they take is acquire's choice.
 func (p *pool) markFree(th *hw.Thread, s *slot, doneAt int64) {
 	p.mu.Lock()
 	s.freeAt.Store(doneAt)
 	p.writeHdr(th, s, packHdr(0, stateFree, 0))
-	// Elasticity fires here: misses accumulated while everything was busy
-	// split the slot the moment it frees, doubling the supply; conversely a
-	// long miss-free stretch merges free neighbours back together, trading
-	// parallelism for fewer, cheaper background flushes (Section III-A). A
-	// quiet release first decays residual miss pressure.
-	switch {
-	case p.missCounter.Load() >= missThreshold:
-		if p.splitFreeSlotsLocked(th) {
-			p.missCounter.Store(0)
-			p.freesSinceMiss.Store(0)
-		}
-	case p.missCounter.Load() > 0:
-		p.missCounter.Add(-1)
-	case p.freesSinceMiss.Add(1) >= mergeQuietFrees:
-		if p.mergeFreeSlotsLocked(th) {
-			p.freesSinceMiss.Store(0)
-		}
-	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
-// splitFreeSlotsLocked halves every free slot above the minimum size,
-// doubling the supply of sub-MemTables (the paper's elasticity response to a
-// high miss counter). Returns whether anything changed. p.mu held.
+// missLocked counts an acquire that waits virtually for its slot; at
+// missThreshold the misses split the free slots, doubling the supply (the
+// paper's response to a high miss counter). The counter saturates there while
+// no slot can halve, so pressure that outlasts the smallest slots leaves at
+// most missThreshold misses for hits to decay. p.mu held.
+func (p *pool) missLocked(th *hw.Thread) {
+	p.hits = 0
+	p.misses = min(p.misses+1, missThreshold)
+	if p.misses == missThreshold && p.splitFreeSlotsLocked(th) {
+		p.misses = 0
+	}
+}
+
+// hitLocked counts an acquire that found a slot free by now. A hit first
+// decays residual misses; mergeHits hits past them merge the buddies free by
+// now, trading parallelism for fewer, cheaper background flushes once the
+// pressure has passed (Section III-A). Reports whether a merge changed the
+// slots. p.mu held.
+func (p *pool) hitLocked(th *hw.Thread, now int64) bool {
+	if p.misses > 0 {
+		p.misses--
+		return false
+	}
+	if p.hits++; p.hits < mergeHits || !p.mergeFreeSlotsLocked(th, now) {
+		return false
+	}
+	p.hits = 0
+	return true
+}
+
+// splitFreeSlotsLocked halves every free slot above the minimum size. Both
+// halves keep the slot's freeAt: neither is free before its flush ended. The
+// upper half reuses the slot a merge parked at its address, if any, so the
+// geometry table does not grow with every split-merge cycle. Returns whether
+// anything changed. p.mu held.
 func (p *pool) splitFreeSlotsLocked(th *hw.Thread) bool {
 	old := p.slotList()
-	changed := false
-	next := make([]*slot, len(old), len(old)+8)
-	copy(next, old)
+	parked := make(map[uint64]*slot)
+	for _, s := range old {
+		if s.size.Load() == 0 {
+			parked[s.addr] = s
+		}
+	}
+	next := slices.Clip(old)
+	var halves []*slot
 	for _, s := range old {
 		_, state, _ := unpackHdr(s.hdr.Load())
 		sz := s.size.Load()
@@ -471,59 +559,65 @@ func (p *pool) splitFreeSlotsLocked(th *hw.Thread) bool {
 			continue
 		}
 		half := sz / 2
-		ns := newSlot(len(next), s.addr+half, half)
+		ns := parked[s.addr+half]
+		if ns == nil {
+			ns = newSlot(len(next), s.addr+half, 0)
+			next = append(next, ns) // a copy: old is clipped
+		}
+		ns.freeAt.Store(s.freeAt.Load())
+		ns.size.Store(half)
 		s.size.Store(half)
-		next = append(next, ns)
-		changed = true
+		halves = append(halves, ns)
 	}
-	if !changed {
+	if len(halves) == 0 {
 		return false
 	}
 	p.setSlots(next)
 	p.persistGeometry(th)
-	for _, s := range next[len(old):] {
+	for _, s := range halves {
 		p.writeHdr(th, s, packHdr(0, stateFree, 0))
 	}
+	p.splits.Add(1)
 	return true
 }
 
-// mergeFreeSlotsLocked coalesces adjacent free slots pairwise (the inverse
-// elasticity move, reducing background flush overhead when pressure is low).
-// The emptied buddy keeps size 0 and is skipped by acquire. p.mu held.
-func (p *pool) mergeFreeSlotsLocked(th *hw.Thread) bool {
+// mergeFreeSlotsLocked coalesces buddies free by virtual time now pairwise —
+// a slot whose offset is a multiple of twice its size with the same-sized
+// slot right after it — up to the configured slot size, so a merge undoes a
+// split and never grows a slot past what the store was opened with. The
+// merged slot frees when the later of the two did; the emptied buddy is
+// parked at size 0, skipped by acquire until a split reuses it. p.mu held.
+func (p *pool) mergeFreeSlotsLocked(th *hw.Thread, now int64) bool {
 	slots := p.slotList()
 	byAddr := make(map[uint64]*slot, len(slots))
 	for _, s := range slots {
-		if s.size.Load() == 0 {
-			continue
+		if s.size.Load() > 0 {
+			byAddr[s.addr] = s
 		}
-		byAddr[s.addr] = s
+	}
+	free := func(s *slot) bool {
+		_, st, _ := unpackHdr(s.hdr.Load())
+		return st == stateFree && s.freeAt.Load() <= now
 	}
 	changed := false
 	for _, s := range slots {
 		sz := s.size.Load()
-		if sz == 0 || sz*2 > p.maxSize {
-			continue
-		}
-		_, st, _ := unpackHdr(s.hdr.Load())
-		if st != stateFree {
+		if sz == 0 || sz*2 > p.maxSize || (s.addr-p.region.Addr-poolHeaderBytes)%(sz*2) != 0 || !free(s) {
 			continue
 		}
 		buddy, ok := byAddr[s.addr+sz]
-		if !ok || buddy.size.Load() != sz {
-			continue
-		}
-		_, bst, _ := unpackHdr(buddy.hdr.Load())
-		if bst != stateFree {
+		if !ok || buddy.size.Load() != sz || !free(buddy) {
 			continue
 		}
 		s.size.Store(sz * 2)
+		s.freeAt.Store(max(s.freeAt.Load(), buddy.freeAt.Load()))
 		delete(byAddr, buddy.addr)
 		buddy.size.Store(0)
 		changed = true
 	}
 	if changed {
 		p.persistGeometry(th)
+		p.merges.Add(1)
 	}
 	return changed
 }

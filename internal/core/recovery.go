@@ -31,6 +31,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		return nil, 0, err
 	}
 	p.filterBits = e.mem.filterBits
+	p.maxSize = e.opts.SubMemTableBytes
 	e.pool = p
 
 	// Step 1: the ImmZone's header walk, on this thread; each table found is
