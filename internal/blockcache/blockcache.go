@@ -4,12 +4,14 @@
 // churn across compactions and concurrent lookups spread over independent
 // shard locks instead of serializing on one mutex.
 //
-// A foreground read — a Get or a scan — that misses does not have to fill the
-// cache: SSTables live on byte-addressable PMem, so the reader can search or
-// walk the block in place and leave the cache alone. Admit decides which
-// misses are worth a fill — the second one for the same block within a short
-// window of recent misses — so blocks that are touched once never evict
-// blocks that are reused.
+// A read that misses does not have to fill the cache: SSTables live on
+// byte-addressable PMem, so the reader can search or walk the block in place
+// and leave the cache alone. Only scans fill it. A point read never does: it
+// reads the few lines it searches in place, and the CPU cache keeps those. A
+// compaction copies its input blocks without caching them. Admit decides which
+// of a scan's misses are worth a fill — the second one for the same block
+// within a short window of recent misses — so blocks that are touched once
+// never evict blocks that are reused.
 //
 // Values are the immutable decoded block contents; callers must not mutate
 // returned slices. Capacity is charged in bytes (value length plus a fixed
@@ -36,7 +38,7 @@ type Stats struct {
 	Evictions int64
 	Bytes     int64 // bytes currently charged
 	Entries   int64
-	Admitted  int64 // foreground-read misses Admit chose to fill
+	Admitted  int64 // scan misses Admit chose to fill; a Get is never admitted
 	Direct    int64 // foreground-read misses (Get and scan) served in place on PMem, without a fill
 }
 
@@ -91,7 +93,7 @@ func (s *shard) pushFront(e *entry) {
 // admitSlotBytes sets the recent-miss window: one fingerprint slot per this
 // many bytes of capacity (256 slots for the default 8 MiB cache, an eighth of
 // the blocks it holds). The window is deliberately short. A block that misses
-// twice within a few hundred misses is hot enough to earn its DRAM copy; a
+// twice within a few hundred scan misses is hot enough to earn its DRAM copy; a
 // longer memory starts admitting the uniform tail, whose fills cost sixteen
 // XPLine reads each and evict blocks that would have hit.
 const admitSlotBytes = 32 << 10
@@ -155,7 +157,7 @@ func hash(k Key) uint64 {
 
 func (c *Cache) shardFor(k Key) *shard { return &c.shards[hash(k)&c.mask] }
 
-// Admit is called by a foreground read after Get missed on k. It reports
+// Admit is called by a scan after Get missed on k. It reports
 // whether the block should be read whole and Put: true when k also missed
 // recently (a second touch shows reuse), false when the caller should serve
 // this read in place and leave the cache as it is. Lock-free; a nil cache

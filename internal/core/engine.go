@@ -165,7 +165,8 @@ type Stats struct {
 	// Memory-component negative-filter effectiveness: probes against slot
 	// and imm-table filters, and how many rejected (each rejection skips a
 	// sub-skiplist search, and for active slots also the trigger-1 lazy
-	// sync). The global index has no filter: its probe reads one line.
+	// sync). The global index has no filter: its probe reads a bucket line,
+	// and none while the index covers no table.
 	FilterProbes    atomic.Int64
 	FilterNegatives atomic.Int64
 
@@ -660,16 +661,21 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 	e.mem.mu.RLock()
 	global := e.mem.global
 	var tables [16]*immTable
-	uncompacted := tables[:0]
+	uncompacted, anyCompacted := tables[:0], false
 	for _, t := range e.mem.imms {
-		if !t.compacted {
+		if t.compacted {
+			anyCompacted = true
+		} else {
 			uncompacted = append(uncompacted, t)
 		}
 	}
 	e.mem.mu.RUnlock()
-	if e.opts.SkiplistCompaction {
-		// One DRAM access per bucket line, the price of the filter probe this
-		// probe replaced; an empty index costs its one line too.
+	// One DRAM access per bucket line, the price of the filter probe this
+	// probe replaced. An index that covers no table is not read, as a nil
+	// filter costs nothing: a spill swaps imms and global together, and a
+	// merge marks its tables compacted only after upserting them, so while no
+	// table here is compacted the index holds nothing the tables below miss.
+	if e.opts.SkiplistCompaction && anyCompacted {
 		global.get(key, func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, addr uint64) bool {
 			if trailer>>8 > snapshot {
 				stale = true // key's, or one sharing its fingerprint: a pass more

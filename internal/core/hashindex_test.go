@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/lsm"
 	"cachekv/internal/util"
@@ -314,4 +315,48 @@ func TestGetDuringMergesGrowthAndSpills(t *testing.T) {
 			e.stats.Spills.Load(), e.stats.Compactions.Load(), slots.Load(), grown)
 	}
 	t.Logf("%d spills, %d merges, %d slots checked, %d growths seen", e.stats.Spills.Load(), e.stats.Compactions.Load(), slots.Load(), grown)
+}
+
+// TestGetSkipsAnEmptyGlobalIndex: a Get reads the global index only once a
+// merge has put a table into it. With every key in the tree and no slot
+// active, a Get probes no filter and reads no bucket line, so its index cell
+// stays at 0; after a flush and a merge the same Get reads at least one line,
+// and a key that lives only in the merged table is found through the index.
+func TestGetSkipsAnEmptyGlobalIndex(t *testing.T) {
+	e, th := openEngine(t, testMachine(), quietOpts())
+	defer e.Close(th)
+	get := func(key, want string) (indexNs int64) {
+		t.Helper()
+		before := th.PhaseBreakdown()[hw.PhaseIndex]
+		if v, err := e.Get(th, []byte(key)); err != nil || string(v) != want {
+			t.Fatalf("Get(%s) = %q, %v; want %q", key, v, err, want)
+		}
+		return th.PhaseBreakdown()[hw.PhaseIndex] - before
+	}
+	if err := e.Put(th, []byte("in-tree"), []byte("t")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.FlushAll(th); err != nil {
+		t.Fatal(err)
+	}
+	if ns := get("in-tree", "t"); ns != 0 {
+		t.Fatalf("a Get with no table in the global index spent %d vns indexing, want 0", ns)
+	}
+
+	if err := e.Put(th, []byte("merged"), []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	e.queueSealed(th.Clock.Now(), e.pool.sealForCore(th, th.Core)) // into the ImmZone, short of a spill
+	merged := func() bool {
+		e.mem.mu.RLock()
+		defer e.mem.mu.RUnlock()
+		return len(e.mem.imms) == 1 && e.mem.imms[0].compacted
+	}
+	if !e.merges.Wait(merged) {
+		t.Fatal(e.err())
+	}
+	if ns := get("in-tree", "t"); ns < e.m.Costs.DRAMAccess {
+		t.Fatalf("a Get with a merged table spent %d vns indexing, want at least one line (%d)", ns, e.m.Costs.DRAMAccess)
+	}
+	get("merged", "m")
 }

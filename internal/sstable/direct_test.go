@@ -155,24 +155,29 @@ func TestDirectGetMatchesResidentGet(t *testing.T) {
 			t.Fatalf("seed %d: table extent is cache-line aligned, the test wants it skewed", seed)
 		}
 
-		// resident serves every Get from the block cache: a compaction-style
-		// walk loads every block into a cache large enough to keep them.
+		// resident serves every Get from the block cache: a scan iterator
+		// that seeks to each entry twice running loads every block into a
+		// cache large enough to keep them (the second touch admits).
 		big := blockcache.New(256<<20, 4)
 		resident.SetCache(big, 1)
-		it, err := resident.NewCompactionIter(th)
+		it, err := resident.NewIter(th)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for it.SeekToFirst(); it.Valid(); it.Next() {
+		for _, e := range es {
+			ik := util.MakeInternalKey(nil, []byte(e.key), e.seq, e.kind)
+			it.Seek(ik)
+			it.Seek(ik)
+			if !it.Valid() || it.Err() != nil {
+				t.Fatalf("seed %d: warming seek to %q: valid %v, %v", seed, e.key, it.Valid(), it.Err())
+			}
 		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
+		it.Close()
 		warm := big.Stats()
 
-		// direct never hits: its cache is too small to hold any block. Most
-		// Gets search in place; a repeated block is admitted (copied whole,
-		// the Put then refused), and oversized blocks are copied whole.
+		// direct never hits: its cache is too small to hold any block, and
+		// a Get never fills it anyway. Most Gets search in place; oversized
+		// blocks are copied whole.
 		direct, err := NewReader(f, th)
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +212,8 @@ func TestDirectGetMatchesResidentGet(t *testing.T) {
 			t.Fatalf("seed %d: the resident reader missed its cache %d times", seed, st.Misses-warm.Misses)
 		}
 		st := tiny.Stats()
-		if st.Hits != 0 || st.Direct == 0 || st.Admitted == 0 || st.Direct+st.Admitted >= st.Misses {
-			t.Fatalf("seed %d: want in-place, admitted and oversized reads all exercised, got %+v", seed, st)
+		if st.Hits != 0 || st.Admitted != 0 || st.Direct == 0 || st.Direct >= st.Misses {
+			t.Fatalf("seed %d: want in-place and oversized reads both exercised and nothing admitted, got %+v", seed, st)
 		}
 	}
 }
@@ -289,8 +294,11 @@ func TestDirectGetReadsAFractionOfTheBlock(t *testing.T) {
 	}
 }
 
-// First miss: served in place, cache untouched. Second miss inside the window:
-// the block is copied into the cache. Third access: a hit.
+// A Get never fills the cache: its first, second and third touch of one
+// block are all served in place. A scan iterator does: first miss in place,
+// cache untouched; second miss inside the window, the block is copied into
+// the cache; third touch, a hit. A compaction iterator copies the block it
+// misses and caches nothing, but hits what a scan cached.
 func TestSecondTouchAdmission(t *testing.T) {
 	_, fs, th := newMachineEnv(t)
 	es := benchEntries(4000)
@@ -298,41 +306,57 @@ func TestSecondTouchAdmission(t *testing.T) {
 	c := blockcache.New(8<<20, 16)
 	r.SetCache(c, 1)
 	key := es[1234].key
-	want := []blockcache.Stats{
-		{Misses: 1, Direct: 1},
-		{Misses: 2, Direct: 1, Admitted: 1, Entries: 1},
-		{Misses: 2, Direct: 1, Admitted: 1, Entries: 1, Hits: 1},
-	}
-	for i, w := range want {
-		if got := getAt(r, th, key, util.MaxSequence); !got.ok || got.val != es[1234].val {
-			t.Fatalf("touch %d: %+v", i+1, got)
-		}
+	check := func(what string, w blockcache.Stats) {
+		t.Helper()
 		st := c.Stats()
 		st.Bytes = 0
 		if st != w {
-			t.Fatalf("touch %d: stats %+v, want %+v", i+1, st, w)
+			t.Fatalf("%s: stats %+v, want %+v", what, st, w)
 		}
 	}
-	// A scan iterator is a foreground read like Get: its first miss on
-	// another block is served in place. A compaction iterator is not: it
-	// fills on the first miss, without asking Admit.
-	it, err := r.NewIter(th)
+	for i := 1; i <= 3; i++ {
+		if got := getAt(r, th, key, util.MaxSequence); !got.ok || got.val != es[1234].val {
+			t.Fatalf("Get touch %d: %+v", i, got)
+		}
+		check(fmt.Sprintf("Get touch %d", i), blockcache.Stats{Misses: int64(i), Direct: int64(i)})
+	}
+
+	ik := util.MakeInternalKey(nil, []byte(key), util.MaxSequence, util.KindValue)
+	seek := func(open func(*hw.Thread) (*Iter, error)) {
+		t.Helper()
+		it, err := open(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		if it.Seek(ik); !it.Valid() || string(it.Value()) != es[1234].val {
+			t.Fatalf("seek to %q: valid %v, err %v", key, it.Valid(), it.Err())
+		}
+	}
+	want := []blockcache.Stats{
+		{Misses: 4, Direct: 4},
+		{Misses: 5, Direct: 4, Admitted: 1, Entries: 1},
+		{Misses: 5, Direct: 4, Admitted: 1, Entries: 1, Hits: 1},
+	}
+	for i, w := range want {
+		seek(r.NewIter)
+		check(fmt.Sprintf("scan touch %d", i+1), w)
+	}
+
+	// The compaction iterator: a hit on the block the scan cached, then a
+	// miss on the table's first block, copied and not cached.
+	seek(r.NewCompactionIter)
+	check("compaction seek to the cached block", blockcache.Stats{Misses: 5, Direct: 4, Admitted: 1, Entries: 1, Hits: 2})
+	it, err := r.NewCompactionIter(th)
 	if err != nil {
 		t.Fatal(err)
 	}
 	it.SeekToFirst()
-	if st := c.Stats(); st.Entries != 1 || st.Admitted != 1 || st.Direct != 2 {
-		t.Fatalf("after a scan iterator's first block: %+v", st)
+	if !it.Valid() || string(it.Key().UserKey()) != es[0].key {
+		t.Fatalf("compaction iterator's first entry: valid %v, err %v", it.Valid(), it.Err())
 	}
 	it.Close()
-	if it, err = r.NewCompactionIter(th); err != nil {
-		t.Fatal(err)
-	}
-	it.SeekToFirst()
-	if st := c.Stats(); st.Entries != 2 || st.Admitted != 1 || st.Direct != 2 {
-		t.Fatalf("after a compaction iterator's first block: %+v", st)
-	}
-	it.Close()
+	check("compaction iterator's first block", blockcache.Stats{Misses: 6, Direct: 4, Admitted: 1, Entries: 1, Hits: 2})
 }
 
 // A table can be retired and its extent reused while a Reader is still open.
@@ -402,10 +426,61 @@ func TestGetAllocatesOnlyTheValue(t *testing.T) {
 	if n := testing.AllocsPerRun(200, get); n > 1 {
 		t.Fatalf("in-place Get: %.1f allocations, want 1", n)
 	}
-	r.SetCache(blockcache.New(8<<20, 16), 1)
-	get()
-	get() // admitted
+	// A scan's second touch caches the block; the Gets then hit it.
+	c := blockcache.New(8<<20, 16)
+	r.SetCache(c, 1)
+	it, err := r.NewIter(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Seek(ik)
+	it.Seek(ik)
+	it.Close()
+	hits := c.Stats().Hits
 	if n := testing.AllocsPerRun(200, get); n > 1 {
 		t.Fatalf("cached Get: %.1f allocations, want 1", n)
+	}
+	if c.Stats().Hits == hits {
+		t.Fatal("the cached Gets never hit the cache")
+	}
+}
+
+// TestPointGetAllocs: repeated Gets of one block on a reader with a cache
+// attached allocate the value each returns and nothing else — the block is
+// never copied. A run is three Gets of a block no earlier run touched, so
+// each run holds a block's second touch, which copied the whole block when
+// Gets were admitted to the cache.
+func TestPointGetAllocs(t *testing.T) {
+	if util.RaceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	_, fs, th := newMachineEnv(t)
+	es := benchEntries(40_000)
+	_, r := openTable(t, fs, th, "t", es)
+	c := blockcache.New(8<<20, 16)
+	r.SetCache(c, 1)
+	_, ends := blockIndex(t, r, th, es)
+	const runs = 100
+	if len(ends) <= runs {
+		t.Fatalf("%d blocks, want more than %d", len(ends), runs)
+	}
+	iks := make([]util.InternalKey, len(ends))
+	for b, end := range ends {
+		iks[b] = util.MakeInternalKey(nil, []byte(es[end-1].key), util.MaxSequence, util.KindValue)
+	}
+	b := 0
+	n := testing.AllocsPerRun(runs, func() {
+		for range 3 {
+			if _, _, _, ok, err := r.Get(th, iks[b]); !ok || err != nil {
+				t.Fatalf("Get: %v %v", ok, err)
+			}
+		}
+		b++
+	})
+	if n > 3 {
+		t.Fatalf("three Gets of one block: %.1f allocations, want 3 (the values)", n)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Direct != int64(3*(runs+1)) {
+		t.Fatalf("want every Get served in place and nothing cached, got %+v", st)
 	}
 }

@@ -183,9 +183,10 @@ func (t *Writer) EstimatedSize() uint64 {
 // probe a shared DRAM block cache owned by the LSM tree (LevelDB keeps an
 // 8 MiB one): cached hits cost a DRAM access instead of PMem media reads,
 // and because the cache outlives the Reader, hot blocks survive reader churn
-// across compactions. On a miss foreground reads — Get and scan iterators —
-// search the block in place on PMem (seekBlock); compaction iterators copy
-// it into the cache (readBlock). A nil cache disables caching.
+// across compactions. Only scan iterators fill it, on a block's second touch
+// (seekBlock). On a miss a Get searches the block in place on PMem, a scan
+// iterator walks it in place, and a compaction iterator copies it without
+// caching it (readBlock). A nil cache disables caching.
 type Reader struct {
 	f      *pmemfs.File
 	index  []byte
@@ -202,26 +203,17 @@ func (r *Reader) SetCache(c *blockcache.Cache, id uint64) {
 	r.cacheID = id
 }
 
-// readBlock returns the whole data block at h through the shared block cache,
-// filling the cache on a miss. Compaction iterators use it: they walk every
-// entry of the block, so one DRAM copy is the cheapest way to read it.
+// readBlock returns the whole data block at h: the cached copy when there is
+// one, else a fresh copy out of PMem that is not cached — a compaction's
+// inputs are deleted when its job ends, so their blocks would only evict ones
+// that are still read. Compaction iterators use it: they walk every entry of
+// the block, so one DRAM copy is the cheapest way to read it.
 func (r *Reader) readBlock(th *hw.Thread, h handle) ([]byte, error) {
-	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
-	if b, ok := r.cache.Get(key); ok {
+	if b, ok := r.cache.Get(blockcache.Key{File: r.cacheID, Offset: h.offset}); ok {
 		th.ChargeDRAM(1)
 		return b, nil
 	}
-	return r.fillBlock(th, h, key)
-}
-
-// fillBlock copies the block at h out of PMem and caches it.
-func (r *Reader) fillBlock(th *hw.Thread, h handle, key blockcache.Key) ([]byte, error) {
-	contents, err := r.copyBlock(th, h)
-	if err != nil {
-		return nil, err
-	}
-	r.cache.Put(key, contents)
-	return contents, nil
+	return r.copyBlock(th, h)
 }
 
 // copyBlock reads the whole block at h into a fresh buffer.
@@ -301,23 +293,30 @@ var scratchPool = sync.Pool{New: func() any { return new(getScratch) }}
 
 // seekBlock points sc.data at the data block at h for a foreground read. The
 // DRAM block cache is probed first. On a miss the block is read where it
-// lies — PMem is byte-addressable, and the entries a Get or a short scan
+// lies: PMem is byte-addressable, and the entries a Get or a short scan
 // touches cost a few cache lines where a copy of the block costs all
-// sixty-four — unless the cache has seen the block miss recently: a second
-// touch shows reuse, so then it is copied into the cache and later reads hit
-// DRAM. policy is what the in-place decoder faults ahead of itself: a Get is a
-// point read, a table iterator a walk.
+// sixty-four. policy is what the in-place decoder faults ahead of itself, and
+// it also decides who may fill the cache:
+//   - A Get (block.FaultPoint) never does. Copying the block would put all
+//     sixty-four lines on this one read to save lines on later ones, and the
+//     LLC already keeps the few lines a repeated Get reads.
+//   - A table iterator (block.FaultWalk) asks the cache's Admit: a block the
+//     cache saw miss recently shows reuse, so its second touch copies it into
+//     the cache and later walks hit DRAM.
+//
+// A block too large for the in-place window is copied whole and not cached.
 func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch, policy block.Fault) error {
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
 		th.ChargeDRAM(1)
 		return sc.data.Reset(b)
 	}
-	if r.cache.Admit(key) {
-		contents, err := r.fillBlock(th, h, key)
+	if policy == block.FaultWalk && r.cache.Admit(key) {
+		contents, err := r.copyBlock(th, h)
 		if err != nil {
 			return err
 		}
+		r.cache.Put(key, contents)
 		return sc.data.Reset(contents)
 	}
 	if sc.win.open(r.f, th, h) {
@@ -433,23 +432,26 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 type Iter struct {
 	r     *Reader
 	th    *hw.Thread
-	whole bool        // read whole blocks through the cache (compaction) instead of in place
+	whole bool        // copy whole blocks (compaction) instead of reading them in place
 	sc    *getScratch // nil once closed
 	ok    bool        // sc.data is on a loaded block
 	err   error
 }
 
 // NewIter returns an unpositioned foreground iterator. It loads a data block
-// the way Get does (seekBlock): a scan that leaves a block after a few
-// entries pays for those entries' cache lines, not for sixty-four, and a block
-// touched once does not evict one that is reused. Where Get faults key records
-// one by one, a walk faults each run's key area whole (block.FaultWalk), so
-// that its reads move through the block in address order.
+// in place as Get does (seekBlock): a scan that leaves a block after a few
+// entries pays for those entries' cache lines, not for sixty-four. Unlike a
+// Get it copies a block into the cache on the block's second touch, and a
+// block touched once does not evict one that is reused. Where Get faults key
+// records one by one, a walk faults each run's key area whole
+// (block.FaultWalk), so that its reads move through the block in address
+// order.
 func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, false) }
 
 // NewCompactionIter returns an unpositioned iterator that copies every block
-// it reaches into the block cache on a miss (readBlock). A compaction reads
-// every entry of its inputs once, so whole blocks are what it uses.
+// it reaches out of PMem on a miss and leaves the cache as it is (readBlock).
+// A compaction reads every entry of its inputs once, so whole blocks are what
+// it uses.
 func (r *Reader) NewCompactionIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, true) }
 
 func (r *Reader) newIter(th *hw.Thread, whole bool) (*Iter, error) {
