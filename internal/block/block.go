@@ -4,14 +4,20 @@
 // meta blocks all share this encoding.
 //
 //	block    = run* ‖ restart[0..n) (fixed32 each) ‖ n (fixed32)
-//	run      = uvarint(len(key area)) ‖ key area ‖ value area
+//	run      = uvarint(len(key area)<<1 | aligned) ‖ key area ‖ pad ‖ value area
 //	key area = (uvarint shared ‖ uvarint unshared ‖ uvarint vlen ‖ key suffix)*
+//	pad      = zero bytes up to the next PMem cache line if aligned, else none
 //	value area = the run's values, in the order of their key records
 //
 // restart[i] is the offset of run i. A search reads key records only — a
 // couple of dozen bytes apiece, back to back — and jumps to the one value it
 // returns: on byte-addressable PMem the bytes a comparison never looks at stay
-// out of the cache lines it pays for.
+// out of the cache lines it pays for. A run whose values would touch fewer
+// lines starting on a line boundary starts them there, so a 64 B value costs
+// one line rather than two. Where the lines fall depends on where the block
+// lies: its skew, the PMem address of its first byte mod LineSize, which the
+// writer gives the Builder and every reader gives the Iter. A block read at
+// another skew than it was built at decodes as corrupt or wrong.
 package block
 
 import (
@@ -22,14 +28,43 @@ import (
 
 const restartInterval = 16
 
+// LineSize is the PMem cache line a run's value area may be aligned to.
+const LineSize = 64
+
+// valueStart is the one rule that places a run's value area: right behind its
+// key area, which ends at kend, or on the next line when the run header's
+// aligned bit is set.
+func valueStart(kend, skew int, aligned bool) int {
+	if !aligned {
+		return kend
+	}
+	return kend + -(kend+skew)&(LineSize-1)
+}
+
+// valueLines counts the lines that values of the given lengths touch, each
+// on its own, when the first starts at v: what point reads of them cost.
+func valueLines(v, skew int, vlens []int) int {
+	n := 0
+	for _, l := range vlens {
+		if l > 0 {
+			n += (v+skew+l-1)/LineSize - (v+skew)/LineSize + 1
+		}
+		v += l
+	}
+	return n
+}
+
 // Builder assembles one block. Keys must be added in ascending order.
 type Builder struct {
 	buf        []byte // finished runs; after Finish, the block
 	keys, vals []byte // the open run's key area and value area
+	vlens      []int  // the open run's value lengths
 	restarts   []uint32
 	counter    int // entries in the open run
 	lastKey    []byte
 	entries    int
+	skew       int // PMem address of the block's first byte, mod LineSize
+	pad        int // pad bytes in buf
 }
 
 // NewBuilder returns an empty block builder.
@@ -58,30 +93,48 @@ func (b *Builder) Add(key, value []byte) {
 	b.keys = util.PutUvarint(b.keys, uint64(len(value)))
 	b.keys = append(b.keys, key[shared:]...)
 	b.vals = append(b.vals, value...)
+	b.vlens = append(b.vlens, len(value))
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.counter++
 	b.entries++
 }
 
-// closeRun writes the open run — length prefix, key area, value area — behind
-// the finished ones.
+// closeRun writes the open run — header, key area, pad, value area — behind
+// the finished ones. It pads only when that lowers the lines the run's values
+// touch: values that straddle no line boundary gain nothing from it.
 func (b *Builder) closeRun() {
 	if b.counter == 0 {
 		return
 	}
-	b.buf = util.PutUvarint(b.buf, uint64(len(b.keys)))
+	head := uint64(len(b.keys)) << 1 // the aligned bit does not change the varint's length
+	kend := len(b.buf) + util.UvarintLen(head) + len(b.keys)
+	v := valueStart(kend, b.skew, true)
+	if valueLines(v, b.skew, b.vlens) < valueLines(kend, b.skew, b.vlens) {
+		head |= 1
+	} else {
+		v = kend
+	}
+	b.buf = util.PutUvarint(b.buf, head)
 	b.buf = append(b.buf, b.keys...)
+	b.buf = append(b.buf, make([]byte, v-kend)...)
 	b.buf = append(b.buf, b.vals...)
-	b.keys, b.vals, b.counter = b.keys[:0], b.vals[:0], 0
+	b.pad += v - kend
+	b.keys, b.vals, b.vlens, b.counter = b.keys[:0], b.vals[:0], b.vlens[:0], 0
 }
 
 // Empty reports whether nothing has been added.
 func (b *Builder) Empty() bool { return b.entries == 0 }
 
-// EstimatedSize returns the finished block size so far: the closed runs, the
-// open run with its length prefix, and the trailer.
+// SetSkew tells the builder where the block will lie: the PMem address of its
+// first byte, mod LineSize. Call it before the block's first Add; a new or
+// Reset builder assumes 0.
+func (b *Builder) SetSkew(skew int) { b.skew = skew }
+
+// EstimatedSize returns the finished block size so far — the closed runs, the
+// open run with its header, and the trailer — less the pad bytes: a block
+// closes on the entries it holds, not on where it happens to lie.
 func (b *Builder) EstimatedSize() int {
-	n := len(b.buf) + 4*len(b.restarts) + 4
+	n := len(b.buf) - b.pad + 4*len(b.restarts) + 4
 	if b.counter > 0 {
 		n += util.UvarintLen(uint64(len(b.keys))) + len(b.keys) + len(b.vals)
 	}
@@ -102,11 +155,11 @@ func (b *Builder) Finish() []byte {
 // Reset clears the builder for a new block.
 func (b *Builder) Reset() {
 	b.buf = b.buf[:0]
-	b.keys, b.vals = b.keys[:0], b.vals[:0]
+	b.keys, b.vals, b.vlens = b.keys[:0], b.vals[:0], b.vlens[:0]
 	b.restarts = append(b.restarts[:0], 0)
 	b.counter = 0
 	b.lastKey = b.lastKey[:0]
-	b.entries = 0
+	b.entries, b.skew, b.pad = 0, 0, 0
 }
 
 // Backing faults byte ranges of a block into the buffer an Iter decodes
@@ -151,6 +204,7 @@ type Iter struct {
 	data      []byte  // whole block; with a Backing only the ranges asked for are valid
 	back      Backing // nil when data is resident
 	fault     Fault
+	skew      int // the block's PMem address mod LineSize, as it was built
 	limit     int // end of the entry area, start of the restart array
 	nRestarts int
 	run       int // index of the run the cursors are in
@@ -163,26 +217,29 @@ type Iter struct {
 	err       error
 }
 
-// NewIter parses contents (a finished block) and returns an unpositioned
-// iterator.
+// NewIter parses contents (a finished block built at skew 0, as index blocks
+// are) and returns an unpositioned iterator.
 func NewIter(contents []byte) (*Iter, error) {
 	it := new(Iter)
-	if err := it.Reset(contents); err != nil {
+	if err := it.Reset(contents, 0); err != nil {
 		return nil, err
 	}
 	return it, nil
 }
 
-// Reset re-targets the iterator at resident contents, keeping its key buffer.
-func (it *Iter) Reset(contents []byte) error { return it.ResetLazy(contents, nil, FaultPoint) }
+// Reset re-targets the iterator at resident contents built at skew, keeping
+// its key buffer. A copy of a block keeps the skew of the place it came from.
+func (it *Iter) Reset(contents []byte, skew int) error {
+	return it.ResetLazy(contents, skew, nil, FaultPoint)
+}
 
-// ResetLazy re-targets the iterator at a block of len(data) bytes that back
-// faults into data on demand, by the given policy. It validates the trailer
-// once, for either backing: the restart count fits the block and the restart
-// offsets ascend strictly within the entry area, so every later restart lookup
-// and slice is in range.
-func (it *Iter) ResetLazy(data []byte, back Backing, policy Fault) error {
-	*it = Iter{data: data, back: back, fault: policy, key: it.key[:0]}
+// ResetLazy re-targets the iterator at a block of len(data) bytes, built at
+// skew, that back faults into data on demand, by the given policy. It
+// validates the trailer once, for either backing: the restart count fits the
+// block and the restart offsets ascend strictly within the entry area, so
+// every later restart lookup and slice is in range.
+func (it *Iter) ResetLazy(data []byte, skew int, back Backing, policy Fault) error {
+	*it = Iter{data: data, back: back, fault: policy, skew: skew, key: it.key[:0]}
 	n := len(data)
 	if n < 4 || !it.need(n-4, n) {
 		return it.corrupt()
@@ -294,7 +351,8 @@ func (it *Iter) next() bool {
 // openRun decodes the header of run i, points the key cursor at its first
 // record and the value cursor at its value area, and empties the key: a run
 // opens on a full key, so its first record must share nothing. The key area
-// is at least one byte long and lies inside the entry area.
+// is at least one byte long and lies inside the entry area, and so does the
+// start of the value area.
 func (it *Iter) openRun(i int, policy Fault) bool {
 	off := it.restart(i)
 	end := off + maxVarint
@@ -304,14 +362,18 @@ func (it *Iter) openRun(i int, policy Fault) bool {
 	if !it.need(off, end) {
 		return false
 	}
-	klen, n, err := util.Uvarint(it.data[off:end])
+	head, n, err := util.Uvarint(it.data[off:end])
+	klen := head >> 1
 	if err != nil || klen == 0 || klen > uint64(it.limit-off-n) {
 		it.corrupt()
 		return false
 	}
 	it.run, it.kpos = i, off+n
 	it.kend = it.kpos + int(klen)
-	it.vpos = it.kend
+	if it.vpos = valueStart(it.kend, it.skew, head&1 != 0); it.vpos > it.limit {
+		it.corrupt()
+		return false
+	}
 	it.key = it.key[:0]
 	return policy == FaultPoint || it.need(it.kpos, it.kend)
 }

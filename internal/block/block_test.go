@@ -190,10 +190,10 @@ func roundTrip(t *testing.T, keys []string, value func(k string) string) bool {
 			return false
 		}
 		if i%5 == 0 {
-			agree(t, contents, []byte(k))
+			agree(t, contents, []byte(k), 0)
 		}
 	}
-	agree(t, contents, nil)
+	agree(t, contents, nil, 0)
 	return true
 }
 

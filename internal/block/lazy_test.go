@@ -39,16 +39,16 @@ func (b *byteBacking) Need(lo, hi int) error {
 }
 
 // agree drives a resident iterator and, over poisoned buffers, a point-faulted
-// and a walk-faulted one through the same calls on the same contents, and fails
-// on the first observable difference.
-func agree(t *testing.T, contents, target []byte) {
+// and a walk-faulted one through the same calls on the same contents, read at
+// skew, and fails on the first observable difference.
+func agree(t *testing.T, contents, target []byte, skew int) {
 	t.Helper()
 	names := []string{"resident", "point", "walk"}
 	its := []*Iter{new(Iter), new(Iter), new(Iter)}
-	errs := []error{its[0].Reset(contents), nil, nil}
+	errs := []error{its[0].Reset(contents, skew), nil, nil}
 	for i, policy := range []Fault{FaultPoint, FaultWalk} {
 		back := newByteBacking(contents)
-		errs[i+1] = its[i+1].ResetLazy(back.buf, back, policy)
+		errs[i+1] = its[i+1].ResetLazy(back.buf, skew, back, policy)
 	}
 	for i := 1; i < len(its); i++ {
 		if (errs[0] == nil) != (errs[i] == nil) {
@@ -93,8 +93,11 @@ func agree(t *testing.T, contents, target []byte) {
 	}
 }
 
-func sampleBlock(n, valueLen int) ([]byte, [][]byte) {
+// sampleBlock is a block of n entries with values of valueLen bytes, built to
+// lie skew bytes into a cache line.
+func sampleBlock(n, valueLen, skew int) ([]byte, [][]byte) {
 	b := NewBuilder()
+	b.SetSkew(skew)
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("user%08d", i*7))
@@ -104,16 +107,18 @@ func sampleBlock(n, valueLen int) ([]byte, [][]byte) {
 }
 
 func TestLazyAgreesWithResident(t *testing.T) {
-	for _, valueLen := range []int{0, 1, 64, 700} {
-		contents, keys := sampleBlock(100, valueLen)
-		for _, k := range keys {
-			agree(t, contents, k)
-			agree(t, contents, append(append([]byte(nil), k...), 0)) // between two keys
+	for _, skew := range []int{0, 17, 63} {
+		for _, valueLen := range []int{0, 1, 64, 700} {
+			contents, keys := sampleBlock(100, valueLen, skew)
+			for _, k := range keys {
+				agree(t, contents, k, skew)
+				agree(t, contents, append(append([]byte(nil), k...), 0), skew) // between two keys
+			}
+			agree(t, contents, nil, skew)
+			agree(t, contents, []byte("zzzz"), skew)
 		}
-		agree(t, contents, nil)
-		agree(t, contents, []byte("zzzz"))
 	}
-	agree(t, NewBuilder().Finish(), []byte("k")) // the empty block
+	agree(t, NewBuilder().Finish(), []byte("k"), 0) // the empty block
 }
 
 // lineBacking faults whole 64 B cache lines of a block that starts skew bytes
@@ -146,13 +151,13 @@ func (b *lineBacking) Need(lo, hi int) error {
 }
 
 // runGeom is where one run of a well-formed block lies: its header at off, its
-// key area [klo, khi) and its value area [khi, end).
-type runGeom struct{ off, klo, khi, end int }
+// key area [klo, khi), its pad [khi, vlo) and its value area [vlo, end).
+type runGeom struct{ off, klo, khi, vlo, end int }
 
-func geometry(t *testing.T, contents []byte) (runs []runGeom, limit int) {
+func geometry(t *testing.T, contents []byte, skew int) (runs []runGeom, limit int) {
 	t.Helper()
-	it, err := NewIter(contents)
-	if err != nil {
+	it := new(Iter)
+	if err := it.Reset(contents, skew); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < it.nRestarts; i++ {
@@ -163,21 +168,22 @@ func geometry(t *testing.T, contents []byte) (runs []runGeom, limit int) {
 		if i+1 < it.nRestarts {
 			end = it.restart(i + 1)
 		}
-		runs = append(runs, runGeom{it.restart(i), it.kpos, it.kend, end})
+		runs = append(runs, runGeom{it.restart(i), it.kpos, it.kend, it.vpos, end})
 	}
 	return runs, it.limit
 }
 
 // benchBlock is one data block of the benchmark's shape, closed as the table
-// writer closes it: 16 hex digits of a hash and an 8 B trailer for a key, a
-// 64 B value, 4 KiB.
-func benchBlock() ([]byte, [][]byte) {
+// writer closes it, to lie skew bytes into a cache line: 16 hex digits of a
+// hash and an 8 B trailer for a key, a 64 B value, 4 KiB of entries.
+func benchBlock(skew int) ([]byte, [][]byte) {
 	var keys [][]byte
 	for i := uint64(0); i < 64; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("00000%011x\x01\x00\x00\x00\x00\x00\x00\x00", i*0x9E3779B97F4A7C15>>20)))
 	}
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	b := NewBuilder()
+	b.SetSkew(skew)
 	for i, k := range keys {
 		b.Add(k, bytes.Repeat([]byte{byte(i)}, 64))
 		if b.EstimatedSize() >= 4096 {
@@ -194,21 +200,26 @@ func seekTarget(key []byte) []byte { return key[:len(key)-8] }
 // A cold point Seek must fault the trailer, the first key of at most two runs
 // it does not land in, the key area of the one it does — as far as the search
 // walks it — and the value it returns: no other value, no other key area.
-// With keys apart from values that is under 9 of the block's 65 lines on
-// average (LevelDB's entry-after-entry layout: about 15).
+// With keys apart from values, and each run's 64 B values starting on a line —
+// so that the run after it, and the trailer, start on one too — that is under
+// 7 of the 67.4 lines the block spans on average (LevelDB's entry-after-entry
+// layout: about 15.7; values wherever the key area ends: 8.73).
 func TestLazySeekTouchesOneRun(t *testing.T) {
-	contents, keys := benchBlock()
-	runs, limit := geometry(t, contents)
-	if lines := (len(contents) + 63) / 64; lines != 65 {
-		t.Fatalf("the block is %d lines, want 65", lines)
-	}
 	var phase [4]int // lines first faulted for the trailer, foreign restart keys, the landing run, the value
-	seeks := 0
-	for skew := 0; skew < 64; skew++ { // blocks lie anywhere in a table
+	seeks, lines, entries := 0, 0, -1
+	for skew := 0; skew < LineSize; skew++ { // blocks lie anywhere in a table
+		contents, keys := benchBlock(skew)
+		if entries < 0 {
+			entries = len(keys)
+		} else if len(keys) != entries {
+			t.Fatalf("skew %d: the block closed on %d entries, at skew 0 on %d: the pad counted toward its size", skew, len(keys), entries)
+		}
+		lines += (skew + len(contents) + LineSize - 1) / LineSize
+		runs, limit := geometry(t, contents, skew)
 		for i, k := range keys {
 			back := newLineBacking(contents, skew)
 			it := new(Iter)
-			if err := it.ResetLazy(back.buf, back, FaultPoint); err != nil {
+			if err := it.ResetLazy(back.buf, skew, back, FaultPoint); err != nil {
 				t.Fatal(err)
 			}
 			it.Seek(seekTarget(k), nil)
@@ -245,10 +256,83 @@ func TestLazySeekTouchesOneRun(t *testing.T) {
 	}
 	n := float64(seeks)
 	total := phase[0] + phase[1] + phase[2] + phase[3]
-	t.Logf("%d-entry block, lines faulted per cold seek: trailer %.2f, foreign restart keys %.2f, landing run %.2f, value %.2f = %.2f",
-		len(keys), float64(phase[0])/n, float64(phase[1])/n, float64(phase[2])/n, float64(phase[3])/n, float64(total)/n)
-	if total > 9*seeks {
-		t.Fatalf("%d cold seeks faulted %d lines, want at most 9 of the block's 65 each on average", seeks, total)
+	t.Logf("%d-entry block of %.2f lines, lines faulted per cold seek: trailer %.2f, foreign restart keys %.2f, landing run %.2f, value %.2f = %.2f",
+		entries, float64(lines)/LineSize, float64(phase[0])/n, float64(phase[1])/n, float64(phase[2])/n, float64(phase[3])/n, float64(total)/n)
+	if phase[3] != seeks {
+		t.Fatalf("%d cold seeks faulted %d value lines, want one each", seeks, phase[3])
+	}
+	if total > 7*seeks {
+		t.Fatalf("%d cold seeks faulted %d lines, want at most 7 of the block's %.2f each on average", seeks, total, float64(lines)/LineSize)
+	}
+}
+
+// Wherever a block of the benchmark's shape lies, each of its 64 B values is
+// one cache line: a Get that returns it reads that line and no other.
+func TestBenchValuesLieInOneLine(t *testing.T) {
+	for skew := 0; skew < LineSize; skew++ {
+		contents, keys := benchBlock(skew)
+		it := new(Iter)
+		if err := it.Reset(contents, skew); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			if first, last := (skew+it.vlo)/LineSize, (skew+it.vhi-1)/LineSize; first != last {
+				t.Fatalf("skew %d: value %d spans lines %d to %d", skew, n, first, last)
+			}
+			n++
+		}
+		if n != len(keys) || it.Err() != nil {
+			t.Fatalf("skew %d: walked %d values of %d, err %v", skew, n, len(keys), it.Err())
+		}
+	}
+}
+
+// A run is padded only when its values then touch fewer lines, each counted
+// on its own: 16 B and 48 B values sit in one line or straddle two depending
+// on where the run's key area ends, so at most skews a pad pays and at some
+// (a key area ending 16, 32 or 48 bytes into a line) it does not.
+func TestBuilderPadsOnlyWhenItSavesLines(t *testing.T) {
+	for _, vlen := range []int{16, 48} {
+		padded, plain := 0, 0
+		for skew := 0; skew < LineSize; skew++ {
+			contents, _ := sampleBlock(64, vlen, skew)
+			runs, _ := geometry(t, contents, skew)
+			for _, r := range runs {
+				// The lines the run's values touch if its value area starts at v.
+				cost := func(v int) (n int) {
+					for at := r.vlo; at < r.end; at += vlen {
+						n += (skew+v+vlen-1)/LineSize - (skew+v)/LineSize + 1
+						v += vlen
+					}
+					return n
+				}
+				line := r.khi + (LineSize-(skew+r.khi)%LineSize)%LineSize
+				switch r.vlo {
+				case r.khi:
+					if line != r.khi {
+						plain++ // a pad was possible
+					}
+					if cost(line) < cost(r.khi) {
+						t.Errorf("%d B values, skew %d: the run at %d is not padded, though its values would touch %d lines from %d instead of %d", vlen, skew, r.off, cost(line), line, cost(r.khi))
+					}
+				case line:
+					padded++
+					if cost(line) >= cost(r.khi) {
+						t.Errorf("%d B values, skew %d: the run at %d is padded, though its values touch %d lines and %d without", vlen, skew, r.off, cost(line), cost(r.khi))
+					}
+					if !bytes.Equal(contents[r.khi:r.vlo], make([]byte, r.vlo-r.khi)) {
+						t.Errorf("%d B values, skew %d: the pad of the run at %d is not zeros", vlen, skew, r.off)
+					}
+				default:
+					t.Fatalf("%d B values, skew %d: the run at %d starts its values at %d, neither behind its key area (%d) nor on the next line (%d)", vlen, skew, r.off, r.vlo, r.khi, line)
+				}
+			}
+		}
+		t.Logf("%d B values: %d runs padded, %d not padded off a line", vlen, padded, plain)
+		if padded == 0 || plain == 0 {
+			t.Fatalf("%d B values: %d runs padded and %d not padded off a line; the test wants both", vlen, padded, plain)
+		}
 	}
 }
 
@@ -258,13 +342,13 @@ func TestLazySeekTouchesOneRun(t *testing.T) {
 // instead alternates between a run's key lines and its value lines, which the
 // DIMM does not serve as a sequential read.)
 func TestLazyWalkFaultsInAddressOrder(t *testing.T) {
-	contents, keys := benchBlock()
-	runs, _ := geometry(t, contents)
 	for _, skew := range []int{0, 40} {
+		contents, keys := benchBlock(skew)
+		runs, _ := geometry(t, contents, skew)
 		for start := range keys {
 			back := newLineBacking(contents, skew)
 			it := new(Iter)
-			if err := it.ResetLazy(back.buf, back, FaultWalk); err != nil {
+			if err := it.ResetLazy(back.buf, skew, back, FaultWalk); err != nil {
 				t.Fatal(err)
 			}
 			it.Seek(seekTarget(keys[start]), nil)
@@ -301,12 +385,12 @@ func TestLazyWalkFaultsInAddressOrder(t *testing.T) {
 }
 
 func TestLazyBackingErrorSurfaces(t *testing.T) {
-	contents, keys := sampleBlock(40, 8)
+	contents, keys := sampleBlock(40, 8, 0)
 	boom := errors.New("media fault")
 	for _, policy := range []Fault{FaultPoint, FaultWalk} {
 		back := newByteBacking(contents)
 		it := new(Iter)
-		if err := it.ResetLazy(back.buf, back, policy); err != nil {
+		if err := it.ResetLazy(back.buf, 0, back, policy); err != nil {
 			t.Fatal(err)
 		}
 		back.fail = boom
@@ -316,7 +400,7 @@ func TestLazyBackingErrorSurfaces(t *testing.T) {
 		}
 		back = newByteBacking(contents)
 		back.fail = boom
-		if err := new(Iter).ResetLazy(back.buf, back, policy); !errors.Is(err, boom) {
+		if err := new(Iter).ResetLazy(back.buf, 0, back, policy); !errors.Is(err, boom) {
 			t.Fatalf("reset err=%v, want the backing's error", err)
 		}
 	}
@@ -333,10 +417,10 @@ func rawBlock(runs ...[]byte) []byte {
 	return util.PutFixed32(append(b, trailer...), uint32(len(runs)))
 }
 
-// rawRun is one run: a header claiming klen key-area bytes, then the key
-// records and the values as given.
+// rawRun is one run: a header claiming klen key-area bytes and no pad, then
+// the key records and the values as given.
 func rawRun(klen int, records [][]byte, vals string) []byte {
-	r := util.PutUvarint(nil, uint64(klen))
+	r := util.PutUvarint(nil, uint64(klen)<<1)
 	for _, rec := range records {
 		r = append(r, rec...)
 	}
@@ -349,7 +433,8 @@ func rawRecord(shared, vlen int, suffix string) []byte {
 
 // hostileRuns are blocks of two runs — keys a1 a2 a3, b1 b2 b3, values of two
 // bytes — whose first run is sound and whose run structure is wrong in one
-// field each. The committed fuzz seeds of the same names hold the same bytes.
+// field each, read at skew 0. The committed fuzz seeds of the same names hold
+// the same bytes.
 func hostileRuns() (good []byte, bad map[string][]byte) {
 	recs := func(c string, shared int) [][]byte {
 		return [][]byte{rawRecord(shared, 2, c[:1-shared]+"1"), rawRecord(1, 2, "2"), rawRecord(1, 2, "3")}
@@ -358,7 +443,9 @@ func hostileRuns() (good []byte, bad map[string][]byte) {
 	const klen = 5 + 4 + 4 // the three records of a run
 	first := rawRun(klen, a, "A1A2A3")
 	good = rawBlock(first, rawRun(klen, b, "B1B2B3"))
-	long := append([]byte{0x80 | klen, 0x80, 0x80, 0x80, 0x80, 0x00}, rawRun(klen, b, "B1B2B3")[1:]...) // klen in six bytes
+	long := append([]byte{0x80 | klen<<1, 0x80, 0x80, 0x80, 0x80, 0x00}, rawRun(klen, b, "B1B2B3")[1:]...) // the header in six bytes
+	aligned := rawRun(klen, b, "B1B2B3")
+	aligned[0] |= 1 // its key area ends at byte 34, the next line starts at 64, the entry area ends at 40
 	return good, map[string][]byte{
 		"key-area-length-zero":         rawBlock(first, rawRun(0, b, "B1B2B3")),
 		"key-area-past-restart-array":  rawBlock(first, rawRun(klen+6+1, b, "B1B2B3")),
@@ -366,6 +453,7 @@ func hostileRuns() (good []byte, bad map[string][]byte) {
 		"values-past-entry-area":       rawBlock(first, rawRun(klen, [][]byte{b[0], b[1], rawRecord(1, 3, "3")}, "B1B2B3")),
 		"values-short-of-next-restart": rawBlock(rawRun(klen, a, "A1A2A3??"), rawRun(klen, b, "B1B2B3")),
 		"run-header-six-byte-varint":   rawBlock(first, long),
+		"value-area-past-entry-area":   rawBlock(first, aligned),
 		"restart-shared-prefix":        rawBlock(first, rawRun(klen-1, recs("b", 1), "B1B2B3")),
 	}
 }
@@ -373,7 +461,7 @@ func hostileRuns() (good []byte, bad map[string][]byte) {
 // Every count, offset and length in a block is media-derived; each of these
 // would slice out of range, or misplace every later value, if believed.
 func TestHostileBlocks(t *testing.T) {
-	good, keys := sampleBlock(40, 8)
+	good, keys := sampleBlock(40, 8, 0)
 	trailer := func(mut func(b []byte, restarts int)) []byte {
 		b := append([]byte(nil), good...)
 		mut(b, len(b)-4-4*3)
@@ -392,7 +480,7 @@ func TestHostileBlocks(t *testing.T) {
 		if _, err := NewIter(b); !errors.Is(err, util.ErrCorrupt) {
 			t.Errorf("%s: NewIter err = %v, want ErrCorrupt", name, err)
 		}
-		agree(t, b, keys[5])
+		agree(t, b, keys[5], 0)
 	}
 	// Damage inside the entry area passes reset and must fail (or answer)
 	// cleanly during the walk, identically for every backing.
@@ -400,13 +488,13 @@ func TestHostileBlocks(t *testing.T) {
 		for _, v := range []byte{0xff, 0x80, 0x00} {
 			b := append([]byte(nil), good...)
 			b[off] = v
-			agree(t, b, keys[off%len(keys)])
+			agree(t, b, keys[off%len(keys)], 0)
 		}
 	}
 	// A run whose structure is wrong ends the walk with ErrCorrupt after the
 	// sound run before it, and a Seek into it fails or finds the right value.
 	sound, runs := hostileRuns()
-	agree(t, sound, []byte("b2"))
+	agree(t, sound, []byte("b2"), 0)
 	it, err := NewIter(sound)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +507,7 @@ func TestHostileBlocks(t *testing.T) {
 			t.Errorf("%s: the committed fuzz seed of that name does not hold this block (%v)", name, err)
 		}
 		for _, target := range []string{"", "a2", "b1", "b2", "b3", "c"} {
-			agree(t, b, []byte(target))
+			agree(t, b, []byte(target), 0)
 		}
 		if it, err = NewIter(b); err != nil {
 			t.Fatalf("%s: reset: %v", name, err)
@@ -438,19 +526,21 @@ func TestHostileBlocks(t *testing.T) {
 	}
 }
 
-// FuzzBlockSeek: on arbitrary bytes the resident, the point-faulted and the
-// walk-faulted backing decode the same thing, and none panics, spins or reads
-// out of range.
+// FuzzBlockSeek: on arbitrary bytes, read at any skew, the resident, the
+// point-faulted and the walk-faulted backing decode the same thing, and none
+// panics, spins or reads out of range.
 func FuzzBlockSeek(f *testing.F) {
-	good, keys := sampleBlock(40, 8)
-	f.Add(good, keys[17])
-	f.Add(good[:len(good)-3], keys[0])
-	f.Add(NewBuilder().Finish(), []byte("k"))
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, []byte{})
-	f.Fuzz(func(t *testing.T, contents, target []byte) {
+	good, keys := sampleBlock(40, 8, 0)
+	f.Add(good, keys[17], uint8(0))
+	f.Add(good[:len(good)-3], keys[0], uint8(0))
+	skewed, keys := sampleBlock(50, 64, 40)
+	f.Add(skewed, keys[33], uint8(40))
+	f.Add(NewBuilder().Finish(), []byte("k"), uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, []byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, contents, target []byte, skew uint8) {
 		if len(contents) > 1<<16 {
 			return
 		}
-		agree(t, contents, target)
+		agree(t, contents, target, int(skew%LineSize))
 	})
 }

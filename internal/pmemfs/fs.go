@@ -330,6 +330,11 @@ func (w *Writer) Append(th *hw.Thread, data []byte) error {
 // Offset returns the current file length.
 func (w *Writer) Offset() uint64 { return w.f.size }
 
+// Addr returns the PMem address the next Append writes to, as File.Addr will
+// give it once the file is sealed; writers use it to lay data out on cache
+// lines.
+func (w *Writer) Addr() uint64 { return w.f.addr + w.f.size }
+
 // Finish seals the file, making it visible to Open and durable in the
 // directory log.
 func (w *Writer) Finish(th *hw.Thread) error {

@@ -255,8 +255,10 @@ func blockIndex(t *testing.T, r *Reader, th *hw.Thread, es []entry) (hs []handle
 // run's key records apart from its values a Get needs the trailer (1), a
 // restart key outside its own run (about 1), half of a 16-record key area of
 // 1.4 XPLines (about 1.2, its own restart key included) and the one value it
-// returns (1, or 2 when it straddles), which measures 0.31; the bound is a
-// third. (Entry after entry, LevelDB's layout, the half run alone was 4.)
+// returns (1: it starts on a cache line, so it never straddles two XPLines),
+// which measures 0.27 (0.31 with values wherever the key area ended); the
+// bound is a third. (Entry after entry, LevelDB's layout, the half run alone
+// was 4.)
 func TestDirectGetReadsAFractionOfTheBlock(t *testing.T) {
 	m, fs, th := newMachineEnv(t)
 	skewFreeList(t, fs, th, 1_000_003)

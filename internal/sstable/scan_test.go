@@ -98,24 +98,36 @@ func TestScanIterMatchesWholeBlockIter(t *testing.T) {
 	}
 }
 
-// rawTable writes a table whose data blocks are the given bytes verbatim,
-// block i indexed under lastKeys[i], and opens it.
-func rawTable(t testing.TB, fs *pmemfs.FS, th *hw.Thread, name string, blocks, lastKeys [][]byte) *Reader {
+// rawTable writes a table of the given data blocks, block i indexed under
+// lastKeys[i], and opens it. Each block is made for the skew it will lie at
+// (goodBlock), or ignores it (verbatim).
+func rawTable(t testing.TB, fs *pmemfs.FS, th *hw.Thread, name string, blocks []func(skew int) []byte, lastKeys [][]byte) *Reader {
 	t.Helper()
-	var parts [][]byte
-	var off uint64
+	fw, err := fs.Create(th, name, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	put := func(b []byte) handle {
-		h := handle{off, uint64(len(b))}
-		parts, off = append(parts, b), off+uint64(len(b))
+		h := handle{fw.Offset(), uint64(len(b))}
+		if err := fw.Append(th, b); err != nil {
+			t.Fatal(err)
+		}
 		return h
 	}
 	index := block.NewBuilder()
 	for i, b := range blocks {
-		index.Add(lastKeys[i], put(b).encode(nil))
+		index.Add(lastKeys[i], put(b(skewAt(fw.Addr()))).encode(nil))
 	}
 	filterH := put(bloom.New(10).BuildHashes(nil))
 	indexH := put(index.Finish())
-	f := sealedFile(t, fs, th, name, append(parts, footerOf(filterH, indexH, tableMagic))...)
+	put(footerOf(filterH, indexH, tableMagic))
+	if err := fw.Finish(th); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := NewReader(f, th)
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +135,20 @@ func rawTable(t testing.TB, fs *pmemfs.FS, th *hw.Thread, name string, blocks, l
 	return r
 }
 
+// verbatim is a rawTable block that is b wherever it lies.
+func verbatim(b []byte) func(int) []byte { return func(int) []byte { return b } }
+
 // goodBlock is a well-formed data block of n entries under user keys
-// prefix000, prefix001, …
-func goodBlock(prefix string, n int) []byte {
-	b := block.NewBuilder()
-	for i := 0; i < n; i++ {
-		b.Add(util.MakeInternalKey(nil, []byte(fmt.Sprintf("%s%03d", prefix, i)), uint64(i+1), util.KindValue), bytes.Repeat([]byte{byte('a' + i%26)}, 40))
+// prefix000, prefix001, …, built to lie skew bytes into a cache line.
+func goodBlock(prefix string, n int) func(skew int) []byte {
+	return func(skew int) []byte {
+		b := block.NewBuilder()
+		b.SetSkew(skew)
+		for i := 0; i < n; i++ {
+			b.Add(util.MakeInternalKey(nil, []byte(fmt.Sprintf("%s%03d", prefix, i)), uint64(i+1), util.KindValue), bytes.Repeat([]byte{byte('a' + i%26)}, 40))
+		}
+		return b.Finish()
 	}
-	return b.Finish()
 }
 
 func ikey(user string) []byte { return util.MakeInternalKey(nil, []byte(user), 0, util.KindValue) }
@@ -139,7 +157,7 @@ func ikey(user string) []byte { return util.MakeInternalKey(nil, []byte(user), 0
 // ErrCorrupt, not look exhausted — whether the block is walked in place,
 // copied whole, or served from the cache the copy filled.
 func TestIterReportsCorruptBlock(t *testing.T) {
-	bad := goodBlock("k", 40)
+	bad := goodBlock("k", 40)(0)
 	bad[len(bad)-1] ^= 0x80 // restart count: absurd
 	loads := map[string]func(r *Reader, th *hw.Thread) (*Iter, error){
 		"in place":    (*Reader).NewIter,
@@ -161,7 +179,7 @@ func TestIterReportsCorruptBlock(t *testing.T) {
 	}
 	for name, open := range loads {
 		_, fs, th := newMachineEnv(t)
-		r := rawTable(t, fs, th, "t", [][]byte{goodBlock("a", 40), bad, goodBlock("z", 40)}, [][]byte{ikey("b"), ikey("l"), ikey("zz")})
+		r := rawTable(t, fs, th, "t", []func(int) []byte{goodBlock("a", 40), verbatim(bad), goodBlock("z", 40)}, [][]byte{ikey("b"), ikey("l"), ikey("zz")})
 		c := blockcache.New(1<<20, 1)
 		r.SetCache(c, 1)
 		it, err := open(r, th)
@@ -198,13 +216,14 @@ func TestIterReportsCorruptBlock(t *testing.T) {
 // same through the in-place and the whole-block iterator — same rows, an error
 // on both or on neither — and neither panics, spins or reads out of range.
 func FuzzTableIter(f *testing.F) {
-	good := goodBlock("k", 40)
+	first, last := goodBlock("a", 40), goodBlock("z", 40)
+	middle := len(first(0)) % block.LineSize // where the fuzzed block lies: the file starts on a line
+	good := goodBlock("k", 40)(middle)
 	f.Add(good, ikey("k017"))
 	f.Add(good[:len(good)-3], ikey("a"))
 	f.Add(block.NewBuilder().Finish(), ikey("k"))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0}, []byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 300), []byte("k"))
-	first, last := goodBlock("a", 40), goodBlock("z", 40)
 	var fs *pmemfs.FS
 	var th *hw.Thread
 	execs := 0
@@ -217,7 +236,7 @@ func FuzzTableIter(f *testing.F) {
 			_, fs, th = newMachineEnv(t)
 		}
 		execs++
-		r := rawTable(t, fs, th, "t", [][]byte{first, contents, last}, [][]byte{ikey("b"), ikey("l"), ikey("zz")})
+		r := rawTable(t, fs, th, "t", []func(int) []byte{first, verbatim(contents), last}, [][]byte{ikey("b"), ikey("l"), ikey("zz")})
 		defer fs.Delete(th, "t")
 		for _, from := range []string{"seek", "first"} {
 			res, err := r.NewCompactionIter(th)

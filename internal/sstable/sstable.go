@@ -74,14 +74,22 @@ type Writer struct {
 
 // NewWriter wraps a pmemfs writer. th is the thread charged for the I/O.
 func NewWriter(w *pmemfs.Writer, th *hw.Thread) *Writer {
-	return &Writer{
+	t := &Writer{
 		w:      w,
 		th:     th,
 		data:   block.NewBuilder(),
 		index:  block.NewBuilder(),
 		filter: bloom.New(10),
 	}
+	t.data.SetSkew(skewAt(w.Addr()))
+	return t
 }
+
+// skewAt is where a block at PMem address addr starts within its cache line:
+// the writer builds each data block for the skew it will lie at, and every
+// reader decodes it, copied or in place, at that skew. The index block is
+// built and read at skew 0 — it is only ever read resident.
+func skewAt(addr uint64) int { return int(addr % block.LineSize) }
 
 // Add appends an internal key and value.
 func (t *Writer) Add(ikey util.InternalKey, value []byte) error {
@@ -121,6 +129,7 @@ func (t *Writer) flushBlock() {
 	t.pendKey = append([]byte(nil), t.last...)
 	t.pending = true
 	t.data.Reset()
+	t.data.SetSkew(skewAt(t.w.Addr()))
 }
 
 // Finish flushes remaining blocks, writes the filter, index and footer, and
@@ -203,6 +212,9 @@ func (r *Reader) SetCache(c *blockcache.Cache, id uint64) {
 	r.cacheID = id
 }
 
+// skew is the cache-line offset the data block at h was built for.
+func (r *Reader) skew(h handle) int { return skewAt(r.f.Addr(h.offset)) }
+
 // readBlock returns the whole data block at h: the cached copy when there is
 // one, else a fresh copy out of PMem that is not cached — a compaction's
 // inputs are deleted when its job ends, so their blocks would only evict ones
@@ -226,7 +238,7 @@ func (r *Reader) copyBlock(th *hw.Thread, h handle) ([]byte, error) {
 }
 
 const (
-	lineSize = 64
+	lineSize = block.LineSize
 	// windowBytes is the largest block searched in place. Blocks close
 	// at TargetBlockSize plus one entry, so twice that covers all but blocks
 	// holding an outsized value; those are read whole.
@@ -250,11 +262,11 @@ type window struct {
 // open points the window at the block at h. It reports false when the block,
 // placed at its cache-line offset, does not fit the window.
 func (w *window) open(f *pmemfs.File, th *hw.Thread, h handle) bool {
-	skew := f.Addr(h.offset) % lineSize
-	if h.length == 0 || h.length > windowBytes || skew+h.length > windowBytes { // first bound keeps the sum from wrapping
+	skew := skewAt(f.Addr(h.offset))
+	if h.length == 0 || h.length > windowBytes || uint64(skew)+h.length > windowBytes { // first bound keeps the sum from wrapping
 		return false
 	}
-	w.f, w.th, w.off, w.n, w.skew = f, th, h.offset, int(h.length), int(skew)
+	w.f, w.th, w.off, w.n, w.skew = f, th, h.offset, int(h.length), skew
 	w.have = [len(w.have)]uint64{}
 	return true
 }
@@ -309,7 +321,7 @@ func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch, policy block
 	key := blockcache.Key{File: r.cacheID, Offset: h.offset}
 	if b, ok := r.cache.Get(key); ok {
 		th.ChargeDRAM(1)
-		return sc.data.Reset(b)
+		return sc.data.Reset(b, r.skew(h))
 	}
 	if policy == block.FaultWalk && r.cache.Admit(key) {
 		contents, err := r.copyBlock(th, h)
@@ -317,17 +329,17 @@ func (r *Reader) seekBlock(th *hw.Thread, h handle, sc *getScratch, policy block
 			return err
 		}
 		r.cache.Put(key, contents)
-		return sc.data.Reset(contents)
+		return sc.data.Reset(contents, r.skew(h))
 	}
 	if sc.win.open(r.f, th, h) {
 		r.cache.NoteDirect()
-		return sc.data.ResetLazy(sc.win.buf[:h.length], &sc.win, policy)
+		return sc.data.ResetLazy(sc.win.buf[:h.length], sc.win.skew, &sc.win, policy)
 	}
 	contents, err := r.copyBlock(th, h)
 	if err != nil {
 		return err
 	}
-	return sc.data.Reset(contents)
+	return sc.data.Reset(contents, r.skew(h))
 }
 
 // NewReader opens a table, reading its footer, filter and index blocks. The
@@ -381,7 +393,7 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 	}
 	sc := scratchPool.Get().(*getScratch)
 	defer scratchPool.Put(sc)
-	if err := sc.idx.Reset(r.index); err != nil {
+	if err := sc.idx.Reset(r.index, 0); err != nil {
 		return nil, 0, 0, false, err
 	}
 	sc.idx.Seek(ikey, icmp)
@@ -468,7 +480,7 @@ func (r *Reader) newIter(th *hw.Thread, whole bool) (*Iter, error) {
 func (r *Reader) ResetIter(it *Iter, th *hw.Thread) error {
 	it.Close()
 	sc := scratchPool.Get().(*getScratch)
-	if err := sc.idx.Reset(r.index); err != nil {
+	if err := sc.idx.Reset(r.index, 0); err != nil {
 		scratchPool.Put(sc)
 		return err
 	}
@@ -499,7 +511,7 @@ func (it *Iter) loadData() {
 		if it.whole {
 			var contents []byte
 			if contents, err = it.r.readBlock(it.th, h); err == nil {
-				err = it.sc.data.Reset(contents)
+				err = it.sc.data.Reset(contents, it.r.skew(h))
 			}
 		} else {
 			err = it.r.seekBlock(it.th, h, it.sc, block.FaultWalk)
