@@ -333,6 +333,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		e.pool.filterBits = filterBits
 	}
 	e.pool.sealFn = e.queueSealed
+	e.pool.flushServers = opts.FlushThreads
 
 	e.startBackground()
 	// Recovery sealed the pool's live sub-MemTables: the flush kind copies

@@ -47,6 +47,52 @@ const (
 	immZoneAlign   = 256 // XPLine alignment keeps NT copies amplification-free
 )
 
+// flushSplitBytes is the least a table gives each extent of its copy-based
+// flush. The floor is a constant, not the table over the servers: every
+// extent pays the whole FlushFixed, so cutting a 256 KiB table four ways
+// would add three 250 µs dispatches to its 1.5 ms of server work, which
+// busy servers pay for in throughput (DESIGN §2).
+const flushSplitBytes = 512 << 10
+
+// flushExtents is how the copy-based flush cuts a table of tail bytes: into
+// n extents of near-equal length, one job each on the flush servers.
+type flushExtents struct {
+	tail uint64
+	n    int
+}
+
+// splitFlush is the extent rule, the one flushOne copies by and flushFloor
+// bounds by: min(servers, tail / flushSplitBytes) extents, at least one.
+func splitFlush(tail uint64, servers int) flushExtents {
+	n := min(uint64(max(servers, 1)), tail/flushSplitBytes)
+	return flushExtents{tail: tail, n: int(max(n, 1))}
+}
+
+// seam returns the data-region offset extent i starts at (seam(n) is the
+// tail). An inner seam is moved up to the next XPLine of the ImmZone — the
+// data region starts immZoneHdrSize past an immZoneAlign-aligned allocation —
+// so no XPLine takes stores from two extents, and the extents' NT stores
+// fill the same whole XPLines the one-piece copy did.
+func (x flushExtents) seam(i int) uint64 {
+	switch {
+	case i <= 0:
+		return 0
+	case i >= x.n:
+		return x.tail
+	}
+	at := immZoneHdrSize + uint64(i)*x.tail/uint64(x.n)
+	return (at+immZoneAlign-1)&^(immZoneAlign-1) - immZoneHdrSize
+}
+
+// largest returns the length of the longest extent.
+func (x flushExtents) largest() uint64 {
+	var l uint64
+	for i := range x.n {
+		l = max(l, x.seam(i+1)-x.seam(i))
+	}
+	return l
+}
+
 // memState is the engine's DRAM view of the memory component: flushed tables
 // plus the global index. Swapped wholesale at L0 spill.
 type memState struct {
@@ -81,7 +127,11 @@ func newFilter(expectedKeys, bitsPerKey int) *memfilter.Filter {
 // A flush thread is a virtual server: one host worker takes the sealed slots
 // in seal order and books each table's copy on the earliest-free of the
 // FlushThreads servers, so tables copy side by side in virtual time while the
-// host copies them one at a time, through one buffer.
+// host copies them one at a time, through one buffer. A table of at least
+// twice flushSplitBytes copies as several extents, one per server
+// (splitFlush), so a lone seal does not wait out a whole table's copy on one
+// server while the others idle. That split is an extension: the paper's
+// flush threads each copy whole tables.
 func (e *Engine) startBackground() {
 	o := e.opts
 	// A slot is queued at most once at a time: 1 024 is far beyond any pool's
@@ -166,8 +216,13 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 // sealed at virtual time sealedAt (Section III-C) — a final index sync, a
 // non-temporal whole-table copy into the ImmZone, registration of the
 // resulting sub-ImmMemTable, and release of the slot. If the ImmZone crosses
-// its threshold, it spills to L0. The table passes through the kind's one
-// buffer.
+// its threshold, it spills to L0.
+//
+// The copy runs as flushExtents' extents, each a job of its own on the flush
+// servers with a thread of its own: the dispatch cost, its lines' reads, NT
+// stores and packing. The first extent also carries the zone allocation and
+// the header; the final sync is the index thread's. The host copies the
+// table in one pass, in address order, through the kind's one buffer.
 func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	_, _, sealedTail := unpackHdr(s.hdr.Load())
 	th := e.m.NewThread(0)
@@ -191,6 +246,15 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	indexDoneV := e.bookSync(sealedAt, syncTh.Clock.Now()-sealedAt)
 
 	count, _, tail := unpackHdr(s.hdr.Load())
+	x := splitFlush(tail, e.flushes.Server.Size())
+	ths := []*hw.Thread{th}
+	for range x.n - 1 {
+		xth := e.m.NewThread(0)
+		xth.Clock.SetLabel(hw.PhaseBgFlush.Layer())
+		xth.Clock.AdvanceTo(start)
+		xth.Clock.Advance(e.m.Costs.FlushFixed)
+		ths = append(ths, xth)
+	}
 	var t *immTable
 	if tail > 0 {
 		// Hold the spill lock shared across the whole copy+register section:
@@ -231,6 +295,10 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 				e.flow.recompute(th.Clock.Now(), "flush_stall")
 			}
 		}
+		// Every extent waited for the zone's space with the first.
+		for _, xth := range ths[1:] {
+			xth.Clock.Advance(stallNs)
+		}
 		// Persistent header first, then the modified-memcpy of the data
 		// region: reads hit the pinned cache lines, stores are non-temporal.
 		hdr := util.PutFixed64(nil, immHeaderMagic)
@@ -245,10 +313,13 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 		e.m.Cache.NTWrite(th.Clock, dst, hdr)
 
 		e.flushBuf = util.Sized(e.flushBuf, int(tail))
-		e.m.Cache.Read(th.Clock, s.dataAddr(), e.flushBuf, e.poolPart)
-		e.m.Cache.NTWrite(th.Clock, dst+immZoneHdrSize, e.flushBuf)
-		// The flush thread's software share: allocation, packing, verify.
-		th.Clock.Advance(int64(tail) * e.m.Costs.FlushBytePerKB / 1024)
+		for i, xth := range ths {
+			lo, hi := x.seam(i), x.seam(i+1)
+			e.m.Cache.Read(xth.Clock, s.dataAddr()+lo, e.flushBuf[lo:hi], e.poolPart)
+			e.m.Cache.NTWrite(xth.Clock, dst+immZoneHdrSize+lo, e.flushBuf[lo:hi])
+			// The flush thread's software share: allocation, packing, verify.
+			xth.Clock.Advance(int64(hi-lo) * e.m.Costs.FlushBytePerKB / 1024)
+		}
 
 		s.syncMu.Lock()
 		t = &immTable{
@@ -278,20 +349,19 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	}
 
 	// Model the flush duration on the configured server pool: the slot is
-	// reusable only once one of the k flush servers has actually done the
-	// copy in virtual time — and not before the index thread has finished
-	// the table's final sync, which keeps the whole pipeline paced by the
-	// paper's one-flush-thread/one-index-thread configuration. Stall time
-	// spent waiting for the spill thread is not flush-server work, but the
-	// slot cannot free before the copy ended.
-	duration := th.Clock.Now() - start - stallNs
-	doneAt := e.flushes.Server.Submit(sealedAt, duration)
-	if indexDoneV > doneAt {
-		doneAt = indexDoneV
+	// reusable only once the flush servers have actually done every extent
+	// of the copy in virtual time — and not before the index thread has
+	// finished the table's final sync, which keeps the whole pipeline paced
+	// by the paper's one-flush-thread/one-index-thread configuration. Stall
+	// time spent waiting for the spill thread is not flush-server work, but
+	// the slot cannot free before the copy ended.
+	doneAt, end := indexDoneV, start
+	for _, xth := range ths {
+		now := xth.Clock.Now()
+		doneAt = max(doneAt, e.flushes.Server.Submit(sealedAt, now-start-stallNs), now)
+		end = max(end, now)
 	}
-	if now := th.Clock.Now(); now > doneAt {
-		doneAt = now
-	}
+	th.Clock.AdvanceTo(end) // the flush goes on from its last extent's end
 	e.pool.markFree(th, s, doneAt)
 
 	// Hand the new table to the index/compaction thread (Section III-D).

@@ -47,19 +47,11 @@ func (e *Engine) syncSlot(th *hw.Thread, s *slot) int {
 	}
 	for s.listCount < count && s.listTail < tail {
 		off := s.listTail
-		// Read the entry header to size the fetch.
-		var hdr [8]byte
-		e.m.Cache.Read(th.Clock, s.dataAddr()+off, hdr[:], e.poolPart)
-		h := util.NewCursor(hdr[:])
-		blen := uint64(h.U32())
-		if blen == 0 || !util.InExtent(off, 8+blen, tail) {
+		// fetchEntry reads each of the entry's lines once, the header's with
+		// the rest of its line.
+		ent, ok := e.fetchEntry(th, &s.entryBuf, s.dataAddr(), off, tail, e.poolPart)
+		if !ok {
 			break // torn tail; the committed counter should prevent this
-		}
-		s.entryBuf = util.Sized(s.entryBuf, int(8+blen))
-		e.m.Cache.Read(th.Clock, s.dataAddr()+off, s.entryBuf, e.poolPart)
-		ent, err := kvstore.ViewEntry(s.entryBuf)
-		if err != nil {
-			break
 		}
 		s.index(ent, off, charge)
 		s.listTail = align8(s.listTail + uint64(ent.Len))

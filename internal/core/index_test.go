@@ -7,6 +7,7 @@ import (
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
@@ -265,5 +266,46 @@ func TestFetchEntryReadsEachLineOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSyncSlotReadsEachLineOnce: the lazy sync reads each line of an entry
+// once, the length header's with the rest of its line, as fetchEntry does —
+// it used to read the header line, then the whole entry again — and it
+// indexes every entry.
+func TestSyncSlotReadsEachLineOnce(t *testing.T) {
+	m := testMachine()
+	e, th := openEngine(t, m, quietOpts())
+	defer e.Close(th)
+	var lines uint64 // the lines each entry spans, summed
+	for i, vlen := range []int{0, 9, 30, 38, 64, 100, 500, 7, 1000, 56} {
+		key := fmt.Appendf(nil, "key%03d", i)
+		var tail uint64 // where the entry lands: 0 in a slot not yet acquired
+		if s := e.pool.slotFor(th.Core); s != nil {
+			_, _, tail = unpackHdr(s.hdr.Load())
+		}
+		if err := e.Put(th, key, make([]byte, vlen)); err != nil {
+			t.Fatal(err)
+		}
+		s := e.pool.slotFor(th.Core)
+		base := s.dataAddr() + tail
+		lines += (base+uint64(kvstore.EntryLen(len(key), vlen))-1)/cacheLine - base/cacheLine + 1
+	}
+	s := e.pool.slotFor(th.Core)
+	count, _, _ := unpackHdr(s.hdr.Load())
+	var read uint64
+	m.SetMemGate(func(op sim.MemOp, addr uint64, n int) int {
+		if op == sim.MemOpRead && s.dataAddr() <= addr && addr < s.dataAddr()+s.dataCap() {
+			read += (addr+uint64(n)-1)/cacheLine - addr/cacheLine + 1
+		}
+		return n
+	})
+	applied := e.syncSlot(m.NewThread(0), s)
+	m.SetMemGate(nil)
+	if uint64(applied) != count {
+		t.Fatalf("the sync indexed %d of %d entries", applied, count)
+	}
+	if read != lines {
+		t.Fatalf("the sync read %d lines for entries spanning %d", read, lines)
 	}
 }

@@ -151,6 +151,9 @@ type pool struct {
 	// filterBits is the bits-per-key budget for per-slot negative filters
 	// (installed by the engine right after construction).
 	filterBits int
+	// flushServers is the engine's flush server count, which splits a
+	// table's flush and so sets flushFloor (installed by the engine).
+	flushServers int
 }
 
 const poolHeaderMagic = 0xCAC4EC001
@@ -401,7 +404,7 @@ func (p *pool) candidatesLocked(now int64) candidates {
 		case state == stateImmutable:
 			c.inflight = true
 			c.inflightWide = c.inflightWide || s.size.Load()/2 >= minSlotBytes
-			c.floor = min(c.floor, flushFloor(p.m.Costs, s.sealedAt.Load(), tail))
+			c.floor = min(c.floor, flushFloor(p.m.Costs, s.sealedAt.Load(), tail, p.flushServers))
 		case state == stateAllocated:
 			if c.fullest == nil || tail > fullestTail {
 				c.fullest, fullestTail = s, tail
@@ -424,15 +427,17 @@ func (p *pool) candidatesLocked(now int64) candidates {
 }
 
 // flushFloor is the earliest virtual time the flush of a slot sealed at
-// sealedAt with tail bytes can free it: flushOne charges at least the fixed
-// dispatch cost and the per-KiB packing of a non-empty table, and its server
-// starts it no earlier than the seal. An empty slot may be freed at once
+// sealedAt with tail bytes, at servers flush servers, can free it: each
+// extent of flushOne's split (splitFlush) charges at least the fixed dispatch
+// cost and the per-KiB packing of its bytes, its server starts it no earlier
+// than the seal, and the slot frees at the last extent's end — so no earlier
+// than the largest extent's floor. An empty slot may be freed at once
 // (FlushAll frees it without a flush).
-func flushFloor(c *sim.CostModel, sealedAt int64, tail uint64) int64 {
+func flushFloor(c *sim.CostModel, sealedAt int64, tail uint64, servers int) int64 {
 	if tail == 0 {
 		return sealedAt
 	}
-	return sealedAt + c.FlushFixed + int64(tail)*c.FlushBytePerKB/1024
+	return sealedAt + c.FlushFixed + int64(splitFlush(tail, servers).largest())*c.FlushBytePerKB/1024
 }
 
 // assignLocked hands the free slot s to core: a fresh sub-skiplist and filter,

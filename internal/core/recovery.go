@@ -15,7 +15,8 @@ import (
 // packed header's counter covers — is intact. The DRAM side (sub-skiplists,
 // global index, imm-table registry) is gone and is reconstructed here:
 //
-//  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers;
+//  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers,
+//     registering only a table whose entries all decode;
 //  2. seal each non-Free sub-MemTable with its sub-skiplist, counters and
 //     filter rebuilt in place, and return the sealed slots: the engine hands
 //     them to the flush kind once it runs, the one way a slot reaches the
@@ -59,6 +60,11 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 	workers = e.rebuildAll(th, jobs)
 
 	for _, j := range jobs[:zoneJobs] {
+		if j.t.count < j.count {
+			// A copy the power cut short: its slot frees only after the
+			// copy's last store, so step 2 finds every entry there.
+			continue
+		}
 		j.t.maxSeq = max(j.t.maxSeq, j.maxSeq)
 		e.mem.imms = append(e.mem.imms, j.t)
 		e.bumpSeq(j.t.maxSeq)

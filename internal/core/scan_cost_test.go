@@ -14,11 +14,13 @@ import (
 
 // scanCostGolden holds one line per scan of scanCostScript, recorded at the
 // commit before a Scan's merge became one heap over pooled sources and
-// re-recorded once, when restart runs began to start their values on a PMem
-// line: that moved bytes on media, so what a scan reads cost something else,
-// while every scan's rows and their hash stayed as they were. Never edit it
-// for a host-side change to the scan path, which must leave every line as it
-// is.
+// re-recorded twice: when restart runs began to start their values on a PMem
+// line (that moved bytes on media, so what a scan reads cost something else),
+// and when the lazy sync stopped reading an entry's header line twice (the
+// eleven scans that sync an active slot dropped 20 vns of clock and of index
+// per entry synced); every scan's rows and their hash stayed as they were.
+// Never edit it for a host-side change to the scan path, which must leave
+// every line as it is.
 const scanCostGolden = "testdata/scan_vcost.golden"
 
 // scanCostScript builds, on one thread with every background thread kept
