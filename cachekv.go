@@ -99,8 +99,8 @@ type Options struct {
 	// takes the paper's 2 MiB sub-MemTables. FlushThreads is the number of
 	// copy-based flush threads, each a virtual server: one host goroutine
 	// feeds them the sealed sub-MemTables in seal order, and each table's copy
-	// runs on the earliest-free one. 0 takes 4, the knee of the paper's
-	// flush-thread sweep (Exp#5, Fig 14) and its Exp#6/#7 setting.
+	// runs on the earliest-free one. 0 takes the engine default (4, the
+	// knee of the paper's flush-thread sweep, Exp#5, Fig 14).
 	SubMemTableKB int
 	FlushThreads  int
 
@@ -244,11 +244,6 @@ func (db *DB) unsupported(what string) error {
 	return fmt.Errorf("cachekv: engine %s does not support %s", db.EngineName(), what)
 }
 
-// defaultFlushThreads is the number of flush servers a store opened through
-// Open runs when Options.FlushThreads is 0. core.DefaultOptions keeps the paper's
-// Section IV-A value of 1, which the figures and the crash harness reproduce.
-const defaultFlushThreads = 4
-
 func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (kvstore.DB, error) {
 	if opts.Engine == "" {
 		opts.Engine = EngineCacheKV
@@ -266,7 +261,6 @@ func openEngine(m *hw.Machine, opts Options, th *hw.Thread, trace *obs.Trace) (k
 	if opts.SubMemTableKB > 0 {
 		o.SubMemTableBytes = uint64(opts.SubMemTableKB) << 10
 	}
-	o.FlushThreads = defaultFlushThreads
 	if opts.FlushThreads > 0 {
 		o.FlushThreads = opts.FlushThreads
 	}
@@ -442,13 +436,10 @@ func (db *DB) Metrics() Metrics {
 		m.BlockCacheHits, m.BlockCacheMisses = snap.Int(obs.MBlockCacheHits), snap.Int(obs.MBlockCacheMisses)
 		m.BlockCacheHitRatio = obs.SafeRatio(m.BlockCacheHits, m.BlockCacheHits+m.BlockCacheMisses)
 		m.FilterProbes, m.FilterNegatives = snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
-		st := db.store.FlowStats()
-		m.StallState = int64(st.State)
-		m.StallSlowdowns = st.SlowdownEntries
-		m.StallStops = st.StopEntries
-		m.WritesDelayed = st.DelayedWrites
-		m.WriteDelayNs = st.DelayedNs
-		m.WritesRejected = st.RejectedWrites
+		m.StallState = int64(snap.Float("flow_state"))
+		m.StallSlowdowns, m.StallStops = snap.Int("flow_slowdown_entries"), snap.Int("flow_stop_entries")
+		m.WritesDelayed, m.WriteDelayNs = snap.Int("flow_writes_delayed"), snap.Int("flow_delay_ns")
+		m.WritesRejected = snap.Int("flow_writes_rejected")
 	}
 	return m
 }

@@ -8,7 +8,7 @@
 //     plus the commit envelope (stalled writes fail fast with ErrStalled
 //     instead of waiting);
 //   - bounded tails: the flow-controlled engine's p99.9 write latency stays
-//     within the envelope where the no-flow-control baseline diverges;
+//     within the envelope where the blocking baseline diverges;
 //   - observability: the run's obs report passes Verify (per-op layer
 //     attribution stays consistent even for delayed and rejected writes);
 //   - forensics: a leg with an op over the slow-op capture threshold keeps a
@@ -71,7 +71,8 @@ type legResult struct {
 	WriteMax         int64
 	DeadlineOverruns int64
 	PeakFootprint    uint64
-	Flow             core.FlowStats
+	DelayedWrites    int64 // writes admitted after a Slowdown token wait
+	RejectedWrites   int64 // writes refused with ErrStalled
 	VerifyViolations []string
 	SlowOps          []obs.Dossier
 	// OverThreshold reports whether any op's latency passed the slow-op
@@ -103,15 +104,13 @@ func slowMachine(c config) *hw.Machine {
 
 // engineOptions shapes a store small enough that the scripted op count
 // genuinely outruns the throttled flush pipeline.
-func engineOptions(shards int, disableFlow bool, tr *obs.Trace, compactWorkers int) core.Options {
+func engineOptions(shards int, tr *obs.Trace, compactWorkers int) core.Options {
 	o := core.DefaultOptions()
 	o.Shards = shards
 	o.FSBytes = 256 << 20
 	o.PoolBytes = 4 << 20
 	o.SubMemTableBytes = 256 << 10
 	o.ImmZoneBytes = 8 << 20
-	o.FlushThreads = 1
-	o.DisableFlowControl = disableFlow
 	o.CompactionWorkers = compactWorkers
 	o.Trace = tr
 	return o
@@ -119,31 +118,32 @@ func engineOptions(shards int, disableFlow bool, tr *obs.Trace, compactWorkers i
 
 // defaultMemCap derives the bounded-footprint cap from the engine shape: the
 // whole ImmZone and pool may be in flight, plus the L0 debt flow control
-// tolerates before Stop (4x the compaction trigger per shard, two files of
-// slack each; an L0 file is one flushed sub-MemTable).
+// tolerates before Stop (4x the tree's compaction trigger per shard, two
+// files of slack each; an L0 file is one flushed sub-MemTable).
 func defaultMemCap(shards int) uint64 {
-	o := engineOptions(shards, false, nil, 0)
-	trigger := o.LSM.L0CompactionTrigger
-	if trigger <= 0 {
-		trigger = 4
-	}
+	o := engineOptions(shards, nil, 0)
+	trigger := o.LSM.WithDefaults().L0CompactionTrigger
 	l0 := uint64(shards) * uint64(4*trigger+2) * o.SubMemTableBytes
 	return o.ImmZoneBytes + o.PoolBytes + l0
 }
 
-// runLeg executes load + YCSB-A overload against one engine configuration
-// and returns its measurements. flowOn selects the protected engine with
-// per-write deadlines; otherwise the legacy blocking baseline.
+// runLeg executes load + YCSB-A overload against the engine and returns its
+// measurements. flowOn gives every write the deadline; otherwise the writes
+// carry none and block: the engine's state machine runs but, with no
+// WriteStallDeadline, never shapes them — the blocking baseline.
 func runLeg(c config, flowOn bool) (legResult, error) {
 	var leg legResult
 	m := slowMachine(c)
 	tr := obs.NewTrace(obs.DefaultTraceCap)
 	th0 := m.NewThread(0)
-	db, err := core.Open(m, engineOptions(c.Shards, !flowOn, tr, c.CompactWorkers), th0)
+	db, err := core.Open(m, engineOptions(c.Shards, tr, c.CompactWorkers), th0)
 	if err != nil {
 		return leg, err
 	}
 	defer db.Close(th0)
+	// The leg's one registry: the footprint samples below and the final
+	// report read the engine's counters through it.
+	reg := bench.BuildRegistry(m, db, tr)
 
 	// Load phase: records inserted without deadlines (no attribution — the
 	// report covers the overload phase only).
@@ -283,8 +283,8 @@ func runLeg(c config, flowOn bool) (legResult, error) {
 				}
 				sp.End()
 				if i%32 == 0 {
-					_, l0b, backlog := db.FlowSignals()
-					if fp := backlog + uint64(l0b); fp > lPeak {
+					snap := reg.Gather()
+					if fp := uint64(snap.Float("flow_backlog_bytes") + snap.Float("lsm_l0_bytes")); fp > lPeak {
 						lPeak = fp
 					}
 				}
@@ -314,7 +314,6 @@ func runLeg(c config, flowOn bool) (legResult, error) {
 	leg.WriteMax = writeLat.Max()
 	leg.DeadlineOverruns = overruns
 	leg.PeakFootprint = peak
-	leg.Flow = db.FlowStats()
 	leg.SlowOps = col.SlowOps()
 	for _, op := range []obs.Op{obs.OpGet, obs.OpPut} {
 		leg.OverThreshold = leg.OverThreshold || col.Hist(op).Max() > col.SlowOpThreshold(op)
@@ -333,12 +332,14 @@ func runLeg(c config, flowOn bool) (legResult, error) {
 	// the tally in between, or Verify compares two different instants.
 	for {
 		before := m.ObsTally().Snapshot()
-		run.Metrics = bench.BuildRegistry(m, db, tr).Gather()
+		run.Metrics = reg.Gather()
 		if after := m.ObsTally().Snapshot(); after == before {
 			run.Layers = obs.LayersFromTally(after)
 			break
 		}
 	}
+	leg.DelayedWrites = run.Metrics.Int("flow_writes_delayed")
+	leg.RejectedWrites = run.Metrics.Int("flow_writes_rejected")
 	leg.VerifyViolations = run.Verify()
 	return leg, nil
 }
@@ -381,7 +382,7 @@ func runCrashLeg(c config) (*crashResult, error) {
 	cr := &crashResult{StateAtCrash: core.FlowOK.String()}
 	m := slowMachine(c)
 	th := m.NewThread(0)
-	opts := engineOptions(c.Shards, false, nil, c.CompactWorkers)
+	opts := engineOptions(c.Shards, nil, c.CompactWorkers)
 	db, err := core.Open(m, opts, th)
 	if err != nil {
 		return cr, err
@@ -560,7 +561,7 @@ func main() {
 	flushPauseUs := flag.Int64("flush-pause-us", 2000, "extra pause per background flush job (virtual µs)")
 	memCapMB := flag.Int64("mem-cap-mb", 0, "bounded-footprint cap (MiB; 0 = derive from engine shape)")
 	divergence := flag.Float64("divergence", 2, "required baseline/flow p99.9 ratio")
-	baseline := flag.Bool("baseline", true, "also run the no-flow-control baseline leg")
+	baseline := flag.Bool("baseline", true, "also run the blocking (no-deadline) baseline leg")
 	crash := flag.Bool("crash", true, "run the crash-mid-stall leg")
 	compactWorkers := flag.Int("compaction-workers", 0, "background compaction workers per shard (0 = default (1))")
 	smoke := flag.Bool("smoke", false, "shrink the run for CI")
@@ -606,7 +607,7 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("flow:     acked=%d stalled=%d delayed=%d p99.9=%.0fns max=%dns peak=%dB dossiers=%d\n",
-		flow.AckedWrites, flow.StalledWrites, flow.Flow.DelayedWrites,
+		flow.AckedWrites, flow.StalledWrites, flow.DelayedWrites,
 		flow.WriteP999, flow.WriteMax, flow.PeakFootprint, len(flow.SlowOps))
 
 	var base legResult
@@ -632,7 +633,7 @@ func main() {
 		violations = append(violations, fmt.Sprintf(
 			"flow leg write p99.9 %.0f ns above the %g ns envelope", flow.WriteP999, p))
 	}
-	if flow.Flow.DelayedWrites+flow.Flow.RejectedWrites == 0 {
+	if flow.DelayedWrites+flow.RejectedWrites == 0 {
 		violations = append(violations,
 			"overload never engaged flow control (no delayed or rejected writes): raise -slow or lower the zones")
 	}

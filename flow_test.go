@@ -106,7 +106,7 @@ func TestSessionSetWriteDeadline(t *testing.T) {
 			clearAt := s.VirtualNanos() + 1_000_000
 			done := make(chan error, 1)
 			go func() { done <- s.Put([]byte("blocked"), []byte("v")) }()
-			for db.store.FlowStats().StopWaits == 0 {
+			for db.Registry().Gather().Int("flow_stop_waits") == 0 {
 				runtime.Gosched()
 			}
 			forceFlow(db, clearAt, core.FlowOK)
@@ -121,6 +121,57 @@ func TestSessionSetWriteDeadline(t *testing.T) {
 			}
 		})
 	}
+
+	// Four shards, one in Stop and one in Slowdown: deadline writes to either
+	// are rejected, and the store reports the worst shard's state and the
+	// shards' summed rejections (with every shard in Stop, as above, a sum and
+	// a max could not be told apart).
+	t.Run("shards=4,stop+slowdown", func(t *testing.T) {
+		db, err := Open(Options{PMemMB: 1024, Shards: 4, WriteStallDeadline: 1_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		s := db.Session(0)
+		sh := db.inner.(*core.Sharded)
+		// Stop rejects at once; Slowdown's first token lies past any deadline.
+		now := s.VirtualNanos()
+		sh.DebugForceFlowState(now, 1, core.FlowStop)
+		sh.DebugForceFlowState(now+1_000_000, 2, core.FlowSlowdown)
+		want := map[int]int{1: 3, 2: 2} // rejections per shard
+		for i := 0; want[1]+want[2] > 0; i++ {
+			k := []byte(fmt.Sprintf("mixed%04d", i))
+			shard := sh.ShardOf(k)
+			left, throttled := want[shard]
+			if throttled && left == 0 {
+				continue
+			}
+			err := s.Put(k, []byte("v"))
+			switch {
+			case !throttled:
+				if err != nil {
+					t.Fatalf("Put to healthy shard %d: %v", shard, err)
+				}
+			case !errors.Is(err, ErrStalled):
+				t.Fatalf("Put to throttled shard %d: %v, want ErrStalled", shard, err)
+			default:
+				want[shard]--
+			}
+		}
+		m := db.Metrics()
+		if m.StallState != int64(core.FlowStop) {
+			t.Fatalf("StallState = %d, want the worst shard's %d", m.StallState, core.FlowStop)
+		}
+		if m.StallStops != 1 || m.StallSlowdowns != 1 {
+			t.Fatalf("state entries: %d Stop, %d Slowdown, want 1 each", m.StallStops, m.StallSlowdowns)
+		}
+		if m.WritesRejected != 5 {
+			t.Fatalf("WritesRejected = %d, want the shards' sum 5", m.WritesRejected)
+		}
+		if n := db.Registry().Gather().Int("flow_writes_rejected"); n != 5 {
+			t.Fatalf("flow_writes_rejected = %d, want 5", n)
+		}
+	})
 }
 
 func TestSessionDeadlineUnsupportedEngine(t *testing.T) {
@@ -211,6 +262,7 @@ func TestRegistryFlowMetrics(t *testing.T) {
 		"flow_dwell_ok_ns",
 		"flow_dwell_slowdown_ns",
 		"flow_dwell_stop_ns",
+		"flow_backlog_bytes",
 	}
 	for _, shards := range []int{1, 4} {
 		db, err := Open(Options{PMemMB: 1024, Shards: shards})

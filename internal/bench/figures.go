@@ -35,9 +35,11 @@ func labels[T any](format string, vals []T, fixed ...string) []string {
 }
 
 // cellOf is a cell on the testbed platform sized for ops records of valueSize
-// bytes (key 16 B + headers/padding).
+// bytes (key 16 B + headers/padding), CacheKV with one flush thread: the
+// paper does not state Exp#1-#4's flush-thread count, so the figures keep the
+// one they have always run. Fig 14 sweeps it; Figs 15 and 16 set four.
 func cellOf(kind engines.Kind, ops int64, valueSize int, phases ...Phase) Cell {
-	return Cell{kind, EngineConfig{DataBytes: uint64(ops) * uint64(valueSize+40)}, phases}
+	return Cell{kind, EngineConfig{DataBytes: uint64(ops) * uint64(valueSize+40), FlushThreads: 1}, phases}
 }
 
 // fill writes ops records of valueSize bytes, keys drawn from keys.

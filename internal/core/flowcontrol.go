@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cachekv/internal/histogram"
 	"cachekv/internal/hw"
 	"cachekv/internal/obs"
 )
@@ -70,15 +69,10 @@ type flowSignal struct {
 //     auto-reset, so runaway cross-shard traffic escalates admission before a
 //     log-full failure.
 func (e *Engine) flowTable() []flowSignal {
-	trigger := uint64(e.opts.LSM.L0CompactionTrigger)
-	if e.opts.LSM.L0CompactionTrigger <= 0 {
-		trigger = 4
-	}
+	lo := e.opts.LSM.WithDefaults()
+	trigger := uint64(lo.L0CompactionTrigger)
 	zone := e.opts.ImmZoneBytes
-	base := uint64(e.opts.LSM.BaseLevelBytes)
-	if e.opts.LSM.BaseLevelBytes <= 0 {
-		base = 8 << 20
-	}
+	base := uint64(lo.BaseLevelBytes)
 	l0Files := func() uint64 { files, _ := e.tree.L0Pressure(); return uint64(files) }
 	rows := []flowSignal{
 		{"l0_files", l0Files, 2 * trigger, 2 * trigger * 3 / 4, 4 * trigger, 4 * trigger * 3 / 4},
@@ -102,22 +96,6 @@ const (
 	slowdownMaxDelay  = 1 << 18 // ~262µs virtual
 )
 
-// FlowStats is a point-in-time snapshot of one engine's flow-control
-// counters (aggregated across shards by the sharded router).
-type FlowStats struct {
-	State           FlowState
-	SlowdownEntries int64 // transitions into Slowdown
-	StopEntries     int64 // transitions into Stop
-	DelayedWrites   int64 // writes admitted after a paced token wait
-	DelayedNs       int64 // total virtual ns spent in token waits
-	RejectedWrites  int64 // deadline writes refused with ErrStalled
-	StopWaits       int64 // deadline-0 writes that blocked in Stop
-	StopWaitNs      int64 // total virtual ns deadline-0 writes spent blocked
-	DwellOKNs       int64 // completed-dwell virtual ns per state
-	DwellSlowdownNs int64
-	DwellStopNs     int64
-}
-
 // flowControl is one engine's admission state machine. Signals are polled on
 // every flush/spill/compaction lifecycle event (never per-write), so the hot
 // path costs one atomic load while the state is OK.
@@ -125,8 +103,6 @@ type flowControl struct {
 	signals []flowSignal // immutable after newFlowControl
 	shard   int
 	trace   *obs.Trace
-
-	disabled bool
 
 	// shapeBlocking extends admission shaping (Slowdown pacing, Stop blocking)
 	// to deadline-0 writes. It is set only when the engine is opened with a
@@ -146,8 +122,10 @@ type flowControl struct {
 	forced     bool         // test/harness override: recompute becomes a no-op
 	aborted    bool
 
-	dwellHist [3]*histogram.H
-	dwellNs   [3]atomic.Int64
+	// dwellNs and dwells are the virtual ns spent in, and the number of
+	// completed stays in, each state.
+	dwellNs [3]atomic.Int64
+	dwells  [3]atomic.Int64
 
 	slowdownEntries atomic.Int64
 	stopEntries     atomic.Int64
@@ -159,21 +137,16 @@ type flowControl struct {
 }
 
 // newFlowControl builds shard's state machine over the signal table; o
-// contributes the trace, the off switch and whether deadline-0 writes are
-// shaped.
+// contributes the trace and whether deadline-0 writes are shaped.
 func newFlowControl(signals []flowSignal, shard int, o Options) *flowControl {
 	fc := &flowControl{
 		signals:       signals,
 		shard:         shard,
 		trace:         o.Trace,
-		disabled:      o.DisableFlowControl,
 		shapeBlocking: o.WriteStallDeadline != 0,
 		refillNs:      slowdownBaseDelay,
 	}
 	fc.cond = sync.NewCond(&fc.mu)
-	for i := range fc.dwellHist {
-		fc.dwellHist[i] = histogram.New()
-	}
 	return fc
 }
 
@@ -196,9 +169,6 @@ func level(v, slow, stop uint64) FlowState {
 // compaction end) — escalation is immediate, de-escalation held back by the
 // exit bounds so the state cannot flap around a boundary.
 func (fc *flowControl) recompute(at int64, reason string) {
-	if fc.disabled {
-		return
-	}
 	// Signals take their own locks (tree mu, arena atomics); read them
 	// before fc.mu so admission is never blocked behind a signal read.
 	readings := make([]uint64, len(fc.signals))
@@ -232,8 +202,8 @@ func (fc *flowControl) recompute(at int64, reason string) {
 // readings are the signal values that drove it, one per row.
 func (fc *flowControl) transitionLocked(at int64, from, to FlowState, reason string, readings []uint64) {
 	if d := at - fc.lastTransV; d > 0 {
-		fc.dwellHist[from].Record(d)
 		fc.dwellNs[from].Add(d)
+		fc.dwells[from].Add(1)
 		fc.lastTransV = at
 	}
 	fc.state.Store(int32(to))
@@ -278,9 +248,6 @@ func (fc *flowControl) admitWrite(th *hw.Thread, deadlineV int64) error {
 // cannot stretch the queue for everyone behind them. In Stop a deadline write
 // fails fast and a deadline-0 write blocks until the state de-escalates.
 func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
-	if fc.disabled {
-		return nil
-	}
 	if FlowState(fc.state.Load()) == FlowOK {
 		return nil
 	}
@@ -388,40 +355,13 @@ func (fc *flowControl) forceOff() {
 // current returns the state without taking the mutex.
 func (fc *flowControl) current() FlowState { return FlowState(fc.state.Load()) }
 
-// snapshot returns the counter snapshot.
-func (fc *flowControl) snapshot() FlowStats {
-	return FlowStats{
-		State:           fc.current(),
-		SlowdownEntries: fc.slowdownEntries.Load(),
-		StopEntries:     fc.stopEntries.Load(),
-		DelayedWrites:   fc.delayedWrites.Load(),
-		DelayedNs:       fc.delayedNs.Load(),
-		RejectedWrites:  fc.rejectedWrites.Load(),
-		StopWaits:       fc.stopWaits.Load(),
-		StopWaitNs:      fc.stopWaitNs.Load(),
-		DwellOKNs:       fc.dwellNs[FlowOK].Load(),
-		DwellSlowdownNs: fc.dwellNs[FlowSlowdown].Load(),
-		DwellStopNs:     fc.dwellNs[FlowStop].Load(),
+// dwellMean is the mean virtual ns of a completed stay in state s (0 before
+// the first).
+func (fc *flowControl) dwellMean(s FlowState) float64 {
+	if n := fc.dwells[s].Load(); n > 0 {
+		return float64(fc.dwellNs[s].Load()) / float64(n)
 	}
-}
-
-// Add merges another snapshot (the sharded router's aggregation): counters
-// sum, State takes the most severe shard.
-func (s FlowStats) Add(o FlowStats) FlowStats {
-	if o.State > s.State {
-		s.State = o.State
-	}
-	s.SlowdownEntries += o.SlowdownEntries
-	s.StopEntries += o.StopEntries
-	s.DelayedWrites += o.DelayedWrites
-	s.DelayedNs += o.DelayedNs
-	s.RejectedWrites += o.RejectedWrites
-	s.StopWaits += o.StopWaits
-	s.StopWaitNs += o.StopWaitNs
-	s.DwellOKNs += o.DwellOKNs
-	s.DwellSlowdownNs += o.DwellSlowdownNs
-	s.DwellStopNs += o.DwellStopNs
-	return s
+	return 0
 }
 
 // absDeadline converts a relative deadline (ns on the virtual clock; <= 0

@@ -6,7 +6,25 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"cachekv/internal/lsm"
+	"cachekv/internal/obs"
 )
+
+// storeEngines returns the engines behind db: itself, or a router's shards.
+func storeEngines(db Store) []*Engine {
+	if sh, ok := db.(*Sharded); ok {
+		return sh.shards
+	}
+	return []*Engine{db.(*Engine)}
+}
+
+// gather reads db's registry once.
+func gather(db Store) *obs.Snapshot {
+	r := obs.NewRegistry()
+	db.RegisterObs(r)
+	return r.Gather()
+}
 
 // putBatch is the one-op batch a deadline-bounded Put rides through Write.
 func putBatch(key, value []byte) *Batch {
@@ -60,23 +78,44 @@ func TestFlowTransitions(t *testing.T) {
 		{0, 0, FlowOK, "reset"},
 	}
 	fc, setL0, setBacklog := testFlow()
-	var now int64
+	var now, since int64
+	var dwellNs, dwells [3]int64 // completed stays per state, as the steps walk them
+	prev := FlowOK
 	for i, s := range steps {
 		now += 10
 		setL0(s.l0)
 		setBacklog(s.backlog)
 		fc.recompute(now, "test")
-		if got := fc.current(); got != s.want {
+		got := fc.current()
+		if got != s.want {
 			t.Fatalf("step %d (%s): l0=%d backlog=%d: state %v, want %v",
 				i, s.note, s.l0, s.backlog, got, s.want)
 		}
+		if got != prev {
+			dwellNs[prev] += now - since
+			dwells[prev]++
+			since, prev = now, got
+		}
 	}
-	st := fc.snapshot()
-	if st.SlowdownEntries == 0 || st.StopEntries == 0 {
-		t.Fatalf("entry counters not advanced: %+v", st)
+	if fc.slowdownEntries.Load() == 0 || fc.stopEntries.Load() == 0 {
+		t.Fatalf("entry counters not advanced: slowdown %d, stop %d", fc.slowdownEntries.Load(), fc.stopEntries.Load())
 	}
-	if st.DwellSlowdownNs == 0 || st.DwellStopNs == 0 || st.DwellOKNs == 0 {
-		t.Fatalf("dwell accounting missing: %+v", st)
+	for st := FlowOK; st <= FlowStop; st++ {
+		if fc.dwellNs[st].Load() != dwellNs[st] || fc.dwells[st].Load() != dwells[st] || dwells[st] == 0 {
+			t.Fatalf("%v: %d vns over %d stays, want %d over %d",
+				st, fc.dwellNs[st].Load(), fc.dwells[st].Load(), dwellNs[st], dwells[st])
+		}
+	}
+	// The registry's dwell-mean gauges are each state's dwell over its stays.
+	e := &Engine{flow: fc}
+	for _, m := range engineMetrics(0) {
+		st, ok := map[string]FlowState{"flow_dwell_slowdown_mean_ns": FlowSlowdown, "flow_dwell_stop_mean_ns": FlowStop}[m.name]
+		if !ok {
+			continue
+		}
+		if got, want := m.level(e), float64(dwellNs[st])/float64(dwells[st]); got != want {
+			t.Errorf("%s = %g, want %g", m.name, got, want)
+		}
 	}
 }
 
@@ -120,7 +159,7 @@ func TestFlowHysteresisNoFlap(t *testing.T) {
 			t.Fatalf("iteration %d: state %v", i, fc.current())
 		}
 	}
-	if n := fc.snapshot().SlowdownEntries; n != 1 {
+	if n := fc.slowdownEntries.Load(); n != 1 {
 		t.Fatalf("flapped: %d slowdown entries, want 1", n)
 	}
 }
@@ -165,7 +204,7 @@ func TestFlowSlowdownTokenPacing(t *testing.T) {
 	if err := fc.admit(th, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d := fc.snapshot().DelayedWrites; d != 0 {
+	if d := fc.delayedWrites.Load(); d != 0 {
 		t.Fatalf("first token should be free, delayed=%d", d)
 	}
 	wantGap := int64(slowdownBaseDelay)
@@ -184,9 +223,8 @@ func TestFlowSlowdownTokenPacing(t *testing.T) {
 	if wantGap != slowdownMaxDelay {
 		t.Fatalf("pacing never reached the cap: next gap %d", wantGap)
 	}
-	st := fc.snapshot()
-	if st.DelayedWrites != admits || st.DelayedNs == 0 {
-		t.Fatalf("delay accounting: %+v", st)
+	if n, ns := fc.delayedWrites.Load(), fc.delayedNs.Load(); n != admits || ns == 0 {
+		t.Fatalf("delay accounting: %d writes delayed %d vns", n, ns)
 	}
 }
 
@@ -215,8 +253,8 @@ func TestFlowSlowdownDeadlineRejectKeepsToken(t *testing.T) {
 	if tokenAfter != tokenBefore {
 		t.Fatalf("rejected write consumed a token: %d -> %d", tokenBefore, tokenAfter)
 	}
-	if fc.snapshot().RejectedWrites != 1 {
-		t.Fatalf("rejection not counted: %+v", fc.snapshot())
+	if n := fc.rejectedWrites.Load(); n != 1 {
+		t.Fatalf("rejections counted: %d, want 1", n)
 	}
 }
 
@@ -236,7 +274,7 @@ func TestFlowStopFastFailAndLegacyBlock(t *testing.T) {
 	th2 := m.NewThread(1)
 	done := make(chan error, 1)
 	go func() { done <- fc.admit(th2, 0) }()
-	for fc.snapshot().StopWaits == 0 { // until the writer is parked
+	for fc.stopWaits.Load() == 0 { // until the writer is parked
 		runtime.Gosched()
 	}
 	select {
@@ -249,9 +287,8 @@ func TestFlowStopFastFailAndLegacyBlock(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("legacy admit after de-escalation: %v", err)
 	}
-	st := fc.snapshot()
-	if st.StopWaits != 1 || st.RejectedWrites != 1 {
-		t.Fatalf("stop accounting: %+v", st)
+	if waits, rejected := fc.stopWaits.Load(), fc.rejectedWrites.Load(); waits != 1 || rejected != 1 {
+		t.Fatalf("stop accounting: %d waits, %d rejections", waits, rejected)
 	}
 }
 
@@ -313,8 +350,8 @@ func TestFlowEngineDeadlineUnderForcedStop(t *testing.T) {
 	if err := e.Put(th, []byte("after"), []byte("v")); err != nil {
 		t.Fatalf("put after recovery from Stop: %v", err)
 	}
-	if e.FlowStats().RejectedWrites != 3 {
-		t.Fatalf("rejection count: %+v", e.FlowStats())
+	if n := gather(e).Int("flow_writes_rejected"); n != 3 {
+		t.Fatalf("flow_writes_rejected = %d, want 3", n)
 	}
 }
 
@@ -361,8 +398,8 @@ func TestFlowPerShardIndependence(t *testing.T) {
 	if err := sh.Put(th, []byte("post"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if st := sh.FlowStats(); st.RejectedWrites != int64(stalled) {
-		t.Fatalf("aggregate rejections %d, want %d", st.RejectedWrites, stalled)
+	if n := gather(sh).Int("flow_writes_rejected"); n != int64(stalled) {
+		t.Fatalf("aggregate rejections %d, want %d", n, stalled)
 	}
 }
 
@@ -417,17 +454,16 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 }
 
 func TestFlowPoolAcquireDeadline(t *testing.T) {
-	// With flow control disabled and a pool of one small slot per engine, a
-	// write that cannot get a slot before its deadline must stall instead of
-	// blocking forever — exercised through Write so the admission fast path
-	// stays out of the way. A copy-based flush costs 250 virtual µs before its
+	// With flow control pinned to OK and a pool of one small slot per engine,
+	// a write that cannot get a slot before its deadline must stall instead
+	// of blocking forever — exercised through Write so the admission fast
+	// path stays out of the way. A copy-based flush costs 250 virtual µs before its
 	// first byte, so a 50 ns deadline cannot outlast one: every seal stalls the
 	// writer behind it. Every ErrStalled that leaves Write is counted once,
 	// though none of these comes from admission.
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			o := smallOpts()
-			o.DisableFlowControl = true
 			o.PoolBytes = uint64(shards) * 256 << 10 // one 128 KiB slot per engine
 			o.FlushThreads = 1
 			o.Shards = shards
@@ -438,6 +474,9 @@ func TestFlowPoolAcquireDeadline(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close(th)
+			for _, e := range storeEngines(db) {
+				e.flow.force(th.Clock.Now(), FlowOK)
+			}
 
 			val := make([]byte, 4<<10)
 			var stalls int64
@@ -452,7 +491,7 @@ func TestFlowPoolAcquireDeadline(t *testing.T) {
 			if stalls == 0 {
 				t.Fatal("no write stalled on the slot wait")
 			}
-			if got := db.FlowStats().RejectedWrites; got != stalls {
+			if got := gather(db).Int("flow_writes_rejected"); got != stalls {
 				t.Fatalf("flow_writes_rejected = %d, want the %d ErrStalled returns", got, stalls)
 			}
 			// The engine must still accept unbounded writes afterwards.
@@ -510,13 +549,7 @@ func TestFlowDefaultsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close(th)
-			var engines []*Engine
-			switch s := db.(type) {
-			case *Engine:
-				engines = []*Engine{s}
-			case *Sharded:
-				engines = s.shards
-			}
+			engines := storeEngines(db)
 			if len(engines) != tc.shards {
 				t.Fatalf("%d engines, want %d", len(engines), tc.shards)
 			}
@@ -530,6 +563,69 @@ func TestFlowDefaultsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFlowTableFollowsTree: the L0 and debt rows are set from the tree's own
+// resolution of its options, at lsm's defaults and at a tuned shape.
+func TestFlowTableFollowsTree(t *testing.T) {
+	type row struct{ slow, slowExit, stop, stopExit uint64 }
+	def := lsm.Options{}.WithDefaults()
+	trigger, base := uint64(def.L0CompactionTrigger), uint64(def.BaseLevelBytes)
+	for _, tc := range []struct {
+		name     string
+		lsm      lsm.Options
+		l0, debt row
+	}{
+		{"default", lsm.Options{},
+			row{2 * trigger, 2 * trigger * 3 / 4, 4 * trigger, 4 * trigger * 3 / 4},
+			row{base, base / 2, 4 * base, 4 * base * 3 / 4}},
+		{"trigger6-base4MiB", lsm.Options{L0CompactionTrigger: 6, BaseLevelBytes: 4 << 20},
+			row{12, 9, 24, 18}, row{4 << 20, 2 << 20, 16 << 20, 12 << 20}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := smallOpts()
+			o.LSM = tc.lsm
+			e, th := openEngine(t, testMachine(), o)
+			defer e.Close(th)
+			for _, s := range e.flow.signals {
+				got := row{s.slow, s.slowExit, s.stop, s.stopExit}
+				switch want := map[string]row{"l0_files": tc.l0, "debt_bytes": tc.debt}[s.name]; {
+				case want == row{}:
+				case got != want:
+					t.Errorf("%s bounds %v, want %v", s.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFlowBacklogGaugeSumsShards: a router's flow_backlog_bytes is its shards'
+// summed backlog — once the flushes drained and before any spill, the tables
+// each shard's ImmZone holds.
+func TestFlowBacklogGaugeSumsShards(t *testing.T) {
+	sh, th := openSharded(t, testMachine(), smallShardedOpts(4))
+	defer sh.Close(th)
+	val := make([]byte, 1<<10)
+	for i := 0; i < 1000; i++ {
+		if err := sh.Put(th, []byte(fmt.Sprintf("key%06d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want uint64
+	for k, e := range sh.shards {
+		e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 })
+		if e.stats.Flushes.Load() == 0 {
+			t.Fatalf("shard %d flushed nothing", k)
+		}
+		want += e.backlog()
+	}
+	snap := gather(sh)
+	if n := snap.Int("engine_spills"); n != 0 {
+		t.Fatalf("%d spills emptied the ImmZones", n)
+	}
+	if got := snap.Float("flow_backlog_bytes"); got != float64(want) {
+		t.Fatalf("flow_backlog_bytes = %.0f, want the shards' summed backlog %d", got, want)
 	}
 }
 

@@ -369,7 +369,7 @@ func (p *pool) acquire(th *hw.Thread, core int, listSeed uint64, deadlineV int64
 			// No free sub-MemTable. If nothing is in flight either, every
 			// slot is parked on an idle core — force-rotate the fullest one
 			// into the flush pipeline so the pool cannot starve this waiter.
-			if !c.inflight && c.fullest != nil && p.sealFn != nil && p.forceSealLocked(th, c.fullest) {
+			if !c.inflight && c.fullest != nil && p.sealFn != nil && p.seal(th, c.fullest) {
 				p.sealFn(th.Clock.Now(), c.fullest)
 				continue
 			}
@@ -453,35 +453,19 @@ func (p *pool) assignLocked(th *hw.Thread, s *slot, core int, listSeed uint64) {
 	p.coreSlot[core].Store(int32(s.idx))
 }
 
-// sealForCore marks a core's slot immutable and detaches it, returning the
-// slot for flushing. Returns nil if the core had no allocated slot.
+// sealForCore seals core's slot (seal) and returns it for flushing, or nil if
+// the core had no allocated slot.
 func (p *pool) sealForCore(th *hw.Thread, core int) *slot {
-	s := p.slotFor(core)
-	if s == nil {
-		return nil
+	if s := p.slotFor(core); s != nil && p.seal(th, s) {
+		return s
 	}
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	for {
-		old := s.hdr.Load()
-		count, state, tail := unpackHdr(old)
-		if state != stateAllocated {
-			return nil
-		}
-		if p.casHdr(th, s, old, packHdr(count, stateImmutable, tail)) {
-			break
-		}
-	}
-	s.sealedAt.Store(th.Clock.Now())
-	p.coreSlot[core].Store(-1)
-	s.owner.Store(-1)
-	return s
+	return nil
 }
 
-// forceSealLocked transitions another core's allocated slot to Immutable and
-// detaches it from its owner, after the owner's append in flight, if any,
-// has committed. p.mu held.
-func (p *pool) forceSealLocked(th *hw.Thread, s *slot) bool {
+// seal transitions an allocated slot to Immutable and detaches it from its
+// owner, after the owner's append in flight, if any, has committed. It
+// reports false if s was not allocated.
+func (p *pool) seal(th *hw.Thread, s *slot) bool {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
 	for {

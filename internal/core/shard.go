@@ -328,28 +328,6 @@ func (sh *Sharded) FlowState() FlowState {
 	return s
 }
 
-// FlowStats aggregates the shards' flow-control counters (State is the most
-// severe shard's).
-func (sh *Sharded) FlowStats() FlowStats {
-	var t FlowStats
-	for _, e := range sh.shards {
-		t = t.Add(e.flow.snapshot())
-	}
-	return t
-}
-
-// FlowSignals sums the shards' raw pressure signals (see Engine.FlowSignals):
-// total L0 files/bytes and flush-backlog bytes across the deployment.
-func (sh *Sharded) FlowSignals() (l0Files int, l0Bytes int64, backlogBytes uint64) {
-	for _, e := range sh.shards {
-		f, b, bk := e.FlowSignals()
-		l0Files += f
-		l0Bytes += b
-		backlogBytes += bk
-	}
-	return l0Files, l0Bytes, backlogBytes
-}
-
 // DebugForceFlowState pins shard k's flow state (harness hook; see
 // Engine.DebugForceFlowState).
 func (sh *Sharded) DebugForceFlowState(at int64, k int, s FlowState) {

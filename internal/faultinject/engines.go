@@ -45,7 +45,9 @@ func NewMachine(domain cache.Domain) *hw.Machine {
 
 // harnessSizing is every engine family scaled to the harness platform (pool,
 // tables, zones and logs shrunk to fit its LLC and PMem; behavioural knobs
-// untouched). shards > 1 opens the CacheKV family as the sharded router, which
+// untouched, so CacheKV runs the four flush servers that ship — no harness
+// workload seals a slot, so their count never reaches an event stream).
+// shards > 1 opens the CacheKV family as the sharded router, which
 // divides the pool, zones and file-layer capacity itself.
 func harnessSizing(tr *obs.Trace, shards int) engines.Sizing {
 	s := engines.NewSizing(32<<20, tr)

@@ -36,7 +36,10 @@ type Options struct {
 // blockCacheShards is the block cache's lock-shard count.
 const blockCacheShards = 16
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero field resolved to the default the
+// tree runs with: callers that size budgets from the tree's shape (flow
+// control's bounds, a harness's memory cap) read it here, not from a copy.
+func (o Options) WithDefaults() Options {
 	if o.L0CompactionTrigger == 0 {
 		o.L0CompactionTrigger = 4
 	}
@@ -121,7 +124,7 @@ type Tree struct {
 // Open mounts a tree whose manifest lives in manifestRegion, replaying any
 // previous state (crash recovery) and starting a fresh, compacted manifest.
 func Open(m *hw.Machine, fs *pmemfs.FS, manifestRegion hw.Region, opts Options, th *hw.Thread) (*Tree, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &Tree{
 		m:              m,
 		fs:             fs,
