@@ -110,7 +110,7 @@ type Options struct {
 	// opens the classic single-engine store. With Shards > 1, a write whose
 	// keys all live on one shard commits exactly as on the single engine, on
 	// the session's own thread into its core's sub-MemTable of that shard; a
-	// batch spanning shards commits atomically through a two-phase log.
+	// batch spanning shards commits atomically through one batch-log record.
 	Shards int
 
 	// CompactionWorkers is the number of worker threads of the background
@@ -542,7 +542,7 @@ func (s *Session) Delete(key []byte) error {
 // DeleteRange deletes every key in [start, end) by writing a single range
 // tombstone — O(1) in the number of keys covered. A start >= end range is an
 // empty no-op. On a sharded store the tombstone commits to every shard
-// atomically via the two-phase protocol. CacheKV-family engines only.
+// atomically through the batch log. CacheKV-family engines only.
 func (s *Session) DeleteRange(start, end []byte) error {
 	if s.db.store == nil {
 		return s.db.unsupported("DeleteRange")
@@ -616,8 +616,8 @@ func (b *Batch) Reset() { b.inner.Reset() }
 // Apply commits a batch atomically. Only CacheKV-family engines support
 // batches; other engines return an error. On a sharded store a batch whose
 // keys hash to one shard commits with a single CAS exactly like the classic
-// engine; a cross-shard batch (or one holding a range tombstone) goes through
-// the two-phase commit protocol and stays all-or-nothing across crashes. A
+// engine; a cross-shard batch (or one holding a range tombstone) commits with
+// one batch-log record and stays all-or-nothing across crashes. A
 // batch that stalls past the session's write deadline is rejected before any
 // of its entries commit.
 func (s *Session) Apply(b *Batch) error {

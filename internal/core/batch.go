@@ -30,8 +30,8 @@ type batchOp struct {
 	key   []byte
 	value []byte // the exclusive end key for KindRangeDel
 	kind  util.ValueKind
-	// seq is the version Write drew for the op (two-phase replay reads it
-	// back from the prepare record).
+	// seq is the version Write drew for the op (batch-log replay reads it
+	// back from the batch record).
 	seq uint64
 }
 
@@ -153,13 +153,13 @@ func (e *Engine) DeleteRange(th *hw.Thread, start, end []byte) error {
 
 // commitOps appends ops (sequence numbers already assigned) to the calling
 // core's sub-MemTable and commits them all with a single CAS on the packed
-// header — the one commit primitive behind Write, the two-phase apply, and
-// two-phase recovery replay. Range tombstones are ordinary entries
+// header — the one commit primitive behind Write, the cross-shard apply, and
+// batch-log recovery replay. Range tombstones are ordinary entries
 // (internal key start@seq with KindRangeDel, value = end key): riding the
 // same commit, flush and spill path is what makes them crash-durable.
 //
 // deadlineV bounds the slot wait (0 = none). Callers that must not fail —
-// two-phase apply past its commit marker, recovery replay — pass 0; a
+// the cross-shard apply past its record's fence, recovery replay — pass 0; a
 // deadline expiry surfaces before the commit CAS, so a stalled batch is
 // fully absent.
 func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error {

@@ -83,7 +83,7 @@ func manifestBytes(shards int) uint64 {
 // with its siblings; only the router fills it. The zero value is a standalone
 // engine: the legacy "cachekv" region names (and therefore the legacy
 // on-media layout), a private sequence counter, a pool partition the engine
-// reserves and releases itself, no two-phase log.
+// reserves and releases itself, no batch log.
 type shardEnv struct {
 	index  int    // carried on trace events
 	prefix string // region-name prefix, so several engines coexist on one machine
@@ -92,7 +92,7 @@ type shardEnv struct {
 	// part is the router's pinned cache partition: the LLC is way-granular, so
 	// N shards share one reservation instead of burning a way each.
 	part *cache.PartitionID
-	// wal reads the occupancy of the router's two-phase logs: flow control's
+	// wal reads the occupancy of the router's batch log: flow control's
 	// fourth signal, which a standalone engine does not have.
 	wal func() uint64
 }

@@ -64,7 +64,7 @@ type flowSignal struct {
 //     trigger is reached plus every deeper level's overage, so admission
 //     reacts to a deep-level pileup before it cascades back into L0) against
 //     the L1 budget: x1 and x4, exits 1/2 and 3/4;
-//   - on a router's shard, two-phase log bytes against the log capacity: 3/4
+//   - on a router's shard, batch-log bytes against the log capacity: 3/4
 //     and 15/16, exits 1/2 and 3/4 — a safety valve above the half-capacity
 //     auto-reset, so runaway cross-shard traffic escalates admission before a
 //     log-full failure.
@@ -80,7 +80,7 @@ func (e *Engine) flowTable() []flowSignal {
 		{"debt_bytes", e.tree.CompactionDebt, base, base / 2, 4 * base, 4 * base * 3 / 4},
 	}
 	if e.env.wal != nil {
-		const walCap = 2 * twoPCLogBytes
+		const walCap = batchLogBytes
 		rows = append(rows, flowSignal{"wal_bytes", e.env.wal,
 			walCap * 3 / 4, walCap * 3 / 4 / 2, walCap * 15 / 16, walCap * 15 / 16 * 3 / 4})
 	}
@@ -315,7 +315,7 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 // countStall counts err when it is the overload rejection and returns it. The
 // write entries (Engine.Write, Sharded.Write) pass their result through it, so
 // every ErrStalled that leaves the store is counted once, whichever wait —
-// admission, a slot, ImmZone space, the two-phase logs — ran out.
+// admission, a slot, ImmZone space, the batch log — ran out.
 func (fc *flowControl) countStall(err error) error {
 	if errors.Is(err, ErrStalled) {
 		fc.rejectedWrites.Add(1)

@@ -409,7 +409,7 @@ func TestFlowCrossShardBatchDeadline(t *testing.T) {
 	defer sh.Close(th)
 
 	// Find keys on two different shards, then stop one of them: the
-	// cross-shard batch must be rejected before any prepare record exists,
+	// cross-shard batch must be rejected before its batch record exists,
 	// leaving both keys absent.
 	var k0, k1 []byte
 	for i := 0; k0 == nil || k1 == nil; i++ {

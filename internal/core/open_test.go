@@ -41,11 +41,11 @@ func TestOpenShapes(t *testing.T) {
 			[]string{
 				"cachekv.s0.pool", "cachekv.s0.imm", "cachekv.s0.fs", "cachekv.s0.manifest",
 				"cachekv.s1.pool", "cachekv.s1.imm", "cachekv.s1.fs", "cachekv.s1.manifest",
-				"cachekv.2pc.commit", "cachekv.s0.2pc", "cachekv.s1.2pc"},
+				"cachekv.2pc"},
 			[]uint64{
 				6 << 20, 16 << 20, 128 << 20, 2 << 20,
 				6 << 20, 16 << 20, 128 << 20, 2 << 20,
-				256 << 10, 256 << 10, 256 << 10}},
+				512 << 10}},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			m := testMachine()

@@ -7,9 +7,9 @@ package core
 // router starts no thread of its own: a write whose ops all land on one shard
 // runs that shard's Engine.Write on the caller's thread, into the caller's
 // core's sub-MemTable, exactly as on the single engine. A batch spanning
-// shards runs the two-phase protocol (twopc.go): per-shard prepare records
-// plus a single commit marker in a global commit log, so recovery can resolve
-// in-doubt batches all-or-nothing.
+// shards commits through the batch log (batchlog.go): one record holding every
+// shard's portion, fenced before any portion is applied, so recovery replays
+// the batch whole or not at all.
 //
 // The LLC is way-granular, so the router reserves ONE pinned partition sized
 // for the sum of all shard pools and hands it to every shard engine
@@ -28,10 +28,6 @@ import (
 	"cachekv/internal/obs"
 	"cachekv/internal/util"
 )
-
-// twoPCLogBytes sizes each per-shard two-phase prepare log and the global
-// commit-marker log.
-const twoPCLogBytes = 256 << 10
 
 // shardOptions derives one shard's engine options from o's totals (defaults
 // applied, Shards >= 1). Shards stays the deployment's count: the engine
@@ -59,17 +55,17 @@ type Sharded struct {
 	part cache.PartitionID
 
 	shards []*Engine
-	tpc    *twoPC
+	log    *batchLog
 
-	crossBatches atomic.Int64 // cross-shard two-phase batches committed
+	crossBatches atomic.Int64 // cross-shard batches committed
 
 	trace  *obs.Trace
 	closed atomic.Bool
 }
 
 // shardPrefix is the region-name prefix of a router's shard k. The names are
-// the on-media layout: cachekv.s<k>.{pool,imm,fs,manifest,2pc} per shard and
-// cachekv.2pc.commit for the router.
+// the on-media layout: cachekv.s<k>.{pool,imm,fs,manifest} per shard and
+// cachekv.2pc, the batch log, for the router.
 func shardPrefix(k int) string { return fmt.Sprintf("cachekv.s%d", k) }
 
 // newSharded creates (or recovers) the router over max(o.Shards, 1) engines;
@@ -88,14 +84,14 @@ func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cachekv: pinning sharded pool: %w", err)
 	}
-	// The two-phase state exists before the shards do, so that each shard's
-	// flow control can read its log occupancy from the start; the logs open
-	// after them, because replay feeds the shards.
-	sh.tpc = newTwoPC(sh, o.Shards)
+	// The batch log's state exists before the shards do, so that each
+	// shard's flow control can read its occupancy from the start; the log
+	// opens after them, because replay feeds the shards.
+	sh.log = newBatchLog(sh)
 	eo := shardOptions(o)
 	for k := 0; k < o.Shards; k++ {
 		eng, err := newEngine(m, eo, shardEnv{
-			index: k, prefix: shardPrefix(k), seq: sh.seq, part: &sh.part, wal: sh.tpc.logBytes(k),
+			index: k, prefix: shardPrefix(k), seq: sh.seq, part: &sh.part, wal: sh.log.bytes.Load,
 		}, th)
 		if err != nil {
 			sh.teardown(th)
@@ -103,8 +99,8 @@ func newSharded(m *hw.Machine, o Options, th *hw.Thread) (*Sharded, error) {
 		}
 		sh.shards = append(sh.shards, eng)
 	}
-	// Open the logs, replaying any in-doubt cross-shard groups.
-	if err := sh.tpc.open(th); err != nil {
+	// Open the log, replaying the cross-shard batches it holds.
+	if err := sh.log.open(th); err != nil {
 		sh.teardown(th)
 		return nil, err
 	}
@@ -146,9 +142,9 @@ func (sh *Sharded) Name() string {
 // range tombstone goes to EVERY shard, because keys hash-partition and any
 // key of the span may live anywhere. A batch with one participant shard is
 // that shard's Engine.Write on the caller's thread (admission, sequence
-// numbers, one CAS on the caller's core's slot); one with several goes
-// through the two-phase protocol in twopc.go, so after a crash either every
-// shard carries its portion or none does.
+// numbers, one CAS on the caller's core's slot); one with several commits
+// through the batch log (batchlog.go), so after a crash either every shard
+// carries its portion or none does.
 //
 // Every participant's flow controller must admit the batch before it reaches
 // a sub-MemTable or a log, so a rejected batch is fully absent.
@@ -176,12 +172,19 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 		return sh.shards[one].Write(th, b, deadlineNs)
 	}
 
-	// Two-phase path: the prepare record carries the sequence numbers, so they
-	// are drawn before tpc.commit admits on every participant.
+	// Cross-shard path: the batch record carries the sequence numbers, so
+	// they are drawn before log.commit admits on every participant.
 	assignSeqs(sh.seq, ops)
+	portions := sh.portions(ops)
+	// A stalled cross-shard batch counts once, against its first participant.
+	err := sh.log.commit(th, portions, absDeadline(th, deadlineNs))
+	return sh.shards[portions[0].shard].flow.countStall(err)
+}
 
-	// Partition by shard, preserving op order within each; portions come out
-	// in ascending shard order, the deterministic prepare/apply sequence.
+// portions partitions ops by shard, preserving op order within each; they
+// come out in ascending shard order, the order of the record and of the
+// apply. A range tombstone goes to every shard.
+func (sh *Sharded) portions(ops []batchOp) []shardPortion {
 	byShard := make([][]batchOp, len(sh.shards))
 	for _, op := range ops {
 		if op.kind == util.KindRangeDel {
@@ -193,15 +196,13 @@ func (sh *Sharded) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 			byShard[k] = append(byShard[k], op)
 		}
 	}
-	portions := make([]*shardPortion, 0, len(byShard))
+	portions := make([]shardPortion, 0, len(byShard))
 	for k, part := range byShard {
 		if len(part) > 0 {
-			portions = append(portions, &shardPortion{shard: k, ops: part})
+			portions = append(portions, shardPortion{shard: k, ops: part})
 		}
 	}
-	// A stalled cross-shard batch counts once, against its first participant.
-	err := sh.tpc.commit(th, portions, absDeadline(th, deadlineNs))
-	return sh.shards[portions[0].shard].flow.countStall(err)
+	return portions
 }
 
 // Put implements kvstore.DB.
@@ -334,6 +335,7 @@ func (sh *Sharded) DebugForceFlowState(at int64, k int, s FlowState) {
 	sh.shards[k].flow.force(at, s)
 }
 
-// errBatchTooLarge rejects cross-shard portions that could never replay into
-// a minimum-size sub-MemTable.
-var errBatchTooLarge = errors.New("cachekv: cross-shard batch portion exceeds sub-MemTable capacity")
+// errBatchTooLarge rejects a cross-shard batch with a portion that could never
+// replay into a minimum-size sub-MemTable, or whose record would not fit in
+// the half of the batch log a reset leaves free.
+var errBatchTooLarge = errors.New("cachekv: cross-shard batch exceeds sub-MemTable or batch-log capacity")

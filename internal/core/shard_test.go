@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/util"
+	"cachekv/internal/wal"
 )
 
 func smallShardedOpts(shards int) Options {
@@ -256,36 +258,123 @@ func TestShardedCrossShardBatchCommitAndRecovery(t *testing.T) {
 	}
 }
 
-func TestShardedInDoubtBatchDiscarded(t *testing.T) {
+// logOnly appends the record of a batch putting kvs (key, value, ...) to
+// sh's batch log without applying it, as if the power failed right after the
+// record's fence, and returns the record's extent in the log.
+func logOnly(t *testing.T, sh *Sharded, th *hw.Thread, kvs ...string) (start, end uint64) {
+	t.Helper()
+	var b Batch
+	for i := 0; i+1 < len(kvs); i += 2 {
+		b.Put([]byte(kvs[i]), []byte(kvs[i+1]))
+	}
+	assignSeqs(sh.seq, b.ops)
+	l := sh.log
+	start, err := l.w.Append(th, appendBatch(nil, l.nextID, sh.portions(b.ops)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.nextID++
+	return start, l.w.Offset()
+}
+
+// tearLastLine zeroes the bytes of the log extent [start, end) that sit in
+// its last cache line, as if that line never reached the media.
+func tearLastLine(sh *Sharded, th *hw.Thread, start, end uint64) {
+	base := sh.log.rg.Addr
+	addr := max(base+start, (base+end-1)&^63)
+	sh.m.Cache.NTWrite(th.Clock, addr, make([]byte, base+end-addr))
+}
+
+// expectBatch checks that every key of kvs reads its value (visible) or reads
+// as absent (!visible).
+func expectBatch(t *testing.T, sh *Sharded, th *hw.Thread, visible bool, kvs ...string) {
+	t.Helper()
+	for i := 0; i+1 < len(kvs); i += 2 {
+		v, err := sh.Get(th, []byte(kvs[i]))
+		switch {
+		case visible && (err != nil || string(v) != kvs[i+1]):
+			t.Errorf("Get(%s) = %.32q, %v; want %.32q", kvs[i], v, err, kvs[i+1])
+		case !visible && err != kvstore.ErrNotFound:
+			t.Errorf("Get(%s) = %.32q, %v; want ErrNotFound", kvs[i], v, err)
+		}
+	}
+}
+
+// A batch whose record lost its last line to the power failure never
+// committed: it stays invisible, while the intact record before it replays
+// whole. Neither batch reached a sub-MemTable, so what the reopened router
+// reads of them came from the log alone.
+func TestShardedTornBatchRecordInvisible(t *testing.T) {
 	m := testMachine()
 	so := smallShardedOpts(4)
 	sh, th := openSharded(t, m, so)
-
-	// A prepare record with no commit marker: the batch must stay invisible.
-	p := &shardPortion{shard: 1}
-	p.ops = append(p.ops, batchOp{key: []byte("indoubt-key"), value: []byte("x"), kind: util.KindValue, seq: sh.seq.Add(1)})
-	if _, err := sh.tpc.prepare[1].Append(th, encodePrepare(777, p)); err != nil {
-		t.Fatal(err)
+	a := []string{"whole-a", "1", "whole-b", "2", "whole-c", "3", "whole-d", "4"}
+	b := []string{"torn-a", "5", "torn-b", "6", "torn-c", "7", "torn-d", "8"}
+	for _, kvs := range [][]string{a, b} {
+		var batch Batch
+		for i := 0; i < len(kvs); i += 2 {
+			batch.Put([]byte(kvs[i]), nil)
+		}
+		if len(sh.portions(batch.ops)) < 2 {
+			t.Fatalf("batch %v does not span shards", kvs)
+		}
 	}
-
-	// And a fully committed batch that must survive.
-	var batch Batch
-	batch.Put([]byte("committed-a"), []byte("1"))
-	batch.Put([]byte("committed-b"), []byte("2"))
-	batch.Put([]byte("committed-c"), []byte("3"))
-	if err := sh.Write(th, &batch, 0); err != nil {
-		t.Fatal(err)
-	}
+	logOnly(t, sh, th, a...)
+	start, end := logOnly(t, sh, th, b...)
+	tearLastLine(sh, th, start, end)
 
 	sh2, th2 := crashAndReopenSharded(t, sh, so)
-	defer sh2.Close(th2)
-	if _, err := sh2.Get(th2, []byte("indoubt-key")); err != kvstore.ErrNotFound {
-		t.Fatalf("in-doubt prepare became visible: %v", err)
+	expectBatch(t, sh2, th2, true, a...)
+	expectBatch(t, sh2, th2, false, b...)
+
+	// The reopened log takes new batches, and a second power failure keeps
+	// the replayed one.
+	c := []string{"after-a", "9", "after-b", "10", "after-c", "11"}
+	var batch Batch
+	for i := 0; i < len(c); i += 2 {
+		batch.Put([]byte(c[i]), []byte(c[i+1]))
 	}
-	for _, k := range []string{"committed-a", "committed-b", "committed-c"} {
-		if _, err := sh2.Get(th2, []byte(k)); err != nil {
-			t.Fatalf("committed key %s lost: %v", k, err)
-		}
+	if err := sh2.Write(th2, &batch, 0); err != nil {
+		t.Fatal(err)
+	}
+	sh3, th3 := crashAndReopenSharded(t, sh2, so)
+	defer sh3.Close(th3)
+	expectBatch(t, sh3, th3, true, a...)
+	expectBatch(t, sh3, th3, true, c...)
+	expectBatch(t, sh3, th3, false, b...)
+}
+
+// A record that straddles a 32 KiB wal block is framed as a FIRST chunk and a
+// LAST chunk: it replays whole, and not at all once its LAST chunk is torn.
+func TestShardedBatchRecordAcrossWALBlock(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			m := testMachine()
+			so := smallShardedOpts(4)
+			sh, th := openSharded(t, m, so)
+			// One filler record leaves 200 bytes of the first block: 7 of
+			// chunk header, 13 of record header, 8 of portion header and 17
+			// of op fields ride along with the 4-byte key.
+			filler := []string{"fill", strings.Repeat("f", wal.BlockSize-200-7-13-8-17-4)}
+			if _, end := logOnly(t, sh, th, filler...); end != wal.BlockSize-200 {
+				t.Fatalf("filler ends at %d, want %d", end, wal.BlockSize-200)
+			}
+			var kvs []string
+			for i := 0; i < 6; i++ {
+				kvs = append(kvs, fmt.Sprintf("straddle-%d", i), fmt.Sprintf("%0300d", i))
+			}
+			start, end := logOnly(t, sh, th, kvs...)
+			if start >= wal.BlockSize || end <= wal.BlockSize+7 {
+				t.Fatalf("record [%d, %d) does not straddle the block at %d", start, end, wal.BlockSize)
+			}
+			if torn {
+				tearLastLine(sh, th, wal.BlockSize, end)
+			}
+			sh2, th2 := crashAndReopenSharded(t, sh, so)
+			defer sh2.Close(th2)
+			expectBatch(t, sh2, th2, true, filler...)
+			expectBatch(t, sh2, th2, !torn, kvs...)
+		})
 	}
 }
 
@@ -296,13 +385,119 @@ func TestShardedCrossShardBatchTooLarge(t *testing.T) {
 
 	var batch Batch
 	big := make([]byte, 70<<10) // exceeds the minimum 64 KiB slot
-	// Two keys on different shards so the two-phase path (with its capacity
+	// Two keys on different shards so the cross-shard path (with its capacity
 	// pre-check) is taken.
 	k1, k2 := findKeysOnDistinctShards(sh)
 	batch.Put(k1, big)
 	batch.Put(k2, []byte("small"))
 	if err := sh.Write(th, &batch, 0); err != errBatchTooLarge {
 		t.Fatalf("oversized cross-shard batch: got %v, want errBatchTooLarge", err)
+	}
+}
+
+// blockFiller is a one-key batch whose record fills a wal block exactly, so
+// the record after it starts the next block.
+func blockFiller(key string) []string {
+	return []string{key, strings.Repeat("f", wal.BlockSize-7-13-8-17-len(key))}
+}
+
+// A reset zeroes only the head block, so the records of the blocks after it
+// stay intact past the new tail. Replay stops at the first of them: batch ids
+// only grow, and theirs are older than the record before them.
+func TestShardedResetLeftoversDoNotReplay(t *testing.T) {
+	m := testMachine()
+	so := smallShardedOpts(4)
+	sh, th := openSharded(t, m, so)
+	var old [][]string
+	for i := 0; sh.log.w.Offset() <= sh.log.rg.Size/2; i++ {
+		old = append(old, blockFiller(fmt.Sprintf("old-%d", i)))
+		logOnly(t, sh, th, old[i]...)
+	}
+	sh.log.mu.Lock()
+	sh.log.maybeResetLocked(th)
+	sh.log.mu.Unlock()
+	if off := sh.log.w.Offset(); off != 0 {
+		t.Fatalf("log at %d after the reset, want 0", off)
+	}
+	fresh := blockFiller("fresh")
+	logOnly(t, sh, th, fresh...)
+
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
+	defer sh2.Close(th2)
+	expectBatch(t, sh2, th2, true, fresh...)
+	for _, kvs := range old {
+		expectBatch(t, sh2, th2, false, kvs...)
+	}
+}
+
+// An open after a crash clears the whole log, not just the head block: batch
+// ids restart above the replayed prefix, so a record left past that prefix
+// would otherwise replay behind the next run's records. Here a torn first
+// record hides an intact one in the second block; the next run writes one
+// record of the same length, and only that one may replay.
+func TestShardedReopenClearsLeftoverRecords(t *testing.T) {
+	m := testMachine()
+	so := smallShardedOpts(4)
+	sh, th := openSharded(t, m, so)
+	first := blockFiller("fill-0")
+	start, end := logOnly(t, sh, th, first...)
+	if end != wal.BlockSize {
+		t.Fatalf("filler ends at %d, want %d", end, wal.BlockSize)
+	}
+	leftover := []string{"left-a", "1", "left-b", "2", "left-c", "3", "left-d", "4"}
+	logOnly(t, sh, th, leftover...)
+	tearLastLine(sh, th, start, end)
+
+	sh2, th2 := crashAndReopenSharded(t, sh, so)
+	expectBatch(t, sh2, th2, false, first...)
+	expectBatch(t, sh2, th2, false, leftover...)
+	second := blockFiller("fill-1")
+	logOnly(t, sh2, th2, second...)
+
+	sh3, th3 := crashAndReopenSharded(t, sh2, so)
+	defer sh3.Close(th3)
+	expectBatch(t, sh3, th3, true, second...)
+	expectBatch(t, sh3, th3, false, leftover...)
+}
+
+// A batch whose portions each fit a minimum-size slot but whose record would
+// not fit in the half of the batch log a reset leaves free is refused before
+// anything is written: the log offset does not move and no key is visible.
+// Half as many portions of the same size commit.
+func TestShardedCrossShardBatchTooLargeForLog(t *testing.T) {
+	m := testMachine()
+	sh, th := openSharded(t, m, smallShardedOpts(8))
+	defer sh.Close(th)
+
+	keys := make([][]byte, 8) // keys[k] routes to shard k
+	for i, found := 0, 0; found < len(keys); i++ {
+		k := []byte(fmt.Sprintf("big-%d", i))
+		if s := sh.ShardOf(k); keys[s] == nil {
+			keys[s], found = k, found+1
+		}
+	}
+	value := make([]byte, 56<<10)
+	var all, half Batch
+	for s, k := range keys {
+		all.Put(k, value)
+		if s%2 == 0 {
+			half.Put(k, value)
+		}
+	}
+	before := sh.log.w.Offset()
+	if err := sh.Write(th, &all, 0); err != errBatchTooLarge {
+		t.Fatalf("eight 56 KiB portions: got %v, want errBatchTooLarge", err)
+	}
+	if after := sh.log.w.Offset(); after != before {
+		t.Fatalf("refused batch moved the log offset %d -> %d", before, after)
+	}
+	for _, k := range keys {
+		if _, err := sh.Get(th, k); err != kvstore.ErrNotFound {
+			t.Fatalf("Get(%s) after the refused batch = %v, want ErrNotFound", k, err)
+		}
+	}
+	if err := sh.Write(th, &half, 0); err != nil {
+		t.Fatalf("four 56 KiB portions: %v", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCrossShardWorkloadShape pins the builder's contract: every batch spans
-// at least two shards (so every mutation takes the two-phase path), keys are
+// at least two shards (so every mutation takes the batch-log path), keys are
 // unique per put batch, a delete batch removes exactly one earlier put
 // batch's keys, and regeneration is deterministic.
 func TestCrossShardWorkloadShape(t *testing.T) {
@@ -57,7 +57,7 @@ func TestCrossShardWorkloadShape(t *testing.T) {
 // TestCrashSweepCrossShard is the CI cross-shard sweep (the -run TestCrashSweep
 // step picks it up): a seeded sample of crash points under both persistence
 // domains with all three fault modes, held to the oracle's atomic clause —
-// no half-applied two-phase group may survive recovery.
+// no half-applied cross-shard batch may survive recovery.
 func TestCrashSweepCrossShard(t *testing.T) {
 	per := 10
 	if testing.Short() {
@@ -84,7 +84,7 @@ func TestCrashSweepCrossShard(t *testing.T) {
 }
 
 // TestCrashSweepCrossShardEdges pins the boundary crash points — the first
-// two events (inside the very first prepare record) and the last two (the
+// two events (inside the very first batch record) and the last two (the
 // final batch's apply tail) — where off-by-one bugs in commit-point
 // accounting would concentrate.
 func TestCrashSweepCrossShardEdges(t *testing.T) {

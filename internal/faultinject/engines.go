@@ -95,7 +95,7 @@ func AllEngines() []EngineSpec {
 // "cachekv-sharded", the cross-shard harness router, kept out of AllEngines so
 // the per-engine sweeps and differential tests keep their scope. Its single-key
 // writes live in pinned cache lines like the plain engine's, so the ADR contract
-// is unchanged (cross-shard batches are stronger — a two-phase log written with
+// is unchanged (cross-shard batches are stronger — a batch log written with
 // non-temporal stores — which the cross-shard family declares as LogDurable).
 func FindEngine(name string) (EngineSpec, bool) {
 	if name == shardedEngineName {

@@ -28,8 +28,8 @@ type Family struct {
 	// which is what makes a printed Schedule replayable.
 	NumOps int
 	Script Script
-	// LogDurable says the script writes only through the two-phase commit
-	// logs, which are written with non-temporal stores: its acknowledged steps
+	// LogDurable says the script writes only through the router's batch log,
+	// which is written with non-temporal stores: its acknowledged steps
 	// are durable under ADR on an engine that does not contract DurableADR.
 	LogDurable bool
 }

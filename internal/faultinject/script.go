@@ -169,8 +169,8 @@ func shardOfKey(key string) int {
 
 // crossShardFamily scripts n atomic batches (≈80% put, 20% delete of the put
 // batch two steps back) for the sharded router (DESIGN.md §8.3). Every batch
-// spans at least two shards, so every mutation takes the two-phase commit
-// path, whose logs are written with non-temporal stores: an acknowledged
+// spans at least two shards, so every mutation commits through the batch
+// log, which is written with non-temporal stores: an acknowledged
 // batch replays from PMem even under ADR, where the shards' cache-resident
 // sub-MemTables are lost. Hence LogDurable.
 func crossShardFamily(seed uint64, n int) Family {

@@ -5,7 +5,7 @@ package cachekv
 // same store, with a simulated power failure between rounds. Run with -race;
 // the strong assertion is crash atomicity — after each recovery, every
 // writer's last acknowledged batch must be fully present (the default
-// platform is eADR, and cross-shard batches are two-phase logged), and no
+// platform is eADR, and cross-shard batches are batch-logged), and no
 // batch may ever be half-visible.
 
 import (
@@ -50,7 +50,7 @@ func TestStressShardedCrossBatches(t *testing.T) {
 				for i := 0; i < batchesPerWriter; i++ {
 					// 4 keys drawn from the writer's own space: with hashed
 					// routing almost every batch spans several shards and takes
-					// the two-phase path; same-shard batches exercise the
+					// the batch-log path; same-shard batches exercise the
 					// single-CAS fast path.
 					b := &Batch{}
 					val := fmt.Sprintf("w%d-r%d-i%04d", w, round, i)
@@ -125,7 +125,7 @@ func TestStressShardedCrossBatches(t *testing.T) {
 		}
 
 		// Crash-atomicity oracle: each writer's last acknowledged batch was
-		// committed (two-phase for cross-shard spans) before the crash, so on
+		// committed (batch-logged for cross-shard spans) before the crash, so on
 		// the eADR platform every one of its keys must read back the batch's
 		// value. A missing or stale key would be a half-applied group.
 		s := db.Session(0)
@@ -143,7 +143,7 @@ func TestStressShardedCrossBatches(t *testing.T) {
 		}
 	}
 
-	// The workload must actually have exercised the two-phase path.
+	// The workload must actually have exercised the batch-log path.
 	var engineShards int64
 	for _, m := range db.Registry().Gather().Metrics {
 		if m.Name == "engine_shards" {
