@@ -28,15 +28,16 @@ import (
 	"cachekv/internal/wal"
 )
 
-// batchLogBytes sizes the router's batch log. It resets once past half, so
-// the signal flow control reads off it stays below its Slowdown bound (3/4)
-// unless applying batches hold the reset off.
+// batchLogBytes sizes the router's batch log. The batch that leaves it past
+// half with nothing applying resets it, so at rest the signal flow control
+// reads off it stays below its Slowdown bound (3/4).
 const batchLogBytes = 512 << 10
 
-// maxBatchRecord is the largest record that fits in the half of the log a
-// reset leaves free, so an append never finds the log full. The wal frames a
-// record as one chunk per 32 KiB block it touches, each paying a 7-byte
-// header and at most 6 bytes of block-tail padding.
+// maxBatchRecord is the largest record that fits in the half of the log
+// that is free whenever an append starts, so an append never finds the log
+// full. The wal frames a record as one chunk per 32 KiB block it touches,
+// each paying a 7-byte header and at most 6 bytes of block-tail padding;
+// TestMaxBatchRecordFitsTheLog holds this to the real writer.
 const maxBatchRecord = batchLogBytes/2 - (batchLogBytes/2/wal.BlockSize+2)*(7+6)
 
 const batchTag = byte('B')
@@ -72,7 +73,7 @@ func newBatchLog(sh *Sharded) *batchLog {
 	return l
 }
 
-// open allocates (or, after a crash, recovers and replays) the log. Shard
+// open allocates the log, or recovers and replays an existing one. Shard
 // engines must already be open: replay feeds committed portions back through
 // each shard's commitOps.
 func (l *batchLog) open(th *hw.Thread) error {
@@ -82,10 +83,11 @@ func (l *batchLog) open(th *hw.Thread) error {
 		if err := l.replay(th); err != nil {
 			return err
 		}
-		// Everything replayed now lives in the shards' sub-MemTables. Clear
-		// the whole log, not just the head block a fresh writer zeroes: batch
-		// ids restart above the replayed prefix only, so a leftover record
-		// past it could otherwise pass replay's growing-id check next time.
+		// Everything replayed now lives in the shards' sub-MemTables. Every
+		// open of an existing log clears all of it, not just the head block a
+		// fresh writer zeroes: batch ids restart above the replayed prefix
+		// only, so a leftover record past it could otherwise pass replay's
+		// growing-id check next time.
 		l.sh.m.Cache.NTWrite(th.Clock, l.rg.Addr, make([]byte, l.rg.Size))
 	}
 	l.w = wal.NewWriter(l.sh.m, l.rg, th)
@@ -176,9 +178,9 @@ func appendBatch(rec []byte, id uint64, portions []shardPortion) []byte {
 
 // decodeBatch parses the record of a batch on a router of n shards. It
 // refuses anything the router would not have written: a torn record, bytes
-// left over, a count the record cannot hold, a shard >= n, shards that do not
-// strictly ascend (so none repeats), an empty portion. Keys and values alias
-// rec.
+// left over, a count the record cannot hold, fewer than two portions, a shard
+// >= n, shards that do not strictly ascend (so none repeats), an empty
+// portion. Keys and values alias rec.
 func decodeBatch(rec []byte, n int) (id uint64, portions []shardPortion, ok bool) {
 	c := util.NewCursor(rec)
 	tag := c.U8()
@@ -200,25 +202,35 @@ func decodeBatch(rec []byte, n int) (id uint64, portions []shardPortion, ok bool
 		prev = int(shard)
 		portions[i] = shardPortion{shard: prev, ops: ops}
 	}
-	if tag != batchTag || !c.Done() {
+	if tag != batchTag || len(portions) < 2 || !c.Done() {
 		return 0, nil, false
 	}
 	return id, portions, true
 }
 
 // maybeResetLocked truncates the log once it is past half and no committed
-// batch is still applying. Safe because every batch recorded in the log has
-// then fully applied to its shards' sub-MemTables. A crash-stop ends the wait
-// too: an applying batch returns once its shard failed.
-func (l *batchLog) maybeResetLocked(th *hw.Thread) {
-	if l.w.Offset() <= l.rg.Size/2 {
-		return
-	}
-	for l.inflight > 0 {
-		l.cond.Wait()
+// batch is still applying, and reports whether it did. Safe because every
+// batch recorded in the log has then fully applied to its shards'
+// sub-MemTables.
+func (l *batchLog) maybeResetLocked(th *hw.Thread) bool {
+	if l.inflight > 0 || l.w.Offset() <= l.rg.Size/2 {
+		return false
 	}
 	l.w.Reset(th)
 	l.bytes.Store(l.w.Offset())
+	return true
+}
+
+// recomputeFlow lets every shard whose admission is shaped re-read the pressure
+// signals after a reset. Flow control polls them only on a shard's lifecycle
+// events, so a state the full log drove up would otherwise hold until that
+// shard's next seal or flush.
+func (l *batchLog) recomputeFlow(th *hw.Thread) {
+	for _, e := range l.sh.shards {
+		if e.flow.current() != FlowOK {
+			e.flow.recompute(th.Clock.Now(), "batchlog_reset")
+		}
+	}
 }
 
 // commit commits a cross-shard batch: one record holding every portion
@@ -235,7 +247,7 @@ func (l *batchLog) maybeResetLocked(th *hw.Thread) {
 func (l *batchLog) commit(th *hw.Thread, portions []shardPortion, deadlineV int64) error {
 	// Capacity pre-check, before admission and before any store: every
 	// portion must replay into the smallest slot elasticity can produce, and
-	// the whole record must fit in the half of the log a reset leaves free.
+	// the whole record must fit in the half of the log free at every append.
 	for _, p := range portions {
 		if opsSlotLen(p.ops) > minSlotBytes-slotHdrSize {
 			return errBatchTooLarge
@@ -259,7 +271,12 @@ func (l *batchLog) commit(th *hw.Thread, portions []shardPortion, deadlineV int6
 		l.mu.Unlock()
 		return kvstore.ErrClosed
 	}
-	l.maybeResetLocked(th)
+	// A log past half is reset by the batch that leaves nothing applying
+	// (below). A crash-stop ends the wait too: an applying batch returns once
+	// its shard failed.
+	for l.inflight > 0 && l.w.Offset() > l.rg.Size/2 {
+		l.cond.Wait()
+	}
 	if deadlineV > 0 && th.Clock.Now() >= deadlineV {
 		// The reset wait (or earlier admission delays) consumed the deadline;
 		// still nothing written, so the batch can fail cleanly.
@@ -298,8 +315,13 @@ func (l *batchLog) commit(th *hw.Thread, portions []shardPortion, deadlineV int6
 
 	l.mu.Lock()
 	l.inflight--
+	// A batch that failed to apply keeps its record, the only copy of it.
+	reset := applyErr == nil && l.maybeResetLocked(th)
 	l.cond.Broadcast()
 	l.mu.Unlock()
+	if reset {
+		l.recomputeFlow(th)
+	}
 	sh.crossBatches.Add(1)
 	return applyErr
 }

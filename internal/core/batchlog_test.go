@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachekv/internal/util"
+	"cachekv/internal/wal"
 )
 
 // recordShards is the router size the record tests decode for.
@@ -46,6 +47,7 @@ func hostileBatches() map[string][]byte {
 	repeated[1].shard = 1
 	empty := samplePortions()
 	empty[1].ops = nil
+	one := samplePortions()[1:]
 	wrongTag := append([]byte(nil), rec...)
 	wrongTag[0] = 'P'
 	return map[string][]byte{
@@ -56,6 +58,8 @@ func hostileBatches() map[string][]byte {
 		"wrong tag":           wrongTag,
 		"portions 2^32-1":     edit(offPortions, 1<<32-1),
 		"portions one more":   edit(offPortions, 3),
+		"no portions":         appendBatch(nil, 77, nil),
+		"one portion":         appendBatch(nil, 77, one),
 		"ops 2^32-1":          edit(offOps, 1<<32-1),
 		"klen 2^32-1":         edit(offKlen, 1<<32-1),
 		"shard 2^32-1":        edit(offShard, 1<<32-1),
@@ -68,8 +72,9 @@ func hostileBatches() map[string][]byte {
 
 // A batch record decodes only if encoding the result gives the record back
 // and the router could have written it; everything else — a torn tail, a
-// count the record cannot hold, a length past its end, bytes left over, a
-// shard out of range or out of order, an empty portion — is refused.
+// count the record cannot hold, a length past its end, bytes left over, fewer
+// than two portions, a shard out of range or out of order, an empty portion —
+// is refused.
 func TestTwoPCRecords(t *testing.T) {
 	rec := appendBatch(nil, 77, samplePortions())
 	if len(rec) != recordLen(samplePortions()) {
@@ -91,7 +96,8 @@ func TestTwoPCRecords(t *testing.T) {
 
 // FuzzTwoPCRecords decodes arbitrary bytes as a batch record: it is refused
 // or is exactly the encoding of what was decoded, and decoding allocates in
-// proportion to the record, not to its counts.
+// proportion to the record, not to its counts. The first seed decodes, the
+// second (one portion) is refused.
 func FuzzTwoPCRecords(f *testing.F) {
 	f.Add(appendBatch(nil, 77, samplePortions()))
 	f.Add(appendBatch(nil, 1, samplePortions()[1:]))
@@ -107,4 +113,27 @@ func FuzzTwoPCRecords(f *testing.F) {
 			t.Fatalf("batch %d %+v decoded from %x, which is not its encoding", id, ps, rec)
 		}
 	})
+}
+
+// maxBatchRecord reckons with the wal's chunk framing. Held to the real
+// writer: from every offset a record can end at, up to half the log, a record
+// of maxBatchRecord bytes still fits.
+func TestMaxBatchRecordFitsTheLog(t *testing.T) {
+	m := testMachine()
+	th := m.NewThread(0)
+	rg, _ := m.FindOrAlloc("test.batchlog", batchLogBytes, 0)
+	rec := make([]byte, maxBatchRecord)
+	half := uint64(batchLogBytes / 2)
+	for _, off := range []uint64{half, half - 1, half - 6, half - 7, half - 8, half - 13,
+		half - wal.BlockSize + 8, half - wal.BlockSize - 1, half - wal.BlockSize - 6} {
+		w := wal.NewWriter(m, rg, th)
+		// One filler record of b chunks ends at its length plus b headers.
+		b := (off + wal.BlockSize - 1) / wal.BlockSize
+		if _, err := w.Append(th, make([]byte, off-7*b)); err != nil || w.Offset() != off {
+			t.Fatalf("filler ends at %d (%v), want %d", w.Offset(), err, off)
+		}
+		if _, err := w.Append(th, rec); err != nil {
+			t.Fatalf("a %d-byte record at offset %d: %v", maxBatchRecord, off, err)
+		}
+	}
 }

@@ -337,5 +337,5 @@ func (sh *Sharded) DebugForceFlowState(at int64, k int, s FlowState) {
 
 // errBatchTooLarge rejects a cross-shard batch with a portion that could never
 // replay into a minimum-size sub-MemTable, or whose record would not fit in
-// the half of the batch log a reset leaves free.
+// the half of the batch log that is free whenever an append starts.
 var errBatchTooLarge = errors.New("cachekv: cross-shard batch exceeds sub-MemTable or batch-log capacity")

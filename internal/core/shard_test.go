@@ -352,10 +352,9 @@ func TestShardedBatchRecordAcrossWALBlock(t *testing.T) {
 			m := testMachine()
 			so := smallShardedOpts(4)
 			sh, th := openSharded(t, m, so)
-			// One filler record leaves 200 bytes of the first block: 7 of
-			// chunk header, 13 of record header, 8 of portion header and 17
-			// of op fields ride along with the 4-byte key.
-			filler := []string{"fill", strings.Repeat("f", wal.BlockSize-200-7-13-8-17-4)}
+			// One filler record and its 7-byte chunk header leave 200 bytes
+			// of the first block.
+			filler := fillerBatch(sh, "fill", wal.BlockSize-200-7)
 			if _, end := logOnly(t, sh, th, filler...); end != wal.BlockSize-200 {
 				t.Fatalf("filler ends at %d, want %d", end, wal.BlockSize-200)
 			}
@@ -395,10 +394,21 @@ func TestShardedCrossShardBatchTooLarge(t *testing.T) {
 	}
 }
 
-// blockFiller is a one-key batch whose record fills a wal block exactly, so
-// the record after it starts the next block.
-func blockFiller(key string) []string {
-	return []string{key, strings.Repeat("f", wal.BlockSize-7-13-8-17-len(key))}
+// fillerBatch is a batch of key and a second key on another shard of sh
+// whose record is n bytes long.
+func fillerBatch(sh *Sharded, key string, n int) []string {
+	other := key + "-0"
+	for i := 1; sh.ShardOf([]byte(other)) == sh.ShardOf([]byte(key)); i++ {
+		other = fmt.Sprintf("%s-%d", key, i)
+	}
+	fixed := 13 + 2*(8+17) + len(key) + len(other) + 1
+	return []string{key, strings.Repeat("f", n-fixed), other, "o"}
+}
+
+// blockFiller is a batch whose record fills a wal block exactly (with its
+// 7-byte chunk header), so the record after it starts the next block.
+func blockFiller(sh *Sharded, key string) []string {
+	return fillerBatch(sh, key, wal.BlockSize-7)
 }
 
 // A reset zeroes only the head block, so the records of the blocks after it
@@ -410,7 +420,7 @@ func TestShardedResetLeftoversDoNotReplay(t *testing.T) {
 	sh, th := openSharded(t, m, so)
 	var old [][]string
 	for i := 0; sh.log.w.Offset() <= sh.log.rg.Size/2; i++ {
-		old = append(old, blockFiller(fmt.Sprintf("old-%d", i)))
+		old = append(old, blockFiller(sh, fmt.Sprintf("old-%d", i)))
 		logOnly(t, sh, th, old[i]...)
 	}
 	sh.log.mu.Lock()
@@ -419,7 +429,7 @@ func TestShardedResetLeftoversDoNotReplay(t *testing.T) {
 	if off := sh.log.w.Offset(); off != 0 {
 		t.Fatalf("log at %d after the reset, want 0", off)
 	}
-	fresh := blockFiller("fresh")
+	fresh := blockFiller(sh, "fresh")
 	logOnly(t, sh, th, fresh...)
 
 	sh2, th2 := crashAndReopenSharded(t, sh, so)
@@ -430,16 +440,16 @@ func TestShardedResetLeftoversDoNotReplay(t *testing.T) {
 	}
 }
 
-// An open after a crash clears the whole log, not just the head block: batch
-// ids restart above the replayed prefix, so a record left past that prefix
-// would otherwise replay behind the next run's records. Here a torn first
+// Every open of an existing log clears all of it, not just the head block:
+// batch ids restart above the replayed prefix, so a record left past that
+// prefix would otherwise replay behind the next run's records. Here a torn first
 // record hides an intact one in the second block; the next run writes one
 // record of the same length, and only that one may replay.
 func TestShardedReopenClearsLeftoverRecords(t *testing.T) {
 	m := testMachine()
 	so := smallShardedOpts(4)
 	sh, th := openSharded(t, m, so)
-	first := blockFiller("fill-0")
+	first := blockFiller(sh, "fill-0")
 	start, end := logOnly(t, sh, th, first...)
 	if end != wal.BlockSize {
 		t.Fatalf("filler ends at %d, want %d", end, wal.BlockSize)
@@ -451,7 +461,7 @@ func TestShardedReopenClearsLeftoverRecords(t *testing.T) {
 	sh2, th2 := crashAndReopenSharded(t, sh, so)
 	expectBatch(t, sh2, th2, false, first...)
 	expectBatch(t, sh2, th2, false, leftover...)
-	second := blockFiller("fill-1")
+	second := blockFiller(sh2, "fill-1")
 	logOnly(t, sh2, th2, second...)
 
 	sh3, th3 := crashAndReopenSharded(t, sh2, so)
@@ -461,7 +471,7 @@ func TestShardedReopenClearsLeftoverRecords(t *testing.T) {
 }
 
 // A batch whose portions each fit a minimum-size slot but whose record would
-// not fit in the half of the batch log a reset leaves free is refused before
+// not fit in the half of the batch log free at every append is refused before
 // anything is written: the log offset does not move and no key is visible.
 // Half as many portions of the same size commit.
 func TestShardedCrossShardBatchTooLargeForLog(t *testing.T) {
@@ -469,13 +479,7 @@ func TestShardedCrossShardBatchTooLargeForLog(t *testing.T) {
 	sh, th := openSharded(t, m, smallShardedOpts(8))
 	defer sh.Close(th)
 
-	keys := make([][]byte, 8) // keys[k] routes to shard k
-	for i, found := 0, 0; found < len(keys); i++ {
-		k := []byte(fmt.Sprintf("big-%d", i))
-		if s := sh.ShardOf(k); keys[s] == nil {
-			keys[s], found = k, found+1
-		}
-	}
+	keys := shardKeys(sh, "big")
 	value := make([]byte, 56<<10)
 	var all, half Batch
 	for s, k := range keys {
@@ -498,6 +502,74 @@ func TestShardedCrossShardBatchTooLargeForLog(t *testing.T) {
 	}
 	if err := sh.Write(th, &half, 0); err != nil {
 		t.Fatalf("four 56 KiB portions: %v", err)
+	}
+}
+
+// shardKeys returns one key per shard of sh: keys[k] routes to shard k.
+func shardKeys(sh *Sharded, prefix string) [][]byte {
+	keys := make([][]byte, len(sh.shards))
+	for i, found := 0, 0; found < len(keys); i++ {
+		k := []byte(fmt.Sprintf("%s-%d", prefix, i))
+		if s := sh.ShardOf(k); keys[s] == nil {
+			keys[s], found = k, found+1
+		}
+	}
+	return keys
+}
+
+// Two cross-shard batches of the largest record the log takes fill it past
+// its Stop bound. The second resets it once applied and every shard re-reads
+// the log, so on a store with a stall deadline the full log stalls no write
+// once both batches are in: a deadline Put on every shard still lands, also
+// after each shard's next lifecycle event re-reads the signals.
+func TestShardedFullBatchLogDoesNotStall(t *testing.T) {
+	m := testMachine()
+	so := smallShardedOpts(8)
+	so.WriteStallDeadline = 1_000_000
+	sh, th := openSharded(t, m, so)
+	defer sh.Close(th)
+
+	keys := shardKeys(sh, "max")
+	for round := range 2 {
+		var b Batch
+		for _, k := range keys {
+			b.Put(k, nil)
+		}
+		// Grow the values until the record is exactly the largest allowed.
+		room := maxBatchRecord - recordLen(sh.portions(b.ops))
+		for i := range b.ops {
+			n := room / (len(b.ops) - i)
+			b.ops[i].value = make([]byte, n)
+			room -= n
+		}
+		if n := recordLen(sh.portions(b.ops)); n != maxBatchRecord {
+			t.Fatalf("record is %d bytes, want %d", n, maxBatchRecord)
+		}
+		if err := sh.Write(th, &b, so.WriteStallDeadline); err != nil {
+			t.Fatalf("batch %d: %v", round, err)
+		}
+	}
+	if got := sh.log.bytes.Load(); got > batchLogBytes/2 {
+		t.Fatalf("batch log rests at %d bytes after both batches, want <= %d", got, batchLogBytes/2)
+	}
+	// A seal during the second batch's apply read the full log: some shard
+	// went to Stop, and the reset must have brought it back.
+	var stops int64
+	for _, e := range sh.shards {
+		stops += e.flow.stopEntries.Load()
+	}
+	if stops == 0 {
+		t.Fatal("no shard entered Stop while the log was full; the test no longer covers the reset's re-read")
+	}
+	for pass, event := range []bool{false, true} {
+		for k, e := range sh.shards {
+			if event {
+				e.flow.recompute(th.Clock.Now(), "test")
+			}
+			if err := sh.Put(th, keys[k], []byte("after")); err != nil {
+				t.Fatalf("pass %d: deadline Put on shard %d: %v (flow %v)", pass, k, err, e.flow.current())
+			}
+		}
 	}
 }
 
