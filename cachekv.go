@@ -137,11 +137,12 @@ type Options struct {
 
 	// SlowOpThreshold controls slow-op dossier capture (virtual ns). Capture
 	// is always on while observability is: 0 (the default) uses the adaptive
-	// policy — an op is slow when its latency exceeds its own op type's
-	// rolling p99 × 8, once enough samples exist — a positive value is a
-	// static threshold applied to every op type, and a negative value
+	// policy — an op is slow when its latency exceeds its own op type's p99
+	// × 8, armed at 512 samples and recomputed every 256 — a positive value
+	// is a static threshold applied to every op type, and a negative value
 	// disables capture. Sub-threshold ops cost one atomic load and allocate
-	// nothing. Ignored when DisableObs is set.
+	// nothing. The newest 64 dossiers are read with Collector().SlowOps().
+	// Ignored when DisableObs is set.
 	SlowOpThreshold int64
 
 	// tune, when set, adjusts the CacheKV-family engine options last, after
@@ -336,11 +337,13 @@ func (db *DB) SimulateCrash() (*DB, error) {
 	return ndb, err
 }
 
-// Metrics is a snapshot of the simulated hardware counters plus the engine's
-// read-path accelerator counters (zero for engines without them). The ratio
-// fields are derived from the raw counters next to them and are 0 when the
-// denominator has seen no traffic yet; use the raw fields to tell "no
-// traffic" apart from a genuine 0% hit rate.
+// Metrics is a snapshot of the simulated platform's device counters: the
+// PMem XPBuffer and media traffic the paper's figures are drawn from, and the
+// LLC's hits and misses. The ratio fields are derived from the raw counters
+// next to them and are 0 when the denominator has seen no traffic yet; use
+// the raw fields to tell "no traffic" apart from a genuine 0% hit rate. The
+// engine's own counters (block cache, filters, flow control, flush and
+// compaction) are published once, by Registry.
 type Metrics struct {
 	WriteHitRatio      float64 // XPBuffer combining ratio (paper Fig. 4)
 	WriteAmplification float64 // media bytes written / bytes stored
@@ -353,70 +356,13 @@ type Metrics struct {
 	RMWEvicts          int64 // evictions that needed a read-modify-write
 	CacheHits          int64
 	CacheMisses        int64
-
-	// Shared SSTable block cache (CacheKV-family engines).
-	BlockCacheHits     int64
-	BlockCacheMisses   int64
-	BlockCacheHitRatio float64
-
-	// Memory-component negative filters: probes issued and how many rejected
-	// (each rejection skips a sub-skiplist search and, for active
-	// sub-MemTables, the trigger-1 lazy sync).
-	FilterProbes    int64
-	FilterNegatives int64
-
-	// Write-path flow control (CacheKV-family engines; zero elsewhere).
-	// StallState is the current state — 0 OK, 1 Slowdown, 2 Stop (max across
-	// shards on a sharded store) — and like the ratio fields it is carried,
-	// not subtracted, by Sub. The rest are cumulative counters: state entries,
-	// writes delayed by token pacing (and the virtual ns they waited), and
-	// writes rejected with ErrStalled.
-	StallState     int64
-	StallSlowdowns int64
-	StallStops     int64
-	WritesDelayed  int64
-	WriteDelayNs   int64
-	WritesRejected int64
 }
 
-// Sub returns the interval delta m - prev: raw counters subtract and the
-// ratio fields are recomputed from the deltas (NaN-safe zero when the
-// interval saw no traffic), mirroring pmem.CountersSnapshot.Sub.
-func (m Metrics) Sub(prev Metrics) Metrics {
-	d := Metrics{
-		MediaWriteBytes:  m.MediaWriteBytes - prev.MediaWriteBytes,
-		MediaReadBytes:   m.MediaReadBytes - prev.MediaReadBytes,
-		CallerWriteBytes: m.CallerWriteBytes - prev.CallerWriteBytes,
-		LineArrivals:     m.LineArrivals - prev.LineArrivals,
-		LineHits:         m.LineHits - prev.LineHits,
-		XPLineEvicts:     m.XPLineEvicts - prev.XPLineEvicts,
-		RMWEvicts:        m.RMWEvicts - prev.RMWEvicts,
-		CacheHits:        m.CacheHits - prev.CacheHits,
-		CacheMisses:      m.CacheMisses - prev.CacheMisses,
-		BlockCacheHits:   m.BlockCacheHits - prev.BlockCacheHits,
-		BlockCacheMisses: m.BlockCacheMisses - prev.BlockCacheMisses,
-		FilterProbes:     m.FilterProbes - prev.FilterProbes,
-		FilterNegatives:  m.FilterNegatives - prev.FilterNegatives,
-		StallState:       m.StallState, // instantaneous, carried like the ratios
-		StallSlowdowns:   m.StallSlowdowns - prev.StallSlowdowns,
-		StallStops:       m.StallStops - prev.StallStops,
-		WritesDelayed:    m.WritesDelayed - prev.WritesDelayed,
-		WriteDelayNs:     m.WriteDelayNs - prev.WriteDelayNs,
-		WritesRejected:   m.WritesRejected - prev.WritesRejected,
-	}
-	d.WriteHitRatio = obs.SafeRatio(d.LineHits, d.LineArrivals)
-	if d.CallerWriteBytes > 0 {
-		d.WriteAmplification = float64(d.MediaWriteBytes) / float64(d.CallerWriteBytes)
-	}
-	d.BlockCacheHitRatio = obs.SafeRatio(d.BlockCacheHits, d.BlockCacheHits+d.BlockCacheMisses)
-	return d
-}
-
-// Metrics returns the platform's cumulative hardware counters.
+// Metrics returns the platform's cumulative device counters.
 func (db *DB) Metrics() Metrics {
 	hwSnap := db.machine.PMem.Snapshot()
 	cs := db.machine.Cache.Stats()
-	m := Metrics{
+	return Metrics{
 		WriteHitRatio:      hwSnap.WriteHitRatio(),
 		WriteAmplification: hwSnap.WriteAmplification(),
 		MediaWriteBytes:    hwSnap.MediaWriteB,
@@ -429,19 +375,6 @@ func (db *DB) Metrics() Metrics {
 		CacheHits:          cs.Hits,
 		CacheMisses:        cs.Misses,
 	}
-	if db.store != nil {
-		r := obs.NewRegistry()
-		db.store.RegisterObs(r)
-		snap := r.Gather()
-		m.BlockCacheHits, m.BlockCacheMisses = snap.Int(obs.MBlockCacheHits), snap.Int(obs.MBlockCacheMisses)
-		m.BlockCacheHitRatio = obs.SafeRatio(m.BlockCacheHits, m.BlockCacheHits+m.BlockCacheMisses)
-		m.FilterProbes, m.FilterNegatives = snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
-		m.StallState = int64(snap.Float("flow_state"))
-		m.StallSlowdowns, m.StallStops = snap.Int("flow_slowdown_entries"), snap.Int("flow_stop_entries")
-		m.WritesDelayed, m.WriteDelayNs = snap.Int("flow_writes_delayed"), snap.Int("flow_delay_ns")
-		m.WritesRejected = snap.Int("flow_writes_rejected")
-	}
-	return m
 }
 
 // Registry builds a metrics registry over the platform, the engine, and the
@@ -460,13 +393,10 @@ func (db *DB) Registry() *obs.Registry {
 // Trace returns the lifecycle event trace (nil when Options.DisableObs).
 func (db *DB) Trace() *obs.Trace { return db.trace }
 
-// Collector returns the per-op attribution collector (nil when
-// Options.DisableObs).
+// Collector returns the per-op attribution collector: latency histograms,
+// per-layer time and the slow-op dossiers (SlowOps). It is nil when
+// Options.DisableObs, and every method is nil-safe.
 func (db *DB) Collector() *obs.Collector { return db.col }
-
-// SlowOps returns the retained slow-op dossiers, oldest first (nil when
-// Options.DisableObs or capture is disabled). See Options.SlowOpThreshold.
-func (db *DB) SlowOps() []obs.Dossier { return db.col.SlowOps() }
 
 // Session is a simulated thread interacting with the store. Operations
 // advance its virtual clock by the modelled hardware cost.

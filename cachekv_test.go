@@ -3,6 +3,8 @@ package cachekv
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -284,6 +286,72 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchRegistry holds DB.Metrics to the registry: after a fill,
+// a Flush and a Close nothing moves, so each of its device counters must read
+// what the canonical registry metric reads, and the two ratios bit for bit.
+func TestMetricsMatchRegistry(t *testing.T) {
+	db, err := Open(Options{PMemMB: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.Session(0)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%06d", i*7919%n)), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 7 {
+		if _, err := s.Get([]byte(fmt.Sprintf("k%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, snap := db.Metrics(), db.Registry().Gather()
+	counters := []struct {
+		name string
+		got  int64
+	}{
+		{obs.MPMemMediaWriteB, m.MediaWriteBytes},
+		{obs.MPMemMediaReadB, m.MediaReadBytes},
+		{obs.MPMemCallerWriteB, m.CallerWriteBytes},
+		{obs.MPMemLineArrivals, m.LineArrivals},
+		{obs.MPMemLineHits, m.LineHits},
+		{obs.MPMemXPLineEvicts, m.XPLineEvicts},
+		{obs.MPMemRMWEvicts, m.RMWEvicts},
+		{obs.MLLCHits, m.CacheHits},
+		{obs.MLLCMisses, m.CacheMisses},
+	}
+	ratios := []struct {
+		name string
+		got  float64
+	}{
+		{obs.MPMemWriteHit, m.WriteHitRatio},
+		{obs.MPMemWriteAmp, m.WriteAmplification},
+	}
+	if n := reflect.TypeOf(m).NumField(); n != len(counters)+len(ratios) {
+		t.Fatalf("Metrics has %d fields, %d are compared with the registry", n, len(counters)+len(ratios))
+	}
+	if m.MediaWriteBytes == 0 || m.MediaReadBytes == 0 || m.CacheHits == 0 || m.WriteHitRatio == 0 {
+		t.Fatalf("the fill left device counters at zero: %+v", m)
+	}
+	for _, c := range counters {
+		if want := snap.Int(c.name); c.got != want {
+			t.Errorf("%s: DB.Metrics %d, registry %d", c.name, c.got, want)
+		}
+	}
+	for _, c := range ratios {
+		if want := snap.Float(c.name); math.Float64bits(c.got) != math.Float64bits(want) {
+			t.Errorf("%s: DB.Metrics %v, registry %v", c.name, c.got, want)
+		}
+	}
+}
+
 // TestShardedRegistersEveryEngineMetric holds the router's registry to the
 // single engine's: every metric name the one-engine store publishes must be
 // published at Shards: 2 (summed across shards), and the LSM level gauges
@@ -311,9 +379,9 @@ func TestShardedRegistersEveryEngineMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := sharded.Registry().Gather()
-	for _, name := range single.Registry().Names() {
-		if _, ok := snap.Get(name); !ok {
-			t.Errorf("metric %q is published by the single engine but not at Shards: 2", name)
+	for _, m := range single.Registry().Gather().Metrics {
+		if _, ok := snap.Get(m.Name); !ok {
+			t.Errorf("metric %q is published by the single engine but not at Shards: 2", m.Name)
 		}
 	}
 	if snap.Int("compact_jobs") != 0 {
@@ -370,12 +438,12 @@ func TestVerifyHoldsOnScanHeavyReport(t *testing.T) {
 	}
 }
 
-// TestSlowOpsThroughPublicAPI follows Options.SlowOpThreshold to DB.SlowOps
-// through the public surface alone: a 1 ns static threshold makes every op a
-// Verify-clean dossier stamped with the engine's flow state; a negative
-// threshold and DisableObs capture nothing; and after SimulateCrash the
-// collector, rebound to the recovered engine, numbers its dossiers on from
-// where the crashed instance stopped.
+// TestSlowOpsThroughPublicAPI follows Options.SlowOpThreshold to
+// Collector().SlowOps through the public surface alone: a 1 ns static
+// threshold makes every op a Verify-clean dossier stamped with the engine's
+// flow state; a negative threshold and DisableObs capture nothing; and after
+// SimulateCrash the collector, rebound to the recovered engine, numbers its
+// dossiers on from where the crashed instance stopped.
 func TestSlowOpsThroughPublicAPI(t *testing.T) {
 	put := func(t *testing.T, db *DB, prefix string, n int) {
 		t.Helper()
@@ -409,7 +477,7 @@ func TestSlowOpsThroughPublicAPI(t *testing.T) {
 			}
 			defer db.Close()
 			put(t, db, "k", 200)
-			if ds := db.SlowOps(); ds != nil {
+			if ds := db.Collector().SlowOps(); ds != nil {
 				t.Fatalf("capture is off, yet SlowOps returned %d dossiers", len(ds))
 			}
 		})
@@ -421,7 +489,7 @@ func TestSlowOpsThroughPublicAPI(t *testing.T) {
 	}
 	const before, after = 200, 10
 	put(t, db, "a", before)
-	ds := db.SlowOps()
+	ds := db.Collector().SlowOps()
 	if len(ds) == 0 {
 		t.Fatal("a 1 ns threshold captured nothing")
 	}
@@ -437,7 +505,7 @@ func TestSlowOpsThroughPublicAPI(t *testing.T) {
 	}
 	defer db2.Close()
 	put(t, db2, "b", after)
-	ds = db2.SlowOps()
+	ds = db2.Collector().SlowOps()
 	if len(ds) < after {
 		t.Fatalf("%d dossiers retained after the crash, want at least %d", len(ds), after)
 	}

@@ -135,12 +135,12 @@ func main() {
 			s = db.Session(0)
 			fmt.Println("power failure simulated; store recovered")
 		case "stats":
-			m := db.Metrics()
+			m, snap := db.Metrics(), db.Registry().Gather()
 			fmt.Printf("write hit ratio: %.1f%%  amplification: %.2fx  media written: %d KiB\n",
 				m.WriteHitRatio*100, m.WriteAmplification, m.MediaWriteBytes>>10)
 			fmt.Printf("filter probes: %d  negatives: %d  block cache: %d hit / %d miss (%.1f%%)\n",
-				m.FilterProbes, m.FilterNegatives,
-				m.BlockCacheHits, m.BlockCacheMisses, m.BlockCacheHitRatio*100)
+				snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives),
+				snap.Int(obs.MBlockCacheHits), snap.Int(obs.MBlockCacheMisses), snap.Float(obs.MBlockCacheRatio)*100)
 			fmt.Printf("session virtual time: %.3f ms\n", float64(s.VirtualNanos())/1e6)
 		case "metrics":
 			db.Registry().Gather().WriteText(os.Stdout)
@@ -165,7 +165,7 @@ func main() {
 				fmt.Println(string(b))
 			}
 		case "slowops":
-			ds := db.SlowOps()
+			ds := db.Collector().SlowOps()
 			if len(ds) == 0 {
 				fmt.Println("(no slow ops captured)")
 				continue
@@ -203,8 +203,9 @@ func smoke(db *cachekv.DB, ops int) error {
 }
 
 // statsCmd runs a deterministic smoke workload against a fresh store and
-// dumps the metrics registry, as aligned text or (with -json) the sorted JSON
-// snapshot the golden tests pin.
+// dumps the metrics registry, as aligned text or (with -json) the snapshot
+// sorted by name. Background work is host-timed, so some counters (such as
+// index_busy_ns and engine_read_syncs) can differ from run to run.
 func statsCmd(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	engine := fs.String("engine", "cachekv", "engine to exercise")
@@ -264,7 +265,7 @@ func slowopsCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	ds := db.SlowOps()
+	ds := db.Collector().SlowOps()
 	if bad := obs.VerifySlowOps(ds); len(bad) > 0 {
 		for _, v := range bad {
 			fmt.Fprintf(os.Stderr, "slowop verify: %s\n", v)

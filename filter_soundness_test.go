@@ -12,6 +12,7 @@ import (
 
 	"cachekv/internal/core"
 	"cachekv/internal/hw/sim"
+	"cachekv/internal/obs"
 )
 
 // disableAccelerators turns off the memory component's negative filters and
@@ -102,19 +103,20 @@ func TestFilterSoundnessDifferential(t *testing.T) {
 	}
 
 	// The filtered engine must actually have used its filters.
-	m := filtered.Metrics()
-	if m.FilterProbes == 0 {
+	snap := filtered.Registry().Gather()
+	probes, negatives := snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
+	if probes == 0 {
 		t.Fatal("filtered engine reported zero filter probes")
 	}
-	if m.FilterNegatives == 0 {
+	if negatives == 0 {
 		t.Fatal("filtered engine reported zero filter negatives")
 	}
-	if m.FilterNegatives > m.FilterProbes {
-		t.Fatalf("negatives %d exceed probes %d", m.FilterNegatives, m.FilterProbes)
+	if negatives > probes {
+		t.Fatalf("negatives %d exceed probes %d", negatives, probes)
 	}
 	// And the unfiltered baseline must not have.
-	if mu := unfiltered.Metrics(); mu.FilterProbes != 0 {
-		t.Fatalf("filter-disabled engine reported %d probes", mu.FilterProbes)
+	if n := unfiltered.Registry().Gather().Int(obs.MFilterProbes); n != 0 {
+		t.Fatalf("filter-disabled engine reported %d probes", n)
 	}
 	filtered.Close()
 	unfiltered.Close()
@@ -186,13 +188,14 @@ func TestValidateOptions(t *testing.T) {
 	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if m := db.Metrics(); m.FilterProbes != 0 {
-		t.Fatalf("disabled filters still probed %d times", m.FilterProbes)
+	if n := db.Registry().Gather().Int(obs.MFilterProbes); n != 0 {
+		t.Fatalf("disabled filters still probed %d times", n)
 	}
 	db.Close()
 }
 
-// TestMetricsExposesReadPathCounters checks the new Metrics fields move.
+// TestMetricsExposesReadPathCounters checks the registry's block-cache
+// counters move.
 func TestMetricsExposesReadPathCounters(t *testing.T) {
 	db, err := Open(Options{Engine: EngineCacheKV, PMemMB: 1024})
 	if err != nil {
@@ -209,11 +212,11 @@ func TestMetricsExposesReadPathCounters(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		s.Get([]byte(fmt.Sprintf("m%05d", i)))
 	}
-	m := db.Metrics()
-	if m.BlockCacheHits+m.BlockCacheMisses == 0 {
+	snap := db.Registry().Gather()
+	if snap.Int(obs.MBlockCacheHits)+snap.Int(obs.MBlockCacheMisses) == 0 {
 		t.Fatal("block cache saw no traffic after flushed reads")
 	}
-	if m.BlockCacheHitRatio < 0 || m.BlockCacheHitRatio > 1 {
-		t.Fatalf("hit ratio %v out of range", m.BlockCacheHitRatio)
+	if r := snap.Float(obs.MBlockCacheRatio); r < 0 || r > 1 {
+		t.Fatalf("hit ratio %v out of range", r)
 	}
 }

@@ -1,10 +1,8 @@
 package cachekv
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -77,15 +75,15 @@ func TestSessionSetWriteDeadline(t *testing.T) {
 			if err := s.Apply(&b); !errors.Is(err, ErrStalled) {
 				t.Fatalf("Apply under Stop: %v", err)
 			}
-			m := db.Metrics()
-			if m.WritesRejected != 5 {
-				t.Fatalf("WritesRejected = %d, want 5", m.WritesRejected)
+			snap := db.Registry().Gather()
+			if n := snap.Int("flow_writes_rejected"); n != 5 {
+				t.Fatalf("flow_writes_rejected = %d, want 5", n)
 			}
-			if m.StallState != int64(core.FlowStop) {
-				t.Fatalf("StallState = %d, want %d", m.StallState, core.FlowStop)
+			if st := snap.Float("flow_state"); st != float64(core.FlowStop) {
+				t.Fatalf("flow_state = %v, want %d", st, core.FlowStop)
 			}
-			if m.StallStops == 0 {
-				t.Fatalf("StallStops = %d, want > 0", m.StallStops)
+			if n := snap.Int("flow_stop_entries"); n == 0 {
+				t.Fatalf("flow_stop_entries = %d, want > 0", n)
 			}
 			// Every rejected write is fully absent.
 			for _, k := range keys {
@@ -158,18 +156,15 @@ func TestSessionSetWriteDeadline(t *testing.T) {
 				want[shard]--
 			}
 		}
-		m := db.Metrics()
-		if m.StallState != int64(core.FlowStop) {
-			t.Fatalf("StallState = %d, want the worst shard's %d", m.StallState, core.FlowStop)
+		snap := db.Registry().Gather()
+		if st := snap.Float("flow_state"); st != float64(core.FlowStop) {
+			t.Fatalf("flow_state = %v, want the worst shard's %d", st, core.FlowStop)
 		}
-		if m.StallStops != 1 || m.StallSlowdowns != 1 {
-			t.Fatalf("state entries: %d Stop, %d Slowdown, want 1 each", m.StallStops, m.StallSlowdowns)
+		if stops, slows := snap.Int("flow_stop_entries"), snap.Int("flow_slowdown_entries"); stops != 1 || slows != 1 {
+			t.Fatalf("state entries: %d Stop, %d Slowdown, want 1 each", stops, slows)
 		}
-		if m.WritesRejected != 5 {
-			t.Fatalf("WritesRejected = %d, want the shards' sum 5", m.WritesRejected)
-		}
-		if n := db.Registry().Gather().Int("flow_writes_rejected"); n != 5 {
-			t.Fatalf("flow_writes_rejected = %d, want 5", n)
+		if n := snap.Int("flow_writes_rejected"); n != 5 {
+			t.Fatalf("flow_writes_rejected = %d, want the shards' sum 5", n)
 		}
 	})
 }
@@ -191,59 +186,6 @@ func TestSessionDeadlineUnsupportedEngine(t *testing.T) {
 	}
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatalf("plain Put on novelsm: %v", err)
-	}
-}
-
-// TestMetricsSubFlowFields checks the interval-delta contract by reflection:
-// every int64 counter field subtracts, while StallState (a gauge, like the
-// ratio fields) is carried from the newer snapshot.
-func TestMetricsSubFlowFields(t *testing.T) {
-	gauges := map[string]bool{
-		"WriteHitRatio":      true,
-		"WriteAmplification": true,
-		"BlockCacheHitRatio": true,
-		"StallState":         true,
-	}
-	var cur, prev Metrics
-	cv := reflect.ValueOf(&cur).Elem()
-	pv := reflect.ValueOf(&prev).Elem()
-	tt := cv.Type()
-	for i := 0; i < tt.NumField(); i++ {
-		if tt.Field(i).Type.Kind() != reflect.Int64 {
-			continue
-		}
-		cv.Field(i).SetInt(int64(100 + i))
-		pv.Field(i).SetInt(int64(10 + i))
-	}
-	d := cur.Sub(prev)
-	dv := reflect.ValueOf(d)
-	for i := 0; i < tt.NumField(); i++ {
-		f := tt.Field(i)
-		if f.Type.Kind() != reflect.Int64 {
-			continue
-		}
-		got := dv.Field(i).Int()
-		want := int64(90) // 100+i - (10+i)
-		if gauges[f.Name] {
-			want = int64(100 + i) // carried, not subtracted
-		}
-		if got != want {
-			t.Fatalf("Sub field %s = %d, want %d", f.Name, got, want)
-		}
-	}
-
-	// The snapshot survives a JSON round-trip unchanged (report files embed
-	// these structs verbatim).
-	enc, err := json.Marshal(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Metrics
-	if err := json.Unmarshal(enc, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != cur {
-		t.Fatalf("JSON round-trip mutated Metrics:\n got %+v\nwant %+v", back, cur)
 	}
 }
 

@@ -102,14 +102,6 @@ func (c *Collector) LayerNs(op Op, layer int) int64 {
 	return c.layerNs[op][layer].Load()
 }
 
-// TotalNs returns the total virtual ns recorded for op.
-func (c *Collector) TotalNs(op Op) int64 {
-	if c == nil || op < 0 || op >= NumOps {
-		return 0
-	}
-	return c.totalNs[op].Load()
-}
-
 // Span is one in-flight operation's attribution window. The zero Span is a
 // no-op, so disabled paths cost nothing but two branch checks.
 type Span struct {
@@ -172,23 +164,4 @@ func (s Span) End() int64 {
 		}
 	}
 	return total
-}
-
-// Merge folds collector o's histograms, per-layer attribution, and totals
-// into c — how per-shard collectors combine into whole-DB percentiles without
-// re-running. Slow-op dossiers are capture state, not statistics, and are not
-// merged. Nil-safe on both sides.
-func (c *Collector) Merge(o *Collector) {
-	if c == nil || o == nil {
-		return
-	}
-	for op := Op(0); op < NumOps; op++ {
-		c.hist[op].Merge(o.hist[op])
-		c.totalNs[op].Add(o.totalNs[op].Load())
-		for l := 0; l < sim.MaxLayers; l++ {
-			if v := o.layerNs[op][l].Load(); v != 0 {
-				c.layerNs[op][l].Add(v)
-			}
-		}
-	}
 }

@@ -47,8 +47,8 @@ func TestSpanAttribution(t *testing.T) {
 	if got := col.LayerNs(OpPut, 0); got != 60 {
 		t.Fatalf("direct layer ns = %d, want 60", got)
 	}
-	if got := col.TotalNs(OpPut); got != 200 {
-		t.Fatalf("total ns = %d, want 200", got)
+	if st := col.OpStats(); len(st) != 1 || st[0].TotalNs != 200 {
+		t.Fatalf("op stats = %+v, want one put totalling 200 ns", st)
 	}
 	if got := col.Hist(OpPut).Count(); got != 1 {
 		t.Fatalf("hist count = %d, want 1", got)
@@ -75,7 +75,7 @@ func TestSpanNilSafety(t *testing.T) {
 	if sp.End() != 0 {
 		t.Fatal("nil-collector span should be a no-op")
 	}
-	if col.Hist(OpGet) != nil || col.LayerNs(OpGet, 0) != 0 || col.TotalNs(OpGet) != 0 {
+	if col.Hist(OpGet) != nil || col.LayerNs(OpGet, 0) != 0 || col.OpStats() != nil {
 		t.Fatal("nil collector accessors should return zero values")
 	}
 	var c2 Collector
@@ -222,10 +222,10 @@ func TestRegistryOrderAndReplace(t *testing.T) {
 	r.Gauge("r", func() float64 { return 0.5 })
 	// Re-registering replaces the reader but keeps position.
 	r.Counter("b", func() int64 { return 10 })
-	if got := r.Names(); got[0] != "b" || got[1] != "a" || got[2] != "r" {
-		t.Fatalf("Names = %v", got)
-	}
 	s := r.Gather()
+	if got := s.Metrics; len(got) != 3 || got[0].Name != "b" || got[1].Name != "a" || got[2].Name != "r" {
+		t.Fatalf("Gather order = %+v", got)
+	}
 	if s.Int("b") != 10 || s.Int("a") != 2 || s.Float("r") != 0.5 {
 		t.Fatalf("snapshot = %+v", s)
 	}

@@ -66,15 +66,6 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // Gather evaluates every metric into a Snapshot.
 func (r *Registry) Gather() *Snapshot {
 	if r == nil {

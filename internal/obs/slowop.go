@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -13,58 +11,25 @@ import (
 // SlowOpPolicy configures triggered capture of outlier operations. An op
 // whose total virtual latency exceeds its threshold gets a Dossier recorded.
 //
-// Thresholds come in two modes. Static: StaticNs (optionally refined per op
-// type via PerOpNs) is the trigger for every op. Adaptive (StaticNs == 0): an
-// op type's threshold is its own rolling Quantile latency times Multiplier,
-// recomputed from the op's histogram every RefreshEvery records once MinCount
-// records exist — so "slow" means "far outside this run's own distribution"
-// without hand tuning.
+// Thresholds come in two modes. Static: StaticNs is the trigger for every op.
+// Adaptive (StaticNs == 0): an op type's threshold is its own rolling p99
+// latency times 8, recomputed from the op's histogram every 256 records once
+// 512 records exist — so "slow" means "far outside this run's own
+// distribution" without hand tuning.
 type SlowOpPolicy struct {
-	StaticNs     int64         // uniform static threshold (virtual ns); 0 = adaptive
-	PerOpNs      [NumOps]int64 // per-op static overrides (0 = StaticNs / adaptive)
-	Quantile     float64       // adaptive reference percentile (default 99)
-	Multiplier   float64       // adaptive threshold = quantile × multiplier (default 8)
-	MinCount     int64         // records before adaptive capture arms (default 512)
-	RefreshEvery int64         // adaptive recompute period in records (default 256)
-	Capacity     int           // dossier ring size (default 64)
-	EventWindow  int           // max trace events copied per dossier (default 16)
-	LookbackNs   int64         // extend the event window this far before op start
+	StaticNs   int64 // uniform static threshold (virtual ns); 0 = adaptive
+	LookbackNs int64 // extend the event window this far before op start
 }
 
-// Defaults for SlowOpPolicy zero fields.
+// The adaptive rule and the dossier ring's shape.
 const (
-	DefaultSlowOpQuantile   = 99.0
-	DefaultSlowOpMultiplier = 8.0
-	DefaultSlowOpMinCount   = 512
-	DefaultSlowOpRefresh    = 256
-	DefaultSlowOpCapacity   = 64
-	DefaultSlowOpWindow     = 16
+	slowOpQuantile   = 99.0 // adaptive reference percentile
+	slowOpMultiplier = 8.0  // adaptive threshold = quantile × multiplier
+	slowOpMinCount   = 512  // records before adaptive capture arms
+	slowOpRefresh    = 256  // adaptive recompute period in records
+	slowOpCapacity   = 64   // dossier ring size
+	slowOpWindow     = 16   // max trace events copied per dossier
 )
-
-func (p SlowOpPolicy) withDefaults() SlowOpPolicy {
-	if p.Quantile <= 0 || p.Quantile > 100 {
-		p.Quantile = DefaultSlowOpQuantile
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = DefaultSlowOpMultiplier
-	}
-	if p.MinCount <= 0 {
-		p.MinCount = DefaultSlowOpMinCount
-	}
-	if p.RefreshEvery <= 0 {
-		p.RefreshEvery = DefaultSlowOpRefresh
-	}
-	if p.Capacity <= 0 {
-		p.Capacity = DefaultSlowOpCapacity
-	}
-	if p.EventWindow <= 0 {
-		p.EventWindow = DefaultSlowOpWindow
-	}
-	if p.LookbackNs < 0 {
-		p.LookbackNs = 0
-	}
-	return p
-}
 
 // Dossier is the forensic record of one slow operation: what it was, where
 // its virtual time went (per layer, and split wait vs busy), the flow-control
@@ -96,7 +61,10 @@ type slowState struct {
 	trace    *Trace
 	ctx      atomic.Value // func() string: flow-state provider, rebindable
 	thr      [NumOps]atomic.Int64
-	adaptive [NumOps]bool
+	adaptive bool // StaticNs unset: thresholds follow each op's histogram
+	// next is the record count at which op's adaptive threshold is next
+	// recomputed; the recorder that advances it past its count refreshes.
+	next [NumOps]atomic.Int64
 
 	mu    sync.Mutex
 	ring  []Dossier
@@ -107,9 +75,10 @@ type slowState struct {
 
 // EnableSlowOps arms triggered slow-op capture on the collector. tr (may be
 // nil) supplies the overlapping-events window; thresholds follow policy.
-// Calling it again on an armed collector only replaces the policy-independent
-// context, so dossiers survive engine reopen. Capture adds zero virtual time:
-// it never advances a clock, and the sub-threshold path allocates nothing.
+// Calling it again on an armed collector does nothing, so dossiers and
+// thresholds survive engine reopen (SetSlowOpContext rebinds the flow-state
+// context). Capture adds zero virtual time: it never advances a clock, and
+// the sub-threshold path allocates nothing.
 func (c *Collector) EnableSlowOps(policy SlowOpPolicy, tr *Trace) {
 	if c == nil {
 		return
@@ -117,18 +86,15 @@ func (c *Collector) EnableSlowOps(policy SlowOpPolicy, tr *Trace) {
 	if c.slow.Load() != nil {
 		return
 	}
-	p := policy.withDefaults()
-	sl := &slowState{policy: p, trace: tr, ring: make([]Dossier, p.Capacity)}
+	policy.LookbackNs = max(policy.LookbackNs, 0)
+	sl := &slowState{policy: policy, trace: tr, ring: make([]Dossier, slowOpCapacity), adaptive: policy.StaticNs <= 0}
 	for op := Op(0); op < NumOps; op++ {
-		switch {
-		case p.PerOpNs[op] > 0:
-			sl.thr[op].Store(p.PerOpNs[op])
-		case p.StaticNs > 0:
-			sl.thr[op].Store(p.StaticNs)
-		default:
-			sl.adaptive[op] = true
-			sl.thr[op].Store(math.MaxInt64) // disarmed until MinCount records
+		if !sl.adaptive {
+			sl.thr[op].Store(policy.StaticNs)
+			continue
 		}
+		sl.thr[op].Store(math.MaxInt64) // disarmed until slowOpMinCount records
+		sl.next[op].Store(slowOpMinCount)
 	}
 	c.slow.Store(sl)
 }
@@ -175,27 +141,21 @@ func (c *Collector) SlowOps() []Dossier {
 	return out
 }
 
-// WriteSlowOpsJSONL writes the retained dossiers to w, one JSON object per
-// line. With a deterministic schedule (single foreground thread) and an
-// unwrapped trace ring the output is byte-identical across runs.
-func (c *Collector) WriteSlowOpsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, d := range c.SlowOps() {
-		if err := enc.Encode(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// maybeRefresh recomputes op's adaptive threshold when due. count is the
-// op histogram's record count after the current record.
+// maybeRefresh recomputes op's adaptive threshold when count, the op
+// histogram's record count read after the current record, has reached the
+// next refresh point. Concurrent recorders may read the same count, or skip
+// the exact multiple; the CAS on next lets exactly one of them refresh per
+// period.
 func (sl *slowState) maybeRefresh(c *Collector, op Op, count int64) {
-	if !sl.adaptive[op] || count < sl.policy.MinCount || count%sl.policy.RefreshEvery != 0 {
+	if !sl.adaptive {
 		return
 	}
-	q := c.hist[op].Percentile(sl.policy.Quantile)
-	thr := int64(q * sl.policy.Multiplier)
+	n := sl.next[op].Load()
+	if count < n || !sl.next[op].CompareAndSwap(n, n+slowOpRefresh*((count-n)/slowOpRefresh+1)) {
+		return
+	}
+	q := c.hist[op].Percentile(slowOpQuantile)
+	thr := int64(q * slowOpMultiplier)
 	if thr < 1 {
 		thr = 1
 	}
@@ -216,14 +176,14 @@ func (sl *slowState) capture(s Span, total, waitNs int64, layers []OpLayer, thr 
 		WaitNs:         waitNs,
 		BusyNs:         total - waitNs,
 		ThresholdNs:    thr,
-		Adaptive:       sl.adaptive[s.op],
+		Adaptive:       sl.adaptive,
 		Layers:         layers,
 	}
 	if fn, ok := sl.ctx.Load().(func() string); ok && fn != nil {
 		d.FlowState = fn()
 	}
 	if sl.trace != nil {
-		evs, truncated := sl.trace.EventsBetween(d.WindowStartVNs, end, sl.policy.EventWindow)
+		evs, truncated := sl.trace.EventsBetween(d.WindowStartVNs, end, slowOpWindow)
 		// Seq numbers reflect host-side emission interleaving, not the virtual
 		// schedule; zero them and order by virtual time so dossiers of a
 		// deterministic run are byte-identical.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -78,42 +77,16 @@ func TestSlowOpWaitSplit(t *testing.T) {
 	}
 }
 
-func TestSlowOpPerOpThreshold(t *testing.T) {
-	_, th := slowTestThread()
-	c := NewCollector()
-	var pol SlowOpPolicy
-	pol.StaticNs = 1000
-	pol.PerOpNs[OpGet] = 50 // gets trigger far earlier than the uniform floor
-	c.EnableSlowOps(pol, nil)
-
-	if got := c.SlowOpThreshold(OpGet); got != 50 {
-		t.Fatalf("get threshold = %d, want 50", got)
-	}
-	if got := c.SlowOpThreshold(OpPut); got != 1000 {
-		t.Fatalf("put threshold = %d, want 1000", got)
-	}
-	sp := c.StartOp(th, OpGet)
-	th.Clock.Advance(200)
-	sp.End()
-	sp = c.StartOp(th, OpPut)
-	th.Clock.Advance(200)
-	sp.End()
-	ds := c.SlowOps()
-	if len(ds) != 1 || ds[0].Op != "get" {
-		t.Fatalf("per-op threshold not honored: %+v", ds)
-	}
-}
-
 func TestSlowOpAdaptiveArming(t *testing.T) {
 	_, th := slowTestThread()
 	c := NewCollector()
-	c.EnableSlowOps(SlowOpPolicy{MinCount: 16, RefreshEvery: 8, Quantile: 99, Multiplier: 4}, nil)
+	c.EnableSlowOps(SlowOpPolicy{}, nil)
 
-	// Disarmed until MinCount records exist.
-	if got := c.SlowOpThreshold(OpGet); got != math.MaxInt64 {
-		t.Fatalf("adaptive threshold armed early: %d", got)
-	}
-	for i := 0; i < 16; i++ {
+	// Disarmed until slowOpMinCount records exist.
+	for i := 0; i < slowOpMinCount; i++ {
+		if got := c.SlowOpThreshold(OpGet); got != math.MaxInt64 {
+			t.Fatalf("adaptive threshold armed after %d records: %d", i, got)
+		}
 		sp := c.StartOp(th, OpGet)
 		th.Clock.Advance(100)
 		sp.End()
@@ -122,8 +95,8 @@ func TestSlowOpAdaptiveArming(t *testing.T) {
 	if thr == math.MaxInt64 || thr <= 0 {
 		t.Fatalf("adaptive threshold never armed: %d", thr)
 	}
-	// All samples were 100 ns, so the armed threshold is ~p99*4 = a few
-	// hundred ns; an op far outside the distribution must be captured as
+	// All samples were 100 ns, so the armed threshold is ~p99*8 = under a
+	// thousand ns; an op far outside the distribution must be captured as
 	// adaptive.
 	sp := c.StartOp(th, OpGet)
 	th.Clock.Advance(thr + 1)
@@ -137,21 +110,68 @@ func TestSlowOpAdaptiveArming(t *testing.T) {
 	}
 }
 
+// TestSlowOpRefreshOnSkippedMultiple: two recorders that end the same op
+// type between Record and Count both read the later count, so the count the
+// refresh sees can step over a period boundary (511, 513). The threshold must
+// still arm there, and refresh exactly once per period after that.
+func TestSlowOpRefreshOnSkippedMultiple(t *testing.T) {
+	c := NewCollector()
+	c.EnableSlowOps(SlowOpPolicy{}, nil)
+	sl := c.slow.Load()
+	for i := 0; i < slowOpMinCount+1; i++ {
+		c.hist[OpGet].Record(100)
+	}
+	for n := int64(1); n < slowOpMinCount; n++ {
+		sl.maybeRefresh(c, OpGet, n)
+	}
+	if got := c.SlowOpThreshold(OpGet); got != math.MaxInt64 {
+		t.Fatalf("armed before %d records: %d", slowOpMinCount, got)
+	}
+	sl.maybeRefresh(c, OpGet, slowOpMinCount+1)
+	armed := c.SlowOpThreshold(OpGet)
+	if armed == math.MaxInt64 {
+		t.Fatal("threshold never armed when the count stepped over the arming point")
+	}
+
+	// The same period seen again (the other recorder) does not refresh.
+	for i := 0; i < 4*slowOpRefresh; i++ {
+		c.hist[OpGet].Record(100_000)
+	}
+	sl.maybeRefresh(c, OpGet, slowOpMinCount+1)
+	if got := c.SlowOpThreshold(OpGet); got != armed {
+		t.Fatalf("refreshed twice in one period: %d -> %d", armed, got)
+	}
+	// Stepping over the next boundary refreshes once.
+	next := int64(slowOpMinCount + slowOpRefresh + 1)
+	sl.maybeRefresh(c, OpGet, next)
+	refreshed := c.SlowOpThreshold(OpGet)
+	if refreshed == armed {
+		t.Fatal("threshold not refreshed when the count stepped over the next period")
+	}
+	for i := 0; i < 4*slowOpRefresh; i++ {
+		c.hist[OpGet].Record(10_000_000)
+	}
+	sl.maybeRefresh(c, OpGet, next)
+	if got := c.SlowOpThreshold(OpGet); got != refreshed {
+		t.Fatalf("refreshed twice in one period: %d -> %d", refreshed, got)
+	}
+}
+
 func TestSlowOpRingWrapDrops(t *testing.T) {
 	_, th := slowTestThread()
 	c := NewCollector()
-	c.EnableSlowOps(SlowOpPolicy{StaticNs: 10, Capacity: 4}, nil)
+	c.EnableSlowOps(SlowOpPolicy{StaticNs: 10}, nil)
 
-	for i := 0; i < 6; i++ {
+	for i := 0; i < slowOpCapacity+2; i++ {
 		sp := c.StartOp(th, OpPut)
 		th.Clock.Advance(100)
 		sp.End()
 	}
 	ds := c.SlowOps()
-	if len(ds) != 4 {
-		t.Fatalf("retained = %d, want 4", len(ds))
+	if len(ds) != slowOpCapacity {
+		t.Fatalf("retained = %d, want %d", len(ds), slowOpCapacity)
 	}
-	// Oldest evicted: surviving seqs are 3..6 in order.
+	// Oldest evicted: surviving seqs are 3..slowOpCapacity+2 in order.
 	for i, d := range ds {
 		if d.Seq != uint64(i+3) {
 			t.Fatalf("ring order wrong: %v", ds)
@@ -213,10 +233,6 @@ func TestSlowOpDisarmedIsInert(t *testing.T) {
 	sp.End()
 	if c.SlowOps() != nil {
 		t.Fatal("disarmed collector captured dossiers")
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSlowOpsJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("disarmed JSONL = %q, %v", buf.String(), err)
 	}
 	// Nil collector: every surface is a no-op.
 	var nc *Collector

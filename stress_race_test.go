@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cachekv/internal/hw/sim"
+	"cachekv/internal/obs"
 )
 
 func TestStressConcurrentSessions(t *testing.T) {
@@ -91,7 +92,7 @@ func TestStressConcurrentSessions(t *testing.T) {
 	if v, err := s.Get([]byte("final")); err != nil || string(v) != "ok" {
 		t.Fatalf("final Get = %q, %v", v, err)
 	}
-	if m := db.Metrics(); m.FilterProbes == 0 {
+	if db.Registry().Gather().Int(obs.MFilterProbes) == 0 {
 		t.Fatal("stress run never probed a filter")
 	}
 	if err := db.Close(); err != nil {
