@@ -189,8 +189,8 @@ func TestSimulateCrashEADR(t *testing.T) {
 
 // TestTunedGeometrySurvivesCrash: SimulateCrash reopens with the Options the
 // store was opened with, the tune hook included, so a store tuned to a small
-// pool without memory-component filters recovers that pool and still runs
-// without filters. An untuned store beside it shows both settings matter.
+// pool without a block cache recovers that pool and still runs without a
+// block cache. An untuned store beside it shows both settings matter.
 func TestTunedGeometrySurvivesCrash(t *testing.T) {
 	gather := func(db *DB) *obs.Snapshot { return db.Registry().Gather() }
 	plain, err := Open(Options{PMemMB: 512, SubMemTableKB: 256})
@@ -199,7 +199,7 @@ func TestTunedGeometrySurvivesCrash(t *testing.T) {
 	}
 	defer plain.Close()
 	db, err := Open(Options{PMemMB: 512, SubMemTableKB: 256, tune: func(o *core.Options) {
-		o.PoolBytes, o.FilterBitsPerKey = 2<<20, -1
+		o.PoolBytes, o.LSM.BlockCacheBytes = 2<<20, -1
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -233,12 +233,18 @@ func TestTunedGeometrySurvivesCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Scan([]byte("k"), 200, func(k, v []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if p := gather(plain).Int(obs.MFilterProbes); p == 0 {
-		t.Fatal("the untuned store probed no filter")
+	if p := gather(plain).Int(obs.MBlockCacheProbes); p == 0 {
+		t.Fatal("the untuned store's scan probed no block cache")
 	}
-	if p := gather(db).Int(obs.MFilterProbes); p != 0 {
-		t.Fatalf("the recovered store probed its filters %d times; tuned, it has none", p)
+	if p := gather(db).Int(obs.MBlockCacheProbes); p != 0 {
+		t.Fatalf("the recovered store probed its block cache %d times; tuned, it has none", p)
 	}
 }
 

@@ -138,7 +138,7 @@ func main() {
 			m, snap := db.Metrics(), db.Registry().Gather()
 			fmt.Printf("write hit ratio: %.1f%%  amplification: %.2fx  media written: %d KiB\n",
 				m.WriteHitRatio*100, m.WriteAmplification, m.MediaWriteBytes>>10)
-			fmt.Printf("filter probes: %d  negatives: %d  block cache: %d hit / %d miss (%.1f%%)\n",
+			fmt.Printf("active-key table probes: %d  misses: %d  block cache: %d hit / %d miss (%.1f%%)\n",
 				snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives),
 				snap.Int(obs.MBlockCacheHits), snap.Int(obs.MBlockCacheMisses), snap.Float(obs.MBlockCacheRatio)*100)
 			fmt.Printf("session virtual time: %.3f ms\n", float64(s.VirtualNanos())/1e6)

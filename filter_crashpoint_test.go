@@ -1,19 +1,22 @@
 package cachekv
 
-// Extends the filter-soundness suite (filter_soundness_test.go) across the
-// crash dimension: TestFilterRebuildAfterCrash there exercises one scripted
-// crash; here the fault-injection harness crashes the engine at a table of
-// points through a 200-op workload — including torn-write schedules — and
-// after each recovery the durability oracle's probe set must flow through
-// the REBUILT memory-component filters. A filter rebuilt from a stale or
-// truncated view would either lose keys (oracle violation) or answer no
-// probes at all (probe counter stays zero).
+// Extends the read-path soundness suite (filter_soundness_test.go) across
+// the crash dimension: TestFilterRebuildAfterCrash there exercises one
+// scripted crash; here the fault-injection harness crashes the engine at a
+// table of points through a 200-op workload — including torn-write
+// schedules — and after each recovery the durability oracle's probe set
+// flows through the REBUILT active-key table while a recovered slot awaits
+// its flush. A table rebuilt from a stale or truncated view, or not at all,
+// would lose keys (oracle violation).
 //
-// Recovery rebuilds one filter per recovered table. CacheKV merges every
-// recovered table into its global index, which a Get probes instead of any
-// table's filter, so the recovered engine whose reads go through those
-// filters is PCSM+LIU: the same recovery, without sub-skiplist compaction.
-// CacheKV's rebuilt index is held to the same oracle by the crash sweeps.
+// Recovery seals each live sub-MemTable and enters its keys in the table;
+// the flush kind then copies the slot into the ImmZone, and from then on a
+// Get finds those keys there without probing the table. The harness holds
+// that copy back until the oracle is done (RunBeforeRecoveredFlush), so at
+// every crash point that left a write the oracle's Gets probe the table. The
+// engine is PCSM+LIU, whose Gets also search every recovered ImmZone table
+// on its own; CacheKV's rebuilt index is held to the same oracle by the
+// crash sweeps.
 
 import (
 	"testing"
@@ -50,7 +53,7 @@ func TestFilterRebuildAcrossCrashPoints(t *testing.T) {
 	for _, p := range points {
 		for _, fault := range faults {
 			t.Run(p.name+"/"+fault.String(), func(t *testing.T) {
-				r := faultinject.Run(spec, cache.EADR, fam, p.crashAt, fault, nil)
+				r := faultinject.RunBeforeRecoveredFlush(spec, cache.EADR, fam, p.crashAt, fault, nil)
 				if err := r.Err(); err != nil {
 					t.Fatal(err)
 				}
@@ -58,20 +61,20 @@ func TestFilterRebuildAcrossCrashPoints(t *testing.T) {
 					t.Fatalf("crash point %d not reached (workload generated %d events)", p.crashAt, r.Events)
 				}
 				// The oracle probed every key in the universe through the
-				// recovered engine; those reads must have consulted the
-				// rebuilt filters — unless the crash came before any write
-				// and there was no table to rebuild one for.
+				// recovered engine while its sealed slots awaited their
+				// flush; those reads must have consulted the rebuilt table —
+				// unless the crash came before any write and no slot was live.
 				if len(r.Recovered) == 0 && r.FilterProbes == 0 {
 					return
 				}
 				if r.FilterProbes == 0 {
-					t.Fatal("recovered engine answered the oracle without consulting its rebuilt filters")
+					t.Fatal("recovered engine answered the oracle without consulting its rebuilt active-key table")
 				}
 				// With ~48 live keys and a universe that includes never-
-				// written ghost keys, a sound rebuilt filter must short-
-				// circuit at least some probes negatively.
-				if r.FilterNegatives == 0 {
-					t.Fatalf("rebuilt filters produced no negative verdicts across %d probes", r.FilterProbes)
+				// written ghost keys, a sound rebuilt table must find some
+				// keys in no active slot.
+				if r.FilterNegatives == 0 || r.FilterNegatives > r.FilterProbes {
+					t.Fatalf("rebuilt active-key table found %d of %d probed keys in no active slot", r.FilterNegatives, r.FilterProbes)
 				}
 			})
 		}

@@ -1,10 +1,11 @@
 package cachekv
 
-// Filter-soundness tests: the memory-component negative filters may produce
-// false positives (wasted probes) but never false negatives (lost keys). A
-// filtered engine is run differentially against a filter-disabled engine and
-// a plain-map model over randomized workloads, with a simulated power failure
-// mid-way — recovery must rebuild the volatile filters before serving reads.
+// Read-path soundness tests: the memory component's active-key table and the
+// block cache may cost a Get a wasted probe or a fall-back search, but never
+// a key. An engine is run differentially against one without a block cache
+// and a plain-map model over randomized workloads, with a simulated power
+// failure mid-way — recovery must re-enter the recovered slots' keys in the
+// volatile table before serving reads.
 
 import (
 	"fmt"
@@ -15,32 +16,32 @@ import (
 	"cachekv/internal/obs"
 )
 
-// disableAccelerators turns off the memory component's negative filters and
-// the block cache: the reference run of the differential tests.
+// disableAccelerators turns off the block cache: the reference run of the
+// differential tests.
 func disableAccelerators(o *core.Options) {
-	o.FilterBitsPerKey, o.LSM.BlockCacheBytes = -1, -1
+	o.LSM.BlockCacheBytes = -1
 }
 
-func openPair(t *testing.T) (filtered, unfiltered *DB) {
+func openPair(t *testing.T) (db, noCache *DB) {
 	t.Helper()
-	filtered, err := Open(Options{Engine: EngineCacheKV, PMemMB: 1024})
+	db, err := Open(Options{Engine: EngineCacheKV, PMemMB: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfiltered, err = Open(Options{Engine: EngineCacheKV, PMemMB: 1024, tune: disableAccelerators})
+	noCache, err = Open(Options{Engine: EngineCacheKV, PMemMB: 1024, tune: disableAccelerators})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return filtered, unfiltered
+	return db, noCache
 }
 
-// TestFilterSoundnessDifferential drives the same randomized workload into a
-// filtered and an unfiltered engine in rounds, crashing both mid-way, and
+// TestFilterSoundnessDifferential drives the same randomized workload into an
+// engine and one without a block cache in rounds, crashing both mid-way, and
 // requires byte-identical Get results for every key ever touched plus a set
-// of never-written keys. Any divergence is a filter false negative (or a
-// cache corruption).
+// of never-written keys. Any divergence is a key the active-key table lost
+// (or a cache corruption).
 func TestFilterSoundnessDifferential(t *testing.T) {
-	filtered, unfiltered := openPair(t)
+	db, noCache := openPair(t)
 	model := map[string]string{}
 	rng := sim.NewRNG(2024)
 
@@ -49,27 +50,26 @@ func TestFilterSoundnessDifferential(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		ops := genOps(opsPerRound, uint64(1000+round))
 		applyToModel(model, ops)
-		applyToEngine(t, filtered, ops)
-		applyToEngine(t, unfiltered, ops)
+		applyToEngine(t, db, ops)
+		applyToEngine(t, noCache, ops)
 
-		// Mid-way: power failure on both engines. The filters are DRAM-only,
-		// so recovery must rebuild them from the persistent regions.
+		// Mid-way: power failure on both engines. The table is DRAM-only, so
+		// recovery must rebuild it from the persistent regions.
 		if round == rounds/2-1 {
 			var err error
-			if filtered, err = filtered.SimulateCrash(); err != nil {
+			if db, err = db.SimulateCrash(); err != nil {
 				t.Fatal(err)
 			}
-			if unfiltered, err = unfiltered.SimulateCrash(); err != nil {
+			if noCache, err = noCache.SimulateCrash(); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		sf := filtered.Session(1)
-		su := unfiltered.Session(1)
+		sf := db.Session(1)
+		su := noCache.Session(1)
 		// Every key in the 500-key space: present ones must match the model
-		// on both engines; absent ones must be not-found on both. A filter
-		// false negative would surface here as a missing key on the filtered
-		// engine only.
+		// on both engines; absent ones must be not-found on both. A key the
+		// table lost would surface here as a missing key.
 		for i := 0; i < 500; i++ {
 			k := fmt.Sprintf("key%04d", i)
 			gf, errF := sf.Get([]byte(k))
@@ -77,18 +77,18 @@ func TestFilterSoundnessDifferential(t *testing.T) {
 			want, inModel := model[k]
 			if inModel {
 				if errF != nil {
-					t.Fatalf("round %d: filtered engine lost %s: %v", round, k, errF)
+					t.Fatalf("round %d: engine lost %s: %v", round, k, errF)
 				}
 				if errU != nil {
-					t.Fatalf("round %d: unfiltered engine lost %s: %v", round, k, errU)
+					t.Fatalf("round %d: engine without a block cache lost %s: %v", round, k, errU)
 				}
 				if string(gf) != want || string(gu) != want {
-					t.Fatalf("round %d: Get(%s) filtered=%q unfiltered=%q want %q",
+					t.Fatalf("round %d: Get(%s) = %q, without a block cache %q, want %q",
 						round, k, gf, gu, want)
 				}
 			} else {
 				if errF != ErrNotFound || errU != ErrNotFound {
-					t.Fatalf("round %d: Get(%s) absent key: filtered=%v unfiltered=%v",
+					t.Fatalf("round %d: Get(%s) absent key: %v, without a block cache %v",
 						round, k, errF, errU)
 				}
 			}
@@ -102,29 +102,26 @@ func TestFilterSoundnessDifferential(t *testing.T) {
 		}
 	}
 
-	// The filtered engine must actually have used its filters.
-	snap := filtered.Registry().Gather()
+	// The engine must actually have probed its table, and found keys absent.
+	snap := db.Registry().Gather()
 	probes, negatives := snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
 	if probes == 0 {
-		t.Fatal("filtered engine reported zero filter probes")
+		t.Fatal("the engine reported zero table probes")
 	}
 	if negatives == 0 {
-		t.Fatal("filtered engine reported zero filter negatives")
+		t.Fatal("the engine reported zero table misses")
 	}
 	if negatives > probes {
-		t.Fatalf("negatives %d exceed probes %d", negatives, probes)
+		t.Fatalf("misses %d exceed probes %d", negatives, probes)
 	}
-	// And the unfiltered baseline must not have.
-	if n := unfiltered.Registry().Gather().Int(obs.MFilterProbes); n != 0 {
-		t.Fatalf("filter-disabled engine reported %d probes", n)
-	}
-	filtered.Close()
-	unfiltered.Close()
+	db.Close()
+	noCache.Close()
 }
 
 // TestFilterRebuildAfterCrash writes, crashes immediately (no flush), and
-// checks that recovery serves every key — the recovered imm tables carry
-// freshly rebuilt filters, so a stale/empty filter would lose keys here.
+// checks that recovery serves every key — the recovered slot's keys are
+// re-entered in the active-key table, so a stale or empty table would lose
+// keys here.
 func TestFilterRebuildAfterCrash(t *testing.T) {
 	db, err := Open(Options{Engine: EngineCacheKV, PMemMB: 1024})
 	if err != nil {
@@ -152,7 +149,7 @@ func TestFilterRebuildAfterCrash(t *testing.T) {
 			t.Fatalf("crash%05d = %q, want %q", i, got, want)
 		}
 	}
-	// Negative probes still sound after the rebuild.
+	// Misses still sound after the rebuild.
 	for i := 0; i < 500; i++ {
 		if _, err := s2.Get([]byte(fmt.Sprintf("never%05d", i))); err != ErrNotFound {
 			t.Fatalf("never%05d: %v", i, err)
@@ -179,7 +176,7 @@ func TestValidateOptions(t *testing.T) {
 	// The engine's own "disable" values stay reachable through the hook.
 	db, err := Open(Options{tune: disableAccelerators})
 	if err != nil {
-		t.Fatalf("disabled filters and block cache rejected: %v", err)
+		t.Fatalf("disabled block cache rejected: %v", err)
 	}
 	s := db.Session(0)
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
@@ -187,9 +184,6 @@ func TestValidateOptions(t *testing.T) {
 	}
 	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("Get = %q, %v", v, err)
-	}
-	if n := db.Registry().Gather().Int(obs.MFilterProbes); n != 0 {
-		t.Fatalf("disabled filters still probed %d times", n)
 	}
 	db.Close()
 }

@@ -231,15 +231,18 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 		th.InPhase(hw.PhaseAppend, func() {
 			e.m.Cache.Write(th.Clock, s.dataAddr()+tail, enc, e.poolPart)
 		})
-		// Record every key in the slot's negative filter BEFORE the commit
-		// CAS: any entry a reader can observe as committed is already covered,
-		// so a filter miss proves absence. A failed CAS leaves spurious bits —
-		// false positives, never a false negative.
-		if f := s.filter.Load(); f != nil {
-			th.ChargeDRAM(1)
-			for i := range ops {
-				f.Add(ops[i].key)
+		// Enter every point version in the active-key table BEFORE the commit
+		// CAS: any entry a reader can observe as committed is already there,
+		// so a table miss proves the key is in no active slot. One DRAM
+		// access for the commit's table writes. A failed CAS re-appends and
+		// re-enters the ops at their new offsets; a range tombstone is covered
+		// by the DRAM mirror below instead.
+		th.ChargeDRAM(1)
+		for i, off := 0, tail; i < len(ops); i++ {
+			if op := &ops[i]; op.kind != util.KindRangeDel {
+				e.enterActive(s, op.key, util.PackTrailer(op.seq, op.kind), off)
 			}
+			off += ops[i].slotLen()
 		}
 		// The commit point: counter += len(ops), tail += need, in one atomic
 		// compare-and-swap (the persistence point).

@@ -13,7 +13,6 @@ import (
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
-	"cachekv/internal/memfilter"
 	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
 	"cachekv/internal/skiplist"
@@ -37,11 +36,6 @@ type Options struct {
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
 	SkiplistCompaction bool // false = never build the global index (PCSM[+LIU])
-
-	// FilterBitsPerKey sizes the DRAM-side negative filters kept per
-	// sub-MemTable slot and per sub-ImmMemTable (10, LevelDB's bloom
-	// budget). Negative disables the filters.
-	FilterBitsPerKey int
 
 	FSBytes uint64 // PMem file-layer capacity for SSTables (256 MiB)
 	LSM     lsm.Options
@@ -118,7 +112,6 @@ func DefaultOptions() Options {
 		ImmZoneBytes:       32 << 20,
 		LazyIndex:          true,
 		SkiplistCompaction: true,
-		FilterBitsPerKey:   10,
 		FSBytes:            256 << 20,
 		CompactionWorkers:  1,
 	}
@@ -141,9 +134,6 @@ func (o Options) withDefaults() Options {
 	if o.ImmZoneBytes == 0 {
 		o.ImmZoneBytes = d.ImmZoneBytes
 	}
-	if o.FilterBitsPerKey == 0 {
-		o.FilterBitsPerKey = d.FilterBitsPerKey
-	}
 	if o.FSBytes == 0 {
 		o.FSBytes = d.FSBytes
 	}
@@ -164,13 +154,15 @@ type Stats struct {
 	ReadSyncs   atomic.Int64 // trigger-1 lazy syncs performed by readers
 	GetRetries  atomic.Int64 // Get passes started over at a new snapshot
 
-	// Memory-component negative-filter effectiveness: probes against slot
-	// and imm-table filters, and how many rejected (each rejection skips a
-	// sub-skiplist search, and for active slots also the trigger-1 lazy
-	// sync). The global index has no filter: its probe reads a bucket line,
-	// and none while the index covers no table.
+	// The active-key table's probes (one per Get while a slot is active),
+	// how many found the key in no active slot (each skips every slot's
+	// trigger-1 lazy sync and sub-skiplist search), and how many the table
+	// could not answer, so that the Get synced and searched every active slot.
+	// The registry publishes the first two under the filter names the
+	// per-slot filters the table replaced had.
 	FilterProbes    atomic.Int64
 	FilterNegatives atomic.Int64
+	ProbeFallbacks  atomic.Int64
 
 	RangeDeletes atomic.Int64 // DeleteRange calls (range tombstones committed)
 	Ingests      atomic.Int64 // Ingest batches installed
@@ -184,6 +176,7 @@ type Engine struct {
 
 	poolPart cache.PartitionID
 	pool     *pool
+	active   *activeTable // the newest version of each key in an active slot
 	immArena *arena.PArena
 	mem      *memState
 	fs       *pmemfs.FS
@@ -258,17 +251,14 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (Store, error) {
 // newEngine opens one engine: standalone (the zero env) or as a router's shard.
 func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Engine, err error) {
 	opts = opts.withDefaults()
-	filterBits := opts.FilterBitsPerKey
-	if filterBits < 0 {
-		filterBits = 0 // filters disabled
-	}
 	e := &Engine{
-		m:     m,
-		opts:  opts,
-		env:   env,
-		trace: opts.Trace,
-		mem:   newMemState(filterBits),
-		seq:   env.seq,
+		m:      m,
+		opts:   opts,
+		env:    env,
+		trace:  opts.Trace,
+		mem:    newMemState(),
+		active: newActiveTable(int(opts.PoolBytes / minEntryBytes)),
+		seq:    env.seq,
 	}
 	e.bg = bgpool.New(e.fail)
 	if e.seq == nil {
@@ -307,7 +297,7 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	}
 	// Bump rather than store: a shared counter may already sit past this
 	// shard's tree (another shard recovered first).
-	e.bumpSeq(e.tree.LastSeq())
+	raiseTo(e.seq, e.tree.LastSeq())
 	e.maxSpilledSeq.Store(e.tree.LastSeq())
 
 	e.flow = newFlowControl(e.flowTable(), env.index, opts)
@@ -326,13 +316,12 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		nImms := len(e.mem.imms)
 		e.mem.mu.RUnlock()
 		e.trace.Emit(th.Clock.Now(), "recovery_end", "shard", env.index,
-			"imm_tables", nImms, "filters_rebuilt", nImms+len(sealed), "workers", workers, "last_seq", e.seq.Load())
+			"imm_tables", nImms, "slots_sealed", len(sealed), "workers", workers, "last_seq", e.seq.Load())
 	} else {
 		e.pool, err = newPool(m, poolRegion, e.poolPart, opts.SubMemTableBytes, m.Cores(), th)
 		if err != nil {
 			return nil, err
 		}
-		e.pool.filterBits = filterBits
 	}
 	e.pool.sealFn = e.queueSealed
 	e.pool.flushServers = opts.FlushThreads
@@ -436,6 +425,7 @@ func engineMetrics(levels int) []engineMetric {
 	counter("engine_compactions", func(e *Engine) int64 { return e.stats.Compactions.Load() })
 	counter("engine_read_syncs", func(e *Engine) int64 { return e.stats.ReadSyncs.Load() })
 	counter("engine_get_retries", func(e *Engine) int64 { return e.stats.GetRetries.Load() })
+	counter("engine_probe_fallbacks", func(e *Engine) int64 { return e.stats.ProbeFallbacks.Load() })
 	counter("engine_pool_slots", func(e *Engine) int64 { return int64(e.pool.numSlots()) })
 	counter("pool_splits", func(e *Engine) int64 { return e.pool.splits.Load() })
 	counter("pool_merges", func(e *Engine) int64 { return e.pool.merges.Load() })
@@ -512,8 +502,8 @@ func engineMetrics(levels int) []engineMetric {
 }
 
 // registerMetrics publishes the counters of engines (one engine, or a
-// router's shards) on r, summed: their block caches' and memory-component
-// filters' under the canonical names, the two ratios computed from the sums,
+// router's shards) on r, summed: their block caches' and active-key tables'
+// under the canonical names, the two ratios computed from the sums,
 // then engineMetrics.
 func registerMetrics(r *obs.Registry, engines []*Engine) {
 	total := func(f func(e *Engine) int64) func() int64 {
@@ -620,32 +610,30 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, stale bool, _ error) {
 	var res kvstore.UserGetResult
 
-	// 1. Active sub-MemTables: probe the slot's negative filter first — a
-	// rejection skips both the trigger-1 lazy sync and the sub-skiplist
-	// search (sound: commitOps adds to the filter before the commit CAS, so
-	// the filter always leads the lazy index).
+	// 1. Active sub-MemTables: one probe of the active-key table, unless no
+	// slot is active. Only a probe it cannot answer syncs and searches every
+	// active slot.
 	var slots [16]*slot
-	for _, s := range e.pool.snapshotActive(slots[:0]) {
-		if !e.probeFilter(th, s.filter.Load(), key) {
-			continue
-		}
-		if e.opts.LazyIndex && needsSync(s) {
-			th.InPhase(hw.PhaseIndex, func() {
-				if e.syncSlot(th, s) > 0 {
-					e.stats.ReadSyncs.Add(1)
-				}
-			})
-		}
-		s.syncMu.Lock()
-		list := s.list
-		s.syncMu.Unlock()
-		if list == nil {
-			continue
-		}
-		// A KindRangeDel hit is structural (its value is the span's end key,
-		// not a user value); coverage comes from rangeTombs below.
-		if v, fseq, kind, ok := e.searchList(th, list, s.dataAddr(), s.dataCap(), e.poolPart, key, snapshot); ok && kind != util.KindRangeDel {
-			considerView(&res, v, fseq, kind)
+	if active := e.pool.snapshotActive(slots[:0]); len(active) > 0 && !e.probeActive(th, &res, key, snapshot) {
+		for _, s := range active {
+			if e.opts.LazyIndex && needsSync(s) {
+				th.InPhase(hw.PhaseIndex, func() {
+					if e.syncSlot(th, s) > 0 {
+						e.stats.ReadSyncs.Add(1)
+					}
+				})
+			}
+			s.syncMu.Lock()
+			list := s.list
+			s.syncMu.Unlock()
+			if list == nil {
+				continue
+			}
+			// A KindRangeDel hit is structural (its value is the span's end key,
+			// not a user value); coverage comes from rangeTombs below.
+			if v, fseq, kind, ok := e.searchList(th, list, s.dataAddr(), s.dataCap(), e.poolPart, key, snapshot); ok && kind != util.KindRangeDel {
+				considerView(&res, v, fseq, kind)
+			}
 		}
 	}
 
@@ -663,9 +651,8 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		}
 	}
 	e.mem.mu.RUnlock()
-	// One DRAM access per bucket line, the price of the filter probe this
-	// probe replaced. An index that covers no table is not read, as a nil
-	// filter costs nothing: a spill swaps imms and global together, and a
+	// One DRAM access per bucket line. An index that covers no table is not
+	// read: a spill swaps imms and global together, and a
 	// merge marks its tables compacted only after upserting them, so while no
 	// table here is compacted the index holds nothing the tables below miss.
 	if e.opts.SkiplistCompaction && anyCompacted {
@@ -694,11 +681,6 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		})
 	}
 	for _, t := range uncompacted {
-		// The imm filter is the slot's filter handed over at flush: it covers
-		// every committed key of exactly this table.
-		if !e.probeFilter(th, t.filter, key) {
-			continue
-		}
 		if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
 			considerView(&res, v, fseq, kind)
 		}
@@ -737,20 +719,6 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		return nil, stale, kvstore.ErrNotFound
 	}
 	return res.Value, stale, nil
-}
-
-// probeFilter reports whether a slot's or a table's negative filter f (nil:
-// filters are off) may hold key, charging the probe to hw.PhaseIndex.
-func (e *Engine) probeFilter(th *hw.Thread, f *memfilter.Filter, key []byte) (may bool) {
-	if f == nil {
-		return true
-	}
-	th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) })
-	e.stats.FilterProbes.Add(1)
-	if may = f.MayContain(key); !may {
-		e.stats.FilterNegatives.Add(1)
-	}
-	return may
 }
 
 // considerView is res.Consider for a value that is a view into the thread's
@@ -909,7 +877,7 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 		if s := e.pool.sealForCore(th, core); s != nil {
 			if count, _, _ := unpackHdr(s.hdr.Load()); count == 0 {
 				// Empty slot: free it directly rather than flushing nothing.
-				e.pool.markFree(th, s, th.Clock.Now())
+				e.freeSlot(th, s, th.Clock.Now())
 				continue
 			}
 			e.queueSealed(th.Clock.Now(), s)
@@ -972,8 +940,8 @@ type Store interface {
 	Ingest(th *hw.Thread, entries []lsm.IngestEntry) error
 	FlowState() FlowState
 	// RegisterObs publishes the store's counters on r: block cache and
-	// filters under the canonical names (obs.MBlockCacheHits, ...), then the
-	// engine's own.
+	// active-key table under the canonical names (obs.MBlockCacheHits, ...),
+	// then the engine's own.
 	RegisterObs(r *obs.Registry)
 }
 

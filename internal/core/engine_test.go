@@ -365,19 +365,39 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLazyIndexReadSync: a Get finds a committed entry the sub-skiplist has
+// not indexed through the active-key table, with no lazy sync; a Scan, which
+// needs the sub-skiplist whole, still syncs it (trigger 1).
 func TestLazyIndexReadSync(t *testing.T) {
 	opts := smallOpts()
-	opts.SyncThreshold = 1 << 20 // never background-sync: reads must do it
+	opts.SyncThreshold = 1 << 20 // never background-sync: only readers may
 	e, th := openEngine(t, testMachine(), opts)
 	defer e.Close(th)
 	for i := 0; i < 500; i++ {
-		e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte("v"))
+		if err := e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := e.Get(th, []byte("k0250")); err != nil {
+	if v, err := e.Get(th, []byte("k0250")); err != nil || string(v) != "v250" {
+		t.Fatalf("Get(k0250) = %q, %v", v, err)
+	}
+	if _, err := e.Get(th, []byte("k9999")); err != kvstore.ErrNotFound {
+		t.Fatalf("Get(k9999) = %v, want ErrNotFound", err)
+	}
+	if n := e.stats.ReadSyncs.Load(); n != 0 {
+		t.Fatalf("Gets ran %d lazy syncs, want 0", n)
+	}
+	if n := e.stats.ProbeFallbacks.Load(); n != 0 {
+		t.Fatalf("%d Gets fell back to the slots", n)
+	}
+	if !needsSync(e.pool.slotFor(th.Core)) {
+		t.Fatal("the slot's sub-skiplist caught up without a sync")
+	}
+	if _, err := e.Scan(th, []byte("k0100"), 10, func(k, v []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if e.stats.ReadSyncs.Load() == 0 {
-		t.Fatal("read did not trigger a lazy sync")
+		t.Fatal("a Scan did not trigger a lazy sync")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/sim"
 	"cachekv/internal/lsm"
-	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -24,7 +23,6 @@ type immTable struct {
 	count      uint64
 	maxSeq     uint64
 	list       *skiplist.List
-	filter     *memfilter.Filter // negative filter over the table's user keys
 	compacted  bool
 	indexDoneV int64 // virtual time the index thread finished this table's sync
 }
@@ -96,23 +94,13 @@ func (x flushExtents) largest() uint64 {
 // memState is the engine's DRAM view of the memory component: flushed tables
 // plus the global index. Swapped wholesale at L0 spill.
 type memState struct {
-	mu         sync.RWMutex
-	imms       []*immTable
-	global     *hashIndex
-	filterBits int // sizes the tables' and slots' negative filters
+	mu     sync.RWMutex
+	imms   []*immTable
+	global *hashIndex
 }
 
-func newMemState(filterBits int) *memState {
-	return &memState{global: newHashIndex(seededHash, 0), filterBits: filterBits}
-}
-
-// newFilter builds a negative filter, or nil when filters are disabled
-// (bitsPerKey <= 0). Every probe site tolerates nil as "may contain".
-func newFilter(expectedKeys, bitsPerKey int) *memfilter.Filter {
-	if bitsPerKey <= 0 {
-		return nil
-	}
-	return memfilter.New(expectedKeys, bitsPerKey)
+func newMemState() *memState {
+	return &memState{global: newHashIndex(seededHash, 0)}
 }
 
 // startBackground adds the engine's five kinds of background job to its pool:
@@ -328,7 +316,6 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			count:      count,
 			maxSeq:     maxSeq,
 			list:       s.list,
-			filter:     s.filter.Load(), // covers exactly this slot's committed keys
 			indexDoneV: indexDoneV,
 		}
 		s.syncMu.Unlock()
@@ -362,7 +349,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 		end = max(end, now)
 	}
 	th.Clock.AdvanceTo(end) // the flush goes on from its last extent's end
-	e.pool.markFree(th, s, doneAt)
+	e.freeSlot(th, s, doneAt)
 
 	// Hand the new table to the index/compaction thread (Section III-D).
 	if t != nil && e.opts.SkiplistCompaction {
@@ -440,12 +427,7 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	}
 	// Raise maxSpilledSeq before the tables leave memory, or a Get that misses
 	// them there takes an older version in a slot as current and skips the tree.
-	for {
-		cur := e.maxSpilledSeq.Load()
-		if maxSeq <= cur || e.maxSpilledSeq.CompareAndSwap(cur, maxSeq) {
-			break
-		}
-	}
+	raiseTo(&e.maxSpilledSeq, maxSeq)
 	// Install the new memory state: no tables, a fresh global index, the
 	// zone reclaimed (spillMu keeps every flush out meanwhile).
 	e.mem.mu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -35,14 +36,17 @@ type hashTable struct {
 	mask    uint64
 }
 
-// bucket is one 64 B line of four slots. Word 0 holds the line's version in
-// its low 16 bits — odd while the writer changes the line, bumped again when
+// bucket is one 64 B line of four slots, the line of both the global index
+// and the active-key table (activetable.go). Word 0 holds the line's version
+// in its low 16 bits — odd while a writer holds the line, bumped again when
 // it is done, so a reader that saw the same even version before and after
-// copying the line saw no torn slot (a reader stalled across 2^15 changes of
-// its line would not notice, and a Get checks the entry it fetches all the
-// same) — and the slots' 12-bit fingerprints above it (0: free). Words 1–4
-// are the slots' trailers, and words 5–7 their 48-bit addresses, packed: a
-// PMem address is below 2^48.
+// copying the line saw no torn slot — and the slots' 12-bit fingerprints
+// above it (0: free). A reader stalled across 2^15 changes of its line would
+// not notice a torn slot; a torn (trailer, address) pair could make a Get
+// skip the key's version for an older one. The active-key table versions its
+// lines in the low 12 bits only and keeps 4 bits of its own above them
+// (activeVer). Words 1–4 are the slots' trailers, and words 5–7 their 48-bit
+// addresses, packed: a PMem address is below 2^48.
 type bucket [8]atomic.Uint64
 
 const (
@@ -51,6 +55,7 @@ const (
 	minBuckets    = 16
 	fpBits        = 12
 	fpMask        = 1<<fpBits - 1
+	indexVer      = 1<<16 - 1 // the global index's version bits in word 0
 	addrMask      = 1<<48 - 1
 	hashIndexSeed = 0xC0117EC7
 )
@@ -118,22 +123,52 @@ func (x *hashIndex) get(key []byte, line func(), try func(trailer, addr uint64) 
 
 // read copies the line into w, again until no write overlapped the copy.
 func (b *bucket) read(w *[8]uint64) {
-	for {
-		w[0] = b[0].Load()
-		for j := 1; j < len(w); j++ {
-			w[j] = b[j].Load()
-		}
-		if w[0]&1 == 0 && b[0].Load() == w[0] {
-			return
-		}
+	for !b.tryRead(w) {
+		runtime.Gosched() // a writer holds the line
+	}
+}
+
+// tryRead is read's one attempt: it reports whether no write overlapped it.
+func (b *bucket) tryRead(w *[8]uint64) bool {
+	b.copyTo(w)
+	return w[0]&1 == 0 && b[0].Load() == w[0]
+}
+
+// copyTo loads the line's words into w as they are: whole only while the
+// caller holds the line.
+func (b *bucket) copyTo(w *[8]uint64) {
+	for j := range w {
+		w[j] = b[j].Load()
 	}
 }
 
 // set publishes slot s's fingerprint, trailer and address as one change of the
-// line; only the writer calls it.
+// line.
 func (b *bucket) set(s int, fp, trailer, addr uint64) {
+	b.unlock(b.put(b.lock(), s, fp, trailer, addr), indexVer)
+}
+
+// lock takes the line for one writer: a CAS moves its version from even to
+// odd, so that writers of several cores share a table, and readers retry
+// until it is even again. It returns word 0 as locked.
+func (b *bucket) lock() uint64 {
+	for {
+		if w0, ok := b.tryLock(); ok {
+			return w0
+		}
+		runtime.Gosched()
+	}
+}
+
+// tryLock is lock's one attempt; it fails while another writer holds the line.
+func (b *bucket) tryLock() (uint64, bool) {
 	w0 := b[0].Load()
-	b[0].Store(w0 + 1)
+	return w0 + 1, w0&1 == 0 && b[0].CompareAndSwap(w0, w0+1)
+}
+
+// put writes slot s of a line the caller locked with word 0 at w0, and returns
+// word 0 as it now stands.
+func (b *bucket) put(w0 uint64, s int, fp, trailer, addr uint64) uint64 {
 	b[1+s].Store(trailer)
 	i, o := 5+48*s/64, 48*s%64
 	b[i].Store(b[i].Load()&^(addrMask<<o) | addr<<o)
@@ -141,8 +176,13 @@ func (b *bucket) set(s int, fp, trailer, addr uint64) {
 		b[i+1].Store(b[i+1].Load()&^(addrMask>>(64-o)) | addr>>(64-o))
 	}
 	w0 = w0&^(fpMask<<(16+fpBits*s)) | fp<<(16+fpBits*s)
-	b[0].Store(w0&^0xFFFF | (w0+2)&0xFFFF)
+	b[0].Store(w0)
+	return w0
 }
+
+// unlock publishes the caller's changes: the version, the bits of word 0 that
+// ver masks, moves on to even.
+func (b *bucket) unlock(w0, ver uint64) { b[0].Store(w0&^ver | (w0+1)&ver) }
 
 // upsert records (trailer, addr) as key's version unless the index holds key
 // at a sequence at or above trailer's, so that on equal sequences the version

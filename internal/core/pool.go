@@ -14,7 +14,9 @@
 //     sub-skiplist compaction into a global index (Section III-D), and
 //     the L0 spill into the LSM tree;
 //   - engine.go: the kvstore.DB surface, background threads, and crash
-//     recovery (Section III-E).
+//     recovery (Section III-E);
+//   - activetable.go: the active-key table a Get probes instead of every
+//     active sub-MemTable (an extension of the paper's design).
 package core
 
 import (
@@ -27,7 +29,6 @@ import (
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
-	"cachekv/internal/memfilter"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -91,11 +92,12 @@ type slot struct {
 	// (the sub-skiplist copies what it keeps).
 	entryBuf, ikeyBuf []byte
 
-	// filter is the DRAM-side negative filter over this slot's user keys.
-	// Writers Add before the commit CAS, so a committed entry is always
-	// covered and a negative probe soundly skips both the sub-skiplist
-	// search and the trigger-1 lazy sync. Replaced wholesale at acquire.
-	filter atomic.Pointer[memfilter.Filter]
+	// gen counts the slot's incarnations: acquire starts a new one, and the
+	// active-key table's entries name the incarnation they were written in.
+	gen atomic.Uint32
+	// unplaced marks an incarnation holding a version the active-key table
+	// had no room for (activeTable.unplaced counts the marked slots).
+	unplaced atomic.Bool
 
 	owner    atomic.Int32 // core the slot is assigned to (-1 when free)
 	sealedAt atomic.Int64 // virtual time the slot became immutable
@@ -126,7 +128,7 @@ type pool struct {
 	slots atomic.Pointer[[]*slot]
 	// maxSize is the configured sub-MemTable size, the largest a merge
 	// makes a slot (newPool's slotBytes; the engine sets it on a recovered
-	// pool, as it sets filterBits).
+	// pool).
 	maxSize uint64
 
 	// Global metadata structure (kept in DRAM per Section III-A): index of
@@ -148,9 +150,6 @@ type pool struct {
 	// returns nil so callers can surface the error instead of hanging.
 	aborted atomic.Bool
 
-	// filterBits is the bits-per-key budget for per-slot negative filters
-	// (installed by the engine right after construction).
-	filterBits int
 	// flushServers is the engine's flush server count, which splits a
 	// table's flush and so sets flushFloor (installed by the engine).
 	flushServers int
@@ -440,14 +439,14 @@ func flushFloor(c *sim.CostModel, sealedAt int64, tail uint64, servers int) int6
 	return sealedAt + c.FlushFixed + int64(splitFlush(tail, servers).largest())*c.FlushBytePerKB/1024
 }
 
-// assignLocked hands the free slot s to core: a fresh sub-skiplist and filter,
-// the header allocated, the core's mapping. p.mu held.
+// assignLocked hands the free slot s to core: a fresh sub-skiplist, a new
+// incarnation, the header allocated, the core's mapping. p.mu held.
 func (p *pool) assignLocked(th *hw.Thread, s *slot, core int, listSeed uint64) {
 	s.syncMu.Lock()
 	s.list = skiplist.New(icmp, listSeed)
 	s.listCount, s.listTail, s.listMaxSeq = 0, 0, 0
 	s.syncMu.Unlock()
-	s.filter.Store(newFilter(expectedSlotKeys(s.dataCap()), p.filterBits))
+	s.gen.Add(1)
 	s.owner.Store(int32(core))
 	p.writeHdr(th, s, packHdr(0, stateAllocated, 0))
 	p.coreSlot[core].Store(int32(s.idx))
@@ -638,17 +637,8 @@ func icmp(a, b []byte) int {
 	return util.CompareInternal(util.InternalKey(a), util.InternalKey(b))
 }
 
-// minEntryBytes is the conservative (small) entry-size estimate used to size
-// per-table negative filters: 8-byte length header plus an internal key and
-// no value, rounded to the 8-byte append alignment.
+// minEntryBytes is the conservative (small) entry-size estimate the
+// active-key table is sized by: 8-byte length header plus an internal key and
+// no value, rounded to the 8-byte append alignment. A pool of smaller entries
+// overflows a key's window now and then, and its Gets then search the slots.
 const minEntryBytes = 48
-
-// expectedSlotKeys estimates how many entries a data region of cap bytes can
-// hold, for filter sizing. Overestimating only widens the filter.
-func expectedSlotKeys(dataCap uint64) int {
-	n := dataCap / minEntryBytes
-	if n < 16 {
-		n = 16
-	}
-	return int(n)
-}

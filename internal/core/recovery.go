@@ -17,10 +17,11 @@ import (
 //
 //  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers,
 //     registering only a table whose entries all decode;
-//  2. seal each non-Free sub-MemTable with its sub-skiplist, counters and
-//     filter rebuilt in place, and return the sealed slots: the engine hands
-//     them to the flush kind once it runs, the one way a slot reaches the
-//     ImmZone, and Gets find them among the pool's active slots until then;
+//  2. seal each non-Free sub-MemTable with its sub-skiplist and counters
+//     rebuilt in place and its keys entered in the active-key table, and
+//     return the sealed slots: the engine hands them to the flush kind once it
+//     runs, the one way a slot reaches the ImmZone, and Gets find them among
+//     the pool's active slots until then;
 //  3. re-run the sub-skiplist compaction to rebuild the global index.
 //
 // The tables of steps 1 and 2 are independent byte ranges, so they are
@@ -31,7 +32,6 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 	if err != nil {
 		return nil, 0, err
 	}
-	p.filterBits = e.mem.filterBits
 	p.maxSize = e.opts.SubMemTableBytes
 	e.pool = p
 
@@ -67,7 +67,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		}
 		j.t.maxSeq = max(j.t.maxSeq, j.maxSeq)
 		e.mem.imms = append(e.mem.imms, j.t)
-		e.bumpSeq(j.t.maxSeq)
+		raiseTo(e.seq, j.t.maxSeq)
 	}
 	// Step 2's header rewrites: non-Free sub-MemTables become sealed slots.
 	// The header keeps the tail and counts the entries recovered, so a torn
@@ -85,10 +85,12 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		t := slotJobs[0].t
 		slotJobs = slotJobs[1:]
 		s.list, s.listCount, s.listTail, s.listMaxSeq = t.list, t.count, tail, t.maxSeq
-		s.filter.Store(t.filter)
 		p.writeHdr(th, s, packHdr(t.count, stateImmutable, tail))
-		e.bumpSeq(t.maxSeq)
+		raiseTo(e.seq, t.maxSeq)
 		sealed = append(sealed, s)
+	}
+	for _, s := range sealed {
+		e.enterRecovered(s)
 	}
 
 	// Step 3: rebuild the global index, every table in one merge into an
@@ -177,24 +179,10 @@ func slotExtent(s *slot) (count, tail uint64, live bool) {
 // (snapshotInto, the way the spill streams its inputs) in *snap, which it
 // grows when it is too small and the next call reuses, and the entries are
 // decoded out of that; decoding stops after count entries or at the first
-// torn encoding. It returns the table: its sub-skiplist, a freshly built
-// negative filter covering every recovered key (the DRAM filters are volatile,
-// so recovery rebuilds them before the engine serves reads), the entries
+// torn encoding. It returns the table: its sub-skiplist, the entries
 // recovered as its count and the highest sequence seen as its maxSeq.
 func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]byte) *immTable {
 	t := &immTable{base: base, dataLen: limit, list: skiplist.New(icmp, base|1)}
-	expected := int(count)
-	// The header's counter is untrusted input here: media corruption (or a
-	// torn header write) can inflate it arbitrarily, and it must not size
-	// allocations. Clamp to the densest packing the data region could
-	// physically hold — the scan below stops at the first torn entry anyway.
-	if maxEntries := int(limit/16) + 1; expected > maxEntries || expected < 0 {
-		expected = maxEntries
-	}
-	if expected < 16 {
-		expected = 16
-	}
-	t.filter = newFilter(expected, e.mem.filterBits)
 	*snap = t.snapshotInto(e, th, *snap)
 	buf := *snap
 	var off uint64
@@ -207,18 +195,15 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]b
 			break
 		}
 		if ent.Kind() == util.KindRangeDel {
-			// Rebuild the DRAM tombstone mirror alongside the filters: the
-			// recovered entry is memory-resident again, so Get needs its
-			// coverage before the engine serves reads. The mirror outlives the
-			// snapshot, so it takes copies.
+			// Rebuild the DRAM tombstone mirror: the recovered entry is
+			// memory-resident again, so Get needs its coverage before the
+			// engine serves reads. The mirror outlives the snapshot, so it
+			// takes copies.
 			e.rangeTombs.add(lsm.RangeDel{
 				Start: append([]byte(nil), ent.UKey...),
 				End:   append([]byte(nil), ent.Value...),
 				Seq:   ent.Seq(),
 			})
-		}
-		if t.filter != nil {
-			t.filter.Add(ent.UKey)
 		}
 		ik, val = ent.InternalKey(ik), util.PutFixed64(val[:0], off)
 		t.list.Insert(ik, val, nil)
@@ -229,11 +214,23 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]b
 	return t
 }
 
-func (e *Engine) bumpSeq(s uint64) {
-	for {
-		cur := e.seq.Load()
-		if s <= cur || e.seq.CompareAndSwap(cur, s) {
-			return
+// enterRecovered enters the freshest version of each key of a recovered
+// sealed slot in the active-key table, as commitOps enters every write: the
+// table is volatile, and the slot's keys must be in it before the engine
+// serves reads. Recovery is charged nothing for it, as nothing for the
+// sub-skiplist inserts beside it.
+func (e *Engine) enterRecovered(s *slot) {
+	var key []byte
+	var it skiplist.Iterator
+	s.list.ResetIterator(&it)
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		ik := util.InternalKey(it.Key())
+		if ik.Kind() == util.KindRangeDel {
+			continue // the tombstone mirror covers it, as in commitOps
+		}
+		if ukey := ik.UserKey(); key == nil || string(ukey) != string(key) {
+			key = ukey // a key's first point node is its freshest
+			e.enterActive(s, key, ik.Trailer(), util.Fixed64(it.Value()))
 		}
 	}
 }

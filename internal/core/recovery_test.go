@@ -301,6 +301,12 @@ func TestCrashBeforeTheRecoveredSlotFlushes(t *testing.T) {
 					t.Fatalf("Get(%s) = %q, %v while the recovered slot awaits its flush", key(i), v, err)
 				}
 			}
+			// Before its release the sealed slot is active, and recovery
+			// entered its keys in the active-key table: each Get was
+			// answered there, none by syncing and searching the slot.
+			if probes, fell := e2.stats.FilterProbes.Load(), e2.stats.ProbeFallbacks.Load(); tc.at < 3 && (probes != n || fell != 0) {
+				t.Fatalf("%d Gets probed the table %d times and fell back %d times", n, probes, fell)
+			}
 
 			m.Crash()
 			close(release)
@@ -671,7 +677,7 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 // merge's.
 func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion hw.Region) (walk int64, jobs []int64, merge int64) {
 	t.Helper()
-	e := &Engine{m: m, mem: newMemState(dead.mem.filterBits)}
+	e := &Engine{m: m, mem: newMemState()}
 	th := m.NewThread(0)
 	type table struct{ base, limit, count uint64 }
 	var tables []table
@@ -797,7 +803,7 @@ func FuzzRebuildList(f *testing.F) {
 	th := m.NewThread(0)
 	var buf []byte // one snapshot buffer for every table, as recovery's jobs share one
 	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
-		e := &Engine{m: m, mem: newMemState(10)}
+		e := &Engine{m: m, mem: newMemState()}
 
 		// The ImmZone path: header, then the bytes, then zeroes to the zone's end.
 		img := make([]byte, zone.Size)
@@ -833,7 +839,7 @@ func FuzzRebuildList(f *testing.F) {
 func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64, buf *[]byte) {
 	t.Helper()
 	tb := e.rebuildList(th, base, limit, count, buf)
-	list, filter, scanned, hiSeq := tb.list, tb.filter, tb.count, tb.maxSeq
+	list, scanned, hiSeq := tb.list, tb.count, tb.maxSeq
 	if tb.base != base || tb.dataLen != limit {
 		t.Fatalf("a table of %d bytes at %#x for the %d bytes at %#x", tb.dataLen, tb.base, limit, base)
 	}
@@ -841,9 +847,6 @@ func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uin
 	e.m.PMem.LoadRaw(base, snap)
 	if scanned > count || scanned > limit/16+1 {
 		t.Fatalf("recovered %d entries from %d bytes under a count of %d", scanned, limit, count)
-	}
-	if filter.SizeBytes() > int(limit)+64 {
-		t.Fatalf("filter of %d bytes for a region of %d", filter.SizeBytes(), limit)
 	}
 	// The recovered entries are the longest valid prefix, up to count.
 	offsets := map[string]uint64{}
@@ -855,9 +858,6 @@ func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uin
 		ent, err := kvstore.ViewEntry(snap[off:])
 		if err != nil {
 			t.Fatalf("entry %d of %d at offset %d does not decode: %v", i, scanned, off, err)
-		}
-		if !filter.MayContain(ent.UKey) {
-			t.Fatalf("recovered key %q is missing from the rebuilt filter", ent.UKey)
 		}
 		offsets[string(ent.InternalKey(nil))] = off
 		maxSeq = max(maxSeq, ent.Seq())

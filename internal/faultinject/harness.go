@@ -8,6 +8,7 @@ import (
 	"cachekv/internal/core"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/obs"
 )
@@ -98,12 +99,12 @@ type Result struct {
 	RecoveryRefused error
 	Violations      []string
 	Recovered       map[string]string // post-recovery present keys
-	// FilterProbes/FilterNegatives capture the recovered engine's negative-
-	// filter counters after the oracle's probes, when the engine exposes
-	// them (CacheKV family). Without sub-skiplist compaction the oracle's
-	// Gets all go through the recovered tables' rebuilt filters, so a zero
-	// probe count would mean the filters were not exercised; CacheKV's Gets
-	// go through its rebuilt global index instead.
+	// FilterProbes/FilterNegatives capture the recovered engine's
+	// active-key table counters after the oracle's probes, when the engine
+	// exposes them (CacheKV family): its probes, and those that found the key
+	// in no active slot. The table is probed only while a slot is active —
+	// after a recovery, until the flush kind has copied the recovered slots
+	// into the ImmZone, which RunBeforeRecoveredFlush holds back.
 	FilterProbes    int64
 	FilterNegatives int64
 }
@@ -174,6 +175,19 @@ func flipMedia(m *hw.Machine, inj *Injector) (addr uint64, bit uint, ok bool) {
 // a replayed schedule's event trace shows exactly where the injected crash
 // and media fault landed relative to engine lifecycle events.
 func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace) *Result {
+	return run(spec, domain, fam, crashAt, fault, tr, false)
+}
+
+// RunBeforeRecoveredFlush is Run with the recovered engine's stores into its
+// ImmZone (the CacheKV family's "cachekv.imm" region) held until the oracle is
+// done: the flush kind copies the sub-MemTables recovery sealed only after the
+// oracle's Gets, so those Gets find the recovered keys in the sealed slots,
+// whatever the host's timing. An engine without that region runs as under Run.
+func RunBeforeRecoveredFlush(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace) *Result {
+	return run(spec, domain, fam, crashAt, fault, tr, true)
+}
+
+func run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace, holdFlush bool) *Result {
 	res := &Result{
 		Schedule: Schedule{
 			Family:       fam.Name,
@@ -232,6 +246,24 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 	}
 	m.Recover()
 	res.StreamHash = inj.StreamHash()
+	release := func() {}
+	if zone, ok := m.LookupRegion("cachekv.imm"); holdFlush && ok {
+		held := make(chan struct{})
+		m.SetMemGate(func(op sim.MemOp, addr uint64, size int) int {
+			if op == sim.MemOpNTWrite && zone.Addr <= addr && addr < zone.End() {
+				<-held
+			}
+			return size
+		})
+		var once sync.Once
+		release = func() {
+			once.Do(func() {
+				m.SetMemGate(nil)
+				close(held)
+			})
+		}
+		defer release() // an open that fails may have queued a flush
+	}
 
 	// Recovery. A panic is always a violation. A clean open error is
 	// acceptable only for FaultFlip (corruption may damage metadata the
@@ -284,6 +316,7 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 			snap := r.Gather()
 			res.FilterProbes, res.FilterNegatives = snap.Int(obs.MFilterProbes), snap.Int(obs.MFilterNegatives)
 		}
+		release()
 		_ = db2.Close(th2)
 	}()
 	tr.Emit(th2.Clock.Now(), "oracle_done",
