@@ -204,8 +204,8 @@ func smoke(db *cachekv.DB, ops int) error {
 
 // statsCmd runs a deterministic smoke workload against a fresh store and
 // dumps the metrics registry, as aligned text or (with -json) the snapshot
-// sorted by name. Background work is host-timed, so some counters (such as
-// index_busy_ns and engine_read_syncs) can differ from run to run.
+// sorted by name. The merge kind coalesces its requests by host timing, so
+// engine_compactions and trace_events can differ from run to run.
 func statsCmd(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	engine := fs.String("engine", "cachekv", "engine to exercise")

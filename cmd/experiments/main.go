@@ -5,7 +5,7 @@
 //
 //	experiments -list                          # the figures
 //	experiments -fig 10 -ops 1000000           # one figure at a custom op count
-//	experiments -fig 4,wa -md EXPERIMENTS.md   # also rewrite their blocks in the file
+//	experiments -fig 4,wa -md EXPERIMENTS.md   # rerun them at the op counts their blocks record, rewrite the blocks
 package main
 
 import (
@@ -42,10 +42,25 @@ func main() {
 	for id := range wanted {
 		check(fmt.Errorf("unknown figure %q (see -list)", id))
 	}
+	// With -md and neither -ops nor -ycsb-ops, a figure reruns at its block's.
+	rescale := false
+	flag.Visit(func(f *flag.Flag) { rescale = rescale || f.Name == "ops" || f.Name == "ycsb-ops" })
+	var doc []byte
+	if *mdPath != "" {
+		var err error
+		doc, err = os.ReadFile(*mdPath)
+		check(err)
+	}
 
 	ran := map[string]bench.Rendered{}
 	for _, f := range selected {
-		r, err := f.Run(bench.Scale{Ops: *ops, YCSBOps: *ycsbOps})
+		scale := bench.Scale{Ops: *ops, YCSBOps: *ycsbOps}
+		if *mdPath != "" && !rescale {
+			n, err := bench.RecordedOps(string(doc), f.ID)
+			check(err)
+			scale = bench.Scale{Ops: n, YCSBOps: n}
+		}
+		r, err := f.Run(scale)
 		check(err)
 		for _, t := range r.Tables {
 			fmt.Println(t)
@@ -53,9 +68,7 @@ func main() {
 		ran[f.ID] = r
 	}
 	if *mdPath != "" {
-		doc, err := os.ReadFile(*mdPath)
-		check(err)
-		out, err := bench.UpdateDoc(string(doc), ran)
+		out, err := bench.UpdateDoc(string(doc), ran, rescale)
 		check(err)
 		check(os.WriteFile(*mdPath, []byte(out), 0o644))
 	}

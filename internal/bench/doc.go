@@ -95,16 +95,30 @@ func tableCells(doc string) (map[string][]string, error) {
 	return cells, nil
 }
 
+// RecordedOps returns the op count figure id's block in doc records.
+func RecordedOps(doc, id string) (int64, error) {
+	m := blockRE(id).FindStringSubmatch(doc)
+	if m == nil {
+		return 0, fmt.Errorf("figure %s has no generator block", id)
+	}
+	return strconv.ParseInt(m[1], 10, 64)
+}
+
 // UpdateDoc returns doc with the block of every figure in ran re-rendered and
 // every Summary value recomputed from the tables the file then holds. Nothing
-// outside a block, and no block of a figure not in ran, changes.
-func UpdateDoc(doc string, ran map[string]Rendered) (string, error) {
+// outside a block, and no block of a figure not in ran, changes. Unless
+// rescale is set, a figure that ran at another op count than its block
+// records is refused: its cells would move for scale alone.
+func UpdateDoc(doc string, ran map[string]Rendered, rescale bool) (string, error) {
 	for id, r := range ran {
-		re := blockRE(id)
-		if !re.MatchString(doc) {
-			return "", fmt.Errorf("figure %s has no generator block to write into", id)
+		ops, err := RecordedOps(doc, id)
+		if err != nil {
+			return "", err
 		}
-		doc = re.ReplaceAllLiteralString(doc, r.block(id))
+		if r.Ops != ops && !rescale {
+			return "", fmt.Errorf("figure %s ran at %d ops, but its block records %d", id, r.Ops, ops)
+		}
+		doc = blockRE(id).ReplaceAllLiteralString(doc, r.block(id))
 	}
 	cells, err := tableCells(doc)
 	if err != nil {

@@ -104,11 +104,47 @@ func TestExperimentsDocRejectsHandEdits(t *testing.T) {
 	}
 }
 
+// TestUpdateDocRefusesARescale: a figure that ran at another op count than
+// its block records is refused, naming the figure and both counts, unless
+// rescale is set. Figure wa's cells feed no Summary value, so its skeleton
+// stands in for a run.
+func TestUpdateDocRefusesARescale(t *testing.T) {
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	figs := map[string]Figure{}
+	for _, f := range Figures {
+		figs[f.ID] = f
+	}
+	for _, id := range []string{"12", "wa"} {
+		recorded, err := RecordedOps(doc, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := recorded + 50_000
+		ran := map[string]Rendered{id: figs[id].Skeleton(Scale{Ops: ops, YCSBOps: ops})}
+		want := fmt.Sprintf("figure %s ran at %d ops, but its block records %d", id, ops, recorded)
+		if _, err := UpdateDoc(doc, ran, false); err == nil || err.Error() != want {
+			t.Errorf("UpdateDoc = %v, want %q", err, want)
+		}
+	}
+	ops := int64(20_000)
+	out, err := UpdateDoc(doc, map[string]Rendered{"wa": figs["wa"].Skeleton(Scale{Ops: ops, YCSBOps: ops})}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := RecordedOps(out, "wa"); got != ops {
+		t.Fatalf("with rescale the block records %d ops, want %d", got, ops)
+	}
+}
+
 // checkDoc is TestExperimentsDocIsGenerated's check on one document text.
 func checkDoc(doc string) error {
 	// UpdateDoc refuses a figure without a block and a block that is not what
 	// the registry renders from its cells, and recomputes the Summary.
-	out, err := UpdateDoc(doc, nil)
+	out, err := UpdateDoc(doc, nil, false)
 	if err != nil {
 		return err
 	}

@@ -181,9 +181,9 @@ func TestAbortWakesWaitersAndDropsQueuedJobs(t *testing.T) {
 }
 
 // TestCloseDrainsInOrder: Close stops the kinds in the order they were added
-// — flush, spill, compact, sync, merge, as an engine adds them — so the jobs
-// a draining flush submits to the spill, and the spill to the index kinds,
-// still run; an Abandon kind drops its pending run instead.
+// — flush, spill, compact, merge, as an engine adds them — so the jobs a
+// draining flush submits to the spill, and the spill to the merge kind, still
+// run; an Abandon kind drops its pending run instead.
 func TestCloseDrainsInOrder(t *testing.T) {
 	p := New(func(err error) { t.Error(err) })
 	flushGate, compactGate := make(chan struct{}), make(chan struct{})
@@ -194,12 +194,12 @@ func TestCloseDrainsInOrder(t *testing.T) {
 		log = append(log, s)
 		mu.Unlock()
 	}
-	var flush, syncs *Kind[int]
+	var flush *Kind[int]
 	var spill, compact, merge *Kind[struct{}]
 	running := func(ks ...bool) bool { return !slices.Contains(ks, true) }
 	flush = Add(p, Config{Name: "flush", Workers: 1, Rule: FIFO, Queue: 4}, func(_ int, at int64, _ int) (int64, bool) {
 		<-flushGate
-		if !running(halted(spill), halted(compact), halted(syncs), halted(merge)) {
+		if !running(halted(spill), halted(compact), halted(merge)) {
 			t.Error("a kind after flush was stopped while a flush ran")
 		}
 		note("flush")
@@ -207,11 +207,10 @@ func TestCloseDrainsInOrder(t *testing.T) {
 		return at, false
 	}, nil)
 	spill = Add(p, Config{Name: "spill", Workers: 1, Rule: Lossy, Queue: 1}, func(_ int, at int64, _ struct{}) (int64, bool) {
-		if !running(halted(compact), halted(syncs), halted(merge)) {
+		if !running(halted(compact), halted(merge)) {
 			t.Error("a kind after spill was stopped while a spill ran")
 		}
 		note("spill")
-		syncs.Submit(at, 0)
 		merge.Submit(at, struct{}{})
 		return at, false
 	}, nil)
@@ -221,10 +220,6 @@ func TestCloseDrainsInOrder(t *testing.T) {
 		<-compactGate
 		return at, false
 	}, func(struct{}) { dropped.Add(1) })
-	syncs = Add(p, Config{Name: "sync", Workers: 1, Rule: Lossy, Queue: 4}, func(_ int, at int64, _ int) (int64, bool) {
-		note("sync")
-		return at, false
-	}, nil)
 	merge = Add(p, Config{Name: "merge", Workers: 1, Rule: Coalesce}, func(_ int, at int64, _ struct{}) (int64, bool) {
 		note("merge")
 		return at, false
@@ -247,11 +242,11 @@ func TestCloseDrainsInOrder(t *testing.T) {
 	<-closed
 	mu.Lock()
 	defer mu.Unlock()
-	if !slices.Contains(log, "sync") || !slices.Contains(log, "merge") {
-		t.Fatalf("ran %v: the flush's spill and the spill's sync and merge must all run", log)
+	if !slices.Contains(log, "merge") {
+		t.Fatalf("ran %v: the flush's spill and the spill's merge must all run", log)
 	}
-	if want := []string{"compact", "flush", "spill"}; !slices.Equal(slices.DeleteFunc(slices.Clone(log), func(s string) bool { return s == "sync" || s == "merge" }), want) {
-		t.Fatalf("ran %v, want %v then the index kinds", log, want)
+	if want := []string{"compact", "flush", "spill"}; !slices.Equal(slices.DeleteFunc(slices.Clone(log), func(s string) bool { return s == "merge" }), want) {
+		t.Fatalf("ran %v, want %v then the merge", log, want)
 	}
 	if dropped.Load() != 1 {
 		t.Fatalf("compaction dropped %d pending runs at Close, want 1", dropped.Load())
@@ -259,7 +254,7 @@ func TestCloseDrainsInOrder(t *testing.T) {
 }
 
 // TestSubmitAllocs: submitting a job allocates nothing, whatever the rule — a
-// trigger-2 sync is submitted every SyncThreshold writes, a flush per slot.
+// flush is submitted per slot, a merge per flushed table.
 func TestSubmitAllocs(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -270,10 +270,10 @@ func (e *Engine) commitOps(th *hw.Thread, ops []batchOp, deadlineV int64) error 
 			}
 		}
 		if e.opts.LazyIndex {
-			// Trigger 2: hand the slot to the background index thread whenever
-			// the table counter crosses a multiple of SyncThreshold.
+			// Trigger 2: whenever the table counter crosses a multiple of
+			// SyncThreshold, the index thread syncs the slot from now.
 			if (count+n)%uint64(e.opts.SyncThreshold) < n {
-				e.requestSync(th.Clock.Now(), s)
+				e.indexSync(th.Clock.Now(), s)
 			}
 			return nil
 		}

@@ -197,17 +197,17 @@ type Engine struct {
 	// bg runs the background jobs, one kind each (startBackground).
 	bg             *bgpool.Pool
 	flushes        *bgpool.Kind[*slot]
-	syncs          *bgpool.Kind[*slot]
 	merges         *bgpool.Kind[struct{}]
 	spills         *bgpool.Kind[struct{}]
 	compacts       *bgpool.Kind[struct{}]
 	flushBuf       []byte       // the table being copied (the flush kind has one worker)
 	compactThreads []*hw.Thread // per compaction worker
 	pendingFlushes atomic.Int64
-	// syncJobs and syncBusyNs tally the syncs booked on the index thread's
-	// server (bookSync); pendingSyncs counts the trigger-2 syncs requested
-	// and not yet run (requestSync).
-	syncJobs, syncBusyNs, pendingSyncs atomic.Int64
+	// indexTh runs the syncs of triggers 2 and 3 one at a time (indexSync);
+	// syncJobs and syncBusyNs tally those booked on its server (bookSync).
+	indexMu              sync.Mutex
+	indexTh              *hw.Thread
+	syncJobs, syncBusyNs atomic.Int64
 	// pendingFlushBytes tracks sealed-but-unflushed slot payload bytes; with
 	// ImmZone occupancy it forms the backlog signal (see backlog).
 	pendingFlushBytes atomic.Int64
@@ -568,12 +568,14 @@ func (e *Engine) DebugForceFlowState(at int64, s FlowState) { e.flow.force(at, s
 // queueSealed hands a sealed slot to the copy-based flush: the one place a
 // seal enters the backlog accounting, the lifecycle trace (exactly one
 // memtable_seal per queued slot, answered by one flush_end) and flow
-// control's view of the backlog. It never blocks — pool.acquire force-rotates
-// through it with pool.mu held.
+// control's view of the backlog. Trigger 3 syncs the full table from the seal
+// first, so the flush moves a complete sub-skiplist to the ImmZone registry.
+// It never blocks — pool.acquire force-rotates through it with pool.mu held.
 func (e *Engine) queueSealed(at int64, s *slot) {
 	cnt, _, tail := unpackHdr(s.hdr.Load())
 	e.trace.Emit(at, "memtable_seal", "shard", e.env.index,
 		"slot", s.idx, "entries", cnt, "bytes", tail)
+	s.indexDoneV = e.indexSync(at, s)
 	e.addPending(1, tail)
 	if !e.flushes.Submit(at, s) {
 		e.addPending(-1, tail) // overflow: the pool failed the engine
@@ -884,12 +886,6 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 		}
 	}
 	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 }) {
-		return e.err()
-	}
-	// The trigger-2 syncs still queued find their tables indexed by the
-	// flushes' final syncs. Wait them out anyway: then none runs on after
-	// FlushAll, and the index counters are final when it returns.
-	if !e.syncs.Wait(func() bool { return e.pendingSyncs.Load() == 0 }) {
 		return e.err()
 	}
 	e.spill(th)

@@ -13,6 +13,7 @@ import (
 	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
+	"cachekv/internal/obs"
 )
 
 func testMachine() *hw.Machine {
@@ -401,11 +402,45 @@ func TestLazyIndexReadSync(t *testing.T) {
 	}
 }
 
-// TestSyncsOvertakeACompaction holds the merge kind's job inside runMerge and
-// checks that the sync kind's jobs are still served: a merge must not leave
-// the active slot's sub-skiplist behind its writer, or whether the next Get
-// finds it current or pays for the catch-up itself depends on host scheduling
-// alone.
+// TestThresholdPutSyncs: trigger 2 runs on the writer's goroutine.
+func TestThresholdPutSyncs(t *testing.T) {
+	e, th := openEngine(t, testMachine(), smallOpts())
+	defer e.Close(th)
+	putAcrossThresholds(t, e, th, 3)
+}
+
+// putAcrossThresholds Puts rounds × SyncThreshold keys into th's slot. Each
+// Put that takes the slot's counter to a multiple of SyncThreshold must
+// return with the slot's sub-skiplist holding every entry up to it and
+// index_jobs counting the sync; the Puts in between sync nothing.
+func putAcrossThresholds(t *testing.T, e *Engine, th *hw.Thread, rounds int) {
+	t.Helper()
+	r := obs.NewRegistry()
+	e.RegisterObs(r)
+	thr := e.opts.SyncThreshold
+	for i := 1; i <= rounds*thr; i++ {
+		if err := e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		s := e.pool.slotFor(th.Core)
+		s.syncMu.Lock()
+		listed := s.listCount
+		s.syncMu.Unlock()
+		syncs := i / thr
+		if want := uint64(syncs * thr); listed != want {
+			t.Fatalf("after Put %d the sub-skiplist holds %d entries, want %d", i, listed, want)
+		}
+		if jobs := r.Gather().Int("index_jobs"); jobs != int64(syncs) {
+			t.Fatalf("after Put %d index_jobs = %d, want %d", i, jobs, syncs)
+		}
+	}
+}
+
+// TestSyncsOvertakeACompaction holds the merge kind's job inside runMerge
+// while one writer crosses SyncThreshold four times: each crossing Put still
+// returns with its slot synced. A merge must not leave the active slot's
+// sub-skiplist behind its writer, or whether the next Get finds it current or
+// pays for the catch-up itself depends on host scheduling alone.
 func TestSyncsOvertakeACompaction(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
@@ -415,23 +450,9 @@ func TestSyncsOvertakeACompaction(t *testing.T) {
 	for e.merges.Running() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	const puts = 4 * 64 // four trigger-2 requests at the default threshold
-	for i := 0; i < puts; i++ {
-		if err := e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := e.pool.snapshotActive(nil)[0]
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.syncMu.Lock()
-		synced := s.listCount
-		s.syncMu.Unlock()
-		if synced == puts {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sub-skiplist holds %d of %d entries while a compaction runs", synced, puts)
-		}
+	putAcrossThresholds(t, e, th, 4)
+	if e.merges.Running() == 0 {
+		t.Fatal("the held merge finished")
 	}
 }
 

@@ -103,14 +103,13 @@ func newMemState() *memState {
 	return &memState{global: newHashIndex(seededHash, 0)}
 }
 
-// startBackground adds the engine's five kinds of background job to its pool:
-// the paper's N flush threads and one index thread (its trigger-2 syncs and
-// its sub-skiplist merges on workers of their own, so that a merge never holds
-// queued syncs back), the spill thread, and the LSM compaction workers. Each
-// kind books its jobs on its own virtual server — sync and merge on the index
-// thread's one — so that configured thread counts, not host scheduling, pace
-// the pipeline (Exp#3/#5). The order is Close's: an in-flight flush may still
-// submit a spill, a sync or a merge, and a spill a compaction.
+// startBackground adds the engine's four kinds of background job to its pool:
+// the paper's N flush threads, the index thread's sub-skiplist merges (its
+// lazy syncs run where they fire: indexSync), the spill thread, and the LSM
+// compaction workers. Each kind books its jobs on its own virtual server, so
+// that configured thread counts, not host scheduling, pace the pipeline
+// (Exp#3/#5). The order is Close's: an in-flight flush may still submit a
+// spill or a merge, and a spill a compaction.
 //
 // A flush thread is a virtual server: one host worker takes the sealed slots
 // in seal order and books each table's copy on the earliest-free of the
@@ -137,11 +136,9 @@ func (e *Engine) startBackground() {
 		e.compactThreads = append(e.compactThreads, th)
 	}
 	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
-	// Trigger 2 asks for a sync every SyncThreshold writes; a request that
-	// finds 4 096 queued is dropped, and a later one or the reader catches up.
-	e.syncs = bgpool.Add(e.bg, bgpool.Config{Name: "sync", Workers: 1, Rule: bgpool.Lossy, Queue: 4096}, e.syncJob,
-		func(*slot) { e.pendingSyncs.Add(-1) })
-	e.merges = bgpool.Add(e.bg, bgpool.Config{Name: "merge", Workers: 1, Rule: bgpool.Coalesce, Server: e.syncs.Server}, e.mergeJob, nil)
+	e.merges = bgpool.Add(e.bg, bgpool.Config{Name: "merge", Workers: 1, Rule: bgpool.Coalesce}, e.mergeJob, nil)
+	e.indexTh = e.m.NewThread(0)
+	e.indexTh.Clock.SetLabel(hw.PhaseIndex.Layer())
 }
 
 // addPending moves a sealed slot of tail bytes into (n = 1) or out of (n = -1)
@@ -201,18 +198,18 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 }
 
 // flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
-// sealed at virtual time sealedAt (Section III-C) — a final index sync, a
-// non-temporal whole-table copy into the ImmZone, registration of the
-// resulting sub-ImmMemTable, and release of the slot. If the ImmZone crosses
-// its threshold, it spills to L0.
+// sealed at virtual time sealedAt (Section III-C), whose final index sync ran
+// at the seal — a non-temporal whole-table copy into the ImmZone,
+// registration of the resulting sub-ImmMemTable, and release of the slot. If
+// the ImmZone crosses its threshold, it spills to L0.
 //
 // The copy runs as flushExtents' extents, each a job of its own on the flush
 // servers with a thread of its own: the dispatch cost, its lines' reads, NT
 // stores and packing. The first extent also carries the zone allocation and
-// the header; the final sync is the index thread's. The host copies the
-// table in one pass, in address order, through the kind's one buffer.
+// the header. The host copies the table in one pass, in address order,
+// through the kind's one buffer.
 func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
-	_, _, sealedTail := unpackHdr(s.hdr.Load())
+	count, _, tail := unpackHdr(s.hdr.Load())
 	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
 	th.Clock.AdvanceTo(sealedAt)
@@ -223,17 +220,6 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	// sub-MemTables hurt write throughput (the paper's Exp#6 left side).
 	th.Clock.Advance(e.m.Costs.FlushFixed)
 
-	// Trigger 3 of the lazy index update: the table is full, synchronize.
-	// The work itself runs here (the sub-skiplist must be complete before it
-	// moves to the ImmZone registry), but its virtual time is billed to the
-	// dedicated index thread, which overlaps with the copy-based flush.
-	syncTh := e.m.NewThread(0)
-	syncTh.Clock.SetLabel(hw.PhaseIndex.Layer())
-	syncTh.Clock.AdvanceTo(sealedAt)
-	e.syncSlot(syncTh, s)
-	indexDoneV := e.bookSync(sealedAt, syncTh.Clock.Now()-sealedAt)
-
-	count, _, tail := unpackHdr(s.hdr.Load())
 	x := splitFlush(tail, e.flushes.Server.Size())
 	ths := []*hw.Thread{th}
 	for range x.n - 1 {
@@ -268,7 +254,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			werr := e.waitForSpace(th, immZoneHdrSize+tail, absDeadline(th, e.opts.WriteStallDeadline))
 			stallNs += th.Clock.Now() - w0
 			if e.bgErr() != nil {
-				e.addPending(-1, sealedTail)
+				e.addPending(-1, tail)
 				return 0, false
 			}
 			if werr != nil {
@@ -292,7 +278,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 		hdr := util.PutFixed64(nil, immHeaderMagic)
 		hdr = util.PutFixed64(hdr, tail)
 		hdr = util.PutFixed64(hdr, count)
-		// The final sync above indexed every entry of the table, so the highest
+		// The final sync indexed every entry of the table, so the highest
 		// sequence number it saw go by is the table's.
 		s.syncMu.Lock()
 		maxSeq := s.listMaxSeq
@@ -316,7 +302,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			count:      count,
 			maxSeq:     maxSeq,
 			list:       s.list,
-			indexDoneV: indexDoneV,
+			indexDoneV: s.indexDoneV,
 		}
 		s.syncMu.Unlock()
 		// Register before releasing the spill lock so a racing spill either
@@ -338,11 +324,11 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	// Model the flush duration on the configured server pool: the slot is
 	// reusable only once the flush servers have actually done every extent
 	// of the copy in virtual time — and not before the index thread has
-	// finished the table's final sync, which keeps the whole pipeline paced
-	// by the paper's one-flush-thread/one-index-thread configuration. Stall
-	// time spent waiting for the spill thread is not flush-server work, but
-	// the slot cannot free before the copy ended.
-	doneAt, end := indexDoneV, start
+	// finished the table's final sync, run at the seal, which keeps the whole
+	// pipeline paced by the paper's one-flush-thread/one-index-thread
+	// configuration. Stall time spent waiting for the spill thread is not
+	// flush-server work, but the slot cannot free before the copy ended.
+	doneAt, end := s.indexDoneV, start
 	for _, xth := range ths {
 		now := xth.Clock.Now()
 		doneAt = max(doneAt, e.flushes.Server.Submit(sealedAt, now-start-stallNs), now)
@@ -371,7 +357,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	if e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
 		e.spills.Submit(th.Clock.Now(), struct{}{})
 	}
-	e.addPending(-1, sealedTail)
+	e.addPending(-1, tail)
 	e.flow.recompute(th.Clock.Now(), "flush_end")
 	return doneAt, false
 }
@@ -447,26 +433,17 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	e.trace.Emit(th.Clock.Now(), "spill_end", "shard", e.env.index, "tables", len(imms), "max_seq", maxSeq)
 }
 
-// requestSync asks the index thread for a trigger-2 lazy sync of slot s at
-// virtual time at. pendingSyncs counts the requests not yet served, so that
-// FlushAll can wait them out.
-func (e *Engine) requestSync(at int64, s *slot) {
-	e.pendingSyncs.Add(1)
-	if !e.syncs.Submit(at, s) {
-		e.pendingSyncs.Add(-1) // dropped: 4 096 were queued
-	}
-}
-
-// syncJob is the sync kind's job: a trigger-2 lazy sync of slot s requested
-// at virtual time at, billed to the index thread from that instant.
-func (e *Engine) syncJob(_ int, at int64, s *slot) (int64, bool) {
-	th := e.m.NewThread(0)
-	th.Clock.SetLabel(hw.PhaseIndex.Layer())
-	th.Clock.AdvanceTo(at)
-	e.syncSlot(th, s)
-	done := e.bookSync(at, th.Clock.Now()-at)
-	e.pendingSyncs.Add(-1) // before the completion wakes FlushAll
-	return done, false
+// indexSync runs the lazy sync of slot s that trigger 2 (a write crossing a
+// multiple of SyncThreshold) or 3 (the seal) fires at virtual time at, on the
+// firing goroutine and the index thread, whose clock measures it, and returns
+// its completion on the index server. Lock order: pool.mu (a force-rotation
+// seals under it), indexMu, slot.syncMu.
+func (e *Engine) indexSync(at int64, s *slot) int64 {
+	e.indexMu.Lock()
+	defer e.indexMu.Unlock()
+	start := e.indexTh.Clock.Now()
+	e.syncSlot(e.indexTh, s)
+	return e.bookSync(at, e.indexTh.Clock.Now()-start)
 }
 
 // bookSync books a sync of d virtual ns, runnable at at, on the index
@@ -474,7 +451,7 @@ func (e *Engine) syncJob(_ int, at int64, s *slot) (int64, bool) {
 func (e *Engine) bookSync(at, d int64) int64 {
 	e.syncJobs.Add(1)
 	e.syncBusyNs.Add(d)
-	return e.syncs.Server.Submit(at, d)
+	return e.merges.Server.Submit(at, d)
 }
 
 // mergeJob is the merge kind's job: the index thread's sub-skiplist

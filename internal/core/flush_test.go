@@ -101,8 +101,6 @@ func TestFlushAllWaitsForTheLastFlushServer(t *testing.T) {
 // per extent, at least one — and engine_flushes counts tables, leaving out
 // flushes of empty slots, so there are at least as many jobs as flushes; no
 // server is busier than the elapsed virtual time times its server count.
-// FlushAll leaves no sync queued, so the index counters are final when it
-// returns.
 func TestServerCounters(t *testing.T) {
 	for _, servers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%d flush servers", servers), func(t *testing.T) {
@@ -121,9 +119,6 @@ func TestServerCounters(t *testing.T) {
 			}
 			if snap.Int("index_jobs") == 0 {
 				t.Error("no index sync was counted")
-			}
-			if n := e.pendingSyncs.Load(); n != 0 {
-				t.Errorf("%d trigger-2 syncs still queued after FlushAll", n)
 			}
 		})
 	}

@@ -102,6 +102,8 @@ type slot struct {
 	owner    atomic.Int32 // core the slot is assigned to (-1 when free)
 	sealedAt atomic.Int64 // virtual time the slot became immutable
 	freeAt   atomic.Int64 // virtual time its copy-based flush completes
+	// indexDoneV is when the index thread finished the final sync (queueSealed).
+	indexDoneV int64
 }
 
 func newSlot(idx int, addr, size uint64) *slot {

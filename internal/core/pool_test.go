@@ -171,12 +171,13 @@ func TestMergeStopsAtTheConfiguredSize(t *testing.T) {
 }
 
 // elasticRun is what must repeat between two runs of runElastic: the
-// writer's clock, each flush's booked end in flush_end order, and the
-// elasticity counts.
+// writer's clock, each flush's booked end in flush_end order, the
+// elasticity counts and the index thread's syncs.
 type elasticRun struct {
-	clock          int64
-	freeAt         []int64
-	splits, merges int64
+	clock                int64
+	freeAt               []int64
+	splits, merges       int64
+	indexJobs, indexBusy int64
 }
 
 // runElastic runs one writer on four flush servers and a pool of three slots:
@@ -212,7 +213,11 @@ func runElastic(t *testing.T) elasticRun {
 		}
 	}
 	_, _, freeAt := flushTimeline(o.Trace)
-	r := elasticRun{th.Clock.Now(), freeAt, e.pool.splits.Load(), e.pool.merges.Load()}
+	reg := obs.NewRegistry()
+	e.RegisterObs(reg)
+	snap := reg.Gather()
+	r := elasticRun{th.Clock.Now(), freeAt, e.pool.splits.Load(), e.pool.merges.Load(),
+		snap.Int("index_jobs"), snap.Int("index_busy_ns")}
 	if r.splits == 0 || r.merges == 0 || e.stats.Spills.Load() == 0 {
 		t.Fatalf("the load split %d times, merged %d times and spilled %d times; it must do all three",
 			r.splits, r.merges, e.stats.Spills.Load())
@@ -223,12 +228,17 @@ func runElastic(t *testing.T) elasticRun {
 // TestElasticityRepeats: a writer's virtual schedule does not depend on how
 // far the host's flush worker has got when it asks for a slot. Two runs of
 // one writer that splits, merges and spills repeat its clock, every flush's
-// booked end and the elasticity counts.
+// booked end, the elasticity counts and the index thread's syncs: each runs
+// on the write or seal that fires it, so none lags by host timing.
 func TestElasticityRepeats(t *testing.T) {
 	a, b := runElastic(t), runElastic(t)
 	if a.clock != b.clock || a.splits != b.splits || a.merges != b.merges {
 		t.Fatalf("runs differ: clock %d / %d vns, %d / %d splits, %d / %d merges",
 			a.clock, b.clock, a.splits, b.splits, a.merges, b.merges)
+	}
+	if a.indexJobs != b.indexJobs || a.indexBusy != b.indexBusy {
+		t.Fatalf("runs differ: index_jobs %d / %d, index_busy_ns %d / %d",
+			a.indexJobs, b.indexJobs, a.indexBusy, b.indexBusy)
 	}
 	if !slices.Equal(a.freeAt, b.freeAt) {
 		t.Fatalf("flush ends differ: %d flushes / %d", len(a.freeAt), len(b.freeAt))

@@ -117,12 +117,7 @@ func (e *Engine) Ingest(th *hw.Thread, entries []lsm.IngestEntry) error {
 	// The batch lives only in the tree yet is the freshest version of its
 	// keys; lift maxSpilledSeq so reads never skip the tree based on a
 	// memory-component candidate older than the ingest.
-	for {
-		cur := e.maxSpilledSeq.Load()
-		if cur >= seq || e.maxSpilledSeq.CompareAndSwap(cur, seq) {
-			break
-		}
-	}
+	raiseTo(&e.maxSpilledSeq, seq)
 	e.trace.Emit(th.Clock.Now(), "ingest", "shard", e.env.index,
 		"entries", len(entries), "seq", seq)
 	e.compacts.Submit(th.Clock.Now(), struct{}{})

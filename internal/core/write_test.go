@@ -70,7 +70,7 @@ func TestOneOpBatchCostsWhatPutCosts(t *testing.T) {
 				if e.Name() != mode.name {
 					t.Fatalf("opened %s, want %s", e.Name(), mode.name)
 				}
-				// Fewer ops than SyncThreshold: no background index sync races
+				// Fewer ops than SyncThreshold: no index sync adds its reads to
 				// the device-counter snapshot.
 				for i := 0; i < 40; i++ {
 					k, v := []byte(fmt.Sprintf("key%04d", i*7919%1000)), []byte(fmt.Sprintf("value-%d", i))
