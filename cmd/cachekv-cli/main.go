@@ -204,8 +204,7 @@ func smoke(db *cachekv.DB, ops int) error {
 
 // statsCmd runs a deterministic smoke workload against a fresh store and
 // dumps the metrics registry, as aligned text or (with -json) the snapshot
-// sorted by name. The merge kind coalesces its requests by host timing, so
-// engine_compactions and trace_events can differ from run to run.
+// sorted by name. Two runs print the same dump.
 func statsCmd(args []string) int {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	engine := fs.String("engine", "cachekv", "engine to exercise")
@@ -310,6 +309,10 @@ func printDossier(d obs.Dossier) {
 		fmt.Printf("   %-10s %10d ns\n", l.Layer, l.Ns)
 	}
 	for _, ev := range d.Events {
+		if len(ev.Attrs) == 0 {
+			fmt.Printf("   event @%-12d %s\n", ev.VNs, ev.Type)
+			continue
+		}
 		b, _ := json.Marshal(ev.Attrs)
 		fmt.Printf("   event @%-12d %-16s %s\n", ev.VNs, ev.Type, b)
 	}

@@ -181,9 +181,10 @@ func TestAbortWakesWaitersAndDropsQueuedJobs(t *testing.T) {
 }
 
 // TestCloseDrainsInOrder: Close stops the kinds in the order they were added
-// — flush, spill, compact, merge, as an engine adds them — so the jobs a
-// draining flush submits to the spill, and the spill to the merge kind, still
-// run; an Abandon kind drops its pending run instead.
+// — flush, spill and compact, as an engine adds them, then a coalescing kind
+// that drains, here called merge — so the jobs a draining flush submits to
+// the spill, and the spill to the merge kind, still run; an Abandon kind
+// drops its pending run instead.
 func TestCloseDrainsInOrder(t *testing.T) {
 	p := New(func(err error) { t.Error(err) })
 	flushGate, compactGate := make(chan struct{}), make(chan struct{})
@@ -254,7 +255,7 @@ func TestCloseDrainsInOrder(t *testing.T) {
 }
 
 // TestSubmitAllocs: submitting a job allocates nothing, whatever the rule — a
-// flush is submitted per slot, a merge per flushed table.
+// flush is submitted per slot.
 func TestSubmitAllocs(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -107,9 +107,6 @@ func TestGetAllocs(t *testing.T) {
 		}
 		val := make([]byte, 64)
 		flushed := fillFlushed(t, e, th, 1, allocKey, val)
-		for compaction && e.stats.Compactions.Load() == 0 {
-			runtime.Gosched() // the index thread folds the table into the global index
-		}
 		if n := e.mem.global.n.Load(); compaction != (n > 0) {
 			t.Fatalf("compaction=%v: the global index holds %d keys", compaction, n)
 		}

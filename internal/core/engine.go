@@ -11,6 +11,7 @@ import (
 	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
 	"cachekv/internal/obs"
@@ -150,7 +151,7 @@ type Stats struct {
 	Deletes     atomic.Int64
 	Flushes     atomic.Int64 // copy-based flushes completed
 	Spills      atomic.Int64 // L0 spills
-	Compactions atomic.Int64 // sub-skiplist compaction rounds
+	Compactions atomic.Int64 // sub-skiplist compactions, one per merged table
 	ReadSyncs   atomic.Int64 // trigger-1 lazy syncs performed by readers
 	GetRetries  atomic.Int64 // Get passes started over at a new snapshot
 
@@ -197,17 +198,17 @@ type Engine struct {
 	// bg runs the background jobs, one kind each (startBackground).
 	bg             *bgpool.Pool
 	flushes        *bgpool.Kind[*slot]
-	merges         *bgpool.Kind[struct{}]
 	spills         *bgpool.Kind[struct{}]
 	compacts       *bgpool.Kind[struct{}]
 	flushBuf       []byte       // the table being copied (the flush kind has one worker)
 	compactThreads []*hw.Thread // per compaction worker
 	pendingFlushes atomic.Int64
 	// indexTh runs the syncs of triggers 2 and 3 one at a time (indexSync);
-	// syncJobs and syncBusyNs tally those booked on its server (bookSync).
-	indexMu              sync.Mutex
-	indexTh              *hw.Thread
-	syncJobs, syncBusyNs atomic.Int64
+	// indexServer is the index thread's virtual server, which books those
+	// syncs and the flushes' merges (mergeTable).
+	indexMu     sync.Mutex
+	indexTh     *hw.Thread
+	indexServer *sim.ServerPool
 	// pendingFlushBytes tracks sealed-but-unflushed slot payload bytes; with
 	// ImmZone occupancy it forms the backlog signal (see backlog).
 	pendingFlushBytes atomic.Int64
@@ -457,18 +458,16 @@ func engineMetrics(levels int) []engineMetric {
 		return busy
 	})
 	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
-	// The other kinds' virtual servers, read the same way: the jobs each
-	// booked and the virtual time it kept them busy. The index pair counts the
-	// syncs (bookSync), not the merges that share the index thread's server:
-	// how merges coalesce follows the host's scheduling, as
-	// engine_compactions does.
+	// The other virtual servers, read the same way: the jobs each booked and
+	// the virtual time it kept them busy. The index pair counts the lazy
+	// syncs of triggers 2 and 3 and the merges, one per flushed table.
 	for _, k := range []struct {
 		name  string
 		stats func(e *Engine) (jobs, busyNs int64)
 	}{
 		{"flush", func(e *Engine) (int64, int64) { return e.flushes.Server.Stats() }},
 		{"spill", func(e *Engine) (int64, int64) { return e.spills.Server.Stats() }},
-		{"index", func(e *Engine) (int64, int64) { return e.syncJobs.Load(), e.syncBusyNs.Load() }},
+		{"index", func(e *Engine) (int64, int64) { return e.indexServer.Stats() }},
 	} {
 		counter(k.name+"_jobs", func(e *Engine) int64 {
 			jobs, _ := k.stats(e)
@@ -639,25 +638,18 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		}
 	}
 
-	// 2. Flushed sub-ImmMemTables: the global index covers compacted
-	// tables; uncompacted ones are searched individually.
+	// 2. Flushed sub-ImmMemTables: the global index covers every registered
+	// table, or, with SkiplistCompaction off, each table is searched on its
+	// own. An index while no table is registered is not read: a spill swaps
+	// imms and global together, and a flush merges its table into the index
+	// while the table is still in its slot, which step 1 searched.
 	e.mem.mu.RLock()
-	global := e.mem.global
-	var tables [16]*immTable
-	uncompacted, anyCompacted := tables[:0], false
-	for _, t := range e.mem.imms {
-		if t.compacted {
-			anyCompacted = true
-		} else {
-			uncompacted = append(uncompacted, t)
-		}
-	}
+	global, imms := e.mem.global, e.mem.imms
 	e.mem.mu.RUnlock()
-	// One DRAM access per bucket line. An index that covers no table is not
-	// read: a spill swaps imms and global together, and a
-	// merge marks its tables compacted only after upserting them, so while no
-	// table here is compacted the index holds nothing the tables below miss.
-	if e.opts.SkiplistCompaction && anyCompacted {
+	switch {
+	case len(imms) == 0:
+	case e.opts.SkiplistCompaction:
+		// One DRAM access per bucket line.
 		global.get(key, func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, addr uint64) bool {
 			if trailer>>8 > snapshot {
 				stale = true // key's, or one sharing its fingerprint: a pass more
@@ -681,10 +673,11 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 			}
 			return true
 		})
-	}
-	for _, t := range uncompacted {
-		if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
-			considerView(&res, v, fseq, kind)
+	default:
+		for _, t := range imms {
+			if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
+				considerView(&res, v, fseq, kind)
+			}
 		}
 	}
 

@@ -417,6 +417,7 @@ func putAcrossThresholds(t *testing.T, e *Engine, th *hw.Thread, rounds int) {
 	t.Helper()
 	r := obs.NewRegistry()
 	e.RegisterObs(r)
+	jobs0 := r.Gather().Int("index_jobs")
 	thr := e.opts.SyncThreshold
 	for i := 1; i <= rounds*thr; i++ {
 		if err := e.Put(th, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
@@ -430,28 +431,36 @@ func putAcrossThresholds(t *testing.T, e *Engine, th *hw.Thread, rounds int) {
 		if want := uint64(syncs * thr); listed != want {
 			t.Fatalf("after Put %d the sub-skiplist holds %d entries, want %d", i, listed, want)
 		}
-		if jobs := r.Gather().Int("index_jobs"); jobs != int64(syncs) {
-			t.Fatalf("after Put %d index_jobs = %d, want %d", i, jobs, syncs)
+		if jobs := r.Gather().Int("index_jobs") - jobs0; jobs != int64(syncs) {
+			t.Fatalf("after Put %d index_jobs rose by %d, want %d", i, jobs, syncs)
 		}
 	}
 }
 
-// TestSyncsOvertakeACompaction holds the merge kind's job inside runMerge
-// while one writer crosses SyncThreshold four times: each crossing Put still
-// returns with its slot synced. A merge must not leave the active slot's
-// sub-skiplist behind its writer, or whether the next Get finds it current or
-// pays for the catch-up itself depends on host scheduling alone.
+// TestSyncsOvertakeACompaction holds a flush inside its merge into the
+// global index while one writer crosses SyncThreshold four times: each
+// crossing Put still returns with its slot synced. A merge must not leave the
+// active slot's sub-skiplist behind its writer, or whether the next Get finds
+// it current or pays for the catch-up itself depends on host scheduling
+// alone.
 func TestSyncsOvertakeACompaction(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
-	e.mem.mu.Lock() // runMerge's first step waits here
+	if err := e.Put(th, []byte("sealed"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	s := e.pool.slotFor(th.Core)
+	e.mem.mu.Lock() // mergeTable's first step waits here
 	defer e.mem.mu.Unlock()
-	e.merges.Submit(th.Clock.Now(), struct{}{})
-	for e.merges.Running() == 0 {
+	if e.pool.sealForCore(th, th.Core) != s {
+		t.Fatal("the writer's slot did not seal")
+	}
+	e.queueSealed(th.Clock.Now(), s)
+	for e.flushes.Running() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	putAcrossThresholds(t, e, th, 4)
-	if e.merges.Running() == 0 {
+	if e.flushes.Running() == 0 || e.stats.Compactions.Load() != 0 {
 		t.Fatal("the held merge finished")
 	}
 }

@@ -15,15 +15,14 @@ import (
 const spillFraction = 0.75
 
 // immTable is one sub-ImmMemTable after its copy-based flush: the entry bytes
-// live in the ImmZone (PMem), its sub-skiplist stays in DRAM, and a compacted
-// flag records whether the global index already covers it.
+// live in the ImmZone (PMem) and its sub-skiplist stays in DRAM. With
+// SkiplistCompaction on, the global index covers it from its registration.
 type immTable struct {
 	base       uint64 // ImmZone address of the data region
 	dataLen    uint64
 	count      uint64
 	maxSeq     uint64
 	list       *skiplist.List
-	compacted  bool
 	indexDoneV int64 // virtual time the index thread finished this table's sync
 }
 
@@ -103,13 +102,14 @@ func newMemState() *memState {
 	return &memState{global: newHashIndex(seededHash, 0)}
 }
 
-// startBackground adds the engine's four kinds of background job to its pool:
-// the paper's N flush threads, the index thread's sub-skiplist merges (its
-// lazy syncs run where they fire: indexSync), the spill thread, and the LSM
-// compaction workers. Each kind books its jobs on its own virtual server, so
-// that configured thread counts, not host scheduling, pace the pipeline
+// startBackground adds the engine's three kinds of background job to its
+// pool: the paper's N flush threads, the spill thread, and the LSM compaction
+// workers. Each kind books its jobs on its own virtual server, so that
+// configured thread counts, not host scheduling, pace the pipeline
 // (Exp#3/#5). The order is Close's: an in-flight flush may still submit a
-// spill or a merge, and a spill a compaction.
+// spill, and a spill a compaction. The index thread is no kind: its lazy
+// syncs run where they fire (indexSync) and its sub-skiplist merges in the
+// flush of each table (mergeTable), each booked on indexServer.
 //
 // A flush thread is a virtual server: one host worker takes the sealed slots
 // in seal order and books each table's copy on the earliest-free of the
@@ -136,7 +136,7 @@ func (e *Engine) startBackground() {
 		e.compactThreads = append(e.compactThreads, th)
 	}
 	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
-	e.merges = bgpool.Add(e.bg, bgpool.Config{Name: "merge", Workers: 1, Rule: bgpool.Coalesce}, e.mergeJob, nil)
+	e.indexServer = sim.NewServerPool(1)
 	e.indexTh = e.m.NewThread(0)
 	e.indexTh.Clock.SetLabel(hw.PhaseIndex.Layer())
 }
@@ -199,9 +199,10 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 
 // flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
 // sealed at virtual time sealedAt (Section III-C), whose final index sync ran
-// at the seal — a non-temporal whole-table copy into the ImmZone,
-// registration of the resulting sub-ImmMemTable, and release of the slot. If
-// the ImmZone crosses its threshold, it spills to L0.
+// at the seal — a non-temporal whole-table copy into the ImmZone, the merge
+// of its sub-skiplist into the global index, registration of the resulting
+// sub-ImmMemTable, and release of the slot. If the ImmZone crosses its
+// threshold, it spills to L0.
 //
 // The copy runs as flushExtents' extents, each a job of its own on the flush
 // servers with a thread of its own: the dispatch cost, its lines' reads, NT
@@ -305,6 +306,9 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			indexDoneV: s.indexDoneV,
 		}
 		s.syncMu.Unlock()
+		if e.opts.SkiplistCompaction {
+			e.mergeTable(t)
+		}
 		// Register before releasing the spill lock so a racing spill either
 		// sees this table or runs after it is fully installed.
 		e.mem.mu.Lock()
@@ -336,11 +340,6 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	}
 	th.Clock.AdvanceTo(end) // the flush goes on from its last extent's end
 	e.freeSlot(th, s, doneAt)
-
-	// Hand the new table to the index/compaction thread (Section III-D).
-	if t != nil && e.opts.SkiplistCompaction {
-		e.merges.Submit(th.Clock.Now(), struct{}{})
-	}
 
 	e.trace.Emit(th.Clock.Now(), "flush_end", "shard", e.env.index,
 		"slot", s.idx, "bytes", tail, "entries", count, "stall_ns", stallNs, "free_at", doneAt)
@@ -443,26 +442,26 @@ func (e *Engine) indexSync(at int64, s *slot) int64 {
 	defer e.indexMu.Unlock()
 	start := e.indexTh.Clock.Now()
 	e.syncSlot(e.indexTh, s)
-	return e.bookSync(at, e.indexTh.Clock.Now()-start)
+	return e.indexServer.Submit(at, e.indexTh.Clock.Now()-start)
 }
 
-// bookSync books a sync of d virtual ns, runnable at at, on the index
-// thread's server and returns its completion.
-func (e *Engine) bookSync(at, d int64) int64 {
-	e.syncJobs.Add(1)
-	e.syncBusyNs.Add(d)
-	return e.merges.Server.Submit(at, d)
-}
-
-// mergeJob is the merge kind's job: the index thread's sub-skiplist
-// compaction. Its clock starts at 0 and its work is booked as runnable at 0,
-// whatever flush asked for it (ROADMAP item 1b).
-func (e *Engine) mergeJob(int, int64, struct{}) (int64, bool) {
+// mergeTable is the index thread's sub-skiplist compaction of one flushed
+// table (Section III-D): it folds t into the global index before the flush
+// registers t, so a Get that finds t registered finds its keys through the
+// index. The work runs on a thread of its own and is booked as runnable at
+// 0: it starts when the index server is free. The flush kind's one host
+// worker books the merges one per table, in seal order. The caller holds
+// spillMu shared, so no spill swaps the index meanwhile.
+func (e *Engine) mergeTable(t *immTable) {
 	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseCompact.Layer())
-	start := th.Clock.Now()
-	e.runMerge(th)
-	return e.merges.Server.Submit(start, th.Clock.Now()-start), false
+	e.mem.mu.RLock()
+	global := e.mem.global
+	e.mem.mu.RUnlock()
+	e.mergeInto(th, global, []*immTable{t})
+	done := e.indexServer.Submit(0, th.Clock.Now())
+	e.stats.Compactions.Add(1)
+	e.trace.Emit(done, "skiplist_compaction")
 }
 
 // compactJob is the compaction kind's job: one LSM compaction picked at the
@@ -478,33 +477,4 @@ func (e *Engine) compactJob(w int, at int64, _ struct{}) (int64, bool) {
 		e.flow.recompute(done, "lsm_compaction")
 	}
 	return done, ran
-}
-
-// runMerge merges every not-yet-compacted sub-ImmMemTable into the global
-// index.
-func (e *Engine) runMerge(th *hw.Thread) {
-	e.mem.mu.RLock()
-	var todo []*immTable
-	global := e.mem.global
-	for _, t := range e.mem.imms {
-		if !t.compacted {
-			todo = append(todo, t)
-		}
-	}
-	e.mem.mu.RUnlock()
-	if len(todo) == 0 {
-		return
-	}
-	e.mergeInto(th, global, todo)
-	e.mem.mu.Lock()
-	// The global index may have been swapped by a spill while we merged; the
-	// tables count as compacted only if it is still current.
-	if e.mem.global == global {
-		for _, t := range todo {
-			t.compacted = true
-		}
-	}
-	e.mem.mu.Unlock()
-	e.stats.Compactions.Add(1)
-	e.trace.Emit(th.Clock.Now(), "skiplist_compaction", "tables", len(todo))
 }

@@ -192,7 +192,7 @@ func sealAndFlush(t *testing.T, servers int, tail uint64) (*Engine, splitTable) 
 		return n
 	})
 	jobs0, busy0 := e.flushes.Server.Stats()
-	sync0 := e.syncBusyNs.Load()
+	sync0 := e.indexTh.Clock.Now()
 	if e.pool.sealForCore(th, th.Core) != s {
 		t.Fatal("the writer's slot did not seal")
 	}
@@ -205,7 +205,7 @@ func sealAndFlush(t *testing.T, servers int, tail uint64) (*Engine, splitTable) 
 
 	st.sealedAt = s.sealedAt.Load()
 	jobs, busy := e.flushes.Server.Stats()
-	st.jobs, st.busy, st.syncNs = jobs-jobs0, busy-busy0, e.syncBusyNs.Load()-sync0
+	st.jobs, st.busy, st.syncNs = jobs-jobs0, busy-busy0, e.indexTh.Clock.Now()-sync0
 	_, _, freeAt := flushTimeline(o.Trace)
 	if len(freeAt) != 1 {
 		t.Fatalf("%d flush_end events, want the one table's", len(freeAt))

@@ -281,7 +281,7 @@ func TestGetDuringMergesGrowthAndSpills(t *testing.T) {
 		}()
 	}
 	pad := make([]byte, 180)
-	v, grown := int64(0), 0 // grown: an index seen larger between two rounds
+	v, grown := int64(0), 0 // grown: an index seen larger between two writes
 	var last *hashIndex
 	var lastBuckets int
 	for p := 0; p < 2*phases && !t.Failed(); p++ {
@@ -296,20 +296,20 @@ func TestGetDuringMergesGrowthAndSpills(t *testing.T) {
 					t.Fatal(err)
 				}
 				acked[k].Store(v)
+				// A table's merge grows the index all at once, and the
+				// spill may replace the index soon after.
+				e.mem.mu.RLock()
+				x := e.mem.global
+				e.mem.mu.RUnlock()
+				if nb := len(x.tab.Load().buckets); x == last && nb > lastBuckets {
+					grown++
+				}
+				last, lastBuckets = x, len(x.tab.Load().buckets)
 			}
-			e.mem.mu.RLock()
-			x := e.mem.global
-			e.mem.mu.RUnlock()
-			if nb := len(x.tab.Load().buckets); x == last && nb > lastBuckets {
-				grown++
-			}
-			last, lastBuckets = x, len(x.tab.Load().buckets)
 		}
 	}
 	close(done)
 	wg.Wait()
-	// A zone can spill before the merges of its tables ran, so not every wide
-	// phase need grow its index; most do.
 	if e.stats.Spills.Load() < 4 || e.stats.Compactions.Load() < 20 || slots.Load() == 0 || grown < 2 {
 		t.Fatalf("%d spills, %d merges, %d slots checked, %d growths seen: the window was not exercised",
 			e.stats.Spills.Load(), e.stats.Compactions.Load(), slots.Load(), grown)
@@ -318,10 +318,11 @@ func TestGetDuringMergesGrowthAndSpills(t *testing.T) {
 }
 
 // TestGetSkipsAnEmptyGlobalIndex: a Get reads the global index only once a
-// merge has put a table into it. With every key in the tree and no slot
-// active, a Get probes no filter and reads no bucket line, so its index cell
-// stays at 0; after a flush and a merge the same Get reads at least one line,
-// and a key that lives only in the merged table is found through the index.
+// flush has merged a table into it and registered the table. With every key
+// in the tree and no slot active, a Get probes no filter and reads no bucket
+// line, so its index cell stays at 0; after a flush the same Get reads at
+// least one line, and a key that lives only in the flushed table is found
+// through the index.
 func TestGetSkipsAnEmptyGlobalIndex(t *testing.T) {
 	e, th := openEngine(t, testMachine(), quietOpts())
 	defer e.Close(th)
@@ -346,14 +347,13 @@ func TestGetSkipsAnEmptyGlobalIndex(t *testing.T) {
 	if err := e.Put(th, []byte("merged"), []byte("m")); err != nil {
 		t.Fatal(err)
 	}
+	merges := e.stats.Compactions.Load()
 	e.queueSealed(th.Clock.Now(), e.pool.sealForCore(th, th.Core)) // into the ImmZone, short of a spill
-	merged := func() bool {
-		e.mem.mu.RLock()
-		defer e.mem.mu.RUnlock()
-		return len(e.mem.imms) == 1 && e.mem.imms[0].compacted
-	}
-	if !e.merges.Wait(merged) {
+	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 }) {
 		t.Fatal(e.err())
+	}
+	if n := e.stats.Compactions.Load() - merges; n != 1 {
+		t.Fatalf("%d merges into the global index, want the flushed table's", n)
 	}
 	if ns := get("in-tree", "t"); ns < e.m.Costs.DRAMAccess {
 		t.Fatalf("a Get with a merged table spent %d vns indexing, want at least one line (%d)", ns, e.m.Costs.DRAMAccess)

@@ -285,7 +285,7 @@ var _ lsm.Iterator = (*snapIter)(nil)
 // there, and only that one is upserted: the index takes a version only over a
 // lower sequence, so the tables may come in any order and, on identical
 // internal keys (one table recovered from both its ImmZone copy and its slot),
-// the earlier table wins. Charged to th — the index thread's clock, or
+// the earlier table wins. Charged to th — a flush's merge thread, or
 // recovery's — at the bulk-build rate: one visit per source node and one per
 // line the index touches.
 func (e *Engine) mergeInto(th *hw.Thread, x *hashIndex, tables []*immTable) {

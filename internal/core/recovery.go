@@ -102,9 +102,6 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		}
 		e.mem.global = newHashIndex(seededHash, int(n))
 		e.mergeInto(th, e.mem.global, e.mem.imms)
-		for _, t := range e.mem.imms {
-			t.compacted = true
-		}
 	}
 	return sealed, workers, nil
 }

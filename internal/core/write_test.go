@@ -179,9 +179,6 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 		t.Fatalf("registry has %d metrics at 0, %d at 1", len(snap0.Metrics), len(snap1.Metrics))
 	}
 	for i, m0 := range snap0.Metrics {
-		if m0.Name == "engine_compactions" {
-			continue // sub-skiplist compaction signals coalesce on the host scheduler
-		}
 		if m1 := snap1.Metrics[i]; m0 != m1 {
 			t.Errorf("registry differs: %+v at 0, %+v at 1", m0, m1)
 		}
