@@ -352,7 +352,6 @@ var causeEvents = map[string]bool{
 	"flow_state": true, "flush_stall": true, "flush_start": true, "flush_end": true,
 	"spill_start": true, "spill_end": true, "memtable_seal": true,
 	"compact_start": true, "compact_end": true, "lsm_compaction": true,
-	"skiplist_compaction": true,
 }
 
 // dossierNamesCause reports whether at least one dossier's event window

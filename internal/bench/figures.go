@@ -213,7 +213,7 @@ var Figures = []Figure{
 			last(func(r Result) float64 { return float64(r.HW.MediaWriteB >> 20) }, "%.0f")},
 	}}},
 	// Section III-E: the virtual time CacheKV takes to rebuild the DRAM
-	// sub-skiplists and the global index from what the persistent
+	// sub-skiplists and the active-key table from what the persistent
 	// sub-MemTable pool and ImmZone held at the crash, then 200 reads to
 	// confirm the recovered store serves data. The rows fix their own op counts.
 	{ID: "recovery", Summary: "extension: CacheKV crash-recovery time", Panels: []Panel{{

@@ -5,56 +5,181 @@ import (
 	"sync/atomic"
 
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
+	"cachekv/internal/skiplist"
+	"cachekv/internal/util"
 )
 
-// The active-key table maps a user key to its newest version in each active
-// sub-MemTable (allocated or sealed, not yet freed): the version's trailer and
-// a ref naming the slot incarnation and the entry's offset in it. A Get
-// probes it instead of every writing core's slot (Engine.probeActive),
-// so the memory component's write buffer costs a Get one bucket line however
-// many cores write, and no lazy sync or sub-skiplist search when the key is
-// there.
+// The active-key table is the memory component's one index: it maps a user
+// key to its newest version in each slot incarnation the memory component
+// holds — an active sub-MemTable (allocated or sealed, not yet freed), or the
+// ImmZone table a flush copied it into — by the version's trailer and a ref
+// naming the incarnation and the entry's offset in its data region. A Get
+// probes it instead of every writing core's slot and every flushed table's
+// sub-skiplist (Engine.probeActive), so the memory component costs a Get one
+// bucket line however many cores write and however many tables are flushed,
+// and no lazy sync or sub-skiplist search when the key is there. The paper's
+// read path probes one index for the memory component as well (Section
+// III-C/D); building it of hash lines entered at the write, not of a global
+// skiplist merged at the flush, is this implementation's.
 //
-// It is built of the global index's lines (hashindex.go), sized once at open
-// for the most entries the pool can hold, and never grows. An entry lies in
-// its key's home line or in one of the activeReach lines after it, in the
-// first slot a writer found free or dead, and records how far from home it
-// lies. The 4 bits past the home line's version (its reach) flag the lines
-// after it that an entry homed there was ever written to, so a probe reads the
-// home line and only the lines it flags: one line, unless four live entries
-// filled the home line at once. A writer holds the key's home line for the whole upsert,
-// so that the writers of a line take turns, and locks the line it writes too;
-// holding a line, it never waits for another, but lets go and starts over.
+// It is built of 64 B lines (bucket), sized once at open for the most entries
+// the pool and the ImmZone can hold, and never grows. An entry lies in its
+// key's home line or in one of the activeReach lines after it, in the first
+// slot a writer found free or dead, and records how far from home it lies.
+// The 4 bits past the home line's version (its reach) flag the lines after it
+// that an entry homed there was ever written to, so a probe reads the home
+// line and only the lines it flags: one line, unless four live entries filled
+// the home line at once. A writer holds the key's home line for the whole
+// upsert, so that the writers of a line take turns, and locks the line it
+// writes too; holding a line, it never waits for another, but lets go and
+// starts over.
 //
-// What a Get may conclude from a probe rests on three rules:
-//   - Each active slot incarnation that holds a version of a key holds an
-//     entry of the key's fingerprint and tag, at the sequence of the key's
-//     newest version there or a higher one: a writer replaces its own
-//     incarnation's entry of the fingerprint and tag in place at an equal or
-//     higher sequence, leaves it otherwise, and never touches another
-//     incarnation's live entry. A key whose fingerprint and tag are another's
-//     (one in 2^21 within a home line) shares that entry, so a probe that
-//     finds another key there cannot answer; the version the entry no longer
-//     names lies in the same incarnation and leaves the active slots with it.
-//   - An entry whose slot incarnation is gone is dead. Its versions reached an
-//     ImmZone table before the slot was freed (flushOne registers the table
-//     first), so the later steps of the Get find them, and a writer may reuse
-//     its slot.
-//   - An entry no line in reach had room for marks its slot, and while a
-//     marked slot is active (unplaced > 0) no probe is trusted.
+// An entry outlives its slot's flush: flushOne copies the slot byte for byte,
+// so the entry's (slot, incarnation, offset) still names its version, at the
+// same offset of the table's data region. The rules a Get's conclusions rest
+// on:
+//   - Liveness. An entry is live while its incarnation is active or is
+//     registered in the memory component (memState.table), and dead once the
+//     spill retires that table — or, with SkiplistCompaction off, once the
+//     slot is freed. A dead entry's versions lie where the later steps of a
+//     Get look: in the tree, which the spill wrote them to before it retired
+//     their table (or in the ImmZone table the flush registered before it
+//     freed the slot). A writer may reuse a dead entry's slot.
+//   - Own entries. A writer replaces its own incarnation's entry of the key's
+//     fingerprint and tag in place at an equal or higher sequence and leaves
+//     it otherwise, so each live incarnation holding a version of a key holds
+//     an entry of its fingerprint and tag at that version's sequence or
+//     higher, unless an incarnation that outlives it took the entry over (the
+//     twin rule). A key whose fingerprint and tag are another's (one in 2^21
+//     within a home line) shares that entry, so a probe whose newest live
+//     entry holds another key cannot answer.
+//   - Hot keys (the twin rule). A writer with no entry of its own may take
+//     over a registered incarnation's entry of the key's fingerprint and tag
+//     when its sequence is higher, and never takes over an active
+//     incarnation's. The spill retires every registered table at once, so the
+//     taker outlives the entry it replaced. Without the rule a key written
+//     into a table after table would keep an entry in each until the spill,
+//     and overflow its reach.
+//   - Unplaced versions. An entry no line in reach had room for marks its
+//     slot; the mark moves to the slot's table at the flush and clears when
+//     the spill retires it, and while any incarnation is marked (unplaced > 0)
+//     no probe is trusted.
+//   - Fallback. A probe that cannot answer leaves the Get to search every
+//     active slot and every registered table's sub-skiplist, the path a Get
+//     takes with SkiplistCompaction off (the ablation rows, whose entries die
+//     at the flush).
+//   - Recovery enters every recovered ImmZone table in seal order, then every
+//     recovered sealed slot. A recovered table has no slot incarnation: it is
+//     named past the slot indices a pool can have (recoveredName).
 //
-// So a key has at most one live entry per slot incarnation, and while every
-// live entry of its fingerprint and tag lies at or below a Get's snapshot, the
-// newest of them, if it holds the key, is the key's newest version in any
-// active slot.
+// So while every live entry of a key's fingerprint and tag lies at or below a
+// Get's snapshot, the newest of them, if it holds the key, is the key's newest
+// version in the memory component.
 type activeTable struct {
+	hash    func([]byte) uint64 // seededHash; a test may stub it
 	buckets []bucket
 	mask    uint64
-	// unplaced counts the active slot incarnations holding a version left
-	// out of the table (slot.unplaced).
+	// unplaced counts the active slot incarnations (slot.unplaced) and the
+	// registered tables (immTable.unplaced) holding a version left out of
+	// the table.
 	unplaced atomic.Int64
 }
+
+// bucket is one 64 B line of four slots. Word 0 holds the line's version in
+// its low 12 bits — odd while a writer holds the line, bumped again when it
+// is done, so a reader that saw the same even version before and after
+// copying the line saw no torn slot — then 4 bits of reach (activeVer), and
+// the slots' 12-bit fingerprints above them (0: free). A reader stalled
+// across 2^11 changes of its line would not notice a torn slot; a torn
+// (trailer, address) pair could make a Get take one entry's trailer for
+// another's. Words 1–4 are the slots' trailers, and words 5–7 their 48-bit
+// address words, packed (storeEntry).
+type bucket [8]atomic.Uint64
+
+const (
+	bucketSlots = 4
+	minBuckets  = 16
+	fpBits      = 12
+	fpMask      = 1<<fpBits - 1
+	addrMask    = 1<<48 - 1
+	tableSeed   = 0xC0117EC7
+)
+
+// seededHash is the table's hash: util.Hash64 under a fixed seed.
+func seededHash(key []byte) uint64 { return util.Mix64(util.Hash64(key) ^ tableSeed) }
+
+// fingerprint is a key's tag in its line, never the free mark 0.
+func fingerprint(h uint64) uint64 { return max(h>>(64-fpBits), 1) }
+
+// slotAt returns slot s of a copied line: its fingerprint (0: free), trailer
+// word and address word.
+func slotAt(w *[8]uint64, s int) (fp, trailer, addr uint64) {
+	i, o := 5+48*s/64, 48*s%64
+	addr = w[i] >> o
+	if o > 16 {
+		addr |= w[i+1] << (64 - o)
+	}
+	return w[0] >> (16 + fpBits*s) & fpMask, w[1+s], addr & addrMask
+}
+
+// read copies the line into w, again until no write overlapped the copy.
+func (b *bucket) read(w *[8]uint64) {
+	for !b.tryRead(w) {
+		runtime.Gosched() // a writer holds the line
+	}
+}
+
+// tryRead is read's one attempt: it reports whether no write overlapped it.
+func (b *bucket) tryRead(w *[8]uint64) bool {
+	b.copyTo(w)
+	return w[0]&1 == 0 && b[0].Load() == w[0]
+}
+
+// copyTo loads the line's words into w as they are: whole only while the
+// caller holds the line.
+func (b *bucket) copyTo(w *[8]uint64) {
+	for j := range w {
+		w[j] = b[j].Load()
+	}
+}
+
+// lock takes the line for one writer: a CAS moves its version from even to
+// odd, so that writers of several cores share a table, and readers retry
+// until it is even again. It returns word 0 as locked.
+func (b *bucket) lock() uint64 {
+	for {
+		if w0, ok := b.tryLock(); ok {
+			return w0
+		}
+		runtime.Gosched()
+	}
+}
+
+// tryLock is lock's one attempt; it fails while another writer holds the line.
+func (b *bucket) tryLock() (uint64, bool) {
+	w0 := b[0].Load()
+	return w0 + 1, w0&1 == 0 && b[0].CompareAndSwap(w0, w0+1)
+}
+
+// put writes slot s of a line the caller locked with word 0 at w0, and returns
+// word 0 as it now stands.
+func (b *bucket) put(w0 uint64, s int, fp, trailer, addr uint64) uint64 {
+	b[1+s].Store(trailer)
+	i, o := 5+48*s/64, 48*s%64
+	b[i].Store(b[i].Load()&^(addrMask<<o) | addr<<o)
+	if o > 16 {
+		b[i+1].Store(b[i+1].Load()&^(addrMask>>(64-o)) | addr>>(64-o))
+	}
+	w0 = w0&^(fpMask<<(16+fpBits*s)) | fp<<(16+fpBits*s)
+	b[0].Store(w0)
+	return w0
+}
+
+// unlock publishes the caller's changes: the version, the bits of word 0 that
+// ver masks, moves on to even.
+func (b *bucket) unlock(w0, ver uint64) { b[0].Store(w0&^ver | (w0+1)&ver) }
 
 // activeReach is how many lines past its home a key's entry may lie: one
 // spare bit of the home line each.
@@ -62,11 +187,15 @@ const activeReach = 4
 
 // A ref names an entry: its data offset (the tail's 24 bits), its slot's
 // index (a pool's geometry table holds at most 510 slots) and the low bits
-// of the slot's incarnation.
+// of the slot's incarnation. A flushed table keeps its slot incarnation's
+// name (immTable.name), the ref without the offset.
 const (
 	refIdxBits = 10
 	refGenBits = 11
 	refGenMask = 1<<refGenBits - 1
+	// recoveredIdx is the first slot index of recoveredName's, past any
+	// slot a pool's geometry table holds.
+	recoveredIdx = 1 << (refIdxBits - 1)
 )
 
 func activeRef(idx int, gen uint32, off uint64) uint64 {
@@ -75,6 +204,18 @@ func activeRef(idx int, gen uint32, off uint64) uint64 {
 
 func unpackActiveRef(ref uint64) (idx int, gen uint32, off uint64) {
 	return int(ref >> tailBits & (1<<refIdxBits - 1)), uint32(ref >> (tailBits + refIdxBits)), ref & tailMask
+}
+
+// incarnationName is the name of slot idx's incarnation gen: its refs
+// without the offset.
+func incarnationName(idx int, gen uint32) uint64 { return activeRef(idx, gen, 0) >> tailBits }
+
+// recoveredName names the i-th ImmZone table recovery registers, which has no
+// slot incarnation: a slot index no pool has, so that no live slot's entries
+// are taken for the table's.
+func recoveredName(i int) uint64 {
+	const names = 1<<refIdxBits - recoveredIdx
+	return incarnationName(recoveredIdx+i%names, uint32(i/names))
 }
 
 // An entry also carries 9 bits of its key's hash past the fingerprint's (its
@@ -130,7 +271,7 @@ func newActiveTable(entries int) *activeTable {
 	for bucketSlots*nb < entries {
 		nb *= 2
 	}
-	t := &activeTable{buckets: make([]bucket, nb), mask: uint64(nb - 1)}
+	t := &activeTable{hash: seededHash, buckets: make([]bucket, nb), mask: uint64(nb - 1)}
 	for i := 0; i < nb; i += 4096 / cacheLine {
 		t.buckets[i][0].Store(0)
 	}
@@ -166,6 +307,15 @@ func (t *activeTable) get(h uint64, line func(), visit func(trailer, ref uint64)
 	}
 }
 
+// refState is what the incarnation a ref names is to the memory component.
+type refState uint8
+
+const (
+	refDead       refState = iota
+	refRegistered          // flushed into a table the memory component holds
+	refActive              // an allocated or sealed slot's
+)
+
 // activeSlot names a slot of the table by its line's distance from a home line
 // and its place in the line, with its words as a scan read them.
 type activeSlot struct {
@@ -175,21 +325,23 @@ type activeSlot struct {
 }
 
 // upsert records (trailer, ref) as the version of the key hashing to h in
-// ref's slot incarnation, unless that incarnation's entry of the key's
-// fingerprint and tag holds a higher sequence. live reports whether a ref's
-// slot incarnation is active. It reports false when no line in reach had a
-// free or dead slot: the version is then in no entry, and the caller marks its
-// slot.
-func (t *activeTable) upsert(h, trailer, ref uint64, live func(ref uint64) bool) bool {
+// ref's incarnation, unless that incarnation's entry of the key's fingerprint
+// and tag holds a higher sequence. With no entry of its own there, it takes
+// over a registered incarnation's entry of the fingerprint and tag at a lower
+// sequence (the twin rule), else the first free or dead slot. state reports
+// what a ref's incarnation is. It reports false when no line in reach had a
+// slot to take: the version is then in no entry, and the caller marks its
+// incarnation.
+func (t *activeTable) upsert(h, trailer, ref uint64, state func(ref uint64) refState) bool {
 	fp, tag := fingerprint(h), tagOf(h)
 	home := &t.buckets[h&t.mask]
 	for {
 		hw0 := home.lock()
-		// The incarnation's entry of the key's fingerprint and tag, else the
-		// first free or dead slot. Only the lines in reach can hold entries
-		// homed here, and a line past them is read only while no hole was
-		// found.
-		var at, hole activeSlot
+		// The incarnation's entry of the key's fingerprint and tag, else a
+		// registered one's to take over, else the first free or dead slot.
+		// Only the lines in reach can hold entries homed here, and a line
+		// past them is read only while no hole was found.
+		var at, over, hole activeSlot
 		reach, busy := reachOf(hw0)<<1|1, false
 		for d := 0; d <= activeReach && !busy; d++ {
 			if reach>>d == 0 && hole.found {
@@ -204,11 +356,14 @@ func (t *activeTable) upsert(h, trailer, ref uint64, live func(ref uint64) bool)
 			for s := range bucketSlots {
 				f, tw, aw := slotAt(&w, s)
 				_, r, dist, et := loadEntry(tw, aw)
-				switch {
-				case f == fp && dist == d && et == tag && r>>tailBits == ref>>tailBits:
-					at = activeSlot{d: d, s: s, f: f, tw: tw, aw: aw, found: true}
-				case !hole.found && (f == 0 || !live(r)):
-					hole = activeSlot{d: d, s: s, f: f, tw: tw, aw: aw, found: true}
+				here := activeSlot{d: d, s: s, f: f, tw: tw, aw: aw, found: true}
+				switch twin := f == fp && dist == d && et == tag; {
+				case twin && r>>tailBits == ref>>tailBits:
+					at = here
+				case twin && !over.found && trailer>>8 > tw>>8 && state(r) == refRegistered:
+					over = here
+				case !hole.found && (f == 0 || state(r) == refDead):
+					hole = here
 				}
 			}
 		}
@@ -222,6 +377,8 @@ func (t *activeTable) upsert(h, trailer, ref uint64, live func(ref uint64) bool)
 			return true // the entry is newer
 		case at.found:
 			hole = at
+		case over.found:
+			hole = over
 		case !hole.found:
 			home.unlock(hw0, activeVer)
 			return false
@@ -265,21 +422,22 @@ func (t *activeTable) upsert(h, trailer, ref uint64, live func(ref uint64) bool)
 
 // probeActive looks key up at snapshot in the active-key table, charging one
 // DRAM access per bucket line to hw.PhaseIndex, and reports whether the table
-// answered for the active slots: with the version it found, considered into
-// res, or with none, when no active slot holds the key. It fetches the newest
-// live entry of key's fingerprint and tag, and no other. It cannot answer, and
-// the caller searches every active slot, when a live entry is newer than
-// snapshot, or the newest lies past its slot's committed tail, is not the
-// version recorded or holds another key, or when a slot holds a version the
-// table left out (activeTable's rules).
+// answered for the memory component: with the version it found, considered
+// into res, or with none, when no live incarnation holds the key. It fetches
+// the newest live entry of key's fingerprint and tag, and no other. It cannot
+// answer, and the caller searches every active slot and registered table,
+// when a live entry is newer than snapshot, or the newest lies past its
+// region's committed end, is not the version recorded or holds another key,
+// or when an incarnation holds a version the table left out (activeTable's
+// rules).
 func (e *Engine) probeActive(th *hw.Thread, res *kvstore.UserGetResult, key []byte, snapshot uint64) bool {
 	e.stats.FilterProbes.Add(1)
 	answered, found := true, false
 	var newest, newestRef uint64
-	e.active.get(seededHash(key), func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, ref uint64) bool {
+	e.active.get(e.active.hash(key), func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, ref uint64) bool {
 		switch {
-		case !e.isActive(ref):
-			// Dead: its versions are in an ImmZone table by now.
+		case e.refState(ref) == refDead:
+			// Its versions are in the tree by now.
 		case trailer>>8 > snapshot:
 			answered = false // key's, or one sharing its fingerprint and tag
 			return false
@@ -289,10 +447,11 @@ func (e *Engine) probeActive(th *hw.Thread, res *kvstore.UserGetResult, key []by
 		return true
 	})
 	if answered && newest != 0 {
-		s, off, tail, live := e.activeEntry(newestRef)
+		r, st := e.resolveRef(newestRef)
 		var ent kvstore.Entry
+		live := st != refDead
 		if live {
-			ent, live = e.fetchEntry(th, &th.Scratch.Entry, s.dataAddr(), off, tail, e.poolPart)
+			ent, live = e.fetchEntry(th, &th.Scratch.Entry, r.base, r.off, r.limit, r.part)
 		}
 		if answered = live && ent.Trailer == newest && string(ent.UKey) == string(key); answered {
 			found = true
@@ -311,43 +470,82 @@ func (e *Engine) probeActive(th *hw.Thread, res *kvstore.UserGetResult, key []by
 	return answered
 }
 
-// activeEntry resolves a ref of the active-key table: the slot and data
-// offset it names and the slot's committed tail, and whether the slot
-// incarnation it names is still active. The header is read before the
-// incarnation is compared: a ref is written after its incarnation's header,
-// so a header that comes before a matching incarnation is that incarnation's.
-func (e *Engine) activeEntry(ref uint64) (s *slot, off, tail uint64, live bool) {
-	idx, gen, off := unpackActiveRef(ref)
-	slots := e.pool.slotList()
-	if idx >= len(slots) {
-		return nil, 0, 0, false
-	}
-	s = slots[idx]
-	_, state, tail := unpackHdr(s.hdr.Load())
-	if state == stateFree || s.gen.Load()&refGenMask != gen {
-		return nil, 0, 0, false
-	}
-	return s, off, tail, true
+// refEntry is where a live ref's entry lies: at off in the data region at
+// base, committed up to limit, read through the cache under part.
+type refEntry struct {
+	base, off, limit uint64
+	part             cache.PartitionID
 }
 
-// isActive reports whether the slot incarnation a ref names is active.
-func (e *Engine) isActive(ref uint64) bool {
-	_, _, _, ok := e.activeEntry(ref)
-	return ok
+// resolveRef resolves a ref of the active-key table in its active slot, else
+// in its registered table, and reports what its incarnation is. A slot's
+// header is read before its incarnation is compared: a ref is written after
+// its incarnation's header, so a header that comes before a matching
+// incarnation is that incarnation's. A flush registers its table before it
+// frees the slot, so a ref found in neither was retired by a spill. With
+// SkiplistCompaction off a table's entries die at its flush.
+func (e *Engine) resolveRef(ref uint64) (refEntry, refState) {
+	idx, gen, off := unpackActiveRef(ref)
+	if slots := e.pool.slotList(); idx < len(slots) {
+		s := slots[idx]
+		_, state, tail := unpackHdr(s.hdr.Load())
+		if state != stateFree && s.gen.Load()&refGenMask == gen {
+			return refEntry{base: s.dataAddr(), off: off, limit: tail, part: e.poolPart}, refActive
+		}
+	}
+	if !e.opts.SkiplistCompaction {
+		return refEntry{}, refDead
+	}
+	if t := e.mem.table(ref >> tailBits); t != nil {
+		return refEntry{base: t.base, off: off, limit: t.dataLen, part: cache.DefaultPartition}, refRegistered
+	}
+	return refEntry{}, refDead
+}
+
+// refState reports what the incarnation a ref names is (resolveRef).
+func (e *Engine) refState(ref uint64) refState {
+	_, st := e.resolveRef(ref)
+	return st
 }
 
 // enterActive enters key's version (its trailer), stored at data offset off
 // of s, in the active-key table. A version the table has no room for marks s
-// until the slot is freed (freeSlot).
+// (slot.unplaced).
 func (e *Engine) enterActive(s *slot, key []byte, trailer, off uint64) {
 	ref := activeRef(s.idx, s.gen.Load(), off)
-	if !e.active.upsert(seededHash(key), trailer, ref, e.isActive) && s.unplaced.CompareAndSwap(false, true) {
+	if !e.active.upsert(e.active.hash(key), trailer, ref, e.refState) && s.unplaced.CompareAndSwap(false, true) {
 		e.active.unplaced.Add(1)
 	}
 }
 
+// enterList enters the freshest version of each key of a recovered table's
+// sub-skiplist in the active-key table under its incarnation's name, as
+// commitOps enters every write: the table is volatile,
+// and the keys must be in it before the engine serves reads. It reports
+// whether the table had room for every key. Recovery is charged nothing for
+// it, as nothing for the sub-skiplist inserts beside it.
+func (e *Engine) enterList(list *skiplist.List, name uint64) bool {
+	placed := true
+	var key []byte
+	var it skiplist.Iterator
+	list.ResetIterator(&it)
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		ik := util.InternalKey(it.Key())
+		if ik.Kind() == util.KindRangeDel {
+			continue // the tombstone mirror covers it, as in commitOps
+		}
+		if ukey := ik.UserKey(); key == nil || string(ukey) != string(key) {
+			key = ukey // a key's first point node is its freshest
+			ref := name<<tailBits | util.Fixed64(it.Value())
+			placed = e.active.upsert(e.active.hash(key), ik.Trailer(), ref, e.refState) && placed
+		}
+	}
+	return placed
+}
+
 // freeSlot returns a flushed (or empty) slot to the pool at virtual time
-// doneAt: the active-key table's entries in it are dead from here on.
+// doneAt. Its mark, if the flush did not move it to the slot's table, clears
+// here.
 func (e *Engine) freeSlot(th *hw.Thread, s *slot, doneAt int64) {
 	if s.unplaced.Swap(false) {
 		e.active.unplaced.Add(-1)

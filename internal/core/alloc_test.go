@@ -92,9 +92,9 @@ func TestRebuildListAllocs(t *testing.T) {
 
 // TestGetAllocs: a Get served by the memory component allocates the value it
 // returns and nothing else, wherever the key lives — an active sub-MemTable,
-// a flushed table behind the global index, a flushed table searched on its
-// own — so a key with an empty value allocates nothing, and neither does a
-// Get that finds nothing, though it probes a populated index.
+// a flushed table behind the active-key table, a flushed table searched on
+// its own — so a key with an empty value allocates nothing, and neither does
+// a Get that finds nothing, though it probes a populated table.
 func TestGetAllocs(t *testing.T) {
 	skipAllocsUnderRace(t)
 	empty := []byte("key0000000000000+") // sorts among the flushed keys
@@ -107,8 +107,8 @@ func TestGetAllocs(t *testing.T) {
 		}
 		val := make([]byte, 64)
 		flushed := fillFlushed(t, e, th, 1, allocKey, val)
-		if n := e.mem.global.n.Load(); compaction != (n > 0) {
-			t.Fatalf("compaction=%v: the global index holds %d keys", compaction, n)
+		if got := liveSeqs(e, string(allocKey(0)), refRegistered); compaction != (len(got) > 0) {
+			t.Fatalf("compaction=%v: the table holds the flushed key at sequences %v", compaction, got)
 		}
 		if v, err := e.Get(th, empty); err != nil || len(v) != 0 {
 			t.Fatalf("Get(%s) = %q, %v; want the empty value", empty, v, err)

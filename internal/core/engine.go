@@ -35,8 +35,11 @@ type Options struct {
 	ImmZoneBytes  uint64 // PMem staging zone for flushed tables (32 MiB)
 
 	// Ablation switches: the paper's PCSM / PCSM+LIU / CacheKV breakdown.
+	// SkiplistCompaction false drops a flushed table's keys from the
+	// active-key table at its flush, so that a Get searches each flushed
+	// table's sub-skiplist (PCSM[+LIU]).
 	LazyIndex          bool // false = update the sub-skiplist on every write (PCSM)
-	SkiplistCompaction bool // false = never build the global index (PCSM[+LIU])
+	SkiplistCompaction bool
 
 	FSBytes uint64 // PMem file-layer capacity for SSTables (256 MiB)
 	LSM     lsm.Options
@@ -146,19 +149,19 @@ func (o Options) withDefaults() Options {
 
 // Stats exposes CacheKV's internal counters.
 type Stats struct {
-	Puts        atomic.Int64
-	Gets        atomic.Int64
-	Deletes     atomic.Int64
-	Flushes     atomic.Int64 // copy-based flushes completed
-	Spills      atomic.Int64 // L0 spills
-	Compactions atomic.Int64 // sub-skiplist compactions, one per merged table
-	ReadSyncs   atomic.Int64 // trigger-1 lazy syncs performed by readers
-	GetRetries  atomic.Int64 // Get passes started over at a new snapshot
+	Puts       atomic.Int64
+	Gets       atomic.Int64
+	Deletes    atomic.Int64
+	Flushes    atomic.Int64 // copy-based flushes completed
+	Spills     atomic.Int64 // L0 spills
+	ReadSyncs  atomic.Int64 // trigger-1 lazy syncs performed by readers
+	GetRetries atomic.Int64 // Get passes started over at a new snapshot
 
-	// The active-key table's probes (one per Get while a slot is active),
-	// how many found the key in no active slot (each skips every slot's
-	// trigger-1 lazy sync and sub-skiplist search), and how many the table
-	// could not answer, so that the Get synced and searched every active slot.
+	// The active-key table's probes (one per Get while the memory component
+	// holds a slot or a table), how many found the key in none (each skips
+	// every slot's trigger-1 lazy sync and sub-skiplist search), and how many
+	// the table could not answer, so that the Get synced and searched every
+	// active slot and flushed table.
 	// The registry publishes the first two under the filter names the
 	// per-slot filters the table replaced had.
 	FilterProbes    atomic.Int64
@@ -177,7 +180,7 @@ type Engine struct {
 
 	poolPart cache.PartitionID
 	pool     *pool
-	active   *activeTable // the newest version of each key in an active slot
+	active   *activeTable // the newest version of each key in each slot incarnation
 	immArena *arena.PArena
 	mem      *memState
 	fs       *pmemfs.FS
@@ -204,8 +207,7 @@ type Engine struct {
 	compactThreads []*hw.Thread // per compaction worker
 	pendingFlushes atomic.Int64
 	// indexTh runs the syncs of triggers 2 and 3 one at a time (indexSync);
-	// indexServer is the index thread's virtual server, which books those
-	// syncs and the flushes' merges (mergeTable).
+	// indexServer is the index thread's virtual server, which books them.
 	indexMu     sync.Mutex
 	indexTh     *hw.Thread
 	indexServer *sim.ServerPool
@@ -257,8 +259,8 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		opts:   opts,
 		env:    env,
 		trace:  opts.Trace,
-		mem:    newMemState(),
-		active: newActiveTable(int(opts.PoolBytes / minEntryBytes)),
+		mem:    new(memState),
+		active: newActiveTable(activeEntries(opts)),
 		seq:    env.seq,
 	}
 	e.bg = bgpool.New(e.fail)
@@ -423,7 +425,6 @@ func engineMetrics(levels int) []engineMetric {
 	counter("engine_deletes", func(e *Engine) int64 { return e.stats.Deletes.Load() })
 	counter("engine_flushes", func(e *Engine) int64 { return e.stats.Flushes.Load() })
 	counter("engine_spills", func(e *Engine) int64 { return e.stats.Spills.Load() })
-	counter("engine_compactions", func(e *Engine) int64 { return e.stats.Compactions.Load() })
 	counter("engine_read_syncs", func(e *Engine) int64 { return e.stats.ReadSyncs.Load() })
 	counter("engine_get_retries", func(e *Engine) int64 { return e.stats.GetRetries.Load() })
 	counter("engine_probe_fallbacks", func(e *Engine) int64 { return e.stats.ProbeFallbacks.Load() })
@@ -460,7 +461,7 @@ func engineMetrics(levels int) []engineMetric {
 	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
 	// The other virtual servers, read the same way: the jobs each booked and
 	// the virtual time it kept them busy. The index pair counts the lazy
-	// syncs of triggers 2 and 3 and the merges, one per flushed table.
+	// syncs of triggers 2 and 3.
 	for _, k := range []struct {
 		name  string
 		stats func(e *Engine) (jobs, busyNs int64)
@@ -584,13 +585,12 @@ func (e *Engine) queueSealed(at int64, s *slot) {
 }
 
 // Get implements kvstore.DB. The freshest version may live in any active
-// sub-MemTable, any flushed sub-ImmMemTable (directly or via the global
-// index), or the LSM tree; candidates are compared by sequence number.
-// Both places that keep only a key's newest version can take in one newer than
-// the Get's snapshot while it reads, and so drop the version that snapshot
-// reads, leaving the key absent or at an older version: the global index
-// (a merge) and the tree (a spill or an ingest, then a compaction). The Get
-// then starts over at a new snapshot, as a Scan's pass does.
+// sub-MemTable, any flushed sub-ImmMemTable, or the LSM tree; candidates are
+// compared by sequence number. The tree can take in a version newer than the
+// Get's snapshot while it reads (a spill or an ingest, then a compaction), and
+// so drop the version that snapshot reads, leaving the key absent or at an
+// older version. The Get then starts over at a new snapshot, as a Scan's pass
+// does.
 func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	if err := e.err(); err != nil {
 		return nil, err
@@ -605,17 +605,23 @@ func (e *Engine) Get(th *hw.Thread, key []byte) ([]byte, error) {
 	}
 }
 
-// getAt is one pass of Get at snapshot; stale reports that a place it read
-// held a version newer than snapshot: the global index one of key, the
-// tree any.
+// getAt is one pass of Get at snapshot; stale reports that the tree held a
+// version newer than snapshot.
 func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, stale bool, _ error) {
 	var res kvstore.UserGetResult
 
-	// 1. Active sub-MemTables: one probe of the active-key table, unless no
-	// slot is active. Only a probe it cannot answer syncs and searches every
-	// active slot.
+	// 1. The memory component: one probe of the active-key table, unless it
+	// holds no slot and no table. Only a probe it cannot answer syncs and
+	// searches every active slot, then every flushed table; with
+	// SkiplistCompaction off the table covers the active slots only, and the
+	// flushed tables are always searched. The slots are read before the
+	// tables: a flush registers its table before it frees the slot, so a
+	// version leaving one is found in the other.
 	var slots [16]*slot
-	if active := e.pool.snapshotActive(slots[:0]); len(active) > 0 && !e.probeActive(th, &res, key, snapshot) {
+	active := e.pool.snapshotActive(slots[:0])
+	covered := e.opts.SkiplistCompaction
+	searchTables := !covered
+	if (len(active) > 0 || covered && e.mem.registered()) && !e.probeActive(th, &res, key, snapshot) {
 		for _, s := range active {
 			if e.opts.LazyIndex && needsSync(s) {
 				th.InPhase(hw.PhaseIndex, func() {
@@ -636,44 +642,12 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 				considerView(&res, v, fseq, kind)
 			}
 		}
+		searchTables = true
 	}
-
-	// 2. Flushed sub-ImmMemTables: the global index covers every registered
-	// table, or, with SkiplistCompaction off, each table is searched on its
-	// own. An index while no table is registered is not read: a spill swaps
-	// imms and global together, and a flush merges its table into the index
-	// while the table is still in its slot, which step 1 searched.
-	e.mem.mu.RLock()
-	global, imms := e.mem.global, e.mem.imms
-	e.mem.mu.RUnlock()
-	switch {
-	case len(imms) == 0:
-	case e.opts.SkiplistCompaction:
-		// One DRAM access per bucket line.
-		global.get(key, func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, addr uint64) bool {
-			if trailer>>8 > snapshot {
-				stale = true // key's, or one sharing its fingerprint: a pass more
-				return true
-			}
-			// The index stores absolute ImmZone addresses; bound the fetch by
-			// the zone's remaining extent. The zone may have been spilled and
-			// refilled under this index, and a fingerprint may be another
-			// key's: only an entry that carries the key and trailer the slot
-			// recorded is trusted.
-			zone := e.immArena.Region()
-			if addr >= zone.End() {
-				return false
-			}
-			ent, ok := e.fetchEntry(th, &th.Scratch.Entry, addr, 0, zone.End()-addr, cache.DefaultPartition)
-			if !ok || ent.Trailer != trailer || string(ent.UKey) != string(key) {
-				return false
-			}
-			if kind := ent.Kind(); kind != util.KindRangeDel {
-				considerView(&res, ent.Value, ent.Seq(), kind)
-			}
-			return true
-		})
-	default:
+	if searchTables {
+		e.mem.mu.RLock()
+		imms := e.mem.imms
+		e.mem.mu.RUnlock()
 		for _, t := range imms {
 			if v, fseq, kind, ok := e.searchList(th, t.list, t.base, t.dataLen, cache.DefaultPartition, key, snapshot); ok && kind != util.KindRangeDel {
 				considerView(&res, v, fseq, kind)
@@ -681,7 +655,7 @@ func (e *Engine) getAt(th *hw.Thread, key []byte, snapshot uint64) (_ []byte, st
 		}
 	}
 
-	// 3. The LSM tree — skippable when the memory component already holds a
+	// 2. The LSM tree — skippable when the memory component already holds a
 	// version newer than anything ever spilled.
 	if !res.Found || res.Seq <= e.maxSpilledSeq.Load() {
 		var v []byte

@@ -437,12 +437,13 @@ func putAcrossThresholds(t *testing.T, e *Engine, th *hw.Thread, rounds int) {
 	}
 }
 
-// TestSyncsOvertakeACompaction holds a flush inside its merge into the
-// global index while one writer crosses SyncThreshold four times: each
-// crossing Put still returns with its slot synced. A merge must not leave the
-// active slot's sub-skiplist behind its writer, or whether the next Get finds
-// it current or pays for the catch-up itself depends on host scheduling
-// alone.
+// TestSyncsOvertakeACompaction holds a flush at the registration of its
+// table, the step that stands for the paper's sub-skiplist compaction (its
+// keys join the memory component's one index there), while one writer
+// crosses SyncThreshold four times: each crossing Put still returns with its
+// slot synced. A flush must not leave the active slot's sub-skiplist behind
+// its writer, or whether the next Get finds it current or pays for the
+// catch-up itself depends on host scheduling alone.
 func TestSyncsOvertakeACompaction(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
@@ -450,7 +451,7 @@ func TestSyncsOvertakeACompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.pool.slotFor(th.Core)
-	e.mem.mu.Lock() // mergeTable's first step waits here
+	e.mem.mu.Lock() // the flush's registration waits here
 	defer e.mem.mu.Unlock()
 	if e.pool.sealForCore(th, th.Core) != s {
 		t.Fatal("the writer's slot did not seal")
@@ -460,8 +461,8 @@ func TestSyncsOvertakeACompaction(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	putAcrossThresholds(t, e, th, 4)
-	if e.flushes.Running() == 0 || e.stats.Compactions.Load() != 0 {
-		t.Fatal("the held merge finished")
+	if e.flushes.Running() == 0 || e.stats.Flushes.Load() != 0 {
+		t.Fatal("the held flush finished")
 	}
 }
 

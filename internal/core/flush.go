@@ -16,7 +16,8 @@ const spillFraction = 0.75
 
 // immTable is one sub-ImmMemTable after its copy-based flush: the entry bytes
 // live in the ImmZone (PMem) and its sub-skiplist stays in DRAM. With
-// SkiplistCompaction on, the global index covers it from its registration.
+// SkiplistCompaction on, the active-key table's entries of its slot
+// incarnation name it until the spill retires it.
 type immTable struct {
 	base       uint64 // ImmZone address of the data region
 	dataLen    uint64
@@ -24,6 +25,12 @@ type immTable struct {
 	maxSeq     uint64
 	list       *skiplist.List
 	indexDoneV int64 // virtual time the index thread finished this table's sync
+	// name is the slot incarnation the table was flushed from (activeRef
+	// without the offset), or recovery's recoveredName.
+	name uint64
+	// unplaced is the slot's mark (slot.unplaced), moved here by the flush:
+	// the table holds a version the active-key table left out.
+	unplaced bool
 }
 
 // snapshotInto bulk-reads the table's data region sequentially (one pass,
@@ -90,16 +97,33 @@ func (x flushExtents) largest() uint64 {
 	return l
 }
 
-// memState is the engine's DRAM view of the memory component: flushed tables
-// plus the global index. Swapped wholesale at L0 spill.
+// memState is the engine's DRAM view of the memory component's flushed
+// tables, in registration order. A flush appends its table; the L0 spill
+// retires them all at once.
 type memState struct {
-	mu     sync.RWMutex
-	imms   []*immTable
-	global *hashIndex
+	mu   sync.RWMutex
+	imms []*immTable
 }
 
-func newMemState() *memState {
-	return &memState{global: newHashIndex(seededHash, 0)}
+// registered reports whether a table is registered.
+func (ms *memState) registered() bool {
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
+	return len(ms.imms) > 0
+}
+
+// table returns the registered table of the given name (immTable.name), or
+// nil. The newest of two that share a name is returned: a slot's incarnation
+// counter wraps, and a Get checks the entry it fetches.
+func (ms *memState) table(name uint64) *immTable {
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
+	for i := len(ms.imms) - 1; i >= 0; i-- {
+		if t := ms.imms[i]; t.name == name {
+			return t
+		}
+	}
+	return nil
 }
 
 // startBackground adds the engine's three kinds of background job to its
@@ -108,8 +132,7 @@ func newMemState() *memState {
 // configured thread counts, not host scheduling, pace the pipeline
 // (Exp#3/#5). The order is Close's: an in-flight flush may still submit a
 // spill, and a spill a compaction. The index thread is no kind: its lazy
-// syncs run where they fire (indexSync) and its sub-skiplist merges in the
-// flush of each table (mergeTable), each booked on indexServer.
+// syncs run where they fire (indexSync), each booked on indexServer.
 //
 // A flush thread is a virtual server: one host worker takes the sealed slots
 // in seal order and books each table's copy on the earliest-free of the
@@ -199,10 +222,10 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 
 // flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
 // sealed at virtual time sealedAt (Section III-C), whose final index sync ran
-// at the seal — a non-temporal whole-table copy into the ImmZone, the merge
-// of its sub-skiplist into the global index, registration of the resulting
-// sub-ImmMemTable, and release of the slot. If the ImmZone crosses its
-// threshold, it spills to L0.
+// at the seal — a non-temporal whole-table copy into the ImmZone,
+// registration of the resulting sub-ImmMemTable under the slot's incarnation,
+// which keeps the active-key table's entries of it live, and release of the
+// slot. If the ImmZone crosses its threshold, it spills to L0.
 //
 // The copy runs as flushExtents' extents, each a job of its own on the flush
 // servers with a thread of its own: the dispatch cost, its lines' reads, NT
@@ -304,11 +327,12 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			maxSeq:     maxSeq,
 			list:       s.list,
 			indexDoneV: s.indexDoneV,
+			name:       incarnationName(s.idx, s.gen.Load()),
 		}
 		s.syncMu.Unlock()
-		if e.opts.SkiplistCompaction {
-			e.mergeTable(t)
-		}
+		// The slot's entries live on through the table, and its mark with
+		// them; without SkiplistCompaction they die when freeSlot frees it.
+		t.unplaced = e.opts.SkiplistCompaction && s.unplaced.Swap(false)
 		// Register before releasing the spill lock so a racing spill either
 		// sees this table or runs after it is fully installed.
 		e.mem.mu.Lock()
@@ -371,8 +395,9 @@ func (e *Engine) spill(th *hw.Thread) {
 	e.flow.recompute(th.Clock.Now(), "spill_end")
 }
 
-// spillLocked merges every sub-ImmMemTable into L0 SSTables, then resets the
-// ImmZone and the global index. Deferred space reclamation happens here —
+// spillLocked merges every sub-ImmMemTable into L0 SSTables, then retires
+// them, which kills the active-key table's entries of them, and resets the
+// ImmZone. Deferred space reclamation happens here —
 // exactly when "the total size of sub-ImmMemTables reaches a pre-configured
 // threshold" (Section III-D). Caller holds spillMu exclusively.
 func (e *Engine) spillLocked(th *hw.Thread) {
@@ -413,13 +438,16 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	// Raise maxSpilledSeq before the tables leave memory, or a Get that misses
 	// them there takes an older version in a slot as current and skips the tree.
 	raiseTo(&e.maxSpilledSeq, maxSeq)
-	// Install the new memory state: no tables, a fresh global index, the
-	// zone reclaimed (spillMu keeps every flush out meanwhile).
+	// Retire the tables and reclaim the zone (spillMu keeps every flush out
+	// meanwhile).
 	e.mem.mu.Lock()
 	e.mem.imms = nil
-	// The next fill of the zone is likely to bring as many keys as the last.
-	e.mem.global = newHashIndex(seededHash, int(e.mem.global.n.Load()))
 	e.mem.mu.Unlock()
+	for _, t := range imms {
+		if t.unplaced {
+			e.active.unplaced.Add(-1)
+		}
+	}
 	// Range tombstones that just reached the tree no longer need their DRAM
 	// mirrors (retirement is by tree membership, not sequence — see
 	// pruneRangeTombs).
@@ -443,25 +471,6 @@ func (e *Engine) indexSync(at int64, s *slot) int64 {
 	start := e.indexTh.Clock.Now()
 	e.syncSlot(e.indexTh, s)
 	return e.indexServer.Submit(at, e.indexTh.Clock.Now()-start)
-}
-
-// mergeTable is the index thread's sub-skiplist compaction of one flushed
-// table (Section III-D): it folds t into the global index before the flush
-// registers t, so a Get that finds t registered finds its keys through the
-// index. The work runs on a thread of its own and is booked as runnable at
-// 0: it starts when the index server is free. The flush kind's one host
-// worker books the merges one per table, in seal order. The caller holds
-// spillMu shared, so no spill swaps the index meanwhile.
-func (e *Engine) mergeTable(t *immTable) {
-	th := e.m.NewThread(0)
-	th.Clock.SetLabel(hw.PhaseCompact.Layer())
-	e.mem.mu.RLock()
-	global := e.mem.global
-	e.mem.mu.RUnlock()
-	e.mergeInto(th, global, []*immTable{t})
-	done := e.indexServer.Submit(0, th.Clock.Now())
-	e.stats.Compactions.Add(1)
-	e.trace.Emit(done, "skiplist_compaction")
 }
 
 // compactJob is the compaction kind's job: one LSM compaction picked at the

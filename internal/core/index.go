@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 
 	"cachekv/internal/hw"
@@ -276,32 +275,3 @@ func (t *snapIter) Err() error { return nil }
 func (t *snapIter) Close() {}
 
 var _ lsm.Iterator = (*snapIter)(nil)
-
-// mergeInto folds flushed tables' sub-skiplists into the global index,
-// keeping only the freshest version per user key — the sub-skiplist
-// compaction of Section III-D, which removes invalid nodes so that a later
-// read probes one index instead of one per table. Each sub-skiplist is walked
-// in internal-key order, so a key's first node in a table is its freshest
-// there, and only that one is upserted: the index takes a version only over a
-// lower sequence, so the tables may come in any order and, on identical
-// internal keys (one table recovered from both its ImmZone copy and its slot),
-// the earlier table wins. Charged to th — a flush's merge thread, or
-// recovery's — at the bulk-build rate: one visit per source node and one per
-// line the index touches.
-func (e *Engine) mergeInto(th *hw.Thread, x *hashIndex, tables []*immTable) {
-	visits := 0
-	var it skiplist.Iterator
-	for _, t := range tables {
-		t.list.ResetIterator(&it)
-		var last []byte // user key of the previous node (non-nil even when empty)
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			visits++
-			ik := util.InternalKey(it.Key())
-			if ukey := ik.UserKey(); last == nil || !bytes.Equal(ukey, last) {
-				last = ukey
-				visits += x.upsert(ukey, ik.Trailer(), t.base+util.Fixed64(it.Value()))
-			}
-		}
-	}
-	th.Clock.Advance(int64(visits) * (e.m.Costs.DRAMAccess + e.m.Costs.SkiplistVisit) / 16)
-}

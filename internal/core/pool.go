@@ -10,13 +10,14 @@
 //     from sub-MemTables on read arrival, write thresholds, or seal
 //     (Section III-B);
 //   - flush.go: the copy-based flush that non-temporally copies full
-//     sub-ImmMemTables into the PMem ImmZone (Section III-C), the
-//     sub-skiplist compaction into a global index (Section III-D), and
-//     the L0 spill into the LSM tree;
+//     sub-ImmMemTables into the PMem ImmZone (Section III-C), the registry
+//     of flushed tables, and the L0 spill into the LSM tree;
 //   - engine.go: the kvstore.DB surface, background threads, and crash
 //     recovery (Section III-E);
-//   - activetable.go: the active-key table a Get probes instead of every
-//     active sub-MemTable (an extension of the paper's design).
+//   - activetable.go: the active-key table, the memory component's one
+//     index, which a Get probes instead of every active sub-MemTable and
+//     every flushed table (Section III-D's global index, built as a hash
+//     table entered at each write: an extension of the paper's design).
 package core
 
 import (
@@ -644,3 +645,14 @@ func icmp(a, b []byte) int {
 // no value, rounded to the 8-byte append alignment. A pool of smaller entries
 // overflows a key's window now and then, and its Gets then search the slots.
 const minEntryBytes = 48
+
+// activeEntries is how many entries the active-key table is sized for: one
+// per minEntryBytes of the pool and, when its entries outlive the flush
+// (SkiplistCompaction), of the ImmZone too.
+func activeEntries(o Options) int {
+	n := o.PoolBytes
+	if o.SkiplistCompaction {
+		n += o.ImmZoneBytes
+	}
+	return int(n / minEntryBytes)
+}

@@ -13,20 +13,19 @@ import (
 // eADR the whole sub-MemTable pool was drained from the caches into the PMem
 // backing, so the committed prefix of every sub-MemTable — everything the
 // packed header's counter covers — is intact. The DRAM side (sub-skiplists,
-// global index, imm-table registry) is gone and is reconstructed here:
+// active-key table, imm-table registry) is gone and is reconstructed here:
 //
 //  1. re-discover flushed sub-ImmMemTables by scanning the ImmZone headers,
-//     registering only a table whose entries all decode;
+//     registering only a table whose entries all decode, and enter their keys
+//     in the active-key table in seal order;
 //  2. seal each non-Free sub-MemTable with its sub-skiplist and counters
 //     rebuilt in place and its keys entered in the active-key table, and
 //     return the sealed slots: the engine hands them to the flush kind once it
 //     runs, the one way a slot reaches the ImmZone, and Gets find them among
-//     the pool's active slots until then;
-//  3. re-run the sub-skiplist compaction to rebuild the global index.
+//     the pool's active slots until then.
 //
-// The tables of steps 1 and 2 are independent byte ranges, so they are
-// rebuilt side by side (rebuildAll); it also returns how many servers that
-// took.
+// The tables of both steps are independent byte ranges, so they are rebuilt
+// side by side (rebuildAll); it also returns how many servers that took.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, workers int, err error) {
 	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores())
 	if err != nil {
@@ -66,8 +65,18 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 			continue
 		}
 		j.t.maxSeq = max(j.t.maxSeq, j.maxSeq)
+		j.t.name = recoveredName(len(e.mem.imms))
 		e.mem.imms = append(e.mem.imms, j.t)
 		raiseTo(e.seq, j.t.maxSeq)
+	}
+	// The zone's tables, oldest first, so that a key's entry in a later one
+	// takes over its entry in an earlier one (the twin rule).
+	if e.opts.SkiplistCompaction {
+		for _, t := range e.mem.imms {
+			if t.unplaced = !e.enterList(t.list, t.name); t.unplaced {
+				e.active.unplaced.Add(1)
+			}
+		}
 	}
 	// Step 2's header rewrites: non-Free sub-MemTables become sealed slots.
 	// The header keeps the tail and counts the entries recovered, so a torn
@@ -90,18 +99,9 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		sealed = append(sealed, s)
 	}
 	for _, s := range sealed {
-		e.enterRecovered(s)
-	}
-
-	// Step 3: rebuild the global index, every table in one merge into an
-	// index sized for all their entries.
-	if e.opts.SkiplistCompaction {
-		var n uint64
-		for _, t := range e.mem.imms {
-			n += t.count
+		if !e.enterList(s.list, incarnationName(s.idx, s.gen.Load())) && s.unplaced.CompareAndSwap(false, true) {
+			e.active.unplaced.Add(1)
 		}
-		e.mem.global = newHashIndex(seededHash, int(n))
-		e.mergeInto(th, e.mem.global, e.mem.imms)
 	}
 	return sealed, workers, nil
 }
@@ -209,25 +209,4 @@ func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]b
 		t.count++
 	}
 	return t
-}
-
-// enterRecovered enters the freshest version of each key of a recovered
-// sealed slot in the active-key table, as commitOps enters every write: the
-// table is volatile, and the slot's keys must be in it before the engine
-// serves reads. Recovery is charged nothing for it, as nothing for the
-// sub-skiplist inserts beside it.
-func (e *Engine) enterRecovered(s *slot) {
-	var key []byte
-	var it skiplist.Iterator
-	s.list.ResetIterator(&it)
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		ik := util.InternalKey(it.Key())
-		if ik.Kind() == util.KindRangeDel {
-			continue // the tombstone mirror covers it, as in commitOps
-		}
-		if ukey := ik.UserKey(); key == nil || string(ukey) != string(key) {
-			key = ukey // a key's first point node is its freshest
-			e.enterActive(s, key, ik.Trailer(), util.Fixed64(it.Value()))
-		}
-	}
 }

@@ -527,11 +527,11 @@ func TestRecoveryRejectsWrappedImmHeader(t *testing.T) {
 // which repeats exactly on one thread: four flushed tables and a part-filled
 // active sub-MemTable, two keys in five overwritten, 16 B keys and 64 B values
 // as in the ledger's crash-recover row. Reading the five tables side by side
-// and merging the four ImmZone tables into the global index costs about 30
-// vns per entry (about 90 when the tables were read one after another); a
-// second read of each entry or a per-key search of a global skiplist took it
-// to 300 (340 at the ledger's table count). The merge is also held on its
-// own, per entry it merges, far below that search's cost.
+// costs about 30 vns per entry (about 90 when the tables were read one after
+// another); a second read of each entry or a per-key search of a global
+// skiplist took it to 300 (340 at the ledger's table count). Entering the
+// keys in the active-key table is charged nothing, as the sub-skiplist
+// inserts beside it.
 func TestRecoveryVirtualCost(t *testing.T) {
 	m := testMachine()
 	opts := smallOpts()
@@ -546,33 +546,10 @@ func TestRecoveryVirtualCost(t *testing.T) {
 	if tables != 5 || entries != uint64(n) {
 		t.Fatalf("recovered %d entries in %d tables, want %d in 5", entries, tables, n)
 	}
-	// Step 3 on its own: the same merge again, of the four tables step 1 found
-	// (registered ahead of any the flush kind adds), into an empty index sized
-	// the way recovery sizes it, so it repeats to the line.
-	e2.mem.mu.RLock()
-	zone, global := e2.mem.imms[:4], e2.mem.global
-	e2.mem.mu.RUnlock()
-	var zoneEntries uint64
-	for _, tb := range zone {
-		zoneEntries += tb.count
-	}
-	th3 := m.NewThread(0)
-	x := newHashIndex(seededHash, int(zoneEntries))
-	e2.mergeInto(th3, x, zone)
-	merge := th3.Clock.Now()
-	if got := len(x.tab.Load().buckets); got != len(global.tab.Load().buckets) {
-		t.Errorf("step 3 again ends with %d buckets, recovery's index %d", got, len(global.tab.Load().buckets))
-	}
-
 	perEntry := float64(total) / float64(entries)
-	mergePerEntry := float64(merge) / float64(zoneEntries)
-	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry; global-index rebuild %d vns for %d entries = %.1f vns/entry",
-		total, entries, perEntry, merge, zoneEntries, mergePerEntry)
+	t.Logf("recovery: %d vns for %d entries = %.1f vns/entry", total, entries, perEntry)
 	if perEntry > 50 {
 		t.Errorf("recovery costs %.1f vns per entry, want at most 50", perEntry)
-	}
-	if mergePerEntry > 30 {
-		t.Errorf("rebuilding the global index costs %.1f vns per entry it merges, want at most 30", mergePerEntry)
 	}
 }
 
@@ -614,8 +591,8 @@ func recoverySpan(tr *obs.Trace) (span int64, workers any) {
 // TestRecoverySpanIsTheCriticalPath: steps 1 and 2 rebuild each table as a job
 // of its own on the machine's cores, so recovery's span is its critical path —
 // the header walk, the busiest core's jobs (the longest job when there are
-// more cores than jobs), the slots' header lines and step 3's merge — not the
-// sum of the jobs, and never less than the busiest core's share.
+// more cores than jobs) and the slots' header lines — not the sum of the
+// jobs, and never less than the busiest core's share.
 func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 	for _, cores := range []int{hw.DefaultConfig().Cores, 2} {
 		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
@@ -629,7 +606,7 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			zone, poolRegion := e.immArena.Region(), e.pool.region
 			crash(m, e)
 			m.Recover()
-			walk, jobs, merge := priceRecovery(t, m, e, zone, poolRegion)
+			walk, jobs := priceRecovery(t, m, e, zone, poolRegion)
 
 			opts.Trace = obs.NewTrace(0)
 			th2 := m.NewThread(0)
@@ -650,8 +627,8 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			}
 			busiest, longest := slices.Max(busy), slices.Max(jobs)
 			slack := 4 * m.Costs.PMemReadRand // the slots' header lines
-			t.Logf("span %d vns: walk %d, %d jobs (longest %d, busiest core %d), merge %d",
-				span, walk, len(jobs), longest, busiest, merge)
+			t.Logf("span %d vns: walk %d, %d jobs (longest %d, busiest core %d)",
+				span, walk, len(jobs), longest, busiest)
 			if len(jobs) != 5 {
 				t.Fatalf("recovery ran %d jobs, want 5: four ImmZone tables and the active sub-MemTable", len(jobs))
 			}
@@ -661,7 +638,7 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			if span < busiest {
 				t.Errorf("recovery took %d vns, less than the %d its busiest core's jobs take", span, busiest)
 			}
-			if limit := walk + busiest + merge + slack; span > limit {
+			if limit := walk + busiest + slack; span > limit {
 				t.Errorf("recovery took %d vns, over its critical path's %d (the jobs sum to %d)", span, limit, total)
 			}
 		})
@@ -672,12 +649,11 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 // dead (zone and pool are its regions) runs on media before it rewrites
 // headers: the ImmZone header walk, then each table's rebuildList in the
 // order recovery's jobs run, so that every read meets the device's
-// sequential-read tracker as recovery's will, and step 3's merge of the
-// zone's tables. It returns the walk's virtual cost, each job's and the
-// merge's.
-func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion hw.Region) (walk int64, jobs []int64, merge int64) {
+// sequential-read tracker as recovery's will. It returns the walk's virtual
+// cost and each job's.
+func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion hw.Region) (walk int64, jobs []int64) {
 	t.Helper()
-	e := &Engine{m: m, mem: newMemState()}
+	e := &Engine{m: m, mem: new(memState)}
 	th := m.NewThread(0)
 	type table struct{ base, limit, count uint64 }
 	var tables []table
@@ -690,7 +666,6 @@ func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion h
 		addr = (addr + immZoneHdrSize + dataLen + immZoneAlign - 1) &^ (immZoneAlign - 1)
 	}
 	walk = th.Clock.Now()
-	inZone := len(tables)
 	p, err := loadGeometry(m, poolRegion, dead.poolPart, m.Cores())
 	if err != nil {
 		t.Fatal(err)
@@ -701,19 +676,12 @@ func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion h
 		}
 	}
 	var snap []byte
-	var zoneTables []*immTable
-	var entries uint64
-	for i, tb := range tables {
+	for _, tb := range tables {
 		jth := m.NewThread(0)
-		rebuilt := e.rebuildList(jth, tb.base, tb.limit, tb.count, &snap)
+		e.rebuildList(jth, tb.base, tb.limit, tb.count, &snap)
 		jobs = append(jobs, jth.Clock.Now())
-		if i < inZone {
-			zoneTables, entries = append(zoneTables, rebuilt), entries+rebuilt.count
-		}
 	}
-	mth := m.NewThread(0)
-	e.mergeInto(mth, newHashIndex(seededHash, int(entries)), zoneTables)
-	return walk, jobs, mth.Clock.Now()
+	return walk, jobs
 }
 
 // The pool's geometry table is read back from media on recovery. A slot it
@@ -803,7 +771,7 @@ func FuzzRebuildList(f *testing.F) {
 	th := m.NewThread(0)
 	var buf []byte // one snapshot buffer for every table, as recovery's jobs share one
 	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
-		e := &Engine{m: m, mem: newMemState()}
+		e := &Engine{m: m, mem: new(memState)}
 
 		// The ImmZone path: header, then the bytes, then zeroes to the zone's end.
 		img := make([]byte, zone.Size)
