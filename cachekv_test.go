@@ -95,6 +95,33 @@ func TestErrClosed(t *testing.T) {
 		if _, err := db.SimulateCrash(); !errors.Is(err, ErrClosed) {
 			t.Errorf("%s: SimulateCrash after Close: %v, want ErrClosed", db.EngineName(), err)
 		}
+
+		// A session of the store a power cut replaced is refused too, with
+		// no panic, although the dead engine dropped its memory component.
+		db, err = Open(o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		s = db.Session(0)
+		if err := s.Put([]byte("k"), []byte("v")); err != nil {
+			t.Fatalf("%s: %v", db.EngineName(), err)
+		}
+		ndb, err := db.SimulateCrash()
+		if err != nil {
+			t.Fatalf("%s SimulateCrash: %v", db.EngineName(), err)
+		}
+		if _, err := s.Get([]byte("k")); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: Get after SimulateCrash: %v, want ErrClosed", db.EngineName(), err)
+		}
+		if err := s.Put([]byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: Put after SimulateCrash: %v, want ErrClosed", db.EngineName(), err)
+		}
+		if _, err := s.Scan(nil, 10, func(k, v []byte) bool { return true }); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: Scan after SimulateCrash: %v, want ErrClosed", db.EngineName(), err)
+		}
+		if err := ndb.Close(); err != nil {
+			t.Fatalf("%s Close: %v", ndb.EngineName(), err)
+		}
 	}
 }
 

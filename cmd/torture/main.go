@@ -349,7 +349,7 @@ func runLeg(c config, flowOn bool) (legResult, error) {
 // compaction jobs.
 var causeEvents = map[string]bool{
 	"write_stall": true, "write_delay": true, "write_stop_wait": true,
-	"flow_state": true, "flush_stall": true, "flush_start": true, "flush_end": true,
+	"flow_state": true, "flush_start": true, "flush_end": true,
 	"spill_start": true, "spill_end": true, "memtable_seal": true,
 	"compact_start": true, "compact_end": true, "lsm_compaction": true,
 }

@@ -20,9 +20,6 @@ const (
 	// FIFO runs jobs in submission order and never drops one: a job that
 	// finds the queue full is a bug, reported to the pool's fail hook.
 	FIFO Rule = iota
-	// Lossy runs jobs in submission order and drops a job that finds the
-	// queue full.
-	Lossy
 	// Coalesce folds submissions into one pending run at the frontier: the
 	// largest virtual time submitted so far.
 	Coalesce
@@ -33,7 +30,7 @@ type Config struct {
 	Name    string
 	Workers int
 	Rule    Rule
-	Queue   int             // jobs a FIFO or Lossy kind holds before it overflows
+	Queue   int             // jobs a FIFO kind holds before it overflows
 	Server  *sim.ServerPool // the kind's virtual server; nil gives it one per worker
 	Abandon bool            // Close drops the queued work, as a crash-stop does
 }
@@ -132,8 +129,7 @@ func Add[T any](p *Pool, cfg Config, run Job[T], drop func(T)) *Kind[T] {
 
 // Submit queues a job at virtual time at. It never blocks and allocates
 // nothing. It reports false when a FIFO kind overflowed (and told the pool's
-// fail hook) or a Lossy kind dropped the job; a Coalesce kind folds the
-// submission into its pending run.
+// fail hook); a Coalesce kind folds the submission into its pending run.
 func (k *Kind[T]) Submit(at int64, x T) bool {
 	if k.cfg.Rule == Coalesce {
 		for cur := k.front.Load(); at > cur && !k.front.CompareAndSwap(cur, at); cur = k.front.Load() {
@@ -144,19 +140,16 @@ func (k *Kind[T]) Submit(at int64, x T) bool {
 		return true
 	default:
 	}
-	switch k.cfg.Rule {
-	case FIFO:
-		k.p.fail(fmt.Errorf("bgpool: %s queue overflow", k.cfg.Name))
-	case Coalesce:
+	if k.cfg.Rule == Coalesce {
 		return true
 	}
+	k.p.fail(fmt.Errorf("bgpool: %s queue overflow", k.cfg.Name))
 	return false
 }
 
-// Done records a completion at virtual time v, as the kind's workers do after
-// every job, and wakes its waiters: work done outside the pool on the kind's
-// behalf reports itself through it.
-func (k *Kind[T]) Done(v int64) {
+// done records a job's completion at virtual time v and wakes the kind's
+// waiters.
+func (k *Kind[T]) done(v int64) {
 	for cur := k.last.Load(); v > cur && !k.last.CompareAndSwap(cur, v); cur = k.last.Load() {
 	}
 	k.p.mu.Lock()
@@ -230,7 +223,7 @@ func (k *Kind[T]) serve(w int, j job[T]) {
 		var done int64
 		done, more = k.run(w, j.at, j.x)
 		k.running.Add(-1)
-		k.Done(done)
+		k.done(done)
 	}
 }
 

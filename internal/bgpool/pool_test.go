@@ -11,7 +11,7 @@ import (
 	"cachekv/internal/util"
 )
 
-var rules = map[string]Rule{"fifo": FIFO, "lossy": Lossy, "coalesce": Coalesce}
+var rules = map[string]Rule{"fifo": FIFO, "coalesce": Coalesce}
 
 func halted[T any](k *Kind[T]) bool {
 	select {
@@ -113,34 +113,6 @@ func TestCoalesceRunsAtTheFrontier(t *testing.T) {
 	}
 }
 
-// TestLossyQueueOfOneKeepsTheEarliest: a busy Lossy kind with a queue of one,
-// the spill's rule, runs the first job queued behind the running one at that
-// job's own time and drops the later ones.
-func TestLossyQueueOfOneKeepsTheEarliest(t *testing.T) {
-	p := New(func(err error) { t.Error(err) })
-	gate := make(chan struct{})
-	var ats []int64 // the worker's; read after Close
-	k := Add(p, Config{Name: "spill", Workers: 1, Rule: Lossy, Queue: 1}, func(_ int, at int64, _ struct{}) (int64, bool) {
-		ats = append(ats, at)
-		if len(ats) == 1 {
-			<-gate
-		}
-		return at, false
-	}, nil)
-	k.Submit(5, struct{}{})
-	eventually(t, "the first run", func() bool { return k.Running() == 1 })
-	for _, at := range []int64{7, 3, 9} {
-		if queued := k.Submit(at, struct{}{}); queued != (at == 7) {
-			t.Fatalf("Submit(%d) reported %v", at, queued)
-		}
-	}
-	close(gate)
-	p.Close()
-	if want := []int64{5, 7}; !slices.Equal(ats, want) {
-		t.Fatalf("runs at %v, want %v: the first kick, then the first queued one", ats, want)
-	}
-}
-
 // TestAbortWakesWaitersAndDropsQueuedJobs: a crash-stop wakes every waiter,
 // with false, and no job queued behind it runs; the drop hook sees each one.
 func TestAbortWakesWaitersAndDropsQueuedJobs(t *testing.T) {
@@ -181,8 +153,8 @@ func TestAbortWakesWaitersAndDropsQueuedJobs(t *testing.T) {
 }
 
 // TestCloseDrainsInOrder: Close stops the kinds in the order they were added
-// — flush, spill and compact, as an engine adds them, then a coalescing kind
-// that drains, here called merge — so the jobs a draining flush submits to
+// — here two FIFO kinds called flush and spill, compact, then a coalescing
+// kind that drains, called merge — so the jobs a draining flush submits to
 // the spill, and the spill to the merge kind, still run; an Abandon kind
 // drops its pending run instead.
 func TestCloseDrainsInOrder(t *testing.T) {
@@ -207,7 +179,7 @@ func TestCloseDrainsInOrder(t *testing.T) {
 		spill.Submit(at, struct{}{})
 		return at, false
 	}, nil)
-	spill = Add(p, Config{Name: "spill", Workers: 1, Rule: Lossy, Queue: 1}, func(_ int, at int64, _ struct{}) (int64, bool) {
+	spill = Add(p, Config{Name: "spill", Workers: 1, Rule: FIFO, Queue: 4}, func(_ int, at int64, _ struct{}) (int64, bool) {
 		if !running(halted(compact), halted(merge)) {
 			t.Error("a kind after spill was stopped while a spill ran")
 		}

@@ -434,7 +434,8 @@ func (e *Engine) probeActive(th *hw.Thread, res *kvstore.UserGetResult, key []by
 	e.stats.FilterProbes.Add(1)
 	answered, found := true, false
 	var newest, newestRef uint64
-	e.active.get(e.active.hash(key), func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, ref uint64) bool {
+	t := e.active.Load()
+	t.get(t.hash(key), func() { th.InPhase(hw.PhaseIndex, func() { th.ChargeDRAM(1) }) }, func(trailer, ref uint64) bool {
 		switch {
 		case e.refState(ref) == refDead:
 			// Its versions are in the tree by now.
@@ -458,7 +459,7 @@ func (e *Engine) probeActive(th *hw.Thread, res *kvstore.UserGetResult, key []by
 			considerView(res, ent.Value, ent.Seq(), ent.Kind())
 		}
 	}
-	if answered && e.active.unplaced.Load() > 0 {
+	if answered && t.unplaced.Load() > 0 {
 		answered = false
 	}
 	switch {
@@ -513,8 +514,9 @@ func (e *Engine) refState(ref uint64) refState {
 // (slot.unplaced).
 func (e *Engine) enterActive(s *slot, key []byte, trailer, off uint64) {
 	ref := activeRef(s.idx, s.gen.Load(), off)
-	if !e.active.upsert(e.active.hash(key), trailer, ref, e.refState) && s.unplaced.CompareAndSwap(false, true) {
-		e.active.unplaced.Add(1)
+	t := e.active.Load()
+	if !t.upsert(t.hash(key), trailer, ref, e.refState) && s.unplaced.CompareAndSwap(false, true) {
+		t.unplaced.Add(1)
 	}
 }
 
@@ -525,7 +527,7 @@ func (e *Engine) enterActive(s *slot, key []byte, trailer, off uint64) {
 // whether the table had room for every key. Recovery is charged nothing for
 // it, as nothing for the sub-skiplist inserts beside it.
 func (e *Engine) enterList(list *skiplist.List, name uint64) bool {
-	placed := true
+	placed, t := true, e.active.Load()
 	var key []byte
 	var it skiplist.Iterator
 	list.ResetIterator(&it)
@@ -537,7 +539,7 @@ func (e *Engine) enterList(list *skiplist.List, name uint64) bool {
 		if ukey := ik.UserKey(); key == nil || string(ukey) != string(key) {
 			key = ukey // a key's first point node is its freshest
 			ref := name<<tailBits | util.Fixed64(it.Value())
-			placed = e.active.upsert(e.active.hash(key), ik.Trailer(), ref, e.refState) && placed
+			placed = t.upsert(t.hash(key), ik.Trailer(), ref, e.refState) && placed
 		}
 	}
 	return placed
@@ -548,7 +550,7 @@ func (e *Engine) enterList(list *skiplist.List, name uint64) bool {
 // here.
 func (e *Engine) freeSlot(th *hw.Thread, s *slot, doneAt int64) {
 	if s.unplaced.Swap(false) {
-		e.active.unplaced.Add(-1)
+		e.active.Load().unplaced.Add(-1)
 	}
 	e.pool.markFree(th, s, doneAt)
 }

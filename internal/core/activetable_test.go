@@ -35,7 +35,7 @@ func liveSeqs(e *Engine, key string, states ...refState) (seqs []uint64) {
 	if len(states) == 0 {
 		states = []refState{refActive, refRegistered}
 	}
-	e.active.get(e.active.hash([]byte(key)), func() {}, func(trailer, ref uint64) bool {
+	e.active.Load().get(e.active.Load().hash([]byte(key)), func() {}, func(trailer, ref uint64) bool {
 		if slices.Contains(states, e.refState(ref)) {
 			seqs = append(seqs, trailer>>8)
 		}
@@ -106,7 +106,7 @@ func TestActiveTableTwinFallsBack(t *testing.T) {
 			s := e.pool.slotFor(twin.Core)
 			_, _, off := unpackHdr(s.hdr.Load())
 			commitAt(t, e, twin, 9, "b", "b")
-			if !e.active.upsert(e.active.hash([]byte("a")), util.PackTrailer(9, util.KindValue), activeRef(s.idx, s.gen.Load(), off), e.refState) {
+			if !e.active.Load().upsert(e.active.Load().hash([]byte("a")), util.PackTrailer(9, util.KindValue), activeRef(s.idx, s.gen.Load(), off), e.refState) {
 				t.Fatal("the table had no room for the twin")
 			}
 			want := map[int][]uint64{0: {9}, 1: {5, 9}}[twinCore]
@@ -310,27 +310,27 @@ func TestActiveTableDoesNotGrow(t *testing.T) {
 	o.SubMemTableBytes = 64 << 10
 	e, th := openEngine(t, testMachine(), o)
 	defer e.Close(th)
-	buckets := len(e.active.buckets)
+	buckets := len(e.active.Load().buckets)
 	val := make([]byte, 64)
 	n := 3 * bucketSlots * buckets
 	for i := 0; i < n; i++ {
 		if err := e.Put(th, allocKey(i), val); err != nil {
 			t.Fatal(err)
 		}
-		if e.active.unplaced.Load() != 0 {
+		if e.active.Load().unplaced.Load() != 0 {
 			t.Fatalf("write %d of %d: the table left a key out", i, n)
 		}
 	}
 	if e.stats.Flushes.Load() < 20 || e.stats.Spills.Load() < 4 {
 		t.Fatalf("only %d flushes and %d spills: the slots and tables did not cycle", e.stats.Flushes.Load(), e.stats.Spills.Load())
 	}
-	if len(e.active.buckets) != buckets {
-		t.Fatalf("the table grew from %d to %d lines", buckets, len(e.active.buckets))
+	if len(e.active.Load().buckets) != buckets {
+		t.Fatalf("the table grew from %d to %d lines", buckets, len(e.active.Load().buckets))
 	}
 	// The lines a probe reads, over every home line.
 	lines := 0
 	for h := range buckets {
-		e.active.get(uint64(h), func() { lines++ }, func(uint64, uint64) bool { return true })
+		e.active.Load().get(uint64(h), func() { lines++ }, func(uint64, uint64) bool { return true })
 	}
 	t.Logf("%d keys, %d flushes, %d spills: %.4f lines per probe", n, e.stats.Flushes.Load(), e.stats.Spills.Load(), float64(lines)/float64(buckets))
 }
@@ -593,7 +593,7 @@ func TestHashIndexNoTornSlot(t *testing.T) {
 func TestActiveTableTwinTakesOverAFlushedEntry(t *testing.T) {
 	e, th := openEngine(t, testMachine(), quietOpts())
 	defer e.Close(th)
-	e.active.hash = func(k []byte) uint64 {
+	e.active.Load().hash = func(k []byte) uint64 {
 		if string(k) == "b" {
 			k = []byte("a")
 		}
@@ -815,7 +815,7 @@ func TestGetDuringFlushesAndSpills(t *testing.T) {
 				e.spillMu.RLock()
 				var seen [2]uint64
 				for range 2048 {
-					e.active.get(e.active.hash(key(k)), func() {}, func(trailer, ref uint64) bool {
+					e.active.Load().get(e.active.Load().hash(key(k)), func() {}, func(trailer, ref uint64) bool {
 						r, st := e.resolveRef(ref)
 						if st != refRegistered || seen == [2]uint64{trailer, ref} {
 							return true

@@ -102,11 +102,11 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 
 // Write commits b atomically; it is the only way a mutation enters the
-// engine. deadlineNs bounds (in virtual ns from now) how long admission, a
-// slot wait, or ImmZone backpressure may stall the write before it fails with
-// ErrStalled; <= 0 waits indefinitely. Admission and the deadline are checked
-// before any state changes, so a rejected batch is fully absent. A batch
-// larger than a sub-MemTable's capacity is rejected.
+// engine. deadlineNs bounds (in virtual ns from now) how long admission or a
+// slot wait may stall the write before it fails with ErrStalled; <= 0 waits
+// indefinitely. Admission and the deadline are checked before any state
+// changes, so a rejected batch is fully absent. A batch larger than a
+// sub-MemTable's capacity is rejected.
 func (e *Engine) Write(th *hw.Thread, b *Batch, deadlineNs int64) error {
 	if len(b.ops) == 0 {
 		return nil

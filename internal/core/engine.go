@@ -51,10 +51,11 @@ type Options struct {
 
 	// Overload protection. WriteStallDeadline is the deadline Put, Delete and
 	// DeleteRange hand to Write: how long a write may wait (virtual ns) for
-	// admission, a free sub-MemTable slot, or — via backpressure — ImmZone
-	// space before failing with ErrStalled; 0 waits forever. A non-zero value
-	// also arms admission shaping for Write calls that pass no deadline.
-	// Flow control's bounds derive from the budgets above (flowTable).
+	// admission or a free sub-MemTable slot (which a full ImmZone delays: its
+	// flush spills the zone first) before failing with ErrStalled; 0 waits
+	// forever. A non-zero value also arms admission shaping for Write calls
+	// that pass no deadline. Flow control's bounds derive from the budgets
+	// above (flowTable).
 	WriteStallDeadline int64
 
 	// CompactionWorkers is the worker count of the background pool's
@@ -180,7 +181,9 @@ type Engine struct {
 
 	poolPart cache.PartitionID
 	pool     *pool
-	active   *activeTable // the newest version of each key in each slot incarnation
+	// active holds the newest version of each key in each slot incarnation;
+	// Close swaps in an empty table, so that a closed engine keeps none of it.
+	active   atomic.Pointer[activeTable]
 	immArena *arena.PArena
 	mem      *memState
 	fs       *pmemfs.FS
@@ -201,10 +204,10 @@ type Engine struct {
 	// bg runs the background jobs, one kind each (startBackground).
 	bg             *bgpool.Pool
 	flushes        *bgpool.Kind[*slot]
-	spills         *bgpool.Kind[struct{}]
 	compacts       *bgpool.Kind[struct{}]
-	flushBuf       []byte       // the table being copied (the flush kind has one worker)
-	compactThreads []*hw.Thread // per compaction worker
+	spillServer    *sim.ServerPool // the spill thread's virtual server (spillFrom)
+	flushBuf       []byte          // the table being copied (the flush kind has one worker)
+	compactThreads []*hw.Thread    // per compaction worker
 	pendingFlushes atomic.Int64
 	// indexTh runs the syncs of triggers 2 and 3 one at a time (indexSync);
 	// indexServer is the index thread's virtual server, which books them.
@@ -230,7 +233,7 @@ type Engine struct {
 	lastBCEvicts atomic.Int64 // block-cache evictions at last pressure event
 }
 
-var errEngineCrashed = errors.New("cachekv: engine crash-stopped")
+var errEngineCrashed = fmt.Errorf("cachekv: engine crash-stopped: %w", kvstore.ErrClosed)
 
 // Open creates (or, after a crash, recovers) a CacheKV store on machine m:
 // one Engine, or with Options.Shards >= 2 the Sharded router over that many.
@@ -255,14 +258,14 @@ func Open(m *hw.Machine, opts Options, th *hw.Thread) (Store, error) {
 func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Engine, err error) {
 	opts = opts.withDefaults()
 	e := &Engine{
-		m:      m,
-		opts:   opts,
-		env:    env,
-		trace:  opts.Trace,
-		mem:    new(memState),
-		active: newActiveTable(activeEntries(opts)),
-		seq:    env.seq,
+		m:     m,
+		opts:  opts,
+		env:   env,
+		trace: opts.Trace,
+		mem:   new(memState),
+		seq:   env.seq,
 	}
+	e.active.Store(newActiveTable(activeEntries(opts)))
 	e.bg = bgpool.New(e.fail)
 	if e.seq == nil {
 		e.seq = new(atomic.Uint64)
@@ -467,7 +470,7 @@ func engineMetrics(levels int) []engineMetric {
 		stats func(e *Engine) (jobs, busyNs int64)
 	}{
 		{"flush", func(e *Engine) (int64, int64) { return e.flushes.Server.Stats() }},
-		{"spill", func(e *Engine) (int64, int64) { return e.spills.Server.Stats() }},
+		{"spill", func(e *Engine) (int64, int64) { return e.spillServer.Stats() }},
 		{"index", func(e *Engine) (int64, int64) { return e.indexServer.Stats() }},
 	} {
 		counter(k.name+"_jobs", func(e *Engine) int64 {
@@ -852,7 +855,8 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 			e.queueSealed(th.Clock.Now(), s)
 		}
 	}
-	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 }) {
+	// The last flush leaves the backlog before it spills: wait for it to end.
+	if !e.flushes.Wait(func() bool { return e.pendingFlushes.Load() == 0 && e.flushes.Running() == 0 }) {
 		return e.err()
 	}
 	e.spill(th)
@@ -875,6 +879,7 @@ func (e *Engine) Close(th *hw.Thread) error {
 	// Drain the background kinds in startBackground's order; compaction
 	// drops what is due instead of draining it.
 	e.bg.Close()
+	e.dropMemory()
 	// Graceful shutdown: write the pinned pool back to the PMem before
 	// surrendering the partition, so a close is never lossier than a crash
 	// (eADR would have drained these lines anyway). A crashed machine refuses
@@ -890,6 +895,28 @@ func (e *Engine) Close(th *hw.Thread) error {
 		return *p
 	}
 	return nil
+}
+
+// dropMemory lets go of the memory component's DRAM state once the
+// background work has drained: the active-key table, the slots'
+// sub-skiplists, the registered tables and the flush and spill buffers. A
+// crashed engine is reopened from the PMem alone, and a closed one holds
+// nothing the next engine on the machine needs. An operation still in flight
+// sees an empty table and no lists, as a failed engine's may.
+func (e *Engine) dropMemory() {
+	e.active.Store(newActiveTable(0))
+	for _, s := range e.pool.slotList() {
+		s.syncMu.Lock()
+		s.list = nil
+		s.syncMu.Unlock()
+	}
+	e.mem.mu.Lock()
+	e.mem.imms = nil
+	e.mem.mu.Unlock()
+	e.spillMu.Lock()
+	e.spillBufs = nil
+	e.spillMu.Unlock()
+	e.flushBuf = nil
 }
 
 // Store is what both engine shapes (*Engine and the *Sharded router) offer on

@@ -110,3 +110,42 @@ func TestFaultCrashStopsEverything(t *testing.T) {
 		t.Fatal("the Put after Crash stored nothing to refuse")
 	}
 }
+
+// TestCloseDropsTheMemoryComponent: a closed engine keeps no DRAM index — not
+// the active-key table, a slot's sub-skiplist, a registered table nor the
+// flush and spill buffers — so that the engine a power cut reopens on the
+// machine is not allocated beside the dead one's. The dead engine refuses
+// its session with ErrClosed.
+func TestCloseDropsTheMemoryComponent(t *testing.T) {
+	m := testMachine()
+	e, th := openEngine(t, m, smallOpts())
+	for i := 0; !e.mem.registered(); i++ {
+		if i == 100_000 {
+			t.Fatal("no flushed table registered")
+		}
+		if err := e.Put(th, []byte(fmt.Sprintf("k%06d", i)), make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Crash()
+	if err := e.Close(th); !errors.Is(err, kvstore.ErrClosed) {
+		t.Fatalf("Close after Crash = %v, want ErrClosed", err)
+	}
+	if n := len(e.active.Load().buckets); n != minBuckets {
+		t.Errorf("the closed engine's active-key table keeps %d lines", n)
+	}
+	if e.mem.registered() {
+		t.Error("the closed engine keeps its registered tables")
+	}
+	for _, s := range e.pool.slotList() {
+		if s.list != nil {
+			t.Errorf("the closed engine keeps slot %d's sub-skiplist", s.idx)
+		}
+	}
+	if e.flushBuf != nil || e.spillBufs != nil {
+		t.Error("the closed engine keeps its flush or spill buffers")
+	}
+	if _, err := e.Get(th, []byte("k000000")); !errors.Is(err, kvstore.ErrClosed) {
+		t.Fatalf("Get after Close = %v, want ErrClosed", err)
+	}
+}

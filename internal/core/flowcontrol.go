@@ -315,7 +315,7 @@ func (fc *flowControl) admit(th *hw.Thread, deadlineV int64) error {
 // countStall counts err when it is the overload rejection and returns it. The
 // write entries (Engine.Write, Sharded.Write) pass their result through it, so
 // every ErrStalled that leaves the store is counted once, whichever wait —
-// admission, a slot, ImmZone space, the batch log — ran out.
+// admission, a slot, the batch log — ran out.
 func (fc *flowControl) countStall(err error) error {
 	if errors.Is(err, ErrStalled) {
 		fc.rejectedWrites.Add(1)
@@ -375,7 +375,7 @@ func absDeadline(th *hw.Thread, deadlineNs int64) int64 {
 }
 
 // stallBackoff paces a deadline-bounded wait on a host-side condition variable
-// (slot allocation, ImmZone space): each retry advances the waiter's virtual
+// (slot allocation): each retry advances the waiter's virtual
 // clock by a doubling, capped step, so a stalled writer's virtual wait
 // converges on its deadline instead of spinning at zero cost or waiting
 // forever. The zero value is ready to use.

@@ -126,13 +126,14 @@ func (ms *memState) table(name uint64) *immTable {
 	return nil
 }
 
-// startBackground adds the engine's three kinds of background job to its
-// pool: the paper's N flush threads, the spill thread, and the LSM compaction
-// workers. Each kind books its jobs on its own virtual server, so that
-// configured thread counts, not host scheduling, pace the pipeline
-// (Exp#3/#5). The order is Close's: an in-flight flush may still submit a
-// spill, and a spill a compaction. The index thread is no kind: its lazy
-// syncs run where they fire (indexSync), each booked on indexServer.
+// startBackground adds the engine's two kinds of background job to its pool:
+// the paper's N flush threads and the LSM compaction workers. Each kind books
+// its jobs on its own virtual server, so that configured thread counts, not
+// host scheduling, pace the pipeline (Exp#3/#5). The order is Close's: an
+// in-flight flush may still submit a compaction. The index thread and the
+// spill thread are no kinds: the lazy syncs run where they fire (indexSync),
+// each booked on indexServer, and a spill runs in the flush that fills the
+// ImmZone (spillFrom), booked on spillServer.
 //
 // A flush thread is a virtual server: one host worker takes the sealed slots
 // in seal order and books each table's copy on the earliest-free of the
@@ -151,14 +152,13 @@ func (e *Engine) startBackground() {
 			_, _, tail := unpackHdr(s.hdr.Load())
 			e.addPending(-1, tail) // the power failure preempted the flush
 		})
-	// A spill asked for while one is queued is the queued one.
-	e.spills = bgpool.Add(e.bg, bgpool.Config{Name: "spill", Workers: 1, Rule: bgpool.Lossy, Queue: 1}, e.spillJob, nil)
 	for range o.CompactionWorkers {
 		th := e.m.NewThread(0)
 		th.Clock.SetLabel(hw.PhaseCompact.Layer())
 		e.compactThreads = append(e.compactThreads, th)
 	}
 	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
+	e.spillServer = sim.NewServerPool(1)
 	e.indexServer = sim.NewServerPool(1)
 	e.indexTh = e.m.NewThread(0)
 	e.indexTh.Clock.SetLabel(hw.PhaseIndex.Layer())
@@ -171,53 +171,20 @@ func (e *Engine) addPending(n int64, tail uint64) {
 	e.pendingFlushBytes.Add(n * int64(tail))
 }
 
-// spillJob is the spill kind's job, the LSM background thread (LevelDB's
-// compaction thread in the prototype): it spills from the request's instant,
-// so that copy-based flushes stay cheap and writers only stall when
-// the ImmZone is genuinely out of space, then hands the debt it created to the
-// compaction workers and returns to serving writers.
-func (e *Engine) spillJob(_ int, at int64, _ struct{}) (int64, bool) {
+// spillFrom runs the L0 spill a flush calls for at virtual time at, on a
+// spill thread of its own (LevelDB's compaction thread in the prototype), and
+// returns its end on spillServer: the flush spills when its table takes the
+// ImmZone past spillFraction, so that copy-based flushes stay cheap, or
+// before its copy when the zone has no room for the table. The spill then
+// hands the debt it created to the compaction workers.
+func (e *Engine) spillFrom(at int64) int64 {
 	th := e.m.NewThread(0)
 	th.Clock.AdvanceTo(at)
 	start := th.Clock.Now()
-	th.InPhase(hw.PhaseSpill, func() {
-		e.spillMu.Lock()
-		e.spillLocked(th)
-		e.spillMu.Unlock()
-	})
-	done := e.spills.Server.Submit(at, th.Clock.Now()-start)
-	e.flow.recompute(th.Clock.Now(), "spill_end")
+	th.InPhase(hw.PhaseSpill, func() { e.spill(th) })
+	done := e.spillServer.Submit(at, th.Clock.Now()-start)
 	e.compacts.Submit(th.Clock.Now(), struct{}{})
-	return done, false
-}
-
-// waitForSpace blocks (really and virtually) until the ImmZone can hold need
-// more bytes, driving the spill thread as necessary. deadlineV bounds the
-// wait on the virtual clock: each retry — one per spill — charges a capped
-// exponential backoff step, and once the clock passes the deadline the wait
-// returns ErrStalled so the caller can refresh pressure state instead of
-// hanging forever. Zero waits without bound.
-func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error {
-	var backoff stallBackoff
-	stalled := false
-	if !e.spills.Wait(func() bool {
-		if e.immArena.Region().Size-e.immArena.Used() >= need {
-			return true
-		}
-		if deadlineV > 0 && !backoff.step(th, deadlineV) {
-			stalled = true
-			return true
-		}
-		e.spills.Submit(th.Clock.Now(), struct{}{})
-		return false
-	}) {
-		return nil // crash-stopped: the caller re-checks the failure
-	}
-	if stalled {
-		return ErrStalled
-	}
-	th.Clock.AdvanceTo(e.spills.LastDone())
-	return nil
+	return done
 }
 
 // flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
@@ -225,7 +192,9 @@ func (e *Engine) waitForSpace(th *hw.Thread, need uint64, deadlineV int64) error
 // at the seal — a non-temporal whole-table copy into the ImmZone,
 // registration of the resulting sub-ImmMemTable under the slot's incarnation,
 // which keeps the active-key table's entries of it live, and release of the
-// slot. If the ImmZone crosses its threshold, it spills to L0.
+// slot. The flush spills the ImmZone to L0 (spillFrom) when its table takes
+// the zone past spillFraction, or before its copy when the zone has no room
+// for the table, so the tables a spill covers follow seal order.
 //
 // The copy runs as flushExtents' extents, each a job of its own on the flush
 // servers with a thread of its own: the dispatch cost, its lines' reads, NT
@@ -258,39 +227,28 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 		// Hold the spill lock shared across the whole copy+register section:
 		// a concurrent spill resets the arena and must not reclaim an
 		// allocation whose NT copy is still in flight.
+		need := immZoneHdrSize + tail
 		var dst uint64
-		for {
+		for spilled := false; ; spilled = true {
 			e.spillMu.RLock()
 			var err error
-			dst, err = e.immArena.Alloc(immZoneHdrSize+tail, immZoneAlign)
-			if err == nil {
+			if dst, err = e.immArena.Alloc(need, immZoneAlign); err == nil {
 				break // keep RLock held through the copy
 			}
 			e.spillMu.RUnlock()
-			// ImmZone full: a table that cannot fit even in an empty zone is
-			// a config error; otherwise wait for the spill thread to reclaim
-			// space (the CacheKV analogue of an L0 write stall).
-			if immZoneHdrSize+tail > e.immArena.Region().Size {
+			// A table that does not fit an empty zone is a config error.
+			if spilled || need > e.immArena.Region().Size {
 				e.fail(err)
 				return 0, false
 			}
+			// ImmZone full: spill it first (the CacheKV analogue of an L0
+			// write stall), and copy from the spill's end.
 			w0 := th.Clock.Now()
-			werr := e.waitForSpace(th, immZoneHdrSize+tail, absDeadline(th, e.opts.WriteStallDeadline))
-			stallNs += th.Clock.Now() - w0
+			th.Clock.AdvanceTo(e.spillFrom(w0))
+			stallNs = th.Clock.Now() - w0
 			if e.bgErr() != nil {
 				e.addPending(-1, tail)
 				return 0, false
-			}
-			if werr != nil {
-				// The ImmZone wait overran the stall deadline. The flusher
-				// cannot drop the sealed data, so it retries in place — but
-				// each bounded round surfaces the stall in the trace and
-				// refreshes the flow-control state, escalating admission to
-				// Slowdown/Stop so the foreground sheds load instead of
-				// piling more seals behind this one.
-				e.trace.Emit(th.Clock.Now(), "flush_stall", "shard", e.env.index,
-					"slot", s.idx, "need", immZoneHdrSize+tail)
-				e.flow.recompute(th.Clock.Now(), "flush_stall")
 			}
 		}
 		// Every extent waited for the zone's space with the first.
@@ -354,8 +312,8 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	// of the copy in virtual time — and not before the index thread has
 	// finished the table's final sync, run at the seal, which keeps the whole
 	// pipeline paced by the paper's one-flush-thread/one-index-thread
-	// configuration. Stall time spent waiting for the spill thread is not
-	// flush-server work, but the slot cannot free before the copy ended.
+	// configuration. Time spent spilling before the copy is not flush-server
+	// work, but the slot cannot free before the copy ended.
 	doneAt, end := s.indexDoneV, start
 	for _, xth := range ths {
 		now := xth.Clock.Now()
@@ -377,21 +335,20 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 		}
 	}
 
-	if e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
-		e.spills.Submit(th.Clock.Now(), struct{}{})
-	}
 	e.addPending(-1, tail)
 	e.flow.recompute(th.Clock.Now(), "flush_end")
+	if e.bgErr() == nil && e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
+		e.spillFrom(th.Clock.Now())
+	}
 	return doneAt, false
 }
 
-// spill acquires the spill lock exclusively and, if the zone is still over
-// threshold (another spiller may have raced us here), writes it out to L0.
+// spill writes every registered table out to L0 on th, under the spill lock
+// held exclusively, and refreshes flow control.
 func (e *Engine) spill(th *hw.Thread) {
 	e.spillMu.Lock()
 	e.spillLocked(th)
 	e.spillMu.Unlock()
-	e.spills.Done(th.Clock.Now()) // wakes any flusher stalled on ImmZone space
 	e.flow.recompute(th.Clock.Now(), "spill_end")
 }
 
@@ -445,7 +402,7 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	e.mem.mu.Unlock()
 	for _, t := range imms {
 		if t.unplaced {
-			e.active.unplaced.Add(-1)
+			e.active.Load().unplaced.Add(-1)
 		}
 	}
 	// Range tombstones that just reached the tree no longer need their DRAM

@@ -172,28 +172,27 @@ func TestMergeStopsAtTheConfiguredSize(t *testing.T) {
 
 // elasticRun is what must repeat between two runs of runElastic: the
 // writer's clock, each flush's booked end in flush_end order, the
-// elasticity counts and the index thread's syncs.
+// elasticity counts, the index thread's syncs and the spills.
 type elasticRun struct {
-	clock                int64
-	freeAt               []int64
-	splits, merges       int64
-	indexJobs, indexBusy int64
+	clock                        int64
+	freeAt                       []int64
+	splits, merges               int64
+	indexJobs, indexBusy         int64
+	spillJobs, spillBusy, spills int64
 }
 
 // runElastic runs one writer on four flush servers and a pool of three slots:
 // a burst of 4 KiB puts with no think time outruns the flushes and splits the
 // slots, FlushAll spills the ImmZone, then a calm stretch with think time
 // between puts merges the halves back, and a last FlushAll spills again. The
-// ImmZone holds either stretch whole: a spill that ran beside the flushes
-// would change what their stores cost, by how the host interleaves the two
-// streams at the PMem device, not by anything the pool decides.
+// ImmZone holds a few tables, so the flushes spill it inside the burst too.
 func runElastic(t *testing.T) elasticRun {
 	t.Helper()
 	o := smallOpts()
 	o.FlushThreads = 4
 	o.PoolBytes = 1 << 20
 	o.SubMemTableBytes = 256 << 10 // three slots
-	o.ImmZoneBytes = 32 << 20
+	o.ImmZoneBytes = 2 << 20
 	o.FSBytes = 256 << 20
 	o.Trace = obs.NewTrace(0)
 	e, th := openEngine(t, testMachine(), o)
@@ -217,7 +216,8 @@ func runElastic(t *testing.T) elasticRun {
 	e.RegisterObs(reg)
 	snap := reg.Gather()
 	r := elasticRun{th.Clock.Now(), freeAt, e.pool.splits.Load(), e.pool.merges.Load(),
-		snap.Int("index_jobs"), snap.Int("index_busy_ns")}
+		snap.Int("index_jobs"), snap.Int("index_busy_ns"),
+		snap.Int("spill_jobs"), snap.Int("spill_busy_ns"), snap.Int("engine_spills")}
 	if r.splits == 0 || r.merges == 0 || e.stats.Spills.Load() == 0 {
 		t.Fatalf("the load split %d times, merged %d times and spilled %d times; it must do all three",
 			r.splits, r.merges, e.stats.Spills.Load())
@@ -228,8 +228,9 @@ func runElastic(t *testing.T) elasticRun {
 // TestElasticityRepeats: a writer's virtual schedule does not depend on how
 // far the host's flush worker has got when it asks for a slot. Two runs of
 // one writer that splits, merges and spills repeat its clock, every flush's
-// booked end, the elasticity counts and the index thread's work: each sync
-// runs on the write or seal that fires it, so none lags by host timing.
+// booked end, the elasticity counts, the index thread's work and the spills:
+// each sync runs on the write or seal that fires it, and each spill in the
+// flush that fills the zone, so none lags by host timing.
 func TestElasticityRepeats(t *testing.T) {
 	a, b := runElastic(t), runElastic(t)
 	if a.clock != b.clock || a.splits != b.splits || a.merges != b.merges {
@@ -240,8 +241,12 @@ func TestElasticityRepeats(t *testing.T) {
 		t.Fatalf("runs differ: index_jobs %d / %d, index_busy_ns %d / %d",
 			a.indexJobs, b.indexJobs, a.indexBusy, b.indexBusy)
 	}
+	if a.spillJobs != b.spillJobs || a.spillBusy != b.spillBusy || a.spills != b.spills {
+		t.Fatalf("runs differ: spill_jobs %d / %d, spill_busy_ns %d / %d, engine_spills %d / %d",
+			a.spillJobs, b.spillJobs, a.spillBusy, b.spillBusy, a.spills, b.spills)
+	}
 	if !slices.Equal(a.freeAt, b.freeAt) {
 		t.Fatalf("flush ends differ: %d flushes / %d", len(a.freeAt), len(b.freeAt))
 	}
-	t.Logf("clock %d vns, %d flushes, %d splits, %d merges", a.clock, len(a.freeAt), a.splits, a.merges)
+	t.Logf("clock %d vns, %d flushes, %d spills, %d splits, %d merges", a.clock, len(a.freeAt), a.spills, a.splits, a.merges)
 }

@@ -74,7 +74,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 	if e.opts.SkiplistCompaction {
 		for _, t := range e.mem.imms {
 			if t.unplaced = !e.enterList(t.list, t.name); t.unplaced {
-				e.active.unplaced.Add(1)
+				e.active.Load().unplaced.Add(1)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 	}
 	for _, s := range sealed {
 		if !e.enterList(s.list, incarnationName(s.idx, s.gen.Load())) && s.unplaced.CompareAndSwap(false, true) {
-			e.active.unplaced.Add(1)
+			e.active.Load().unplaced.Add(1)
 		}
 	}
 	return sealed, workers, nil
