@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/cache"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/util"
 )
@@ -66,8 +67,8 @@ func TestSyncSlotAllocs(t *testing.T) {
 	}
 }
 
-// TestRebuildListAllocs: recovery pays one snapshot, one filter and one list
-// per table, not objects per entry.
+// TestRebuildListAllocs: recovery pays one snapshot, one list and a thread
+// per extent for each table, not objects per entry.
 func TestRebuildListAllocs(t *testing.T) {
 	skipAllocsUnderRace(t)
 	o := quietOpts()
@@ -78,9 +79,9 @@ func TestRebuildListAllocs(t *testing.T) {
 	// two objects a time, on every key (memfilter.fenceIn; ROADMAP item 11).
 	fillFlushed(t, e, th, 1, func(i int) []byte { return allocKey(i * 7919 % 100003) }, make([]byte, 64))
 	real := e.mem.imms[0]
-	var rebuilt *immTable
-	var snap []byte
-	got := mallocs(func() { rebuilt = e.rebuildList(th, real.base, real.dataLen, real.count, &snap) })
+	jobs := []rebuildJob{{base: real.base, limit: real.dataLen, count: real.count, part: cache.DefaultPartition}}
+	got := mallocs(func() { e.rebuildAll(th, jobs) })
+	rebuilt := jobs[0].t
 	if rebuilt.count != real.count || rebuilt.maxSeq != real.maxSeq || rebuilt.list.Len() != real.list.Len() {
 		t.Fatalf("rebuilt %d entries up to seq %d, the flushed table has %d up to %d",
 			rebuilt.count, rebuilt.maxSeq, real.count, real.maxSeq)

@@ -59,24 +59,27 @@ const (
 const flushSplitBytes = 512 << 10
 
 // flushExtents is how the copy-based flush cuts a table of tail bytes: into
-// n extents of near-equal length, one job each on the flush servers.
+// n extents of near-equal length, one job each on the flush servers. skew is
+// how far past an XPLine the data region starts.
 type flushExtents struct {
-	tail uint64
-	n    int
+	tail, skew uint64
+	n          int
 }
 
-// splitFlush is the extent rule, the one flushOne copies by and flushFloor
-// bounds by: min(servers, tail / flushSplitBytes) extents, at least one.
-func splitFlush(tail uint64, servers int) flushExtents {
+// splitFlush is the extent rule, the one flushOne copies by, flushFloor
+// bounds by and recovery reads by: min(servers, tail / flushSplitBytes)
+// extents, at least one, of a data region skew bytes past an XPLine (an
+// ImmZone table's starts immZoneHdrSize past an immZoneAlign-aligned
+// allocation).
+func splitFlush(tail uint64, servers int, skew uint64) flushExtents {
 	n := min(uint64(max(servers, 1)), tail/flushSplitBytes)
-	return flushExtents{tail: tail, n: int(max(n, 1))}
+	return flushExtents{tail: tail, skew: skew % immZoneAlign, n: int(max(n, 1))}
 }
 
 // seam returns the data-region offset extent i starts at (seam(n) is the
-// tail). An inner seam is moved up to the next XPLine of the ImmZone — the
-// data region starts immZoneHdrSize past an immZoneAlign-aligned allocation —
-// so no XPLine takes stores from two extents, and the extents' NT stores
-// fill the same whole XPLines the one-piece copy did.
+// tail). An inner seam is moved up to the next XPLine, so no XPLine takes
+// stores from two extents, and the extents' NT stores fill the same whole
+// XPLines the one-piece copy did.
 func (x flushExtents) seam(i int) uint64 {
 	switch {
 	case i <= 0:
@@ -84,8 +87,8 @@ func (x flushExtents) seam(i int) uint64 {
 	case i >= x.n:
 		return x.tail
 	}
-	at := immZoneHdrSize + uint64(i)*x.tail/uint64(x.n)
-	return (at+immZoneAlign-1)&^(immZoneAlign-1) - immZoneHdrSize
+	at := x.skew + uint64(i)*x.tail/uint64(x.n)
+	return (at+immZoneAlign-1)&^(immZoneAlign-1) - x.skew
 }
 
 // largest returns the length of the longest extent.
@@ -213,7 +216,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	// sub-MemTables hurt write throughput (the paper's Exp#6 left side).
 	th.Clock.Advance(e.m.Costs.FlushFixed)
 
-	x := splitFlush(tail, e.flushes.Server.Size())
+	x := splitFlush(tail, e.flushes.Server.Size(), immZoneHdrSize)
 	ths := []*hw.Thread{th}
 	for range x.n - 1 {
 		xth := e.m.NewThread(0)

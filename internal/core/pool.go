@@ -439,7 +439,7 @@ func flushFloor(c *sim.CostModel, sealedAt int64, tail uint64, servers int) int6
 	if tail == 0 {
 		return sealedAt
 	}
-	return sealedAt + c.FlushFixed + int64(splitFlush(tail, servers).largest())*c.FlushBytePerKB/1024
+	return sealedAt + c.FlushFixed + int64(splitFlush(tail, servers, immZoneHdrSize).largest())*c.FlushBytePerKB/1024
 }
 
 // assignLocked hands the free slot s to core: a fresh sub-skiplist, a new

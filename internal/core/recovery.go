@@ -2,6 +2,7 @@ package core
 
 import (
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/cache"
 	"cachekv/internal/hw/sim"
 	"cachekv/internal/kvstore"
 	"cachekv/internal/lsm"
@@ -24,8 +25,12 @@ import (
 //     runs, the one way a slot reaches the ImmZone, and Gets find them among
 //     the pool's active slots until then.
 //
-// The tables of both steps are independent byte ranges, so they are rebuilt
-// side by side (rebuildAll); it also returns how many servers that took.
+// Both steps read with ordinary loads through the LLC, under the partition
+// that owns the bytes — the pool's pinned one for a slot, the default one for
+// the ImmZone — so the recovered tables come back cache-resident, as they do
+// on the paper's platform, and the Gets after a power cut hit the cache. The
+// tables of both steps are independent byte ranges, so they are rebuilt side
+// by side (rebuildAll); it also returns how many servers that took.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, workers int, err error) {
 	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores())
 	if err != nil {
@@ -44,7 +49,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 		if !ok {
 			break
 		}
-		jobs = append(jobs, rebuildJob{base: addr + immZoneHdrSize, limit: dataLen, count: count, maxSeq: maxSeq})
+		jobs = append(jobs, rebuildJob{base: addr + immZoneHdrSize, limit: dataLen, count: count, maxSeq: maxSeq, part: cache.DefaultPartition})
 		addr += immZoneHdrSize + dataLen
 		addr = (addr + immZoneAlign - 1) &^ (immZoneAlign - 1)
 	}
@@ -53,7 +58,7 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 	// Step 2's jobs: every live sub-MemTable that holds data.
 	for _, s := range p.slotList() {
 		if count, tail, live := slotExtent(s); live && tail > 0 {
-			jobs = append(jobs, rebuildJob{base: s.dataAddr(), limit: tail, count: count})
+			jobs = append(jobs, rebuildJob{base: s.dataAddr(), limit: tail, count: count, part: e.poolPart})
 		}
 	}
 	workers = e.rebuildAll(th, jobs)
@@ -107,35 +112,47 @@ func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, w
 }
 
 // rebuildJob is one table steps 1 and 2 rebuild: an ImmZone table (maxSeq is
-// its header's) or a live sub-MemTable's data region. rebuildAll sets t.
+// its header's) or a live sub-MemTable's data region, read under partition
+// part. rebuildAll sets t.
 type rebuildJob struct {
 	base, limit, count, maxSeq uint64
+	part                       cache.PartitionID
 	t                          *immTable
 }
 
 // rebuildAll runs the jobs of steps 1 and 2 as virtual servers, the way the
-// flush kind books its copies: each job runs rebuildList on a thread of its
-// own from th's instant, booked on one of m.Cores() recovery servers, and th
-// advances to the last completion — the steps take their longest table, not
-// the sum. The host runs the jobs one after another in order, through one
-// snapshot buffer: the device's sequential-read tracker is machine-wide, so
-// jobs on host goroutines would make virtual time depend on how they
-// interleave. It returns how many servers ran a job.
+// flush kind books its copies: each job's table is read through the LLC as
+// splitFlush's extents, each on a thread of its own from th's instant, booked
+// on one of m.Cores() recovery servers, and rebuildList decodes the table
+// once all its extents have landed. th advances to the last completion — the
+// steps take their longest extent, not the sum. The host reads the extents
+// one after another in order, through one snapshot buffer: the device's
+// sequential-read tracker is machine-wide, so reads on host goroutines would
+// make virtual time depend on how they interleave. It returns how many
+// servers ran an extent.
 func (e *Engine) rebuildAll(th *hw.Thread, jobs []rebuildJob) int {
 	servers := sim.NewServerPool(e.m.Cores())
 	start := th.Clock.Now()
 	end := start
 	var snap []byte
+	extents := 0
 	for i := range jobs {
 		j := &jobs[i]
-		jth := e.m.NewThread(0)
-		jth.Clock.SetLabel(hw.PhaseRecovery.Layer())
-		jth.Clock.AdvanceTo(start)
-		j.t = e.rebuildList(jth, j.base, j.limit, j.count, &snap)
-		end = max(end, servers.Submit(start, jth.Clock.Now()-start))
+		snap = util.Sized(snap, int(j.limit))
+		x := splitFlush(j.limit, servers.Size(), j.base)
+		for k := range x.n {
+			lo, hi := x.seam(k), x.seam(k+1)
+			xth := e.m.NewThread(0)
+			xth.Clock.SetLabel(hw.PhaseRecovery.Layer())
+			xth.Clock.AdvanceTo(start)
+			e.m.Cache.Read(xth.Clock, j.base+lo, snap[lo:hi], j.part)
+			end = max(end, servers.Submit(start, xth.Clock.Now()-start))
+		}
+		extents += x.n
+		j.t = e.rebuildList(j.base, j.limit, j.count, snap)
 	}
 	th.Clock.AdvanceTo(end)
-	return min(len(jobs), servers.Size())
+	return min(extents, servers.Size())
 }
 
 // readImmHdr reads the ImmZone table header at addr and reports whether a
@@ -149,7 +166,7 @@ func (e *Engine) readImmHdr(th *hw.Thread, zone hw.Region, addr uint64) (dataLen
 		return 0, 0, 0, false
 	}
 	var hdr [immZoneHdrSize]byte
-	e.m.PMem.Read(th.Clock, addr, hdr[:])
+	e.m.Cache.Read(th.Clock, addr, hdr[:], cache.DefaultPartition)
 	c := util.NewCursor(hdr[:])
 	magic, dataLen, count, maxSeq := c.U64(), c.U64(), c.U64(), c.U64()
 	if magic != immHeaderMagic || !util.InExtent(off+immZoneHdrSize, dataLen, zone.Size) {
@@ -172,16 +189,14 @@ func slotExtent(s *slot) (count, tail uint64, live bool) {
 
 // rebuildList reconstructs the DRAM side of the table whose data region is
 // the limit bytes at base, which the caller has bounded by the region that
-// holds it. The region is read in one sequential pass into a DRAM snapshot
-// (snapshotInto, the way the spill streams its inputs) in *snap, which it
-// grows when it is too small and the next call reuses, and the entries are
-// decoded out of that; decoding stops after count entries or at the first
-// torn encoding. It returns the table: its sub-skiplist, the entries
-// recovered as its count and the highest sequence seen as its maxSeq.
-func (e *Engine) rebuildList(th *hw.Thread, base, limit, count uint64, snap *[]byte) *immTable {
+// holds it, out of buf, the DRAM copy of those bytes rebuildAll read; no entry
+// is read past limit. Decoding stops after count entries or at the first torn
+// encoding. It returns the table: its
+// sub-skiplist, the entries recovered as its count and the highest sequence
+// seen as its maxSeq.
+func (e *Engine) rebuildList(base, limit, count uint64, buf []byte) *immTable {
 	t := &immTable{base: base, dataLen: limit, list: skiplist.New(icmp, base|1)}
-	*snap = t.snapshotInto(e, th, *snap)
-	buf := *snap
+	buf = buf[:limit]
 	var off uint64
 	var ik, val []byte // scratch: the sub-skiplist copies what it is handed
 	for t.count < count && off+8 <= limit {

@@ -328,6 +328,116 @@ func TestCrashBeforeTheRecoveredSlotFlushes(t *testing.T) {
 	}
 }
 
+// TestRecoveredTablesAreCacheResident: recovery reads every table through the
+// LLC under the partition that owns its bytes, so a store that crashed with
+// ImmZone tables and a live sub-MemTable reopens with the slot's lines in the
+// pool partition and the tables' lines in the default one, and a Get of every
+// key reads nothing from media. A gate holds the recovered slot's flush at its
+// first ImmZone store meanwhile, so each Get finds its key where recovery left
+// it. Under ADR the same script serves only what reached media: the flushed
+// tables' versions, never the slot's, which the power cut lost.
+func TestRecoveredTablesAreCacheResident(t *testing.T) {
+	for _, domain := range []cache.Domain{cache.EADR, cache.ADR} {
+		t.Run(domain.String(), func(t *testing.T) {
+			cfg := hw.DefaultConfig()
+			cfg.PMemBytes = 1 << 30
+			cfg.Cache.Domain = domain
+			m := hw.NewMachine(cfg)
+			opts := smallOpts()
+			e, th := openEngine(t, m, opts)
+			key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
+			n := fillFlushed(t, e, th, 2, key, []byte("flushed"))
+			_, flushed := memTables(e) // keys 0 .. flushed-1 are in the zone
+			const more = 100
+			for i := range more {
+				if err := e.Put(th, key(i), []byte("overwritten")); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Put(th, key(n+i), []byte("fresh")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.pendingFlushes.Load() != 0 || e.stats.Flushes.Load() != 2 || flushed < more {
+				t.Fatalf("%d flushes, %d pending, %d keys flushed: want the last writes in the active sub-MemTable", e.stats.Flushes.Load(), e.pendingFlushes.Load(), flushed)
+			}
+			zone := e.immArena.Region()
+			crash(m, e)
+
+			var stopped atomic.Bool
+			release := make(chan struct{})
+			m.SetMemGate(func(op sim.MemOp, addr uint64, size int) int {
+				if op == sim.MemOpNTWrite && zone.Addr <= addr && addr < zone.End() && stopped.CompareAndSwap(false, true) {
+					<-release
+				}
+				return size
+			})
+			defer m.SetMemGate(nil)
+			m.Recover()
+			th2 := m.NewThread(0)
+			e2, err := newEngine(m, opts, shardEnv{}, th2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close(th2)
+			defer close(release)
+
+			want := func(i int) string {
+				switch {
+				case domain == cache.ADR && i >= int(flushed):
+					return "" // only the slot held it
+				case i < more:
+					if domain == cache.ADR {
+						return "flushed"
+					}
+					return "overwritten"
+				case i >= n:
+					return "fresh"
+				}
+				return "flushed"
+			}
+			if domain == cache.EADR {
+				tables, _ := memTables(e2)
+				var slots int
+				for _, s := range e2.pool.slotList() {
+					if _, state, tail := unpackHdr(s.hdr.Load()); state == stateImmutable {
+						slots++
+						checkHolder(t, m, s.dataAddr(), tail, e2.poolPart)
+					}
+				}
+				e2.mem.mu.RLock()
+				for _, tb := range e2.mem.imms {
+					checkHolder(t, m, tb.base, tb.dataLen, cache.DefaultPartition)
+				}
+				e2.mem.mu.RUnlock()
+				if tables != 3 || slots != 1 {
+					t.Fatalf("recovered %d tables, %d of them in sealed slots: want the zone's two and one slot", tables, slots)
+				}
+			}
+			before := m.PMem.Snapshot().MediaReadB
+			for i := range n + more {
+				v, err := e2.Get(th2, key(i))
+				if w := want(i); w == "" && !errors.Is(err, kvstore.ErrNotFound) || w != "" && (err != nil || string(v) != w) {
+					t.Fatalf("Get(%s) = %q, %v after a %v crash, want %q", key(i), v, err, domain, w)
+				}
+			}
+			if read := m.PMem.Snapshot().MediaReadB - before; domain == cache.EADR && read != 0 {
+				t.Errorf("the Gets after recovery read %d bytes from media, want 0", read)
+			}
+		})
+	}
+}
+
+// checkHolder fails t unless every line of [base, base+n) is in the LLC,
+// held by partition part.
+func checkHolder(t *testing.T, m *hw.Machine, base, n uint64, part cache.PartitionID) {
+	t.Helper()
+	for a := base &^ 63; a < base+n; a += 64 {
+		if p, ok := m.Cache.Holder(a); !ok || p != part {
+			t.Fatalf("line %#x of the recovered table at %#x: held %v by partition %d, want by %d", a, base, ok, p, part)
+		}
+	}
+}
+
 // TestCrashBetweenFlushExtents: at four flush servers a full 2 MiB
 // sub-MemTable copies as several extents. A power cut after the first
 // extent's stores and before the last one's leaves the ImmZone a header and
@@ -588,11 +698,12 @@ func recoverySpan(tr *obs.Trace) (span int64, workers any) {
 	return span, workers
 }
 
-// TestRecoverySpanIsTheCriticalPath: steps 1 and 2 rebuild each table as a job
-// of its own on the machine's cores, so recovery's span is its critical path —
-// the header walk, the busiest core's jobs (the longest job when there are
-// more cores than jobs) and the slots' header lines — not the sum of the
-// jobs, and never less than the busiest core's share.
+// TestRecoverySpanIsTheCriticalPath: steps 1 and 2 read each table as
+// extents, each a job of its own on the machine's cores, so recovery's span
+// is its critical path — the header walk, the busiest core's extents (the
+// longest extent when there are more cores than extents) and the slots'
+// header lines — not the sum of the extents, and never less than the busiest
+// core's share.
 func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 	for _, cores := range []int{hw.DefaultConfig().Cores, 2} {
 		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
@@ -606,7 +717,11 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			zone, poolRegion := e.immArena.Region(), e.pool.region
 			crash(m, e)
 			m.Recover()
-			walk, jobs := priceRecovery(t, m, e, zone, poolRegion)
+			walk, jobs, tables := priceRecovery(t, m, opts, zone, poolRegion)
+			// Pricing read the tables through the LLC: power-cycle, so that
+			// recovery finds the cache as cold as the pricing did.
+			m.Crash()
+			m.Recover()
 
 			opts.Trace = obs.NewTrace(0)
 			th2 := m.NewThread(0)
@@ -617,7 +732,7 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			defer e2.Close(th2)
 			span, workers := recoverySpan(opts.Trace)
 
-			// The jobs start together and go to the earliest-free core, as
+			// The extents start together and go to the earliest-free core, as
 			// sim.ServerPool books them.
 			busy := make([]int64, cores)
 			var total int64
@@ -627,61 +742,71 @@ func TestRecoverySpanIsTheCriticalPath(t *testing.T) {
 			}
 			busiest, longest := slices.Max(busy), slices.Max(jobs)
 			slack := 4 * m.Costs.PMemReadRand // the slots' header lines
-			t.Logf("span %d vns: walk %d, %d jobs (longest %d, busiest core %d)",
-				span, walk, len(jobs), longest, busiest)
-			if len(jobs) != 5 {
-				t.Fatalf("recovery ran %d jobs, want 5: four ImmZone tables and the active sub-MemTable", len(jobs))
+			t.Logf("span %d vns: walk %d, %d tables in %d extents (longest %d, busiest core %d)",
+				span, walk, tables, len(jobs), longest, busiest)
+			if tables != 5 {
+				t.Fatalf("recovery read %d tables, want 5: four ImmZone tables and the active sub-MemTable", tables)
 			}
 			if want := min(len(jobs), cores); workers != want {
 				t.Errorf("recovery_end says workers=%v, want %d", workers, want)
 			}
 			if span < busiest {
-				t.Errorf("recovery took %d vns, less than the %d its busiest core's jobs take", span, busiest)
+				t.Errorf("recovery took %d vns, less than the %d its busiest core's extents take", span, busiest)
 			}
 			if limit := walk + busiest + slack; span > limit {
-				t.Errorf("recovery took %d vns, over its critical path's %d (the jobs sum to %d)", span, limit, total)
+				t.Errorf("recovery took %d vns, over its critical path's %d (the extents sum to %d)", span, limit, total)
 			}
 		})
 	}
 }
 
 // priceRecovery re-runs on fresh threads what recovering the crashed store
-// dead (zone and pool are its regions) runs on media before it rewrites
-// headers: the ImmZone header walk, then each table's rebuildList in the
-// order recovery's jobs run, so that every read meets the device's
-// sequential-read tracker as recovery's will. It returns the walk's virtual
-// cost and each job's.
-func priceRecovery(t *testing.T, m *hw.Machine, dead *Engine, zone, poolRegion hw.Region) (walk int64, jobs []int64) {
+// (zone and pool are its regions) reads before it rewrites headers: the
+// ImmZone header walk, then each table's extents as rebuildAll cuts them, in
+// the order recovery reads them and under the same partitions, so that every
+// read meets the device's sequential-read tracker as recovery's will. It
+// returns the walk's virtual cost, each extent's and the number of tables.
+// The reads leave the tables' lines in the LLC.
+func priceRecovery(t *testing.T, m *hw.Machine, opts Options, zone, poolRegion hw.Region) (walk int64, extents []int64, tables int) {
 	t.Helper()
 	e := &Engine{m: m, mem: new(memState)}
+	part, err := m.Cache.Reserve(int(opts.PoolBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Cache.Release(part)
 	th := m.NewThread(0)
-	type table struct{ base, limit, count uint64 }
-	var tables []table
+	var jobs []rebuildJob
 	for addr := zone.Addr; ; {
 		dataLen, count, _, ok := e.readImmHdr(th, zone, addr)
 		if !ok {
 			break
 		}
-		tables = append(tables, table{addr + immZoneHdrSize, dataLen, count})
+		jobs = append(jobs, rebuildJob{base: addr + immZoneHdrSize, limit: dataLen, count: count, part: cache.DefaultPartition})
 		addr = (addr + immZoneHdrSize + dataLen + immZoneAlign - 1) &^ (immZoneAlign - 1)
 	}
 	walk = th.Clock.Now()
-	p, err := loadGeometry(m, poolRegion, dead.poolPart, m.Cores())
+	p, err := loadGeometry(m, poolRegion, part, m.Cores())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range p.slotList() {
 		if count, tail, live := slotExtent(s); live && tail > 0 {
-			tables = append(tables, table{s.dataAddr(), tail, count})
+			jobs = append(jobs, rebuildJob{base: s.dataAddr(), limit: tail, count: count, part: part})
 		}
 	}
-	var snap []byte
-	for _, tb := range tables {
-		jth := m.NewThread(0)
-		e.rebuildList(jth, tb.base, tb.limit, tb.count, &snap)
-		jobs = append(jobs, jth.Clock.Now())
+	var buf []byte
+	for _, j := range jobs {
+		buf = util.Sized(buf, int(j.limit))
+		x := splitFlush(j.limit, m.Cores(), j.base)
+		for k := range x.n {
+			lo, hi := x.seam(k), x.seam(k+1)
+			xth := m.NewThread(0)
+			m.Cache.Read(xth.Clock, j.base+lo, buf[lo:hi], j.part)
+			extents = append(extents, xth.Clock.Now())
+		}
 	}
-	return walk, jobs
+	return walk, extents, len(jobs)
 }
 
 // The pool's geometry table is read back from media on recovery. A slot it
@@ -769,44 +894,57 @@ func FuzzRebuildList(f *testing.F) {
 	zone := m.Alloc("fuzz.immzone", 64<<10, immZoneAlign)
 	slotRegion := m.Alloc("fuzz.slot", 32<<10, 64)
 	th := m.NewThread(0)
-	var buf []byte // one snapshot buffer for every table, as recovery's jobs share one
 	f.Fuzz(func(t *testing.T, data []byte, count, dataLen, tail uint64) {
 		e := &Engine{m: m, mem: new(memState)}
 
-		// The ImmZone path: header, then the bytes, then zeroes to the zone's end.
+		// The ImmZone image: header, then the bytes, then zeroes to the zone's
+		// end. The sub-MemTable image: the bytes, under a packed header whose
+		// tail bounds the region.
 		img := make([]byte, zone.Size)
 		hdr := util.PutFixed64(img[:0], immHeaderMagic)
 		hdr = util.PutFixed64(hdr, dataLen)
 		util.PutFixed64(hdr, count)
 		copy(img[immZoneHdrSize:], data)
 		m.PMem.StoreRaw(zone.Addr, img)
-		if limit, cnt, _, ok := e.readImmHdr(th, zone, zone.Addr); ok {
-			if limit > zone.Size-immZoneHdrSize {
-				t.Fatalf("header dataLen %d accepted in a zone of %d", limit, zone.Size)
-			}
-			checkRebuilt(t, e, th, zone.Addr+immZoneHdrSize, limit, cnt, &buf)
-		}
-
-		// The sub-MemTable path: the packed header's tail bounds the region.
 		s := newSlot(0, slotRegion.Addr, slotRegion.Size)
 		s.hdr.Store(packHdr(count, stateAllocated, tail))
 		img = make([]byte, s.dataCap())
 		copy(img, data)
 		m.PMem.StoreRaw(s.dataAddr(), img)
+		// The raw stores went behind the LLC: drop the lines the previous
+		// input's reads left there, or recovery reads that input's bytes.
+		m.Cache.Invalidate(zone.Addr, int(zone.Size))
+		m.Cache.Invalidate(slotRegion.Addr, int(slotRegion.Size))
+
+		// One rebuildAll for both tables, as recovery rebuilds a zone's tables
+		// and the pool's slots through one snapshot buffer: the slot's table
+		// decodes out of a buffer the zone's may have left longer and holding
+		// its bytes.
+		var jobs []rebuildJob
+		if limit, cnt, _, ok := e.readImmHdr(th, zone, zone.Addr); ok {
+			if limit > zone.Size-immZoneHdrSize {
+				t.Fatalf("header dataLen %d accepted in a zone of %d", limit, zone.Size)
+			}
+			jobs = append(jobs, rebuildJob{base: zone.Addr + immZoneHdrSize, limit: limit, count: cnt, part: cache.DefaultPartition})
+		}
 		cnt, limit, live := slotExtent(s)
 		if !live || limit > s.dataCap() {
 			t.Fatalf("slotExtent = (%d, %d, %v) for a live slot of %d data bytes", cnt, limit, live, s.dataCap())
 		}
-		checkRebuilt(t, e, th, s.dataAddr(), limit, cnt, &buf)
+		jobs = append(jobs, rebuildJob{base: s.dataAddr(), limit: limit, count: cnt, part: cache.DefaultPartition})
+		e.rebuildAll(th, jobs)
+		for _, j := range jobs {
+			checkRebuilt(t, e, j)
+		}
 	})
 }
 
-// checkRebuilt runs rebuildList over [base, base+limit) through the snapshot
-// buffer *buf, which earlier tables may have left longer and holding their
-// bytes, and holds the result to an independent walk of the same bytes.
-func checkRebuilt(t *testing.T, e *Engine, th *hw.Thread, base, limit, count uint64, buf *[]byte) {
+// checkRebuilt holds the table rebuildAll rebuilt for job j to an independent
+// walk of the job's bytes on media.
+func checkRebuilt(t *testing.T, e *Engine, j rebuildJob) {
 	t.Helper()
-	tb := e.rebuildList(th, base, limit, count, buf)
+	base, limit, count := j.base, j.limit, j.count
+	tb := j.t
 	list, scanned, hiSeq := tb.list, tb.count, tb.maxSeq
 	if tb.base != base || tb.dataLen != limit {
 		t.Fatalf("a table of %d bytes at %#x for the %d bytes at %#x", tb.dataLen, tb.base, limit, base)

@@ -895,6 +895,31 @@ func (c *LLC) Contains(addr uint64) (present, dirty bool) {
 	return present, dirty
 }
 
+// Holder reports which partition holds addr's line, if any line does: a
+// pinned partition whose region holds it, else the default partition, the one
+// partition whose lines sit in the set array (Reserve pins every other).
+// Tests use it; engines must not.
+func (c *LLC) Holder(addr uint64) (p PartitionID, present bool) {
+	base := addr &^ (lineSize - 1)
+	for i, part := range c.parts.Load().parts {
+		if r := part.pinned; r != nil {
+			r.mu.Lock()
+			_, _, ok := r.lookup(base)
+			r.mu.Unlock()
+			if ok {
+				return PartitionID(i), true
+			}
+		}
+	}
+	if c.resident[granule(base)].Load() != 0 {
+		s := c.setFor(base)
+		s.mu.Lock()
+		present = s.find(base) >= 0
+		s.mu.Unlock()
+	}
+	return DefaultPartition, present
+}
+
 // lookupLine calls fn, under the lock that guards it, with the first cached
 // copy of base's line found: the set array's, else a pinned region's.
 func (c *LLC) lookupLine(base uint64, fn func(data *[lineSize]byte, dirty bool)) {

@@ -126,6 +126,16 @@ func TestPartitionPseudoLocking(t *testing.T) {
 		if present, _ := c.Contains(addr); !present {
 			t.Fatalf("pinned line %#x was evicted by default-partition traffic", addr)
 		}
+		if p, ok := c.Holder(addr); !ok || p != part {
+			t.Fatalf("pinned line %#x: Holder = %d, %v, want partition %d", addr, p, ok, part)
+		}
+	}
+	last := uint64(1<<20) + uint64(1<<15-1)*64
+	if p, ok := c.Holder(last); !ok || p != DefaultPartition {
+		t.Fatalf("the last default-partition line: Holder = %d, %v", p, ok)
+	}
+	if _, ok := c.Holder(1 << 20); ok {
+		t.Fatal("Holder finds the first default-partition line, which the churn evicted")
 	}
 }
 
