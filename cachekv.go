@@ -113,11 +113,11 @@ type Options struct {
 	// batch spanning shards commits atomically through one batch-log record.
 	Shards int
 
-	// CompactionWorkers is the number of worker threads of the background
-	// compaction scheduler, which picks jobs by priority and runs
-	// disjoint-key-range jobs on the same level concurrently; LSM compaction
-	// never runs on the spill path. 0 takes the default (1). CacheKV-family
-	// engines only.
+	// CompactionWorkers is how many compaction servers a round runs side by
+	// side in virtual time: a round picks up to that many jobs by priority,
+	// on disjoint key ranges, each on a compaction thread of its own; LSM
+	// compaction is never charged to the spill. 0 takes the default (1).
+	// CacheKV-family engines only.
 	CompactionWorkers int
 
 	// WriteStallDeadline bounds how long a write may wait for admission when

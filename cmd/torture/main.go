@@ -562,7 +562,7 @@ func main() {
 	divergence := flag.Float64("divergence", 2, "required baseline/flow p99.9 ratio")
 	baseline := flag.Bool("baseline", true, "also run the blocking (no-deadline) baseline leg")
 	crash := flag.Bool("crash", true, "run the crash-mid-stall leg")
-	compactWorkers := flag.Int("compaction-workers", 0, "background compaction workers per shard (0 = default (1))")
+	compactWorkers := flag.Int("compaction-workers", 0, "compaction servers a round runs side by side, per shard (0 = default (1))")
 	smoke := flag.Bool("smoke", false, "shrink the run for CI")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()

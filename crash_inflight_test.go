@@ -17,7 +17,7 @@ func writesOf(s pmem.CountersSnapshot) pmem.CountersSnapshot {
 }
 
 // TestSimulateCrashCutsWorkInFlight: the power fails while a session writes
-// and the compaction workers run. Both keep going past the crash — the writer
+// and a compaction round runs. Both keep going past the crash — the writer
 // even sees its Puts acknowledged — yet from Crash on nothing they do reaches
 // the media: the device's write counters stand still while the cache refuses
 // their stores. SimulateCrash, finding the power already off, stops them and

@@ -10,7 +10,7 @@ package cachekv
 // would lose keys (oracle violation).
 //
 // Recovery seals each live sub-MemTable and enters its keys in the table;
-// the flush kind then copies the slot into the ImmZone, and from then on a
+// the flush worker then copies the slot into the ImmZone, and from then on a
 // Get finds those keys there without probing the table. The harness holds
 // that copy back until the oracle is done (RunBeforeRecoveredFlush), so at
 // every crash point that left a write the oracle's Gets probe the table. The

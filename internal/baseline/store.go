@@ -119,8 +119,7 @@ type Store struct {
 	// flushes drains sealed MemTables to the tree one at a time. The two
 	// ping-pong logs allow at most three sealed tables at once, well inside
 	// its queue.
-	bg      *bgpool.Pool
-	flushes *bgpool.Kind[Table]
+	flushes *bgpool.Pool[Table]
 	pending atomic.Int64 // sealed tables not yet flushed or dropped
 
 	fs   *pmemfs.FS
@@ -158,8 +157,7 @@ func Open(m *hw.Machine, opts Options, eng Engine, th *hw.Thread) (*Store, error
 	}
 	s.seq = s.tree.LastSeq()
 	eng.Index.Sync(th, s.tree)
-	s.bg = bgpool.New(func(err error) { panic(err) })
-	s.flushes = bgpool.Add(s.bg, bgpool.Config{Name: "flush", Workers: 1, Rule: bgpool.FIFO, Queue: 8}, s.flushOne, s.release)
+	s.flushes = bgpool.New(bgpool.Config{Name: "flush", Queue: 8}, s.flushOne, s.release, func(err error) { panic(err) })
 
 	s.active = eng.Tier.First(s, th)
 	replayed := 0
@@ -307,10 +305,10 @@ func (s *Store) sealLocked(th *hw.Thread) {
 	s.flushes.Submit(th.Clock.Now(), sealed)
 }
 
-// flushOne is the flush kind's job: it drains one table, sealed at virtual
+// flushOne is the flush pool's job: it drains one table, sealed at virtual
 // time sealedAt, into the tree, catches the index up and recycles the table's
 // entry log.
-func (s *Store) flushOne(_ int, sealedAt int64, t Table) (int64, bool) {
+func (s *Store) flushOne(sealedAt int64, t Table) {
 	th := s.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
 	th.Clock.AdvanceTo(sealedAt)
@@ -320,7 +318,7 @@ func (s *Store) flushOne(_ int, sealedAt int64, t Table) (int64, bool) {
 	if err == nil {
 		s.eng.Index.Sync(th, s.tree)
 	}
-	done := s.flushes.Server.Submit(sealedAt, th.Clock.Now()-start)
+	s.flushes.Server.Submit(sealedAt, th.Clock.Now()-start)
 	s.opts.Trace.Emit(th.Clock.Now(), "flush_end",
 		"entries", t.MT.Len(), "ns", th.Clock.Now()-start)
 	s.mu.Lock()
@@ -339,7 +337,6 @@ func (s *Store) flushOne(_ int, sealedAt int64, t Table) (int64, bool) {
 	}
 	s.mu.Unlock()
 	s.release(t)
-	return done, false
 }
 
 // release is what a sealed table owes once its flush ended or the crash-stop
@@ -462,9 +459,9 @@ func (s *Store) Close(*hw.Thread) error {
 	}
 	s.mu.Unlock()
 	if crashed {
-		s.bg.Abort()
+		s.flushes.Abort()
 	}
-	s.bg.Close()
+	s.flushes.Close()
 	if s.opts.Variant == CacheSegments {
 		// Drain the pinned segments before surrendering the partition so a
 		// graceful close is never lossier than an eADR crash (a crashed

@@ -58,11 +58,10 @@ type Options struct {
 	// above (flowTable).
 	WriteStallDeadline int64
 
-	// CompactionWorkers is the worker count of the background pool's
-	// compaction kind (each worker on its own simulated thread, attributed to
-	// PhaseCompact) picking jobs by priority and running disjoint-range
-	// same-level jobs concurrently (1). LSM compaction never runs on the
-	// spill path.
+	// CompactionWorkers is how many compaction servers a round runs side by
+	// side in virtual time (1): up to that many disjoint jobs, picked by
+	// priority, each on a compaction thread of its own (attributed to
+	// PhaseCompact). LSM compaction is never charged to the spill.
 	CompactionWorkers int
 
 	// Shards hash-partitions the keyspace across that many engines behind the
@@ -201,13 +200,16 @@ type Engine struct {
 	// tree's own metadata carries them (see pruneRangeTombs).
 	rangeTombs rangeTombList
 
-	// bg runs the background jobs, one kind each (startBackground).
-	bg             *bgpool.Pool
-	flushes        *bgpool.Kind[*slot]
-	compacts       *bgpool.Kind[struct{}]
-	spillServer    *sim.ServerPool // the spill thread's virtual server (spillFrom)
-	flushBuf       []byte          // the table being copied (the flush kind has one worker)
-	compactThreads []*hw.Thread    // per compaction worker
+	// flushes is the engine's one background worker, which copies the sealed
+	// slots (startBackground).
+	flushes     *bgpool.Pool[*slot]
+	spillServer *sim.ServerPool // the spill thread's virtual server (spillFrom)
+	flushBuf    []byte          // the table being copied (the flush worker's one buffer)
+	// compactMu runs one caller's compaction rounds at a time (compact), on
+	// the compaction threads, booked on compactServer.
+	compactMu      sync.Mutex
+	compactThreads []*hw.Thread
+	compactServer  *sim.ServerPool
 	pendingFlushes atomic.Int64
 	// indexTh runs the syncs of triggers 2 and 3 one at a time (indexSync);
 	// indexServer is the index thread's virtual server, which books them.
@@ -266,7 +268,6 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 		seq:   env.seq,
 	}
 	e.active.Store(newActiveTable(activeEntries(opts)))
-	e.bg = bgpool.New(e.fail)
 	if e.seq == nil {
 		e.seq = new(atomic.Uint64)
 	}
@@ -333,13 +334,15 @@ func newEngine(m *hw.Machine, opts Options, env shardEnv, th *hw.Thread) (_ *Eng
 	e.pool.flushServers = opts.FlushThreads
 
 	e.startBackground()
-	// Recovery sealed the pool's live sub-MemTables: the flush kind copies
+	// A reopened tree may hold debt already due (crash mid-burst): compact
+	// it before the flush worker starts on the recovered slots, so that the
+	// host order of the two stays fixed.
+	e.compact(th.Clock.Now())
+	// Recovery sealed the pool's live sub-MemTables: the flush worker copies
 	// them into the ImmZone as it copies any full one.
 	for _, s := range sealed {
 		e.queueSealed(th.Clock.Now(), s)
 	}
-	// A recovered tree may reopen with debt already due (crash mid-burst).
-	e.compacts.Submit(th.Clock.Now(), struct{}{})
 	// A recovered engine may reopen already under pressure (crash mid-stall).
 	e.flow.recompute(th.Clock.Now(), "open")
 	return e, nil
@@ -356,7 +359,7 @@ func (e *Engine) fail(err error) {
 		e.pool.aborted.Store(true)
 	}
 	e.flow.abort()
-	e.bg.Abort()
+	e.flushes.Abort()
 	if e.pool != nil {
 		e.pool.mu.Lock()
 		e.pool.cond.Broadcast()
@@ -450,15 +453,15 @@ func engineMetrics(levels int) []engineMetric {
 		return sum(moved)
 	})
 	counter("compact_jobs", func(e *Engine) int64 {
-		jobs, _ := e.compacts.Server.Stats()
+		jobs, _ := e.compactServer.Stats()
 		return jobs
 	})
-	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.compacts.Running()) })
+	gauge("compact_running", false, func(e *Engine) float64 { return float64(e.tree.RoundJobs()) })
 	gauge("compact_queued", false, func(e *Engine) float64 {
-		return float64(max(e.tree.DueLevels()-e.compacts.Running(), 0))
+		return float64(max(e.tree.DueLevels()-e.tree.RoundJobs(), 0))
 	})
 	counter("compact_busy_ns", func(e *Engine) int64 {
-		_, busy := e.compacts.Server.Stats()
+		_, busy := e.compactServer.Stats()
 		return busy
 	})
 	gauge("compact_debt_bytes", false, func(e *Engine) float64 { return float64(e.tree.CompactionDebt()) })
@@ -860,7 +863,7 @@ func (e *Engine) FlushAll(th *hw.Thread) error {
 		return e.err()
 	}
 	e.spill(th)
-	e.tree.WaitSettled(th, e.compacts)
+	th.Clock.AdvanceTo(e.compact(th.Clock.Now()))
 	// Advance the caller past all background virtual time: the last flush
 	// ends when the busiest flush server frees.
 	th.Clock.AdvanceTo(e.flushes.Server.LatestFree())
@@ -876,9 +879,12 @@ func (e *Engine) Close(th *hw.Thread) error {
 	if e.m.Crashed() {
 		e.fail(errEngineCrashed)
 	}
-	// Drain the background kinds in startBackground's order; compaction
-	// drops what is due instead of draining it.
-	e.bg.Close()
+	// Drain the flush worker, then wait out a round another caller runs:
+	// no round starts once closed is set, so compaction drops what is due
+	// instead of draining it.
+	e.flushes.Close()
+	e.compactMu.Lock()
+	e.compactMu.Unlock()
 	e.dropMemory()
 	// Graceful shutdown: write the pinned pool back to the PMem before
 	// surrendering the partition, so a close is never lossier than a crash

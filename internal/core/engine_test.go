@@ -766,7 +766,7 @@ func TestGetReadsItsSnapshotAcrossSpillAndCompaction(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if jobs, _ := e.compacts.Server.Stats(); e.stats.Spills.Load() < 4 || jobs == 0 {
+	if jobs, _ := e.compactServer.Stats(); e.stats.Spills.Load() < 4 || jobs == 0 {
 		t.Fatalf("%d spills and %d compactions: the window was not exercised", e.stats.Spills.Load(), jobs)
 	}
 }

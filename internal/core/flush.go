@@ -129,38 +129,37 @@ func (ms *memState) table(name uint64) *immTable {
 	return nil
 }
 
-// startBackground adds the engine's two kinds of background job to its pool:
-// the paper's N flush threads and the LSM compaction workers. Each kind books
-// its jobs on its own virtual server, so that configured thread counts, not
-// host scheduling, pace the pipeline (Exp#3/#5). The order is Close's: an
-// in-flight flush may still submit a compaction. The index thread and the
-// spill thread are no kinds: the lazy syncs run where they fire (indexSync),
-// each booked on indexServer, and a spill runs in the flush that fills the
-// ImmZone (spillFrom), booked on spillServer.
+// startBackground starts the engine's one background worker, which takes
+// the sealed slots in seal order: the paper's N flush threads. Nothing else
+// has a host goroutine of its own. The lazy syncs run where they fire
+// (indexSync), booked on indexServer; a spill runs in the flush that fills
+// the ImmZone (spillFrom), booked on spillServer; and compaction runs where
+// its debt is made (compact), on the compaction threads, booked on
+// compactServer. Each server is virtual, so that configured thread counts,
+// not host scheduling, pace the pipeline (Exp#3/#5).
 //
-// A flush thread is a virtual server: one host worker takes the sealed slots
-// in seal order and books each table's copy on the earliest-free of the
-// FlushThreads servers, so tables copy side by side in virtual time while the
-// host copies them one at a time, through one buffer. A table of at least
-// twice flushSplitBytes copies as several extents, one per server
-// (splitFlush), so a lone seal does not wait out a whole table's copy on one
-// server while the others idle. That split is an extension: the paper's
-// flush threads each copy whole tables.
+// A flush thread is a virtual server: the worker books each table's copy on
+// the earliest-free of the FlushThreads servers, so tables copy side by side
+// in virtual time while the host copies them one at a time, through one
+// buffer. A table of at least twice flushSplitBytes copies as several
+// extents, one per server (splitFlush), so a lone seal does not wait out a
+// whole table's copy on one server while the others idle. That split is an
+// extension: the paper's flush threads each copy whole tables.
 func (e *Engine) startBackground() {
 	o := e.opts
 	// A slot is queued at most once at a time: 1 024 is far beyond any pool's
 	// slot count.
-	e.flushes = bgpool.Add(e.bg, bgpool.Config{Name: "flush", Workers: 1, Rule: bgpool.FIFO, Queue: 1024, Server: sim.NewServerPool(o.FlushThreads)},
+	e.flushes = bgpool.New(bgpool.Config{Name: "flush", Queue: 1024, Server: sim.NewServerPool(o.FlushThreads)},
 		e.flushOne, func(s *slot) {
 			_, _, tail := unpackHdr(s.hdr.Load())
 			e.addPending(-1, tail) // the power failure preempted the flush
-		})
+		}, e.fail)
 	for range o.CompactionWorkers {
 		th := e.m.NewThread(0)
 		th.Clock.SetLabel(hw.PhaseCompact.Layer())
 		e.compactThreads = append(e.compactThreads, th)
 	}
-	e.compacts = bgpool.Add(e.bg, bgpool.Config{Name: "compact", Workers: o.CompactionWorkers, Rule: bgpool.Coalesce, Abandon: true}, e.compactJob, nil)
+	e.compactServer = sim.NewServerPool(o.CompactionWorkers)
 	e.spillServer = sim.NewServerPool(1)
 	e.indexServer = sim.NewServerPool(1)
 	e.indexTh = e.m.NewThread(0)
@@ -178,19 +177,19 @@ func (e *Engine) addPending(n int64, tail uint64) {
 // spill thread of its own (LevelDB's compaction thread in the prototype), and
 // returns its end on spillServer: the flush spills when its table takes the
 // ImmZone past spillFraction, so that copy-based flushes stay cheap, or
-// before its copy when the zone has no room for the table. The spill then
-// hands the debt it created to the compaction workers.
+// before its copy when the zone has no room for the table. The flush worker
+// then compacts the debt the spill made, from the spill's end (compact).
 func (e *Engine) spillFrom(at int64) int64 {
 	th := e.m.NewThread(0)
 	th.Clock.AdvanceTo(at)
 	start := th.Clock.Now()
 	th.InPhase(hw.PhaseSpill, func() { e.spill(th) })
 	done := e.spillServer.Submit(at, th.Clock.Now()-start)
-	e.compacts.Submit(th.Clock.Now(), struct{}{})
+	e.compact(th.Clock.Now())
 	return done
 }
 
-// flushOne is the flush kind's job: the copy-based flush of one sub-MemTable
+// flushOne is the flush worker's job: the copy-based flush of one sub-MemTable
 // sealed at virtual time sealedAt (Section III-C), whose final index sync ran
 // at the seal — a non-temporal whole-table copy into the ImmZone,
 // registration of the resulting sub-ImmMemTable under the slot's incarnation,
@@ -203,8 +202,8 @@ func (e *Engine) spillFrom(at int64) int64 {
 // servers with a thread of its own: the dispatch cost, its lines' reads, NT
 // stores and packing. The first extent also carries the zone allocation and
 // the header. The host copies the table in one pass, in address order,
-// through the kind's one buffer.
-func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
+// through the worker's one buffer.
+func (e *Engine) flushOne(sealedAt int64, s *slot) {
 	count, _, tail := unpackHdr(s.hdr.Load())
 	th := e.m.NewThread(0)
 	th.Clock.SetLabel(hw.PhaseBgFlush.Layer())
@@ -242,7 +241,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			// A table that does not fit an empty zone is a config error.
 			if spilled || need > e.immArena.Region().Size {
 				e.fail(err)
-				return 0, false
+				return
 			}
 			// ImmZone full: spill it first (the CacheKV analogue of an L0
 			// write stall), and copy from the spill's end.
@@ -251,7 +250,7 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 			stallNs = th.Clock.Now() - w0
 			if e.bgErr() != nil {
 				e.addPending(-1, tail)
-				return 0, false
+				return
 			}
 		}
 		// Every extent waited for the zone's space with the first.
@@ -343,7 +342,6 @@ func (e *Engine) flushOne(_ int, sealedAt int64, s *slot) (int64, bool) {
 	if e.bgErr() == nil && e.immArena.Used() > uint64(float64(e.immArena.Region().Size)*spillFraction) {
 		e.spillFrom(th.Clock.Now())
 	}
-	return doneAt, false
 }
 
 // spill writes every registered table out to L0 on th, under the spill lock
@@ -433,17 +431,28 @@ func (e *Engine) indexSync(at int64, s *slot) int64 {
 	return e.indexServer.Submit(at, e.indexTh.Clock.Now()-start)
 }
 
-// compactJob is the compaction kind's job: one LSM compaction picked at the
-// frontier of the debt-creating events, run on worker w's own clock. It asks
-// to run again until nothing is pickable.
-func (e *Engine) compactJob(w int, at int64, _ struct{}) (int64, bool) {
-	done, ran, err := e.tree.CompactNext(e.compactThreads[w], at, e.compacts, e.trace)
-	if err != nil {
-		e.fail(err)
-		return done, false
-	}
-	if ran {
+// compact runs compaction rounds from virtual time at, where a spill, an
+// ingest, FlushAll or a reopen made debt, on the calling goroutine, until
+// nothing is due, the engine failed or it closed. Each round runs up to
+// CompactionWorkers disjoint jobs side by side in virtual time, one per
+// compaction thread, from the later of at and the previous round's end
+// (lsm.Tree.CompactRound); flow control recomputes at each round's end.
+// compactMu runs one caller's rounds at a time. It returns the later of at
+// and the end of the engine's last round.
+func (e *Engine) compact(at int64) int64 {
+	e.compactMu.Lock()
+	defer e.compactMu.Unlock()
+	for e.bgErr() == nil && !e.closed.Load() {
+		done, ran, err := e.tree.CompactRound(e.compactThreads, at, e.compactServer, e.trace)
+		at = done
+		if err != nil {
+			e.fail(err)
+			break
+		}
+		if !ran {
+			break
+		}
 		e.flow.recompute(done, "lsm_compaction")
 	}
-	return done, ran
+	return at
 }

@@ -96,7 +96,7 @@ func TestFlushAllWaitsForTheLastFlushServer(t *testing.T) {
 	}
 }
 
-// TestServerCounters: each kind's virtual server counts its jobs and the time
+// TestServerCounters: each stage's virtual server counts its jobs and the time
 // they kept it busy. flush_jobs counts extents — a table's copy books one job
 // per extent, at least one — and engine_flushes counts tables, leaving out
 // flushes of empty slots, so there are at least as many jobs as flushes; no
@@ -169,7 +169,7 @@ func fillSlot(t *testing.T, e *Engine, th *hw.Thread, tail uint64) *slot {
 
 // sealAndFlush opens an engine of the given flush servers whose one writer
 // fills its 4 MiB sub-MemTable to exactly tail bytes, seals it, and waits for
-// the flush kind to copy it, with every other background kind idle.
+// the flush worker to copy it, with every other background stage idle.
 func sealAndFlush(t *testing.T, servers int, tail uint64) (*Engine, splitTable) {
 	t.Helper()
 	m := testMachine()

@@ -238,12 +238,14 @@ func (p *pool) persistGeometry(th *hw.Thread) {
 	p.m.Cache.NTWrite(th.Clock, p.region.Addr, buf)
 }
 
-// loadGeometry reads the persisted slot table (crash recovery). Every slot,
-// live or parked at size 0 by a merge, keeps its header line inside the pool
-// region past the table, and a live one holds at least that line.
-func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int) (*pool, error) {
+// loadGeometry reads the persisted slot table (crash recovery) on th, with
+// ordinary loads under the pool's partition part, as recovery reads every
+// other byte: the table, then each slot's header line. Every slot, live or
+// parked at size 0 by a merge, keeps its header line inside the pool region
+// past the table, and a live one holds at least that line.
+func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores int, th *hw.Thread) (*pool, error) {
 	hdr := make([]byte, poolHeaderBytes)
-	m.PMem.LoadRaw(region.Addr, hdr)
+	m.Cache.Read(th.Clock, region.Addr, hdr[:12], part)
 	c := util.NewCursor(hdr)
 	if c.U64() != poolHeaderMagic {
 		return nil, fmt.Errorf("core: no pool found in region %q: %w", region.Name, util.ErrCorrupt)
@@ -252,6 +254,7 @@ func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores
 	if n == 0 {
 		return nil, fmt.Errorf("core: pool geometry announces no slots, or more than its table holds: %w", util.ErrCorrupt)
 	}
+	m.Cache.Read(th.Clock, region.Addr+12, hdr[12:12+8*n], part)
 	p := emptyPool(m, region, part, cores)
 	slots := make([]*slot, n)
 	for i := range slots {
@@ -262,7 +265,7 @@ func loadGeometry(m *hw.Machine, region hw.Region, part cache.PartitionID, cores
 		}
 		slots[i] = newSlot(i, region.Addr+off, size)
 		var word [8]byte
-		m.PMem.LoadRaw(slots[i].addr, word[:])
+		m.Cache.Read(th.Clock, slots[i].addr, word[:], part)
 		w := util.NewCursor(word[:])
 		slots[i].hdr.Store(w.U64())
 	}

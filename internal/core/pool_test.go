@@ -179,6 +179,7 @@ type elasticRun struct {
 	splits, merges               int64
 	indexJobs, indexBusy         int64
 	spillJobs, spillBusy, spills int64
+	compactJobs, compactBusy     int64
 }
 
 // runElastic runs one writer on four flush servers and a pool of three slots:
@@ -217,10 +218,11 @@ func runElastic(t *testing.T) elasticRun {
 	snap := reg.Gather()
 	r := elasticRun{th.Clock.Now(), freeAt, e.pool.splits.Load(), e.pool.merges.Load(),
 		snap.Int("index_jobs"), snap.Int("index_busy_ns"),
-		snap.Int("spill_jobs"), snap.Int("spill_busy_ns"), snap.Int("engine_spills")}
-	if r.splits == 0 || r.merges == 0 || e.stats.Spills.Load() == 0 {
-		t.Fatalf("the load split %d times, merged %d times and spilled %d times; it must do all three",
-			r.splits, r.merges, e.stats.Spills.Load())
+		snap.Int("spill_jobs"), snap.Int("spill_busy_ns"), snap.Int("engine_spills"),
+		snap.Int("compact_jobs"), snap.Int("compact_busy_ns")}
+	if r.splits == 0 || r.merges == 0 || r.spills == 0 || r.compactJobs == 0 {
+		t.Fatalf("the load split %d times, merged %d times, spilled %d times and ran %d compactions; it must do all four",
+			r.splits, r.merges, r.spills, r.compactJobs)
 	}
 	return r
 }
@@ -228,9 +230,10 @@ func runElastic(t *testing.T) elasticRun {
 // TestElasticityRepeats: a writer's virtual schedule does not depend on how
 // far the host's flush worker has got when it asks for a slot. Two runs of
 // one writer that splits, merges and spills repeat its clock, every flush's
-// booked end, the elasticity counts, the index thread's work and the spills:
-// each sync runs on the write or seal that fires it, and each spill in the
-// flush that fills the zone, so none lags by host timing.
+// booked end, the elasticity counts, the index thread's work, the spills and
+// the compactions: each sync runs on the write or seal that fires it, each
+// spill in the flush that fills the zone and each compaction round after the
+// spill or FlushAll that made its debt, so none lags by host timing.
 func TestElasticityRepeats(t *testing.T) {
 	a, b := runElastic(t), runElastic(t)
 	if a.clock != b.clock || a.splits != b.splits || a.merges != b.merges {
@@ -245,8 +248,13 @@ func TestElasticityRepeats(t *testing.T) {
 		t.Fatalf("runs differ: spill_jobs %d / %d, spill_busy_ns %d / %d, engine_spills %d / %d",
 			a.spillJobs, b.spillJobs, a.spillBusy, b.spillBusy, a.spills, b.spills)
 	}
+	if a.compactJobs != b.compactJobs || a.compactBusy != b.compactBusy {
+		t.Fatalf("runs differ: compact_jobs %d / %d, compact_busy_ns %d / %d",
+			a.compactJobs, b.compactJobs, a.compactBusy, b.compactBusy)
+	}
 	if !slices.Equal(a.freeAt, b.freeAt) {
 		t.Fatalf("flush ends differ: %d flushes / %d", len(a.freeAt), len(b.freeAt))
 	}
-	t.Logf("clock %d vns, %d flushes, %d spills, %d splits, %d merges", a.clock, len(a.freeAt), a.spills, a.splits, a.merges)
+	t.Logf("clock %d vns, %d flushes, %d spills, %d splits, %d merges, %d compactions (%d ns)",
+		a.clock, len(a.freeAt), a.spills, a.splits, a.merges, a.compactJobs, a.compactBusy)
 }

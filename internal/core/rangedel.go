@@ -120,8 +120,8 @@ func (e *Engine) Ingest(th *hw.Thread, entries []lsm.IngestEntry) error {
 	raiseTo(&e.maxSpilledSeq, seq)
 	e.trace.Emit(th.Clock.Now(), "ingest", "shard", e.env.index,
 		"entries", len(entries), "seq", seq)
-	e.compacts.Submit(th.Clock.Now(), struct{}{})
 	e.flow.recompute(th.Clock.Now(), "ingest")
+	e.compact(th.Clock.Now())
 	e.stats.Ingests.Add(1)
 	return nil
 }

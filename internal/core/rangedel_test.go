@@ -220,7 +220,7 @@ func TestCompactionWorkersEndToEnd(t *testing.T) {
 	if err := e.FlushAll(th); err != nil {
 		t.Fatal(err)
 	}
-	if jobs, _ := e.compacts.Server.Stats(); jobs == 0 {
+	if jobs, _ := e.compactServer.Stats(); jobs == 0 {
 		t.Fatal("background scheduler ran no jobs despite spills")
 	}
 	if debt := e.tree.CompactionDebt(); debt != 0 {

@@ -21,7 +21,7 @@ import (
 //     in the active-key table in seal order;
 //  2. seal each non-Free sub-MemTable with its sub-skiplist and counters
 //     rebuilt in place and its keys entered in the active-key table, and
-//     return the sealed slots: the engine hands them to the flush kind once it
+//     return the sealed slots: the engine hands them to the flush worker once it
 //     runs, the one way a slot reaches the ImmZone, and Gets find them among
 //     the pool's active slots until then.
 //
@@ -32,7 +32,7 @@ import (
 // tables of both steps are independent byte ranges, so they are rebuilt side
 // by side (rebuildAll); it also returns how many servers that took.
 func (e *Engine) recover(poolRegion hw.Region, th *hw.Thread) (sealed []*slot, workers int, err error) {
-	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores())
+	p, err := loadGeometry(e.m, poolRegion, e.poolPart, e.m.Cores(), th)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -121,7 +121,7 @@ type rebuildJob struct {
 }
 
 // rebuildAll runs the jobs of steps 1 and 2 as virtual servers, the way the
-// flush kind books its copies: each job's table is read through the LLC as
+// flush worker books its copies: each job's table is read through the LLC as
 // splitFlush's extents, each on a thread of its own from th's instant, booked
 // on one of m.Cores() recovery servers, and rebuildList decodes the table
 // once all its extents have landed. th advances to the last completion — the

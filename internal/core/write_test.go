@@ -159,7 +159,7 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 				}
 			}
 		}
-		if jobs, _ := e.compacts.Server.Stats(); len(e.compactThreads) != 1 || jobs == 0 {
+		if jobs, _ := e.compactServer.Stats(); len(e.compactThreads) != 1 || jobs == 0 {
 			t.Fatalf("CompactionWorkers=%d: compaction has %d workers and ran %d jobs", workers, len(e.compactThreads), jobs)
 		}
 		r := obs.NewRegistry()
@@ -182,6 +182,81 @@ func TestCompactionWorkersZeroIsOne(t *testing.T) {
 		if m1 := snap1.Metrics[i]; m0 != m1 {
 			t.Errorf("registry differs: %+v at 0, %+v at 1", m0, m1)
 		}
+	}
+}
+
+// TestCompactionRunsWhereItsDebtIsMade: the calls no spill reaches compact
+// the debt they find before they return — a reopen of a tree with debt due,
+// and an Ingest that takes L0 past its trigger — and a closed engine runs no
+// round, not even for debt an Ingest made while Close ran.
+func TestCompactionRunsWhereItsDebtIsMade(t *testing.T) {
+	m := testMachine()
+	o := smallOpts()
+	o.LSM.TableFileSize = 4 << 10       // an overlapping batch lands as several L0 tables
+	o.LSM.L0CompactionTrigger = 1 << 10 // the first engine makes debt it never owes
+	batch := func(gen int) []lsm.IngestEntry {
+		var es []lsm.IngestEntry
+		for i := range 400 {
+			es = append(es, lsm.IngestEntry{Key: []byte(fmt.Sprintf("key%05d", i)), Value: []byte(fmt.Sprintf("gen%d-%032d", gen, i))})
+		}
+		return es
+	}
+	ingest := func(e *Engine, th *hw.Thread, gen int) {
+		t.Helper()
+		if err := e.Ingest(th, batch(gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := func(e *Engine) int64 {
+		r := obs.NewRegistry()
+		e.RegisterObs(r)
+		return r.Gather().Int("compact_jobs")
+	}
+
+	e, th := openEngine(t, m, o)
+	for gen := range 3 { // the first batch goes to L1, the others to L0
+		ingest(e, th, gen)
+	}
+	if n := e.tree.NumFiles(0); n < 4 {
+		t.Fatalf("two overlapping batches left %d L0 tables, want at least 4", n)
+	}
+	if err := e.Close(th); err != nil {
+		t.Fatal(err)
+	}
+
+	o.LSM.L0CompactionTrigger = 2
+	e, th = openEngine(t, m, o)
+	if due, n := e.tree.DueLevels(), jobs(e); due != 0 || n == 0 {
+		t.Fatalf("reopen returned with %d levels due after %d compactions", due, n)
+	}
+	before := jobs(e)
+	ingest(e, th, 3)
+	if due, n := e.tree.DueLevels(), jobs(e); due != 0 || n == before {
+		t.Fatalf("Ingest returned with %d levels due after %d compactions", due, n-before)
+	}
+
+	// Hold the rounds back while an Ingest makes debt, and let them go only
+	// once Close has begun: the round that Ingest asks for must not run.
+	before = jobs(e)
+	e.compactMu.Lock()
+	ingested, closed := make(chan error, 1), make(chan error, 1)
+	go func() { ingested <- e.Ingest(m.NewThread(0), batch(4)) }()
+	for e.tree.DueLevels() == 0 {
+		runtime.Gosched()
+	}
+	go func() { closed <- e.Close(th) }()
+	for !e.closed.Load() {
+		runtime.Gosched()
+	}
+	e.compactMu.Unlock()
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := jobs(e); n != before || e.tree.DueLevels() == 0 {
+		t.Fatalf("a closed engine ran %d compactions, leaving %d levels due", n-before, e.tree.DueLevels())
 	}
 }
 

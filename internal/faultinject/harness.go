@@ -103,7 +103,7 @@ type Result struct {
 	// active-key table counters after the oracle's probes, when the engine
 	// exposes them (CacheKV family): its probes, and those that found the key
 	// in no active slot. The table is probed only while a slot is active —
-	// after a recovery, until the flush kind has copied the recovered slots
+	// after a recovery, until the flush worker has copied the recovered slots
 	// into the ImmZone, which RunBeforeRecoveredFlush holds back.
 	FilterProbes    int64
 	FilterNegatives int64
@@ -180,7 +180,7 @@ func Run(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault 
 
 // RunBeforeRecoveredFlush is Run with the recovered engine's stores into its
 // ImmZone (the CacheKV family's "cachekv.imm" region) held until the oracle is
-// done: the flush kind copies the sub-MemTables recovery sealed only after the
+// done: the flush worker copies the sub-MemTables recovery sealed only after the
 // oracle's Gets, so those Gets find the recovered keys in the sealed slots,
 // whatever the host's timing. An engine without that region runs as under Run.
 func RunBeforeRecoveredFlush(spec EngineSpec, domain cache.Domain, fam Family, crashAt int64, fault Fault, tr *obs.Trace) *Result {

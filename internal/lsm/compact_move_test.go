@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"cachekv/internal/hw"
@@ -150,15 +149,14 @@ func TestDisjointRunMovesWithoutRewrite(t *testing.T) {
 }
 
 // moveModel is the property test's reference: the visible value of every
-// user key, and the structural facts checked after every job.
+// user key, and the structural facts checked after every round.
 type moveModel struct {
-	mu   sync.Mutex
 	vals map[string]string
 	at   map[uint64]int // placement at the previous check
 }
 
-// check holds the tree to the model. It runs after every job (from a
-// compaction worker) and after every write (from the test), under mm.mu.
+// check holds the tree to the model. It runs after every round and after
+// every write.
 func (mm *moveModel) check(t *testing.T, tr *Tree, th *hw.Thread, rng *rand.Rand) {
 	checkLevelInvariants(t, tr)
 	at := placement(t, tr)
@@ -219,9 +217,10 @@ const moveKeys = 3000
 
 // TestPropertyMovesAndMergesMatchModel drives seeded random mixes of
 // spill-shaped disjoint runs, runs that overlap what is already there, point
-// deletes, range tombstones and ingests through one and two pool-driven
-// compaction workers, and after every job checks the tree's shape (L1+ sorted
-// and disjoint, one level per file number, moved tables clear of their
+// deletes, range tombstones and ingests through compaction rounds of one and
+// two jobs — after a write, one round, or every round until the tree
+// settles — and after every round checks the tree's shape (L1+ sorted and
+// disjoint, one level per file number, moved tables clear of their
 // neighbours) and its contents (Get and the merged iterator) against a map.
 func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 	for _, workers := range []int{1, 2} {
@@ -231,20 +230,15 @@ func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				mm := &moveModel{vals: map[string]string{}, at: map[uint64]int{}}
 				checkTh := m.NewThread(0)
-				c := startCompactor(tr, workers, nil, func(err error) {
+				c := newCompactor(tr, workers, nil, func(err error) {
 					if err != nil {
-						t.Errorf("background compaction failed: %v", err)
+						t.Errorf("compaction failed: %v", err)
 						return
 					}
-					mm.mu.Lock()
-					defer mm.mu.Unlock()
 					mm.check(t, tr, checkTh, rng)
 				})
-				defer c.pool.Close()
 				seq := uint64(0)
-				write := func() (wait bool) {
-					mm.mu.Lock()
-					defer mm.mu.Unlock() // a Fatal must not leave the worker's check blocked
+				write := func() (settle bool) {
 					switch op := rng.Intn(10); {
 					case op < 7: // a run: a window of the key space, a random share of its keys
 						base, width := rng.Intn(moveKeys-600), 200+rng.Intn(400)
@@ -288,13 +282,13 @@ func TestPropertyMovesAndMergesMatchModel(t *testing.T) {
 					return rng.Intn(3) == 0
 				}
 				for round := 0; round < 24 && !t.Failed(); round++ {
-					wait := write()
-					c.kick(th.Clock.Now())
-					if wait {
-						c.waitIdle(th)
+					if write() {
+						c.settle(th)
+					} else {
+						c.round(th.Clock.Now())
 					}
 				}
-				c.waitIdle(th)
+				c.settle(th)
 				st := tr.GetStats()
 				if st.TablesMoved == 0 || st.TablesCompacted == 0 {
 					t.Fatalf("moved %d tables, merged %d: the mix must exercise both", st.TablesMoved, st.TablesCompacted)
@@ -570,7 +564,7 @@ func TestFailedTableWriteLeavesNoFiles(t *testing.T) {
 
 // TestSchedulerClosesTraceOnJobError: a job that fails still emits the
 // compact_end matching its compact_start, with the error and the ns attr the
-// ledger reads, before its worker reports the error.
+// ledger reads, before its round reports the error.
 func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 	_, tr, th, _, fs := newEnv(t, smallOpts())
 	seq := uint64(0)
@@ -583,7 +577,7 @@ func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 	trace := obs.NewTrace(64)
 	var failed error
 	endsAtError := -1
-	c := startCompactor(tr, 1, trace, func(err error) {
+	c := newCompactor(tr, 1, trace, func(err error) {
 		if err == nil {
 			return
 		}
@@ -595,8 +589,7 @@ func TestSchedulerClosesTraceOnJobError(t *testing.T) {
 			}
 		}
 	})
-	c.waitIdle(th)
-	c.pool.Close()
+	c.settle(th)
 	if failed == nil || endsAtError != 1 {
 		t.Fatalf("error hook saw err=%v with %d compact_end events; want the error after exactly one", failed, endsAtError)
 	}

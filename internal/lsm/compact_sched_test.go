@@ -6,9 +6,10 @@ import (
 	"sync"
 	"testing"
 
-	"cachekv/internal/bgpool"
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/obs"
+	"cachekv/internal/pmemfs"
 	"cachekv/internal/skiplist"
 	"cachekv/internal/util"
 )
@@ -41,45 +42,53 @@ func drainCompactions(t *testing.T, tr *Tree, th *hw.Thread) {
 	}
 }
 
-// compactor runs a tree's compactions as an engine's compact kind does: each
-// of a pool's workers runs CompactNext on its own clock. onJob sees each job's
-// outcome; an error crash-stops the pool, as the engine's fail does.
+// compactor runs a tree's compactions as an engine does: rounds of up to
+// one job per thread, booked on a server of one per thread, until nothing is
+// due. onRound sees each round's outcome; after an error it runs no more
+// rounds, as a failed engine does.
 type compactor struct {
-	*bgpool.Kind[struct{}]
-	pool *bgpool.Pool
-	tr   *Tree
+	tr      *Tree
+	ths     []*hw.Thread
+	server  *sim.ServerPool
+	trace   *obs.Trace
+	onRound func(err error)
+	failed  bool
 }
 
-func startCompactor(tr *Tree, workers int, trace *obs.Trace, onJob func(err error)) *compactor {
-	c := &compactor{pool: bgpool.New(func(error) {}), tr: tr}
-	ths := make([]*hw.Thread, workers)
-	for w := range ths {
-		ths[w] = tr.m.NewThread(0)
+func newCompactor(tr *Tree, workers int, trace *obs.Trace, onRound func(err error)) *compactor {
+	c := &compactor{tr: tr, server: sim.NewServerPool(workers), trace: trace, onRound: onRound}
+	for range workers {
+		c.ths = append(c.ths, tr.m.NewThread(0))
 	}
-	c.Kind = bgpool.Add(c.pool, bgpool.Config{Name: "compact", Workers: workers, Rule: bgpool.Coalesce, Abandon: true},
-		func(w int, at int64, _ struct{}) (int64, bool) {
-			done, ran, err := tr.CompactNext(ths[w], at, c.Kind, trace)
-			if ran && onJob != nil {
-				onJob(err)
-			}
-			if err != nil {
-				c.pool.Abort()
-			}
-			return done, ran && err == nil
-		}, nil)
 	return c
 }
 
-func (c *compactor) kick(at int64) { c.Submit(at, struct{}{}) }
+// round runs one round at virtual time at and reports whether a job ran and
+// none failed.
+func (c *compactor) round(at int64) bool {
+	if c.failed {
+		return false
+	}
+	_, ran, err := c.tr.CompactRound(c.ths, at, c.server, c.trace)
+	if ran && c.onRound != nil {
+		c.onRound(err)
+	}
+	c.failed = err != nil
+	return ran && !c.failed
+}
 
-// waitIdle waits for the tree to settle, as an engine's FlushAll does.
-func (c *compactor) waitIdle(th *hw.Thread) { c.tr.WaitSettled(th, c.Kind) }
+// settle runs rounds from th's clock until nothing is due, as an engine's
+// FlushAll does.
+func (c *compactor) settle(th *hw.Thread) {
+	for c.round(th.Clock.Now()) {
+	}
+}
 
 // checkLevelInvariants asserts every level >= 1 holds sorted, disjoint
 // user-key ranges — the invariant the L1+ overlap-set fix protects. A pick
 // that misses same-level or next-level overlapping inputs installs outputs
-// that violate exactly this. It reports with Errorf: the property test calls it
-// from a scheduler worker, which a Fatal would kill mid-drain.
+// that violate exactly this. It reports with Errorf, so that a round's hook
+// calling it lets the round finish.
 func checkLevelInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	tr.mu.RLock()
@@ -148,14 +157,17 @@ func TestCompactionOverlapSetsStayConsistent(t *testing.T) {
 	}
 }
 
+// TestSchedulerDrainsDebt: rounds of two jobs run after each flush, as the
+// engine's spills run them, leave no debt and no job running, and the
+// newest version of every key survives the cascade.
 func TestSchedulerDrainsDebt(t *testing.T) {
 	_, tr, th, _, _ := newEnv(t, smallOpts())
-	c := startCompactor(tr, 2, nil, func(err error) {
+	c := newCompactor(tr, 2, nil, func(err error) {
 		if err != nil {
-			t.Errorf("background compaction failed: %v", err)
+			t.Errorf("compaction failed: %v", err)
 		}
+		checkLevelInvariants(t, tr)
 	})
-	defer c.pool.Close()
 
 	seq := uint64(1)
 	for i := 0; i < 6; i++ {
@@ -170,21 +182,19 @@ func TestSchedulerDrainsDebt(t *testing.T) {
 		if err := tr.FlushNoCompact(th, newMemIter(l), maxSeq); err != nil {
 			t.Fatal(err)
 		}
-		c.kick(th.Clock.Now())
+		c.settle(th)
 	}
-	c.waitIdle(th)
 
 	if debt := tr.CompactionDebt(); debt != 0 {
-		t.Fatalf("workers left %d bytes of debt after waitIdle", debt)
+		t.Fatalf("rounds left %d bytes of debt", debt)
 	}
-	if jobs, _ := c.Server.Stats(); jobs == 0 {
-		t.Fatal("workers ran no jobs despite L0 debt")
+	if jobs, _ := c.server.Stats(); jobs == 0 {
+		t.Fatal("no job ran despite L0 debt")
 	}
-	if c.Running() != 0 || tr.DueLevels() != 0 {
-		t.Fatalf("idle workers report running=%d due=%d", c.Running(), tr.DueLevels())
+	if tr.RoundJobs() != 0 || tr.DueLevels() != 0 {
+		t.Fatalf("a settled tree reports round jobs=%d due=%d", tr.RoundJobs(), tr.DueLevels())
 	}
-	checkLevelInvariants(t, tr)
-	// Newest generation of every key survives the background cascade.
+	// Newest generation of every key survives the cascade.
 	for i := 0; i < 700; i += 11 {
 		k := []byte(fmt.Sprintf("key%08d", i))
 		_, _, found, deleted, err := tr.Get(th, k, util.MaxSequence)
@@ -192,24 +202,93 @@ func TestSchedulerDrainsDebt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !found || deleted {
-			t.Fatalf("lost %s after background compaction", k)
+			t.Fatalf("lost %s after compaction", k)
 		}
 	}
 }
 
-// TestSchedulerStopsOnStickyError checks the crash-stop contract: once the
-// engine failed and aborted its pool, workers pick no more jobs.
+// TestSchedulerStopsOnStickyError: a round stops at its first failed job.
+// Of twoDisjointJobs' two jobs the first, the L1 merge, finds its L2 input
+// gone, so a round on two threads picks both and runs the failing one first:
+// it returns the error, books one job, and runs and reserves nothing of the
+// other, which the engine's fail then makes the last round.
 func TestSchedulerStopsOnStickyError(t *testing.T) {
-	_, tr, th, _, _ := newEnv(t, smallOpts())
-	c := startCompactor(tr, 1, nil, nil)
-	c.pool.Abort()
-	seq := uint64(0)
-	flushRun(t, tr, th, uniqueRun(0, 2, 60, 24, &seq)) // two overlapping L0 tables: due
-	flushRun(t, tr, th, uniqueRun(1, 2, 60, 24, &seq))
-	c.waitIdle(th)
-	c.pool.Close()
-	if jobs, _ := c.Server.Stats(); jobs != 0 || tr.DueLevels() == 0 {
-		t.Fatalf("workers ran %d jobs past a crash-stop, %d levels left due", jobs, tr.DueLevels())
+	tr, th, fs := twoDisjointJobs(t)
+	dropReaders(tr)
+	if err := fs.Delete(th, tableName(tr.Files(2)[0].Num)); err != nil {
+		t.Fatal(err)
+	}
+	trace := obs.NewTrace(64)
+	c := newCompactor(tr, 2, trace, nil)
+	_, ran, err := tr.CompactRound(c.ths, th.Clock.Now(), c.server, trace)
+	if !ran || err == nil {
+		t.Fatalf("round ran=%v err=%v, want the L1 job's error", ran, err)
+	}
+	if jobs, _ := c.server.Stats(); jobs != 1 {
+		t.Fatalf("the round booked %d jobs, want only the failed one", jobs)
+	}
+	var levels []any
+	for _, e := range trace.Events() {
+		if e.Type == "compact_start" {
+			levels = append(levels, e.Attrs["level"])
+		}
+	}
+	if len(levels) != 1 || levels[0] != 1 {
+		t.Fatalf("round started jobs at levels %v, want only L1's", levels)
+	}
+	if tr.NumFiles(0) != 2 || len(tr.compacting) != 0 || tr.RoundJobs() != 0 {
+		t.Fatalf("after the round: %d L0 tables, %d files reserved, %d round jobs; want 2, 0, 0",
+			tr.NumFiles(0), len(tr.compacting), tr.RoundJobs())
+	}
+}
+
+// twoDisjointJobs builds a tree on which two disjoint jobs are due at once:
+// an L1 table that merges with its L2 overlap (picked first: L1's score is
+// the highest), and two overlapping L0 tables below both.
+func twoDisjointJobs(t *testing.T) (*Tree, *hw.Thread, *pmemfs.FS) {
+	t.Helper()
+	_, tr, th, _, fs := newEnv(t, Options{L0CompactionTrigger: 2, BaseLevelBytes: 1, MaxLevels: 4})
+	installAt(t, tr, th, 2, []testEntry{{"key50", 1, util.KindValue, "a"}, {"key60", 2, util.KindValue, "b"}})
+	installAt(t, tr, th, 1, []testEntry{{"key55", 3, util.KindValue, "c"}, {"key65", 4, util.KindValue, "d"}})
+	seq := uint64(10)
+	flushRun(t, tr, th, uniqueRun(0, 2, 10, 8, &seq)) // key00000000..: below L1 and L2
+	flushRun(t, tr, th, uniqueRun(1, 2, 10, 8, &seq))
+	return tr, th, fs
+}
+
+// TestRoundJobsRunSideBySide: a round on two threads runs both disjoint jobs
+// from one start, the later of the calling event and the previous round's
+// end, and ends when its longer job does; the next round, though called at
+// an earlier instant, starts at that end.
+func TestRoundJobsRunSideBySide(t *testing.T) {
+	tr, _, _ := twoDisjointJobs(t)
+	trace := obs.NewTrace(64)
+	c := newCompactor(tr, 2, trace, nil)
+	c.ths[1].Clock.AdvanceTo(5_000) // the previous round ended here
+	done, ran, err := tr.CompactRound(c.ths, 1_000, c.server, trace)
+	if !ran || err != nil {
+		t.Fatalf("round ran=%v err=%v", ran, err)
+	}
+	var starts, ends []int64
+	for _, e := range trace.Events() {
+		switch e.Type {
+		case "compact_start":
+			starts = append(starts, e.VNs)
+		case "compact_end":
+			ends = append(ends, e.VNs)
+		}
+	}
+	if len(starts) != 2 || starts[0] != 5_000 || starts[1] != 5_000 {
+		t.Fatalf("jobs started at %v, want two at 5000", starts)
+	}
+	if want := max(ends[0], ends[1]); done != want || ends[0] == ends[1] {
+		t.Fatalf("round ended at %d, jobs at %v: want the later of two different ends", done, ends)
+	}
+	if _, ran, _ := tr.CompactRound(c.ths, 0, c.server, trace); !ran {
+		t.Fatal("the L2 job the merge left due did not run")
+	}
+	if next := trace.Events()[4].VNs; next != done {
+		t.Fatalf("the next round started at %d, want the previous round's end %d", next, done)
 	}
 }
 
@@ -272,9 +351,9 @@ func TestIteratorHeldAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestConcurrentScansDuringScheduledCompactions is the -race exercise:
-// foreground flushes feed the background scheduler while reader goroutines
-// continuously open iterators and scan. Every scan must observe a complete
+// TestConcurrentScansDuringScheduledCompactions is the -race exercise: the
+// test goroutine flushes and runs compaction rounds, as an engine's flush
+// worker does, while reader goroutines continuously open iterators and scan. Every scan must observe a complete
 // view of its snapshot. The workload is sized to at most two compaction jobs
 // — the graveyard's two-cycle window — so retired tables stay readable for
 // every iterator opened before they died; more churn than that is outside
@@ -287,12 +366,11 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 		MaxLevels:           5,
 		TableFileSize:       8 << 10,
 	})
-	c := startCompactor(tr, 2, nil, func(err error) {
+	c := newCompactor(tr, 2, nil, func(err error) {
 		if err != nil {
-			t.Errorf("background compaction failed: %v", err)
+			t.Errorf("compaction failed: %v", err)
 		}
 	})
-	defer c.pool.Close()
 
 	const keys = 400
 	seq := uint64(1)
@@ -312,7 +390,6 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c.kick(th.Clock.Now())
 	}
 	flushWave(0)
 
@@ -347,13 +424,14 @@ func TestConcurrentScansDuringScheduledCompactions(t *testing.T) {
 		}()
 	}
 
+	c.settle(th)
 	flushWave(1)
-	c.waitIdle(th)
+	c.settle(th)
 	close(stop)
 	wg.Wait()
 
-	if jobs, _ := c.Server.Stats(); jobs == 0 {
-		t.Fatal("no background jobs ran during the scan workload")
+	if jobs, _ := c.server.Stats(); jobs == 0 {
+		t.Fatal("no compaction ran during the scan workload")
 	}
 	checkLevelInvariants(t, tr)
 	for i := 0; i < keys; i += 17 {

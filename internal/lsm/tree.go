@@ -8,9 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cachekv/internal/bgpool"
 	"cachekv/internal/blockcache"
 	"cachekv/internal/hw"
+	"cachekv/internal/hw/sim"
 	"cachekv/internal/obs"
 	"cachekv/internal/pmemfs"
 	"cachekv/internal/sstable"
@@ -88,7 +88,7 @@ type Tree struct {
 
 	// compacting holds file numbers reserved by in-flight compaction jobs
 	// (inputs and next-level overlap alike). Pickers skip any candidate whose
-	// file set intersects it, so concurrent workers never double-claim an
+	// file set intersects it, so the jobs of one round never double-claim an
 	// extent and same-level jobs stay on disjoint key ranges.
 	compacting map[uint64]bool
 	// compactPtr remembers, per level, the largest user key of the last
@@ -105,8 +105,10 @@ type Tree struct {
 	compactOut   []int64
 	compactMoved []int64
 
-	// jobs numbers the jobs CompactNext runs, for their trace events.
-	jobs atomic.Int64
+	// jobs numbers the jobs CompactRound runs, for their trace events;
+	// roundJobs is how many the round in progress runs.
+	jobs      atomic.Int64
+	roundJobs atomic.Int32
 
 	readerMu sync.Mutex
 	readers  map[uint64]*sstable.Reader
@@ -623,7 +625,7 @@ func (t *Tree) DueLevels() int {
 
 // pickCompaction chooses the next compaction and reserves its files; nil
 // means nothing is due or every due job conflicts with a running one. Levels
-// are ranked by debt score, so the workers always digest the deepest debt
+// are ranked by debt score, so the rounds always digest the deepest debt
 // first instead of walking levels in FIFO order.
 func (t *Tree) pickCompaction() *compaction {
 	t.mu.Lock()
@@ -790,8 +792,8 @@ func (t *Tree) overlappingRange(level int, lo, hi []byte) []*FileMeta {
 }
 
 // MaybeCompact runs compactions until every level is within limits. It is
-// charged to the calling (background) thread. It cooperates with background
-// compaction jobs through the same reservation set, so the two never
+// charged to the calling (background) thread. It cooperates with compaction
+// rounds through the same reservation set, so the two never
 // double-claim.
 func (t *Tree) MaybeCompact(th *hw.Thread) error {
 	for {
@@ -805,55 +807,69 @@ func (t *Tree) MaybeCompact(th *hw.Thread) error {
 	}
 }
 
-// CompactNext is a job of the compaction kind k on a worker whose clock th is,
-// at k's frontier at. It picks a job, submits to k so that another worker can
-// take a disjoint one, runs it in PhaseCompact between its compact_start and
-// compact_end events, books it on k's server and returns its completion, to
-// which th advances. ran is false when nothing was pickable.
-func (t *Tree) CompactNext(th *hw.Thread, at int64, k *bgpool.Kind[struct{}], trace *obs.Trace) (done int64, ran bool, err error) {
-	th.Clock.AdvanceTo(at)
-	c := t.pickCompaction()
-	if c == nil {
-		return 0, false, nil
+// CompactRound runs one round of compactions on the threads ths, one job per
+// thread at most, and books each on server. The round starts at the later of
+// at and the end of the previous round on ths (the latest of their clocks).
+// It picks up to len(ths) jobs, which the reservation set keeps disjoint,
+// then runs each in PhaseCompact on its own thread from the round's start,
+// between its compact_start and compact_end events; the host runs them one
+// after another, in pick order. done is the round's end — its latest job's
+// completion, to which that job's thread advances — or its start when
+// nothing was pickable (ran false). A failed job ends the round: the jobs
+// picked after it are released unrun. A tree runs one round at a time (the
+// engine's compactMu).
+func (t *Tree) CompactRound(ths []*hw.Thread, at int64, server *sim.ServerPool, trace *obs.Trace) (done int64, ran bool, err error) {
+	start := at
+	for _, th := range ths {
+		start = max(start, th.Clock.Now())
 	}
-	k.Submit(th.Clock.Now(), struct{}{})
-	id := t.jobs.Add(1) - 1
-	start := th.Clock.Now()
-	trace.Emit(start, "compact_start", "job", id, "level", c.level,
-		"inputs", len(c.inputs), "overlap", len(c.overlap), "score", c.score)
-	var res compactResult
-	th.InPhase(hw.PhaseCompact, func() {
-		res, err = t.compact(th, c)
-	})
-	dur := th.Clock.Now() - start
-	done = k.Server.Submit(start, dur)
-	th.Clock.AdvanceTo(done)
-	end := []any{"job", id, "level", res.Level, "out_level", res.OutLevel}
-	if err != nil {
-		end = append(end, "err", err.Error())
-	} else {
-		end = append(end, "bytes_in", res.BytesIn, "bytes_out", res.BytesOut,
-			"tables_in", res.Inputs, "tables_out", res.Outputs,
-			"moved", res.Moved, "components", res.Components)
+	var cs []*compaction
+	for range ths {
+		c := t.pickCompaction()
+		if c == nil {
+			break
+		}
+		cs = append(cs, c)
 	}
-	trace.Emit(done, "compact_end", append(end, "ns", dur)...)
-	return done, true, err
+	t.roundJobs.Store(int32(len(cs)))
+	defer t.roundJobs.Store(0)
+	done = start
+	for i, c := range cs {
+		if err != nil {
+			t.mu.Lock()
+			t.releaseLocked(c)
+			t.mu.Unlock()
+			continue
+		}
+		th := ths[i]
+		th.Clock.AdvanceTo(start)
+		id := t.jobs.Add(1) - 1
+		trace.Emit(start, "compact_start", "job", id, "level", c.level,
+			"inputs", len(c.inputs), "overlap", len(c.overlap), "score", c.score)
+		var res compactResult
+		th.InPhase(hw.PhaseCompact, func() {
+			res, err = t.compact(th, c)
+		})
+		dur := th.Clock.Now() - start
+		end := server.Submit(start, dur)
+		th.Clock.AdvanceTo(end)
+		done = max(done, end)
+		attrs := []any{"job", id, "level", res.Level, "out_level", res.OutLevel}
+		if err != nil {
+			attrs = append(attrs, "err", err.Error())
+		} else {
+			attrs = append(attrs, "bytes_in", res.BytesIn, "bytes_out", res.BytesOut,
+				"tables_in", res.Inputs, "tables_out", res.Outputs,
+				"moved", res.Moved, "components", res.Components)
+		}
+		trace.Emit(end, "compact_end", append(attrs, "ns", dur)...)
+	}
+	return done, len(cs) > 0, err
 }
 
-// WaitSettled waits until no job of the compaction kind k runs and no level is
-// due, submitting to k at th's clock whenever that is not so yet, then advances
-// th past k's latest job. It returns at once when k's pool crash-stops.
-func (t *Tree) WaitSettled(th *hw.Thread, k *bgpool.Kind[struct{}]) {
-	if k.Wait(func() bool {
-		if k.Running() == 0 && t.DueLevels() == 0 {
-			return true
-		}
-		k.Submit(th.Clock.Now(), struct{}{})
-		return false
-	}) {
-		th.Clock.AdvanceTo(k.LastDone())
-	}
-}
+// RoundJobs returns how many jobs the compaction round in progress runs: 0
+// between rounds.
+func (t *Tree) RoundJobs() int { return int(t.roundJobs.Load()) }
 
 // compactResult summarizes one finished job for its trace events and the
 // write-amplification ledger. Bytes and table counts are what the job
@@ -1215,7 +1231,7 @@ func (t *Tree) TableIterator(th *hw.Thread, num uint64) (Iterator, error) {
 // CompactionDebt sizes the reorganization backlog in bytes: every byte of L0
 // once the trigger is reached, plus each level's overage beyond its limit.
 // The engine's flow controller consumes it as the storage-pressure signal —
-// it tracks what the compaction workers still owe rather than a raw file
+// it tracks what compaction still owes rather than a raw file
 // count.
 func (t *Tree) CompactionDebt() uint64 {
 	t.mu.RLock()
