@@ -33,40 +33,44 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // jobs run one at a time on its one worker, each submitter's in the order it
 // submitted them.
 func TestWorkersNeverExceeded(t *testing.T) {
-	const submitters, each = 8, 50
-	var inside, peak, runs atomic.Int32
-	last := make([]int, submitters) // per submitter, the last job run plus one
-	p := New(Config{Name: "k", Queue: submitters * each}, func(_ int64, x [2]int) {
-		n := inside.Add(1)
-		for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
-		}
-		if g, i := x[0], x[1]; last[g] != i {
-			t.Errorf("submitter %d's job %d ran after its job %d", g, i, last[g]-1)
-		} else {
-			last[g] = i + 1
-		}
-		time.Sleep(20 * time.Microsecond)
-		inside.Add(-1)
-		runs.Add(1)
-	}, nil, func(err error) { t.Error(err) })
-	var wg sync.WaitGroup
-	for g := range submitters {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range each {
-				p.Submit(int64(g*each+i), [2]int{g, i})
+	// The pool has one rule, FIFO; the subtest keeps its name from when
+	// there were more.
+	t.Run("fifo", func(t *testing.T) {
+		const submitters, each = 8, 50
+		var inside, peak, runs atomic.Int32
+		last := make([]int, submitters) // per submitter, the last job run plus one
+		p := New(Config{Name: "k", Queue: submitters * each}, func(_ int64, x [2]int) {
+			n := inside.Add(1)
+			for cur := peak.Load(); n > cur && !peak.CompareAndSwap(cur, n); cur = peak.Load() {
 			}
-		}()
-	}
-	wg.Wait()
-	if !p.Wait(func() bool { return runs.Load() == submitters*each }) {
-		t.Fatal("pool aborted")
-	}
-	p.Close()
-	if got := peak.Load(); got != 1 {
-		t.Fatalf("%d jobs ran at once on one worker", got)
-	}
+			if g, i := x[0], x[1]; last[g] != i {
+				t.Errorf("submitter %d's job %d ran after its job %d", g, i, last[g]-1)
+			} else {
+				last[g] = i + 1
+			}
+			time.Sleep(20 * time.Microsecond)
+			inside.Add(-1)
+			runs.Add(1)
+		}, nil, func(err error) { t.Error(err) })
+		var wg sync.WaitGroup
+		for g := range submitters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range each {
+					p.Submit(int64(g*each+i), [2]int{g, i})
+				}
+			}()
+		}
+		wg.Wait()
+		if !p.Wait(func() bool { return runs.Load() == submitters*each }) {
+			t.Fatal("pool aborted")
+		}
+		p.Close()
+		if got := peak.Load(); got != 1 {
+			t.Fatalf("%d jobs ran at once on one worker", got)
+		}
+	})
 }
 
 // TestAbortWakesWaitersAndDropsQueuedJobs: a crash-stop wakes every waiter,
