@@ -225,11 +225,10 @@ type Engine struct {
 	// its allocation through registering its table, a spill exclusively from
 	// reading the registry through resetting the zone: no table registers
 	// while a spill runs, so a spill writes out every registered table.
-	spillMu   sync.RWMutex
-	spillBufs [][]byte // a spill's table snapshots, reused by the next (spillMu held)
-	stats     Stats
-	failed    atomic.Pointer[error]
-	closed    atomic.Bool
+	spillMu sync.RWMutex
+	stats   Stats
+	failed  atomic.Pointer[error]
+	closed  atomic.Bool
 
 	trace        *obs.Trace
 	lastBCEvicts atomic.Int64 // block-cache evictions at last pressure event
@@ -905,10 +904,10 @@ func (e *Engine) Close(th *hw.Thread) error {
 
 // dropMemory lets go of the memory component's DRAM state once the
 // background work has drained: the active-key table, the slots'
-// sub-skiplists, the registered tables and the flush and spill buffers. A
-// crashed engine is reopened from the PMem alone, and a closed one holds
-// nothing the next engine on the machine needs. An operation still in flight
-// sees an empty table and no lists, as a failed engine's may.
+// sub-skiplists, the registered tables and the flush buffer. A crashed engine
+// is reopened from the PMem alone, and a closed one holds nothing the next
+// engine on the machine needs. An operation still in flight sees an empty
+// table and no lists, as a failed engine's may.
 func (e *Engine) dropMemory() {
 	e.active.Store(newActiveTable(0))
 	for _, s := range e.pool.slotList() {
@@ -919,9 +918,6 @@ func (e *Engine) dropMemory() {
 	e.mem.mu.Lock()
 	e.mem.imms = nil
 	e.mem.mu.Unlock()
-	e.spillMu.Lock()
-	e.spillBufs = nil
-	e.spillMu.Unlock()
 	e.flushBuf = nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachekv/internal/kvstore"
+	"cachekv/internal/util"
 )
 
 // TestFaultImmZoneTooSmallForTable verifies the engine fails cleanly (rather
@@ -113,9 +114,9 @@ func TestFaultCrashStopsEverything(t *testing.T) {
 
 // TestCloseDropsTheMemoryComponent: a closed engine keeps no DRAM index — not
 // the active-key table, a slot's sub-skiplist, a registered table nor the
-// flush and spill buffers — so that the engine a power cut reopens on the
-// machine is not allocated beside the dead one's. The dead engine refuses
-// its session with ErrClosed.
+// flush buffer — so that the engine a power cut reopens on the machine is not
+// allocated beside the dead one's. The dead engine refuses its session with
+// ErrClosed.
 func TestCloseDropsTheMemoryComponent(t *testing.T) {
 	m := testMachine()
 	e, th := openEngine(t, m, smallOpts())
@@ -142,10 +143,61 @@ func TestCloseDropsTheMemoryComponent(t *testing.T) {
 			t.Errorf("the closed engine keeps slot %d's sub-skiplist", s.idx)
 		}
 	}
-	if e.flushBuf != nil || e.spillBufs != nil {
-		t.Error("the closed engine keeps its flush or spill buffers")
+	if e.flushBuf != nil {
+		t.Error("the closed engine keeps its flush buffer")
 	}
 	if _, err := e.Get(th, []byte("k000000")); !errors.Is(err, kvstore.ErrClosed) {
 		t.Fatalf("Get after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestSpillRefusesACorruptEntry: an ImmZone entry that fails its CRC fails the
+// spill with util.ErrCorrupt before a table is retired. The merge once ended
+// the table's walk at such an entry: the spill installed an L0 missing every
+// key after it, retired the table, and FlushAll returned nil while those
+// acknowledged keys read as absent.
+func TestSpillRefusesACorruptEntry(t *testing.T) {
+	m := testMachine()
+	e, th := openEngine(t, m, smallOpts())
+	defer e.Close(th)
+	var keys [][]byte
+	for i := 0; !e.mem.registered(); i++ {
+		if i == 100_000 {
+			t.Fatal("no flushed table registered")
+		}
+		k := []byte(fmt.Sprintf("k%06d", i))
+		if err := e.Put(th, k, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	e.mem.mu.RLock()
+	tab := e.mem.imms[0]
+	e.mem.mu.RUnlock()
+	// Flip the last value byte of the table's middle entry in key order.
+	it := tab.list.NewIterator()
+	var offs []uint64
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		offs = append(offs, util.Fixed64(it.Value()))
+	}
+	if len(offs) < 2 {
+		t.Fatalf("the registered table holds %d entries", len(offs))
+	}
+	addr := tab.base + offs[len(offs)/2]
+	var hdr [4]byte
+	m.PMem.LoadRaw(addr, hdr[:])
+	var b [1]byte
+	at := addr + 8 + uint64(util.Fixed32(hdr[:])) - 1
+	m.PMem.LoadRaw(at, b[:])
+	b[0] ^= 0xff
+	m.PMem.StoreRaw(at, b[:])
+
+	if err := e.FlushAll(th); !errors.Is(err, util.ErrCorrupt) {
+		t.Fatalf("FlushAll over a corrupt ImmZone entry = %v, want ErrCorrupt", err)
+	}
+	for _, k := range keys {
+		if _, err := e.Get(th, k); errors.Is(err, kvstore.ErrNotFound) {
+			t.Fatalf("acknowledged key %s reads as absent after the spill failed", k)
+		}
 	}
 }

@@ -33,15 +33,6 @@ type immTable struct {
 	unplaced bool
 }
 
-// snapshotInto bulk-reads the table's data region sequentially (one pass,
-// the way a real merge streams its inputs) into buf, grown when it is too
-// small, and returns that DRAM copy for the spill merge to decode from.
-func (t *immTable) snapshotInto(e *Engine, th *hw.Thread, buf []byte) []byte {
-	buf = util.Sized(buf, int(t.dataLen))
-	e.m.PMem.Read(th.Clock, t.base, buf)
-	return buf
-}
-
 // immZoneHdrSize is the persistent per-table header written ahead of each
 // flushed table so crash recovery can re-discover the ImmZone contents:
 // magic, dataLen, count, maxSeq.
@@ -371,18 +362,11 @@ func (e *Engine) spillLocked(th *hw.Thread) {
 	// sustained load the single index thread is the pipeline's ceiling,
 	// exactly as in the paper's one-index-thread configuration.
 	its := make([]lsm.Iterator, 0, len(imms))
-	// The snapshots live in the spill's own buffers, which are its again when
-	// the merge below ends and serve the next spill.
-	for len(e.spillBufs) < len(imms) {
-		e.spillBufs = append(e.spillBufs, nil)
-	}
 	var maxSeq uint64
 	for i := len(imms) - 1; i >= 0; i-- { // newest first for merge tie-break
 		t := imms[i]
 		th.Clock.AdvanceTo(t.indexDoneV)
-		snap := &e.spillBufs[len(its)]
-		*snap = t.snapshotInto(e, th, *snap)
-		its = append(its, e.newSnapIter(t.list, *snap))
+		its = append(its, e.newSnapIter(th, t))
 		if t.maxSeq > maxSeq {
 			maxSeq = t.maxSeq
 		}

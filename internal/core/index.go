@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"cachekv/internal/hw"
 	"cachekv/internal/hw/cache"
@@ -219,31 +220,56 @@ func (t *tableIter) Close() {}
 
 var _ lsm.Iterator = (*tableIter)(nil)
 
-// snapIter walks a sub-skiplist whose entry bytes were bulk-read into a DRAM
-// snapshot; the spill merge uses it so its reads are one sequential pass
-// instead of per-entry media accesses.
+// snapIter walks a registered ImmZone table for the spill merge. Its data
+// region is charged as one sequential bulk read when the iterator is made
+// (pmem.Device.ChargeRead, the charge of the DRAM snapshot a real merge
+// streams its input into), and each entry is then decoded from the device
+// backing into the iterator's own buffer, so the spill holds no table-sized
+// copy. The bytes cannot move meanwhile: the spill holds spillMu exclusively,
+// which keeps every flush out of the zone.
 type snapIter struct {
-	it   *skiplist.Iterator
-	snap []byte
-	val  []byte
-	ok   bool
+	e     *Engine
+	it    *skiplist.Iterator
+	base  uint64
+	limit uint64 // data-region bytes at base; an entry past them is corrupt
+	buf   []byte // the current entry's bytes; reused as the iterator moves
+	val   []byte
+	ok    bool
+	err   error // util.ErrCorrupt once an entry failed its CRC or bounds
 }
 
-func (e *Engine) newSnapIter(list *skiplist.List, snap []byte) *snapIter {
-	return &snapIter{it: list.NewIterator(), snap: snap}
+// newSnapIter charges th for reading t's data region and returns an
+// unpositioned iterator over it.
+func (e *Engine) newSnapIter(th *hw.Thread, t *immTable) *snapIter {
+	e.m.PMem.ChargeRead(th.Clock, t.base, t.dataLen)
+	return &snapIter{e: e, it: t.list.NewIterator(), base: t.base, limit: t.dataLen}
 }
 
+// load decodes the entry under the skiplist cursor. An entry that does not lie
+// inside the table or fails its CRC ends the walk with util.ErrCorrupt: the
+// spill must not write out, and then retire, a table missing the rest of it.
 func (t *snapIter) load() {
 	t.ok = false
 	if !t.it.Valid() {
 		return
 	}
 	off := util.Fixed64(t.it.Value())
-	if off >= uint64(len(t.snap)) {
+	if off >= t.limit || t.limit-off < 8 {
+		t.err = fmt.Errorf("core: spill: entry at %d outside its %d-byte table: %w", off, t.limit, util.ErrCorrupt)
 		return
 	}
-	ent, err := kvstore.ViewEntry(t.snap[off:])
+	var hdr [4]byte
+	t.e.m.PMem.LoadRaw(t.base+off, hdr[:])
+	blen := uint64(util.Fixed32(hdr[:]))
+	if blen > t.limit-off-8 {
+		t.err = fmt.Errorf("core: spill: entry at %d overruns its %d-byte table: %w", off, t.limit, util.ErrCorrupt)
+		return
+	}
+	t.buf = util.Sized(t.buf, int(8+blen))
+	t.e.m.PMem.LoadRaw(t.base+off, t.buf)
+	ent, err := kvstore.ViewEntry(t.buf)
 	if err != nil {
+		t.err = fmt.Errorf("core: spill: entry at %d: %w", off, err)
 		return
 	}
 	t.val = ent.Value
@@ -265,11 +291,11 @@ func (t *snapIter) Next() { t.it.Next(); t.load() }
 // Key returns the current internal key.
 func (t *snapIter) Key() util.InternalKey { return util.InternalKey(t.it.Key()) }
 
-// Value returns the current value bytes, inside the snapshot.
+// Value returns the current value bytes; valid until the iterator moves.
 func (t *snapIter) Value() []byte { return t.val }
 
-// Err is always nil: the snapshot is the spill's own copy.
-func (t *snapIter) Err() error { return nil }
+// Err is util.ErrCorrupt, wrapped, once an entry failed to decode.
+func (t *snapIter) Err() error { return t.err }
 
 // Close is a no-op; the iterator borrows nothing.
 func (t *snapIter) Close() {}

@@ -396,7 +396,10 @@ func TestRecoveredTablesAreCacheResident(t *testing.T) {
 				return "flushed"
 			}
 			if domain == cache.EADR {
-				tables, _ := memTables(e2)
+				// Counted without memTables: the slot's flush may already be
+				// held at the gate with spillMu shared, so memTables' exclusive
+				// lock would wait for release forever. Held there, before its
+				// table registers, the flush cannot move a table meanwhile.
 				var slots int
 				for _, s := range e2.pool.slotList() {
 					if _, state, tail := unpackHdr(s.hdr.Load()); state == stateImmutable {
@@ -405,6 +408,7 @@ func TestRecoveredTablesAreCacheResident(t *testing.T) {
 					}
 				}
 				e2.mem.mu.RLock()
+				tables := len(e2.mem.imms) + slots
 				for _, tb := range e2.mem.imms {
 					checkHolder(t, m, tb.base, tb.dataLen, cache.DefaultPartition)
 				}

@@ -433,18 +433,25 @@ func (d *Device) PowerCycle() {
 	d.lastRead.Store(0)
 }
 
-// Read copies n bytes at addr into buf, charging one media read per XPLine
-// touched. Sequential reads (each following the previous read address) are
-// charged the lower sequential latency.
+// Read copies len(buf) bytes at addr into buf and charges them as ChargeRead
+// does.
 func (d *Device) Read(clk *sim.Clock, addr uint64, buf []byte) {
-	if len(buf) == 0 {
+	d.loadRaw(addr, buf)
+	d.ChargeRead(clk, addr, uint64(len(buf)))
+}
+
+// ChargeRead books a read of the n bytes at addr without copying them: one
+// media read per XPLine touched, sequential reads (each following the
+// previous read address) at the lower sequential latency. A caller that
+// decodes the bytes later, through LoadRaw, pays exactly what Read would.
+func (d *Device) ChargeRead(clk *sim.Clock, addr, n uint64) {
+	if n == 0 {
 		return
 	}
-	d.loadRaw(addr, buf)
 	cell := clk.Cell()
 	xls := uint64(d.costs.XPLineSize)
 	first := addr &^ (xls - 1)
-	last := (addr + uint64(len(buf)) - 1) &^ (xls - 1)
+	last := (addr + n - 1) &^ (xls - 1)
 	for line := first; ; line += xls {
 		prev := d.lastRead.Swap(line)
 		switch {

@@ -62,8 +62,9 @@ type Writer struct {
 	filter  *bloom.Filter
 	hashes  []uint32 // bloom hashes of the user keys, for the filter
 	pending bool     // an index entry awaits the next block's first key
-	pendKey []byte   // last key of the finished block
+	pendKey []byte   // last key of the finished block; reused block to block
 	pendH   handle
+	hbuf    []byte // pendH's encoding, reused index entry to index entry
 	first   []byte
 	last    []byte
 	count   int
@@ -99,8 +100,7 @@ func (t *Writer) Add(ikey util.InternalKey, value []byte) error {
 	if t.pending {
 		// The separator only needs to sort >= last block's keys and < this
 		// key; using the last key verbatim is always correct.
-		t.index.Add(t.pendKey, t.pendH.encode(nil))
-		t.pending = false
+		t.addIndexEntry()
 	}
 	if t.first == nil {
 		t.first = append([]byte(nil), ikey...)
@@ -126,10 +126,17 @@ func (t *Writer) flushBlock() {
 		return
 	}
 	t.pendH = handle{off, uint64(len(contents))}
-	t.pendKey = append([]byte(nil), t.last...)
+	t.pendKey = append(t.pendKey[:0], t.last...)
 	t.pending = true
 	t.data.Reset()
 	t.data.SetSkew(skewAt(t.w.Addr()))
+}
+
+// addIndexEntry adds the pending index entry, which the index builder copies.
+func (t *Writer) addIndexEntry() {
+	t.hbuf = t.pendH.encode(t.hbuf[:0])
+	t.index.Add(t.pendKey, t.hbuf)
+	t.pending = false
 }
 
 // Finish flushes remaining blocks, writes the filter, index and footer, and
@@ -140,8 +147,7 @@ func (t *Writer) Finish() (count int, smallest, largest util.InternalKey, err er
 	}
 	t.flushBlock()
 	if t.pending {
-		t.index.Add(t.pendKey, t.pendH.encode(nil))
-		t.pending = false
+		t.addIndexEntry()
 	}
 	// Filter block.
 	t.filterData = t.filter.BuildHashes(t.hashes)
@@ -194,8 +200,9 @@ func (t *Writer) EstimatedSize() uint64 {
 // and because the cache outlives the Reader, hot blocks survive reader churn
 // across compactions. Only scan iterators fill it, on a block's second touch
 // (seekBlock). On a miss a Get searches the block in place on PMem, a scan
-// iterator walks it in place, and a compaction iterator copies it without
-// caching it (readBlock). A nil cache disables caching.
+// iterator walks it in place, and a compaction iterator reads it whole into
+// the one buffer it reuses block to block, without caching it (readBlock). A
+// nil cache disables caching.
 type Reader struct {
 	f      *pmemfs.File
 	index  []byte
@@ -215,17 +222,24 @@ func (r *Reader) SetCache(c *blockcache.Cache, id uint64) {
 // skew is the cache-line offset the data block at h was built for.
 func (r *Reader) skew(h handle) int { return skewAt(r.f.Addr(h.offset)) }
 
-// readBlock returns the whole data block at h: the cached copy when there is
-// one, else a fresh copy out of PMem that is not cached — a compaction's
-// inputs are deleted when its job ends, so their blocks would only evict ones
-// that are still read. Compaction iterators use it: they walk every entry of
-// the block, so one DRAM copy is the cheapest way to read it.
-func (r *Reader) readBlock(th *hw.Thread, h handle) ([]byte, error) {
+// readBlock returns the whole data block at h: the cached copy, used where it
+// lies, when there is one, else the block read out of PMem into *buf (grown
+// when it is too small, then valid until *buf is next written) and not cached
+// — a compaction's inputs are deleted when its job ends, so their blocks
+// would only evict ones that are still read. Compaction iterators use it:
+// they walk every entry of the block, so one DRAM copy is the cheapest way to
+// read it, and reusing the buffer makes that copy cost no allocation.
+func (r *Reader) readBlock(th *hw.Thread, h handle, buf *[]byte) ([]byte, error) {
 	if b, ok := r.cache.Get(blockcache.Key{File: r.cacheID, Offset: h.offset}); ok {
 		th.ChargeDRAM(1)
 		return b, nil
 	}
-	return r.copyBlock(th, h)
+	b := util.Sized(*buf, int(h.length))
+	*buf = b
+	if err := r.f.ReadAt(th, h.offset, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // copyBlock reads the whole block at h into a fresh buffer.
@@ -444,7 +458,8 @@ func (r *Reader) Get(th *hw.Thread, ikey util.InternalKey) ([]byte, uint64, util
 type Iter struct {
 	r     *Reader
 	th    *hw.Thread
-	whole bool        // copy whole blocks (compaction) instead of reading them in place
+	whole bool        // read whole blocks (compaction) instead of reading them in place
+	blk   []byte      // a whole block read on a cache miss; reused block to block
 	sc    *getScratch // nil once closed
 	ok    bool        // sc.data is on a loaded block
 	err   error
@@ -460,10 +475,13 @@ type Iter struct {
 // order.
 func (r *Reader) NewIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, false) }
 
-// NewCompactionIter returns an unpositioned iterator that copies every block
-// it reaches out of PMem on a miss and leaves the cache as it is (readBlock).
-// A compaction reads every entry of its inputs once, so whole blocks are what
-// it uses.
+// NewCompactionIter returns an unpositioned iterator that reads every block
+// it reaches whole and leaves the cache as it is (readBlock): a cached block is
+// decoded where it lies, and a missed one is read out of PMem into the one
+// buffer the iterator owns, which the next miss overwrites. A compaction reads
+// every entry of its inputs once, so whole blocks are what it uses, and a
+// table costs it no allocation per block. Key and Value are valid until the
+// iterator moves, as for every Iter.
 func (r *Reader) NewCompactionIter(th *hw.Thread) (*Iter, error) { return r.newIter(th, true) }
 
 func (r *Reader) newIter(th *hw.Thread, whole bool) (*Iter, error) {
@@ -510,7 +528,7 @@ func (it *Iter) loadData() {
 	if err == nil {
 		if it.whole {
 			var contents []byte
-			if contents, err = it.r.readBlock(it.th, h); err == nil {
+			if contents, err = it.r.readBlock(it.th, h, &it.blk); err == nil {
 				err = it.sc.data.Reset(contents, it.r.skew(h))
 			}
 		} else {
