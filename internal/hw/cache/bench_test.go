@@ -49,6 +49,31 @@ func BenchmarkRead4KCold(b *testing.B) {
 	}
 }
 
+// BenchmarkRead4KWarm reads 4 KiB blocks whose lines are all resident and
+// clean: every line is a hit, served from the backing, over a working set of
+// a quarter of the cache.
+func BenchmarkRead4KWarm(b *testing.B) {
+	cm := sim.DefaultCosts()
+	dev := pmem.NewDevice(256<<20, cm)
+	c := New(DefaultConfig(), dev, cm)
+	var clk sim.Clock
+	buf := make([]byte, 4096)
+	const blocks = 9 << 20 / 4096
+	for i := 0; i < blocks; i++ {
+		c.Read(&clk, uint64(i)*4096, buf, DefaultPartition)
+	}
+	misses := c.Stats().Misses
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(&clk, uint64(i%blocks)*4096, buf, DefaultPartition)
+	}
+	b.StopTimer()
+	if m := c.Stats().Misses; m != misses {
+		b.Fatalf("%d reads missed: the working set does not stay resident", m-misses)
+	}
+}
+
 // BenchmarkNTWrite2MiB streams 2 MiB non-temporal copies, the size of a
 // flushed table, over a range the cache has never held.
 func BenchmarkNTWrite2MiB(b *testing.B) {

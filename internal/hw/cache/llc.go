@@ -17,11 +17,17 @@
 //
 // Dirty lines hold their own 64-byte payload; the PMem backing array only
 // sees bytes when a line is written back. That separation is what makes
-// crash simulation honest: under ADR, un-flushed stores genuinely vanish.
+// crash simulation honest: under ADR, un-flushed stores genuinely vanish. A
+// clean line of the set array is, as in any write-back cache, the bytes in
+// memory: it holds no payload and is read from the backing. The one
+// exception is a clean copy whose line another copy (a pinned partition's)
+// writes back: just before that write it takes the backing's bytes as its
+// own (tagOwn), so it keeps reading what it was filled with.
 //
 // The host layout is flat tables. A set's ways are three parallel arrays: tag
-// words (line address | present | dirty) that a lookup scans, LRU ticks, and
-// payloads. A pinned partition's lines live in a table indexed by address. A
+// words (line address | present | dirty | own) that a lookup scans, LRU
+// ticks, and payloads, of which only dirty and own ways' are ever written. A
+// pinned partition's lines live in a table indexed by address. A
 // count of resident set-array lines per 64 KiB granule lets range operations
 // skip granules that hold nothing. The partition layout is an immutable
 // snapshot that Reserve and Release replace, so a line operation takes no
@@ -61,11 +67,15 @@ func (d Domain) String() string {
 const lineSize = 64
 
 // A way's tag word is its line address with the way's state in the low bits,
-// which a 64-byte-aligned address leaves free. An empty way's tag is 0.
+// which a 64-byte-aligned address leaves free. An empty way's tag is 0. A way
+// whose tag has neither tagDirty nor tagOwn holds no bytes: its line reads
+// from the device backing.
 const (
 	tagPresent uint64 = 1
 	tagDirty   uint64 = 2
-	tagState          = tagPresent | tagDirty
+	tagOwn     uint64 = 4 // clean, but its payload is its line: see own
+	tagState          = tagPresent | tagDirty | tagOwn
+	tagHeld           = tagDirty | tagOwn // the way's payload holds its line
 )
 
 // A granule is 64 KiB of address space: the unit of the residency counts and
@@ -90,10 +100,10 @@ const DefaultPartition PartitionID = 0
 // before it reaches them.
 type set struct {
 	mu   *sync.Mutex
-	tags []uint64         // per way: line address | tagPresent | tagDirty, 0 when empty
+	tags []uint64         // per way: line address | tagPresent | tagDirty | tagOwn, 0 when empty
 	lru  []uint64         // per way: the set tick of its last touch
 	tick *uint64          // the set's clock for lru
-	data [][lineSize]byte // per way: the line's bytes
+	data [][lineSize]byte // per way: the line's bytes, when tagHeld
 }
 
 // find returns the way holding base, or -1. Every way is searched: an address
@@ -101,7 +111,7 @@ type set struct {
 func (s *set) find(base uint64) int {
 	want := base | tagPresent
 	for w, t := range s.tags {
-		if t&^tagDirty == want {
+		if t&^tagHeld == want {
 			return w
 		}
 	}
@@ -425,12 +435,12 @@ func victimWay(s *set, part partition) int {
 	return best
 }
 
-// install places base, holding fill's bytes, into the set under part,
-// evicting the LRU line of that partition if necessary. Returns the way index.
-// The set lock must be held; eviction writeback is performed with the lock
-// held (the model tolerates this because WriteLines never re-enters the
-// cache).
-func (c *LLC) install(clk *sim.Clock, s *set, base uint64, part partition, fill *[lineSize]byte) int {
+// install places base, clean, into the set under part, evicting the LRU line
+// of that partition if necessary. Returns the way index; its payload is the
+// evicted line's until the caller makes it dirty. The set lock must be held;
+// eviction writeback is performed with the lock held (the model tolerates
+// this because WriteLines never re-enters the cache).
+func (c *LLC) install(clk *sim.Clock, s *set, base uint64, part partition) int {
 	w := victimWay(s, part)
 	if w < 0 {
 		panic("cache: partition has no ways")
@@ -447,10 +457,34 @@ func (c *LLC) install(clk *sim.Clock, s *set, base uint64, part partition, fill 
 		c.resident[granule(t)].Add(-1)
 	}
 	s.tags[w] = base | tagPresent
-	s.data[w] = *fill
 	s.touch(w)
 	c.resident[granule(base)].Add(1)
 	return w
+}
+
+// load copies way w's line from off into buf: the way's payload when it holds
+// one, else the backing's bytes. The set lock must be held.
+func (c *LLC) load(s *set, w int, base uint64, off int, buf []byte) {
+	if s.tags[w]&tagHeld != 0 {
+		copy(buf, s.data[w][off:])
+	} else {
+		c.dev.LoadRaw(base+uint64(off), buf)
+	}
+}
+
+// own locks base's set and returns it, after making a clean copy of base
+// there, if it reads from the backing, hold the backing's bytes (tagOwn). A
+// pinned copy of base calls it before writing base's backing, and unlocks the
+// set once written: the set array's copy keeps the bytes it was filled with,
+// as if it held them all along, and no fill reads the backing meanwhile.
+func (c *LLC) own(base uint64) set {
+	s := c.setFor(base)
+	s.mu.Lock()
+	if w := s.find(base); w >= 0 && s.tags[w]&tagHeld == 0 {
+		c.dev.LoadRaw(base, s.data[w][:])
+		s.tags[w] |= tagOwn
+	}
+	return s
 }
 
 // empty empties way w of s; the set lock must be held.
@@ -497,6 +531,9 @@ func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, part 
 	w := s.find(base)
 	if w >= 0 {
 		c.hits.Add(1)
+		if s.tags[w]&tagHeld == 0 {
+			c.dev.LoadRaw(base, s.data[w][:]) // the clean line is the backing's bytes
+		}
 		clk.Advance(c.costs.CacheHitWrite)
 	} else {
 		c.misses.Add(1)
@@ -506,7 +543,8 @@ func (c *LLC) writeLine(clk *sim.Clock, base uint64, off int, data []byte, part 
 			// before the line is installed (see readLine).
 			c.dev.Read(clk, base, fill[:])
 		}
-		w = c.install(clk, &s, base, part, &fill)
+		w = c.install(clk, &s, base, part)
+		s.data[w] = fill
 		clk.Advance(c.costs.CacheHitWrite + c.costs.CacheMissExtra)
 	}
 	copy(s.data[w][off:], data)
@@ -545,6 +583,7 @@ func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part pa
 	cost := c.costs.CacheHitRead
 	if w >= 0 {
 		c.hits.Add(1)
+		c.load(&s, w, base, off, buf)
 	} else if !c.live(clk) {
 		// The power failed since Read checked: a fill could evict a dirty line.
 		s.mu.Unlock()
@@ -553,17 +592,19 @@ func (c *LLC) readLine(clk *sim.Clock, base uint64, off int, buf []byte, part pa
 	} else {
 		c.misses.Add(1)
 		// The fill is read with the set locked: this line's bytes reach the
-		// media only under the same lock (an eviction or a flush), so no
-		// reader sees the line before its fill, and no fill is torn or stale.
-		// Counted resident before the fill: a concurrent NTWrite then drops it.
-		var fill [lineSize]byte
+		// media only under the same lock (an eviction or a flush, or a
+		// pinned copy's write-back: see own), so no reader sees the line
+		// before its fill, and no fill is torn or stale. The fill is read
+		// straight into buf: it charges the one XPLine the whole line lies
+		// in, as a whole-line read does, and the installed line keeps no
+		// copy of it. Counted resident before the fill: a concurrent NTWrite
+		// then drops it.
 		c.resident[granule(base)].Add(1)
-		c.dev.Read(clk, base, fill[:])
-		w = c.install(clk, &s, base, part, &fill)
+		c.dev.Read(clk, base+uint64(off), buf)
+		w = c.install(clk, &s, base, part)
 		c.resident[granule(base)].Add(-1)
 		cost += c.costs.CacheMissExtra
 	}
-	copy(buf, s.data[w][off:])
 	s.touch(w)
 	s.mu.Unlock()
 	clk.Advance(cost)
@@ -578,10 +619,7 @@ func (c *LLC) readBypass(addr uint64, buf []byte) {
 		base := addr &^ (lineSize - 1)
 		off := int(addr - base)
 		n := min(lineSize-off, len(buf))
-		var ln [lineSize]byte
-		if c.peekLine(base, &ln) {
-			copy(buf[:n], ln[off:])
-		} else {
+		if present, _ := c.lookupLine(base, off, buf[:n]); !present {
 			c.dev.LoadRaw(addr, buf[:n])
 		}
 		addr += uint64(n)
@@ -635,7 +673,9 @@ func (c *LLC) overcommit(clk *sim.Clock, r *pinnedRegion) {
 				if cell := clk.Cell(); cell != nil {
 					cell.LLCWritebackLines.Add(1)
 				}
+				s := c.own(old)
 				c.dev.WriteLines(clk, old, lf.data[i][:])
+				s.mu.Unlock()
 			}
 			r.drop(lf, i)
 			return
@@ -726,7 +766,7 @@ func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 				if w := s.find(base); w >= 0 && c.live(clk) {
 					if s.tags[w]&tagDirty != 0 {
 						c.writeBack(clk, base, &s.data[w])
-						s.tags[w] &^= tagDirty
+						s.tags[w] &^= tagHeld // the backing holds the line now
 					}
 					if invalidate {
 						c.empty(&s, w)
@@ -738,7 +778,9 @@ func (c *LLC) flushRange(clk *sim.Clock, addr uint64, n int, invalidate bool) {
 				r.mu.Lock()
 				if lf, i, ok := r.lookup(base); ok && c.live(clk) {
 					if lf.state[i]&uint8(tagDirty) != 0 {
+						s := c.own(base)
 						c.writeBack(clk, base, &lf.data[i])
+						s.mu.Unlock()
 						lf.state[i] &^= uint8(tagDirty)
 					}
 					if invalidate {
@@ -875,24 +917,15 @@ func (c *LLC) NTWrite(clk *sim.Clock, addr uint64, data []byte) {
 // visibleLine fills out with the line at base as a load would see it: the
 // cached copy when there is one, the backing bytes otherwise.
 func (c *LLC) visibleLine(base uint64, out *[lineSize]byte) {
-	if !c.peekLine(base, out) {
+	if present, _ := c.lookupLine(base, 0, out[:]); !present {
 		c.dev.LoadRaw(base, out[:])
 	}
-}
-
-// peekLine copies the line's current cached content into out, searching both
-// the set array and every pinned region, and reports whether it was cached.
-func (c *LLC) peekLine(base uint64, out *[lineSize]byte) bool {
-	found := false
-	c.lookupLine(base, func(data *[lineSize]byte, _ bool) { *out, found = *data, true })
-	return found
 }
 
 // Contains reports whether addr's line is present (and if so, dirty). Tests
 // and crash accounting use it; engines must not.
 func (c *LLC) Contains(addr uint64) (present, dirty bool) {
-	c.lookupLine(addr&^(lineSize-1), func(_ *[lineSize]byte, d bool) { present, dirty = true, d })
-	return present, dirty
+	return c.lookupLine(addr&^(lineSize-1), 0, nil)
 }
 
 // Holder reports which partition holds addr's line, if any line does: a
@@ -920,28 +953,33 @@ func (c *LLC) Holder(addr uint64) (p PartitionID, present bool) {
 	return DefaultPartition, present
 }
 
-// lookupLine calls fn, under the lock that guards it, with the first cached
-// copy of base's line found: the set array's, else a pinned region's.
-func (c *LLC) lookupLine(base uint64, fn func(data *[lineSize]byte, dirty bool)) {
+// lookupLine finds the first cached copy of base's line — the set array's,
+// else a pinned region's — and copies its bytes from off into buf (which may
+// be empty) under the lock that guards it. It reports whether a copy was
+// found, and whether it is dirty.
+func (c *LLC) lookupLine(base uint64, off int, buf []byte) (present, dirty bool) {
 	if c.resident[granule(base)].Load() != 0 {
 		s := c.setFor(base)
 		s.mu.Lock()
 		if w := s.find(base); w >= 0 {
-			fn(&s.data[w], s.tags[w]&tagDirty != 0)
+			c.load(&s, w, base, off, buf)
+			dirty = s.tags[w]&tagDirty != 0
 			s.mu.Unlock()
-			return
+			return true, dirty
 		}
 		s.mu.Unlock()
 	}
 	for _, r := range c.parts.Load().pinned {
 		r.mu.Lock()
 		if lf, i, ok := r.lookup(base); ok {
-			fn(&lf.data[i], lf.state[i]&uint8(tagDirty) != 0)
+			copy(buf, lf.data[i][off:])
+			dirty = lf.state[i]&uint8(tagDirty) != 0
 			r.mu.Unlock()
-			return
+			return true, dirty
 		}
 		r.mu.Unlock()
 	}
+	return false, false
 }
 
 // Crash cuts the power: until Recover the cache refuses every store, NT store,
@@ -979,7 +1017,10 @@ func (c *LLC) Crash() {
 			}
 			for i, st := range lf.state {
 				if st&uint8(tagDirty) != 0 {
-					c.dev.StoreRaw(uint64(g)<<granuleShift+uint64(i)*lineSize, lf.data[i][:])
+					base := uint64(g)<<granuleShift + uint64(i)*lineSize
+					s := c.own(base)
+					c.dev.StoreRaw(base, lf.data[i][:])
+					s.mu.Unlock()
 				}
 			}
 		}

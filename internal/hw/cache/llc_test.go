@@ -139,6 +139,61 @@ func TestPartitionPseudoLocking(t *testing.T) {
 	}
 }
 
+// TestCleanAliasKeepsItsFill: a clean set-array line holds no bytes and reads
+// the backing, so when a pinned partition holds the same line dirty and
+// writes it back, the default partition's clean copy must first take the
+// backing's bytes as its own, or it would start reading the pinned copy's.
+// Three routes write a pinned line's backing: the overcommit of its
+// partition, a FlushOpt over it and an eADR Crash's drain. After each, a
+// default-partition read must return the fill, and the media the pinned
+// store.
+func TestCleanAliasKeepsItsFill(t *testing.T) {
+	fill := bytes.Repeat([]byte{0xF1}, lineSize)
+	store := bytes.Repeat([]byte{0x5B}, lineSize)
+	for _, route := range []string{"overcommit", "FlushOpt", "Crash"} {
+		t.Run(route, func(t *testing.T) {
+			c, dev := newLLC(smallCfg(EADR))
+			part, err := c.Reserve(16 << 10) // one way: 256 lines
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := sim.NewClock(nil, c.Boot())
+			const line = 1 << 20
+			dev.StoreRaw(line, fill)
+			got := make([]byte, lineSize)
+			c.Read(clk, line, got, DefaultPartition) // the clean copy
+			c.Write(clk, line, store, part)          // the pinned dirty copy
+			switch route {
+			case "overcommit":
+				// The line heads the partition's install order: the 257th
+				// line installed writes it back.
+				for i := uint64(1); i <= 256; i++ {
+					c.Write(clk, line+i*lineSize, store, part)
+				}
+				if p, ok := c.Holder(line); !ok || p != DefaultPartition {
+					t.Fatalf("after the overcommit the line is held by %d, %v; want the default partition only", p, ok)
+				}
+			case "FlushOpt":
+				c.FlushOpt(clk, line, lineSize)
+			case "Crash":
+				c.Crash()
+			}
+			media := make([]byte, lineSize)
+			dev.LoadRaw(line, media)
+			if !bytes.Equal(media, store) {
+				t.Fatalf("the %s did not write the pinned copy back: media reads %#x", route, media[0])
+			}
+			c.Read(clk, line, got, DefaultPartition)
+			if !bytes.Equal(got, fill) {
+				t.Fatalf("after the %s the default partition's clean copy reads %#x, want its fill %#x", route, got[0], fill[0])
+			}
+			if present, dirty := c.Contains(line); !present || dirty {
+				t.Fatalf("after the %s: Contains = %v, %v; want the clean copy", route, present, dirty)
+			}
+		})
+	}
+}
+
 func TestReserveExhaustion(t *testing.T) {
 	c, _ := newLLC(smallCfg(EADR))
 	// 4 ways total; reserving everything must fail (default needs >=1 way).
@@ -395,9 +450,10 @@ func TestNTWriteLeavesNoStaleLine(t *testing.T) {
 }
 
 // TestLLCAllocs pins the host cost of the line paths: a hit Read or Write,
-// through the default partition or a pinned one, allocates nothing, and nor
-// does dropping or NT-storing a 4 KiB range, whether its lines are cached or
-// not.
+// through the default partition or a pinned one, dirty or clean (read from
+// the backing), allocates nothing, and nor do Contains, dropping or
+// NT-storing a 4 KiB range, whether its lines are cached or not, or an NT
+// store whose ragged edges merge cached lines.
 func TestLLCAllocs(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -410,14 +466,17 @@ func TestLLCAllocs(t *testing.T) {
 	var clk sim.Clock
 	buf := make([]byte, 48)
 	page := make([]byte, 4096)
-	const hot, cold, pinned = 4096, 64 << 10, 1 << 20
+	const hot, clean, cold, pinned = 4096, 8192, 64 << 10, 1 << 20
 	c.Write(&clk, hot, page[:128], DefaultPartition)
+	c.Read(&clk, clean, page[:128], DefaultPartition)
 	c.Write(&clk, pinned, page[:128], pin)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
 		{"Read hit", func() { c.Read(&clk, hot+40, buf, DefaultPartition) }},
+		{"Read hit, clean", func() { c.Read(&clk, clean+40, buf, DefaultPartition) }},
+		{"Contains", func() { c.Contains(hot); c.Contains(clean); c.Contains(pinned); c.Contains(cold + 4096) }},
 		{"Write hit", func() { c.Write(&clk, hot+40, buf, DefaultPartition) }},
 		{"pinned Read hit", func() { c.Read(&clk, pinned+40, buf, pin) }},
 		{"pinned Write hit", func() { c.Write(&clk, pinned+40, buf, pin) }},
@@ -433,6 +492,14 @@ func TestLLCAllocs(t *testing.T) {
 			c.NTWrite(&clk, cold, page)
 		}},
 		{"NTWrite 4 KiB, ragged", func() { c.NTWrite(&clk, cold+8192+3, page[:4000]) }},
+		{"NTWrite 4 KiB, ragged over cached edges", func() {
+			c.Write(&clk, cold+16384, buf, DefaultPartition)
+			c.Read(&clk, cold+16384+4032, buf, DefaultPartition)
+			c.Write(&clk, pinned+8192, buf, pin)
+			c.Read(&clk, pinned+8192+4032, buf, pin)
+			c.NTWrite(&clk, cold+16384+3, page[:4090])
+			c.NTWrite(&clk, pinned+8192+3, page[:4090])
+		}},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocations, want 0", tc.name, n)

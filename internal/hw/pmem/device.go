@@ -109,11 +109,13 @@ type xpBuffer struct {
 	n      int      // XPLines staged
 	window int      // XPLines the buffer holds
 
-	// fifo holds every staged address in staging order. An XPLine that
-	// completes leaves its address behind, so if it is staged again before
-	// that old entry comes up, the old entry evicts it early: the window the
-	// write-amplification figures are measured against.
-	fifo []uint64
+	// fifo holds every staged address in staging order, a ring of queued
+	// addresses from head, its length a power of two that doubles when full.
+	// An XPLine that completes leaves its address behind, so if it is staged
+	// again before that old entry comes up, the old entry evicts it early:
+	// the window the write-amplification figures are measured against.
+	fifo         []uint64
+	head, queued int
 }
 
 // xpSlot is one XPLine being staged; mask 0 marks an empty slot.
@@ -134,7 +136,7 @@ func newXPBuffer(entries int) xpBuffer {
 func (b *xpBuffer) reset() {
 	clear(b.slots)
 	b.n = 0
-	b.fifo = b.fifo[:0]
+	b.head, b.queued = 0, 0
 }
 
 // home is addr's first slot.
@@ -155,7 +157,14 @@ func (b *xpBuffer) find(addr uint64) (i int, staged bool) {
 func (b *xpBuffer) stage(i int, addr uint64, mask uint8) {
 	b.slots[i] = xpSlot{addr, mask}
 	b.n++
-	b.fifo = append(b.fifo, addr)
+	if b.queued == len(b.fifo) {
+		grown := make([]uint64, max(64, 2*len(b.fifo)))
+		k := copy(grown, b.fifo[b.head:])
+		copy(grown[k:], b.fifo[:b.head])
+		b.fifo, b.head = grown, 0
+	}
+	b.fifo[(b.head+b.queued)&(len(b.fifo)-1)] = addr
+	b.queued++
 }
 
 // unstage empties slot i.
@@ -176,9 +185,10 @@ func (b *xpBuffer) unstage(i int) {
 // evictOldest unstages the XPLine of the first address in the FIFO that is
 // still staged, dropping the addresses before it, and returns it.
 func (b *xpBuffer) evictOldest() (xpSlot, bool) {
-	for len(b.fifo) > 0 {
-		addr := b.fifo[0]
-		b.fifo = b.fifo[1:]
+	for b.queued > 0 {
+		addr := b.fifo[b.head]
+		b.head = (b.head + 1) & (len(b.fifo) - 1)
+		b.queued--
 		if i, staged := b.find(addr); staged {
 			e := b.slots[i]
 			b.unstage(i)

@@ -189,3 +189,63 @@ func TestWriteHitRatioEmpty(t *testing.T) {
 		t.Fatal("empty snapshot ratios should be zero")
 	}
 }
+
+// TestXPBufferFIFOKeepsStagingOrder: the FIFO is a ring that doubles when
+// full. Across its wraps and growths, evictOldest must still take the staged
+// XPLines in staging order and skip, in that order too, the entries that
+// unstaged XPLines left behind.
+func TestXPBufferFIFOKeepsStagingOrder(t *testing.T) {
+	b := newXPBuffer(1 << 10)
+	var order []uint64              // every address queued, in staging order
+	staged := map[uint64]struct{}{} // the model's staged set
+	rng := sim.NewRNG(1)
+	next, grows := uint64(0), 0
+	for op := 0; op < 40000; op++ {
+		stageP := uint64(60) // phases that grow the queue and that drain it
+		if op/2000%2 == 1 {
+			stageP = 30
+		}
+		switch k := rng.Uint64n(100); {
+		case k < stageP && len(staged) < 2<<10:
+			addr := next * 256
+			next++
+			i, ok := b.find(addr)
+			if ok {
+				t.Fatalf("op %d: fresh XPLine %#x already staged", op, addr)
+			}
+			had := len(b.fifo)
+			b.stage(i, addr, 1)
+			if len(b.fifo) != had {
+				grows++
+			}
+			order = append(order, addr)
+			staged[addr] = struct{}{}
+		case k < stageP+15 && len(staged) > 0:
+			// An XPLine completes: it leaves the buffer and its entry stays.
+			addr := order[len(order)-1-int(rng.Uint64n(uint64(len(order))))]
+			if i, ok := b.find(addr); ok {
+				b.unstage(i)
+				delete(staged, addr)
+			}
+		default:
+			e, ok := b.evictOldest()
+			var want uint64
+			wok := false
+			for len(order) > 0 && !wok {
+				want, order = order[0], order[1:]
+				_, wok = staged[want]
+			}
+			if ok != wok || ok && e.addr != want {
+				t.Fatalf("op %d: evictOldest = %#x, %v; want %#x, %v", op, e.addr, ok, want, wok)
+			}
+			delete(staged, want)
+		}
+		if b.queued != len(order) || b.n != len(staged) {
+			t.Fatalf("op %d: %d queued, %d staged; want %d, %d", op, b.queued, b.n, len(order), len(staged))
+		}
+	}
+	if grows < 3 {
+		t.Fatalf("the ring grew %d times, want at least 3 (the test must wrap and grow it)", grows)
+	}
+	t.Logf("ring of %d entries after %d growths", len(b.fifo), grows)
+}

@@ -385,6 +385,7 @@ func (t *Tree) CacheStats() blockcache.Stats { return t.blockCache.Stats() }
 // it can still hide.
 func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombstones bool, cover []RangeDel, target uint64) (out []FileMeta, err error) {
 	var w *sstable.Writer
+	var spare *sstable.Writer // the last table's writer: the next one Resets it
 	var num uint64
 	defer func() {
 		if err == nil {
@@ -428,7 +429,7 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 			Largest:   append(util.InternalKey(nil), largest...),
 			RangeDels: curRDs,
 		})
-		w = nil
+		spare, w = w, nil
 		curRDs = nil
 		return nil
 	}
@@ -477,7 +478,12 @@ func (t *Tree) writeTables(th *hw.Thread, it Iterator, dropShadowed, dropTombsto
 			if err != nil {
 				return out, err
 			}
-			w = sstable.NewWriter(fw, th)
+			if spare != nil {
+				w, spare = spare, nil
+				w.Reset(fw)
+			} else {
+				w = sstable.NewWriter(fw, th)
+			}
 		}
 		if err := w.Add(ikey, it.Value()); err != nil {
 			return out, err

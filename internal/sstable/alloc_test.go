@@ -2,6 +2,7 @@ package sstable
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cachekv/internal/util"
@@ -42,16 +43,20 @@ func TestCompactionIterAllocs(t *testing.T) {
 }
 
 // TestWriterAllocs: the writer keeps its separator key and handle encoding
-// in buffers it reuses, so a table's allocations do not grow with its blocks.
-// Four times the blocks add only the doublings of the buffers that grow with
-// the table — the bloom hashes and the index block's — about one allocation
-// per six blocks at these sizes where a separator copied per block and a
-// handle encoded per block cost two.
+// in buffers it reuses, and a writer Reset for a job's next table keeps its
+// bloom hashes and data block, so a table's allocations do not grow with its
+// blocks, nor its bytes with its entries beyond the filter and index blocks
+// it hands to its Reader. Four times the blocks add only the doublings of the
+// index block (about one allocation per six blocks at these sizes, where a
+// separator copied per block and a handle encoded per block cost two), and
+// a table of a reused writer allocates at most 6 B per entry: the filter
+// takes 1.25 and the index block with its builder's doublings about 2.8,
+// where hashes regrown for each table took about 15 more.
 func TestWriterAllocs(t *testing.T) {
 	if util.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	_, fs, th := newMachineEnv(t)
+	m, fs, th := newMachineEnv(t)
 	// Keys and values are made outside the measured runs: only the writer's
 	// own allocations count.
 	type table struct {
@@ -74,13 +79,23 @@ func TestWriterAllocs(t *testing.T) {
 	if small.blocks < 16 || big.blocks < 4*small.blocks-4 {
 		t.Fatalf("tables of %d and %d blocks, want at least 16 and four times that", small.blocks, big.blocks)
 	}
-	allocs := func(tb table) float64 {
-		return testing.AllocsPerRun(10, func() {
+	// measure builds tb runs times with one writer, Reset from the second
+	// table on, as a job does, and returns the allocations and bytes per
+	// table. Each table's file is deleted and the XPBuffer drained, so the
+	// measured tables land where the warm-up's did: the device allocates no
+	// backing, and its staging FIFO does not grow.
+	measure := func(tb table, runs int) (allocs, bytes float64) {
+		var w *Writer
+		one := func() {
 			fw, err := fs.Create(th, "w", 4<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := NewWriter(fw, th)
+			if w == nil {
+				w = NewWriter(fw, th)
+			} else {
+				w.Reset(fw)
+			}
 			for i, ik := range tb.ikeys {
 				if err := w.Add(ik, tb.vals[i]); err != nil {
 					t.Fatal(err)
@@ -92,11 +107,26 @@ func TestWriterAllocs(t *testing.T) {
 			if err := fs.Delete(th, "w"); err != nil {
 				t.Fatal(err)
 			}
-		})
+			m.PMem.Flush(th.Clock)
+		}
+		for range runs {
+			one()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			one()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	}
-	a, b := allocs(small), allocs(big)
-	t.Logf("%d blocks: %.0f allocations; %d blocks: %.0f", small.blocks, a, big.blocks, b)
+	a, _ := measure(small, 10)
+	b, bytes := measure(big, 10)
+	t.Logf("%d blocks: %.0f allocations; %d blocks: %.0f allocations, %.2f B per entry", small.blocks, a, big.blocks, b, bytes/float64(len(big.ikeys)))
 	if extra, blocks := b-a, big.blocks-small.blocks; extra > float64(blocks)/4 {
 		t.Fatalf("%d more blocks cost %.0f more allocations, want at most one per four blocks (buffer doublings)", blocks, extra)
+	}
+	if perEntry := bytes / float64(len(big.ikeys)); perEntry > 6 {
+		t.Fatalf("a reused writer's table of %d entries allocated %.2f B per entry, want at most 6", len(big.ikeys), perEntry)
 	}
 }

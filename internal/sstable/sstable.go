@@ -86,6 +86,20 @@ func NewWriter(w *pmemfs.Writer, th *hw.Thread) *Writer {
 	return t
 }
 
+// Reset makes t build a new table into w, on the same thread, keeping the
+// buffers a table grows — the bloom hashes, the data block, the separator
+// and handle encodings — so a job's later tables do not grow them again. The
+// Reader of the table t finished stays valid: the filter and index blocks
+// are new for each table.
+func (t *Writer) Reset(w *pmemfs.Writer) {
+	*t = Writer{
+		w: w, th: t.th, data: t.data, index: block.NewBuilder(), filter: t.filter,
+		hashes: t.hashes[:0], pendKey: t.pendKey[:0], hbuf: t.hbuf[:0], last: t.last[:0],
+	}
+	t.data.Reset()
+	t.data.SetSkew(skewAt(w.Addr()))
+}
+
 // skewAt is where a block at PMem address addr starts within its cache line:
 // the writer builds each data block for the skew it will lie at, and every
 // reader decodes it, copied or in place, at that skew. The index block is
