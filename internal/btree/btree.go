@@ -1,10 +1,10 @@
 // Package btree implements the B+-tree SLM-DB keeps in persistent memory to
 // index KV pairs across its single-level SSTable layout. Interior nodes hold
-// only separator keys; all values live in chained leaves, so range scans walk
-// the leaf chain. A coarse reader/writer lock matches SLM-DB's design (its
-// B+-tree is updated by one compaction/flush thread and read by queries; the
-// paper's Figure 12 attributes its poor scaling to exactly this shared-index
-// contention, which we reproduce with a virtual mutex at the engine level).
+// only separator keys; all values live in the leaves. A coarse reader/writer
+// lock matches SLM-DB's design (its B+-tree is updated by one compaction/flush
+// thread and read by queries; the paper's Figure 12 attributes its poor
+// scaling to exactly this shared-index contention, which we reproduce with a
+// virtual mutex at the engine level).
 //
 // Like the skiplist, operations accept a ChargeFunc reporting node visits so
 // the engine can charge DRAM or PMem latency per hop.
@@ -15,13 +15,10 @@ import (
 	"sync"
 )
 
-const (
-	// order is the maximum number of children of an interior node; leaves
-	// hold up to order-1 entries. 64 keeps trees shallow (3 levels reach
-	// ~250k entries) which matches the per-hop cost model.
-	order    = 64
-	minItems = order / 2
-)
+// order is the maximum number of children of an interior node; leaves hold
+// up to order-1 entries. 64 keeps trees shallow (3 levels reach ~250k
+// entries) which matches the per-hop cost model.
+const order = 64
 
 // ChargeFunc receives node-visit counts for latency accounting.
 type ChargeFunc func(nodeVisits int)
@@ -29,7 +26,6 @@ type ChargeFunc func(nodeVisits int)
 type leaf struct {
 	keys   [][]byte
 	values [][]byte
-	next   *leaf
 }
 
 type interior struct {
@@ -169,11 +165,9 @@ func (t *Tree) insertLocked(key, value []byte) (visits int, grew bool) {
 	right := &leaf{
 		keys:   append([][]byte(nil), lf.keys[mid:]...),
 		values: append([][]byte(nil), lf.values[mid:]...),
-		next:   lf.next,
 	}
 	lf.keys = lf.keys[:mid:mid]
 	lf.values = lf.values[:mid:mid]
-	lf.next = right
 	upKey, rightChild := right.keys[0], interface{}(right)
 
 	for len(path) > 0 {
@@ -204,27 +198,6 @@ func (t *Tree) insertLocked(key, value []byte) (visits int, grew bool) {
 	return visits, grew
 }
 
-// Delete removes key, reporting whether it was present. Leaves are allowed
-// to underflow (no rebalancing): SLM-DB only deletes during garbage
-// collection where whole ranges disappear, and underfull leaves merely cost
-// a little space, never correctness.
-func (t *Tree) Delete(key []byte, charge ChargeFunc) bool {
-	t.mu.Lock()
-	lf, visits := t.searchLeaf(key)
-	i := lowerBound(lf.keys, key)
-	found := i < len(lf.keys) && bytes.Equal(lf.keys[i], key)
-	if found {
-		lf.keys = append(lf.keys[:i], lf.keys[i+1:]...)
-		lf.values = append(lf.values[:i], lf.values[i+1:]...)
-		t.length--
-	}
-	t.mu.Unlock()
-	if charge != nil {
-		charge(visits)
-	}
-	return found
-}
-
 func insertBytes(s [][]byte, i int, v []byte) [][]byte {
 	s = append(s, nil)
 	copy(s[i+1:], s[i:])
@@ -237,67 +210,4 @@ func insertChild(s []interface{}, i int, v interface{}) []interface{} {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
-}
-
-// Iterator walks entries in ascending key order via the leaf chain.
-type Iterator struct {
-	t   *Tree
-	lf  *leaf
-	idx int
-}
-
-// NewIterator returns an unpositioned iterator. The iterator holds no lock;
-// it must not run concurrently with writers.
-func (t *Tree) NewIterator() *Iterator { return &Iterator{t: t} }
-
-// SeekToFirst positions at the smallest entry.
-func (it *Iterator) SeekToFirst() {
-	it.t.mu.RLock()
-	n := it.t.root
-	for {
-		in, ok := n.(*interior)
-		if !ok {
-			break
-		}
-		n = in.children[0]
-	}
-	it.t.mu.RUnlock()
-	it.lf = n.(*leaf)
-	it.idx = 0
-	it.skipEmpty()
-}
-
-// Seek positions at the first entry >= key.
-func (it *Iterator) Seek(key []byte, charge ChargeFunc) {
-	it.t.mu.RLock()
-	lf, visits := it.t.searchLeaf(key)
-	it.t.mu.RUnlock()
-	if charge != nil {
-		charge(visits)
-	}
-	it.lf = lf
-	it.idx = lowerBound(lf.keys, key)
-	it.skipEmpty()
-}
-
-func (it *Iterator) skipEmpty() {
-	for it.lf != nil && it.idx >= len(it.lf.keys) {
-		it.lf = it.lf.next
-		it.idx = 0
-	}
-}
-
-// Valid reports whether the iterator is on an entry.
-func (it *Iterator) Valid() bool { return it.lf != nil && it.idx < len(it.lf.keys) }
-
-// Key returns the current key.
-func (it *Iterator) Key() []byte { return it.lf.keys[it.idx] }
-
-// Value returns the current value.
-func (it *Iterator) Value() []byte { return it.lf.values[it.idx] }
-
-// Next advances the iterator.
-func (it *Iterator) Next() {
-	it.idx++
-	it.skipEmpty()
 }

@@ -3,8 +3,6 @@ package btree
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -16,14 +14,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if _, ok := tr.Get([]byte("x"), nil); ok {
 		t.Fatal("Get on empty tree found something")
-	}
-	if tr.Delete([]byte("x"), nil) {
-		t.Fatal("Delete on empty tree reported success")
-	}
-	it := tr.NewIterator()
-	it.SeekToFirst()
-	if it.Valid() {
-		t.Fatal("iterator valid on empty tree")
 	}
 }
 
@@ -58,88 +48,6 @@ func TestInsertReplace(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New()
-	for i := 0; i < 1000; i++ {
-		tr.Insert([]byte(fmt.Sprintf("k%05d", i)), []byte("v"), nil)
-	}
-	for i := 0; i < 1000; i += 2 {
-		if !tr.Delete([]byte(fmt.Sprintf("k%05d", i)), nil) {
-			t.Fatalf("delete k%05d failed", i)
-		}
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		_, ok := tr.Get([]byte(fmt.Sprintf("k%05d", i)), nil)
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("k%05d present=%v want %v", i, ok, want)
-		}
-	}
-	// Iterator must skip the holes cleanly.
-	it := tr.NewIterator()
-	it.SeekToFirst()
-	count := 0
-	for it.Valid() {
-		count++
-		it.Next()
-	}
-	if count != 500 {
-		t.Fatalf("iterated %d, want 500", count)
-	}
-}
-
-func TestIterationSorted(t *testing.T) {
-	tr := New()
-	rng := rand.New(rand.NewSource(7))
-	want := map[string]bool{}
-	for i := 0; i < 5000; i++ {
-		k := fmt.Sprintf("k%08d", rng.Intn(1<<28))
-		want[k] = true
-		tr.Insert([]byte(k), []byte("v"), nil)
-	}
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	it := tr.NewIterator()
-	it.SeekToFirst()
-	for i, k := range keys {
-		if !it.Valid() {
-			t.Fatalf("ended at %d of %d", i, len(keys))
-		}
-		if string(it.Key()) != k {
-			t.Fatalf("at %d: got %s want %s", i, it.Key(), k)
-		}
-		it.Next()
-	}
-	if it.Valid() {
-		t.Fatal("extra entries")
-	}
-}
-
-func TestSeek(t *testing.T) {
-	tr := New()
-	for i := 0; i < 1000; i += 10 {
-		tr.Insert([]byte(fmt.Sprintf("k%04d", i)), []byte("v"), nil)
-	}
-	it := tr.NewIterator()
-	it.Seek([]byte("k0015"), nil)
-	if !it.Valid() || string(it.Key()) != "k0020" {
-		t.Fatalf("Seek landed on %s", it.Key())
-	}
-	it.Seek([]byte("k0020"), nil)
-	if !it.Valid() || string(it.Key()) != "k0020" {
-		t.Fatal("exact Seek failed")
-	}
-	it.Seek([]byte("k9999"), nil)
-	if it.Valid() {
-		t.Fatal("Seek past end valid")
-	}
-}
-
 func TestChargeFunc(t *testing.T) {
 	tr := New()
 	for i := 0; i < 10000; i++ {
@@ -154,28 +62,16 @@ func TestChargeFunc(t *testing.T) {
 
 func TestPropertyMatchesModel(t *testing.T) {
 	f := func(ops []struct {
-		Key    uint16
-		Val    uint8
-		Delete bool
+		Key uint16
+		Val uint8
 	}) bool {
 		tr := New()
 		model := map[string][]byte{}
 		for _, op := range ops {
 			k := []byte(fmt.Sprintf("k%05d", op.Key))
-			if op.Delete {
-				want := false
-				if _, ok := model[string(k)]; ok {
-					want = true
-					delete(model, string(k))
-				}
-				if tr.Delete(k, nil) != want {
-					return false
-				}
-			} else {
-				v := []byte{op.Val}
-				tr.Insert(k, v, nil)
-				model[string(k)] = v
-			}
+			v := []byte{op.Val}
+			tr.Insert(k, v, nil)
+			model[string(k)] = v
 		}
 		if tr.Len() != len(model) {
 			return false
@@ -206,13 +102,10 @@ func TestSequentialAndReverseInsert(t *testing.T) {
 		if tr.Len() != 10000 {
 			t.Fatalf("%s: Len = %d", name, tr.Len())
 		}
-		it := tr.NewIterator()
-		it.SeekToFirst()
 		for i := 0; i < 10000; i++ {
-			if !it.Valid() || string(it.Key()) != fmt.Sprintf("k%05d", i) {
-				t.Fatalf("%s: order broken at %d", name, i)
+			if _, ok := tr.Get([]byte(fmt.Sprintf("k%05d", i)), nil); !ok {
+				t.Fatalf("%s: k%05d missing", name, i)
 			}
-			it.Next()
 		}
 	}
 }

@@ -144,13 +144,6 @@ func (e *Engine) Delete(th *hw.Thread, key []byte) error {
 	return e.Write(th, &Batch{ops: op[:]}, e.opts.WriteStallDeadline)
 }
 
-// DeleteRange deletes every key in [start, end) (see Batch.DeleteRange).
-func (e *Engine) DeleteRange(th *hw.Thread, start, end []byte) error {
-	var b Batch
-	b.DeleteRange(start, end)
-	return e.Write(th, &b, e.opts.WriteStallDeadline)
-}
-
 // commitOps appends ops (sequence numbers already assigned) to the calling
 // core's sub-MemTable and commits them all with a single CAS on the packed
 // header — the one commit primitive behind Write, the cross-shard apply, and

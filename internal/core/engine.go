@@ -49,8 +49,8 @@ type Options struct {
 	// pressure). nil disables tracing; every emit site is nil-safe.
 	Trace *obs.Trace
 
-	// Overload protection. WriteStallDeadline is the deadline Put, Delete and
-	// DeleteRange hand to Write: how long a write may wait (virtual ns) for
+	// Overload protection. WriteStallDeadline is the deadline Put and Delete
+	// hand to Write: how long a write may wait (virtual ns) for
 	// admission or a free sub-MemTable slot (which a full ImmZone delays: its
 	// flush spills the zone first) before failing with ErrStalled; 0 waits
 	// forever. A non-zero value also arms admission shaping for Write calls
@@ -168,7 +168,7 @@ type Stats struct {
 	FilterNegatives atomic.Int64
 	ProbeFallbacks  atomic.Int64
 
-	RangeDeletes atomic.Int64 // DeleteRange calls (range tombstones committed)
+	RangeDeletes atomic.Int64 // range tombstones committed
 	Ingests      atomic.Int64 // Ingest batches installed
 }
 

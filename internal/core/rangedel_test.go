@@ -18,11 +18,19 @@ func putN(t *testing.T, e *Engine, th *hw.Thread, n int, tag string) {
 	}
 }
 
+// rangeDel is a batch of one range tombstone over [start, end): the public
+// path to a range delete is Write with such a batch.
+func rangeDel(start, end []byte) *Batch {
+	var b Batch
+	b.DeleteRange(start, end)
+	return &b
+}
+
 func TestDeleteRangeBasic(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
 	putN(t, e, th, 100, "v")
-	if err := e.DeleteRange(th, []byte("key00020"), []byte("key00060")); err != nil {
+	if err := e.Write(th, rangeDel([]byte("key00020"), []byte("key00060")), e.opts.WriteStallDeadline); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -59,7 +67,7 @@ func TestDeleteRangeBasic(t *testing.T) {
 		t.Fatalf("RangeDeletes = %d", e.stats.RangeDeletes.Load())
 	}
 	// Empty and inverted ranges are no-ops.
-	if err := e.DeleteRange(th, []byte("z"), []byte("a")); err != nil {
+	if err := e.Write(th, rangeDel([]byte("z"), []byte("a")), e.opts.WriteStallDeadline); err != nil {
 		t.Fatal(err)
 	}
 	if e.stats.RangeDeletes.Load() != 1 {
@@ -71,7 +79,7 @@ func TestDeleteRangeAcrossSpill(t *testing.T) {
 	e, th := openEngine(t, testMachine(), smallOpts())
 	defer e.Close(th)
 	putN(t, e, th, 200, "v")
-	if err := e.DeleteRange(th, []byte("key00050"), []byte("key00150")); err != nil {
+	if err := e.Write(th, rangeDel([]byte("key00050"), []byte("key00150")), e.opts.WriteStallDeadline); err != nil {
 		t.Fatal(err)
 	}
 	// Push everything — including the tombstone — down into the LSM tree.
@@ -103,7 +111,7 @@ func TestDeleteRangeRecovery(t *testing.T) {
 	opts := smallOpts()
 	e, th := openEngine(t, m, opts)
 	putN(t, e, th, 100, "v")
-	if err := e.DeleteRange(th, []byte("key00010"), []byte("key00030")); err != nil {
+	if err := e.Write(th, rangeDel([]byte("key00010"), []byte("key00030")), e.opts.WriteStallDeadline); err != nil {
 		t.Fatal(err)
 	}
 	// No FlushAll: the tombstone lives only in the persistent memtable, and
@@ -253,7 +261,7 @@ func TestShardedDeleteRangeAndIngest(t *testing.T) {
 	}
 	// The range spans keys hashed onto every shard; the tombstone must reach
 	// all of them atomically.
-	if err := sh.DeleteRange(th, []byte("key00100"), []byte("key00300")); err != nil {
+	if err := sh.Write(th, rangeDel([]byte("key00100"), []byte("key00300")), sh.writeDeadline); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i += 7 {

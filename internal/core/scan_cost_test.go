@@ -53,29 +53,29 @@ func scanCostScript(t *testing.T) []string {
 			}
 		}
 	}
-	rangeDel := func(lo, hi int) {
+	delRange := func(lo, hi int) {
 		t.Helper()
-		if err := e.DeleteRange(th, key(lo), key(hi)); err != nil {
+		if err := e.Write(th, rangeDel(key(lo), key(hi)), e.opts.WriteStallDeadline); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for r := 0; r < 6; r++ { // L0 and L1
 		batch(r*7, 13, 300)
 		if r == 3 {
-			rangeDel(500, 540)
+			delRange(500, 540)
 		}
 		if err := e.FlushAll(th); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batch(3, 17, 300) // an ImmZone table
-	rangeDel(1200, 1230)
+	delRange(1200, 1230)
 	e.queueSealed(th.Clock.Now(), e.pool.sealForCore(th, th.Core))
 	for e.pendingFlushes.Load() > 0 {
 		runtime.Gosched()
 	}
 	batch(5, 19, 200) // the active slot
-	rangeDel(1700, 1712)
+	delRange(1700, 1712)
 	if err := e.Delete(th, key(10)); err != nil {
 		t.Fatal(err)
 	}

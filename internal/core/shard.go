@@ -49,7 +49,7 @@ func shardOptions(o Options) Options {
 // Sharded is the N-shard CacheKV deployment. It implements kvstore.DB.
 type Sharded struct {
 	m             *hw.Machine
-	writeDeadline int64 // Options.WriteStallDeadline, for Put/Delete/DeleteRange
+	writeDeadline int64 // Options.WriteStallDeadline, for Put and Delete
 
 	seq  *atomic.Uint64
 	part cache.PartitionID
@@ -215,14 +215,6 @@ func (sh *Sharded) Put(th *hw.Thread, key, value []byte) error {
 func (sh *Sharded) Delete(th *hw.Thread, key []byte) error {
 	op := [1]batchOp{{key: key, kind: util.KindDelete}}
 	return sh.Write(th, &Batch{ops: op[:]}, sh.writeDeadline)
-}
-
-// DeleteRange deletes every key in [start, end) across the whole keyspace
-// (see Batch.DeleteRange).
-func (sh *Sharded) DeleteRange(th *hw.Thread, start, end []byte) error {
-	var b Batch
-	b.DeleteRange(start, end)
-	return sh.Write(th, &b, sh.writeDeadline)
 }
 
 // Ingest bulk-loads sorted entries, routing each to its owning shard. Each

@@ -300,9 +300,6 @@ func (m *Machine) NewThread(core int) *Thread {
 // ChargeDRAM charges n DRAM accesses to the thread.
 func (t *Thread) ChargeDRAM(n int) { t.Clock.Advance(int64(n) * t.costs.DRAMAccess) }
 
-// ChargeCPU charges n generic CPU work quanta.
-func (t *Thread) ChargeCPU(n int) { t.Clock.Advance(int64(n) * t.costs.BranchOp) }
-
 // ChargeAtomic charges one atomic read-modify-write.
 func (t *Thread) ChargeAtomic() { t.Clock.Advance(t.costs.AtomicOp) }
 

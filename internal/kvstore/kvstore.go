@@ -71,7 +71,7 @@ type ScanState struct {
 }
 
 // ScanSources is a whole user scan: it merges the sources (newest first)
-// through st, runs UserScanTombs over them and closes them. A source that
+// through st, runs the user scan over them and closes them. A source that
 // failed — a corrupt or vanished table block — fails the scan: the rows
 // delivered are then a prefix of the answer, not the answer.
 func ScanSources(st *ScanState, its []lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) (int, error) {
@@ -85,7 +85,7 @@ func ScanSources(st *ScanState, its []lsm.Iterator, start []byte, seq uint64, li
 // delivered a row: a scan that failed part-way can go on just past it.
 func (st *ScanState) Last() []byte { return st.last }
 
-// UserScanTombs drives a merged internal-key iterator (memtables over tree)
+// scan drives a merged internal-key iterator (memtables over tree)
 // and yields each live user key's freshest value, skipping shadowed versions,
 // tombstones and what range tombstones cover. It returns the number of
 // entries visited. tombs is the pre-collected list of every range tombstone
@@ -96,10 +96,6 @@ func (st *ScanState) Last() []byte { return st.last }
 // KindRangeDel entries surfacing from the sources are structural, not key
 // versions: they neither shadow a point write at the same user key nor appear
 // in the output.
-func UserScanTombs(it lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) int {
-	return new(ScanState).scan(it, start, seq, limit, tombs, fn)
-}
-
 func (st *ScanState) scan(it lsm.Iterator, start []byte, seq uint64, limit int, tombs []lsm.RangeDel, fn func(key, value []byte) bool) int {
 	st.ikey = util.MakeInternalKey(st.ikey[:0], start, seq, util.KindValue)
 	it.Seek(st.ikey)

@@ -184,7 +184,7 @@ func TestUserScanSkipsShadowsAndTombstones(t *testing.T) {
 	insert("b", 6, util.KindDelete, "")
 	insert("c", 3, util.KindValue, "c3")
 	var got []string
-	n := UserScanTombs(mt.NewIter(), nil, util.MaxSequence, 0, nil, func(k, v []byte) bool {
+	n := new(ScanState).scan(mt.NewIter(), nil, util.MaxSequence, 0, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
@@ -193,7 +193,7 @@ func TestUserScanSkipsShadowsAndTombstones(t *testing.T) {
 	}
 	// At a snapshot before the tombstone and the overwrite, old values show.
 	got = nil
-	UserScanTombs(mt.NewIter(), nil, 4, 0, nil, func(k, v []byte) bool {
+	new(ScanState).scan(mt.NewIter(), nil, 4, 0, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
@@ -221,7 +221,7 @@ func TestUserScanStopsAtLimitWithoutAdvancing(t *testing.T) {
 	}
 	for _, limit := range []int{1, 7, 20} {
 		it := &countingIter{Iter: mt.NewIter()}
-		if n := UserScanTombs(it, nil, util.MaxSequence, limit, nil, func(k, v []byte) bool { return true }); n != limit {
+		if n := new(ScanState).scan(it, nil, util.MaxSequence, limit, nil, func(k, v []byte) bool { return true }); n != limit {
 			t.Fatalf("limit %d: %d rows", limit, n)
 		}
 		if it.nexts != limit-1 {
@@ -230,7 +230,7 @@ func TestUserScanStopsAtLimitWithoutAdvancing(t *testing.T) {
 	}
 	// Unlimited: every row is advanced past, which is how the scan finds the end.
 	it := &countingIter{Iter: mt.NewIter()}
-	if n := UserScanTombs(it, nil, util.MaxSequence, 0, nil, func(k, v []byte) bool { return true }); n != 20 || it.nexts != 20 {
+	if n := new(ScanState).scan(it, nil, util.MaxSequence, 0, nil, func(k, v []byte) bool { return true }); n != 20 || it.nexts != 20 {
 		t.Fatalf("unlimited scan: %d rows, %d advances", n, it.nexts)
 	}
 }
